@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race chaos wal-crash ckpt-chaos churn-storm failover byzantine obs-chaos check bench bench-json fmt
+.PHONY: all build vet lint lint-json test race chaos wal-crash ckpt-chaos churn-storm failover byzantine obs-chaos bench-check check bench bench-run bench-compare fmt
 
 all: check
 
@@ -70,7 +70,7 @@ failover:
 	$(GO) test ./internal/replica/ -run 'TestStandbyTornStream' -race -count=1 -v
 	$(GO) test ./internal/wal/ -run 'TestStreamReader|TestEncodeRecord' -race -count=1 -v
 	$(GO) test ./internal/faults/ -run 'TestParseScenarioKillPrimary|TestParseScenarioPartition|TestParseScenarioFailoverErrors' -race -count=1 -v
-	$(GO) test ./internal/protocol/ -run 'TestSendIsOneWrite|TestRecvHostileLength|TestRecvChunkedBodyGrowth|TestEpochRoundTrip' -race -count=1 -v
+	$(GO) test ./internal/protocol/ -run 'TestSendIsOneWrite|TestRecvHostileLength|TestRecvHostileFrames|TestRecvChunkedBodyGrowth|TestRecvTruncationAtEveryOffset|TestRecvOldFormat|TestEpochRoundTrip' -race -count=1 -v
 
 # Result-integrity e2e: a fleet seeded with 20% liars (faults DSL) under
 # replicated voting (k=2) must finish with byte-identical aggregates,
@@ -94,17 +94,28 @@ obs-chaos:
 	$(GO) test ./internal/server/ -run 'TestFoldTelemetry|TestIngestWorkerStats|TestTimeline' -race -count=1 -v
 	$(GO) test ./internal/obs/ -race -count=1
 
+# The benchmark is a module of its own (bench/go.mod), so the root's
+# ./... never reaches it: vet and test it here, or a change to an API it
+# compiles against breaks it silently.
+bench-check:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
+
 # The pre-PR gate: everything that must be green before a change ships.
-check: vet lint build race chaos wal-crash ckpt-chaos churn-storm failover byzantine obs-chaos
+check: vet lint build race chaos wal-crash ckpt-chaos churn-storm failover byzantine obs-chaos bench-check
 	gofmt -l . | tee /dev/stderr | wc -l | grep -qx 0
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable perf snapshot: scheduler-vs-LP ratio, WAL append
-# cost, checkpoint-streaming overhead. Diff it across versions.
-bench-json:
-	$(GO) run ./cmd/cwc-bench -bench-json BENCH_PR4.json
+# The repository's benchmark (bench/README.md): every workload, three
+# untraced runs and one traced run each, into .bench_out/.
+bench-run:
+	bash bench/run.sh --reps 3
+
+# Compare two result sets: make bench-compare A=base.json B=candidate.json
+bench-compare:
+	bash bench/run.sh compare $(A) $(B)
 
 fmt:
 	gofmt -w .

@@ -28,17 +28,8 @@ func main() {
 		configs = flag.Int("configs", 100, "random configurations for figure 13 (paper: 1000)")
 		days    = flag.Int("days", 56, "study length in days for figures 2-3")
 		series  = flag.String("series", "", "also write gnuplot-ready data files for every figure into this directory")
-		benchJS = flag.String("bench-json", "", "skip the figures; write a machine-readable perf snapshot (scheduler-vs-LP ratio, WAL append cost, checkpoint streaming overhead) to this JSON file")
 	)
 	flag.Parse()
-	if *benchJS != "" {
-		if err := runBenchJSON(*benchJS, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "cwc-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("perf snapshot written to %s\n", *benchJS)
-		return
-	}
 	if err := run(*fig, *seed, *configs, *days); err != nil {
 		fmt.Fprintln(os.Stderr, "cwc-bench:", err)
 		os.Exit(1)

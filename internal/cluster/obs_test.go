@@ -229,6 +229,9 @@ func TestObsAdminPlaneLiveCluster(t *testing.T) {
 
 	// The JSONL sink holds the full chain: assign → ... → aggregate with
 	// the injected failure and its requeue in between.
+	// (Detach it first: the cluster is still live, and a late telemetry
+	// batch folding into the tracer would write the buffer mid-read.)
+	tracer.SetSink(nil)
 	kinds := map[string]bool{}
 	for _, line := range strings.Split(traceBuf.String(), "\n") {
 		if line == "" {

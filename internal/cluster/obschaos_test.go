@@ -60,32 +60,35 @@ func traceJSONL(tr *obs.Tracer) []byte {
 }
 
 // timelineSettled reports whether every partition visible in the span
-// has both its master-side fold and a worker-side exec_finish event —
-// i.e. the final telemetry batches shipped after the last reports have
-// landed and the timeline is complete on both process sides.
+// has its master-side events and a worker-side exec_finish no older
+// than its latest master assign — i.e. the final telemetry batches
+// shipped after the last reports have landed and the timeline is
+// complete on both process sides. (An exec_finish from before the
+// failover does not count: it is already in the ring while the batch
+// that closes the re-execution is still in flight.)
 func timelineSettled(tr *obs.Tracer, span string) bool {
 	seen := map[int]bool{}
-	finished := map[int]bool{}
-	mastered := map[int]bool{}
+	finished := map[int]time.Time{}
+	assigned := map[int]time.Time{}
 	for _, ev := range tr.Span(span) {
 		switch ev.Kind {
 		case obs.KindSubmit, obs.KindRound, obs.KindAggregate, obs.KindPromote:
 			continue // job-level milestones, not partition rows
 		}
 		seen[ev.Partition] = true
-		if ev.Src == "worker" {
-			if ev.Kind == "exec_finish" {
-				finished[ev.Partition] = true
-			}
-		} else {
-			mastered[ev.Partition] = true
+		switch {
+		case ev.Src == "worker" && ev.Kind == "exec_finish" && ev.TS.After(finished[ev.Partition]):
+			finished[ev.Partition] = ev.TS
+		case ev.Src != "worker" && ev.Kind == obs.KindAssign && ev.TS.After(assigned[ev.Partition]):
+			assigned[ev.Partition] = ev.TS
 		}
 	}
 	if len(seen) == 0 {
 		return false
 	}
 	for p := range seen {
-		if !finished[p] || !mastered[p] {
+		// Worker clocks ride the wire in whole milliseconds.
+		if assigned[p].IsZero() || finished[p].Before(assigned[p].Truncate(time.Millisecond)) {
 			return false
 		}
 	}

@@ -1,7 +1,10 @@
 // Package protocol defines the wire protocol between the CWC central
-// server and the phone workers: length-prefixed JSON frames over a
-// persistent TCP connection (the prototype's Java NIO server spoke an
-// equivalent custom protocol).
+// server and the phone workers: length-prefixed frames over a persistent
+// TCP connection, each a small JSON header followed by the frame's byte
+// payloads as raw sections (the prototype's Java NIO server spoke an
+// equivalent custom protocol). Payload bytes cross the link once, at
+// their own size — the scheduler plans on measured per-KB transfer time,
+// so the wire must not inflate it. docs/protocol.md has the byte layout.
 //
 // The connection carries registration, iperf-style bandwidth probes, task
 // assignment (executable name + parameters + input partition, optionally a
@@ -12,6 +15,7 @@ package protocol
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -125,6 +129,12 @@ type WorkerEvent struct {
 
 // Message is the single frame shape; fields are populated per Type.
 // A union keeps the framing trivial and the protocol self-describing.
+//
+// Payload, Params, Input, Result and the State of Resume and Checkpoint
+// are not part of the JSON header: they ride after it as raw sections
+// (see rawSections), and Recv hands them out as sub-slices of one
+// receive buffer. A received message therefore owns its byte fields, but
+// they share a backing array — holding one keeps the whole frame alive.
 type Message struct {
 	Type Type `json:"type"`
 
@@ -154,7 +164,7 @@ type Message struct {
 	Telemetry bool `json:"telemetry,omitempty"`
 
 	// Probe.
-	Payload []byte `json:"payload,omitempty"`
+	Payload []byte `json:"-"`
 
 	// Assign / Result / Failure.
 	JobID     int `json:"job_id,omitempty"`
@@ -162,27 +172,27 @@ type Message struct {
 	// Attempt is the server-issued dispatch attempt ID. The worker echoes
 	// it in the matching result/failure so the server can pair late or
 	// replayed reports with the exact dispatch that caused them
-	// (first-result-wins for speculative re-dispatch). Zero means "no
-	// attempt tracking" (legacy peers).
+	// (first-result-wins for speculative re-dispatch). The server never
+	// issues attempt zero.
 	Attempt int64 `json:"attempt,omitempty"`
 	// Span is the task-lifecycle trace ID minted when the job was
 	// submitted. It rides every assign frame and is echoed in the
 	// matching result/failure/checkpoint frames so any partition's full
 	// history (assign → transfer → exec → checkpoint → report, plus
 	// failure/requeue/migration edges) can be reconstructed from the
-	// master's trace ring or JSONL sink. Empty means "untraced" (legacy
-	// peers); tracing is observability only, never correctness.
+	// master's trace ring or JSONL sink. Tracing is observability only,
+	// never correctness.
 	Span   string `json:"span,omitempty"`
 	Task   string `json:"task,omitempty"`
-	Params []byte `json:"params,omitempty"`
-	Input  []byte `json:"input,omitempty"`
+	Params []byte `json:"-"`
+	Input  []byte `json:"-"`
 	// TotalLen, when larger than len(Input) on an assign frame, announces
 	// a chunked transfer: assign_chunk frames follow until the assembled
 	// input reaches TotalLen.
 	TotalLen int64             `json:"total_len,omitempty"`
 	Resume   *tasks.Checkpoint `json:"resume,omitempty"`
 
-	Result      []byte            `json:"result,omitempty"`
+	Result      []byte            `json:"-"`
 	ExecMs      float64           `json:"exec_ms,omitempty"`
 	ProcessedKB float64           `json:"processed_kb,omitempty"`
 	Checkpoint  *tasks.Checkpoint `json:"checkpoint,omitempty"`
@@ -192,9 +202,8 @@ type Message struct {
 	// Checkpoint.Digest on checkpoint frames). The master recomputes the
 	// digest from the received bytes; a mismatch with the claimed value
 	// proves the payload was damaged between task output and fold, and
-	// the digest — not the payload — is what replica votes compare.
-	// Empty means "no digest" (legacy peers); the master then falls back
-	// to its own recomputation.
+	// the digest — not the payload — is what replica votes compare. A
+	// result or checkpoint frame without one is treated as a mismatch.
 	Digest string `json:"digest,omitempty"`
 
 	// Ping / Pong.
@@ -207,13 +216,13 @@ type Message struct {
 	// belong to the previous regime (whose attempt numbering the new
 	// master cannot trust), and at a resurrected old primary they prove
 	// the frame's author has moved on. Zero means "no epoch tracking"
-	// (replication disabled, or a legacy peer).
+	// (replication disabled).
 	Epoch int64 `json:"epoch,omitempty"`
 
 	// Stats is the worker's cumulative self-metering, piggybacked on
 	// pong and result frames so the master can aggregate fleet-wide
-	// metrics without any extra connections or frames. Absent from
-	// legacy peers; purely observational.
+	// metrics without any extra connections or frames. Purely
+	// observational.
 	Stats *WorkerStats `json:"stats,omitempty"`
 
 	// Telemetry frames: the batched worker-side span events, and how
@@ -252,27 +261,136 @@ type WorkerStats struct {
 	Assignments int `json:"assignments,omitempty"`
 }
 
-// MaxFrameSize bounds a single frame; larger frames indicate a corrupt
-// stream or an abusive peer.
+// MaxFrameSize bounds a single frame (everything after the length
+// prefix); larger frames indicate a corrupt stream or an abusive peer.
 const MaxFrameSize = 256 << 20 // 256 MiB
 
-// recvChunk caps how much Recv allocates per step while a frame body
-// arrives, so the declared length alone never commits real memory.
+// recvChunk caps how much Recv allocates before any byte of a header or
+// body has arrived, so a declared length alone never commits real
+// memory; past it the buffer at most doubles the bytes already landed.
 const recvChunk = 1 << 20 // 1 MiB
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// ErrCorrupt marks a received frame as undecodable: an impossible length
+// prefix, a header length or section lengths that disagree with the
+// frame (overrun, a section nothing owns, trailing bytes), a header that
+// is not valid JSON — which includes any frame in the pre-section
+// all-JSON layout — or a frame without a type. The stream is
+// unrecoverable past such a frame (framing is lost), so the peer should
+// be treated exactly like an offline failure. Distinguish it from plain
+// I/O errors (connection cut), which are NOT wrapped in it.
+var ErrCorrupt = errors.New("protocol: corrupt frame")
+
+// The raw sections of a frame, in wire order. A frame that carries any
+// lists all of their lengths in its header.
+const (
+	secPayload = iota
+	secParams
+	secInput
+	secResult
+	secResumeState
+	secCheckpointState
+	numSections
+)
+
+// rawSections returns the byte fields of m that ride outside the JSON
+// header, in wire order.
+func rawSections(m *Message) [numSections][]byte {
+	s := [numSections][]byte{secPayload: m.Payload, secParams: m.Params, secInput: m.Input, secResult: m.Result}
+	if m.Resume != nil {
+		s[secResumeState] = m.Resume.State
 	}
-	return b
+	if m.Checkpoint != nil {
+		s[secCheckpointState] = m.Checkpoint.State
+	}
+	return s
 }
 
-// ErrCorrupt marks a received frame as undecodable: an impossible length
-// prefix, a body that is not valid JSON, or a frame without a type. The
-// stream is unrecoverable past such a frame (framing is lost), so the
-// peer should be treated exactly like an offline failure. Distinguish it
-// from plain I/O errors (connection cut), which are NOT wrapped in it.
-var ErrCorrupt = errors.New("protocol: corrupt frame")
+// wireHeader is the JSON header of a frame that has raw bytes: the
+// message's own JSON (the raw byte fields are tagged out of it; Resume
+// and Checkpoint appear with their Offset only) plus the length of every
+// section. A frame without raw bytes — every keepalive and ack — has the
+// bare Message as its header: encoding/json walks an embedded struct
+// about 0.3 µs slower per side, which only frames that save a base64
+// pass should pay.
+type wireHeader struct {
+	*Message
+	Sections []int `json:"sections,omitempty"`
+}
+
+// encoder is the pooled per-Send state: the frame buffer and a JSON
+// encoder bound to it, so a small frame encodes without allocating.
+type encoder struct {
+	buf  bytes.Buffer
+	json *json.Encoder // writes to buf
+}
+
+var encoders = sync.Pool{New: func() any {
+	e := new(encoder)
+	e.json = json.NewEncoder(&e.buf)
+	return e
+}}
+
+// maxPooledFrame is the largest frame buffer an encoder may keep when it
+// returns to the pool: room for a default 4 MiB assignment chunk, while
+// one oversized frame does not stay pinned behind later pings.
+const maxPooledFrame = 8 << 20
+
+// maxHeaderScratch is the largest header buffer a Conn keeps between
+// Recvs; headers are a few hundred bytes, a telemetry batch a few KB.
+const maxHeaderScratch = 64 << 10
+
+// frame encodes m into e.buf as [4B length][4B header length][header]
+// [sections] and returns the bytes, valid until e is reused.
+func (e *encoder) frame(m *Message) ([]byte, error) {
+	sections := rawSections(m)
+	raw := 0
+	for _, s := range sections {
+		raw += len(s)
+	}
+	h := m
+	if m.Resume != nil || m.Checkpoint != nil {
+		// The header names a checkpoint by its Offset alone. The swap is
+		// made on a copy: the caller's Message is never written.
+		c := *m
+		if m.Resume != nil {
+			c.Resume = &tasks.Checkpoint{Offset: m.Resume.Offset}
+		}
+		if m.Checkpoint != nil {
+			c.Checkpoint = &tasks.Checkpoint{Offset: m.Checkpoint.Offset}
+		}
+		h = &c
+	}
+	e.buf.Reset()
+	var pre [8]byte // both length fields, patched below
+	e.buf.Write(pre[:])
+	var err error
+	if raw == 0 {
+		err = e.json.Encode(h)
+	} else {
+		lens := make([]int, numSections)
+		for i, s := range sections {
+			lens[i] = len(s)
+		}
+		err = e.json.Encode(wireHeader{Message: h, Sections: lens})
+	}
+	if err != nil {
+		return nil, fmt.Errorf("protocol: encoding %s frame: %w", m.Type, err)
+	}
+	e.buf.Truncate(e.buf.Len() - 1) // the encoder's trailing newline
+	hlen := e.buf.Len() - 8
+	n := 4 + hlen + raw
+	if n > MaxFrameSize {
+		return nil, fmt.Errorf("protocol: %s frame of %d bytes exceeds limit", m.Type, n)
+	}
+	e.buf.Grow(raw)
+	for _, s := range sections {
+		e.buf.Write(s)
+	}
+	b := e.buf.Bytes()
+	binary.BigEndian.PutUint32(b, uint32(n))
+	binary.BigEndian.PutUint32(b[4:], uint32(hlen))
+	return b, nil
+}
 
 // Conn wraps a net.Conn with frame encoding. Sends are serialized by a
 // mutex so multiple goroutines (dispatcher, keepaliver) can share it;
@@ -281,6 +399,11 @@ type Conn struct {
 	c  net.Conn
 	r  *bufio.Reader
 	wm sync.Mutex
+
+	// rbuf is Recv's scratch for the header bytes of the frame being
+	// decoded (JSON decoding copies what it keeps), owned by the single
+	// reader.
+	rbuf []byte
 }
 
 // NewConn wraps an established connection. For TCP connections it enables
@@ -295,21 +418,22 @@ func NewConn(c net.Conn) *Conn {
 	return &Conn{c: c, r: bufio.NewReaderSize(c, 64<<10)}
 }
 
-// Send writes one frame: 4-byte big-endian length followed by the JSON
-// body.
+// Send writes one frame: a 4-byte big-endian length, a 4-byte header
+// length, the JSON header, then the raw sections. It neither modifies
+// nor retains m or the slices it holds.
 func (c *Conn) Send(m *Message) error {
-	body, err := json.Marshal(m)
+	e := encoders.Get().(*encoder)
+	defer func() {
+		if e.buf.Cap() <= maxPooledFrame {
+			encoders.Put(e)
+		}
+	}()
+	frame, err := e.frame(m)
 	if err != nil {
-		return fmt.Errorf("protocol: encoding %s frame: %w", m.Type, err)
-	}
-	if len(body) > MaxFrameSize {
-		return fmt.Errorf("protocol: %s frame of %d bytes exceeds limit", m.Type, len(body))
+		return err
 	}
 	// One frame, one Write: a crash or fault-injected cut can never land
 	// between the header and the body, and each frame costs one syscall.
-	frame := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(frame, uint32(len(body)))
-	copy(frame[4:], body)
 	c.wm.Lock()
 	defer c.wm.Unlock()
 	if _, err := c.c.Write(frame); err != nil {
@@ -318,39 +442,118 @@ func (c *Conn) Send(m *Message) error {
 	return nil
 }
 
-// Recv reads one frame.
+// readN reads exactly n bytes, reusing buf's capacity. A corrupt or
+// hostile length must not cost MaxFrameSize (256 MiB) up front: the
+// buffer starts at no more than recvChunk and then grows to at most twice
+// the bytes that have actually landed.
+func (c *Conn) readN(buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		off := len(buf)
+		end := min(n, max(cap(buf), off+max(off, recvChunk)))
+		if end > cap(buf) {
+			buf = append(make([]byte, 0, end), buf...)
+		}
+		buf = buf[:end]
+		if _, err := io.ReadFull(c.r, buf[off:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// Recv reads one frame. The returned message's byte fields are
+// sub-slices of one buffer read for this frame alone.
 func (c *Conn) Recv() (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+	var pre [8]byte
+	if _, err := io.ReadFull(c.r, pre[:4]); err != nil {
 		return nil, fmt.Errorf("protocol: reading frame header: %w", err)
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(pre[:4]))
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("frame of %d bytes exceeds limit: %w", n, ErrCorrupt)
 	}
-	// A corrupt or hostile length prefix must not cost MaxFrameSize
-	// (256 MiB) up front: allocate at most recvChunk before any body byte
-	// has arrived and grow only as bytes actually land.
-	body := make([]byte, minInt(n, recvChunk))
-	off := 0
-	for {
-		if _, err := io.ReadFull(c.r, body[off:]); err != nil {
-			return nil, fmt.Errorf("protocol: reading frame body: %w", err)
-		}
-		off = len(body)
-		if off == n {
-			break
-		}
-		body = append(body, make([]byte, minInt(n-off, recvChunk))...)
+	if n < 4 {
+		return nil, fmt.Errorf("frame of %d bytes has no header length: %w", n, ErrCorrupt)
 	}
-	var m Message
-	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, fmt.Errorf("decoding frame (%v): %w", err, ErrCorrupt)
+	if _, err := io.ReadFull(c.r, pre[4:]); err != nil {
+		return nil, fmt.Errorf("protocol: reading frame header: %w", err)
+	}
+	// A frame in the old all-JSON layout fails here: its first body bytes
+	// (`{"ty`) read as a header length of two gigabytes.
+	hlen := int(binary.BigEndian.Uint32(pre[4:]))
+	if hlen > n-4 {
+		return nil, fmt.Errorf("header of %d bytes overruns its %d-byte frame: %w", hlen, n, ErrCorrupt)
+	}
+	hdr, err := c.readN(c.rbuf, hlen)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: reading frame header: %w", err)
+	}
+	if cap(hdr) <= maxHeaderScratch {
+		c.rbuf = hdr
+	}
+	raw := n - 4 - hlen
+	m := new(Message)
+	var lens []int
+	if raw == 0 {
+		err = json.Unmarshal(hdr, m)
+	} else {
+		h := wireHeader{Message: m}
+		err = json.Unmarshal(hdr, &h)
+		lens = h.Sections
+	}
+	if err != nil {
+		return nil, fmt.Errorf("decoding frame header (%v): %w", err, ErrCorrupt)
 	}
 	if m.Type == "" {
 		return nil, fmt.Errorf("frame missing type: %w", ErrCorrupt)
 	}
-	return &m, nil
+
+	// Every byte after the header must belong to exactly one section, and
+	// that is settled before any of them is read: section lengths cost no
+	// memory beyond what readN commits for the frame length itself.
+	var sections [numSections][]byte
+	if raw > 0 {
+		if len(lens) != numSections {
+			return nil, fmt.Errorf("frame with %d raw bytes lists %d sections, want %d: %w", raw, len(lens), numSections, ErrCorrupt)
+		}
+		left := raw
+		for i, l := range lens {
+			if l < 0 || l > left {
+				return nil, fmt.Errorf("section %d of %d bytes overruns its frame: %w", i, l, ErrCorrupt)
+			}
+			left -= l
+		}
+		if left != 0 {
+			return nil, fmt.Errorf("%d bytes after the last section: %w", left, ErrCorrupt)
+		}
+		if (lens[secResumeState] > 0 && m.Resume == nil) || (lens[secCheckpointState] > 0 && m.Checkpoint == nil) {
+			return nil, fmt.Errorf("checkpoint state section without its checkpoint: %w", ErrCorrupt)
+		}
+		body, err := c.readN(nil, raw)
+		if err != nil {
+			return nil, fmt.Errorf("protocol: reading frame body: %w", err)
+		}
+		for i, l := range lens {
+			if l > 0 {
+				// Capacity stops at the section's end: appending to one
+				// field must never write into its neighbour.
+				sections[i] = body[:l:l]
+			}
+			body = body[l:]
+		}
+	}
+	// Unconditional, so checkpoint state can only ever come from a
+	// section, never from a "state" member smuggled into the header.
+	m.Payload, m.Params = sections[secPayload], sections[secParams]
+	m.Input, m.Result = sections[secInput], sections[secResult]
+	if m.Resume != nil {
+		m.Resume.State = sections[secResumeState]
+	}
+	if m.Checkpoint != nil {
+		m.Checkpoint.State = sections[secCheckpointState]
+	}
+	return m, nil
 }
 
 // SetReadDeadline bounds the next Recv.

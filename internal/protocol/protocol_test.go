@@ -231,7 +231,7 @@ func TestOverTCP(t *testing.T) {
 }
 
 // Corrupt-stream classification: frames that are structurally broken
-// (impossible length, undecodable JSON, missing type) wrap ErrCorrupt so
+// (impossible length, undecodable header, missing type) wrap ErrCorrupt so
 // the server can convert them into structured offline failures, while a
 // cleanly cut stream surfaces as a plain I/O error.
 func TestRecvCorruptClassification(t *testing.T) {
@@ -270,19 +270,11 @@ func TestRecvCorruptClassification(t *testing.T) {
 		}
 	})
 	// A truncated body (peer dies mid-frame) is a connection failure, not
-	// a corrupt frame: framing was intact as far as it got.
+	// a corrupt frame: framing was intact as far as it got. (Every cut
+	// offset is covered by TestRecvTruncationAtEveryOffset.)
 	t.Run("truncated body is not corrupt", func(t *testing.T) {
-		client, server := net.Pipe()
-		c := NewConn(server)
-		defer c.Close()
-		go func() {
-			var hdr [4]byte
-			binary.BigEndian.PutUint32(hdr[:], 100)
-			client.Write(hdr[:])
-			client.Write([]byte("{\"type\":")) // 8 of 100 bytes, then gone
-			client.Close()
-		}()
-		_, err := c.Recv()
+		frame := encodeFrame(t, &Message{Type: TypeAssign, JobID: 1, Input: []byte("0123456789")})
+		_, err := recvBytes(frame[:len(frame)-4])
 		if err == nil {
 			t.Fatal("truncated body should error")
 		}

@@ -36,7 +36,7 @@ func TestRecordFailureDedupesReplayedAttempt(t *testing.T) {
 		t.Fatalf("pending = %d, want 1 (replay must not double-requeue)", len(m.pending))
 	}
 
-	// Attempt 0 (untracked, legacy peers) is never deduped.
+	// Attempt 0 (an internally synthesized failure) is never deduped.
 	m2 := New(Config{})
 	m2.jobs[1] = &jobState{id: 1, task: tasks.Blur{}, totalBytes: 100}
 	b := assignment{
@@ -84,7 +84,7 @@ func TestProactiveDrainHandsBackWithoutKillingPhone(t *testing.T) {
 				t.Errorf("profiling execution: %v", err)
 				return
 			}
-			f.send(&protocol.Message{Type: protocol.TypeResult, Result: res,
+			f.send(&protocol.Message{Type: protocol.TypeResult, Result: res, Digest: tasks.Digest(res),
 				ExecMs: 1, ProcessedKB: float64(len(msg.Input)) / 1024})
 			continue
 		}

@@ -61,7 +61,7 @@ func TestCorruptFrameMidRoundRequeuesPartition(t *testing.T) {
 		t.Fatalf("expected profiling assign, got %+v", prof)
 	}
 	f1.send(&protocol.Message{Type: protocol.TypeResult, JobID: 0, Partition: -1,
-		Result: []byte("x"), ExecMs: 1, ProcessedKB: 0.01})
+		Result: []byte("x"), Digest: tasks.Digest([]byte("x")), ExecMs: 1, ProcessedKB: 0.01})
 	asg := f1.recv()
 	if asg.Type != protocol.TypeAssign || asg.JobID != id {
 		t.Fatalf("expected real assign, got %+v", asg)
@@ -94,7 +94,7 @@ func TestCorruptFrameMidRoundRequeuesPartition(t *testing.T) {
 		asg2 := f2.recv()
 		f2.send(&protocol.Message{Type: protocol.TypeResult, JobID: asg2.JobID,
 			Partition: asg2.Partition, Attempt: asg2.Attempt,
-			Result: []byte("3"), ExecMs: 1, ProcessedKB: 0.01})
+			Result: []byte("3"), Digest: tasks.Digest([]byte("3")), ExecMs: 1, ProcessedKB: 0.01})
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -128,7 +128,7 @@ func TestStragglerSpeculationFirstResultWins(t *testing.T) {
 				case protocol.TypeAssign:
 					if msg.Partition == -1 {
 						_ = f.conn.Send(&protocol.Message{Type: protocol.TypeResult,
-							JobID: 0, Partition: -1, Result: []byte("x"),
+							JobID: 0, Partition: -1, Result: []byte("x"), Digest: tasks.Digest([]byte("x")),
 							ExecMs: 1, ProcessedKB: 0.01})
 						continue
 					}
@@ -137,7 +137,7 @@ func TestStragglerSpeculationFirstResultWins(t *testing.T) {
 					}
 					_ = f.conn.Send(&protocol.Message{Type: protocol.TypeResult,
 						JobID: msg.JobID, Partition: msg.Partition, Attempt: msg.Attempt,
-						Result: []byte("2"), ExecMs: 1, ProcessedKB: 0.01})
+						Result: []byte("2"), Digest: tasks.Digest([]byte("2")), ExecMs: 1, ProcessedKB: 0.01})
 				}
 			}
 		}()
@@ -205,7 +205,7 @@ func TestDeadLetterAfterRetryBudget(t *testing.T) {
 				}
 				if msg.Partition == -1 {
 					_ = f.conn.Send(&protocol.Message{Type: protocol.TypeResult,
-						JobID: 0, Partition: -1, Result: []byte("x"),
+						JobID: 0, Partition: -1, Result: []byte("x"), Digest: tasks.Digest([]byte("x")),
 						ExecMs: 1, ProcessedKB: 0.01})
 					continue
 				}
@@ -347,7 +347,7 @@ func TestSaveStateMidRoundCapturesInFlightCheckpoint(t *testing.T) {
 		t.Fatalf("expected profiling assign, got %+v", prof)
 	}
 	f1.send(&protocol.Message{Type: protocol.TypeResult, JobID: 0, Partition: -1,
-		Result: []byte("x"), ExecMs: 2, ProcessedKB: 4})
+		Result: []byte("x"), Digest: tasks.Digest([]byte("x")), ExecMs: 2, ProcessedKB: 4})
 	asg := f1.recv()
 	f1.send(&protocol.Message{Type: protocol.TypeFailure, JobID: id,
 		Partition: asg.Partition, Attempt: asg.Attempt,
@@ -391,7 +391,7 @@ func TestSaveStateMidRoundCapturesInFlightCheckpoint(t *testing.T) {
 	// The snapshot must not disturb the live round.
 	f2.send(&protocol.Message{Type: protocol.TypeResult, JobID: id,
 		Partition: resumed.Partition, Attempt: resumed.Attempt,
-		Result: []byte("blurred"), ExecMs: 2, ProcessedKB: 4})
+		Result: []byte("blurred"), Digest: tasks.Digest([]byte("blurred")), ExecMs: 2, ProcessedKB: 4})
 	if err := <-round2; err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestSaveStateMidRoundCapturesInFlightCheckpoint(t *testing.T) {
 			}
 			_ = f3.conn.Send(&protocol.Message{Type: protocol.TypeResult,
 				JobID: msg.JobID, Partition: msg.Partition, Attempt: msg.Attempt,
-				Result: []byte("blurred-after-restart"), ExecMs: 2, ProcessedKB: 4})
+				Result: []byte("blurred-after-restart"), Digest: tasks.Digest([]byte("blurred-after-restart")), ExecMs: 2, ProcessedKB: 4})
 		}
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -978,8 +978,9 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 	var jobID, partition int
 	m.cfg.Metrics.Counter("cwc_checkpoint_frames_total").Inc()
 	if msg.Attempt != 0 && ck != nil && ck.Offset > 0 {
-		if msg.Digest != "" && msg.Digest != ck.Digest() {
-			// In-transit damage: never fold, but still ack (flow control).
+		if msg.Digest != ck.Digest() {
+			// In-transit damage (a stripped digest included): never
+			// fold, but still ack (flow control).
 			m.cfg.Metrics.Counter("cwc_verify_mismatches_total", "kind", "checkpoint").Inc()
 			m.sloObserve(sloVerify, false)
 			m.cfg.Logger.With("phone", ps.info.ID).Warnf("streamed checkpoint digest mismatch; frame dropped")

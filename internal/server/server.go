@@ -976,7 +976,7 @@ func (m *Master) BumpEpoch() (int64, error) {
 // numbering restarted at promotion, so accepting it could pair a stale
 // report with a fresh attempt — or let a resurrected old primary keep
 // collecting results it no longer owns. Epoch-less frames (replication
-// off, legacy workers) pass; the attempt/key dedupe still guards them.
+// off) pass; the attempt/key dedupe still guards them.
 func (m *Master) fenced(msg *protocol.Message) bool {
 	if msg.Epoch == 0 {
 		return false

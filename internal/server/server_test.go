@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"io"
 	"math/rand"
 	"net"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"cwc/internal/migrate"
+	"cwc/internal/obs"
 	"cwc/internal/protocol"
 	"cwc/internal/tasks"
 	"cwc/internal/worker"
@@ -324,7 +326,7 @@ func TestMigrationJournalLifecycle(t *testing.T) {
 		t.Fatalf("expected profiling assign, got %+v", prof)
 	}
 	f1.send(&protocol.Message{Type: protocol.TypeResult, JobID: 0, Partition: -1,
-		Result: []byte("x"), ExecMs: 5, ProcessedKB: 4})
+		Result: []byte("x"), Digest: tasks.Digest([]byte("x")), ExecMs: 5, ProcessedKB: 4})
 	asg := f1.recv()
 	if asg.Type != protocol.TypeAssign || asg.JobID != jobID {
 		t.Fatalf("expected real assign, got %+v", asg)
@@ -362,7 +364,7 @@ func TestMigrationJournalLifecycle(t *testing.T) {
 	}
 	f2.send(&protocol.Message{
 		Type: protocol.TypeResult, JobID: jobID, Partition: resumed.Partition,
-		Result: []byte("blurred"), ExecMs: 3, ProcessedKB: 4,
+		Result: []byte("blurred"), Digest: tasks.Digest([]byte("blurred")), ExecMs: 3, ProcessedKB: 4,
 	})
 	if err := <-round2; err != nil {
 		t.Fatal(err)
@@ -407,7 +409,7 @@ func TestRoundReportEvents(t *testing.T) {
 			continue
 		}
 		f.send(&protocol.Message{Type: protocol.TypeResult, JobID: msg.JobID,
-			Partition: msg.Partition, Result: []byte("2"), ExecMs: 1, ProcessedKB: 0.01})
+			Partition: msg.Partition, Result: []byte("2"), Digest: tasks.Digest([]byte("2")), ExecMs: 1, ProcessedKB: 0.01})
 		if msg.Partition != -1 {
 			break
 		}
@@ -457,7 +459,7 @@ func TestSubmitDuringRound(t *testing.T) {
 			}
 			if err := f.conn.Send(&protocol.Message{
 				Type: protocol.TypeResult, JobID: msg.JobID,
-				Partition: msg.Partition, Result: res,
+				Partition: msg.Partition, Result: res, Digest: tasks.Digest(res),
 				ExecMs: 1, ProcessedKB: 0.01,
 			}); err != nil {
 				return
@@ -525,7 +527,7 @@ func TestRunLoopProcessesSubmissionsAsTheyArrive(t *testing.T) {
 			}
 			_ = f.conn.Send(&protocol.Message{Type: protocol.TypeResult,
 				JobID: msg.JobID, Partition: msg.Partition,
-				Result: []byte("1"), ExecMs: 1, ProcessedKB: 0.01})
+				Result: []byte("1"), Digest: tasks.Digest([]byte("1")), ExecMs: 1, ProcessedKB: 0.01})
 		}
 	}()
 
@@ -787,5 +789,139 @@ func TestOfflineFailureEndToEnd(t *testing.T) {
 	}
 	if resumes == 0 {
 		t.Error("the re-queued partition was never re-shipped with resume state")
+	}
+}
+
+// A phone that opens with a hello in the old all-JSON frame layout is
+// dropped on that first frame, not after the 10 s hello timeout.
+func TestOldFormatHelloDroppedAtOnce(t *testing.T) {
+	m := startMaster(t, Config{})
+	raw, err := net.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	hello := `{"type":"hello","model":"HTC G2","cpu_mhz":806,"ram_mb":512}`
+	if _, err := raw.Write(append([]byte{0, 0, 0, byte(len(hello))}, hello...)); err != nil {
+		t.Fatal(err)
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(helloTimeout / 2))
+	if _, err := raw.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after an old-format hello: %v, want the master to have closed the connection", err)
+	}
+	if n := len(m.Phones()); n != 0 {
+		t.Fatalf("%d phones registered from an old-format hello", n)
+	}
+}
+
+// A streamed checkpoint folds only when its digest matches: a stale
+// digest and a stripped one are both dropped (and still acknowledged,
+// the ack being flow control).
+func TestStreamedCheckpointNeedsItsDigest(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := startMaster(t, Config{Metrics: reg})
+	f := dialFake(t, m, "HTC G2", 806)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	id, err := m.Submit(tasks.PrimeCount{}, primesInput, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := make(chan error, 1)
+	go func() {
+		_, err := m.RunRound(ctx)
+		round <- err
+	}()
+	prof := f.recv()
+	x := []byte("1")
+	f.send(&protocol.Message{Type: protocol.TypeResult, JobID: 0, Partition: -1,
+		Result: x, Digest: tasks.Digest(x), ExecMs: 1, ProcessedKB: float64(len(prof.Input)) / 1024})
+	asg := f.recv()
+	if asg.Type != protocol.TypeAssign || asg.JobID != id {
+		t.Fatalf("expected the real assign, got %+v", asg)
+	}
+
+	ck := &tasks.Checkpoint{Offset: 2, State: []byte(`{"count":1}`)}
+	for i, digest := range []string{"", tasks.Digest([]byte("something else")), ck.Digest()} {
+		f.send(&protocol.Message{Type: protocol.TypeCheckpoint, JobID: id, Partition: asg.Partition,
+			Attempt: asg.Attempt, Seq: uint64(i + 1), Checkpoint: ck, Digest: digest})
+		if ack := f.recv(); ack.Type != protocol.TypeCheckpointAck || ack.Seq != uint64(i+1) {
+			t.Fatalf("checkpoint %d answered with %+v, want its ack", i+1, ack)
+		}
+		if got, want := m.StreamedCheckpoints(), i/2; got != want {
+			t.Fatalf("after checkpoint %d (digest %.8q): %d folds, want %d", i+1, digest, got, want)
+		}
+	}
+	if v := reg.Counter("cwc_verify_mismatches_total", "kind", "checkpoint").Value(); v != 2 {
+		t.Errorf("checkpoint mismatches = %d, want 2", v)
+	}
+
+	res, err := tasks.PrimeCount{}.Process(ctx, asg.Input, &tasks.Checkpoint{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.send(&protocol.Message{Type: protocol.TypeResult, JobID: id, Partition: asg.Partition,
+		Attempt: asg.Attempt, Result: res, Digest: tasks.Digest(res), ExecMs: 1, ProcessedKB: 0.01})
+	if err := <-round; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The master refines c_ij from reported execution times, so a phone's
+// emulated CPU slowness (worker DelayPerKB) must show up there: of two
+// phones with the same clock, the slow one's learned ms/KB is at least
+// its configured delay and the fast one's is well below it.
+func TestRefinedCostReflectsEmulatedCPU(t *testing.T) {
+	const delay = 4 * time.Millisecond // per KB
+	m := startMaster(t, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	workerCtx, cancelWorkers := context.WithCancel(context.Background())
+	t.Cleanup(cancelWorkers)
+	var slow, fast *worker.Phone
+	for _, p := range []struct {
+		w     **worker.Phone
+		delay time.Duration
+	}{{&slow, delay}, {&fast, 0}} {
+		w, err := worker.New(worker.Config{
+			ServerAddr: m.Addr(), Model: "HTC G2", CPUMHz: 806, RAMMB: 512,
+			DelayPerKB: p.delay,
+			Reconnect:  worker.ReconnectPolicy{Disabled: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		*p.w = w
+		go func() { _ = w.Run(workerCtx) }()
+		if err := w.WaitRegistered(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.WaitForPhones(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	input := tasks.GenIntegers(64, 100000, rand.New(rand.NewSource(3)))
+	id, err := m.Submit(tasks.PrimeCount{}, input, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, ok := m.Result(id); ok {
+			break
+		}
+		if _, err := m.RunRound(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.mu.Lock()
+	est := m.est
+	m.mu.Unlock()
+	delayMs := float64(delay) / float64(time.Millisecond)
+	learnedSlow, ok := est.LearnedEstimate("primecount", slow.ID())
+	if !ok || learnedSlow < delayMs {
+		t.Errorf("slow phone's refined c_ij = %.3f ms/KB (reported: %v), want at least its %.0f ms/KB delay", learnedSlow, ok, delayMs)
+	}
+	if learnedFast, ok := est.LearnedEstimate("primecount", fast.ID()); ok && learnedFast > delayMs/2 {
+		t.Errorf("fast phone's refined c_ij = %.3f ms/KB, want well under the slow phone's %.0f", learnedFast, delayMs)
 	}
 }

@@ -39,7 +39,7 @@ func autoResponder(f *fakePhone) {
 		}
 		_ = f.conn.Send(&protocol.Message{Type: protocol.TypeResult,
 			JobID: msg.JobID, Partition: msg.Partition,
-			Result: res, ExecMs: 1, ProcessedKB: float64(len(msg.Input)) / 1024})
+			Result: res, Digest: tasks.Digest(res), ExecMs: 1, ProcessedKB: float64(len(msg.Input)) / 1024})
 	}
 }
 

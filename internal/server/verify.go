@@ -40,11 +40,10 @@ import (
 //     connected and visible, but placement treats it as a HARD veto —
 //     no never-starve fallback, unlike the advisory drain filter.
 //
-// Voting compares digests the master computed itself, so legacy workers
-// that send no digest still vote correctly. What voting cannot catch is
-// collusion: two phones returning the same wrong bytes for the same
-// partition outvote the truth (the faults package's liars therefore
-// derandomize per phone; see docs/faults.md).
+// Voting compares digests the master computed itself, never the claimed
+// ones. What voting cannot catch is collusion: two phones returning the
+// same wrong bytes for the same partition outvote the truth (the faults
+// package's liars therefore derandomize per phone; see docs/faults.md).
 
 // voteGroup tracks one partition's verification: the executions expected
 // for its key, the digests they reported, and how the group settled.
@@ -90,10 +89,12 @@ func (m *Master) recordResult(a assignment, resp *protocol.Message, est *predict
 // unchanged.
 func (m *Master) verifyResult(a assignment, resp *protocol.Message, est *predict.Estimator, ps *phoneState) bool {
 	computed := tasks.Digest(resp.Result)
-	if resp.Digest != "" && resp.Digest != computed {
+	if resp.Digest != computed {
 		// The payload was damaged between the worker's task output and
 		// this fold: detectable from the single frame, no vote needed.
-		// Treat it like a failure report so the range re-executes.
+		// Treat it like a failure report so the range re-executes. A
+		// missing digest is a mismatch too — otherwise whoever can damage
+		// a payload could simply strip its digest.
 		m.cfg.Metrics.Counter("cwc_verify_mismatches_total", "kind", "digest").Inc()
 		m.sloObserve(sloVerify, false)
 		m.cfg.Logger.With("phone", ps.info.ID, "job", a.item.jobID, "partition", a.partition).
@@ -107,11 +108,9 @@ func (m *Master) verifyResult(a assignment, resp *protocol.Message, est *predict
 		}, ps.info.ID, 0)
 		return true
 	}
-	if resp.Digest != "" {
-		// A carried digest that matched is one successful verification
-		// comparison, whatever the voting layer decides next.
-		m.sloObserve(sloVerify, true)
-	}
+	// A digest that matched is one successful verification comparison,
+	// whatever the voting layer decides next.
+	m.sloObserve(sloVerify, true)
 	if a.key == 0 {
 		return false
 	}

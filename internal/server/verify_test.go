@@ -326,13 +326,21 @@ func TestAuditMismatchPenalizesLiar(t *testing.T) {
 }
 
 // A frame whose claimed digest does not match its payload is detectable
-// without any replica: it is discarded and the range re-executes.
+// without any replica: it is discarded and the range re-executes. A
+// frame with no digest at all is the same case — stripping the digest
+// must not buy a damaged payload a pass.
 func TestClaimedDigestMismatchRequeues(t *testing.T) {
+	t.Run("stale digest", func(t *testing.T) { testDigestMismatchRequeues(t, false) })
+	t.Run("stripped digest", func(t *testing.T) { testDigestMismatchRequeues(t, true) })
+}
+
+func testDigestMismatchRequeues(t *testing.T, strip bool) {
 	reg := obs.NewRegistry()
 	m := startMaster(t, Config{Metrics: reg})
 	f := dialFake(t, m, "flaky", 1000)
-	// A responder that corrupts the payload AFTER computing the digest:
-	// detectable from the single frame.
+	// A responder that corrupts the payload AFTER computing the digest
+	// (or sends the honest payload with no digest): detectable from the
+	// single frame.
 	corrupted := false
 	go func() {
 		for {
@@ -358,9 +366,13 @@ func TestClaimedDigestMismatchRequeues(t *testing.T) {
 			digest := tasks.Digest(res)
 			if msg.Partition >= 0 && !corrupted {
 				corrupted = true
-				mangled := append([]byte(nil), res...)
-				mangled[0] ^= 0xff
-				res = mangled // digest now stale: claimed != computed
+				if strip {
+					digest = ""
+				} else {
+					mangled := append([]byte(nil), res...)
+					mangled[0] ^= 0xff
+					res = mangled // digest now stale: claimed != computed
+				}
 			}
 			_ = f.conn.Send(&protocol.Message{Type: protocol.TypeResult,
 				JobID: msg.JobID, Partition: msg.Partition, Attempt: msg.Attempt,

@@ -39,7 +39,10 @@ type Config struct {
 	RAMMB      int
 	// DelayPerKB emulates a slower CPU by sleeping this long per KB of
 	// input before real processing; zero for full speed. The sleep is
-	// interruptible so unplugging still checkpoints promptly.
+	// execution time and is reported as such (the result's ExecMs, the
+	// cumulative stats and the exec_finish event all include it), so the
+	// master's refined c_ij sees the emulated CPU. It is interruptible,
+	// so unplugging still checkpoints promptly.
 	DelayPerKB time.Duration
 	// Dial overrides the transport (tests and in-process clusters);
 	// defaults to TCP to ServerAddr.
@@ -172,6 +175,25 @@ func (r ReconnectPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 	}
 	d *= 1 + r.JitterFrac*(2*rng.Float64()-1)
 	return time.Duration(d)
+}
+
+// maxAssignBytes bounds the total_len a chunked assignment may announce.
+// The assembled input is one in-memory []byte and no phone holds two
+// gigabytes of it, so anything larger is a corrupt or hostile frame.
+const maxAssignBytes = 1<<31 - 1
+
+// appendChunk appends one chunk of a chunked assignment to the input
+// assembled so far, whose announced final size is total. The buffer
+// grows as chunks land — to at most twice the bytes received, never past
+// total — so a hostile total_len alone commits no memory.
+func appendChunk(input, chunk []byte, total int64) []byte {
+	need := len(input) + len(chunk)
+	if need > cap(input) {
+		grown := make([]byte, len(input), min(total, 2*int64(need)))
+		copy(grown, input)
+		input = grown
+	}
+	return append(input, chunk...)
 }
 
 // maxUnsent bounds the buffer of reports awaiting a reconnect; beyond it
@@ -487,6 +509,16 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 	// with the connection: the server re-dispatches lost partitions.
 	type partKey struct{ job, part int }
 	assembling := map[partKey]*protocol.Message{}
+	// refuse answers an assignment this worker will not run with a
+	// failure report, so the server requeues it at once.
+	refuse := func(m *protocol.Message, why string) {
+		_ = conn.Send(&protocol.Message{
+			Type: protocol.TypeFailure, JobID: m.JobID,
+			Partition: m.Partition, Attempt: m.Attempt,
+			Epoch: p.currentEpoch(),
+			Error: why,
+		})
+	}
 	enqueue := func(m *protocol.Message) {
 		select {
 		case assignQ <- m:
@@ -498,12 +530,7 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 		default:
 			// Queue overflow: a runaway server; refuse the work rather
 			// than buffer unboundedly.
-			_ = conn.Send(&protocol.Message{
-				Type: protocol.TypeFailure, JobID: m.JobID,
-				Partition: m.Partition, Attempt: m.Attempt,
-				Epoch: p.currentEpoch(),
-				Error: "worker assignment queue full",
-			})
+			refuse(m, "worker assignment queue full")
 		}
 	}
 
@@ -575,8 +602,11 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 			p.addTransfer(len(m.Input))
 			if m.TotalLen > int64(len(m.Input)) {
 				// First frame of a chunked transfer.
-				buf := make([]byte, 0, m.TotalLen)
-				m.Input = append(buf, m.Input...)
+				if m.TotalLen > maxAssignBytes {
+					refuse(m, fmt.Sprintf("impossible assignment length %d", m.TotalLen))
+					continue
+				}
+				m.Input = appendChunk(nil, m.Input, m.TotalLen)
 				assembling[partKey{m.JobID, m.Partition}] = m
 				continue
 			}
@@ -586,23 +616,17 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 			key := partKey{m.JobID, m.Partition}
 			pend, ok := assembling[key]
 			if !ok {
-				_ = conn.Send(&protocol.Message{
-					Type: protocol.TypeFailure, JobID: m.JobID,
-					Partition: m.Partition, Epoch: p.currentEpoch(),
-					Error: "unexpected assignment chunk",
-				})
+				refuse(m, "unexpected assignment chunk")
 				continue
 			}
-			pend.Input = append(pend.Input, m.Input...)
-			if int64(len(pend.Input)) > pend.TotalLen {
+			if int64(len(pend.Input)+len(m.Input)) > pend.TotalLen {
 				delete(assembling, key)
-				_ = conn.Send(&protocol.Message{
-					Type: protocol.TypeFailure, JobID: m.JobID,
-					Partition: m.Partition, Epoch: p.currentEpoch(),
-					Error: "assignment chunk overflow",
-				})
+				refuse(pend, "assignment chunk overflow")
 				continue
 			}
+			// The one copy a chunked input byte makes on this side: out
+			// of its frame's receive buffer, into the assembled input.
+			pend.Input = appendChunk(pend.Input, m.Input, pend.TotalLen)
 			if int64(len(pend.Input)) == pend.TotalLen {
 				delete(assembling, key)
 				enqueue(pend)
@@ -753,6 +777,17 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 	}
 
 	// Emulated CPU slowness: pay the remaining input's worth of delay.
+	// The clock starts before it — the delay is this phone's execution
+	// time, and the master refines c_ij from what is reported here.
+	start := time.Now()
+	// spent closes the execution clock and meters it.
+	spent := func() time.Duration {
+		elapsed := time.Since(start)
+		p.mu.Lock()
+		p.statExecMs += float64(elapsed) / float64(time.Millisecond)
+		p.mu.Unlock()
+		return elapsed
+	}
 	if p.cfg.DelayPerKB > 0 {
 		remainingKB := float64(int64(len(m.Input))-ck.Offset) / 1024
 		if remainingKB > 0 {
@@ -762,7 +797,7 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 			case <-taskCtx.Done():
 				t.Stop()
 				reason := p.interruptReason()
-				finish(0, reason)
+				finish(spent(), reason)
 				fail(ck, reason)
 				return
 			}
@@ -774,12 +809,8 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 		execCtx = tasks.WithPacer(taskCtx, p.throttle)
 	}
 	execCtx = tasks.WithCheckpointSink(execCtx, sink)
-	start := time.Now()
 	result, err := task.Process(execCtx, m.Input, ck)
-	elapsed := time.Since(start)
-	p.mu.Lock()
-	p.statExecMs += float64(elapsed) / float64(time.Millisecond)
-	p.mu.Unlock()
+	elapsed := spent()
 	switch {
 	case err == nil:
 		finish(elapsed, "ok")

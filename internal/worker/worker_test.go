@@ -1,8 +1,11 @@
 package worker
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -225,10 +228,9 @@ func TestUnplugDuringExecution(t *testing.T) {
 	if res.Error != "unplugged" {
 		t.Errorf("error = %q", res.Error)
 	}
-	// The connection closes after the report.
-	if err := fs.conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
+	// The connection closes after the report — possibly already, and a
+	// pipe whose far end is gone refuses a new deadline.
+	_ = fs.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := fs.conn.Recv(); err == nil {
 		t.Error("worker should disconnect after unplugging")
 	}
@@ -390,5 +392,133 @@ func TestChunkOverflowRejected(t *testing.T) {
 	res := fs.recv()
 	if res.Type != protocol.TypeFailure {
 		t.Errorf("overflowing chunk got %s", res.Type)
+	}
+}
+
+// A corrupt or hostile total_len must neither panic the worker (a cap
+// out of range) nor commit memory before any chunk lands: an impossible
+// one is answered with a failure, a merely huge one costs only what has
+// actually arrived — and the worker keeps serving either way.
+func TestHostileTotalLen(t *testing.T) {
+	_, fs, _ := startWorker(t, Config{})
+	fs.welcome(1)
+	for _, total := range []int64{1 << 62, maxAssignBytes + 1} {
+		fs.send(&protocol.Message{
+			Type: protocol.TypeAssign, JobID: 6, Partition: 3, Attempt: 11,
+			Task: "primecount", Input: []byte("2\n"), TotalLen: total,
+		})
+		res := fs.recv()
+		if res.Type != protocol.TypeFailure || res.JobID != 6 || res.Partition != 3 || res.Attempt != 11 {
+			t.Fatalf("total_len %d answered with %+v, want a failure for job 6 partition 3 attempt 11", total, res)
+		}
+	}
+
+	// The largest possible claim is accepted but never completes; it may
+	// hold only the bytes that landed.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fs.send(&protocol.Message{
+		Type: protocol.TypeAssign, JobID: 7, Partition: 0,
+		Task: "primecount", Input: make([]byte, 4096), TotalLen: maxAssignBytes,
+	})
+	fs.send(&protocol.Message{Type: protocol.TypePing, Seq: 1})
+	if pong := fs.recv(); pong.Type != protocol.TypePong {
+		t.Fatalf("after a huge total_len got %s, want the pong", pong.Type)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("a %d-byte claim with 4 KB delivered allocated %d bytes", int64(maxAssignBytes), got)
+	}
+
+	// Still alive and assembling honestly.
+	fs.send(&protocol.Message{
+		Type: protocol.TypeAssign, JobID: 8, Partition: 0,
+		Task: "primecount", Input: []byte("2\n3\n"), TotalLen: 6,
+	})
+	fs.send(&protocol.Message{Type: protocol.TypeAssignChunk, JobID: 8, Partition: 0, Input: []byte("5\n")})
+	if res := fs.recv(); res.Type != protocol.TypeResult || string(res.Result) != "3" {
+		t.Fatalf("after hostile frames: %+v, want result 3", res)
+	}
+}
+
+// appendChunk grows with the bytes received, never past the announced
+// total, and ends in a buffer of exactly that size.
+func TestAppendChunkGrowth(t *testing.T) {
+	const total = 10 << 10
+	var input []byte
+	for len(input) < total {
+		landed := len(input) + 1<<10
+		input = appendChunk(input, make([]byte, 1<<10), total)
+		if cap(input) > total || cap(input) > 2*landed {
+			t.Fatalf("with %d of %d bytes landed the buffer holds %d", landed, total, cap(input))
+		}
+	}
+	if len(input) != total || cap(input) != total {
+		t.Fatalf("assembled %d bytes in a %d-byte buffer, want exactly %d", len(input), cap(input), total)
+	}
+}
+
+// The emulated-CPU delay is execution time: a phone with DelayPerKB = d
+// reports at least n·d for an n-KB partition, in the result frame and in
+// its cumulative stats — that number is what the master refines c_ij on.
+func TestExecMsIncludesEmulatedCPUDelay(t *testing.T) {
+	const perKB = 20 * time.Millisecond
+	w, fs, _ := startWorker(t, Config{DelayPerKB: perKB})
+	fs.welcome(1)
+	input := bytes.Repeat([]byte("7\n"), 4<<10/2) // 4 KB
+	wantMs := 4 * float64(perKB/time.Millisecond)
+	fs.send(&protocol.Message{Type: protocol.TypeAssign, JobID: 1, Task: "primecount", Input: input})
+	res := fs.recv()
+	if res.Type != protocol.TypeResult {
+		t.Fatalf("got %s: %s", res.Type, res.Error)
+	}
+	if res.ExecMs < wantMs {
+		t.Errorf("ExecMs = %.1f, want at least the %.0f ms of emulated CPU time", res.ExecMs, wantMs)
+	}
+	if got := w.Stats().ExecMs; got < wantMs {
+		t.Errorf("cumulative ExecMs = %.1f, want at least %.0f", got, wantMs)
+	}
+
+	// Interrupted during the delay: the time spent is still reported.
+	fs.send(&protocol.Message{Type: protocol.TypeAssign, JobID: 2, Task: "primecount",
+		Input: bytes.Repeat(input, 64)}) // 256 KB: a 5 s delay
+	time.Sleep(50 * time.Millisecond)
+	before := w.Stats().ExecMs
+	w.Unplug()
+	if fail := fs.recv(); fail.Type != protocol.TypeFailure || fail.Error != "unplugged" {
+		t.Fatalf("got %+v, want an unplugged failure", fail)
+	}
+	if got := w.Stats().ExecMs - before; got < 40 {
+		t.Errorf("an execution interrupted ~50 ms into its delay metered %.1f ms", got)
+	}
+}
+
+// A master that answers the hello in the old all-JSON frame layout is
+// rejected on that first frame, not after the handshake timeout.
+func TestOldFormatWelcomeFailsAtOnce(t *testing.T) {
+	serverSide, workerSide := net.Pipe()
+	defer serverSide.Close()
+	w, err := New(Config{
+		CPUMHz:    1000,
+		Dial:      func(context.Context) (net.Conn, error) { return workerSide, nil },
+		Reconnect: ReconnectPolicy{Disabled: true, HandshakeTimeout: time.Minute},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.Run(context.Background()) }()
+	if _, err := protocol.NewConn(serverSide).Recv(); err != nil { // the hello
+		t.Fatal(err)
+	}
+	welcome := `{"type":"welcome","phone_id":1,"keepalive_ms":30000}`
+	go serverSide.Write(append([]byte{0, 0, 0, byte(len(welcome))}, welcome...))
+	select {
+	case err := <-done:
+		if !errors.Is(err, protocol.ErrCorrupt) {
+			t.Fatalf("Run returned %v, want ErrCorrupt", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker still waiting on an old-format welcome")
 	}
 }
