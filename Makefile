@@ -40,8 +40,10 @@ chaos:
 # Master-durability harness: replay every truncation of a recorded WAL
 # (a SIGKILL at any byte) plus the flaky-disk and fuzz-seed cases;
 # recovery must never fail and aggregates must match the uncrashed run.
+# TestWAL* also covers the reference-resolving replay: the fold-vs-live
+# differential oracle, hostile records, lost records, the >64 MiB round.
 wal-crash:
-	$(GO) test ./internal/wal/ ./internal/server/ -run 'TestWAL|TestEveryByteTruncation|TestCorrupt|TestFaultyWriter|Fuzz' -race -count=1 -v
+	$(GO) test ./internal/wal/ ./internal/server/ -run 'TestWAL|TestEveryByteTruncation|TestCorrupt|TestFaultyWriter|TestSplitContract|TestRoundRecordFailure|Fuzz' -race -count=1 -v
 
 # Checkpoint-streaming chaos: workers killed silently at streamed-
 # checkpoint thresholds (and the master killed mid-round) must cost at

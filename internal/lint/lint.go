@@ -135,7 +135,7 @@ func DefaultConfig() *Config {
 
 		WALPkg:         "cwc/internal/server",
 		WALRecPrefix:   "walRec",
-		WALAppendFuncs: []string{"walAppend", "walAppendErr"},
+		WALAppendFuncs: []string{"walAppend", "walAppendErr", "walAudit"},
 
 		ObsPkg:              "cwc/internal/obs",
 		LoggerTypeName:      "Logger",

@@ -15,8 +15,8 @@ import (
 //     mention, because a record the reducer cannot fold is a record the
 //     recovery path refuses, turning a clean restart into data loss.
 //  2. It must be passed to a WAL append function (walAppend /
-//     walAppendErr) somewhere — a record type nobody writes is either
-//     dead protocol or a forgotten write path.
+//     walAppendErr / walAudit) somewhere — a record type nobody writes
+//     is either dead protocol or a forgotten write path.
 //  3. Its value must be unique — two record types sharing a wire value
 //     silently corrupt each other on replay.
 var WALRecAnalyzer = &Analyzer{

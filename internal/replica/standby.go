@@ -28,8 +28,8 @@ type StandbyOptions struct {
 	// Dial overrides the transport (tests, fault injection); the default
 	// dials PrimaryAddr over TCP.
 	Dial func(ctx context.Context) (net.Conn, error)
-	// WALDir is the standby's own log directory: every shipped record is
-	// persisted here before it is folded, so promotion recovers from
+	// WALDir is the standby's own log directory: every shipped record
+	// the fold accepts is persisted here, so promotion recovers from
 	// disk exactly like any master restart — the shipped stream is never
 	// trusted beyond what the local log took.
 	WALDir string
@@ -164,7 +164,7 @@ func (s *Standby) Run(ctx context.Context) error {
 }
 
 // follow consumes one replication connection: the snapshot frame, then
-// records (persist → fold) and heartbeats, refreshing lastHeard on
+// records (fold → persist) and heartbeats, refreshing lastHeard on
 // every frame. Returns when the connection breaks, the stream stalls a
 // full lease, or a record fails to persist or fold.
 func (s *Standby) follow(ctx context.Context, conn net.Conn, wl *wal.Log, fold *server.WALFold, lastHeard *time.Time) error {
@@ -216,15 +216,19 @@ func (s *Standby) follow(ctx context.Context, conn net.Conn, wl *wal.Log, fold *
 			if !sawSnapshot {
 				return fmt.Errorf("replica: record before snapshot frame")
 			}
-			// Persist before fold: promotion trusts only the local log.
+			// Fold, then persist. A record names byte ranges by reference,
+			// and one whose references do not resolve here (the primary lost
+			// the record that defined them and re-anchored its own log with
+			// a snapshot this stream never carried) must not reach the local
+			// log: promotion replays that log and would refuse it. Drop the
+			// stream instead; the reconnect resyncs from a fresh snapshot.
+			if err := fold.Apply(rec); err != nil {
+				return fmt.Errorf("replica: folding shipped record: %w", err)
+			}
+			// Promotion trusts only the local log, so a record the log did
+			// not take ends the standby (the fold is ahead of it for good).
 			if err := wl.Append(rec.Type, rec.Payload); err != nil {
 				return fmt.Errorf("%w: persisting shipped record: %v", errStandbyWAL, err)
-			}
-			if err := fold.Apply(rec); err != nil {
-				// An inconsistent record: drop the stream and resync. The
-				// reconnect's snapshot Compact also rotates the bad record
-				// out of the local log, so disk and fold re-converge.
-				return fmt.Errorf("replica: folding shipped record: %w", err)
 			}
 			connApplied++
 			if wl.CompactDue() {

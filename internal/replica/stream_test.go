@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cwc/internal/protocol"
 	"cwc/internal/server"
 	"cwc/internal/tasks"
 	"cwc/internal/wal"
@@ -31,12 +33,69 @@ func (c *captureSink) Ship(typ uint8, payload []byte) {
 
 func (c *captureSink) Lag() int64 { return 0 }
 
+// streamPhone is a minimal worker for the primary that generates the
+// test stream: it registers, then answers every assignment with the
+// task's real result — except that a flaky phone fails its first real
+// assignment outright, so the range migrates.
+func streamPhone(t *testing.T, addr string, flaky bool) {
+	t.Helper()
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { raw.Close() })
+	conn := protocol.NewConn(raw)
+	if err := conn.Send(&protocol.Message{Type: protocol.TypeHello, Model: "Nexus S", CPUMHz: 1000, RAMMB: 512}); err != nil {
+		t.Fatal(err)
+	}
+	welcome, err := conn.Recv()
+	if err != nil || welcome.Type != protocol.TypeWelcome {
+		t.Fatalf("expected welcome, got %+v (%v)", welcome, err)
+	}
+	epoch := welcome.Epoch
+	go func() {
+		for {
+			msg, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			if msg.Type != protocol.TypeAssign {
+				continue
+			}
+			if flaky && msg.JobID != 0 {
+				flaky = false
+				_ = conn.Send(&protocol.Message{Type: protocol.TypeFailure, JobID: msg.JobID,
+					Partition: msg.Partition, Attempt: msg.Attempt, Epoch: epoch, Error: "induced crash"})
+				continue
+			}
+			task, err := tasks.New(msg.Task, msg.Params)
+			if err != nil {
+				return
+			}
+			var ck tasks.Checkpoint
+			if msg.Resume != nil {
+				ck = *msg.Resume
+			}
+			res, err := task.Process(context.Background(), msg.Input, &ck)
+			if err != nil {
+				return
+			}
+			_ = conn.Send(&protocol.Message{Type: protocol.TypeResult, JobID: msg.JobID,
+				Partition: msg.Partition, Attempt: msg.Attempt, Epoch: epoch, Result: res,
+				Digest: tasks.Digest(res), ExecMs: 1, ProcessedKB: float64(len(msg.Input)) / 1024})
+		}
+	}()
+}
+
 // TestStandbyTornStreamEveryCut feeds a standby a real replication
 // stream (snapshot frame + records captured from a live primary)
 // truncated at every byte offset, and asserts the standby applies
 // exactly the records whose frames arrived whole — a torn record is
 // never folded and never reaches the standby's log — with the follow
-// loop ending in a resync-able error, never a false success.
+// loop ending in a resync-able error, never a false success. The stream
+// carries a job split three ways and a range that migrates, so cuts land
+// between a record that defines a byte range and the records that name
+// it by reference.
 func TestStandbyTornStreamEveryCut(t *testing.T) {
 	// A real primary generates the stream: bump the epoch, cut a
 	// snapshot, then submit jobs so records ship after the cut.
@@ -46,10 +105,14 @@ func TestStandbyTornStreamEveryCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pwl.Close()
-	m := server.New(server.Config{WAL: pwl, ReplicaSink: sink})
+	m := server.New(server.Config{Addr: "127.0.0.1:0", WAL: pwl, ReplicaSink: sink})
 	if err := m.RecoverWAL(); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
 	if _, err := m.BumpEpoch(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,26 +127,54 @@ func TestStandbyTornStreamEveryCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Submit(task, []byte("2 3 5 7 11"), false); err != nil {
+	var numbers []byte
+	for i := 1; i <= 850; i++ {
+		numbers = fmt.Appendf(numbers, "%d\n", i)
+	}
+	ctx := context.Background()
+	streamPhone(t, m.Addr(), false)
+	streamPhone(t, m.Addr(), false)
+	streamPhone(t, m.Addr(), true)
+	if err := m.WaitForPhones(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Submit(task, []byte("13 17 19"), true); err != nil {
-		t.Fatal(err)
+	// One job at a time: alone in its round, the breakable one is cut
+	// across all three phones.
+	for _, job := range []struct {
+		input  []byte
+		atomic bool
+	}{{numbers, false}, {[]byte("13\n17\n19\n"), true}} {
+		id, err := m.Submit(task, job.input, job.atomic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 5; round++ {
+			if _, done := m.Result(id); done {
+				break
+			}
+			if _, err := m.RunRound(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
 	stream := wal.EncodeRecord(recSnapshot, snap)
 	boundaries := []int{len(stream)} // offsets at which a whole frame ends
+	saw := map[uint8]int{}
 	sink.mu.Lock()
 	for i := cutIdx; i < len(sink.recs); i++ {
+		saw[sink.typs[i]]++
 		stream = append(stream, wal.EncodeRecord(sink.typs[i], sink.recs[i])...)
 		boundaries = append(boundaries, len(stream))
 	}
 	sink.mu.Unlock()
-	if len(boundaries) < 3 {
-		t.Fatalf("stream has %d frames, want snapshot + 2 submits", len(boundaries))
+	// Types as server/wal.go numbers them: 2 submits, the three-way round
+	// plus the migrated range's and the second job's, a report per piece
+	// and one for the second job, a migrate, 2 finishes.
+	if saw[1] != 2 || saw[2] < 3 || saw[4] < 4 || saw[6] < 1 || saw[8] != 2 {
+		t.Fatalf("stream record types %v: want a 3-way split, a migrate and both jobs finished", saw)
 	}
 
-	ctx := context.Background()
 	for cut := 0; cut <= len(stream); cut++ {
 		whole := 0
 		for _, b := range boundaries {

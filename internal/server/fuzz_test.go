@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"cwc/internal/wal"
@@ -22,18 +21,27 @@ func FuzzLoadState(f *testing.F) {
 	})
 }
 
-// FuzzWALReducer feeds arbitrary record types and payloads (and
-// arbitrary snapshots) through WAL replay: corrupt-but-framed input must
-// be rejected with an error, never a panic.
+// FuzzWALReducer feeds arbitrary record types and payloads through WAL
+// replay, on top of a state that gives references something to resolve
+// against: corrupt-but-framed input must be rejected with an error,
+// never a panic.
 func FuzzWALReducer(f *testing.F) {
-	sub, _ := json.Marshal(walSubmit{JobID: 1, Seq: 1, Task: "primecount", Input: []byte("2\n")})
-	f.Add(uint8(1), sub)
-	rnd, _ := json.Marshal(walRound{Consumed: []int64{1}, Items: []walRoundItem{{JobID: 1, Key: 1, Input: []byte("2\n")}}})
-	f.Add(uint8(2), rnd)
-	f.Add(uint8(4), []byte(`{"job_id":99}`))
+	f.Add(walRecSubmit, encodeWAL(f, &walSubmit{JobID: 2, Seq: 2, Task: "primecount", Input: []byte("2\n")}))
+	f.Add(walRecRound, encodeWAL(f, walRound{Items: []walRoundItem{
+		{Key: 2, FromSeq: 1, Len: 4}, {Key: 3, FromSeq: 1, Off: 4, Len: 4}, {Key: 1, Retries: 1},
+	}}))
+	f.Add(walRecPartial, encodeWAL(f, &walPartialRec{JobID: 1, Key: 1, Offset: 2, Partial: []byte("1"), RemainderSeq: 2}))
+	f.Add(walRecMigrate, encodeWAL(f, &walMigrate{JobID: 1, Key: 1, Resume: &walResume{Offset: 2}, State: []byte(`{"count":1}`)}))
+	f.Add(walRecCheckpoint, encodeWAL(f, &walCheckpointRec{JobID: 1, Key: 1, Resume: &walResume{Offset: 2}, State: []byte("s")}))
+	f.Add(walRecReport, encodeWAL(f, &walReport{JobID: 99}))
+	// The pre-section all-JSON layout: rejected from its first four bytes.
+	f.Add(walRecSubmit, []byte(`{"job_id":2,"seq":2,"task":"primecount","input":"Mgo="}`))
 	f.Add(uint8(200), []byte(`{}`))
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		red := newWALReducer()
+		red.jobs[1] = &walJobRec{ID: 1, Task: "primecount", TotalBytes: 12}
+		red.fresh[1] = &walItemRec{Seq: 1, JobID: 1, Input: []byte("2\n3\n5\n7\n")}
+		red.open[1] = &walItemRec{Key: 1, JobID: 1, Input: []byte("11\n13\n"), Atomic: true}
 		_ = red.apply(wal.Record{Type: typ, Payload: payload})
 	})
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"testing"
@@ -94,5 +95,70 @@ func TestRejoinRefusesModelMismatch(t *testing.T) {
 	}
 	if !found {
 		t.Error("original phone 0 registration was disturbed by the mismatched rejoin")
+	}
+}
+
+// TestWALFoldSnapshotKeepsIdentity: a standby compacts its own log with
+// WALFold.Snapshot, which used to drop the issued-ID → model map the
+// master's own snapshot writes. After one standby compaction and a
+// promotion, a rejoining phone's (id, model) no longer matched anything,
+// it was reissued a fresh ID, and its reputation and quarantine detached
+// from it. Both snapshots now come from one serializer; this folds a
+// register and a quarantining reputation record, compacts a log with
+// the fold's snapshot, and recovers a master from it.
+func TestWALFoldSnapshotKeepsIdentity(t *testing.T) {
+	fold := NewWALFold()
+	for _, rec := range []wal.Record{
+		{Type: walRecRegister, Payload: encodeWAL(t, walRegisterRec{PhoneID: 4, Model: "Nexus S"})},
+		{Type: walRecReputation, Payload: encodeWAL(t, walReputationRec{PhoneID: 4, Score: 0.2, Quarantined: true})},
+	} {
+		if err := fold.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := fold.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewWALFold().LoadSnapshot(snap.Bytes()); err != nil {
+		t.Fatalf("fold refused its own snapshot: %v", err)
+	}
+
+	dir := t.TempDir()
+	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncAlways})
+	if err := wl.Compact(fold.Snapshot); err != nil {
+		t.Fatal(err)
+	}
+	wl.Close()
+	wl2 := openWAL(t, dir, wal.Options{Sync: wal.SyncAlways})
+	m := startMaster(t, Config{WAL: wl2})
+	if err := m.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := net.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	conn := protocol.NewConn(raw)
+	if err := conn.Send(&protocol.Message{
+		Type: protocol.TypeHello, Model: "Nexus S", CPUMHz: 1000, RAMMB: 512,
+		Rejoin: true, PhoneID: 4,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	w, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Type != protocol.TypeWelcome || w.PhoneID != 4 {
+		t.Fatalf("rejoin welcomed as %s phone %d, want its old ID 4", w.Type, w.PhoneID)
+	}
+	if !m.Quarantined(4) || m.Reputation(4) != 0.2 {
+		t.Errorf("phone 4: quarantined %v, reputation %v; want its quarantine and 0.2 back", m.Quarantined(4), m.Reputation(4))
 	}
 }

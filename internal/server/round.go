@@ -52,7 +52,7 @@ func (m *Master) Submit(task tasks.Task, input []byte, atomic bool) (int, error)
 	defer m.mu.Unlock()
 	id := m.nextJobID
 	seq := m.nextItemSeq + 1
-	if err := m.walAppendErr(walRecSubmit, walSubmit{
+	if err := m.walAppendErr(walRecSubmit, &walSubmit{
 		JobID: id, Seq: seq, Task: task.Name(), Params: task.Params(),
 		Input: input, Atomic: atomic,
 	}); err != nil {
@@ -262,11 +262,34 @@ func profileSample(it *workItem) []byte {
 	if total <= profileSampleKB {
 		return it.input
 	}
-	pieces, err := b.Split(it.input, []float64{profileSampleKB, total - profileSampleKB})
-	if err != nil || len(pieces) == 0 || len(pieces[0]) == 0 {
+	pieces, err := splitChecked(b, it.input, []float64{profileSampleKB, total - profileSampleKB})
+	if err != nil || len(pieces[0]) == 0 {
 		return it.input
 	}
 	return pieces[0]
+}
+
+// splitChecked is Split held to its contract: one piece per size, the
+// piece lengths summing to the input's. Offsets into the input are
+// derived from those lengths (a round record names a piece by offset
+// and length, never by its bytes), so a Split that loses or invents a
+// byte must fail here rather than mis-address a range.
+func splitChecked(b tasks.Breakable, input []byte, sizesKB []float64) ([][]byte, error) {
+	pieces, err := b.Split(input, sizesKB)
+	if err != nil {
+		return nil, err
+	}
+	if len(pieces) != len(sizesKB) {
+		return nil, fmt.Errorf("%s split %d sizes into %d pieces", b.Name(), len(sizesKB), len(pieces))
+	}
+	sum := 0
+	for _, p := range pieces {
+		sum += len(p)
+	}
+	if sum != len(input) {
+		return nil, fmt.Errorf("%s split a %d-byte input into pieces totalling %d bytes", b.Name(), len(input), sum)
+	}
+	return pieces, nil
 }
 
 // Event is one timeline entry of a round, for Figure 12-style plots.
@@ -299,7 +322,10 @@ type assignment struct {
 	item      *workItem
 	partition int
 	input     []byte
-	resume    *tasks.Checkpoint
+	// off is where input starts within item.input: the running sum of
+	// the split's earlier piece lengths.
+	off    int64
+	resume *tasks.Checkpoint
 	// key is the dispatch identity of this byte range; see workItem.key.
 	key int64
 }
@@ -325,47 +351,18 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 		items = append(items, it)
 	}
 	m.pending = nil
+	m.planning = items
 	m.mu.Unlock()
 	if len(items) == 0 {
 		return nil, ErrNothingToDo
 	}
-
-	phones := m.admissiblePhones(m.placeablePhones(m.alivePhones()))
-	if len(phones) == 0 {
-		m.mu.Lock()
-		m.pending = append(items, m.pending...)
-		m.mu.Unlock()
-		return nil, ErrNoPhones
-	}
-
-	if err := m.profileIfNeeded(ctx, items, phones); err != nil {
-		m.mu.Lock()
-		m.pending = append(items, m.pending...)
-		m.mu.Unlock()
-		return nil, err
-	}
-	// Re-snapshot: profiling may have killed a phone (or the drain
-	// monitor may have closed one).
-	phones = m.admissiblePhones(m.placeablePhones(m.alivePhones()))
-	if len(phones) == 0 {
-		m.mu.Lock()
-		m.pending = append(items, m.pending...)
-		m.mu.Unlock()
-		return nil, ErrNoPhones
-	}
-
-	sched, inst, err := m.buildSchedule(items, phones)
+	plans, phones, sched, inst, err := m.planRound(ctx, items)
 	if err != nil {
+		// Nothing was logged or dispatched: the drained items go back to
+		// the head of the queue for the next scheduling instant.
 		m.mu.Lock()
 		m.pending = append(items, m.pending...)
-		m.mu.Unlock()
-		return nil, err
-	}
-
-	plans, err := slicePartitions(items, sched)
-	if err != nil {
-		m.mu.Lock()
-		m.pending = append(items, m.pending...)
+		m.planning = nil
 		m.mu.Unlock()
 		return nil, err
 	}
@@ -373,22 +370,22 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	// Give every dispatched partition its key: re-queued keyed items keep
 	// theirs (they are atomic, so the byte range is unchanged); everything
 	// else gets a fresh identity for first-result-wins tracking. The
-	// round record — which fresh items were consumed, which keyed byte
-	// ranges replace them — is logged in the same critical section so
-	// replay sees the handoff atomically.
+	// round record — which keyed byte ranges the drained items continue
+	// as — is logged in the same critical section so replay sees the
+	// handoff atomically.
 	m.mu.Lock()
 	var rr walRound
-	logWAL := m.cfg.WAL != nil
-	if logWAL {
-		for _, it := range items {
-			if it.key == 0 {
-				rr.Consumed = append(rr.Consumed, it.seq)
-			}
-		}
-	}
+	nextKey := m.nextKey // committed once the round record is in the log
 	for pi := range plans {
-		for k := range plans[pi] {
-			a := &plans[pi][k]
+		kept := plans[pi][:0]
+		for _, a := range plans[pi] {
+			if a.item.key != 0 && m.completed[a.item.key] {
+				// Settled while the round was being planned (a late result
+				// for the range): its log entry is closed, and naming the
+				// key in the round record would refer to nothing.
+				continue
+			}
+			it := walRoundItem{Retries: a.item.retries, Partition: a.partition}
 			if a.item.key != 0 {
 				a.key = a.item.key
 				// Fold the freshest streamed checkpoint in: a checkpoint
@@ -397,50 +394,49 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 				// otherwise be ignored.
 				a.resume = m.latestResumeLocked(a.key, a.resume)
 			} else {
-				m.nextKey++
-				a.key = m.nextKey
+				nextKey++
+				a.key = nextKey
+				it.FromSeq, it.Off, it.Len = a.item.seq, a.off, int64(len(a.input))
 			}
-			if logWAL {
-				rr.Items = append(rr.Items, walRoundItem{
-					JobID: a.item.jobID, Key: a.key, Input: a.input,
-					Resume: a.resume, Retries: a.item.retries,
-					Partition: a.partition,
-				})
-			}
+			it.Key = a.key
+			rr.Items = append(rr.Items, it)
+			kept = append(kept, a)
 		}
+		plans[pi] = kept
 	}
-	if logWAL {
-		if err := m.walAppendErr(walRecRound, rr); err != nil {
-			// A missing round record with later report records behind it
-			// replays into double-counted coverage: the consumed fresh
-			// items re-queue (their seqs were never marked consumed) AND
-			// the reports credit the keys they became. Nothing has been
-			// dispatched yet, so abort the round instead — re-queue the
-			// drained items and fold live state into a fresh snapshot so
-			// log and state re-converge (compaction also clears a wedged
-			// log). RunLoop retries at the next scheduling instant.
-			m.pending = append(items, m.pending...)
-			m.mu.Unlock()
-			m.cfg.Logger.With("rec", walRecRound).Errorf("wal: round record lost (%v); aborting round", err)
-			if cerr := m.CompactWAL(); cerr != nil {
-				m.cfg.Logger.Errorf("wal: compaction after lost round record: %v", cerr)
-			}
-			return nil, fmt.Errorf("server: persisting round record: %w", err)
-		}
+	if len(rr.Items) == 0 {
+		// Every planned range was settled meanwhile; nothing to log or run.
+		m.planning = nil
+		m.mu.Unlock()
+		return nil, ErrNothingToDo
+	}
+	if err := m.walAppendErr(walRecRound, &rr); err != nil {
+		// A missing round record with later report records behind it
+		// replays into double-counted coverage: the consumed fresh items
+		// re-queue AND the reports credit the keys they became. Nothing
+		// has been dispatched yet, so abort the round instead; RunLoop
+		// retries at the next scheduling instant, and that round's record
+		// is preceded by the snapshot a stale log owes.
+		m.pending = append(items, m.pending...)
+		m.planning = nil
+		m.mu.Unlock()
+		m.cfg.Logger.With("rec", walRecRound).Errorf("wal: round record lost (%v); aborting round", err)
+		return nil, fmt.Errorf("server: persisting round record: %w", err)
 	}
 	// Verification executions (replicas / audits) ride the same round:
 	// registered in this critical section so their vote groups exist
 	// before any copy can report. Copies share their source's key, so
 	// the round record above already names every byte range once.
-	extra := m.planVerificationLocked(plans, inst, items)
+	for pi, es := range m.planVerificationLocked(plans, inst, items) {
+		plans[pi] = append(plans[pi], es...)
+	}
+	m.nextKey = nextKey
+	m.planning, m.roundPlans = nil, plans
 	// From here until the end-of-round sweep, RunRound owns aggregation;
 	// vote resolutions that complete a job's coverage mid-round leave the
 	// aggregate to the sweep.
 	m.roundActive = true
 	m.mu.Unlock()
-	for pi, es := range extra {
-		plans[pi] = append(plans[pi], es...)
-	}
 
 	// The packing decision, snapshotted before dispatch so /debug/sched
 	// can pair it with the round's actuals afterwards.
@@ -516,6 +512,7 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	// under-covered rather than folding unverified.
 	m.sweepVoteGroupsLocked()
 	m.roundActive = false
+	m.roundPlans = nil
 	report.Requeued = len(m.pending)
 	for _, js := range m.jobs {
 		if js.done || js.covered < js.totalBytes {
@@ -531,13 +528,40 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 			report.FailedPhones = append(report.FailedPhones, ps.info.ID)
 		}
 	}
-	m.mu.Unlock()
-	if wl := m.cfg.WAL; wl != nil && wl.CompactDue() {
-		if err := m.CompactWAL(); err != nil {
+	if wl := m.cfg.WAL; wl != nil && (wl.CompactDue() || m.walStale) {
+		if err := m.walCompactLocked(); err != nil {
 			m.cfg.Logger.Errorf("wal: compaction failed: %v", err)
 		}
 	}
+	m.mu.Unlock()
 	return report, nil
+}
+
+// planRound turns a round's drained items into per-phone queues of
+// concrete byte partitions: profile what lacks a profile, pack, slice.
+func (m *Master) planRound(ctx context.Context, items []*workItem) ([][]assignment, []*phoneState, *core.Schedule, *core.Instance, error) {
+	phones := m.admissiblePhones(m.placeablePhones(m.alivePhones()))
+	if len(phones) == 0 {
+		return nil, nil, nil, nil, ErrNoPhones
+	}
+	if err := m.profileIfNeeded(ctx, items, phones); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	// Re-snapshot: profiling may have killed a phone (or the drain
+	// monitor may have closed one).
+	phones = m.admissiblePhones(m.placeablePhones(m.alivePhones()))
+	if len(phones) == 0 {
+		return nil, nil, nil, nil, ErrNoPhones
+	}
+	sched, inst, err := m.buildSchedule(items, phones)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	plans, err := slicePartitions(items, sched)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return plans, phones, sched, inst, nil
 }
 
 // newSchedSnapshot captures the round's bin-packing decision before
@@ -721,14 +745,16 @@ func slicePartitions(items []*workItem, sched *core.Schedule) ([][]assignment, e
 		for k, s := range slots {
 			sizes[k] = s.sizeKB
 		}
-		pieces, err := b.Split(it.input, sizes)
+		pieces, err := splitChecked(b, it.input, sizes)
 		if err != nil {
 			return nil, fmt.Errorf("server: splitting item %d: %w", j, err)
 		}
+		off := int64(0)
 		for k, s := range slots {
 			plans[s.phone][s.pos] = assignment{
-				item: it, partition: k, input: pieces[k],
+				item: it, partition: k, input: pieces[k], off: off,
 			}
+			off += int64(len(pieces[k]))
 		}
 	}
 	// Drop zero-byte pieces (a line-boundary split can starve a slot).
@@ -815,7 +841,6 @@ func (m *Master) speculate(a assignment) bool {
 		atomic:    true,
 		key:       a.key,
 		retries:   a.item.retries,
-		seq:       m.nextSeqLocked(),
 		partition: a.partition,
 	})
 	m.cfg.Metrics.Counter("cwc_speculations_total").Inc()
@@ -853,7 +878,7 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 		attempt := m.newAttempt(ps, a)
 		// Audit record: replay treats an unreported dispatch as still
 		// open, so ordering against state records is immaterial.
-		m.walAppend(walRecDispatch, walDispatch{
+		m.walAudit(walRecDispatch, walDispatch{
 			Key: a.key, JobID: a.item.jobID, Partition: a.partition,
 			PhoneID: ps.info.ID, Attempt: attempt,
 		})
@@ -1000,7 +1025,8 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 				c := ck.Clone()
 				m.streamed[a.key] = c
 				m.ckptFolds++
-				m.walAppend(walRecCheckpoint, walCheckpointRec{JobID: jobID, Key: a.key, Resume: c})
+				hdr, state := splitResume(c)
+				m.walAppend(walRecCheckpoint, &walCheckpointRec{JobID: jobID, Key: a.key, Resume: hdr, State: state})
 				accepted = true
 				m.cfg.Metrics.Counter("cwc_checkpoint_folds_total").Inc()
 				m.cfg.Metrics.Counter("cwc_checkpoint_bytes_total").Add(int64(len(c.State)))
@@ -1074,7 +1100,7 @@ func (m *Master) finalizeResult(a assignment, resp *protocol.Message, est *predi
 	// reporter remainders arrive as fresh pieces without resume state).
 	js.covered += int64(len(a.input))
 	js.partials = append(js.partials, resp.Result)
-	m.walAppend(walRecReport, walReport{
+	m.walAppend(walRecReport, &walReport{
 		JobID: a.item.jobID, Key: a.key, Bytes: int64(len(a.input)), Partial: resp.Result,
 	})
 	// A late result (tie-break, detached straggler) can complete a job's
@@ -1156,7 +1182,7 @@ func (m *Master) recordFailure(a assignment, resp *protocol.Message, phoneID int
 				js.covered += ck.Offset
 				js.partials = append(js.partials, partial)
 				remainder := a.input[ck.Offset:]
-				wrec := walPartialRec{
+				wrec := &walPartialRec{
 					JobID: a.item.jobID, Key: a.key, Offset: ck.Offset, Partial: partial,
 				}
 				if len(remainder) > 0 {
@@ -1170,7 +1196,6 @@ func (m *Master) recordFailure(a assignment, resp *protocol.Message, phoneID int
 						seq:     m.nextSeqLocked(),
 					}
 					if m.requeueLocked(it, "failure remainder: "+resp.Error) {
-						wrec.Remainder = remainder
 						wrec.RemainderSeq = it.seq
 						wrec.Retries = it.retries
 					}
@@ -1200,13 +1225,13 @@ func (m *Master) recordFailure(a assignment, resp *protocol.Message, phoneID int
 		atomic:    true,
 		key:       a.key,
 		retries:   a.item.retries,
-		seq:       m.nextSeqLocked(),
 		partition: a.partition,
 	}
 	if m.requeueLocked(it, "failure: "+resp.Error) {
-		m.walAppend(walRecMigrate, walMigrate{
-			JobID: a.item.jobID, Key: a.key, Input: a.input,
-			Resume: resume, Retries: it.retries, Partition: a.partition,
+		hdr, state := splitResume(resume)
+		m.walAppend(walRecMigrate, &walMigrate{
+			JobID: a.item.jobID, Key: a.key, Resume: hdr, State: state,
+			Retries: it.retries, Partition: a.partition,
 		})
 	}
 }
@@ -1218,6 +1243,12 @@ func (m *Master) recordFailure(a assignment, resp *protocol.Message, phoneID int
 func (m *Master) requeueLocked(it *workItem, reason string) bool {
 	it.retries++
 	if m.cfg.MaxItemRetries >= 0 && it.retries > m.cfg.MaxItemRetries {
+		if it.key != 0 {
+			// Abandoning the range settles its key, like a result would:
+			// the dead-letter record closes the range in the log, so an
+			// attempt still out on it has nothing left to report into.
+			m.completed[it.key] = true
+		}
 		m.deadLetters = append(m.deadLetters, DeadLetter{
 			JobID:   it.jobID,
 			Task:    it.task.Name(),
@@ -1284,7 +1315,6 @@ func (m *Master) requeueAbandoned(a assignment, start time.Time, addEvent func(E
 		atomic:    true,
 		key:       a.key,
 		retries:   a.item.retries,
-		seq:       m.nextSeqLocked(),
 		partition: a.partition,
 	}
 	kind := "requeue"
@@ -1316,7 +1346,6 @@ func (m *Master) requeueFrom(rest []assignment, start time.Time, addEvent func(E
 			atomic:    a.key != 0 || a.resume != nil || a.item.atomic,
 			key:       a.key,
 			retries:   a.item.retries,
-			seq:       m.nextSeqLocked(),
 			partition: a.partition,
 		}
 		kind := "requeue"
@@ -1339,14 +1368,14 @@ func (m *Master) finishJobLocked(js *jobState) {
 	if err != nil {
 		js.failure = err.Error()
 		js.done = true
-		m.walAppend(walRecFinish, walFinish{JobID: js.id, Error: js.failure})
+		m.walAppend(walRecFinish, &walFinish{JobID: js.id, Error: js.failure})
 		m.cfg.Metrics.Counter("cwc_jobs_failed_total").Inc()
 		m.cfg.Logger.With("job", js.id).Errorf("aggregation failed terminally: %v", err)
 		return
 	}
 	js.final = final
 	js.done = true
-	m.walAppend(walRecFinish, walFinish{JobID: js.id, Final: final})
+	m.walAppend(walRecFinish, &walFinish{JobID: js.id, Final: final})
 	m.cfg.Metrics.Counter("cwc_jobs_completed_total").Inc()
 	m.cfg.Tracer.Record(obs.SpanEvent{
 		Span: m.spanForJobLocked(js.id), Kind: obs.KindAggregate, Job: js.id,

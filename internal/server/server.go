@@ -177,8 +177,10 @@ type Config struct {
 
 // ReplicaSink receives the master's WAL records for live replication.
 type ReplicaSink interface {
-	// Ship delivers one appended record (type + JSON payload). Called in
-	// log order for every record that matters on replay; must not block.
+	// Ship delivers one appended record (type + payload, the bytes the
+	// local log took). Called in log order for every record that matters
+	// on replay; must not block, and must copy payload to keep it — the
+	// buffer is reused once Ship returns.
 	Ship(typ uint8, payload []byte)
 	// Lag reports records accepted locally but not yet written to the
 	// slowest attached standby (0 when none is attached).
@@ -325,9 +327,9 @@ type workItem struct {
 	// Only meaningful for atomic re-queues; fresh splittable items are
 	// numbered by slicePartitions.
 	partition int
-	// seq is the item's durable identity in the write-ahead log: a
-	// round record names the fresh items it consumed by seq. Assigned
-	// at creation, meaningful only while key is zero.
+	// seq is a fresh item's durable identity in the write-ahead log: a
+	// round record names the byte ranges it cuts from the item by seq,
+	// offset and length. Keyed items have none — the key names them.
 	seq int64
 }
 
@@ -472,6 +474,17 @@ type Master struct {
 	// of-round sweep); outside a round, a vote or tie-break resolving the
 	// last open range aggregates the job inline (finishJobLocked).
 	roundActive bool // guarded by mu
+	// planning holds the items a round has drained from pending but not
+	// yet written into its round record; roundPlans holds a written
+	// round's per-phone queues until its sweep. Work behind another
+	// assignment in a phone's queue is in neither pending nor attempts,
+	// and a WAL snapshot cut mid-round must still find it.
+	planning   []*workItem    // guarded by mu
+	roundPlans [][]assignment // guarded by mu
+	// walStale is set when the log may lack something live state holds
+	// (a lost record, state installed from outside the log): no record
+	// is written until walCompactLocked has folded a snapshot.
+	walStale bool // guarded by mu
 
 	closed  bool // guarded by mu
 	wg      sync.WaitGroup

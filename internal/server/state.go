@@ -173,9 +173,10 @@ func (m *Master) LoadState(r io.Reader) error {
 	// (the upgrade path of an existing -state deployment adding
 	// -wal-dir). Compact inline — m.mu is held, so no append can slip in
 	// between install and fold.
-	if wl := m.cfg.WAL; wl != nil {
-		if err := wl.Compact(func(w io.Writer) error { return m.walSnapshotLocked(w) }); err != nil {
-			return fmt.Errorf("server: folding restored state into WAL: %w", err)
+	if m.cfg.WAL != nil {
+		m.walStale = true
+		if err := m.walCompactLocked(); err != nil {
+			return fmt.Errorf("server: restored state: %w", err)
 		}
 	}
 	return nil

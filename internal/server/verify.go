@@ -380,7 +380,6 @@ func (m *Master) sweepVoteGroupsLocked() {
 				atomic:    true,
 				key:       key,
 				retries:   vg.a.item.retries,
-				seq:       m.nextSeqLocked(),
 				partition: vg.a.partition,
 			}
 			m.requeueLocked(it, "verification unresolved")
@@ -415,7 +414,6 @@ func (m *Master) startTieBreak(key int64) {
 					atomic:    true,
 					key:       key,
 					retries:   vg.a.item.retries,
-					seq:       m.nextSeqLocked(),
 					partition: vg.a.partition,
 				}
 				m.requeueLocked(it, "verification tie: no arbiter")
@@ -435,7 +433,7 @@ func (m *Master) startTieBreak(key int64) {
 		a := vg.a
 		m.mu.Unlock()
 
-		m.walAppend(walRecDispatch, walDispatch{
+		m.walAudit(walRecDispatch, walDispatch{
 			Key: a.key, JobID: a.item.jobID, Partition: a.partition,
 			PhoneID: arb.info.ID, Attempt: attempt,
 		})
@@ -488,7 +486,6 @@ func (m *Master) tieBreakExpired(key, attempt int64) {
 			atomic:    true,
 			key:       key,
 			retries:   vg.a.item.retries,
-			seq:       m.nextSeqLocked(),
 			partition: vg.a.partition,
 		}
 		m.requeueLocked(it, "verification tie-break expired")

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"cwc/internal/tasks"
 	"cwc/internal/wal"
@@ -15,9 +17,12 @@ import (
 // queued work, partials, dead letters) is appended as one record before
 // the acknowledgement that depends on it, so a master killed at any
 // instant replays snapshot + log and resumes with nothing acknowledged
-// lost. Records carry full payloads (inputs, partials, checkpoints);
-// compaction bounds the growth by folding the log into a walState
-// snapshot.
+// lost. An input byte is logged once, raw, in its job's submit record;
+// every later record that concerns a byte range (round, partial,
+// migrate) names it by reference — a fresh item's sequence number plus
+// offset and length, or an open range's key — and replay resolves the
+// reference against the state the earlier records built. Compaction
+// bounds the growth by folding the log into a walState snapshot.
 //
 // Replay is a pure reduction (walReducer) over three collections:
 //
@@ -31,6 +36,11 @@ import (
 //
 // Dispatch records are audit-only: an assignment with no report changes
 // no durable state (the range stays open either way).
+//
+// A reference is only as good as the record that defined its range, so
+// a record the log failed to take may not simply be carried on from:
+// the next record is written only after live state has been folded
+// into a fresh snapshot (Master.walStale).
 
 // WAL record types.
 const (
@@ -49,6 +59,60 @@ const (
 	walRecReputation uint8 = 13 // per-phone result-integrity reputation update / quarantine
 )
 
+// A record's payload is
+//
+//	[4B header length LE] [JSON header] [raw sections]
+//
+// — the shape of a protocol frame. The header is the record's struct;
+// its bulk byte fields are tagged out of the JSON, ride behind the
+// header at their own size, and the header lists their lengths. A
+// payload in the old all-JSON layout is rejected from its first four
+// bytes: `{"jo` reads as a header of 1.8 GB.
+
+// walRecord is implemented by every record struct.
+type walRecord interface {
+	// bulk returns where the header lists its section lengths and the
+	// byte fields those sections are, in payload order; both are nil
+	// for a record that carries no bulk bytes.
+	bulk() (lens *[]int, fields []*[]byte)
+}
+
+// walBulk is embedded in records that carry bulk bytes.
+type walBulk struct {
+	Sections []int `json:"sections,omitempty"`
+}
+
+// walNoBulk is embedded in records whose header is all there is.
+type walNoBulk struct{}
+
+func (walNoBulk) bulk() (*[]int, []*[]byte) { return nil, nil }
+
+// walResume is how a header names a checkpoint: by its offset. The
+// accumulator rides as the record's State section.
+type walResume struct {
+	Offset int64 `json:"offset"`
+}
+
+// splitResume is a checkpoint as a record carries it.
+func splitResume(ck *tasks.Checkpoint) (*walResume, []byte) {
+	if ck == nil {
+		return nil, nil
+	}
+	return &walResume{Offset: ck.Offset}, ck.State
+}
+
+// joinResume is splitResume's inverse. State without a checkpoint to
+// own it marks a damaged record.
+func joinResume(h *walResume, state []byte) (*tasks.Checkpoint, error) {
+	if h == nil {
+		if len(state) > 0 {
+			return nil, fmt.Errorf("%d bytes of checkpoint state without a checkpoint", len(state))
+		}
+		return nil, nil
+	}
+	return &tasks.Checkpoint{Offset: h.Offset, State: state}, nil
+}
+
 // walRegisterRec keeps phone IDs monotone across recovery *and*
 // failover: a promoted standby (or restarted master) must never issue
 // an ID that a phone from the previous regime still holds, or the two
@@ -60,6 +124,7 @@ const (
 // state (record 13) would detach from the phone at the first master
 // restart, because the phone would be reissued a fresh ID.
 type walRegisterRec struct {
+	walNoBulk
 	PhoneID int    `json:"phone_id"`
 	Model   string `json:"model,omitempty"`
 }
@@ -69,24 +134,38 @@ type walRegisterRec struct {
 // master regimes can ever share an epoch: a resurrected primary replays
 // the epochs it bumped, never the one its standby minted at promotion.
 type walEpochRec struct {
+	walNoBulk
 	Epoch int64 `json:"epoch"`
 }
 
+// walSubmit is the one record that carries input bytes: every later
+// reference to any part of a job's input resolves, directly or through
+// the ranges cut from it, to this record's Input section.
 type walSubmit struct {
+	walBulk
 	JobID  int    `json:"job_id"`
 	Seq    int64  `json:"seq"`
 	Task   string `json:"task"`
-	Params []byte `json:"params,omitempty"`
-	Input  []byte `json:"input"`
+	Params []byte `json:"-"`
+	Input  []byte `json:"-"`
 	Atomic bool   `json:"atomic,omitempty"`
 }
 
+func (p *walSubmit) bulk() (*[]int, []*[]byte) {
+	return &p.Sections, []*[]byte{&p.Params, &p.Input}
+}
+
+// walRoundItem opens one keyed byte range. Cut from a fresh item it is
+// bytes [Off, Off+Len) of item FromSeq's input (and inherits that
+// item's resume state when it is the whole item); with FromSeq zero it
+// is a range that is already open under Key, re-entering a round with
+// its bytes and resume state as replay holds them.
 type walRoundItem struct {
-	JobID   int               `json:"job_id"`
-	Key     int64             `json:"key"`
-	Input   []byte            `json:"input"`
-	Resume  *tasks.Checkpoint `json:"resume,omitempty"`
-	Retries int               `json:"retries,omitempty"`
+	Key     int64 `json:"key"`
+	FromSeq int64 `json:"from_seq,omitempty"`
+	Off     int64 `json:"off,omitempty"`
+	Len     int64 `json:"len,omitempty"`
+	Retries int   `json:"retries,omitempty"`
 	// Partition is the timeline identity of this byte range: a promoted
 	// standby re-dispatches a recovered open range under the same
 	// partition number, so the merged trace shows one row per range
@@ -94,14 +173,16 @@ type walRoundItem struct {
 	Partition int `json:"partition,omitempty"`
 }
 
+// walRound consumes every fresh item its Items name: the ranges cut
+// from one item tile it exactly, so the item continues as those keyed
+// ranges and nothing else.
 type walRound struct {
-	// Consumed lists the sequence numbers of fresh items drained into
-	// this round; their byte ranges continue as the keyed Items.
-	Consumed []int64        `json:"consumed,omitempty"`
-	Items    []walRoundItem `json:"items"`
+	walNoBulk
+	Items []walRoundItem `json:"items"`
 }
 
 type walDispatch struct {
+	walNoBulk
 	Key       int64 `json:"key"`
 	JobID     int   `json:"job_id"`
 	Partition int   `json:"partition"`
@@ -110,35 +191,47 @@ type walDispatch struct {
 }
 
 type walReport struct {
+	walBulk
 	JobID   int    `json:"job_id"`
 	Key     int64  `json:"key"`
 	Bytes   int64  `json:"bytes"`
-	Partial []byte `json:"partial"`
+	Partial []byte `json:"-"`
 }
 
+func (p *walReport) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.Partial} }
+
 type walPartialRec struct {
+	walBulk
 	JobID   int    `json:"job_id"`
 	Key     int64  `json:"key"`
 	Offset  int64  `json:"offset"`
-	Partial []byte `json:"partial"`
-	// Remainder, when present, is the unprocessed suffix re-queued as a
-	// fresh item under RemainderSeq; absent when the remainder was empty
-	// or immediately dead-lettered.
-	Remainder    []byte `json:"remainder,omitempty"`
-	RemainderSeq int64  `json:"remainder_seq,omitempty"`
-	Retries      int    `json:"retries,omitempty"`
+	Partial []byte `json:"-"`
+	// RemainderSeq, when set, re-queues the unprocessed suffix — the
+	// open range's bytes from Offset on — as a fresh item under this
+	// sequence number; zero when the remainder was empty or immediately
+	// dead-lettered.
+	RemainderSeq int64 `json:"remainder_seq,omitempty"`
+	Retries      int   `json:"retries,omitempty"`
 }
 
+func (p *walPartialRec) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.Partial} }
+
+// walMigrate updates a range that stays open under its key: new resume
+// state and retry count, same bytes.
 type walMigrate struct {
-	JobID     int               `json:"job_id"`
-	Key       int64             `json:"key"`
-	Input     []byte            `json:"input"`
-	Resume    *tasks.Checkpoint `json:"resume,omitempty"`
-	Retries   int               `json:"retries,omitempty"`
-	Partition int               `json:"partition,omitempty"` // see walRoundItem.Partition
+	walBulk
+	JobID     int        `json:"job_id"`
+	Key       int64      `json:"key"`
+	Resume    *walResume `json:"resume,omitempty"`
+	State     []byte     `json:"-"`
+	Retries   int        `json:"retries,omitempty"`
+	Partition int        `json:"partition,omitempty"` // see walRoundItem.Partition
 }
+
+func (p *walMigrate) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.State} }
 
 type walDeadLetterRec struct {
+	walNoBulk
 	JobID   int    `json:"job_id"`
 	Key     int64  `json:"key,omitempty"`
 	Seq     int64  `json:"seq,omitempty"`
@@ -149,8 +242,9 @@ type walDeadLetterRec struct {
 }
 
 type walFinish struct {
+	walBulk
 	JobID int    `json:"job_id"`
-	Final []byte `json:"final"`
+	Final []byte `json:"-"`
 	// Error marks a terminal aggregation failure instead of a result: the
 	// job is done but failed, and replay must reach the same terminal
 	// state rather than re-attempting the (deterministic) aggregation
@@ -158,11 +252,14 @@ type walFinish struct {
 	Error string `json:"error,omitempty"`
 }
 
+func (p *walFinish) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.Final} }
+
 // walReputationRec logs one phone's result-integrity reputation after a
 // verification event (vote won or lost, audit outcome, digest mismatch).
 // Each record carries the full post-event state, so replaying only the
 // latest record per phone — or all of them in order — converges.
 type walReputationRec struct {
+	walNoBulk
 	PhoneID     int     `json:"phone_id"`
 	Score       float64 `json:"score"`
 	Quarantined bool    `json:"quarantined,omitempty"`
@@ -172,14 +269,109 @@ type walReputationRec struct {
 // preserves which phones were being drained: State is drainStarted,
 // drainCompleted, or drainCleared.
 type walDrainRec struct {
+	walNoBulk
 	PhoneID int    `json:"phone_id"`
 	State   string `json:"state"`
 }
 
 type walCheckpointRec struct {
-	JobID  int               `json:"job_id"`
-	Key    int64             `json:"key"`
-	Resume *tasks.Checkpoint `json:"resume"`
+	walBulk
+	JobID  int        `json:"job_id"`
+	Key    int64      `json:"key"`
+	Resume *walResume `json:"resume"`
+	State  []byte     `json:"-"`
+}
+
+func (p *walCheckpointRec) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.State} }
+
+// walEncoder is the pooled per-append state: the payload buffer and a
+// JSON encoder bound to it.
+type walEncoder struct {
+	buf  bytes.Buffer
+	json *json.Encoder // writes to buf
+}
+
+var walEncoders = sync.Pool{New: func() any { return newWALEncoder() }}
+
+func newWALEncoder() *walEncoder {
+	e := new(walEncoder)
+	e.json = json.NewEncoder(&e.buf)
+	return e
+}
+
+// maxPooledWALRecord is the largest payload buffer an encoder may keep
+// when it returns to the pool, so one huge submission does not stay
+// pinned behind later dispatch records.
+const maxPooledWALRecord = 8 << 20
+
+// encode renders v's payload into e.buf and returns the bytes, valid
+// until e is reused.
+func (e *walEncoder) encode(v walRecord) ([]byte, error) {
+	lens, fields := v.bulk()
+	raw := 0
+	if lens != nil {
+		*lens = make([]int, len(fields))
+		for i, f := range fields {
+			(*lens)[i] = len(*f)
+			raw += len(*f)
+		}
+	}
+	e.buf.Reset()
+	var pre [4]byte // header length, patched below
+	e.buf.Write(pre[:])
+	if err := e.json.Encode(v); err != nil {
+		return nil, err
+	}
+	e.buf.Truncate(e.buf.Len() - 1) // the encoder's trailing newline
+	hlen := e.buf.Len() - len(pre)
+	e.buf.Grow(raw)
+	for _, f := range fields {
+		e.buf.Write(*f)
+	}
+	b := e.buf.Bytes()
+	binary.LittleEndian.PutUint32(b, uint32(hlen))
+	return b, nil
+}
+
+// decodeWALRecord parses a record payload into v. Every byte after the
+// header must belong to exactly one section; the sections v receives
+// are sub-slices of payload, so decoding allocates what the header
+// holds and nothing more.
+func decodeWALRecord(payload []byte, v walRecord) error {
+	if len(payload) < 4 {
+		return fmt.Errorf("payload of %d bytes has no header length", len(payload))
+	}
+	hlen := int64(binary.LittleEndian.Uint32(payload))
+	if hlen > int64(len(payload)-4) {
+		return fmt.Errorf("header of %d bytes overruns its %d-byte payload", hlen, len(payload))
+	}
+	body := payload[4+hlen:]
+	if err := json.Unmarshal(payload[4:4+hlen], v); err != nil {
+		return fmt.Errorf("header: %w", err)
+	}
+	lens, fields := v.bulk()
+	if lens != nil {
+		if len(*lens) != len(fields) {
+			return fmt.Errorf("header lists %d sections, want %d", len(*lens), len(fields))
+		}
+		for i, l := range *lens {
+			if l < 0 || l > len(body) {
+				return fmt.Errorf("section %d of %d bytes overruns its payload", i, l)
+			}
+			// Unconditional, so bulk bytes can only ever come from a
+			// section; capacity stops at the section's end, so appending
+			// to one field never writes into its neighbour.
+			*fields[i] = nil
+			if l > 0 {
+				*fields[i] = body[:l:l]
+			}
+			body = body[l:]
+		}
+	}
+	if len(body) != 0 {
+		return fmt.Errorf("%d bytes after the last section", len(body))
+	}
+	return nil
 }
 
 // walJobRec is a job's durable state, shared by the reducer and the
@@ -346,12 +538,15 @@ func (r *walReducer) job(id int) (*walJobRec, error) {
 	return js, nil
 }
 
-// apply folds one record into the reducer.
+// apply folds one record into the reducer. A reference that does not
+// resolve — an unknown sequence number or key, a range outside its
+// item — fails the record: the log and the state it describes have
+// parted, and nothing folded past that point could be trusted.
 func (r *walReducer) apply(rec wal.Record) error {
 	switch rec.Type {
 	case walRecSubmit:
 		var p walSubmit
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		if err := decodeWALRecord(rec.Payload, &p); err != nil {
 			return fmt.Errorf("decoding submit: %w", err)
 		}
 		if _, dup := r.jobs[p.JobID]; dup {
@@ -367,28 +562,61 @@ func (r *walReducer) apply(rec wal.Record) error {
 		r.bumpSeq(p.Seq)
 	case walRecRound:
 		var p walRound
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		if err := decodeWALRecord(rec.Payload, &p); err != nil {
 			return fmt.Errorf("decoding round: %w", err)
 		}
-		for _, s := range p.Consumed {
-			delete(r.fresh, s)
-		}
+		// Resolve every reference before anything the record consumes is
+		// deleted; the opened ranges are sub-slices, never copies.
+		opened := make([]*walItemRec, 0, len(p.Items))
+		cut := map[int64]int64{} // fresh seq -> bytes re-opened as keyed ranges
 		for _, it := range p.Items {
-			if _, err := r.job(it.JobID); err != nil {
-				return fmt.Errorf("round: %w", err)
+			if it.FromSeq == 0 {
+				cur, ok := r.open[it.Key]
+				if !ok {
+					return fmt.Errorf("round: key %d is not an open range", it.Key)
+				}
+				again := *cur
+				again.Retries, again.Partition = it.Retries, it.Partition
+				opened = append(opened, &again)
+				continue
 			}
-			r.open[it.Key] = &walItemRec{
-				Key: it.Key, JobID: it.JobID, Input: it.Input,
-				Resume: it.Resume, Atomic: true, Retries: it.Retries,
-				Partition: it.Partition,
+			src, ok := r.fresh[it.FromSeq]
+			if !ok {
+				return fmt.Errorf("round: key %d is cut from unknown fresh item %d", it.Key, it.FromSeq)
 			}
+			n := int64(len(src.Input))
+			if it.Off < 0 || it.Len <= 0 || it.Off > n || it.Len > n-it.Off {
+				return fmt.Errorf("round: key %d names bytes [%d,+%d) of the %d-byte fresh item %d",
+					it.Key, it.Off, it.Len, n, it.FromSeq)
+			}
+			end := it.Off + it.Len
+			piece := &walItemRec{
+				Key: it.Key, JobID: src.JobID, Input: src.Input[it.Off:end:end],
+				Atomic: true, Retries: it.Retries, Partition: it.Partition,
+			}
+			if it.Len == n {
+				piece.Resume = src.Resume
+			}
+			opened = append(opened, piece)
+			cut[it.FromSeq] += it.Len
+		}
+		for seq, n := range cut {
+			if total := int64(len(r.fresh[seq].Input)); n != total {
+				return fmt.Errorf("round: ranges cut from fresh item %d hold %d of its %d bytes", seq, n, total)
+			}
+		}
+		for seq := range cut {
+			delete(r.fresh, seq)
+		}
+		for _, it := range opened {
+			r.open[it.Key] = it
 			r.bumpKey(it.Key)
 		}
 	case walRecDispatch:
 		// Audit only: an unreported dispatch leaves its range open.
 	case walRecReport:
 		var p walReport
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		if err := decodeWALRecord(rec.Payload, &p); err != nil {
 			return fmt.Errorf("decoding report: %w", err)
 		}
 		js, err := r.job(p.JobID)
@@ -400,39 +628,46 @@ func (r *walReducer) apply(rec wal.Record) error {
 		js.Partials = append(js.Partials, p.Partial)
 	case walRecPartial:
 		var p walPartialRec
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		if err := decodeWALRecord(rec.Payload, &p); err != nil {
 			return fmt.Errorf("decoding partial: %w", err)
 		}
 		js, err := r.job(p.JobID)
 		if err != nil {
 			return fmt.Errorf("partial: %w", err)
 		}
-		delete(r.open, p.Key)
-		js.Covered += p.Offset
-		js.Partials = append(js.Partials, p.Partial)
-		if p.RemainderSeq != 0 && len(p.Remainder) > 0 {
+		if p.RemainderSeq != 0 {
+			src, ok := r.open[p.Key]
+			if !ok || src.JobID != p.JobID {
+				return fmt.Errorf("partial: remainder of key %d, which is not an open range of job %d", p.Key, p.JobID)
+			}
+			if p.Offset < 0 || p.Offset >= int64(len(src.Input)) {
+				return fmt.Errorf("partial: remainder of key %d from offset %d of %d bytes", p.Key, p.Offset, len(src.Input))
+			}
 			r.fresh[p.RemainderSeq] = &walItemRec{
-				Seq: p.RemainderSeq, JobID: p.JobID, Input: p.Remainder, Retries: p.Retries,
+				Seq: p.RemainderSeq, JobID: p.JobID, Input: src.Input[p.Offset:], Retries: p.Retries,
 			}
 			r.bumpSeq(p.RemainderSeq)
 		}
+		delete(r.open, p.Key)
+		js.Covered += p.Offset
+		js.Partials = append(js.Partials, p.Partial)
 	case walRecMigrate:
 		var p walMigrate
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		if err := decodeWALRecord(rec.Payload, &p); err != nil {
 			return fmt.Errorf("decoding migrate: %w", err)
 		}
-		if _, err := r.job(p.JobID); err != nil {
+		resume, err := joinResume(p.Resume, p.State)
+		if err != nil {
 			return fmt.Errorf("migrate: %w", err)
 		}
-		r.open[p.Key] = &walItemRec{
-			Key: p.Key, JobID: p.JobID, Input: p.Input,
-			Resume: p.Resume, Atomic: true, Retries: p.Retries,
-			Partition: p.Partition,
+		cur, ok := r.open[p.Key]
+		if !ok || cur.JobID != p.JobID {
+			return fmt.Errorf("migrate: key %d is not an open range of job %d", p.Key, p.JobID)
 		}
-		r.bumpKey(p.Key)
+		cur.Resume, cur.Retries, cur.Partition = resume, p.Retries, p.Partition
 	case walRecDeadLetter:
 		var p walDeadLetterRec
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		if err := decodeWALRecord(rec.Payload, &p); err != nil {
 			return fmt.Errorf("decoding dead letter: %w", err)
 		}
 		delete(r.open, p.Key)
@@ -442,18 +677,22 @@ func (r *walReducer) apply(rec wal.Record) error {
 		})
 	case walRecCheckpoint:
 		var p walCheckpointRec
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		if err := decodeWALRecord(rec.Payload, &p); err != nil {
 			return fmt.Errorf("decoding checkpoint: %w", err)
+		}
+		resume, err := joinResume(p.Resume, p.State)
+		if err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
 		}
 		// Lenient by design: a checkpoint that raced a report (its key
 		// already closed) is harmless and simply ignored on replay.
 		it, ok := r.open[p.Key]
-		if ok && p.Resume != nil && (it.Resume == nil || p.Resume.Offset > it.Resume.Offset) {
-			it.Resume = p.Resume
+		if ok && resume != nil && (it.Resume == nil || resume.Offset > it.Resume.Offset) {
+			it.Resume = resume
 		}
 	case walRecFinish:
 		var p walFinish
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		if err := decodeWALRecord(rec.Payload, &p); err != nil {
 			return fmt.Errorf("decoding finish: %w", err)
 		}
 		js, err := r.job(p.JobID)
@@ -465,7 +704,7 @@ func (r *walReducer) apply(rec wal.Record) error {
 		js.Failure = p.Error
 	case walRecDrain:
 		var p walDrainRec
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		if err := decodeWALRecord(rec.Payload, &p); err != nil {
 			return fmt.Errorf("decoding drain: %w", err)
 		}
 		switch p.State {
@@ -481,7 +720,7 @@ func (r *walReducer) apply(rec wal.Record) error {
 		}
 	case walRecRegister:
 		var p walRegisterRec
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		if err := decodeWALRecord(rec.Payload, &p); err != nil {
 			return fmt.Errorf("decoding register: %w", err)
 		}
 		if p.Model != "" {
@@ -492,7 +731,7 @@ func (r *walReducer) apply(rec wal.Record) error {
 		}
 	case walRecReputation:
 		var p walReputationRec
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		if err := decodeWALRecord(rec.Payload, &p); err != nil {
 			return fmt.Errorf("decoding reputation: %w", err)
 		}
 		r.reputation[p.PhoneID] = p.Score
@@ -504,7 +743,7 @@ func (r *walReducer) apply(rec wal.Record) error {
 		}
 	case walRecEpoch:
 		var p walEpochRec
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		if err := decodeWALRecord(rec.Payload, &p); err != nil {
 			return fmt.Errorf("decoding epoch: %w", err)
 		}
 		if p.Epoch < r.epoch {
@@ -517,44 +756,102 @@ func (r *walReducer) apply(rec wal.Record) error {
 	return nil
 }
 
-// walAppend writes one record to the attached WAL, if any. Callers hold
-// m.mu wherever the record's position relative to other state changes
-// matters. Failures are logged, not fatal: the master keeps serving and
-// the next compaction folds live state into a consistent snapshot.
-func (m *Master) walAppend(typ uint8, v any) {
+// walAppend logs a state change the caller has already made.
+// Caller holds m.mu. A failure is logged, not fatal: the master keeps
+// serving, and because later records may refer to what this one would
+// have defined, the log is marked stale — nothing more is written to it
+// until live state has been folded into a snapshot (walCompactLocked).
+func (m *Master) walAppend(typ uint8, v walRecord) {
 	if m.cfg.WAL == nil {
 		return
 	}
-	if err := m.walAppendErr(typ, v); err != nil {
-		// A lost record is bounded data loss (the next compaction folds
-		// live state into a consistent snapshot), but it is exactly the
-		// event an operator tails structured logs for — error level, with
-		// the record type as a field.
+	if m.walStale {
+		// The snapshot that brings the log back in step is cut from live
+		// state, which already holds this record's change: appending the
+		// record behind it would replay the change twice.
+		if err := m.walCompactLocked(); err != nil {
+			m.cfg.Logger.With("rec", typ).Errorf("wal: record lost: %v", err)
+		}
+		return
+	}
+	if err := m.walWrite(typ, v); err != nil {
+		// Exactly the event an operator tails structured logs for —
+		// error level, with the record type as a field.
+		m.cfg.Logger.With("rec", typ).Errorf("wal: record lost: %v", err)
+		m.walStale = true
+	}
+}
+
+// walAppendErr logs a state change the caller has NOT yet made and
+// surfaces the error, for records that gate what follows (Submit must
+// not ack, a round must not dispatch, what the log did not take).
+// Caller holds m.mu.
+func (m *Master) walAppendErr(typ uint8, v walRecord) error {
+	if m.cfg.WAL == nil {
+		return nil
+	}
+	if m.walStale {
+		if err := m.walCompactLocked(); err != nil {
+			return err
+		}
+	}
+	if err := m.walWrite(typ, v); err != nil {
+		// Nothing diverged (the caller backs out), but the next append
+		// folds a snapshot anyway: compaction is also what clears a log
+		// wedged by a failed claw-back.
+		m.walStale = true
+		return err
+	}
+	return nil
+}
+
+// walAudit logs a record replay ignores (dispatch). It takes no lock,
+// so it may be called from dispatcher goroutines; a lost audit record
+// diverges nothing and is only logged.
+func (m *Master) walAudit(typ uint8, v walRecord) {
+	if m.cfg.WAL == nil {
+		return
+	}
+	if err := m.walWrite(typ, v); err != nil {
 		m.cfg.Logger.With("rec", typ).Errorf("wal: record lost: %v", err)
 	}
 }
 
-// walAppendErr is walAppend surfacing the error, for records that gate
-// an acknowledgement (Submit must not ack what the log did not take).
-func (m *Master) walAppendErr(typ uint8, v any) error {
-	wl := m.cfg.WAL
-	if wl == nil {
-		return nil
-	}
-	b, err := json.Marshal(v)
+// walWrite encodes one record, appends it to the attached WAL and
+// hands the same bytes to the replication sink.
+func (m *Master) walWrite(typ uint8, v walRecord) error {
+	e := walEncoders.Get().(*walEncoder)
+	defer func() {
+		if e.buf.Cap() <= maxPooledWALRecord {
+			walEncoders.Put(e)
+		}
+	}()
+	b, err := e.encode(v)
 	if err != nil {
 		return fmt.Errorf("encoding: %w", err)
 	}
-	if err := wl.Append(typ, b); err != nil {
+	if err := m.cfg.WAL.Append(typ, b); err != nil {
 		return err
 	}
 	// Ship only what the local log took: a standby must never hold a
 	// record its primary lost. Append sites that matter for replay order
 	// hold m.mu, so the shipped sequence matches the log sequence (the
-	// one lock-free site, walRecDispatch, is a replay no-op).
+	// one lock-free site, walAudit, writes replay no-ops).
 	if s := m.cfg.ReplicaSink; s != nil {
 		s.Ship(typ, b)
 	}
+	return nil
+}
+
+// walCompactLocked folds live state into a WAL snapshot and rotates the
+// log, which brings a stale log back in step: whatever it missed, the
+// snapshot holds. Caller holds m.mu, so no append can slip in between
+// the cut and the rotation.
+func (m *Master) walCompactLocked() error {
+	if err := m.cfg.WAL.Compact(m.walSnapshotLocked); err != nil {
+		return fmt.Errorf("folding live state into a WAL snapshot: %w", err)
+	}
+	m.walStale = false
 	return nil
 }
 
@@ -568,77 +865,97 @@ func (m *Master) nextSeqLocked() int64 {
 // walSnapshotLocked serializes the master's durable state in the
 // compaction snapshot format. Caller holds m.mu. Unlike SaveState it
 // preserves speculation keys and item sequence numbers: the log that
-// continues after this snapshot refers to them.
+// continues after this snapshot refers to them. The live state is
+// expressed as a reducer and serialized by the reducer's own snapshot,
+// so what replay folds and what the master writes cannot drift apart.
 func (m *Master) walSnapshotLocked(w io.Writer) error {
-	st := walState{
-		NextJobID: m.nextJobID, NextSeq: m.nextItemSeq, NextKey: m.nextKey,
-		NextPhoneID: m.nextPhoneID, Epoch: m.epoch,
-	}
-	st.DeadLetters = append(st.DeadLetters, m.deadLetters...)
-	if len(m.draining) > 0 {
-		st.Drains = make(map[int]string, len(m.draining))
-		for id, s := range m.draining {
-			st.Drains[id] = s
-		}
-	}
-	if len(m.reputation) > 0 {
-		st.Reputation = make(map[int]float64, len(m.reputation))
-		for id, score := range m.reputation {
-			st.Reputation[id] = score
-		}
-	}
-	for id := range m.quarantined {
-		st.Quarantined = append(st.Quarantined, id)
-	}
-	sort.Ints(st.Quarantined)
-	if len(m.walIdentity) > 0 {
-		st.Identity = make(map[int]string, len(m.walIdentity))
-		for id, model := range m.walIdentity {
-			st.Identity[id] = model
-		}
+	r := &walReducer{
+		nextJobID: m.nextJobID, nextSeq: m.nextItemSeq, nextKey: m.nextKey,
+		nextPhoneID: m.nextPhoneID, epoch: m.epoch,
+		jobs:  make(map[int]*walJobRec, len(m.jobs)),
+		fresh: map[int64]*walItemRec{},
+		open:  map[int64]*walItemRec{},
+		dead:  m.deadLetters, drains: m.draining,
+		reputation: m.reputation, quarantined: m.quarantined, identity: m.walIdentity,
 	}
 	for _, js := range m.jobs {
-		st.Jobs = append(st.Jobs, walJobRec{
+		r.jobs[js.id] = &walJobRec{
 			ID: js.id, Task: js.task.Name(), Params: js.task.Params(),
 			TotalBytes: js.totalBytes, Covered: js.covered,
 			Partials: js.partials, Final: js.final, Done: js.done,
 			Failure: js.failure,
-		})
+		}
 	}
-	seen := map[int64]bool{}
 	addOpen := func(key int64, jobID int, input []byte, resume *tasks.Checkpoint, retries, partition int) {
-		if m.completed[key] || seen[key] {
+		if m.completed[key] || r.open[key] != nil {
 			return
 		}
-		seen[key] = true
-		st.Open = append(st.Open, walItemRec{
+		r.open[key] = &walItemRec{
 			Key: key, JobID: jobID, Input: input,
 			Resume: m.latestResumeLocked(key, resume), Atomic: true, Retries: retries,
 			Partition: partition,
-		})
+		}
 	}
-	for _, it := range m.pending {
+	addItem := func(it *workItem) {
 		if it.key == 0 {
-			st.Fresh = append(st.Fresh, walItemRec{
+			r.fresh[it.seq] = &walItemRec{
 				Seq: it.seq, JobID: it.jobID, Input: it.input,
 				Resume: it.resume, Atomic: it.atomic, Retries: it.retries,
-			})
-			continue
+			}
+			return
 		}
 		addOpen(it.key, it.jobID, it.input, it.resume, it.retries, it.partition)
 	}
+	// Work is in exactly one of four places: queued, drained by a round
+	// that has not written its record yet, written into a round record
+	// but still behind another assignment in its phone's queue, or
+	// dispatched.
+	for _, it := range m.pending {
+		addItem(it)
+	}
+	for _, it := range m.planning {
+		addItem(it)
+	}
 	for _, rec := range m.attempts {
 		a := rec.a
-		if a.key == 0 {
-			continue
+		if a.key != 0 {
+			addOpen(a.key, a.item.jobID, a.input, a.resume, a.item.retries, a.partition)
 		}
-		addOpen(a.key, a.item.jobID, a.input, a.resume, a.item.retries, a.partition)
+	}
+	for _, queue := range m.roundPlans {
+		for _, a := range queue {
+			addOpen(a.key, a.item.jobID, a.input, a.resume, a.item.retries, a.partition)
+		}
+	}
+	return r.snapshot(w)
+}
+
+// snapshot serializes the reducer's state in the compaction-snapshot
+// format, collections sorted so equivalent states encode identically.
+func (r *walReducer) snapshot(w io.Writer) error {
+	st := walState{
+		NextJobID: r.nextJobID, NextSeq: r.nextSeq, NextKey: r.nextKey,
+		NextPhoneID: r.nextPhoneID, Epoch: r.epoch,
+		DeadLetters: r.dead, Drains: r.drains,
+		Reputation: r.reputation, Identity: r.identity,
+	}
+	for id := range r.quarantined {
+		st.Quarantined = append(st.Quarantined, id)
+	}
+	sort.Ints(st.Quarantined)
+	for _, j := range r.jobs {
+		st.Jobs = append(st.Jobs, *j)
+	}
+	for _, it := range r.fresh {
+		st.Fresh = append(st.Fresh, *it)
+	}
+	for _, it := range r.open {
+		st.Open = append(st.Open, *it)
 	}
 	sort.Slice(st.Jobs, func(i, j int) bool { return st.Jobs[i].ID < st.Jobs[j].ID })
 	sort.Slice(st.Fresh, func(i, j int) bool { return st.Fresh[i].Seq < st.Fresh[j].Seq })
 	sort.Slice(st.Open, func(i, j int) bool { return st.Open[i].Key < st.Open[j].Key })
-	enc := json.NewEncoder(w)
-	return enc.Encode(st)
+	return json.NewEncoder(w).Encode(st)
 }
 
 // CompactWAL folds the master's current durable state into a WAL
@@ -651,7 +968,7 @@ func (m *Master) CompactWAL() error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return wl.Compact(func(w io.Writer) error { return m.walSnapshotLocked(w) })
+	return m.walCompactLocked()
 }
 
 // RecoverWAL replays the attached WAL's snapshot and records into this
@@ -762,6 +1079,9 @@ func (m *Master) installWALState(red *walReducer) error {
 		it.seq = m.nextSeqLocked()
 	}
 	m.pending = pending
+	// The items carry sequence numbers the log has never seen: no record
+	// may be written before the snapshot that introduces them.
+	m.walStale = true
 	m.deadLetters = append(m.deadLetters, red.dead...)
 	if red.nextJobID > m.nextJobID {
 		m.nextJobID = red.nextJobID
@@ -858,41 +1178,5 @@ func (f *WALFold) Applied() int64 { return f.applied }
 func (f *WALFold) Epoch() int64 { return f.red.epoch }
 
 // Snapshot serializes the folded state in the compaction-snapshot
-// format, collections sorted so equivalent states encode identically.
-func (f *WALFold) Snapshot(w io.Writer) error {
-	r := f.red
-	st := walState{
-		NextJobID: r.nextJobID, NextSeq: r.nextSeq, NextKey: r.nextKey,
-		NextPhoneID: r.nextPhoneID, Epoch: r.epoch,
-	}
-	st.DeadLetters = append(st.DeadLetters, r.dead...)
-	if len(r.drains) > 0 {
-		st.Drains = make(map[int]string, len(r.drains))
-		for id, s := range r.drains {
-			st.Drains[id] = s
-		}
-	}
-	if len(r.reputation) > 0 {
-		st.Reputation = make(map[int]float64, len(r.reputation))
-		for id, score := range r.reputation {
-			st.Reputation[id] = score
-		}
-	}
-	for id := range r.quarantined {
-		st.Quarantined = append(st.Quarantined, id)
-	}
-	sort.Ints(st.Quarantined)
-	for _, j := range r.jobs {
-		st.Jobs = append(st.Jobs, *j)
-	}
-	for _, it := range r.fresh {
-		st.Fresh = append(st.Fresh, *it)
-	}
-	for _, it := range r.open {
-		st.Open = append(st.Open, *it)
-	}
-	sort.Slice(st.Jobs, func(i, j int) bool { return st.Jobs[i].ID < st.Jobs[j].ID })
-	sort.Slice(st.Fresh, func(i, j int) bool { return st.Fresh[i].Seq < st.Fresh[j].Seq })
-	sort.Slice(st.Open, func(i, j int) bool { return st.Open[i].Key < st.Open[j].Key })
-	return json.NewEncoder(w).Encode(st)
-}
+// format.
+func (f *WALFold) Snapshot(w io.Writer) error { return f.red.snapshot(w) }

@@ -274,24 +274,24 @@ func TestRoundRecordFailureAbortsRound(t *testing.T) {
 // record boundary — and inside records — of the live segment by
 // truncating a copy. Every truncation must recover: no acknowledged
 // submission lost, and every job that finishes again produces aggregates
-// byte-identical to the uncrashed run.
+// byte-identical to the uncrashed run. The live segment holds a job split
+// at least three ways and a range that migrates, so cuts land between a
+// record that defines a byte range and the records that refer to it.
 func TestWALCrashRecoveryEveryTruncation(t *testing.T) {
 	dir := t.TempDir()
 	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncAlways})
 	a := startMaster(t, Config{WAL: wl})
-	fa := dialFake(t, a, "HTC G2", 806)
-	go autoResponder(fa)
+	for i := 0; i < 3; i++ {
+		go autoResponder(dialFake(t, a, "HTC G2", 806))
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
 	// Deterministic workloads: counting aggregates are independent of how
 	// the input is partitioned or re-partitioned after a crash.
-	primesIn := []byte{}
-	for i := 1; i <= 200; i++ {
-		primesIn = append(primesIn, []byte(fmt.Sprintf("%d\n", i))...)
-	}
-	wordsIn := []byte(strings.Repeat("storm sale inventory sale\n", 40))
+	primesIn := numberLines(1, 200)
+	wordsIn := []byte(strings.Repeat("storm sale inventory sale\n", 400))
 	maxIn := []byte(strings.Repeat("7\n3\n9001\n14\n", 30))
 
 	id1, err := a.Submit(tasks.PrimeCount{}, primesIn, false)
@@ -372,15 +372,32 @@ func TestWALCrashRecoveryEveryTruncation(t *testing.T) {
 	}
 	submitEnd := map[int]int64{}
 	sawTypes := map[uint8]bool{}
+	widestSplit := 0
 	for i, r := range recs {
 		sawTypes[r.Type] = true
-		if r.Type == walRecSubmit {
+		switch r.Type {
+		case walRecSubmit:
 			var p walSubmit
-			if err := json.Unmarshal(r.Payload, &p); err != nil {
+			if err := decodeWALRecord(r.Payload, &p); err != nil {
 				t.Fatal(err)
 			}
 			submitEnd[p.JobID] = bounds[i]
+		case walRecRound:
+			var p walRound
+			if err := decodeWALRecord(r.Payload, &p); err != nil {
+				t.Fatal(err)
+			}
+			pieces := map[int64]int{}
+			for _, it := range p.Items {
+				if it.FromSeq != 0 {
+					pieces[it.FromSeq]++
+					widestSplit = max(widestSplit, pieces[it.FromSeq])
+				}
+			}
 		}
+	}
+	if widestSplit < 3 {
+		t.Fatalf("widest split in the live segment is %d-way, want at least 3", widestSplit)
 	}
 	for _, typ := range []uint8{walRecSubmit, walRecRound, walRecDispatch, walRecReport, walRecMigrate, walRecFinish} {
 		if !sawTypes[typ] {

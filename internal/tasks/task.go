@@ -79,8 +79,13 @@ type Task interface {
 type Breakable interface {
 	Task
 	// Split partitions input into len(sizesKB) pieces of approximately
-	// the given sizes (KB), honouring record boundaries. The
-	// concatenation of the pieces is the original input.
+	// the given sizes (KB), honouring record boundaries. The pieces are
+	// returned in input order and concatenate to the original input, so
+	// their lengths sum to len(input) and piece k starts at the sum of
+	// the lengths before it (a piece may be empty). The server relies on
+	// this: it addresses a piece by offset and length within the input
+	// (its write-ahead log never copies the bytes) and refuses a round
+	// whose split does not add up.
 	Split(input []byte, sizesKB []float64) ([][]byte, error)
 	// Aggregate merges per-partition results into the job result.
 	Aggregate(partials [][]byte) ([]byte, error)
