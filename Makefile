@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race chaos wal-crash ckpt-chaos churn-storm failover byzantine obs-chaos bench-check check bench bench-run bench-compare fmt
+.PHONY: all build vet lint lint-json test race chaos wal-crash ckpt-chaos churn-storm failover byzantine obs-chaos bench-check bench-smoke check bench bench-run bench-compare fmt
 
 all: check
 
@@ -103,8 +103,13 @@ bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
 
+# One iteration of each packer benchmark (18x150, 50x500, 128x512), so
+# they keep compiling and finishing; it measures nothing.
+bench-smoke:
+	$(GO) test -run '^$$' -bench Greedy -benchtime 1x ./internal/core/
+
 # The pre-PR gate: everything that must be green before a change ships.
-check: vet lint build race chaos wal-crash ckpt-chaos churn-storm failover byzantine obs-chaos bench-check
+check: vet lint build race chaos wal-crash ckpt-chaos churn-storm failover byzantine obs-chaos bench-check bench-smoke
 	gofmt -l . | tee /dev/stderr | wc -l | grep -qx 0
 
 bench:

@@ -31,6 +31,19 @@ func BenchmarkGreedyPaperSize(b *testing.B) {
 
 func BenchmarkGreedyLarge(b *testing.B) {
 	inst := benchInstance(50, 500)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Greedy(inst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGreedyWide is the benchmark's wide-fleet round: 128 phones,
+// 512 breakable jobs of about 4 KB.
+func BenchmarkGreedyWide(b *testing.B) {
+	inst := wideInstance(rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Greedy(inst); err != nil {
 			b.Fatal(err)
@@ -42,7 +55,7 @@ func BenchmarkSinglePack(b *testing.B) {
 	inst := benchInstance(18, 150)
 	cap := UpperBoundCapacity(inst)
 	for i := 0; i < b.N; i++ {
-		if _, ok := packWithCapacity(inst, cap, GreedyOptions{}); !ok {
+		if _, ok := newPacker(inst).packWithCapacity(cap); !ok {
 			b.Fatal("infeasible at upper bound")
 		}
 	}

@@ -143,10 +143,12 @@ type Schedule struct {
 	PerPhone [][]Assignment
 	// Makespan is the predicted completion time of the last phone, ms.
 	Makespan float64
-	// Vetoed counts placement attempts the winning packing run rejected
+	// Vetoed counts the placements the winning packing run rejected
 	// solely because of a phone's availability window (Phone.AvailMs) —
-	// placements the capacity alone would have accepted. Zero when no
-	// windows constrain the instance.
+	// placements the capacity alone would have accepted. Each (item as
+	// it stood, phone) pair counts once: the packer remembers a
+	// rejection and does not ask again until the item changes. Zero when
+	// no windows constrain the instance.
 	Vetoed int
 }
 
@@ -167,12 +169,15 @@ func (s *Schedule) PartitionCounts(numJobs int) []int {
 // cost model (executable shipped once per phone/job pair).
 func (s *Schedule) PhoneSpans(inst *Instance) []float64 {
 	spans := make([]float64, len(inst.Phones))
+	shipped := make([]bool, len(inst.Jobs)) // the current phone's row
 	for i, asgs := range s.PerPhone {
-		shipped := map[int]bool{}
 		for _, a := range asgs {
 			withExec := !shipped[a.Job]
 			shipped[a.Job] = true
 			spans[i] += inst.Cost(a.Phone, a.Job, a.SizeKB, withExec)
+		}
+		for _, a := range asgs {
+			shipped[a.Job] = false
 		}
 	}
 	return spans

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -40,8 +41,9 @@ func GreedyOpt(inst *Instance, opt GreedyOptions) (*Schedule, error) {
 		opt.RelTolerance = 1e-4
 	}
 
+	p := newPacker(inst)
 	if opt.FixedCapacity > 0 {
-		sched, ok := packWithCapacity(inst, opt.FixedCapacity, opt)
+		sched, ok := p.packWithCapacity(opt.FixedCapacity)
 		if !ok {
 			return nil, ErrInfeasible
 		}
@@ -54,7 +56,7 @@ func GreedyOpt(inst *Instance, opt GreedyOptions) (*Schedule, error) {
 		lb = 0
 	}
 
-	best, ok := packWithCapacity(inst, ub, opt)
+	best, ok := p.packWithCapacity(ub)
 	if !ok {
 		return nil, ErrInfeasible
 	}
@@ -62,7 +64,7 @@ func GreedyOpt(inst *Instance, opt GreedyOptions) (*Schedule, error) {
 	lo := lb
 	for hi-lo > opt.RelTolerance*hi+0.5 {
 		c := (lo + hi) / 2
-		if sched, ok := packWithCapacity(inst, c, opt); ok {
+		if sched, ok := p.packWithCapacity(c); ok {
 			best = sched
 			hi = math.Min(c, sched.Makespan)
 		} else {
@@ -123,72 +125,108 @@ type item struct {
 	remaining float64
 }
 
-// packer holds the state of one Algorithm 1 run at a fixed capacity.
+// packer runs Algorithm 1 on one instance. What depends on the instance
+// alone is computed once; everything else is scratch that
+// packWithCapacity resets, so a capacity search allocates it once.
 type packer struct {
 	inst    *Instance
-	cap     float64
-	opt     GreedyOptions
-	slowest int // phone index whose c-row orders the item list
+	slowest int    // phone index whose c-row orders the item list
+	sorted  []item // L before any placement: every job whole
 
+	cap     float64
 	items   []item // the sorted list L
 	opened  []bool
 	order   []int // phone indices in opening order
 	height  []float64
-	shipped []map[int]bool
+	shipped []bool // phone i has job j's executable: shipped[i*len(Jobs)+j]
 	asgs    [][]Assignment
 	vetoed  int // placements rejected solely by an availability window
+
+	// seen[j] counts the leading bins of order known to reject item j as
+	// it stands. While j waits in L nothing its fit depends on changes
+	// except bin heights, and those only grow, so a rejection holds until
+	// j itself is packed; a partial placement resets the count.
+	seen []int
+
+	fitsCalls int // fits evaluations since newPacker, for the complexity guard
+}
+
+func newPacker(inst *Instance) *packer {
+	phones, jobs := len(inst.Phones), len(inst.Jobs)
+	p := &packer{
+		inst:    inst,
+		slowest: slowestPhone(inst),
+		sorted:  make([]item, jobs),
+		items:   make([]item, 0, jobs),
+		opened:  make([]bool, phones),
+		order:   make([]int, 0, phones),
+		height:  make([]float64, phones),
+		shipped: make([]bool, phones*jobs),
+		asgs:    make([][]Assignment, phones),
+		seen:    make([]int, jobs),
+	}
+	for j, job := range inst.Jobs {
+		p.sorted[j] = item{job: j, remaining: job.InputKB}
+	}
+	sort.Slice(p.sorted, func(a, b int) bool { return p.before(p.sorted[a], p.sorted[b]) })
+	return p
 }
 
 // packWithCapacity runs Algorithm 1. ok is false when the capacity does
 // not admit a packing.
-func packWithCapacity(inst *Instance, cap float64, opt GreedyOptions) (*Schedule, bool) {
-	p := &packer{
-		inst:    inst,
-		cap:     cap,
-		opt:     opt,
-		slowest: slowestPhone(inst),
-		opened:  make([]bool, len(inst.Phones)),
-		height:  make([]float64, len(inst.Phones)),
-		shipped: make([]map[int]bool, len(inst.Phones)),
-		asgs:    make([][]Assignment, len(inst.Phones)),
+func (p *packer) packWithCapacity(cap float64) (*Schedule, bool) {
+	p.cap = cap
+	p.items = append(p.items[:0], p.sorted...)
+	p.order = p.order[:0]
+	p.vetoed = 0
+	clear(p.opened)
+	clear(p.height)
+	clear(p.shipped)
+	clear(p.seen)
+	for i := range p.asgs {
+		p.asgs[i] = p.asgs[i][:0]
 	}
-	for j, job := range inst.Jobs {
-		p.items = append(p.items, item{job: j, remaining: job.InputKB})
-	}
-	p.sortItems()
 
+	// Every item before next is rejected by every open bin.
+	next := 0
 	for len(p.items) > 0 {
 		// Find the first item in L that fits any opened bin; pack it into
 		// the minimum-height bin that accepts it.
-		packed := false
-		for idx := range p.items {
-			bin := p.bestOpenBin(p.items[idx])
-			if bin >= 0 {
-				p.pack(bin, idx)
-				packed = true
+		bin := -1
+		for ; next < len(p.items); next++ {
+			if bin = p.bestOpenBin(p.items[next]); bin >= 0 {
 				break
 			}
 		}
-		if packed {
+		if bin >= 0 {
+			p.pack(bin, next) // a remainder re-enters L at or after next
 			continue
 		}
 		// No item fits an open bin: open the best bin for the largest
 		// item (line 15 of Algorithm 1).
-		bin := p.bestNewBin(p.items[0])
+		bin = p.bestNewBin(p.items[0])
 		if bin < 0 {
 			return nil, false // no bins left: cannot finish with this C
 		}
 		p.opened[bin] = true
 		p.order = append(p.order, bin)
-		if !p.fits(bin, p.items[0]) {
-			return nil, false // even a fresh best bin rejects the item
-		}
 		p.pack(bin, 0)
+		next = 0
 	}
+	return p.schedule(), true
+}
 
-	sched := &Schedule{PerPhone: p.asgs, Vetoed: p.vetoed}
-	sched.Makespan = sched.Evaluate(inst)
-	return sched, true
+// schedule copies the finished packing out of the scratch. Phones left
+// without work keep a nil list.
+func (p *packer) schedule() *Schedule {
+	sched := &Schedule{PerPhone: make([][]Assignment, len(p.asgs)), Vetoed: p.vetoed}
+	for i, asgs := range p.asgs {
+		if len(asgs) > 0 {
+			sched.PerPhone[i] = slices.Clone(asgs)
+		}
+	}
+	sched.Makespan = sched.Evaluate(p.inst)
+	return sched
 }
 
 // slowestPhone picks the phone s whose execution times order the item
@@ -208,24 +246,22 @@ func slowestPhone(inst *Instance) int {
 	return best
 }
 
-// sortItems orders L by decreasing local execution time on the slowest
-// phone, R_j·c_sj, ties broken by job ID for determinism.
-func (p *packer) sortItems() {
-	s := p.slowest
-	sort.SliceStable(p.items, func(a, b int) bool {
-		ka := p.items[a].remaining * p.inst.C[s][p.items[a].job]
-		kb := p.items[b].remaining * p.inst.C[s][p.items[b].job]
-		if ka != kb {
-			return ka > kb
-		}
-		return p.inst.Jobs[p.items[a].job].ID < p.inst.Jobs[p.items[b].job].ID
-	})
+// before is L's order: decreasing local execution time on the slowest
+// phone, R_j·c_sj, ties broken by job ID. Job IDs are unique, so the
+// order is total and L has exactly one sorted arrangement.
+func (p *packer) before(a, b item) bool {
+	ka := a.remaining * p.inst.C[p.slowest][a.job]
+	kb := b.remaining * p.inst.C[p.slowest][b.job]
+	if ka != kb {
+		return ka > kb
+	}
+	return p.inst.Jobs[a.job].ID < p.inst.Jobs[b.job].ID
 }
 
 // execCost returns the executable shipping cost for job j on phone i,
 // zero when already shipped there.
 func (p *packer) execCost(i, j int) float64 {
-	if p.shipped[i] != nil && p.shipped[i][j] {
+	if p.shipped[i*len(p.inst.Jobs)+j] {
 		return 0
 	}
 	return p.inst.Jobs[j].ExecKB * p.inst.Phones[i].BMsPerKB
@@ -258,6 +294,7 @@ func (p *packer) binCap(i int) float64 {
 // availability window alone turned the placement away — is counted as a
 // veto.
 func (p *packer) fits(i int, it item) bool {
+	p.fitsCalls++
 	job := p.inst.Jobs[it.job]
 	if job.Atomic {
 		if ram := p.inst.Phones[i].RAMKB; ram > 0 && it.remaining > ram {
@@ -276,16 +313,20 @@ func (p *packer) fits(i int, it item) bool {
 }
 
 // bestOpenBin returns the minimum-height opened bin that fits the item,
-// or -1. Ties break toward the earliest-opened bin.
+// or -1. Ties break toward the earliest-opened bin. Bins the item is
+// known to be rejected by are not asked again.
 func (p *packer) bestOpenBin(it item) int {
 	best := -1
-	for _, i := range p.order {
+	for _, i := range p.order[p.seen[it.job]:] {
 		if !p.fits(i, it) {
 			continue
 		}
 		if best < 0 || p.height[i] < p.height[best] {
 			best = i
 		}
+	}
+	if best < 0 {
+		p.seen[it.job] = len(p.order)
 	}
 	return best
 }
@@ -345,18 +386,20 @@ func (p *packer) pack(i, idx int) {
 		}
 	}
 
-	if p.shipped[i] == nil {
-		p.shipped[i] = map[int]bool{}
-	}
-	p.shipped[i][jobIdx] = true
+	p.shipped[i*len(p.inst.Jobs)+jobIdx] = true
 	p.height[i] += exec + size*rate
 	p.asgs[i] = append(p.asgs[i], Assignment{Phone: i, Job: jobIdx, SizeKB: size})
 
 	it.remaining -= size
+	rest := p.items[idx+1:]
 	if it.remaining <= sizeTolerance {
-		p.items = append(p.items[:idx], p.items[idx+1:]...)
-	} else {
-		p.items[idx] = it
-		p.sortItems()
+		p.items = append(p.items[:idx], rest...)
+		return
 	}
+	// The item's key shrank and nothing else moved: slide it back to its
+	// place among the items that followed it.
+	p.seen[jobIdx] = 0
+	n := sort.Search(len(rest), func(k int) bool { return p.before(it, rest[k]) })
+	copy(p.items[idx:], rest[:n])
+	p.items[idx+n] = it
 }

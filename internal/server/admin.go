@@ -55,7 +55,7 @@ func registerMasterMetrics(r *obs.Registry) {
 		"cwc_recompute_saved_bytes_total":  "input bytes a requeue resumed past instead of recomputing",
 		"cwc_drain_started_total":          "proactive drains started as predicted charge windows closed",
 		"cwc_drain_completed_total":        "proactive drains whose work was handed back before the disconnect",
-		"cwc_placements_vetoed_total":      "placements rejected because completion would cross the phone's predicted-unplug quantile",
+		"cwc_placements_vetoed_total":      "distinct (item, phone) placements the winning packing rejected only because completion would cross the phone's predicted-unplug quantile",
 		"cwc_jobs_failed_total":            "jobs that ended in a terminal aggregation failure",
 		"cwc_verify_votes_total":           "verification ballots cast (result digests entered into a vote group)",
 		"cwc_verify_audits_total":          "spot-check audit comparisons completed",

@@ -653,15 +653,24 @@ func (m *Master) buildSchedule(items []*workItem, phones []*phoneState) (*core.S
 			Atomic:  it.atomic || it.resume != nil || it.key != 0,
 		})
 	}
+	// c_ij depends on the job only through its task name: estimate once
+	// per (phone, distinct name) and fill that name's columns, instead of
+	// taking the estimator's lock for every cell.
+	cols := map[string][]int{} // task name -> job indices
+	for j, job := range inst.Jobs {
+		cols[job.Task] = append(cols[job.Task], j)
+	}
 	inst.C = make([][]float64, len(inst.Phones))
 	for i, ps := range phones {
 		inst.C[i] = make([]float64, len(items))
-		for j, it := range items {
-			c, err := est.Estimate(it.task.Name(), ps.info.ID, ps.info.CPUMHz)
+		for name, js := range cols {
+			c, err := est.Estimate(name, ps.info.ID, ps.info.CPUMHz)
 			if err != nil {
 				return nil, nil, err
 			}
-			inst.C[i][j] = c
+			for _, j := range js {
+				inst.C[i][j] = c
+			}
 		}
 	}
 	// Deadline-aware packing: cap each phone's bin at its predicted

@@ -2,6 +2,7 @@ package server
 
 import (
 	"strconv"
+	"strings"
 	"time"
 
 	"cwc/internal/obs"
@@ -142,19 +143,18 @@ func (m *Master) foldTelemetry(ps *phoneState, msg *protocol.Message) {
 
 // knownSpan reports whether a trace span names a job this master knows
 // (jobs are never deleted, so any span ever minted by this regime — or
-// recovered from its WAL — resolves).
+// recovered from its WAL — resolves). Spans are only ever minted as
+// "j<id>" (Submit, spanForJobLocked; recovery leaves them to be minted
+// lazily in the same form), so the span is parsed back to its job ID;
+// anything not in that canonical form — a sign, leading zeros, trailing
+// bytes — names no job.
 func (m *Master) knownSpan(span string) bool {
+	digits, ok := strings.CutPrefix(span, "j")
+	id, err := strconv.Atoi(digits)
+	if !ok || err != nil || strconv.Itoa(id) != digits {
+		return false
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for id, js := range m.jobs {
-		if js.span == span {
-			return true
-		}
-		// Recovery leaves spans lazily minted; match the deterministic
-		// form without forcing the mint.
-		if js.span == "" && span == "j"+strconv.Itoa(id) {
-			return true
-		}
-	}
-	return false
+	return m.jobs[id] != nil
 }

@@ -195,3 +195,34 @@ func TestFoldTelemetryLazySpan(t *testing.T) {
 		t.Fatalf("lazy-span event counted as orphan (counter = %d)", v)
 	}
 }
+
+// TestFoldTelemetryOrphanSpans: only the canonical "j<id>" of a known
+// job resolves; near misses that a lenient parse would map onto jobs 7
+// and 12 count as orphans, as does an unknown ID.
+func TestFoldTelemetryOrphanSpans(t *testing.T) {
+	m := New(Config{Tracer: obs.NewTracer(16)})
+	m.mu.Lock()
+	m.jobs[7] = &jobState{id: 7, span: "j7"}
+	m.jobs[12] = &jobState{id: 12} // recovered: span minted lazily
+	m.mu.Unlock()
+
+	ps := &phoneState{info: PhoneInfo{ID: 1}}
+	orphans := m.cfg.Metrics.Counter("cwc_telemetry_orphan_spans_total")
+	for _, tc := range []struct {
+		span   string
+		orphan bool
+	}{
+		{"j7", false}, {"j12", false},
+		{"j007", true}, {"j12x", true}, {"j-1", true}, {"j+7", true},
+		{"j", true}, {"7", true}, {"jj7", true}, {"j 7", true}, {"j999", true},
+	} {
+		before := orphans.Value()
+		m.foldTelemetry(ps, &protocol.Message{
+			Type:   protocol.TypeTelemetry,
+			Events: []protocol.WorkerEvent{{TSMs: 1, Kind: protocol.EventExecStart, Span: tc.span}},
+		})
+		if got := orphans.Value()-before == 1; got != tc.orphan {
+			t.Errorf("span %q: counted as orphan = %v, want %v", tc.span, got, tc.orphan)
+		}
+	}
+}
