@@ -12,11 +12,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"io/fs"
 	"math/rand"
 	"net"
 	"os"
@@ -25,7 +22,6 @@ import (
 	"time"
 
 	"cwc/internal/faults"
-	"cwc/internal/migrate"
 	"cwc/internal/obs"
 	"cwc/internal/replica"
 	"cwc/internal/server"
@@ -41,7 +37,6 @@ func main() {
 		keepalive = flag.Duration("keepalive", 30*time.Second, "application keepalive period")
 		misses    = flag.Int("misses", 3, "keepalive misses tolerated before declaring offline failure")
 		seed      = flag.Int64("seed", 1, "workload seed")
-		stateFile = flag.String("state", "", "snapshot file: restored at start if present, written on exit")
 		inputKB   = flag.Int("input-kb", 256, "per-job input size for the demo workload")
 		dlFactor  = flag.Float64("deadline-factor", 4, "assignment deadline as a multiple of the cost-model estimate")
 		dlFloor   = flag.Duration("deadline-floor", 30*time.Second, "minimum assignment deadline")
@@ -50,8 +45,6 @@ func main() {
 		walDir    = flag.String("wal-dir", "", "write-ahead-log directory: replayed at start, appended during operation; survives SIGKILL at any instant")
 		walSync   = flag.String("wal-sync", "always", "WAL fsync policy: always|interval|none")
 		walKB     = flag.Int("wal-compact-kb", 4096, "compact the WAL into a snapshot once its segments exceed this many KB")
-		jrnlFile  = flag.String("journal", "", "migration journal file: reloaded at start, persisted at each snapshot tick and on exit")
-		snapEvery = flag.Duration("snapshot-every", 0, "also write -state/-journal snapshots periodically, not just on exit (0: exit only)")
 		ckptKB    = flag.Int("ckpt-kb", 256, "checkpoint-streaming interval announced to workers, in KB of input processed (negative: disable streaming)")
 		ckptEvery = flag.Duration("ckpt-every", 0, "additional wall-time checkpoint-streaming trigger announced to workers (0: byte trigger only)")
 		verifyK   = flag.Int("verify-replicas", 1, "replicated-voting factor k: execute every partition on k disjoint phones and quorum-vote the result digests (1: voting off)")
@@ -155,35 +148,19 @@ func main() {
 		cfg.ListenerHook = func(ln net.Listener) net.Listener { return plan.WrapListener(ln) }
 		logger.Infof("fault injection active on the listener (accept-side faults use the 'phone *' profile)")
 	}
-	var journal *migrate.Journal
-	if *jrnlFile != "" {
-		switch f, err := os.Open(*jrnlFile); {
-		case err == nil:
-			journal, err = migrate.ReadJournal(f)
-			f.Close()
-			if err != nil {
-				fatalf("restoring journal %s: %v", *jrnlFile, err)
-			}
-			logger.Infof("restored journal from %s (%d events)", *jrnlFile, journal.Len())
-		case errors.Is(err, fs.ErrNotExist):
-			journal = migrate.NewJournal()
-		default:
-			// An unreadable journal (EACCES, I/O error) is not a fresh
-			// start: proceeding would overwrite it at the next save.
-			fatalf("opening journal %s: %v", *jrnlFile, err)
-		}
-		cfg.Journal = journal
-	}
-	saveJournal := func() {
-		if journal == nil {
-			return
-		}
-		err := wal.WriteFileAtomic(*jrnlFile, func(w io.Writer) error {
-			_, err := journal.WriteTo(w)
-			return err
-		})
+	// One set of WAL options for whichever role opens the log: the
+	// standby (which owns its WAL until promotion) or the primary.
+	var walOpts wal.Options
+	if *walDir != "" {
+		policy, err := wal.ParseSyncPolicy(*walSync)
 		if err != nil {
-			logger.Warnf("saving journal: %v", err)
+			fatalf("%v", err)
+		}
+		walOpts = wal.Options{
+			Sync:         policy,
+			CompactBytes: int64(*walKB) * 1024,
+			Logger:       logger.With("sub", "wal").Std(),
+			Metrics:      metrics,
 		}
 	}
 
@@ -195,24 +172,15 @@ func main() {
 		if *walDir == "" {
 			fatalf("-standby-of requires -wal-dir")
 		}
-		policy, err := wal.ParseSyncPolicy(*walSync)
-		if err != nil {
-			fatalf("%v", err)
-		}
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
 			fatalf("binding takeover listener: %v", err)
 		}
 		cfg.Listener = ln
 		st := replica.New(replica.StandbyOptions{
-			PrimaryAddr: *standbyOf,
-			WALDir:      *walDir,
-			WALOptions: wal.Options{
-				Sync:         policy,
-				CompactBytes: int64(*walKB) * 1024,
-				Logger:       logger.With("sub", "wal").Std(),
-				Metrics:      metrics,
-			},
+			PrimaryAddr:  *standbyOf,
+			WALDir:       *walDir,
+			WALOptions:   walOpts,
 			Lease:        time.Duration(*leaseMs) * time.Millisecond,
 			MasterConfig: cfg,
 			Logger:       logger.With("sub", "standby"),
@@ -225,7 +193,6 @@ func main() {
 		m := st.Master()
 		defer st.Log().Close()
 		defer m.Close()
-		defer saveJournal()
 		logger.Infof("promoted: serving on %s until interrupted", m.Addr())
 		if err := m.RunLoop(context.Background(), 250*time.Millisecond, nil); err != nil && err != context.Canceled {
 			fatalf("%v", err)
@@ -235,16 +202,7 @@ func main() {
 
 	var wlog *wal.Log
 	if *walDir != "" {
-		policy, err := wal.ParseSyncPolicy(*walSync)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		wlog, err = wal.Open(*walDir, wal.Options{
-			Sync:         policy,
-			CompactBytes: int64(*walKB) * 1024,
-			Logger:       logger.With("sub", "wal").Std(),
-			Metrics:      metrics,
-		})
+		wlog, err = wal.Open(*walDir, walOpts)
 		if err != nil {
 			fatalf("opening WAL %s: %v", *walDir, err)
 		}
@@ -301,50 +259,6 @@ func main() {
 	if *obsAddr != "" {
 		logger.Infof("admin plane on http://%s (/metrics /statusz /debug/sched /debug/trace /debug/timeline /debug/blackbox)", m.ObsAddr())
 	}
-	if *stateFile != "" {
-		switch f, err := os.Open(*stateFile); {
-		case err == nil:
-			err := m.LoadState(f)
-			f.Close()
-			switch {
-			case errors.Is(err, server.ErrStateNotEmpty):
-				// The WAL already rebuilt newer state; the file snapshot
-				// is a stale backup, not an error.
-				logger.Infof("ignoring %s: WAL recovery already restored state", *stateFile)
-			case err != nil:
-				fatalf("restoring %s: %v", *stateFile, err)
-			default:
-				logger.Infof("restored state from %s (%d pending items)", *stateFile, m.PendingItems())
-			}
-		case errors.Is(err, fs.ErrNotExist):
-			// Fresh start; the exit/periodic snapshot will create it.
-		default:
-			fatalf("opening %s: %v", *stateFile, err)
-		}
-		defer func() {
-			if err := m.SaveStateFile(*stateFile); err != nil {
-				logger.Errorf("%v", err)
-				return
-			}
-			logger.Infof("state saved to %s", *stateFile)
-		}()
-	}
-	defer saveJournal()
-	if *snapEvery > 0 && (*stateFile != "" || journal != nil) {
-		ticker := time.NewTicker(*snapEvery)
-		defer ticker.Stop()
-		go func() {
-			for range ticker.C {
-				if *stateFile != "" {
-					if err := m.SaveStateFile(*stateFile); err != nil {
-						logger.Infof("periodic snapshot: %v", err)
-					}
-				}
-				saveJournal()
-			}
-		}()
-	}
-
 	if *waitSec == 0 {
 		logger.Infof("register-only mode; ctrl-c to exit")
 		select {}

@@ -11,13 +11,14 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"cwc/internal/migrate"
+	"cwc/internal/obs"
 	"cwc/internal/server"
 	"cwc/internal/tasks"
 	"cwc/internal/wal"
@@ -78,13 +79,13 @@ func TestCkptChaosBoundedWorkLoss(t *testing.T) {
 	meteredBytes.Store(0)
 
 	const ckptKB = 16
-	journal := migrate.NewJournal()
+	tracer := obs.NewTracer(4096)
 	opts := Options{Phones: DefaultPhones()[:4]}
 	opts.Server.CheckpointEveryKB = ckptKB
 	opts.Server.KeepalivePeriod = 100 * time.Millisecond
 	opts.Server.KeepaliveTolerance = 3
 	opts.Server.MaxItemRetries = 50
-	opts.Server.Journal = journal
+	opts.Server.Tracer = tracer
 	c := startCluster(t, opts)
 
 	rng := rand.New(rand.NewSource(42))
@@ -147,14 +148,17 @@ func TestCkptChaosBoundedWorkLoss(t *testing.T) {
 	if folds := c.Master.StreamedCheckpoints(); folds < thresholds[len(thresholds)-1] {
 		t.Errorf("master folded only %d streamed checkpoints", folds)
 	}
-	streamedSaves := 0
-	for _, e := range journal.Events() {
-		if e.Kind == migrate.Saved && e.Reason == "streamed checkpoint" {
+	streamedSaves, resumes := 0, 0
+	for _, e := range tracer.Span(fmt.Sprintf("j%d", id)) {
+		switch {
+		case e.Kind == obs.KindCheckpoint && e.Detail == "streamed":
 			streamedSaves++
+		case e.Kind == obs.KindAssign && e.Detail == "resume" && e.Bytes > 0:
+			resumes++
 		}
 	}
 	if streamedSaves == 0 {
-		t.Error("no streamed-checkpoint saves reached the migration journal")
+		t.Error("no streamed-checkpoint saves on the job's trace span")
 	}
 
 	overage := meteredBytes.Load() - int64(len(input))
@@ -167,8 +171,11 @@ func TestCkptChaosBoundedWorkLoss(t *testing.T) {
 		t.Errorf("recomputed %d bytes after %d kills, want <= %d (2x%dKB interval each)",
 			overage, kills.Load(), maxLoss, ckptKB)
 	}
-	t.Logf("kills=%d recomputed=%dB (bound %dB), %d checkpoints folded",
-		kills.Load(), overage, maxLoss, c.Master.StreamedCheckpoints())
+	// Which worker a threshold kills is not tied to which one streamed, so
+	// the re-ship count is reported, not asserted; the bound above is what
+	// fails when resume state stops travelling.
+	t.Logf("kills=%d recomputed=%dB (bound %dB), %d checkpoints folded, %d assigns shipped resume state",
+		kills.Load(), overage, maxLoss, c.Master.StreamedCheckpoints(), resumes)
 }
 
 // TestCkptChaosMasterCrashRecovery crashes the master itself mid-round —

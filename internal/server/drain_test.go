@@ -24,8 +24,8 @@ func TestRecordFailureDedupesReplayedAttempt(t *testing.T) {
 		input: input,
 	}
 	msg := protocolFailure(4, `{"count":2}`)
-	m.recordFailure(a, &msg, 0, 7)
-	m.recordFailure(a, &msg, 0, 7) // replay over the phone's new connection
+	m.recordFailure(a, &msg, 7)
+	m.recordFailure(a, &msg, 7) // replay over the phone's new connection
 	if js.covered != 4 {
 		t.Errorf("covered = %d, want 4 (replay must not double-credit)", js.covered)
 	}
@@ -44,7 +44,7 @@ func TestRecordFailureDedupesReplayedAttempt(t *testing.T) {
 		input: []byte("1 1\n1 2 3\n"),
 	}
 	bmsg := protocolFailure(3, `{"row":0,"out":[]}`)
-	m2.recordFailure(b, &bmsg, 0, 0)
+	m2.recordFailure(b, &bmsg, 0)
 	if len(m2.pending) != 1 {
 		t.Fatalf("untracked attempt not requeued: pending = %d", len(m2.pending))
 	}

@@ -1,25 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"testing"
 
 	"cwc/internal/wal"
 )
-
-// FuzzLoadState asserts that a state snapshot — however mangled — is
-// either rejected with an error or loaded; it must never panic the
-// master.
-func FuzzLoadState(f *testing.F) {
-	f.Add([]byte(`{"next_job_id":2,"jobs":[{"id":1,"task":"primecount","total_bytes":4}],` +
-		`"pending":[{"job_id":1,"task":"primecount","input":"Mgo="}]}`))
-	f.Add([]byte(`{bad`))
-	f.Add([]byte(`{"jobs":[{"id":1,"task":"no-such-task"}]}`))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m := New(Config{})
-		_ = m.LoadState(bytes.NewReader(b))
-	})
-}
 
 // FuzzWALReducer feeds arbitrary record types and payloads through WAL
 // replay, on top of a state that gives references something to resolve

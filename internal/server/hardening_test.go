@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"math/rand"
 	"net"
 	"sync/atomic"
@@ -315,126 +313,5 @@ func TestRejoinTakeoverReusesIdentity(t *testing.T) {
 	}
 	if w2.PhoneID == 99 {
 		t.Error("unknown prior identity should not be honoured")
-	}
-}
-
-// A state snapshot taken mid-round captures dispatched-but-unreported
-// partitions as pending items with their checkpoints, so a restored
-// master re-queues them at its first scheduling instant.
-func TestSaveStateMidRoundCapturesInFlightCheckpoint(t *testing.T) {
-	m := startMaster(t, Config{})
-	f1 := dialFake(t, m, "HTC G2", 806)
-	img, err := tasks.GenImageKB(4, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := m.Submit(tasks.Blur{}, img, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Round 1: the phone fails mid-task with a checkpoint; the partition
-	// migrates (input + checkpoint) to the pending pool.
-	round1 := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_, err := m.RunRound(ctx)
-		round1 <- err
-	}()
-	prof := f1.recv()
-	if prof.Type != protocol.TypeAssign || prof.Partition != -1 {
-		t.Fatalf("expected profiling assign, got %+v", prof)
-	}
-	f1.send(&protocol.Message{Type: protocol.TypeResult, JobID: 0, Partition: -1,
-		Result: []byte("x"), Digest: tasks.Digest([]byte("x")), ExecMs: 2, ProcessedKB: 4})
-	asg := f1.recv()
-	f1.send(&protocol.Message{Type: protocol.TypeFailure, JobID: id,
-		Partition: asg.Partition, Attempt: asg.Attempt,
-		Checkpoint: &tasks.Checkpoint{Offset: 100, State: []byte(`{"row":0,"out":[]}`)},
-		Error:      "unplugged"})
-	if err := <-round1; err != nil {
-		t.Fatal(err)
-	}
-
-	// Round 2: a fresh phone holds the resumed partition in flight while
-	// the snapshot is taken.
-	f2 := dialFake(t, m, "Nexus S", 1000)
-	round2 := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_, err := m.RunRound(ctx)
-		round2 <- err
-	}()
-	resumed := f2.recv()
-	if resumed.Type != protocol.TypeAssign || resumed.Resume == nil || resumed.Resume.Offset != 100 {
-		t.Fatalf("expected resumed assign, got %+v", resumed)
-	}
-
-	var snap bytes.Buffer
-	if err := m.SaveState(&snap); err != nil {
-		t.Fatal(err)
-	}
-	var st stateJSON
-	if err := json.Unmarshal(snap.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Pending) != 1 {
-		t.Fatalf("snapshot pending = %+v, want the in-flight partition", st.Pending)
-	}
-	got := st.Pending[0]
-	if got.JobID != id || !got.Atomic || got.Resume == nil || got.Resume.Offset != 100 {
-		t.Fatalf("snapshotted in-flight item = %+v", got)
-	}
-
-	// The snapshot must not disturb the live round.
-	f2.send(&protocol.Message{Type: protocol.TypeResult, JobID: id,
-		Partition: resumed.Partition, Attempt: resumed.Attempt,
-		Result: []byte("blurred"), Digest: tasks.Digest([]byte("blurred")), ExecMs: 2, ProcessedKB: 4})
-	if err := <-round2; err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := m.Result(id); !ok || string(got) != "blurred" {
-		t.Fatalf("live master result = %q %v", got, ok)
-	}
-
-	// A restored master re-queues the in-flight partition and completes
-	// the job from the checkpoint.
-	m2 := startMaster(t, Config{})
-	if err := m2.LoadState(bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if m2.PendingItems() != 1 {
-		t.Fatalf("restored pending = %d", m2.PendingItems())
-	}
-	f3 := dialFake(t, m2, "HTC G2", 806)
-	go func() {
-		for {
-			if err := f3.conn.SetReadDeadline(time.Now().Add(30 * time.Second)); err != nil {
-				return
-			}
-			msg, err := f3.conn.Recv()
-			if err != nil {
-				return
-			}
-			if msg.Type != protocol.TypeAssign {
-				continue
-			}
-			if msg.Partition != -1 && (msg.Resume == nil || msg.Resume.Offset != 100) {
-				t.Errorf("restored assign lost its checkpoint: %+v", msg)
-			}
-			_ = f3.conn.Send(&protocol.Message{Type: protocol.TypeResult,
-				JobID: msg.JobID, Partition: msg.Partition, Attempt: msg.Attempt,
-				Result: []byte("blurred-after-restart"), Digest: tasks.Digest([]byte("blurred-after-restart")), ExecMs: 2, ProcessedKB: 4})
-		}
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := m2.RunRound(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := m2.Result(id); !ok || string(got) != "blurred-after-restart" {
-		t.Fatalf("restored master result = %q %v", got, ok)
 	}
 }

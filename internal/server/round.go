@@ -451,11 +451,11 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 		evMu sync.Mutex
 		wg   sync.WaitGroup
 	)
-	addEvent := func(e Event) {
+	addEvent := func(e Event, ck *tasks.Checkpoint) {
 		evMu.Lock()
 		report.Events = append(report.Events, e)
 		evMu.Unlock()
-		m.traceEvent(e)
+		m.traceEvent(e, ck)
 	}
 	for pi, ps := range phones {
 		queue := plans[pi]
@@ -600,12 +600,19 @@ func (m *Master) newSchedSnapshot(items []*workItem, phones []*phoneState, plans
 
 // traceEvent mirrors a round timeline entry into the task-lifecycle
 // tracer. Requeue and dead-letter edges are recorded at their single
-// choke point (requeueLocked) instead, so they are skipped here.
-func (m *Master) traceEvent(e Event) {
+// choke point (requeueLocked) instead, so they are skipped here. ck is
+// the checkpoint the event moves, if any — the resume state an assign
+// ships, the state a failure report saved — and its offset rides in
+// Bytes, which makes a job's span the migration record of paper §6:
+// failure/checkpoint (saved) → assign "resume" (re-shipped) → result.
+func (m *Master) traceEvent(e Event, ck *tasks.Checkpoint) {
 	var kind, detail string
 	switch e.Kind {
 	case "assign":
 		kind = obs.KindAssign
+		if ck != nil {
+			detail = "resume"
+		}
 	case "result":
 		kind = obs.KindResult
 	case "failure":
@@ -621,9 +628,13 @@ func (m *Master) traceEvent(e Event) {
 	if e.Kind == "straggler" {
 		m.cfg.Metrics.Counter("cwc_stragglers_total").Inc()
 	}
+	var offset int64
+	if ck != nil {
+		offset = ck.Offset
+	}
 	m.cfg.Tracer.Record(obs.SpanEvent{
 		Span: m.spanForJob(e.JobID), Kind: kind, Job: e.JobID,
-		Partition: e.Partition, Phone: e.PhoneID,
+		Partition: e.Partition, Phone: e.PhoneID, Bytes: offset,
 		Ms: float64(e.At) / float64(time.Millisecond), Detail: detail,
 	})
 }
@@ -865,7 +876,7 @@ func (m *Master) speculate(a assignment) bool {
 // assigned task to the phone is copied only after the phone completes
 // executing its last assigned task"), handling results, failures,
 // deadlines, and stragglers.
-func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignment, start time.Time, addEvent func(Event)) {
+func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignment, start time.Time, addEvent func(Event, *tasks.Checkpoint)) {
 	// m.est is lazily created under m.mu; dispatch runs on per-phone
 	// goroutines, so take the lock for the pointer snapshot.
 	m.mu.Lock()
@@ -876,14 +887,11 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 			// The drain monitor closed this phone mid-round (or a lost
 			// verification vote quarantined it); hand the rest of its
 			// queue back instead of feeding it more work.
-			m.requeueFrom(queue[qi:], start, addEvent)
+			m.requeueFrom(queue[qi:], lostMidRound, start, addEvent)
 			return
 		}
 		addEvent(Event{At: time.Since(start), PhoneID: ps.info.ID, JobID: a.item.jobID,
-			Partition: a.partition, Kind: "assign"})
-		if a.resume != nil && m.cfg.Journal != nil {
-			m.cfg.Journal.RecordResume(a.item.jobID, a.partition, ps.info.ID)
-		}
+			Partition: a.partition, Kind: "assign"}, a.resume)
 		attempt := m.newAttempt(ps, a)
 		// Audit record: replay treats an unreported dispatch as still
 		// open, so ordering against state records is immaterial.
@@ -894,7 +902,7 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 		if err := m.sendAssign(ps, a, attempt); err != nil {
 			m.dropAttempt(attempt)
 			ps.markDead()
-			m.requeueFrom(queue[qi:], start, addEvent)
+			m.requeueFrom(queue[qi:], lostMidRound, start, addEvent)
 			return
 		}
 		deadline := m.assignmentDeadline(a, ps)
@@ -913,7 +921,7 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 					m.mu.Unlock()
 					if ok && resp.Type == protocol.TypeResult {
 						addEvent(Event{At: time.Since(start), PhoneID: ps.info.ID,
-							JobID: rec.a.item.jobID, Partition: rec.a.partition, Kind: "stale-result"})
+							JobID: rec.a.item.jobID, Partition: rec.a.partition, Kind: "stale-result"}, nil)
 						m.recordResult(rec.a, resp, est, rec.ps)
 					}
 					continue
@@ -922,26 +930,26 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 				switch resp.Type {
 				case protocol.TypeResult:
 					addEvent(Event{At: time.Since(start), PhoneID: ps.info.ID,
-						JobID: a.item.jobID, Partition: a.partition, Kind: "result"})
+						JobID: a.item.jobID, Partition: a.partition, Kind: "result"}, nil)
 					m.recordResult(a, resp, est, ps)
 				case protocol.TypeFailure:
 					addEvent(Event{At: time.Since(start), PhoneID: ps.info.ID,
-						JobID: a.item.jobID, Partition: a.partition, Kind: "failure"})
+						JobID: a.item.jobID, Partition: a.partition, Kind: "failure"}, resp.Checkpoint)
 					m.cfg.Logger.With("phone", ps.info.ID, "job", a.item.jobID).
 						Warnf("failure report: %s", resp.Error)
-					m.recordFailure(a, resp, ps.info.ID, attempt)
+					m.recordFailure(a, resp, attempt)
 					if resp.Error == drainFailureReason {
 						// Proactive-drain handback: the phone is still
 						// plugged and connected. Keep it alive — the real
 						// unplug must still be observed for window learning
 						// — but give it no more work.
 						m.completeDrain(ps.info.ID)
-						m.requeueFrom(queue[qi+1:], start, addEvent)
+						m.requeueFrom(queue[qi+1:], lostMidRound, start, addEvent)
 						timer.Stop()
 						return
 					}
 					ps.markDead()
-					m.requeueFrom(queue[qi+1:], start, addEvent)
+					m.requeueFrom(queue[qi+1:], lostMidRound, start, addEvent)
 					timer.Stop()
 					return
 				default:
@@ -962,7 +970,7 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 						m.cfg.Logger.With("phone", ps.info.ID, "job", a.item.jobID, "partition", a.partition).
 							Warnf("straggling (deadline %v); speculating", deadline)
 						addEvent(Event{At: time.Since(start), PhoneID: ps.info.ID,
-							JobID: a.item.jobID, Partition: a.partition, Kind: "straggler"})
+							JobID: a.item.jobID, Partition: a.partition, Kind: "straggler"}, nil)
 					}
 					timer.Reset(deadline)
 					continue
@@ -974,20 +982,20 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 				m.cfg.Logger.With("phone", ps.info.ID, "job", a.item.jobID, "partition", a.partition).
 					Warnf("abandoned for the round (overdue)")
 				m.detachAttempt(attempt)
-				m.requeueAbandoned(a, start, addEvent)
-				m.requeueFrom(queue[qi+1:], start, addEvent)
+				m.requeueFrom(queue[qi:qi+1], "straggler abandoned", start, addEvent)
+				m.requeueFrom(queue[qi+1:], lostMidRound, start, addEvent)
 				return
 			case <-ps.dead:
 				// Offline failure: no report; the whole in-flight partition
 				// and the rest of the queue go back to the pool.
 				m.cfg.Logger.With("phone", ps.info.ID, "job", a.item.jobID).Warnf("died with work in flight")
 				m.dropAttempt(attempt)
-				m.requeueFrom(queue[qi:], start, addEvent)
+				m.requeueFrom(queue[qi:], lostMidRound, start, addEvent)
 				timer.Stop()
 				return
 			case <-ctx.Done():
 				m.dropAttempt(attempt)
-				m.requeueFrom(queue[qi:], start, addEvent)
+				m.requeueFrom(queue[qi:], lostMidRound, start, addEvent)
 				timer.Stop()
 				return
 			}
@@ -1002,13 +1010,11 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 // or is abandoned as a straggler, the range re-dispatches from this
 // checkpoint instead of from scratch — the paper only gets this on an
 // *online* failure, whose report carries the checkpoint. The fold is
-// WAL-logged so streamed progress survives a master crash too, and
-// journaled as a Saved event. Every frame is acknowledged, accepted or
-// not: the ack is flow control (workers cap unacked frames), not a
-// durability promise.
+// WAL-logged so streamed progress survives a master crash too. Every
+// frame is acknowledged, accepted or not: the ack is flow control
+// (workers cap unacked frames), not a durability promise.
 func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message) {
 	ck := msg.Checkpoint
-	accepted := false
 	var jobID, partition int
 	m.cfg.Metrics.Counter("cwc_checkpoint_frames_total").Inc()
 	if msg.Attempt != 0 && ck != nil && ck.Offset > 0 {
@@ -1036,7 +1042,6 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 				m.ckptFolds++
 				hdr, state := splitResume(c)
 				m.walAppend(walRecCheckpoint, &walCheckpointRec{JobID: jobID, Key: a.key, Resume: hdr, State: state})
-				accepted = true
 				m.cfg.Metrics.Counter("cwc_checkpoint_folds_total").Inc()
 				m.cfg.Metrics.Counter("cwc_checkpoint_bytes_total").Add(int64(len(c.State)))
 				span := msg.Span
@@ -1051,9 +1056,6 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 			}
 		}
 		m.mu.Unlock()
-	}
-	if accepted && m.cfg.Journal != nil {
-		m.cfg.Journal.RecordSave(jobID, partition, ps.info.ID, ck, "streamed checkpoint")
 	}
 	// Echo the span coordinates so the worker's ckpt_ack telemetry event
 	// anchors to the same trace span as the master's checkpoint fold.
@@ -1124,9 +1126,6 @@ func (m *Master) finalizeResult(a assignment, resp *protocol.Message, est *predi
 		m.cfg.Metrics.Histogram("cwc_exec_ms").Observe(resp.ExecMs)
 	}
 
-	if a.resume != nil && m.cfg.Journal != nil {
-		m.cfg.Journal.RecordComplete(a.item.jobID, a.partition, ps.info.ID)
-	}
 	if est != nil && resp.ExecMs > 0 && resp.ProcessedKB > 0 {
 		_ = est.Report(a.item.task.Name(), ps.info.ID, resp.ExecMs/resp.ProcessedKB)
 	}
@@ -1157,7 +1156,7 @@ func (m *Master) settleFailure(attempt int64) bool {
 // saved and only the unprocessed input remainder re-queued; others are
 // migrated whole (input + checkpoint). The attempt ID (zero: untracked)
 // dedupes replayed reports so one failure is never folded twice.
-func (m *Master) recordFailure(a assignment, resp *protocol.Message, phoneID int, attempt int64) {
+func (m *Master) recordFailure(a assignment, resp *protocol.Message, attempt int64) {
 	if attempt != 0 && !m.settleFailure(attempt) {
 		m.cfg.Logger.With("attempt", attempt).
 			Warnf("duplicate failure report for settled attempt dropped")
@@ -1165,9 +1164,6 @@ func (m *Master) recordFailure(a assignment, resp *protocol.Message, phoneID int
 	}
 	ck := resp.Checkpoint
 	m.cfg.Metrics.Counter("cwc_failures_total").Inc()
-	if m.cfg.Journal != nil {
-		m.cfg.Journal.RecordSave(a.item.jobID, a.partition, phoneID, ck, resp.Error)
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if a.key != 0 && m.completed[a.key] {
@@ -1307,35 +1303,15 @@ func (m *Master) pendingTwinLocked(key int64) bool {
 	return false
 }
 
-// requeueAbandoned puts a straggler's in-flight byte range back in the
-// pool unless a copy of it is already queued or settled; the detached
-// attempt may still deliver, and first-result-wins arbitrates.
-func (m *Master) requeueAbandoned(a assignment, start time.Time, addEvent func(Event)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if a.key != 0 && (m.completed[a.key] || m.pendingTwinLocked(a.key)) {
-		return
-	}
-	it := &workItem{
-		jobID:     a.item.jobID,
-		task:      a.item.task,
-		input:     a.input,
-		resume:    m.latestResumeLocked(a.key, a.resume),
-		atomic:    true,
-		key:       a.key,
-		retries:   a.item.retries,
-		partition: a.partition,
-	}
-	kind := "requeue"
-	if !m.requeueLocked(it, "straggler abandoned") {
-		kind = "deadletter"
-	}
-	addEvent(Event{At: time.Since(start), PhoneID: -1, JobID: a.item.jobID,
-		Partition: a.partition, Kind: kind})
-}
+// lostMidRound is the requeue reason for work handed back because its
+// phone died, drained, was quarantined or the round was cancelled.
+const lostMidRound = "phone lost mid-round"
 
-// requeueFrom returns undispatched assignments to the pending pool.
-func (m *Master) requeueFrom(rest []assignment, start time.Time, addEvent func(Event)) {
+// requeueFrom hands assignments back to the pending pool for the next
+// scheduling instant: the rest of a lost or drained phone's queue, or a
+// straggler's abandoned in-flight range (whose detached attempt may
+// still deliver — first-result-wins arbitrates).
+func (m *Master) requeueFrom(rest []assignment, reason string, start time.Time, addEvent func(Event, *tasks.Checkpoint)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, a := range rest {
@@ -1358,11 +1334,11 @@ func (m *Master) requeueFrom(rest []assignment, start time.Time, addEvent func(E
 			partition: a.partition,
 		}
 		kind := "requeue"
-		if !m.requeueLocked(it, "phone lost mid-round") {
+		if !m.requeueLocked(it, reason) {
 			kind = "deadletter"
 		}
-		addEvent(Event{At: time.Since(start), JobID: a.item.jobID,
-			Partition: a.partition, Kind: kind})
+		addEvent(Event{At: time.Since(start), PhoneID: -1, JobID: a.item.jobID,
+			Partition: a.partition, Kind: kind}, nil)
 	}
 }
 

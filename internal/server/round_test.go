@@ -164,7 +164,7 @@ func TestRecordFailurePartialReporterPath(t *testing.T) {
 		input: input,
 	}
 	msg := protocolFailure(4, `{"count":2}`)
-	m.recordFailure(a, &msg, 0, 0)
+	m.recordFailure(a, &msg, 0)
 	if js.covered != 4 {
 		t.Errorf("covered = %d, want 4", js.covered)
 	}
@@ -190,7 +190,7 @@ func TestRecordFailureMigrationPath(t *testing.T) {
 		input: input,
 	}
 	msg := protocolFailure(3, `{"row":0,"out":[]}`)
-	m.recordFailure(a, &msg, 0, 0)
+	m.recordFailure(a, &msg, 0)
 	if js.covered != 0 {
 		t.Errorf("covered = %d, want 0 (no partial result possible)", js.covered)
 	}
@@ -217,7 +217,7 @@ func TestRecordFailureNoCheckpoint(t *testing.T) {
 	}
 	msg := protocolFailure(0, "")
 	msg.Checkpoint = nil
-	m.recordFailure(a, &msg, 0, 0)
+	m.recordFailure(a, &msg, 0)
 	if len(m.pending) != 1 {
 		t.Fatalf("pending = %d", len(m.pending))
 	}

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"cwc/internal/migrate"
 	"cwc/internal/obs"
 	"cwc/internal/predict"
 	"cwc/internal/protocol"
@@ -66,9 +65,6 @@ type Config struct {
 	// to the logger (Blackbox.TapLogger) and tracer (Blackbox.TeeTracer)
 	// at construction, as cmd/cwc-server does.
 	Blackbox *obs.Blackbox
-	// Journal, when set, records every migration event (checkpoint
-	// saved / resumed / completed) for audit and crash recovery.
-	Journal *migrate.Journal
 	// AuthToken, when non-empty, is the shared enrolment secret every
 	// phone must present in its hello; mismatches are dropped before
 	// registration. (The paper assumes enterprise trust; a deployment

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -9,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"cwc/internal/migrate"
 	"cwc/internal/obs"
 	"cwc/internal/protocol"
 	"cwc/internal/tasks"
@@ -20,6 +20,7 @@ import (
 // without the worker package (so server tests stand alone).
 type fakePhone struct {
 	t    *testing.T
+	id   int      // the phone ID the welcome issued
 	raw  net.Conn // for writing deliberately corrupt bytes
 	conn *protocol.Conn
 }
@@ -42,6 +43,7 @@ func dialFake(t *testing.T, m *Master, model string, mhz float64) *fakePhone {
 	if m2.Type != protocol.TypeWelcome {
 		t.Fatalf("expected welcome, got %s", m2.Type)
 	}
+	f.id = m2.PhoneID
 	return f
 }
 
@@ -295,12 +297,22 @@ func TestCloseIdempotent(t *testing.T) {
 	m.Close() // second close must not panic or deadlock
 }
 
-// TestMigrationJournalLifecycle drives a deterministic save -> resume ->
-// complete migration through the journal using protocol-level fake phones:
-// one phone per round, so assignment placement is unambiguous.
-func TestMigrationJournalLifecycle(t *testing.T) {
-	journal := migrate.NewJournal()
-	m := startMaster(t, Config{Journal: journal})
+// TestMigrationLifecycleOnTraceSpan drives a deterministic save -> resume
+// -> complete migration with protocol-level fake phones (one phone per
+// round, so assignment placement is unambiguous) and reads the paper's
+// "server records the transmitted state" audit view off the job's trace
+// span: the failure that saved offset 100, the assign that re-shipped it
+// to the second phone, the result that retired it.
+func TestMigrationLifecycleOnTraceSpan(t *testing.T) {
+	tracer := obs.NewTracer(256)
+	m := startMaster(t, Config{Tracer: tracer})
+	span := func(jobID int) map[string][]obs.SpanEvent {
+		byKind := map[string][]obs.SpanEvent{}
+		for _, e := range tracer.Span(fmt.Sprintf("j%d", jobID)) {
+			byKind[e.Kind] = append(byKind[e.Kind], e)
+		}
+		return byKind
+	}
 	f1 := dialFake(t, m, "HTC G2", 806)
 
 	img, err := tasks.GenImageKB(4, rand.New(rand.NewSource(1)))
@@ -339,12 +351,16 @@ func TestMigrationJournalLifecycle(t *testing.T) {
 	if err := <-round1; err != nil {
 		t.Fatal(err)
 	}
-	saved, ok := journal.LatestState(jobID, asg.Partition)
-	if !ok || saved.Offset != 100 {
-		t.Fatalf("journal state after failure = %+v %v", saved, ok)
+	after1 := span(jobID)
+	if saved := after1[obs.KindFailure]; len(saved) != 1 || saved[0].Bytes != 100 ||
+		saved[0].Phone != f1.id || saved[0].Partition != asg.Partition {
+		t.Fatalf("failure events after round 1 = %+v, want one from phone %d saving offset 100", saved, f1.id)
 	}
-	if len(journal.InFlight()) != 1 {
-		t.Fatalf("in flight = %v", journal.InFlight())
+	if first := after1[obs.KindAssign]; len(first) != 1 || first[0].Detail != "" || first[0].Bytes != 0 {
+		t.Fatalf("assign events after round 1 = %+v, want one carrying no resume state", first)
+	}
+	if done := after1[obs.KindResult]; len(done) != 0 {
+		t.Fatalf("result events while the migration is in flight = %+v", done)
 	}
 
 	// Round 2: a fresh phone receives the migrated work with the resume
@@ -372,15 +388,23 @@ func TestMigrationJournalLifecycle(t *testing.T) {
 	if got, ok := m.Result(jobID); !ok || string(got) != "blurred" {
 		t.Fatalf("result = %q %v", got, ok)
 	}
-	if len(journal.InFlight()) != 0 {
-		t.Errorf("journal still in flight: %v", journal.InFlight())
+	after2 := span(jobID)
+	if saved := after2[obs.KindFailure]; len(saved) != 1 {
+		t.Errorf("failure events = %+v, want the one save", saved)
 	}
-	kinds := map[migrate.EventKind]int{}
-	for _, e := range journal.Events() {
-		kinds[e.Kind]++
+	var reshipped []obs.SpanEvent
+	for _, e := range after2[obs.KindAssign] {
+		if e.Detail == "resume" {
+			reshipped = append(reshipped, e)
+		}
 	}
-	if kinds[migrate.Saved] != 1 || kinds[migrate.Resumed] != 1 || kinds[migrate.Completed] != 1 {
-		t.Errorf("journal kinds = %v", kinds)
+	if len(after2[obs.KindAssign]) != 2 || len(reshipped) != 1 ||
+		reshipped[0].Bytes != 100 || reshipped[0].Phone != f2.id {
+		t.Errorf("assign events = %+v, want two, one marked resume at offset 100 on phone %d",
+			after2[obs.KindAssign], f2.id)
+	}
+	if done := after2[obs.KindResult]; len(done) != 1 || done[0].Phone != f2.id {
+		t.Errorf("result events = %+v, want one from phone %d", done, f2.id)
 	}
 }
 
@@ -675,12 +699,12 @@ func (c *silentConn) Close() error {
 // checkpoint, and a later round completes the job with the right answer
 // on the surviving phone.
 func TestOfflineFailureEndToEnd(t *testing.T) {
-	journal := migrate.NewJournal()
+	tracer := obs.NewTracer(4096)
 	m := startMaster(t, Config{
 		KeepalivePeriod:    40 * time.Millisecond,
 		KeepaliveTolerance: 3,
 		CheckpointEveryKB:  4,
-		Journal:            journal,
+		Tracer:             tracer,
 	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
@@ -776,16 +800,17 @@ func TestOfflineFailureEndToEnd(t *testing.T) {
 
 	// The re-queued partition carried streamed state and was re-shipped.
 	streamedSaves, resumes := 0, 0
-	for _, e := range journal.Events() {
+	for _, e := range tracer.Span(fmt.Sprintf("j%d", id)) {
 		switch {
-		case e.Kind == migrate.Saved && e.Reason == "streamed checkpoint":
+		case e.Kind == obs.KindCheckpoint && e.Detail == "streamed":
 			streamedSaves++
-		case e.Kind == migrate.Resumed && e.JobID == id:
+		case e.Kind == obs.KindAssign && e.Detail == "resume" && e.Bytes > 0:
 			resumes++
 		}
 	}
-	if streamedSaves == 0 {
-		t.Error("no streamed-checkpoint saves recorded in the journal")
+	if streamedSaves == 0 || streamedSaves != m.StreamedCheckpoints() {
+		t.Errorf("%d streamed-checkpoint saves on the job's span, master folded %d",
+			streamedSaves, m.StreamedCheckpoints())
 	}
 	if resumes == 0 {
 		t.Error("the re-queued partition was never re-shipped with resume state")

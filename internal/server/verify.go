@@ -105,7 +105,7 @@ func (m *Master) verifyResult(a assignment, resp *protocol.Message, est *predict
 		m.recordFailure(a, &protocol.Message{
 			Type: protocol.TypeFailure, Error: "result digest mismatch",
 			Epoch: m.Epoch(),
-		}, ps.info.ID, 0)
+		}, 0)
 		return true
 	}
 	// A digest that matched is one successful verification comparison,

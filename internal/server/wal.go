@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -31,8 +32,8 @@ import (
 //	         identified by a durable per-item sequence number
 //	open   — partitioned byte ranges at or past dispatch, identified
 //	         by their speculation key; an open range with no later
-//	         report/dead-letter record is re-queued on recovery exactly
-//	         like the mid-round LoadState path re-queues in-flight work
+//	         report/dead-letter record is re-queued on recovery, whole
+//	         and atomic, with the freshest checkpoint the log holds
 //
 // Dispatch records are audit-only: an assignment with no report changes
 // no durable state (the range stays open either way).
@@ -863,11 +864,11 @@ func (m *Master) nextSeqLocked() int64 {
 }
 
 // walSnapshotLocked serializes the master's durable state in the
-// compaction snapshot format. Caller holds m.mu. Unlike SaveState it
-// preserves speculation keys and item sequence numbers: the log that
-// continues after this snapshot refers to them. The live state is
-// expressed as a reducer and serialized by the reducer's own snapshot,
-// so what replay folds and what the master writes cannot drift apart.
+// compaction snapshot format. Caller holds m.mu. Speculation keys and
+// item sequence numbers are preserved: the log that continues after
+// this snapshot refers to them. The live state is expressed as a
+// reducer and serialized by the reducer's own snapshot, so what replay
+// folds and what the master writes cannot drift apart.
 func (m *Master) walSnapshotLocked(w io.Writer) error {
 	r := &walReducer{
 		nextJobID: m.nextJobID, nextSeq: m.nextItemSeq, nextKey: m.nextKey,
@@ -974,8 +975,8 @@ func (m *Master) CompactWAL() error {
 // RecoverWAL replays the attached WAL's snapshot and records into this
 // (empty) master: jobs and their partials are restored, queued work is
 // re-queued, and byte ranges that were in flight when the old master
-// died are re-queued atomically — exactly how a mid-round LoadState
-// re-queues dispatched work. Jobs whose coverage completed but whose
+// died are re-queued whole (atomic), each with its freshest logged
+// checkpoint as resume state. Jobs whose coverage completed but whose
 // aggregation was cut off by the crash are aggregated now. The log is
 // then compacted so the recovered state becomes the new snapshot.
 func (m *Master) RecoverWAL() error {
@@ -1058,10 +1059,10 @@ func (m *Master) installWALState(red *walReducer) error {
 			return fmt.Errorf("server: wal recovery: item references unknown job %d", it.JobID)
 		}
 		// Keys are dropped: the old master's attempts can never reach
-		// this one, so first-result-wins state would be dead weight —
-		// the same reasoning SaveState documents. The partition number
-		// survives, so the re-dispatch extends the range's timeline row
-		// instead of opening a fresh "partition 0" per recovered range.
+		// this one, so first-result-wins state would be dead weight.
+		// The partition number survives, so the re-dispatch extends the
+		// range's timeline row instead of opening a fresh "partition 0"
+		// per recovered range.
 		pending = append(pending, &workItem{
 			jobID: it.JobID, task: js.task, input: it.Input,
 			resume: it.Resume, atomic: it.Atomic, retries: it.Retries,
@@ -1072,7 +1073,7 @@ func (m *Master) installWALState(red *walReducer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.jobs) != 0 || len(m.pending) != 0 {
-		return ErrStateNotEmpty
+		return errors.New("server: wal recovery: master already has state")
 	}
 	m.jobs = jobs
 	for _, it := range pending {

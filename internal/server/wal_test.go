@@ -20,6 +20,38 @@ import (
 	"cwc/internal/wal"
 )
 
+// autoResponder serves every assignment on a fake phone with plausible
+// results for the counting tasks.
+func autoResponder(f *fakePhone) {
+	for {
+		if err := f.conn.SetReadDeadline(time.Now().Add(30 * time.Second)); err != nil {
+			return
+		}
+		msg, err := f.conn.Recv()
+		if err != nil {
+			return
+		}
+		if msg.Type != protocol.TypeAssign {
+			continue
+		}
+		var ck tasks.Checkpoint
+		if msg.Resume != nil {
+			ck = *msg.Resume
+		}
+		task, err := tasks.New(msg.Task, msg.Params)
+		if err != nil {
+			continue
+		}
+		res, err := task.Process(context.Background(), msg.Input, &ck)
+		if err != nil {
+			continue
+		}
+		_ = f.conn.Send(&protocol.Message{Type: protocol.TypeResult,
+			JobID: msg.JobID, Partition: msg.Partition,
+			Result: res, Digest: tasks.Digest(res), ExecMs: 1, ProcessedKB: float64(len(msg.Input)) / 1024})
+	}
+}
+
 // failFirstResponder fails the first assignment it receives with an
 // uncheckpointed TypeFailure (exercising whole-partition migration) and
 // then serves normally — though the master marks the phone dead on the
@@ -148,53 +180,76 @@ func TestWALSubmitAckGatedOnAppend(t *testing.T) {
 	}
 }
 
-func TestLoadStateFoldsIntoWAL(t *testing.T) {
-	// The upgrade path: an existing -state deployment adds -wal-dir. The
-	// file-restored jobs must become the WAL's snapshot before any record
-	// referencing them is appended — otherwise the next startup's replay
-	// sees round/report/finish records for jobs the reducer never met and
-	// the master refuses to start.
-	var snap bytes.Buffer
-	a := startMaster(t, Config{})
-	id, err := a.Submit(tasks.WordCount{Word: "sale"}, []byte("sale sale no\nsale yes\n"), false)
+// TestWALRecoverResumesInFlightStreamedCheckpoint: the master is killed
+// mid-round, after it folded (and logged, ahead of the ack) a streamed
+// checkpoint for a partition that never reports. Nothing but the WAL
+// survives. A fresh master recovered from it re-ships the range at its
+// first scheduling instant with exactly the folded offset and state, and
+// the job finishes with the fault-free answer.
+func TestWALRecoverResumesInFlightStreamedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncAlways})
+	a := startMaster(t, Config{WAL: wl})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	input := numberLines(1, 2000)
+	want := groundTruth(t, tasks.PrimeCount{}, input)
+	id, err := a.Submit(tasks.PrimeCount{}, input, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SaveState(&snap); err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
 
-	dir := t.TempDir()
-	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncAlways})
-	b := startMaster(t, Config{WAL: wl})
-	if err := b.RecoverWAL(); err != nil {
-		t.Fatal(err)
+	// The phone streams one checkpoint, sees it acknowledged, and then
+	// sits on the assignment: the range is in flight when the master dies.
+	folded := make(chan *tasks.Checkpoint, 1)
+	go scriptedPhone(dialFake(t, a, "HTC G2", 806), func(f *fakePhone, msg *protocol.Message) {
+		if ck := streamCheckpoint(f, msg); ck != nil {
+			folded <- ck
+		}
+	})
+	roundDone := make(chan struct{})
+	go func() {
+		defer close(roundDone)
+		_, _ = a.RunRound(ctx)
+	}()
+	var ck *tasks.Checkpoint
+	select {
+	case ck = <-folded:
+	case <-ctx.Done():
+		t.Fatal("the streamed checkpoint was never acknowledged")
 	}
-	if err := b.LoadState(bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatal(err)
+	if a.StreamedCheckpoints() != 1 {
+		t.Fatalf("master folded %d streamed checkpoints, want 1", a.StreamedCheckpoints())
 	}
-	fb := dialFake(t, b, "HTC G2", 806)
-	go autoResponder(fb)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := b.RunRound(ctx); err != nil {
-		t.Fatal(err)
-	}
-	want, ok := b.Result(id)
-	if !ok {
-		t.Fatal("loaded job did not complete")
-	}
-	b.Close()
+	a.Kill()
+	<-roundDone
 	wl.Close()
 
 	wl2 := openWAL(t, dir, wal.Options{Sync: wal.SyncAlways})
-	c := startMaster(t, Config{WAL: wl2})
-	if err := c.RecoverWAL(); err != nil {
-		t.Fatalf("replay after -state load: %v", err)
+	b := startMaster(t, Config{WAL: wl2})
+	if err := b.RecoverWAL(); err != nil {
+		t.Fatal(err)
 	}
-	got, ok := c.Result(id)
-	if !ok || !bytes.Equal(got, want) {
+	if b.PendingItems() != 1 {
+		t.Fatalf("recovered pending = %d, want the in-flight range", b.PendingItems())
+	}
+	reshipped := make(chan *protocol.Message, 1)
+	go scriptedPhone(dialFake(t, b, "Nexus S", 1000), func(f *fakePhone, msg *protocol.Message) {
+		select {
+		case reshipped <- msg:
+		default:
+		}
+		replyResult(f, msg)
+	})
+	if _, err := b.RunRound(ctx); err != nil {
+		t.Fatal(err)
+	}
+	first := <-reshipped
+	if first.JobID != id || first.Resume == nil || first.Resume.Offset != ck.Offset ||
+		!bytes.Equal(first.Resume.State, ck.State) {
+		t.Fatalf("first assign after recovery resumes from %+v, want the folded checkpoint %+v", first.Resume, ck)
+	}
+	if got, ok := b.Result(id); !ok || !bytes.Equal(got, want) {
 		t.Fatalf("recovered result = %q %v, want %q", got, ok, want)
 	}
 }

@@ -151,10 +151,9 @@ func replyFailure(f *fakePhone, msg *protocol.Message, ck *tasks.Checkpoint) {
 		Checkpoint: ck, Error: "unplugged"})
 }
 
-// streamThenVanish streams one checkpoint, waits for its ack, then fails
-// the assignment with no checkpoint in the report: the range migrates
-// whole, resuming from the streamed state.
-func streamThenVanish(f *fakePhone, msg *protocol.Message) {
+// streamCheckpoint streams the assignment's half-way checkpoint and
+// waits for its ack; nil if the connection died first.
+func streamCheckpoint(f *fakePhone, msg *protocol.Message) *tasks.Checkpoint {
 	ck := checkpointAt(msg)
 	_ = f.conn.Send(&protocol.Message{Type: protocol.TypeCheckpoint,
 		JobID: msg.JobID, Partition: msg.Partition, Attempt: msg.Attempt, Seq: 1,
@@ -162,13 +161,21 @@ func streamThenVanish(f *fakePhone, msg *protocol.Message) {
 	for {
 		ack, err := f.conn.Recv()
 		if err != nil {
-			return
+			return nil
 		}
 		if ack.Type == protocol.TypeCheckpointAck {
-			break
+			return ck
 		}
 	}
-	replyFailure(f, msg, nil)
+}
+
+// streamThenVanish streams one checkpoint, waits for its ack, then fails
+// the assignment with no checkpoint in the report: the range migrates
+// whole, resuming from the streamed state.
+func streamThenVanish(f *fakePhone, msg *protocol.Message) {
+	if streamCheckpoint(f, msg) != nil {
+		replyFailure(f, msg, nil)
+	}
 }
 
 // failOnResume fails (without a checkpoint) any assignment that arrives

@@ -267,7 +267,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	snapSeq := 0
 	for _, e := range entries {
 		if strings.Contains(e.Name(), ".tmp-") {
-			// A WriteFileAtomic staging file orphaned by a crash between
+			// A writeFileAtomic staging file orphaned by a crash between
 			// create and rename; never part of recovered state.
 			_ = os.Remove(filepath.Join(dir, e.Name()))
 			continue
@@ -514,7 +514,7 @@ func (l *Log) Compact(write func(io.Writer) error) error {
 	if err != nil {
 		return fmt.Errorf("wal: compacting: %w", err)
 	}
-	if err := WriteFileAtomic(filepath.Join(l.dir, snapshotName(newSeq)), write); err != nil {
+	if err := writeFileAtomic(filepath.Join(l.dir, snapshotName(newSeq)), write); err != nil {
 		nf.Close()
 		os.Remove(segPath)
 		return fmt.Errorf("wal: compacting: %w", err)
@@ -593,10 +593,10 @@ func ScanSegment(path string) ([]Record, []int64, error) {
 	return recs, offs, nil
 }
 
-// WriteFileAtomic writes path through a temp file in the same directory,
+// writeFileAtomic writes path through a temp file in the same directory,
 // fsyncs it, renames it over path, and fsyncs the directory — readers
 // never observe a torn file and a crash cannot destroy a previous one.
-func WriteFileAtomic(path string, write func(io.Writer) error) error {
+func writeFileAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-")
 	if err != nil {
