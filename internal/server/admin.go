@@ -32,35 +32,36 @@ import (
 // the full catalog at zero (labeled series appear on first use).
 func registerMasterMetrics(r *obs.Registry) {
 	counters := map[string]string{
-		"cwc_keepalive_pings_total":        "application-level keepalive pings sent",
-		"cwc_keepalive_misses_total":       "keepalive periods that elapsed without a pong",
-		"cwc_conn_errors_total":            "phone connections lost to read errors or corrupt frames",
-		"cwc_phones_registered_total":      "fresh phone registrations",
-		"cwc_phones_reconnected_total":     "phones that rejoined under a prior identity",
-		"cwc_submissions_total":            "jobs accepted by Submit",
-		"cwc_jobs_completed_total":         "jobs fully aggregated",
-		"cwc_results_total":                "partition results recorded (duplicates excluded)",
-		"cwc_failures_total":               "partition failure reports recorded",
-		"cwc_requeues_total":               "work items re-queued for a later round",
-		"cwc_dead_letters_total":           "work items dropped after exhausting their retry budget",
-		"cwc_speculations_total":           "speculative copies issued for straggling partitions",
-		"cwc_stragglers_total":             "assignments that blew their deadline",
-		"cwc_abandons_total":               "phones abandoned for a round at twice the deadline",
-		"cwc_stale_results_total":          "results credited to an earlier attempt on the same phone",
-		"cwc_rounds_total":                 "scheduling rounds completed",
-		"cwc_assign_bytes_sent_total":      "assignment input bytes shipped to phones",
-		"cwc_checkpoint_frames_total":      "streamed checkpoint frames received",
-		"cwc_checkpoint_folds_total":       "streamed checkpoints accepted into resume state",
-		"cwc_checkpoint_bytes_total":       "checkpoint state bytes accepted",
-		"cwc_recompute_saved_bytes_total":  "input bytes a requeue resumed past instead of recomputing",
-		"cwc_drain_started_total":          "proactive drains started as predicted charge windows closed",
-		"cwc_drain_completed_total":        "proactive drains whose work was handed back before the disconnect",
-		"cwc_placements_vetoed_total":      "distinct (item, phone) placements the winning packing rejected only because completion would cross the phone's predicted-unplug quantile",
-		"cwc_jobs_failed_total":            "jobs that ended in a terminal aggregation failure",
-		"cwc_verify_votes_total":           "verification ballots cast (result digests entered into a vote group)",
-		"cwc_verify_audits_total":          "spot-check audit comparisons completed",
-		"cwc_verify_quarantines_total":     "phones quarantined for falling below the reputation threshold",
-		"cwc_telemetry_orphan_spans_total": "worker telemetry events naming a span no known job owns",
+		"cwc_keepalive_pings_total":         "application-level keepalive pings sent",
+		"cwc_keepalive_misses_total":        "keepalive periods that elapsed without a pong",
+		"cwc_conn_errors_total":             "phone connections lost to read errors or corrupt frames",
+		"cwc_phones_registered_total":       "fresh phone registrations",
+		"cwc_phones_reconnected_total":      "phones that rejoined under a prior identity",
+		"cwc_submissions_total":             "jobs accepted by Submit",
+		"cwc_jobs_completed_total":          "jobs fully aggregated",
+		"cwc_results_total":                 "partition results recorded (duplicates excluded)",
+		"cwc_failures_total":                "partition failure reports recorded",
+		"cwc_requeues_total":                "work items re-queued for a later round",
+		"cwc_dead_letters_total":            "work items dropped after exhausting their retry budget",
+		"cwc_speculations_total":            "speculative copies issued for straggling partitions",
+		"cwc_stragglers_total":              "assignments that blew their deadline",
+		"cwc_abandons_total":                "phones abandoned for a round at twice the deadline",
+		"cwc_stale_results_total":           "results credited to an earlier attempt on the same phone",
+		"cwc_rounds_total":                  "scheduling rounds completed",
+		"cwc_assign_bytes_sent_total":       "assignment input bytes shipped to phones",
+		"cwc_prefetch_handback_bytes_total": "input bytes of prefetched assignments handed back unexecuted (drain, unplug, abandon, dead phone)",
+		"cwc_checkpoint_frames_total":       "streamed checkpoint frames received",
+		"cwc_checkpoint_folds_total":        "streamed checkpoints accepted into resume state",
+		"cwc_checkpoint_bytes_total":        "checkpoint state bytes accepted",
+		"cwc_recompute_saved_bytes_total":   "input bytes a requeue resumed past instead of recomputing",
+		"cwc_drain_started_total":           "proactive drains started as predicted charge windows closed",
+		"cwc_drain_completed_total":         "proactive drains whose work was handed back before the disconnect",
+		"cwc_placements_vetoed_total":       "distinct (item, phone) placements the winning packing rejected only because completion would cross the phone's predicted-unplug quantile",
+		"cwc_jobs_failed_total":             "jobs that ended in a terminal aggregation failure",
+		"cwc_verify_votes_total":            "verification ballots cast (result digests entered into a vote group)",
+		"cwc_verify_audits_total":           "spot-check audit comparisons completed",
+		"cwc_verify_quarantines_total":      "phones quarantined for falling below the reputation threshold",
+		"cwc_telemetry_orphan_spans_total":  "worker telemetry events naming a span no known job owns",
 	}
 	for fam, help := range counters {
 		r.Help(fam, help)
@@ -207,17 +208,25 @@ func (m *Master) LastSched() *SchedSnapshot {
 
 // finishSchedSnapshot folds a finished round's event timeline into the
 // snapshot built at dispatch time: per-assignment report latencies and
-// outcomes, per-phone busy spans, and the measured makespan.
+// outcomes, per-phone busy spans, and the measured makespan. An
+// assignment prefetched behind another is measured from its
+// predecessor's report on that phone, not from its own assign: the time
+// it sat queued on the phone is the predecessor's, not its own.
 func finishSchedSnapshot(snap *SchedSnapshot, events []Event, wall time.Duration) {
 	snap.ActualMakespanMs = float64(wall) / float64(time.Millisecond)
 	type akey struct{ phone, job, part int }
 	assigned := map[akey]time.Duration{}
+	reported := map[int]time.Duration{} // phone -> its latest report
 	for _, e := range events {
 		k := akey{e.PhoneID, e.JobID, e.Partition}
 		switch e.Kind {
 		case "assign":
 			assigned[k] = e.At
 		case "result", "failure", "straggler":
+			from := max(assigned[k], reported[e.PhoneID])
+			if e.Kind != "straggler" {
+				reported[e.PhoneID] = e.At
+			}
 			for pi := range snap.Phones {
 				sp := &snap.Phones[pi]
 				if sp.PhoneID != e.PhoneID {
@@ -230,7 +239,7 @@ func finishSchedSnapshot(snap *SchedSnapshot, events []Event, wall time.Duration
 					}
 					a.Outcome = e.Kind
 					if e.Kind != "straggler" {
-						a.ActualMs = float64(e.At-assigned[k]) / float64(time.Millisecond)
+						a.ActualMs = float64(e.At-from) / float64(time.Millisecond)
 					}
 				}
 				if e.Kind != "straggler" {

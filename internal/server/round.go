@@ -872,135 +872,243 @@ func (m *Master) speculate(a assignment) bool {
 	return true
 }
 
-// dispatch feeds one phone its queue, one partition at a time ("the next
-// assigned task to the phone is copied only after the phone completes
-// executing its last assigned task"), handling results, failures,
-// deadlines, and stragglers.
+// flight is one dispatch attempt outstanding on a phone.
+type flight struct {
+	a       assignment
+	attempt int64
+	// prefetched marks an assignment shipped behind a predecessor the
+	// dispatcher has not seen settle: the phone cannot have started it, so
+	// handing it back recomputes nothing.
+	prefetched bool
+}
+
+// pairFits reports whether the phone can hold next's input beside the one
+// it is executing. RAMMB caps a single partition in the packer; a
+// prefetched input is a second buffer on the phone and counts against the
+// same memory.
+func pairFits(ps *phoneState, cur, next assignment) bool {
+	return ps.info.RAMMB == 0 || len(cur.input)+len(next.input) <= ps.info.RAMMB<<20
+}
+
+// dispatch feeds one phone its queue through a window of at most two
+// outstanding attempts: the one the phone is executing and one prefetched
+// behind it, so the next input crosses the link while the current one
+// computes. The phone executes in arrival order. The paper copies the next
+// task "only after the phone completes executing its last assigned task",
+// which leaves link and CPU busy only alternately; that rule is dropped.
+// A pair is prefetched only when both inputs fit the phone's RAM, so a
+// one-item queue or a RAM-bound pair runs in lockstep by itself. Every
+// exit settles, detaches or drops each outstanding attempt exactly once
+// and hands everything unsettled back for the next round; a prefetched
+// assignment goes back with its resume state untouched.
 func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignment, start time.Time, addEvent func(Event, *tasks.Checkpoint)) {
 	// m.est is lazily created under m.mu; dispatch runs on per-phone
 	// goroutines, so take the lock for the pointer snapshot.
 	m.mu.Lock()
 	est := m.est
 	m.mu.Unlock()
-	for qi, a := range queue {
-		if m.isDraining(ps.info.ID) || m.isQuarantined(ps.info.ID) {
-			// The drain monitor closed this phone mid-round (or a lost
-			// verification vote quarantined it); hand the rest of its
-			// queue back instead of feeding it more work.
-			m.requeueFrom(queue[qi:], lostMidRound, start, addEvent)
-			return
-		}
-		addEvent(Event{At: time.Since(start), PhoneID: ps.info.ID, JobID: a.item.jobID,
-			Partition: a.partition, Kind: "assign"}, a.resume)
-		attempt := m.newAttempt(ps, a)
-		// Audit record: replay treats an unreported dispatch as still
-		// open, so ordering against state records is immaterial.
-		m.walAudit(walRecDispatch, walDispatch{
-			Key: a.key, JobID: a.item.jobID, Partition: a.partition,
-			PhoneID: ps.info.ID, Attempt: attempt,
-		})
-		if err := m.sendAssign(ps, a, attempt); err != nil {
-			m.dropAttempt(attempt)
-			ps.markDead()
-			m.requeueFrom(queue[qi:], lostMidRound, start, addEvent)
-			return
-		}
-		deadline := m.assignmentDeadline(a, ps)
-		timer := time.NewTimer(deadline)
-		straggled := false
-	wait:
-		for {
+	id := ps.info.ID
+	event := func(a assignment, kind string, ck *tasks.Checkpoint) {
+		addEvent(Event{At: time.Since(start), PhoneID: id, JobID: a.item.jobID,
+			Partition: a.partition, Kind: kind}, ck)
+	}
+	var (
+		win     []flight // outstanding attempts in the phone's execution order, at most two
+		next    int      // queue[next:] has not been shipped
+		sending int64    // attempt whose bytes a sender is still writing; 0: none
+		// sendDone carries a sender's outcome. At most one sender is
+		// outstanding, so its send into the one-slot buffer never blocks.
+		sendDone = make(chan error, 1)
+		senders  sync.WaitGroup
+		// The clock runs for win[0] only, and only once its bytes are
+		// written and its predecessor has settled: time an assignment
+		// spends queued behind a slow predecessor never makes it a
+		// straggler.
+		deadline  time.Duration
+		straggled bool
+	)
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	// A sender never outlives its dispatcher: conn.Send returns once the
+	// link has taken the bytes or the connection is closed.
+	defer senders.Wait()
+	stopClock := func() {
+		if !timer.Stop() {
 			select {
-			case resp := <-ps.respCh:
-				if resp.Attempt != 0 && resp.Attempt != attempt {
-					// A report queued for an earlier attempt on this phone
-					// before it was abandoned; credit it and keep waiting.
-					m.mu.Lock()
-					rec, ok := m.attempts[resp.Attempt]
-					delete(m.attempts, resp.Attempt)
-					m.mu.Unlock()
-					if ok && resp.Type == protocol.TypeResult {
-						addEvent(Event{At: time.Since(start), PhoneID: ps.info.ID,
-							JobID: rec.a.item.jobID, Partition: rec.a.partition, Kind: "stale-result"}, nil)
-						m.recordResult(rec.a, resp, est, rec.ps)
-					}
-					continue
-				}
-				m.dropAttempt(attempt)
-				switch resp.Type {
-				case protocol.TypeResult:
-					addEvent(Event{At: time.Since(start), PhoneID: ps.info.ID,
-						JobID: a.item.jobID, Partition: a.partition, Kind: "result"}, nil)
-					m.recordResult(a, resp, est, ps)
-				case protocol.TypeFailure:
-					addEvent(Event{At: time.Since(start), PhoneID: ps.info.ID,
-						JobID: a.item.jobID, Partition: a.partition, Kind: "failure"}, resp.Checkpoint)
-					m.cfg.Logger.With("phone", ps.info.ID, "job", a.item.jobID).
-						Warnf("failure report: %s", resp.Error)
-					m.recordFailure(a, resp, attempt)
-					if resp.Error == drainFailureReason {
-						// Proactive-drain handback: the phone is still
-						// plugged and connected. Keep it alive — the real
-						// unplug must still be observed for window learning
-						// — but give it no more work.
-						m.completeDrain(ps.info.ID)
-						m.requeueFrom(queue[qi+1:], lostMidRound, start, addEvent)
-						timer.Stop()
-						return
-					}
-					ps.markDead()
-					m.requeueFrom(queue[qi+1:], lostMidRound, start, addEvent)
-					timer.Stop()
-					return
-				default:
-					// respCh only ever carries result/failure frames (the
-					// read loop routes everything else), so this is
-					// unreachable; the case makes the dispatch total.
-					m.cfg.Logger.With("phone", ps.info.ID, "type", string(resp.Type)).
-						Debugf("ignoring unexpected frame on response channel")
-				}
-				break wait
 			case <-timer.C:
-				if !straggled {
-					// Deadline blown: mark the phone a straggler, issue a
-					// speculative copy for the next round, and give the
-					// original one more deadline to deliver.
-					straggled = true
-					if m.speculate(a) {
-						m.cfg.Logger.With("phone", ps.info.ID, "job", a.item.jobID, "partition", a.partition).
-							Warnf("straggling (deadline %v); speculating", deadline)
-						addEvent(Event{At: time.Since(start), PhoneID: ps.info.ID,
-							JobID: a.item.jobID, Partition: a.partition, Kind: "straggler"}, nil)
-					}
-					timer.Reset(deadline)
-					continue
-				}
-				// Twice the deadline: abandon the phone for this round. It
-				// stays alive (it may just be slow); its eventual report is
-				// credited by the read loop if the key is still open.
-				m.cfg.Metrics.Counter("cwc_abandons_total").Inc()
-				m.cfg.Logger.With("phone", ps.info.ID, "job", a.item.jobID, "partition", a.partition).
-					Warnf("abandoned for the round (overdue)")
-				m.detachAttempt(attempt)
-				m.requeueFrom(queue[qi:qi+1], "straggler abandoned", start, addEvent)
-				m.requeueFrom(queue[qi+1:], lostMidRound, start, addEvent)
-				return
-			case <-ps.dead:
-				// Offline failure: no report; the whole in-flight partition
-				// and the rest of the queue go back to the pool.
-				m.cfg.Logger.With("phone", ps.info.ID, "job", a.item.jobID).Warnf("died with work in flight")
-				m.dropAttempt(attempt)
-				m.requeueFrom(queue[qi:], lostMidRound, start, addEvent)
-				timer.Stop()
-				return
-			case <-ctx.Done():
-				m.dropAttempt(attempt)
-				m.requeueFrom(queue[qi:], lostMidRound, start, addEvent)
-				timer.Stop()
-				return
+			default:
 			}
 		}
-		timer.Stop()
+	}
+	stopClock()
+	startClock := func() {
+		stopClock()
+		straggled = false
+		deadline = m.assignmentDeadline(win[0].a, ps)
+		timer.Reset(deadline)
+	}
+	// release hands back win[keep:] and the unshipped rest of the queue.
+	// A detached attempt stays registered — the phone may still deliver it
+	// and the read loop credits the report — a dropped one is forgotten.
+	release := func(keep int, detach bool) {
+		rest := make([]assignment, 0, len(win)-keep+len(queue)-next)
+		var prefetched int64
+		for _, f := range win[keep:] {
+			if detach {
+				m.detachAttempt(f.attempt)
+			} else {
+				m.dropAttempt(f.attempt)
+			}
+			if f.prefetched {
+				prefetched += int64(len(f.a.input))
+			}
+			rest = append(rest, f.a)
+		}
+		m.cfg.Metrics.Counter("cwc_prefetch_handback_bytes_total").Add(prefetched)
+		m.requeueFrom(append(rest, queue[next:]...), lostMidRound, start, addEvent)
+		win, next = win[:keep], len(queue)
+	}
+	for {
+		started := 0
+		if len(win) > 0 && !win[0].prefetched {
+			started = 1
+		}
+		if (next < len(queue) || len(win) > started) && (m.isDraining(id) || m.isQuarantined(id)) {
+			// The drain monitor closed this phone mid-round (or a lost
+			// verification vote quarantined it): hand back what it has not
+			// started instead of feeding it more. What it is executing
+			// still reports — a drained worker hands it back itself.
+			release(started, true)
+		}
+		if len(win) > 0 && win[0].prefetched {
+			// Its predecessor settled: the phone is executing it now.
+			win[0].prefetched = false
+			if win[0].attempt != sending {
+				startClock()
+			}
+		}
+		if sending == 0 && next < len(queue) && (len(win) == 0 || len(win) == 1 && pairFits(ps, win[0].a, queue[next])) {
+			a := queue[next]
+			next++
+			event(a, "assign", a.resume)
+			attempt := m.newAttempt(ps, a)
+			// Audit record: replay treats an unreported dispatch as still
+			// open, so ordering against state records is immaterial.
+			m.walAudit(walRecDispatch, walDispatch{
+				Key: a.key, JobID: a.item.jobID, Partition: a.partition,
+				PhoneID: id, Attempt: attempt,
+			})
+			win = append(win, flight{a: a, attempt: attempt, prefetched: len(win) > 0})
+			sending = attempt
+			// Shipped from its own goroutine so a report that lands while
+			// the link is busy with the next input is folded at once.
+			senders.Add(1)
+			go func() {
+				defer senders.Done()
+				sendDone <- m.sendAssign(ps, a, attempt)
+			}()
+		}
+		if len(win) == 0 && sending == 0 {
+			return
+		}
+		select {
+		case err := <-sendDone:
+			if err != nil {
+				ps.markDead() // the dead arm below reclaims everything
+			} else if len(win) > 0 && win[0].attempt == sending {
+				startClock()
+			}
+			sending = 0
+		case resp := <-ps.respCh:
+			if resp.Type != protocol.TypeResult && resp.Type != protocol.TypeFailure {
+				// respCh only ever carries result/failure frames (the read
+				// loop routes everything else), so this is unreachable.
+				m.cfg.Logger.With("phone", id, "type", string(resp.Type)).
+					Debugf("ignoring unexpected frame on response channel")
+				continue
+			}
+			// A report names its attempt; one without (a pre-attempt peer)
+			// can only mean the assignment the phone is executing.
+			i := 0
+			if resp.Attempt != 0 {
+				for i = 0; i < len(win) && win[i].attempt != resp.Attempt; i++ {
+				}
+			}
+			if i == len(win) {
+				// A report queued for an earlier attempt on this phone
+				// before it was abandoned; credit it and keep waiting.
+				m.mu.Lock()
+				rec, ok := m.attempts[resp.Attempt]
+				delete(m.attempts, resp.Attempt)
+				m.mu.Unlock()
+				if ok && resp.Type == protocol.TypeResult {
+					event(rec.a, "stale-result", nil)
+					m.recordResult(rec.a, resp, est, rec.ps)
+				}
+				continue
+			}
+			f := win[i]
+			m.dropAttempt(f.attempt)
+			win = append(win[:i:i], win[i+1:]...)
+			if resp.Type == protocol.TypeFailure {
+				event(f.a, "failure", resp.Checkpoint)
+				m.cfg.Logger.With("phone", id, "job", f.a.item.jobID).
+					Warnf("failure report: %s", resp.Error)
+				m.recordFailure(f.a, resp, f.attempt)
+				drained := resp.Error == drainFailureReason
+				if drained {
+					// Proactive-drain handback: the phone is still plugged
+					// and connected. Keep it alive — the real unplug must
+					// still be observed for window learning — but give it
+					// no more work.
+					m.completeDrain(id)
+				} else {
+					ps.markDead()
+				}
+				release(0, drained)
+				return
+			}
+			event(f.a, "result", nil)
+			m.recordResult(f.a, resp, est, ps)
+			if i == 0 {
+				stopClock()
+			}
+		case <-timer.C:
+			a := win[0].a
+			if !straggled {
+				// Deadline blown: mark the phone a straggler, issue a
+				// speculative copy for the next round, and give the
+				// original one more deadline to deliver.
+				straggled = true
+				if m.speculate(a) {
+					m.cfg.Logger.With("phone", id, "job", a.item.jobID, "partition", a.partition).
+						Warnf("straggling (deadline %v); speculating", deadline)
+					event(a, "straggler", nil)
+				}
+				timer.Reset(deadline)
+				continue
+			}
+			// Twice the deadline: abandon the phone for this round. It
+			// stays alive (it may just be slow); its eventual reports are
+			// credited by the read loop if their keys are still open.
+			m.cfg.Metrics.Counter("cwc_abandons_total").Inc()
+			m.cfg.Logger.With("phone", id, "job", a.item.jobID, "partition", a.partition).
+				Warnf("abandoned for the round (overdue)")
+			m.detachAttempt(win[0].attempt)
+			win = win[1:]
+			m.requeueFrom([]assignment{a}, "straggler abandoned", start, addEvent)
+			release(0, true)
+			return
+		case <-ps.dead:
+			// Offline failure: no report; everything outstanding and the
+			// rest of the queue go back to the pool.
+			m.cfg.Logger.With("phone", id).Warnf("died with work in flight")
+			release(0, false)
+			return
+		case <-ctx.Done():
+			release(0, false)
+			return
+		}
 	}
 }
 

@@ -757,10 +757,21 @@ func TestOfflineFailureEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Vanish worker 0 once the master holds streamed progress, so the
-	// kill lands mid-execution with resumable state on file.
+	// Vanish worker 0 once the master holds streamed progress of *its*
+	// partition, so the kill lands mid-execution with resumable state on
+	// file. (Both workers stream on the same cadence: waiting for any
+	// checkpoint at all lets the other phone's arrive first and the kill
+	// land just before worker 0's own first flush.)
 	go func() {
-		for m.StreamedCheckpoints() == 0 {
+		streamed := func() bool {
+			for _, e := range tracer.Span(fmt.Sprintf("j%d", id)) {
+				if e.Kind == obs.KindCheckpoint && e.Detail == "streamed" && e.Phone == workers[0].ID() {
+					return true
+				}
+			}
+			return false
+		}
+		for !streamed() {
 			select {
 			case <-ctx.Done():
 				return

@@ -211,7 +211,8 @@ type Phone struct {
 	unplug         context.CancelFunc     // guarded by mu; cancels the in-flight task
 	leaving        bool                   // guarded by mu; Unplug called: report failure then close
 	vanished       bool                   // guarded by mu; Vanish called: die silently
-	draining       bool                   // guarded by mu; server drain: interrupt reports "drained", stay connected
+	lastAttempt    int64                  // guarded by mu; newest dispatch attempt received on this connection
+	drainedThrough int64                  // guarded by mu; server drain: attempts up to this one report "drained", stay connected
 	sink           *tasks.CheckpointSink  // guarded by mu; streaming sink of the in-flight execution
 	unsent         []*protocol.Message    // guarded by mu
 	ckptKB         int                    // guarded by mu; server-announced checkpoint-streaming policy
@@ -367,11 +368,12 @@ func (p *Phone) Run(ctx context.Context) error {
 		rotate = func() { addrIdx++ }
 	}
 
-	// Assignments execute strictly serially — a phone runs one task at a
-	// time (the server also dispatches that way; this guards against a
-	// misbehaving server). The executor outlives individual connections so
-	// a task running through a disconnect still finishes and its result is
-	// replayed after the rejoin.
+	// Assignments execute strictly serially, in arrival order — a phone
+	// runs one task at a time. The server keeps at most one more queued
+	// behind the running one, so its input arrives while the CPU is busy;
+	// the queue's bound guards against a misbehaving server. The executor
+	// outlives individual connections so a task running through a
+	// disconnect still finishes and its result is replayed after the rejoin.
 	assignQ := make(chan *protocol.Message, 16)
 	defer close(assignQ)
 	go func() {
@@ -572,8 +574,10 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 				p.telEvents, p.telDropped = nil, 0
 			}
 			// Acks are per-connection; frames in flight on the old one
-			// are gone either way.
+			// are gone either way. So are attempt numbers: a recovered or
+			// promoted master starts them over.
 			p.ckptUnacked = 0
+			p.lastAttempt, p.drainedThrough = 0, 0
 			if rejoin {
 				p.statReconnects++
 			}
@@ -600,6 +604,9 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 			}
 		case protocol.TypeAssign:
 			p.addTransfer(len(m.Input))
+			p.mu.Lock()
+			p.lastAttempt = max(p.lastAttempt, m.Attempt)
+			p.mu.Unlock()
 			if m.TotalLen > int64(len(m.Input)) {
 				// First frame of a chunked transfer.
 				if m.TotalLen > maxAssignBytes {
@@ -643,13 +650,13 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 			// window is closing. Flush the freshest checkpoint and
 			// interrupt the in-flight task so it reports a "drained"
 			// failure (carrying the checkpoint) while the connection is
-			// still healthy. An idle phone has nothing to hand back.
+			// still healthy; assignments queued or still assembling behind
+			// it report the same when their turn comes. An idle phone has
+			// nothing to hand back.
 			p.mu.Lock()
 			cancel := p.unplug
 			sink := p.sink
-			if cancel != nil {
-				p.draining = true
-			}
+			p.drainedThrough = p.lastAttempt
 			p.mu.Unlock()
 			if sink != nil {
 				sink.Force()
@@ -707,7 +714,12 @@ func (p *Phone) flushUnsent(conn *protocol.Conn) {
 func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 	taskCtx, cancel := context.WithCancel(ctx)
 	sink := p.checkpointSink(m)
+	// Whether the phone is still there is read in the critical section
+	// that publishes the cancel func: an unplug, vanish or drain landing
+	// now is either seen here or finds this task to interrupt.
 	p.mu.Lock()
+	gone := p.leaving || p.vanished
+	drained := p.drainedLocked(m.Attempt)
 	p.unplug = cancel
 	p.sink = sink
 	p.mu.Unlock()
@@ -731,6 +743,18 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 			Error:      msg,
 		})
 		p.maybeLeave()
+	}
+
+	// Work that was still queued when the phone left or was drained never
+	// starts. A departed phone drops it (the master requeues it when the
+	// connection dies); a drained one hands it back as it was given, so
+	// every attempt still gets exactly one report.
+	if gone {
+		return
+	}
+	if drained {
+		fail(m.Resume, drainedReason)
+		return
 	}
 
 	task, err := tasks.New(m.Task, m.Params)
@@ -796,7 +820,7 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 			case <-t.C:
 			case <-taskCtx.Done():
 				t.Stop()
-				reason := p.interruptReason()
+				reason := p.interruptReason(m.Attempt)
 				finish(spent(), reason)
 				fail(ck, reason)
 				return
@@ -830,7 +854,7 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 		})
 		p.maybeLeave()
 	case errors.Is(err, tasks.ErrInterrupted):
-		reason := p.interruptReason()
+		reason := p.interruptReason(m.Attempt)
 		finish(elapsed, reason)
 		fail(ck, reason)
 	default:
@@ -887,17 +911,23 @@ func lieAbout(result []byte, off byte) []byte {
 // handback; the server's dispatch path matches it exactly.
 const drainedReason = "drained"
 
+// drainedLocked reports whether a server drain covers the attempt: it
+// had been received when the drain frame landed, and the phone is not
+// really leaving (a real unplug or vanish racing a drain wins). Attempt
+// numbers only grow on a connection, so work assigned after the drain is
+// not covered. Caller holds p.mu.
+func (p *Phone) drainedLocked(attempt int64) bool {
+	return attempt != 0 && attempt <= p.drainedThrough && !p.leaving && !p.vanished
+}
+
 // interruptReason resolves what an interrupted execution should report:
 // "drained" when the server's proactive drain canceled the task (the
 // connection stays up and the phone remains in the pool), "unplugged"
-// when the user really detached the charger. A real unplug or vanish
-// racing a drain wins: the phone is actually leaving.
-func (p *Phone) interruptReason() string {
+// when the user really detached the charger.
+func (p *Phone) interruptReason(attempt int64) string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	drained := p.draining && !p.leaving && !p.vanished
-	p.draining = false
-	if drained {
+	if p.drainedLocked(attempt) {
 		return drainedReason
 	}
 	return "unplugged"
@@ -1033,7 +1063,6 @@ func (p *Phone) Replug() {
 	defer p.mu.Unlock()
 	p.leaving = false
 	p.vanished = false
-	p.draining = false
 	p.conn = nil
 	p.id = 0
 	p.everRegistered = false
@@ -1051,6 +1080,5 @@ func (p *Phone) ReplugRejoin() {
 	defer p.mu.Unlock()
 	p.leaving = false
 	p.vanished = false
-	p.draining = false
 	p.conn = nil
 }

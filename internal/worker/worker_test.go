@@ -522,3 +522,127 @@ func TestOldFormatWelcomeFailsAtOnce(t *testing.T) {
 		t.Fatal("worker still waiting on an old-format welcome")
 	}
 }
+
+// primesOfKB builds a primecount input of about kb KB whose every line is
+// the prime 104729.
+func primesOfKB(kb int) []byte {
+	input := make([]byte, 0, (kb+1)*1024)
+	for len(input) < kb*1024 {
+		input = append(input, []byte("104729\n")...)
+	}
+	return input
+}
+
+// The server keeps one assignment queued behind the running one: its
+// input, chunked, must be fully assembled while the first still executes,
+// and the two must run in arrival order.
+func TestPrefetchedAssignmentAssemblesWhileExecuting(t *testing.T) {
+	const delay = 400 * time.Millisecond
+	w, fs, _ := startWorker(t, Config{DelayPerKB: delay})
+	fs.welcome(1)
+	start := time.Now()
+	fs.send(&protocol.Message{Type: protocol.TypeAssign, JobID: 1, Attempt: 1,
+		Task: "primecount", Input: primesOfKB(1)})
+	// net.Pipe is unbuffered: each send returns once the worker's frame
+	// loop has taken the frame, so after the last one the input is whole.
+	second := []byte("2\n3\n4\n5\n7\n9\n11\n")
+	fs.send(&protocol.Message{Type: protocol.TypeAssign, JobID: 2, Partition: 1, Attempt: 2,
+		Task: "primecount", Input: second[:5], TotalLen: int64(len(second))})
+	fs.send(&protocol.Message{Type: protocol.TypeAssignChunk, JobID: 2, Partition: 1, Input: second[5:9]})
+	fs.send(&protocol.Message{Type: protocol.TypeAssignChunk, JobID: 2, Partition: 1, Input: second[9:]})
+	fs.send(&protocol.Message{Type: protocol.TypeProbe, Seq: 1}) // taken after the last chunk was
+	if ack := fs.recv(); ack.Type != protocol.TypeProbeAck {
+		t.Fatalf("got %s while the first assignment should still be executing", ack.Type)
+	}
+	if took := time.Since(start); took >= delay {
+		t.Skipf("host too slow to observe the overlap (%v)", took)
+	}
+	if got := w.Stats().Assignments; got != 2 {
+		t.Errorf("%d assignments queued while the first executes, want 2", got)
+	}
+	for k := 1; k <= 2; k++ {
+		res := fs.recv()
+		if res.Type != protocol.TypeResult || res.JobID != k || res.Attempt != int64(k) {
+			t.Fatalf("report %d = %s for job %d attempt %d (%s)", k, res.Type, res.JobID, res.Attempt, res.Error)
+		}
+		if k == 2 && string(res.Result) != "5" {
+			t.Errorf("prefetched result = %s, want 5", res.Result)
+		}
+	}
+}
+
+// Work still queued when the phone is unplugged or vanishes never starts:
+// the connection is gone and the master requeues it.
+func TestQueuedAssignmentDroppedWhenPhoneLeaves(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		leave func(*Phone)
+	}{
+		{"unplug", (*Phone).Unplug},
+		{"vanish", (*Phone).Vanish},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, fs, _ := startWorker(t, Config{DelayPerKB: 50 * time.Millisecond})
+			fs.welcome(1)
+			fs.send(&protocol.Message{Type: protocol.TypeAssign, JobID: 1, Attempt: 1,
+				Task: "primecount", Input: primesOfKB(60)})
+			fs.send(&protocol.Message{Type: protocol.TypeAssign, JobID: 2, Attempt: 2,
+				Task: "primecount", Input: []byte("2\n3\n")})
+			go tc.leave(w) // the pipe is unbuffered: an unplug's report blocks until read
+			_ = fs.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			for {
+				msg, err := fs.conn.Recv()
+				if err != nil {
+					break
+				}
+				if msg.JobID == 2 {
+					t.Fatalf("queued assignment reported %s", msg.Type)
+				}
+			}
+			// Had the queued assignment run, its result would be parked for
+			// replay by now (it is a few bytes of input).
+			time.Sleep(300 * time.Millisecond)
+			w.mu.Lock()
+			for _, m := range w.unsent {
+				if m.JobID == 2 {
+					t.Errorf("queued assignment ran to a parked %s; it must be dropped unexecuted", m.Type)
+				}
+			}
+			w.mu.Unlock()
+			if got := w.Stats().Assignments; got != 2 {
+				t.Errorf("%d assignments received, want 2", got)
+			}
+		})
+	}
+}
+
+// A drain hands back everything the phone holds: the running assignment
+// with its checkpoint, the queued one exactly as it was given, one report
+// each. Work assigned after the drain runs normally.
+func TestDrainHandsBackQueuedAssignmentUntouched(t *testing.T) {
+	_, fs, _ := startWorker(t, Config{DelayPerKB: 50 * time.Millisecond})
+	fs.welcome(1)
+	fs.send(&protocol.Message{Type: protocol.TypeAssign, JobID: 1, Attempt: 7,
+		Task: "primecount", Input: primesOfKB(60)})
+	given := &tasks.Checkpoint{Offset: 4, State: []byte(`{"count":2}`)}
+	fs.send(&protocol.Message{Type: protocol.TypeAssign, JobID: 2, Partition: 3, Attempt: 8,
+		Task: "primecount", Input: []byte("2\n3\n5\n7\n"), Resume: given})
+	fs.send(&protocol.Message{Type: protocol.TypeDrain})
+	for k, attempt := range []int64{7, 8} {
+		res := fs.recv()
+		if res.Type != protocol.TypeFailure || res.Error != drainedReason || res.Attempt != attempt {
+			t.Fatalf("report %d = %s %q for attempt %d, want a drained failure for attempt %d",
+				k, res.Type, res.Error, res.Attempt, attempt)
+		}
+		if k == 1 && (res.Partition != 3 || res.Checkpoint == nil || res.Checkpoint.Offset != given.Offset ||
+			!bytes.Equal(res.Checkpoint.State, given.State)) {
+			t.Errorf("queued assignment handed back as partition %d checkpoint %+v, want what it was given",
+				res.Partition, res.Checkpoint)
+		}
+	}
+	fs.send(&protocol.Message{Type: protocol.TypeAssign, JobID: 3, Attempt: 9,
+		Task: "primecount", Input: []byte("2\n3\n4\n")})
+	if res := fs.recv(); res.Type != protocol.TypeResult || res.JobID != 3 || string(res.Result) != "2" {
+		t.Fatalf("assignment after the drain = %s %q (%s)", res.Type, res.Result, res.Error)
+	}
+}
