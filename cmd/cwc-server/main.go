@@ -35,12 +35,8 @@ func main() {
 		phones    = flag.Int("phones", 2, "phones to wait for before scheduling")
 		waitSec   = flag.Int("wait", 60, "seconds to wait for phones (0: register-only mode, run forever)")
 		keepalive = flag.Duration("keepalive", 30*time.Second, "application keepalive period")
-		misses    = flag.Int("misses", 3, "keepalive misses tolerated before declaring offline failure")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		inputKB   = flag.Int("input-kb", 256, "per-job input size for the demo workload")
-		dlFactor  = flag.Float64("deadline-factor", 4, "assignment deadline as a multiple of the cost-model estimate")
-		dlFloor   = flag.Duration("deadline-floor", 30*time.Second, "minimum assignment deadline")
-		retries   = flag.Int("max-retries", 8, "re-queues per work item before dead-lettering (negative: unbounded)")
 		faultSpec = flag.String("faults", "", "fault-injection scenario: a file path or an inline DSL string (see internal/faults)")
 		walDir    = flag.String("wal-dir", "", "write-ahead-log directory: replayed at start, appended during operation; survives SIGKILL at any instant")
 		walSync   = flag.String("wal-sync", "always", "WAL fsync policy: always|interval|none")
@@ -86,9 +82,9 @@ func main() {
 	// bounded ring so the last moments before a crash are always
 	// recoverable — from /debug/blackbox while alive, and as a JSONL
 	// dump on panic/SIGQUIT when -blackbox-file is set.
-	blackbox := obs.NewBlackbox(2048)
-	blackbox.TapLogger(logger)
-	blackbox.TeeTracer(tracer)
+	blackbox := obs.NewTracer(2048)
+	logger.SetTap(blackbox.Log)
+	tracer.SetTee(blackbox.Record)
 	dumpBlackbox := func(why string) {
 		if *bboxFile == "" {
 			return
@@ -115,24 +111,20 @@ func main() {
 		}()
 	}
 	cfg := server.Config{
-		Addr:               *listen,
-		KeepalivePeriod:    *keepalive,
-		KeepaliveTolerance: *misses,
-		DeadlineFactor:     *dlFactor,
-		DeadlineFloor:      *dlFloor,
-		MaxItemRetries:     *retries,
-		CheckpointEveryKB:  *ckptKB,
-		CheckpointEvery:    *ckptEvery,
-		VerifyReplicas:     *verifyK,
-		AuditRate:          *auditRate,
-		PlugAware:          *plugAware,
-		DrainQuantile:      *drainQ,
-		DrainLead:          *drainLead,
-		Logger:             logger,
-		Metrics:            metrics,
-		Tracer:             tracer,
-		ObsAddr:            *obsAddr,
-		Blackbox:           blackbox,
+		Addr:              *listen,
+		KeepalivePeriod:   *keepalive,
+		CheckpointEveryKB: *ckptKB,
+		CheckpointEvery:   *ckptEvery,
+		VerifyReplicas:    *verifyK,
+		AuditRate:         *auditRate,
+		PlugAware:         *plugAware,
+		DrainQuantile:     *drainQ,
+		DrainLead:         *drainLead,
+		Logger:            logger,
+		Metrics:           metrics,
+		Tracer:            tracer,
+		ObsAddr:           *obsAddr,
+		Blackbox:          blackbox,
 	}
 	var plan *faults.Plan
 	if *faultSpec != "" {

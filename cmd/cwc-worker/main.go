@@ -60,10 +60,10 @@ func main() {
 	// Worker-side flight recorder: records this phone's own span events
 	// and log tail regardless of whether the master asked for telemetry
 	// (a black box must already be recording when the crash happens).
-	var blackbox *obs.Blackbox
+	var blackbox *obs.Tracer
 	if *bboxFile != "" {
-		blackbox = obs.NewBlackbox(1024)
-		blackbox.TapLogger(logger)
+		blackbox = obs.NewTracer(1024)
+		logger.SetTap(blackbox.Log)
 		dump := func(why string) {
 			if err := blackbox.DumpFile(*bboxFile); err != nil {
 				logger.Errorf("black-box dump (%s): %v", why, err)

@@ -427,21 +427,27 @@ func TestObsChaosBlackboxSIGQUIT(t *testing.T) {
 			saveArtifact(t, "obschaos-blackbox.jsonl", data)
 		}
 	})
-	lines := 0
+	lines, logs := 0, 0
 	for sc := bufio.NewScanner(bytes.NewReader(data)); sc.Scan(); {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var e obs.BlackboxEntry
+		var e obs.SpanEvent
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Fatalf("dump line %d not parseable: %v\n%s", lines+1, err, sc.Bytes())
 		}
-		if e.Src != "log" && e.Src != "trace" {
-			t.Errorf("dump line %d has src %q, want log or trace", lines+1, e.Src)
+		if e.Kind == "" || e.TS.IsZero() {
+			t.Errorf("dump line %d is not a span event: %s", lines+1, sc.Bytes())
+		}
+		if e.Kind == obs.KindLog {
+			logs++
+			if e.Detail == "" {
+				t.Errorf("dump line %d is a log event with no line", lines+1)
+			}
 		}
 		lines++
 	}
-	if lines == 0 {
-		t.Fatal("black-box dump is empty")
+	if logs == 0 {
+		t.Fatalf("black-box dump holds %d lines, none of them the log line the daemon printed", lines)
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,9 @@ const (
 	KindDeadLetter = "deadletter"
 	KindAggregate  = "aggregate"
 	KindPromote    = "promote"
+	// KindLog is a log line (in Detail) shadowed into a flight-recorder
+	// ring beside the span events; it belongs to no job.
+	KindLog = "log"
 )
 
 // SpanEvent is one entry in a task-lifecycle trace.
@@ -57,6 +61,13 @@ type SpanEvent struct {
 // optionally, an append-only JSONL sink. All methods are safe for
 // concurrent use and safe on a nil receiver (no-ops), so callers can
 // thread a tracer through unconditionally.
+//
+// A second Tracer is the black-box flight recorder: fed every event of
+// the first by SetTee(recorder.Record) and every log line by
+// Logger.SetTap(recorder.Log), it is dumped as JSONL when the process
+// dies messily (panic, SIGQUIT) or on demand (/debug/blackbox). By the
+// time you know you needed -log-level debug the incident is over; the
+// recorder was running anyway.
 type Tracer struct {
 	mu    sync.Mutex
 	ring  []SpanEvent   // guarded by mu
@@ -145,6 +156,12 @@ func (t *Tracer) Record(ev SpanEvent) {
 	}
 }
 
+// Log records a log line as a KindLog event: the signature Logger.SetTap
+// wants.
+func (t *Tracer) Log(line string) {
+	t.Record(SpanEvent{Kind: KindLog, Job: -1, Partition: -1, Phone: -1, Detail: line})
+}
+
 // Total returns how many events have ever been recorded (including ones
 // the ring has since evicted).
 func (t *Tracer) Total() int64 {
@@ -156,27 +173,27 @@ func (t *Tracer) Total() int64 {
 	return t.total
 }
 
-// snapshotLocked returns the ring contents oldest-first. Caller holds
-// t.mu.
-func (t *Tracer) snapshotLocked() []SpanEvent {
+// snapshot returns the ring contents oldest-first.
+func (t *Tracer) snapshot() []SpanEvent {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	out := make([]SpanEvent, 0, len(t.ring))
 	if len(t.ring) < cap(t.ring) {
-		out = append(out, t.ring...)
-		return out
+		return append(out, t.ring...)
 	}
 	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
+	return append(out, t.ring[:t.next]...)
 }
 
 // Recent returns up to n of the newest events, oldest-first.
 func (t *Tracer) Recent(n int) []SpanEvent {
-	if t == nil || n <= 0 {
+	if n <= 0 {
 		return nil
 	}
-	t.mu.Lock()
-	all := t.snapshotLocked()
-	t.mu.Unlock()
+	all := t.snapshot()
 	if len(all) > n {
 		all = all[len(all)-n:]
 	}
@@ -187,17 +204,46 @@ func (t *Tracer) Recent(n int) []SpanEvent {
 // oldest-first. History evicted from the ring is only in the JSONL
 // sink, if one was attached.
 func (t *Tracer) Span(span string) []SpanEvent {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	all := t.snapshotLocked()
-	t.mu.Unlock()
 	var out []SpanEvent
-	for _, ev := range all {
+	for _, ev := range t.snapshot() {
 		if ev.Span == span {
 			out = append(out, ev)
 		}
 	}
 	return out
+}
+
+// WriteJSONL dumps the ring oldest-first, one JSON object per line.
+func (t *Tracer) WriteJSONL(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	for _, ev := range t.snapshot() {
+		if err := enc.Encode(ev); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// DumpFile writes the ring to path (truncating), fsyncing so the dump
+// survives the crash that triggered it. Best-effort by design: it is
+// called from panic handlers and signal handlers where there is nobody
+// left to report an error to, so the error return is advisory.
+func (t *Tracer) DumpFile(path string) error {
+	if t == nil || path == "" {
+		return nil
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	werr := t.WriteJSONL(f)
+	serr := f.Sync()
+	cerr := f.Close()
+	if werr != nil {
+		return werr
+	}
+	if serr != nil {
+		return serr
+	}
+	return cerr
 }

@@ -92,6 +92,7 @@ func registerMasterMetrics(r *obs.Registry) {
 	r.Help("cwc_verify_mismatches_total", "verification disagreements by kind (digest, vote, audit, checkpoint)")
 	r.Help("cwc_frames_received_total", "protocol frames received by type")
 	r.Help("cwc_frames_fenced_total", "report frames rejected for carrying another master regime's epoch")
+	r.Help("cwc_frames_unexpected_total", "frames no worker should send, and reports naming no attempt or an attempt nobody knows; dropped")
 	r.Help("cwc_telemetry_events_total", "worker span events folded into the trace ring, by kind")
 	r.Help("cwc_telemetry_unknown_total", "worker span events of a kind this master does not know (version skew)")
 	r.Help("cwc_telemetry_dropped", "per-phone cumulative telemetry events lost to the worker's bounded buffer")
@@ -206,12 +207,13 @@ func (m *Master) LastSched() *SchedSnapshot {
 	return &cp
 }
 
-// finishSchedSnapshot folds a finished round's event timeline into the
-// snapshot built at dispatch time: per-assignment report latencies and
-// outcomes, per-phone busy spans, and the measured makespan. An
-// assignment prefetched behind another is measured from its
-// predecessor's report on that phone, not from its own assign: the time
-// it sat queued on the phone is the predecessor's, not its own.
+// finishSchedSnapshot folds the assign, result, failure and straggler
+// events of a finished round's timeline into the snapshot built at
+// dispatch time: per-assignment report latencies and outcomes, per-phone
+// busy spans, and the measured makespan. An assignment prefetched behind
+// another is measured from its predecessor's report on that phone, not
+// from its own assign: the time it sat queued on the phone is the
+// predecessor's, not its own.
 func finishSchedSnapshot(snap *SchedSnapshot, events []Event, wall time.Duration) {
 	snap.ActualMakespanMs = float64(wall) / float64(time.Millisecond)
 	type akey struct{ phone, job, part int }
@@ -570,11 +572,11 @@ type Timeline struct {
 func (m *Master) jobTimeline(jobID int) *Timeline {
 	m.mu.Lock()
 	known := m.jobs[jobID] != nil
-	span := m.spanForJobLocked(jobID)
 	m.mu.Unlock()
 	if !known {
 		return nil
 	}
+	span := jobSpan(jobID)
 	evs := m.cfg.Tracer.Span(span)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS.Before(evs[j].TS) })
 	tl := &Timeline{Job: jobID, Span: span, Partitions: []TimelinePartition{}}

@@ -84,7 +84,7 @@ func TestProactiveDrainHandsBackWithoutKillingPhone(t *testing.T) {
 				t.Errorf("profiling execution: %v", err)
 				return
 			}
-			f.send(&protocol.Message{Type: protocol.TypeResult, Result: res, Digest: tasks.Digest(res),
+			f.send(&protocol.Message{Type: protocol.TypeResult, Attempt: msg.Attempt, Result: res, Digest: tasks.Digest(res),
 				ExecMs: 1, ProcessedKB: float64(len(msg.Input)) / 1024})
 			continue
 		}

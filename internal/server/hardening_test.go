@@ -58,7 +58,7 @@ func TestCorruptFrameMidRoundRequeuesPartition(t *testing.T) {
 	if prof.Type != protocol.TypeAssign || prof.Partition != -1 {
 		t.Fatalf("expected profiling assign, got %+v", prof)
 	}
-	f1.send(&protocol.Message{Type: protocol.TypeResult, JobID: 0, Partition: -1,
+	f1.send(&protocol.Message{Type: protocol.TypeResult, JobID: 0, Partition: -1, Attempt: prof.Attempt,
 		Result: []byte("x"), Digest: tasks.Digest([]byte("x")), ExecMs: 1, ProcessedKB: 0.01})
 	asg := f1.recv()
 	if asg.Type != protocol.TypeAssign || asg.JobID != id {
@@ -126,7 +126,7 @@ func TestStragglerSpeculationFirstResultWins(t *testing.T) {
 				case protocol.TypeAssign:
 					if msg.Partition == -1 {
 						_ = f.conn.Send(&protocol.Message{Type: protocol.TypeResult,
-							JobID: 0, Partition: -1, Result: []byte("x"), Digest: tasks.Digest([]byte("x")),
+							JobID: 0, Partition: -1, Attempt: msg.Attempt, Result: []byte("x"), Digest: tasks.Digest([]byte("x")),
 							ExecMs: 1, ProcessedKB: 0.01})
 						continue
 					}
@@ -203,7 +203,7 @@ func TestDeadLetterAfterRetryBudget(t *testing.T) {
 				}
 				if msg.Partition == -1 {
 					_ = f.conn.Send(&protocol.Message{Type: protocol.TypeResult,
-						JobID: 0, Partition: -1, Result: []byte("x"), Digest: tasks.Digest([]byte("x")),
+						JobID: 0, Partition: -1, Attempt: msg.Attempt, Result: []byte("x"), Digest: tasks.Digest([]byte("x")),
 						ExecMs: 1, ProcessedKB: 0.01})
 					continue
 				}
@@ -220,8 +220,21 @@ func TestDeadLetterAfterRetryBudget(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if _, err := m.RunRound(ctx); err != nil {
+	kinds := func(rep *RoundReport) map[string]int {
+		n := map[string]int{}
+		for _, e := range rep.Events {
+			n[e.Kind]++
+		}
+		return n
+	}
+	rep, err := m.RunRound(ctx)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// The requeue happened on the failure-report path, not in the
+	// dispatcher's hand-back; the round's timeline has it all the same.
+	if k := kinds(rep); k["failure"] != 1 || k["requeue"] != 1 || rep.DeadLettered != 0 {
+		t.Errorf("first round: kinds %v, DeadLettered %d; want one failure, one requeue, no dead letter", k, rep.DeadLettered)
 	}
 	if got := len(m.DeadLetters()); got != 0 {
 		t.Fatalf("dead-lettered after first failure (budget 1): %+v", m.DeadLetters())
@@ -233,8 +246,11 @@ func TestDeadLetterAfterRetryBudget(t *testing.T) {
 	// The failure report killed the first phone; a fresh one fails again
 	// and the item's budget is spent.
 	failEverything(dialFake(t, m, "Nexus S", 1000))
-	if _, err := m.RunRound(ctx); err != nil {
+	if rep, err = m.RunRound(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if k := kinds(rep); rep.DeadLettered != 1 || k["deadletter"] != 1 || k["requeue"] != 0 {
+		t.Errorf("second round: kinds %v, DeadLettered %d; want one dead letter counted once", k, rep.DeadLettered)
 	}
 	dls := m.DeadLetters()
 	if len(dls) != 1 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -14,25 +15,55 @@ import (
 	"cwc/internal/tasks"
 )
 
-// spanForJobLocked returns the job's trace span, minting the
-// deterministic ID when recovery (which does not persist spans) left it
-// unset. Caller holds m.mu.
-func (m *Master) spanForJobLocked(jobID int) string {
-	js := m.jobs[jobID]
-	if js == nil {
-		return ""
+// jobSpan is a job's trace span ID. Deterministic in the job ID, so a
+// master that replays its WAL (which persists no spans) mints the same
+// span and a partition's history stays stitchable across the crash.
+func jobSpan(jobID int) string { return "j" + strconv.Itoa(jobID) }
+
+// trace is the one place the master writes an event. It stamps the time
+// and the job's span, appends to the open round's timeline if there is
+// one (closeTimeline derives every per-round view from that slice), and
+// records to the tracer — ring, JSONL sink and flight recorder. Callers
+// may or may not hold m.mu.
+func (m *Master) trace(ev obs.SpanEvent) {
+	if ev.Job > 0 {
+		ev.Span = jobSpan(ev.Job)
 	}
-	if js.span == "" {
-		js.span = fmt.Sprintf("j%d", js.id)
+	m.evMu.Lock()
+	ev.TS = time.Now() // under evMu: the timeline is in TS order as appended
+	if m.timeline != nil {
+		m.timeline = append(m.timeline, ev)
 	}
-	return js.span
+	m.evMu.Unlock()
+	m.cfg.Tracer.Record(ev)
 }
 
-// spanForJob is spanForJobLocked for callers not holding m.mu.
-func (m *Master) spanForJob(jobID int) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.spanForJobLocked(jobID)
+// closeTimeline ends the round's event collection and derives every view
+// of it: the report's Figure 12 timeline and tallies, and /debug/sched's
+// actuals. A result the dispatcher did not credit to the attempt it was
+// waiting on keeps its qualifier in the kind ("stale-result",
+// "late-result"), so "result" pairs with "assign" one to one.
+func (m *Master) closeTimeline(report *RoundReport, snap *SchedSnapshot, start time.Time) {
+	m.evMu.Lock()
+	evs := m.timeline
+	m.timeline = nil
+	m.evMu.Unlock()
+	report.Events = make([]Event, len(evs))
+	for i, ev := range evs {
+		kind := ev.Kind
+		if kind == obs.KindResult && ev.Detail != "" {
+			kind = ev.Detail + "-result"
+		}
+		report.Events[i] = Event{At: ev.TS.Sub(start), PhoneID: ev.Phone, JobID: ev.Job,
+			Partition: ev.Partition, Kind: kind}
+		switch kind {
+		case obs.KindStraggler:
+			report.Stragglers = append(report.Stragglers, ev.Phone)
+		case obs.KindDeadLetter:
+			report.DeadLettered++
+		}
+	}
+	finishSchedSnapshot(snap, report.Events, report.Wall)
 }
 
 // Submit queues a job for the next scheduling round and returns its ID.
@@ -60,8 +91,7 @@ func (m *Master) Submit(task tasks.Task, input []byte, atomic bool) (int, error)
 	}
 	m.nextJobID++
 	m.nextItemSeq = seq
-	span := fmt.Sprintf("j%d", id)
-	m.jobs[id] = &jobState{id: id, task: task, totalBytes: int64(len(input)), span: span}
+	m.jobs[id] = &jobState{id: id, task: task, totalBytes: int64(len(input))}
 	m.pending = append(m.pending, &workItem{
 		jobID:  id,
 		task:   task,
@@ -70,10 +100,8 @@ func (m *Master) Submit(task tasks.Task, input []byte, atomic bool) (int, error)
 		seq:    seq,
 	})
 	m.cfg.Metrics.Counter("cwc_submissions_total").Inc()
-	m.cfg.Tracer.Record(obs.SpanEvent{
-		Span: span, Kind: obs.KindSubmit, Job: id, Phone: -1,
-		Bytes: int64(len(input)), Detail: task.Name(),
-	})
+	m.trace(obs.SpanEvent{Kind: obs.KindSubmit, Job: id, Phone: -1,
+		Bytes: int64(len(input)), Detail: task.Name()})
 	return id, nil
 }
 
@@ -214,19 +242,25 @@ func (m *Master) profileOne(ctx context.Context, est *predict.Estimator, it *wor
 			return fmt.Errorf("server: no phone left to profile %s", name)
 		}
 		tried[slowest.info.ID] = true
+		// A keyless attempt, so the read loop routes the reply here and a
+		// reply that outlives this wait names an attempt nobody knows.
+		attempt := m.newAttempt(slowest, assignment{item: it, partition: -1, input: sample})
 		if err := slowest.conn.Send(&protocol.Message{
 			Type:      protocol.TypeAssign,
 			JobID:     0, // profiling sentinel, never a real job
 			Partition: -1,
+			Attempt:   attempt,
 			Task:      name,
 			Params:    it.task.Params(),
 			Input:     sample,
 		}); err != nil {
+			m.dropAttempt(attempt)
 			slowest.markDead()
 			continue
 		}
 		select {
 		case resp := <-slowest.respCh:
+			m.dropAttempt(attempt)
 			if resp.Type != protocol.TypeResult {
 				m.cfg.Logger.With("phone", slowest.info.ID, "task", name).
 					Warnf("profiling failed (%s); retrying elsewhere", resp.Error)
@@ -243,8 +277,10 @@ func (m *Master) profileOne(ctx context.Context, est *predict.Estimator, it *wor
 			m.cfg.Logger.With("phone", slowest.info.ID, "task", name).Infof("profiled: %.3f ms/KB", ts)
 			return nil
 		case <-slowest.dead:
+			m.dropAttempt(attempt)
 			m.cfg.Logger.With("phone", slowest.info.ID).Warnf("profiling phone died; retrying elsewhere")
 		case <-ctx.Done():
+			m.dropAttempt(attempt)
 			return ctx.Err()
 		}
 	}
@@ -292,13 +328,21 @@ func splitChecked(b tasks.Breakable, input []byte, sizesKB []float64) ([][]byte,
 	return pieces, nil
 }
 
-// Event is one timeline entry of a round, for Figure 12-style plots.
+// Event is one timeline entry of a round, for Figure 12-style plots: the
+// projection of one span event the master traced while the round ran.
 type Event struct {
 	At        time.Duration // offset from round start
-	PhoneID   int
+	PhoneID   int           // -1: no phone involved
 	JobID     int
 	Partition int
-	Kind      string // "assign", "result", "failure", "requeue", "straggler", "stale-result", "deadletter"
+	// Kind is the span event's kind: "assign", "result", "failure",
+	// "straggler", "speculate", "checkpoint", "requeue" and "deadletter"
+	// (from any path: a lost phone, a failure report, an unresolved vote),
+	// "submit" for a job that arrived mid-round — plus "stale-result" and
+	// "late-result" for a result credited to an attempt other than the
+	// one its dispatcher was waiting on. Readers switch on the kinds they
+	// know and ignore the rest.
+	Kind string
 }
 
 // RoundReport summarizes one scheduling round.
@@ -312,9 +356,11 @@ type RoundReport struct {
 	// Stragglers lists phones that blew an assignment deadline this round
 	// (their partitions were speculatively re-dispatched).
 	Stragglers []int
-	// DeadLettered counts work items whose retry budget ran out this round.
+	// DeadLettered counts the round's "deadletter" events: work items whose
+	// retry budget ran out, whichever path spent the last retry.
 	DeadLettered int
-	Events       []Event
+	// Events is the round's timeline, ordered by At.
+	Events []Event
 }
 
 // assignment couples a core schedule slot with its concrete input bytes.
@@ -447,16 +493,14 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 		PredictedMakespanMs: sched.Makespan,
 	}
 	start := time.Now()
-	var (
-		evMu sync.Mutex
-		wg   sync.WaitGroup
-	)
-	addEvent := func(e Event, ck *tasks.Checkpoint) {
-		evMu.Lock()
-		report.Events = append(report.Events, e)
-		evMu.Unlock()
-		m.traceEvent(e, ck)
+	m.evMu.Lock()
+	assignments := 0
+	for _, queue := range plans {
+		assignments += len(queue)
 	}
+	m.timeline = make([]obs.SpanEvent, 0, 2*assignments) // an assign and a report each
+	m.evMu.Unlock()
+	var wg sync.WaitGroup
 	for pi, ps := range phones {
 		queue := plans[pi]
 		if len(queue) == 0 {
@@ -465,20 +509,11 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 		wg.Add(1)
 		go func(ps *phoneState, queue []assignment) {
 			defer wg.Done()
-			m.dispatch(ctx, ps, queue, start, addEvent)
+			m.dispatch(ctx, ps, queue)
 		}(ps, queue)
 	}
 	wg.Wait()
 	report.Wall = time.Since(start)
-	for _, e := range report.Events {
-		switch e.Kind {
-		case "straggler":
-			report.Stragglers = append(report.Stragglers, e.PhoneID)
-		case "deadletter":
-			report.DeadLettered++
-		}
-	}
-	finishSchedSnapshot(snap, report.Events, report.Wall)
 	wallMs := float64(report.Wall) / float64(time.Millisecond)
 	m.cfg.Metrics.Counter("cwc_rounds_total").Inc()
 	m.cfg.Metrics.Gauge("cwc_round_predicted_makespan_ms").Set(sched.Makespan)
@@ -511,6 +546,9 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	// an unresolved group's range goes back to the queue, so its job stays
 	// under-covered rather than folding unverified.
 	m.sweepVoteGroupsLocked()
+	// The sweep's requeues are the round's last events; aggregation below
+	// is the job's, not the round's.
+	m.closeTimeline(report, snap, start)
 	m.roundActive = false
 	m.roundPlans = nil
 	report.Requeued = len(m.pending)
@@ -596,47 +634,6 @@ func (m *Master) newSchedSnapshot(items []*workItem, phones []*phoneState, plans
 		snap.Phones = append(snap.Phones, sp)
 	}
 	return snap
-}
-
-// traceEvent mirrors a round timeline entry into the task-lifecycle
-// tracer. Requeue and dead-letter edges are recorded at their single
-// choke point (requeueLocked) instead, so they are skipped here. ck is
-// the checkpoint the event moves, if any — the resume state an assign
-// ships, the state a failure report saved — and its offset rides in
-// Bytes, which makes a job's span the migration record of paper §6:
-// failure/checkpoint (saved) → assign "resume" (re-shipped) → result.
-func (m *Master) traceEvent(e Event, ck *tasks.Checkpoint) {
-	var kind, detail string
-	switch e.Kind {
-	case "assign":
-		kind = obs.KindAssign
-		if ck != nil {
-			detail = "resume"
-		}
-	case "result":
-		kind = obs.KindResult
-	case "failure":
-		kind = obs.KindFailure
-	case "straggler":
-		kind = obs.KindStraggler
-	case "stale-result":
-		kind, detail = obs.KindResult, "stale"
-		m.cfg.Metrics.Counter("cwc_stale_results_total").Inc()
-	default:
-		return
-	}
-	if e.Kind == "straggler" {
-		m.cfg.Metrics.Counter("cwc_stragglers_total").Inc()
-	}
-	var offset int64
-	if ck != nil {
-		offset = ck.Offset
-	}
-	m.cfg.Tracer.Record(obs.SpanEvent{
-		Span: m.spanForJob(e.JobID), Kind: kind, Job: e.JobID,
-		Partition: e.Partition, Phone: e.PhoneID, Bytes: offset,
-		Ms: float64(e.At) / float64(time.Millisecond), Detail: detail,
-	})
 }
 
 // buildSchedule constructs the core instance from live state and solves it.
@@ -864,11 +861,8 @@ func (m *Master) speculate(a assignment) bool {
 		partition: a.partition,
 	})
 	m.cfg.Metrics.Counter("cwc_speculations_total").Inc()
-	m.cfg.Tracer.Record(obs.SpanEvent{
-		Span: m.spanForJobLocked(a.item.jobID), Kind: obs.KindSpeculate,
-		Job: a.item.jobID, Partition: a.partition, Key: a.key, Phone: -1,
-		Bytes: int64(len(a.input)),
-	})
+	m.trace(obs.SpanEvent{Kind: obs.KindSpeculate, Job: a.item.jobID,
+		Partition: a.partition, Key: a.key, Phone: -1, Bytes: int64(len(a.input))})
 	return true
 }
 
@@ -901,16 +895,23 @@ func pairFits(ps *phoneState, cur, next assignment) bool {
 // exit settles, detaches or drops each outstanding attempt exactly once
 // and hands everything unsettled back for the next round; a prefetched
 // assignment goes back with its resume state untouched.
-func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignment, start time.Time, addEvent func(Event, *tasks.Checkpoint)) {
+func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignment) {
 	// m.est is lazily created under m.mu; dispatch runs on per-phone
 	// goroutines, so take the lock for the pointer snapshot.
 	m.mu.Lock()
 	est := m.est
 	m.mu.Unlock()
 	id := ps.info.ID
-	event := func(a assignment, kind string, ck *tasks.Checkpoint) {
-		addEvent(Event{At: time.Since(start), PhoneID: id, JobID: a.item.jobID,
-			Partition: a.partition, Kind: kind}, ck)
+	// ck is the checkpoint the event moves, if any — the resume state an
+	// assign ships, the state a failure report saved — and its offset rides
+	// in Bytes, which makes a job's span the migration record of paper §6:
+	// failure/checkpoint (saved) → assign "resume" (re-shipped) → result.
+	event := func(a assignment, kind, detail string, ck *tasks.Checkpoint) {
+		ev := obs.SpanEvent{Kind: kind, Job: a.item.jobID, Partition: a.partition, Phone: id, Detail: detail}
+		if ck != nil {
+			ev.Bytes = ck.Offset
+		}
+		m.trace(ev)
 	}
 	var (
 		win     []flight // outstanding attempts in the phone's execution order, at most two
@@ -965,7 +966,7 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 			rest = append(rest, f.a)
 		}
 		m.cfg.Metrics.Counter("cwc_prefetch_handback_bytes_total").Add(prefetched)
-		m.requeueFrom(append(rest, queue[next:]...), lostMidRound, start, addEvent)
+		m.requeueFrom(append(rest, queue[next:]...), lostMidRound)
 		win, next = win[:keep], len(queue)
 	}
 	for {
@@ -990,7 +991,11 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 		if sending == 0 && next < len(queue) && (len(win) == 0 || len(win) == 1 && pairFits(ps, win[0].a, queue[next])) {
 			a := queue[next]
 			next++
-			event(a, "assign", a.resume)
+			detail := ""
+			if a.resume != nil {
+				detail = "resume"
+			}
+			event(a, obs.KindAssign, detail, a.resume)
 			attempt := m.newAttempt(ps, a)
 			// Audit record: replay treats an unreported dispatch as still
 			// open, so ordering against state records is immaterial.
@@ -1027,12 +1032,9 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 					Debugf("ignoring unexpected frame on response channel")
 				continue
 			}
-			// A report names its attempt; one without (a pre-attempt peer)
-			// can only mean the assignment the phone is executing.
 			i := 0
-			if resp.Attempt != 0 {
-				for i = 0; i < len(win) && win[i].attempt != resp.Attempt; i++ {
-				}
+			for i < len(win) && win[i].attempt != resp.Attempt {
+				i++
 			}
 			if i == len(win) {
 				// A report queued for an earlier attempt on this phone
@@ -1042,7 +1044,8 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 				delete(m.attempts, resp.Attempt)
 				m.mu.Unlock()
 				if ok && resp.Type == protocol.TypeResult {
-					event(rec.a, "stale-result", nil)
+					m.cfg.Metrics.Counter("cwc_stale_results_total").Inc()
+					event(rec.a, obs.KindResult, "stale", nil)
 					m.recordResult(rec.a, resp, est, rec.ps)
 				}
 				continue
@@ -1051,7 +1054,7 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 			m.dropAttempt(f.attempt)
 			win = append(win[:i:i], win[i+1:]...)
 			if resp.Type == protocol.TypeFailure {
-				event(f.a, "failure", resp.Checkpoint)
+				event(f.a, obs.KindFailure, "", resp.Checkpoint)
 				m.cfg.Logger.With("phone", id, "job", f.a.item.jobID).
 					Warnf("failure report: %s", resp.Error)
 				m.recordFailure(f.a, resp, f.attempt)
@@ -1068,7 +1071,7 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 				release(0, drained)
 				return
 			}
-			event(f.a, "result", nil)
+			event(f.a, obs.KindResult, "", nil)
 			m.recordResult(f.a, resp, est, ps)
 			if i == 0 {
 				stopClock()
@@ -1083,7 +1086,8 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 				if m.speculate(a) {
 					m.cfg.Logger.With("phone", id, "job", a.item.jobID, "partition", a.partition).
 						Warnf("straggling (deadline %v); speculating", deadline)
-					event(a, "straggler", nil)
+					m.cfg.Metrics.Counter("cwc_stragglers_total").Inc()
+					event(a, obs.KindStraggler, "", nil)
 				}
 				timer.Reset(deadline)
 				continue
@@ -1096,7 +1100,7 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 				Warnf("abandoned for the round (overdue)")
 			m.detachAttempt(win[0].attempt)
 			win = win[1:]
-			m.requeueFrom([]assignment{a}, "straggler abandoned", start, addEvent)
+			m.requeueFrom([]assignment{a}, "straggler abandoned")
 			release(0, true)
 			return
 		case <-ps.dead:
@@ -1152,15 +1156,9 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 				m.walAppend(walRecCheckpoint, &walCheckpointRec{JobID: jobID, Key: a.key, Resume: hdr, State: state})
 				m.cfg.Metrics.Counter("cwc_checkpoint_folds_total").Inc()
 				m.cfg.Metrics.Counter("cwc_checkpoint_bytes_total").Add(int64(len(c.State)))
-				span := msg.Span
-				if span == "" {
-					span = m.spanForJobLocked(jobID)
-				}
-				m.cfg.Tracer.Record(obs.SpanEvent{
-					Span: span, Kind: obs.KindCheckpoint, Job: jobID,
+				m.trace(obs.SpanEvent{Kind: obs.KindCheckpoint, Job: jobID,
 					Partition: partition, Key: a.key, Phone: ps.info.ID,
-					Bytes: c.Offset, Detail: "streamed",
-				})
+					Bytes: c.Offset, Detail: "streamed"})
 			}
 		}
 		m.mu.Unlock()
@@ -1169,7 +1167,7 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 	// anchors to the same trace span as the master's checkpoint fold.
 	var span string
 	if jobID != 0 {
-		span = m.spanForJob(jobID)
+		span = jobSpan(jobID)
 	}
 	_ = ps.conn.Send(&protocol.Message{
 		Type: protocol.TypeCheckpointAck, Attempt: msg.Attempt, Seq: msg.Seq,
@@ -1329,24 +1327,37 @@ func (m *Master) recordFailure(a assignment, resp *protocol.Message, attempt int
 	}
 	// A failure report without a checkpoint (task error, send race) still
 	// resumes from the last streamed one.
-	resume = m.latestResumeLocked(a.key, resume)
-	it := &workItem{
-		jobID:     a.item.jobID,
-		task:      a.item.task,
-		input:     a.input,
-		resume:    resume,
-		atomic:    true,
-		key:       a.key,
-		retries:   a.item.retries,
-		partition: a.partition,
-	}
-	if m.requeueLocked(it, "failure: "+resp.Error) {
-		hdr, state := splitResume(resume)
+	if it := m.requeueRangeLocked(a, resume, "failure: "+resp.Error); it != nil {
+		hdr, state := splitResume(it.resume)
 		m.walAppend(walRecMigrate, &walMigrate{
 			JobID: a.item.jobID, Key: a.key, Resume: hdr, State: state,
 			Retries: it.retries, Partition: a.partition,
 		})
 	}
+}
+
+// requeueRangeLocked hands a dispatched byte range back whole, under the
+// key, partition number and retry count it was dispatched with, resuming
+// from resume or from a streamed checkpoint ahead of it: the in-flight
+// partition re-runs from there, not from scratch — the bounded-work-loss
+// guarantee for offline failures. A keyed item stays atomic so the key
+// keeps naming one exact byte range. Returns the queued item, nil when
+// the range was dead-lettered instead. Caller holds m.mu.
+func (m *Master) requeueRangeLocked(a assignment, resume *tasks.Checkpoint, reason string) *workItem {
+	it := &workItem{
+		jobID:     a.item.jobID,
+		task:      a.item.task,
+		input:     a.input,
+		resume:    m.latestResumeLocked(a.key, resume),
+		atomic:    true,
+		key:       a.key,
+		retries:   a.item.retries,
+		partition: a.partition,
+	}
+	if !m.requeueLocked(it, reason) {
+		return nil
+	}
+	return it
 }
 
 // requeueLocked re-queues a work item for the next scheduling instant, or
@@ -1377,11 +1388,8 @@ func (m *Master) requeueLocked(it *workItem, reason string) bool {
 			Warnf("item dead-lettered: %s", reason)
 		delete(m.streamed, it.key)
 		m.cfg.Metrics.Counter("cwc_dead_letters_total").Inc()
-		m.cfg.Tracer.Record(obs.SpanEvent{
-			Span: m.spanForJobLocked(it.jobID), Kind: obs.KindDeadLetter,
-			Job: it.jobID, Key: it.key, Phone: -1,
-			Bytes: int64(len(it.input)), Detail: reason,
-		})
+		m.trace(obs.SpanEvent{Kind: obs.KindDeadLetter, Job: it.jobID, Partition: it.partition,
+			Key: it.key, Phone: -1, Bytes: int64(len(it.input)), Detail: reason})
 		return false
 	}
 	m.pending = append(m.pending, it)
@@ -1392,11 +1400,8 @@ func (m *Master) requeueLocked(it *workItem, reason string) bool {
 		// bytes never get re-executed.
 		m.cfg.Metrics.Counter("cwc_recompute_saved_bytes_total").Add(ck.Offset)
 	}
-	m.cfg.Tracer.Record(obs.SpanEvent{
-		Span: m.spanForJobLocked(it.jobID), Kind: obs.KindRequeue,
-		Job: it.jobID, Key: it.key, Phone: -1,
-		Bytes: int64(len(it.input)), Detail: reason,
-	})
+	m.trace(obs.SpanEvent{Kind: obs.KindRequeue, Job: it.jobID, Partition: it.partition,
+		Key: it.key, Phone: -1, Bytes: int64(len(it.input)), Detail: reason})
 	return true
 }
 
@@ -1419,34 +1424,14 @@ const lostMidRound = "phone lost mid-round"
 // scheduling instant: the rest of a lost or drained phone's queue, or a
 // straggler's abandoned in-flight range (whose detached attempt may
 // still deliver — first-result-wins arbitrates).
-func (m *Master) requeueFrom(rest []assignment, reason string, start time.Time, addEvent func(Event, *tasks.Checkpoint)) {
+func (m *Master) requeueFrom(rest []assignment, reason string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, a := range rest {
-		if a.key != 0 && (m.completed[a.key] || m.pendingTwinLocked(a.key)) {
+		if m.completed[a.key] || m.pendingTwinLocked(a.key) {
 			continue // the byte range is settled or already queued
 		}
-		it := &workItem{
-			jobID: a.item.jobID,
-			task:  a.item.task,
-			input: a.input,
-			// The in-flight partition re-runs from its last streamed
-			// checkpoint, not from scratch — the bounded-work-loss
-			// guarantee for offline failures.
-			resume: m.latestResumeLocked(a.key, a.resume),
-			// A keyed item must stay whole so the key keeps naming one
-			// exact byte range.
-			atomic:    a.key != 0 || a.resume != nil || a.item.atomic,
-			key:       a.key,
-			retries:   a.item.retries,
-			partition: a.partition,
-		}
-		kind := "requeue"
-		if !m.requeueLocked(it, reason) {
-			kind = "deadletter"
-		}
-		addEvent(Event{At: time.Since(start), PhoneID: -1, JobID: a.item.jobID,
-			Partition: a.partition, Kind: kind}, nil)
+		m.requeueRangeLocked(a, a.resume, reason)
 	}
 }
 
@@ -1470,10 +1455,8 @@ func (m *Master) finishJobLocked(js *jobState) {
 	js.done = true
 	m.walAppend(walRecFinish, &walFinish{JobID: js.id, Final: final})
 	m.cfg.Metrics.Counter("cwc_jobs_completed_total").Inc()
-	m.cfg.Tracer.Record(obs.SpanEvent{
-		Span: m.spanForJobLocked(js.id), Kind: obs.KindAggregate, Job: js.id,
-		Phone: -1, Bytes: int64(len(final)), Detail: fmt.Sprintf("%d partials", len(js.partials)),
-	})
+	m.trace(obs.SpanEvent{Kind: obs.KindAggregate, Job: js.id, Phone: -1,
+		Bytes: int64(len(final)), Detail: fmt.Sprintf("%d partials", len(js.partials))})
 }
 
 // aggregate merges a completed job's partials into its final result.
@@ -1572,7 +1555,7 @@ func (m *Master) sendAssign(ps *phoneState, a assignment, attempt int64) error {
 		JobID:     a.item.jobID,
 		Partition: a.partition,
 		Attempt:   attempt,
-		Span:      m.spanForJob(a.item.jobID),
+		Span:      jobSpan(a.item.jobID),
 		Task:      a.item.task.Name(),
 		Params:    a.item.task.Params(),
 		Input:     first,

@@ -36,9 +36,6 @@ type Config struct {
 	KeepaliveTolerance int
 	// ProbeKB is the payload size of a bandwidth probe.
 	ProbeKB int
-	// DefaultBMsPerKB is assumed for phones whose bandwidth has not been
-	// probed yet.
-	DefaultBMsPerKB float64
 	// Logger receives operational messages; nil discards them.
 	Logger *obs.Logger
 	// Metrics receives the master's instrumentation (and is what the
@@ -59,12 +56,12 @@ type Config struct {
 	// Telemetry flag follows this setting), so an unobserved cluster
 	// ships zero telemetry bytes.
 	ObsAddr string
-	// Blackbox, when set, is the master's black-box flight recorder:
-	// /debug/blackbox serves its ring as JSONL, and the daemon dumps it
-	// on panic/SIGQUIT. The master does not feed it directly — wire it
-	// to the logger (Blackbox.TapLogger) and tracer (Blackbox.TeeTracer)
-	// at construction, as cmd/cwc-server does.
-	Blackbox *obs.Blackbox
+	// Blackbox, when set, is the master's black-box flight recorder, a
+	// second tracer ring: /debug/blackbox serves it as JSONL, and the
+	// daemon dumps it on panic/SIGQUIT. The master does not feed it —
+	// wire it at construction, as cmd/cwc-server does:
+	// Logger.SetTap(Blackbox.Log) and Tracer.SetTee(Blackbox.Record).
+	Blackbox *obs.Tracer
 	// AuthToken, when non-empty, is the shared enrolment secret every
 	// phone must present in its hello; mismatches are dropped before
 	// registration. (The paper assumes enterprise trust; a deployment
@@ -121,14 +118,6 @@ type Config struct {
 	// DrainCheckPeriod is the drain monitor's polling interval.
 	// Default 1 s.
 	DrainCheckPeriod time.Duration
-	// WindowMinSessions is how many completed charge sessions a phone
-	// needs before its window predictions are trusted; below it the
-	// estimator never vetoes. Default 3.
-	WindowMinSessions int
-	// FlapMergeWindow treats an unplug followed by a replug within this
-	// duration as one continuing session (contact bounce, a brief cable
-	// wiggle) rather than two. Negative disables merging. Default 1 s.
-	FlapMergeWindow time.Duration
 	// Listener, when set, is a pre-bound listener Start serves on instead
 	// of dialing Addr. A promoted standby uses it to take over a port it
 	// bound (and answered with fast refusals) long before promotion.
@@ -156,19 +145,6 @@ type Config struct {
 	// The first result is folded immediately (audits never delay jobs);
 	// a mismatch escalates to a tie-break for blame. 0 disables audits.
 	AuditRate float64
-	// AuditSeed makes audit selection deterministic for a given key
-	// stream (tests); 0 is a valid seed.
-	AuditSeed int64
-	// ReputationAlpha is the EWMA weight of one verification outcome in a
-	// phone's result-integrity reputation (1.0 start; win → 1, loss → 0).
-	// Default 0.4: three straight losses cross the default threshold.
-	ReputationAlpha float64
-	// ReputationThreshold quarantines a phone whose reputation falls
-	// below it after a loss: the phone stays connected (keepalives,
-	// /statusz visibility) but is never assigned work again — a hard
-	// veto, unlike the advisory drain filter. Default 0.3; negative
-	// disables quarantine (scores still tracked).
-	ReputationThreshold float64
 }
 
 // ReplicaSink receives the master's WAL records for live replication.
@@ -192,9 +168,6 @@ func (c *Config) fill() {
 	}
 	if c.ProbeKB == 0 {
 		c.ProbeKB = 64
-	}
-	if c.DefaultBMsPerKB == 0 {
-		c.DefaultBMsPerKB = 10
 	}
 	if c.Logger == nil {
 		c.Logger = obs.Discard()
@@ -229,14 +202,6 @@ func (c *Config) fill() {
 	if c.DrainCheckPeriod == 0 {
 		c.DrainCheckPeriod = time.Second
 	}
-	if c.WindowMinSessions <= 0 {
-		c.WindowMinSessions = 3
-	}
-	if c.FlapMergeWindow == 0 {
-		c.FlapMergeWindow = time.Second
-	} else if c.FlapMergeWindow < 0 {
-		c.FlapMergeWindow = 0
-	}
 	if c.Role == "" {
 		c.Role = "primary"
 	}
@@ -247,12 +212,6 @@ func (c *Config) fill() {
 		c.AuditRate = 0
 	} else if c.AuditRate > 1 {
 		c.AuditRate = 1
-	}
-	if c.ReputationAlpha <= 0 || c.ReputationAlpha >= 1 {
-		c.ReputationAlpha = 0.4
-	}
-	if c.ReputationThreshold == 0 {
-		c.ReputationThreshold = 0.3
 	}
 }
 
@@ -355,10 +314,6 @@ type jobState struct {
 	// error: the job can never produce a result (Result stays false;
 	// JobFailure surfaces the error to the Submit caller).
 	failure string
-	// span is the job's trace ID, minted at Submit. Deterministic in the
-	// job ID so WAL/state recovery reconstructs the same span and a
-	// partition's history stays stitchable across a master crash.
-	span string
 }
 
 // DeadLetter is a work item that exhausted its retry budget; it is
@@ -492,6 +447,11 @@ type Master struct {
 	rounds    int            // guarded by mu
 	lastSched *SchedSnapshot // guarded by mu
 
+	// timeline is the open round's events as trace wrote them, nil between
+	// rounds. Its own mutex: trace is called with and without m.mu held.
+	evMu     sync.Mutex
+	timeline []obs.SpanEvent // guarded by evMu
+
 	// slos tracks the master's rolling-window service-level objectives
 	// (internally synchronized; see registerMasterSLOs for the catalog).
 	slos *obs.SLOSet
@@ -499,16 +459,23 @@ type Master struct {
 	obsLn net.Listener // admin plane listener (nil when ObsAddr is unset)
 }
 
+// The charge-window estimator's two parameters: a phone needs
+// windowMinSessions completed charge sessions before its window
+// predictions are trusted (below it the estimator never vetoes), and an
+// unplug followed by a replug within flapMergeMs is one continuing
+// session (contact bounce, a brief cable wiggle), not two.
+const (
+	windowMinSessions = 3
+	flapMergeMs       = 1000
+)
+
 // New creates a master; call Start to listen.
 func New(cfg Config) *Master {
 	cfg.fill()
 	registerMasterMetrics(cfg.Metrics)
-	// fill clamps both knobs into the estimator's valid range, so the
-	// constructor cannot fail here.
-	windows, err := predict.NewWindowEstimator(
-		cfg.WindowMinSessions, float64(cfg.FlapMergeWindow)/float64(time.Millisecond))
+	windows, err := predict.NewWindowEstimator(windowMinSessions, flapMergeMs)
 	if err != nil {
-		panic(fmt.Sprintf("server: window estimator: %v", err))
+		panic(fmt.Sprintf("server: window estimator: %v", err)) // the constants are in range
 	}
 	return &Master{
 		cfg:             cfg,
@@ -694,6 +661,10 @@ func (m *Master) acceptLoop() {
 // frame — parks this goroutine forever and survives Close.
 const helloTimeout = 10 * time.Second
 
+// defaultBMsPerKB is assumed for a phone whose bandwidth has not been
+// probed yet.
+const defaultBMsPerKB = 10
+
 // handlePhone performs registration and runs the read loop + keepaliver.
 func (m *Master) handlePhone(conn *protocol.Conn) {
 	m.mu.Lock()
@@ -757,7 +728,7 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 			Model:    hello.Model,
 			CPUMHz:   hello.CPUMHz,
 			RAMMB:    hello.RAMMB,
-			BMsPerKB: m.cfg.DefaultBMsPerKB,
+			BMsPerKB: defaultBMsPerKB,
 			Alive:    true,
 		},
 		conn:    conn,
@@ -879,7 +850,7 @@ func (m *Master) readLoop(ps *phoneState) {
 			// straggler finishing after abandonment, a reconnected worker
 			// flushing its unsent buffer — are resolved here so they never
 			// clog a respCh nobody drains.
-			if msg.Attempt != 0 && m.resolveDetached(msg) {
+			if m.resolveDetached(msg) {
 				continue
 			}
 			select {
@@ -972,10 +943,8 @@ func (m *Master) BumpEpoch() (int64, error) {
 	m.epoch = next
 	m.cfg.Metrics.Gauge("cwc_epoch").Set(float64(next))
 	m.cfg.Tracer.SetEpoch(next)
-	m.cfg.Tracer.Record(obs.SpanEvent{
-		Kind: obs.KindPromote, Job: -1, Partition: -1, Phone: -1,
-		Detail: fmt.Sprintf("epoch %d -> %d", next-1, next), Epoch: next,
-	})
+	m.trace(obs.SpanEvent{Kind: obs.KindPromote, Job: -1, Partition: -1, Phone: -1,
+		Detail: fmt.Sprintf("epoch %d -> %d", next-1, next), Epoch: next})
 	return next, nil
 }
 
@@ -1029,21 +998,20 @@ func (m *Master) resolveDetached(msg *protocol.Message) bool {
 	est := m.est
 	m.mu.Unlock()
 	if !ok {
+		// Settled long ago, never issued, or not named at all (attempt 0):
+		// nothing to credit it to.
+		m.cfg.Metrics.Counter("cwc_frames_unexpected_total", "type", frameLabel(msg.Type)).Inc()
 		m.cfg.Logger.With("attempt", msg.Attempt).Warnf("dropping report for unknown attempt")
 		return true
 	}
 	if msg.Type == protocol.TypeResult {
 		m.cfg.Logger.With("job", rec.a.item.jobID, "partition", rec.a.partition,
 			"attempt", msg.Attempt).Infof("late result credited")
-		// Round results are traced by the dispatcher's timeline; a
-		// detached credit happens outside any round, so record it here or
-		// the partition's timeline ends without its master-side fold —
-		// exactly the partitions that survived a failover via replay.
-		m.cfg.Tracer.Record(obs.SpanEvent{
-			Span: m.spanForJob(rec.a.item.jobID), Kind: obs.KindResult,
-			Job: rec.a.item.jobID, Partition: rec.a.partition,
-			Phone: rec.ps.info.ID, Detail: "late",
-		})
+		// No dispatcher traces a detached credit, so record it here or the
+		// partition's timeline ends without its master-side fold — exactly
+		// the partitions that survived a failover via replay.
+		m.trace(obs.SpanEvent{Kind: obs.KindResult, Job: rec.a.item.jobID,
+			Partition: rec.a.partition, Phone: rec.ps.info.ID, Detail: "late"})
 		m.recordResult(rec.a, msg, est, rec.ps)
 	}
 	// A late failure needs no action: the speculative copy issued at the

@@ -86,7 +86,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.KeepaliveTolerance != 3 {
 		t.Errorf("tolerance = %d, want 3 (paper)", c.KeepaliveTolerance)
 	}
-	if c.ProbeKB <= 0 || c.DefaultBMsPerKB <= 0 || c.Logger == nil {
+	if c.ProbeKB <= 0 || c.Logger == nil {
 		t.Error("defaults not filled")
 	}
 }
@@ -337,14 +337,14 @@ func TestMigrationLifecycleOnTraceSpan(t *testing.T) {
 	if prof.Type != protocol.TypeAssign || prof.Partition != -1 {
 		t.Fatalf("expected profiling assign, got %+v", prof)
 	}
-	f1.send(&protocol.Message{Type: protocol.TypeResult, JobID: 0, Partition: -1,
+	f1.send(&protocol.Message{Type: protocol.TypeResult, JobID: 0, Partition: -1, Attempt: prof.Attempt,
 		Result: []byte("x"), Digest: tasks.Digest([]byte("x")), ExecMs: 5, ProcessedKB: 4})
 	asg := f1.recv()
 	if asg.Type != protocol.TypeAssign || asg.JobID != jobID {
 		t.Fatalf("expected real assign, got %+v", asg)
 	}
 	f1.send(&protocol.Message{
-		Type: protocol.TypeFailure, JobID: jobID, Partition: asg.Partition,
+		Type: protocol.TypeFailure, JobID: jobID, Partition: asg.Partition, Attempt: asg.Attempt,
 		Checkpoint: &tasks.Checkpoint{Offset: 100, State: []byte(`{"row":0,"out":[]}`)},
 		Error:      "unplugged",
 	})
@@ -379,7 +379,7 @@ func TestMigrationLifecycleOnTraceSpan(t *testing.T) {
 		t.Fatalf("expected resumed assign with checkpoint, got %+v", resumed)
 	}
 	f2.send(&protocol.Message{
-		Type: protocol.TypeResult, JobID: jobID, Partition: resumed.Partition,
+		Type: protocol.TypeResult, JobID: jobID, Partition: resumed.Partition, Attempt: resumed.Attempt,
 		Result: []byte("blurred"), Digest: tasks.Digest([]byte("blurred")), ExecMs: 3, ProcessedKB: 4,
 	})
 	if err := <-round2; err != nil {
@@ -433,7 +433,7 @@ func TestRoundReportEvents(t *testing.T) {
 			continue
 		}
 		f.send(&protocol.Message{Type: protocol.TypeResult, JobID: msg.JobID,
-			Partition: msg.Partition, Result: []byte("2"), Digest: tasks.Digest([]byte("2")), ExecMs: 1, ProcessedKB: 0.01})
+			Partition: msg.Partition, Attempt: msg.Attempt, Result: []byte("2"), Digest: tasks.Digest([]byte("2")), ExecMs: 1, ProcessedKB: 0.01})
 		if msg.Partition != -1 {
 			break
 		}
@@ -483,7 +483,7 @@ func TestSubmitDuringRound(t *testing.T) {
 			}
 			if err := f.conn.Send(&protocol.Message{
 				Type: protocol.TypeResult, JobID: msg.JobID,
-				Partition: msg.Partition, Result: res, Digest: tasks.Digest(res),
+				Partition: msg.Partition, Attempt: msg.Attempt, Result: res, Digest: tasks.Digest(res),
 				ExecMs: 1, ProcessedKB: 0.01,
 			}); err != nil {
 				return
@@ -550,7 +550,7 @@ func TestRunLoopProcessesSubmissionsAsTheyArrive(t *testing.T) {
 				continue
 			}
 			_ = f.conn.Send(&protocol.Message{Type: protocol.TypeResult,
-				JobID: msg.JobID, Partition: msg.Partition,
+				JobID: msg.JobID, Partition: msg.Partition, Attempt: msg.Attempt,
 				Result: []byte("1"), Digest: tasks.Digest([]byte("1")), ExecMs: 1, ProcessedKB: 0.01})
 		}
 	}()
@@ -870,7 +870,7 @@ func TestStreamedCheckpointNeedsItsDigest(t *testing.T) {
 	}()
 	prof := f.recv()
 	x := []byte("1")
-	f.send(&protocol.Message{Type: protocol.TypeResult, JobID: 0, Partition: -1,
+	f.send(&protocol.Message{Type: protocol.TypeResult, JobID: 0, Partition: -1, Attempt: prof.Attempt,
 		Result: x, Digest: tasks.Digest(x), ExecMs: 1, ProcessedKB: float64(len(prof.Input)) / 1024})
 	asg := f.recv()
 	if asg.Type != protocol.TypeAssign || asg.JobID != id {

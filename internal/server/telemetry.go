@@ -60,32 +60,6 @@ func (m *Master) sloObserve(name string, good bool) {
 	}
 }
 
-// kindLabel maps a worker event kind to a bounded metric label: known
-// kinds keep their wire name, anything from a newer worker collapses to
-// "other" so version skew cannot mint unbounded label values.
-func kindLabel(k protocol.EventKind) string {
-	switch k {
-	case protocol.EventAssignRecv:
-		return string(protocol.EventAssignRecv)
-	case protocol.EventExecStart:
-		return string(protocol.EventExecStart)
-	case protocol.EventExecFinish:
-		return string(protocol.EventExecFinish)
-	case protocol.EventThrottlePause:
-		return string(protocol.EventThrottlePause)
-	case protocol.EventCkptFlush:
-		return string(protocol.EventCkptFlush)
-	case protocol.EventCkptAck:
-		return string(protocol.EventCkptAck)
-	case protocol.EventDrainHandback:
-		return string(protocol.EventDrainHandback)
-	case protocol.EventDial:
-		return string(protocol.EventDial)
-	default:
-		return "other"
-	}
-}
-
 // foldTelemetry merges one worker telemetry frame into the master's
 // trace ring, turning each shipped WorkerEvent into a SpanEvent tagged
 // Src="worker" so /debug/trace and /debug/timeline interleave both sides
@@ -101,29 +75,40 @@ func (m *Master) foldTelemetry(ps *phoneState, msg *protocol.Message) {
 			Set(float64(msg.Dropped))
 	}
 	for _, ev := range msg.Events {
-		m.cfg.Metrics.Counter("cwc_telemetry_events_total", "kind", kindLabel(ev.Kind)).Inc()
-		// Classify the kind: span-scoped events anchor to a job's trace
-		// span and are orphan-checked; phone-scoped ones (pauses, dials)
-		// have no span to anchor. cwc-vet's frames analyzer requires
-		// this dispatch to stay exhaustive as kinds are added.
-		spanScoped := false
+		// Classify the kind once. Span-scoped events anchor to a job's
+		// trace span and are orphan-checked; phone-scoped ones (pauses,
+		// dials) have no span to anchor. A known kind is its own metric
+		// label (spelled as a constant: cwc-vet's metrics analyzer rejects
+		// a label read off the wire), anything else is "other", so version
+		// skew or a hostile phone cannot grow the registry without bound.
+		// cwc-vet's frames analyzer keeps this dispatch exhaustive.
+		spanScoped, label := false, "other"
 		switch ev.Kind {
-		case protocol.EventAssignRecv, protocol.EventExecStart,
-			protocol.EventExecFinish, protocol.EventCkptFlush,
-			protocol.EventCkptAck, protocol.EventDrainHandback:
-			spanScoped = true
-		case protocol.EventThrottlePause, protocol.EventDial:
-			// Phone-scoped: folded without a span anchor.
+		case protocol.EventAssignRecv:
+			spanScoped, label = true, string(protocol.EventAssignRecv)
+		case protocol.EventExecStart:
+			spanScoped, label = true, string(protocol.EventExecStart)
+		case protocol.EventExecFinish:
+			spanScoped, label = true, string(protocol.EventExecFinish)
+		case protocol.EventCkptFlush:
+			spanScoped, label = true, string(protocol.EventCkptFlush)
+		case protocol.EventCkptAck:
+			spanScoped, label = true, string(protocol.EventCkptAck)
+		case protocol.EventDrainHandback:
+			spanScoped, label = true, string(protocol.EventDrainHandback)
+		case protocol.EventThrottlePause:
+			label = string(protocol.EventThrottlePause)
+		case protocol.EventDial:
+			label = string(protocol.EventDial)
 		default:
 			// A kind from a newer worker: folded for forward
-			// compatibility, counted so version skew is visible. The
-			// kind itself goes to the log, not a label — a wire-supplied
-			// label value would let version skew (or a hostile phone)
-			// grow the registry without bound.
+			// compatibility, counted so version skew is visible; the kind
+			// itself goes to the log.
 			m.cfg.Metrics.Counter("cwc_telemetry_unknown_total").Inc()
 			m.cfg.Logger.With("phone", ps.info.ID, "kind", string(ev.Kind)).
 				Debugf("telemetry event of unknown kind")
 		}
+		m.cfg.Metrics.Counter("cwc_telemetry_events_total", "kind", label).Inc()
 		if spanScoped && ev.Span != "" && !m.knownSpan(ev.Span) {
 			// An orphan span means the worker attributed work to a job
 			// this master regime has never heard of — a stitching bug or
@@ -144,8 +129,7 @@ func (m *Master) foldTelemetry(ps *phoneState, msg *protocol.Message) {
 // knownSpan reports whether a trace span names a job this master knows
 // (jobs are never deleted, so any span ever minted by this regime — or
 // recovered from its WAL — resolves). Spans are only ever minted as
-// "j<id>" (Submit, spanForJobLocked; recovery leaves them to be minted
-// lazily in the same form), so the span is parsed back to its job ID;
+// "j<id>" (jobSpan), so the span is parsed back to its job ID;
 // anything not in that canonical form — a sign, leading zeros, trailing
 // bytes — names no job.
 func (m *Master) knownSpan(span string) bool {

@@ -26,7 +26,7 @@ import (
 //     on the highest-reputation uninvolved phone until some digest
 //     reaches quorum.
 //
-//   - Spot-check audits (Config.AuditRate, when voting is off): a seeded
+//   - Spot-check audits (Config.AuditRate, when voting is off): a key-hashed
 //     fraction of partitions is silently re-executed on a second phone.
 //     The first result folds immediately — audits never delay a job —
 //     and the comparison happens when the echo arrives; a mismatch
@@ -36,7 +36,7 @@ import (
 //   - Reputation and quarantine: each verification outcome updates a
 //     per-phone EWMA score, WAL-logged (walRecReputation) so it survives
 //     crash recovery and failover replication. A phone whose score falls
-//     below Config.ReputationThreshold is quarantined: it stays
+//     below reputationThreshold is quarantined: it stays
 //     connected and visible, but placement treats it as a HARD veto —
 //     no never-starve fallback, unlike the advisory drain filter.
 //
@@ -226,13 +226,21 @@ func (m *Master) resolveVoteLocked(key int64, vg *voteGroup, winner string) {
 	}
 }
 
+// reputationAlpha is the EWMA weight of one verification outcome in a
+// phone's result-integrity reputation (1.0 start; win → 1, loss → 0). A
+// phone whose reputation falls below reputationThreshold after a loss is
+// quarantined: three straight losses cross it.
+const (
+	reputationAlpha     = 0.4
+	reputationThreshold = 0.3
+)
+
 // reputationEventLocked folds one verification outcome into a phone's
 // EWMA integrity score, WAL-logs the new state, and quarantines the
 // phone when a loss drops it below the threshold. Quarantine is sticky:
 // only an operator (or a fresh enrolment, which the auth token gates)
 // readmits the phone. Caller holds m.mu.
 func (m *Master) reputationEventLocked(id int, won bool, why string) {
-	alpha := m.cfg.ReputationAlpha
 	rep := 1.0
 	if r, ok := m.reputation[id]; ok {
 		rep = r
@@ -242,10 +250,9 @@ func (m *Master) reputationEventLocked(id int, won bool, why string) {
 	if won {
 		outcome = 1.0
 	}
-	rep = (1-alpha)*rep + alpha*outcome
+	rep = (1-reputationAlpha)*rep + reputationAlpha*outcome
 	m.reputation[id] = rep
-	quarantine := !won && !m.quarantined[id] &&
-		m.cfg.ReputationThreshold > 0 && rep < m.cfg.ReputationThreshold
+	quarantine := !won && !m.quarantined[id] && rep < reputationThreshold
 	if quarantine {
 		m.quarantined[id] = true
 	}
@@ -258,7 +265,7 @@ func (m *Master) reputationEventLocked(id int, won bool, why string) {
 	case quarantine:
 		m.cfg.Metrics.Counter("cwc_verify_quarantines_total").Inc()
 		m.cfg.Logger.With("phone", id).Errorf(
-			"quarantined: reputation %.3f fell below %.3f (%s)", rep, m.cfg.ReputationThreshold, why)
+			"quarantined: reputation %.3f fell below %.3f (%s)", rep, reputationThreshold, why)
 	case !won:
 		m.cfg.Logger.With("phone", id).Warnf("reputation %.3f after %s", rep, why)
 	}
@@ -274,8 +281,8 @@ func (m *Master) auditSelected(key int64) bool {
 	if rate >= 1 {
 		return true
 	}
-	// SplitMix64-style scramble of (key, seed) into a uniform [0,1).
-	h := uint64(key)*0x9e3779b97f4a7c15 ^ uint64(m.cfg.AuditSeed)
+	// SplitMix64-style scramble of the key into a uniform [0,1).
+	h := uint64(key) * 0x9e3779b97f4a7c15
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -285,7 +292,7 @@ func (m *Master) auditSelected(key int64) bool {
 }
 
 // planVerificationLocked places this round's verification executions —
-// full replication under VerifyReplicas, seeded spot-checks under
+// full replication under VerifyReplicas, key-hashed spot-checks under
 // AuditRate — via core.PlaceCopies, registers their vote groups, and
 // returns the per-phone extra assignments to dispatch. The copies share
 // their source's key, so every report funnels into the same group.
@@ -372,17 +379,7 @@ func (m *Master) sweepVoteGroupsLocked() {
 		case m.pendingTwinLocked(key):
 			delete(m.votes, key)
 		default:
-			it := &workItem{
-				jobID:     vg.a.item.jobID,
-				task:      vg.a.item.task,
-				input:     vg.a.input,
-				resume:    m.latestResumeLocked(key, vg.a.resume),
-				atomic:    true,
-				key:       key,
-				retries:   vg.a.item.retries,
-				partition: vg.a.partition,
-			}
-			m.requeueLocked(it, "verification unresolved")
+			m.requeueRangeLocked(vg.a, vg.a.resume, "verification unresolved")
 			delete(m.votes, key)
 		}
 	}
@@ -406,17 +403,7 @@ func (m *Master) startTieBreak(key int64) {
 		if arb == nil {
 			delete(m.votes, key)
 			if !m.completed[key] && !m.pendingTwinLocked(key) {
-				it := &workItem{
-					jobID:     vg.a.item.jobID,
-					task:      vg.a.item.task,
-					input:     vg.a.input,
-					resume:    m.latestResumeLocked(key, vg.a.resume),
-					atomic:    true,
-					key:       key,
-					retries:   vg.a.item.retries,
-					partition: vg.a.partition,
-				}
-				m.requeueLocked(it, "verification tie: no arbiter")
+				m.requeueRangeLocked(vg.a, vg.a.resume, "verification tie: no arbiter")
 			}
 			m.mu.Unlock()
 			m.cfg.Logger.With("job", vg.a.item.jobID, "key", key).
@@ -478,17 +465,7 @@ func (m *Master) tieBreakExpired(key, attempt int64) {
 	delete(m.attempts, attempt)
 	delete(m.votes, key)
 	if !m.completed[key] && !m.pendingTwinLocked(key) {
-		it := &workItem{
-			jobID:     vg.a.item.jobID,
-			task:      vg.a.item.task,
-			input:     vg.a.input,
-			resume:    m.latestResumeLocked(key, vg.a.resume),
-			atomic:    true,
-			key:       key,
-			retries:   vg.a.item.retries,
-			partition: vg.a.partition,
-		}
-		m.requeueLocked(it, "verification tie-break expired")
+		m.requeueRangeLocked(vg.a, vg.a.resume, "verification tie-break expired")
 	}
 	m.mu.Unlock()
 	m.cfg.Logger.With("job", vg.a.item.jobID, "key", key).

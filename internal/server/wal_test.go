@@ -47,7 +47,7 @@ func autoResponder(f *fakePhone) {
 			continue
 		}
 		_ = f.conn.Send(&protocol.Message{Type: protocol.TypeResult,
-			JobID: msg.JobID, Partition: msg.Partition,
+			JobID: msg.JobID, Partition: msg.Partition, Attempt: msg.Attempt,
 			Result: res, Digest: tasks.Digest(res), ExecMs: 1, ProcessedKB: float64(len(msg.Input)) / 1024})
 	}
 }

@@ -182,6 +182,30 @@ func (h *windowHarness) checkSettled(open ...int) {
 	}
 }
 
+// checkRows asserts the timeline view of a hand-back: the requeue (or the
+// speculation that queued the range instead) is filed under the partition
+// number the range was dispatched as, never under a row of its own.
+func (h *windowHarness) checkRows(open ...int) {
+	h.t.Helper()
+	for _, id := range open {
+		handedBack := false
+		for _, row := range h.m.jobTimeline(id).Partitions {
+			for _, ev := range row.Events {
+				if ev.Kind != obs.KindRequeue && ev.Kind != obs.KindSpeculate {
+					continue
+				}
+				handedBack = true
+				if row.Partition != windowPartition+id {
+					h.t.Errorf("job %d: %s filed under partition %d, want %d", id, ev.Kind, row.Partition, windowPartition+id)
+				}
+			}
+		}
+		if !handedBack {
+			h.t.Errorf("job %d: no requeue or speculate event on its timeline", id)
+		}
+	}
+}
+
 // finish runs rounds on an honest phone until every job is done and
 // compares the aggregates with the lockstep reference.
 func (h *windowHarness) finish() {
@@ -247,6 +271,9 @@ func TestDispatchWindowExitPaths(t *testing.T) {
 		// input must be counted as handed back unexecuted.
 		dead, wasted bool
 		stragglers   int
+		// unexpected: result frames the master must count as unexpected and
+		// credit to nothing.
+		unexpected int64
 	}{
 		{
 			name: "result/result",
@@ -257,6 +284,23 @@ func TestDispatchWindowExitPaths(t *testing.T) {
 				replyResult(h.f, h.nextAssign())
 			},
 			open: func(*windowHarness, int, int) []int { return []int{} },
+		},
+		{
+			// Credited to whatever heads the window, the lie would be folded
+			// into the running job's aggregate.
+			name: "result naming no attempt",
+			script: func(h *windowHarness, running, prefetched *protocol.Message) {
+				lie := []byte("424242")
+				_ = h.f.conn.Send(&protocol.Message{Type: protocol.TypeResult,
+					JobID: running.JobID, Partition: running.Partition,
+					Result: lie, Digest: tasks.Digest(lie), ExecMs: 1, ProcessedKB: 1})
+				replyResult(h.f, running)
+				replyResult(h.f, prefetched)
+				replyResult(h.f, h.nextAssign())
+				replyResult(h.f, h.nextAssign())
+			},
+			open:       func(*windowHarness, int, int) []int { return []int{} },
+			unexpected: 1,
 		},
 		{
 			name: "failure on running",
@@ -336,6 +380,10 @@ func TestDispatchWindowExitPaths(t *testing.T) {
 				h.speculated = running.JobID
 			}
 			h.checkSettled(open...)
+			h.checkRows(open...)
+			if got := h.reg.Counter("cwc_frames_unexpected_total", "type", "result").Value(); got != tc.unexpected {
+				t.Errorf("cwc_frames_unexpected_total{type=result} = %d, want %d", got, tc.unexpected)
+			}
 			if h.alive() == tc.dead {
 				t.Errorf("phone alive = %v, want %v", h.alive(), !tc.dead)
 			}

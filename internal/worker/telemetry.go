@@ -44,7 +44,7 @@ func (p *Phone) event(kind protocol.EventKind, span string, job, part int, bytes
 	if p.cfg.Metrics != nil {
 		p.cfg.Metrics.Counter("cwc_worker_events_total", "kind", string(kind)).Inc()
 	}
-	p.cfg.Blackbox.AddEvent(obs.SpanEvent{
+	p.cfg.Blackbox.Record(obs.SpanEvent{
 		TS: time.UnixMilli(ev.TSMs), Span: span, Kind: string(kind), Job: job,
 		Partition: part, Phone: id, Bytes: bytes, Ms: ms, Detail: detail,
 		Src: "worker", Epoch: ev.Epoch,

@@ -75,9 +75,9 @@ type Config struct {
 	// the counting entirely.
 	Metrics *obs.Registry
 	// Blackbox, when set, shadows every minted span event into the
-	// worker's black-box flight recorder (dumped by the daemon on panic
-	// or SIGQUIT). Independent of the master's telemetry opt-in.
-	Blackbox *obs.Blackbox
+	// worker's black-box flight recorder, a tracer ring the daemon dumps
+	// on panic or SIGQUIT. Independent of the master's telemetry opt-in.
+	Blackbox *obs.Tracer
 }
 
 // Byzantine configures deliberate worker misbehaviour, the adversary the
