@@ -132,6 +132,7 @@ census:
 		"internal/lint $$($(call GOLINES,internal/lint))"
 	@echo "cwc-server flags:       $$(grep -cE 'flag\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/cwc-server/main.go)"
 	@echo "server.Config fields:   $$(sed -n '/^type Config struct {/,/^}/p' internal/server/server.go | grep -cE '^	[A-Z][A-Za-z]* ')"
+	@echo "Master fields under mu: $$(sed -n '/^type Master struct {/,/^}/p' internal/server/server.go | grep -c 'guarded by mu')"
 	@echo "frame types:            $$(grep -hE '^	Type[A-Za-z]+ +Type = "' internal/protocol/*.go | wc -l)"
 	@echo "WAL record types:       $$(grep -cE '^	walRec[A-Za-z]+ +uint8 = ' internal/server/wal.go)"
 	@echo "wall-clock call sites:  $$(grep -rE 'time\.(Now|Since|Sleep|After|NewTimer|NewTicker)\(' internal/server internal/worker internal/replica --include='*.go' | grep -vc '_test\.go:') (server/worker/replica)"

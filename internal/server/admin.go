@@ -102,25 +102,31 @@ func registerMasterMetrics(r *obs.Registry) {
 	r.Help("cwc_slo_burn", "rolling-window burn rate per SLO (error rate over target; 1.0 spends budget exactly on time)")
 }
 
+// workerMeter is one phone's self-metering: last is the newest raw
+// snapshot from the current worker incarnation, base the folded sum of
+// every prior incarnation.
+type workerMeter struct{ base, last protocol.WorkerStats }
+
+// total is what /statusz and the per-phone gauges publish.
+func (w workerMeter) total() protocol.WorkerStats { return statsAdd(w.base, w.last) }
+
 // ingestWorkerStats folds a worker's piggybacked cumulative counters
-// into per-phone published totals. Counters are cumulative per worker
-// *process*: a restarted worker that takes its identity back over
-// restarts them from zero, so a later frame can regress. The master
-// keeps a per-phone base (everything prior incarnations accumulated)
-// and folds the dying incarnation's last snapshot into it whenever a
-// regression proves a restart — the published series (gauges and
-// /statusz) stay monotone and no completed work is ever un-counted.
+// into the phone's meter. Counters are cumulative per worker *process*:
+// a restarted worker that takes its identity back over restarts them
+// from zero, so a later frame can regress. The dying incarnation's last
+// snapshot is folded into the base whenever a regression proves a
+// restart — the published series (gauges and /statusz) stay monotone
+// and no completed work is ever un-counted.
 func (m *Master) ingestWorkerStats(phoneID int, s *protocol.WorkerStats) {
 	m.mu.Lock()
-	base := m.workerStatBase[phoneID]
-	if last, ok := m.workerStatLast[phoneID]; ok && statsRegressed(last, *s) {
-		base = statsAdd(base, last)
-		m.workerStatBase[phoneID] = base
+	w := m.workerStats[phoneID]
+	if statsRegressed(w.last, *s) {
+		w.base = statsAdd(w.base, w.last)
 	}
-	m.workerStatLast[phoneID] = *s
-	total := statsAdd(base, *s)
-	m.workerStats[phoneID] = total
+	w.last = *s
+	m.workerStats[phoneID] = w
 	m.mu.Unlock()
+	total := w.total()
 	id := strconv.Itoa(phoneID)
 	r := m.cfg.Metrics
 	for fam, v := range map[string]float64{
@@ -289,13 +295,8 @@ func (m *Master) serveObs(addr string) error {
 
 // refreshGauges recomputes the point-in-time gauges a scrape should see.
 func (m *Master) refreshGauges() {
+	alive := len(m.alivePhones())
 	m.mu.Lock()
-	alive := 0
-	for _, ps := range m.phones {
-		if ps.alive() {
-			alive++
-		}
-	}
 	pending := len(m.pending)
 	epoch := m.epoch
 	quarantined := len(m.quarantined)
@@ -445,6 +446,7 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		drain       string
 		rep         *float64
 		quarantined bool
+		worker      *protocol.WorkerStats
 	}
 	rows := make([]phoneRow, 0, len(m.phones))
 	for _, ps := range m.phones {
@@ -460,11 +462,11 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 			rep := r
 			row.rep = &rep
 		}
+		if w, ok := m.workerStats[ps.info.ID]; ok {
+			total := w.total()
+			row.worker = &total
+		}
 		rows = append(rows, row)
-	}
-	stats := make(map[int]protocol.WorkerStats, len(m.workerStats))
-	for id, s := range m.workerStats {
-		stats[id] = s
 	}
 	m.mu.Unlock()
 
@@ -482,6 +484,7 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 			MissedPings: row.missed, DrainState: row.drain,
 			ChargeSessions: m.windows.Sessions(row.info.ID),
 			Reputation:     row.rep, Quarantined: row.quarantined,
+			Worker: row.worker,
 		}
 		if rem, ok := m.windows.RemainingMs(row.info.ID, now, m.cfg.DrainQuantile); ok {
 			r := rem
@@ -489,10 +492,6 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		}
 		if row.alive {
 			st.PhonesAlive++
-		}
-		if ws, ok := stats[row.info.ID]; ok {
-			w := ws
-			sp.Worker = &w
 		}
 		for _, task := range tasks {
 			ts, ok := est.Profile(task)

@@ -66,19 +66,12 @@ func (m *Master) SeedChargeWindows(phoneID int, durationsMs []float64) {
 }
 
 // DrainState returns the phone's drain state: "started", "completed",
-// or "" when the phone is not draining.
+// or "" when the phone is not draining (and so not excluded from
+// placement).
 func (m *Master) DrainState(phoneID int) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.draining[phoneID]
-}
-
-// isDraining reports whether the phone is excluded from placement.
-func (m *Master) isDraining(phoneID int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.draining[phoneID]
-	return ok
 }
 
 // drainMonitor periodically compares every live phone's predicted
@@ -106,7 +99,7 @@ func (m *Master) checkDrains() {
 	lead := float64(m.cfg.DrainLead) / float64(time.Millisecond)
 	for _, ps := range m.alivePhones() {
 		id := ps.info.ID
-		if m.isDraining(id) {
+		if m.DrainState(id) != "" {
 			continue
 		}
 		rem, ok := m.windows.RemainingMs(id, now, m.cfg.DrainQuantile)
@@ -118,18 +111,14 @@ func (m *Master) checkDrains() {
 
 	var idle []int
 	m.mu.Lock()
+	busy := map[int]bool{}
+	for _, rec := range m.attempts {
+		if rec.live {
+			busy[rec.ps.info.ID] = true
+		}
+	}
 	for id, st := range m.draining {
-		if st != drainStarted {
-			continue
-		}
-		busy := false
-		for _, rec := range m.attempts {
-			if rec.ps.info.ID == id && rec.live {
-				busy = true
-				break
-			}
-		}
-		if !busy {
+		if st == drainStarted && !busy[id] {
 			idle = append(idle, id)
 		}
 	}

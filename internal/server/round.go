@@ -231,7 +231,7 @@ func (m *Master) profileOne(ctx context.Context, est *predict.Estimator, it *wor
 	for {
 		var slowest *phoneState
 		for _, ps := range m.alivePhones() {
-			if tried[ps.info.ID] || m.isQuarantined(ps.info.ID) {
+			if tried[ps.info.ID] || m.Quarantined(ps.info.ID) {
 				continue
 			}
 			if slowest == nil || ps.info.CPUMHz < slowest.info.CPUMHz {
@@ -374,6 +374,9 @@ type assignment struct {
 	resume *tasks.Checkpoint
 	// key is the dispatch identity of this byte range; see workItem.key.
 	key int64
+	// rng is the range's open-table entry, set once the round record that
+	// issues (or re-issues) the key is in the log.
+	rng *openRange
 }
 
 // ErrNothingToDo is returned by RunRound with an empty queue.
@@ -387,29 +390,26 @@ var ErrNothingToDo = errors.New("server: no pending work")
 // for concurrent invocation.
 func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	m.mu.Lock()
-	// Drop queued items whose key already completed: their speculative twin
-	// (or a late straggler result) delivered the byte range first.
-	items := m.pending[:0]
+	// Drop queued copies whose key has settled: another execution of the
+	// range (or a late straggler result) delivered it first.
+	queued := m.pending[:0]
 	for _, it := range m.pending {
-		if it.key != 0 && m.completed[it.key] {
-			continue
+		if !m.settledLocked(it.rng) {
+			queued = append(queued, it)
 		}
-		items = append(items, it)
 	}
-	m.pending = nil
-	m.planning = items
+	m.pending = queued
+	// The round plans what is queued now. The items stay at the head of
+	// the queue — where a snapshot cut meanwhile finds them, and where
+	// they still are if the round fails before its record is logged —
+	// until that record takes them over; later arrivals queue behind.
+	items := queued[:len(queued):len(queued)]
 	m.mu.Unlock()
 	if len(items) == 0 {
 		return nil, ErrNothingToDo
 	}
 	plans, phones, sched, inst, err := m.planRound(ctx, items)
 	if err != nil {
-		// Nothing was logged or dispatched: the drained items go back to
-		// the head of the queue for the next scheduling instant.
-		m.mu.Lock()
-		m.pending = append(items, m.pending...)
-		m.planning = nil
-		m.mu.Unlock()
 		return nil, err
 	}
 
@@ -425,7 +425,7 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	for pi := range plans {
 		kept := plans[pi][:0]
 		for _, a := range plans[pi] {
-			if a.item.key != 0 && m.completed[a.item.key] {
+			if m.settledLocked(a.item.rng) {
 				// Settled while the round was being planned (a late result
 				// for the range): its log entry is closed, and naming the
 				// key in the round record would refer to nothing.
@@ -433,12 +433,12 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 			}
 			it := walRoundItem{Retries: a.item.retries, Partition: a.partition}
 			if a.item.key != 0 {
-				a.key = a.item.key
-				// Fold the freshest streamed checkpoint in: a checkpoint
-				// that arrived after the item was re-queued (e.g. from an
-				// abandoned straggler still chewing on the range) would
-				// otherwise be ignored.
-				a.resume = m.latestResumeLocked(a.key, a.resume)
+				a.key, a.rng = a.item.key, a.item.rng
+				// Fold in whatever arrived after the item was re-queued: a
+				// checkpoint streamed by an abandoned straggler still
+				// chewing on the range, or reported by a copy that failed
+				// while this one waited.
+				a.resume = a.rng.latest(a.resume)
 			} else {
 				nextKey++
 				a.key = nextKey
@@ -452,7 +452,7 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	}
 	if len(rr.Items) == 0 {
 		// Every planned range was settled meanwhile; nothing to log or run.
-		m.planning = nil
+		m.pending = m.pending[len(items):]
 		m.mu.Unlock()
 		return nil, ErrNothingToDo
 	}
@@ -463,11 +463,25 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 		// has been dispatched yet, so abort the round instead; RunLoop
 		// retries at the next scheduling instant, and that round's record
 		// is preceded by the snapshot a stale log owes.
-		m.pending = append(items, m.pending...)
-		m.planning = nil
 		m.mu.Unlock()
 		m.cfg.Logger.With("rec", walRecRound).Errorf("wal: round record lost (%v); aborting round", err)
 		return nil, fmt.Errorf("server: persisting round record: %w", err)
+	}
+	// The record is in the log: the items leave the queue and each range
+	// the record names enters the open table, as the reducer's does when
+	// it folds the record. Wherever the range sits from here on — unshipped
+	// in a phone's queue, prefetched, executing, handed back — a snapshot
+	// finds it there.
+	m.pending = m.pending[len(items):]
+	for _, queue := range plans {
+		for i := range queue {
+			a := &queue[i]
+			if a.rng == nil {
+				a.rng = &openRange{key: a.key, jobID: a.item.jobID, input: a.input}
+				m.open[a.key] = a.rng
+			}
+			a.rng.partition, a.rng.retries, a.rng.resume, a.rng.queued = a.partition, a.item.retries, a.resume, false
+		}
 	}
 	// Verification executions (replicas / audits) ride the same round:
 	// registered in this critical section so their vote groups exist
@@ -477,7 +491,6 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 		plans[pi] = append(plans[pi], es...)
 	}
 	m.nextKey = nextKey
-	m.planning, m.roundPlans = nil, plans
 	// From here until the end-of-round sweep, RunRound owns aggregation;
 	// vote resolutions that complete a job's coverage mid-round leave the
 	// aggregate to the sweep.
@@ -529,12 +542,12 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	m.rounds++
 	snap.Round = m.rounds
 	m.lastSched = snap
-	// Sweep attempt records that can no longer resolve: completed keys,
+	// Sweep attempt records that can no longer resolve: settled keys,
 	// and dead phones (whose in-flight work was re-queued on death). A
 	// key with an open vote group still wants its reports — an audit
 	// blame tie-break runs on a key that already folded.
 	for id, rec := range m.attempts {
-		if (m.completed[rec.a.key] && m.votes[rec.a.key] == nil) || !rec.ps.alive() {
+		if (m.settledLocked(rec.a.rng) && m.votes[rec.a.key] == nil) || !rec.ps.alive() {
 			delete(m.attempts, id)
 		}
 	}
@@ -550,7 +563,6 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	// is the job's, not the round's.
 	m.closeTimeline(report, snap, start)
 	m.roundActive = false
-	m.roundPlans = nil
 	report.Requeued = len(m.pending)
 	for _, js := range m.jobs {
 		if js.done || js.covered < js.totalBytes {
@@ -842,24 +854,16 @@ func (m *Master) assignmentDeadline(a assignment, ps *phoneState) time.Duration 
 
 // speculate queues an atomic copy of a straggling assignment for the next
 // round. The original attempt stays outstanding; whichever report arrives
-// first wins the key. At most one copy is issued per key.
+// first wins the key. At most one copy is issued per key, and it spends
+// no retry.
 func (m *Master) speculate(a assignment) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if a.key == 0 || m.completed[a.key] || m.speculated[a.key] {
+	if a.rng == nil || a.rng.shared || m.settledLocked(a.rng) {
 		return false
 	}
-	m.speculated[a.key] = true
-	m.pending = append(m.pending, &workItem{
-		jobID:     a.item.jobID,
-		task:      a.item.task,
-		input:     a.input,
-		resume:    m.latestResumeLocked(a.key, a.resume),
-		atomic:    true,
-		key:       a.key,
-		retries:   a.item.retries,
-		partition: a.partition,
-	})
+	a.rng.shared = true
+	m.enqueueLocked(rangeItem(a, a.resume))
 	m.cfg.Metrics.Counter("cwc_speculations_total").Inc()
 	m.trace(obs.SpanEvent{Kind: obs.KindSpeculate, Job: a.item.jobID,
 		Partition: a.partition, Key: a.key, Phone: -1, Bytes: int64(len(a.input))})
@@ -974,7 +978,7 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 		if len(win) > 0 && !win[0].prefetched {
 			started = 1
 		}
-		if (next < len(queue) || len(win) > started) && (m.isDraining(id) || m.isQuarantined(id)) {
+		if (next < len(queue) || len(win) > started) && (m.DrainState(id) != "" || m.Quarantined(id)) {
 			// The drain monitor closed this phone mid-round (or a lost
 			// verification vote quarantined it): hand back what it has not
 			// started instead of feeding it more. What it is executing
@@ -1143,14 +1147,14 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 		if rec, ok := m.attempts[msg.Attempt]; ok {
 			a := rec.a
 			jobID, partition = a.item.jobID, a.partition
-			cur := m.streamed[a.key]
-			if cur == nil {
-				cur = a.resume
+			cur := a.resume
+			if a.rng != nil && a.rng.streamed != nil {
+				cur = a.rng.streamed
 			}
-			if a.key != 0 && !m.completed[a.key] && ck.Offset <= int64(len(a.input)) &&
+			if a.rng != nil && !m.settledLocked(a.rng) && ck.Offset <= int64(len(a.input)) &&
 				(cur == nil || ck.Offset > cur.Offset) {
 				c := ck.Clone()
-				m.streamed[a.key] = c
+				a.rng.streamed = c
 				m.ckptFolds++
 				hdr, state := splitResume(c)
 				m.walAppend(walRecCheckpoint, &walCheckpointRec{JobID: jobID, Key: a.key, Resume: hdr, State: state})
@@ -1183,17 +1187,6 @@ func (m *Master) StreamedCheckpoints() int {
 	return m.ckptFolds
 }
 
-// latestResumeLocked picks the freshest checkpoint known for a keyed byte
-// range: the streamed one when it is ahead of the given resume state.
-// Caller holds m.mu.
-func (m *Master) latestResumeLocked(key int64, resume *tasks.Checkpoint) *tasks.Checkpoint {
-	st := m.streamed[key]
-	if st == nil || (resume != nil && resume.Offset >= st.Offset) {
-		return resume
-	}
-	return st.Clone()
-}
-
 // finalizeResult folds a completed (and, if verification applies,
 // verified — see recordResult in verify.go) partition into its job and
 // refines the execution-time prediction. Duplicate results for an
@@ -1201,16 +1194,13 @@ func (m *Master) latestResumeLocked(key int64, resume *tasks.Checkpoint) *tasks.
 // replay) are dropped.
 func (m *Master) finalizeResult(a assignment, resp *protocol.Message, est *predict.Estimator, ps *phoneState) {
 	m.mu.Lock()
-	if a.key != 0 {
-		if m.completed[a.key] {
-			m.mu.Unlock()
-			m.cfg.Logger.With("job", a.item.jobID, "partition", a.partition, "key", a.key).
-				Infof("duplicate result dropped (key already settled)")
-			return
-		}
-		m.completed[a.key] = true
-		delete(m.streamed, a.key)
+	if m.settledLocked(a.rng) {
+		m.mu.Unlock()
+		m.cfg.Logger.With("job", a.item.jobID, "partition", a.partition, "key", a.key).
+			Infof("duplicate result dropped (key already settled)")
+		return
 	}
+	m.closeLocked(a.rng)
 	js := m.jobs[a.item.jobID]
 	// A resumed piece covers its full byte range too: the failure that
 	// spawned it recorded no coverage (only the reporter path does, and
@@ -1272,8 +1262,9 @@ func (m *Master) recordFailure(a assignment, resp *protocol.Message, attempt int
 	m.cfg.Metrics.Counter("cwc_failures_total").Inc()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if a.key != 0 && m.completed[a.key] {
-		// A speculative twin already delivered this byte range; the
+	e := a.rng
+	if m.settledLocked(e) {
+		// Another execution already delivered this byte range; the
 		// failure is moot.
 		return
 	}
@@ -1282,14 +1273,11 @@ func (m *Master) recordFailure(a assignment, resp *protocol.Message, attempt int
 	// The partial-result shortcut credits coverage immediately, so it is
 	// only safe when no duplicate of this byte range can still deliver a
 	// full result (which would double-count the checkpointed prefix).
-	if ck != nil && a.resume == nil && !m.speculated[a.key] {
+	if ck != nil && a.resume == nil && (e == nil || !e.shared) {
 		if pr, ok := a.item.task.(tasks.PartialReporter); ok && ck.Offset > 0 {
 			partial, err := pr.PartialResult(ck.State)
 			if err == nil {
-				if a.key != 0 {
-					m.completed[a.key] = true
-					delete(m.streamed, a.key)
-				}
+				m.closeLocked(e)
 				js.covered += ck.Offset
 				js.partials = append(js.partials, partial)
 				remainder := a.input[ck.Offset:]
@@ -1318,46 +1306,62 @@ func (m *Master) recordFailure(a assignment, resp *protocol.Message, attempt int
 		}
 	}
 	// Whole-partition migration: resume exactly where it stopped.
-	if a.key != 0 && m.pendingTwinLocked(a.key) {
-		return // a queued copy already carries this byte range
+	if e != nil && e.queued {
+		// A queued copy already carries this byte range (a straggler past
+		// its deadline that then unplugged): it resumes from the report's
+		// checkpoint if that is further than anything else held.
+		if ck == nil || e.latest(ck) != ck {
+			return
+		}
+		e.resume = ck
+	} else {
+		resume := ck
+		if resume == nil {
+			resume = a.resume // keep any prior progress
+		}
+		// A failure report without a checkpoint (task error, send race) still
+		// resumes from the last streamed one.
+		if !m.requeueLocked(rangeItem(a, resume), "failure: "+resp.Error) {
+			return
+		}
 	}
-	resume := ck
-	if resume == nil {
-		resume = a.resume // keep any prior progress
-	}
-	// A failure report without a checkpoint (task error, send race) still
-	// resumes from the last streamed one.
-	if it := m.requeueRangeLocked(a, resume, "failure: "+resp.Error); it != nil {
-		hdr, state := splitResume(it.resume)
-		m.walAppend(walRecMigrate, &walMigrate{
-			JobID: a.item.jobID, Key: a.key, Resume: hdr, State: state,
-			Retries: it.retries, Partition: a.partition,
-		})
+	if e != nil {
+		// The record carries the range as the table now holds it, so replay
+		// resumes it from the same state.
+		hdr, state := splitResume(e.resume)
+		m.walAppend(walRecMigrate, &walMigrate{JobID: e.jobID, Key: e.key,
+			Resume: hdr, State: state, Retries: e.retries, Partition: e.partition})
 	}
 }
 
-// requeueRangeLocked hands a dispatched byte range back whole, under the
-// key, partition number and retry count it was dispatched with, resuming
-// from resume or from a streamed checkpoint ahead of it: the in-flight
-// partition re-runs from there, not from scratch — the bounded-work-loss
-// guarantee for offline failures. A keyed item stays atomic so the key
-// keeps naming one exact byte range. Returns the queued item, nil when
-// the range was dead-lettered instead. Caller holds m.mu.
-func (m *Master) requeueRangeLocked(a assignment, resume *tasks.Checkpoint, reason string) *workItem {
-	it := &workItem{
+// rangeItem is the copy of a dispatched byte range that waits in pending:
+// whole, under the key, partition number and retry count it was dispatched
+// with, resuming from resume or from a checkpoint the open table holds
+// ahead of it — the in-flight partition re-runs from there, not from
+// scratch, which is the bounded-work-loss guarantee for offline failures.
+// A keyed item stays atomic so the key keeps naming one exact byte range.
+func rangeItem(a assignment, resume *tasks.Checkpoint) *workItem {
+	return &workItem{
 		jobID:     a.item.jobID,
 		task:      a.item.task,
 		input:     a.input,
-		resume:    m.latestResumeLocked(a.key, resume),
+		resume:    a.rng.latest(resume),
 		atomic:    true,
 		key:       a.key,
 		retries:   a.item.retries,
 		partition: a.partition,
+		rng:       a.rng,
 	}
-	if !m.requeueLocked(it, reason) {
-		return nil
+}
+
+// enqueueLocked appends an item to the pending queue; a keyed one becomes
+// its range's queued copy, and its retry count and resume state are what
+// a snapshot records for the range. Caller holds m.mu.
+func (m *Master) enqueueLocked(it *workItem) {
+	m.pending = append(m.pending, it)
+	if e := it.rng; e != nil {
+		e.queued, e.retries, e.resume = true, it.retries, it.resume
 	}
-	return it
 }
 
 // requeueLocked re-queues a work item for the next scheduling instant, or
@@ -1367,12 +1371,10 @@ func (m *Master) requeueRangeLocked(a assignment, resume *tasks.Checkpoint, reas
 func (m *Master) requeueLocked(it *workItem, reason string) bool {
 	it.retries++
 	if m.cfg.MaxItemRetries >= 0 && it.retries > m.cfg.MaxItemRetries {
-		if it.key != 0 {
-			// Abandoning the range settles its key, like a result would:
-			// the dead-letter record closes the range in the log, so an
-			// attempt still out on it has nothing left to report into.
-			m.completed[it.key] = true
-		}
+		// Abandoning the range settles its key, like a result would: the
+		// dead-letter record closes the range in the log, so an attempt
+		// still out on it has nothing left to report into.
+		m.closeLocked(it.rng)
 		m.deadLetters = append(m.deadLetters, DeadLetter{
 			JobID:   it.jobID,
 			Task:    it.task.Name(),
@@ -1386,34 +1388,30 @@ func (m *Master) requeueLocked(it *workItem, reason string) bool {
 		})
 		m.cfg.Logger.With("job", it.jobID, "retries", it.retries-1).
 			Warnf("item dead-lettered: %s", reason)
-		delete(m.streamed, it.key)
 		m.cfg.Metrics.Counter("cwc_dead_letters_total").Inc()
 		m.trace(obs.SpanEvent{Kind: obs.KindDeadLetter, Job: it.jobID, Partition: it.partition,
 			Key: it.key, Phone: -1, Bytes: int64(len(it.input)), Detail: reason})
 		return false
 	}
-	m.pending = append(m.pending, it)
+	m.enqueueLocked(it)
 	m.cfg.Metrics.Counter("cwc_requeues_total").Inc()
 	m.sloObserve(sloRequeue, false)
-	if ck := m.streamed[it.key]; ck != nil && ck.Offset > 0 {
+	if e := it.rng; e != nil && e.streamed != nil {
 		// A streamed checkpoint means the retry resumes mid-input: those
 		// bytes never get re-executed.
-		m.cfg.Metrics.Counter("cwc_recompute_saved_bytes_total").Add(ck.Offset)
+		m.cfg.Metrics.Counter("cwc_recompute_saved_bytes_total").Add(e.streamed.Offset)
 	}
 	m.trace(obs.SpanEvent{Kind: obs.KindRequeue, Job: it.jobID, Partition: it.partition,
 		Key: it.key, Phone: -1, Bytes: int64(len(it.input)), Detail: reason})
 	return true
 }
 
-// pendingTwinLocked reports whether a queued item already carries the
-// given key. Caller holds m.mu.
-func (m *Master) pendingTwinLocked(key int64) bool {
-	for _, it := range m.pending {
-		if it.key == key {
-			return true
-		}
+// handBackLocked re-queues a dispatched range whole — unless its key has
+// settled or a queued copy already carries it. Caller holds m.mu.
+func (m *Master) handBackLocked(a assignment, reason string) {
+	if e := a.rng; e == nil || !e.queued && !m.settledLocked(e) {
+		m.requeueLocked(rangeItem(a, a.resume), reason)
 	}
-	return false
 }
 
 // lostMidRound is the requeue reason for work handed back because its
@@ -1428,10 +1426,7 @@ func (m *Master) requeueFrom(rest []assignment, reason string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, a := range rest {
-		if m.completed[a.key] || m.pendingTwinLocked(a.key) {
-			continue // the byte range is settled or already queued
-		}
-		m.requeueRangeLocked(a, a.resume, reason)
+		m.handBackLocked(a, reason)
 	}
 }
 
@@ -1493,48 +1488,31 @@ func (m *Master) RunLoop(ctx context.Context, period time.Duration, onRound func
 			return nil
 		default:
 		}
-		if m.PendingItems() == 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-m.stopped:
-				return nil
-			case <-time.After(period):
-			}
-			continue
-		}
-		report, err := m.RunRound(ctx)
-		switch err {
-		case nil:
-			if onRound != nil {
-				onRound(report)
-			}
-		case ErrNothingToDo:
-			// Raced with another consumer; just idle.
-		case ErrNoPhones:
-			// Wait for the fleet to come back.
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-m.stopped:
-				return nil
-			case <-time.After(period):
-			}
-		default:
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if m.PendingItems() > 0 {
+			report, err := m.RunRound(ctx)
+			switch {
+			case err == nil:
+				if onRound != nil {
+					onRound(report)
+				}
+				continue
+			case err == ErrNothingToDo:
+				continue // raced with another consumer
+			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 				return err
+			case err != ErrNoPhones: // that one just waits for the fleet to come back
+				// Graceful degradation: a failed round (profiling lost its
+				// phone, scheduling hit a transient inconsistency) must not
+				// kill the service; the pending queue still holds the work.
+				m.cfg.Logger.Warnf("round failed: %v (retrying next period)", err)
 			}
-			// Graceful degradation: a failed round (profiling lost its
-			// phone, scheduling hit a transient inconsistency) must not
-			// kill the service; the pending queue still holds the work.
-			m.cfg.Logger.Warnf("round failed: %v (retrying next period)", err)
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-m.stopped:
-				return nil
-			case <-time.After(period):
-			}
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-m.stopped:
+			return nil
+		case <-time.After(period):
 		}
 	}
 }

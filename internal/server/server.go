@@ -286,6 +286,9 @@ type workItem struct {
 	// round record names the byte ranges it cuts from the item by seq,
 	// offset and length. Keyed items have none — the key names them.
 	seq int64
+	// rng is the open-table entry of the range a keyed item is a queued
+	// copy of (see openRange).
+	rng *openRange
 }
 
 // remainingKB is the unprocessed input in KB (R_j for scheduling).
@@ -299,6 +302,64 @@ func (w *workItem) remainingKB() float64 {
 		kb = 0.001 // schedulable epsilon for nearly-done work
 	}
 	return kb
+}
+
+// openRange is the master's state for one issued, unsettled byte range:
+// the live form of the WAL reducer's open entry (wal.go), one per
+// speculation key. RunRound enters a range once its round record is in
+// the log; a folded result, the partial-result shortcut or a dead letter
+// closes it (closeLocked) — exactly the records at which the reducer
+// deletes from its own open set. Attempts, queued copies and vote groups
+// point at the entry; one that still holds the pointer after the entry
+// left the table reads it as settled (settledLocked), so per-key memory is
+// bounded by the work in flight.
+type openRange struct {
+	key       int64
+	jobID     int
+	input     []byte
+	partition int
+	retries   int
+	// resume is the freshest resume state shipped with the range or
+	// reported for it by a failure; streamed the freshest mid-execution
+	// checkpoint a phone streamed. Any re-dispatch resumes from whichever
+	// is further (latest).
+	resume, streamed *tasks.Checkpoint
+	// queued: a copy of the range waits in pending, so a hand-back has
+	// nothing to add.
+	queued bool
+	// shared: a second execution may deliver the range whole — a copy
+	// queued at a blown deadline, or the replicas of a verification vote
+	// — so nothing may credit part of it (the partial-result shortcut)
+	// and no further copy is issued.
+	shared bool
+}
+
+// latest returns the furthest of resume and the checkpoints the entry
+// holds. A nil entry (an untracked range) holds none.
+func (e *openRange) latest(resume *tasks.Checkpoint) *tasks.Checkpoint {
+	if e == nil {
+		return resume
+	}
+	for _, ck := range [...]*tasks.Checkpoint{e.resume, e.streamed} {
+		if ck != nil && (resume == nil || ck.Offset > resume.Offset) {
+			resume = ck
+		}
+	}
+	return resume
+}
+
+// settledLocked reports whether e has left the open table: whatever still
+// refers to it is moot. An untracked range (nil) never settles. Caller
+// holds m.mu.
+func (m *Master) settledLocked(e *openRange) bool {
+	return e != nil && m.open[e.key] != e
+}
+
+// closeLocked settles e's key. Caller holds m.mu.
+func (m *Master) closeLocked(e *openRange) {
+	if e != nil {
+		delete(m.open, e.key)
+	}
 }
 
 // jobState tracks one submission to completion.
@@ -364,12 +425,13 @@ type Master struct {
 	// accepted, hello not yet processed
 	handshaking map[*protocol.Conn]struct{} // guarded by mu
 
-	nextKey     int64                 // guarded by mu
-	nextAttempt int64                 // guarded by mu
-	nextItemSeq int64                 // guarded by mu
-	completed   map[int64]bool        // guarded by mu; keys whose result has been recorded
-	speculated  map[int64]bool        // guarded by mu; keys with a speculative copy issued
-	attempts    map[int64]*attemptRec // guarded by mu
+	nextKey     int64 // guarded by mu
+	nextAttempt int64 // guarded by mu
+	nextItemSeq int64 // guarded by mu
+	// open is the one per-key table: an entry per issued, unsettled
+	// speculation key (see openRange). A key that is not in it is settled.
+	open     map[int64]*openRange  // guarded by mu
+	attempts map[int64]*attemptRec // guarded by mu
 	// settledFailures marks dispatch attempts whose failure has been
 	// folded, so a replayed report (a phone that replugged before its
 	// failure finished processing) cannot re-queue the same attempt
@@ -378,22 +440,11 @@ type Master struct {
 	settledFailures map[int64]bool   // guarded by mu
 	deadLetters     []DeadLetter     // guarded by mu
 	offline         []OfflineFailure // guarded by mu
-	// streamed holds the freshest mid-execution checkpoint streamed for
-	// each open byte-range key; any requeue of the key folds it into the
-	// item's resume state (see latestResumeLocked). Entries are dropped
-	// when the key settles.
-	streamed  map[int64]*tasks.Checkpoint // guarded by mu
-	ckptFolds int                         // guarded by mu; streamed checkpoints accepted (monotonic, for tests/ops)
+	ckptFolds       int              // guarded by mu; streamed checkpoints accepted (monotonic, for tests/ops)
 
-	// workerStats is each phone's published self-metering totals,
-	// monotone across worker restarts: workerStatLast is the newest raw
-	// snapshot from the current worker incarnation, workerStatBase the
-	// folded sum of every prior incarnation, and workerStats = base +
-	// last (what /statusz and the per-phone gauges publish). See
-	// ingestWorkerStats.
-	workerStats    map[int]protocol.WorkerStats // guarded by mu
-	workerStatBase map[int]protocol.WorkerStats // guarded by mu
-	workerStatLast map[int]protocol.WorkerStats // guarded by mu
+	// workerStats is each phone's self-metering, monotone across worker
+	// restarts; see workerMeter and ingestWorkerStats.
+	workerStats map[int]workerMeter // guarded by mu
 
 	// windows learns each phone's charge-window distribution from
 	// observed plug/unplug events (internally synchronized; queried
@@ -425,13 +476,6 @@ type Master struct {
 	// of-round sweep); outside a round, a vote or tie-break resolving the
 	// last open range aggregates the job inline (finishJobLocked).
 	roundActive bool // guarded by mu
-	// planning holds the items a round has drained from pending but not
-	// yet written into its round record; roundPlans holds a written
-	// round's per-phone queues until its sweep. Work behind another
-	// assignment in a phone's queue is in neither pending nor attempts,
-	// and a WAL snapshot cut mid-round must still find it.
-	planning   []*workItem    // guarded by mu
-	roundPlans [][]assignment // guarded by mu
 	// walStale is set when the log may lack something live state holds
 	// (a lost record, state installed from outside the log): no record
 	// is written until walCompactLocked has folded a snapshot.
@@ -483,14 +527,10 @@ func New(cfg Config) *Master {
 		phones:          map[int]*phoneState{},
 		jobs:            map[int]*jobState{},
 		nextJobID:       1,
-		completed:       map[int64]bool{},
-		speculated:      map[int64]bool{},
+		open:            map[int64]*openRange{},
 		attempts:        map[int64]*attemptRec{},
 		settledFailures: map[int64]bool{},
-		streamed:        map[int64]*tasks.Checkpoint{},
-		workerStats:     map[int]protocol.WorkerStats{},
-		workerStatBase:  map[int]protocol.WorkerStats{},
-		workerStatLast:  map[int]protocol.WorkerStats{},
+		workerStats:     map[int]workerMeter{},
 		votes:           map[int64]*voteGroup{},
 		reputation:      map[int]float64{},
 		quarantined:     map[int]bool{},
@@ -567,7 +607,18 @@ func (m *Master) Addr() string {
 }
 
 // Close shuts the master down: says goodbye to phones and stops accepting.
-func (m *Master) Close() {
+func (m *Master) Close() { m.shutdown(true) }
+
+// Kill is Close without the courtesy: no bye frames — the closest an
+// in-process master gets to SIGKILL. Listeners and connections drop
+// abruptly, goroutines are awaited, and the WAL (owned by the caller) is
+// left exactly as the last append left it, so a failover harness can kill
+// a primary mid-round and later resurrect it from that log.
+func (m *Master) Kill() { m.shutdown(false) }
+
+// shutdown is the one way a master stops; bye says whether each phone is
+// told before its connection drops.
+func (m *Master) shutdown(bye bool) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -595,46 +646,9 @@ func (m *Master) Close() {
 		c.Close() // cut half-finished handshakes short
 	}
 	for _, ps := range phones {
-		_ = ps.conn.Send(&protocol.Message{Type: protocol.TypeBye})
-		ps.markDead()
-	}
-	m.wg.Wait()
-}
-
-// Kill is Close without the courtesy: no bye frames, no orderly
-// teardown — the closest an in-process master gets to SIGKILL.
-// Listeners and connections drop abruptly, goroutines are awaited, and
-// the WAL (owned by the caller) is left exactly as the last append left
-// it, so a failover harness can kill a primary mid-round and later
-// resurrect it from that log.
-func (m *Master) Kill() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	phones := make([]*phoneState, 0, len(m.phones))
-	for _, ps := range m.phones {
-		phones = append(phones, ps)
-	}
-	pending := make([]*protocol.Conn, 0, len(m.handshaking))
-	for c := range m.handshaking {
-		pending = append(pending, c)
-	}
-	m.mu.Unlock()
-
-	close(m.stopped)
-	if m.ln != nil {
-		m.ln.Close()
-	}
-	if m.obsLn != nil {
-		m.obsLn.Close()
-	}
-	for _, c := range pending {
-		c.Close()
-	}
-	for _, ps := range phones {
+		if bye {
+			_ = ps.conn.Send(&protocol.Message{Type: protocol.TypeBye})
+		}
 		ps.markDead()
 	}
 	m.wg.Wait()
@@ -881,40 +895,17 @@ func (m *Master) readLoop(ps *phoneState) {
 // chattering or malicious phone cannot mint unbounded label values and
 // grow the registry without limit.
 func frameLabel(t protocol.Type) string {
-	switch t {
-	case protocol.TypeHello:
-		return string(protocol.TypeHello)
-	case protocol.TypeWelcome:
-		return string(protocol.TypeWelcome)
-	case protocol.TypeProbe:
-		return string(protocol.TypeProbe)
-	case protocol.TypeProbeAck:
-		return string(protocol.TypeProbeAck)
-	case protocol.TypeAssign:
-		return string(protocol.TypeAssign)
-	case protocol.TypeAssignChunk:
-		return string(protocol.TypeAssignChunk)
-	case protocol.TypeResult:
-		return string(protocol.TypeResult)
-	case protocol.TypeFailure:
-		return string(protocol.TypeFailure)
-	case protocol.TypePing:
-		return string(protocol.TypePing)
-	case protocol.TypePong:
-		return string(protocol.TypePong)
-	case protocol.TypeBye:
-		return string(protocol.TypeBye)
-	case protocol.TypeCheckpoint:
-		return string(protocol.TypeCheckpoint)
-	case protocol.TypeCheckpointAck:
-		return string(protocol.TypeCheckpointAck)
-	case protocol.TypeDrain:
-		return string(protocol.TypeDrain)
-	case protocol.TypeTelemetry:
-		return string(protocol.TypeTelemetry)
-	default:
-		return "other"
+	for _, known := range []protocol.Type{
+		protocol.TypeHello, protocol.TypeWelcome, protocol.TypeProbe, protocol.TypeProbeAck,
+		protocol.TypeAssign, protocol.TypeAssignChunk, protocol.TypeResult, protocol.TypeFailure,
+		protocol.TypePing, protocol.TypePong, protocol.TypeBye, protocol.TypeCheckpoint,
+		protocol.TypeCheckpointAck, protocol.TypeDrain, protocol.TypeTelemetry,
+	} {
+		if t == known {
+			return string(known)
+		}
 	}
+	return "other"
 }
 
 // Epoch returns the master's current fencing epoch (0 until replication
@@ -956,13 +947,7 @@ func (m *Master) BumpEpoch() (int64, error) {
 // collecting results it no longer owns. Epoch-less frames (replication
 // off) pass; the attempt/key dedupe still guards them.
 func (m *Master) fenced(msg *protocol.Message) bool {
-	if msg.Epoch == 0 {
-		return false
-	}
-	m.mu.Lock()
-	cur := m.epoch
-	m.mu.Unlock()
-	return msg.Epoch != cur
+	return msg.Epoch != 0 && msg.Epoch != m.Epoch()
 }
 
 // rejectFenced drops a frame from another epoch: counted, logged, never
@@ -1074,16 +1059,12 @@ func keepaliveJitter(period time.Duration, rng *rand.Rand) time.Duration {
 // WaitForPhones blocks until at least n phones are registered and alive.
 func (m *Master) WaitForPhones(ctx context.Context, n int) error {
 	for {
+		// The channel first: a phone that registers after the count below
+		// closes it.
 		m.mu.Lock()
-		alive := 0
-		for _, ps := range m.phones {
-			if ps.alive() {
-				alive++
-			}
-		}
 		ch := m.phoneWait
 		m.mu.Unlock()
-		if alive >= n {
+		if len(m.alivePhones()) >= n {
 			return nil
 		}
 		select {

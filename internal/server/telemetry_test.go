@@ -21,7 +21,7 @@ func TestIngestWorkerStatsMonotoneFolding(t *testing.T) {
 	get := func() protocol.WorkerStats {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return m.workerStats[phone]
+		return m.workerStats[phone].total()
 	}
 
 	// First incarnation counts up.

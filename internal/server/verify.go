@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sort"
 	"time"
 
 	"cwc/internal/core"
@@ -117,9 +118,9 @@ func (m *Master) verifyResult(a assignment, resp *protocol.Message, est *predict
 	m.mu.Lock()
 	vg := m.votes[a.key]
 	if vg == nil {
-		if m.cfg.VerifyReplicas > 1 && !m.completed[a.key] && m.pendingTwinLocked(a.key) {
+		if m.cfg.VerifyReplicas > 1 && a.rng != nil && a.rng.queued && !m.settledLocked(a.rng) {
 			// Voting is on but this key's group was swept (a straggler's
-			// late result racing its own requeue): the queued twin will
+			// late result racing its own requeue): the queued copy will
 			// re-execute under a fresh vote, so never fold unverified.
 			m.mu.Unlock()
 			m.cfg.Logger.With("job", a.item.jobID, "key", a.key).
@@ -132,7 +133,7 @@ func (m *Master) verifyResult(a assignment, resp *protocol.Message, est *predict
 	pid := ps.info.ID
 	if _, dup := vg.ballots[pid]; dup {
 		// A replayed frame from a phone that already voted; the
-		// completed-key dedupe in finalizeResult handles any fold.
+		// settled-key dedupe in finalizeResult handles any fold.
 		m.mu.Unlock()
 		return false
 	}
@@ -241,10 +242,7 @@ const (
 // only an operator (or a fresh enrolment, which the auth token gates)
 // readmits the phone. Caller holds m.mu.
 func (m *Master) reputationEventLocked(id int, won bool, why string) {
-	rep := 1.0
-	if r, ok := m.reputation[id]; ok {
-		rep = r
-	}
+	rep := m.reputationLocked(id)
 	prev := rep
 	outcome := 0.0
 	if won {
@@ -349,9 +347,9 @@ func (m *Master) planVerificationLocked(plans [][]assignment, inst *core.Instanc
 		}
 		m.votes[key] = g
 		// A voted key must settle through its group: suppress the
-		// speculation and partial-result shortcuts, which fold coverage
+		// deadline-copy and partial-result shortcuts, which fold coverage
 		// outside it.
-		m.speculated[key] = true
+		g.a.rng.shared = true
 	}
 	if k > 1 && len(copies) < scheduled*(k-1) {
 		// Placement shortfall (fleet smaller than the factor): partitions
@@ -370,18 +368,15 @@ func (m *Master) planVerificationLocked(plans [][]assignment, inst *core.Instanc
 // Caller holds m.mu.
 func (m *Master) sweepVoteGroupsLocked() {
 	for key, vg := range m.votes {
-		switch {
-		case vg.tiePending && !vg.resolved:
-			// An arbiter is in flight (an audit group's key is completed
-			// yet still awaiting blame); its expiry goroutine owns cleanup.
-		case m.completed[key] || vg.resolved:
-			delete(m.votes, key)
-		case m.pendingTwinLocked(key):
-			delete(m.votes, key)
-		default:
-			m.requeueRangeLocked(vg.a, vg.a.resume, "verification unresolved")
-			delete(m.votes, key)
+		if vg.tiePending && !vg.resolved {
+			// An arbiter is in flight (an audit group's key is settled yet
+			// still awaiting blame); its expiry goroutine owns cleanup.
+			continue
 		}
+		if !vg.resolved {
+			m.handBackLocked(vg.a, "verification unresolved")
+		}
+		delete(m.votes, key)
 	}
 }
 
@@ -395,16 +390,14 @@ func (m *Master) startTieBreak(key int64) {
 		vg := m.votes[key]
 		// An audit group's key is completed by construction (its first
 		// result folded); the tie-break still runs, for blame.
-		if vg == nil || vg.resolved || (!vg.audit && m.completed[key]) {
+		if vg == nil || vg.resolved || (!vg.audit && m.settledLocked(vg.a.rng)) {
 			m.mu.Unlock()
 			return
 		}
 		arb := m.pickArbiterLocked(vg)
 		if arb == nil {
 			delete(m.votes, key)
-			if !m.completed[key] && !m.pendingTwinLocked(key) {
-				m.requeueRangeLocked(vg.a, vg.a.resume, "verification tie: no arbiter")
-			}
+			m.handBackLocked(vg.a, "verification tie: no arbiter")
 			m.mu.Unlock()
 			m.cfg.Logger.With("job", vg.a.item.jobID, "key", key).
 				Warnf("verification tie with no arbiter available; range re-queued")
@@ -458,15 +451,13 @@ func (m *Master) startTieBreak(key int64) {
 func (m *Master) tieBreakExpired(key, attempt int64) {
 	m.mu.Lock()
 	vg := m.votes[key]
-	if vg == nil || vg.resolved || !vg.tiePending || (!vg.audit && m.completed[key]) {
+	if vg == nil || vg.resolved || !vg.tiePending || (!vg.audit && m.settledLocked(vg.a.rng)) {
 		m.mu.Unlock()
 		return
 	}
 	delete(m.attempts, attempt)
 	delete(m.votes, key)
-	if !m.completed[key] && !m.pendingTwinLocked(key) {
-		m.requeueRangeLocked(vg.a, vg.a.resume, "verification tie-break expired")
-	}
+	m.handBackLocked(vg.a, "verification tie-break expired")
 	m.mu.Unlock()
 	m.cfg.Logger.With("job", vg.a.item.jobID, "key", key).
 		Warnf("tie-break arbiter never reported; range re-queued")
@@ -488,10 +479,7 @@ func (m *Master) pickArbiterLocked(vg *voteGroup) *phoneState {
 		if _, draining := m.draining[id]; draining {
 			continue
 		}
-		rep := 1.0
-		if r, ok := m.reputation[id]; ok {
-			rep = r
-		}
+		rep := m.reputationLocked(id)
 		if best == nil || rep > bestRep || (rep == bestRep && id < best.info.ID) {
 			best, bestRep = ps, rep
 		}
@@ -504,6 +492,11 @@ func (m *Master) pickArbiterLocked(vg *voteGroup) *phoneState {
 func (m *Master) Reputation(id int) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.reputationLocked(id)
+}
+
+// reputationLocked is Reputation for callers that hold m.mu.
+func (m *Master) reputationLocked(id int) float64 {
 	if r, ok := m.reputation[id]; ok {
 		return r
 	}
@@ -526,17 +519,9 @@ func (m *Master) QuarantinedPhones() []int {
 	for id := range m.quarantined {
 		out = append(out, id)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Ints(out)
 	return out
 }
-
-// isQuarantined is Quarantined under a different name for symmetry with
-// isDraining at the dispatch call sites.
-func (m *Master) isQuarantined(id int) bool { return m.Quarantined(id) }
 
 // admissiblePhones drops quarantined phones from a placement snapshot.
 // Unlike the drain filter this is a HARD veto with no never-starve

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 
@@ -34,6 +35,9 @@ import (
 //	         by their speculation key; an open range with no later
 //	         report/dead-letter record is re-queued on recovery, whole
 //	         and atomic, with the freshest checkpoint the log holds
+//
+// The live master holds the same three (Master.jobs, the fresh items of
+// Master.pending, Master.open), so its snapshot is a serialisation.
 //
 // Dispatch records are audit-only: an assignment with no report changes
 // no durable state (the range stays open either way).
@@ -491,27 +495,19 @@ func (r *walReducer) loadSnapshot(b []byte) error {
 	}
 	for id, s := range st.Drains {
 		r.drains[id] = s
-		if id >= r.nextPhoneID {
-			r.nextPhoneID = id + 1
-		}
+		r.bumpPhone(id)
 	}
 	for id, score := range st.Reputation {
 		r.reputation[id] = score
-		if id >= r.nextPhoneID {
-			r.nextPhoneID = id + 1
-		}
+		r.bumpPhone(id)
 	}
 	for _, id := range st.Quarantined {
 		r.quarantined[id] = true
-		if id >= r.nextPhoneID {
-			r.nextPhoneID = id + 1
-		}
+		r.bumpPhone(id)
 	}
 	for id, model := range st.Identity {
 		r.identity[id] = model
-		if id >= r.nextPhoneID {
-			r.nextPhoneID = id + 1
-		}
+		r.bumpPhone(id)
 	}
 	if st.Epoch > r.epoch {
 		r.epoch = st.Epoch
@@ -528,6 +524,14 @@ func (r *walReducer) bumpSeq(s int64) {
 func (r *walReducer) bumpKey(k int64) {
 	if k > r.nextKey {
 		r.nextKey = k
+	}
+}
+
+// bumpPhone keeps phone IDs monotone: no ID any record or snapshot
+// mentions is ever issued again.
+func (r *walReducer) bumpPhone(id int) {
+	if id >= r.nextPhoneID {
+		r.nextPhoneID = id + 1
 	}
 }
 
@@ -716,9 +720,7 @@ func (r *walReducer) apply(rec wal.Record) error {
 		default:
 			return fmt.Errorf("drain record for phone %d has unknown state %q", p.PhoneID, p.State)
 		}
-		if p.PhoneID >= r.nextPhoneID {
-			r.nextPhoneID = p.PhoneID + 1
-		}
+		r.bumpPhone(p.PhoneID)
 	case walRecRegister:
 		var p walRegisterRec
 		if err := decodeWALRecord(rec.Payload, &p); err != nil {
@@ -727,9 +729,7 @@ func (r *walReducer) apply(rec wal.Record) error {
 		if p.Model != "" {
 			r.identity[p.PhoneID] = p.Model
 		}
-		if p.PhoneID >= r.nextPhoneID {
-			r.nextPhoneID = p.PhoneID + 1
-		}
+		r.bumpPhone(p.PhoneID)
 	case walRecReputation:
 		var p walReputationRec
 		if err := decodeWALRecord(rec.Payload, &p); err != nil {
@@ -739,9 +739,7 @@ func (r *walReducer) apply(rec wal.Record) error {
 		if p.Quarantined {
 			r.quarantined[p.PhoneID] = true
 		}
-		if p.PhoneID >= r.nextPhoneID {
-			r.nextPhoneID = p.PhoneID + 1
-		}
+		r.bumpPhone(p.PhoneID)
 	case walRecEpoch:
 		var p walEpochRec
 		if err := decodeWALRecord(rec.Payload, &p); err != nil {
@@ -875,7 +873,7 @@ func (m *Master) walSnapshotLocked(w io.Writer) error {
 		nextPhoneID: m.nextPhoneID, epoch: m.epoch,
 		jobs:  make(map[int]*walJobRec, len(m.jobs)),
 		fresh: map[int64]*walItemRec{},
-		open:  map[int64]*walItemRec{},
+		open:  make(map[int64]*walItemRec, len(m.open)),
 		dead:  m.deadLetters, drains: m.draining,
 		reputation: m.reputation, quarantined: m.quarantined, identity: m.walIdentity,
 	}
@@ -887,45 +885,21 @@ func (m *Master) walSnapshotLocked(w io.Writer) error {
 			Failure: js.failure,
 		}
 	}
-	addOpen := func(key int64, jobID int, input []byte, resume *tasks.Checkpoint, retries, partition int) {
-		if m.completed[key] || r.open[key] != nil {
-			return
-		}
-		r.open[key] = &walItemRec{
-			Key: key, JobID: jobID, Input: input,
-			Resume: m.latestResumeLocked(key, resume), Atomic: true, Retries: retries,
-			Partition: partition,
-		}
-	}
-	addItem := func(it *workItem) {
+	// A fresh item is queued until a round record cuts it into keyed byte
+	// ranges; a keyed range is in the open table from that record until it
+	// settles, wherever it waits.
+	for _, it := range m.pending {
 		if it.key == 0 {
 			r.fresh[it.seq] = &walItemRec{
 				Seq: it.seq, JobID: it.jobID, Input: it.input,
 				Resume: it.resume, Atomic: it.atomic, Retries: it.retries,
 			}
-			return
-		}
-		addOpen(it.key, it.jobID, it.input, it.resume, it.retries, it.partition)
-	}
-	// Work is in exactly one of four places: queued, drained by a round
-	// that has not written its record yet, written into a round record
-	// but still behind another assignment in its phone's queue, or
-	// dispatched.
-	for _, it := range m.pending {
-		addItem(it)
-	}
-	for _, it := range m.planning {
-		addItem(it)
-	}
-	for _, rec := range m.attempts {
-		a := rec.a
-		if a.key != 0 {
-			addOpen(a.key, a.item.jobID, a.input, a.resume, a.item.retries, a.partition)
 		}
 	}
-	for _, queue := range m.roundPlans {
-		for _, a := range queue {
-			addOpen(a.key, a.item.jobID, a.input, a.resume, a.item.retries, a.partition)
+	for key, e := range m.open {
+		r.open[key] = &walItemRec{
+			Key: key, JobID: e.jobID, Input: e.input, Resume: e.latest(nil),
+			Atomic: true, Retries: e.retries, Partition: e.partition,
 		}
 	}
 	return r.snapshot(w)
@@ -1096,18 +1070,10 @@ func (m *Master) installWALState(red *walReducer) error {
 	if red.nextPhoneID > m.nextPhoneID {
 		m.nextPhoneID = red.nextPhoneID
 	}
-	for id, s := range red.drains {
-		m.draining[id] = s
-	}
-	for id, score := range red.reputation {
-		m.reputation[id] = score
-	}
-	for id := range red.quarantined {
-		m.quarantined[id] = true
-	}
-	for id, model := range red.identity {
-		m.walIdentity[id] = model
-	}
+	maps.Copy(m.draining, red.drains)
+	maps.Copy(m.reputation, red.reputation)
+	maps.Copy(m.quarantined, red.quarantined)
+	maps.Copy(m.walIdentity, red.identity)
 	if red.epoch > m.epoch {
 		m.epoch = red.epoch
 	}
