@@ -74,9 +74,10 @@ type Config struct {
 	WALPkg string
 	// WALRecPrefix selects the record-type constants by name.
 	WALRecPrefix string
-	// WALAppendFuncs are the write-path functions every record type must
-	// be passed to (in addition to appearing as a replay-switch case).
-	WALAppendFuncs []string
+	// WALTypeFuncs are the methods by which a record struct names the
+	// type it is logged under; every record type must be named in one (in
+	// addition to appearing as a replay-switch case).
+	WALTypeFuncs []string
 
 	// ObsPkg is the observability package: exempt from the logging bans
 	// and home of the leveled Logger type (obslog analyzer).
@@ -133,9 +134,9 @@ func DefaultConfig() *Config {
 		EndpointPkgs:      []string{"cwc/internal/server", "cwc/internal/worker"},
 		EventKindTypeName: "EventKind",
 
-		WALPkg:         "cwc/internal/server",
-		WALRecPrefix:   "walRec",
-		WALAppendFuncs: []string{"walAppend", "walAppendErr", "walAudit"},
+		WALPkg:       "cwc/internal/server",
+		WALRecPrefix: "walRec",
+		WALTypeFuncs: []string{"typ"},
 
 		ObsPkg:              "cwc/internal/obs",
 		LoggerTypeName:      "Logger",

@@ -113,7 +113,19 @@ func collectGuarded(prog *Program, pkg *Package) (map[*types.Var]guardInfo, []Di
 						`"guarded by %s" names no sibling sync.Mutex/RWMutex field`, mu))
 					continue
 				}
-				for _, name := range fld.Names {
+				names := fld.Names
+				if len(names) == 0 {
+					// An embedded field is defined by its type's identifier;
+					// annotating it guards every field promoted through it.
+					t := fld.Type
+					if star, ok := t.(*ast.StarExpr); ok {
+						t = star.X
+					}
+					if id, ok := t.(*ast.Ident); ok {
+						names = []*ast.Ident{id}
+					}
+				}
+				for _, name := range names {
 					if obj, ok := pkg.Info.Defs[name].(*types.Var); ok {
 						guarded[obj] = guardInfo{mu: mu}
 					}
@@ -371,6 +383,20 @@ func (lf *lockFlow) checkSelector(sel *ast.SelectorExpr, held Facts) {
 		return
 	}
 	info, ok := lf.guarded[fieldVar]
+	// A field promoted through embedded structs is guarded by the first
+	// guarded one on its path.
+	t, path := selection.Recv(), selection.Index()
+	for _, i := range path[:len(path)-1] {
+		if ok {
+			break
+		}
+		st, isStruct := namedOrPtr(t).Underlying().(*types.Struct)
+		if !isStruct {
+			return
+		}
+		info, ok = lf.guarded[st.Field(i)]
+		t = st.Field(i).Type()
+	}
 	if !ok {
 		return
 	}

@@ -75,3 +75,15 @@ func driverErrors(c *counter) {
 	// want `lint:ignore names unknown analyzer "nosuchanalyzer"`
 	c.mu.Unlock()
 }
+
+// An embedded field's annotation guards what is promoted through it.
+type state struct{ jobs int }
+
+type holder struct {
+	mu     sync.Mutex
+	*state // guarded by mu
+}
+
+func (h *holder) bad() int {
+	return h.jobs // want `h\.jobs is guarded by mu but accessed without h\.mu held`
+}

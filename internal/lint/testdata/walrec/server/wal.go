@@ -1,43 +1,30 @@
-// Fixture for the walrec analyzer: one clean record type, one with no
-// append site, one with no replay case, and a duplicated wire value.
+// Fixture for the walrec analyzer: one clean record type, one no record
+// struct claims, and one with no replay case.
 package server
 
 type walRecType byte
 
 const (
-	walRecA    walRecType = 1
-	walRecB    walRecType = 2 // want `WAL record type walRecB is never passed to \[walAppend\]`
-	walRecC    walRecType = 3 // want `WAL record type walRecC has no replay-switch case`
-	walRecDup1 walRecType = 9 // want `WAL record types \[walRecDup1 walRecDup2\] share wire value 9`
-	walRecDup2 walRecType = 9
+	walRecA walRecType = 1
+	walRecB walRecType = 2 // want `WAL record type walRecB is named in no \[typ\] method`
+	walRecC walRecType = 3 // want `WAL record type walRecC has no replay-switch case`
 )
 
-func walAppend(t walRecType, payload any) {}
+type recA struct{}
 
-func replay(t walRecType) int {
+func (recA) typ() walRecType { return walRecA }
+
+type recC struct{}
+
+func (recC) typ() walRecType { return walRecC }
+
+func decode(t walRecType) any {
 	switch t {
 	case walRecA:
-		return 1
+		return recA{}
 	case walRecB:
-		return 2
-	case walRecDup1:
-		return 3
+		return nil
 	default:
-		return 0
+		return nil
 	}
-}
-
-func replayDup(t walRecType) bool {
-	switch t {
-	case walRecDup2:
-		return true
-	}
-	return false
-}
-
-func write() {
-	walAppend(walRecA, nil)
-	walAppend(walRecC, nil)
-	walAppend(walRecDup1, nil)
-	walAppend(walRecDup2, nil)
 }

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
 // WALRecAnalyzer proves the write-ahead log stays replayable as record
@@ -11,17 +10,19 @@ import (
 // server package):
 //
 //  1. It must appear as an explicit case in a replay switch — the
-//     reducer's "unknown record type" default may never be the only
-//     mention, because a record the reducer cannot fold is a record the
+//     decoder's "unknown record type" default may never be the only
+//     mention, because a record replay cannot decode is a record the
 //     recovery path refuses, turning a clean restart into data loss.
-//  2. It must be passed to a WAL append function (walAppend /
-//     walAppendErr / walAudit) somewhere — a record type nobody writes
-//     is either dead protocol or a forgotten write path.
-//  3. Its value must be unique — two record types sharing a wire value
-//     silently corrupt each other on replay.
+//  2. Some record struct must claim it: it must be named in a type
+//     method (typ), which is where a struct says what it is logged as —
+//     a record type no struct carries is either dead protocol or a
+//     forgotten write path.
+//
+// Two types sharing a wire value need no check here: the constants are
+// the cases of one decode switch, where a duplicate does not compile.
 var WALRecAnalyzer = &Analyzer{
 	Name: "walrec",
-	Doc:  "every WAL record type has a replay case, an append site, and a unique value",
+	Doc:  "every WAL record type has a replay case and a record struct that claims it",
 	Run:  runWALRec,
 }
 
@@ -35,9 +36,8 @@ func runWALRec(cfg *Config, prog *Program) []Diagnostic {
 	// Collect the record-type constants.
 	recs := map[*types.Const]ast.Node{}
 	var names []string
-	byName := map[string]*types.Const{}
 	scope := pkg.Types.Scope()
-	for _, name := range scope.Names() {
+	for _, name := range scope.Names() { // sorted
 		if len(name) <= len(cfg.WALRecPrefix) || name[:len(cfg.WALRecPrefix)] != cfg.WALRecPrefix {
 			continue
 		}
@@ -47,50 +47,24 @@ func runWALRec(cfg *Config, prog *Program) []Diagnostic {
 		}
 		recs[c] = declSite(pkg, name)
 		names = append(names, name)
-		byName[name] = c
 	}
-	sort.Strings(names)
 	if len(names) == 0 {
 		return nil
 	}
 
-	// 3. Unique wire values.
-	byValue := map[string][]string{}
-	for _, name := range names {
-		v := byName[name].Val().String()
-		byValue[v] = append(byValue[v], name)
-	}
-	for _, name := range names {
-		c := byName[name]
-		dupes := byValue[c.Val().String()]
-		if len(dupes) > 1 && dupes[0] == name { // report once, at the first name
-			diags = append(diags, prog.diag("walrec", recs[c],
-				"WAL record types %v share wire value %s: replay cannot tell them apart",
-				dupes, c.Val().String()))
-		}
-	}
-
-	// Scan the package for replay cases and append sites.
-	appendFns := map[string]bool{}
-	for _, fn := range cfg.WALAppendFuncs {
-		appendFns[fn] = true
+	// Scan the package for replay cases and type methods.
+	typeFns := map[string]bool{}
+	for _, fn := range cfg.WALTypeFuncs {
+		typeFns[fn] = true
 	}
 	inCase := map[*types.Const]bool{}
-	appended := map[*types.Const]bool{}
+	claimed := map[*types.Const]bool{}
 	lookupConst := func(e ast.Expr) *types.Const {
-		var id *ast.Ident
-		switch e := e.(type) {
-		case *ast.Ident:
-			id = e
-		case *ast.SelectorExpr:
-			id = e.Sel
-		default:
+		id, ok := e.(*ast.Ident)
+		if !ok {
 			return nil
 		}
 		c, _ := pkg.Info.Uses[id].(*types.Const)
-		if c == nil {
-			return nil
-		}
 		if _, tracked := recs[c]; !tracked {
 			return nil
 		}
@@ -105,37 +79,33 @@ func runWALRec(cfg *Config, prog *Program) []Diagnostic {
 						inCase[c] = true
 					}
 				}
-			case *ast.CallExpr:
-				name := ""
-				switch fun := n.Fun.(type) {
-				case *ast.Ident:
-					name = fun.Name
-				case *ast.SelectorExpr:
-					name = fun.Sel.Name
-				}
-				if !appendFns[name] {
+			case *ast.FuncDecl:
+				if !typeFns[n.Name.Name] || n.Body == nil {
 					return true
 				}
-				for _, arg := range n.Args {
-					if c := lookupConst(arg); c != nil {
-						appended[c] = true
+				ast.Inspect(n.Body, func(m ast.Node) bool {
+					if e, ok := m.(ast.Expr); ok {
+						if c := lookupConst(e); c != nil {
+							claimed[c] = true
+						}
 					}
-				}
+					return true
+				})
 			}
 			return true
 		})
 	}
 
 	for _, name := range names {
-		c := byName[name]
+		c := scope.Lookup(name).(*types.Const)
 		if !inCase[c] {
 			diags = append(diags, prog.diag("walrec", recs[c],
 				"WAL record type %s has no replay-switch case: recovery would refuse logs containing it", name))
 		}
-		if !appended[c] {
+		if !claimed[c] {
 			diags = append(diags, prog.diag("walrec", recs[c],
-				"WAL record type %s is never passed to %v: dead record type or missing write path",
-				name, cfg.WALAppendFuncs))
+				"WAL record type %s is named in no %v method: dead record type or missing write path",
+				name, cfg.WALTypeFuncs))
 		}
 	}
 	return diags

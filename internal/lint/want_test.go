@@ -122,7 +122,6 @@ func TestFramesFixture(t *testing.T) {
 func TestWALRecFixture(t *testing.T) {
 	cfg := lint.DefaultConfig()
 	cfg.WALPkg = "fix/server"
-	cfg.WALAppendFuncs = []string{"walAppend"}
 	runFixture(t, "walrec", cfg, "walrec")
 }
 

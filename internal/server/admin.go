@@ -417,10 +417,10 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	tasksSeen := map[string]bool{}
 	for _, js := range m.jobs {
 		st.JobsSubmitted++
-		if js.done {
+		if js.Done {
 			st.JobsCompleted++
 		}
-		tasksSeen[js.task.Name()] = true
+		tasksSeen[js.Task] = true
 	}
 	st.PendingItems = len(m.pending)
 	st.Rounds = m.rounds
@@ -431,7 +431,7 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 			ActualMakespanMs:    m.lastSched.ActualMakespanMs,
 		}
 	}
-	st.DeadLetters = append(st.DeadLetters, m.deadLetters...)
+	st.DeadLetters = append(st.DeadLetters, m.dead...)
 	if len(m.offline) > 0 {
 		st.OfflineFailures = map[string]int{}
 		for _, of := range m.offline {
@@ -455,7 +455,7 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		ps.mu.Unlock()
 		row := phoneRow{
 			info: ps.info, missed: missed, alive: !deadClosed,
-			drain:       m.draining[ps.info.ID],
+			drain:       m.drains[ps.info.ID],
 			quarantined: m.quarantined[ps.info.ID],
 		}
 		if r, ok := m.reputation[ps.info.ID]; ok {

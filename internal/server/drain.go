@@ -71,7 +71,7 @@ func (m *Master) SeedChargeWindows(phoneID int, durationsMs []float64) {
 func (m *Master) DrainState(phoneID int) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.draining[phoneID]
+	return m.drains[phoneID]
 }
 
 // drainMonitor periodically compares every live phone's predicted
@@ -117,7 +117,7 @@ func (m *Master) checkDrains() {
 			busy[rec.ps.info.ID] = true
 		}
 	}
-	for id, st := range m.draining {
+	for id, st := range m.drains {
 		if st == drainStarted && !busy[id] {
 			idle = append(idle, id)
 		}
@@ -134,12 +134,11 @@ func (m *Master) checkDrains() {
 func (m *Master) startDrain(ps *phoneState, remMs float64) {
 	id := ps.info.ID
 	m.mu.Lock()
-	if _, ok := m.draining[id]; ok {
+	if _, ok := m.drains[id]; ok {
 		m.mu.Unlock()
 		return
 	}
-	m.draining[id] = drainStarted
-	m.walAppend(walRecDrain, walDrainRec{PhoneID: id, State: drainStarted})
+	m.walAppend(&walDrainRec{PhoneID: id, State: drainStarted})
 	m.mu.Unlock()
 	m.cfg.Metrics.Counter("cwc_drain_started_total").Inc()
 	m.cfg.Logger.With("phone", id).Infof("proactive drain: predicted charge window closes in %.0f ms", remMs)
@@ -155,12 +154,11 @@ func (m *Master) startDrain(ps *phoneState, remMs float64) {
 // stays excluded from placement until a new charge session clears it.
 func (m *Master) completeDrain(id int) {
 	m.mu.Lock()
-	if m.draining[id] != drainStarted {
+	if m.drains[id] != drainStarted {
 		m.mu.Unlock()
 		return
 	}
-	m.draining[id] = drainCompleted
-	m.walAppend(walRecDrain, walDrainRec{PhoneID: id, State: drainCompleted})
+	m.walAppend(&walDrainRec{PhoneID: id, State: drainCompleted})
 	m.mu.Unlock()
 	m.cfg.Metrics.Counter("cwc_drain_completed_total").Inc()
 	m.cfg.Logger.With("phone", id).Infof("drain completed: work handed back before disconnect")
@@ -170,10 +168,9 @@ func (m *Master) completeDrain(id int) {
 // started); a no-op when none exists.
 func (m *Master) clearDrain(id int) {
 	m.mu.Lock()
-	_, ok := m.draining[id]
+	_, ok := m.drains[id]
 	if ok {
-		delete(m.draining, id)
-		m.walAppend(walRecDrain, walDrainRec{PhoneID: id, State: drainCleared})
+		m.walAppend(&walDrainRec{PhoneID: id, State: drainCleared})
 	}
 	m.mu.Unlock()
 	if ok {
@@ -188,12 +185,12 @@ func (m *Master) clearDrain(id int) {
 func (m *Master) placeablePhones(phones []*phoneState) []*phoneState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.draining) == 0 {
+	if len(m.drains) == 0 {
 		return phones
 	}
 	out := make([]*phoneState, 0, len(phones))
 	for _, ps := range phones {
-		if _, ok := m.draining[ps.info.ID]; !ok {
+		if _, ok := m.drains[ps.info.ID]; !ok {
 			out = append(out, ps)
 		}
 	}

@@ -16,37 +16,30 @@ import (
 // partial-result path, double-credit — the same attempt.
 func TestRecordFailureDedupesReplayedAttempt(t *testing.T) {
 	m := New(Config{})
-	js := &jobState{id: 1, task: tasks.PrimeCount{}, totalBytes: 100}
-	m.jobs[1] = js
-	input := []byte("2\n3\n4\n5\n")
-	a := assignment{
-		item:  &workItem{jobID: 1, task: tasks.PrimeCount{}, input: input},
-		input: input,
-	}
+	a := openTestRange(t, m, tasks.PrimeCount{}, []byte("2\n3\n4\n5\n"), false, 0)
+	js := m.jobs[a.item.jobID]
 	msg := protocolFailure(4, `{"count":2}`)
-	m.recordFailure(a, &msg, 7)
-	m.recordFailure(a, &msg, 7) // replay over the phone's new connection
-	if js.covered != 4 {
-		t.Errorf("covered = %d, want 4 (replay must not double-credit)", js.covered)
+	m.recordFailure(a, &msg)
+	m.recordFailure(a, &msg) // replay over the phone's new connection
+	if js.Covered != 4 {
+		t.Errorf("covered = %d, want 4 (replay must not double-credit)", js.Covered)
 	}
-	if len(js.partials) != 1 {
-		t.Errorf("partials = %d, want 1", len(js.partials))
+	if len(js.Partials) != 1 {
+		t.Errorf("partials = %d, want 1", len(js.Partials))
 	}
 	if len(m.pending) != 1 {
 		t.Fatalf("pending = %d, want 1 (replay must not double-requeue)", len(m.pending))
 	}
 
-	// Attempt 0 (an internally synthesized failure) is never deduped.
+	// A whole migration dedupes the same way: the replay finds the copy
+	// the first report queued.
 	m2 := New(Config{})
-	m2.jobs[1] = &jobState{id: 1, task: tasks.Blur{}, totalBytes: 100}
-	b := assignment{
-		item:  &workItem{jobID: 1, task: tasks.Blur{}, input: []byte("1 1\n1 2 3\n"), atomic: true},
-		input: []byte("1 1\n1 2 3\n"),
-	}
+	b := openTestRange(t, m2, tasks.Blur{}, []byte("1 1\n1 2 3\n"), true, 0)
 	bmsg := protocolFailure(3, `{"row":0,"out":[]}`)
-	m2.recordFailure(b, &bmsg, 0)
-	if len(m2.pending) != 1 {
-		t.Fatalf("untracked attempt not requeued: pending = %d", len(m2.pending))
+	m2.recordFailure(b, &bmsg)
+	m2.recordFailure(b, &bmsg)
+	if len(m2.pending) != 1 || m2.pending[0].retries != 1 {
+		t.Fatalf("migrated range: pending = %d, want one copy with one retry spent", len(m2.pending))
 	}
 }
 

@@ -22,6 +22,10 @@ func FuzzWALReducer(f *testing.F) {
 	// The pre-section all-JSON layout: rejected from its first four bytes.
 	f.Add(walRecSubmit, []byte(`{"job_id":2,"seq":2,"task":"primecount","input":"Mgo="}`))
 	f.Add(uint8(200), []byte(`{}`))
+	// Every record type as the live master builds it.
+	for _, rec := range liveWALRecords() {
+		f.Add(rec.typ(), encodeWAL(f, rec))
+	}
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		red := newWALReducer()
 		red.jobs[1] = &walJobRec{ID: 1, Task: "primecount", TotalBytes: 12}

@@ -172,8 +172,8 @@ func TestStragglerSpeculationFirstResultWins(t *testing.T) {
 	}
 	// First-result-wins: exactly one partial credited for the byte range.
 	m.mu.Lock()
-	partials := len(m.jobs[id].partials)
-	covered, total := m.jobs[id].covered, m.jobs[id].totalBytes
+	partials := len(m.jobs[id].Partials)
+	covered, total := m.jobs[id].Covered, m.jobs[id].TotalBytes
 	m.mu.Unlock()
 	if partials != 1 {
 		t.Errorf("%d partials recorded for one byte range", partials)

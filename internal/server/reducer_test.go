@@ -1,0 +1,293 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"reflect"
+	"testing"
+	"time"
+
+	"cwc/internal/protocol"
+	"cwc/internal/tasks"
+	"cwc/internal/wal"
+)
+
+// openTestRange submits input as a job of task and opens it whole as one
+// keyed range the way production does — a submit record, then a round
+// record naming the item — and returns the assignment a dispatcher would
+// hold for it. The item leaves the queue, as it does when a round takes it.
+func openTestRange(t testing.TB, m *Master, task tasks.Task, input []byte, atomic bool, partition int) assignment {
+	t.Helper()
+	if _, err := m.Submit(task, input, atomic); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	it := m.pending[len(m.pending)-1]
+	m.pending = m.pending[:len(m.pending)-1]
+	key := m.nextKey + 1
+	if err := m.walAppendErr(&walRound{Items: []walRoundItem{
+		{Key: key, FromSeq: it.seq, Len: int64(len(input)), Partition: partition},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	return assignment{item: it, partition: partition, input: input, key: key, rng: m.open[key]}
+}
+
+// liveWALRecords is one record of every type, each built the way its live
+// call site builds it (a pointer to the struct, every field that site
+// sets), valid against primedReducer's state.
+func liveWALRecords() map[string]walRecord {
+	hdr, state := splitResume(&tasks.Checkpoint{Offset: 3, State: []byte(`{"count":1}`)})
+	return map[string]walRecord{
+		"submit": &walSubmit{JobID: 2, Seq: 2, Task: "wordcount", Params: tasks.WordCount{Word: "sale"}.Params(),
+			Input: []byte("sale\n"), Atomic: true},
+		"round": &walRound{Items: []walRoundItem{
+			{Key: 2, FromSeq: 1, Len: 4, Partition: 0}, {Key: 3, FromSeq: 1, Off: 4, Len: 4, Partition: 1},
+			{Key: 1, Retries: 1, Partition: 7}}},
+		"dispatch":       &walDispatch{Key: 1, JobID: 1, Partition: 7, PhoneID: 2, Attempt: 9},
+		"report":         &walReport{JobID: 1, Key: 1, Bytes: 6, Partial: []byte("2")},
+		"partial":        &walPartialRec{JobID: 1, Key: 1, Offset: 3, Partial: []byte("1"), RemainderSeq: 2, Retries: 1},
+		"migrate":        &walMigrate{JobID: 1, Key: 1, Resume: hdr, State: state, Retries: 1, Partition: 7},
+		"migrate/whole":  &walMigrate{JobID: 1, Key: 1, Retries: 2},
+		"deadletter":     &walDeadLetterRec{JobID: 1, Key: 1, Task: "primecount", Bytes: 6, Retries: 1, Reason: "phone lost mid-round"},
+		"deadletter/new": &walDeadLetterRec{JobID: 1, Task: "primecount", Bytes: 3, Retries: 1, Reason: "failure remainder: unplugged"},
+		"finish":         &walFinish{JobID: 1, Final: []byte("6")},
+		"finish/failed":  &walFinish{JobID: 1, Error: "server: job 1 complete with no partials"},
+		"checkpoint":     &walCheckpointRec{JobID: 1, Key: 1, Resume: hdr, State: state},
+		"drain":          &walDrainRec{PhoneID: 3, State: drainStarted},
+		"epoch":          &walEpochRec{Epoch: 2},
+		"register":       &walRegisterRec{PhoneID: 5, Model: "Nexus S"},
+		"reputation":     &walReputationRec{PhoneID: 5, Score: 0.216, Quarantined: true},
+	}
+}
+
+// primedReducer is a state that gives every record something to refer to:
+// a job, a fresh item of it and an open range of it.
+func primedReducer() *walReducer {
+	r := newWALReducer()
+	r.jobs[1] = &walJobRec{ID: 1, Task: "primecount", TotalBytes: 14}
+	r.fresh[1] = &walItemRec{Seq: 1, JobID: 1, Input: []byte("2\n3\n5\n7\n")}
+	r.open[1] = &walItemRec{Key: 1, JobID: 1, Input: []byte("11\n13\n"), Atomic: true}
+	r.nextJobID, r.nextSeq, r.nextKey = 2, 1, 1
+	return r
+}
+
+// TestWALFoldLiveEqualsDecoded holds the one seam the single reducer has:
+// the live master folds the struct it built, replay and the standby fold
+// what decodeWAL made of the struct's encoding. For every record type the
+// two must leave identically primed states byte-identical — so fold reads
+// no field the payload does not carry — and decodeWAL must hand back the
+// struct that named the type.
+func TestWALFoldLiveEqualsDecoded(t *testing.T) {
+	seen := map[uint8]bool{}
+	for name, rec := range liveWALRecords() {
+		seen[rec.typ()] = true
+		live, replayed := primedReducer(), primedReducer()
+		if err := live.fold(rec); err != nil {
+			t.Errorf("%s: live fold: %v", name, err)
+			continue
+		}
+		logged := wal.Record{Type: rec.typ(), Payload: encodeWAL(t, rec)}
+		decoded, err := decodeWAL(logged)
+		if err != nil {
+			t.Errorf("%s: decode: %v", name, err)
+			continue
+		}
+		if reflect.TypeOf(decoded) != reflect.TypeOf(rec) {
+			t.Errorf("%s: a %T logs itself as type %d, which decodes as a %T", name, rec, rec.typ(), decoded)
+		}
+		if err := replayed.apply(logged); err != nil {
+			t.Errorf("%s: replayed fold: %v", name, err)
+			continue
+		}
+		var a, b, before bytes.Buffer
+		if err := live.snapshot(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := replayed.snapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s: folding the struct and folding its encoding differ\n live:     %s replayed: %s", name, a.Bytes(), b.Bytes())
+		}
+		if err := primedReducer().snapshot(&before); err != nil {
+			t.Fatal(err)
+		}
+		if rec.typ() != walRecDispatch && bytes.Equal(a.Bytes(), before.Bytes()) {
+			t.Errorf("%s: the record changed nothing; the comparison is vacuous", name)
+		}
+	}
+	for typ := walRecSubmit; typ <= walRecReputation; typ++ {
+		if !seen[typ] {
+			t.Errorf("no live record of type %d in the table", typ)
+		}
+	}
+	if _, err := decodeWAL(wal.Record{Type: walRecReputation + 1}); err == nil {
+		t.Error("a record type past the last one decodes; extend the table above with it")
+	}
+}
+
+// TestWALHandBackSpendsALoggedRetry: a range handed back whole with no
+// failure report — here a lost phone's three-deep queue — spends a retry,
+// and used to spend it in memory only: the log kept the round record's
+// count, so a master recovered from it under-counted the budget. The
+// hand-back is now a migrate record like any other whole migration: the
+// recovered state holds the count the live master held at the kill, and a
+// range on its last retry before the crash is dead-lettered by its next
+// failure after it.
+func TestWALHandBackSpendsALoggedRetry(t *testing.T) {
+	dir := t.TempDir()
+	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncNone})
+	sink := &oracleSink{t: t, fold: NewWALFold()}
+	cfg := Config{Addr: "127.0.0.1:0", WAL: wl, ReplicaSink: sink, MaxItemRetries: 1}
+	m := New(cfg)
+	sink.m = m
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for j := 0; j < 3; j++ {
+		if _, err := m.Submit(tasks.PrimeCount{}, numberLines(1000*j+1, 1000*j+300), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One phone gets all three — one executing, one prefetched, one
+	// unshipped — and drops off the network with the first in hand.
+	go scriptedPhone(dialFake(t, m, "HTC G2", 806), func(f *fakePhone, _ *protocol.Message) { f.conn.Close() })
+	if _, err := m.RunRound(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sink.check("after the hand-back")
+	m.mu.Lock()
+	want := map[int64]int{}
+	for key, e := range m.open {
+		want[key] = e.Retries
+	}
+	m.mu.Unlock()
+	if len(want) != 3 || m.PendingItems() != 3 {
+		t.Fatalf("open ranges %v, %d pending; want three ranges handed back", want, m.PendingItems())
+	}
+	for key, retries := range want {
+		if retries != 1 {
+			t.Errorf("live key %d: %d retries spent, want 1", key, retries)
+		}
+	}
+	m.Kill()
+	wl.Close()
+
+	wl2 := openWAL(t, dir, wal.Options{Sync: wal.SyncNone})
+	cfg.WAL, cfg.ReplicaSink = wl2, nil
+	r := startMaster(t, cfg)
+	if err := r.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	for key, retries := range want {
+		if e := r.open[key]; e == nil || e.Retries != retries {
+			t.Errorf("recovered key %d = %+v, want the live master's %d retries", key, e, retries)
+		}
+	}
+	r.mu.Unlock()
+	// The budget is one retry and each range has spent it: the next failure
+	// abandons the range instead of queueing it a third time.
+	go scriptedPhone(dialFake(t, r, "Nexus S", 1000), func(f *fakePhone, msg *protocol.Message) { replyFailure(f, msg, nil) })
+	if _, err := r.RunRound(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if dead, pending := len(r.DeadLetters()), r.PendingItems(); dead != 3 || pending != 0 {
+		t.Errorf("after one more failure: %d dead letters, %d pending; want 3 and 0", dead, pending)
+	}
+}
+
+// TestLateFailureOfAbandonedStragglerKeepsCheckpoint: a straggler abandoned
+// at twice its deadline stays registered (detached) in case it delivers.
+// When it unplugs instead and reports a checkpoint, the report used to be
+// dropped whole; the queued copy now resumes from it — live, and on a
+// master recovered from the log.
+func TestLateFailureOfAbandonedStragglerKeepsCheckpoint(t *testing.T) {
+	for _, replay := range []bool{false, true} {
+		name := "live"
+		if replay {
+			name = "replayed"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			wl := openWAL(t, dir, wal.Options{Sync: wal.SyncNone})
+			sink := &oracleSink{t: t, fold: NewWALFold()}
+			cfg := Config{Addr: "127.0.0.1:0", WAL: wl, ReplicaSink: sink,
+				DeadlineFloor: 150 * time.Millisecond, DeadlineFactor: 0.001}
+			m := New(cfg)
+			sink.m = m
+			if err := m.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(m.Close)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			input := numberLines(1, 2000)
+			want := groundTruth(t, tasks.PrimeCount{}, input)
+			id, err := m.Submit(tasks.PrimeCount{}, input, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The phone sits on the assignment until the round has given up on
+			// it, then unplugs: a failure report with a checkpoint, and gone.
+			roundOver := make(chan struct{})
+			reported := make(chan *tasks.Checkpoint, 1)
+			straggler := dialFake(t, m, "HTC G2", 806)
+			go scriptedPhone(straggler, func(f *fakePhone, msg *protocol.Message) {
+				<-roundOver
+				ck := checkpointAt(msg)
+				replyFailure(f, msg, ck)
+				f.conn.Close()
+				reported <- ck
+			})
+			rep, err := m.RunRound(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Stragglers) != 1 || m.PendingItems() != 1 {
+				t.Fatalf("stragglers %v, %d pending: the phone was not abandoned with a copy queued", rep.Stragglers, m.PendingItems())
+			}
+			close(roundOver)
+			ck := <-reported
+			// The read loop folds the report before it sees the connection go.
+			for alive := true; alive && ctx.Err() == nil; time.Sleep(5 * time.Millisecond) {
+				alive = m.Phones()[0].Alive
+			}
+			sink.check("after the late report")
+
+			if replay {
+				m.Kill()
+				wl.Close()
+				wl2 := openWAL(t, dir, wal.Options{Sync: wal.SyncNone})
+				cfg.WAL, cfg.ReplicaSink = wl2, nil
+				m = startMaster(t, cfg)
+				if err := m.RecoverWAL(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			shipped := make(chan *protocol.Message, 1)
+			go scriptedPhone(dialFake(t, m, "Nexus S", 1000), func(f *fakePhone, msg *protocol.Message) {
+				select {
+				case shipped <- msg:
+				default:
+				}
+				replyResult(f, msg)
+			})
+			if _, err := m.RunRound(ctx); err != nil {
+				t.Fatal(err)
+			}
+			msg := <-shipped
+			if msg.Resume == nil || msg.Resume.Offset < ck.Offset {
+				t.Fatalf("the copy shipped with resume %+v, want offset >= the late report's %d", msg.Resume, ck.Offset)
+			}
+			if got, ok := m.Result(id); !ok || !bytes.Equal(got, want) {
+				t.Fatalf("result = %q (%v), want %q", got, ok, want)
+			}
+		})
+	}
+}

@@ -81,24 +81,15 @@ func (m *Master) Submit(task tasks.Task, input []byte, atomic bool) (int, error)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id := m.nextJobID
-	seq := m.nextItemSeq + 1
-	if err := m.walAppendErr(walRecSubmit, &walSubmit{
+	id, seq := m.nextJobID, m.nextSeq+1
+	if err := m.walAppendErr(&walSubmit{
 		JobID: id, Seq: seq, Task: task.Name(), Params: task.Params(),
 		Input: input, Atomic: atomic,
 	}); err != nil {
 		return 0, fmt.Errorf("server: persisting submission: %w", err)
 	}
-	m.nextJobID++
-	m.nextItemSeq = seq
-	m.jobs[id] = &jobState{id: id, task: task, totalBytes: int64(len(input))}
-	m.pending = append(m.pending, &workItem{
-		jobID:  id,
-		task:   task,
-		input:  input,
-		atomic: atomic,
-		seq:    seq,
-	})
+	m.jobs[id].task = task
+	m.pending = append(m.pending, itemOf(task, m.fresh[seq]))
 	m.cfg.Metrics.Counter("cwc_submissions_total").Inc()
 	m.trace(obs.SpanEvent{Kind: obs.KindSubmit, Job: id, Phone: -1,
 		Bytes: int64(len(input)), Detail: task.Name()})
@@ -112,10 +103,10 @@ func (m *Master) Result(jobID int) ([]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	js, ok := m.jobs[jobID]
-	if !ok || !js.done || js.failure != "" {
+	if !ok || !js.Done || js.Failure != "" {
 		return nil, false
 	}
-	return js.final, true
+	return js.Final, true
 }
 
 // JobFailure reports a job's terminal aggregation error, if it has one.
@@ -123,10 +114,10 @@ func (m *Master) JobFailure(jobID int) (string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	js, ok := m.jobs[jobID]
-	if !ok || js.failure == "" {
+	if !ok || js.Failure == "" {
 		return "", false
 	}
-	return js.failure, true
+	return js.Failure, true
 }
 
 // PendingItems reports how many work items await scheduling (fresh jobs
@@ -375,8 +366,9 @@ type assignment struct {
 	// key is the dispatch identity of this byte range; see workItem.key.
 	key int64
 	// rng is the range's open-table entry, set once the round record that
-	// issues (or re-issues) the key is in the log.
-	rng *openRange
+	// issues (or re-issues) the key is in the log. Only a profiling
+	// execution, which is no part of any job, has none.
+	rng *walItemRec
 }
 
 // ErrNothingToDo is returned by RunRound with an empty queue.
@@ -394,7 +386,7 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	// range (or a late straggler result) delivered it first.
 	queued := m.pending[:0]
 	for _, it := range m.pending {
-		if !m.settledLocked(it.rng) {
+		if it.rng == nil || !m.settledLocked(it.rng) {
 			queued = append(queued, it)
 		}
 	}
@@ -420,29 +412,27 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	// as — is logged in the same critical section so replay sees the
 	// handoff atomically.
 	m.mu.Lock()
-	var rr walRound
-	nextKey := m.nextKey // committed once the round record is in the log
+	rr := &walRound{}
+	nextKey := m.nextKey
 	for pi := range plans {
 		kept := plans[pi][:0]
 		for _, a := range plans[pi] {
-			if m.settledLocked(a.item.rng) {
+			it := walRoundItem{Retries: a.item.retries, Partition: a.partition}
+			if e := a.item.rng; e == nil {
+				nextKey++
+				a.key = nextKey
+				it.FromSeq, it.Off, it.Len = a.item.seq, a.off, int64(len(a.input))
+			} else if m.settledLocked(e) {
 				// Settled while the round was being planned (a late result
 				// for the range): its log entry is closed, and naming the
 				// key in the round record would refer to nothing.
 				continue
-			}
-			it := walRoundItem{Retries: a.item.retries, Partition: a.partition}
-			if a.item.key != 0 {
-				a.key, a.rng = a.item.key, a.item.rng
-				// Fold in whatever arrived after the item was re-queued: a
-				// checkpoint streamed by an abandoned straggler still
+			} else {
+				// Whatever arrived after the item was re-queued is folded in:
+				// a checkpoint streamed by an abandoned straggler still
 				// chewing on the range, or reported by a copy that failed
 				// while this one waited.
-				a.resume = a.rng.latest(a.resume)
-			} else {
-				nextKey++
-				a.key = nextKey
-				it.FromSeq, it.Off, it.Len = a.item.seq, a.off, int64(len(a.input))
+				a.key, a.resume = e.Key, e.Resume
 			}
 			it.Key = a.key
 			rr.Items = append(rr.Items, it)
@@ -456,7 +446,7 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 		m.mu.Unlock()
 		return nil, ErrNothingToDo
 	}
-	if err := m.walAppendErr(walRecRound, &rr); err != nil {
+	if err := m.walAppendErr(rr); err != nil {
 		// A missing round record with later report records behind it
 		// replays into double-counted coverage: the consumed fresh items
 		// re-queue AND the reports credit the keys they became. Nothing
@@ -467,20 +457,15 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 		m.cfg.Logger.With("rec", walRecRound).Errorf("wal: round record lost (%v); aborting round", err)
 		return nil, fmt.Errorf("server: persisting round record: %w", err)
 	}
-	// The record is in the log: the items leave the queue and each range
-	// the record names enters the open table, as the reducer's does when
-	// it folds the record. Wherever the range sits from here on — unshipped
-	// in a phone's queue, prefetched, executing, handed back — a snapshot
-	// finds it there.
+	// The record is in the log and folded: the items leave the queue, and
+	// each range it names is in the open table. Wherever the range sits
+	// from here on — unshipped in a phone's queue, prefetched, executing,
+	// handed back — a snapshot finds it there.
 	m.pending = m.pending[len(items):]
 	for _, queue := range plans {
 		for i := range queue {
-			a := &queue[i]
-			if a.rng == nil {
-				a.rng = &openRange{key: a.key, jobID: a.item.jobID, input: a.input}
-				m.open[a.key] = a.rng
-			}
-			a.rng.partition, a.rng.retries, a.rng.resume, a.rng.queued = a.partition, a.item.retries, a.resume, false
+			queue[i].rng = m.open[queue[i].key]
+			queue[i].rng.queued = false
 		}
 	}
 	// Verification executions (replicas / audits) ride the same round:
@@ -490,7 +475,6 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	for pi, es := range m.planVerificationLocked(plans, inst, items) {
 		plans[pi] = append(plans[pi], es...)
 	}
-	m.nextKey = nextKey
 	// From here until the end-of-round sweep, RunRound owns aggregation;
 	// vote resolutions that complete a job's coverage mid-round leave the
 	// aggregate to the sweep.
@@ -551,10 +535,6 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 			delete(m.attempts, id)
 		}
 	}
-	// Settled-failure dedupe entries only matter while a replay can still
-	// race the original (within the round); afterwards resolveDetached's
-	// unknown-attempt drop covers replays.
-	m.settledFailures = map[int64]bool{}
 	// Vote groups the round could not settle are swept before aggregation:
 	// an unresolved group's range goes back to the queue, so its job stays
 	// under-covered rather than folding unverified.
@@ -565,12 +545,12 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	m.roundActive = false
 	report.Requeued = len(m.pending)
 	for _, js := range m.jobs {
-		if js.done || js.covered < js.totalBytes {
+		if js.Done || js.Covered < js.TotalBytes {
 			continue
 		}
 		m.finishJobLocked(js)
-		if js.done && js.failure == "" {
-			report.CompletedJobs = append(report.CompletedJobs, js.id)
+		if js.Failure == "" {
+			report.CompletedJobs = append(report.CompletedJobs, js.ID)
 		}
 	}
 	for _, ps := range phones {
@@ -855,15 +835,16 @@ func (m *Master) assignmentDeadline(a assignment, ps *phoneState) time.Duration 
 // speculate queues an atomic copy of a straggling assignment for the next
 // round. The original attempt stays outstanding; whichever report arrives
 // first wins the key. At most one copy is issued per key, and it spends
-// no retry.
+// no retry — so nothing replay needs changes, and nothing is logged.
 func (m *Master) speculate(a assignment) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if a.rng == nil || a.rng.shared || m.settledLocked(a.rng) {
+	e := a.rng
+	if e.shared || m.settledLocked(e) {
 		return false
 	}
-	a.rng.shared = true
-	m.enqueueLocked(rangeItem(a, a.resume))
+	e.shared, e.queued = true, true
+	m.pending = append(m.pending, itemOf(a.item.task, e))
 	m.cfg.Metrics.Counter("cwc_speculations_total").Inc()
 	m.trace(obs.SpanEvent{Kind: obs.KindSpeculate, Job: a.item.jobID,
 		Partition: a.partition, Key: a.key, Phone: -1, Bytes: int64(len(a.input))})
@@ -1003,7 +984,7 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 			attempt := m.newAttempt(ps, a)
 			// Audit record: replay treats an unreported dispatch as still
 			// open, so ordering against state records is immaterial.
-			m.walAudit(walRecDispatch, walDispatch{
+			m.walAudit(&walDispatch{
 				Key: a.key, JobID: a.item.jobID, Partition: a.partition,
 				PhoneID: id, Attempt: attempt,
 			})
@@ -1061,7 +1042,7 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 				event(f.a, obs.KindFailure, "", resp.Checkpoint)
 				m.cfg.Logger.With("phone", id, "job", f.a.item.jobID).
 					Warnf("failure report: %s", resp.Error)
-				m.recordFailure(f.a, resp, f.attempt)
+				m.recordFailure(f.a, resp)
 				drained := resp.Error == drainFailureReason
 				if drained {
 					// Proactive-drain handback: the phone is still plugged
@@ -1145,19 +1126,20 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 		}
 		m.mu.Lock()
 		if rec, ok := m.attempts[msg.Attempt]; ok {
-			a := rec.a
+			a, e := rec.a, rec.a.rng
 			jobID, partition = a.item.jobID, a.partition
 			cur := a.resume
-			if a.rng != nil && a.rng.streamed != nil {
-				cur = a.rng.streamed
+			if e != nil && e.streamed != nil {
+				cur = e.streamed
 			}
-			if a.rng != nil && !m.settledLocked(a.rng) && ck.Offset <= int64(len(a.input)) &&
+			// (A profiling execution has no range to fold into.)
+			if e != nil && !m.settledLocked(e) && ck.Offset <= int64(len(a.input)) &&
 				(cur == nil || ck.Offset > cur.Offset) {
 				c := ck.Clone()
-				a.rng.streamed = c
+				e.streamed = c
 				m.ckptFolds++
 				hdr, state := splitResume(c)
-				m.walAppend(walRecCheckpoint, &walCheckpointRec{JobID: jobID, Key: a.key, Resume: hdr, State: state})
+				m.walAppend(&walCheckpointRec{JobID: jobID, Key: a.key, Resume: hdr, State: state})
 				m.cfg.Metrics.Counter("cwc_checkpoint_folds_total").Inc()
 				m.cfg.Metrics.Counter("cwc_checkpoint_bytes_total").Add(int64(len(c.State)))
 				m.trace(obs.SpanEvent{Kind: obs.KindCheckpoint, Job: jobID,
@@ -1200,19 +1182,16 @@ func (m *Master) finalizeResult(a assignment, resp *protocol.Message, est *predi
 			Infof("duplicate result dropped (key already settled)")
 		return
 	}
-	m.closeLocked(a.rng)
 	js := m.jobs[a.item.jobID]
 	// A resumed piece covers its full byte range too: the failure that
 	// spawned it recorded no coverage (only the reporter path does, and
 	// reporter remainders arrive as fresh pieces without resume state).
-	js.covered += int64(len(a.input))
-	js.partials = append(js.partials, resp.Result)
-	m.walAppend(walRecReport, &walReport{
-		JobID: a.item.jobID, Key: a.key, Bytes: int64(len(a.input)), Partial: resp.Result,
+	m.walAppend(&walReport{
+		JobID: js.ID, Key: a.key, Bytes: int64(len(a.input)), Partial: resp.Result,
 	})
 	// A late result (tie-break, detached straggler) can complete a job's
 	// coverage outside any round; without a sweep coming, aggregate here.
-	if !m.roundActive && !js.done && js.covered >= js.totalBytes {
+	if !m.roundActive && !js.Done && js.Covered >= js.TotalBytes {
 		m.finishJobLocked(js)
 	}
 	m.mu.Unlock()
@@ -1232,32 +1211,13 @@ func (m *Master) finalizeResult(a assignment, resp *protocol.Message, est *predi
 // drain (see protocol.TypeDrain and worker.interruptReason).
 const drainFailureReason = "drained"
 
-// settleFailure marks a dispatch attempt's failure as folded, exactly
-// once: the first caller gets true, every later caller false. This is
-// the dedupe that keeps a phone which replugs before its failure
-// finished processing — replaying the same report over the new
-// connection — from re-queueing the same attempt twice.
-func (m *Master) settleFailure(attempt int64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.settledFailures[attempt] {
-		return false
-	}
-	m.settledFailures[attempt] = true
-	return true
-}
-
 // recordFailure applies the paper's migration rule to a failed partition:
 // tasks that can convert their checkpoint into a partial result have it
 // saved and only the unprocessed input remainder re-queued; others are
-// migrated whole (input + checkpoint). The attempt ID (zero: untracked)
-// dedupes replayed reports so one failure is never folded twice.
-func (m *Master) recordFailure(a assignment, resp *protocol.Message, attempt int64) {
-	if attempt != 0 && !m.settleFailure(attempt) {
-		m.cfg.Logger.With("attempt", attempt).
-			Warnf("duplicate failure report for settled attempt dropped")
-		return
-	}
+// migrated whole (input + checkpoint). A replayed report (a phone that
+// replugged before its failure finished processing) finds the range
+// settled, or its copy queued, and changes nothing.
+func (m *Master) recordFailure(a assignment, resp *protocol.Message) {
 	ck := resp.Checkpoint
 	m.cfg.Metrics.Counter("cwc_failures_total").Inc()
 	m.mu.Lock()
@@ -1268,149 +1228,119 @@ func (m *Master) recordFailure(a assignment, resp *protocol.Message, attempt int
 		// failure is moot.
 		return
 	}
-	js := m.jobs[a.item.jobID]
-
 	// The partial-result shortcut credits coverage immediately, so it is
 	// only safe when no duplicate of this byte range can still deliver a
 	// full result (which would double-count the checkpointed prefix).
-	if ck != nil && a.resume == nil && (e == nil || !e.shared) {
-		if pr, ok := a.item.task.(tasks.PartialReporter); ok && ck.Offset > 0 {
-			partial, err := pr.PartialResult(ck.State)
-			if err == nil {
-				m.closeLocked(e)
-				js.covered += ck.Offset
-				js.partials = append(js.partials, partial)
-				remainder := a.input[ck.Offset:]
-				wrec := &walPartialRec{
-					JobID: a.item.jobID, Key: a.key, Offset: ck.Offset, Partial: partial,
-				}
-				if len(remainder) > 0 {
-					// The remainder is a fresh byte range: new identity,
-					// splittable again.
-					it := &workItem{
-						jobID:   a.item.jobID,
-						task:    a.item.task,
-						input:   remainder,
-						retries: a.item.retries,
-						seq:     m.nextSeqLocked(),
-					}
-					if m.requeueLocked(it, "failure remainder: "+resp.Error) {
-						wrec.RemainderSeq = it.seq
-						wrec.Retries = it.retries
-					}
-				}
-				m.walAppend(walRecPartial, wrec)
-				return
+	if pr, ok := a.item.task.(tasks.PartialReporter); ok && ck != nil && a.resume == nil && !e.shared &&
+		ck.Offset > 0 && ck.Offset <= int64(len(e.Input)) {
+		partial, err := pr.PartialResult(ck.State)
+		if err == nil {
+			// The remainder is a fresh byte range: new identity, splittable
+			// again, one retry spent — unless that was the last one.
+			rec := &walPartialRec{JobID: e.JobID, Key: e.Key, Offset: ck.Offset, Partial: partial}
+			rest, reason := len(e.Input)-int(ck.Offset), "failure remainder: "+resp.Error
+			if rest > 0 && !m.spent(e.Retries+1) {
+				rec.RemainderSeq, rec.Retries = m.nextSeq+1, e.Retries+1
 			}
-			m.cfg.Logger.With("job", a.item.jobID).Warnf("partial result unusable: %v", err)
+			m.walAppend(rec)
+			if rec.RemainderSeq != 0 {
+				m.enqueueLocked(m.fresh[rec.RemainderSeq], reason)
+			} else if rest > 0 {
+				m.deadLetterLocked(&walDeadLetterRec{JobID: e.JobID, Task: a.item.task.Name(),
+					Bytes: rest, Retries: e.Retries, Reason: reason}, 0)
+			}
+			return
 		}
+		m.cfg.Logger.With("job", a.item.jobID).Warnf("partial result unusable: %v", err)
 	}
 	// Whole-partition migration: resume exactly where it stopped.
-	if e != nil && e.queued {
+	if e.queued {
 		// A queued copy already carries this byte range (a straggler past
-		// its deadline that then unplugged): it resumes from the report's
-		// checkpoint if that is further than anything else held.
-		if ck == nil || e.latest(ck) != ck {
-			return
-		}
-		e.resume = ck
-	} else {
-		resume := ck
-		if resume == nil {
-			resume = a.resume // keep any prior progress
-		}
-		// A failure report without a checkpoint (task error, send race) still
-		// resumes from the last streamed one.
-		if !m.requeueLocked(rangeItem(a, resume), "failure: "+resp.Error) {
-			return
-		}
+		// its deadline that then unplugged).
+		m.keepCheckpointLocked(e, ck)
+		return
 	}
-	if e != nil {
-		// The record carries the range as the table now holds it, so replay
-		// resumes it from the same state.
-		hdr, state := splitResume(e.resume)
-		m.walAppend(walRecMigrate, &walMigrate{JobID: e.jobID, Key: e.key,
-			Resume: hdr, State: state, Retries: e.retries, Partition: e.partition})
+	// A failure report without a checkpoint (task error, send race) still
+	// resumes from the last streamed one, or any earlier progress.
+	m.requeueLocked(e, ck, "failure: "+resp.Error)
+}
+
+// keepCheckpointLocked is the failure report of an execution whose range
+// something else already carries — a queued copy, a later dispatch:
+// nothing is re-queued and no retry spent, but the range resumes from the
+// report's checkpoint if that is further than anything it holds. Logged
+// (a migrate record, same retry count), so a recovered master resumes
+// from it too. Caller holds m.mu.
+func (m *Master) keepCheckpointLocked(e *walItemRec, ck *tasks.Checkpoint) {
+	if ck != nil && ck.Offset <= int64(len(e.Input)) && further(e.Resume, ck) == ck {
+		m.migrateLocked(e, ck, e.Retries)
 	}
 }
 
-// rangeItem is the copy of a dispatched byte range that waits in pending:
-// whole, under the key, partition number and retry count it was dispatched
-// with, resuming from resume or from a checkpoint the open table holds
-// ahead of it — the in-flight partition re-runs from there, not from
-// scratch, which is the bounded-work-loss guarantee for offline failures.
-// A keyed item stays atomic so the key keeps naming one exact byte range.
-func rangeItem(a assignment, resume *tasks.Checkpoint) *workItem {
-	return &workItem{
-		jobID:     a.item.jobID,
-		task:      a.item.task,
-		input:     a.input,
-		resume:    a.rng.latest(resume),
-		atomic:    true,
-		key:       a.key,
-		retries:   a.item.retries,
-		partition: a.partition,
-		rng:       a.rng,
-	}
+// migrateLocked logs and folds the one change an open range takes while it
+// stays open: same bytes, new resume state and retry count. Caller holds
+// m.mu.
+func (m *Master) migrateLocked(e *walItemRec, resume *tasks.Checkpoint, retries int) {
+	hdr, state := splitResume(resume)
+	m.walAppend(&walMigrate{JobID: e.JobID, Key: e.Key, Resume: hdr, State: state,
+		Retries: retries, Partition: e.Partition})
 }
 
-// enqueueLocked appends an item to the pending queue; a keyed one becomes
-// its range's queued copy, and its retry count and resume state are what
-// a snapshot records for the range. Caller holds m.mu.
-func (m *Master) enqueueLocked(it *workItem) {
-	m.pending = append(m.pending, it)
-	if e := it.rng; e != nil {
-		e.queued, e.retries, e.resume = true, it.retries, it.resume
-	}
+// spent reports whether a retry count is past the budget.
+func (m *Master) spent(retries int) bool {
+	return m.cfg.MaxItemRetries >= 0 && retries > m.cfg.MaxItemRetries
 }
 
-// requeueLocked re-queues a work item for the next scheduling instant, or
-// dead-letters it once its retry budget is spent (graceful degradation
-// over infinite re-queue). Caller holds m.mu. Reports whether the item
-// was re-queued.
-func (m *Master) requeueLocked(it *workItem, reason string) bool {
-	it.retries++
-	if m.cfg.MaxItemRetries >= 0 && it.retries > m.cfg.MaxItemRetries {
+// requeueLocked hands the open range e back whole for the next scheduling
+// instant, one retry spent, resuming from ck or whatever the entry holds
+// ahead of it — or dead-letters it once its retry budget is spent
+// (graceful degradation over infinite re-queue). Either way the log takes
+// it: replay counts the budget the live master enforces. Caller holds m.mu.
+func (m *Master) requeueLocked(e *walItemRec, ck *tasks.Checkpoint, reason string) {
+	if m.spent(e.Retries + 1) {
 		// Abandoning the range settles its key, like a result would: the
-		// dead-letter record closes the range in the log, so an attempt
-		// still out on it has nothing left to report into.
-		m.closeLocked(it.rng)
-		m.deadLetters = append(m.deadLetters, DeadLetter{
-			JobID:   it.jobID,
-			Task:    it.task.Name(),
-			Bytes:   len(it.input),
-			Retries: it.retries - 1,
-			Reason:  reason,
-		})
-		m.walAppend(walRecDeadLetter, walDeadLetterRec{
-			JobID: it.jobID, Key: it.key, Seq: it.seq, Task: it.task.Name(),
-			Bytes: len(it.input), Retries: it.retries - 1, Reason: reason,
-		})
-		m.cfg.Logger.With("job", it.jobID, "retries", it.retries-1).
-			Warnf("item dead-lettered: %s", reason)
-		m.cfg.Metrics.Counter("cwc_dead_letters_total").Inc()
-		m.trace(obs.SpanEvent{Kind: obs.KindDeadLetter, Job: it.jobID, Partition: it.partition,
-			Key: it.key, Phone: -1, Bytes: int64(len(it.input)), Detail: reason})
-		return false
+		// dead-letter record closes the range, so an attempt still out on
+		// it has nothing left to report into.
+		m.deadLetterLocked(&walDeadLetterRec{JobID: e.JobID, Key: e.Key, Task: m.jobs[e.JobID].Task,
+			Bytes: len(e.Input), Retries: e.Retries, Reason: reason}, e.Partition)
+		return
 	}
-	m.enqueueLocked(it)
+	m.migrateLocked(e, further(e.Resume, ck), e.Retries+1)
+	e.queued = true
+	m.enqueueLocked(e, reason)
+}
+
+// deadLetterLocked surfaces work whose retry budget is spent instead of
+// re-queueing it forever. Caller holds m.mu.
+func (m *Master) deadLetterLocked(rec *walDeadLetterRec, partition int) {
+	m.walAppend(rec)
+	m.cfg.Logger.With("job", rec.JobID, "retries", rec.Retries).Warnf("item dead-lettered: %s", rec.Reason)
+	m.cfg.Metrics.Counter("cwc_dead_letters_total").Inc()
+	m.trace(obs.SpanEvent{Kind: obs.KindDeadLetter, Job: rec.JobID, Partition: partition,
+		Key: rec.Key, Phone: -1, Bytes: int64(rec.Bytes), Detail: rec.Reason})
+}
+
+// enqueueLocked queues a durable entry — a failure's fresh remainder, or
+// the copy of a handed-back open range — for the next scheduling instant.
+// Caller holds m.mu.
+func (m *Master) enqueueLocked(e *walItemRec, reason string) {
+	m.pending = append(m.pending, itemOf(m.jobs[e.JobID].task, e))
 	m.cfg.Metrics.Counter("cwc_requeues_total").Inc()
 	m.sloObserve(sloRequeue, false)
-	if e := it.rng; e != nil && e.streamed != nil {
+	if e.streamed != nil {
 		// A streamed checkpoint means the retry resumes mid-input: those
 		// bytes never get re-executed.
 		m.cfg.Metrics.Counter("cwc_recompute_saved_bytes_total").Add(e.streamed.Offset)
 	}
-	m.trace(obs.SpanEvent{Kind: obs.KindRequeue, Job: it.jobID, Partition: it.partition,
-		Key: it.key, Phone: -1, Bytes: int64(len(it.input)), Detail: reason})
-	return true
+	m.trace(obs.SpanEvent{Kind: obs.KindRequeue, Job: e.JobID, Partition: e.Partition,
+		Key: e.Key, Phone: -1, Bytes: int64(len(e.Input)), Detail: reason})
 }
 
 // handBackLocked re-queues a dispatched range whole — unless its key has
 // settled or a queued copy already carries it. Caller holds m.mu.
-func (m *Master) handBackLocked(a assignment, reason string) {
-	if e := a.rng; e == nil || !e.queued && !m.settledLocked(e) {
-		m.requeueLocked(rangeItem(a, a.resume), reason)
+func (m *Master) handBackLocked(e *walItemRec, reason string) {
+	if !e.queued && !m.settledLocked(e) {
+		m.requeueLocked(e, nil, reason)
 	}
 }
 
@@ -1426,7 +1356,7 @@ func (m *Master) requeueFrom(rest []assignment, reason string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, a := range rest {
-		m.handBackLocked(a, reason)
+		m.handBackLocked(a.rng, reason)
 	}
 }
 
@@ -1436,38 +1366,39 @@ func (m *Master) requeueFrom(rest []assignment, reason string) {
 // the same set), so retrying next round can only wedge the job forever.
 // The failure is WAL-logged so replay reaches the same terminal state,
 // and surfaced to the submitter via JobFailure. Caller holds m.mu.
-func (m *Master) finishJobLocked(js *jobState) {
+func (m *Master) finishJobLocked(js *walJobRec) {
+	rec := &walFinish{JobID: js.ID}
 	final, err := aggregate(js)
 	if err != nil {
-		js.failure = err.Error()
-		js.done = true
-		m.walAppend(walRecFinish, &walFinish{JobID: js.id, Error: js.failure})
+		rec.Error = err.Error()
+	} else {
+		rec.Final = final
+	}
+	m.walAppend(rec)
+	if err != nil {
 		m.cfg.Metrics.Counter("cwc_jobs_failed_total").Inc()
-		m.cfg.Logger.With("job", js.id).Errorf("aggregation failed terminally: %v", err)
+		m.cfg.Logger.With("job", js.ID).Errorf("aggregation failed terminally: %v", err)
 		return
 	}
-	js.final = final
-	js.done = true
-	m.walAppend(walRecFinish, &walFinish{JobID: js.id, Final: final})
 	m.cfg.Metrics.Counter("cwc_jobs_completed_total").Inc()
-	m.trace(obs.SpanEvent{Kind: obs.KindAggregate, Job: js.id, Phone: -1,
-		Bytes: int64(len(final)), Detail: fmt.Sprintf("%d partials", len(js.partials))})
+	m.trace(obs.SpanEvent{Kind: obs.KindAggregate, Job: js.ID, Phone: -1,
+		Bytes: int64(len(final)), Detail: fmt.Sprintf("%d partials", len(js.Partials))})
 }
 
 // aggregate merges a completed job's partials into its final result.
-func aggregate(js *jobState) ([]byte, error) {
-	if len(js.partials) == 0 {
-		return nil, fmt.Errorf("server: job %d complete with no partials", js.id)
+func aggregate(js *walJobRec) ([]byte, error) {
+	if len(js.Partials) == 0 {
+		return nil, fmt.Errorf("server: job %d complete with no partials", js.ID)
 	}
-	if len(js.partials) == 1 {
-		return js.partials[0], nil
+	if len(js.Partials) == 1 {
+		return js.Partials[0], nil
 	}
 	b, ok := js.task.(tasks.Breakable)
 	if !ok {
 		return nil, fmt.Errorf("server: job %d has %d partials but is not breakable",
-			js.id, len(js.partials))
+			js.ID, len(js.Partials))
 	}
-	return b.Aggregate(js.partials)
+	return b.Aggregate(js.Partials)
 }
 
 // RunLoop runs scheduling rounds forever: whenever pending work exists

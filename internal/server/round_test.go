@@ -58,7 +58,7 @@ func TestProfileSampleSmallInput(t *testing.T) {
 }
 
 func TestAggregateSingle(t *testing.T) {
-	js := &jobState{id: 1, task: tasks.Blur{}, partials: [][]byte{[]byte("img")}}
+	js := &walJobRec{ID: 1, task: tasks.Blur{}, Partials: [][]byte{[]byte("img")}}
 	got, err := aggregate(js)
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +69,8 @@ func TestAggregateSingle(t *testing.T) {
 }
 
 func TestAggregateMultipleCounts(t *testing.T) {
-	js := &jobState{id: 1, task: tasks.PrimeCount{},
-		partials: [][]byte{[]byte("3"), []byte("4")}}
+	js := &walJobRec{ID: 1, task: tasks.PrimeCount{},
+		Partials: [][]byte{[]byte("3"), []byte("4")}}
 	got, err := aggregate(js)
 	if err != nil {
 		t.Fatal(err)
@@ -81,11 +81,11 @@ func TestAggregateMultipleCounts(t *testing.T) {
 }
 
 func TestAggregateErrors(t *testing.T) {
-	if _, err := aggregate(&jobState{id: 1, task: tasks.PrimeCount{}}); err == nil {
+	if _, err := aggregate(&walJobRec{ID: 1, task: tasks.PrimeCount{}}); err == nil {
 		t.Error("no partials should error")
 	}
-	js := &jobState{id: 1, task: tasks.Blur{},
-		partials: [][]byte{[]byte("a"), []byte("b")}}
+	js := &walJobRec{ID: 1, task: tasks.Blur{},
+		Partials: [][]byte{[]byte("a"), []byte("b")}}
 	if _, err := aggregate(js); err == nil ||
 		!strings.Contains(err.Error(), "not breakable") {
 		t.Errorf("multi-partial non-breakable err = %v", err)
@@ -156,20 +156,15 @@ func TestSlicePartitionsUnassignedItem(t *testing.T) {
 
 func TestRecordFailurePartialReporterPath(t *testing.T) {
 	m := New(Config{})
-	js := &jobState{id: 1, task: tasks.PrimeCount{}, totalBytes: 100}
-	m.jobs[1] = js
-	input := []byte("2\n3\n4\n5\n")
-	a := assignment{
-		item:  &workItem{jobID: 1, task: tasks.PrimeCount{}, input: input},
-		input: input,
-	}
+	a := openTestRange(t, m, tasks.PrimeCount{}, []byte("2\n3\n4\n5\n"), false, 0)
+	js := m.jobs[a.item.jobID]
 	msg := protocolFailure(4, `{"count":2}`)
-	m.recordFailure(a, &msg, 0)
-	if js.covered != 4 {
-		t.Errorf("covered = %d, want 4", js.covered)
+	m.recordFailure(a, &msg)
+	if js.Covered != 4 {
+		t.Errorf("covered = %d, want 4", js.Covered)
 	}
-	if len(js.partials) != 1 || string(js.partials[0]) != "2" {
-		t.Errorf("partials = %q", js.partials)
+	if len(js.Partials) != 1 || string(js.Partials[0]) != "2" {
+		t.Errorf("partials = %q", js.Partials)
 	}
 	if len(m.pending) != 1 {
 		t.Fatalf("pending = %d", len(m.pending))
@@ -182,17 +177,13 @@ func TestRecordFailurePartialReporterPath(t *testing.T) {
 
 func TestRecordFailureMigrationPath(t *testing.T) {
 	m := New(Config{})
-	js := &jobState{id: 1, task: tasks.Blur{}, totalBytes: 100}
-	m.jobs[1] = js
 	input := []byte("1 1\n1 2 3\n")
-	a := assignment{
-		item:  &workItem{jobID: 1, task: tasks.Blur{}, input: input, atomic: true},
-		input: input,
-	}
+	a := openTestRange(t, m, tasks.Blur{}, input, true, 0)
+	js := m.jobs[a.item.jobID]
 	msg := protocolFailure(3, `{"row":0,"out":[]}`)
-	m.recordFailure(a, &msg, 0)
-	if js.covered != 0 {
-		t.Errorf("covered = %d, want 0 (no partial result possible)", js.covered)
+	m.recordFailure(a, &msg)
+	if js.Covered != 0 {
+		t.Errorf("covered = %d, want 0 (no partial result possible)", js.Covered)
 	}
 	if len(m.pending) != 1 {
 		t.Fatalf("pending = %d", len(m.pending))
@@ -208,16 +199,10 @@ func TestRecordFailureMigrationPath(t *testing.T) {
 
 func TestRecordFailureNoCheckpoint(t *testing.T) {
 	m := New(Config{})
-	js := &jobState{id: 1, task: tasks.PrimeCount{}, totalBytes: 10}
-	m.jobs[1] = js
-	input := []byte("2\n3\n")
-	a := assignment{
-		item:  &workItem{jobID: 1, task: tasks.PrimeCount{}, input: input},
-		input: input,
-	}
+	a := openTestRange(t, m, tasks.PrimeCount{}, []byte("2\n3\n"), false, 0)
 	msg := protocolFailure(0, "")
 	msg.Checkpoint = nil
-	m.recordFailure(a, &msg, 0)
+	m.recordFailure(a, &msg)
 	if len(m.pending) != 1 {
 		t.Fatalf("pending = %d", len(m.pending))
 	}

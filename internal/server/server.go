@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -287,8 +288,26 @@ type workItem struct {
 	// offset and length. Keyed items have none — the key names them.
 	seq int64
 	// rng is the open-table entry of the range a keyed item is a queued
-	// copy of (see openRange).
-	rng *openRange
+	// copy of (see walItemRec); nil for a fresh item.
+	rng *walItemRec
+}
+
+// itemOf is the schedulable view of a durable entry: the queued form of
+// a fresh item, or the copy of an open range that waits in pending —
+// whole, atomic (so the key keeps naming one exact byte range), under the
+// partition number and retry count the entry holds, resuming from the
+// furthest checkpoint it holds: the in-flight partition re-runs from
+// there, not from scratch, which is the bounded-work-loss guarantee for
+// offline failures.
+func itemOf(task tasks.Task, e *walItemRec) *workItem {
+	it := &workItem{
+		jobID: e.JobID, task: task, input: e.Input, resume: e.Resume, atomic: e.Atomic,
+		key: e.Key, retries: e.Retries, partition: e.Partition, seq: e.Seq,
+	}
+	if e.Key != 0 {
+		it.rng = e
+	}
+	return it
 }
 
 // remainingKB is the unprocessed input in KB (R_j for scheduling).
@@ -304,78 +323,18 @@ func (w *workItem) remainingKB() float64 {
 	return kb
 }
 
-// openRange is the master's state for one issued, unsettled byte range:
-// the live form of the WAL reducer's open entry (wal.go), one per
-// speculation key. RunRound enters a range once its round record is in
-// the log; a folded result, the partial-result shortcut or a dead letter
-// closes it (closeLocked) — exactly the records at which the reducer
-// deletes from its own open set. Attempts, queued copies and vote groups
-// point at the entry; one that still holds the pointer after the entry
-// left the table reads it as settled (settledLocked), so per-key memory is
-// bounded by the work in flight.
-type openRange struct {
-	key       int64
-	jobID     int
-	input     []byte
-	partition int
-	retries   int
-	// resume is the freshest resume state shipped with the range or
-	// reported for it by a failure; streamed the freshest mid-execution
-	// checkpoint a phone streamed. Any re-dispatch resumes from whichever
-	// is further (latest).
-	resume, streamed *tasks.Checkpoint
-	// queued: a copy of the range waits in pending, so a hand-back has
-	// nothing to add.
-	queued bool
-	// shared: a second execution may deliver the range whole — a copy
-	// queued at a blown deadline, or the replicas of a verification vote
-	// — so nothing may credit part of it (the partial-result shortcut)
-	// and no further copy is issued.
-	shared bool
-}
-
-// latest returns the furthest of resume and the checkpoints the entry
-// holds. A nil entry (an untracked range) holds none.
-func (e *openRange) latest(resume *tasks.Checkpoint) *tasks.Checkpoint {
-	if e == nil {
-		return resume
+// further returns whichever checkpoint is further into the input; nil
+// is the start.
+func further(a, b *tasks.Checkpoint) *tasks.Checkpoint {
+	if b != nil && (a == nil || b.Offset > a.Offset) {
+		return b
 	}
-	for _, ck := range [...]*tasks.Checkpoint{e.resume, e.streamed} {
-		if ck != nil && (resume == nil || ck.Offset > resume.Offset) {
-			resume = ck
-		}
-	}
-	return resume
+	return a
 }
 
-// settledLocked reports whether e has left the open table: whatever still
-// refers to it is moot. An untracked range (nil) never settles. Caller
-// holds m.mu.
-func (m *Master) settledLocked(e *openRange) bool {
-	return e != nil && m.open[e.key] != e
-}
-
-// closeLocked settles e's key. Caller holds m.mu.
-func (m *Master) closeLocked(e *openRange) {
-	if e != nil {
-		delete(m.open, e.key)
-	}
-}
-
-// jobState tracks one submission to completion.
-type jobState struct {
-	id         int
-	task       tasks.Task
-	totalBytes int64
-	covered    int64
-	partials   [][]byte
-	final      []byte
-	done       bool
-	// failure, when non-empty on a done job, is its terminal aggregation
-	// error: the job can never produce a result (Result stays false;
-	// JobFailure surfaces the error to the Submit caller).
-	failure string
-}
+// settledLocked reports whether the open range e has left the open table:
+// whatever still refers to it is moot. Caller holds m.mu.
+func (m *Master) settledLocked(e *walItemRec) bool { return m.open[e.Key] != e }
 
 // DeadLetter is a work item that exhausted its retry budget; it is
 // surfaced on the master instead of being re-queued forever.
@@ -413,34 +372,27 @@ type Master struct {
 	cfg Config
 	ln  net.Listener
 
-	mu          sync.Mutex
-	phones      map[int]*phoneState // guarded by mu
-	nextPhoneID int                 // guarded by mu
-	nextJobID   int                 // guarded by mu
-	pending     []*workItem         // guarded by mu
-	jobs        map[int]*jobState   // guarded by mu
-	est         *predict.Estimator  // guarded by mu
-	phoneWait   chan struct{}       // guarded by mu; broadcast on registration
+	mu sync.Mutex
+	// The durable state — jobs, fresh items, open ranges, dead letters,
+	// drains, reputation, quarantine, phone identities, the epoch and the
+	// ID counters: everything a snapshot holds. Read anywhere under mu;
+	// written only by folding a record (walAppend, walAppendErr; wal.go).
+	*walReducer // guarded by mu
+
+	phones map[int]*phoneState // guarded by mu
+	// pending is the queue: a work item per fresh entry and per open range
+	// that has a copy waiting, in scheduling order.
+	pending   []*workItem        // guarded by mu
+	est       *predict.Estimator // guarded by mu
+	phoneWait chan struct{}      // guarded by mu; broadcast on registration
 
 	// accepted, hello not yet processed
 	handshaking map[*protocol.Conn]struct{} // guarded by mu
 
-	nextKey     int64 // guarded by mu
-	nextAttempt int64 // guarded by mu
-	nextItemSeq int64 // guarded by mu
-	// open is the one per-key table: an entry per issued, unsettled
-	// speculation key (see openRange). A key that is not in it is settled.
-	open     map[int64]*openRange  // guarded by mu
-	attempts map[int64]*attemptRec // guarded by mu
-	// settledFailures marks dispatch attempts whose failure has been
-	// folded, so a replayed report (a phone that replugged before its
-	// failure finished processing) cannot re-queue the same attempt
-	// twice. Reset each round; later replays hit the unknown-attempt
-	// drop in resolveDetached instead.
-	settledFailures map[int64]bool   // guarded by mu
-	deadLetters     []DeadLetter     // guarded by mu
-	offline         []OfflineFailure // guarded by mu
-	ckptFolds       int              // guarded by mu; streamed checkpoints accepted (monotonic, for tests/ops)
+	nextAttempt int64                 // guarded by mu
+	attempts    map[int64]*attemptRec // guarded by mu
+	offline     []OfflineFailure      // guarded by mu
+	ckptFolds   int                   // guarded by mu; streamed checkpoints accepted (monotonic, for tests/ops)
 
 	// workerStats is each phone's self-metering, monotone across worker
 	// restarts; see workerMeter and ingestWorkerStats.
@@ -450,35 +402,17 @@ type Master struct {
 	// observed plug/unplug events (internally synchronized; queried
 	// without m.mu).
 	windows *predict.WindowEstimator
-	// draining is the proactive-drain ledger: phone ID -> drainStarted
-	// or drainCompleted. Entries exclude the phone from placement until
-	// a new charge session clears them; WAL-logged (walRecDrain).
-	draining map[int]string // guarded by mu
 
-	// epoch is the fencing epoch (walRecEpoch): 0 until replication
-	// assigns one, then strictly monotone across regimes. Report frames
-	// stamped with a different non-zero epoch are rejected (see fenced).
-	epoch int64 // guarded by mu
-
-	// Result-integrity state (verify.go). votes holds the open vote
-	// groups by speculation key; reputation is each phone's EWMA
-	// integrity score (absent: 1.0); quarantined phones are hard-vetoed
-	// from placement. reputation and quarantined are WAL-logged
-	// (walRecReputation) so they survive recovery and failover.
-	votes       map[int64]*voteGroup // guarded by mu
-	reputation  map[int]float64      // guarded by mu
-	quarantined map[int]bool         // guarded by mu
-	// walIdentity maps every issued phone ID to the model that claimed
-	// it (walRecRegister), so a rejoin after master recovery keeps its
-	// ID — and with it the reputation and quarantine the WAL restored.
-	walIdentity map[int]string // guarded by mu
+	// votes holds the open result-integrity vote groups by speculation key
+	// (verify.go).
+	votes map[int64]*voteGroup // guarded by mu
 	// roundActive is true while RunRound owns job aggregation (its end-
 	// of-round sweep); outside a round, a vote or tie-break resolving the
 	// last open range aggregates the job inline (finishJobLocked).
 	roundActive bool // guarded by mu
-	// walStale is set when the log may lack something live state holds
-	// (a lost record, state installed from outside the log): no record
-	// is written until walCompactLocked has folded a snapshot.
+	// walStale is set when the log may lack something live state holds (a
+	// lost record): no record is written until walCompactLocked has folded
+	// a snapshot.
 	walStale bool // guarded by mu
 
 	closed  bool // guarded by mu
@@ -522,24 +456,17 @@ func New(cfg Config) *Master {
 		panic(fmt.Sprintf("server: window estimator: %v", err)) // the constants are in range
 	}
 	return &Master{
-		cfg:             cfg,
-		handshaking:     map[*protocol.Conn]struct{}{},
-		phones:          map[int]*phoneState{},
-		jobs:            map[int]*jobState{},
-		nextJobID:       1,
-		open:            map[int64]*openRange{},
-		attempts:        map[int64]*attemptRec{},
-		settledFailures: map[int64]bool{},
-		workerStats:     map[int]workerMeter{},
-		votes:           map[int64]*voteGroup{},
-		reputation:      map[int]float64{},
-		quarantined:     map[int]bool{},
-		walIdentity:     map[int]string{},
-		windows:         windows,
-		draining:        map[int]string{},
-		slos:            registerMasterSLOs(),
-		phoneWait:       make(chan struct{}),
-		stopped:         make(chan struct{}),
+		cfg:         cfg,
+		walReducer:  newWALReducer(),
+		handshaking: map[*protocol.Conn]struct{}{},
+		phones:      map[int]*phoneState{},
+		attempts:    map[int64]*attemptRec{},
+		workerStats: map[int]workerMeter{},
+		votes:       map[int64]*voteGroup{},
+		windows:     windows,
+		slos:        registerMasterSLOs(),
+		phoneWait:   make(chan struct{}),
+		stopped:     make(chan struct{}),
 	}
 }
 
@@ -547,9 +474,7 @@ func New(cfg Config) *Master {
 func (m *Master) DeadLetters() []DeadLetter {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]DeadLetter, len(m.deadLetters))
-	copy(out, m.deadLetters)
-	return out
+	return slices.Clone(m.dead)
 }
 
 // OfflineFailures returns the structured offline-failure event log.
@@ -720,7 +645,7 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 		// steal the registration from each other forever.
 		id = hello.PhoneID
 		prior = old
-	case hello.Rejoin && !haveLive && hello.Model != "" && m.walIdentity[hello.PhoneID] == hello.Model:
+	case hello.Rejoin && !haveLive && hello.Model != "" && m.identity[hello.PhoneID] == hello.Model:
 		// Rejoin to a recovered (or promoted) master: no live connection
 		// holds the ID, but the WAL vouches that this model was issued
 		// it. Honoring the claim keeps the phone's durable reputation and
@@ -728,13 +653,11 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 		// of evaporating with a freshly issued ID.
 		id = hello.PhoneID
 	default:
-		id = m.nextPhoneID
-		m.nextPhoneID++
-		m.walIdentity[id] = hello.Model
 		// Durable (and replicated) so no later regime — a restarted
 		// master or a promoted standby — can ever reissue this ID while
 		// the phone still holds it.
-		m.walAppend(walRecRegister, walRegisterRec{PhoneID: id, Model: hello.Model})
+		id = m.nextPhoneID
+		m.walAppend(&walRegisterRec{PhoneID: id, Model: hello.Model})
 	}
 	ps := &phoneState{
 		info: PhoneInfo{
@@ -928,10 +851,9 @@ func (m *Master) BumpEpoch() (int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	next := m.epoch + 1
-	if err := m.walAppendErr(walRecEpoch, walEpochRec{Epoch: next}); err != nil {
+	if err := m.walAppendErr(&walEpochRec{Epoch: next}); err != nil {
 		return 0, fmt.Errorf("server: persisting epoch %d: %w", next, err)
 	}
-	m.epoch = next
 	m.cfg.Metrics.Gauge("cwc_epoch").Set(float64(next))
 	m.cfg.Tracer.SetEpoch(next)
 	m.trace(obs.SpanEvent{Kind: obs.KindPromote, Job: -1, Partition: -1, Phone: -1,
@@ -981,6 +903,12 @@ func (m *Master) resolveDetached(msg *protocol.Message) bool {
 	// Snapshot the estimator while the lock is held: it is lazily
 	// created under m.mu and this path runs on read-loop goroutines.
 	est := m.est
+	if ok && msg.Type == protocol.TypeFailure && !m.settledLocked(rec.a.rng) {
+		// A straggler abandoned for the round that then unplugs and reports:
+		// whatever carries the range now resumes from the report's
+		// checkpoint if that is the furthest.
+		m.keepCheckpointLocked(rec.a.rng, msg.Checkpoint)
+	}
 	m.mu.Unlock()
 	if !ok {
 		// Settled long ago, never issued, or not named at all (attempt 0):
@@ -999,8 +927,6 @@ func (m *Master) resolveDetached(msg *protocol.Message) bool {
 			Partition: rec.a.partition, Phone: rec.ps.info.ID, Detail: "late"})
 		m.recordResult(rec.a, msg, est, rec.ps)
 	}
-	// A late failure needs no action: the speculative copy issued at the
-	// deadline already carries the work.
 	return true
 }
 

@@ -74,7 +74,7 @@ func TestFoldTelemetry(t *testing.T) {
 
 	// A known job whose span worker events should anchor to.
 	m.mu.Lock()
-	m.jobs[1] = &jobState{id: 1}
+	m.jobs[1] = &walJobRec{ID: 1}
 	m.mu.Unlock()
 
 	ps := &phoneState{info: PhoneInfo{ID: phone}}
@@ -126,7 +126,7 @@ func TestTimelineMergesSides(t *testing.T) {
 	tracer := obs.NewTracer(64)
 	m := New(Config{Tracer: tracer})
 	m.mu.Lock()
-	m.jobs[1] = &jobState{id: 1}
+	m.jobs[1] = &walJobRec{ID: 1}
 	m.mu.Unlock()
 
 	base := time.UnixMilli(5000)
@@ -183,7 +183,7 @@ func TestTimelineMergesSides(t *testing.T) {
 func TestFoldTelemetryLazySpan(t *testing.T) {
 	m := New(Config{Tracer: obs.NewTracer(16)})
 	m.mu.Lock()
-	m.jobs[2] = &jobState{id: 2}
+	m.jobs[2] = &walJobRec{ID: 2}
 	m.mu.Unlock()
 
 	ps := &phoneState{info: PhoneInfo{ID: 1}}
@@ -202,8 +202,8 @@ func TestFoldTelemetryLazySpan(t *testing.T) {
 func TestFoldTelemetryOrphanSpans(t *testing.T) {
 	m := New(Config{Tracer: obs.NewTracer(16)})
 	m.mu.Lock()
-	m.jobs[7] = &jobState{id: 7}
-	m.jobs[12] = &jobState{id: 12}
+	m.jobs[7] = &walJobRec{ID: 7}
+	m.jobs[12] = &walJobRec{ID: 12}
 	m.mu.Unlock()
 
 	ps := &phoneState{info: PhoneInfo{ID: 1}}

@@ -39,19 +39,13 @@ func TestRoundEventsAreAViewOfTheTraceRing(t *testing.T) {
 	// the fast phone shipped and abandoned, its report still waiting in the
 	// phone's response channel when this round's dispatcher starts reading.
 	staleInput := numberLines(7001, 7300)
-	staleJob, err := m.Submit(tasks.PrimeCount{}, staleInput, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stale := openTestRange(t, m, tasks.PrimeCount{}, staleInput, true, 3)
+	staleJob := stale.item.jobID
 	m.mu.Lock()
-	it := m.pending[len(m.pending)-1]
-	m.pending = m.pending[:len(m.pending)-1]
-	m.nextKey++
 	m.nextAttempt++
 	staleAttempt := m.nextAttempt
 	ps := m.phones[fast.id]
-	m.attempts[staleAttempt] = &attemptRec{ps: ps,
-		a: assignment{item: it, partition: 3, input: it.input, key: m.nextKey}}
+	m.attempts[staleAttempt] = &attemptRec{ps: ps, a: stale}
 	m.mu.Unlock()
 	res := groundTruth(t, tasks.PrimeCount{}, staleInput)
 	ps.respCh <- &protocol.Message{Type: protocol.TypeResult, Attempt: staleAttempt,

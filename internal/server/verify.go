@@ -77,6 +77,11 @@ type voteGroup struct {
 // itself; verifyResult consumes the report when a digest mismatch or an
 // open vote group intercepts it.
 func (m *Master) recordResult(a assignment, resp *protocol.Message, est *predict.Estimator, ps *phoneState) {
+	if a.rng == nil {
+		// A frame naming another phone's profiling execution, which is part
+		// of no job: there is nothing to credit.
+		return
+	}
 	if m.verifyResult(a, resp, est, ps) {
 		return
 	}
@@ -106,19 +111,16 @@ func (m *Master) verifyResult(a assignment, resp *protocol.Message, est *predict
 		m.recordFailure(a, &protocol.Message{
 			Type: protocol.TypeFailure, Error: "result digest mismatch",
 			Epoch: m.Epoch(),
-		}, 0)
+		})
 		return true
 	}
 	// A digest that matched is one successful verification comparison,
 	// whatever the voting layer decides next.
 	m.sloObserve(sloVerify, true)
-	if a.key == 0 {
-		return false
-	}
 	m.mu.Lock()
 	vg := m.votes[a.key]
 	if vg == nil {
-		if m.cfg.VerifyReplicas > 1 && a.rng != nil && a.rng.queued && !m.settledLocked(a.rng) {
+		if m.cfg.VerifyReplicas > 1 && a.rng.queued && !m.settledLocked(a.rng) {
 			// Voting is on but this key's group was swept (a straggler's
 			// late result racing its own requeue): the queued copy will
 			// re-execute under a fresh vote, so never fold unverified.
@@ -242,21 +244,16 @@ const (
 // only an operator (or a fresh enrolment, which the auth token gates)
 // readmits the phone. Caller holds m.mu.
 func (m *Master) reputationEventLocked(id int, won bool, why string) {
-	rep := m.reputationLocked(id)
-	prev := rep
+	prev := m.reputationLocked(id)
 	outcome := 0.0
 	if won {
 		outcome = 1.0
 	}
-	rep = (1-reputationAlpha)*rep + reputationAlpha*outcome
-	m.reputation[id] = rep
+	rep := (1-reputationAlpha)*prev + reputationAlpha*outcome
 	quarantine := !won && !m.quarantined[id] && rep < reputationThreshold
-	if quarantine {
-		m.quarantined[id] = true
-	}
 	if rep != prev || quarantine {
-		m.walAppend(walRecReputation, walReputationRec{
-			PhoneID: id, Score: rep, Quarantined: m.quarantined[id],
+		m.walAppend(&walReputationRec{
+			PhoneID: id, Score: rep, Quarantined: quarantine || m.quarantined[id],
 		})
 	}
 	switch {
@@ -374,7 +371,7 @@ func (m *Master) sweepVoteGroupsLocked() {
 			continue
 		}
 		if !vg.resolved {
-			m.handBackLocked(vg.a, "verification unresolved")
+			m.handBackLocked(vg.a.rng, "verification unresolved")
 		}
 		delete(m.votes, key)
 	}
@@ -397,7 +394,7 @@ func (m *Master) startTieBreak(key int64) {
 		arb := m.pickArbiterLocked(vg)
 		if arb == nil {
 			delete(m.votes, key)
-			m.handBackLocked(vg.a, "verification tie: no arbiter")
+			m.handBackLocked(vg.a.rng, "verification tie: no arbiter")
 			m.mu.Unlock()
 			m.cfg.Logger.With("job", vg.a.item.jobID, "key", key).
 				Warnf("verification tie with no arbiter available; range re-queued")
@@ -413,7 +410,7 @@ func (m *Master) startTieBreak(key int64) {
 		a := vg.a
 		m.mu.Unlock()
 
-		m.walAudit(walRecDispatch, walDispatch{
+		m.walAudit(&walDispatch{
 			Key: a.key, JobID: a.item.jobID, Partition: a.partition,
 			PhoneID: arb.info.ID, Attempt: attempt,
 		})
@@ -457,7 +454,7 @@ func (m *Master) tieBreakExpired(key, attempt int64) {
 	}
 	delete(m.attempts, attempt)
 	delete(m.votes, key)
-	m.handBackLocked(vg.a, "verification tie-break expired")
+	m.handBackLocked(vg.a.rng, "verification tie-break expired")
 	m.mu.Unlock()
 	m.cfg.Logger.With("job", vg.a.item.jobID, "key", key).
 		Warnf("tie-break arbiter never reported; range re-queued")
@@ -476,7 +473,7 @@ func (m *Master) pickArbiterLocked(vg *voteGroup) *phoneState {
 		if _, voted := vg.ballots[id]; voted {
 			continue
 		}
-		if _, draining := m.draining[id]; draining {
+		if _, draining := m.drains[id]; draining {
 			continue
 		}
 		rep := m.reputationLocked(id)

@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -26,7 +26,7 @@ import (
 // reference against the state the earlier records built. Compaction
 // bounds the growth by folding the log into a walState snapshot.
 //
-// Replay is a pure reduction (walReducer) over three collections:
+// Durable state is a pure reduction (walReducer) over three collections:
 //
 //	jobs   — submissions and their accumulated partials/results
 //	fresh  — queued work items that have never been dispatched,
@@ -36,8 +36,12 @@ import (
 //	         report/dead-letter record is re-queued on recovery, whole
 //	         and atomic, with the freshest checkpoint the log holds
 //
-// The live master holds the same three (Master.jobs, the fresh items of
-// Master.pending, Master.open), so its snapshot is a serialisation.
+// There is one reducer. The live master embeds a walReducer as its
+// durable state and changes it only by folding the record it is logging
+// (walAppend, walAppendErr); replay and the hot standby fold the same
+// records, decoded from the log, through the same function
+// (walReducer.fold). A snapshot is the reducer's own serialisation
+// wherever it is cut.
 //
 // Dispatch records are audit-only: an assignment with no report changes
 // no durable state (the range stays open either way).
@@ -76,6 +80,10 @@ const (
 
 // walRecord is implemented by every record struct.
 type walRecord interface {
+	// typ is the record type the struct is logged under. The struct names
+	// it itself, once, so no call site can log one type and fold another;
+	// decodeWAL holds the way back.
+	typ() uint8
 	// bulk returns where the header lists its section lengths and the
 	// byte fields those sections are, in payload order; both are nil
 	// for a record that carries no bulk bytes.
@@ -134,6 +142,8 @@ type walRegisterRec struct {
 	Model   string `json:"model,omitempty"`
 }
 
+func (walRegisterRec) typ() uint8 { return walRecRegister }
+
 // walEpochRec persists a fencing-epoch bump. The record is durable (and
 // shipped to standbys) before the new epoch takes effect, so no two
 // master regimes can ever share an epoch: a resurrected primary replays
@@ -142,6 +152,8 @@ type walEpochRec struct {
 	walNoBulk
 	Epoch int64 `json:"epoch"`
 }
+
+func (walEpochRec) typ() uint8 { return walRecEpoch }
 
 // walSubmit is the one record that carries input bytes: every later
 // reference to any part of a job's input resolves, directly or through
@@ -155,6 +167,8 @@ type walSubmit struct {
 	Input  []byte `json:"-"`
 	Atomic bool   `json:"atomic,omitempty"`
 }
+
+func (*walSubmit) typ() uint8 { return walRecSubmit }
 
 func (p *walSubmit) bulk() (*[]int, []*[]byte) {
 	return &p.Sections, []*[]byte{&p.Params, &p.Input}
@@ -186,6 +200,8 @@ type walRound struct {
 	Items []walRoundItem `json:"items"`
 }
 
+func (walRound) typ() uint8 { return walRecRound }
+
 type walDispatch struct {
 	walNoBulk
 	Key       int64 `json:"key"`
@@ -195,6 +211,8 @@ type walDispatch struct {
 	Attempt   int64 `json:"attempt"`
 }
 
+func (walDispatch) typ() uint8 { return walRecDispatch }
+
 type walReport struct {
 	walBulk
 	JobID   int    `json:"job_id"`
@@ -202,6 +220,8 @@ type walReport struct {
 	Bytes   int64  `json:"bytes"`
 	Partial []byte `json:"-"`
 }
+
+func (*walReport) typ() uint8 { return walRecReport }
 
 func (p *walReport) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.Partial} }
 
@@ -219,6 +239,8 @@ type walPartialRec struct {
 	Retries      int   `json:"retries,omitempty"`
 }
 
+func (*walPartialRec) typ() uint8 { return walRecPartial }
+
 func (p *walPartialRec) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.Partial} }
 
 // walMigrate updates a range that stays open under its key: new resume
@@ -233,6 +255,8 @@ type walMigrate struct {
 	Partition int        `json:"partition,omitempty"` // see walRoundItem.Partition
 }
 
+func (*walMigrate) typ() uint8 { return walRecMigrate }
+
 func (p *walMigrate) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.State} }
 
 type walDeadLetterRec struct {
@@ -246,6 +270,8 @@ type walDeadLetterRec struct {
 	Reason  string `json:"reason"`
 }
 
+func (walDeadLetterRec) typ() uint8 { return walRecDeadLetter }
+
 type walFinish struct {
 	walBulk
 	JobID int    `json:"job_id"`
@@ -256,6 +282,8 @@ type walFinish struct {
 	// forever.
 	Error string `json:"error,omitempty"`
 }
+
+func (*walFinish) typ() uint8 { return walRecFinish }
 
 func (p *walFinish) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.Final} }
 
@@ -270,6 +298,8 @@ type walReputationRec struct {
 	Quarantined bool    `json:"quarantined,omitempty"`
 }
 
+func (walReputationRec) typ() uint8 { return walRecReputation }
+
 // walDrainRec logs one proactive-drain state transition so recovery
 // preserves which phones were being drained: State is drainStarted,
 // drainCompleted, or drainCleared.
@@ -279,6 +309,8 @@ type walDrainRec struct {
 	State   string `json:"state"`
 }
 
+func (walDrainRec) typ() uint8 { return walRecDrain }
+
 type walCheckpointRec struct {
 	walBulk
 	JobID  int        `json:"job_id"`
@@ -286,6 +318,8 @@ type walCheckpointRec struct {
 	Resume *walResume `json:"resume"`
 	State  []byte     `json:"-"`
 }
+
+func (*walCheckpointRec) typ() uint8 { return walRecCheckpoint }
 
 func (p *walCheckpointRec) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.State} }
 
@@ -379,8 +413,51 @@ func decodeWALRecord(payload []byte, v walRecord) error {
 	return nil
 }
 
-// walJobRec is a job's durable state, shared by the reducer and the
-// compaction snapshot.
+// decodeWAL parses a logged record into its struct — the read side of
+// each struct's typ. It runs on replay and on the standby only: the live
+// master folds the struct it built. The record types are the cases of
+// this one switch, so two sharing a wire value do not compile.
+func decodeWAL(rec wal.Record) (walRecord, error) {
+	var v walRecord
+	switch rec.Type {
+	case walRecSubmit:
+		v = new(walSubmit)
+	case walRecRound:
+		v = new(walRound)
+	case walRecDispatch:
+		// Audit only: replay never reads it, so it is not parsed either.
+		return new(walDispatch), nil
+	case walRecReport:
+		v = new(walReport)
+	case walRecPartial:
+		v = new(walPartialRec)
+	case walRecMigrate:
+		v = new(walMigrate)
+	case walRecDeadLetter:
+		v = new(walDeadLetterRec)
+	case walRecFinish:
+		v = new(walFinish)
+	case walRecCheckpoint:
+		v = new(walCheckpointRec)
+	case walRecDrain:
+		v = new(walDrainRec)
+	case walRecEpoch:
+		v = new(walEpochRec)
+	case walRecRegister:
+		v = new(walRegisterRec)
+	case walRecReputation:
+		v = new(walReputationRec)
+	default:
+		return nil, fmt.Errorf("unknown record type %d", rec.Type)
+	}
+	if err := decodeWALRecord(rec.Payload, v); err != nil {
+		return nil, fmt.Errorf("decoding record type %d: %w", rec.Type, err)
+	}
+	return v, nil
+}
+
+// walJobRec is a job's durable state: the reducer's entry, the live
+// master's and the compaction snapshot's are this one struct.
 type walJobRec struct {
 	ID         int      `json:"id"`
 	Task       string   `json:"task"`
@@ -390,22 +467,51 @@ type walJobRec struct {
 	Partials   [][]byte `json:"partials,omitempty"`
 	Final      []byte   `json:"final,omitempty"`
 	Done       bool     `json:"done,omitempty"`
-	// Failure carries a terminal aggregation error (Done with no Final).
+	// Failure carries a terminal aggregation error (Done with no Final):
+	// the job can never produce a result, and JobFailure surfaces it to
+	// the Submit caller.
 	Failure string `json:"failure,omitempty"`
+
+	// task is Task and Params instantiated. Live only: set where a job
+	// enters a master (Submit, recovery), never folded, never serialised.
+	task tasks.Task
 }
 
-// walItemRec is a queued or in-flight work item's durable state.
+// walItemRec is a byte range's durable state, in one of two lives. A
+// fresh item (Seq set) is queued work no round has cut yet. An open range
+// (Key set) is one issued, unsettled speculation key: a round record
+// opens it; a folded result, the partial-result shortcut or a dead letter
+// closes it. Attempts, queued copies and vote groups point at the open
+// entry; one that still holds the pointer after the entry left the table
+// reads it as settled (settledLocked), so per-key memory is bounded by
+// the work in flight.
 type walItemRec struct {
-	Seq     int64             `json:"seq,omitempty"`
-	Key     int64             `json:"key,omitempty"`
-	JobID   int               `json:"job_id"`
-	Input   []byte            `json:"input"`
+	Seq   int64  `json:"seq,omitempty"`
+	Key   int64  `json:"key,omitempty"`
+	JobID int    `json:"job_id"`
+	Input []byte `json:"input"`
+	// Resume is the furthest resume state the range holds: shipped with it,
+	// reported by a failure, or streamed mid-execution. Any re-dispatch
+	// resumes from here.
 	Resume  *tasks.Checkpoint `json:"resume,omitempty"`
 	Atomic  bool              `json:"atomic,omitempty"`
 	Retries int               `json:"retries,omitempty"`
 	// Partition preserves the range's timeline row across recovery; see
 	// walRoundItem.Partition.
 	Partition int `json:"partition,omitempty"`
+
+	// Live only, written outside fold, never serialised — replay needs
+	// none of them. streamed is the freshest checkpoint a phone streamed
+	// for the range (Resume is at least as far).
+	streamed *tasks.Checkpoint
+	// queued: a copy of the range waits in pending, so a hand-back has
+	// nothing to add.
+	queued bool
+	// shared: a second execution may deliver the range whole — a copy
+	// queued at a blown deadline, or the replicas of a verification vote
+	// — so nothing may credit part of it (the partial-result shortcut)
+	// and no further copy is issued.
+	shared bool
 }
 
 // walState is the compaction snapshot: the reducer's state serialized.
@@ -434,7 +540,9 @@ type walState struct {
 	Epoch int64 `json:"epoch,omitempty"`
 }
 
-// walReducer replays a snapshot plus records into durable state.
+// walReducer is the master's durable state — everything a snapshot
+// holds. fold is the only function that writes it: the live master
+// (which embeds one), replay and the standby's WALFold all go through it.
 type walReducer struct {
 	nextJobID   int
 	nextSeq     int64
@@ -442,13 +550,26 @@ type walReducer struct {
 	nextPhoneID int
 	jobs        map[int]*walJobRec
 	fresh       map[int64]*walItemRec // by item sequence number
-	open        map[int64]*walItemRec // by speculation key
-	dead        []DeadLetter
-	drains      map[int]string // phone ID -> drain state
+	// open is the one per-key table: an entry per issued, unsettled
+	// speculation key. A key that is not in it is settled.
+	open map[int64]*walItemRec
+	dead []DeadLetter
+	// drains is the proactive-drain ledger: phone ID -> drainStarted or
+	// drainCompleted. Entries exclude the phone from placement until a new
+	// charge session clears them.
+	drains map[int]string
+	// reputation is each phone's EWMA integrity score (absent: 1.0);
+	// quarantined phones are hard-vetoed from placement (verify.go).
 	reputation  map[int]float64
 	quarantined map[int]bool
-	identity    map[int]string // phone ID -> model, for rejoins after recovery
-	epoch       int64
+	// identity maps every issued phone ID to the model that claimed it, so
+	// a rejoin after master recovery keeps its ID — and with it the
+	// reputation and quarantine the log restored.
+	identity map[int]string
+	// epoch is the fencing epoch: 0 until replication assigns one, then
+	// strictly monotone across regimes. Report frames stamped with a
+	// different non-zero epoch are rejected (see fenced).
+	epoch int64
 }
 
 func newWALReducer() *walReducer {
@@ -470,11 +591,8 @@ func (r *walReducer) loadSnapshot(b []byte) error {
 	if err := json.Unmarshal(b, &st); err != nil {
 		return fmt.Errorf("decoding snapshot: %w", err)
 	}
-	if st.NextJobID > r.nextJobID {
-		r.nextJobID = st.NextJobID
-	}
-	r.nextSeq = st.NextSeq
-	r.nextKey = st.NextKey
+	r.nextJobID = max(r.nextJobID, st.NextJobID)
+	r.nextSeq, r.nextKey = st.NextSeq, st.NextKey
 	for i := range st.Jobs {
 		j := st.Jobs[i]
 		r.jobs[j.ID] = &j
@@ -482,17 +600,15 @@ func (r *walReducer) loadSnapshot(b []byte) error {
 	for i := range st.Fresh {
 		it := st.Fresh[i]
 		r.fresh[it.Seq] = &it
-		r.bumpSeq(it.Seq)
+		r.nextSeq = max(r.nextSeq, it.Seq)
 	}
 	for i := range st.Open {
 		it := st.Open[i]
 		r.open[it.Key] = &it
-		r.bumpKey(it.Key)
+		r.nextKey = max(r.nextKey, it.Key)
 	}
 	r.dead = append(r.dead, st.DeadLetters...)
-	if st.NextPhoneID > r.nextPhoneID {
-		r.nextPhoneID = st.NextPhoneID
-	}
+	r.nextPhoneID = max(r.nextPhoneID, st.NextPhoneID)
 	for id, s := range st.Drains {
 		r.drains[id] = s
 		r.bumpPhone(id)
@@ -509,31 +625,13 @@ func (r *walReducer) loadSnapshot(b []byte) error {
 		r.identity[id] = model
 		r.bumpPhone(id)
 	}
-	if st.Epoch > r.epoch {
-		r.epoch = st.Epoch
-	}
+	r.epoch = max(r.epoch, st.Epoch)
 	return nil
-}
-
-func (r *walReducer) bumpSeq(s int64) {
-	if s > r.nextSeq {
-		r.nextSeq = s
-	}
-}
-
-func (r *walReducer) bumpKey(k int64) {
-	if k > r.nextKey {
-		r.nextKey = k
-	}
 }
 
 // bumpPhone keeps phone IDs monotone: no ID any record or snapshot
 // mentions is ever issued again.
-func (r *walReducer) bumpPhone(id int) {
-	if id >= r.nextPhoneID {
-		r.nextPhoneID = id + 1
-	}
-}
+func (r *walReducer) bumpPhone(id int) { r.nextPhoneID = max(r.nextPhoneID, id+1) }
 
 func (r *walReducer) job(id int) (*walJobRec, error) {
 	js, ok := r.jobs[id]
@@ -543,17 +641,23 @@ func (r *walReducer) job(id int) (*walJobRec, error) {
 	return js, nil
 }
 
-// apply folds one record into the reducer. A reference that does not
-// resolve — an unknown sequence number or key, a range outside its
-// item — fails the record: the log and the state it describes have
-// parted, and nothing folded past that point could be trusted.
+// apply folds one logged record: decode, then fold.
 func (r *walReducer) apply(rec wal.Record) error {
-	switch rec.Type {
-	case walRecSubmit:
-		var p walSubmit
-		if err := decodeWALRecord(rec.Payload, &p); err != nil {
-			return fmt.Errorf("decoding submit: %w", err)
-		}
+	v, err := decodeWAL(rec)
+	if err != nil {
+		return err
+	}
+	return r.fold(v)
+}
+
+// fold is the one place durable state changes. A reference that does not
+// resolve — an unknown sequence number or key, a range outside its item —
+// fails the record and leaves the state as it was: the log and the state
+// it describes have parted, and nothing folded past that point could be
+// trusted.
+func (r *walReducer) fold(rec walRecord) error {
+	switch p := rec.(type) {
+	case *walSubmit:
 		if _, dup := r.jobs[p.JobID]; dup {
 			return fmt.Errorf("duplicate submit for job %d", p.JobID)
 		}
@@ -561,28 +665,18 @@ func (r *walReducer) apply(rec wal.Record) error {
 			ID: p.JobID, Task: p.Task, Params: p.Params, TotalBytes: int64(len(p.Input)),
 		}
 		r.fresh[p.Seq] = &walItemRec{Seq: p.Seq, JobID: p.JobID, Input: p.Input, Atomic: p.Atomic}
-		if p.JobID >= r.nextJobID {
-			r.nextJobID = p.JobID + 1
-		}
-		r.bumpSeq(p.Seq)
-	case walRecRound:
-		var p walRound
-		if err := decodeWALRecord(rec.Payload, &p); err != nil {
-			return fmt.Errorf("decoding round: %w", err)
-		}
+		r.nextJobID = max(r.nextJobID, p.JobID+1)
+		r.nextSeq = max(r.nextSeq, p.Seq)
+	case *walRound:
 		// Resolve every reference before anything the record consumes is
 		// deleted; the opened ranges are sub-slices, never copies.
 		opened := make([]*walItemRec, 0, len(p.Items))
 		cut := map[int64]int64{} // fresh seq -> bytes re-opened as keyed ranges
 		for _, it := range p.Items {
 			if it.FromSeq == 0 {
-				cur, ok := r.open[it.Key]
-				if !ok {
+				if _, ok := r.open[it.Key]; !ok {
 					return fmt.Errorf("round: key %d is not an open range", it.Key)
 				}
-				again := *cur
-				again.Retries, again.Partition = it.Retries, it.Partition
-				opened = append(opened, &again)
 				continue
 			}
 			src, ok := r.fresh[it.FromSeq]
@@ -615,15 +709,19 @@ func (r *walReducer) apply(rec wal.Record) error {
 		}
 		for _, it := range opened {
 			r.open[it.Key] = it
-			r.bumpKey(it.Key)
+			r.nextKey = max(r.nextKey, it.Key)
 		}
-	case walRecDispatch:
+		// A range already open re-enters the round in place: whatever points
+		// at its entry keeps pointing at the open range.
+		for _, it := range p.Items {
+			if it.FromSeq == 0 {
+				cur := r.open[it.Key]
+				cur.Retries, cur.Partition = it.Retries, it.Partition
+			}
+		}
+	case *walDispatch:
 		// Audit only: an unreported dispatch leaves its range open.
-	case walRecReport:
-		var p walReport
-		if err := decodeWALRecord(rec.Payload, &p); err != nil {
-			return fmt.Errorf("decoding report: %w", err)
-		}
+	case *walReport:
 		js, err := r.job(p.JobID)
 		if err != nil {
 			return fmt.Errorf("report: %w", err)
@@ -631,11 +729,7 @@ func (r *walReducer) apply(rec wal.Record) error {
 		delete(r.open, p.Key)
 		js.Covered += p.Bytes
 		js.Partials = append(js.Partials, p.Partial)
-	case walRecPartial:
-		var p walPartialRec
-		if err := decodeWALRecord(rec.Payload, &p); err != nil {
-			return fmt.Errorf("decoding partial: %w", err)
-		}
+	case *walPartialRec:
 		js, err := r.job(p.JobID)
 		if err != nil {
 			return fmt.Errorf("partial: %w", err)
@@ -651,16 +745,12 @@ func (r *walReducer) apply(rec wal.Record) error {
 			r.fresh[p.RemainderSeq] = &walItemRec{
 				Seq: p.RemainderSeq, JobID: p.JobID, Input: src.Input[p.Offset:], Retries: p.Retries,
 			}
-			r.bumpSeq(p.RemainderSeq)
+			r.nextSeq = max(r.nextSeq, p.RemainderSeq)
 		}
 		delete(r.open, p.Key)
 		js.Covered += p.Offset
 		js.Partials = append(js.Partials, p.Partial)
-	case walRecMigrate:
-		var p walMigrate
-		if err := decodeWALRecord(rec.Payload, &p); err != nil {
-			return fmt.Errorf("decoding migrate: %w", err)
-		}
+	case *walMigrate:
 		resume, err := joinResume(p.Resume, p.State)
 		if err != nil {
 			return fmt.Errorf("migrate: %w", err)
@@ -670,36 +760,24 @@ func (r *walReducer) apply(rec wal.Record) error {
 			return fmt.Errorf("migrate: key %d is not an open range of job %d", p.Key, p.JobID)
 		}
 		cur.Resume, cur.Retries, cur.Partition = resume, p.Retries, p.Partition
-	case walRecDeadLetter:
-		var p walDeadLetterRec
-		if err := decodeWALRecord(rec.Payload, &p); err != nil {
-			return fmt.Errorf("decoding dead letter: %w", err)
-		}
+	case *walDeadLetterRec:
 		delete(r.open, p.Key)
 		delete(r.fresh, p.Seq)
 		r.dead = append(r.dead, DeadLetter{
 			JobID: p.JobID, Task: p.Task, Bytes: p.Bytes, Retries: p.Retries, Reason: p.Reason,
 		})
-	case walRecCheckpoint:
-		var p walCheckpointRec
-		if err := decodeWALRecord(rec.Payload, &p); err != nil {
-			return fmt.Errorf("decoding checkpoint: %w", err)
-		}
+	case *walCheckpointRec:
 		resume, err := joinResume(p.Resume, p.State)
 		if err != nil {
 			return fmt.Errorf("checkpoint: %w", err)
 		}
 		// Lenient by design: a checkpoint that raced a report (its key
-		// already closed) is harmless and simply ignored on replay.
+		// already closed) is harmless and simply ignored.
 		it, ok := r.open[p.Key]
 		if ok && resume != nil && (it.Resume == nil || resume.Offset > it.Resume.Offset) {
 			it.Resume = resume
 		}
-	case walRecFinish:
-		var p walFinish
-		if err := decodeWALRecord(rec.Payload, &p); err != nil {
-			return fmt.Errorf("decoding finish: %w", err)
-		}
+	case *walFinish:
 		js, err := r.job(p.JobID)
 		if err != nil {
 			return fmt.Errorf("finish: %w", err)
@@ -707,11 +785,7 @@ func (r *walReducer) apply(rec wal.Record) error {
 		js.Final = p.Final
 		js.Done = true
 		js.Failure = p.Error
-	case walRecDrain:
-		var p walDrainRec
-		if err := decodeWALRecord(rec.Payload, &p); err != nil {
-			return fmt.Errorf("decoding drain: %w", err)
-		}
+	case *walDrainRec:
 		switch p.State {
 		case drainStarted, drainCompleted:
 			r.drains[p.PhoneID] = p.State
@@ -721,46 +795,38 @@ func (r *walReducer) apply(rec wal.Record) error {
 			return fmt.Errorf("drain record for phone %d has unknown state %q", p.PhoneID, p.State)
 		}
 		r.bumpPhone(p.PhoneID)
-	case walRecRegister:
-		var p walRegisterRec
-		if err := decodeWALRecord(rec.Payload, &p); err != nil {
-			return fmt.Errorf("decoding register: %w", err)
-		}
+	case *walRegisterRec:
 		if p.Model != "" {
 			r.identity[p.PhoneID] = p.Model
 		}
 		r.bumpPhone(p.PhoneID)
-	case walRecReputation:
-		var p walReputationRec
-		if err := decodeWALRecord(rec.Payload, &p); err != nil {
-			return fmt.Errorf("decoding reputation: %w", err)
-		}
+	case *walReputationRec:
 		r.reputation[p.PhoneID] = p.Score
 		if p.Quarantined {
 			r.quarantined[p.PhoneID] = true
 		}
 		r.bumpPhone(p.PhoneID)
-	case walRecEpoch:
-		var p walEpochRec
-		if err := decodeWALRecord(rec.Payload, &p); err != nil {
-			return fmt.Errorf("decoding epoch: %w", err)
-		}
+	case *walEpochRec:
 		if p.Epoch < r.epoch {
 			return fmt.Errorf("epoch record regresses %d -> %d", r.epoch, p.Epoch)
 		}
 		r.epoch = p.Epoch
 	default:
-		return fmt.Errorf("unknown record type %d", rec.Type)
+		return fmt.Errorf("no fold for a %T", rec)
 	}
 	return nil
 }
 
-// walAppend logs a state change the caller has already made.
-// Caller holds m.mu. A failure is logged, not fatal: the master keeps
-// serving, and because later records may refer to what this one would
-// have defined, the log is marked stale — nothing more is written to it
-// until live state has been folded into a snapshot (walCompactLocked).
-func (m *Master) walAppend(typ uint8, v walRecord) {
+// walAppend makes and logs a state change: fold the record, then write
+// it. Caller holds m.mu. A failed write is logged, not fatal: the master
+// keeps serving, and because later records may refer to what this one
+// defined, the log is marked stale — nothing more is written to it until
+// live state has been folded into a snapshot (walCompactLocked).
+func (m *Master) walAppend(rec walRecord) {
+	if err := m.fold(rec); err != nil {
+		m.cfg.Logger.With("rec", rec.typ()).Errorf("wal: state refused its own record: %v", err)
+		return
+	}
 	if m.cfg.WAL == nil {
 		return
 	}
@@ -769,67 +835,73 @@ func (m *Master) walAppend(typ uint8, v walRecord) {
 		// state, which already holds this record's change: appending the
 		// record behind it would replay the change twice.
 		if err := m.walCompactLocked(); err != nil {
-			m.cfg.Logger.With("rec", typ).Errorf("wal: record lost: %v", err)
+			m.cfg.Logger.With("rec", rec.typ()).Errorf("wal: record lost: %v", err)
 		}
 		return
 	}
-	if err := m.walWrite(typ, v); err != nil {
+	if err := m.walWrite(rec); err != nil {
 		// Exactly the event an operator tails structured logs for —
 		// error level, with the record type as a field.
-		m.cfg.Logger.With("rec", typ).Errorf("wal: record lost: %v", err)
+		m.cfg.Logger.With("rec", rec.typ()).Errorf("wal: record lost: %v", err)
 		m.walStale = true
 	}
 }
 
-// walAppendErr logs a state change the caller has NOT yet made and
-// surfaces the error, for records that gate what follows (Submit must
-// not ack, a round must not dispatch, what the log did not take).
+// walAppendErr is walAppend for records that gate what follows (Submit
+// must not ack, a round must not dispatch, an epoch must not take effect,
+// what the log did not take): write the record, then fold it. An error
+// means the state is unchanged and the caller backs out.
 // Caller holds m.mu.
-func (m *Master) walAppendErr(typ uint8, v walRecord) error {
-	if m.cfg.WAL == nil {
-		return nil
-	}
-	if m.walStale {
-		if err := m.walCompactLocked(); err != nil {
+func (m *Master) walAppendErr(rec walRecord) error {
+	if m.cfg.WAL != nil {
+		if m.walStale {
+			if err := m.walCompactLocked(); err != nil {
+				return err
+			}
+		}
+		if err := m.walWrite(rec); err != nil {
+			// Nothing diverged (the caller backs out), but the next append
+			// folds a snapshot anyway: compaction is also what clears a log
+			// wedged by a failed claw-back.
+			m.walStale = true
 			return err
 		}
 	}
-	if err := m.walWrite(typ, v); err != nil {
-		// Nothing diverged (the caller backs out), but the next append
-		// folds a snapshot anyway: compaction is also what clears a log
-		// wedged by a failed claw-back.
+	if err := m.fold(rec); err != nil {
+		// The log now holds a record no replay will take either; the
+		// snapshot the next append owes rotates it away.
 		m.walStale = true
 		return err
 	}
 	return nil
 }
 
-// walAudit logs a record replay ignores (dispatch). It takes no lock,
+// walAudit logs a record no fold reads (dispatch). It takes no lock,
 // so it may be called from dispatcher goroutines; a lost audit record
 // diverges nothing and is only logged.
-func (m *Master) walAudit(typ uint8, v walRecord) {
+func (m *Master) walAudit(rec walRecord) {
 	if m.cfg.WAL == nil {
 		return
 	}
-	if err := m.walWrite(typ, v); err != nil {
-		m.cfg.Logger.With("rec", typ).Errorf("wal: record lost: %v", err)
+	if err := m.walWrite(rec); err != nil {
+		m.cfg.Logger.With("rec", rec.typ()).Errorf("wal: record lost: %v", err)
 	}
 }
 
 // walWrite encodes one record, appends it to the attached WAL and
 // hands the same bytes to the replication sink.
-func (m *Master) walWrite(typ uint8, v walRecord) error {
+func (m *Master) walWrite(rec walRecord) error {
 	e := walEncoders.Get().(*walEncoder)
 	defer func() {
 		if e.buf.Cap() <= maxPooledWALRecord {
 			walEncoders.Put(e)
 		}
 	}()
-	b, err := e.encode(v)
+	b, err := e.encode(rec)
 	if err != nil {
 		return fmt.Errorf("encoding: %w", err)
 	}
-	if err := m.cfg.WAL.Append(typ, b); err != nil {
+	if err := m.cfg.WAL.Append(rec.typ(), b); err != nil {
 		return err
 	}
 	// Ship only what the local log took: a standby must never hold a
@@ -837,7 +909,7 @@ func (m *Master) walWrite(typ uint8, v walRecord) error {
 	// hold m.mu, so the shipped sequence matches the log sequence (the
 	// one lock-free site, walAudit, writes replay no-ops).
 	if s := m.cfg.ReplicaSink; s != nil {
-		s.Ship(typ, b)
+		s.Ship(rec.typ(), b)
 	}
 	return nil
 }
@@ -854,59 +926,29 @@ func (m *Master) walCompactLocked() error {
 	return nil
 }
 
-// nextSeqLocked allocates a durable work-item sequence number. Caller
-// holds m.mu.
-func (m *Master) nextSeqLocked() int64 {
-	m.nextItemSeq++
-	return m.nextItemSeq
-}
-
 // walSnapshotLocked serializes the master's durable state in the
-// compaction snapshot format. Caller holds m.mu. Speculation keys and
-// item sequence numbers are preserved: the log that continues after
-// this snapshot refers to them. The live state is expressed as a
-// reducer and serialized by the reducer's own snapshot, so what replay
-// folds and what the master writes cannot drift apart.
-func (m *Master) walSnapshotLocked(w io.Writer) error {
-	r := &walReducer{
-		nextJobID: m.nextJobID, nextSeq: m.nextItemSeq, nextKey: m.nextKey,
-		nextPhoneID: m.nextPhoneID, epoch: m.epoch,
-		jobs:  make(map[int]*walJobRec, len(m.jobs)),
-		fresh: map[int64]*walItemRec{},
-		open:  make(map[int64]*walItemRec, len(m.open)),
-		dead:  m.deadLetters, drains: m.draining,
-		reputation: m.reputation, quarantined: m.quarantined, identity: m.walIdentity,
+// compaction snapshot format. Caller holds m.mu.
+func (m *Master) walSnapshotLocked(w io.Writer) error { return m.snapshot(w) }
+
+// byID lists a fresh or open collection in ascending sequence-number or
+// key order.
+func byID(items map[int64]*walItemRec) []*walItemRec {
+	ids := make([]int64, 0, len(items))
+	for id := range items {
+		ids = append(ids, id)
 	}
-	for _, js := range m.jobs {
-		r.jobs[js.id] = &walJobRec{
-			ID: js.id, Task: js.task.Name(), Params: js.task.Params(),
-			TotalBytes: js.totalBytes, Covered: js.covered,
-			Partials: js.partials, Final: js.final, Done: js.done,
-			Failure: js.failure,
-		}
+	slices.Sort(ids)
+	out := make([]*walItemRec, len(ids))
+	for i, id := range ids {
+		out[i] = items[id]
 	}
-	// A fresh item is queued until a round record cuts it into keyed byte
-	// ranges; a keyed range is in the open table from that record until it
-	// settles, wherever it waits.
-	for _, it := range m.pending {
-		if it.key == 0 {
-			r.fresh[it.seq] = &walItemRec{
-				Seq: it.seq, JobID: it.jobID, Input: it.input,
-				Resume: it.resume, Atomic: it.atomic, Retries: it.retries,
-			}
-		}
-	}
-	for key, e := range m.open {
-		r.open[key] = &walItemRec{
-			Key: key, JobID: e.jobID, Input: e.input, Resume: e.latest(nil),
-			Atomic: true, Retries: e.retries, Partition: e.partition,
-		}
-	}
-	return r.snapshot(w)
+	return out
 }
 
 // snapshot serializes the reducer's state in the compaction-snapshot
 // format, collections sorted so equivalent states encode identically.
+// Speculation keys and item sequence numbers are preserved: the log that
+// continues after this snapshot refers to them.
 func (r *walReducer) snapshot(w io.Writer) error {
 	st := walState{
 		NextJobID: r.nextJobID, NextSeq: r.nextSeq, NextKey: r.nextKey,
@@ -921,15 +963,13 @@ func (r *walReducer) snapshot(w io.Writer) error {
 	for _, j := range r.jobs {
 		st.Jobs = append(st.Jobs, *j)
 	}
-	for _, it := range r.fresh {
+	sort.Slice(st.Jobs, func(i, j int) bool { return st.Jobs[i].ID < st.Jobs[j].ID })
+	for _, it := range byID(r.fresh) {
 		st.Fresh = append(st.Fresh, *it)
 	}
-	for _, it := range r.open {
+	for _, it := range byID(r.open) {
 		st.Open = append(st.Open, *it)
 	}
-	sort.Slice(st.Jobs, func(i, j int) bool { return st.Jobs[i].ID < st.Jobs[j].ID })
-	sort.Slice(st.Fresh, func(i, j int) bool { return st.Fresh[i].Seq < st.Fresh[j].Seq })
-	sort.Slice(st.Open, func(i, j int) bool { return st.Open[i].Key < st.Open[j].Key })
 	return json.NewEncoder(w).Encode(st)
 }
 
@@ -982,104 +1022,47 @@ func (m *Master) RecoverWAL() error {
 	return nil
 }
 
-// installWALState materializes reduced state into an empty master.
+// installWALState adopts a folded state as this (empty) master's own,
+// as folded, and rebuilds the queue from it: an item per fresh entry,
+// then a queued copy per open range — under its old key, though the old
+// master's attempts can never reach this one, because the key is what
+// the log that continues from here calls the range.
 func (m *Master) installWALState(red *walReducer) error {
-	jobs := map[int]*jobState{}
-	for id, jr := range red.jobs {
-		task, err := tasks.New(jr.Task, jr.Params)
+	for id, js := range red.jobs {
+		task, err := tasks.New(js.Task, js.Params)
 		if err != nil {
 			return fmt.Errorf("server: wal recovery: restoring job %d: %w", id, err)
 		}
-		js := &jobState{
-			id: id, task: task, totalBytes: jr.TotalBytes, covered: jr.Covered,
-			partials: jr.Partials, final: jr.Final, done: jr.Done,
-			failure: jr.Failure,
-		}
-		if !js.done && js.totalBytes > 0 && js.covered >= js.totalBytes {
-			// The crash fell between the last report and the round's
-			// aggregation sweep; finish the job now. An aggregation error is
-			// terminal here exactly as in the live sweep (aggregation is
-			// deterministic over the same partials): the job is marked
-			// failed — surfaced via JobFailure — instead of wedging the
-			// recovered master in a retry-forever loop.
-			final, err := aggregate(js)
-			if err != nil {
-				js.failure = err.Error()
-				js.done = true
-				m.cfg.Logger.With("job", id).Errorf("wal: aggregation after recovery failed terminally: %v", err)
-			} else {
-				js.final = final
-				js.done = true
-			}
-		}
-		jobs[id] = js
+		js.task = task
 	}
-	items := make([]*walItemRec, 0, len(red.fresh)+len(red.open))
-	for _, it := range red.fresh {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].Seq < items[j].Seq })
-	openStart := len(items)
-	for _, it := range red.open {
-		items = append(items, it)
-	}
-	sort.Slice(items[openStart:], func(i, j int) bool {
-		return items[openStart+i].Key < items[openStart+j].Key
-	})
-	pending := make([]*workItem, 0, len(items))
-	for _, it := range items {
-		js, ok := jobs[it.JobID]
+	items := append(byID(red.fresh), byID(red.open)...)
+	pending := make([]*workItem, len(items))
+	for i, it := range items {
+		js, ok := red.jobs[it.JobID]
 		if !ok {
 			return fmt.Errorf("server: wal recovery: item references unknown job %d", it.JobID)
 		}
-		// Keys are dropped: the old master's attempts can never reach
-		// this one, so first-result-wins state would be dead weight.
-		// The partition number survives, so the re-dispatch extends the
-		// range's timeline row instead of opening a fresh "partition 0"
-		// per recovered range.
-		pending = append(pending, &workItem{
-			jobID: it.JobID, task: js.task, input: it.Input,
-			resume: it.Resume, atomic: it.Atomic, retries: it.Retries,
-			partition: it.Partition,
-		})
+		it.queued = it.Key != 0
+		pending[i] = itemOf(js.task, it)
 	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.jobs) != 0 || len(m.pending) != 0 {
+	if len(m.jobs) != 0 || len(m.pending) != 0 || m.nextPhoneID != 0 {
 		return errors.New("server: wal recovery: master already has state")
 	}
-	m.jobs = jobs
-	for _, it := range pending {
-		it.seq = m.nextSeqLocked()
-	}
-	m.pending = pending
-	// The items carry sequence numbers the log has never seen: no record
-	// may be written before the snapshot that introduces them.
-	m.walStale = true
-	m.deadLetters = append(m.deadLetters, red.dead...)
-	if red.nextJobID > m.nextJobID {
-		m.nextJobID = red.nextJobID
-	}
-	if red.nextSeq > m.nextItemSeq {
-		m.nextItemSeq = red.nextSeq
-	}
-	if red.nextKey > m.nextKey {
-		m.nextKey = red.nextKey
-	}
-	if red.nextPhoneID > m.nextPhoneID {
-		m.nextPhoneID = red.nextPhoneID
-	}
-	maps.Copy(m.draining, red.drains)
-	maps.Copy(m.reputation, red.reputation)
-	maps.Copy(m.quarantined, red.quarantined)
-	maps.Copy(m.walIdentity, red.identity)
-	if red.epoch > m.epoch {
-		m.epoch = red.epoch
-	}
+	m.walReducer, m.pending = red, pending
 	// Re-arm the tracer's epoch stamp: master-side events recorded after
 	// recovery must carry the recovered fencing regime, not 0.
 	m.cfg.Tracer.SetEpoch(m.epoch)
+	for _, js := range m.jobs {
+		if !js.Done && js.TotalBytes > 0 && js.Covered >= js.TotalBytes {
+			// The crash fell between the last report and the round's
+			// aggregation sweep; finish the job now, exactly as the sweep
+			// would have (an aggregation error is as terminal here).
+			m.finishJobLocked(js)
+		}
+	}
 	return nil
 }
 

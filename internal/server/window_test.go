@@ -51,25 +51,21 @@ func newWindowHarness(t *testing.T, cfg Config) *windowHarness {
 	h.f = dialFake(t, h.m, "HTC G2", 806)
 	for j := 0; j < windowJobs; j++ {
 		input := numberLines(1000*j+1, 1000*j+400)
-		id, err := h.m.Submit(tasks.PrimeCount{}, input, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := openTestRange(t, h.m, tasks.PrimeCount{}, input, true, 0)
+		id := a.item.jobID
 		h.ids = append(h.ids, id)
 		h.want[id] = groundTruth(t, tasks.PrimeCount{}, input)
 		h.resume[id] = checkpointAt(&protocol.Message{Task: "primecount", Input: input})
+		// Turn the range into a re-queued one mid-way through its input, as
+		// a failed earlier round would have left it.
+		hdr, state := splitResume(h.resume[id].Clone())
+		h.m.mu.Lock()
+		h.m.walAppend(&walMigrate{JobID: id, Key: a.key, Resume: hdr, State: state,
+			Retries: windowRetries, Partition: windowPartition + id})
+		a.rng.queued = true
+		h.m.pending = append(h.m.pending, itemOf(a.item.task, a.rng))
+		h.m.mu.Unlock()
 	}
-	// Turn the fresh items into re-queued keyed ranges mid-way through
-	// their input, as a failed earlier round would have left them.
-	h.m.mu.Lock()
-	for _, it := range h.m.pending {
-		h.m.nextKey++
-		it.key = h.m.nextKey
-		it.resume = h.resume[it.jobID].Clone()
-		it.partition = windowPartition + it.jobID
-		it.retries = windowRetries
-	}
-	h.m.mu.Unlock()
 	return h
 }
 
