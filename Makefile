@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race chaos wal-crash ckpt-chaos churn-storm failover byzantine obs-chaos bench-check bench-smoke check census bench bench-run bench-compare fmt
+.PHONY: all build vet lint test race chaos wal-crash ckpt-chaos churn-storm failover byzantine obs-chaos bench-check bench-smoke check census bench bench-run bench-compare fmt
 
 all: check
 
@@ -10,19 +10,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-invariant static analysis: the nine-analyzer suite on the
-# shared dataflow substrate (guarded fields, lock ordering, goroutine
-# cancellation, frame/WAL dispatch, epoch fencing, metric hygiene,
-# leveled logging, shutdown evidence). Gated on the committed baseline:
-# only findings not recorded in lint-baseline.json fail the build. See
+# Project-invariant static analysis (guarded fields, lock ordering,
+# goroutine shutdown, frame dispatch, epoch fencing, metric hygiene,
+# leveled logging), printed as file:line for humans. It gates nothing
+# here: the same analysis is the test TestRepositoryIsClean, which
+# `race` (and so `check`) and tier-1 `go test ./...` already run. See
 # docs/static-analysis.md.
 lint:
-	$(GO) run ./cmd/cwc-vet -timings -budget 30s -baseline lint-baseline.json ./...
-
-# Machine-readable findings snapshot (baseline-filtered) for the CI
-# artifact; never fails so the artifact exists even on red runs.
-lint-json:
-	$(GO) run ./cmd/cwc-vet -json -baseline lint-baseline.json ./... > cwc-vet-findings.json || true
+	$(GO) run ./cmd/cwc-vet
 
 # Fast suite (skips the chaos soak via -short).
 test:
@@ -116,7 +111,7 @@ bench-smoke:
 # The pre-PR gate: everything that must be green before a change ships.
 # Files gofmt would rewrite are listed and fail it. The census is printed
 # last and gates nothing: it puts the size counts in the CI log.
-check: vet lint build race bench-check bench-smoke
+check: vet build race bench-check bench-smoke
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	-@$(MAKE) --no-print-directory census
@@ -135,6 +130,8 @@ census:
 	@echo "Master fields under mu: $$(sed -n '/^type Master struct {/,/^}/p' internal/server/server.go | grep -c 'guarded by mu')"
 	@echo "frame types:            $$(grep -hE '^	Type[A-Za-z]+ +Type = "' internal/protocol/*.go | wc -l)"
 	@echo "WAL record types:       $$(grep -cE '^	walRec[A-Za-z]+ +uint8 = ' internal/server/wal.go)"
+	@echo "cwc-vet flags:          $$(grep -cE 'flag\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/cwc-vet/main.go)"
+	@echo "make check prerequisites: $$(sed -n 's/^check://p' Makefile | wc -w)"
 	@echo "wall-clock call sites:  $$(grep -rE 'time\.(Now|Since|Sleep|After|NewTimer|NewTicker)\(' internal/server internal/worker internal/replica --include='*.go' | grep -vc '_test\.go:') (server/worker/replica)"
 
 bench:

@@ -1,267 +1,41 @@
-// Command cwc-vet runs the project-invariant static-analysis suite over
-// the module: nine analyzers built on a shared dataflow substrate
-// (per-function CFGs plus a module-wide call graph) that machine-check
-// the concurrency, deadlock, cancellation, protocol, epoch-fencing,
-// WAL, metric-hygiene, logging, and goroutine-lifetime disciplines the
-// codebase relies on. See docs/static-analysis.md for the catalogue and
-// the suppression syntax.
+// Command cwc-vet prints the findings of the project-invariant
+// static-analysis suite (internal/lint) as file:line:col lines, for
+// humans: the gate is the same analysis run as a test,
+// `go test ./internal/lint/`. It takes no flags and no arguments; run it
+// from the module root. See docs/static-analysis.md for the
+// analyzers and the suppression syntax.
 //
-// Usage:
-//
-//	cwc-vet [flags] [./...]
-//
-// Exit status is 0 when clean, 1 when there are findings, 2 on a load,
-// usage, or budget error. The loader always analyzes the whole module
-// (the invariants are cross-package), so the only accepted package
-// pattern is "./...".
+// Exit status is 0 when clean, 1 when there are findings, 2 when the
+// module cannot be loaded.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"strings"
-	"time"
 
 	"cwc/internal/lint"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(".", os.Stdout, os.Stderr))
 }
 
-func run() int {
-	var (
-		jsonOut   = flag.Bool("json", false, "emit diagnostics as a JSON array")
-		enable    = flag.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable   = flag.String("disable", "", "comma-separated analyzers to skip")
-		list      = flag.Bool("list", false, "list analyzers and exit")
-		timings   = flag.Bool("timings", false, "print per-analyzer wall-clock to stderr")
-		budget    = flag.Duration("budget", 0, "fail (exit 2) when load+analysis exceeds this duration")
-		baseline  = flag.String("baseline", "", "JSON baseline file; findings recorded in it are not reported")
-		writeBase = flag.String("write-baseline", "", "write the current findings to this baseline file and exit")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: cwc-vet [flags] [./...]\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
-	all := lint.Analyzers()
-	if *list {
-		for _, a := range all {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	for _, arg := range flag.Args() {
-		if arg != "./..." {
-			fmt.Fprintf(os.Stderr, "cwc-vet: unsupported package pattern %q (the suite always analyzes the whole module; use ./...)\n", arg)
-			return 2
-		}
-	}
-
-	analyzers, err := selectAnalyzers(all, *enable, *disable)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cwc-vet: %v\n", err)
-		return 2
-	}
-
-	root, err := moduleRoot()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cwc-vet: %v\n", err)
-		return 2
-	}
-	loadStart := time.Now()
+// run analyzes the module rooted at root: findings go to out, one a
+// line, and the reason for a non-zero status to errw.
+func run(root string, out, errw io.Writer) int {
 	prog, err := lint.LoadModule(root)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cwc-vet: %v\n", err)
+		fmt.Fprintf(errw, "cwc-vet: %v\n", err)
 		return 2
 	}
-	loadElapsed := time.Since(loadStart)
-	diags, tms := prog.RunTimed(lint.DefaultConfig(), analyzers)
-	tms = append([]lint.Timing{{Analyzer: "load", Elapsed: loadElapsed}}, tms...)
-
-	total := time.Duration(0)
-	for _, tm := range tms {
-		total += tm.Elapsed
-	}
-	if *timings {
-		for _, tm := range tms {
-			fmt.Fprintf(os.Stderr, "cwc-vet: %-10s %v\n", tm.Analyzer, tm.Elapsed.Round(time.Millisecond))
-		}
-		fmt.Fprintf(os.Stderr, "cwc-vet: %-10s %v\n", "total", total.Round(time.Millisecond))
-	}
-	if *budget > 0 && total > *budget {
-		fmt.Fprintf(os.Stderr, "cwc-vet: analysis took %v, over the %v budget\n",
-			total.Round(time.Millisecond), *budget)
-		return 2
-	}
-
-	if *writeBase != "" {
-		if err := writeBaseline(*writeBase, root, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "cwc-vet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "cwc-vet: wrote %d finding(s) to %s\n", len(diags), *writeBase)
-		return 0
-	}
-	if *baseline != "" {
-		kept, err := filterBaseline(*baseline, root, diags)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cwc-vet: %v\n", err)
-			return 2
-		}
-		diags = kept
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []lint.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintf(os.Stderr, "cwc-vet: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	diags := prog.Run(lint.Analyzers())
+	for _, d := range diags {
+		fmt.Fprintln(out, d)
 	}
 	if len(diags) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "cwc-vet: %d finding(s)\n", len(diags))
-		}
+		fmt.Fprintf(errw, "cwc-vet: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// baselineEntry identifies one accepted finding. The line number is
-// deliberately omitted so unrelated edits shifting a file do not
-// invalidate the baseline; entries are a multiset keyed by analyzer,
-// root-relative file, and message.
-type baselineEntry struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Message  string `json:"message"`
-}
-
-// entryFor renders a diagnostic as its baseline key.
-func entryFor(root string, d lint.Diagnostic) baselineEntry {
-	file := d.Position.Filename
-	if rel, err := filepath.Rel(root, file); err == nil {
-		file = filepath.ToSlash(rel)
-	}
-	return baselineEntry{Analyzer: d.Analyzer, File: file, Message: d.Message}
-}
-
-// writeBaseline snapshots the findings so CI can gate on *new* ones.
-func writeBaseline(path, root string, diags []lint.Diagnostic) error {
-	entries := make([]baselineEntry, 0, len(diags))
-	for _, d := range diags {
-		entries = append(entries, entryFor(root, d))
-	}
-	b, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// filterBaseline drops findings recorded in the baseline file. Each
-// baseline entry forgives one matching finding, so a regression that
-// adds a second identical finding in the same file still fails.
-func filterBaseline(path, root string, diags []lint.Diagnostic) ([]lint.Diagnostic, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w", err)
-	}
-	var entries []baselineEntry
-	if err := json.Unmarshal(b, &entries); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	allowed := map[baselineEntry]int{}
-	for _, e := range entries {
-		allowed[e]++
-	}
-	var kept []lint.Diagnostic
-	for _, d := range diags {
-		key := entryFor(root, d)
-		if allowed[key] > 0 {
-			allowed[key]--
-			continue
-		}
-		kept = append(kept, d)
-	}
-	return kept, nil
-}
-
-// selectAnalyzers applies -enable/-disable to the suite.
-func selectAnalyzers(all []*lint.Analyzer, enable, disable string) ([]*lint.Analyzer, error) {
-	byName := map[string]*lint.Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	parse := func(csv string) (map[string]bool, error) {
-		set := map[string]bool{}
-		if csv == "" {
-			return set, nil
-		}
-		for _, name := range strings.Split(csv, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if byName[name] == nil {
-				return nil, fmt.Errorf("unknown analyzer %q (run -list)", name)
-			}
-			set[name] = true
-		}
-		return set, nil
-	}
-	on, err := parse(enable)
-	if err != nil {
-		return nil, err
-	}
-	off, err := parse(disable)
-	if err != nil {
-		return nil, err
-	}
-	var out []*lint.Analyzer
-	for _, a := range all {
-		if len(on) > 0 && !on[a.Name] {
-			continue
-		}
-		if off[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no analyzers selected")
-	}
-	return out, nil
-}
-
-// moduleRoot walks up from the working directory to the nearest go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above the working directory")
-		}
-		dir = parent
-	}
 }

@@ -1,115 +1,115 @@
 package main
 
 import (
-	"go/token"
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"cwc/internal/lint"
 )
 
-func diag(analyzer, file string, line int, msg string) lint.Diagnostic {
-	return lint.Diagnostic{
-		Analyzer: analyzer,
-		Position: token.Position{Filename: file, Line: line, Column: 1},
-		Message:  msg,
-	}
+// cleanModule is the smallest module the suite passes: every package,
+// type, constant, method and doc file an analyzer is built around, and
+// nothing else.
+var cleanModule = map[string]string{
+	"go.mod": "module cwc\n",
+	"internal/protocol/protocol.go": `package protocol
+
+type Type string
+
+const (
+	TypeWelcome    Type = "welcome"
+	TypeResult     Type = "result"
+	TypeFailure    Type = "failure"
+	TypeCheckpoint Type = "checkpoint"
+)
+
+type EventKind string
+
+const EventStart EventKind = "start"
+
+type Message struct {
+	Type  Type
+	Epoch int64
 }
 
-// The baseline is line-insensitive (edits that shift a file must not
-// invalidate it) but a multiset: each entry forgives exactly one
-// matching finding.
-func TestBaselineRoundTrip(t *testing.T) {
+type Conn struct{}
+
+func (c *Conn) Send(m *Message) error   { return nil }
+func (c *Conn) Recv() (*Message, error) { return nil, nil }
+`,
+	"internal/server/server.go": `package server
+
+import "cwc/internal/protocol"
+
+type walEpochRec struct{ Epoch int64 }
+
+var frames = []protocol.Type{protocol.TypeWelcome, protocol.TypeResult, protocol.TypeFailure, protocol.TypeCheckpoint}
+`,
+	"internal/worker/worker.go": `package worker
+
+import "cwc/internal/protocol"
+
+var frames = []protocol.Type{protocol.TypeWelcome, protocol.TypeResult, protocol.TypeFailure, protocol.TypeCheckpoint}
+`,
+	"internal/replica/replica.go": "package replica\n",
+	"internal/obs/obs.go":         "package obs\n",
+	"internal/wal/wal.go":         "package wal\n",
+	"internal/core/core.go":       "package core\n",
+	"internal/lp/lp.go":           "package lp\n",
+	"internal/predict/predict.go": "package predict\n",
+	"cmd/cwc-server/main.go":      "package main\n",
+	"cmd/cwc-worker/main.go":      "package main\n",
+	"docs/observability.md":       "# Observability\n",
+}
+
+// unfenced mints a fenced frame without its epoch: one finding.
+const unfenced = `package server
+
+import "cwc/internal/protocol"
+
+func mint() protocol.Message { return protocol.Message{Type: protocol.TypeResult} }
+`
+
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
 	root := t.TempDir()
-	path := filepath.Join(root, "baseline.json")
-	recorded := []lint.Diagnostic{
-		diag("locks", filepath.Join(root, "a", "a.go"), 10, "field x accessed without mu"),
-		diag("metrics", filepath.Join(root, "b", "b.go"), 20, "label value id is unbounded"),
+	for rel, body := range files {
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := writeBaseline(path, root, recorded); err != nil {
-		t.Fatal(err)
-	}
-
-	now := []lint.Diagnostic{
-		// Same finding, shifted 30 lines: still forgiven.
-		diag("locks", filepath.Join(root, "a", "a.go"), 40, "field x accessed without mu"),
-		diag("metrics", filepath.Join(root, "b", "b.go"), 20, "label value id is unbounded"),
-		// A second identical metrics finding: not in the multiset.
-		diag("metrics", filepath.Join(root, "b", "b.go"), 99, "label value id is unbounded"),
-		// A brand-new finding.
-		diag("epoch", filepath.Join(root, "c", "c.go"), 5, "TypeResult frame minted without Epoch; fenced frames must carry the regime counter from creation"),
-	}
-	kept, err := filterBaseline(path, root, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kept) != 2 {
-		t.Fatalf("kept %d findings, want 2: %v", len(kept), kept)
-	}
-	if kept[0].Analyzer != "metrics" || kept[0].Position.Line != 99 {
-		t.Errorf("kept[0] = %v, want the duplicate metrics finding", kept[0])
-	}
-	if kept[1].Analyzer != "epoch" {
-		t.Errorf("kept[1] = %v, want the new epoch finding", kept[1])
-	}
+	return root
 }
 
-func TestEmptyBaselineKeepsEverything(t *testing.T) {
-	root := t.TempDir()
-	path := filepath.Join(root, "baseline.json")
-	if err := os.WriteFile(path, []byte("[]\n"), 0o644); err != nil {
-		t.Fatal(err)
+// The command's whole contract: 0 and silence for a clean module, 1 and
+// one file:line line per finding, 2 when the module cannot be loaded.
+func TestExitStatus(t *testing.T) {
+	var out, errw bytes.Buffer
+	if got := run(writeModule(t, cleanModule), &out, &errw); got != 0 || out.Len() != 0 {
+		t.Errorf("clean module: status %d, want 0 and no output\n%s%s", got, &out, &errw)
 	}
-	now := []lint.Diagnostic{diag("locks", filepath.Join(root, "a.go"), 1, "m")}
-	kept, err := filterBaseline(path, root, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kept) != 1 {
-		t.Fatalf("kept %d findings, want 1", len(kept))
-	}
-}
 
-func TestFilterBaselineBadFile(t *testing.T) {
-	root := t.TempDir()
-	if _, err := filterBaseline(filepath.Join(root, "missing.json"), root, nil); err == nil {
-		t.Error("missing baseline file should be an error, not an empty allowlist")
+	dirty := map[string]string{"internal/server/mint.go": unfenced}
+	for rel, body := range cleanModule {
+		dirty[rel] = body
 	}
-	bad := filepath.Join(root, "bad.json")
-	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
+	out.Reset()
+	root := writeModule(t, dirty)
+	if got := run(root, &out, &errw); got != 1 {
+		t.Errorf("module with a finding: status %d, want 1\n%s", got, &errw)
 	}
-	if _, err := filterBaseline(bad, root, nil); err == nil {
-		t.Error("malformed baseline JSON should be an error")
+	want := filepath.Join(root, "internal/server/mint.go") + ":5:39: [epoch] TypeResult frame minted without Epoch"
+	if lines := strings.Split(strings.TrimSpace(out.String()), "\n"); len(lines) != 1 || !strings.HasPrefix(lines[0], want) {
+		t.Errorf("findings printed:\n%swant one line starting %q", &out, want)
 	}
-}
 
-func TestSelectAnalyzers(t *testing.T) {
-	all := lint.Analyzers()
-	sel, err := selectAnalyzers(all, "lockorder,metrics", "")
-	if err != nil {
-		t.Fatal(err)
+	out.Reset()
+	if got := run(t.TempDir(), &out, &errw); got != 2 || out.Len() != 0 {
+		t.Errorf("directory with no go.mod: status %d, want 2 and no findings\n%s", got, &out)
 	}
-	if len(sel) != 2 || sel[0].Name != "lockorder" || sel[1].Name != "metrics" {
-		t.Errorf("enable selected %v", names(sel))
-	}
-	sel, err = selectAnalyzers(all, "", "leaks")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) != len(all)-1 {
-		t.Errorf("disable kept %d analyzers, want %d", len(sel), len(all)-1)
-	}
-	if _, err := selectAnalyzers(all, "nope", ""); err == nil {
-		t.Error("unknown analyzer should be an error")
-	}
-}
-
-func names(as []*lint.Analyzer) []string {
-	var out []string
-	for _, a := range as {
-		out = append(out, a.Name)
-	}
-	return out
 }

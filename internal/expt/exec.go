@@ -121,10 +121,6 @@ func ExecuteSchedule(inst *core.Instance, sched *core.Schedule, actualC [][]floa
 			for _, a := range sched.PerPhone[i][failedFrom:] {
 				res.Failed = append(res.Failed, FailedWork{Job: a.Job, RemainingKB: a.SizeKB})
 			}
-		} else if willFail && deadline < now {
-			// Unplug before the queue even finished is handled above; an
-			// unplug after completion is a no-op.
-			_ = deadline
 		}
 		res.PhoneFinish[i] = now
 		if failedFrom < 0 && now > res.MakespanMs {

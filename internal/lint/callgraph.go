@@ -81,9 +81,6 @@ type Index struct {
 	byLit map[*ast.FuncLit]*FuncInfo
 }
 
-// FuncOf resolves a declared function object to its info, or nil.
-func (ix *Index) FuncOf(obj *types.Func) *FuncInfo { return ix.byObj[obj] }
-
 // LitOf resolves a function literal to its info, or nil.
 func (ix *Index) LitOf(lit *ast.FuncLit) *FuncInfo { return ix.byLit[lit] }
 

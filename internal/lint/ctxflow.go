@@ -1,11 +1,21 @@
 package lint
 
-// ctxflow checks that the daemons can actually shut down: every
-// blocking operation reachable from a goroutine spawned in a tracked
-// package must be cancellable. The leaks analyzer (v1) checks that a
-// goroutine is *tracked* (WaitGroup + shutdown evidence); ctxflow
-// checks the complementary property that no op on the goroutine's
-// paths can block forever once shutdown is requested:
+// ctxflow checks that the daemons can actually shut down. Two rules,
+// one walk over every `go` statement in the daemon packages:
+//
+// Every spawned goroutine must be stoppable: WaitGroup-tracked (a
+// deferred wg.Done(), so Close/Run can wait for it) or done-aware (a
+// select, a channel receive, or a range over a channel, so closing the
+// channel or canceling the context ends it). The evidence is searched
+// in the spawned function's own body; nested function literals do not
+// count for their parent, and a target with no body in the module (a
+// function value, an interface method, the standard library) cannot be
+// vouched for. An untracked, unaware goroutine is exactly the kind that
+// outlives Close and turns the keepalive-detected failure model into a
+// goroutine leak.
+//
+// And no blocking operation reachable from such a goroutine may block
+// forever once shutdown is requested:
 //
 //   - a select with two or more cases (or a default) always has an
 //     alternative arm, so its comm ops are fine;
@@ -27,32 +37,49 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 )
 
-// CtxFlowAnalyzer reports blocking ops on daemon-goroutine paths that
-// have no cancellation alternative.
+// CtxFlowAnalyzer reports goroutines nothing can stop and blocking ops
+// on daemon-goroutine paths that have no cancellation alternative.
 var CtxFlowAnalyzer = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "require every blocking op reachable from a daemon goroutine to be cancellable",
 	Run:  runCtxFlow,
 }
+
+// daemonPkgs are the packages whose `go` statements are the roots.
+var daemonPkgs = []string{serverPkg, workerPkg, replicaPkg}
 
 // doneLikeRe matches channel expressions that are cancellation sources
 // by naming convention.
 var doneLikeRe = regexp.MustCompile(`(?i)(done|stop|quit|close|shutdown|exit|ctx|cancel)`)
 
-func runCtxFlow(cfg *Config, prog *Program) []Diagnostic {
+func runCtxFlow(prog *Program) []Diagnostic {
+	_, diags := prog.scope("ctxflow", daemonPkgs...)
 	ix := prog.Index()
 
-	// Roots: every statically resolved `go` target in a tracked package.
+	// Roots: every `go` statement in a daemon package. The target must
+	// be stoppable, and seeds the reachability walk when it resolves.
 	reached := map[*FuncInfo]bool{}
 	var frontier []*FuncInfo
 	for _, f := range ix.All() {
-		if !matchAnyPkg(cfg.CtxPkgs, f.Pkg.Path) {
+		if !slices.Contains(daemonPkgs, f.Pkg.Path) {
 			continue
 		}
 		for _, cs := range f.Calls {
-			if cs.Spawned && cs.Callee != nil && !reached[cs.Callee] {
+			if !cs.Spawned {
+				continue
+			}
+			if cs.Callee == nil {
+				diags = append(diags, prog.diag("ctxflow", cs.Call,
+					"goroutine spawns a function this analyzer cannot see into: track it with a sync.WaitGroup or make it ctx/done-aware"))
+				continue
+			}
+			if !goroutineTerminates(cs.Callee) {
+				diags = append(diags, prog.diag("ctxflow", cs.Call,
+					"goroutine is neither WaitGroup-tracked (defer wg.Done()) nor ctx/done-aware (select, channel receive, or range over a channel): it can outlive Close"))
+			}
+			if !reached[cs.Callee] {
 				reached[cs.Callee] = true
 				frontier = append(frontier, cs.Callee)
 			}
@@ -69,7 +96,6 @@ func runCtxFlow(cfg *Config, prog *Program) []Diagnostic {
 		}
 	}
 
-	var diags []Diagnostic
 	seen := map[string]bool{}
 	for _, f := range ix.All() {
 		if !reached[f] {
@@ -84,6 +110,31 @@ func runCtxFlow(cfg *Config, prog *Program) []Diagnostic {
 		}
 	}
 	return diags
+}
+
+// goroutineTerminates looks for shutdown evidence in a spawned
+// function's body: a deferred WaitGroup.Done, a select statement, a
+// channel receive, or a range over a channel.
+func goroutineTerminates(f *FuncInfo) bool {
+	found := false
+	ast.Inspect(f.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return n == f.Lit
+		case *ast.SelectStmt:
+			found = true
+		case *ast.UnaryExpr:
+			found = found || n.Op == token.ARROW
+		case *ast.RangeStmt:
+			found = found || isChanType(f.Pkg.Info.TypeOf(n.X))
+		case *ast.DeferStmt:
+			if sel, ok := n.Call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
+				found = found || isNamedType(f.Pkg.Info.TypeOf(sel.X), "sync", "WaitGroup")
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // checkGoroutineBody scans one reached function for non-cancellable

@@ -18,38 +18,41 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // EpochAnalyzer reports fenced frames and WAL records minted without an
 // epoch.
 var EpochAnalyzer = &Analyzer{
 	Name: "epoch",
-	Doc:  "require fenced frames and WAL records to set Epoch at mint time",
 	Run:  runEpoch,
 }
 
-func runEpoch(cfg *Config, prog *Program) []Diagnostic {
-	fenced := map[string]bool{}
-	for _, name := range cfg.FencedFrameTypes {
-		fenced[name] = true
+// fencedFrameTypes are the protocol constants whose Message values must
+// set Epoch at mint time; fencedWALRec is the server's record struct
+// whose keyed literals must thread it.
+var fencedFrameTypes = []string{"TypeWelcome", "TypeResult", "TypeFailure", "TypeCheckpoint"}
+
+const fencedWALRec = "walEpochRec"
+
+func runEpoch(prog *Program) []Diagnostic {
+	pkgs, diags := prog.scope("epoch", protocolPkg, serverPkg)
+	if len(diags) > 0 {
+		return diags
 	}
-	fencedWAL := map[string]bool{}
-	for _, name := range cfg.FencedWALTypes {
-		fencedWAL[name] = true
-	}
-	var diags []Diagnostic
+	diags = append(prog.declared("epoch", pkgs[0], fencedFrameTypes...), prog.declared("epoch", pkgs[1], fencedWALRec)...)
 	for _, pkg := range prog.Pkgs {
 		for _, f := range pkg.Files {
-			diags = append(diags, epochLiterals(cfg, prog, pkg, f, fenced, fencedWAL)...)
+			diags = append(diags, epochLiterals(prog, pkg, f)...)
 		}
-		diags = append(diags, epochAssignments(cfg, prog, pkg, fenced)...)
+		diags = append(diags, epochAssignments(prog, pkg)...)
 	}
 	return diags
 }
 
 // fencedConstName returns the constant's name when e resolves to one of
-// the fenced frame-type constants declared in ProtocolPkg.
-func fencedConstName(cfg *Config, pkg *Package, e ast.Expr, fenced map[string]bool) string {
+// the fenced frame-type constants declared in the protocol package.
+func fencedConstName(pkg *Package, e ast.Expr) string {
 	var id *ast.Ident
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -60,14 +63,14 @@ func fencedConstName(cfg *Config, pkg *Package, e ast.Expr, fenced map[string]bo
 		return ""
 	}
 	c, ok := pkg.Info.Uses[id].(*types.Const)
-	if !ok || c.Pkg() == nil || c.Pkg().Path() != cfg.ProtocolPkg || !fenced[c.Name()] {
+	if !ok || c.Pkg() == nil || c.Pkg().Path() != protocolPkg || !slices.Contains(fencedFrameTypes, c.Name()) {
 		return ""
 	}
 	return c.Name()
 }
 
 // epochLiterals checks composite literals (rules 1 and 3).
-func epochLiterals(cfg *Config, prog *Program, pkg *Package, f *ast.File, fenced, fencedWAL map[string]bool) []Diagnostic {
+func epochLiterals(prog *Program, pkg *Package, f *ast.File) []Diagnostic {
 	var diags []Diagnostic
 	ast.Inspect(f, func(n ast.Node) bool {
 		lit, ok := n.(*ast.CompositeLit)
@@ -93,8 +96,8 @@ func epochLiterals(cfg *Config, prog *Program, pkg *Package, f *ast.File, fenced
 		}
 
 		// Rule 1: fenced Message literal must set Epoch.
-		if obj.Pkg().Path() == cfg.ProtocolPkg && obj.Name() == cfg.MessageTypeName && keyed {
-			if name := fencedConstName(cfg, pkg, keys["Type"], fenced); name != "" {
+		if obj.Pkg().Path() == protocolPkg && obj.Name() == messageTypeName && keyed {
+			if name := fencedConstName(pkg, keys["Type"]); name != "" {
 				if _, ok := keys["Epoch"]; !ok {
 					diags = append(diags, prog.diag("epoch", lit,
 						"%s frame minted without Epoch; fenced frames must carry the regime counter from creation", name))
@@ -103,7 +106,7 @@ func epochLiterals(cfg *Config, prog *Program, pkg *Package, f *ast.File, fenced
 		}
 
 		// Rule 3: fenced WAL record literal must set Epoch.
-		if obj.Pkg().Path() == cfg.WALPkg && fencedWAL[obj.Name()] && keyed {
+		if obj.Pkg().Path() == serverPkg && obj.Name() == fencedWALRec && keyed {
 			if _, ok := keys["Epoch"]; !ok {
 				diags = append(diags, prog.diag("epoch", lit,
 					"%s literal does not thread Epoch; the record is the regime's durable evidence", obj.Name()))
@@ -116,7 +119,7 @@ func epochLiterals(cfg *Config, prog *Program, pkg *Package, f *ast.File, fenced
 
 // epochAssignments checks rule 2: `x.Type = <fenced>` without a
 // matching `x.Epoch = ...` in the same function body.
-func epochAssignments(cfg *Config, prog *Program, pkg *Package, fenced map[string]bool) []Diagnostic {
+func epochAssignments(prog *Program, pkg *Package) []Diagnostic {
 	var diags []Diagnostic
 	check := func(body *ast.BlockStmt) {
 		type typeSet struct {
@@ -137,12 +140,12 @@ func epochAssignments(cfg *Config, prog *Program, pkg *Package, fenced map[strin
 					continue
 				}
 				base := exprString(sel.X)
-				if !isNamedType(pkg.Info.TypeOf(sel.X), cfg.ProtocolPkg, cfg.MessageTypeName) {
+				if !isNamedType(pkg.Info.TypeOf(sel.X), protocolPkg, messageTypeName) {
 					continue
 				}
 				switch sel.Sel.Name {
 				case "Type":
-					if name := fencedConstName(cfg, pkg, as.Rhs[i], fenced); name != "" {
+					if name := fencedConstName(pkg, as.Rhs[i]); name != "" {
 						sets = append(sets, typeSet{node: as, base: base, name: name})
 					}
 				case "Epoch":

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -22,61 +21,53 @@ import (
 //  3. Every composite literal of the frame struct (protocol.Message)
 //     must set the Type field explicitly; an untyped frame is rejected
 //     by the peer as corrupt.
-//  4. When Config.EventKindTypeName is set, rule 2 also applies to
-//     switches over that discriminator (the worker telemetry event
-//     kinds): a new event kind must extend every fold switch or the
-//     switch must declare a default policy.
+//  4. Rule 2 also applies to switches over the worker telemetry event
+//     kinds (protocol.EventKind): a new event kind must extend every
+//     fold switch or the switch must declare a default policy.
 var FramesAnalyzer = &Analyzer{
 	Name: "frames",
-	Doc:  "every protocol frame type is dispatched at both endpoints and every frame literal sets Type",
 	Run:  runFrames,
 }
 
-func runFrames(cfg *Config, prog *Program) []Diagnostic {
-	proto := prog.Lookup(cfg.ProtocolPkg)
-	if proto == nil {
-		return nil // nothing to check in this tree (fixtures)
-	}
-	var diags []Diagnostic
+// The protocol package's frame discriminator, frame struct and
+// telemetry event discriminator.
+const (
+	frameTypeName   = "Type"
+	messageTypeName = "Message"
+	eventKindName   = "EventKind"
+)
 
-	// Collect the frame-type constants declared in the protocol package.
-	consts, names, byName := discriminatorConsts(proto, cfg.ProtocolPkg, cfg.FrameTypeName)
-	if len(names) == 0 {
-		return nil
+func runFrames(prog *Program) []Diagnostic {
+	pkgs, diags := prog.scope("frames", protocolPkg, serverPkg, workerPkg)
+	if len(diags) > 0 {
+		return diags
 	}
+	proto, endpoints := pkgs[0], pkgs[1:]
+	diags = prog.declared("frames", proto, messageTypeName)
 
-	// 1. Every constant referenced in every endpoint package.
-	for _, epPath := range cfg.EndpointPkgs {
-		ep := prog.Lookup(epPath)
-		if ep == nil {
-			continue
-		}
-		used := map[*types.Const]bool{}
+	// 1. Every frame-type constant referenced in every endpoint package.
+	for _, ep := range endpoints {
+		used := map[types.Object]bool{}
 		for _, id := range usesOf(ep) {
-			if c, ok := ep.Info.Uses[id].(*types.Const); ok {
-				if _, tracked := consts[c]; tracked {
-					used[c] = true
-				}
-			}
+			used[ep.Info.Uses[id]] = true
 		}
-		for _, name := range names {
-			c := byName[name]
+		for _, c := range discriminatorConsts(proto, frameTypeName) {
 			if !used[c] {
-				diags = append(diags, prog.diag("frames", consts[c],
+				diags = append(diags, prog.diag("frames", declSite(proto, c.Name()),
 					"frame type %s.%s is never referenced in %s: add a dispatch case or sender",
-					proto.Types.Name(), name, epPath))
+					proto.Types.Name(), c.Name(), ep.Path))
 			}
 		}
 	}
 
 	// 2. Frame-type switches are exhaustive or carry a default — and the
 	// same for the telemetry event-kind discriminator (rule 4).
-	diags = append(diags, switchDiags(cfg, prog, proto, cfg.FrameTypeName, consts, names, byName)...)
-	if cfg.EventKindTypeName != "" {
-		ekConsts, ekNames, ekByName := discriminatorConsts(proto, cfg.ProtocolPkg, cfg.EventKindTypeName)
-		if len(ekNames) > 0 {
-			diags = append(diags, switchDiags(cfg, prog, proto, cfg.EventKindTypeName, ekConsts, ekNames, ekByName)...)
+	for _, typeName := range []string{frameTypeName, eventKindName} {
+		consts := discriminatorConsts(proto, typeName)
+		if len(consts) == 0 {
+			diags = append(diags, prog.unresolved("frames", "constants of type "+protocolPkg+"."+typeName))
 		}
+		diags = append(diags, switchDiags(prog, proto, endpoints, typeName, consts)...)
 	}
 
 	// 3. Every frame literal sets the Type field.
@@ -88,7 +79,7 @@ func runFrames(cfg *Config, prog *Program) []Diagnostic {
 					return true
 				}
 				t, ok := pkg.Info.Types[lit]
-				if !ok || !isNamedType(t.Type, cfg.ProtocolPkg, cfg.MessageTypeName) {
+				if !ok || !isNamedType(t.Type, protocolPkg, messageTypeName) {
 					return true
 				}
 				for _, el := range lit.Elts {
@@ -100,7 +91,7 @@ func runFrames(cfg *Config, prog *Program) []Diagnostic {
 				}
 				diags = append(diags, prog.diag("frames", lit,
 					"%s literal does not set Type: the peer rejects untyped frames as corrupt",
-					cfg.MessageTypeName))
+					messageTypeName))
 				return true
 			})
 		}
@@ -108,36 +99,24 @@ func runFrames(cfg *Config, prog *Program) []Diagnostic {
 	return diags
 }
 
-// discriminatorConsts collects the constants of one named discriminator
-// type declared in the protocol package, with their declaration sites.
-func discriminatorConsts(proto *Package, pkgPath, typeName string) (map[*types.Const]ast.Node, []string, map[string]*types.Const) {
-	consts := map[*types.Const]ast.Node{}
-	var names []string
-	byName := map[string]*types.Const{}
+// discriminatorConsts lists, in name order, the constants of one named
+// discriminator type declared in the protocol package.
+func discriminatorConsts(proto *Package, typeName string) []*types.Const {
+	var consts []*types.Const
 	scope := proto.Types.Scope()
-	for _, name := range scope.Names() {
-		c, ok := scope.Lookup(name).(*types.Const)
-		if !ok || !isNamedType(c.Type(), pkgPath, typeName) {
-			continue
+	for _, name := range scope.Names() { // sorted
+		if c, ok := scope.Lookup(name).(*types.Const); ok && isNamedType(c.Type(), protocolPkg, typeName) {
+			consts = append(consts, c)
 		}
-		consts[c] = declSite(proto, name)
-		names = append(names, name)
-		byName[name] = c
 	}
-	sort.Strings(names)
-	return consts, names, byName
+	return consts
 }
 
 // switchDiags checks that every switch over the named discriminator type
 // in an endpoint package is exhaustive or carries a default case.
-func switchDiags(cfg *Config, prog *Program, proto *Package, typeName string,
-	consts map[*types.Const]ast.Node, names []string, byName map[string]*types.Const) []Diagnostic {
+func switchDiags(prog *Program, proto *Package, endpoints []*Package, typeName string, consts []*types.Const) []Diagnostic {
 	var diags []Diagnostic
-	for _, epPath := range cfg.EndpointPkgs {
-		ep := prog.Lookup(epPath)
-		if ep == nil {
-			continue
-		}
+	for _, ep := range endpoints {
 		for _, f := range ep.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				sw, ok := n.(*ast.SwitchStmt)
@@ -145,33 +124,25 @@ func switchDiags(cfg *Config, prog *Program, proto *Package, typeName string,
 					return true
 				}
 				t, ok := ep.Info.Types[sw.Tag]
-				if !ok || !isNamedType(t.Type, cfg.ProtocolPkg, typeName) {
+				if !ok || !isNamedType(t.Type, protocolPkg, typeName) {
 					return true
 				}
-				covered := map[*types.Const]bool{}
-				hasDefault := false
+				covered := map[string]bool{} // by constant value
 				for _, c := range sw.Body.List {
 					cc := c.(*ast.CaseClause)
 					if cc.List == nil {
-						hasDefault = true
+						return true // a default case is a declared policy
 					}
 					for _, e := range cc.List {
 						if tv, ok := ep.Info.Types[e]; ok && tv.Value != nil {
-							for c2 := range consts {
-								if c2.Val() != nil && tv.Value.String() == c2.Val().String() {
-									covered[c2] = true
-								}
-							}
+							covered[tv.Value.String()] = true
 						}
 					}
 				}
-				if hasDefault {
-					return true
-				}
 				var missing []string
-				for _, name := range names {
-					if !covered[byName[name]] {
-						missing = append(missing, name)
+				for _, c := range consts {
+					if !covered[c.Val().String()] {
+						missing = append(missing, c.Name())
 					}
 				}
 				if len(missing) > 0 {

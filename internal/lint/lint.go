@@ -5,17 +5,17 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Diagnostic is one analyzer finding.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Position token.Position `json:"position"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Position token.Position
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -25,12 +25,10 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one invariant checker.
 type Analyzer struct {
-	// Name is the flag / suppression key, e.g. "locks".
+	// Name is the suppression key, e.g. "locks".
 	Name string
-	// Doc is a one-line description.
-	Doc string
 	// Run reports findings over the whole program.
-	Run func(cfg *Config, prog *Program) []Diagnostic
+	Run func(prog *Program) []Diagnostic
 }
 
 // Analyzers returns the full suite in stable order.
@@ -42,182 +40,76 @@ func Analyzers() []*Analyzer {
 		EpochAnalyzer,
 		MetricsAnalyzer,
 		FramesAnalyzer,
-		WALRecAnalyzer,
 		ObsLogAnalyzer,
-		LeaksAnalyzer,
 	}
 }
 
-// Config names the project-specific packages and symbols the analyzers
-// check. DefaultConfig matches this repository; fixture tests point the
-// fields at miniature packages under testdata.
-type Config struct {
-	// ProtocolPkg declares the frame-type constants (frames analyzer).
-	ProtocolPkg string
-	// FrameTypeName is the frame discriminator type in ProtocolPkg.
-	FrameTypeName string
-	// MessageTypeName is the frame struct in ProtocolPkg; composite
-	// literals of it must set the Type field explicitly.
-	MessageTypeName string
-	// EndpointPkgs are the dispatch endpoints (master and worker): every
-	// frame constant must be referenced in each, and every switch over
-	// the frame type there must be exhaustive or carry a default case.
-	EndpointPkgs []string
-	// EventKindTypeName, when non-empty, names a second discriminator
-	// type in ProtocolPkg (the worker telemetry event kinds): every
-	// switch over it in an endpoint package must be exhaustive or carry
-	// a default case, so adding an event kind cannot silently skip a
-	// fold path.
-	EventKindTypeName string
+// The repository's packages the analyzers are built around. They are
+// constants, not configuration: the suite checks this module and its
+// fixtures (testdata trees loaded under the same module path) with
+// byte-identical code, and Program.scope turns a path that no longer
+// resolves into a finding.
+const (
+	protocolPkg = "cwc/internal/protocol"
+	serverPkg   = "cwc/internal/server"
+	workerPkg   = "cwc/internal/worker"
+	replicaPkg  = "cwc/internal/replica"
+	obsPkg      = "cwc/internal/obs"
+	walPkg      = "cwc/internal/wal"
+)
 
-	// WALPkg holds the WAL record-type constants (walrec analyzer).
-	WALPkg string
-	// WALRecPrefix selects the record-type constants by name.
-	WALRecPrefix string
-	// WALTypeFuncs are the methods by which a record struct names the
-	// type it is logged under; every record type must be named in one (in
-	// addition to appearing as a replay-switch case).
-	WALTypeFuncs []string
-
-	// ObsPkg is the observability package: exempt from the logging bans
-	// and home of the leveled Logger type (obslog analyzer).
-	ObsPkg string
-	// LoggerTypeName is the leveled logger type in ObsPkg.
-	LoggerTypeName string
-	// BannedLoggerMethods are unleveled compatibility methods on the
-	// logger that daemon code must not call (use Infof/Warnf/Errorf).
-	BannedLoggerMethods []string
-	// DaemonPkgs are the packages the logging bans apply to. Patterns
-	// ending in "/..." match the prefix.
-	DaemonPkgs []string
-	// PurePkgs must stay deterministic: no time.Now/Since/Sleep, no
-	// math/rand (obslog analyzer).
-	PurePkgs []string
-
-	// LeakPkgs are the packages whose goroutines must be WaitGroup-
-	// tracked or ctx/done-aware (leaks analyzer).
-	LeakPkgs []string
-
-	// LockOrderPkgs are the packages whose mutex acquisition order is
-	// checked for cycles (lockorder analyzer).
-	LockOrderPkgs []string
-	// BlockingUnderLock names functions and methods that must never be
-	// called with a mutex held, as "pkgpath.Func" or
-	// "pkgpath.Type.Method" (lockorder analyzer).
-	BlockingUnderLock []string
-
-	// CtxPkgs are the packages whose spawned goroutines must keep every
-	// blocking channel op cancellable (ctxflow analyzer).
-	CtxPkgs []string
-
-	// FencedFrameTypes are frame-type constant names in ProtocolPkg whose
-	// Message values must set Epoch at mint time (epoch analyzer).
-	FencedFrameTypes []string
-	// FencedWALTypes are record struct type names in WALPkg whose
-	// composite literals must thread the Epoch field (epoch analyzer).
-	FencedWALTypes []string
-
-	// MetricPrefix is the mandatory metric family-name prefix; families
-	// must match ^<prefix>[a-z0-9_]+$ (metrics analyzer).
-	MetricPrefix string
-	// MetricDocFiles are module-relative non-Go files scanned for metric
-	// names that must correspond to a registered family.
-	MetricDocFiles []string
-}
-
-// DefaultConfig returns the configuration for this repository.
-func DefaultConfig() *Config {
-	return &Config{
-		ProtocolPkg:       "cwc/internal/protocol",
-		FrameTypeName:     "Type",
-		MessageTypeName:   "Message",
-		EndpointPkgs:      []string{"cwc/internal/server", "cwc/internal/worker"},
-		EventKindTypeName: "EventKind",
-
-		WALPkg:       "cwc/internal/server",
-		WALRecPrefix: "walRec",
-		WALTypeFuncs: []string{"typ"},
-
-		ObsPkg:              "cwc/internal/obs",
-		LoggerTypeName:      "Logger",
-		BannedLoggerMethods: []string{"Printf"},
-		DaemonPkgs:          []string{"cwc/internal/...", "cwc/cmd/cwc-server", "cwc/cmd/cwc-worker"},
-		PurePkgs:            []string{"cwc/internal/core", "cwc/internal/lp", "cwc/internal/predict"},
-
-		LeakPkgs: []string{"cwc/internal/server", "cwc/internal/worker", "cwc/internal/replica"},
-
-		LockOrderPkgs: []string{
-			"cwc/internal/server", "cwc/internal/worker",
-			"cwc/internal/replica", "cwc/internal/obs", "cwc/internal/wal",
-		},
-		BlockingUnderLock: []string{
-			"cwc/internal/protocol.Conn.Send",
-			"cwc/internal/protocol.Conn.Recv",
-			"time.Sleep",
-		},
-
-		CtxPkgs: []string{"cwc/internal/server", "cwc/internal/worker", "cwc/internal/replica"},
-
-		FencedFrameTypes: []string{"TypeWelcome", "TypeResult", "TypeFailure", "TypeCheckpoint"},
-		FencedWALTypes:   []string{"walEpochRec", "walSnapshot"},
-
-		MetricPrefix:   "cwc_",
-		MetricDocFiles: []string{"docs/observability.md"},
+// unresolved is the finding for a name an analyzer is built around
+// (package, type, constant, method, doc file) that the loaded program
+// does not have. Without it a rename would turn the check into a silent
+// pass; with it the rename has to reach internal/lint too.
+func (p *Program) unresolved(analyzer, what string) Diagnostic {
+	return Diagnostic{
+		Analyzer: "driver",
+		Position: token.Position{Filename: filepath.Join(p.Root, "go.mod"), Line: 1, Column: 1},
+		Message:  fmt.Sprintf("%s is built around %s, which does not resolve in this module", analyzer, what),
 	}
 }
 
-// matchPkg reports whether an import path matches a pattern; a pattern
-// ending in "/..." matches the prefix and everything below it.
-func matchPkg(pattern, path string) bool {
-	if prefix, ok := strings.CutSuffix(pattern, "/..."); ok {
-		return path == prefix || strings.HasPrefix(path, prefix+"/")
-	}
-	return pattern == path
-}
-
-func matchAnyPkg(patterns []string, path string) bool {
-	for _, p := range patterns {
-		if matchPkg(p, path) {
-			return true
+// scope resolves the packages an analyzer reads, reporting each missing
+// one as unresolved.
+func (p *Program) scope(analyzer string, paths ...string) ([]*Package, []Diagnostic) {
+	var pkgs []*Package
+	var diags []Diagnostic
+	for _, path := range paths {
+		if pkg := p.Lookup(path); pkg != nil {
+			pkgs = append(pkgs, pkg)
+		} else {
+			diags = append(diags, p.unresolved(analyzer, "package "+path))
 		}
 	}
-	return false
+	return pkgs, diags
 }
 
-// Timing is one analyzer's wall-clock cost within a Run.
-type Timing struct {
-	Analyzer string        `json:"analyzer"`
-	Elapsed  time.Duration `json:"elapsed_ns"`
+// declared reports each name pkg does not declare at package scope as
+// unresolved.
+func (p *Program) declared(analyzer string, pkg *Package, names ...string) []Diagnostic {
+	var diags []Diagnostic
+	for _, name := range names {
+		if pkg.Types.Scope().Lookup(name) == nil {
+			diags = append(diags, p.unresolved(analyzer, pkg.Path+"."+name))
+		}
+	}
+	return diags
 }
 
 // Run executes the given analyzers over the program, drops findings
 // suppressed by //lint:ignore directives, and returns the rest sorted by
 // position. Malformed directives are reported as driver diagnostics,
 // and suppressions that no finding needed are reported as "unused".
-func (p *Program) Run(cfg *Config, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := p.RunTimed(cfg, analyzers)
-	return diags
-}
-
-// RunTimed is Run plus per-analyzer wall-clock timings. The first
-// timing row ("substrate") is the shared snapshot build — the CFGs and
-// call graph every interprocedural analyzer reuses — so the cost is
-// visible once instead of being silently paid per analyzer.
-func (p *Program) RunTimed(cfg *Config, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
-	sup, diags := p.collectIgnores(analyzers)
-	var timings []Timing
-	start := time.Now()
-	p.Index()
-	timings = append(timings, Timing{Analyzer: "substrate", Elapsed: time.Since(start)})
+func (p *Program) Run(analyzers []*Analyzer) []Diagnostic {
+	sup, diags := p.collectIgnores()
 	for _, a := range analyzers {
-		start = time.Now()
-		for _, d := range a.Run(cfg, p) {
+		for _, d := range a.Run(p) {
 			if sup.suppressed(a.Name, d.Position) {
 				continue
 			}
 			diags = append(diags, d)
 		}
-		timings = append(timings, Timing{Analyzer: a.Name, Elapsed: time.Since(start)})
 	}
 	for _, d := range sup.unused(analyzers) {
 		if sup.suppressed("unused", d.Position) {
@@ -238,7 +130,7 @@ func (p *Program) RunTimed(cfg *Config, analyzers []*Analyzer) ([]Diagnostic, []
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
-	return diags, timings
+	return diags
 }
 
 // ignoreRe matches "lint:ignore analyzer[,analyzer...] reason". The
@@ -315,7 +207,7 @@ func (s *suppressions) unused(ran []*Analyzer) []Diagnostic {
 
 // collectIgnores scans every comment for lint:ignore directives and
 // reports malformed ones (missing reason, unknown analyzer).
-func (p *Program) collectIgnores(analyzers []*Analyzer) (*suppressions, []Diagnostic) {
+func (p *Program) collectIgnores() (*suppressions, []Diagnostic) {
 	known := map[string]bool{"driver": true, "unused": true}
 	for _, a := range Analyzers() {
 		known[a.Name] = true

@@ -24,6 +24,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -32,14 +33,11 @@ import (
 // while a mutex is held.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
-	Doc:  "detect mutex lock-order cycles and blocking calls under a held lock",
 	Run:  runLockOrder,
 }
 
 type lockOrder struct {
 	prog     *Program
-	cfg      *Config
-	blocking map[string]bool               // qualified names banned under a lock
 	acquires map[*FuncInfo]map[string]bool // summary: mutexes f may acquire
 	blocks   map[*FuncInfo]map[string]bool // summary: blocking ops f may reach
 	edges    map[[2]string]token.Position  // earliest position per ordering edge
@@ -47,20 +45,37 @@ type lockOrder struct {
 	seen     map[string]bool // finding dedupe across goroutine roots
 }
 
-func runLockOrder(cfg *Config, prog *Program) []Diagnostic {
+// lockOrderPkgs are the packages whose mutex acquisition order is
+// checked; blockingUnderLock maps the calls that must never be made
+// with a mutex held, qualified as qualifiedFunc renders them.
+var (
+	lockOrderPkgs     = []string{serverPkg, workerPkg, replicaPkg, obsPkg, walPkg}
+	blockingUnderLock = map[string]bool{
+		protocolPkg + ".Conn.Send": true,
+		protocolPkg + ".Conn.Recv": true,
+		"time.Sleep":               true,
+	}
+)
+
+func runLockOrder(prog *Program) []Diagnostic {
 	lo := &lockOrder{
 		prog:     prog,
-		cfg:      cfg,
-		blocking: map[string]bool{},
 		acquires: map[*FuncInfo]map[string]bool{},
 		blocks:   map[*FuncInfo]map[string]bool{},
 		edges:    map[[2]string]token.Position{},
 		seen:     map[string]bool{},
 	}
-	for _, name := range cfg.BlockingUnderLock {
-		lo.blocking[name] = true
-	}
+	_, lo.diags = prog.scope("lockorder", lockOrderPkgs...)
 	ix := prog.Index()
+	declared := map[string]bool{}
+	for _, f := range ix.Funcs {
+		declared[qualifiedFunc(f.Obj)] = true
+	}
+	for _, name := range sortedKeys(blockingUnderLock) {
+		if strings.HasPrefix(name, protocolPkg) && !declared[name] {
+			lo.diags = append(lo.diags, prog.unresolved("lockorder", "method "+name))
+		}
+	}
 
 	// Summaries to fixpoint: what each function may acquire or block on,
 	// through arbitrarily deep (non-spawned) call chains.
@@ -87,20 +102,12 @@ func runLockOrder(cfg *Config, prog *Program) []Diagnostic {
 	// Per-function flow: track the held set through the CFG, recording
 	// ordering edges and blocking-under-lock findings.
 	for _, f := range ix.All() {
-		if !matchAnyPkg(cfg.LockOrderPkgs, f.Pkg.Path) {
-			continue
+		if slices.Contains(lockOrderPkgs, f.Pkg.Path) {
+			lo.flowFunc(f)
 		}
-		lo.flowFunc(f)
 	}
 
 	lo.reportCycles()
-	sort.Slice(lo.diags, func(i, j int) bool {
-		a, b := lo.diags[i].Position, lo.diags[j].Position
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
 	return lo.diags
 }
 
@@ -157,7 +164,7 @@ func (lo *lockOrder) lockOp(pkg *Package, call *ast.CallExpr) (node string, acqu
 }
 
 // qualifiedFunc renders a types.Func as "pkgpath.Name" or
-// "pkgpath.Recv.Name" to match Config.BlockingUnderLock entries.
+// "pkgpath.Recv.Name" to match blockingUnderLock entries.
 func qualifiedFunc(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {
 		return ""
@@ -217,7 +224,7 @@ func (lo *lockOrder) directBlocks(f *FuncInfo) map[string]bool {
 		case *ast.GoStmt:
 			return false
 		case *ast.CallExpr:
-			if name := qualifiedFunc(calleeFunc(f.Pkg, n)); lo.blocking[name] {
+			if name := qualifiedFunc(calleeFunc(f.Pkg, n)); blockingUnderLock[name] {
 				out[name] = true
 			}
 		}
@@ -278,7 +285,7 @@ func (lo *lockOrder) node(f *FuncInfo, n ast.Node, held Facts, record bool) {
 func (lo *lockOrder) checkCall(f *FuncInfo, call *ast.CallExpr, held Facts) {
 	pos := lo.prog.Fset.Position(call.Pos())
 	heldList := strings.Join(held.Keys(), ", ")
-	if name := qualifiedFunc(calleeFunc(f.Pkg, call)); lo.blocking[name] {
+	if name := qualifiedFunc(calleeFunc(f.Pkg, call)); blockingUnderLock[name] {
 		lo.emit(pos, fmt.Sprintf("calls %s while holding %s; blocking under a mutex stalls every goroutine waiting on it", name, heldList))
 		return
 	}

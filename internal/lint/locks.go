@@ -37,7 +37,6 @@ import (
 // Everything else touching a guarded field is a diagnostic.
 var LocksAnalyzer = &Analyzer{
 	Name: "locks",
-	Doc:  `fields annotated "guarded by mu" are only accessed under that mutex`,
 	Run:  runLocks,
 }
 
@@ -52,7 +51,7 @@ type guardInfo struct {
 	mu string // sibling mutex field name
 }
 
-func runLocks(cfg *Config, prog *Program) []Diagnostic {
+func runLocks(prog *Program) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range prog.Pkgs {
 		guarded, bad := collectGuarded(prog, pkg)

@@ -7,7 +7,7 @@ package lint
 //     must be *bounded*: derived only from compile-time constants (a
 //     literal, a const, a range over a constant-keyed map literal, a
 //     helper that returns only constants). Each possible value must
-//     match ^<prefix>[a-z0-9_]+$.
+//     match ^cwc_[a-z0-9_]+$.
 //  2. Label keys must be bounded and lowercase identifiers; label
 //     values must be bounded too — no strconv.Itoa(id), no
 //     fmt.Sprintf, no string(wireField). Unbounded label values are how
@@ -17,7 +17,7 @@ package lint
 //     one file and a Gauge in another is reported here instead of as a
 //     runtime panic on the first scrape.
 //  4. Every metric name mentioned in the module's _test.go files and
-//     in the configured doc files must be a family the module actually
+//     in docs/observability.md must be a family the module actually
 //     registers, so tests and docs cannot drift from the code.
 //
 // Boundedness is interprocedural: a parameter is bounded iff every
@@ -43,7 +43,6 @@ import (
 // conflicts, and metric names in tests/docs that do not exist.
 var MetricsAnalyzer = &Analyzer{
 	Name: "metrics",
-	Doc:  "require constant metric families, bounded label values, stable kinds, and doc/test name accuracy",
 	Run:  runMetrics,
 }
 
@@ -55,9 +54,7 @@ var registryMethods = map[string]bool{"Counter": true, "Gauge": true, "Histogram
 
 type metricsCheck struct {
 	prog   *Program
-	cfg    *Config
 	ix     *Index
-	famRe  *regexp.Regexp
 	bound  *boundedness
 	diags  []Diagnostic
 	kinds  map[string]string         // family value -> first kind seen
@@ -65,28 +62,30 @@ type metricsCheck struct {
 	fams   map[string]bool           // all registered family values
 }
 
-func runMetrics(cfg *Config, prog *Program) []Diagnostic {
+// metricDoc is the module-relative doc file whose metric names must be
+// registered families; famRe is the shape of a family name and
+// metricTokenRe finds candidates for one in raw test/doc text.
+const metricDoc = "docs/observability.md"
+
+var (
+	famRe         = regexp.MustCompile(`^cwc_[a-z0-9_]+$`)
+	metricTokenRe = regexp.MustCompile(`cwc_[a-z0-9_]*[a-z0-9]`)
+)
+
+func runMetrics(prog *Program) []Diagnostic {
 	mc := &metricsCheck{
 		prog:   prog,
-		cfg:    cfg,
 		ix:     prog.Index(),
-		famRe:  regexp.MustCompile(`^` + regexp.QuoteMeta(cfg.MetricPrefix) + `[a-z0-9_]+$`),
 		kinds:  map[string]string{},
 		kindAt: map[string]token.Position{},
 		fams:   map[string]bool{},
 	}
+	_, mc.diags = prog.scope("metrics", obsPkg)
 	mc.bound = newBoundedness(prog, mc.ix)
 	for _, f := range mc.ix.All() {
 		mc.checkFunc(f)
 	}
 	mc.checkEvidence()
-	sort.Slice(mc.diags, func(i, j int) bool {
-		a, b := mc.diags[i].Position, mc.diags[j].Position
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
 	return mc.diags
 }
 
@@ -98,7 +97,7 @@ func (mc *metricsCheck) registryCall(pkg *Package, call *ast.CallExpr) (string, 
 		return "", false
 	}
 	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != mc.cfg.ObsPkg {
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != obsPkg {
 		return "", false
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -140,9 +139,9 @@ func (mc *metricsCheck) checkFamily(f *FuncInfo, call *ast.CallExpr, method stri
 		return
 	}
 	for _, v := range vals {
-		if !mc.famRe.MatchString(v) {
+		if !famRe.MatchString(v) {
 			mc.diags = append(mc.diags, mc.prog.diag("metrics", arg,
-				"metric family %q does not match ^%s[a-z0-9_]+$", v, mc.cfg.MetricPrefix))
+				"metric family %q does not match %s", v, famRe))
 			continue
 		}
 		mc.fams[v] = true
@@ -185,16 +184,12 @@ func (mc *metricsCheck) checkLabels(f *FuncInfo, call *ast.CallExpr) {
 	}
 }
 
-// metricTokenRe finds candidate family names in raw test/doc text.
-var metricTokenRe = regexp.MustCompile(`[a-z0-9_]+`)
-
-// checkEvidence scans the module's _test.go files and the configured
-// doc files for metric-name tokens and requires each to be a registered
+// checkEvidence scans the module's _test.go files and the metric doc
+// file for metric-name tokens and requires each to be a registered
 // family. A line containing "lint:ignore metrics" (or the line above)
 // suppresses, mirroring the in-source directive for files the loader
 // does not parse.
 func (mc *metricsCheck) checkEvidence() {
-	tokenRe := regexp.MustCompile(regexp.QuoteMeta(mc.cfg.MetricPrefix) + `[a-z0-9_]*[a-z0-9]`)
 	var paths []string
 	for _, pkg := range mc.prog.Pkgs {
 		entries, err := os.ReadDir(pkg.Dir)
@@ -207,13 +202,14 @@ func (mc *metricsCheck) checkEvidence() {
 			}
 		}
 	}
-	for _, rel := range mc.cfg.MetricDocFiles {
-		paths = append(paths, filepath.Join(mc.prog.Root, rel))
-	}
 	sort.Strings(paths)
-	for _, path := range paths {
+	doc := filepath.Join(mc.prog.Root, metricDoc)
+	for _, path := range append(paths, doc) {
 		b, err := os.ReadFile(path)
 		if err != nil {
+			if path == doc {
+				mc.diags = append(mc.diags, mc.prog.unresolved("metrics", "doc file "+metricDoc))
+			}
 			continue
 		}
 		lines := strings.Split(string(b), "\n")
@@ -222,7 +218,7 @@ func (mc *metricsCheck) checkEvidence() {
 				(i > 0 && strings.Contains(lines[i-1], "lint:ignore metrics")) {
 				continue
 			}
-			for _, loc := range tokenRe.FindAllStringIndex(line, -1) {
+			for _, loc := range metricTokenRe.FindAllStringIndex(line, -1) {
 				tok := line[loc[0]:loc[1]]
 				// Require a word boundary on the left so e.g.
 				// "xcwc_foo" is not treated as a metric name.

@@ -3,41 +3,46 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
-// ObsLogAnalyzer enforces the PR-4 observability discipline:
+// ObsLogAnalyzer enforces the observability discipline:
 //
 //  1. Daemon code (internal/... and the server/worker binaries, minus
 //     the obs package itself) must not call the stdlib log package or
 //     fmt.Print*: operational messages go through the leveled obs
 //     logger so they carry ts/level/fields and respect -log-level.
-//  2. The obs logger's unleveled compatibility methods (Printf) are
-//     banned in the same scope — daemon call sites must pick a level
-//     (Infof/Warnf/Errorf) and attach fields via With.
-//  3. Pure scheduling/prediction packages must stay deterministic: no
+//  2. Pure scheduling/prediction packages must stay deterministic: no
 //     time.Now/Since/Sleep and no math/rand. Packing decisions that
 //     depend on wall clocks or unseeded randomness cannot be replayed,
 //     which breaks both the WAL recovery story and the chaos harnesses'
 //     byte-identical-aggregate proofs.
+//
+// That a message picks a level needs no rule: obs.Logger has only
+// leveled methods.
 var ObsLogAnalyzer = &Analyzer{
 	Name: "obslog",
-	Doc:  "daemon logging goes through the leveled obs logger; pure packages stay deterministic",
 	Run:  runObsLog,
 }
+
+// daemonCmds are the binaries the logging bans cover besides everything
+// under internal/ (the obs package itself is exempt); purePkgs are the
+// packages that must stay deterministic.
+var (
+	daemonCmds = []string{"cwc/cmd/cwc-server", "cwc/cmd/cwc-worker"}
+	purePkgs   = []string{"cwc/internal/core", "cwc/internal/lp", "cwc/internal/predict"}
+)
 
 // bannedFmtFuncs are the fmt functions that write to stdout.
 var bannedFmtFuncs = map[string]bool{"Print": true, "Printf": true, "Println": true}
 
-func runObsLog(cfg *Config, prog *Program) []Diagnostic {
-	var diags []Diagnostic
-	banned := map[string]bool{}
-	for _, m := range cfg.BannedLoggerMethods {
-		banned[m] = true
-	}
+func runObsLog(prog *Program) []Diagnostic {
+	_, diags := prog.scope("obslog", slices.Concat([]string{obsPkg}, daemonCmds, purePkgs)...)
 	for _, pkg := range prog.Pkgs {
-		inDaemon := matchAnyPkg(cfg.DaemonPkgs, pkg.Path) && !matchPkg(cfg.ObsPkg, pkg.Path)
-		inPure := matchAnyPkg(cfg.PurePkgs, pkg.Path)
+		inDaemon := pkg.Path != obsPkg &&
+			(strings.HasPrefix(pkg.Path, "cwc/internal/") || slices.Contains(daemonCmds, pkg.Path))
+		inPure := slices.Contains(purePkgs, pkg.Path)
 		if !inDaemon && !inPure {
 			continue
 		}
@@ -62,29 +67,17 @@ func runObsLog(cfg *Config, prog *Program) []Diagnostic {
 					return true
 				}
 				name := sel.Sel.Name
-				if pkgPath := usedPackage(pkg, sel); pkgPath != "" {
-					switch {
-					case inDaemon && pkgPath == "log":
-						diags = append(diags, prog.diag("obslog", call,
-							"stdlib log.%s in daemon code: use the leveled obs logger (obs.Logger)", name))
-					case inDaemon && pkgPath == "fmt" && bannedFmtFuncs[name]:
-						diags = append(diags, prog.diag("obslog", call,
-							"fmt.%s in daemon code: stdout is not a log sink; use the leveled obs logger", name))
-					case inPure && pkgPath == "time" && (name == "Now" || name == "Since" || name == "Sleep"):
-						diags = append(diags, prog.diag("obslog", call,
-							"time.%s in pure package %s: packing must be deterministic and replayable",
-							name, pkg.Path))
-					}
-					return true
-				}
-				// Method calls on the obs logger: unleveled compat shims
-				// are banned outside the obs package itself.
-				if inDaemon && banned[name] {
-					if t, ok := pkg.Info.Types[sel.X]; ok &&
-						isNamedType(t.Type, cfg.ObsPkg, cfg.LoggerTypeName) {
-						diags = append(diags, prog.diag("obslog", call,
-							"obs logger %s is the unleveled compat shim: pick a level (Infof/Warnf/Errorf) and attach fields with With", name))
-					}
+				switch pkgPath := usedPackage(pkg, sel); {
+				case inDaemon && pkgPath == "log":
+					diags = append(diags, prog.diag("obslog", call,
+						"stdlib log.%s in daemon code: use the leveled obs logger (obs.Logger)", name))
+				case inDaemon && pkgPath == "fmt" && bannedFmtFuncs[name]:
+					diags = append(diags, prog.diag("obslog", call,
+						"fmt.%s in daemon code: stdout is not a log sink; use the leveled obs logger", name))
+				case inPure && pkgPath == "time" && (name == "Now" || name == "Since" || name == "Sleep"):
+					diags = append(diags, prog.diag("obslog", call,
+						"time.%s in pure package %s: packing must be deterministic and replayable",
+						name, pkg.Path))
 				}
 				return true
 			})

@@ -1,9 +1,9 @@
 package lint_test
 
-// The meta-test: the repository itself must be clean under the full
-// suite with the default configuration. This is what keeps `make lint`
-// honest — removing a frame handler, a WAL replay case, or a mu.Lock()
-// in a guarded method turns this test (and CI) red.
+// The gate: the repository itself must be clean under the full suite.
+// Removing a frame handler, an Epoch from a fenced frame, or a mu.Lock()
+// in a guarded method turns this test (and CI) red; `make lint` prints
+// the same findings as file:line for humans.
 
 import (
 	"os"
@@ -41,21 +41,16 @@ func TestRepositoryIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, timings := prog.RunTimed(lint.DefaultConfig(), lint.Analyzers())
+	start := time.Now()
+	diags := prog.Run(lint.Analyzers())
+	elapsed := time.Since(start)
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
-	if len(diags) > 0 {
-		t.Logf("run `go run ./cmd/cwc-vet ./...` for the same findings")
-	}
 	// The analysis budget: the whole suite (substrate included, module
 	// load excluded) must finish well inside the 30s CI allowance.
-	var total time.Duration
-	for _, tm := range timings {
-		t.Logf("%-10s %v", tm.Analyzer, tm.Elapsed)
-		total += tm.Elapsed
-	}
-	if total > 30*time.Second {
-		t.Errorf("analyzer suite took %v, over the 30s budget", total)
+	t.Logf("analyzer suite took %v", elapsed)
+	if elapsed > 30*time.Second {
+		t.Errorf("analyzer suite took %v, over the 30s budget", elapsed)
 	}
 }

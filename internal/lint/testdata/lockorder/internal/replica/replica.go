@@ -1,0 +1,1 @@
+package replica // stub: the analyzer under test only needs this package to exist

@@ -1,0 +1,1 @@
+package worker // stub: the analyzer under test only needs this package to exist

@@ -1,0 +1,1 @@
+package lp // stub: the analyzer under test only needs this package to exist

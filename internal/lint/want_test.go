@@ -1,7 +1,9 @@
 package lint_test
 
 // The fixture harness: every tree under testdata is loaded as a tiny
-// module ("fix") and run through one analyzer; the expected diagnostics
+// copy of this module (its packages are cwc/internal/..., so the
+// analyzers find the names they are built around with nothing pointed
+// anywhere) and run through one analyzer; the expected diagnostics
 // are `want` comments in the fixture sources themselves, golden-file
 // style. A want expectation is
 //
@@ -74,27 +76,28 @@ func claim(wants []*expectation, d lint.Diagnostic) bool {
 	return false
 }
 
-// runFixture loads testdata/<fixture> as module "fix" and checks the
-// named analyzers' output against the want comments.
-func runFixture(t *testing.T, fixture string, cfg *lint.Config, names ...string) {
+// analyzer finds a member of the suite by name.
+func analyzer(t *testing.T, name string) []*lint.Analyzer {
+	t.Helper()
+	for _, a := range lint.Analyzers() {
+		if a.Name == name {
+			return []*lint.Analyzer{a}
+		}
+	}
+	t.Fatalf("unknown analyzer %q", name)
+	return nil
+}
+
+// runFixture loads testdata/<fixture> as module "cwc" and checks the
+// named analyzer's output against the want comments.
+func runFixture(t *testing.T, fixture, name string) {
 	t.Helper()
 	root := filepath.Join("testdata", fixture)
-	prog, err := lint.LoadModuleAs(root, "fix")
+	prog, err := lint.LoadModuleAs(root, "cwc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var selected []*lint.Analyzer
-	for _, a := range lint.Analyzers() {
-		for _, n := range names {
-			if a.Name == n {
-				selected = append(selected, a)
-			}
-		}
-	}
-	if len(selected) != len(names) {
-		t.Fatalf("unknown analyzer in %v", names)
-	}
-	diags := prog.Run(cfg, selected)
+	diags := prog.Run(analyzer(t, name))
 	wants := collectWants(t, root)
 	for _, d := range diags {
 		if !claim(wants, d) {
@@ -108,62 +111,41 @@ func runFixture(t *testing.T, fixture string, cfg *lint.Config, names ...string)
 	}
 }
 
-func TestLocksFixture(t *testing.T) {
-	runFixture(t, "locks", lint.DefaultConfig(), "locks")
-}
+func TestLocksFixture(t *testing.T)     { runFixture(t, "locks", "locks") }
+func TestFramesFixture(t *testing.T)    { runFixture(t, "frames", "frames") }
+func TestObsLogFixture(t *testing.T)    { runFixture(t, "obslog", "obslog") }
+func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", "lockorder") }
+func TestCtxFlowFixture(t *testing.T)   { runFixture(t, "ctxflow", "ctxflow") }
+func TestEpochFixture(t *testing.T)     { runFixture(t, "epoch", "epoch") }
+func TestMetricsFixture(t *testing.T)   { runFixture(t, "metrics", "metrics") }
 
-func TestFramesFixture(t *testing.T) {
-	cfg := lint.DefaultConfig()
-	cfg.ProtocolPkg = "fix/protocol"
-	cfg.EndpointPkgs = []string{"fix/server", "fix/worker"}
-	runFixture(t, "frames", cfg, "frames")
-}
+// ctxflow's spawn rule (a goroutine nothing can stop leaks) has a tree
+// of its own, apart from the blocking-op cases.
+func TestLeaksFixture(t *testing.T) { runFixture(t, "leaks", "ctxflow") }
 
-func TestWALRecFixture(t *testing.T) {
-	cfg := lint.DefaultConfig()
-	cfg.WALPkg = "fix/server"
-	runFixture(t, "walrec", cfg, "walrec")
-}
-
-func TestObsLogFixture(t *testing.T) {
-	cfg := lint.DefaultConfig()
-	cfg.ObsPkg = "fix/obs"
-	cfg.DaemonPkgs = []string{"fix/daemon"}
-	cfg.PurePkgs = []string{"fix/pure"}
-	runFixture(t, "obslog", cfg, "obslog")
-}
-
-func TestLeaksFixture(t *testing.T) {
-	cfg := lint.DefaultConfig()
-	cfg.LeakPkgs = []string{"fix/server"}
-	runFixture(t, "leaks", cfg, "leaks")
-}
-
-func TestLockOrderFixture(t *testing.T) {
-	cfg := lint.DefaultConfig()
-	cfg.LockOrderPkgs = []string{"fix/server"}
-	cfg.BlockingUnderLock = []string{"fix/protocol.Conn.Send"}
-	runFixture(t, "lockorder", cfg, "lockorder")
-}
-
-func TestCtxFlowFixture(t *testing.T) {
-	cfg := lint.DefaultConfig()
-	cfg.CtxPkgs = []string{"fix/daemon"}
-	runFixture(t, "ctxflow", cfg, "ctxflow")
-}
-
-func TestEpochFixture(t *testing.T) {
-	cfg := lint.DefaultConfig()
-	cfg.ProtocolPkg = "fix/protocol"
-	cfg.WALPkg = "fix/server"
-	cfg.FencedFrameTypes = []string{"TypeResult"}
-	cfg.FencedWALTypes = []string{"walEpochRec"}
-	runFixture(t, "epoch", cfg, "epoch")
-}
-
-func TestMetricsFixture(t *testing.T) {
-	cfg := lint.DefaultConfig()
-	cfg.ObsPkg = "fix/obs"
-	cfg.MetricDocFiles = []string{"docs/metrics.md"}
-	runFixture(t, "metrics", cfg, "metrics")
+// A name an analyzer is built around that the loaded tree does not have
+// is a driver finding, never a silent pass: the locks tree has no
+// internal/protocol and no internal/worker, so frames must say so
+// instead of reporting nothing.
+func TestUnresolvedNameIsDriverFinding(t *testing.T) {
+	prog, err := lint.LoadModuleAs(filepath.Join("testdata", "locks"), "cwc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := map[string]bool{"cwc/internal/protocol": false, "cwc/internal/worker": false}
+	for _, d := range prog.Run(analyzer(t, "frames")) {
+		if d.Analyzer != "driver" {
+			continue
+		}
+		for path := range missing {
+			if strings.Contains(d.Message, "frames is built around package "+path+",") {
+				missing[path] = true
+			}
+		}
+	}
+	for path, reported := range missing {
+		if !reported {
+			t.Errorf("frames passed silently over a tree with no %s", path)
+		}
+	}
 }

@@ -166,10 +166,6 @@ func (l *Logger) Warnf(format string, args ...any) { l.emit(LevelWarn, format, a
 // Errorf logs at error level.
 func (l *Logger) Errorf(format string, args ...any) { l.emit(LevelError, format, args...) }
 
-// Printf logs at info level — the drop-in signature for call sites that
-// used *log.Logger.
-func (l *Logger) Printf(format string, args ...any) { l.emit(LevelInfo, format, args...) }
-
 // Std bridges to APIs that want a *log.Logger (e.g. wal.Options):
 // every line written through the returned logger is re-emitted through
 // this one at info level.

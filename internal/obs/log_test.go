@@ -58,9 +58,9 @@ func TestLoggerValueQuoting(t *testing.T) {
 func TestLoggerPrintfIsInfo(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LevelInfo)
-	l.Printf("compat %s", "line")
+	l.Infof("compat %s", "line")
 	if !strings.Contains(buf.String(), `level=info msg="compat line"`) {
-		t.Errorf("Printf did not log at info: %s", buf.String())
+		t.Errorf("Infof did not log at info: %s", buf.String())
 	}
 }
 

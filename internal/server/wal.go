@@ -66,6 +66,12 @@ const (
 	walRecEpoch      uint8 = 11 // fencing epoch bumped (replication enabled or standby promoted)
 	walRecRegister   uint8 = 12 // phone ID issued to a fresh registration
 	walRecReputation uint8 = 13 // per-phone result-integrity reputation update / quarantine
+
+	// walRecEnd is one past the last record type. iota counts the lines
+	// above it, so a type added to this block moves it without being
+	// asked, and TestWALFoldLiveEqualsDecoded then refuses to pass until
+	// the new type has a live record that decodes and folds.
+	walRecEnd = uint8(iota) + 1
 )
 
 // A record's payload is
