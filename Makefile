@@ -130,6 +130,7 @@ census:
 	@echo "Master fields under mu: $$(sed -n '/^type Master struct {/,/^}/p' internal/server/server.go | grep -c 'guarded by mu')"
 	@echo "frame types:            $$(grep -hE '^	Type[A-Za-z]+ +Type = "' internal/protocol/*.go | wc -l)"
 	@echo "WAL record types:       $$(grep -cE '^	walRec[A-Za-z]+ +uint8 = ' internal/server/wal.go)"
+	@echo "report credit sites:    $$(grep -h --exclude='*_test.go' 'recordResult(' internal/server/*.go | grep -vc '^func ') (non-test calls of recordResult)"
 	@echo "cwc-vet flags:          $$(grep -cE 'flag\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/cwc-vet/main.go)"
 	@echo "make check prerequisites: $$(sed -n 's/^check://p' Makefile | wc -w)"
 	@echo "wall-clock call sites:  $$(grep -rE 'time\.(Now|Since|Sleep|After|NewTimer|NewTicker)\(' internal/server internal/worker internal/replica --include='*.go' | grep -vc '_test\.go:') (server/worker/replica)"

@@ -46,7 +46,6 @@ func registerMasterMetrics(r *obs.Registry) {
 		"cwc_speculations_total":            "speculative copies issued for straggling partitions",
 		"cwc_stragglers_total":              "assignments that blew their deadline",
 		"cwc_abandons_total":                "phones abandoned for a round at twice the deadline",
-		"cwc_stale_results_total":           "results credited to an earlier attempt on the same phone",
 		"cwc_rounds_total":                  "scheduling rounds completed",
 		"cwc_assign_bytes_sent_total":       "assignment input bytes shipped to phones",
 		"cwc_prefetch_handback_bytes_total": "input bytes of prefetched assignments handed back unexecuted (drain, unplug, abandon, dead phone)",

@@ -40,9 +40,8 @@ func (m *Master) trace(ev obs.SpanEvent) {
 
 // closeTimeline ends the round's event collection and derives every view
 // of it: the report's Figure 12 timeline and tallies, and /debug/sched's
-// actuals. A result the dispatcher did not credit to the attempt it was
-// waiting on keeps its qualifier in the kind ("stale-result",
-// "late-result"), so "result" pairs with "assign" one to one.
+// actuals. A result for an attempt its dispatcher had let go reads
+// "late-result", so "result" pairs with "assign" one to one.
 func (m *Master) closeTimeline(report *RoundReport, snap *SchedSnapshot, start time.Time) {
 	m.evMu.Lock()
 	evs := m.timeline
@@ -233,8 +232,9 @@ func (m *Master) profileOne(ctx context.Context, est *predict.Estimator, it *wor
 			return fmt.Errorf("server: no phone left to profile %s", name)
 		}
 		tried[slowest.info.ID] = true
-		// A keyless attempt, so the read loop routes the reply here and a
-		// reply that outlives this wait names an attempt nobody knows.
+		// A keyless attempt: credit folds nothing for it and notices the
+		// reply here; one that outlives this wait names an attempt nobody
+		// knows.
 		attempt := m.newAttempt(slowest, assignment{item: it, partition: -1, input: sample})
 		if err := slowest.conn.Send(&protocol.Message{
 			Type:      protocol.TypeAssign,
@@ -251,7 +251,6 @@ func (m *Master) profileOne(ctx context.Context, est *predict.Estimator, it *wor
 		}
 		select {
 		case resp := <-slowest.respCh:
-			m.dropAttempt(attempt)
 			if resp.Type != protocol.TypeResult {
 				m.cfg.Logger.With("phone", slowest.info.ID, "task", name).
 					Warnf("profiling failed (%s); retrying elsewhere", resp.Error)
@@ -329,10 +328,9 @@ type Event struct {
 	// Kind is the span event's kind: "assign", "result", "failure",
 	// "straggler", "speculate", "checkpoint", "requeue" and "deadletter"
 	// (from any path: a lost phone, a failure report, an unresolved vote),
-	// "submit" for a job that arrived mid-round — plus "stale-result" and
-	// "late-result" for a result credited to an attempt other than the
-	// one its dispatcher was waiting on. Readers switch on the kinds they
-	// know and ignore the rest.
+	// "submit" for a job that arrived mid-round — plus "late-result" for a
+	// result credited to an attempt its dispatcher had let go. Readers
+	// switch on the kinds they know and ignore the rest.
 	Kind string
 }
 
@@ -834,13 +832,15 @@ func (m *Master) assignmentDeadline(a assignment, ps *phoneState) time.Duration 
 
 // speculate queues an atomic copy of a straggling assignment for the next
 // round. The original attempt stays outstanding; whichever report arrives
-// first wins the key. At most one copy is issued per key, and it spends
-// no retry — so nothing replay needs changes, and nothing is logged.
+// first wins the key. At most one copy is issued per key — none for a
+// range a failure report has just queued, whose notice the deadline clock
+// can beat — and it spends no retry, so nothing replay needs changes, and
+// nothing is logged.
 func (m *Master) speculate(a assignment) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e := a.rng
-	if e.shared || m.settledLocked(e) {
+	if e.shared || e.queued || m.settledLocked(e) {
 		return false
 	}
 	e.shared, e.queued = true, true
@@ -876,28 +876,14 @@ func pairFits(ps *phoneState, cur, next assignment) bool {
 // task "only after the phone completes executing its last assigned task",
 // which leaves link and CPU busy only alternately; that rule is dropped.
 // A pair is prefetched only when both inputs fit the phone's RAM, so a
-// one-item queue or a RAM-bound pair runs in lockstep by itself. Every
-// exit settles, detaches or drops each outstanding attempt exactly once
-// and hands everything unsettled back for the next round; a prefetched
-// assignment goes back with its resume state untouched.
+// one-item queue or a RAM-bound pair runs in lockstep by itself. Reports
+// are credited by the read loop (credit), which settles the attempt and
+// folds the report before telling the dispatcher; every exit detaches or
+// drops each attempt still outstanding exactly once and hands everything
+// unsettled back for the next round; a prefetched assignment goes back
+// with its resume state untouched.
 func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignment) {
-	// m.est is lazily created under m.mu; dispatch runs on per-phone
-	// goroutines, so take the lock for the pointer snapshot.
-	m.mu.Lock()
-	est := m.est
-	m.mu.Unlock()
 	id := ps.info.ID
-	// ck is the checkpoint the event moves, if any — the resume state an
-	// assign ships, the state a failure report saved — and its offset rides
-	// in Bytes, which makes a job's span the migration record of paper §6:
-	// failure/checkpoint (saved) → assign "resume" (re-shipped) → result.
-	event := func(a assignment, kind, detail string, ck *tasks.Checkpoint) {
-		ev := obs.SpanEvent{Kind: kind, Job: a.item.jobID, Partition: a.partition, Phone: id, Detail: detail}
-		if ck != nil {
-			ev.Bytes = ck.Offset
-		}
-		m.trace(ev)
-	}
 	var (
 		win     []flight // outstanding attempts in the phone's execution order, at most two
 		next    int      // queue[next:] has not been shipped
@@ -976,11 +962,12 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 		if sending == 0 && next < len(queue) && (len(win) == 0 || len(win) == 1 && pairFits(ps, win[0].a, queue[next])) {
 			a := queue[next]
 			next++
-			detail := ""
+			// The resume state an assign ships rides in Bytes; see credit.
+			ev := obs.SpanEvent{Kind: obs.KindAssign, Job: a.item.jobID, Partition: a.partition, Phone: id}
 			if a.resume != nil {
-				detail = "resume"
+				ev.Detail, ev.Bytes = "resume", a.resume.Offset
 			}
-			event(a, obs.KindAssign, detail, a.resume)
+			m.trace(ev)
 			attempt := m.newAttempt(ps, a)
 			// Audit record: replay treats an unreported dispatch as still
 			// open, so ordering against state records is immaterial.
@@ -990,8 +977,8 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 			})
 			win = append(win, flight{a: a, attempt: attempt, prefetched: len(win) > 0})
 			sending = attempt
-			// Shipped from its own goroutine so a report that lands while
-			// the link is busy with the next input is folded at once.
+			// Shipped from its own goroutine so the window moves on a
+			// report that lands while the link is busy with the next input.
 			senders.Add(1)
 			go func() {
 				defer senders.Done()
@@ -1010,39 +997,16 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 			}
 			sending = 0
 		case resp := <-ps.respCh:
-			if resp.Type != protocol.TypeResult && resp.Type != protocol.TypeFailure {
-				// respCh only ever carries result/failure frames (the read
-				// loop routes everything else), so this is unreachable.
-				m.cfg.Logger.With("phone", id, "type", string(resp.Type)).
-					Debugf("ignoring unexpected frame on response channel")
-				continue
-			}
+			// A notice: credit has settled the attempt and folded the report.
 			i := 0
 			for i < len(win) && win[i].attempt != resp.Attempt {
 				i++
 			}
 			if i == len(win) {
-				// A report queued for an earlier attempt on this phone
-				// before it was abandoned; credit it and keep waiting.
-				m.mu.Lock()
-				rec, ok := m.attempts[resp.Attempt]
-				delete(m.attempts, resp.Attempt)
-				m.mu.Unlock()
-				if ok && resp.Type == protocol.TypeResult {
-					m.cfg.Metrics.Counter("cwc_stale_results_total").Inc()
-					event(rec.a, obs.KindResult, "stale", nil)
-					m.recordResult(rec.a, resp, est, rec.ps)
-				}
-				continue
+				continue // sent as an earlier dispatcher on this phone stopped waiting
 			}
-			f := win[i]
-			m.dropAttempt(f.attempt)
 			win = append(win[:i:i], win[i+1:]...)
 			if resp.Type == protocol.TypeFailure {
-				event(f.a, obs.KindFailure, "", resp.Checkpoint)
-				m.cfg.Logger.With("phone", id, "job", f.a.item.jobID).
-					Warnf("failure report: %s", resp.Error)
-				m.recordFailure(f.a, resp)
 				drained := resp.Error == drainFailureReason
 				if drained {
 					// Proactive-drain handback: the phone is still plugged
@@ -1056,8 +1020,6 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 				release(0, drained)
 				return
 			}
-			event(f.a, obs.KindResult, "", nil)
-			m.recordResult(f.a, resp, est, ps)
 			if i == 0 {
 				stopClock()
 			}
@@ -1072,7 +1034,7 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 					m.cfg.Logger.With("phone", id, "job", a.item.jobID, "partition", a.partition).
 						Warnf("straggling (deadline %v); speculating", deadline)
 					m.cfg.Metrics.Counter("cwc_stragglers_total").Inc()
-					event(a, obs.KindStraggler, "", nil)
+					m.trace(obs.SpanEvent{Kind: obs.KindStraggler, Job: a.item.jobID, Partition: a.partition, Phone: id})
 				}
 				timer.Reset(deadline)
 				continue
@@ -1114,18 +1076,18 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 	ck := msg.Checkpoint
 	var jobID, partition int
 	m.cfg.Metrics.Counter("cwc_checkpoint_frames_total").Inc()
-	if msg.Attempt != 0 && ck != nil && ck.Offset > 0 {
-		if msg.Digest != ck.Digest() {
-			// In-transit damage (a stripped digest included): never
-			// fold, but still ack (flow control).
-			m.cfg.Metrics.Counter("cwc_verify_mismatches_total", "kind", "checkpoint").Inc()
-			m.sloObserve(sloVerify, false)
-			m.cfg.Logger.With("phone", ps.info.ID).Warnf("streamed checkpoint digest mismatch; frame dropped")
-			_ = ps.conn.Send(&protocol.Message{Type: protocol.TypeCheckpointAck, Attempt: msg.Attempt, Seq: msg.Seq})
-			return
-		}
+	switch {
+	case msg.Attempt == 0 || ck == nil || ck.Offset <= 0:
+	case msg.Digest != ck.Digest():
+		// In-transit damage (a stripped digest included): never fold.
+		m.cfg.Metrics.Counter("cwc_verify_mismatches_total", "kind", "checkpoint").Inc()
+		m.sloObserve(sloVerify, false)
+		m.cfg.Logger.With("phone", ps.info.ID).Warnf("streamed checkpoint digest mismatch; frame dropped")
+	default:
 		m.mu.Lock()
-		if rec, ok := m.attempts[msg.Attempt]; ok {
+		// A frame naming another phone's attempt resolves to nothing: it
+		// never becomes that phone's resume state.
+		if rec := m.attemptLocked(ps, msg.Attempt); rec != nil {
 			a, e := rec.a, rec.a.rng
 			jobID, partition = a.item.jobID, a.partition
 			cur := a.resume
@@ -1174,7 +1136,7 @@ func (m *Master) StreamedCheckpoints() int {
 // refines the execution-time prediction. Duplicate results for an
 // already-settled key (the loser of a speculative race, a reconnect
 // replay) are dropped.
-func (m *Master) finalizeResult(a assignment, resp *protocol.Message, est *predict.Estimator, ps *phoneState) {
+func (m *Master) finalizeResult(a assignment, resp *protocol.Message, ps *phoneState) {
 	m.mu.Lock()
 	if m.settledLocked(a.rng) {
 		m.mu.Unlock()
@@ -1194,6 +1156,7 @@ func (m *Master) finalizeResult(a assignment, resp *protocol.Message, est *predi
 	if !m.roundActive && !js.Done && js.Covered >= js.TotalBytes {
 		m.finishJobLocked(js)
 	}
+	est := m.est
 	m.mu.Unlock()
 	m.cfg.Metrics.Counter("cwc_results_total").Inc()
 	m.sloObserve(sloRequeue, true)

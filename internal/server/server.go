@@ -231,7 +231,10 @@ type phoneState struct {
 	info PhoneInfo
 	conn *protocol.Conn
 
-	respCh  chan *protocol.Message // Result / Failure frames
+	// respCh carries credit's notices: the already-folded reports of live
+	// attempts, at most two a phone (the dispatch window) plus any sent as
+	// an earlier dispatcher stopped waiting, which the next discards.
+	respCh  chan *protocol.Message
 	probeCh chan *protocol.Message // ProbeAck frames
 	dead    chan struct{}          // closed exactly once on death
 
@@ -361,9 +364,9 @@ type OfflineFailure struct {
 type attemptRec struct {
 	a  assignment
 	ps *phoneState
-	// live is true while a dispatch goroutine is waiting on the phone's
-	// respCh for this attempt; the read loop resolves non-live attempts
-	// directly so stale reports never clog a channel nobody drains.
+	// live is true while a dispatch goroutine (or profileOne) is waiting on
+	// the phone's respCh for this attempt: credit sends its notice only
+	// then, so a late report never clogs a channel nobody drains.
 	live bool
 }
 
@@ -769,31 +772,15 @@ func (m *Master) readLoop(ps *phoneState) {
 			case ps.probeCh <- msg:
 			default:
 			}
-		case protocol.TypeCheckpoint:
-			if m.fenced(msg) {
+		case protocol.TypeCheckpoint, protocol.TypeResult, protocol.TypeFailure:
+			switch {
+			case m.fenced(msg):
 				m.rejectFenced(ps, msg)
-				continue
-			}
-			// Streamed mid-execution checkpoints are folded here, never
-			// routed to respCh: dispatchers only consume result/failure
-			// frames, and a checkpoint must not displace them.
-			m.recordStreamedCheckpoint(ps, msg)
-		case protocol.TypeResult, protocol.TypeFailure:
-			if m.fenced(msg) {
-				m.rejectFenced(ps, msg)
-				continue
-			}
-			// Reports for attempts no dispatcher is waiting on — a
-			// straggler finishing after abandonment, a reconnected worker
-			// flushing its unsent buffer — are resolved here so they never
-			// clog a respCh nobody drains.
-			if m.resolveDetached(msg) {
-				continue
-			}
-			select {
-			case ps.respCh <- msg:
-			case <-m.stopped:
-				return
+			case msg.Type == protocol.TypeCheckpoint:
+				// Folded and acked; no dispatcher waits on a checkpoint.
+				m.recordStreamedCheckpoint(ps, msg)
+			default:
+				m.credit(ps, msg)
 			}
 		case protocol.TypeBye:
 			m.cfg.Logger.With("phone", ps.info.ID).Infof("unplugged while idle")
@@ -888,46 +875,75 @@ func (m *Master) rejectFenced(ps *phoneState, msg *protocol.Message) {
 	}
 }
 
-// resolveDetached credits a report whose attempt has no waiting
-// dispatcher (first-result-wins: a late straggler result still counts if
-// its key is uncompleted). Returns false when a live dispatcher owns the
-// attempt, in which case the frame must flow to respCh as usual.
-func (m *Master) resolveDetached(msg *protocol.Message) bool {
+// attemptLocked resolves the attempt a frame from ps names: the one place a
+// frame's Attempt number meets the table. A frame is credited only to an
+// attempt issued to the phone ID that sent it (the ID, not the connection:
+// a reconnected phone reports on a new phoneState) — attempt numbers are
+// sequential, and a neighbour's is a guess away. Nil for an attempt long
+// settled, never issued, not named (0) or somebody else's. Caller holds m.mu.
+func (m *Master) attemptLocked(ps *phoneState, id int64) *attemptRec {
+	if rec := m.attempts[id]; rec != nil && rec.ps.info.ID == ps.info.ID {
+		return rec
+	}
+	return nil
+}
+
+// credit is the one door for reports: it pairs a result or failure frame
+// with its attempt, settles the attempt, traces and folds the report at
+// once, and only then tells whoever waits on the attempt — a dispatcher,
+// profileOne — through respCh, purely as a notice. A result folds whether
+// or not anyone still waits (first-result-wins: a late straggler result
+// counts if its key is still open). A failure spends a retry only for a
+// live attempt: a detached one always has a range, handed back when its
+// dispatcher let go, and whatever carries that now resumes from the
+// report's checkpoint if it is the furthest.
+func (m *Master) credit(ps *phoneState, msg *protocol.Message) {
 	m.mu.Lock()
-	rec, ok := m.attempts[msg.Attempt]
-	if ok && rec.live {
+	rec := m.attemptLocked(ps, msg.Attempt)
+	if rec == nil {
 		m.mu.Unlock()
-		return false
+		m.cfg.Metrics.Counter("cwc_frames_unexpected_total", "type", frameLabel(msg.Type)).Inc()
+		m.cfg.Logger.With("phone", ps.info.ID, "attempt", msg.Attempt).
+			Warnf("dropping report for an attempt this phone does not hold")
+		return
 	}
 	delete(m.attempts, msg.Attempt)
-	// Snapshot the estimator while the lock is held: it is lazily
-	// created under m.mu and this path runs on read-loop goroutines.
-	est := m.est
-	if ok && msg.Type == protocol.TypeFailure && !m.settledLocked(rec.a.rng) {
-		// A straggler abandoned for the round that then unplugs and reports:
-		// whatever carries the range now resumes from the report's
-		// checkpoint if that is the furthest.
-		m.keepCheckpointLocked(rec.a.rng, msg.Checkpoint)
+	a, live := rec.a, rec.live
+	if !live && msg.Type == protocol.TypeFailure && !m.settledLocked(a.rng) {
+		m.keepCheckpointLocked(a.rng, msg.Checkpoint)
 	}
 	m.mu.Unlock()
-	if !ok {
-		// Settled long ago, never issued, or not named at all (attempt 0):
-		// nothing to credit it to.
-		m.cfg.Metrics.Counter("cwc_frames_unexpected_total", "type", frameLabel(msg.Type)).Inc()
-		m.cfg.Logger.With("attempt", msg.Attempt).Warnf("dropping report for unknown attempt")
-		return true
+	ev := obs.SpanEvent{Job: a.item.jobID, Partition: a.partition, Phone: ps.info.ID}
+	switch {
+	case a.rng == nil:
+		// A profiling execution is part of no job: nothing to trace or fold.
+	case msg.Type == protocol.TypeResult:
+		ev.Kind = obs.KindResult
+		if !live {
+			// "late-result" on the round's timeline, so that "result" pairs
+			// with "assign" one to one there.
+			ev.Detail = "late"
+		}
+		m.trace(ev)
+		m.recordResult(a, msg, rec.ps)
+	case live:
+		// The saved checkpoint's offset rides in Bytes, which makes a job's
+		// span the migration record of paper §6: failure (saved) → assign
+		// "resume" (re-shipped) → result.
+		ev.Kind = obs.KindFailure
+		if msg.Checkpoint != nil {
+			ev.Bytes = msg.Checkpoint.Offset
+		}
+		m.trace(ev)
+		m.cfg.Logger.With("phone", ps.info.ID, "job", a.item.jobID).Warnf("failure report: %s", msg.Error)
+		m.recordFailure(a, msg)
 	}
-	if msg.Type == protocol.TypeResult {
-		m.cfg.Logger.With("job", rec.a.item.jobID, "partition", rec.a.partition,
-			"attempt", msg.Attempt).Infof("late result credited")
-		// No dispatcher traces a detached credit, so record it here or the
-		// partition's timeline ends without its master-side fold — exactly
-		// the partitions that survived a failover via replay.
-		m.trace(obs.SpanEvent{Kind: obs.KindResult, Job: rec.a.item.jobID,
-			Partition: rec.a.partition, Phone: rec.ps.info.ID, Detail: "late"})
-		m.recordResult(rec.a, msg, est, rec.ps)
+	if live {
+		select {
+		case rec.ps.respCh <- msg:
+		case <-m.stopped:
+		}
 	}
-	return true
 }
 
 // keepalive implements the paper's offline-failure detector: a ping every

@@ -15,7 +15,7 @@ import (
 // must be exactly the projection of the master-side span events the
 // tracer holds for the round — same multiset of (kind, phone, job,
 // partition) — for a round that has a bit of everything: two phones, a
-// straggler that is speculated on and abandoned, hand-backs, and a stale
+// straggler that is speculated on and abandoned, hand-backs, and a late
 // result.
 func TestRoundEventsAreAViewOfTheTraceRing(t *testing.T) {
 	tracer := obs.NewTracer(4096)
@@ -24,7 +24,15 @@ func TestRoundEventsAreAViewOfTheTraceRing(t *testing.T) {
 	slow := dialFake(t, m, "HTC G2", 806) // serves profiling, never answers real work
 	fast := dialFake(t, m, "Nexus S", 1000)
 	go scriptedPhone(slow, func(*fakePhone, *protocol.Message) {})
-	go scriptedPhone(fast, replyResult)
+	late := make(chan *protocol.Message, 1)
+	go scriptedPhone(fast, func(f *fakePhone, msg *protocol.Message) {
+		select {
+		case fr := <-late:
+			f.send(fr)
+		default:
+		}
+		replyResult(f, msg)
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := m.WaitForPhones(ctx, 2); err != nil {
@@ -35,20 +43,19 @@ func TestRoundEventsAreAViewOfTheTraceRing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The stale result: one more job whose range an earlier dispatcher on
-	// the fast phone shipped and abandoned, its report still waiting in the
-	// phone's response channel when this round's dispatcher starts reading.
-	staleInput := numberLines(7001, 7300)
-	stale := openTestRange(t, m, tasks.PrimeCount{}, staleInput, true, 3)
-	staleJob := stale.item.jobID
+	// The late result: one more job whose range an earlier dispatcher on
+	// the fast phone shipped and let go; the phone delivers the detached
+	// attempt's report while this round runs.
+	lateInput := numberLines(7001, 7300)
+	detached := openTestRange(t, m, tasks.PrimeCount{}, lateInput, true, 3)
+	lateJob := detached.item.jobID
 	m.mu.Lock()
 	m.nextAttempt++
-	staleAttempt := m.nextAttempt
-	ps := m.phones[fast.id]
-	m.attempts[staleAttempt] = &attemptRec{ps: ps, a: stale}
+	lateAttempt := m.nextAttempt
+	m.attempts[lateAttempt] = &attemptRec{ps: m.phones[fast.id], a: detached}
 	m.mu.Unlock()
-	res := groundTruth(t, tasks.PrimeCount{}, staleInput)
-	ps.respCh <- &protocol.Message{Type: protocol.TypeResult, Attempt: staleAttempt,
+	res := groundTruth(t, tasks.PrimeCount{}, lateInput)
+	late <- &protocol.Message{Type: protocol.TypeResult, Attempt: lateAttempt,
 		Result: res, Digest: tasks.Digest(res), ExecMs: 1, ProcessedKB: 1}
 
 	t0 := time.Now()
@@ -97,7 +104,7 @@ func TestRoundEventsAreAViewOfTheTraceRing(t *testing.T) {
 			t.Errorf("%+v: %d in RoundReport.Events, none in the trace ring", r, n)
 		}
 	}
-	for _, k := range []string{"assign", "result", "straggler", "speculate", "requeue", "stale-result"} {
+	for _, k := range []string{"assign", "result", "straggler", "speculate", "requeue", "late-result"} {
 		if kinds[k] == 0 {
 			t.Errorf("the round produced no %q event (kinds: %v); the scenario no longer covers it", k, kinds)
 		}
@@ -108,7 +115,7 @@ func TestRoundEventsAreAViewOfTheTraceRing(t *testing.T) {
 	if len(rep.Stragglers) != kinds["straggler"] || rep.DeadLettered != kinds["deadletter"] {
 		t.Errorf("Stragglers %v, DeadLettered %d disagree with the timeline's kinds %v", rep.Stragglers, rep.DeadLettered, kinds)
 	}
-	if got, ok := m.Result(staleJob); !ok || string(got) != string(res) {
-		t.Errorf("stale result not credited: job %d = %q (%v), want %q", staleJob, got, ok, res)
+	if got, ok := m.Result(lateJob); !ok || string(got) != string(res) {
+		t.Errorf("late result not credited: job %d = %q (%v), want %q", lateJob, got, ok, res)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cwc/internal/core"
-	"cwc/internal/predict"
 	"cwc/internal/protocol"
 	"cwc/internal/tasks"
 )
@@ -76,16 +75,10 @@ type voteGroup struct {
 // verification layer has had its say. See finalizeResult for the fold
 // itself; verifyResult consumes the report when a digest mismatch or an
 // open vote group intercepts it.
-func (m *Master) recordResult(a assignment, resp *protocol.Message, est *predict.Estimator, ps *phoneState) {
-	if a.rng == nil {
-		// A frame naming another phone's profiling execution, which is part
-		// of no job: there is nothing to credit.
-		return
+func (m *Master) recordResult(a assignment, resp *protocol.Message, ps *phoneState) {
+	if !m.verifyResult(a, resp, ps) {
+		m.finalizeResult(a, resp, ps)
 	}
-	if m.verifyResult(a, resp, est, ps) {
-		return
-	}
-	m.finalizeResult(a, resp, est, ps)
 }
 
 // verifyResult is the verification layer's interception point: every
@@ -93,7 +86,7 @@ func (m *Master) recordResult(a assignment, resp *protocol.Message, est *predict
 // when the report was consumed (folded via a vote, recorded as a
 // ballot, or rejected outright); false hands it to finalizeResult
 // unchanged.
-func (m *Master) verifyResult(a assignment, resp *protocol.Message, est *predict.Estimator, ps *phoneState) bool {
+func (m *Master) verifyResult(a assignment, resp *protocol.Message, ps *phoneState) bool {
 	computed := tasks.Digest(resp.Result)
 	if resp.Digest != computed {
 		// The payload was damaged between the worker's task output and
@@ -161,7 +154,7 @@ func (m *Master) verifyResult(a assignment, resp *protocol.Message, est *predict
 		// Audit: the first result folds immediately; the echo compares.
 		vg.folded = computed
 		m.mu.Unlock()
-		m.finalizeResult(a, resp, est, ps)
+		m.finalizeResult(a, resp, ps)
 		return true
 	}
 	if vg.audit && len(vg.ballots) == 2 {
@@ -177,7 +170,7 @@ func (m *Master) verifyResult(a assignment, resp *protocol.Message, est *predict
 		fold := !vg.audit // an audit group folded its first result already
 		m.mu.Unlock()
 		if fold {
-			m.finalizeResult(a, resp, est, ps)
+			m.finalizeResult(a, resp, ps)
 		}
 		return true
 	}
@@ -379,43 +372,28 @@ func (m *Master) sweepVoteGroupsLocked() {
 
 // startTieBreak re-executes a tied partition on the highest-reputation
 // phone that has not voted on it, registering a detached attempt whose
-// report the read loop resolves into the group. When no eligible phone
-// exists the range goes back to the queue for a fresh vote next round.
+// report credit resolves into the group. When no eligible phone exists the
+// range goes back to the queue for a fresh vote next round. It is called
+// on the read loop of the phone whose ballot tied the vote, so the arbiter
+// is only chosen here: the goroutine that owns the tie-break's expiry also
+// ships the assignment, and a slow arbiter link starves nobody's pongs.
 func (m *Master) startTieBreak(key int64) {
-	for {
-		m.mu.Lock()
-		vg := m.votes[key]
-		// An audit group's key is completed by construction (its first
-		// result folded); the tie-break still runs, for blame.
-		if vg == nil || vg.resolved || (!vg.audit && m.settledLocked(vg.a.rng)) {
-			m.mu.Unlock()
-			return
-		}
-		arb := m.pickArbiterLocked(vg)
-		if arb == nil {
-			delete(m.votes, key)
-			m.handBackLocked(vg.a.rng, "verification tie: no arbiter")
-			m.mu.Unlock()
-			m.cfg.Logger.With("job", vg.a.item.jobID, "key", key).
-				Warnf("verification tie with no arbiter available; range re-queued")
-			return
-		}
-		m.nextAttempt++
-		attempt := m.nextAttempt
-		// Detached from birth: no dispatcher waits on it, the read loop
-		// resolves the arbiter's report straight into the vote group.
-		m.attempts[attempt] = &attemptRec{a: vg.a, ps: arb, live: false}
-		vg.tiePending = true
-		vg.need++
-		a := vg.a
-		m.mu.Unlock()
-
-		m.walAudit(&walDispatch{
-			Key: a.key, JobID: a.item.jobID, Partition: a.partition,
-			PhoneID: arb.info.ID, Attempt: attempt,
-		})
-		if err := m.sendAssign(arb, a, attempt); err != nil {
-			arb.markDead()
+	rec, attempt := m.armTieBreak(key)
+	if rec == nil {
+		return
+	}
+	m.wg.Add(1)
+	go func() {
+		defer m.wg.Done()
+		for {
+			m.walAudit(&walDispatch{
+				Key: rec.a.key, JobID: rec.a.item.jobID, Partition: rec.a.partition,
+				PhoneID: rec.ps.info.ID, Attempt: attempt,
+			})
+			if m.sendAssign(rec.ps, rec.a, attempt) == nil {
+				break
+			}
+			rec.ps.markDead()
 			m.mu.Lock()
 			delete(m.attempts, attempt)
 			if g := m.votes[key]; g != nil {
@@ -423,24 +401,49 @@ func (m *Master) startTieBreak(key int64) {
 				g.need--
 			}
 			m.mu.Unlock()
-			continue // next-best arbiter
-		}
-		m.cfg.Logger.With("job", a.item.jobID, "key", key, "phone", arb.info.ID).
-			Infof("verification tie: re-executing on arbiter")
-		deadline := 2 * m.assignmentDeadline(a, arb)
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			t := time.NewTimer(deadline)
-			defer t.Stop()
-			select {
-			case <-t.C:
-				m.tieBreakExpired(key, attempt)
-			case <-m.stopped:
+			if rec, attempt = m.armTieBreak(key); rec == nil {
+				return // no next-best arbiter
 			}
-		}()
-		return
+		}
+		m.cfg.Logger.With("job", rec.a.item.jobID, "key", key, "phone", rec.ps.info.ID).
+			Infof("verification tie: re-executing on arbiter")
+		t := time.NewTimer(2 * m.assignmentDeadline(rec.a, rec.ps))
+		defer t.Stop()
+		select {
+		case <-t.C:
+			m.tieBreakExpired(key, attempt)
+		case <-m.stopped:
+		}
+	}()
+}
+
+// armTieBreak picks the arbiter for a tied vote group and registers its
+// attempt — detached from birth: no dispatcher waits on it. Nil means there
+// is nothing to send: the vote settled meanwhile, or no arbiter is left
+// and the range was re-queued.
+func (m *Master) armTieBreak(key int64) (*attemptRec, int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	vg := m.votes[key]
+	// An audit group's key is completed by construction (its first result
+	// folded); the tie-break still runs, for blame.
+	if vg == nil || vg.resolved || (!vg.audit && m.settledLocked(vg.a.rng)) {
+		return nil, 0
 	}
+	arb := m.pickArbiterLocked(vg)
+	if arb == nil {
+		delete(m.votes, key)
+		m.handBackLocked(vg.a.rng, "verification tie: no arbiter")
+		m.cfg.Logger.With("job", vg.a.item.jobID, "key", key).
+			Warnf("verification tie with no arbiter available; range re-queued")
+		return nil, 0
+	}
+	rec := &attemptRec{a: vg.a, ps: arb, live: false}
+	m.nextAttempt++
+	m.attempts[m.nextAttempt] = rec
+	vg.tiePending = true
+	vg.need++
+	return rec, m.nextAttempt
 }
 
 // tieBreakExpired reclaims a tie-break whose arbiter never reported:

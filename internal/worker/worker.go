@@ -120,11 +120,6 @@ type ReconnectPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth (default 5 s).
 	MaxDelay time.Duration
-	// Multiplier grows the delay per consecutive failure (default 2).
-	Multiplier float64
-	// JitterFrac spreads each delay uniformly over ±frac (default 0.2) so
-	// a fleet disconnected by one event does not redial in lockstep.
-	JitterFrac float64
 	// MaxAttempts bounds consecutive failed connection attempts before
 	// Run gives up (default 10; negative means retry forever). The
 	// counter resets whenever a connection reaches registration.
@@ -147,12 +142,6 @@ func (r ReconnectPolicy) fill() ReconnectPolicy {
 	if r.MaxDelay == 0 {
 		r.MaxDelay = 5 * time.Second
 	}
-	if r.Multiplier == 0 {
-		r.Multiplier = 2
-	}
-	if r.JitterFrac == 0 {
-		r.JitterFrac = 0.2
-	}
 	if r.MaxAttempts == 0 {
 		r.MaxAttempts = 10
 	}
@@ -162,18 +151,26 @@ func (r ReconnectPolicy) fill() ReconnectPolicy {
 	return r
 }
 
+// The delay doubles per consecutive failure and is spread uniformly over
+// ±reconnectJitter, so a fleet disconnected by one event does not redial
+// in lockstep.
+const (
+	reconnectMultiplier = 2
+	reconnectJitter     = 0.2
+)
+
 // delay computes the backoff before the attempt-th consecutive retry
 // (attempt counts from 1).
 func (r ReconnectPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 	d := float64(r.BaseDelay)
 	for i := 1; i < attempt; i++ {
-		d *= r.Multiplier
+		d *= reconnectMultiplier
 		if d >= float64(r.MaxDelay) {
 			d = float64(r.MaxDelay)
 			break
 		}
 	}
-	d *= 1 + r.JitterFrac*(2*rng.Float64()-1)
+	d *= 1 + reconnectJitter*(2*rng.Float64()-1)
 	return time.Duration(d)
 }
 
