@@ -129,7 +129,8 @@ census:
 	@echo "server.Config fields:   $$(sed -n '/^type Config struct {/,/^}/p' internal/server/server.go | grep -cE '^	[A-Z][A-Za-z]* ')"
 	@echo "Master fields under mu: $$(sed -n '/^type Master struct {/,/^}/p' internal/server/server.go | grep -c 'guarded by mu')"
 	@echo "frame types:            $$(grep -hE '^	Type[A-Za-z]+ +Type = "' internal/protocol/*.go | wc -l)"
-	@echo "WAL record types:       $$(grep -cE '^	walRec[A-Za-z]+ +uint8 = ' internal/server/wal.go)"
+	@echo "WAL record types:       $$(grep -cE '^	walRec[A-Za-z]+ +uint8 = ' internal/server/wal.go) (declared live types; retired numbers stay reserved, unnamed)"
+	@echo "WAL writers:            $$(grep -h --exclude='*_test.go' 'm\.walWrite(' internal/server/*.go | wc -l) (non-test calls of m.walWrite)"
 	@echo "report credit sites:    $$(grep -h --exclude='*_test.go' 'recordResult(' internal/server/*.go | grep -vc '^func ') (non-test calls of recordResult)"
 	@echo "cwc-vet flags:          $$(grep -cE 'flag\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/cwc-vet/main.go)"
 	@echo "make check prerequisites: $$(sed -n 's/^check://p' Makefile | wc -w)"

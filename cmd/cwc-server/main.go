@@ -46,8 +46,6 @@ func main() {
 		verifyK   = flag.Int("verify-replicas", 1, "replicated-voting factor k: execute every partition on k disjoint phones and quorum-vote the result digests (1: voting off)")
 		auditRate = flag.Float64("audit-rate", 0, "spot-check fraction of partitions silently re-executed on a second phone when voting is off (0: audits off)")
 		plugAware = flag.Bool("plug-aware", false, "plug-aware predictive placement: learn per-phone charge windows, veto placements that would cross the predicted unplug, and proactively drain closing windows")
-		drainQ    = flag.Float64("drain-quantile", 0.25, "charge-window survival quantile for placement vetoes and drain timing (lower: more conservative)")
-		drainLead = flag.Duration("drain-lead", 30*time.Second, "how far ahead of the predicted unplug a proactive drain starts")
 		replicaLn = flag.String("replica-listen", "", "replication-stream listen address for hot standbys (requires -wal-dir; empty: replication off)")
 		standbyOf = flag.String("standby-of", "", "run as a hot standby following this primary replication address; promotes to serving master when the lease expires (requires -wal-dir)")
 		leaseMs   = flag.Int("lease-ms", 2000, "standby lease in milliseconds: replication silence longer than this triggers promotion")
@@ -118,8 +116,6 @@ func main() {
 		VerifyReplicas:    *verifyK,
 		AuditRate:         *auditRate,
 		PlugAware:         *plugAware,
-		DrainQuantile:     *drainQ,
-		DrainLead:         *drainLead,
 		Logger:            logger,
 		Metrics:           metrics,
 		Tracer:            tracer,

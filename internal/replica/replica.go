@@ -50,15 +50,17 @@ type heartbeat struct {
 	Shipped int64 `json:"shipped"`
 }
 
+// heartbeatPeriod paces heartbeat frames (and therefore how quickly a
+// standby notices silence relative to its lease). queueLen bounds each
+// standby's in-flight record queue; a standby that falls further behind
+// is dropped and must resync from a fresh snapshot.
+const (
+	heartbeatPeriod = 100 * time.Millisecond
+	queueLen        = 4096
+)
+
 // ShipperOptions tunes a primary-side Shipper.
 type ShipperOptions struct {
-	// HeartbeatPeriod paces heartbeat frames (and therefore how quickly
-	// a standby notices silence relative to its lease). Default 100 ms.
-	HeartbeatPeriod time.Duration
-	// QueueLen bounds each standby's in-flight record queue; a standby
-	// that falls further behind is dropped and must resync from a fresh
-	// snapshot. Default 4096.
-	QueueLen int
 	// Logger receives shipper events; nil discards.
 	Logger *obs.Logger
 }
@@ -94,12 +96,6 @@ type subscriber struct {
 
 // NewShipper creates a shipper; call BindMaster, then Serve.
 func NewShipper(opts ShipperOptions) *Shipper {
-	if opts.HeartbeatPeriod <= 0 {
-		opts.HeartbeatPeriod = 100 * time.Millisecond
-	}
-	if opts.QueueLen <= 0 {
-		opts.QueueLen = 4096
-	}
 	if opts.Logger == nil {
 		opts.Logger = obs.Discard()
 	}
@@ -196,7 +192,7 @@ func (s *Shipper) acceptLoop(ln net.Listener) {
 func (s *Shipper) serveStandby(conn net.Conn) {
 	defer conn.Close()
 	sub := &subscriber{
-		ch:   make(chan []byte, s.opts.QueueLen),
+		ch:   make(chan []byte, queueLen),
 		gone: make(chan struct{}),
 		conn: conn,
 	}
@@ -226,7 +222,7 @@ func (s *Shipper) serveStandby(conn net.Conn) {
 		s.opts.Logger.Warnf("standby %s: writing snapshot: %v", conn.RemoteAddr(), err)
 		return
 	}
-	hb := time.NewTicker(s.opts.HeartbeatPeriod)
+	hb := time.NewTicker(heartbeatPeriod)
 	defer hb.Stop()
 	for {
 		select {

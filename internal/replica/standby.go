@@ -38,11 +38,9 @@ type StandbyOptions struct {
 	// Lease is how long replication may stay silent (no records, no
 	// heartbeats, no successful dial) before the standby declares the
 	// primary dead and promotes itself. Default 2 s; it should comfortably
-	// exceed the primary's heartbeat period.
+	// exceed the primary's heartbeat period. Redials while the primary is
+	// unreachable are paced at an eighth of it.
 	Lease time.Duration
-	// RetryEvery paces redials while the primary is unreachable.
-	// Default Lease/8.
-	RetryEvery time.Duration
 	// MasterConfig is the server configuration the promoted master runs
 	// with. Set Listener to a pre-bound takeover listener (workers that
 	// dial it before promotion get an immediate close, so their failover
@@ -76,9 +74,6 @@ type Standby struct {
 func New(opts StandbyOptions) *Standby {
 	if opts.Lease <= 0 {
 		opts.Lease = 2 * time.Second
-	}
-	if opts.RetryEvery <= 0 {
-		opts.RetryEvery = opts.Lease / 8
 	}
 	if opts.Logger == nil {
 		opts.Logger = obs.Discard()
@@ -146,7 +141,7 @@ func (s *Standby) Run(ctx context.Context) error {
 			// Dial failures count as silence: the lease keeps draining.
 			s.opts.Logger.Debugf("primary unreachable: %v", err)
 			select {
-			case <-time.After(s.opts.RetryEvery):
+			case <-time.After(s.opts.Lease / 8):
 			case <-ctx.Done():
 			}
 			continue

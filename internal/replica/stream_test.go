@@ -156,6 +156,9 @@ func TestStandbyTornStreamEveryCut(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if _, done := m.Result(id); !done {
+			t.Fatalf("job %d never finished", id)
+		}
 	}
 
 	stream := wal.EncodeRecord(recSnapshot, snap)
@@ -170,9 +173,10 @@ func TestStandbyTornStreamEveryCut(t *testing.T) {
 	sink.mu.Unlock()
 	// Types as server/wal.go numbers them: 2 submits, the three-way round
 	// plus the migrated range's and the second job's, a report per piece
-	// and one for the second job, a migrate, 2 finishes.
-	if saw[1] != 2 || saw[2] < 3 || saw[4] < 4 || saw[6] < 1 || saw[8] != 2 {
-		t.Fatalf("stream record types %v: want a 3-way split, a migrate and both jobs finished", saw)
+	// and one for the second job, a migrate. (A job's result is derived
+	// from its reports, never logged.)
+	if saw[1] != 2 || saw[2] < 3 || saw[4] < 4 || saw[6] < 1 {
+		t.Fatalf("stream record types %v: want a 3-way split and a migrate", saw)
 	}
 
 	for cut := 0; cut <= len(stream); cut++ {

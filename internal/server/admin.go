@@ -485,7 +485,7 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 			Reputation:     row.rep, Quarantined: row.quarantined,
 			Worker: row.worker,
 		}
-		if rem, ok := m.windows.RemainingMs(row.info.ID, now, m.cfg.DrainQuantile); ok {
+		if rem, ok := m.windows.RemainingMs(row.info.ID, now, drainQuantile); ok {
 			r := rem
 			sp.PredictedRemainingMs = &r
 		}

@@ -318,3 +318,34 @@ func TestSpeculateSkipsARangeAlreadyQueued(t *testing.T) {
 		t.Errorf("%d items pending, want the one queued copy", n)
 	}
 }
+
+// profileOne waits on the same respCh the dispatcher does, so it too must
+// take only the notice for its own attempt: one that outlived its
+// dispatcher is not the profiling run's reply and must never become the
+// task's base profile.
+func TestProfilingIgnoresAStaleNotice(t *testing.T) {
+	m := startMaster(t, Config{})
+	f := dialFake(t, m, "HTC G2", 806)
+	go autoResponder(f)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.WaitForPhones(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	ps := m.phones[f.id]
+	m.mu.Unlock()
+	ps.respCh <- &protocol.Message{Type: protocol.TypeResult, Attempt: 999, ExecMs: 5000, ProcessedKB: 1}
+	if _, err := m.Submit(tasks.PrimeCount{}, numberLines(1, 2000), false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunRound(ctx); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	est := m.est
+	m.mu.Unlock()
+	if ms, ok := est.Profile("primecount"); !ok || ms >= 10 {
+		t.Errorf("primecount profile = %.2f ms/KB (ok %v); the phone answered the profiling run in 1 ms", ms, ok)
+	}
+}

@@ -27,6 +27,16 @@ const (
 	drainCleared   = "cleared"
 )
 
+// drainQuantile is the charge-window survival quantile used both to cap
+// placements and to trigger drains: 0.25 plans as if this session ends
+// where the shortest quarter of its history ended. drainLead is how far
+// ahead of the predicted unplug (at drainQuantile) a proactive drain
+// starts.
+const (
+	drainQuantile = 0.25
+	drainLead     = 30 * time.Second
+)
+
 // nowMs is the wall-clock timestamp fed to the (pure) window estimator.
 func nowMs() float64 {
 	return float64(time.Now().UnixNano()) / float64(time.Millisecond)
@@ -96,13 +106,13 @@ func (m *Master) drainMonitor() {
 // attempts anymore (the handback arrived, or the phone was idle).
 func (m *Master) checkDrains() {
 	now := nowMs()
-	lead := float64(m.cfg.DrainLead) / float64(time.Millisecond)
+	lead := float64(drainLead) / float64(time.Millisecond)
 	for _, ps := range m.alivePhones() {
 		id := ps.info.ID
 		if m.DrainState(id) != "" {
 			continue
 		}
-		rem, ok := m.windows.RemainingMs(id, now, m.cfg.DrainQuantile)
+		rem, ok := m.windows.RemainingMs(id, now, drainQuantile)
 		if !ok || rem > lead {
 			continue
 		}

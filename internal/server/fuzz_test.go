@@ -17,8 +17,13 @@ func FuzzWALReducer(f *testing.F) {
 	}}))
 	f.Add(walRecPartial, encodeWAL(f, &walPartialRec{JobID: 1, Key: 1, Offset: 2, Partial: []byte("1"), RemainderSeq: 2}))
 	f.Add(walRecMigrate, encodeWAL(f, &walMigrate{JobID: 1, Key: 1, Resume: &walResume{Offset: 2}, State: []byte(`{"count":1}`)}))
-	f.Add(walRecCheckpoint, encodeWAL(f, &walCheckpointRec{JobID: 1, Key: 1, Resume: &walResume{Offset: 2}, State: []byte("s")}))
 	f.Add(walRecReport, encodeWAL(f, &walReport{JobID: 99}))
+	// Retired types as older logs wrote them (dispatch, finish, streamed
+	// checkpoint): refused as unknown, whatever they hold.
+	f.Add(uint8(3), framed(`{"key":1,"job_id":1,"partition":7,"phone_id":2,"attempt":9}`))
+	f.Add(uint8(8), framed(`{"sections":[1],"job_id":1}`, "6"))
+	f.Add(uint8(8), framed(`{"sections":[0],"job_id":1,"error":"server: job 1 complete with no partials"}`))
+	f.Add(uint8(9), framed(`{"sections":[11],"job_id":1,"key":1,"resume":{"offset":3}}`, `{"count":1}`))
 	// The pre-section all-JSON layout: rejected from its first four bytes.
 	f.Add(walRecSubmit, []byte(`{"job_id":2,"seq":2,"task":"primecount","input":"Mgo="}`))
 	f.Add(uint8(200), []byte(`{}`))

@@ -218,6 +218,7 @@ func (m *Master) profileIfNeeded(ctx context.Context, items []*workItem, phones 
 func (m *Master) profileOne(ctx context.Context, est *predict.Estimator, it *workItem, name string) error {
 	sample := profileSample(it)
 	tried := map[int]bool{}
+phones:
 	for {
 		var slowest *phoneState
 		for _, ps := range m.alivePhones() {
@@ -234,7 +235,8 @@ func (m *Master) profileOne(ctx context.Context, est *predict.Estimator, it *wor
 		tried[slowest.info.ID] = true
 		// A keyless attempt: credit folds nothing for it and notices the
 		// reply here; one that outlives this wait names an attempt nobody
-		// knows.
+		// knows. A notice for another attempt (one that outlived its
+		// dispatcher) is not this profile's.
 		attempt := m.newAttempt(slowest, assignment{item: it, partition: -1, input: sample})
 		if err := slowest.conn.Send(&protocol.Message{
 			Type:      protocol.TypeAssign,
@@ -249,29 +251,35 @@ func (m *Master) profileOne(ctx context.Context, est *predict.Estimator, it *wor
 			slowest.markDead()
 			continue
 		}
-		select {
-		case resp := <-slowest.respCh:
-			if resp.Type != protocol.TypeResult {
-				m.cfg.Logger.With("phone", slowest.info.ID, "task", name).
-					Warnf("profiling failed (%s); retrying elsewhere", resp.Error)
-				continue
+		for {
+			select {
+			case resp := <-slowest.respCh:
+				if resp.Attempt != attempt {
+					continue
+				}
+				if resp.Type != protocol.TypeResult {
+					m.cfg.Logger.With("phone", slowest.info.ID, "task", name).
+						Warnf("profiling failed (%s); retrying elsewhere", resp.Error)
+					continue phones
+				}
+				kb := float64(len(sample)) / 1024
+				ts := resp.ExecMs / kb
+				if ts <= 0 {
+					ts = 0.001 // sub-clock-resolution execution
+				}
+				if err := est.SetProfile(name, ts); err != nil {
+					return err
+				}
+				m.cfg.Logger.With("phone", slowest.info.ID, "task", name).Infof("profiled: %.3f ms/KB", ts)
+				return nil
+			case <-slowest.dead:
+				m.dropAttempt(attempt)
+				m.cfg.Logger.With("phone", slowest.info.ID).Warnf("profiling phone died; retrying elsewhere")
+				continue phones
+			case <-ctx.Done():
+				m.dropAttempt(attempt)
+				return ctx.Err()
 			}
-			kb := float64(len(sample)) / 1024
-			ts := resp.ExecMs / kb
-			if ts <= 0 {
-				ts = 0.001 // sub-clock-resolution execution
-			}
-			if err := est.SetProfile(name, ts); err != nil {
-				return err
-			}
-			m.cfg.Logger.With("phone", slowest.info.ID, "task", name).Infof("profiled: %.3f ms/KB", ts)
-			return nil
-		case <-slowest.dead:
-			m.dropAttempt(attempt)
-			m.cfg.Logger.With("phone", slowest.info.ID).Warnf("profiling phone died; retrying elsewhere")
-		case <-ctx.Done():
-			m.dropAttempt(attempt)
-			return ctx.Err()
 		}
 	}
 }
@@ -678,7 +686,7 @@ func (m *Master) buildSchedule(items []*workItem, phones []*phoneState) (*core.S
 	if m.cfg.PlugAware {
 		now := nowMs()
 		for i, ps := range phones {
-			rem, ok := m.windows.RemainingMs(ps.info.ID, now, m.cfg.DrainQuantile)
+			rem, ok := m.windows.RemainingMs(ps.info.ID, now, drainQuantile)
 			if !ok {
 				continue // too little history: never veto
 			}
@@ -969,12 +977,6 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 			}
 			m.trace(ev)
 			attempt := m.newAttempt(ps, a)
-			// Audit record: replay treats an unreported dispatch as still
-			// open, so ordering against state records is immaterial.
-			m.walAudit(&walDispatch{
-				Key: a.key, JobID: a.item.jobID, Partition: a.partition,
-				PhoneID: id, Attempt: attempt,
-			})
 			win = append(win, flight{a: a, attempt: attempt, prefetched: len(win) > 0})
 			sending = attempt
 			// Shipped from its own goroutine so the window moves on a
@@ -1068,8 +1070,9 @@ func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignmen
 // If the phone later dies silently (missed keepalives, a cut connection)
 // or is abandoned as a straggler, the range re-dispatches from this
 // checkpoint instead of from scratch — the paper only gets this on an
-// *online* failure, whose report carries the checkpoint. The fold is
-// WAL-logged so streamed progress survives a master crash too. Every
+// *online* failure, whose report carries the checkpoint. The fold is the
+// migrate record a kept failure checkpoint is (keepCheckpointLocked), so
+// streamed progress survives a master crash too. Every
 // frame is acknowledged, accepted or not: the ack is flow control
 // (workers cap unacked frames), not a durability promise.
 func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message) {
@@ -1090,23 +1093,14 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 		if rec := m.attemptLocked(ps, msg.Attempt); rec != nil {
 			a, e := rec.a, rec.a.rng
 			jobID, partition = a.item.jobID, a.partition
-			cur := a.resume
-			if e != nil && e.streamed != nil {
-				cur = e.streamed
-			}
 			// (A profiling execution has no range to fold into.)
-			if e != nil && !m.settledLocked(e) && ck.Offset <= int64(len(a.input)) &&
-				(cur == nil || ck.Offset > cur.Offset) {
-				c := ck.Clone()
-				e.streamed = c
+			if e != nil && !m.settledLocked(e) && m.keepCheckpointLocked(e, ck) {
 				m.ckptFolds++
-				hdr, state := splitResume(c)
-				m.walAppend(&walCheckpointRec{JobID: jobID, Key: a.key, Resume: hdr, State: state})
 				m.cfg.Metrics.Counter("cwc_checkpoint_folds_total").Inc()
-				m.cfg.Metrics.Counter("cwc_checkpoint_bytes_total").Add(int64(len(c.State)))
+				m.cfg.Metrics.Counter("cwc_checkpoint_bytes_total").Add(int64(len(ck.State)))
 				m.trace(obs.SpanEvent{Kind: obs.KindCheckpoint, Job: jobID,
 					Partition: partition, Key: a.key, Phone: ps.info.ID,
-					Bytes: c.Offset, Detail: "streamed"})
+					Bytes: ck.Offset, Detail: "streamed"})
 			}
 		}
 		m.mu.Unlock()
@@ -1152,7 +1146,7 @@ func (m *Master) finalizeResult(a assignment, resp *protocol.Message, ps *phoneS
 		JobID: js.ID, Key: a.key, Bytes: int64(len(a.input)), Partial: resp.Result,
 	})
 	// A late result (tie-break, detached straggler) can complete a job's
-	// coverage outside any round; without a sweep coming, aggregate here.
+	// coverage outside any round; without a sweep coming, finish it here.
 	if !m.roundActive && !js.Done && js.Covered >= js.TotalBytes {
 		m.finishJobLocked(js)
 	}
@@ -1228,16 +1222,19 @@ func (m *Master) recordFailure(a assignment, resp *protocol.Message) {
 	m.requeueLocked(e, ck, "failure: "+resp.Error)
 }
 
-// keepCheckpointLocked is the failure report of an execution whose range
-// something else already carries — a queued copy, a later dispatch:
-// nothing is re-queued and no retry spent, but the range resumes from the
-// report's checkpoint if that is further than anything it holds. Logged
-// (a migrate record, same retry count), so a recovered master resumes
-// from it too. Caller holds m.mu.
-func (m *Master) keepCheckpointLocked(e *walItemRec, ck *tasks.Checkpoint) {
-	if ck != nil && ck.Offset <= int64(len(e.Input)) && further(e.Resume, ck) == ck {
-		m.migrateLocked(e, ck, e.Retries)
+// keepCheckpointLocked is a checkpoint for a range that stays where it is
+// — streamed by the execution that holds it, or carried by the failure
+// report of one whose range something else already carries (a queued
+// copy, a later dispatch): nothing is re-queued and no retry spent, but
+// the range resumes from ck if that is further than anything it holds.
+// Logged (a migrate record, same retry count), so a recovered master
+// resumes from it too; it reports whether ck was kept. Caller holds m.mu.
+func (m *Master) keepCheckpointLocked(e *walItemRec, ck *tasks.Checkpoint) bool {
+	if ck == nil || ck.Offset > int64(len(e.Input)) || further(e.Resume, ck) != ck {
+		return false
 	}
+	m.migrateLocked(e, ck, e.Retries)
+	return true
 }
 
 // migrateLocked logs and folds the one change an open range takes while it
@@ -1290,10 +1287,9 @@ func (m *Master) enqueueLocked(e *walItemRec, reason string) {
 	m.pending = append(m.pending, itemOf(m.jobs[e.JobID].task, e))
 	m.cfg.Metrics.Counter("cwc_requeues_total").Inc()
 	m.sloObserve(sloRequeue, false)
-	if e.streamed != nil {
-		// A streamed checkpoint means the retry resumes mid-input: those
-		// bytes never get re-executed.
-		m.cfg.Metrics.Counter("cwc_recompute_saved_bytes_total").Add(e.streamed.Offset)
+	if e.Resume != nil {
+		// The retry resumes mid-input: those bytes never get re-executed.
+		m.cfg.Metrics.Counter("cwc_recompute_saved_bytes_total").Add(e.Resume.Offset)
 	}
 	m.trace(obs.SpanEvent{Kind: obs.KindRequeue, Job: e.JobID, Partition: e.Partition,
 		Key: e.Key, Phone: -1, Bytes: int64(len(e.Input)), Detail: reason})
@@ -1323,29 +1319,34 @@ func (m *Master) requeueFrom(rest []assignment, reason string) {
 	}
 }
 
-// finishJobLocked aggregates a fully-covered job and marks it done. An
+// finishJobLocked finishes a job whose coverage completed now — at the
+// round sweep, or on a late result — and counts and traces it. An
 // aggregation error is TERMINAL: the partials it would combine are the
 // only ones the byte ranges will ever produce (re-running them yields
 // the same set), so retrying next round can only wedge the job forever.
-// The failure is WAL-logged so replay reaches the same terminal state,
-// and surfaced to the submitter via JobFailure. Caller holds m.mu.
+// It is surfaced to the submitter via JobFailure. Caller holds m.mu.
 func (m *Master) finishJobLocked(js *walJobRec) {
-	rec := &walFinish{JobID: js.ID}
-	final, err := aggregate(js)
-	if err != nil {
-		rec.Error = err.Error()
-	} else {
-		rec.Final = final
-	}
-	m.walAppend(rec)
-	if err != nil {
+	if err := js.finish(); err != nil {
 		m.cfg.Metrics.Counter("cwc_jobs_failed_total").Inc()
 		m.cfg.Logger.With("job", js.ID).Errorf("aggregation failed terminally: %v", err)
 		return
 	}
 	m.cfg.Metrics.Counter("cwc_jobs_completed_total").Inc()
 	m.trace(obs.SpanEvent{Kind: obs.KindAggregate, Job: js.ID, Phone: -1,
-		Bytes: int64(len(final)), Detail: fmt.Sprintf("%d partials", len(js.Partials))})
+		Bytes: int64(len(js.Final)), Detail: fmt.Sprintf("%d partials", len(js.Partials))})
+}
+
+// finish derives a fully covered job's result from its partials and
+// marks it done. Nothing logs it: aggregate is a deterministic function
+// of the partials in log order, so a master recovered from the log
+// derives the same result — or the same terminal error — again.
+func (js *walJobRec) finish() error {
+	final, err := aggregate(js)
+	js.Final, js.Done = final, true
+	if err != nil {
+		js.Failure = err.Error()
+	}
+	return err
 }
 
 // aggregate merges a completed job's partials into its final result.

@@ -108,14 +108,6 @@ type Config struct {
 	// closing (see drain.go). Off, the estimator still learns (so
 	// /statusz can show windows) but never influences placement.
 	PlugAware bool
-	// DrainQuantile is the charge-window survival quantile used both to
-	// cap placements and to trigger drains: q=0.25 means "plan as if
-	// this session ends where the shortest quarter of its history
-	// ended". Lower is more conservative. Default 0.25.
-	DrainQuantile float64
-	// DrainLead is how far ahead of the predicted unplug (at
-	// DrainQuantile) a proactive drain starts. Default 30 s.
-	DrainLead time.Duration
 	// DrainCheckPeriod is the drain monitor's polling interval.
 	// Default 1 s.
 	DrainCheckPeriod time.Duration
@@ -193,12 +185,6 @@ func (c *Config) fill() {
 	}
 	if c.CheckpointEveryKB == 0 {
 		c.CheckpointEveryKB = 256
-	}
-	if c.DrainQuantile <= 0 || c.DrainQuantile >= 1 {
-		c.DrainQuantile = 0.25
-	}
-	if c.DrainLead == 0 {
-		c.DrainLead = 30 * time.Second
 	}
 	if c.DrainCheckPeriod == 0 {
 		c.DrainCheckPeriod = time.Second

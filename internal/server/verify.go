@@ -385,14 +385,7 @@ func (m *Master) startTieBreak(key int64) {
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		for {
-			m.walAudit(&walDispatch{
-				Key: rec.a.key, JobID: rec.a.item.jobID, Partition: rec.a.partition,
-				PhoneID: rec.ps.info.ID, Attempt: attempt,
-			})
-			if m.sendAssign(rec.ps, rec.a, attempt) == nil {
-				break
-			}
+		for m.sendAssign(rec.ps, rec.a, attempt) != nil {
 			rec.ps.markDead()
 			m.mu.Lock()
 			delete(m.attempts, attempt)

@@ -19,16 +19,19 @@ import (
 // queued work, partials, dead letters) is appended as one record before
 // the acknowledgement that depends on it, so a master killed at any
 // instant replays snapshot + log and resumes with nothing acknowledged
-// lost. An input byte is logged once, raw, in its job's submit record;
-// every later record that concerns a byte range (round, partial,
-// migrate) names it by reference — a fresh item's sequence number plus
-// offset and length, or an open range's key — and replay resolves the
-// reference against the state the earlier records built. Compaction
+// lost. The log holds inputs and what phones returned, each said once: a
+// job's result is derived from its partials, at the round sweep and at
+// recovery, and is never logged. An input byte is logged once, raw, in
+// its job's submit record; every later record that concerns a byte range
+// (round, partial, migrate) names it by reference — a fresh item's
+// sequence number plus offset and length, or an open range's key — and
+// replay resolves the reference against the state the earlier records
+// built. Compaction
 // bounds the growth by folding the log into a walState snapshot.
 //
 // Durable state is a pure reduction (walReducer) over three collections:
 //
-//	jobs   — submissions and their accumulated partials/results
+//	jobs   — submissions and their accumulated partials
 //	fresh  — queued work items that have never been dispatched,
 //	         identified by a durable per-item sequence number
 //	open   — partitioned byte ranges at or past dispatch, identified
@@ -41,27 +44,27 @@ import (
 // (walAppend, walAppendErr); replay and the hot standby fold the same
 // records, decoded from the log, through the same function
 // (walReducer.fold). A snapshot is the reducer's own serialisation
-// wherever it is cut.
-//
-// Dispatch records are audit-only: an assignment with no report changes
-// no durable state (the range stays open either way).
+// wherever it is cut. Every record changes state, and every one is
+// written under m.mu in the order it is folded.
 //
 // A reference is only as good as the record that defined its range, so
 // a record the log failed to take may not simply be carried on from:
 // the next record is written only after live state has been folded
 // into a fresh snapshot (Master.walStale).
 
-// WAL record types.
+// WAL record types. A retired number keeps its line, unnamed, and is
+// never reused: a record of it in an old log is refused at recovery as an
+// unknown type, never decoded as something else.
 const (
 	walRecSubmit     uint8 = 1  // job accepted (gates the Submit ack)
 	walRecRound      uint8 = 2  // partitions created at a scheduling instant
-	walRecDispatch   uint8 = 3  // assignment shipped to a phone (audit only)
+	_                uint8 = 3  // retired: dispatch, an audit record no fold read
 	walRecReport     uint8 = 4  // partition result recorded
 	walRecPartial    uint8 = 5  // failure folded into a partial result + remainder
-	walRecMigrate    uint8 = 6  // failure migrated whole with its checkpoint
+	walRecMigrate    uint8 = 6  // open range's new resume state and retry count
 	walRecDeadLetter uint8 = 7  // work item abandoned after its retry budget
-	walRecFinish     uint8 = 8  // job aggregated to its final result
-	walRecCheckpoint uint8 = 9  // streamed mid-execution checkpoint folded into an open range
+	_                uint8 = 8  // retired: finish, a job's aggregate (derived from its partials)
+	_                uint8 = 9  // retired: streamed checkpoint (now a migrate record)
 	walRecDrain      uint8 = 10 // proactive-drain state transition for a phone
 	walRecEpoch      uint8 = 11 // fencing epoch bumped (replication enabled or standby promoted)
 	walRecRegister   uint8 = 12 // phone ID issued to a fresh registration
@@ -136,8 +139,8 @@ func joinResume(h *walResume, state []byte) (*tasks.Checkpoint, error) {
 // failover: a promoted standby (or restarted master) must never issue
 // an ID that a phone from the previous regime still holds, or the two
 // phones fight over one registration through endless rejoin takeovers.
-// Dispatch and drain records also carry phone IDs, but only this record
-// covers a phone that registered and was never assigned work. Model is
+// Drain and reputation records also carry phone IDs, but only this record
+// covers a phone that registered and did nothing else. Model is
 // the phone's self-reported identity, letting a recovered master honor
 // a rejoin under the old ID — without it, reputation and quarantine
 // state (record 13) would detach from the phone at the first master
@@ -208,17 +211,6 @@ type walRound struct {
 
 func (walRound) typ() uint8 { return walRecRound }
 
-type walDispatch struct {
-	walNoBulk
-	Key       int64 `json:"key"`
-	JobID     int   `json:"job_id"`
-	Partition int   `json:"partition"`
-	PhoneID   int   `json:"phone_id"`
-	Attempt   int64 `json:"attempt"`
-}
-
-func (walDispatch) typ() uint8 { return walRecDispatch }
-
 type walReport struct {
 	walBulk
 	JobID   int    `json:"job_id"`
@@ -250,7 +242,8 @@ func (*walPartialRec) typ() uint8 { return walRecPartial }
 func (p *walPartialRec) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.Partial} }
 
 // walMigrate updates a range that stays open under its key: new resume
-// state and retry count, same bytes.
+// state and retry count, same bytes. A whole hand-back, a kept failure
+// checkpoint and a streamed checkpoint are all logged as one.
 type walMigrate struct {
 	walBulk
 	JobID     int        `json:"job_id"`
@@ -278,21 +271,6 @@ type walDeadLetterRec struct {
 
 func (walDeadLetterRec) typ() uint8 { return walRecDeadLetter }
 
-type walFinish struct {
-	walBulk
-	JobID int    `json:"job_id"`
-	Final []byte `json:"-"`
-	// Error marks a terminal aggregation failure instead of a result: the
-	// job is done but failed, and replay must reach the same terminal
-	// state rather than re-attempting the (deterministic) aggregation
-	// forever.
-	Error string `json:"error,omitempty"`
-}
-
-func (*walFinish) typ() uint8 { return walRecFinish }
-
-func (p *walFinish) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.Final} }
-
 // walReputationRec logs one phone's result-integrity reputation after a
 // verification event (vote won or lost, audit outcome, digest mismatch).
 // Each record carries the full post-event state, so replaying only the
@@ -317,18 +295,6 @@ type walDrainRec struct {
 
 func (walDrainRec) typ() uint8 { return walRecDrain }
 
-type walCheckpointRec struct {
-	walBulk
-	JobID  int        `json:"job_id"`
-	Key    int64      `json:"key"`
-	Resume *walResume `json:"resume"`
-	State  []byte     `json:"-"`
-}
-
-func (*walCheckpointRec) typ() uint8 { return walRecCheckpoint }
-
-func (p *walCheckpointRec) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.State} }
-
 // walEncoder is the pooled per-append state: the payload buffer and a
 // JSON encoder bound to it.
 type walEncoder struct {
@@ -346,7 +312,7 @@ func newWALEncoder() *walEncoder {
 
 // maxPooledWALRecord is the largest payload buffer an encoder may keep
 // when it returns to the pool, so one huge submission does not stay
-// pinned behind later dispatch records.
+// pinned behind later small records.
 const maxPooledWALRecord = 8 << 20
 
 // encode renders v's payload into e.buf and returns the bytes, valid
@@ -430,9 +396,6 @@ func decodeWAL(rec wal.Record) (walRecord, error) {
 		v = new(walSubmit)
 	case walRecRound:
 		v = new(walRound)
-	case walRecDispatch:
-		// Audit only: replay never reads it, so it is not parsed either.
-		return new(walDispatch), nil
 	case walRecReport:
 		v = new(walReport)
 	case walRecPartial:
@@ -441,10 +404,6 @@ func decodeWAL(rec wal.Record) (walRecord, error) {
 		v = new(walMigrate)
 	case walRecDeadLetter:
 		v = new(walDeadLetterRec)
-	case walRecFinish:
-		v = new(walFinish)
-	case walRecCheckpoint:
-		v = new(walCheckpointRec)
 	case walRecDrain:
 		v = new(walDrainRec)
 	case walRecEpoch:
@@ -471,16 +430,16 @@ type walJobRec struct {
 	TotalBytes int64    `json:"total_bytes"`
 	Covered    int64    `json:"covered"`
 	Partials   [][]byte `json:"partials,omitempty"`
-	Final      []byte   `json:"final,omitempty"`
-	Done       bool     `json:"done,omitempty"`
-	// Failure carries a terminal aggregation error (Done with no Final):
-	// the job can never produce a result, and JobFailure surfaces it to
-	// the Submit caller.
-	Failure string `json:"failure,omitempty"`
 
-	// task is Task and Params instantiated. Live only: set where a job
-	// enters a master (Submit, recovery), never folded, never serialised.
-	task tasks.Task
+	// Live only: never folded, never serialised. task is Task and Params
+	// instantiated, set where a job enters a master (Submit, recovery).
+	// Final, Done and Failure are derived from Partials (finish) once the
+	// job is fully covered; Failure is a terminal aggregation error (Done
+	// with no Final), which JobFailure surfaces to the Submit caller.
+	task    tasks.Task
+	Final   []byte `json:"-"`
+	Done    bool   `json:"-"`
+	Failure string `json:"-"`
 }
 
 // walItemRec is a byte range's durable state, in one of two lives. A
@@ -507,11 +466,8 @@ type walItemRec struct {
 	Partition int `json:"partition,omitempty"`
 
 	// Live only, written outside fold, never serialised — replay needs
-	// none of them. streamed is the freshest checkpoint a phone streamed
-	// for the range (Resume is at least as far).
-	streamed *tasks.Checkpoint
-	// queued: a copy of the range waits in pending, so a hand-back has
-	// nothing to add.
+	// neither. queued: a copy of the range waits in pending, so a
+	// hand-back has nothing to add.
 	queued bool
 	// shared: a second execution may deliver the range whole — a copy
 	// queued at a blown deadline, or the replicas of a verification vote
@@ -725,8 +681,6 @@ func (r *walReducer) fold(rec walRecord) error {
 				cur.Retries, cur.Partition = it.Retries, it.Partition
 			}
 		}
-	case *walDispatch:
-		// Audit only: an unreported dispatch leaves its range open.
 	case *walReport:
 		js, err := r.job(p.JobID)
 		if err != nil {
@@ -772,25 +726,6 @@ func (r *walReducer) fold(rec walRecord) error {
 		r.dead = append(r.dead, DeadLetter{
 			JobID: p.JobID, Task: p.Task, Bytes: p.Bytes, Retries: p.Retries, Reason: p.Reason,
 		})
-	case *walCheckpointRec:
-		resume, err := joinResume(p.Resume, p.State)
-		if err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
-		}
-		// Lenient by design: a checkpoint that raced a report (its key
-		// already closed) is harmless and simply ignored.
-		it, ok := r.open[p.Key]
-		if ok && resume != nil && (it.Resume == nil || resume.Offset > it.Resume.Offset) {
-			it.Resume = resume
-		}
-	case *walFinish:
-		js, err := r.job(p.JobID)
-		if err != nil {
-			return fmt.Errorf("finish: %w", err)
-		}
-		js.Final = p.Final
-		js.Done = true
-		js.Failure = p.Error
 	case *walDrainRec:
 		switch p.State {
 		case drainStarted, drainCompleted:
@@ -882,20 +817,10 @@ func (m *Master) walAppendErr(rec walRecord) error {
 	return nil
 }
 
-// walAudit logs a record no fold reads (dispatch). It takes no lock,
-// so it may be called from dispatcher goroutines; a lost audit record
-// diverges nothing and is only logged.
-func (m *Master) walAudit(rec walRecord) {
-	if m.cfg.WAL == nil {
-		return
-	}
-	if err := m.walWrite(rec); err != nil {
-		m.cfg.Logger.With("rec", rec.typ()).Errorf("wal: record lost: %v", err)
-	}
-}
-
 // walWrite encodes one record, appends it to the attached WAL and
-// hands the same bytes to the replication sink.
+// hands the same bytes to the replication sink. Its two callers,
+// walAppend and walAppendErr, hold m.mu, so the log, the shipped stream
+// and the fold see one order.
 func (m *Master) walWrite(rec walRecord) error {
 	e := walEncoders.Get().(*walEncoder)
 	defer func() {
@@ -911,9 +836,7 @@ func (m *Master) walWrite(rec walRecord) error {
 		return err
 	}
 	// Ship only what the local log took: a standby must never hold a
-	// record its primary lost. Append sites that matter for replay order
-	// hold m.mu, so the shipped sequence matches the log sequence (the
-	// one lock-free site, walAudit, writes replay no-ops).
+	// record its primary lost.
 	if s := m.cfg.ReplicaSink; s != nil {
 		s.Ship(rec.typ(), b)
 	}
@@ -996,9 +919,9 @@ func (m *Master) CompactWAL() error {
 // (empty) master: jobs and their partials are restored, queued work is
 // re-queued, and byte ranges that were in flight when the old master
 // died are re-queued whole (atomic), each with its freshest logged
-// checkpoint as resume state. Jobs whose coverage completed but whose
-// aggregation was cut off by the crash are aggregated now. The log is
-// then compacted so the recovered state becomes the new snapshot.
+// checkpoint as resume state. Every fully covered job's result is
+// derived from its partials again. The log is then compacted so the
+// recovered state becomes the new snapshot.
 func (m *Master) RecoverWAL() error {
 	wl := m.cfg.WAL
 	if wl == nil {
@@ -1032,7 +955,10 @@ func (m *Master) RecoverWAL() error {
 // as folded, and rebuilds the queue from it: an item per fresh entry,
 // then a queued copy per open range — under its old key, though the old
 // master's attempts can never reach this one, because the key is what
-// the log that continues from here calls the range.
+// the log that continues from here calls the range. A fully covered job
+// is finished from its partials, as the round sweep finished it (or
+// would have, had the crash come later); nothing is counted or traced,
+// because the job is not completing now.
 func (m *Master) installWALState(red *walReducer) error {
 	for id, js := range red.jobs {
 		task, err := tasks.New(js.Task, js.Params)
@@ -1040,6 +966,9 @@ func (m *Master) installWALState(red *walReducer) error {
 			return fmt.Errorf("server: wal recovery: restoring job %d: %w", id, err)
 		}
 		js.task = task
+		if js.Covered >= js.TotalBytes {
+			_ = js.finish() // a terminal aggregation error is kept as Failure
+		}
 	}
 	items := append(byID(red.fresh), byID(red.open)...)
 	pending := make([]*workItem, len(items))
@@ -1061,14 +990,6 @@ func (m *Master) installWALState(red *walReducer) error {
 	// Re-arm the tracer's epoch stamp: master-side events recorded after
 	// recovery must carry the recovered fencing regime, not 0.
 	m.cfg.Tracer.SetEpoch(m.epoch)
-	for _, js := range m.jobs {
-		if !js.Done && js.TotalBytes > 0 && js.Covered >= js.TotalBytes {
-			// The crash fell between the last report and the round's
-			// aggregation sweep; finish the job now, exactly as the sweep
-			// would have (an aggregation error is as terminal here).
-			m.finishJobLocked(js)
-		}
-	}
 	return nil
 }
 
@@ -1077,8 +998,6 @@ func (m *Master) installWALState(red *walReducer) error {
 // walState snapshot while the state lock is held, so if the callback
 // registers a stream subscriber, every record appended after it returns
 // is shipped and nothing already inside the snapshot is shipped again.
-// (Dispatch audit records, appended without the lock, may straddle the
-// cut; they are replay no-ops either way.)
 func (m *Master) ReplicaSnapshot(activate func(snapshot []byte)) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

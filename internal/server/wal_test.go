@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -159,6 +160,82 @@ func TestWALRecoverAcrossMasters(t *testing.T) {
 	}
 	if id3 <= id2 {
 		t.Errorf("new job ID %d not above recovered %d", id3, id2)
+	}
+}
+
+// TestEachResultIsLoggedOnce: what a phone returned is logged once, in
+// its report record. A job's result is derived from its partials — at the
+// round sweep, and again by a master recovered from the log — so an atomic
+// job's result, which is its one partial, appears in exactly one record.
+func TestEachResultIsLoggedOnce(t *testing.T) {
+	dir := t.TempDir()
+	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncNone})
+	m := startMaster(t, Config{WAL: wl})
+	for i := 0; i < 3; i++ {
+		go autoResponder(dialFake(t, m, "Nexus S", 1000))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.WaitForPhones(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	img, err := tasks.GenImageKB(16, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blurID, err := m.Submit(tasks.Blur{}, img, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primesID, err := m.Submit(tasks.PrimeCount{}, numberLines(1, 6000), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunRound(ctx); err != nil {
+		t.Fatal(err)
+	}
+	blurred, ok := m.Result(blurID)
+	if !ok || len(blurred) == 0 {
+		t.Fatalf("blur job %d did not finish", blurID)
+	}
+	primes, ok := m.Result(primesID)
+	m.mu.Lock()
+	split := len(m.jobs[primesID].Partials)
+	m.mu.Unlock()
+	if !ok || split < 2 {
+		t.Fatalf("primecount job finished %v from %d partials; the scenario wants it split", ok, split)
+	}
+	m.Close()
+	wl.Close()
+
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments %v (%v)", segs, err)
+	}
+	var holding []uint8
+	for _, seg := range segs {
+		recs, _, err := wal.ScanSegment(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if bytes.Contains(r.Payload, blurred) {
+				holding = append(holding, r.Type)
+			}
+		}
+	}
+	if len(holding) != 1 || holding[0] != walRecReport {
+		t.Errorf("the blur result's bytes are in records of types %v, want one report record", holding)
+	}
+
+	r := startMaster(t, Config{WAL: openWAL(t, dir, wal.Options{Sync: wal.SyncNone})})
+	if err := r.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range map[int][]byte{blurID: blurred, primesID: primes} {
+		if got, ok := r.Result(id); !ok || !bytes.Equal(got, want) {
+			t.Errorf("recovered job %d = %.20q (%v), want %.20q", id, got, ok, want)
+		}
 	}
 }
 
@@ -454,7 +531,7 @@ func TestWALCrashRecoveryEveryTruncation(t *testing.T) {
 	if widestSplit < 3 {
 		t.Fatalf("widest split in the live segment is %d-way, want at least 3", widestSplit)
 	}
-	for _, typ := range []uint8{walRecSubmit, walRecRound, walRecDispatch, walRecReport, walRecMigrate, walRecFinish} {
+	for _, typ := range []uint8{walRecSubmit, walRecRound, walRecReport, walRecMigrate} {
 		if !sawTypes[typ] {
 			t.Fatalf("live segment never exercised record type %d (types seen: %v)", typ, sawTypes)
 		}

@@ -21,12 +21,12 @@ import (
 )
 
 // oracleSink is a ReplicaSink that folds every record the master ships
-// into a WALFold — the standby's reducer — and, at every record shipped
-// under the master's state lock, compares the fold's snapshot with the
-// live master's, byte for byte. Records that gate a change (submit,
-// round, epoch) are appended before the change is made, so the live cut
-// is compared with the fold before the record; every other record is
-// appended after its change, so with the fold after it.
+// into a WALFold — the standby's reducer — and, at every record (each is
+// shipped under the master's state lock), compares the fold's snapshot
+// with the live master's, byte for byte. Records that gate a change
+// (submit, round, epoch) are appended before the change is made, so the
+// live cut is compared with the fold before the record; every other
+// record is appended after its change, so with the fold after it.
 type oracleSink struct {
 	t *testing.T
 	m *Master
@@ -52,10 +52,7 @@ func (o *oracleSink) Ship(typ uint8, payload []byte) {
 		o.t.Errorf("fold refused record %d (type %d): %v", len(o.typs), typ, err)
 		return
 	}
-	// Dispatch records are shipped from dispatcher goroutines without the
-	// state lock: there is no live cut to compare with (and replay
-	// ignores them).
-	if typ != walRecDispatch && !gating {
+	if !gating {
 		o.compareLocked(fmt.Sprintf("after record %d (type %d)", len(o.typs), typ))
 	}
 }
@@ -298,8 +295,8 @@ func TestWALFoldMatchesLiveStateAfterEveryRecord(t *testing.T) {
 			}
 			compared := sink.compared
 			sink.mu.Unlock()
-			for _, typ := range []uint8{walRecSubmit, walRecRound, walRecDispatch, walRecReport, walRecPartial,
-				walRecMigrate, walRecDeadLetter, walRecFinish, walRecCheckpoint, walRecRegister} {
+			for _, typ := range []uint8{walRecSubmit, walRecRound, walRecReport, walRecPartial,
+				walRecMigrate, walRecDeadLetter, walRecRegister} {
 				if !seen[typ] {
 					t.Errorf("script never appended record type %d (seen: %v)", typ, seen)
 				}
