@@ -103,10 +103,13 @@ bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
 
-# One iteration of each packer benchmark (18x150, 50x500, 128x512), so
-# they keep compiling and finishing; it measures nothing.
+# One iteration of each packer benchmark (18x150, 50x500, 128x512) and
+# of each task kernel's Process benchmark, so they keep compiling and
+# finishing; it measures nothing, but the kernels' allocs/op land in the
+# log.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Greedy -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench Process -benchmem -benchtime 1x ./internal/tasks/
 
 # The pre-PR gate: everything that must be green before a change ships.
 # Files gofmt would rewrite are listed and fail it. The census is printed

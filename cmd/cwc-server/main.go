@@ -53,6 +53,7 @@ func main() {
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
 		traceFile = flag.String("trace-file", "", "append task-lifecycle trace events to this JSONL file (empty: ring buffer only)")
 		bboxFile  = flag.String("blackbox-file", "", "dump the in-memory flight recorder (recent log lines + trace events) to this JSONL file on panic or SIGQUIT (empty: /debug/blackbox only)")
+		token     = flag.String("token", "", "enrolment token every phone must present (cwc-worker -token); empty: admit any phone")
 	)
 	flag.Parse()
 
@@ -121,6 +122,7 @@ func main() {
 		Tracer:            tracer,
 		ObsAddr:           *obsAddr,
 		Blackbox:          blackbox,
+		AuthToken:         *token,
 	}
 	var plan *faults.Plan
 	if *faultSpec != "" {
@@ -245,7 +247,7 @@ func main() {
 	defer m.Close()
 	logger.Infof("listening on %s", m.Addr())
 	if *obsAddr != "" {
-		logger.Infof("admin plane on http://%s (/metrics /statusz /debug/sched /debug/trace /debug/timeline /debug/blackbox)", m.ObsAddr())
+		logger.Infof("admin plane on http://%s (/metrics /statusz /debug/sched /debug/trace /debug/timeline /debug/blackbox /debug/pprof/)", m.ObsAddr())
 	}
 	if *waitSec == 0 {
 		logger.Infof("register-only mode; ctrl-c to exit")

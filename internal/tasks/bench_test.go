@@ -6,6 +6,38 @@ import (
 	"testing"
 )
 
+// TestKernelsDoNotAllocatePerByte: the text kernels scan their input in
+// place. Word counting allocates a fixed handful of times however long
+// the text, and a blur allocates as often on a 64 KB image as on a 16 KB
+// one (its buffers are sized once, from the header).
+func TestKernelsDoNotAllocatePerByte(t *testing.T) {
+	text := GenText(256, rand.New(rand.NewSource(2)))
+	if allocs := testing.AllocsPerRun(10, func() {
+		var ck Checkpoint
+		if _, err := (WordCount{Word: "sale"}).Process(context.Background(), text, &ck); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 4 {
+		t.Errorf("WordCount.Process over %d bytes allocates %v times, want at most 4", len(text), allocs)
+	}
+
+	blurAllocs := func(kb float64) float64 {
+		img, err := GenImageKB(kb, rand.New(rand.NewSource(4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			var ck Checkpoint
+			if _, err := (Blur{}).Process(context.Background(), img, &ck); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := blurAllocs(16), blurAllocs(64); small != large {
+		t.Errorf("Blur.Process allocates %v times on a 16 KB image and %v on a 64 KB one, want the same", small, large)
+	}
+}
+
 func BenchmarkPrimeCountProcess(b *testing.B) {
 	input := GenIntegers(256, 1000000, rand.New(rand.NewSource(1)))
 	b.SetBytes(int64(len(input)))

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"unicode"
+	"unicode/utf8"
 )
 
 // countState is the shared checkpoint accumulator for counting tasks.
@@ -109,8 +111,10 @@ func isPrime(n int64) bool {
 }
 
 // WordCount counts occurrences of a target word in a text input — the
-// paper's second evaluation task. Breakable. Words are whitespace-split
-// and matched exactly.
+// paper's second evaluation task. Breakable. Words are the maximal runs
+// of non-whitespace, matched exactly, where whitespace is what
+// bytes.Fields splits on: unicode.IsSpace of each UTF-8-decoded rune (an
+// invalid byte decodes to utf8.RuneError, which is not a space).
 type WordCount struct {
 	Word string `json:"word"`
 }
@@ -149,19 +153,50 @@ func (w WordCount) Process(ctx context.Context, input []byte, ck *Checkpoint) ([
 	if err != nil {
 		return nil, err
 	}
-	target := []byte(w.Word)
 	err = forEachLine(ctx, input, ck, func() { st.save(ck) }, func(line []byte) {
-		for _, f := range bytes.Fields(line) {
-			if bytes.Equal(f, target) {
-				st.Count++
-			}
-		}
+		st.Count += countWord(line, w.Word)
 	})
 	if err != nil {
 		st.save(ck)
 		return nil, err
 	}
 	return []byte(strconv.FormatInt(st.Count, 10)), nil
+}
+
+// countWord counts the words of line equal to word, scanning in place.
+func countWord(line []byte, word string) int64 {
+	var n int64
+	for i := skipRun(line, 0, true); i < len(line); {
+		end := skipRun(line, i, false)
+		if string(line[i:end]) == word {
+			n++
+		}
+		i = skipRun(line, end, true)
+	}
+	return n
+}
+
+// asciiSpace is unicode.IsSpace over the ASCII range.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// skipRun returns the index of the first rune of b at or after i that is
+// whitespace if space is false, or not whitespace if space is true.
+func skipRun(b []byte, i int, space bool) int {
+	for i < len(b) {
+		if c := b[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] != space {
+				return i
+			}
+			i++
+			continue
+		}
+		r, width := utf8.DecodeRune(b[i:])
+		if unicode.IsSpace(r) != space {
+			return i
+		}
+		i += width
+	}
+	return i
 }
 
 // Split implements Breakable.

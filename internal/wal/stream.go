@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // EncodeRecord frames one record exactly as Append writes it to disk:
@@ -15,12 +16,19 @@ import (
 // master and its hot standby (internal/replica), so a standby can append
 // shipped bytes to its own log verbatim.
 func EncodeRecord(typ uint8, payload []byte) []byte {
-	frame := make([]byte, headerSize+1+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(1+len(payload)))
-	frame[headerSize] = typ
-	copy(frame[headerSize+1:], payload)
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(frame[headerSize:]))
-	return frame
+	return appendRecord(nil, typ, payload)
+}
+
+// appendRecord appends the framing of one record to dst, growing it at
+// most once.
+func appendRecord(dst []byte, typ uint8, payload []byte) []byte {
+	dst = slices.Grow(dst, headerSize+1+len(payload))
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+len(payload)))
+	dst = append(dst, 0, 0, 0, 0, typ) // CRC placeholder, then the body
+	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(dst[start+headerSize:]))
+	return dst
 }
 
 // streamChunk caps how much Next allocates before any body byte has

@@ -115,6 +115,10 @@ const (
 	// declared length beyond it is treated as corruption, not allocation
 	// advice.
 	MaxRecordBytes = 64 << 20
+	// maxRetainedFrame is the largest framing buffer a Log keeps between
+	// appends, so one huge record does not stay pinned behind later small
+	// ones.
+	maxRetainedFrame = 8 << 20
 )
 
 // Sentinel errors.
@@ -215,7 +219,8 @@ type Log struct {
 	total  int64 // bytes across all live segments (compaction trigger)
 	dirty  bool
 	closed bool
-	failed error // set when a failed append could not be clawed back
+	failed error  // set when a failed append could not be clawed back
+	frame  []byte // Append's framing buffer, reused up to maxRetainedFrame
 
 	stopc chan struct{}
 	wg    sync.WaitGroup
@@ -392,6 +397,10 @@ func (l *Log) CompactDue() bool {
 // good boundary, so an errored append never leaves its record in the
 // log and the log stays replayable; if even the claw-back fails the log
 // wedges and every later call reports the wedge.
+//
+// The record is framed into a buffer the Log reuses for the next append,
+// so the writer a WriterHook returns must not retain the slice it is
+// given once Write returns, as the io.Writer contract requires.
 func (l *Log) Append(typ uint8, payload []byte) (err error) {
 	if len(payload) > MaxRecordBytes-1 {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
@@ -405,7 +414,6 @@ func (l *Log) Append(typ uint8, payload []byte) (err error) {
 			}
 		}()
 	}
-	frame := EncodeRecord(typ, payload)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -414,6 +422,10 @@ func (l *Log) Append(typ uint8, payload []byte) (err error) {
 	}
 	if l.failed != nil {
 		return l.failed
+	}
+	frame := appendRecord(l.frame[:0], typ, payload)
+	if cap(frame) <= maxRetainedFrame {
+		l.frame = frame
 	}
 	n, err := l.w.Write(frame)
 	if err != nil || n < len(frame) {

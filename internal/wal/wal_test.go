@@ -40,6 +40,59 @@ func sameRecords(a, b []Record) bool {
 	return true
 }
 
+// TestAppendReusesItsFrame: after its first record a Log frames every
+// record of no greater size in the buffer it already owns, so an append
+// allocates nothing, and records framed in the reused buffer read back
+// intact. A frame over maxRetainedFrame is written but not kept.
+func TestAppendReusesItsFrame(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Sync: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("p"), 256)
+	if err := l.Append(1, payload); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := l.Append(2, payload[:len(payload)-1]); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Append allocates %v times per record after the first, want 0", allocs)
+	}
+	if err := l.Append(3, make([]byte, maxRetainedFrame)); err != nil {
+		t.Fatal(err)
+	}
+	if cap(l.frame) > maxRetainedFrame {
+		t.Errorf("Log kept a %d-byte frame, want at most %d", cap(l.frame), maxRetainedFrame)
+	}
+	if err := l.Append(4, []byte("last")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	got := l2.Recovered()
+	if len(got) != 104 {
+		t.Fatalf("recovered %d records, want 104", len(got))
+	}
+	for i, r := range got[1:102] {
+		if r.Type != 2 || !bytes.Equal(r.Payload, payload[:len(payload)-1]) {
+			t.Fatalf("record %d = type %d %q, want type 2 and the appended payload", i+1, r.Type, r.Payload)
+		}
+	}
+	if last := got[103]; last.Type != 4 || string(last.Payload) != "last" {
+		t.Fatalf("last record = type %d %q, want type 4 \"last\"", last.Type, last.Payload)
+	}
+}
+
 func TestAppendReopenRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
