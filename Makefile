@@ -134,10 +134,12 @@ census:
 	@echo "frame types:            $$(grep -hE '^	Type[A-Za-z]+ +Type = "' internal/protocol/*.go | wc -l)"
 	@echo "WAL record types:       $$(grep -cE '^	walRec[A-Za-z]+ +uint8 = ' internal/server/wal.go) (declared live types; retired numbers stay reserved, unnamed)"
 	@echo "WAL writers:            $$(grep -h --exclude='*_test.go' 'm\.walWrite(' internal/server/*.go | wc -l) (non-test calls of m.walWrite)"
-	@echo "report credit sites:    $$(grep -h --exclude='*_test.go' 'recordResult(' internal/server/*.go | grep -vc '^func ') (non-test calls of recordResult)"
+	@echo "report credit sites:    $$(grep -h --exclude='*_test.go' 'recordResultLocked(' internal/server/*.go | grep -vc '^func ') (non-test calls of recordResultLocked)"
 	@echo "cwc-vet flags:          $$(grep -cE 'flag\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/cwc-vet/main.go)"
 	@echo "make check prerequisites: $$(sed -n 's/^check://p' Makefile | wc -w)"
-	@echo "wall-clock call sites:  $$(grep -rE 'time\.(Now|Since|Sleep|After|NewTimer|NewTicker)\(' internal/server internal/worker internal/replica --include='*.go' | grep -vc '_test\.go:') (server/worker/replica)"
+	@echo "goroutine spawn sites:  $$(grep -hE '^\s*go ' --exclude='*_test.go' internal/server/*.go | wc -l) (non-test go statements in internal/server)"
+	@echo "m.mu.Lock() sites:      $$(grep -h --exclude='*_test.go' 'm\.mu\.Lock()' internal/server/*.go | wc -l) (non-test, internal/server)"
+	@echo "wall-clock call sites:  $$(grep -rE 'time\.(Now|Since|Sleep|After|AfterFunc|NewTimer|NewTicker)\(' internal/server internal/worker internal/replica --include='*.go' | grep -vc '_test\.go:') (server/worker/replica)"
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

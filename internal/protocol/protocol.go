@@ -393,7 +393,7 @@ func (e *encoder) frame(m *Message) ([]byte, error) {
 }
 
 // Conn wraps a net.Conn with frame encoding. Sends are serialized by a
-// mutex so multiple goroutines (dispatcher, keepaliver) can share it;
+// mutex so multiple goroutines (writer, keepaliver) can share it;
 // Recv must be called from a single reader goroutine.
 type Conn struct {
 	c  net.Conn

@@ -305,13 +305,16 @@ func TestForgedReportsDoNotParkTheSendersReadLoop(t *testing.T) {
 	}
 }
 
-// The deadline clock can fire between a failure's fold, which queues the
-// range, and the notice that stops the dispatcher: no second copy.
+// A range a failure report has already queued gets no speculative copy
+// on top: no second copy.
 func TestSpeculateSkipsARangeAlreadyQueued(t *testing.T) {
 	m := startMaster(t, Config{})
 	a := openTestRange(t, m, tasks.PrimeCount{}, numberLines(1, 50), true, 0)
-	m.recordFailure(a, &protocol.Message{Type: protocol.TypeFailure, Error: "unplugged"})
-	if m.speculate(a) {
+	m.mu.Lock()
+	m.recordFailureLocked(a, &protocol.Message{Type: protocol.TypeFailure, Error: "unplugged"})
+	speculated := m.speculateLocked(a)
+	m.mu.Unlock()
+	if speculated {
 		t.Error("speculated on a range a failure report had already queued")
 	}
 	if n := m.PendingItems(); n != 1 {
@@ -319,33 +322,60 @@ func TestSpeculateSkipsARangeAlreadyQueued(t *testing.T) {
 	}
 }
 
-// profileOne waits on the same respCh the dispatcher does, so it too must
-// take only the notice for its own attempt: one that outlived its
-// dispatcher is not the profiling run's reply and must never become the
-// task's base profile.
+// A profile comes from its own attempt's report: a result the same phone
+// sends meanwhile for an attempt it holds detached (a straggler abandoned
+// in an earlier round) is credited as the late result it is and must never
+// become the task's base profile.
 func TestProfilingIgnoresAStaleNotice(t *testing.T) {
-	m := startMaster(t, Config{})
+	m := startMaster(t, Config{DeadlineFloor: 100 * time.Millisecond, DeadlineFactor: 0.001})
 	f := dialFake(t, m, "HTC G2", 806)
-	go autoResponder(f)
+	held := make(chan *protocol.Message, 8) // real assignments, never answered
+	go func() {
+		for {
+			msg, err := f.conn.Recv()
+			if err != nil {
+				return
+			}
+			switch {
+			case msg.Type != protocol.TypeAssign:
+			case msg.JobID != 0:
+				held <- msg
+			default:
+				if msg.Task == "wordcount" {
+					// While this profile is outstanding, the abandoned
+					// straggler delivers — slowly.
+					old := <-held
+					res := groundTruth(t, tasks.PrimeCount{}, old.Input)
+					_ = f.conn.Send(&protocol.Message{Type: protocol.TypeResult, Attempt: old.Attempt,
+						Result: res, Digest: tasks.Digest(res), ExecMs: 5000, ProcessedKB: 1})
+				}
+				_ = f.conn.Send(&protocol.Message{Type: protocol.TypeResult, Attempt: msg.Attempt,
+					Result: []byte("0"), Digest: tasks.Digest([]byte("0")), ExecMs: 1, ProcessedKB: 1})
+			}
+		}
+	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := m.WaitForPhones(ctx, 1); err != nil {
+	straggler, err := m.Submit(tasks.PrimeCount{}, numberLines(1, 2000), true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m.mu.Lock()
-	ps := m.phones[f.id]
-	m.mu.Unlock()
-	ps.respCh <- &protocol.Message{Type: protocol.TypeResult, Attempt: 999, ExecMs: 5000, ProcessedKB: 1}
-	if _, err := m.Submit(tasks.PrimeCount{}, numberLines(1, 2000), false); err != nil {
+	if rep, err := m.RunRound(ctx); err != nil || len(rep.Stragglers) != 1 {
+		t.Fatalf("first round: %v, %+v; want the phone abandoned as a straggler", err, rep)
+	}
+	if _, err := m.Submit(tasks.WordCount{}, bytes.Repeat([]byte("lorem ipsum dolor\n"), 400), false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.RunRound(ctx); err != nil {
 		t.Fatal(err)
 	}
+	if _, ok := m.Result(straggler); !ok {
+		t.Error("the abandoned straggler's late result was not credited; the scenario no longer covers it")
+	}
 	m.mu.Lock()
 	est := m.est
 	m.mu.Unlock()
-	if ms, ok := est.Profile("primecount"); !ok || ms >= 10 {
-		t.Errorf("primecount profile = %.2f ms/KB (ok %v); the phone answered the profiling run in 1 ms", ms, ok)
+	if ms, ok := est.Profile("wordcount"); !ok || ms >= 10 {
+		t.Errorf("wordcount profile = %.2f ms/KB (ok %v); the phone answered the profiling run in 1 ms", ms, ok)
 	}
 }

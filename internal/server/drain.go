@@ -1,18 +1,14 @@
 package server
 
-import (
-	"time"
-
-	"cwc/internal/protocol"
-)
+import "time"
 
 // Proactive drain: the plug-aware half of failure handling. Where the
-// dispatcher reacts to unplugs after the fact, the drain monitor
-// anticipates them — when a phone's learned charge-window distribution
-// says the current session is about to close, the master stops placing
-// work there, asks the worker to flush a checkpoint and hand back its
-// in-flight partition, and re-queues it cleanly while the connection is
-// still healthy. The disconnect, when it comes, then loses nothing.
+// windows react to unplugs after the fact, the drain check anticipates
+// them — when a phone's learned charge-window distribution says the
+// current session is about to close, the master stops placing work there,
+// asks the worker to flush a checkpoint and hand back its in-flight
+// partition, and re-queues it cleanly while the connection is still
+// healthy. The disconnect, when it comes, then loses nothing.
 //
 // Drain states (per phone, WAL-logged so recovery preserves them):
 //
@@ -84,92 +80,52 @@ func (m *Master) DrainState(phoneID int) string {
 	return m.drains[phoneID]
 }
 
-// drainMonitor periodically compares every live phone's predicted
-// remaining window against the drain lead and starts drains as windows
-// close. Runs only under Config.PlugAware; exits with the master.
-func (m *Master) drainMonitor() {
-	defer m.wg.Done()
-	t := time.NewTicker(m.cfg.DrainCheckPeriod)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			m.checkDrains()
-		case <-m.stopped:
-			return
-		}
-	}
-}
-
-// checkDrains is one monitor tick: start drains whose predicted window
-// is inside the lead, and complete drains whose phones hold no live
-// attempts anymore (the handback arrived, or the phone was idle).
-func (m *Master) checkDrains() {
+// checkDrainsLocked is the loop's drain check, every DrainCheckPeriod
+// under Config.PlugAware: start drains whose predicted window is inside
+// the lead, and complete drains whose phones' windows hold no attempts
+// anymore (the handback arrived, or the phone was idle). Caller holds
+// m.mu.
+func (m *Master) checkDrainsLocked() {
 	now := nowMs()
 	lead := float64(drainLead) / float64(time.Millisecond)
-	for _, ps := range m.alivePhones() {
-		id := ps.info.ID
-		if m.DrainState(id) != "" {
+	for id, ps := range m.phones {
+		if !ps.alive() || m.drains[id] != "" {
 			continue
 		}
 		rem, ok := m.windows.RemainingMs(id, now, drainQuantile)
 		if !ok || rem > lead {
 			continue
 		}
-		m.startDrain(ps, rem)
-	}
-
-	var idle []int
-	m.mu.Lock()
-	busy := map[int]bool{}
-	for _, rec := range m.attempts {
-		if rec.live {
-			busy[rec.ps.info.ID] = true
-		}
+		m.startDrainLocked(ps, rem)
 	}
 	for id, st := range m.drains {
-		if st == drainStarted && !busy[id] {
-			idle = append(idle, id)
+		if w := m.wins[m.phones[id]]; st == drainStarted && (w == nil || len(w.win) == 0) {
+			m.completeDrainLocked(id)
 		}
 	}
-	m.mu.Unlock()
-	for _, id := range idle {
-		m.completeDrain(id)
-	}
 }
 
-// startDrain begins a proactive drain: record and WAL-log the state,
-// then ask the worker to flush and hand its work back. The dispatcher
-// stops assigning to the phone the moment the state is recorded.
-func (m *Master) startDrain(ps *phoneState, remMs float64) {
+// startDrainLocked begins a proactive drain on a phone not yet draining:
+// record and WAL-log the state, then queue the drain frame that asks the
+// worker to flush and hand its work back. The phone's window hands back
+// what it has not started from its next step on. Caller holds m.mu.
+func (m *Master) startDrainLocked(ps *phoneState, remMs float64) {
 	id := ps.info.ID
-	m.mu.Lock()
-	if _, ok := m.drains[id]; ok {
-		m.mu.Unlock()
-		return
-	}
 	m.walAppend(&walDrainRec{PhoneID: id, State: drainStarted})
-	m.mu.Unlock()
 	m.cfg.Metrics.Counter("cwc_drain_started_total").Inc()
 	m.cfg.Logger.With("phone", id).Infof("proactive drain: predicted charge window closes in %.0f ms", remMs)
-	if err := ps.conn.Send(&protocol.Message{Type: protocol.TypeDrain}); err != nil {
-		// The connection is already failing; the reactive failure paths
-		// (keepalive, conn-lost) will reclaim the in-flight work.
-		m.cfg.Logger.With("phone", id).Warnf("drain frame failed: %v", err)
-	}
+	m.queueLocked(ps, flight{})
 }
 
-// completeDrain marks a started drain as completed: the phone's
-// in-flight work has been handed back (or it held none). The phone
-// stays excluded from placement until a new charge session clears it.
-func (m *Master) completeDrain(id int) {
-	m.mu.Lock()
+// completeDrainLocked marks a started drain as completed: the phone's
+// in-flight work has been handed back (or it held none). The phone stays
+// excluded from placement until a new charge session clears it. Caller
+// holds m.mu.
+func (m *Master) completeDrainLocked(id int) {
 	if m.drains[id] != drainStarted {
-		m.mu.Unlock()
 		return
 	}
 	m.walAppend(&walDrainRec{PhoneID: id, State: drainCompleted})
-	m.mu.Unlock()
 	m.cfg.Metrics.Counter("cwc_drain_completed_total").Inc()
 	m.cfg.Logger.With("phone", id).Infof("drain completed: work handed back before disconnect")
 }

@@ -40,7 +40,7 @@ func (m *Master) trace(ev obs.SpanEvent) {
 
 // closeTimeline ends the round's event collection and derives every view
 // of it: the report's Figure 12 timeline and tallies, and /debug/sched's
-// actuals. A result for an attempt its dispatcher had let go reads
+// actuals. A result for an attempt no window held anymore reads
 // "late-result", so "result" pairs with "assign" one to one.
 func (m *Master) closeTimeline(report *RoundReport, snap *SchedSnapshot, start time.Time) {
 	m.evMu.Lock()
@@ -142,7 +142,7 @@ func (m *Master) MeasureBandwidths(ctx context.Context) error {
 			defer wg.Done()
 			start := time.Now()
 			if err := ps.conn.Send(&protocol.Message{Type: protocol.TypeProbe, Payload: payload}); err != nil {
-				ps.markDead()
+				m.markDead(ps, "send-failed", err.Error())
 				return
 			}
 			select {
@@ -218,7 +218,6 @@ func (m *Master) profileIfNeeded(ctx context.Context, items []*workItem, phones 
 func (m *Master) profileOne(ctx context.Context, est *predict.Estimator, it *workItem, name string) error {
 	sample := profileSample(it)
 	tried := map[int]bool{}
-phones:
 	for {
 		var slowest *phoneState
 		for _, ps := range m.alivePhones() {
@@ -233,53 +232,30 @@ phones:
 			return fmt.Errorf("server: no phone left to profile %s", name)
 		}
 		tried[slowest.info.ID] = true
-		// A keyless attempt: credit folds nothing for it and notices the
-		// reply here; one that outlives this wait names an attempt nobody
-		// knows. A notice for another attempt (one that outlived its
-		// dispatcher) is not this profile's.
-		attempt := m.newAttempt(slowest, assignment{item: it, partition: -1, input: sample})
-		if err := slowest.conn.Send(&protocol.Message{
-			Type:      protocol.TypeAssign,
-			JobID:     0, // profiling sentinel, never a real job
-			Partition: -1,
-			Attempt:   attempt,
-			Task:      name,
-			Params:    it.task.Params(),
-			Input:     sample,
-		}); err != nil {
-			m.dropAttempt(attempt)
-			slowest.markDead()
-			continue
+		// One keyless flight, as a round of its own: credit folds nothing
+		// for it, and the loop hands this round its report and no other.
+		rnd := &round{plans: [][]assignment{{{item: it, partition: -1, input: sample}}},
+			phones: []*phoneState{slowest}, done: make(chan struct{}), profiling: true}
+		m.dispatch(ctx, rnd)
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		for {
-			select {
-			case resp := <-slowest.respCh:
-				if resp.Attempt != attempt {
-					continue
-				}
-				if resp.Type != protocol.TypeResult {
-					m.cfg.Logger.With("phone", slowest.info.ID, "task", name).
-						Warnf("profiling failed (%s); retrying elsewhere", resp.Error)
-					continue phones
-				}
-				kb := float64(len(sample)) / 1024
-				ts := resp.ExecMs / kb
-				if ts <= 0 {
-					ts = 0.001 // sub-clock-resolution execution
-				}
-				if err := est.SetProfile(name, ts); err != nil {
-					return err
-				}
-				m.cfg.Logger.With("phone", slowest.info.ID, "task", name).Infof("profiled: %.3f ms/KB", ts)
-				return nil
-			case <-slowest.dead:
-				m.dropAttempt(attempt)
-				m.cfg.Logger.With("phone", slowest.info.ID).Warnf("profiling phone died; retrying elsewhere")
-				continue phones
-			case <-ctx.Done():
-				m.dropAttempt(attempt)
-				return ctx.Err()
+		plog := m.cfg.Logger.With("phone", slowest.info.ID, "task", name)
+		switch resp := rnd.report; {
+		case resp == nil:
+			plog.Warnf("profiling phone died; retrying elsewhere")
+		case resp.Type != protocol.TypeResult:
+			plog.Warnf("profiling failed (%s); retrying elsewhere", resp.Error)
+		default:
+			ts := resp.ExecMs / (float64(len(sample)) / 1024)
+			if ts <= 0 {
+				ts = 0.001 // sub-clock-resolution execution
 			}
+			if err := est.SetProfile(name, ts); err != nil {
+				return err
+			}
+			plog.Infof("profiled: %.3f ms/KB", ts)
+			return nil
 		}
 	}
 }
@@ -337,7 +313,7 @@ type Event struct {
 	// "straggler", "speculate", "checkpoint", "requeue" and "deadletter"
 	// (from any path: a lost phone, a failure report, an unresolved vote),
 	// "submit" for a job that arrived mid-round — plus "late-result" for a
-	// result credited to an attempt its dispatcher had let go. Readers
+	// result credited to an attempt no window held anymore. Readers
 	// switch on the kinds they know and ignore the rest.
 	Kind string
 }
@@ -503,19 +479,7 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	}
 	m.timeline = make([]obs.SpanEvent, 0, 2*assignments) // an assign and a report each
 	m.evMu.Unlock()
-	var wg sync.WaitGroup
-	for pi, ps := range phones {
-		queue := plans[pi]
-		if len(queue) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(ps *phoneState, queue []assignment) {
-			defer wg.Done()
-			m.dispatch(ctx, ps, queue)
-		}(ps, queue)
-	}
-	wg.Wait()
+	m.dispatch(ctx, &round{plans: plans, phones: phones, done: make(chan struct{})})
 	report.Wall = time.Since(start)
 	wallMs := float64(report.Wall) / float64(time.Millisecond)
 	m.cfg.Metrics.Counter("cwc_rounds_total").Inc()
@@ -583,8 +547,8 @@ func (m *Master) planRound(ctx context.Context, items []*workItem) ([][]assignme
 	if err := m.profileIfNeeded(ctx, items, phones); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	// Re-snapshot: profiling may have killed a phone (or the drain
-	// monitor may have closed one).
+	// Re-snapshot: profiling may have killed a phone (or a drain check
+	// closed one).
 	phones = m.admissiblePhones(m.placeablePhones(m.alivePhones()))
 	if len(phones) == 0 {
 		return nil, nil, nil, nil, ErrNoPhones
@@ -785,52 +749,19 @@ func slicePartitions(items []*workItem, sched *core.Schedule) ([][]assignment, e
 	return plans, nil
 }
 
-// newAttempt registers a dispatch attempt so reports can be paired with
-// the exact assignment that caused them, even across reconnects.
-func (m *Master) newAttempt(ps *phoneState, a assignment) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nextAttempt++
-	m.attempts[m.nextAttempt] = &attemptRec{a: a, ps: ps, live: true}
-	return m.nextAttempt
-}
-
-// dropAttempt forgets an attempt whose outcome is settled.
-func (m *Master) dropAttempt(id int64) {
-	m.mu.Lock()
-	delete(m.attempts, id)
-	m.mu.Unlock()
-}
-
-// detachAttempt keeps an attempt registered but marks that no dispatcher
-// waits on it anymore; the read loop will credit its eventual report.
-func (m *Master) detachAttempt(id int64) {
-	m.mu.Lock()
-	if rec, ok := m.attempts[id]; ok {
-		rec.live = false
-	}
-	m.mu.Unlock()
-}
-
-// assignmentDeadline bounds one assignment by DeadlineFactor times its
-// cost-model estimate E_j·b_i + l_ij·(b_i + c_ij), floored at
-// DeadlineFloor (early estimates are unreliable).
-func (m *Master) assignmentDeadline(a assignment, ps *phoneState) time.Duration {
+// assignmentDeadlineLocked bounds one assignment by DeadlineFactor times
+// its cost-model estimate E_j·b_i + l_ij·(b_i + c_ij), floored at
+// DeadlineFloor (early estimates are unreliable). Caller holds m.mu.
+func (m *Master) assignmentDeadlineLocked(a assignment, ps *phoneState) time.Duration {
 	d := m.cfg.DeadlineFloor
-	// Snapshot the estimator pointer and the bandwidth together: m.est is
-	// lazily created under m.mu and this path runs on dispatcher goroutines.
-	m.mu.Lock()
-	est := m.est
-	b := ps.info.BMsPerKB
-	m.mu.Unlock()
-	if est == nil {
+	if m.est == nil {
 		return d
 	}
-	c, err := est.Estimate(a.item.task.Name(), ps.info.ID, ps.info.CPUMHz)
+	c, err := m.est.Estimate(a.item.task.Name(), ps.info.ID, ps.info.CPUMHz)
 	if err != nil {
 		return d
 	}
-	l := float64(len(a.input)) / 1024
+	b, l := ps.info.BMsPerKB, float64(len(a.input))/1024
 	ms := a.item.task.ExecKB()*b + l*(b+c)
 	if byModel := time.Duration(ms * m.cfg.DeadlineFactor * float64(time.Millisecond)); byModel > d {
 		d = byModel
@@ -838,15 +769,13 @@ func (m *Master) assignmentDeadline(a assignment, ps *phoneState) time.Duration 
 	return d
 }
 
-// speculate queues an atomic copy of a straggling assignment for the next
-// round. The original attempt stays outstanding; whichever report arrives
-// first wins the key. At most one copy is issued per key — none for a
-// range a failure report has just queued, whose notice the deadline clock
-// can beat — and it spends no retry, so nothing replay needs changes, and
-// nothing is logged.
-func (m *Master) speculate(a assignment) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// speculateLocked queues an atomic copy of a straggling assignment for the
+// next round. The original attempt stays outstanding; whichever report
+// arrives first wins the key. At most one copy is issued per key — none
+// for a range a failure report has already queued — and it spends no
+// retry, so nothing replay needs changes, and nothing is logged. Caller
+// holds m.mu.
+func (m *Master) speculateLocked(a assignment) bool {
 	e := a.rng
 	if e.shared || e.queued || m.settledLocked(e) {
 		return false
@@ -859,210 +788,12 @@ func (m *Master) speculate(a assignment) bool {
 	return true
 }
 
-// flight is one dispatch attempt outstanding on a phone.
-type flight struct {
-	a       assignment
-	attempt int64
-	// prefetched marks an assignment shipped behind a predecessor the
-	// dispatcher has not seen settle: the phone cannot have started it, so
-	// handing it back recomputes nothing.
-	prefetched bool
-}
-
 // pairFits reports whether the phone can hold next's input beside the one
 // it is executing. RAMMB caps a single partition in the packer; a
 // prefetched input is a second buffer on the phone and counts against the
 // same memory.
 func pairFits(ps *phoneState, cur, next assignment) bool {
 	return ps.info.RAMMB == 0 || len(cur.input)+len(next.input) <= ps.info.RAMMB<<20
-}
-
-// dispatch feeds one phone its queue through a window of at most two
-// outstanding attempts: the one the phone is executing and one prefetched
-// behind it, so the next input crosses the link while the current one
-// computes. The phone executes in arrival order. The paper copies the next
-// task "only after the phone completes executing its last assigned task",
-// which leaves link and CPU busy only alternately; that rule is dropped.
-// A pair is prefetched only when both inputs fit the phone's RAM, so a
-// one-item queue or a RAM-bound pair runs in lockstep by itself. Reports
-// are credited by the read loop (credit), which settles the attempt and
-// folds the report before telling the dispatcher; every exit detaches or
-// drops each attempt still outstanding exactly once and hands everything
-// unsettled back for the next round; a prefetched assignment goes back
-// with its resume state untouched.
-func (m *Master) dispatch(ctx context.Context, ps *phoneState, queue []assignment) {
-	id := ps.info.ID
-	var (
-		win     []flight // outstanding attempts in the phone's execution order, at most two
-		next    int      // queue[next:] has not been shipped
-		sending int64    // attempt whose bytes a sender is still writing; 0: none
-		// sendDone carries a sender's outcome. At most one sender is
-		// outstanding, so its send into the one-slot buffer never blocks.
-		sendDone = make(chan error, 1)
-		senders  sync.WaitGroup
-		// The clock runs for win[0] only, and only once its bytes are
-		// written and its predecessor has settled: time an assignment
-		// spends queued behind a slow predecessor never makes it a
-		// straggler.
-		deadline  time.Duration
-		straggled bool
-	)
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	// A sender never outlives its dispatcher: conn.Send returns once the
-	// link has taken the bytes or the connection is closed.
-	defer senders.Wait()
-	stopClock := func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}
-	stopClock()
-	startClock := func() {
-		stopClock()
-		straggled = false
-		deadline = m.assignmentDeadline(win[0].a, ps)
-		timer.Reset(deadline)
-	}
-	// release hands back win[keep:] and the unshipped rest of the queue.
-	// A detached attempt stays registered — the phone may still deliver it
-	// and the read loop credits the report — a dropped one is forgotten.
-	release := func(keep int, detach bool) {
-		rest := make([]assignment, 0, len(win)-keep+len(queue)-next)
-		var prefetched int64
-		for _, f := range win[keep:] {
-			if detach {
-				m.detachAttempt(f.attempt)
-			} else {
-				m.dropAttempt(f.attempt)
-			}
-			if f.prefetched {
-				prefetched += int64(len(f.a.input))
-			}
-			rest = append(rest, f.a)
-		}
-		m.cfg.Metrics.Counter("cwc_prefetch_handback_bytes_total").Add(prefetched)
-		m.requeueFrom(append(rest, queue[next:]...), lostMidRound)
-		win, next = win[:keep], len(queue)
-	}
-	for {
-		started := 0
-		if len(win) > 0 && !win[0].prefetched {
-			started = 1
-		}
-		if (next < len(queue) || len(win) > started) && (m.DrainState(id) != "" || m.Quarantined(id)) {
-			// The drain monitor closed this phone mid-round (or a lost
-			// verification vote quarantined it): hand back what it has not
-			// started instead of feeding it more. What it is executing
-			// still reports — a drained worker hands it back itself.
-			release(started, true)
-		}
-		if len(win) > 0 && win[0].prefetched {
-			// Its predecessor settled: the phone is executing it now.
-			win[0].prefetched = false
-			if win[0].attempt != sending {
-				startClock()
-			}
-		}
-		if sending == 0 && next < len(queue) && (len(win) == 0 || len(win) == 1 && pairFits(ps, win[0].a, queue[next])) {
-			a := queue[next]
-			next++
-			// The resume state an assign ships rides in Bytes; see credit.
-			ev := obs.SpanEvent{Kind: obs.KindAssign, Job: a.item.jobID, Partition: a.partition, Phone: id}
-			if a.resume != nil {
-				ev.Detail, ev.Bytes = "resume", a.resume.Offset
-			}
-			m.trace(ev)
-			attempt := m.newAttempt(ps, a)
-			win = append(win, flight{a: a, attempt: attempt, prefetched: len(win) > 0})
-			sending = attempt
-			// Shipped from its own goroutine so the window moves on a
-			// report that lands while the link is busy with the next input.
-			senders.Add(1)
-			go func() {
-				defer senders.Done()
-				sendDone <- m.sendAssign(ps, a, attempt)
-			}()
-		}
-		if len(win) == 0 && sending == 0 {
-			return
-		}
-		select {
-		case err := <-sendDone:
-			if err != nil {
-				ps.markDead() // the dead arm below reclaims everything
-			} else if len(win) > 0 && win[0].attempt == sending {
-				startClock()
-			}
-			sending = 0
-		case resp := <-ps.respCh:
-			// A notice: credit has settled the attempt and folded the report.
-			i := 0
-			for i < len(win) && win[i].attempt != resp.Attempt {
-				i++
-			}
-			if i == len(win) {
-				continue // sent as an earlier dispatcher on this phone stopped waiting
-			}
-			win = append(win[:i:i], win[i+1:]...)
-			if resp.Type == protocol.TypeFailure {
-				drained := resp.Error == drainFailureReason
-				if drained {
-					// Proactive-drain handback: the phone is still plugged
-					// and connected. Keep it alive — the real unplug must
-					// still be observed for window learning — but give it
-					// no more work.
-					m.completeDrain(id)
-				} else {
-					ps.markDead()
-				}
-				release(0, drained)
-				return
-			}
-			if i == 0 {
-				stopClock()
-			}
-		case <-timer.C:
-			a := win[0].a
-			if !straggled {
-				// Deadline blown: mark the phone a straggler, issue a
-				// speculative copy for the next round, and give the
-				// original one more deadline to deliver.
-				straggled = true
-				if m.speculate(a) {
-					m.cfg.Logger.With("phone", id, "job", a.item.jobID, "partition", a.partition).
-						Warnf("straggling (deadline %v); speculating", deadline)
-					m.cfg.Metrics.Counter("cwc_stragglers_total").Inc()
-					m.trace(obs.SpanEvent{Kind: obs.KindStraggler, Job: a.item.jobID, Partition: a.partition, Phone: id})
-				}
-				timer.Reset(deadline)
-				continue
-			}
-			// Twice the deadline: abandon the phone for this round. It
-			// stays alive (it may just be slow); its eventual reports are
-			// credited by the read loop if their keys are still open.
-			m.cfg.Metrics.Counter("cwc_abandons_total").Inc()
-			m.cfg.Logger.With("phone", id, "job", a.item.jobID, "partition", a.partition).
-				Warnf("abandoned for the round (overdue)")
-			m.detachAttempt(win[0].attempt)
-			win = win[1:]
-			m.requeueFrom([]assignment{a}, "straggler abandoned")
-			release(0, true)
-			return
-		case <-ps.dead:
-			// Offline failure: no report; everything outstanding and the
-			// rest of the queue go back to the pool.
-			m.cfg.Logger.With("phone", id).Warnf("died with work in flight")
-			release(0, false)
-			return
-		case <-ctx.Done():
-			release(0, false)
-			return
-		}
-	}
 }
 
 // recordStreamedCheckpoint folds a worker's mid-execution streamed
@@ -1125,15 +856,13 @@ func (m *Master) StreamedCheckpoints() int {
 	return m.ckptFolds
 }
 
-// finalizeResult folds a completed (and, if verification applies,
-// verified — see recordResult in verify.go) partition into its job and
-// refines the execution-time prediction. Duplicate results for an
+// finalizeResultLocked folds a completed (and, if verification applies,
+// verified — see recordResultLocked in verify.go) partition into its job
+// and refines the execution-time prediction. Duplicate results for an
 // already-settled key (the loser of a speculative race, a reconnect
-// replay) are dropped.
-func (m *Master) finalizeResult(a assignment, resp *protocol.Message, ps *phoneState) {
-	m.mu.Lock()
+// replay) are dropped. Caller holds m.mu.
+func (m *Master) finalizeResultLocked(a assignment, resp *protocol.Message, ps *phoneState) {
 	if m.settledLocked(a.rng) {
-		m.mu.Unlock()
 		m.cfg.Logger.With("job", a.item.jobID, "partition", a.partition, "key", a.key).
 			Infof("duplicate result dropped (key already settled)")
 		return
@@ -1150,16 +879,13 @@ func (m *Master) finalizeResult(a assignment, resp *protocol.Message, ps *phoneS
 	if !m.roundActive && !js.Done && js.Covered >= js.TotalBytes {
 		m.finishJobLocked(js)
 	}
-	est := m.est
-	m.mu.Unlock()
 	m.cfg.Metrics.Counter("cwc_results_total").Inc()
 	m.sloObserve(sloRequeue, true)
 	if resp.ExecMs > 0 {
 		m.cfg.Metrics.Histogram("cwc_exec_ms").Observe(resp.ExecMs)
 	}
-
-	if est != nil && resp.ExecMs > 0 && resp.ProcessedKB > 0 {
-		_ = est.Report(a.item.task.Name(), ps.info.ID, resp.ExecMs/resp.ProcessedKB)
+	if m.est != nil && resp.ExecMs > 0 && resp.ProcessedKB > 0 {
+		_ = m.est.Report(a.item.task.Name(), ps.info.ID, resp.ExecMs/resp.ProcessedKB)
 	}
 }
 
@@ -1168,17 +894,15 @@ func (m *Master) finalizeResult(a assignment, resp *protocol.Message, ps *phoneS
 // drain (see protocol.TypeDrain and worker.interruptReason).
 const drainFailureReason = "drained"
 
-// recordFailure applies the paper's migration rule to a failed partition:
-// tasks that can convert their checkpoint into a partial result have it
-// saved and only the unprocessed input remainder re-queued; others are
-// migrated whole (input + checkpoint). A replayed report (a phone that
+// recordFailureLocked applies the paper's migration rule to a failed
+// partition: tasks that can convert their checkpoint into a partial result
+// have it saved and only the unprocessed input remainder re-queued; others
+// are migrated whole (input + checkpoint). A replayed report (a phone that
 // replugged before its failure finished processing) finds the range
-// settled, or its copy queued, and changes nothing.
-func (m *Master) recordFailure(a assignment, resp *protocol.Message) {
+// settled, or its copy queued, and changes nothing. Caller holds m.mu.
+func (m *Master) recordFailureLocked(a assignment, resp *protocol.Message) {
 	ck := resp.Checkpoint
 	m.cfg.Metrics.Counter("cwc_failures_total").Inc()
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	e := a.rng
 	if m.settledLocked(e) {
 		// Another execution already delivered this byte range; the
@@ -1296,26 +1020,11 @@ func (m *Master) enqueueLocked(e *walItemRec, reason string) {
 }
 
 // handBackLocked re-queues a dispatched range whole — unless its key has
-// settled or a queued copy already carries it. Caller holds m.mu.
+// settled or a queued copy already carries it, or it is a profiling
+// execution's, which has no range. Caller holds m.mu.
 func (m *Master) handBackLocked(e *walItemRec, reason string) {
-	if !e.queued && !m.settledLocked(e) {
+	if e != nil && !e.queued && !m.settledLocked(e) {
 		m.requeueLocked(e, nil, reason)
-	}
-}
-
-// lostMidRound is the requeue reason for work handed back because its
-// phone died, drained, was quarantined or the round was cancelled.
-const lostMidRound = "phone lost mid-round"
-
-// requeueFrom hands assignments back to the pending pool for the next
-// scheduling instant: the rest of a lost or drained phone's queue, or a
-// straggler's abandoned in-flight range (whose detached attempt may
-// still deliver — first-result-wins arbitrates).
-func (m *Master) requeueFrom(rest []assignment, reason string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, a := range rest {
-		m.handBackLocked(a.rng, reason)
 	}
 }
 
@@ -1413,45 +1122,29 @@ func (m *Master) RunLoop(ctx context.Context, period time.Duration, onRound func
 }
 
 // sendAssign ships one partition, streaming inputs larger than the
-// configured chunk size as assign_chunk frames.
+// configured chunk size as assign_chunk frames. A profiling execution is
+// part of no job: it ships under the sentinel job 0, with no span.
 func (m *Master) sendAssign(ps *phoneState, a assignment, attempt int64) error {
-	chunk := m.cfg.ChunkKB * 1024
-	first := a.input
-	var rest []byte
-	var total int64
-	if len(a.input) > chunk {
-		first, rest = a.input[:chunk], a.input[chunk:]
-		total = int64(len(a.input))
+	job, span := a.item.jobID, jobSpan(a.item.jobID)
+	if a.rng == nil {
+		job, span = 0, ""
 	}
-	if err := ps.conn.Send(&protocol.Message{
-		Type:      protocol.TypeAssign,
-		JobID:     a.item.jobID,
-		Partition: a.partition,
-		Attempt:   attempt,
-		Span:      jobSpan(a.item.jobID),
-		Task:      a.item.task.Name(),
-		Params:    a.item.task.Params(),
-		Input:     first,
-		TotalLen:  total,
-		Resume:    a.resume,
-	}); err != nil {
+	chunk := m.cfg.ChunkKB * 1024
+	msg := &protocol.Message{Type: protocol.TypeAssign, JobID: job, Partition: a.partition,
+		Attempt: attempt, Span: span, Task: a.item.task.Name(), Params: a.item.task.Params(),
+		Input: a.input, Resume: a.resume}
+	if len(a.input) > chunk {
+		msg.Input, msg.TotalLen = a.input[:chunk], int64(len(a.input))
+	}
+	if err := ps.conn.Send(msg); err != nil {
 		return err
 	}
 	m.cfg.Metrics.Counter("cwc_assign_bytes_sent_total").Add(int64(len(a.input)))
-	for len(rest) > 0 {
-		n := chunk
-		if n > len(rest) {
-			n = len(rest)
-		}
-		if err := ps.conn.Send(&protocol.Message{
-			Type:      protocol.TypeAssignChunk,
-			JobID:     a.item.jobID,
-			Partition: a.partition,
-			Input:     rest[:n],
-		}); err != nil {
+	for off := chunk; off < len(a.input); off += chunk {
+		if err := ps.conn.Send(&protocol.Message{Type: protocol.TypeAssignChunk, JobID: job,
+			Partition: a.partition, Input: a.input[off:min(off+chunk, len(a.input))]}); err != nil {
 			return err
 		}
-		rest = rest[n:]
 	}
 	return nil
 }

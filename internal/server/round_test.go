@@ -159,7 +159,9 @@ func TestRecordFailurePartialReporterPath(t *testing.T) {
 	a := openTestRange(t, m, tasks.PrimeCount{}, []byte("2\n3\n4\n5\n"), false, 0)
 	js := m.jobs[a.item.jobID]
 	msg := protocolFailure(4, `{"count":2}`)
-	m.recordFailure(a, &msg)
+	m.mu.Lock()
+	m.recordFailureLocked(a, &msg)
+	m.mu.Unlock()
 	if js.Covered != 4 {
 		t.Errorf("covered = %d, want 4", js.Covered)
 	}
@@ -181,7 +183,9 @@ func TestRecordFailureMigrationPath(t *testing.T) {
 	a := openTestRange(t, m, tasks.Blur{}, input, true, 0)
 	js := m.jobs[a.item.jobID]
 	msg := protocolFailure(3, `{"row":0,"out":[]}`)
-	m.recordFailure(a, &msg)
+	m.mu.Lock()
+	m.recordFailureLocked(a, &msg)
+	m.mu.Unlock()
 	if js.Covered != 0 {
 		t.Errorf("covered = %d, want 0 (no partial result possible)", js.Covered)
 	}
@@ -202,7 +206,9 @@ func TestRecordFailureNoCheckpoint(t *testing.T) {
 	a := openTestRange(t, m, tasks.PrimeCount{}, []byte("2\n3\n"), false, 0)
 	msg := protocolFailure(0, "")
 	msg.Checkpoint = nil
-	m.recordFailure(a, &msg)
+	m.mu.Lock()
+	m.recordFailureLocked(a, &msg)
+	m.mu.Unlock()
 	if len(m.pending) != 1 {
 		t.Fatalf("pending = %d", len(m.pending))
 	}
@@ -211,7 +217,7 @@ func TestRecordFailureNoCheckpoint(t *testing.T) {
 	}
 }
 
-// protocolFailure builds a worker failure report for recordFailure tests.
+// protocolFailure builds a worker failure report for recordFailureLocked tests.
 func protocolFailure(offset int64, state string) protocol.Message {
 	ck := &tasks.Checkpoint{Offset: offset}
 	if state != "" {

@@ -108,7 +108,7 @@ type Config struct {
 	// closing (see drain.go). Off, the estimator still learns (so
 	// /statusz can show windows) but never influences placement.
 	PlugAware bool
-	// DrainCheckPeriod is the drain monitor's polling interval.
+	// DrainCheckPeriod is the interval between drain checks.
 	// Default 1 s.
 	DrainCheckPeriod time.Duration
 	// Listener, when set, is a pre-bound listener Start serves on instead
@@ -217,10 +217,7 @@ type phoneState struct {
 	info PhoneInfo
 	conn *protocol.Conn
 
-	// respCh carries credit's notices: the already-folded reports of live
-	// attempts, at most two a phone (the dispatch window) plus any sent as
-	// an earlier dispatcher stopped waiting, which the next discards.
-	respCh  chan *protocol.Message
+	out     chan flight            // its writer's queue (see queueLocked)
 	probeCh chan *protocol.Message // ProbeAck frames
 	dead    chan struct{}          // closed exactly once on death
 
@@ -229,17 +226,35 @@ type phoneState struct {
 	missedPings int  // guarded by mu
 }
 
-func (ps *phoneState) markDead() {
+// kill closes the phone's connection and dead channel, once; it reports
+// whether this call did. info.Alive is never mutated: liveness is derived
+// from deadClosed (see alive()), so info can be copied under m.mu without
+// touching ps.mu.
+func (ps *phoneState) kill() bool {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if !ps.deadClosed {
-		// info.Alive is never mutated; liveness is derived from
-		// deadClosed (see alive()) so info can be copied under m.mu
-		// without touching ps.mu.
-		ps.deadClosed = true
-		close(ps.dead)
-		ps.conn.Close()
+	if ps.deadClosed {
+		return false
 	}
+	ps.deadClosed = true
+	close(ps.dead)
+	ps.conn.Close()
+	return true
+}
+
+// markDead is a phone's one death, from anywhere but the loop (which
+// calls dieLocked): the first call kills the phone, records why as an
+// offline failure — reason "" records nothing, for a death the master
+// chose — and tells the loop. It reports whether this call was the one.
+func (m *Master) markDead(ps *phoneState, reason, detail string) bool {
+	if !ps.kill() {
+		return false
+	}
+	m.mu.Lock()
+	m.offlineLocked(ps.info.ID, reason, detail)
+	m.mu.Unlock()
+	m.post(died{ps})
+	return true
 }
 
 func (ps *phoneState) alive() bool {
@@ -347,13 +362,10 @@ type OfflineFailure struct {
 // attemptRec pairs an issued dispatch attempt with its assignment so a
 // late or replayed report (straggler that finished after abandonment, a
 // reconnecting worker flushing its unsent buffer) can still be credited.
+// It is live while a window holds it, detached once none does.
 type attemptRec struct {
 	a  assignment
 	ps *phoneState
-	// live is true while a dispatch goroutine (or profileOne) is waiting on
-	// the phone's respCh for this attempt: credit sends its notice only
-	// then, so a late report never clogs a channel nobody drains.
-	live bool
 }
 
 // Master is the central server.
@@ -380,8 +392,13 @@ type Master struct {
 
 	nextAttempt int64                 // guarded by mu
 	attempts    map[int64]*attemptRec // guarded by mu
-	offline     []OfflineFailure      // guarded by mu
-	ckptFolds   int                   // guarded by mu; streamed checkpoints accepted (monotonic, for tests/ops)
+	// wins is every phone's dispatch window; only the loop (run) changes
+	// them. inputs is the loop's one input channel (post).
+	wins   map[*phoneState]*window // guarded by mu
+	inputs chan any
+
+	offline   []OfflineFailure // guarded by mu
+	ckptFolds int              // guarded by mu; streamed checkpoints accepted (monotonic, for tests/ops)
 
 	// workerStats is each phone's self-metering, monotone across worker
 	// restarts; see workerMeter and ingestWorkerStats.
@@ -450,6 +467,8 @@ func New(cfg Config) *Master {
 		handshaking: map[*protocol.Conn]struct{}{},
 		phones:      map[int]*phoneState{},
 		attempts:    map[int64]*attemptRec{},
+		wins:        map[*phoneState]*window{},
+		inputs:      make(chan any),
 		workerStats: map[int]workerMeter{},
 		votes:       map[int64]*voteGroup{},
 		windows:     windows,
@@ -470,16 +489,16 @@ func (m *Master) DeadLetters() []DeadLetter {
 func (m *Master) OfflineFailures() []OfflineFailure {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]OfflineFailure, len(m.offline))
-	copy(out, m.offline)
-	return out
+	return slices.Clone(m.offline)
 }
 
-// recordOffline logs a structured offline-failure event.
-func (m *Master) recordOffline(phoneID int, reason, detail string) {
-	m.mu.Lock()
+// offlineLocked logs a structured offline-failure event; reason "" logs
+// none. Caller holds m.mu.
+func (m *Master) offlineLocked(phoneID int, reason, detail string) {
+	if reason == "" {
+		return
+	}
 	m.offline = append(m.offline, OfflineFailure{PhoneID: phoneID, Reason: reason, Detail: detail})
-	m.mu.Unlock()
 	m.cfg.Metrics.Counter("cwc_offline_failures_total", "reason", reason).Inc()
 }
 
@@ -497,12 +516,9 @@ func (m *Master) Start() error {
 		ln = m.cfg.ListenerHook(ln)
 	}
 	m.ln = ln
-	m.wg.Add(1)
+	m.wg.Add(2)
+	go m.run()
 	go m.acceptLoop()
-	if m.cfg.PlugAware {
-		m.wg.Add(1)
-		go m.drainMonitor()
-	}
 	if m.cfg.ObsAddr != "" {
 		if err := m.serveObs(m.cfg.ObsAddr); err != nil {
 			ln.Close()
@@ -563,7 +579,7 @@ func (m *Master) shutdown(bye bool) {
 		if bye {
 			_ = ps.conn.Send(&protocol.Message{Type: protocol.TypeBye})
 		}
-		ps.markDead()
+		m.markDead(ps, "", "") // the master's own choice: no offline failure
 	}
 	m.wg.Wait()
 }
@@ -658,7 +674,7 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 			Alive:    true,
 		},
 		conn:    conn,
-		respCh:  make(chan *protocol.Message, 4),
+		out:     make(chan flight, writerQueue),
 		probeCh: make(chan *protocol.Message, 1),
 		dead:    make(chan struct{}),
 	}
@@ -670,9 +686,8 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 	waiters := m.phoneWait
 	m.phoneWait = make(chan struct{})
 	m.mu.Unlock()
-	if prior != nil && prior.alive() {
-		m.recordOffline(id, "rejoined", "superseded by a reconnection")
-		prior.markDead()
+	if prior != nil {
+		m.markDead(prior, "rejoined", "superseded by a reconnection")
 	}
 	// Feed the charge-window estimator: a fresh registration opens a
 	// session; a rejoin either continues one (duplicate plug, ignored)
@@ -696,7 +711,7 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 		// zero extra frames and zero extra bytes.
 		Telemetry: m.cfg.ObsAddr != "",
 	}); err != nil {
-		ps.markDead()
+		m.markDead(ps, "send-failed", err.Error())
 		return
 	}
 	plog := m.cfg.Logger.With("phone", id)
@@ -708,11 +723,9 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 		plog.Infof("registered: %s %.0f MHz", hello.Model, hello.CPUMHz)
 	}
 
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		m.keepalive(ps)
-	}()
+	m.wg.Add(2)
+	go m.keepalive(ps)
+	go m.writer(ps)
 	m.readLoop(ps)
 }
 
@@ -723,18 +736,21 @@ func (m *Master) readLoop(ps *phoneState) {
 		if err != nil {
 			m.cfg.Metrics.Counter("cwc_conn_errors_total").Inc()
 			// A corrupt frame means framing is lost on an otherwise-open
-			// connection; it is handled exactly like a missed-keepalive
-			// offline failure (the in-flight partition re-enters the pool
-			// via the dispatcher's dead-phone path), but recorded as its
-			// own structured event.
+			// connection: an offline failure like a missed keepalive, but
+			// recorded as its own event. An error once the master itself let
+			// go of the phone, or during shutdown, is no failure of the phone's.
+			reason, format := "conn-lost", "connection lost: %v"
 			if errors.Is(err, protocol.ErrCorrupt) {
-				m.cfg.Logger.With("phone", ps.info.ID).Warnf("corrupt frame: %v; offline failure", err)
-				m.recordOffline(ps.info.ID, "corrupt-frame", err.Error())
-			} else {
-				m.cfg.Logger.With("phone", ps.info.ID).Warnf("connection lost: %v", err)
-				m.recordOffline(ps.info.ID, "conn-lost", err.Error())
+				reason, format = "corrupt-frame", "corrupt frame: %v; offline failure"
 			}
-			ps.markDead()
+			select {
+			case <-m.stopped:
+				reason = ""
+			default:
+			}
+			if m.markDead(ps, reason, err.Error()) {
+				m.cfg.Logger.With("phone", ps.info.ID).Warnf(format, err)
+			}
 			m.observeUnplug(ps)
 			return
 		}
@@ -763,15 +779,14 @@ func (m *Master) readLoop(ps *phoneState) {
 			case m.fenced(msg):
 				m.rejectFenced(ps, msg)
 			case msg.Type == protocol.TypeCheckpoint:
-				// Folded and acked; no dispatcher waits on a checkpoint.
+				// Folded and acked here; no window moves on a checkpoint.
 				m.recordStreamedCheckpoint(ps, msg)
 			default:
-				m.credit(ps, msg)
+				m.post(reported{ps, msg})
 			}
 		case protocol.TypeBye:
 			m.cfg.Logger.With("phone", ps.info.ID).Infof("unplugged while idle")
-			m.recordOffline(ps.info.ID, "bye", "orderly unplug")
-			ps.markDead()
+			m.markDead(ps, "bye", "orderly unplug")
 			m.observeUnplug(ps)
 			return
 		default:
@@ -846,7 +861,7 @@ func (m *Master) fenced(msg *protocol.Message) bool {
 }
 
 // rejectFenced drops a frame from another epoch: counted, logged, never
-// routed to dispatchers or folds. A frame from a *newer* epoch also
+// posted to the loop or folded. A frame from a *newer* epoch also
 // means this master itself is stale (a resurrected old primary watching
 // the fleet move on) — worth the louder log line.
 func (m *Master) rejectFenced(ps *phoneState, msg *protocol.Message) {
@@ -874,69 +889,12 @@ func (m *Master) attemptLocked(ps *phoneState, id int64) *attemptRec {
 	return nil
 }
 
-// credit is the one door for reports: it pairs a result or failure frame
-// with its attempt, settles the attempt, traces and folds the report at
-// once, and only then tells whoever waits on the attempt — a dispatcher,
-// profileOne — through respCh, purely as a notice. A result folds whether
-// or not anyone still waits (first-result-wins: a late straggler result
-// counts if its key is still open). A failure spends a retry only for a
-// live attempt: a detached one always has a range, handed back when its
-// dispatcher let go, and whatever carries that now resumes from the
-// report's checkpoint if it is the furthest.
-func (m *Master) credit(ps *phoneState, msg *protocol.Message) {
-	m.mu.Lock()
-	rec := m.attemptLocked(ps, msg.Attempt)
-	if rec == nil {
-		m.mu.Unlock()
-		m.cfg.Metrics.Counter("cwc_frames_unexpected_total", "type", frameLabel(msg.Type)).Inc()
-		m.cfg.Logger.With("phone", ps.info.ID, "attempt", msg.Attempt).
-			Warnf("dropping report for an attempt this phone does not hold")
-		return
-	}
-	delete(m.attempts, msg.Attempt)
-	a, live := rec.a, rec.live
-	if !live && msg.Type == protocol.TypeFailure && !m.settledLocked(a.rng) {
-		m.keepCheckpointLocked(a.rng, msg.Checkpoint)
-	}
-	m.mu.Unlock()
-	ev := obs.SpanEvent{Job: a.item.jobID, Partition: a.partition, Phone: ps.info.ID}
-	switch {
-	case a.rng == nil:
-		// A profiling execution is part of no job: nothing to trace or fold.
-	case msg.Type == protocol.TypeResult:
-		ev.Kind = obs.KindResult
-		if !live {
-			// "late-result" on the round's timeline, so that "result" pairs
-			// with "assign" one to one there.
-			ev.Detail = "late"
-		}
-		m.trace(ev)
-		m.recordResult(a, msg, rec.ps)
-	case live:
-		// The saved checkpoint's offset rides in Bytes, which makes a job's
-		// span the migration record of paper §6: failure (saved) → assign
-		// "resume" (re-shipped) → result.
-		ev.Kind = obs.KindFailure
-		if msg.Checkpoint != nil {
-			ev.Bytes = msg.Checkpoint.Offset
-		}
-		m.trace(ev)
-		m.cfg.Logger.With("phone", ps.info.ID, "job", a.item.jobID).Warnf("failure report: %s", msg.Error)
-		m.recordFailure(a, msg)
-	}
-	if live {
-		select {
-		case rec.ps.respCh <- msg:
-		case <-m.stopped:
-		}
-	}
-}
-
 // keepalive implements the paper's offline-failure detector: a ping every
 // period, death after KeepaliveTolerance consecutive misses. Each wait is
 // jittered by ±10% so hundreds of phones registered in a burst do not
 // ping in lockstep forever.
 func (m *Master) keepalive(ps *phoneState) {
+	defer m.wg.Done()
 	rng := rand.New(rand.NewSource(int64(ps.info.ID) + 1))
 	timer := time.NewTimer(keepaliveJitter(m.cfg.KeepalivePeriod, rng))
 	defer timer.Stop()
@@ -956,17 +914,14 @@ func (m *Master) keepalive(ps *phoneState) {
 			if missed > m.cfg.KeepaliveTolerance {
 				m.cfg.Logger.With("phone", ps.info.ID).Warnf("missed %d keepalives: offline failure",
 					m.cfg.KeepaliveTolerance)
-				m.recordOffline(ps.info.ID, "keepalive",
-					fmt.Sprintf("%d consecutive misses", m.cfg.KeepaliveTolerance))
-				ps.markDead()
+				m.markDead(ps, "keepalive", fmt.Sprintf("%d consecutive misses", m.cfg.KeepaliveTolerance))
 				m.observeUnplug(ps)
 				return
 			}
 			seq++
 			m.cfg.Metrics.Counter("cwc_keepalive_pings_total").Inc()
 			if err := ps.conn.Send(&protocol.Message{Type: protocol.TypePing, Seq: seq}); err != nil {
-				m.recordOffline(ps.info.ID, "send-failed", err.Error())
-				ps.markDead()
+				m.markDead(ps, "send-failed", err.Error())
 				m.observeUnplug(ps)
 				return
 			}

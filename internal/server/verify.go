@@ -66,27 +66,29 @@ type voteGroup struct {
 	// against it.
 	winner   string
 	resolved bool
-	// tiePending marks an outstanding tie-break re-execution; its expiry
-	// goroutine owns cleanup if the arbiter never reports.
-	tiePending bool
+	// tie is the outstanding tie-break's attempt on arbiter (0: none),
+	// reclaimed at tieDue on the loop's timer if the arbiter never reports.
+	tie     int64
+	arbiter *phoneState
+	tieDue  time.Time
 }
 
-// recordResult folds a completed partition into its job — after the
-// verification layer has had its say. See finalizeResult for the fold
-// itself; verifyResult consumes the report when a digest mismatch or an
-// open vote group intercepts it.
-func (m *Master) recordResult(a assignment, resp *protocol.Message, ps *phoneState) {
-	if !m.verifyResult(a, resp, ps) {
-		m.finalizeResult(a, resp, ps)
+// recordResultLocked folds a completed partition into its job — after
+// the verification layer has had its say. See finalizeResultLocked for
+// the fold itself; verifyResultLocked consumes the report when a digest
+// mismatch or an open vote group intercepts it. Caller holds m.mu.
+func (m *Master) recordResultLocked(a assignment, resp *protocol.Message, ps *phoneState) {
+	if !m.verifyResultLocked(a, resp, ps) {
+		m.finalizeResultLocked(a, resp, ps)
 	}
 }
 
-// verifyResult is the verification layer's interception point: every
-// result report passes through here before it may fold. Returns true
-// when the report was consumed (folded via a vote, recorded as a
-// ballot, or rejected outright); false hands it to finalizeResult
-// unchanged.
-func (m *Master) verifyResult(a assignment, resp *protocol.Message, ps *phoneState) bool {
+// verifyResultLocked is the verification layer's interception point:
+// every result report passes through here before it may fold. Returns
+// true when the report was consumed (folded via a vote, recorded as a
+// ballot, or rejected outright); false hands it to finalizeResultLocked
+// unchanged. Caller holds m.mu.
+func (m *Master) verifyResultLocked(a assignment, resp *protocol.Message, ps *phoneState) bool {
 	computed := tasks.Digest(resp.Result)
 	if resp.Digest != computed {
 		// The payload was damaged between the worker's task output and
@@ -98,38 +100,32 @@ func (m *Master) verifyResult(a assignment, resp *protocol.Message, ps *phoneSta
 		m.sloObserve(sloVerify, false)
 		m.cfg.Logger.With("phone", ps.info.ID, "job", a.item.jobID, "partition", a.partition).
 			Warnf("result digest mismatch (claimed %.8s, computed %.8s); discarding", resp.Digest, computed)
-		m.mu.Lock()
 		m.reputationEventLocked(ps.info.ID, false, "digest mismatch")
-		m.mu.Unlock()
-		m.recordFailure(a, &protocol.Message{
+		m.recordFailureLocked(a, &protocol.Message{
 			Type: protocol.TypeFailure, Error: "result digest mismatch",
-			Epoch: m.Epoch(),
+			Epoch: m.epoch,
 		})
 		return true
 	}
 	// A digest that matched is one successful verification comparison,
 	// whatever the voting layer decides next.
 	m.sloObserve(sloVerify, true)
-	m.mu.Lock()
 	vg := m.votes[a.key]
 	if vg == nil {
 		if m.cfg.VerifyReplicas > 1 && a.rng.queued && !m.settledLocked(a.rng) {
 			// Voting is on but this key's group was swept (a straggler's
 			// late result racing its own requeue): the queued copy will
 			// re-execute under a fresh vote, so never fold unverified.
-			m.mu.Unlock()
 			m.cfg.Logger.With("job", a.item.jobID, "key", a.key).
 				Infof("late result dropped: range awaits re-verification")
 			return true
 		}
-		m.mu.Unlock()
 		return false
 	}
 	pid := ps.info.ID
 	if _, dup := vg.ballots[pid]; dup {
 		// A replayed frame from a phone that already voted; the
-		// settled-key dedupe in finalizeResult handles any fold.
-		m.mu.Unlock()
+		// settled-key dedupe in finalizeResultLocked handles any fold.
 		return false
 	}
 	vg.ballots[pid] = computed
@@ -146,15 +142,13 @@ func (m *Master) verifyResult(a assignment, resp *protocol.Message, ps *phoneSta
 		if len(vg.ballots) >= vg.need {
 			delete(m.votes, a.key)
 		}
-		m.mu.Unlock()
 		return true
 	}
 
 	if vg.audit && vg.folded == "" {
 		// Audit: the first result folds immediately; the echo compares.
 		vg.folded = computed
-		m.mu.Unlock()
-		m.finalizeResult(a, resp, ps)
+		m.finalizeResultLocked(a, resp, ps)
 		return true
 	}
 	if vg.audit && len(vg.ballots) == 2 {
@@ -167,10 +161,8 @@ func (m *Master) verifyResult(a assignment, resp *protocol.Message, ps *phoneSta
 	}
 	if counts[computed] >= vg.quorum {
 		m.resolveVoteLocked(a.key, vg, computed)
-		fold := !vg.audit // an audit group folded its first result already
-		m.mu.Unlock()
-		if fold {
-			m.finalizeResult(a, resp, ps)
+		if !vg.audit { // an audit group folded its first result already
+			m.finalizeResultLocked(a, resp, ps)
 		}
 		return true
 	}
@@ -182,12 +174,9 @@ func (m *Master) verifyResult(a assignment, resp *protocol.Message, ps *phoneSta
 			m.cfg.Logger.With("job", a.item.jobID, "key", a.key).
 				Warnf("audit mismatch: escalating to tie-break for blame")
 		}
-		m.mu.Unlock()
-		m.startTieBreak(a.key)
-		return true
+		m.startTieBreakLocked(a.key)
 	}
-	m.mu.Unlock()
-	return true // ballot recorded; more executions still due
+	return true // ballot recorded; more executions still due, or a tie-break
 }
 
 // resolveVoteLocked settles a vote group on the winning digest: winners
@@ -358,9 +347,9 @@ func (m *Master) planVerificationLocked(plans [][]assignment, inst *core.Instanc
 // Caller holds m.mu.
 func (m *Master) sweepVoteGroupsLocked() {
 	for key, vg := range m.votes {
-		if vg.tiePending && !vg.resolved {
+		if vg.tie != 0 && !vg.resolved {
 			// An arbiter is in flight (an audit group's key is settled yet
-			// still awaiting blame); its expiry goroutine owns cleanup.
+			// still awaiting blame); its expiry owns cleanup.
 			continue
 		}
 		if !vg.resolved {
@@ -370,58 +359,18 @@ func (m *Master) sweepVoteGroupsLocked() {
 	}
 }
 
-// startTieBreak re-executes a tied partition on the highest-reputation
-// phone that has not voted on it, registering a detached attempt whose
-// report credit resolves into the group. When no eligible phone exists the
-// range goes back to the queue for a fresh vote next round. It is called
-// on the read loop of the phone whose ballot tied the vote, so the arbiter
-// is only chosen here: the goroutine that owns the tie-break's expiry also
-// ships the assignment, and a slow arbiter link starves nobody's pongs.
-func (m *Master) startTieBreak(key int64) {
-	rec, attempt := m.armTieBreak(key)
-	if rec == nil {
-		return
-	}
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		for m.sendAssign(rec.ps, rec.a, attempt) != nil {
-			rec.ps.markDead()
-			m.mu.Lock()
-			delete(m.attempts, attempt)
-			if g := m.votes[key]; g != nil {
-				g.tiePending = false
-				g.need--
-			}
-			m.mu.Unlock()
-			if rec, attempt = m.armTieBreak(key); rec == nil {
-				return // no next-best arbiter
-			}
-		}
-		m.cfg.Logger.With("job", rec.a.item.jobID, "key", key, "phone", rec.ps.info.ID).
-			Infof("verification tie: re-executing on arbiter")
-		t := time.NewTimer(2 * m.assignmentDeadline(rec.a, rec.ps))
-		defer t.Stop()
-		select {
-		case <-t.C:
-			m.tieBreakExpired(key, attempt)
-		case <-m.stopped:
-		}
-	}()
-}
-
-// armTieBreak picks the arbiter for a tied vote group and registers its
-// attempt — detached from birth: no dispatcher waits on it. Nil means there
-// is nothing to send: the vote settled meanwhile, or no arbiter is left
-// and the range was re-queued.
-func (m *Master) armTieBreak(key int64) (*attemptRec, int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// startTieBreakLocked re-executes a tied partition on the
+// highest-reputation phone that has not voted on it, as an attempt no
+// window holds (credit resolves its report into the group) queued on the
+// arbiter's writer; the loop's timer expires it, and a dead arbiter's tie
+// goes to the next-best (dieLocked). With no eligible phone the range goes
+// back to the queue for a fresh vote next round. Caller holds m.mu.
+func (m *Master) startTieBreakLocked(key int64) {
 	vg := m.votes[key]
 	// An audit group's key is completed by construction (its first result
 	// folded); the tie-break still runs, for blame.
 	if vg == nil || vg.resolved || (!vg.audit && m.settledLocked(vg.a.rng)) {
-		return nil, 0
+		return
 	}
 	arb := m.pickArbiterLocked(vg)
 	if arb == nil {
@@ -429,41 +378,48 @@ func (m *Master) armTieBreak(key int64) (*attemptRec, int64) {
 		m.handBackLocked(vg.a.rng, "verification tie: no arbiter")
 		m.cfg.Logger.With("job", vg.a.item.jobID, "key", key).
 			Warnf("verification tie with no arbiter available; range re-queued")
-		return nil, 0
+		return
 	}
-	rec := &attemptRec{a: vg.a, ps: arb, live: false}
 	m.nextAttempt++
-	m.attempts[m.nextAttempt] = rec
-	vg.tiePending = true
+	m.attempts[m.nextAttempt] = &attemptRec{a: vg.a, ps: arb}
+	vg.tie, vg.arbiter, vg.tieDue = m.nextAttempt, arb, time.Time{}
 	vg.need++
-	return rec, m.nextAttempt
+	m.cfg.Logger.With("job", vg.a.item.jobID, "key", key, "phone", arb.info.ID).
+		Infof("verification tie: re-executing on arbiter")
+	m.queueLocked(arb, flight{a: vg.a, attempt: vg.tie})
 }
 
-// tieBreakExpired reclaims a tie-break whose arbiter never reported:
-// the group is dropped and the range re-queued for a fresh vote.
-func (m *Master) tieBreakExpired(key, attempt int64) {
-	m.mu.Lock()
-	vg := m.votes[key]
-	if vg == nil || vg.resolved || !vg.tiePending || (!vg.audit && m.settledLocked(vg.a.rng)) {
-		m.mu.Unlock()
+// tieBreakExpiredLocked is a tie-break's expiry: an arbiter that never
+// reported has its group dropped and the range re-queued for a fresh
+// vote. Caller holds m.mu.
+func (m *Master) tieBreakExpiredLocked(key int64, vg *voteGroup) {
+	attempt := vg.tie
+	vg.tie, vg.tieDue = 0, time.Time{}
+	if vg.resolved || (!vg.audit && m.settledLocked(vg.a.rng)) {
 		return
 	}
 	delete(m.attempts, attempt)
 	delete(m.votes, key)
 	m.handBackLocked(vg.a.rng, "verification tie-break expired")
-	m.mu.Unlock()
 	m.cfg.Logger.With("job", vg.a.item.jobID, "key", key).
 		Warnf("tie-break arbiter never reported; range re-queued")
 }
 
 // pickArbiterLocked selects the tie-break phone: alive, not quarantined,
-// not draining, and not already a voter — highest reputation first, ties
-// by lowest ID for determinism. Caller holds m.mu.
+// not draining, not already a voter and not arbitrating another tie (which
+// bounds its writer's queue) — highest reputation first, ties by lowest ID
+// for determinism. Caller holds m.mu.
 func (m *Master) pickArbiterLocked(vg *voteGroup) *phoneState {
+	arbitrating := map[*phoneState]bool{}
+	for _, g := range m.votes {
+		if g.tie != 0 && m.attempts[g.tie] != nil {
+			arbitrating[g.arbiter] = true
+		}
+	}
 	var best *phoneState
 	var bestRep float64
 	for id, ps := range m.phones {
-		if !ps.alive() || m.quarantined[id] {
+		if !ps.alive() || m.quarantined[id] || arbitrating[ps] {
 			continue
 		}
 		if _, voted := vg.ballots[id]; voted {

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,42 +24,15 @@ import (
 
 // autoResponder serves every assignment on a fake phone with plausible
 // results for the counting tasks.
-func autoResponder(f *fakePhone) {
-	for {
-		if err := f.conn.SetReadDeadline(time.Now().Add(30 * time.Second)); err != nil {
-			return
-		}
-		msg, err := f.conn.Recv()
-		if err != nil {
-			return
-		}
-		if msg.Type != protocol.TypeAssign {
-			continue
-		}
-		var ck tasks.Checkpoint
-		if msg.Resume != nil {
-			ck = *msg.Resume
-		}
-		task, err := tasks.New(msg.Task, msg.Params)
-		if err != nil {
-			continue
-		}
-		res, err := task.Process(context.Background(), msg.Input, &ck)
-		if err != nil {
-			continue
-		}
-		_ = f.conn.Send(&protocol.Message{Type: protocol.TypeResult,
-			JobID: msg.JobID, Partition: msg.Partition, Attempt: msg.Attempt,
-			Result: res, Digest: tasks.Digest(res), ExecMs: 1, ProcessedKB: float64(len(msg.Input)) / 1024})
-	}
-}
+func autoResponder(f *fakePhone) { respond(f, false, nil) }
 
-// failFirstResponder fails the first assignment it receives with an
-// uncheckpointed TypeFailure (exercising whole-partition migration) and
-// then serves normally — though the master marks the phone dead on the
-// failure, so "then" rarely comes.
-func failFirstResponder(f *fakePhone) {
-	failed := false
+// respond serves assignments on a fake phone like autoResponder. If
+// failFirst, it fails the first with an uncheckpointed TypeFailure
+// (exercising whole-partition migration) and then serves normally — though
+// the master marks the phone dead on the failure, so "then" rarely comes.
+// It calls hold (if set) before each reply, so a test can order replies
+// across phones.
+func respond(f *fakePhone, failFirst bool, hold func()) {
 	for {
 		if err := f.conn.SetReadDeadline(time.Now().Add(30 * time.Second)); err != nil {
 			return
@@ -70,8 +44,11 @@ func failFirstResponder(f *fakePhone) {
 		if msg.Type != protocol.TypeAssign {
 			continue
 		}
-		if !failed {
-			failed = true
+		if hold != nil {
+			hold()
+		}
+		if failFirst {
+			failFirst = false
 			_ = f.conn.Send(&protocol.Message{Type: protocol.TypeFailure,
 				JobID: msg.JobID, Partition: msg.Partition, Attempt: msg.Attempt,
 				Error: "induced crash"})
@@ -409,16 +386,102 @@ func TestRoundRecordFailureAbortsRound(t *testing.T) {
 // byte-identical to the uncrashed run. The live segment holds a job split
 // at least three ways and a range that migrates, so cuts land between a
 // record that defines a byte range and the records that refer to it.
+//
+// The run is recorded twice: the failure is credited before the round's
+// results in one and after them in the other, so its migration record
+// lands first among them and last. Left to the scheduler, that order — and
+// with it every later record boundary — varies from run to run. Every cut
+// of either log is applied to both.
 func TestWALCrashRecoveryEveryTruncation(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	runs := []crashRun{recordCrashRun(t, ctx, true), recordCrashRun(t, ctx, false)}
+	if len(runs[0].seg) != len(runs[1].seg) {
+		t.Fatalf("live segments of %d and %d bytes; the orderings must log the same records",
+			len(runs[0].seg), len(runs[1].seg))
+	}
+	for id, res := range runs[0].want {
+		if !bytes.Equal(runs[1].want[id], res) {
+			t.Fatalf("job %d aggregate depends on report order: %q vs %q", id, res, runs[1].want[id])
+		}
+	}
+
+	// Kill points: the empty log, every record boundary, and a point
+	// inside every record (a torn tail).
+	seen := map[int64]bool{0: true}
+	cuts := []int64{0}
+	for _, r := range runs {
+		for _, b := range r.bounds {
+			for _, cut := range []int64{b - 3, b} { // b-3 lands inside the record ending at b
+				if !seen[cut] {
+					seen[cut] = true
+					cuts = append(cuts, cut)
+				}
+			}
+		}
+	}
+	slices.Sort(cuts)
+
+	for _, cut := range cuts {
+		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
+			for _, r := range runs {
+				t.Run(r.name, func(t *testing.T) { r.recoverAt(t, ctx, cut) })
+			}
+		})
+	}
+}
+
+// crashRun is one recorded run of the kill-anywhere harness: its snapshot
+// and live segment, the segment's record boundaries, where each job's
+// submit record ends, and the uncrashed run's aggregates.
+type crashRun struct {
+	name              string
+	snapName, segName string
+	snap, seg         []byte
+	snapState         walState
+	bounds            []int64
+	submitEnd         map[int]int64
+	want              map[int][]byte
+}
+
+// recordCrashRun records the harness's run, with the flaky phone's failure
+// credited before every result of its round if failFirst, else after them.
+func recordCrashRun(t *testing.T, ctx context.Context, failFirst bool) crashRun {
+	t.Helper()
 	dir := t.TempDir()
 	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncAlways})
 	a := startMaster(t, Config{WAL: wl})
-	for i := 0; i < 3; i++ {
-		go autoResponder(dialFake(t, a, "HTC G2", 806))
-	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
+	// A held reply waits until the master has no attempt out on the flaky
+	// phone (onFlaky) or on the others; each attempt is dropped in the step
+	// that credits it, which logs its record.
+	const flakyModel = "Nexus S"
+	none := func(onFlaky bool) func() {
+		return func() {
+			for end := time.Now().Add(10 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
+				a.mu.Lock()
+				busy := false
+				for _, rec := range a.attempts {
+					busy = busy || (rec.ps.info.Model == flakyModel) == onFlaky
+				}
+				a.mu.Unlock()
+				if !busy {
+					return
+				}
+			}
+		}
+	}
+	var holdOthers, holdFlaky func()
+	name := "failure-last"
+	if failFirst {
+		name, holdOthers = "failure-first", none(true)
+	} else {
+		holdFlaky = none(false)
+	}
+	for i := 0; i < 3; i++ {
+		go respond(dialFake(t, a, "HTC G2", 806), false, holdOthers)
+	}
 
 	// Deterministic workloads: counting aggregates are independent of how
 	// the input is partitioned or re-partitioned after a crash.
@@ -448,8 +511,7 @@ func TestWALCrashRecoveryEveryTruncation(t *testing.T) {
 	}
 	// A phone that fails mid-round: its partition migrates through a
 	// walRecMigrate record in the live segment.
-	flaky := dialFake(t, a, "Nexus S", 1000)
-	go failFirstResponder(flaky)
+	go respond(dialFake(t, a, flakyModel, 1000), true, holdFlaky)
 
 	ids := []int{id1, id2, id3}
 	want := map[int][]byte{}
@@ -496,8 +558,6 @@ func TestWALCrashRecoveryEveryTruncation(t *testing.T) {
 		t.Fatal("live segment is empty; harness is vacuous")
 	}
 
-	// Jobs acknowledged before the cut: those in the snapshot plus those
-	// whose submit record survives the truncation whole.
 	var snapState walState
 	if err := json.Unmarshal(snapBytes, &snapState); err != nil {
 		t.Fatal(err)
@@ -536,78 +596,85 @@ func TestWALCrashRecoveryEveryTruncation(t *testing.T) {
 			t.Fatalf("live segment never exercised record type %d (types seen: %v)", typ, sawTypes)
 		}
 	}
+	// First among its round's records, the migration follows the round
+	// record; last, the next round record follows it.
+	mi := slices.IndexFunc(recs, func(r wal.Record) bool { return r.Type == walRecMigrate })
+	ordered := mi > 0 && recs[mi-1].Type == walRecRound
+	if !failFirst {
+		ordered = mi+1 < len(recs) && recs[mi+1].Type == walRecRound
+	}
+	if !ordered {
+		t.Fatalf("%s: the migration record is not where the held replies put it (record %d of %d)", name, mi, len(recs))
+	}
+	return crashRun{name: name, snapName: filepath.Base(snaps[0]), segName: filepath.Base(segs[0]),
+		snap: snapBytes, seg: segBytes, snapState: snapState, bounds: bounds, submitEnd: submitEnd, want: want}
+}
 
-	// Kill points: the empty log, every record boundary, and a point
-	// inside every record (a torn tail).
-	cuts := []int64{0}
-	for _, b := range bounds {
-		cuts = append(cuts, b-3, b) // b-3 lands inside the record ending at b
+// recoverAt restarts a master from r's log cut at byte cut, as if killed
+// there: no acknowledged job may be lost, and every job must finish again
+// with the uncrashed run's aggregate.
+func (r crashRun) recoverAt(t *testing.T, ctx context.Context, cut int64) {
+	cdir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(cdir, r.snapName), r.snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cdir, r.segName), r.seg[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cwl := openWAL(t, cdir, wal.Options{Sync: wal.SyncAlways})
+	m := startMaster(t, Config{WAL: cwl})
+	if err := m.RecoverWAL(); err != nil {
+		t.Fatalf("recovery failed: %v", err)
 	}
 
-	for _, cut := range cuts {
-		cut := cut
-		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
-			cdir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(cdir, filepath.Base(snaps[0])), snapBytes, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(cdir, filepath.Base(segs[0])), segBytes[:cut], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			cwl := openWAL(t, cdir, wal.Options{Sync: wal.SyncAlways})
-			m := startMaster(t, Config{WAL: cwl})
-			if err := m.RecoverWAL(); err != nil {
-				t.Fatalf("recovery failed: %v", err)
-			}
-
-			known := map[int]bool{}
-			for _, j := range snapState.Jobs {
-				known[j.ID] = true
-			}
-			for id, end := range submitEnd {
-				if end <= cut {
-					known[id] = true
-				}
-			}
-			m.mu.Lock()
-			for id := range known {
-				if _, ok := m.jobs[id]; !ok {
-					m.mu.Unlock()
-					t.Fatalf("acknowledged job %d lost", id)
-				}
-			}
+	// Jobs acknowledged before the cut: those in the snapshot plus those
+	// whose submit record survives the truncation whole.
+	known := map[int]bool{}
+	for _, j := range r.snapState.Jobs {
+		known[j.ID] = true
+	}
+	for id, end := range r.submitEnd {
+		if end <= cut {
+			known[id] = true
+		}
+	}
+	m.mu.Lock()
+	for id := range known {
+		if _, ok := m.jobs[id]; !ok {
 			m.mu.Unlock()
+			t.Fatalf("acknowledged job %d lost", id)
+		}
+	}
+	m.mu.Unlock()
 
-			unfinished := 0
+	unfinished := 0
+	for id := range known {
+		if _, ok := m.Result(id); !ok {
+			unfinished++
+		}
+	}
+	if unfinished > 0 {
+		p := dialFake(t, m, "HTC G2", 806)
+		go autoResponder(p)
+		for round := 0; round < 20 && unfinished > 0; round++ {
+			if _, err := m.RunRound(ctx); err != nil {
+				t.Fatalf("post-recovery round: %v", err)
+			}
+			unfinished = 0
 			for id := range known {
 				if _, ok := m.Result(id); !ok {
 					unfinished++
 				}
 			}
-			if unfinished > 0 {
-				p := dialFake(t, m, "HTC G2", 806)
-				go autoResponder(p)
-				for round := 0; round < 20 && unfinished > 0; round++ {
-					if _, err := m.RunRound(ctx); err != nil {
-						t.Fatalf("post-recovery round: %v", err)
-					}
-					unfinished = 0
-					for id := range known {
-						if _, ok := m.Result(id); !ok {
-							unfinished++
-						}
-					}
-				}
-				if unfinished > 0 {
-					t.Fatalf("%d recovered jobs never finished", unfinished)
-				}
-			}
-			for id := range known {
-				got, _ := m.Result(id)
-				if !bytes.Equal(got, want[id]) {
-					t.Fatalf("job %d aggregate = %q, want %q (byte-identical to uncrashed run)", id, got, want[id])
-				}
-			}
-		})
+		}
+		if unfinished > 0 {
+			t.Fatalf("%d recovered jobs never finished", unfinished)
+		}
+	}
+	for id := range known {
+		got, _ := m.Result(id)
+		if !bytes.Equal(got, r.want[id]) {
+			t.Fatalf("job %d aggregate = %q, want %q (byte-identical to uncrashed run)", id, got, r.want[id])
+		}
 	}
 }

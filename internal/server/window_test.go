@@ -133,17 +133,20 @@ func (h *windowHarness) firstRound(script func(running, prefetched *protocol.Mes
 	return rep, pair
 }
 
-// checkSettled asserts what every exit path owes: no attempt is left
-// with a dispatcher supposedly waiting on it, no key is queued twice, and
+// checkSettled asserts what every exit path owes: the loop's windows hold
+// no attempt and no round's work, no key is queued twice, and
 // every job not yet finished is queued exactly as it was handed out —
 // same resume state, same partition number, one retry spent.
 func (h *windowHarness) checkSettled(open ...int) {
 	h.t.Helper()
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
-	for id, rec := range h.m.attempts {
-		if rec.live {
-			h.t.Errorf("attempt %d (job %d) still live after its dispatcher returned", id, rec.a.item.jobID)
+	for ps, w := range h.m.wins {
+		for _, f := range w.win {
+			h.t.Errorf("attempt %d (job %d) still live on phone %d after the round returned", f.attempt, f.a.item.jobID, ps.info.ID)
+		}
+		if w.rnd != nil {
+			h.t.Errorf("phone %d's window still feeds a round that returned", ps.info.ID)
 		}
 	}
 	queued := map[int]*workItem{}
