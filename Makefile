@@ -103,13 +103,14 @@ bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
 
-# One iteration of each packer benchmark (18x150, 50x500, 128x512) and
-# of each task kernel's Process benchmark, so they keep compiling and
-# finishing; it measures nothing, but the kernels' allocs/op land in the
-# log.
+# One iteration of each packer benchmark (18x150, 50x500, 128x512), of
+# each task kernel's Process benchmark and of each frame benchmark, so
+# they keep compiling and finishing; it measures nothing, but the
+# kernels' and the frames' allocs/op land in the log.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Greedy -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench Process -benchmem -benchtime 1x ./internal/tasks/
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/protocol/
 
 # The pre-PR gate: everything that must be green before a change ships.
 # Files gofmt would rewrite are listed and fail it. The census is printed

@@ -72,3 +72,26 @@ func BenchmarkFrameThroughput64KB(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRecvRecycled64KB is the receive side of the frames above, each
+// message recycled once read, as a worker's frame loop and executor do:
+// allocs/op is what a phone pays per 64 KB assignment it receives.
+func BenchmarkRecvRecycled64KB(b *testing.B) {
+	a, c := benchConnPair(b)
+	msg := &Message{Type: TypeAssign, Task: "primecount", Input: make([]byte, 64<<10)}
+	go func() {
+		for a.Send(msg) == nil {
+		}
+	}()
+	c.Recycle(&Message{Type: TypeWelcome})
+	b.SetBytes(64 << 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := c.Recv()
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Recycle(m)
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -133,8 +134,9 @@ type WorkerEvent struct {
 // Payload, Params, Input, Result and the State of Resume and Checkpoint
 // are not part of the JSON header: they ride after it as raw sections
 // (see rawSections), and Recv hands them out as sub-slices of one
-// receive buffer. A received message therefore owns its byte fields, but
-// they share a backing array — holding one keeps the whole frame alive.
+// receive buffer. A received message therefore owns its byte fields until
+// it is recycled (Conn.Recycle), but they share a backing array — holding
+// one keeps the whole frame alive.
 type Message struct {
 	Type Type `json:"type"`
 
@@ -339,6 +341,17 @@ const maxPooledFrame = 8 << 20
 // Recvs; headers are a few hundred bytes, a telemetry batch a few KB.
 const maxHeaderScratch = 64 << 10
 
+// maxRecycled is how many recycled receive buffers a Conn keeps: a
+// worker's dispatch window holds two assignments, a tie-break arbiter's
+// one more, and a chunked transfer one chunk frame. None is larger than
+// maxPooledFrame.
+const maxRecycled = 4
+
+// maxLent is how many received messages a recycling Conn remembers as
+// holding one of its buffers. Past it the oldest is forgotten: recycling
+// that message later only clears its fields, and its buffer is garbage.
+const maxLent = 2 * maxRecycled
+
 // frame encodes m into e.buf as [4B length][4B header length][header]
 // [sections] and returns the bytes, valid until e is reused.
 func (e *encoder) frame(m *Message) ([]byte, error) {
@@ -394,7 +407,8 @@ func (e *encoder) frame(m *Message) ([]byte, error) {
 
 // Conn wraps a net.Conn with frame encoding. Sends are serialized by a
 // mutex so multiple goroutines (writer, keepaliver) can share it;
-// Recv must be called from a single reader goroutine.
+// Recv must be called from a single reader goroutine. Recycle may be
+// called from any goroutine.
 type Conn struct {
 	c  net.Conn
 	r  *bufio.Reader
@@ -404,6 +418,104 @@ type Conn struct {
 	// decoded (JSON decoding copies what it keeps), owned by the single
 	// reader.
 	rbuf []byte
+
+	bufs recycler
+}
+
+// recycler carries frame bodies from Recycle, on whichever goroutine is
+// done with a message, back to Recv on the reader's. It is off — Recv
+// remembers nothing it hands out — until the connection's first Recycle.
+type recycler struct {
+	mu   sync.Mutex
+	on   bool     // guarded by mu
+	free [][]byte // guarded by mu; at most maxRecycled
+	lent []loan   // guarded by mu; at most maxLent, oldest first
+}
+
+// loan is a body buffer Recv handed out in m's byte fields.
+type loan struct {
+	m   *Message
+	buf []byte
+}
+
+// take removes and returns the smallest free buffer that holds n bytes,
+// or nil when none does.
+func (r *recycler) take(n int) []byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	best := -1
+	for i, b := range r.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(r.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	b := r.free[best]
+	r.free = slices.Delete(r.free, best, best+1)
+	return b
+}
+
+// lend remembers that m's byte fields live in buf, once recycling is on.
+func (r *recycler) lend(m *Message, buf []byte) {
+	if cap(buf) > maxPooledFrame {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.on {
+		return
+	}
+	if len(r.lent) == maxLent {
+		r.lent = slices.Delete(r.lent, 0, 1)
+	}
+	r.lent = append(r.lent, loan{m, buf})
+}
+
+// Recycle tells the connection that m, a message its Recv returned, is
+// done with: m's byte fields (Resume.State and Checkpoint.State included)
+// are cleared, and the buffer they lived in may receive a later frame.
+// Nothing may still hold a sub-slice of them. Recycling a message this
+// connection did not lend, or no longer remembers, or has already taken
+// back only clears its fields. A connection whose owner never calls
+// Recycle reads every frame into a buffer of its own, as if this method
+// did not exist.
+//
+// Up to maxRecycled buffers are kept; when full, a larger buffer replaces
+// the smallest, so the kept ones grow toward the largest frames. A frame
+// that no kept buffer holds is read into a fresh one.
+func (c *Conn) Recycle(m *Message) {
+	m.Payload, m.Params, m.Input, m.Result = nil, nil, nil, nil
+	if m.Resume != nil {
+		m.Resume.State = nil
+	}
+	if m.Checkpoint != nil {
+		m.Checkpoint.State = nil
+	}
+	r := &c.bufs
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.on = true
+	i := slices.IndexFunc(r.lent, func(l loan) bool { return l.m == m })
+	if i < 0 {
+		return
+	}
+	buf := r.lent[i].buf
+	r.lent = slices.Delete(r.lent, i, i+1)
+	if len(r.free) < maxRecycled {
+		r.free = append(r.free, buf)
+		return
+	}
+	small := 0
+	for j, b := range r.free {
+		if cap(b) < cap(r.free[small]) {
+			small = j
+		}
+	}
+	if cap(buf) > cap(r.free[small]) {
+		r.free[small] = buf
+	}
 }
 
 // NewConn wraps an established connection. For TCP connections it enables
@@ -463,7 +575,10 @@ func (c *Conn) readN(buf []byte, n int) ([]byte, error) {
 }
 
 // Recv reads one frame. The returned message's byte fields are
-// sub-slices of one buffer read for this frame alone.
+// sub-slices of one buffer holding this frame alone, which the message
+// owns until it is recycled: a buffer Recycle handed back when one holds
+// the frame, else a fresh one. A recycled buffer is memory already
+// committed, so readN's guard against a hostile length still holds.
 func (c *Conn) Recv() (*Message, error) {
 	var pre [8]byte
 	if _, err := io.ReadFull(c.r, pre[:4]); err != nil {
@@ -530,10 +645,11 @@ func (c *Conn) Recv() (*Message, error) {
 		if (lens[secResumeState] > 0 && m.Resume == nil) || (lens[secCheckpointState] > 0 && m.Checkpoint == nil) {
 			return nil, fmt.Errorf("checkpoint state section without its checkpoint: %w", ErrCorrupt)
 		}
-		body, err := c.readN(nil, raw)
+		body, err := c.readN(c.bufs.take(raw), raw)
 		if err != nil {
 			return nil, fmt.Errorf("protocol: reading frame body: %w", err)
 		}
+		c.bufs.lend(m, body)
 		for i, l := range lens {
 			if l > 0 {
 				// Capacity stops at the section's end: appending to one

@@ -118,12 +118,16 @@ func (s *Shipper) BindMaster(m *server.Master) {
 // Ship implements server.ReplicaSink: enqueue one appended record to
 // every attached standby. Called with the master's state lock held, so
 // it must never block — a standby whose queue is full is cut loose and
-// reconnects for a fresh snapshot.
+// reconnects for a fresh snapshot. With no standby attached the record
+// is counted and not copied.
 func (s *Shipper) Ship(typ uint8, payload []byte) {
-	frame := wal.EncodeRecord(typ, payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.shipped++
+	if len(s.subs) == 0 {
+		return
+	}
+	frame := wal.EncodeRecord(typ, payload)
 	for sub := range s.subs {
 		select {
 		case sub.ch <- frame:

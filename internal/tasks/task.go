@@ -70,7 +70,8 @@ type Task interface {
 	// Process runs the task over input, resuming from ck. On success it
 	// returns the result. If ctx is canceled it saves its state into ck
 	// and returns ErrInterrupted. Implementations must treat input as
-	// read-only.
+	// read-only, and neither the result nor ck.State may alias it: a
+	// worker reuses input's memory once the attempt has reported.
 	Process(ctx context.Context, input []byte, ck *Checkpoint) ([]byte, error)
 }
 

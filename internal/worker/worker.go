@@ -193,6 +193,13 @@ func appendChunk(input, chunk []byte, total int64) []byte {
 	return append(input, chunk...)
 }
 
+// received is an assignment on its way to the executor, with the
+// connection whose receive buffer holds its byte fields.
+type received struct {
+	m    *protocol.Message
+	conn *protocol.Conn
+}
+
 // maxUnsent bounds the buffer of reports awaiting a reconnect; beyond it
 // the oldest information is simply lost (the server re-queues the work).
 const maxUnsent = 32
@@ -371,11 +378,14 @@ func (p *Phone) Run(ctx context.Context) error {
 	// the queue's bound guards against a misbehaving server. The executor
 	// outlives individual connections so a task running through a
 	// disconnect still finishes and its result is replayed after the rejoin.
-	assignQ := make(chan *protocol.Message, 16)
+	// Once an assignment has reported, its receive buffer goes back to the
+	// connection it arrived on, for a later frame.
+	assignQ := make(chan received, 16)
 	defer close(assignQ)
 	go func() {
-		for m := range assignQ {
-			p.execute(ctx, m)
+		for a := range assignQ {
+			p.execute(ctx, a.m)
+			a.conn.Recycle(a.m)
 		}
 	}()
 
@@ -451,7 +461,7 @@ func (p *Phone) currentEpoch() int64 {
 // runConn serves one connection to the master: dial, hello (a rejoin
 // hello when the phone held an identity before), then the frame loop.
 // registered reports whether a Welcome arrived on this connection.
-func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net.Conn, error), assignQ chan *protocol.Message, handshake time.Duration) (registered bool, err error) {
+func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net.Conn, error), assignQ chan received, handshake time.Duration) (registered bool, err error) {
 	raw, err := dial(ctx)
 	if err != nil {
 		p.event(protocol.EventDial, "", 0, 0, 0, 0, "fail: "+err.Error())
@@ -518,18 +528,22 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 			Error: why,
 		})
 	}
+	// enqueue hands an assignment to the executor, which recycles it once
+	// it has reported; an assignment it refuses is recycled here.
 	enqueue := func(m *protocol.Message) {
+		// Read before the hand-off: from then on the executor owns m.
+		span, job, part, n := m.Span, m.JobID, m.Partition, int64(len(m.Input))
 		select {
-		case assignQ <- m:
+		case assignQ <- received{m, conn}:
 			p.mu.Lock()
 			p.statAssignments++
 			p.mu.Unlock()
-			p.event(protocol.EventAssignRecv, m.Span, m.JobID, m.Partition,
-				int64(len(m.Input)), 0, "")
+			p.event(protocol.EventAssignRecv, span, job, part, n, 0, "")
 		default:
 			// Queue overflow: a runaway server; refuse the work rather
 			// than buffer unboundedly.
 			refuse(m, "worker assignment queue full")
+			conn.Recycle(m)
 		}
 	}
 
@@ -608,25 +622,27 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 				// First frame of a chunked transfer.
 				if m.TotalLen > maxAssignBytes {
 					refuse(m, fmt.Sprintf("impossible assignment length %d", m.TotalLen))
-					continue
+					break
 				}
 				m.Input = appendChunk(nil, m.Input, m.TotalLen)
 				assembling[partKey{m.JobID, m.Partition}] = m
-				continue
+				continue // its params and resume state stay in its frame
 			}
 			enqueue(m)
+			continue
 		case protocol.TypeAssignChunk:
 			p.addTransfer(len(m.Input))
 			key := partKey{m.JobID, m.Partition}
 			pend, ok := assembling[key]
 			if !ok {
 				refuse(m, "unexpected assignment chunk")
-				continue
+				break
 			}
 			if int64(len(pend.Input)+len(m.Input)) > pend.TotalLen {
 				delete(assembling, key)
 				refuse(pend, "assignment chunk overflow")
-				continue
+				conn.Recycle(pend)
+				break
 			}
 			// The one copy a chunked input byte makes on this side: out
 			// of its frame's receive buffer, into the assembled input.
@@ -666,6 +682,9 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 		default:
 			// Unknown frames are ignored for forward compatibility.
 		}
+		// Every frame not held above has been answered or copied out. The
+		// first of them, the welcome, switches recycling on.
+		conn.Recycle(m)
 	}
 }
 
@@ -707,7 +726,8 @@ func (p *Phone) flushUnsent(conn *protocol.Conn) {
 
 // execute runs one assigned partition and reports the outcome. Reports go
 // through the reconnect-aware path: if the connection died while the task
-// ran, the report is buffered and replayed after the rejoin.
+// ran, the report is buffered and replayed after the rejoin. No report
+// holds any of m's byte fields: m is recycled once execute returns.
 func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 	taskCtx, cancel := context.WithCancel(ctx)
 	sink := p.checkpointSink(m)
@@ -750,7 +770,9 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 		return
 	}
 	if drained {
-		fail(m.Resume, drainedReason)
+		// A copy, as on every other path: the report may wait in unsent
+		// long after m's buffer has received another frame.
+		fail(m.Resume.Clone(), drainedReason)
 		return
 	}
 

@@ -18,6 +18,7 @@ import (
 type fakeServer struct {
 	t    *testing.T
 	conn *protocol.Conn
+	raw  net.Conn // conn's transport, for frames encoded ahead of time
 }
 
 // startWorker wires a worker to a fake server over net.Pipe and runs it.
@@ -38,7 +39,7 @@ func startWorker(t *testing.T, cfg Config) (*Phone, *fakeServer, context.CancelF
 			t.Logf("worker exited: %v", err)
 		}
 	}()
-	fs := &fakeServer{t: t, conn: protocol.NewConn(serverSide)}
+	fs := &fakeServer{t: t, conn: protocol.NewConn(serverSide), raw: serverSide}
 	t.Cleanup(func() {
 		cancel()
 		fs.conn.Close()
