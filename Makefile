@@ -93,7 +93,7 @@ byzantine:
 # JSONL and timeline under $$CWC_ARTIFACT_DIR when it is set.
 obs-chaos:
 	$(GO) test ./internal/cluster/ -run 'TestObsChaos|TestObsDisabledNeutrality' -race -count=1 -v
-	$(GO) test ./internal/server/ -run 'TestFoldTelemetry|TestIngestWorkerStats|TestTimeline|TestRoundEvents' -race -count=1 -v
+	$(GO) test ./internal/server/ -run 'TestFoldTelemetry|TestWorkerRestartNeverRegressesMasterCounters|TestTimeline|TestRoundEvents' -race -count=1 -v
 	$(GO) test ./internal/obs/ -race -count=1
 
 # The benchmark is a module of its own (bench/go.mod), so the root's
@@ -140,6 +140,7 @@ census:
 	@echo "make check prerequisites: $$(sed -n 's/^check://p' Makefile | wc -w)"
 	@echo "goroutine spawn sites:  $$(grep -hE '^\s*go ' --exclude='*_test.go' internal/server/*.go | wc -l) (non-test go statements in internal/server)"
 	@echo "m.mu.Lock() sites:      $$(grep -h --exclude='*_test.go' 'm\.mu\.Lock()' internal/server/*.go | wc -l) (non-test, internal/server)"
+	@echo "//lint:ignore lines:    $$(grep -rhE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=bench '^\s*//lint:ignore ' . | wc -l) (non-test, non-testdata directives)"
 	@echo "wall-clock call sites:  $$(grep -rE 'time\.(Now|Since|Sleep|After|AfterFunc|NewTimer|NewTicker)\(' internal/server internal/worker internal/replica --include='*.go' | grep -vc '_test\.go:') (server/worker/replica)"
 
 bench:

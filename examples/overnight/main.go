@@ -73,9 +73,9 @@ func main() {
 
 	pauses := 0
 	for i, w := range c.Workers {
-		fmt.Printf("  phone %d: battery %5.1f%%, throttle pauses %d\n",
-			i, w.BatteryPercent(), w.ThrottlePauses())
-		pauses += w.ThrottlePauses()
+		n := w.Stats().ThrottlePauses
+		fmt.Printf("  phone %d: battery %5.1f%%, throttle pauses %d\n", i, w.BatteryPercent(), n)
+		pauses += n
 	}
 	if pauses > 0 {
 		fmt.Println("the MIMD throttler paused task execution to protect charging")

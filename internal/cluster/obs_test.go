@@ -107,7 +107,14 @@ func TestObsAdminPlaneLiveCluster(t *testing.T) {
 		t.Errorf("/healthz = %d %q", code, body)
 	}
 
-	// /metrics: a real catalog, not a token gesture.
+	// /metrics: a real catalog, not a token gesture. A worker's span
+	// events ride the frame after its report, so the last exec_finish may
+	// land just after the result it belongs to.
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if reg.Counter("cwc_telemetry_events_total", "kind", "exec_finish").Value() > 0 {
+			break
+		}
+	}
 	body, code = httpGet(t, base+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
@@ -133,7 +140,7 @@ func TestObsAdminPlaneLiveCluster(t *testing.T) {
 		"cwc_results_total",
 		"cwc_failures_total",
 		"cwc_requeues_total",
-		`cwc_worker_exec_ms{phone=`,
+		`cwc_telemetry_events_total{kind="exec_finish"}`,
 	} {
 		if !strings.Contains(text, must) {
 			t.Errorf("/metrics missing %q", must)

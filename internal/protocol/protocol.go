@@ -221,46 +221,11 @@ type Message struct {
 	// (replication disabled).
 	Epoch int64 `json:"epoch,omitempty"`
 
-	// Stats is the worker's cumulative self-metering, piggybacked on
-	// pong and result frames so the master can aggregate fleet-wide
-	// metrics without any extra connections or frames. Purely
-	// observational.
-	Stats *WorkerStats `json:"stats,omitempty"`
-
 	// Telemetry frames: the batched worker-side span events, and how
-	// many events the worker's bounded buffer dropped (cumulative) —
-	// backpressure is visible, never silent.
+	// many events the worker's bounded buffer dropped since its last
+	// telemetry frame went out — backpressure is visible, never silent.
 	Events  []WorkerEvent `json:"events,omitempty"`
 	Dropped int64         `json:"dropped,omitempty"`
-}
-
-// WorkerStats is a worker's cumulative (monotonic) self-metering,
-// snapshotted onto outgoing pong/result frames. All fields count since
-// the worker process started. A frame therefore supersedes every
-// earlier frame from the same process — but NOT frames from a previous
-// process that held the same phone ID: after a reconnect identity
-// takeover by a restarted worker, counters restart from zero. The
-// master handles that by monotone folding (see server.ingestWorkerStats):
-// when a snapshot regresses, the previous totals are folded into a
-// per-phone base, so the published per-phone series never move
-// backwards and nothing is lost across restarts. Overflow is not a
-// practical concern (float64 ms and int counters at phone-scale rates),
-// and the fold would absorb a wrapped counter the same way.
-type WorkerStats struct {
-	// ExecMs is total task execution wall time.
-	ExecMs float64 `json:"exec_ms,omitempty"`
-	// TransferKB is total assignment input received (assign + chunks).
-	TransferKB float64 `json:"transfer_kb,omitempty"`
-	// ThrottlePauses counts MIMD charging-throttle holds.
-	ThrottlePauses int `json:"throttle_pauses,omitempty"`
-	// Reconnects counts successful re-registrations after a lost
-	// connection.
-	Reconnects int `json:"reconnects,omitempty"`
-	// CkptFrames / CkptKB count streamed mid-execution checkpoints.
-	CkptFrames int     `json:"ckpt_frames,omitempty"`
-	CkptKB     float64 `json:"ckpt_kb,omitempty"`
-	// Assignments counts partitions accepted for execution.
-	Assignments int `json:"assignments,omitempty"`
 }
 
 // MaxFrameSize bounds a single frame (everything after the length

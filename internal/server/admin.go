@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"cwc/internal/obs"
-	"cwc/internal/protocol"
 )
 
 // This file is the master's admin plane: the HTTP endpoints bound at
@@ -96,74 +95,10 @@ func registerMasterMetrics(r *obs.Registry) {
 	r.Help("cwc_frames_unexpected_total", "frames no worker should send, and reports naming no attempt or an attempt nobody knows; dropped")
 	r.Help("cwc_telemetry_events_total", "worker span events folded into the trace ring, by kind")
 	r.Help("cwc_telemetry_unknown_total", "worker span events of a kind this master does not know (version skew)")
-	r.Help("cwc_telemetry_dropped", "per-phone cumulative telemetry events lost to the worker's bounded buffer")
 	r.Help("cwc_slo_good_total", "SLO observations within objective, by SLO name")
 	r.Help("cwc_slo_bad_total", "SLO observations burning error budget, by SLO name")
 	r.Help("cwc_slo_error_rate", "rolling-window bad fraction per SLO")
 	r.Help("cwc_slo_burn", "rolling-window burn rate per SLO (error rate over target; 1.0 spends budget exactly on time)")
-}
-
-// workerMeter is one phone's self-metering: last is the newest raw
-// snapshot from the current worker incarnation, base the folded sum of
-// every prior incarnation.
-type workerMeter struct{ base, last protocol.WorkerStats }
-
-// total is what /statusz and the per-phone gauges publish.
-func (w workerMeter) total() protocol.WorkerStats { return statsAdd(w.base, w.last) }
-
-// ingestWorkerStats folds a worker's piggybacked cumulative counters
-// into the phone's meter. Counters are cumulative per worker *process*:
-// a restarted worker that takes its identity back over restarts them
-// from zero, so a later frame can regress. The dying incarnation's last
-// snapshot is folded into the base whenever a regression proves a
-// restart — the published series (gauges and /statusz) stay monotone
-// and no completed work is ever un-counted.
-func (m *Master) ingestWorkerStats(phoneID int, s *protocol.WorkerStats) {
-	m.mu.Lock()
-	w := m.workerStats[phoneID]
-	if statsRegressed(w.last, *s) {
-		w.base = statsAdd(w.base, w.last)
-	}
-	w.last = *s
-	m.workerStats[phoneID] = w
-	m.mu.Unlock()
-	total := w.total()
-	id := strconv.Itoa(phoneID)
-	r := m.cfg.Metrics
-	for fam, v := range map[string]float64{
-		"cwc_worker_exec_ms":         total.ExecMs,
-		"cwc_worker_transfer_kb":     total.TransferKB,
-		"cwc_worker_throttle_pauses": float64(total.ThrottlePauses),
-		"cwc_worker_reconnects":      float64(total.Reconnects),
-		"cwc_worker_ckpt_frames":     float64(total.CkptFrames),
-		"cwc_worker_ckpt_kb":         total.CkptKB,
-		"cwc_worker_assignments":     float64(total.Assignments),
-	} {
-		//lint:ignore metrics the phone label is bounded by fleet size, not by traffic
-		r.Gauge(fam, "phone", id).Set(v)
-	}
-}
-
-// statsRegressed reports whether cur moved backwards relative to prev on
-// any cumulative field — the signature of a worker process restart.
-func statsRegressed(prev, cur protocol.WorkerStats) bool {
-	return cur.ExecMs < prev.ExecMs || cur.TransferKB < prev.TransferKB ||
-		cur.ThrottlePauses < prev.ThrottlePauses || cur.Reconnects < prev.Reconnects ||
-		cur.CkptFrames < prev.CkptFrames || cur.CkptKB < prev.CkptKB ||
-		cur.Assignments < prev.Assignments
-}
-
-// statsAdd sums two cumulative snapshots field-wise.
-func statsAdd(a, b protocol.WorkerStats) protocol.WorkerStats {
-	return protocol.WorkerStats{
-		ExecMs:         a.ExecMs + b.ExecMs,
-		TransferKB:     a.TransferKB + b.TransferKB,
-		ThrottlePauses: a.ThrottlePauses + b.ThrottlePauses,
-		Reconnects:     a.Reconnects + b.Reconnects,
-		CkptFrames:     a.CkptFrames + b.CkptFrames,
-		CkptKB:         a.CkptKB + b.CkptKB,
-		Assignments:    a.Assignments + b.Assignments,
-	}
 }
 
 // SchedAssignment is one dispatched partition in a SchedSnapshot: the
@@ -350,15 +285,14 @@ type statusEstimate struct {
 }
 
 type statusPhone struct {
-	ID          int                   `json:"id"`
-	Model       string                `json:"model"`
-	CPUMHz      float64               `json:"cpu_mhz"`
-	RAMMB       int                   `json:"ram_mb"`
-	Alive       bool                  `json:"alive"`
-	BMsPerKB    float64               `json:"b_ms_per_kb"`
-	MissedPings int                   `json:"missed_pings"`
-	Worker      *protocol.WorkerStats `json:"worker,omitempty"`
-	Estimates   []statusEstimate      `json:"estimates,omitempty"`
+	ID          int              `json:"id"`
+	Model       string           `json:"model"`
+	CPUMHz      float64          `json:"cpu_mhz"`
+	RAMMB       int              `json:"ram_mb"`
+	Alive       bool             `json:"alive"`
+	BMsPerKB    float64          `json:"b_ms_per_kb"`
+	MissedPings int              `json:"missed_pings"`
+	Estimates   []statusEstimate `json:"estimates,omitempty"`
 	// DrainState is the proactive-drain ledger entry: "started",
 	// "completed", or absent when the phone is not draining.
 	DrainState string `json:"drain_state,omitempty"`
@@ -456,7 +390,6 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		drain       string
 		rep         *float64
 		quarantined bool
-		worker      *protocol.WorkerStats
 	}
 	rows := make([]phoneRow, 0, len(m.phones))
 	for _, ps := range m.phones {
@@ -471,10 +404,6 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		if r, ok := m.reputation[ps.info.ID]; ok {
 			rep := r
 			row.rep = &rep
-		}
-		if w, ok := m.workerStats[ps.info.ID]; ok {
-			total := w.total()
-			row.worker = &total
 		}
 		rows = append(rows, row)
 	}
@@ -494,7 +423,6 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 			MissedPings: row.missed, DrainState: row.drain,
 			ChargeSessions: m.windows.Sessions(row.info.ID),
 			Reputation:     row.rep, Quarantined: row.quarantined,
-			Worker: row.worker,
 		}
 		if rem, ok := m.windows.RemainingMs(row.info.ID, now, drainQuantile); ok {
 			r := rem

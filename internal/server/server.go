@@ -400,10 +400,6 @@ type Master struct {
 	offline   []OfflineFailure // guarded by mu
 	ckptFolds int              // guarded by mu; streamed checkpoints accepted (monotonic, for tests/ops)
 
-	// workerStats is each phone's self-metering, monotone across worker
-	// restarts; see workerMeter and ingestWorkerStats.
-	workerStats map[int]workerMeter // guarded by mu
-
 	// windows learns each phone's charge-window distribution from
 	// observed plug/unplug events (internally synchronized; queried
 	// without m.mu).
@@ -469,7 +465,6 @@ func New(cfg Config) *Master {
 		attempts:    map[int64]*attemptRec{},
 		wins:        map[*phoneState]*window{},
 		inputs:      make(chan any),
-		workerStats: map[int]workerMeter{},
 		votes:       map[int64]*voteGroup{},
 		windows:     windows,
 		slos:        registerMasterSLOs(),
@@ -755,9 +750,6 @@ func (m *Master) readLoop(ps *phoneState) {
 			return
 		}
 		m.cfg.Metrics.Counter("cwc_frames_received_total", "type", frameLabel(msg.Type)).Inc()
-		if msg.Stats != nil {
-			m.ingestWorkerStats(ps.info.ID, msg.Stats)
-		}
 		switch msg.Type {
 		case protocol.TypePong:
 			ps.mu.Lock()

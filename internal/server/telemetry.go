@@ -68,11 +68,11 @@ func (m *Master) sloObserve(name string, good bool) {
 // across a standby promotion lands with its original regime visible.
 func (m *Master) foldTelemetry(ps *phoneState, msg *protocol.Message) {
 	if msg.Dropped > 0 {
-		// Cumulative per-phone drop count; a gauge because the worker
-		// reports a running total, not a delta.
-		//lint:ignore metrics the phone label is bounded by fleet size, not by traffic
-		m.cfg.Metrics.Gauge("cwc_telemetry_dropped", "phone", strconv.Itoa(ps.info.ID)).
-			Set(float64(msg.Dropped))
+		// The events the phone's buffer evicted since its last shipped
+		// frame: a delta, so a worker restart cannot move the sum back.
+		m.cfg.Metrics.Counter("cwc_telemetry_dropped_total").Add(msg.Dropped)
+		m.cfg.Logger.With("phone", ps.info.ID, "dropped", msg.Dropped).
+			Warnf("worker dropped telemetry events to its buffer bound")
 	}
 	for _, ev := range msg.Events {
 		// Classify the kind once. Span-scoped events anchor to a job's

@@ -1,72 +1,144 @@
 package server
 
 import (
-	"strconv"
+	"bytes"
+	"context"
+	"net"
 	"testing"
 	"time"
 
 	"cwc/internal/obs"
 	"cwc/internal/protocol"
+	"cwc/internal/tasks"
 )
 
-// TestIngestWorkerStatsMonotoneFolding covers the restart seam: a
-// worker's piggybacked counters are cumulative per process, so a
-// reconnect identity takeover restarts them from zero. The master must
-// fold the dying incarnation's last snapshot into a base so the
-// published per-phone series never regress.
-func TestIngestWorkerStatsMonotoneFolding(t *testing.T) {
-	m := New(Config{})
-	const phone = 3
+// checkpointThenResult serves every assignment on conn the way a worker
+// with checkpoint streaming does: one streamed checkpoint after the
+// first line, then the result.
+func checkpointThenResult(conn *protocol.Conn) {
+	for {
+		msg, err := conn.Recv()
+		if err != nil {
+			return
+		}
+		if msg.Type != protocol.TypeAssign {
+			continue // pings and checkpoint acks
+		}
+		task, err := tasks.New(msg.Task, msg.Params)
+		if err != nil {
+			continue
+		}
+		ck := &tasks.Checkpoint{}
+		if _, err := task.Process(context.Background(), msg.Input[:bytes.IndexByte(msg.Input, '\n')+1], ck); err != nil {
+			continue
+		}
+		_ = conn.Send(&protocol.Message{Type: protocol.TypeCheckpoint,
+			JobID: msg.JobID, Partition: msg.Partition, Attempt: msg.Attempt,
+			Checkpoint: ck, Digest: ck.Digest()})
+		res, err := task.Process(context.Background(), msg.Input, &tasks.Checkpoint{})
+		if err != nil {
+			continue
+		}
+		_ = conn.Send(&protocol.Message{Type: protocol.TypeResult,
+			JobID: msg.JobID, Partition: msg.Partition, Attempt: msg.Attempt,
+			Result: res, Digest: tasks.Digest(res), ExecMs: 1, ProcessedKB: float64(len(msg.Input)) / 1024})
+	}
+}
 
-	get := func() protocol.WorkerStats {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.workerStats[phone].total()
+// TestWorkerRestartNeverRegressesMasterCounters: a phone's worker process
+// restarts and takes its identity back. What the admin plane publishes
+// about the phone's work is counted by the master, one event at a time,
+// so the restart can move no series backwards and loses nothing: the
+// new process's drop report adds to the old one's.
+func TestWorkerRestartNeverRegressesMasterCounters(t *testing.T) {
+	m := startMaster(t, Config{})
+	r := m.cfg.Metrics
+	names := []string{"cwc_results_total", "cwc_exec_ms_count", "cwc_checkpoint_frames_total", "cwc_telemetry_dropped_total"}
+	read := func() []int64 {
+		return []int64{r.Counter(names[0]).Value(), r.Histogram("cwc_exec_ms").Count(),
+			r.Counter(names[2]).Value(), r.Counter(names[3]).Value()}
+	}
+	last := read()
+	// settle waits until the telemetry frames sent so far are folded, then
+	// checks that no series moved backwards since the last stage.
+	settle := func(stage string, dropped int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for read()[3] < dropped && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		now := read()
+		for i, name := range names {
+			if now[i] < last[i] {
+				t.Errorf("%s: %s went from %d to %d", stage, name, last[i], now[i])
+			}
+		}
+		if now[3] != dropped {
+			t.Fatalf("%s: cwc_telemetry_dropped_total = %d, want %d", stage, now[3], dropped)
+		}
+		last = now
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	round := func(stage string) {
+		t.Helper()
+		if _, err := m.Submit(tasks.PrimeCount{}, []byte("2\n3\n4\n5\n"), false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.RunRound(ctx); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+	}
+	telemetry := func(c *protocol.Conn, dropped int64) {
+		t.Helper()
+		if err := c.Send(&protocol.Message{Type: protocol.TypeTelemetry, Dropped: dropped,
+			Events: []protocol.WorkerEvent{{TSMs: 1, Kind: protocol.EventThrottlePause}}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// First incarnation counts up.
-	m.ingestWorkerStats(phone, &protocol.WorkerStats{ExecMs: 100, Assignments: 2, CkptFrames: 1})
-	m.ingestWorkerStats(phone, &protocol.WorkerStats{ExecMs: 250, Assignments: 5, CkptFrames: 3, TransferKB: 7})
-	if got := get(); got.ExecMs != 250 || got.Assignments != 5 {
-		t.Fatalf("pre-restart totals = %+v", got)
+	// The old process: results, streamed checkpoints, and 5 dropped events.
+	old := dialFake(t, m, "HTC G2", 806)
+	go checkpointThenResult(old.conn)
+	round("old process")
+	telemetry(old.conn, 5)
+	settle("old process", 5)
+	if last[0] == 0 || last[1] == 0 || last[2] == 0 {
+		t.Fatalf("old process left %v = %v; want every series counted", names, last)
 	}
 
-	// Restart: the next snapshot regresses on every field. The published
-	// totals must keep the 250ms/5 assignments and add the new process's.
-	m.ingestWorkerStats(phone, &protocol.WorkerStats{ExecMs: 10, Assignments: 1})
-	got := get()
-	if got.ExecMs != 260 || got.Assignments != 6 || got.CkptFrames != 3 || got.TransferKB != 7 {
-		t.Fatalf("post-restart totals = %+v, want fold of 250/5/3/7 + 10/1", got)
+	// The new process rejoins under the same ID and model; its counts
+	// start from zero, and it reports 2 dropped events of its own.
+	raw, err := net.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// The new incarnation keeps counting; no double-fold.
-	m.ingestWorkerStats(phone, &protocol.WorkerStats{ExecMs: 40, Assignments: 2, ThrottlePauses: 1})
-	got = get()
-	if got.ExecMs != 290 || got.Assignments != 7 || got.ThrottlePauses != 1 {
-		t.Fatalf("second-incarnation totals = %+v", got)
+	fresh := protocol.NewConn(raw)
+	defer fresh.Close()
+	if err := fresh.Send(&protocol.Message{Type: protocol.TypeHello, Model: "HTC G2",
+		CPUMHz: 806, RAMMB: 512, Rejoin: true, PhoneID: old.id}); err != nil {
+		t.Fatal(err)
 	}
-
-	// A second restart folds again.
-	m.ingestWorkerStats(phone, &protocol.WorkerStats{})
-	m.ingestWorkerStats(phone, &protocol.WorkerStats{ExecMs: 5})
-	got = get()
-	if got.ExecMs != 295 || got.Assignments != 7 || got.CkptFrames != 3 {
-		t.Fatalf("third-incarnation totals = %+v", got)
+	_ = fresh.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if w, err := fresh.Recv(); err != nil || w.Type != protocol.TypeWelcome || w.PhoneID != old.id {
+		t.Fatalf("rejoin welcome = %+v, %v; want phone %d back", w, err, old.id)
 	}
-
-	// The published gauges track the folded totals.
-	if v := m.cfg.Metrics.Gauge("cwc_worker_exec_ms", "phone", strconv.Itoa(phone)).Value(); v != 295 {
-		t.Fatalf("exec_ms gauge = %v, want 295", v)
-	}
-	if v := m.cfg.Metrics.Gauge("cwc_worker_assignments", "phone", strconv.Itoa(phone)).Value(); v != 7 {
-		t.Fatalf("assignments gauge = %v, want 7", v)
+	_ = fresh.SetReadDeadline(time.Time{})
+	telemetry(fresh, 2)
+	settle("rejoin", 7)
+	go checkpointThenResult(fresh)
+	before := last[0]
+	round("new process")
+	settle("new process", 7)
+	if last[0] <= before {
+		t.Errorf("the new process's results were not counted: cwc_results_total stayed %d", last[0])
 	}
 }
 
 // TestFoldTelemetry exercises the master's telemetry frame fold: events
 // land in the trace ring tagged with the originating phone, orphan
 // spans are counted, unknown kinds survive version skew, and the
-// worker-reported drop counter is published.
+// worker-reported drops are added to the fleet-wide counter.
 func TestFoldTelemetry(t *testing.T) {
 	tracer := obs.NewTracer(64)
 	m := New(Config{Tracer: tracer})
@@ -113,8 +185,8 @@ func TestFoldTelemetry(t *testing.T) {
 	if v := r.Counter("cwc_telemetry_unknown_total").Value(); v != 1 {
 		t.Fatalf("unknown-kind counter = %d, want 1", v)
 	}
-	if v := r.Gauge("cwc_telemetry_dropped", "phone", strconv.Itoa(phone)).Value(); v != 4 {
-		t.Fatalf("dropped gauge = %v, want 4", v)
+	if v := r.Counter("cwc_telemetry_dropped_total").Value(); v != 4 {
+		t.Fatalf("dropped counter = %d, want 4", v)
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 // maxTelemetryEvents bounds the buffer of span events awaiting a
 // shipping opportunity; beyond it new events are counted as dropped
 // rather than growing without bound on a phone that cannot reach the
-// master. The cumulative drop count rides every telemetry frame, so
-// backpressure is visible on the master, never silent.
+// master. The count of events dropped since the last shipped frame rides
+// the next telemetry frame, so backpressure is visible on the master,
+// never silent.
 const maxTelemetryEvents = 256
 
 // event mints one worker-side span event. Events land in the bounded
@@ -56,9 +57,9 @@ func (p *Phone) event(kind protocol.EventKind, span string, job, part int, bytes
 // telemetry never costs its own connection or wakeup. A failed send
 // re-buffers the batch (the connection is dying; the events will ride
 // the next regime's first opportunity), evicting oldest-first against
-// the bound. The frame carries no fencing epoch on purpose: telemetry
-// must survive a failover — each event carries the epoch it was minted
-// under instead.
+// the bound, and keeps its drop count for the next frame. The frame
+// carries no fencing epoch on purpose: telemetry must survive a failover
+// — each event carries the epoch it was minted under instead.
 func (p *Phone) shipTelemetry(conn *protocol.Conn) {
 	p.mu.Lock()
 	if !p.telemetry || len(p.telEvents) == 0 {
@@ -72,15 +73,18 @@ func (p *Phone) shipTelemetry(conn *protocol.Conn) {
 	err := conn.Send(&protocol.Message{
 		Type: protocol.TypeTelemetry, Events: batch, Dropped: dropped,
 	})
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if err == nil {
+		// Drops counted while the frame was on the wire ride the next one
+		// (a welcome that stopped telemetry meanwhile has zeroed them all).
+		p.telDropped = max(0, p.telDropped-dropped)
 		return
 	}
-	p.mu.Lock()
 	combined := append(batch, p.telEvents...)
 	if over := len(combined) - maxTelemetryEvents; over > 0 {
 		combined = combined[over:]
 		p.telDropped += int64(over)
 	}
 	p.telEvents = combined
-	p.mu.Unlock()
 }

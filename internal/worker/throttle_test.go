@@ -104,7 +104,7 @@ func TestWorkerWithChargingEmulationCompletesTasks(t *testing.T) {
 	}
 	// The throttler should have held the task back at least once while
 	// the battery was below full.
-	if w.ThrottlePauses() == 0 {
+	if w.Stats().ThrottlePauses == 0 {
 		t.Error("task ran with no throttling pauses")
 	}
 }
@@ -117,8 +117,8 @@ func TestWorkerWithoutChargingReportsDefaults(t *testing.T) {
 	if w.BatteryPercent() != -1 {
 		t.Errorf("BatteryPercent = %v without emulation", w.BatteryPercent())
 	}
-	if w.ThrottlePauses() != 0 {
-		t.Errorf("ThrottlePauses = %d without emulation", w.ThrottlePauses())
+	if n := w.Stats().ThrottlePauses; n != 0 {
+		t.Errorf("ThrottlePauses = %d without emulation", n)
 	}
 }
 

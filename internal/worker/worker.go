@@ -225,7 +225,8 @@ type Phone struct {
 	epoch          int64                  // guarded by mu; master regime from the last welcome (0 = untracked)
 	telemetry      bool                   // guarded by mu; the last welcome asked for worker telemetry
 	telEvents      []protocol.WorkerEvent // guarded by mu; span events awaiting a shipping opportunity
-	telDropped     int64                  // guarded by mu; cumulative events dropped to the buffer bound
+	telDropped     int64                  // guarded by mu; events dropped to the buffer bound since the last shipped frame
+	stats          Stats                  // guarded by mu; ThrottlePauses is read off the throttle instead
 
 	registered chan struct{} // closed once Welcome arrives
 	regOnce    sync.Once
@@ -235,46 +236,46 @@ type Phone struct {
 	// byzRng drives Byzantine misbehaviour decisions. It is touched only
 	// by the single executor goroutine, so it needs no lock.
 	byzRng *rand.Rand
+}
 
-	// Cumulative self-metering, snapshotted onto outgoing pong/result
-	// frames so the master aggregates fleet-wide metrics without extra
-	// connections.
-	statExecMs      float64 // guarded by mu
-	statTransferKB  float64 // guarded by mu
-	statReconnects  int     // guarded by mu
-	statCkptFrames  int     // guarded by mu
-	statCkptKB      float64 // guarded by mu
-	statAssignments int     // guarded by mu
+// Stats is a worker's cumulative self-metering since its process
+// started, for the embedding program to read in-process. It never goes
+// on the wire: the master counts what it observes itself, and learns the
+// rest from span events.
+type Stats struct {
+	// ExecMs is total task execution wall time.
+	ExecMs float64
+	// TransferKB is total assignment input received (assign + chunks).
+	TransferKB float64
+	// ThrottlePauses counts MIMD charging-throttle holds.
+	ThrottlePauses int
+	// Reconnects counts successful re-registrations after a lost
+	// connection.
+	Reconnects int
+	// CkptFrames and CkptKB count streamed mid-execution checkpoints.
+	CkptFrames int
+	CkptKB     float64
+	// Assignments counts partitions accepted for execution.
+	Assignments int
 }
 
 // addTransfer meters received assignment input bytes.
 func (p *Phone) addTransfer(n int) {
 	p.mu.Lock()
-	p.statTransferKB += float64(n) / 1024
+	p.stats.TransferKB += float64(n) / 1024
 	p.mu.Unlock()
 }
 
-// statsSnapshot builds the piggyback stats frame field.
-func (p *Phone) statsSnapshot() *protocol.WorkerStats {
+// Stats returns the worker's cumulative self-metering.
+func (p *Phone) Stats() Stats {
 	p.mu.Lock()
-	s := &protocol.WorkerStats{
-		ExecMs:      p.statExecMs,
-		TransferKB:  p.statTransferKB,
-		Reconnects:  p.statReconnects,
-		CkptFrames:  p.statCkptFrames,
-		CkptKB:      p.statCkptKB,
-		Assignments: p.statAssignments,
-	}
+	s := p.stats
 	p.mu.Unlock()
 	if p.throttle != nil {
 		s.ThrottlePauses = p.throttle.Pauses()
 	}
 	return s
 }
-
-// Stats returns the worker's cumulative self-metering (what the last
-// piggybacked frame would carry).
-func (p *Phone) Stats() protocol.WorkerStats { return *p.statsSnapshot() }
 
 // New creates a worker; call Run to connect and serve.
 func New(cfg Config) (*Phone, error) {
@@ -308,15 +309,6 @@ func (p *Phone) BatteryPercent() float64 {
 		return -1
 	}
 	return p.throttle.Percent()
-}
-
-// ThrottlePauses reports how many times the MIMD controller held task
-// execution back (0 when charging emulation is off).
-func (p *Phone) ThrottlePauses() int {
-	if p.throttle == nil {
-		return 0
-	}
-	return p.throttle.Pauses()
 }
 
 // ID returns the server-assigned phone ID (valid after WaitRegistered).
@@ -536,7 +528,7 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 		select {
 		case assignQ <- received{m, conn}:
 			p.mu.Lock()
-			p.statAssignments++
+			p.stats.Assignments++
 			p.mu.Unlock()
 			p.event(protocol.EventAssignRecv, span, job, part, n, 0, "")
 		default:
@@ -590,7 +582,7 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 			p.ckptUnacked = 0
 			p.lastAttempt, p.drainedThrough = 0, 0
 			if rejoin {
-				p.statReconnects++
+				p.stats.Reconnects++
 			}
 			p.mu.Unlock()
 			registered = true
@@ -599,12 +591,7 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 			// them with their dispatch attempts.
 			p.flushUnsent(conn)
 		case protocol.TypePing:
-			// Pongs piggyback the worker's cumulative self-metering so the
-			// master's metrics stay fresh even between reports.
-			pong := &protocol.Message{
-				Type: protocol.TypePong, Seq: m.Seq, Stats: p.statsSnapshot(),
-			}
-			if err := conn.Send(pong); err != nil {
+			if err := conn.Send(&protocol.Message{Type: protocol.TypePong, Seq: m.Seq}); err != nil {
 				return registered, err
 			}
 			// Piggyback buffered span events on the keepalive cadence.
@@ -813,7 +800,6 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 			Result:      payload,
 			Digest:      digest,
 			ProcessedKB: float64(len(m.Input)) / 1024,
-			Stats:       p.statsSnapshot(),
 		})
 		p.maybeLeave()
 		return
@@ -827,7 +813,7 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 	spent := func() time.Duration {
 		elapsed := time.Since(start)
 		p.mu.Lock()
-		p.statExecMs += float64(elapsed) / float64(time.Millisecond)
+		p.stats.ExecMs += float64(elapsed) / float64(time.Millisecond)
 		p.mu.Unlock()
 		return elapsed
 	}
@@ -869,7 +855,6 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 			Digest:      digest,
 			ExecMs:      float64(elapsed) / float64(time.Millisecond),
 			ProcessedKB: float64(len(m.Input)) / 1024,
-			Stats:       p.statsSnapshot(),
 		})
 		p.maybeLeave()
 	case errors.Is(err, tasks.ErrInterrupted):
@@ -1014,8 +999,8 @@ func (p *Phone) checkpointSink(m *protocol.Message) *tasks.CheckpointSink {
 					p.ckptUnacked--
 				}
 			} else {
-				p.statCkptFrames++
-				p.statCkptKB += float64(len(ck.State)+8) / 1024
+				p.stats.CkptFrames++
+				p.stats.CkptKB += float64(len(ck.State)+8) / 1024
 			}
 			p.mu.Unlock()
 			if err == nil {
