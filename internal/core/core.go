@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Job is one schedulable unit of work. When re-scheduling failed work the
@@ -75,7 +76,8 @@ func (inst *Instance) Validate() error {
 	if len(inst.C) != len(inst.Phones) {
 		return fmt.Errorf("core: C has %d rows, want %d phones", len(inst.C), len(inst.Phones))
 	}
-	seenPhone := map[int]bool{}
+	ids := make([]int, max(len(inst.Phones), len(inst.Jobs)))
+	dupPhone := firstDuplicate(ids[:len(inst.Phones)], func(i int) int { return inst.Phones[i].ID })
 	for i, p := range inst.Phones {
 		if p.BMsPerKB <= 0 {
 			return fmt.Errorf("core: phone %d has non-positive b_i %v", p.ID, p.BMsPerKB)
@@ -86,10 +88,9 @@ func (inst *Instance) Validate() error {
 		if p.AvailMs < 0 || math.IsNaN(p.AvailMs) {
 			return fmt.Errorf("core: phone %d has invalid availability window %v", p.ID, p.AvailMs)
 		}
-		if seenPhone[p.ID] {
+		if i == dupPhone {
 			return fmt.Errorf("core: duplicate phone ID %d", p.ID)
 		}
-		seenPhone[p.ID] = true
 		if len(inst.C[i]) != len(inst.Jobs) {
 			return fmt.Errorf("core: C row %d has %d cols, want %d jobs", i, len(inst.C[i]), len(inst.Jobs))
 		}
@@ -99,31 +100,51 @@ func (inst *Instance) Validate() error {
 			}
 		}
 	}
-	seenJob := map[int]bool{}
-	for _, j := range inst.Jobs {
+	dupJob := firstDuplicate(ids[:len(inst.Jobs)], func(j int) int { return inst.Jobs[j].ID })
+	for k, j := range inst.Jobs {
 		if j.InputKB <= 0 {
 			return fmt.Errorf("core: job %d has non-positive input %v KB", j.ID, j.InputKB)
 		}
 		if j.ExecKB < 0 {
 			return fmt.Errorf("core: job %d has negative executable size", j.ID)
 		}
-		if seenJob[j.ID] {
+		if k == dupJob {
 			return fmt.Errorf("core: duplicate job ID %d", j.ID)
 		}
-		seenJob[j.ID] = true
 	}
 	return nil
+}
+
+// firstDuplicate returns the smallest k < len(scratch) whose id(k)
+// repeats an earlier one, or -1. It overwrites scratch.
+func firstDuplicate(scratch []int, id func(int) int) int {
+	n := len(scratch)
+	for k := range scratch {
+		scratch[k] = id(k)
+	}
+	slices.Sort(scratch)
+	if len(slices.Compact(scratch)) == n {
+		return -1
+	}
+	// Some ID repeats: find where it first does (the error path).
+	for k := 1; k < n; k++ {
+		for l := range k {
+			if id(l) == id(k) {
+				return k
+			}
+		}
+	}
+	return -1
 }
 
 // Cost returns the time (ms) for phone index i to fetch and execute sizeKB
 // of job index j's input, including the executable shipping cost when
 // withExec is set — Equation 1 of the paper.
 func (inst *Instance) Cost(i, j int, sizeKB float64, withExec bool) float64 {
-	p := inst.Phones[i]
-	job := inst.Jobs[j]
-	cost := sizeKB * (p.BMsPerKB + inst.C[i][j])
+	b := inst.Phones[i].BMsPerKB
+	cost := sizeKB * (b + inst.C[i][j])
 	if withExec {
-		cost += job.ExecKB * p.BMsPerKB
+		cost += inst.Jobs[j].ExecKB * b
 	}
 	return cost
 }
@@ -171,16 +192,25 @@ func (s *Schedule) PhoneSpans(inst *Instance) []float64 {
 	spans := make([]float64, len(inst.Phones))
 	shipped := make([]bool, len(inst.Jobs)) // the current phone's row
 	for i, asgs := range s.PerPhone {
-		for _, a := range asgs {
-			withExec := !shipped[a.Job]
-			shipped[a.Job] = true
-			spans[i] += inst.Cost(a.Phone, a.Job, a.SizeKB, withExec)
-		}
-		for _, a := range asgs {
-			shipped[a.Job] = false
-		}
+		spans[i] = span(inst, asgs, shipped)
 	}
 	return spans
+}
+
+// span is one phone's busy time over its assignment list. shipped is a
+// cleared per-job row; span marks in it which executables the phone has
+// received, and clears it again.
+func span(inst *Instance, asgs []Assignment, shipped []bool) float64 {
+	t := 0.0
+	for _, a := range asgs {
+		withExec := !shipped[a.Job]
+		shipped[a.Job] = true
+		t += inst.Cost(a.Phone, a.Job, a.SizeKB, withExec)
+	}
+	for _, a := range asgs {
+		shipped[a.Job] = false
+	}
+	return t
 }
 
 // Evaluate recomputes the makespan of the schedule under the instance's

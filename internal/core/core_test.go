@@ -85,6 +85,24 @@ func TestValidateCatchesBadInstances(t *testing.T) {
 	}
 }
 
+// TestValidateNamesFirstDuplicate: the error names the ID whose repeat
+// comes first in instance order, not the smallest repeated ID.
+func TestValidateNamesFirstDuplicate(t *testing.T) {
+	inst := randInstance(rand.New(rand.NewSource(1)), 3, 5)
+	for j, id := range []int{9, 4, 7, 9, 4} {
+		inst.Jobs[j].ID = id
+	}
+	if err := inst.Validate(); err == nil || err.Error() != "core: duplicate job ID 9" {
+		t.Errorf("jobs 9 4 7 9 4: got %v, want duplicate job ID 9", err)
+	}
+	for i, id := range []int{8, 2, 2} {
+		inst.Phones[i].ID = id
+	}
+	if err := inst.Validate(); err == nil || err.Error() != "core: duplicate phone ID 2" {
+		t.Errorf("phones 8 2 2: got %v, want duplicate phone ID 2", err)
+	}
+}
+
 func TestCostEquationOne(t *testing.T) {
 	inst := oneByOne(2, 3, 10, 100, false)
 	// E*b + L*(b+c) = 10*2 + 100*(2+3) = 520.

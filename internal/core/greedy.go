@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // MinPartitionKB is the smallest input partition the packer creates, the
@@ -12,6 +13,10 @@ const MinPartitionKB = 1.0
 
 // capacityEps absorbs floating-point noise in capacity comparisons.
 const capacityEps = 1e-9
+
+// relTolerance stops the capacity binary search once the bracket is
+// within this relative width.
+const relTolerance = 1e-4
 
 // Greedy schedules the instance with CWC's algorithm: the complementary
 // bin-packing greedy (Algorithm 1) inside a binary search over bin
@@ -24,9 +29,6 @@ func Greedy(inst *Instance) (*Schedule, error) {
 
 // GreedyOptions tune the scheduler; the zero value reproduces the paper.
 type GreedyOptions struct {
-	// RelTolerance stops the capacity binary search when the bracket is
-	// within this relative width. Default 1e-4.
-	RelTolerance float64
 	// FixedCapacity skips the binary search and packs at the given
 	// capacity directly (an ablation). Zero means search.
 	FixedCapacity float64
@@ -37,11 +39,8 @@ func GreedyOpt(inst *Instance, opt GreedyOptions) (*Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.RelTolerance <= 0 {
-		opt.RelTolerance = 1e-4
-	}
-
 	p := newPacker(inst)
+	defer p.release()
 	if opt.FixedCapacity > 0 {
 		sched, ok := p.packWithCapacity(opt.FixedCapacity)
 		if !ok {
@@ -56,22 +55,20 @@ func GreedyOpt(inst *Instance, opt GreedyOptions) (*Schedule, error) {
 		lb = 0
 	}
 
-	best, ok := p.packWithCapacity(ub)
-	if !ok {
+	if !p.run(ub) {
 		return nil, ErrInfeasible
 	}
-	hi := best.Makespan
+	hi := p.keep()
 	lo := lb
-	for hi-lo > opt.RelTolerance*hi+0.5 {
+	for hi-lo > relTolerance*hi+0.5 {
 		c := (lo + hi) / 2
-		if sched, ok := p.packWithCapacity(c); ok {
-			best = sched
-			hi = math.Min(c, sched.Makespan)
+		if p.run(c) {
+			hi = math.Min(c, p.keep())
 		} else {
 			lo = c
 		}
 	}
-	return best, nil
+	return p.schedule(), nil
 }
 
 // UpperBoundCapacity is the paper's trivial upper bound: every item packed
@@ -81,8 +78,8 @@ func UpperBoundCapacity(inst *Instance) float64 {
 	worst := 0.0
 	for i := range inst.Phones {
 		total := 0.0
-		for j, job := range inst.Jobs {
-			total += inst.Cost(i, j, job.InputKB, true)
+		for j := range inst.Jobs {
+			total += inst.Cost(i, j, inst.Jobs[j].InputKB, true)
 		}
 		if total > worst {
 			worst = total
@@ -106,8 +103,8 @@ func LowerBoundMakespan(inst *Instance) float64 {
 	for j, job := range inst.Jobs {
 		totalKB += job.InputKB
 		rate := 0.0
-		for i, p := range inst.Phones {
-			rate += 1 / (p.BMsPerKB + inst.C[i][j])
+		for i := range inst.Phones {
+			rate += 1 / (inst.Phones[i].BMsPerKB + inst.C[i][j])
 		}
 		if jb := job.InputKB / rate; jb > bound {
 			bound = jb
@@ -119,15 +116,22 @@ func LowerBoundMakespan(inst *Instance) float64 {
 	return bound
 }
 
-// item is a job with input remaining to pack (the paper's R_j).
+// item is a job with input remaining to pack (the paper's R_j). An item
+// packed in full stays in L, done, holding the key it had, so L stays
+// sorted without shifting its tail.
 type item struct {
 	job       int
 	remaining float64
+	done      bool
 }
 
+// packers recycles packer scratch across searches: a master plans a
+// round of the same shape again and again.
+var packers = sync.Pool{New: func() any { return new(packer) }}
+
 // packer runs Algorithm 1 on one instance. What depends on the instance
-// alone is computed once; everything else is scratch that
-// packWithCapacity resets, so a capacity search allocates it once.
+// alone is computed once, by newPacker; everything else is scratch that
+// run resets, so a capacity search allocates nothing but its answer.
 type packer struct {
 	inst    *Instance
 	slowest int    // phone index whose c-row orders the item list
@@ -135,6 +139,7 @@ type packer struct {
 
 	cap     float64
 	items   []item // the sorted list L
+	live    int    // items of L not yet done
 	opened  []bool
 	order   []int // phone indices in opening order
 	height  []float64
@@ -148,35 +153,74 @@ type packer struct {
 	// j itself is packed; a partial placement resets the count.
 	seen []int
 
+	// best is the packing keep took last, with its makespan and vetoes;
+	// its lists and asgs trade places on every keep.
+	best         [][]Assignment
+	bestMakespan float64
+	bestVetoed   int
+	row          []bool // a cleared per-job row for span
+
 	fitsCalls int // fits evaluations since newPacker, for the complexity guard
 }
 
+// newPacker takes a packer from the pool and loads the (valid) instance
+// into it.
 func newPacker(inst *Instance) *packer {
 	phones, jobs := len(inst.Phones), len(inst.Jobs)
-	p := &packer{
-		inst:    inst,
-		slowest: slowestPhone(inst),
-		sorted:  make([]item, jobs),
-		items:   make([]item, 0, jobs),
-		opened:  make([]bool, phones),
-		order:   make([]int, 0, phones),
-		height:  make([]float64, phones),
-		shipped: make([]bool, phones*jobs),
-		asgs:    make([][]Assignment, phones),
-		seen:    make([]int, jobs),
+	p := packers.Get().(*packer)
+	p.inst, p.slowest, p.fitsCalls = inst, slowestPhone(inst), 0
+	p.sorted = resize(p.sorted, jobs)
+	for j := range inst.Jobs {
+		p.sorted[j] = item{job: j, remaining: inst.Jobs[j].InputKB}
 	}
-	for j, job := range inst.Jobs {
-		p.sorted[j] = item{job: j, remaining: job.InputKB}
-	}
-	sort.Slice(p.sorted, func(a, b int) bool { return p.before(p.sorted[a], p.sorted[b]) })
+	slices.SortFunc(p.sorted, func(a, b item) int {
+		switch {
+		case p.before(a, b):
+			return -1
+		case p.before(b, a):
+			return 1
+		}
+		return 0
+	})
+	p.opened, p.height = resize(p.opened, phones), resize(p.height, phones)
+	p.shipped = resize(p.shipped, phones*jobs)
+	p.seen, p.row = resize(p.seen, jobs), resize(p.row, jobs)
+	clear(p.row)
+	// Rows past the old length come back as the lists an earlier, wider
+	// instance grew, ready for reuse.
+	p.asgs, p.best = resize(p.asgs, phones), resize(p.best, phones)
 	return p
 }
 
-// packWithCapacity runs Algorithm 1. ok is false when the capacity does
-// not admit a packing.
+// release returns the packer to the pool, dropping its hold on the
+// instance.
+func (p *packer) release() {
+	p.inst = nil
+	packers.Put(p)
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough; the elements' contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// packWithCapacity runs Algorithm 1 at one capacity and copies the packing
+// out. ok is false when the capacity does not admit a packing.
 func (p *packer) packWithCapacity(cap float64) (*Schedule, bool) {
+	if !p.run(cap) {
+		return nil, false
+	}
+	p.keep()
+	return p.schedule(), true
+}
+
+// run packs every item at the capacity into the live lists. It reports
+// whether the capacity admits a packing.
+func (p *packer) run(cap float64) bool {
 	p.cap = cap
 	p.items = append(p.items[:0], p.sorted...)
+	p.live = len(p.items)
 	p.order = p.order[:0]
 	p.vetoed = 0
 	clear(p.opened)
@@ -187,14 +231,36 @@ func (p *packer) packWithCapacity(cap float64) (*Schedule, bool) {
 		p.asgs[i] = p.asgs[i][:0]
 	}
 
-	// Every item before next is rejected by every open bin.
-	next := 0
-	for len(p.items) > 0 {
+	// Every item before head is done; every item before next is done or
+	// rejected by every open bin.
+	head, next := 0, 0
+	for p.live > 0 {
 		// Find the first item in L that fits any opened bin; pack it into
 		// the minimum-height bin that accepts it.
 		bin := -1
 		for ; next < len(p.items); next++ {
-			if bin = p.bestOpenBin(p.items[next]); bin >= 0 {
+			it := p.items[next]
+			if it.done {
+				continue
+			}
+			// bestOpenBin, with its two commonest cases answered here: a
+			// scan after a bin opens mostly meets items that know every bin
+			// but the newest, and skipping the call is measurably faster.
+			switch s := p.seen[it.job]; s {
+			case len(p.order):
+				continue // every open bin rejects it
+			case len(p.order) - 1:
+				// The newest bin alone is unknown: it is the minimum-height
+				// fit if it fits at all.
+				if i := p.order[s]; p.fits(i, it) {
+					bin = i
+				} else {
+					p.seen[it.job] = len(p.order)
+				}
+			default:
+				bin = p.bestOpenBin(it)
+			}
+			if bin >= 0 {
 				break
 			}
 		}
@@ -204,28 +270,51 @@ func (p *packer) packWithCapacity(cap float64) (*Schedule, bool) {
 		}
 		// No item fits an open bin: open the best bin for the largest
 		// item (line 15 of Algorithm 1).
-		bin = p.bestNewBin(p.items[0])
+		for p.items[head].done {
+			head++
+		}
+		bin = p.bestNewBin(p.items[head])
 		if bin < 0 {
-			return nil, false // no bins left: cannot finish with this C
+			return false // no bins left: cannot finish with this C
 		}
 		p.opened[bin] = true
 		p.order = append(p.order, bin)
-		p.pack(bin, 0)
-		next = 0
+		p.pack(bin, head)
+		next = head
 	}
-	return p.schedule(), true
+	return true
 }
 
-// schedule copies the finished packing out of the scratch. Phones left
-// without work keep a nil list.
-func (p *packer) schedule() *Schedule {
-	sched := &Schedule{PerPhone: make([][]Assignment, len(p.asgs)), Vetoed: p.vetoed}
-	for i, asgs := range p.asgs {
-		if len(asgs) > 0 {
-			sched.PerPhone[i] = slices.Clone(asgs)
+// keep takes the packing run just finished as the best so far and returns
+// its makespan, as Schedule.Evaluate computes it.
+func (p *packer) keep() float64 {
+	p.asgs, p.best = p.best, p.asgs
+	p.bestVetoed = p.vetoed
+	p.bestMakespan = 0
+	for _, asgs := range p.best {
+		if sp := span(p.inst, asgs, p.row); sp > p.bestMakespan {
+			p.bestMakespan = sp
 		}
 	}
-	sched.Makespan = sched.Evaluate(p.inst)
+	return p.bestMakespan
+}
+
+// schedule copies the kept packing out of the scratch, every list on one
+// backing array. Phones left without work keep a nil list.
+func (p *packer) schedule() *Schedule {
+	n := 0
+	for _, asgs := range p.best {
+		n += len(asgs)
+	}
+	flat := make([]Assignment, 0, n)
+	sched := &Schedule{PerPhone: make([][]Assignment, len(p.best)), Makespan: p.bestMakespan, Vetoed: p.bestVetoed}
+	for i, asgs := range p.best {
+		if len(asgs) > 0 {
+			start := len(flat)
+			flat = append(flat, asgs...)
+			sched.PerPhone[i] = flat[start:len(flat):len(flat)]
+		}
+	}
 	return sched
 }
 
@@ -272,7 +361,7 @@ func (p *packer) minUnit(i int, it item) float64 {
 	if p.inst.Jobs[it.job].Atomic {
 		return it.remaining
 	}
-	u := math.Min(it.remaining, MinPartitionKB)
+	u := min(it.remaining, MinPartitionKB)
 	if ram := p.inst.Phones[i].RAMKB; ram > 0 && ram < u {
 		u = ram
 	}
@@ -295,8 +384,7 @@ func (p *packer) binCap(i int) float64 {
 // veto.
 func (p *packer) fits(i int, it item) bool {
 	p.fitsCalls++
-	job := p.inst.Jobs[it.job]
-	if job.Atomic {
+	if p.inst.Jobs[it.job].Atomic {
 		if ram := p.inst.Phones[i].RAMKB; ram > 0 && it.remaining > ram {
 			return false
 		}
@@ -358,25 +446,24 @@ func (p *packer) bestNewBin(it item) int {
 func (p *packer) pack(i, idx int) {
 	it := p.items[idx]
 	jobIdx := it.job
-	job := p.inst.Jobs[jobIdx]
-	phone := p.inst.Phones[i]
-	rate := phone.BMsPerKB + p.inst.C[i][jobIdx]
+	ram := p.inst.Phones[i].RAMKB
+	rate := p.inst.Phones[i].BMsPerKB + p.inst.C[i][jobIdx]
 	exec := p.execCost(i, jobIdx)
 	avail := p.binCap(i)*(1+capacityEps) - p.height[i] - exec
 
-	ramOK := phone.RAMKB == 0 || it.remaining <= phone.RAMKB
+	ramOK := ram == 0 || it.remaining <= ram
 	wholeFits := ramOK && it.remaining*rate <= avail
 
 	var size float64
 	switch {
-	case job.Atomic:
+	case p.inst.Jobs[jobIdx].Atomic:
 		size = it.remaining
 	case wholeFits:
 		size = it.remaining
 	default:
 		size = avail / rate
-		if phone.RAMKB > 0 && size > phone.RAMKB {
-			size = phone.RAMKB
+		if ram > 0 && size > ram {
+			size = ram
 		}
 		if size > it.remaining {
 			size = it.remaining
@@ -391,14 +478,15 @@ func (p *packer) pack(i, idx int) {
 	p.asgs[i] = append(p.asgs[i], Assignment{Phone: i, Job: jobIdx, SizeKB: size})
 
 	it.remaining -= size
-	rest := p.items[idx+1:]
 	if it.remaining <= sizeTolerance {
-		p.items = append(p.items[:idx], rest...)
+		p.items[idx].done = true // L keeps its key
+		p.live--
 		return
 	}
 	// The item's key shrank and nothing else moved: slide it back to its
 	// place among the items that followed it.
 	p.seen[jobIdx] = 0
+	rest := p.items[idx+1:]
 	n := sort.Search(len(rest), func(k int) bool { return p.before(it, rest[k]) })
 	copy(p.items[idx:], rest[:n])
 	p.items[idx+n] = it

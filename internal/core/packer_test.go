@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -211,5 +212,76 @@ func TestPackerFitsCount(t *testing.T) {
 	}
 	if refSum < 10*sum {
 		t.Errorf("reference made %d fits evaluations to the packer's %d, want at least 10x", refSum, sum)
+	}
+}
+
+// raceEnabled is set when the tests run under the race detector.
+var raceEnabled bool
+
+// checkGreedyAgainstReference runs the whole capacity search on the
+// instance and requires the reference search's verdict and schedule.
+func checkGreedyAgainstReference(t *testing.T, name string, inst *Instance) {
+	t.Helper()
+	got, err := Greedy(inst)
+	ref, refErr := RefGreedy(inst)
+	if err != refErr {
+		t.Fatalf("%s: error %v, reference %v", name, err, refErr)
+	}
+	if err != nil {
+		return
+	}
+	if !reflect.DeepEqual(got.PerPhone, ref.PerPhone) {
+		t.Fatalf("%s: schedule differs from the reference search's", name)
+	}
+	if got.Makespan != ref.Makespan {
+		t.Fatalf("%s: makespan %v, reference %v", name, got.Makespan, ref.Makespan)
+	}
+	if (got.Vetoed == 0) != (ref.Vetoed == 0) || got.Vetoed > ref.Vetoed {
+		t.Fatalf("%s: vetoed %d, reference %d", name, got.Vetoed, ref.Vetoed)
+	}
+	if err := got.Validate(inst); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+}
+
+// TestGreedyMatchesReferenceSearch is the differential oracle for the
+// search as a whole: which packing it keeps, the bracket it narrows with
+// that packing's makespan, and the schedule it copies out. Instances of
+// different shapes and sizes alternate, so scratch a pooled packer keeps
+// from one search must not leak into the next.
+func TestGreedyMatchesReferenceSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	checkGreedyAgainstReference(t, "wide", wideInstance(rng))
+	checkGreedyAgainstReference(t, "3x7", shapedInstance(rng, 3, 7, shapeMixed))
+	checkGreedyAgainstReference(t, "32x120", shapedInstance(rng, 32, 120, shapeWindows))
+	checkGreedyAgainstReference(t, "wide again", wideInstance(rng))
+	for n := 0; n < 40*numShapes; n++ {
+		seed := rng.Int63()
+		r := rand.New(rand.NewSource(seed))
+		phones, jobs, shape := 1+r.Intn(32), 1+r.Intn(120), n%numShapes
+		checkGreedyAgainstReference(t, fmt.Sprintf("seed %d %dx%d shape %d", seed, phones, jobs, shape),
+			shapedInstance(r, phones, jobs, shape))
+	}
+}
+
+// TestGreedySearchAllocs holds the search to allocating its answer: with
+// the packer's scratch reused from the previous search, a wide-fleet
+// round allocates a handful of times, not once per list it grows.
+func TestGreedySearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	inst := wideInstance(rand.New(rand.NewSource(1)))
+	if _, err := Greedy(inst); err != nil { // warm-up: the pool now holds a packer this wide
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Greedy(inst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Greedy on a %dx%d instance: %v allocations", len(inst.Phones), len(inst.Jobs), allocs)
+	if allocs > 16 {
+		t.Errorf("Greedy allocated %v times per search, budget 16", allocs)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // production packer against. It rescans every item of L against every
 // open bin after every placement: O(J²·P) fits calls per capacity.
 
-// refSearch is GreedyOpt's capacity search at the default tolerance, over
-// whatever pack function the caller supplies.
+// refSearch is GreedyOpt's capacity search over whatever pack function
+// the caller supplies.
 func refSearch(inst *Instance, pack func(cap float64) (*Schedule, bool)) (*Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -28,7 +28,7 @@ func refSearch(inst *Instance, pack func(cap float64) (*Schedule, bool)) (*Sched
 	}
 	hi := best.Makespan
 	lo := lb
-	for hi-lo > 1e-4*hi+0.5 {
+	for hi-lo > relTolerance*hi+0.5 {
 		c := (lo + hi) / 2
 		if sched, ok := pack(c); ok {
 			best = sched

@@ -191,30 +191,32 @@ func NewRegistry() *Registry {
 
 // SeriesName formats a full series name from a family name and
 // label key/value pairs: SeriesName("x_total", "reason", "keepalive")
-// is `x_total{reason="keepalive"}`. Label values are escaped per the
-// Prometheus text format.
+// is `x_total{reason="keepalive"}`. Label values are quoted as Go
+// quotes strings, which escapes the backslash, the double quote and the
+// newline as the Prometheus text format asks.
 func SeriesName(family string, labels ...string) string {
 	if len(labels) == 0 {
 		return family
 	}
-	var b strings.Builder
-	b.WriteString(family)
-	b.WriteByte('{')
-	for i := 0; i+1 < len(labels); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", labels[i], escapeLabel(labels[i+1]))
-	}
-	b.WriteByte('}')
-	return b.String()
+	return string(appendSeriesName(nil, family, labels))
 }
 
-func escapeLabel(v string) string {
-	// %q adds quotes and escapes backslash and double quote already; the
-	// Prometheus format additionally wants literal newlines escaped, which
-	// %q also handles. Strip nothing else.
-	return v
+// appendSeriesName appends SeriesName(family, labels...) to b.
+func appendSeriesName(b []byte, family string, labels []string) []byte {
+	b = append(b, family...)
+	if len(labels) == 0 {
+		return b
+	}
+	b = append(b, '{')
+	for i := 0; i+1 < len(labels); i += 2 {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, labels[i]...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, labels[i+1])
+	}
+	return append(b, '}')
 }
 
 // Help registers the help string shown for a metric family.
@@ -224,46 +226,40 @@ func (r *Registry) Help(family, text string) {
 	r.mu.Unlock()
 }
 
-func (r *Registry) lookup(name string) (*metric, bool) {
+// getOrCreate returns the series family{labels}, creating it with mk if
+// needed. A lookup of an existing series allocates nothing: the name is
+// built on the stack and only copied out when a series is created.
+func (r *Registry) getOrCreate(family string, labels []string, kind metricKind, mk func() *metric) *metric {
+	var buf [128]byte
+	key := appendSeriesName(buf[:0], family, labels)
 	r.mu.RLock()
-	m, ok := r.series[name]
+	m, ok := r.series[string(key)]
 	r.mu.RUnlock()
-	return m, ok
-}
-
-func (r *Registry) getOrCreate(name string, kind metricKind, mk func() *metric) *metric {
-	if m, ok := r.lookup(name); ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("obs: series %q re-registered as a different kind", name))
+	if !ok {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if m, ok = r.series[string(key)]; !ok {
+			m = mk()
+			r.series[string(key)] = m
 		}
-		return m
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.series[name]; ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("obs: series %q re-registered as a different kind", name))
-		}
-		return m
+	if m.kind != kind {
+		panic(fmt.Sprintf("obs: series %q re-registered as a different kind", string(key)))
 	}
-	m := mk()
-	r.series[name] = m
 	return m
 }
 
 // Counter returns the named counter, creating it if needed. Optional
 // labels are key/value pairs folded into the series name.
 func (r *Registry) Counter(family string, labels ...string) *Counter {
-	name := SeriesName(family, labels...)
-	return r.getOrCreate(name, kindCounter, func() *metric {
+	return r.getOrCreate(family, labels, kindCounter, func() *metric {
 		return &metric{kind: kindCounter, c: &Counter{}}
 	}).c
 }
 
 // Gauge returns the named gauge, creating it if needed.
 func (r *Registry) Gauge(family string, labels ...string) *Gauge {
-	name := SeriesName(family, labels...)
-	return r.getOrCreate(name, kindGauge, func() *metric {
+	return r.getOrCreate(family, labels, kindGauge, func() *metric {
 		return &metric{kind: kindGauge, g: &Gauge{}}
 	}).g
 }
@@ -271,8 +267,7 @@ func (r *Registry) Gauge(family string, labels ...string) *Gauge {
 // Histogram returns the named histogram with the default log-scale
 // buckets, creating it if needed.
 func (r *Registry) Histogram(family string, labels ...string) *Histogram {
-	name := SeriesName(family, labels...)
-	return r.getOrCreate(name, kindHistogram, func() *metric {
+	return r.getOrCreate(family, labels, kindHistogram, func() *metric {
 		return &metric{kind: kindHistogram, h: newHistogram(nil)}
 	}).h
 }

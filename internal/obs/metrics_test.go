@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -220,5 +221,55 @@ func TestCounterIgnoresNegative(t *testing.T) {
 	c.Add(-3)
 	if c.Value() != 5 {
 		t.Errorf("counter went down: %d", c.Value())
+	}
+}
+
+// TestSeriesNameQuoting pins SeriesName to the fmt form it replaced,
+// family{k="v"} with each value formatted by %q, on values that need
+// escaping.
+func TestSeriesNameQuoting(t *testing.T) {
+	fmtForm := func(family string, labels ...string) string {
+		var b strings.Builder
+		b.WriteString(family)
+		b.WriteByte('{')
+		for i := 0; i+1 < len(labels); i += 2 {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%s=%q", labels[i], labels[i+1])
+		}
+		b.WriteByte('}')
+		return b.String()
+	}
+	for _, v := range []string{
+		"", "plain", `say "hi"`, `back\slash`, "new\nline", "tab\there",
+		"héllo 日本", "\xff\xfe invalid", "nul\x00", "bell\a", "\u2028",
+	} {
+		for _, labels := range [][]string{{"k", v}, {"a", "1", "k", v}, {"k", v, "odd"}} {
+			if got, want := SeriesName("x_total", labels...), fmtForm("x_total", labels...); got != want {
+				t.Errorf("SeriesName(%q) = %s, want %s", labels, got, want)
+			}
+		}
+	}
+	if got := SeriesName("x_total"); got != "x_total" {
+		t.Errorf("SeriesName without labels = %s, want the family", got)
+	}
+}
+
+// TestLabelledLookupAllocs requires a lookup of an existing labelled
+// series to allocate nothing: the master does one per received frame.
+func TestLabelledLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("cwc_frames_received_total", "type", "result").Inc()
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Counter("cwc_frames_received_total", "type", "result").Inc()
+		r.Gauge("g", "phone", "7").Set(1)
+		r.Histogram("h_ms", "phase", "plan").Observe(2)
+	})
+	if allocs != 0 {
+		t.Errorf("labelled lookups allocate %v times, want 0", allocs)
+	}
+	if got := r.Counter("cwc_frames_received_total", "type", "result").Value(); got != 102 {
+		t.Errorf("counter = %d, want 102", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -575,9 +576,11 @@ func (m *Master) newSchedSnapshot(items []*workItem, phones []*phoneState, plans
 	}
 	snap := &SchedSnapshot{PredictedMakespanMs: sched.Makespan}
 	spans := sched.PhoneSpans(inst)
+	m.plan.shipped = slices.Grow(m.plan.shipped[:0], len(items))[:len(items)]
+	shipped := m.plan.shipped // the current phone's row
+	clear(shipped)
 	for pi, ps := range phones {
 		sp := SchedPhone{PhoneID: ps.info.ID, PredictedSpanMs: spans[pi]}
-		shipped := map[int]bool{}
 		for _, a := range plans[pi] {
 			j := itemIdx[a.item]
 			sizeKB := float64(len(a.input)) / 1024
@@ -593,18 +596,38 @@ func (m *Master) newSchedSnapshot(items []*workItem, phones []*phoneState, plans
 				Outcome:     "pending",
 			})
 		}
+		for _, a := range plans[pi] {
+			shipped[itemIdx[a.item]] = false
+		}
 		snap.Phones = append(snap.Phones, sp)
 	}
 	return snap
 }
 
-// buildSchedule constructs the core instance from live state and solves it.
+// roundPlan is the memory RunRound plans a round in, overwritten by the
+// next round: the instance the packer solves, the flat backing of its
+// cost rows, the task-name column of each job, one phone's estimate per
+// name, and newSchedSnapshot's shipped row. Only RunRound touches it, and
+// RunRound is not safe for concurrent use.
+type roundPlan struct {
+	inst    core.Instance
+	cells   []float64
+	names   []string  // distinct task names this round
+	nameOf  []int     // job index -> index into names
+	cs      []float64 // the current phone's c per name
+	shipped []bool
+}
+
+// buildSchedule constructs the core instance from live state and solves
+// it. The instance is m.plan's, valid until the next round plans.
 func (m *Master) buildSchedule(items []*workItem, phones []*phoneState) (*core.Schedule, *core.Instance, error) {
 	est, err := m.estimator(phones)
 	if err != nil {
 		return nil, nil, err
 	}
-	inst := &core.Instance{}
+	plan := &m.plan
+	inst := &plan.inst
+	inst.Phones = inst.Phones[:0]
 	m.mu.Lock()
 	for _, ps := range phones {
 		inst.Phones = append(inst.Phones, core.Phone{
@@ -614,34 +637,42 @@ func (m *Master) buildSchedule(items []*workItem, phones []*phoneState) (*core.S
 		})
 	}
 	m.mu.Unlock()
+	inst.Jobs = inst.Jobs[:0]
+	plan.names = plan.names[:0]
+	plan.nameOf = slices.Grow(plan.nameOf[:0], len(items))[:len(items)]
 	for idx, it := range items {
+		name := it.task.Name()
 		inst.Jobs = append(inst.Jobs, core.Job{
 			ID:      idx,
-			Task:    it.task.Name(),
+			Task:    name,
 			ExecKB:  it.task.ExecKB(),
 			InputKB: it.remainingKB(),
 			Atomic:  it.atomic || it.resume != nil || it.key != 0,
 		})
+		k := slices.Index(plan.names, name)
+		if k < 0 {
+			k = len(plan.names)
+			plan.names = append(plan.names, name)
+		}
+		plan.nameOf[idx] = k
 	}
 	// c_ij depends on the job only through its task name: estimate once
-	// per (phone, distinct name) and fill that name's columns, instead of
+	// per (phone, distinct name) and fill the row from those, instead of
 	// taking the estimator's lock for every cell.
-	cols := map[string][]int{} // task name -> job indices
-	for j, job := range inst.Jobs {
-		cols[job.Task] = append(cols[job.Task], j)
-	}
-	inst.C = make([][]float64, len(inst.Phones))
+	plan.cells = slices.Grow(plan.cells[:0], len(phones)*len(items))[:len(phones)*len(items)]
+	plan.cs = slices.Grow(plan.cs[:0], len(plan.names))[:len(plan.names)]
+	inst.C = slices.Grow(inst.C[:0], len(phones))[:len(phones)]
 	for i, ps := range phones {
-		inst.C[i] = make([]float64, len(items))
-		for name, js := range cols {
-			c, err := est.Estimate(name, ps.info.ID, ps.info.CPUMHz)
-			if err != nil {
+		for k, name := range plan.names {
+			if plan.cs[k], err = est.Estimate(name, ps.info.ID, ps.info.CPUMHz); err != nil {
 				return nil, nil, err
 			}
-			for _, j := range js {
-				inst.C[i][j] = c
-			}
 		}
+		row := plan.cells[i*len(items) : (i+1)*len(items) : (i+1)*len(items)]
+		for j, k := range plan.nameOf {
+			row[j] = plan.cs[k]
+		}
+		inst.C[i] = row
 	}
 	// Deadline-aware packing: cap each phone's bin at its predicted
 	// remaining charge window, so a partition whose completion would

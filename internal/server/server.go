@@ -437,6 +437,10 @@ type Master struct {
 	slos *obs.SLOSet
 
 	obsLn net.Listener // admin plane listener (nil when ObsAddr is unset)
+
+	// plan is the memory each round is planned in (round.go); RunRound
+	// alone uses it.
+	plan roundPlan
 }
 
 // The charge-window estimator's two parameters: a phone needs
