@@ -104,13 +104,15 @@ bench-check:
 	$(GO) test -C bench .
 
 # One iteration of each packer benchmark (18x150, 50x500, 128x512), of
-# each task kernel's Process benchmark and of each frame benchmark, so
-# they keep compiling and finishing; it measures nothing, but the
-# kernels' and the frames' allocs/op land in the log.
+# each task kernel's Process benchmark, of each frame benchmark and of
+# each header-codec benchmark, so they keep compiling and finishing; it
+# measures nothing, but the kernels', the frames' and the codec's
+# allocs/op land in the log.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Greedy -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench Process -benchmem -benchtime 1x ./internal/tasks/
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/protocol/
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/wire/
 
 # The pre-PR gate: everything that must be green before a change ships.
 # Files gofmt would rewrite are listed and fail it. The census is printed
@@ -141,6 +143,7 @@ census:
 	@echo "goroutine spawn sites:  $$(grep -hE '^\s*go ' --exclude='*_test.go' internal/server/*.go | wc -l) (non-test go statements in internal/server)"
 	@echo "m.mu.Lock() sites:      $$(grep -h --exclude='*_test.go' 'm\.mu\.Lock()' internal/server/*.go | wc -l) (non-test, internal/server)"
 	@echo "//lint:ignore lines:    $$(grep -rhE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=bench '^\s*//lint:ignore ' . | wc -l) (non-test, non-testdata directives)"
+	@echo "encoding/json importers: $$(grep -l '"encoding/json"' $$(find internal/protocol internal/replica internal/wal -name '*.go' -not -name '*_test.go') internal/server/wal.go | wc -l) (non-test files of protocol, replica, wal, and server/wal.go's record path)"
 	@echo "wall-clock call sites:  $$(grep -rE 'time\.(Now|Since|Sleep|After|AfterFunc|NewTimer|NewTicker)\(' internal/server internal/worker internal/replica --include='*.go' | grep -vc '_test\.go:') (server/worker/replica)"
 
 bench:

@@ -95,3 +95,28 @@ func BenchmarkRecvRecycled64KB(b *testing.B) {
 		c.Recycle(m)
 	}
 }
+
+// benchmarkRecv receives m over loopback TCP, each message recycled once
+// read: allocs/op is what one frame of a wide-fleet job costs its
+// receiver.
+func benchmarkRecv(b *testing.B, m *Message) {
+	a, c := benchConnPair(b)
+	go func() {
+		for a.Send(m) == nil {
+		}
+	}()
+	c.Recycle(&Message{Type: TypeWelcome})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := c.Recv()
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Recycle(got)
+	}
+}
+
+func BenchmarkRecvAssign4KB(b *testing.B) { benchmarkRecv(b, wideFleetAssign()) }
+
+func BenchmarkRecvResult(b *testing.B) { benchmarkRecv(b, wideFleetResult()) }

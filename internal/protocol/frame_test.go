@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"cwc/internal/tasks"
+	"cwc/internal/wire"
 )
 
 // countingConn counts Write calls; the fault layer treats one Write as
@@ -76,6 +77,29 @@ func honestFrame(header string, body []byte) []byte {
 	return rawFrame(uint32(4+len(header)+len(body)), uint32(len(header)), header, body)
 }
 
+// field is one raw header field, so a test can write any key and value:
+// the key of tag with wire type wt, then val as given.
+func field(tag, wt int, val ...byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(tag)<<3|uint64(wt)), val...)
+}
+
+// uv is v as a varint.
+func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+
+// hdr joins raw fields into a header.
+func hdr(fields ...[]byte) string { return string(bytes.Join(fields, nil)) }
+
+// Raw header fields: a type, by its code, and a section listing.
+var (
+	typeAssign    = field(1, 0, 5)
+	typeFailure   = field(1, 0, 8)
+	typePing      = field(1, 0, 9)
+	typeTelemetry = field(1, 0, 15)
+)
+
+func params(n uint64) []byte { return field(7, 0, uv(n)...) }
+func input(n uint64) []byte  { return field(8, 0, uv(n)...) }
+
 // oldFormatFrame builds a frame in the layout that preceded raw
 // sections: a length prefix and an all-JSON body.
 func oldFormatFrame(body string) []byte {
@@ -135,12 +159,18 @@ func fill(v reflect.Value, seed *int) {
 	}
 }
 
-// fullMessage returns a message of type typ with every field set.
+// fullMessage returns a message of type typ with every field set. The
+// fields drawn from a fixed set — the event kinds, the hex digest — take
+// a member of it.
 func fullMessage(typ Type) *Message {
 	m := new(Message)
 	seed := 0
 	fill(reflect.ValueOf(m).Elem(), &seed)
 	m.Type = typ
+	m.Digest = tasks.Digest([]byte(m.Token))
+	for i := range m.Events {
+		m.Events[i].Kind = eventCodes[1+i]
+	}
 	return m
 }
 
@@ -257,10 +287,10 @@ func TestSendIsOneWrite(t *testing.T) {
 // allocate the claimed size up front, and must fail with a truncation
 // error once the stream dries up.
 func TestRecvHostileLength(t *testing.T) {
-	header := fmt.Sprintf(`{"type":"assign","sections":[0,0,%d,0,0,0]}`, MaxFrameSize-4-100)
-	header += string(bytes.Repeat([]byte(" "), 100-len(header)))
+	// Seven header bytes: two of type, five claiming the rest as input.
+	header := hdr(typeAssign, input(MaxFrameSize-4-7))
 	// Claim the frame cap, deliver the header and a handful of bytes.
-	stream := rawFrame(MaxFrameSize, 100, header, []byte("only-this"))
+	stream := rawFrame(MaxFrameSize, uint32(len(header)), header, []byte("only-this"))
 	c := connOver(stream)
 	var err error
 	got := allocatedBy(func() { _, err = c.Recv() })
@@ -323,30 +353,44 @@ func TestRecvTruncationAtEveryOffset(t *testing.T) {
 // more than the bytes it actually delivers.
 func TestRecvHostileFrames(t *testing.T) {
 	ten := []byte("0123456789")
-	huge := fmt.Sprintf(`{"type":"assign","sections":[0,0,%d,0,0,0]}`, int64(1)<<40)
+	huge := hdr(typeAssign, input(1<<40))
 	cases := []struct {
 		name   string
 		stream []byte
 		why    string // must appear in the error
 	}{
 		{"frame too short for a header length", []byte{0, 0, 0, 3, '{', '{', '{'}, "no header length"},
-		{"header length beyond the frame", rawFrame(4+15, 16, `{"type":"ping"}`, nil), "overruns"},
-		{"header length beyond the frame cap", rawFrame(100, MaxFrameSize, `{"type":"ping"}`, nil), "overruns"},
-		{"section beyond the remainder", honestFrame(`{"type":"assign","sections":[0,0,11,0,0,0]}`, ten), "section 2"},
-		{"sections sum beyond the remainder", honestFrame(`{"type":"assign","sections":[0,6,6,0,0,0]}`, ten), "section 2"},
-		{"huge section in a large frame", rawFrame(MaxFrameSize, uint32(len(huge)), huge, nil), "section 2"},
-		{"negative section", honestFrame(`{"type":"assign","sections":[0,0,-1,0,0,11]}`, ten), "section 2"},
-		{"resume state without a resume", honestFrame(`{"type":"assign","sections":[0,0,0,0,10,0]}`, ten), "without its checkpoint"},
-		{"checkpoint state without a checkpoint", honestFrame(`{"type":"failure","sections":[0,0,0,0,0,10]}`, ten), "without its checkpoint"},
-		{"trailing bytes after the sections", honestFrame(`{"type":"assign","sections":[0,0,9,0,0,0]}`, ten), "after the last section"},
-		{"raw bytes without sections", honestFrame(`{"type":"assign","job_id":1}`, ten), "lists 0 sections"},
-		{"too few sections", honestFrame(`{"type":"assign","sections":[0,0,10]}`, ten), "lists 3 sections"},
-		{"too many sections", honestFrame(`{"type":"assign","sections":[0,0,10,0,0,0,0]}`, ten), "lists 7 sections"},
-		{"sections not numbers", honestFrame(`{"type":"assign","sections":["10",0,0,0,0,0]}`, ten), "decoding frame header"},
-		{"header not JSON", honestFrame(`type=ping`, nil), "decoding frame header"},
-		{"empty header", honestFrame(``, nil), "decoding frame header"},
-		{"missing type", honestFrame(`{"seq":1}`, nil), "missing type"},
-		// The layout before raw sections: [length][JSON body].
+		{"header length beyond the frame", rawFrame(4+2, 3, hdr(typePing), nil), "overruns"},
+		{"header length beyond the frame cap", rawFrame(100, MaxFrameSize, hdr(typePing), nil), "overruns"},
+		{"section beyond the remainder", honestFrame(hdr(typeAssign, input(11)), ten), "section 8 of 11 bytes overruns"},
+		{"sections sum beyond the remainder", honestFrame(hdr(typeAssign, params(6), input(6)), ten), "section 8 of 6 bytes overruns"},
+		{"huge section in a large frame", rawFrame(MaxFrameSize, uint32(len(huge)), huge, nil), "section 8"},
+		{"section of 2^64-1 bytes", honestFrame(hdr(typeAssign, input(math.MaxUint64)), ten), "section 8"},
+		{"resume state without a resume", honestFrame(hdr(typeAssign), ten), "after the last section"},
+		{"checkpoint state without a checkpoint", honestFrame(hdr(typeFailure, field(2, 0, 20)), ten), "after the last section"},
+		{"trailing bytes after the sections", honestFrame(hdr(typeAssign, input(9)), ten), "after the last section"},
+		{"raw bytes without sections", honestFrame(hdr(typeAssign, field(2, 0, 2)), ten), "10 bytes after the last section"},
+		{"too few sections", honestFrame(hdr(typeAssign, params(2)), ten), "8 bytes after the last section"},
+		{"too many sections", honestFrame(hdr(typeAssign, params(5), input(5), field(9, 0, 1)), ten), "section 9 of 1 bytes overruns"},
+		{"section not a varint", honestFrame(hdr(typeAssign, field(8, 2, 1, 10)), ten), "wire type"},
+		{"header not the codec's", honestFrame(`type=ping`, nil), "decoding frame header"},
+		{"empty header", honestFrame(``, nil), "missing type"},
+		{"missing type", honestFrame(hdr(field(13, 0, 1)), nil), "missing type"},
+		{"unknown type code", honestFrame(hdr(field(1, 0, 16)), nil), "unknown code 16"},
+		{"unknown tag", honestFrame(hdr(typePing, field(40, 0, 1)), nil), "unknown tag 40"},
+		{"unknown tag between known ones", honestFrame(hdr(typePing, field(12, 1, make([]byte, 8)...)), nil), "tag 12 has wire type 1"},
+		{"duplicate tag", honestFrame(hdr(typePing, field(13, 0, 1), field(13, 0, 2)), nil), "tag 13 repeated"},
+		{"tags out of order", honestFrame(hdr(typePing, field(13, 0, 1), field(2, 0, 2)), nil), "tag 2 after tag 13"},
+		{"truncated varint", honestFrame(hdr(typePing, field(13, 0, 0x80)), nil), "truncated varint"},
+		{"10-byte varint that overflows", honestFrame(hdr(typePing, field(13, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02)), nil), "overflows"},
+		{"over-long varint", honestFrame(hdr(typePing, field(13, 0, 0x81, 0x00)), nil), "over-long varint"},
+		{"explicit zero", honestFrame(hdr(typePing, field(13, 0, 0)), nil), "holds a zero"},
+		{"string length past the header", honestFrame(hdr(typeAssign, field(6, 2, 50, 'p', 'r')), nil), "length 50 past the header"},
+		{"event count past the header", honestFrame(hdr(typeTelemetry, field(30, 2, 2, 100, 0)), nil), "count 100 past the header"},
+		{"section tag listed twice", honestFrame(hdr(typeAssign, input(5), input(5)), ten), "tag 8 repeated"},
+		// The layouts before this codec: a JSON header behind both
+		// lengths, and before sections [length][JSON body].
+		{"JSON-header ping", honestFrame(`{"type":"ping","seq":1}`, nil), "wire type 3"},
 		{"old-format hello", oldFormatFrame(`{"type":"hello","model":"HTC G2","cpu_mhz":806}`), "overruns"},
 		{"old-format probe", oldFormatFrame(`{"type":"probe","payload":"AAAAAAAAAAAAAAAA"}`), "overruns"},
 	}
@@ -363,18 +407,25 @@ func TestRecvHostileFrames(t *testing.T) {
 	}
 }
 
-// TestRecvOldFormatFailsWithoutWaiting: a peer speaking the old all-JSON
-// layout is rejected from its first eight bytes — the reader must not
-// sit waiting for the two gigabytes those bytes seem to announce.
+// TestRecvOldFormatFailsWithoutWaiting: a peer speaking an earlier
+// layout — all-JSON, or a JSON header behind both lengths — is rejected
+// from the bytes it sent: the reader must not sit waiting for the two
+// gigabytes the all-JSON frame's first bytes seem to announce, nor for
+// anything past the JSON header.
 func TestRecvOldFormatFailsWithoutWaiting(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	c := NewConn(server)
-	defer c.Close()
-	go client.Write(oldFormatFrame(`{"type":"welcome","phone_id":3,"keepalive_ms":30000}`)) // and stays connected
-	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Recv(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	for _, frame := range [][]byte{
+		oldFormatFrame(`{"type":"welcome","phone_id":3,"keepalive_ms":30000}`),
+		honestFrame(`{"type":"ping","seq":1}`, nil),
+	} {
+		client, server := net.Pipe()
+		c := NewConn(server)
+		go client.Write(frame) // and stays connected
+		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Recv(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%q: err = %v, want ErrCorrupt", frame, err)
+		}
+		client.Close()
+		c.Close()
 	}
 }
 
@@ -453,14 +504,14 @@ func TestEpochRoundTrip(t *testing.T) {
 	}
 }
 
-// A message JSON cannot express fails its own Send and nothing else: the
-// pooled encoder it used must serve the next frame cleanly.
+// A message the codec cannot express fails its own Send and nothing
+// else: the pooled encoder it used must serve the next frame cleanly.
 func TestSendEncodeErrorDoesNotPoisonThePool(t *testing.T) {
 	cc := &countingConn{}
 	c := NewConn(cc)
 	for i := 0; i < 4; i++ {
-		if err := c.Send(&Message{Type: TypeResult, ExecMs: math.NaN(), Result: []byte("r")}); err == nil {
-			t.Fatal("a NaN field encoded")
+		if err := c.Send(&Message{Type: TypeResult, Digest: "not hex", Result: []byte("r")}); err == nil {
+			t.Fatal("a digest that is not hex encoded")
 		}
 		if cc.writes != i {
 			t.Fatalf("a failed Send wrote to the connection")
@@ -480,10 +531,10 @@ func TestSendEncodeErrorDoesNotPoisonThePool(t *testing.T) {
 // one encoder, not through Send: under -race the pool drops encoders at
 // random.)
 func TestSmallFrameEncodesWithoutAllocating(t *testing.T) {
-	e := encoders.New().(*encoder)
+	e := new(wire.Codec)
 	ping := &Message{Type: TypePing, Seq: 7}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := e.frame(ping); err != nil {
+		if _, err := wire.Encode(e, 4, ping); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
@@ -491,10 +542,16 @@ func TestSmallFrameEncodesWithoutAllocating(t *testing.T) {
 	}
 }
 
-// Checkpoint state comes from a raw section or not at all: a base64
-// "state" member in the header (the old encoding) is not a second way in.
-func TestRecvIgnoresStateInHeader(t *testing.T) {
-	got, err := recvBytes(honestFrame(`{"type":"failure","checkpoint":{"offset":3,"state":"QUJD"}}`, nil))
+// Checkpoint state comes from a raw section or not at all: state written
+// into the header, as the JSON layout once carried it, is not a second
+// way in.
+func TestRecvRefusesStateInHeader(t *testing.T) {
+	ck := field(16, 2, 5, 0x08, 6, 0x12, 1, 'A') // offset 3, state "A" inline
+	_, err := recvBytes(honestFrame(hdr(typeFailure, ck), nil))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "tag 2 has wire type 2") {
+		t.Fatalf("err = %v, want ErrCorrupt for the inline state", err)
+	}
+	got, err := recvBytes(honestFrame(hdr(typeFailure, field(16, 2, 2, 0x08, 6)), nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -13,11 +14,14 @@ func FuzzRecv(f *testing.F) {
 	f.Add(encodeFrame(f, &Message{Type: TypeProbe, Payload: []byte{0, 1, 2, 3}}))
 	f.Add(encodeFrame(f, fullMessage(TypeAssign)))
 	f.Add(encodeFrame(f, fullMessage(TypeCheckpoint)))
-	f.Add(honestFrame(`{"type":""}`, nil))
-	f.Add(honestFrame(`{`, nil))
-	f.Add(honestFrame(`{"type":"assign","sections":[0,0,-1,0,0,5]}`, []byte("1234")))
-	f.Add(honestFrame(`{"type":"failure","sections":[0,0,0,0,0,4]}`, []byte("1234")))
-	f.Add(rawFrame(MaxFrameSize, 8, `{"type":`, nil))
+	f.Add(encodeFrame(f, fullMessage(TypeTelemetry)))
+	f.Add(honestFrame(hdr(field(1, 0, 0)), nil))                                   // a zero type
+	f.Add(honestFrame(hdr(typePing, field(13, 0, 0x80)), nil))                     // a truncated varint
+	f.Add(honestFrame(hdr(typeAssign, input(math.MaxUint64)), []byte("1234")))     // a section of 2^64-1
+	f.Add(honestFrame(hdr(typeFailure, field(16, 2, 2, 0x10, 4)), []byte("1234"))) // checkpoint state
+	f.Add(honestFrame(hdr(typeTelemetry, field(30, 2, 2, 100, 0)), nil))           // an event count past the header
+	f.Add(rawFrame(MaxFrameSize, 3, hdr(typeAssign, field(8, 0)), nil))            // a cut header, a huge frame
+	f.Add(honestFrame(`{"type":"ping","seq":1}`, nil))                             // a JSON header
 	f.Add(oldFormatFrame(`{"type":"ping","seq":1}`))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{})

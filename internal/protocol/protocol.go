@@ -1,10 +1,11 @@
 // Package protocol defines the wire protocol between the CWC central
 // server and the phone workers: length-prefixed frames over a persistent
-// TCP connection, each a small JSON header followed by the frame's byte
-// payloads as raw sections (the prototype's Java NIO server spoke an
-// equivalent custom protocol). Payload bytes cross the link once, at
-// their own size — the scheduler plans on measured per-KB transfer time,
-// so the wire must not inflate it. docs/protocol.md has the byte layout.
+// TCP connection, each a compact binary header (package wire) followed by
+// the frame's byte payloads as raw sections (the prototype's Java NIO
+// server spoke an equivalent custom protocol). Payload bytes cross the
+// link once, at their own size — the scheduler plans on measured per-KB
+// transfer time, so the wire must not inflate it. docs/protocol.md has
+// the byte layout.
 //
 // The connection carries registration, iperf-style bandwidth probes, task
 // assignment (executable name + parameters + input partition, optionally a
@@ -15,9 +16,7 @@ package protocol
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -27,6 +26,7 @@ import (
 	"time"
 
 	"cwc/internal/tasks"
+	"cwc/internal/wire"
 )
 
 // Type discriminates protocol messages.
@@ -117,66 +117,83 @@ const (
 // epoch the worker held when the event was minted, so a timeline
 // assembled across a failover shows which regime each event belongs to.
 type WorkerEvent struct {
-	TSMs      int64     `json:"ts_ms"`
-	Kind      EventKind `json:"kind"`
-	Span      string    `json:"span,omitempty"`
-	Job       int       `json:"job,omitempty"`
-	Partition int       `json:"partition,omitempty"`
-	Bytes     int64     `json:"bytes,omitempty"`
-	Ms        float64   `json:"ms,omitempty"`
-	Detail    string    `json:"detail,omitempty"`
-	Epoch     int64     `json:"epoch,omitempty"`
+	TSMs      int64
+	Kind      EventKind
+	Span      string
+	Job       int
+	Partition int
+	Bytes     int64
+	Ms        float64
+	Detail    string
+	Epoch     int64
+}
+
+// eventCodes are the event kinds' one-byte wire codes: their indexes.
+var eventCodes = []EventKind{"", EventAssignRecv, EventExecStart, EventExecFinish,
+	EventThrottlePause, EventCkptFlush, EventCkptAck, EventDrainHandback, EventDial}
+
+// Wire names the event's fields for the codec, in tag order.
+func (e *WorkerEvent) Wire(c *wire.Codec) {
+	wire.Int(c, 1, &e.TSMs)
+	wire.Code(c, 2, &e.Kind, eventCodes)
+	wire.String(c, 3, &e.Span)
+	wire.Int(c, 4, &e.Job)
+	wire.Int(c, 5, &e.Partition)
+	wire.Int(c, 6, &e.Bytes)
+	c.Float(7, &e.Ms)
+	wire.String(c, 8, &e.Detail)
+	wire.Int(c, 9, &e.Epoch)
 }
 
 // Message is the single frame shape; fields are populated per Type.
 // A union keeps the framing trivial and the protocol self-describing.
 //
 // Payload, Params, Input, Result and the State of Resume and Checkpoint
-// are not part of the JSON header: they ride after it as raw sections
-// (see rawSections), and Recv hands them out as sub-slices of one
-// receive buffer. A received message therefore owns its byte fields until
-// it is recycled (Conn.Recycle), but they share a backing array — holding
-// one keeps the whole frame alive.
+// are not part of the header: they ride after it as raw sections (see
+// Wire), and Recv hands them out as sub-slices of one receive buffer. A
+// received message therefore owns its byte fields until it is recycled
+// (Conn.Recycle), but they share a backing array — holding one keeps the
+// whole frame alive.
 type Message struct {
-	Type Type `json:"type"`
+	Type Type
 
 	// Hello / Welcome.
 	// Token authenticates the phone to the server when the deployment
 	// configures a shared enrolment secret.
-	Token   string  `json:"token,omitempty"`
-	Model   string  `json:"model,omitempty"`
-	CPUMHz  float64 `json:"cpu_mhz,omitempty"`
-	RAMMB   int     `json:"ram_mb,omitempty"`
-	PhoneID int     `json:"phone_id,omitempty"`
+	Token   string
+	Model   string
+	CPUMHz  float64
+	RAMMB   int
+	PhoneID int
 	// Rejoin marks a hello as a reconnection: the phone previously held
 	// PhoneID and asks to resume that identity (checkpointed work and
 	// bandwidth estimates survive the reconnect).
-	Rejoin bool `json:"rejoin,omitempty"`
+	Rejoin bool
 	// Welcome: keepalive parameters the worker should expect.
-	KeepaliveMs int `json:"keepalive_ms,omitempty"`
+	KeepaliveMs int
 	// Welcome: the checkpoint-streaming policy the server asks workers to
 	// follow — stream a checkpoint every CkptEveryKB of processed input
 	// and/or every CkptEveryMs of wall time (zero disables that trigger;
 	// worker-side configuration may override).
-	CkptEveryKB int `json:"ckpt_every_kb,omitempty"`
-	CkptEveryMs int `json:"ckpt_every_ms,omitempty"`
+	CkptEveryKB int
+	CkptEveryMs int
 	// Welcome: the master wants worker-side telemetry (its admin plane
 	// is bound). Workers buffer and ship span events only after seeing
 	// this; an unobserved master costs workers nothing.
-	Telemetry bool `json:"telemetry,omitempty"`
+	Telemetry bool
 
 	// Probe.
-	Payload []byte `json:"-"`
+	Payload []byte
 
 	// Assign / Result / Failure.
-	JobID     int `json:"job_id,omitempty"`
-	Partition int `json:"partition,omitempty"`
+	JobID     int
+	Partition int
 	// Attempt is the server-issued dispatch attempt ID. The worker echoes
 	// it in the matching result/failure so the server can pair late or
 	// replayed reports with the exact dispatch that caused them
 	// (first-result-wins for speculative re-dispatch). The server never
 	// issues attempt zero.
-	Attempt int64 `json:"attempt,omitempty"`
+	Attempt int64
 	// Span is the task-lifecycle trace ID minted when the job was
 	// submitted. It rides every assign frame and is echoed in the
 	// matching result/failure/checkpoint frames so any partition's full
@@ -184,21 +201,21 @@ type Message struct {
 	// failure/requeue/migration edges) can be reconstructed from the
 	// master's trace ring or JSONL sink. Tracing is observability only,
 	// never correctness.
-	Span   string `json:"span,omitempty"`
-	Task   string `json:"task,omitempty"`
-	Params []byte `json:"-"`
-	Input  []byte `json:"-"`
+	Span   string
+	Task   string
+	Params []byte
+	Input  []byte
 	// TotalLen, when larger than len(Input) on an assign frame, announces
 	// a chunked transfer: assign_chunk frames follow until the assembled
 	// input reaches TotalLen.
-	TotalLen int64             `json:"total_len,omitempty"`
-	Resume   *tasks.Checkpoint `json:"resume,omitempty"`
+	TotalLen int64
+	Resume   *tasks.Checkpoint
 
-	Result      []byte            `json:"-"`
-	ExecMs      float64           `json:"exec_ms,omitempty"`
-	ProcessedKB float64           `json:"processed_kb,omitempty"`
-	Checkpoint  *tasks.Checkpoint `json:"checkpoint,omitempty"`
-	Error       string            `json:"error,omitempty"`
+	Result      []byte
+	ExecMs      float64
+	ProcessedKB float64
+	Checkpoint  *tasks.Checkpoint
+	Error       string
 	// Digest is the worker-computed canonical SHA-256 digest of the
 	// frame's payload (tasks.Digest of Result on result frames,
 	// Checkpoint.Digest on checkpoint frames). The master recomputes the
@@ -206,10 +223,10 @@ type Message struct {
 	// proves the payload was damaged between task output and fold, and
 	// the digest — not the payload — is what replica votes compare. A
 	// result or checkpoint frame without one is treated as a mismatch.
-	Digest string `json:"digest,omitempty"`
+	Digest string
 
 	// Ping / Pong.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 
 	// Epoch is the master's fencing epoch. A welcome announces it; the
 	// worker echoes it on every result/failure/checkpoint frame it
@@ -219,13 +236,55 @@ type Message struct {
 	// master cannot trust), and at a resurrected old primary they prove
 	// the frame's author has moved on. Zero means "no epoch tracking"
 	// (replication disabled).
-	Epoch int64 `json:"epoch,omitempty"`
+	Epoch int64
 
 	// Telemetry frames: the batched worker-side span events, and how
 	// many events the worker's bounded buffer dropped since its last
 	// telemetry frame went out — backpressure is visible, never silent.
-	Events  []WorkerEvent `json:"events,omitempty"`
-	Dropped int64         `json:"dropped,omitempty"`
+	Events  []WorkerEvent
+	Dropped int64
+}
+
+// typeCodes are the frame types' one-byte wire codes: their indexes.
+var typeCodes = []Type{"", TypeHello, TypeWelcome, TypeProbe, TypeProbeAck,
+	TypeAssign, TypeAssignChunk, TypeResult, TypeFailure, TypePing, TypePong,
+	TypeBye, TypeCheckpoint, TypeCheckpointAck, TypeDrain, TypeTelemetry}
+
+// Wire names the header's fields for the codec, in tag order. The tags
+// are the protocol (docs/protocol.md lists them): the fields every assign
+// and report carries hold tags 1–15, which take a one-byte key.
+func (m *Message) Wire(c *wire.Codec) {
+	wire.Code(c, 1, &m.Type, typeCodes)
+	wire.Int(c, 2, &m.JobID)
+	wire.Int(c, 3, &m.Partition)
+	wire.Int(c, 4, &m.Attempt)
+	wire.String(c, 5, &m.Span)
+	wire.String(c, 6, &m.Task)
+	c.Section(7, &m.Params)
+	c.Section(8, &m.Input)
+	c.Section(9, &m.Result)
+	c.Float(10, &m.ExecMs)
+	c.Float(11, &m.ProcessedKB)
+	c.Digest(12, &m.Digest)
+	c.Uint(13, &m.Seq)
+	wire.Int(c, 14, &m.Epoch)
+	wire.Opt(c, 15, &m.Resume)
+	wire.Opt(c, 16, &m.Checkpoint)
+	wire.Int(c, 17, &m.TotalLen)
+	wire.String(c, 18, &m.Error)
+	c.Section(19, &m.Payload)
+	wire.String(c, 20, &m.Token)
+	wire.String(c, 21, &m.Model)
+	c.Float(22, &m.CPUMHz)
+	wire.Int(c, 23, &m.RAMMB)
+	wire.Int(c, 24, &m.PhoneID)
+	c.Bool(25, &m.Rejoin)
+	wire.Int(c, 26, &m.KeepaliveMs)
+	wire.Int(c, 27, &m.CkptEveryKB)
+	wire.Int(c, 28, &m.CkptEveryMs)
+	c.Bool(29, &m.Telemetry)
+	wire.List(c, 30, &m.Events)
+	wire.Int(c, 31, &m.Dropped)
 }
 
 // MaxFrameSize bounds a single frame (everything after the length
@@ -239,71 +298,16 @@ const recvChunk = 1 << 20 // 1 MiB
 
 // ErrCorrupt marks a received frame as undecodable: an impossible length
 // prefix, a header length or section lengths that disagree with the
-// frame (overrun, a section nothing owns, trailing bytes), a header that
-// is not valid JSON — which includes any frame in the pre-section
-// all-JSON layout — or a frame without a type. The stream is
-// unrecoverable past such a frame (framing is lost), so the peer should
-// be treated exactly like an offline failure. Distinguish it from plain
-// I/O errors (connection cut), which are NOT wrapped in it.
+// frame (overrun, bytes no section owns), a header the codec refuses —
+// which includes a frame of any earlier layout — or a frame without a
+// type. The stream is unrecoverable past such a frame (framing is lost),
+// so the peer should be treated exactly like an offline failure.
+// Distinguish it from plain I/O errors (connection cut), which are NOT
+// wrapped in it.
 var ErrCorrupt = errors.New("protocol: corrupt frame")
 
-// The raw sections of a frame, in wire order. A frame that carries any
-// lists all of their lengths in its header.
-const (
-	secPayload = iota
-	secParams
-	secInput
-	secResult
-	secResumeState
-	secCheckpointState
-	numSections
-)
-
-// rawSections returns the byte fields of m that ride outside the JSON
-// header, in wire order.
-func rawSections(m *Message) [numSections][]byte {
-	s := [numSections][]byte{secPayload: m.Payload, secParams: m.Params, secInput: m.Input, secResult: m.Result}
-	if m.Resume != nil {
-		s[secResumeState] = m.Resume.State
-	}
-	if m.Checkpoint != nil {
-		s[secCheckpointState] = m.Checkpoint.State
-	}
-	return s
-}
-
-// wireHeader is the JSON header of a frame that has raw bytes: the
-// message's own JSON (the raw byte fields are tagged out of it; Resume
-// and Checkpoint appear with their Offset only) plus the length of every
-// section. A frame without raw bytes — every keepalive and ack — has the
-// bare Message as its header: encoding/json walks an embedded struct
-// about 0.3 µs slower per side, which only frames that save a base64
-// pass should pay.
-type wireHeader struct {
-	*Message
-	Sections []int `json:"sections,omitempty"`
-}
-
-// encoder is the pooled per-Send state: the frame buffer and a JSON
-// encoder bound to it, so a small frame encodes without allocating.
-type encoder struct {
-	buf  bytes.Buffer
-	json *json.Encoder // writes to buf
-}
-
-var encoders = sync.Pool{New: func() any {
-	e := new(encoder)
-	e.json = json.NewEncoder(&e.buf)
-	return e
-}}
-
-// maxPooledFrame is the largest frame buffer an encoder may keep when it
-// returns to the pool: room for a default 4 MiB assignment chunk, while
-// one oversized frame does not stay pinned behind later pings.
-const maxPooledFrame = 8 << 20
-
 // maxHeaderScratch is the largest header buffer a Conn keeps between
-// Recvs; headers are a few hundred bytes, a telemetry batch a few KB.
+// Recvs; headers are tens of bytes, a telemetry batch a few KB.
 const maxHeaderScratch = 64 << 10
 
 // maxRecycled is how many recycled receive buffers a Conn keeps: a
@@ -312,63 +316,14 @@ const maxHeaderScratch = 64 << 10
 // maxPooledFrame.
 const maxRecycled = 4
 
+// maxPooledFrame is the largest receive buffer a Conn keeps: room for a
+// default 4 MiB assignment chunk.
+const maxPooledFrame = 8 << 20
+
 // maxLent is how many received messages a recycling Conn remembers as
 // holding one of its buffers. Past it the oldest is forgotten: recycling
 // that message later only clears its fields, and its buffer is garbage.
 const maxLent = 2 * maxRecycled
-
-// frame encodes m into e.buf as [4B length][4B header length][header]
-// [sections] and returns the bytes, valid until e is reused.
-func (e *encoder) frame(m *Message) ([]byte, error) {
-	sections := rawSections(m)
-	raw := 0
-	for _, s := range sections {
-		raw += len(s)
-	}
-	h := m
-	if m.Resume != nil || m.Checkpoint != nil {
-		// The header names a checkpoint by its Offset alone. The swap is
-		// made on a copy: the caller's Message is never written.
-		c := *m
-		if m.Resume != nil {
-			c.Resume = &tasks.Checkpoint{Offset: m.Resume.Offset}
-		}
-		if m.Checkpoint != nil {
-			c.Checkpoint = &tasks.Checkpoint{Offset: m.Checkpoint.Offset}
-		}
-		h = &c
-	}
-	e.buf.Reset()
-	var pre [8]byte // both length fields, patched below
-	e.buf.Write(pre[:])
-	var err error
-	if raw == 0 {
-		err = e.json.Encode(h)
-	} else {
-		lens := make([]int, numSections)
-		for i, s := range sections {
-			lens[i] = len(s)
-		}
-		err = e.json.Encode(wireHeader{Message: h, Sections: lens})
-	}
-	if err != nil {
-		return nil, fmt.Errorf("protocol: encoding %s frame: %w", m.Type, err)
-	}
-	e.buf.Truncate(e.buf.Len() - 1) // the encoder's trailing newline
-	hlen := e.buf.Len() - 8
-	n := 4 + hlen + raw
-	if n > MaxFrameSize {
-		return nil, fmt.Errorf("protocol: %s frame of %d bytes exceeds limit", m.Type, n)
-	}
-	e.buf.Grow(raw)
-	for _, s := range sections {
-		e.buf.Write(s)
-	}
-	b := e.buf.Bytes()
-	binary.BigEndian.PutUint32(b, uint32(n))
-	binary.BigEndian.PutUint32(b[4:], uint32(hlen))
-	return b, nil
-}
 
 // Conn wraps a net.Conn with frame encoding. Sends are serialized by a
 // mutex so multiple goroutines (writer, keepaliver) can share it;
@@ -380,9 +335,10 @@ type Conn struct {
 	wm sync.Mutex
 
 	// rbuf is Recv's scratch for the header bytes of the frame being
-	// decoded (JSON decoding copies what it keeps), owned by the single
-	// reader.
+	// decoded (decoding copies what it keeps), and dec its decoder, both
+	// owned by the single reader.
 	rbuf []byte
+	dec  wire.Codec
 
 	bufs recycler
 }
@@ -495,20 +451,20 @@ func NewConn(c net.Conn) *Conn {
 	return &Conn{c: c, r: bufio.NewReaderSize(c, 64<<10)}
 }
 
-// Send writes one frame: a 4-byte big-endian length, a 4-byte header
-// length, the JSON header, then the raw sections. It neither modifies
-// nor retains m or the slices it holds.
+// Send writes one frame: a 4-byte big-endian length, then m as one wire
+// unit — a 4-byte header length, the header, the raw sections. It neither
+// modifies nor retains m or the slices it holds.
 func (c *Conn) Send(m *Message) error {
-	e := encoders.Get().(*encoder)
-	defer func() {
-		if e.buf.Cap() <= maxPooledFrame {
-			encoders.Put(e)
-		}
-	}()
-	frame, err := e.frame(m)
+	e := wire.Get()
+	defer e.Release()
+	frame, err := wire.Encode(e, 4, m)
 	if err != nil {
-		return err
+		return fmt.Errorf("protocol: encoding %s frame: %w", m.Type, err)
 	}
+	if len(frame)-4 > MaxFrameSize {
+		return fmt.Errorf("protocol: %s frame of %d bytes exceeds limit", m.Type, len(frame)-4)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 	// One frame, one Write: a crash or fault-injected cut can never land
 	// between the header and the body, and each frame costs one syscall.
 	c.wm.Lock()
@@ -559,8 +515,8 @@ func (c *Conn) Recv() (*Message, error) {
 	if _, err := io.ReadFull(c.r, pre[4:]); err != nil {
 		return nil, fmt.Errorf("protocol: reading frame header: %w", err)
 	}
-	// A frame in the old all-JSON layout fails here: its first body bytes
-	// (`{"ty`) read as a header length of two gigabytes.
+	// A frame in the all-JSON layout before sections fails here: its first
+	// body bytes (`{"ty`) read as a header length of two gigabytes.
 	hlen := int(binary.BigEndian.Uint32(pre[4:]))
 	if hlen > n-4 {
 		return nil, fmt.Errorf("header of %d bytes overruns its %d-byte frame: %w", hlen, n, ErrCorrupt)
@@ -572,67 +528,26 @@ func (c *Conn) Recv() (*Message, error) {
 	if cap(hdr) <= maxHeaderScratch {
 		c.rbuf = hdr
 	}
+	// Every byte after the header must belong to exactly one section, and
+	// that is settled by the header alone, before any of them is read:
+	// section lengths cost no memory beyond what readN commits for the
+	// frame length itself. A header of an earlier layout, JSON, fails on
+	// its first byte: '{' is a key of wire type 3.
 	raw := n - 4 - hlen
 	m := new(Message)
-	var lens []int
-	if raw == 0 {
-		err = json.Unmarshal(hdr, m)
-	} else {
-		h := wireHeader{Message: m}
-		err = json.Unmarshal(hdr, &h)
-		lens = h.Sections
-	}
-	if err != nil {
+	if err := wire.DecodeHeader(&c.dec, hdr, raw, m); err != nil {
 		return nil, fmt.Errorf("decoding frame header (%v): %w", err, ErrCorrupt)
 	}
 	if m.Type == "" {
 		return nil, fmt.Errorf("frame missing type: %w", ErrCorrupt)
 	}
-
-	// Every byte after the header must belong to exactly one section, and
-	// that is settled before any of them is read: section lengths cost no
-	// memory beyond what readN commits for the frame length itself.
-	var sections [numSections][]byte
 	if raw > 0 {
-		if len(lens) != numSections {
-			return nil, fmt.Errorf("frame with %d raw bytes lists %d sections, want %d: %w", raw, len(lens), numSections, ErrCorrupt)
-		}
-		left := raw
-		for i, l := range lens {
-			if l < 0 || l > left {
-				return nil, fmt.Errorf("section %d of %d bytes overruns its frame: %w", i, l, ErrCorrupt)
-			}
-			left -= l
-		}
-		if left != 0 {
-			return nil, fmt.Errorf("%d bytes after the last section: %w", left, ErrCorrupt)
-		}
-		if (lens[secResumeState] > 0 && m.Resume == nil) || (lens[secCheckpointState] > 0 && m.Checkpoint == nil) {
-			return nil, fmt.Errorf("checkpoint state section without its checkpoint: %w", ErrCorrupt)
-		}
 		body, err := c.readN(c.bufs.take(raw), raw)
 		if err != nil {
 			return nil, fmt.Errorf("protocol: reading frame body: %w", err)
 		}
 		c.bufs.lend(m, body)
-		for i, l := range lens {
-			if l > 0 {
-				// Capacity stops at the section's end: appending to one
-				// field must never write into its neighbour.
-				sections[i] = body[:l:l]
-			}
-			body = body[l:]
-		}
-	}
-	// Unconditional, so checkpoint state can only ever come from a
-	// section, never from a "state" member smuggled into the header.
-	m.Payload, m.Params = sections[secPayload], sections[secParams]
-	m.Input, m.Result = sections[secInput], sections[secResult]
-	if m.Resume != nil {
-		m.Resume.State = sections[secResumeState]
-	}
-	if m.Checkpoint != nil {
-		m.Checkpoint.State = sections[secCheckpointState]
+		c.dec.Sections(body)
 	}
 	return m, nil
 }

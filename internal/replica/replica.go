@@ -20,7 +20,6 @@
 package replica
 
 import (
-	"encoding/json"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -29,6 +28,7 @@ import (
 	"cwc/internal/obs"
 	"cwc/internal/server"
 	"cwc/internal/wal"
+	"cwc/internal/wire"
 )
 
 // Stream frame types, deliberately outside the server's WAL record
@@ -44,10 +44,15 @@ const (
 	recHeartbeat uint8 = 0xF1
 )
 
-// heartbeat is recHeartbeat's JSON payload.
+// heartbeat is recHeartbeat's payload, one wire unit.
 type heartbeat struct {
-	Epoch   int64 `json:"epoch"`
-	Shipped int64 `json:"shipped"`
+	Epoch   int64
+	Shipped int64
+}
+
+func (h *heartbeat) Wire(c *wire.Codec) {
+	wire.Int(c, 1, &h.Epoch)
+	wire.Int(c, 2, &h.Shipped)
 }
 
 // heartbeatPeriod paces heartbeat frames (and therefore how quickly a
@@ -228,6 +233,7 @@ func (s *Shipper) serveStandby(conn net.Conn) {
 	}
 	hb := time.NewTicker(heartbeatPeriod)
 	defer hb.Stop()
+	var hbc wire.Codec
 	for {
 		select {
 		case frame := <-sub.ch:
@@ -237,7 +243,7 @@ func (s *Shipper) serveStandby(conn net.Conn) {
 			}
 			sub.queued.Add(-1)
 		case <-hb.C:
-			b, err := json.Marshal(heartbeat{Epoch: s.epoch(), Shipped: sub.sent.Load()})
+			b, err := wire.Encode(&hbc, 0, &heartbeat{Epoch: s.epoch(), Shipped: sub.sent.Load()})
 			if err != nil {
 				return
 			}

@@ -3,7 +3,6 @@ package replica
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +13,7 @@ import (
 	"cwc/internal/obs"
 	"cwc/internal/server"
 	"cwc/internal/wal"
+	"cwc/internal/wire"
 )
 
 // errStandbyWAL marks a local-durability failure (the standby's own log
@@ -237,7 +237,7 @@ func (s *Standby) follow(ctx context.Context, conn net.Conn, wl *wal.Log, fold *
 
 func decodeHeartbeat(b []byte) (heartbeat, error) {
 	var hb heartbeat
-	if err := json.Unmarshal(b, &hb); err != nil {
+	if err := wire.Decode(b, &hb); err != nil {
 		return hb, fmt.Errorf("replica: decoding heartbeat: %w", err)
 	}
 	return hb, nil

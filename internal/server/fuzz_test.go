@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 
+	"cwc/internal/tasks"
 	"cwc/internal/wal"
 )
 
@@ -12,20 +13,28 @@ import (
 // never a panic.
 func FuzzWALReducer(f *testing.F) {
 	f.Add(walRecSubmit, encodeWAL(f, &walSubmit{JobID: 2, Seq: 2, Task: "primecount", Input: []byte("2\n")}))
-	f.Add(walRecRound, encodeWAL(f, walRound{Items: []walRoundItem{
+	f.Add(walRecRound, encodeWAL(f, &walRound{Items: []walRoundItem{
 		{Key: 2, FromSeq: 1, Len: 4}, {Key: 3, FromSeq: 1, Off: 4, Len: 4}, {Key: 1, Retries: 1},
 	}}))
 	f.Add(walRecPartial, encodeWAL(f, &walPartialRec{JobID: 1, Key: 1, Offset: 2, Partial: []byte("1"), RemainderSeq: 2}))
-	f.Add(walRecMigrate, encodeWAL(f, &walMigrate{JobID: 1, Key: 1, Resume: &walResume{Offset: 2}, State: []byte(`{"count":1}`)}))
+	f.Add(walRecMigrate, encodeWAL(f, &walMigrate{JobID: 1, Key: 1, Resume: &tasks.Checkpoint{Offset: 2, State: []byte(`{"count":1}`)}}))
 	f.Add(walRecReport, encodeWAL(f, &walReport{JobID: 99}))
 	// Retired types as older logs wrote them (dispatch, finish, streamed
-	// checkpoint): refused as unknown, whatever they hold.
+	// checkpoint), and as this codec would: refused as unknown, whatever
+	// they hold.
 	f.Add(uint8(3), framed(`{"key":1,"job_id":1,"partition":7,"phone_id":2,"attempt":9}`))
-	f.Add(uint8(8), framed(`{"sections":[1],"job_id":1}`, "6"))
-	f.Add(uint8(8), framed(`{"sections":[0],"job_id":1,"error":"server: job 1 complete with no partials"}`))
-	f.Add(uint8(9), framed(`{"sections":[11],"job_id":1,"key":1,"resume":{"offset":3}}`, `{"count":1}`))
-	// The pre-section all-JSON layout: rejected from its first four bytes.
+	f.Add(uint8(3), framed(hdr(field(1, 0, 2), field(2, 0, 2), field(3, 0, 14))))
+	f.Add(uint8(8), framed(hdr(field(1, 0, 2), field(2, 0, 1)), "6"))
+	f.Add(uint8(9), framed(hdr(field(1, 0, 2), field(2, 0, 2), field(3, 2, 4, 0x08, 6, 0x10, 11)), `{"count":1}`))
+	// Earlier layouts: a JSON header, and the all-JSON payload before
+	// sections, rejected from its first four bytes.
+	f.Add(walRecDrain, framed(drainJSON))
 	f.Add(walRecSubmit, []byte(`{"job_id":2,"seq":2,"task":"primecount","input":"Mgo="}`))
+	// Hostile shapes: a section past the payload, an item count past the
+	// header, a tag repeated.
+	f.Add(walRecSubmit, framed(submitHdr+hdr(field(5, 0, 0x80, 0x94, 0xeb, 0xdc, 0x03)), "2\n"))
+	f.Add(walRecRound, framed(hdr(field(1, 2, 2, 100, 0))))
+	f.Add(walRecDrain, framed(hdr(field(1, 0, 2), field(1, 0, 4))))
 	f.Add(uint8(200), []byte(`{}`))
 	// Every record type as the live master builds it.
 	for _, rec := range liveWALRecords() {

@@ -39,7 +39,7 @@ func openTestRange(t testing.TB, m *Master, task tasks.Task, input []byte, atomi
 // call site builds it (a pointer to the struct, every field that site
 // sets), valid against primedReducer's state.
 func liveWALRecords() map[string]walRecord {
-	hdr, state := splitResume(&tasks.Checkpoint{Offset: 3, State: []byte(`{"count":1}`)})
+	ck := &tasks.Checkpoint{Offset: 3, State: []byte(`{"count":1}`)}
 	return map[string]walRecord{
 		"submit": &walSubmit{JobID: 2, Seq: 2, Task: "wordcount", Params: tasks.WordCount{Word: "sale"}.Params(),
 			Input: []byte("sale\n"), Atomic: true},
@@ -48,16 +48,18 @@ func liveWALRecords() map[string]walRecord {
 			{Key: 1, Retries: 1, Partition: 7}}},
 		"report":        &walReport{JobID: 1, Key: 1, Bytes: 6, Partial: []byte("2")},
 		"partial":       &walPartialRec{JobID: 1, Key: 1, Offset: 3, Partial: []byte("1"), RemainderSeq: 2, Retries: 1},
-		"migrate":       &walMigrate{JobID: 1, Key: 1, Resume: hdr, State: state, Retries: 1, Partition: 7},
+		"migrate":       &walMigrate{JobID: 1, Key: 1, Resume: ck, Retries: 1, Partition: 7},
 		"migrate/whole": &walMigrate{JobID: 1, Key: 1, Retries: 2},
 		// A streamed checkpoint: the range's retries and partition unchanged.
-		"migrate/streamed": &walMigrate{JobID: 1, Key: 1, Resume: hdr, State: state},
-		"deadletter":       &walDeadLetterRec{JobID: 1, Key: 1, Task: "primecount", Bytes: 6, Retries: 1, Reason: "phone lost mid-round"},
-		"deadletter/new":   &walDeadLetterRec{JobID: 1, Task: "primecount", Bytes: 3, Retries: 1, Reason: "failure remainder: unplugged"},
-		"drain":            &walDrainRec{PhoneID: 3, State: drainStarted},
-		"epoch":            &walEpochRec{Epoch: 2},
-		"register":         &walRegisterRec{PhoneID: 5, Model: "Nexus S"},
-		"reputation":       &walReputationRec{PhoneID: 5, Score: 0.216, Quarantined: true},
+		"migrate/streamed": &walMigrate{JobID: 1, Key: 1, Resume: ck},
+		// A checkpoint at offset zero with no state is still a checkpoint.
+		"migrate/empty":  &walMigrate{JobID: 1, Key: 1, Resume: &tasks.Checkpoint{}},
+		"deadletter":     &walDeadLetterRec{JobID: 1, Key: 1, Task: "primecount", Bytes: 6, Retries: 1, Reason: "phone lost mid-round"},
+		"deadletter/new": &walDeadLetterRec{JobID: 1, Task: "primecount", Bytes: 3, Retries: 1, Reason: "failure remainder: unplugged"},
+		"drain":          &walDrainRec{PhoneID: 3, State: drainStarted},
+		"epoch":          &walEpochRec{Epoch: 2},
+		"register":       &walRegisterRec{PhoneID: 5, Model: "Nexus S"},
+		"reputation":     &walReputationRec{PhoneID: 5, Score: 0.216, Quarantined: true},
 	}
 }
 
@@ -131,7 +133,7 @@ func TestWALFoldLiveEqualsDecoded(t *testing.T) {
 	}
 	for typ := walRecSubmit; typ < walRecEnd; typ++ {
 		if name, retired := retiredWALTypes[typ]; retired {
-			_, err := decodeWAL(wal.Record{Type: typ, Payload: encodeWAL(t, walDrainRec{PhoneID: 1, State: drainStarted})})
+			_, err := decodeWAL(wal.Record{Type: typ, Payload: encodeWAL(t, &walDrainRec{PhoneID: 1, State: drainStarted})})
 			if seen[typ] || err == nil || !strings.Contains(err.Error(), "unknown record type") {
 				t.Errorf("retired type %d (%s) is in use: a live record logs it %v, decodeWAL says %v", typ, name, seen[typ], err)
 			}

@@ -109,8 +109,8 @@ func TestRejoinRefusesModelMismatch(t *testing.T) {
 func TestWALFoldSnapshotKeepsIdentity(t *testing.T) {
 	fold := NewWALFold()
 	for _, rec := range []wal.Record{
-		{Type: walRecRegister, Payload: encodeWAL(t, walRegisterRec{PhoneID: 4, Model: "Nexus S"})},
-		{Type: walRecReputation, Payload: encodeWAL(t, walReputationRec{PhoneID: 4, Score: 0.2, Quarantined: true})},
+		{Type: walRecRegister, Payload: encodeWAL(t, &walRegisterRec{PhoneID: 4, Model: "Nexus S"})},
+		{Type: walRecReputation, Payload: encodeWAL(t, &walReputationRec{PhoneID: 4, Score: 0.2, Quarantined: true})},
 	} {
 		if err := fold.Apply(rec); err != nil {
 			t.Fatal(err)

@@ -996,8 +996,7 @@ func (m *Master) keepCheckpointLocked(e *walItemRec, ck *tasks.Checkpoint) bool 
 // stays open: same bytes, new resume state and retry count. Caller holds
 // m.mu.
 func (m *Master) migrateLocked(e *walItemRec, resume *tasks.Checkpoint, retries int) {
-	hdr, state := splitResume(resume)
-	m.walAppend(&walMigrate{JobID: e.JobID, Key: e.Key, Resume: hdr, State: state,
+	m.walAppend(&walMigrate{JobID: e.JobID, Key: e.Key, Resume: resume,
 		Retries: retries, Partition: e.Partition})
 }
 

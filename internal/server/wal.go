@@ -2,17 +2,14 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
-	"sync"
 
 	"cwc/internal/tasks"
 	"cwc/internal/wal"
+	"cwc/internal/wire"
 )
 
 // The master's write-ahead log: every mutation of durable state (jobs,
@@ -77,15 +74,17 @@ const (
 	walRecEnd = uint8(iota) + 1
 )
 
-// A record's payload is
+// A record's payload is one wire unit (package wire), the shape of a
+// protocol frame's body:
 //
-//	[4B header length LE] [JSON header] [raw sections]
+//	[4B header length BE] [header] [sections]
 //
-// — the shape of a protocol frame. The header is the record's struct;
-// its bulk byte fields are tagged out of the JSON, ride behind the
-// header at their own size, and the header lists their lengths. A
-// payload in the old all-JSON layout is rejected from its first four
-// bytes: `{"jo` reads as a header of 1.8 GB.
+// The header is the record's fields as tag + varint fields, each
+// struct's tags named once in its Wire method; its bulk byte fields
+// (input, params, partial, checkpoint state) are sections, which ride
+// behind the header at their own size. A payload of an earlier layout is
+// refused: a JSON header on its first byte, the all-JSON payload from
+// its first four (`{"jo` reads as a header of 2 GB).
 
 // walRecord is implemented by every record struct.
 type walRecord interface {
@@ -93,46 +92,7 @@ type walRecord interface {
 	// it itself, once, so no call site can log one type and fold another;
 	// decodeWAL holds the way back.
 	typ() uint8
-	// bulk returns where the header lists its section lengths and the
-	// byte fields those sections are, in payload order; both are nil
-	// for a record that carries no bulk bytes.
-	bulk() (lens *[]int, fields []*[]byte)
-}
-
-// walBulk is embedded in records that carry bulk bytes.
-type walBulk struct {
-	Sections []int `json:"sections,omitempty"`
-}
-
-// walNoBulk is embedded in records whose header is all there is.
-type walNoBulk struct{}
-
-func (walNoBulk) bulk() (*[]int, []*[]byte) { return nil, nil }
-
-// walResume is how a header names a checkpoint: by its offset. The
-// accumulator rides as the record's State section.
-type walResume struct {
-	Offset int64 `json:"offset"`
-}
-
-// splitResume is a checkpoint as a record carries it.
-func splitResume(ck *tasks.Checkpoint) (*walResume, []byte) {
-	if ck == nil {
-		return nil, nil
-	}
-	return &walResume{Offset: ck.Offset}, ck.State
-}
-
-// joinResume is splitResume's inverse. State without a checkpoint to
-// own it marks a damaged record.
-func joinResume(h *walResume, state []byte) (*tasks.Checkpoint, error) {
-	if h == nil {
-		if len(state) > 0 {
-			return nil, fmt.Errorf("%d bytes of checkpoint state without a checkpoint", len(state))
-		}
-		return nil, nil
-	}
-	return &tasks.Checkpoint{Offset: h.Offset, State: state}, nil
+	wire.Fields
 }
 
 // walRegisterRec keeps phone IDs monotone across recovery *and*
@@ -146,41 +106,50 @@ func joinResume(h *walResume, state []byte) (*tasks.Checkpoint, error) {
 // state (record 13) would detach from the phone at the first master
 // restart, because the phone would be reissued a fresh ID.
 type walRegisterRec struct {
-	walNoBulk
-	PhoneID int    `json:"phone_id"`
-	Model   string `json:"model,omitempty"`
+	PhoneID int
+	Model   string
 }
 
-func (walRegisterRec) typ() uint8 { return walRecRegister }
+func (*walRegisterRec) typ() uint8 { return walRecRegister }
+
+func (p *walRegisterRec) Wire(c *wire.Codec) {
+	wire.Int(c, 1, &p.PhoneID)
+	wire.String(c, 2, &p.Model)
+}
 
 // walEpochRec persists a fencing-epoch bump. The record is durable (and
 // shipped to standbys) before the new epoch takes effect, so no two
 // master regimes can ever share an epoch: a resurrected primary replays
 // the epochs it bumped, never the one its standby minted at promotion.
 type walEpochRec struct {
-	walNoBulk
-	Epoch int64 `json:"epoch"`
+	Epoch int64
 }
 
-func (walEpochRec) typ() uint8 { return walRecEpoch }
+func (*walEpochRec) typ() uint8 { return walRecEpoch }
+
+func (p *walEpochRec) Wire(c *wire.Codec) { wire.Int(c, 1, &p.Epoch) }
 
 // walSubmit is the one record that carries input bytes: every later
 // reference to any part of a job's input resolves, directly or through
 // the ranges cut from it, to this record's Input section.
 type walSubmit struct {
-	walBulk
-	JobID  int    `json:"job_id"`
-	Seq    int64  `json:"seq"`
-	Task   string `json:"task"`
-	Params []byte `json:"-"`
-	Input  []byte `json:"-"`
-	Atomic bool   `json:"atomic,omitempty"`
+	JobID  int
+	Seq    int64
+	Task   string
+	Params []byte
+	Input  []byte
+	Atomic bool
 }
 
 func (*walSubmit) typ() uint8 { return walRecSubmit }
 
-func (p *walSubmit) bulk() (*[]int, []*[]byte) {
-	return &p.Sections, []*[]byte{&p.Params, &p.Input}
+func (p *walSubmit) Wire(c *wire.Codec) {
+	wire.Int(c, 1, &p.JobID)
+	wire.Int(c, 2, &p.Seq)
+	wire.String(c, 3, &p.Task)
+	c.Section(4, &p.Params)
+	c.Section(5, &p.Input)
+	c.Bool(6, &p.Atomic)
 }
 
 // walRoundItem opens one keyed byte range. Cut from a fresh item it is
@@ -189,200 +158,153 @@ func (p *walSubmit) bulk() (*[]int, []*[]byte) {
 // is a range that is already open under Key, re-entering a round with
 // its bytes and resume state as replay holds them.
 type walRoundItem struct {
-	Key     int64 `json:"key"`
-	FromSeq int64 `json:"from_seq,omitempty"`
-	Off     int64 `json:"off,omitempty"`
-	Len     int64 `json:"len,omitempty"`
-	Retries int   `json:"retries,omitempty"`
+	Key     int64
+	FromSeq int64
+	Off     int64
+	Len     int64
+	Retries int
 	// Partition is the timeline identity of this byte range: a promoted
 	// standby re-dispatches a recovered open range under the same
 	// partition number, so the merged trace shows one row per range
 	// across the failover instead of a ghost row per regime.
-	Partition int `json:"partition,omitempty"`
+	Partition int
+}
+
+func (it *walRoundItem) Wire(c *wire.Codec) {
+	wire.Int(c, 1, &it.Key)
+	wire.Int(c, 2, &it.FromSeq)
+	wire.Int(c, 3, &it.Off)
+	wire.Int(c, 4, &it.Len)
+	wire.Int(c, 5, &it.Retries)
+	wire.Int(c, 6, &it.Partition)
 }
 
 // walRound consumes every fresh item its Items name: the ranges cut
 // from one item tile it exactly, so the item continues as those keyed
 // ranges and nothing else.
 type walRound struct {
-	walNoBulk
-	Items []walRoundItem `json:"items"`
+	Items []walRoundItem
 }
 
-func (walRound) typ() uint8 { return walRecRound }
+func (*walRound) typ() uint8 { return walRecRound }
+
+func (p *walRound) Wire(c *wire.Codec) { wire.List(c, 1, &p.Items) }
 
 type walReport struct {
-	walBulk
-	JobID   int    `json:"job_id"`
-	Key     int64  `json:"key"`
-	Bytes   int64  `json:"bytes"`
-	Partial []byte `json:"-"`
+	JobID   int
+	Key     int64
+	Bytes   int64
+	Partial []byte
 }
 
 func (*walReport) typ() uint8 { return walRecReport }
 
-func (p *walReport) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.Partial} }
+func (p *walReport) Wire(c *wire.Codec) {
+	wire.Int(c, 1, &p.JobID)
+	wire.Int(c, 2, &p.Key)
+	wire.Int(c, 3, &p.Bytes)
+	c.Section(4, &p.Partial)
+}
 
 type walPartialRec struct {
-	walBulk
-	JobID   int    `json:"job_id"`
-	Key     int64  `json:"key"`
-	Offset  int64  `json:"offset"`
-	Partial []byte `json:"-"`
+	JobID   int
+	Key     int64
+	Offset  int64
+	Partial []byte
 	// RemainderSeq, when set, re-queues the unprocessed suffix — the
 	// open range's bytes from Offset on — as a fresh item under this
 	// sequence number; zero when the remainder was empty or immediately
 	// dead-lettered.
-	RemainderSeq int64 `json:"remainder_seq,omitempty"`
-	Retries      int   `json:"retries,omitempty"`
+	RemainderSeq int64
+	Retries      int
 }
 
 func (*walPartialRec) typ() uint8 { return walRecPartial }
 
-func (p *walPartialRec) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.Partial} }
+func (p *walPartialRec) Wire(c *wire.Codec) {
+	wire.Int(c, 1, &p.JobID)
+	wire.Int(c, 2, &p.Key)
+	wire.Int(c, 3, &p.Offset)
+	c.Section(4, &p.Partial)
+	wire.Int(c, 5, &p.RemainderSeq)
+	wire.Int(c, 6, &p.Retries)
+}
 
 // walMigrate updates a range that stays open under its key: new resume
 // state and retry count, same bytes. A whole hand-back, a kept failure
-// checkpoint and a streamed checkpoint are all logged as one.
+// checkpoint and a streamed checkpoint are all logged as one. Resume's
+// offset rides in the header and its state as a section.
 type walMigrate struct {
-	walBulk
-	JobID     int        `json:"job_id"`
-	Key       int64      `json:"key"`
-	Resume    *walResume `json:"resume,omitempty"`
-	State     []byte     `json:"-"`
-	Retries   int        `json:"retries,omitempty"`
-	Partition int        `json:"partition,omitempty"` // see walRoundItem.Partition
+	JobID     int
+	Key       int64
+	Resume    *tasks.Checkpoint
+	Retries   int
+	Partition int // see walRoundItem.Partition
 }
 
 func (*walMigrate) typ() uint8 { return walRecMigrate }
 
-func (p *walMigrate) bulk() (*[]int, []*[]byte) { return &p.Sections, []*[]byte{&p.State} }
-
-type walDeadLetterRec struct {
-	walNoBulk
-	JobID   int    `json:"job_id"`
-	Key     int64  `json:"key,omitempty"`
-	Seq     int64  `json:"seq,omitempty"`
-	Task    string `json:"task"`
-	Bytes   int    `json:"bytes"`
-	Retries int    `json:"retries"`
-	Reason  string `json:"reason"`
+func (p *walMigrate) Wire(c *wire.Codec) {
+	wire.Int(c, 1, &p.JobID)
+	wire.Int(c, 2, &p.Key)
+	wire.Opt(c, 3, &p.Resume)
+	wire.Int(c, 4, &p.Retries)
+	wire.Int(c, 5, &p.Partition)
 }
 
-func (walDeadLetterRec) typ() uint8 { return walRecDeadLetter }
+type walDeadLetterRec struct {
+	JobID   int
+	Key     int64
+	Seq     int64
+	Task    string
+	Bytes   int
+	Retries int
+	Reason  string
+}
+
+func (*walDeadLetterRec) typ() uint8 { return walRecDeadLetter }
+
+func (p *walDeadLetterRec) Wire(c *wire.Codec) {
+	wire.Int(c, 1, &p.JobID)
+	wire.Int(c, 2, &p.Key)
+	wire.Int(c, 3, &p.Seq)
+	wire.String(c, 4, &p.Task)
+	wire.Int(c, 5, &p.Bytes)
+	wire.Int(c, 6, &p.Retries)
+	wire.String(c, 7, &p.Reason)
+}
 
 // walReputationRec logs one phone's result-integrity reputation after a
 // verification event (vote won or lost, audit outcome, digest mismatch).
 // Each record carries the full post-event state, so replaying only the
 // latest record per phone — or all of them in order — converges.
 type walReputationRec struct {
-	walNoBulk
-	PhoneID     int     `json:"phone_id"`
-	Score       float64 `json:"score"`
-	Quarantined bool    `json:"quarantined,omitempty"`
+	PhoneID     int
+	Score       float64
+	Quarantined bool
 }
 
-func (walReputationRec) typ() uint8 { return walRecReputation }
+func (*walReputationRec) typ() uint8 { return walRecReputation }
+
+func (p *walReputationRec) Wire(c *wire.Codec) {
+	wire.Int(c, 1, &p.PhoneID)
+	c.Float(2, &p.Score)
+	c.Bool(3, &p.Quarantined)
+}
 
 // walDrainRec logs one proactive-drain state transition so recovery
 // preserves which phones were being drained: State is drainStarted,
 // drainCompleted, or drainCleared.
 type walDrainRec struct {
-	walNoBulk
-	PhoneID int    `json:"phone_id"`
-	State   string `json:"state"`
+	PhoneID int
+	State   string
 }
 
-func (walDrainRec) typ() uint8 { return walRecDrain }
+func (*walDrainRec) typ() uint8 { return walRecDrain }
 
-// walEncoder is the pooled per-append state: the payload buffer and a
-// JSON encoder bound to it.
-type walEncoder struct {
-	buf  bytes.Buffer
-	json *json.Encoder // writes to buf
-}
-
-var walEncoders = sync.Pool{New: func() any { return newWALEncoder() }}
-
-func newWALEncoder() *walEncoder {
-	e := new(walEncoder)
-	e.json = json.NewEncoder(&e.buf)
-	return e
-}
-
-// maxPooledWALRecord is the largest payload buffer an encoder may keep
-// when it returns to the pool, so one huge submission does not stay
-// pinned behind later small records.
-const maxPooledWALRecord = 8 << 20
-
-// encode renders v's payload into e.buf and returns the bytes, valid
-// until e is reused.
-func (e *walEncoder) encode(v walRecord) ([]byte, error) {
-	lens, fields := v.bulk()
-	raw := 0
-	if lens != nil {
-		*lens = make([]int, len(fields))
-		for i, f := range fields {
-			(*lens)[i] = len(*f)
-			raw += len(*f)
-		}
-	}
-	e.buf.Reset()
-	var pre [4]byte // header length, patched below
-	e.buf.Write(pre[:])
-	if err := e.json.Encode(v); err != nil {
-		return nil, err
-	}
-	e.buf.Truncate(e.buf.Len() - 1) // the encoder's trailing newline
-	hlen := e.buf.Len() - len(pre)
-	e.buf.Grow(raw)
-	for _, f := range fields {
-		e.buf.Write(*f)
-	}
-	b := e.buf.Bytes()
-	binary.LittleEndian.PutUint32(b, uint32(hlen))
-	return b, nil
-}
-
-// decodeWALRecord parses a record payload into v. Every byte after the
-// header must belong to exactly one section; the sections v receives
-// are sub-slices of payload, so decoding allocates what the header
-// holds and nothing more.
-func decodeWALRecord(payload []byte, v walRecord) error {
-	if len(payload) < 4 {
-		return fmt.Errorf("payload of %d bytes has no header length", len(payload))
-	}
-	hlen := int64(binary.LittleEndian.Uint32(payload))
-	if hlen > int64(len(payload)-4) {
-		return fmt.Errorf("header of %d bytes overruns its %d-byte payload", hlen, len(payload))
-	}
-	body := payload[4+hlen:]
-	if err := json.Unmarshal(payload[4:4+hlen], v); err != nil {
-		return fmt.Errorf("header: %w", err)
-	}
-	lens, fields := v.bulk()
-	if lens != nil {
-		if len(*lens) != len(fields) {
-			return fmt.Errorf("header lists %d sections, want %d", len(*lens), len(fields))
-		}
-		for i, l := range *lens {
-			if l < 0 || l > len(body) {
-				return fmt.Errorf("section %d of %d bytes overruns its payload", i, l)
-			}
-			// Unconditional, so bulk bytes can only ever come from a
-			// section; capacity stops at the section's end, so appending
-			// to one field never writes into its neighbour.
-			*fields[i] = nil
-			if l > 0 {
-				*fields[i] = body[:l:l]
-			}
-			body = body[l:]
-		}
-	}
-	if len(body) != 0 {
-		return fmt.Errorf("%d bytes after the last section", len(body))
-	}
-	return nil
+func (p *walDrainRec) Wire(c *wire.Codec) {
+	wire.Int(c, 1, &p.PhoneID)
+	wire.String(c, 2, &p.State)
 }
 
 // decodeWAL parses a logged record into its struct — the read side of
@@ -415,7 +337,7 @@ func decodeWAL(rec wal.Record) (walRecord, error) {
 	default:
 		return nil, fmt.Errorf("unknown record type %d", rec.Type)
 	}
-	if err := decodeWALRecord(rec.Payload, v); err != nil {
+	if err := wire.Decode(rec.Payload, v); err != nil {
 		return nil, fmt.Errorf("decoding record type %d: %w", rec.Type, err)
 	}
 	return v, nil
@@ -476,32 +398,6 @@ type walItemRec struct {
 	shared bool
 }
 
-// walState is the compaction snapshot: the reducer's state serialized.
-type walState struct {
-	NextJobID int   `json:"next_job_id"`
-	NextSeq   int64 `json:"next_seq"`
-	NextKey   int64 `json:"next_key"`
-	// NextPhoneID keeps phone IDs monotone across recovery so a drain
-	// ledger entry can never be misapplied to an unrelated phone that
-	// happened to be issued a recycled ID.
-	NextPhoneID int            `json:"next_phone_id,omitempty"`
-	Jobs        []walJobRec    `json:"jobs,omitempty"`
-	Fresh       []walItemRec   `json:"fresh,omitempty"`
-	Open        []walItemRec   `json:"open,omitempty"`
-	DeadLetters []DeadLetter   `json:"dead_letters,omitempty"`
-	Drains      map[int]string `json:"drains,omitempty"`
-	// Reputation is each phone's result-integrity EWMA score (absent
-	// phones are at the initial 1.0); Quarantined lists phones vetoed
-	// from placement for integrity failures (sorted, see walRecReputation).
-	Reputation  map[int]float64 `json:"reputation,omitempty"`
-	Quarantined []int           `json:"quarantined,omitempty"`
-	// Identity maps issued phone IDs to self-reported models so rejoins
-	// keep their IDs (and reputation) across recovery; see walRegisterRec.
-	Identity map[int]string `json:"identity,omitempty"`
-	// Epoch is the fencing epoch at the snapshot cut; see walRecEpoch.
-	Epoch int64 `json:"epoch,omitempty"`
-}
-
 // walReducer is the master's durable state — everything a snapshot
 // holds. fold is the only function that writes it: the live master
 // (which embeds one), replay and the standby's WALFold all go through it.
@@ -545,50 +441,6 @@ func newWALReducer() *walReducer {
 		quarantined: map[int]bool{},
 		identity:    map[int]string{},
 	}
-}
-
-// loadSnapshot primes the reducer from a compaction snapshot.
-func (r *walReducer) loadSnapshot(b []byte) error {
-	var st walState
-	if err := json.Unmarshal(b, &st); err != nil {
-		return fmt.Errorf("decoding snapshot: %w", err)
-	}
-	r.nextJobID = max(r.nextJobID, st.NextJobID)
-	r.nextSeq, r.nextKey = st.NextSeq, st.NextKey
-	for i := range st.Jobs {
-		j := st.Jobs[i]
-		r.jobs[j.ID] = &j
-	}
-	for i := range st.Fresh {
-		it := st.Fresh[i]
-		r.fresh[it.Seq] = &it
-		r.nextSeq = max(r.nextSeq, it.Seq)
-	}
-	for i := range st.Open {
-		it := st.Open[i]
-		r.open[it.Key] = &it
-		r.nextKey = max(r.nextKey, it.Key)
-	}
-	r.dead = append(r.dead, st.DeadLetters...)
-	r.nextPhoneID = max(r.nextPhoneID, st.NextPhoneID)
-	for id, s := range st.Drains {
-		r.drains[id] = s
-		r.bumpPhone(id)
-	}
-	for id, score := range st.Reputation {
-		r.reputation[id] = score
-		r.bumpPhone(id)
-	}
-	for _, id := range st.Quarantined {
-		r.quarantined[id] = true
-		r.bumpPhone(id)
-	}
-	for id, model := range st.Identity {
-		r.identity[id] = model
-		r.bumpPhone(id)
-	}
-	r.epoch = max(r.epoch, st.Epoch)
-	return nil
 }
 
 // bumpPhone keeps phone IDs monotone: no ID any record or snapshot
@@ -711,15 +563,11 @@ func (r *walReducer) fold(rec walRecord) error {
 		js.Covered += p.Offset
 		js.Partials = append(js.Partials, p.Partial)
 	case *walMigrate:
-		resume, err := joinResume(p.Resume, p.State)
-		if err != nil {
-			return fmt.Errorf("migrate: %w", err)
-		}
 		cur, ok := r.open[p.Key]
 		if !ok || cur.JobID != p.JobID {
 			return fmt.Errorf("migrate: key %d is not an open range of job %d", p.Key, p.JobID)
 		}
-		cur.Resume, cur.Retries, cur.Partition = resume, p.Retries, p.Partition
+		cur.Resume, cur.Retries, cur.Partition = p.Resume, p.Retries, p.Partition
 	case *walDeadLetterRec:
 		delete(r.open, p.Key)
 		delete(r.fresh, p.Seq)
@@ -822,13 +670,9 @@ func (m *Master) walAppendErr(rec walRecord) error {
 // walAppend and walAppendErr, hold m.mu, so the log, the shipped stream
 // and the fold see one order.
 func (m *Master) walWrite(rec walRecord) error {
-	e := walEncoders.Get().(*walEncoder)
-	defer func() {
-		if e.buf.Cap() <= maxPooledWALRecord {
-			walEncoders.Put(e)
-		}
-	}()
-	b, err := e.encode(rec)
+	e := wire.Get()
+	defer e.Release()
+	b, err := wire.Encode(e, 0, rec)
 	if err != nil {
 		return fmt.Errorf("encoding: %w", err)
 	}
@@ -872,34 +716,6 @@ func byID(items map[int64]*walItemRec) []*walItemRec {
 		out[i] = items[id]
 	}
 	return out
-}
-
-// snapshot serializes the reducer's state in the compaction-snapshot
-// format, collections sorted so equivalent states encode identically.
-// Speculation keys and item sequence numbers are preserved: the log that
-// continues after this snapshot refers to them.
-func (r *walReducer) snapshot(w io.Writer) error {
-	st := walState{
-		NextJobID: r.nextJobID, NextSeq: r.nextSeq, NextKey: r.nextKey,
-		NextPhoneID: r.nextPhoneID, Epoch: r.epoch,
-		DeadLetters: r.dead, Drains: r.drains,
-		Reputation: r.reputation, Identity: r.identity,
-	}
-	for id := range r.quarantined {
-		st.Quarantined = append(st.Quarantined, id)
-	}
-	sort.Ints(st.Quarantined)
-	for _, j := range r.jobs {
-		st.Jobs = append(st.Jobs, *j)
-	}
-	sort.Slice(st.Jobs, func(i, j int) bool { return st.Jobs[i].ID < st.Jobs[j].ID })
-	for _, it := range byID(r.fresh) {
-		st.Fresh = append(st.Fresh, *it)
-	}
-	for _, it := range byID(r.open) {
-		st.Open = append(st.Open, *it)
-	}
-	return json.NewEncoder(w).Encode(st)
 }
 
 // CompactWAL folds the master's current durable state into a WAL

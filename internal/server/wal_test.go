@@ -20,6 +20,7 @@ import (
 	"cwc/internal/protocol"
 	"cwc/internal/tasks"
 	"cwc/internal/wal"
+	"cwc/internal/wire"
 )
 
 // autoResponder serves every assignment on a fake phone with plausible
@@ -407,29 +408,54 @@ func TestWALCrashRecoveryEveryTruncation(t *testing.T) {
 		}
 	}
 
-	// Kill points: the empty log, every record boundary, and a point
-	// inside every record (a torn tail).
-	seen := map[int64]bool{0: true}
-	cuts := []int64{0}
-	for _, r := range runs {
-		for _, b := range r.bounds {
-			for _, cut := range []int64{b - 3, b} { // b-3 lands inside the record ending at b
-				if !seen[cut] {
-					seen[cut] = true
-					cuts = append(cuts, cut)
-				}
-			}
-		}
+	// Kill points: the empty log, the end of every record, and a point
+	// inside every record (a torn tail); each is applied to both logs. A
+	// round's reports are credited in the order they arrive and need not be
+	// the same size, so a point is found by its record, not by its offset.
+	// It keeps the name it had when the log framed its records in JSON and
+	// offsets did not vary: cut=<its offset in that log>. A record that
+	// ends at different offsets in the two logs gives a kill point at each.
+	if len(runs[0].bounds) != len(jsonEnds) || len(runs[1].bounds) != len(jsonEnds) {
+		t.Fatalf("live segments of %d and %d records; the kill points name %d",
+			len(runs[0].bounds), len(runs[1].bounds), len(jsonEnds))
 	}
-	slices.Sort(cuts)
-
-	for _, cut := range cuts {
-		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
+	kill := func(name string, cuts ...int64) {
+		slices.Sort(cuts)
+		cuts = slices.Compact(cuts)
+		t.Run(name, func(t *testing.T) {
 			for _, r := range runs {
-				t.Run(r.name, func(t *testing.T) { r.recoverAt(t, ctx, cut) })
+				t.Run(r.name, func(t *testing.T) {
+					for _, cut := range cuts {
+						t.Logf("killed at byte %d of %d", cut, len(r.seg))
+						r.recoverAt(t, ctx, cut)
+					}
+				})
 			}
 		})
 	}
+	kill("cut=0", 0)
+	for i, ends := range jsonEnds {
+		for _, back := range []int64{3, 0} { // 3 bytes back lands inside the record
+			if ends[0] == ends[1] {
+				kill(fmt.Sprintf("cut=%d", ends[0]-back), runs[0].bounds[i]-back, runs[1].bounds[i]-back)
+				continue
+			}
+			for j, r := range runs {
+				kill(fmt.Sprintf("cut=%d", ends[j]-back), r.bounds[i]-back)
+			}
+		}
+	}
+}
+
+// jsonEnds[i] holds where record i of the kill-anywhere harness's live
+// segment ended, in its failure-first and its failure-last log, when the
+// log framed its records in JSON. The harness still names its kill points
+// by these offsets. Records 4 to 6 are the round whose migration record
+// the two logs place differently.
+var jsonEnds = [][2]int64{
+	{10489, 10489}, {10917, 10917}, {10962, 10962}, {11171, 11171},
+	{11245, 11235}, {11309, 11299}, {11373, 11363},
+	{11437, 11437}, {11497, 11497}, {11561, 11561},
 }
 
 // crashRun is one recorded run of the kill-anywhere harness: its snapshot
@@ -570,13 +596,13 @@ func recordCrashRun(t *testing.T, ctx context.Context, failFirst bool) crashRun 
 		switch r.Type {
 		case walRecSubmit:
 			var p walSubmit
-			if err := decodeWALRecord(r.Payload, &p); err != nil {
+			if err := wire.Decode(r.Payload, &p); err != nil {
 				t.Fatal(err)
 			}
 			submitEnd[p.JobID] = bounds[i]
 		case walRecRound:
 			var p walRound
-			if err := decodeWALRecord(r.Payload, &p); err != nil {
+			if err := wire.Decode(r.Payload, &p); err != nil {
 				t.Fatal(err)
 			}
 			pieces := map[int64]int{}

@@ -18,6 +18,7 @@ import (
 	"cwc/internal/protocol"
 	"cwc/internal/tasks"
 	"cwc/internal/wal"
+	"cwc/internal/wire"
 )
 
 // oracleSink is a ReplicaSink that folds every record the master ships
@@ -330,7 +331,7 @@ func TestWALFoldMatchesLiveStateAfterEveryRecord(t *testing.T) {
 // encodeWAL renders a record's payload the way walWrite does.
 func encodeWAL(tb testing.TB, v walRecord) []byte {
 	tb.Helper()
-	b, err := newWALEncoder().encode(v)
+	b, err := wire.Encode(new(wire.Codec), 0, v)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func encodeWAL(tb testing.TB, v walRecord) []byte {
 
 // rawPayload frames a record payload by hand, so a test can lie in it.
 func rawPayload(hlen uint32, header string, sections ...string) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, hlen)
+	b := binary.BigEndian.AppendUint32(nil, hlen)
 	b = append(b, header...)
 	for _, s := range sections {
 		b = append(b, s...)
@@ -350,6 +351,24 @@ func rawPayload(hlen uint32, header string, sections ...string) []byte {
 func framed(header string, sections ...string) []byte {
 	return rawPayload(uint32(len(header)), header, sections...)
 }
+
+// field is one raw header field, so a test can write any key and value:
+// the key of tag with wire type wt, then val as given.
+func field(tag, wt int, val ...byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(tag)<<3|uint64(wt)), val...)
+}
+
+// hdr joins raw fields into a header.
+func hdr(fields ...[]byte) string { return string(bytes.Join(fields, nil)) }
+
+// Raw headers the hostile records are built from: a drain record's
+// fields, as the codec writes them and as JSON, and a submit record's for
+// job 2 without its sections.
+var (
+	drainJSON = `{"phone_id":1,"state":"started"}`
+	drainHdr  = hdr(field(1, 0, 2), field(2, 2, append([]byte{7}, "started"...)...))
+	submitHdr = hdr(field(1, 0, 4), field(2, 0, 4), field(3, 2, append([]byte{10}, "primecount"...)...))
+)
 
 // TestWALHostileRecords feeds the reducer records whose framing or
 // references are wrong. Each must be refused with an error — never a
@@ -363,7 +382,7 @@ func TestWALHostileRecords(t *testing.T) {
 		r.open[1] = &walItemRec{Key: 1, JobID: 1, Input: []byte("11\n13\n"), Atomic: true}
 		return r
 	}
-	wholeRound := encodeWAL(t, walRound{Items: []walRoundItem{{Key: 2, FromSeq: 1, Len: 8}}})
+	wholeRound := encodeWAL(t, &walRound{Items: []walRoundItem{{Key: 2, FromSeq: 1, Len: 8}}})
 	cases := []struct {
 		name    string
 		typ     uint8
@@ -373,24 +392,36 @@ func TestWALHostileRecords(t *testing.T) {
 	}{
 		{"empty payload", walRecSubmit, nil, nil, "no header length"},
 		{"three bytes", walRecDrain, []byte{1, 0, 0}, nil, "no header length"},
-		{"header length past the payload", walRecDrain, rawPayload(500, `{"phone_id":1,"state":"started"}`), nil, "overruns"},
+		{"header length past the payload", walRecDrain, rawPayload(500, drainHdr), nil, "overruns"},
 		{"old all-JSON payload", walRecSubmit, []byte(`{"job_id":2,"seq":2,"task":"primecount","input":"Mgo="}`), nil, "overruns"},
-		{"header not JSON", walRecDrain, framed(`{"phone_id":`), nil, "header"},
-		{"bytes after a header that has no sections", walRecDrain, framed(`{"phone_id":1,"state":"started"}`, "x"), nil, "after the last section"},
-		{"too few sections", walRecSubmit, framed(`{"sections":[2],"job_id":2,"seq":2,"task":"primecount"}`, "2\n"), nil, "lists 1 sections, want 2"},
-		{"no sections at all", walRecSubmit, framed(`{"job_id":2,"seq":2,"task":"primecount"}`), nil, "lists 0 sections, want 2"},
-		{"negative section", walRecSubmit, framed(`{"sections":[-1,2],"job_id":2,"seq":2,"task":"primecount"}`, "2\n"), nil, "overruns"},
-		{"section past the payload", walRecSubmit, framed(`{"sections":[0,1000000000],"job_id":2,"seq":2,"task":"primecount"}`, "2\n"), nil, "overruns"},
-		{"bytes after the last section", walRecSubmit, framed(`{"sections":[0,2],"job_id":2,"seq":2,"task":"primecount"}`, "2\n", "3\n"), nil, "after the last section"},
-		{"checkpoint state nothing owns", walRecMigrate, framed(`{"sections":[3],"job_id":1,"key":1}`, "abc"), nil, "without a checkpoint"},
-		{"from_seq unknown", walRecRound, encodeWAL(t, walRound{Items: []walRoundItem{{Key: 2, FromSeq: 9, Len: 8}}}), nil, "unknown fresh item 9"},
+		{"JSON header", walRecDrain, framed(drainJSON), nil, "wire type 3"},
+		{"JSON header behind a little-endian length", walRecDrain,
+			append(binary.LittleEndian.AppendUint32(nil, uint32(len(drainJSON))), drainJSON...), nil, "overruns"},
+		{"header cut inside a field", walRecDrain, framed(drainHdr[:4]), nil, "past the header"},
+		{"bytes after a header that has no sections", walRecDrain, framed(drainHdr, "x"), nil, "after the last section"},
+		{"no sections at all", walRecSubmit, framed(submitHdr, "2\n"), nil, "2 bytes after the last section"},
+		{"section of 2^64-1 bytes", walRecSubmit, framed(submitHdr+hdr(field(5, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)), "2\n"), nil, "overruns"},
+		{"section past the payload", walRecSubmit, framed(submitHdr+hdr(field(5, 0, 0x80, 0x94, 0xeb, 0xdc, 0x03)), "2\n"), nil, "overruns"},
+		{"bytes after the last section", walRecSubmit, framed(submitHdr+hdr(field(5, 0, 2)), "2\n", "3\n"), nil, "2 bytes after the last section"},
+		{"section tag listed twice", walRecSubmit, framed(submitHdr+hdr(field(5, 0, 2), field(5, 0, 2)), "2\n", "3\n"), nil, "tag 5 repeated"},
+		{"checkpoint state nothing owns", walRecMigrate, framed(hdr(field(1, 0, 2), field(2, 0, 2)), "abc"), nil, "after the last section"},
+		{"checkpoint state in the header", walRecMigrate, framed(hdr(field(1, 0, 2), field(2, 0, 2), field(3, 2, 3, 0x12, 1, 's'))), nil, "tag 2 has wire type 2"},
+		{"unknown tag", walRecDrain, framed(drainHdr + hdr(field(9, 0, 1))), nil, "unknown tag 9"},
+		{"duplicate tag", walRecDrain, framed(hdr(field(1, 0, 2), field(1, 0, 4))), nil, "tag 1 repeated"},
+		{"tags out of order", walRecDrain, framed(hdr(field(2, 2, 1, 's'), field(1, 0, 2))), nil, "tag 1 after tag 2"},
+		{"truncated varint", walRecDrain, framed(hdr(field(1, 0, 0x80))), nil, "truncated varint"},
+		{"10-byte varint that overflows", walRecDrain, framed(hdr(field(1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02))), nil, "overflows"},
+		{"string length past the header", walRecDrain, framed(hdr(field(1, 0, 2), field(2, 2, 50, 's'))), nil, "length 50 past the header"},
+		{"item count past the header", walRecRound, framed(hdr(field(1, 2, 2, 100, 0))), nil, "count 100 past the header"},
+		{"unknown tag in a round item", walRecRound, framed(hdr(field(1, 2, 4, 1, 2, 0x48, 1))), nil, "unknown tag 9"},
+		{"from_seq unknown", walRecRound, encodeWAL(t, &walRound{Items: []walRoundItem{{Key: 2, FromSeq: 9, Len: 8}}}), nil, "unknown fresh item 9"},
 		{"from_seq consumed by an earlier record", walRecRound, wholeRound, wholeRound, "unknown fresh item 1"},
-		{"off+len past the range", walRecRound, encodeWAL(t, walRound{Items: []walRoundItem{{Key: 2, FromSeq: 1, Off: 4, Len: 5}}}), nil, "names bytes"},
-		{"len overflowing int64", walRecRound, encodeWAL(t, walRound{Items: []walRoundItem{{Key: 2, FromSeq: 1, Off: 4, Len: 1<<63 - 1}}}), nil, "names bytes"},
-		{"negative off", walRecRound, encodeWAL(t, walRound{Items: []walRoundItem{{Key: 2, FromSeq: 1, Off: -1, Len: 8}}}), nil, "names bytes"},
-		{"empty range", walRecRound, encodeWAL(t, walRound{Items: []walRoundItem{{Key: 2, FromSeq: 1}}}), nil, "names bytes"},
-		{"ranges short of the item", walRecRound, encodeWAL(t, walRound{Items: []walRoundItem{{Key: 2, FromSeq: 1, Len: 4}}}), nil, "hold 4 of its 8 bytes"},
-		{"key neither open nor in the snapshot", walRecRound, encodeWAL(t, walRound{Items: []walRoundItem{{Key: 7}}}), nil, "key 7 is not an open range"},
+		{"off+len past the range", walRecRound, encodeWAL(t, &walRound{Items: []walRoundItem{{Key: 2, FromSeq: 1, Off: 4, Len: 5}}}), nil, "names bytes"},
+		{"len overflowing int64", walRecRound, encodeWAL(t, &walRound{Items: []walRoundItem{{Key: 2, FromSeq: 1, Off: 4, Len: 1<<63 - 1}}}), nil, "names bytes"},
+		{"negative off", walRecRound, encodeWAL(t, &walRound{Items: []walRoundItem{{Key: 2, FromSeq: 1, Off: -1, Len: 8}}}), nil, "names bytes"},
+		{"empty range", walRecRound, encodeWAL(t, &walRound{Items: []walRoundItem{{Key: 2, FromSeq: 1}}}), nil, "names bytes"},
+		{"ranges short of the item", walRecRound, encodeWAL(t, &walRound{Items: []walRoundItem{{Key: 2, FromSeq: 1, Len: 4}}}), nil, "hold 4 of its 8 bytes"},
+		{"key neither open nor in the snapshot", walRecRound, encodeWAL(t, &walRound{Items: []walRoundItem{{Key: 7}}}), nil, "key 7 is not an open range"},
 		{"remainder of a key that is not open", walRecPartial, encodeWAL(t, &walPartialRec{JobID: 1, Key: 7, Offset: 2, RemainderSeq: 2}), nil, "not an open range"},
 		{"remainder from past the range", walRecPartial, encodeWAL(t, &walPartialRec{JobID: 1, Key: 1, Offset: 6, RemainderSeq: 2}), nil, "from offset 6 of 6"},
 		{"remainder from a negative offset", walRecPartial, encodeWAL(t, &walPartialRec{JobID: 1, Key: 1, Offset: -2, RemainderSeq: 2}), nil, "from offset -2"},
@@ -422,10 +453,10 @@ func TestWALHostileRecords(t *testing.T) {
 	// about the references, not the test's encoding.
 	r := prime()
 	for _, rec := range []wal.Record{
-		{Type: walRecRound, Payload: encodeWAL(t, walRound{Items: []walRoundItem{
+		{Type: walRecRound, Payload: encodeWAL(t, &walRound{Items: []walRoundItem{
 			{Key: 2, FromSeq: 1, Len: 4}, {Key: 3, FromSeq: 1, Off: 4, Len: 4}, {Key: 1, Retries: 1}}})},
 		{Type: walRecPartial, Payload: encodeWAL(t, &walPartialRec{JobID: 1, Key: 1, Offset: 3, Partial: []byte("1"), RemainderSeq: 2, Retries: 2})},
-		{Type: walRecMigrate, Payload: encodeWAL(t, &walMigrate{JobID: 1, Key: 3, Resume: &walResume{Offset: 2}, State: []byte("s"), Retries: 1})},
+		{Type: walRecMigrate, Payload: encodeWAL(t, &walMigrate{JobID: 1, Key: 3, Resume: &tasks.Checkpoint{Offset: 2, State: []byte("s")}, Retries: 1})},
 	} {
 		if err := r.apply(rec); err != nil {
 			t.Fatalf("well-formed record type %d refused: %v", rec.Type, err)
@@ -448,14 +479,14 @@ func TestWALHostileRecords(t *testing.T) {
 // TestWALRecordLayout pins the byte layout docs/protocol.md draws.
 func TestWALRecordLayout(t *testing.T) {
 	got := encodeWAL(t, &walSubmit{JobID: 1, Seq: 1, Task: "primecount", Input: []byte("2\n3\n5\n7\n")})
-	header := `{"sections":[0,8],"job_id":1,"seq":1,"task":"primecount"}`
+	header := "\x08\x02\x10\x02\x1a\x0aprimecount\x28\x08"
 	if want := framed(header, "2\n3\n5\n7\n"); !bytes.Equal(got, want) {
 		t.Fatalf("submit payload =\n%q, want\n%q", got, want)
 	}
-	if len(header) != 57 {
-		t.Errorf("header is %d bytes; docs/protocol.md says 57", len(header))
+	if len(header) != 18 {
+		t.Errorf("header is %d bytes; docs/protocol.md says 18", len(header))
 	}
-	if got := encodeWAL(t, walDrainRec{PhoneID: 3, State: drainStarted}); !bytes.Equal(got, framed(`{"phone_id":3,"state":"started"}`)) {
+	if got := encodeWAL(t, &walDrainRec{PhoneID: 3, State: drainStarted}); !bytes.Equal(got, framed("\x08\x06\x12\x07started")) {
 		t.Errorf("drain payload = %q", got)
 	}
 }

@@ -58,9 +58,8 @@ func newWindowHarness(t *testing.T, cfg Config) *windowHarness {
 		h.resume[id] = checkpointAt(&protocol.Message{Task: "primecount", Input: input})
 		// Turn the range into a re-queued one mid-way through its input, as
 		// a failed earlier round would have left it.
-		hdr, state := splitResume(h.resume[id].Clone())
 		h.m.mu.Lock()
-		h.m.walAppend(&walMigrate{JobID: id, Key: a.key, Resume: hdr, State: state,
+		h.m.walAppend(&walMigrate{JobID: id, Key: a.key, Resume: h.resume[id].Clone(),
 			Retries: windowRetries, Partition: windowPartition + id})
 		a.rng.queued = true
 		h.m.pending = append(h.m.pending, itemOf(a.item.task, a.rng))

@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"cwc/internal/wire"
 )
 
 // ErrInterrupted is returned by Task.Process when the context is canceled
@@ -35,6 +37,13 @@ var ErrInterrupted = errors.New("tasks: execution interrupted")
 type Checkpoint struct {
 	Offset int64  `json:"offset"`          // bytes of input fully processed
 	State  []byte `json:"state,omitempty"` // task-specific accumulator
+}
+
+// Wire names the checkpoint's fields for the codec. On a frame or a WAL
+// record the offset rides in the header and the state as a section.
+func (c *Checkpoint) Wire(w *wire.Codec) {
+	wire.Int(w, 1, &c.Offset)
+	w.Section(2, &c.State)
 }
 
 // Reset clears the checkpoint to the start-of-input state.
