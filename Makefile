@@ -66,10 +66,12 @@ churn-storm:
 # must promote within its lease, workers must rotate and finish with
 # byte-identical aggregates, and a resurrected old primary (or the
 # losing side of a partition) must be epoch-fenced, never double-
-# accepting a result. Plus the replication-stream torn-cut harness.
+# accepting a result. Plus the replication-stream torn-cut harness, the
+# re-anchor resync, and the shipped frames' ownership (the logged bytes
+# shipped by reference, every reference given back).
 failover:
 	$(GO) test ./internal/cluster/ -run 'TestFailover' -race -count=1 -v
-	$(GO) test ./internal/replica/ -run 'TestStandbyTornStream' -race -count=1 -v
+	$(GO) test ./internal/replica/ -run 'TestStandbyTornStream|TestStandbyResyncs|TestShip|TestDroppedStandby' -race -count=1 -v
 	$(GO) test ./internal/wal/ -run 'TestStreamReader|TestEncodeRecord' -race -count=1 -v
 	$(GO) test ./internal/faults/ -run 'TestParseScenarioKillPrimary|TestParseScenarioPartition|TestParseScenarioFailoverErrors' -race -count=1 -v
 	$(GO) test ./internal/protocol/ -run 'TestSendIsOneWrite|TestRecvHostileLength|TestRecvHostileFrames|TestRecvChunkedBodyGrowth|TestRecvTruncationAtEveryOffset|TestRecvOldFormat|TestEpochRoundTrip' -race -count=1 -v
@@ -104,15 +106,18 @@ bench-check:
 	$(GO) test -C bench .
 
 # One iteration of each packer benchmark (18x150, 50x500, 128x512), of
-# each task kernel's Process benchmark, of each frame benchmark and of
-# each header-codec benchmark, so they keep compiling and finishing; it
-# measures nothing, but the kernels', the frames' and the codec's
-# allocs/op land in the log.
+# each task kernel's Process benchmark, of each frame benchmark, of each
+# header-codec benchmark, of the WAL append benchmark and of the replica
+# ship benchmark, so they keep compiling and finishing; it measures
+# nothing, but the kernels', the frames', the codec's, the log's and the
+# shipper's allocs/op land in the log.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Greedy -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench Process -benchmem -benchtime 1x ./internal/tasks/
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/protocol/
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/wire/
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/wal/
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/replica/
 
 # The pre-PR gate: everything that must be green before a change ships.
 # Files gofmt would rewrite are listed and fail it. The census is printed

@@ -79,20 +79,19 @@ type Shipper struct {
 	source func(activate func(snapshot []byte)) error
 	epoch  func() int64
 
-	mu      sync.Mutex
-	subs    map[*subscriber]struct{} // guarded by mu
-	shipped int64                    // guarded by mu; records shipped since start
-	closed  bool                     // guarded by mu
-	ln      net.Listener             // guarded by mu until Serve; read-only after
+	mu     sync.Mutex
+	subs   map[*subscriber]struct{} // guarded by mu
+	closed bool                     // guarded by mu
+	ln     net.Listener             // guarded by mu until Serve; read-only after
 
 	wg    sync.WaitGroup
 	stopc chan struct{}
 }
 
-// subscriber is one attached standby's queue.
+// subscriber is one attached standby's queue. Each queued frame holds
+// one reference, released once it is written or the subscriber is gone.
 type subscriber struct {
-	ch     chan []byte
-	gone   chan struct{} // closed exactly once when the standby is dropped
+	ch     chan *wal.Frame // closed exactly once when the standby is dropped
 	conn   net.Conn
 	sent   atomic.Int64 // records enqueued on this connection
 	queued atomic.Int64 // records enqueued but not yet written
@@ -120,25 +119,21 @@ func (s *Shipper) BindMaster(m *server.Master) {
 	s.epoch = m.Epoch
 }
 
-// Ship implements server.ReplicaSink: enqueue one appended record to
-// every attached standby. Called with the master's state lock held, so
-// it must never block — a standby whose queue is full is cut loose and
-// reconnects for a fresh snapshot. With no standby attached the record
-// is counted and not copied.
-func (s *Shipper) Ship(typ uint8, payload []byte) {
+// Ship implements server.ReplicaSink: queue a reference to the logged
+// frame, never a copy, to every attached standby. Called with the
+// master's state lock held, so it must never block — a standby whose
+// queue is full is cut loose and reconnects for a fresh snapshot.
+func (s *Shipper) Ship(f *wal.Frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.shipped++
-	if len(s.subs) == 0 {
-		return
-	}
-	frame := wal.EncodeRecord(typ, payload)
 	for sub := range s.subs {
+		f.Retain()
 		select {
-		case sub.ch <- frame:
+		case sub.ch <- f:
 			sub.sent.Add(1)
 			sub.queued.Add(1)
 		default:
+			f.Release()
 			s.opts.Logger.Warnf("standby %s dropped: %d-record queue full", sub.conn.RemoteAddr(), cap(sub.ch))
 			s.dropLocked(sub)
 		}
@@ -159,14 +154,16 @@ func (s *Shipper) Lag() int64 {
 	return lag
 }
 
-// dropLocked detaches one subscriber. Caller holds s.mu.
+// dropLocked detaches one subscriber and closes its connection, which
+// unblocks a write in progress. Caller holds s.mu.
 func (s *Shipper) dropLocked(sub *subscriber) {
 	if sub.isGone {
 		return
 	}
 	sub.isGone = true
 	delete(s.subs, sub)
-	close(sub.gone)
+	close(sub.ch) // Ship sends only to attached subscribers, under s.mu
+	sub.conn.Close()
 }
 
 // Serve starts accepting standbys on ln; it returns immediately. The
@@ -201,8 +198,7 @@ func (s *Shipper) acceptLoop(ln net.Listener) {
 func (s *Shipper) serveStandby(conn net.Conn) {
 	defer conn.Close()
 	sub := &subscriber{
-		ch:   make(chan []byte, queueLen),
-		gone: make(chan struct{}),
+		ch:   make(chan *wal.Frame, queueLen),
 		conn: conn,
 	}
 	var snap []byte
@@ -211,7 +207,7 @@ func (s *Shipper) serveStandby(conn net.Conn) {
 		s.mu.Lock()
 		if s.closed {
 			sub.isGone = true
-			close(sub.gone)
+			close(sub.ch)
 		} else {
 			s.subs[sub] = struct{}{}
 		}
@@ -225,6 +221,9 @@ func (s *Shipper) serveStandby(conn net.Conn) {
 		s.mu.Lock()
 		s.dropLocked(sub)
 		s.mu.Unlock()
+		for f := range sub.ch {
+			f.Release()
+		}
 	}()
 	s.opts.Logger.Infof("standby attached from %s (snapshot %d bytes)", conn.RemoteAddr(), len(snap))
 	if _, err := conn.Write(wal.EncodeRecord(recSnapshot, snap)); err != nil {
@@ -236,8 +235,13 @@ func (s *Shipper) serveStandby(conn net.Conn) {
 	var hbc wire.Codec
 	for {
 		select {
-		case frame := <-sub.ch:
-			if _, err := conn.Write(frame); err != nil {
+		case f, ok := <-sub.ch:
+			if !ok {
+				return
+			}
+			_, err := conn.Write(f.Bytes())
+			f.Release()
+			if err != nil {
 				s.opts.Logger.Warnf("standby %s: stream write: %v", conn.RemoteAddr(), err)
 				return
 			}
@@ -251,23 +255,20 @@ func (s *Shipper) serveStandby(conn net.Conn) {
 				s.opts.Logger.Warnf("standby %s: heartbeat write: %v", conn.RemoteAddr(), err)
 				return
 			}
-		case <-sub.gone:
-			return
 		case <-s.stopc:
 			return
 		}
 	}
 }
 
-// DropAll severs every attached standby's live stream while the shipper
-// keeps accepting — the harness hook for injecting a replication
-// partition (a router-level cut kills established connections, not just
-// future dials).
+// DropAll implements server.ReplicaSink: it severs every attached
+// standby's live stream while the shipper keeps accepting. The master
+// calls it when it re-anchors its log; harnesses call it to inject a
+// replication partition.
 func (s *Shipper) DropAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for sub := range s.subs {
-		sub.conn.Close() // unblock any in-progress Write
 		s.dropLocked(sub)
 	}
 }
@@ -284,7 +285,6 @@ func (s *Shipper) Close() {
 	s.closed = true
 	ln := s.ln
 	for sub := range s.subs {
-		sub.conn.Close() // unblock any in-progress Write
 		s.dropLocked(sub)
 	}
 	s.mu.Unlock()

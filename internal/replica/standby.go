@@ -174,7 +174,7 @@ func (s *Standby) follow(ctx context.Context, conn net.Conn, wl *wal.Log, fold *
 		// that refuses a deadline is already dead — keep reading so any
 		// buffered complete frames still apply; the read reports the end.
 		_ = conn.SetReadDeadline(time.Now().Add(s.opts.Lease))
-		rec, err := sr.Next()
+		rec, frame, err := sr.Next()
 		if err != nil {
 			// Clean cut, torn record, corruption, timeout: all end this
 			// connection; the torn record was never applied (StreamReader
@@ -212,17 +212,17 @@ func (s *Standby) follow(ctx context.Context, conn net.Conn, wl *wal.Log, fold *
 				return fmt.Errorf("replica: record before snapshot frame")
 			}
 			// Fold, then persist. A record names byte ranges by reference,
-			// and one whose references do not resolve here (the primary lost
-			// the record that defined them and re-anchored its own log with
-			// a snapshot this stream never carried) must not reach the local
-			// log: promotion replays that log and would refuse it. Drop the
-			// stream instead; the reconnect resyncs from a fresh snapshot.
+			// and one whose references do not resolve here must not reach
+			// the local log: promotion replays that log and would refuse it.
+			// Drop the stream instead; the reconnect resyncs from a fresh
+			// snapshot.
 			if err := fold.Apply(rec); err != nil {
 				return fmt.Errorf("replica: folding shipped record: %w", err)
 			}
 			// Promotion trusts only the local log, so a record the log did
 			// not take ends the standby (the fold is ahead of it for good).
-			if err := wl.Append(rec.Type, rec.Payload); err != nil {
+			// The frame is logged as shipped: no re-framing, no second CRC.
+			if err := wl.AppendFrame(frame); err != nil {
 				return fmt.Errorf("%w: persisting shipped record: %v", errStandbyWAL, err)
 			}
 			connApplied++

@@ -142,11 +142,14 @@ type Config struct {
 
 // ReplicaSink receives the master's WAL records for live replication.
 type ReplicaSink interface {
-	// Ship delivers one appended record (type + payload, the bytes the
-	// local log took). Called in log order for every record that matters
-	// on replay; must not block, and must copy payload to keep it — the
-	// buffer is reused once Ship returns.
-	Ship(typ uint8, payload []byte)
+	// Ship delivers one appended record as the frame the local log took,
+	// CRC included, in log order; must not block. A sink that keeps the
+	// frame past the call Retains it and Releases it when done, and
+	// never writes to it.
+	Ship(f *wal.Frame)
+	// DropAll detaches every standby, to resync from a fresh snapshot
+	// cut: the log was re-anchored past records that were never shipped.
+	DropAll()
 	// Lag reports records accepted locally but not yet written to the
 	// slowest attached standby (0 when none is attached).
 	Lag() int64

@@ -665,24 +665,27 @@ func (m *Master) walAppendErr(rec walRecord) error {
 	return nil
 }
 
-// walWrite encodes one record, appends it to the attached WAL and
-// hands the same bytes to the replication sink. Its two callers,
-// walAppend and walAppendErr, hold m.mu, so the log, the shipped stream
-// and the fold see one order.
+// walWrite encodes one record straight into a pooled WAL frame, appends
+// the frame to the attached WAL and hands the same frame to the
+// replication sink. Its two callers, walAppend and walAppendErr, hold
+// m.mu, so the log, the shipped stream and the fold see one order.
 func (m *Master) walWrite(rec walRecord) error {
-	e := wire.Get()
-	defer e.Release()
-	b, err := wire.Encode(e, 0, rec)
+	f, err := wal.EncodeFrame(rec.typ(), func(buf []byte) ([]byte, error) {
+		e := wire.Get()
+		defer e.Release()
+		return wire.EncodeTo(e, buf, wal.RecordHeader, rec)
+	})
 	if err != nil {
 		return fmt.Errorf("encoding: %w", err)
 	}
-	if err := m.cfg.WAL.Append(rec.typ(), b); err != nil {
+	defer f.Release()
+	if err := m.cfg.WAL.AppendFrame(f.Bytes()); err != nil {
 		return err
 	}
 	// Ship only what the local log took: a standby must never hold a
 	// record its primary lost.
 	if s := m.cfg.ReplicaSink; s != nil {
-		s.Ship(rec.typ(), b)
+		s.Ship(f)
 	}
 	return nil
 }
@@ -690,8 +693,12 @@ func (m *Master) walWrite(rec walRecord) error {
 // walCompactLocked folds live state into a WAL snapshot and rotates the
 // log, which brings a stale log back in step: whatever it missed, the
 // snapshot holds. Caller holds m.mu, so no append can slip in between
-// the cut and the rotation.
+// the cut and the rotation. A stale log's standbys missed what it missed,
+// so they are dropped first, to resync from a fresh snapshot cut.
 func (m *Master) walCompactLocked() error {
+	if s := m.cfg.ReplicaSink; s != nil && m.walStale {
+		s.DropAll()
+	}
 	if err := m.cfg.WAL.Compact(m.walSnapshotLocked); err != nil {
 		return fmt.Errorf("folding live state into a WAL snapshot: %w", err)
 	}

@@ -78,7 +78,7 @@ func FuzzStreamReader(f *testing.F) {
 		var streamed []Record
 		consumed := 0
 		for {
-			rec, err := sr.Next()
+			rec, frame, err := sr.Next()
 			if err != nil {
 				switch {
 				case err == io.EOF, err == io.ErrUnexpectedEOF, errors.Is(err, ErrCorrupt):
@@ -91,10 +91,10 @@ func FuzzStreamReader(f *testing.F) {
 				}
 				break
 			}
-			consumed += headerSize + 1 + len(rec.Payload)
-			if consumed > len(b) {
-				t.Fatalf("decoded %d bytes of records from a %d-byte stream", consumed, len(b))
+			if len(frame) != RecordHeader+len(rec.Payload) || !bytes.Equal(frame, b[consumed:consumed+len(frame)]) {
+				t.Fatalf("the frame handed back is not the %d bytes the record came in", RecordHeader+len(rec.Payload))
 			}
+			consumed += len(frame)
 			streamed = append(streamed, rec)
 		}
 		// Agreement with the at-rest scanner over the accepted prefix.

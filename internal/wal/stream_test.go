@@ -15,9 +15,12 @@ func TestEncodeRecordRoundtrip(t *testing.T) {
 	}
 	sr := NewStreamReader(bytes.NewReader(stream))
 	for i, p := range payloads {
-		rec, err := sr.Next()
+		rec, frame, err := sr.Next()
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
+		}
+		if !bytes.Equal(frame, EncodeRecord(uint8(i+1), p)) {
+			t.Errorf("record %d: frame handed back is not the frame shipped", i)
 		}
 		if rec.Type != uint8(i+1) {
 			t.Errorf("record %d: type %d, want %d", i, rec.Type, i+1)
@@ -26,7 +29,7 @@ func TestEncodeRecordRoundtrip(t *testing.T) {
 			t.Errorf("record %d: payload mismatch (%d bytes, want %d)", i, len(rec.Payload), len(p))
 		}
 	}
-	if _, err := sr.Next(); err != io.EOF {
+	if _, _, err := sr.Next(); err != io.EOF {
 		t.Fatalf("after last record: %v, want io.EOF", err)
 	}
 }
@@ -63,7 +66,7 @@ func TestStreamReaderEveryTruncation(t *testing.T) {
 		var err error
 		for {
 			var rec Record
-			rec, err = sr.Next()
+			rec, _, err = sr.Next()
 			if err != nil {
 				break
 			}
@@ -96,21 +99,21 @@ func TestStreamReaderCorruption(t *testing.T) {
 	// Flip one payload byte: CRC must catch it.
 	bad := append([]byte(nil), frame...)
 	bad[len(bad)-1] ^= 0xff
-	if _, err := NewStreamReader(bytes.NewReader(bad)).Next(); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := NewStreamReader(bytes.NewReader(bad)).Next(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("payload flip: err %v, want ErrCorrupt", err)
 	}
 
 	// Zero length prefix: invalid (a record is at least its type byte).
 	zero := append([]byte(nil), frame...)
 	zero[0], zero[1], zero[2], zero[3] = 0, 0, 0, 0
-	if _, err := NewStreamReader(bytes.NewReader(zero)).Next(); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := NewStreamReader(bytes.NewReader(zero)).Next(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("zero length: err %v, want ErrCorrupt", err)
 	}
 
 	// Absurd length prefix: rejected before any allocation attempt.
 	huge := append([]byte(nil), frame...)
 	huge[0], huge[1], huge[2], huge[3] = 0xff, 0xff, 0xff, 0xff
-	if _, err := NewStreamReader(bytes.NewReader(huge)).Next(); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := NewStreamReader(bytes.NewReader(huge)).Next(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("huge length: err %v, want ErrCorrupt", err)
 	}
 }

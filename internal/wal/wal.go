@@ -115,10 +115,6 @@ const (
 	// declared length beyond it is treated as corruption, not allocation
 	// advice.
 	MaxRecordBytes = 64 << 20
-	// maxRetainedFrame is the largest framing buffer a Log keeps between
-	// appends, so one huge record does not stay pinned behind later small
-	// ones.
-	maxRetainedFrame = 8 << 20
 )
 
 // Sentinel errors.
@@ -219,8 +215,7 @@ type Log struct {
 	total  int64 // bytes across all live segments (compaction trigger)
 	dirty  bool
 	closed bool
-	failed error  // set when a failed append could not be clawed back
-	frame  []byte // Append's framing buffer, reused up to maxRetainedFrame
+	failed error // set when a failed append could not be clawed back
 
 	stopc chan struct{}
 	wg    sync.WaitGroup
@@ -283,7 +278,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l := &Log{dir: dir, opts: opts, stopc: make(chan struct{})}
 	if m := opts.Metrics; m != nil {
-		m.Help("cwc_wal_append_ms", "WAL record append latency (framing, write and policy fsync) in milliseconds")
+		m.Help("cwc_wal_append_ms", "WAL record append latency (write and policy fsync) in milliseconds")
 		m.Help("cwc_wal_fsync_ms", "WAL fsync latency in milliseconds")
 		m.Help("cwc_wal_appended_bytes_total", "bytes appended to the WAL, framing included")
 		m.Help("cwc_wal_append_errors_total", "failed WAL appends (clawed back or wedged)")
@@ -391,19 +386,28 @@ func (l *Log) CompactDue() bool {
 	return l.LogBytes() >= l.opts.CompactBytes
 }
 
-// Append frames one record and writes it to the live segment, fsyncing
-// per the policy. A failed or short write — or, under SyncAlways, a
-// failed fsync — is clawed back by truncating the segment to the last
-// good boundary, so an errored append never leaves its record in the
-// log and the log stays replayable; if even the claw-back fails the log
-// wedges and every later call reports the wedge.
+// Append frames one record into a pooled Frame and writes it with
+// AppendFrame.
+func (l *Log) Append(typ uint8, payload []byte) error {
+	f := NewFrame(typ, payload)
+	defer f.Release()
+	return l.AppendFrame(f.Bytes())
+}
+
+// AppendFrame writes one sealed frame (NewFrame, EncodeFrame, or one a
+// StreamReader checked) to the live segment as given, fsyncing per the
+// policy. A failed or short write — or, under SyncAlways, a failed
+// fsync — is clawed back by truncating the segment to the last good
+// boundary, so an errored append never leaves its record in the log and
+// the log stays replayable; if even the claw-back fails the log wedges
+// and every later call reports the wedge.
 //
-// The record is framed into a buffer the Log reuses for the next append,
-// so the writer a WriterHook returns must not retain the slice it is
-// given once Write returns, as the io.Writer contract requires.
-func (l *Log) Append(typ uint8, payload []byte) (err error) {
-	if len(payload) > MaxRecordBytes-1 {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+// The frame stays the caller's, so the writer a WriterHook returns must
+// not retain the slice it is given once Write returns, as the io.Writer
+// contract requires.
+func (l *Log) AppendFrame(frame []byte) (err error) {
+	if len(frame)-headerSize > MaxRecordBytes {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(frame)-RecordHeader)
 	}
 	if l.appendHist != nil {
 		start := time.Now()
@@ -422,10 +426,6 @@ func (l *Log) Append(typ uint8, payload []byte) (err error) {
 	}
 	if l.failed != nil {
 		return l.failed
-	}
-	frame := appendRecord(l.frame[:0], typ, payload)
-	if cap(frame) <= maxRetainedFrame {
-		l.frame = frame
 	}
 	n, err := l.w.Write(frame)
 	if err != nil || n < len(frame) {

@@ -41,9 +41,9 @@ func sameRecords(a, b []Record) bool {
 }
 
 // TestAppendReusesItsFrame: after its first record a Log frames every
-// record of no greater size in the buffer it already owns, so an append
-// allocates nothing, and records framed in the reused buffer read back
-// intact. A frame over maxRetainedFrame is written but not kept.
+// record of no greater size in a pooled frame, so an append allocates
+// nothing, and records framed in a reused buffer read back intact. A
+// frame over maxPooledFrame is written but not pooled.
 func TestAppendReusesItsFrame(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Sync: SyncNone})
@@ -61,12 +61,14 @@ func TestAppendReusesItsFrame(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("Append allocates %v times per record after the first, want 0", allocs)
 	}
-	if err := l.Append(3, make([]byte, maxRetainedFrame)); err != nil {
+	if err := l.Append(3, make([]byte, maxPooledFrame)); err != nil {
 		t.Fatal(err)
 	}
-	if cap(l.frame) > maxRetainedFrame {
-		t.Errorf("Log kept a %d-byte frame, want at most %d", cap(l.frame), maxRetainedFrame)
+	f := NewFrame(5, nil)
+	if c := cap(f.Bytes()); c > maxPooledFrame {
+		t.Errorf("the pool kept a %d-byte frame, want at most %d", c, maxPooledFrame)
 	}
+	f.Release()
 	if err := l.Append(4, []byte("last")); err != nil {
 		t.Fatal(err)
 	}
@@ -509,6 +511,67 @@ func TestTooLarge(t *testing.T) {
 	defer l.Close()
 	if err := l.Append(1, make([]byte, MaxRecordBytes)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized append: %v, want ErrTooLarge", err)
+	}
+}
+
+// TestAppendFrameWritesTheFrameAsGiven: a sealed frame — the one
+// EncodeFrame builds, or one a StreamReader checked — lands in the
+// segment byte for byte.
+func TestAppendFrameWritesTheFrameAsGiven(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Sync: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := EncodeFrame(4, func(buf []byte) ([]byte, error) {
+		return append(append(buf, make([]byte, RecordHeader)...), "encoded"...), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := EncodeRecord(4, []byte("encoded"))
+	if !bytes.Equal(f.Bytes(), want) {
+		t.Fatalf("EncodeFrame sealed % x, want % x", f.Bytes(), want)
+	}
+	if err := l.AppendFrame(f.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	f.Release()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, segmentName(1))); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("segment holds % x (%v), want exactly the frame % x", got, err, want)
+	}
+}
+
+// BenchmarkAppend: one record framed into a pooled frame and written,
+// with no sync, so the figure is framing plus the write syscall.
+func BenchmarkAppend(b *testing.B) {
+	for _, size := range []int{256, 1 << 20} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			l, err := Open(b.TempDir(), Options{Sync: SyncNone})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			payload := bytes.Repeat([]byte("p"), size)
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := l.Append(1, payload); err != nil {
+					b.Fatal(err)
+				}
+				if l.LogBytes() > 64<<20 { // bound the disk a long run takes
+					b.StopTimer()
+					if err := l.Compact(func(io.Writer) error { return nil }); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+			}
+		})
 	}
 }
 

@@ -115,6 +115,15 @@ func Encode(c *Codec, prefix int, v Fields) ([]byte, error) {
 	return c.buf, nil
 }
 
+// EncodeTo is Encode building the unit in buf's storage instead of c's,
+// for a caller that owns where the unit lives (a pooled WAL frame).
+func EncodeTo(c *Codec, buf []byte, prefix int, v Fields) ([]byte, error) {
+	own := c.buf
+	c.buf = buf
+	defer func() { c.buf = own }()
+	return Encode(c, prefix, v)
+}
+
 // DecodeHeader decodes hdr, a unit's header whose sections must take
 // exactly body bytes, into v, which must be zero. Sections then hands out
 // the body.
