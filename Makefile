@@ -110,7 +110,9 @@ bench-check:
 # header-codec benchmark, of the WAL append benchmark and of the replica
 # ship benchmark, so they keep compiling and finishing; it measures
 # nothing, but the kernels', the frames', the codec's, the log's and the
-# shipper's allocs/op land in the log.
+# shipper's allocs/op land in the log. The master's per-report cycle
+# (receive, credit, next assign) runs 1000 times, so its allocs/op is the
+# steady state's.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Greedy -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench Process -benchmem -benchtime 1x ./internal/tasks/
@@ -118,6 +120,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/wire/
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/wal/
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/replica/
+	$(GO) test -run '^$$' -bench WindowCycle -benchmem -benchtime 1000x ./internal/server/
 
 # The pre-PR gate: everything that must be green before a change ships.
 # Files gofmt would rewrite are listed and fail it. The census is printed

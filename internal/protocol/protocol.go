@@ -151,9 +151,17 @@ func (e *WorkerEvent) Wire(c *wire.Codec) {
 // Payload, Params, Input, Result and the State of Resume and Checkpoint
 // are not part of the header: they ride after it as raw sections (see
 // Wire), and Recv hands them out as sub-slices of one receive buffer. A
-// received message therefore owns its byte fields until it is recycled
-// (Conn.Recycle), but they share a backing array — holding one keeps the
-// whole frame alive.
+// received message therefore owns its byte fields until it is given back
+// (Conn.Recycle, Conn.Reuse), but they share a backing array — holding
+// one keeps the whole frame alive.
+//
+// A Message has one owner at a time. A sender owns what it passes to
+// Send, which neither modifies nor retains it, so one Message can carry
+// frame after frame. A receiver owns what Recv returns until it gives
+// the message back to the connection: with Recycle, struct and receive
+// buffer both; with Reuse, the struct alone, when something still holds
+// a sub-slice of its byte fields. Either way the struct is zeroed and
+// serves a later Recv, so nothing may read it afterwards.
 type Message struct {
 	Type Type
 
@@ -223,7 +231,7 @@ type Message struct {
 	// proves the payload was damaged between task output and fold, and
 	// the digest — not the payload — is what replica votes compare. A
 	// result or checkpoint frame without one is treated as a mismatch.
-	Digest string
+	Digest tasks.Sum
 
 	// Ping / Pong.
 	Seq uint64
@@ -265,7 +273,7 @@ func (m *Message) Wire(c *wire.Codec) {
 	c.Section(9, &m.Result)
 	c.Float(10, &m.ExecMs)
 	c.Float(11, &m.ProcessedKB)
-	c.Digest(12, &m.Digest)
+	wire.Digest(c, 12, &m.Digest)
 	c.Uint(13, &m.Seq)
 	wire.Int(c, 14, &m.Epoch)
 	wire.Opt(c, 15, &m.Resume)
@@ -313,7 +321,8 @@ const maxHeaderScratch = 64 << 10
 // maxRecycled is how many recycled receive buffers a Conn keeps: a
 // worker's dispatch window holds two assignments, a tie-break arbiter's
 // one more, and a chunked transfer one chunk frame. None is larger than
-// maxPooledFrame.
+// maxPooledFrame. It is also how many given-back Message structs a Conn
+// keeps for Recv.
 const maxRecycled = 4
 
 // maxPooledFrame is the largest receive buffer a Conn keeps: room for a
@@ -322,35 +331,40 @@ const maxPooledFrame = 8 << 20
 
 // maxLent is how many received messages a recycling Conn remembers as
 // holding one of its buffers. Past it the oldest is forgotten: recycling
-// that message later only clears its fields, and its buffer is garbage.
+// that message later only zeroes it, and its buffer is garbage.
 const maxLent = 2 * maxRecycled
 
 // Conn wraps a net.Conn with frame encoding. Sends are serialized by a
 // mutex so multiple goroutines (writer, keepaliver) can share it;
-// Recv must be called from a single reader goroutine. Recycle may be
-// called from any goroutine.
+// Recv must be called from a single reader goroutine. Recycle and Reuse
+// may be called from any goroutine.
 type Conn struct {
 	c  net.Conn
 	r  *bufio.Reader
 	wm sync.Mutex
 
 	// rbuf is Recv's scratch for the header bytes of the frame being
-	// decoded (decoding copies what it keeps), and dec its decoder, both
-	// owned by the single reader.
+	// decoded (decoding copies what it keeps), pre for its two lengths
+	// (on Recv's stack it would escape through io.ReadFull), and dec its
+	// decoder, all owned by the single reader.
 	rbuf []byte
+	pre  [8]byte
 	dec  wire.Codec
 
 	bufs recycler
 }
 
-// recycler carries frame bodies from Recycle, on whichever goroutine is
-// done with a message, back to Recv on the reader's. It is off — Recv
-// remembers nothing it hands out — until the connection's first Recycle.
+// recycler carries what a message's owner gives back, on whichever
+// goroutine is done with it, to Recv on the reader's: zeroed structs,
+// always, and frame bodies once the connection's first Recycle has
+// switched body recycling on — until then Recv remembers no buffer it
+// hands out.
 type recycler struct {
-	mu   sync.Mutex
-	on   bool     // guarded by mu
-	free [][]byte // guarded by mu; at most maxRecycled
-	lent []loan   // guarded by mu; at most maxLent, oldest first
+	mu    sync.Mutex
+	on    bool       // guarded by mu
+	free  [][]byte   // guarded by mu; at most maxRecycled
+	lent  []loan     // guarded by mu; at most maxLent, oldest first
+	spare []*Message // guarded by mu; zeroed, at most maxRecycled
 }
 
 // loan is a body buffer Recv handed out in m's byte fields.
@@ -378,6 +392,18 @@ func (r *recycler) take(n int) []byte {
 	return b
 }
 
+// message returns a zeroed Message for Recv: a spare, else a new one.
+func (r *recycler) message() *Message {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := len(r.spare); n > 0 {
+		m := r.spare[n-1]
+		r.spare = r.spare[:n-1]
+		return m
+	}
+	return new(Message)
+}
+
 // lend remembers that m's byte fields live in buf, once recycling is on.
 func (r *recycler) lend(m *Message, buf []byte) {
 	if cap(buf) > maxPooledFrame {
@@ -394,12 +420,29 @@ func (r *recycler) lend(m *Message, buf []byte) {
 	r.lent = append(r.lent, loan{m, buf})
 }
 
+// giveBack zeroes m and keeps it for Recv, and returns the buffer m's
+// byte fields were lent, if any. The loan ends either way: m's struct
+// will hold another frame. Caller holds r.mu.
+func (r *recycler) giveBack(m *Message) (buf []byte) {
+	var zero Message
+	*m = zero
+	if i := slices.IndexFunc(r.lent, func(l loan) bool { return l.m == m }); i >= 0 {
+		buf = r.lent[i].buf
+		r.lent = slices.Delete(r.lent, i, i+1)
+	}
+	if len(r.spare) < maxRecycled && !slices.Contains(r.spare, m) {
+		r.spare = append(r.spare, m)
+	}
+	return buf
+}
+
 // Recycle tells the connection that m, a message its Recv returned, is
 // done with: m's byte fields (Resume.State and Checkpoint.State included)
-// are cleared, and the buffer they lived in may receive a later frame.
-// Nothing may still hold a sub-slice of them. Recycling a message this
+// are cleared, m is zeroed and kept for a later Recv, and the buffer its
+// byte fields lived in may receive a later frame. Nothing may still hold
+// m or a sub-slice of its byte fields. Recycling a message this
 // connection did not lend, or no longer remembers, or has already taken
-// back only clears its fields. A connection whose owner never calls
+// back gives back its struct alone. A connection whose owner never calls
 // Recycle reads every frame into a buffer of its own, as if this method
 // did not exist.
 //
@@ -407,23 +450,19 @@ func (r *recycler) lend(m *Message, buf []byte) {
 // the smallest, so the kept ones grow toward the largest frames. A frame
 // that no kept buffer holds is read into a fresh one.
 func (c *Conn) Recycle(m *Message) {
-	m.Payload, m.Params, m.Input, m.Result = nil, nil, nil, nil
-	if m.Resume != nil {
-		m.Resume.State = nil
-	}
-	if m.Checkpoint != nil {
-		m.Checkpoint.State = nil
+	for _, ck := range []*tasks.Checkpoint{m.Resume, m.Checkpoint} {
+		if ck != nil {
+			ck.State = nil
+		}
 	}
 	r := &c.bufs
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.on = true
-	i := slices.IndexFunc(r.lent, func(l loan) bool { return l.m == m })
-	if i < 0 {
+	buf := r.giveBack(m)
+	if buf == nil {
 		return
 	}
-	buf := r.lent[i].buf
-	r.lent = slices.Delete(r.lent, i, i+1)
 	if len(r.free) < maxRecycled {
 		r.free = append(r.free, buf)
 		return
@@ -437,6 +476,17 @@ func (c *Conn) Recycle(m *Message) {
 	if cap(buf) > cap(r.free[small]) {
 		r.free[small] = buf
 	}
+}
+
+// Reuse gives m's struct back to the connection, zeroed, for a later
+// Recv — and not the buffer its byte fields live in, which stays with
+// whatever still holds a sub-slice of them (a folded partial, a kept
+// checkpoint) and is garbage once nothing does. Nothing may still hold
+// m itself. Reuse never switches body recycling on.
+func (c *Conn) Reuse(m *Message) {
+	c.bufs.mu.Lock()
+	defer c.bufs.mu.Unlock()
+	c.bufs.giveBack(m)
 }
 
 // NewConn wraps an established connection. For TCP connections it enables
@@ -495,13 +545,14 @@ func (c *Conn) readN(buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// Recv reads one frame. The returned message's byte fields are
+// Recv reads one frame into a Message Recycle or Reuse gave back when
+// there is one, else a new one. The returned message's byte fields are
 // sub-slices of one buffer holding this frame alone, which the message
 // owns until it is recycled: a buffer Recycle handed back when one holds
 // the frame, else a fresh one. A recycled buffer is memory already
 // committed, so readN's guard against a hostile length still holds.
 func (c *Conn) Recv() (*Message, error) {
-	var pre [8]byte
+	pre := c.pre[:]
 	if _, err := io.ReadFull(c.r, pre[:4]); err != nil {
 		return nil, fmt.Errorf("protocol: reading frame header: %w", err)
 	}
@@ -534,7 +585,7 @@ func (c *Conn) Recv() (*Message, error) {
 	// frame length itself. A header of an earlier layout, JSON, fails on
 	// its first byte: '{' is a key of wire type 3.
 	raw := n - 4 - hlen
-	m := new(Message)
+	m := c.bufs.message()
 	if err := wire.DecodeHeader(&c.dec, hdr, raw, m); err != nil {
 		return nil, fmt.Errorf("decoding frame header (%v): %w", err, ErrCorrupt)
 	}

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"cwc/internal/tasks"
 )
 
 // assignFrames returns the wire bytes of one assign frame per size, each
@@ -80,8 +82,9 @@ func byteFields(v reflect.Value, path string, fn func(path string, b []byte)) {
 	}
 }
 
-// After Recycle no byte field of the message — the checkpoints' State
-// included — still points into the buffer, and nothing else is touched.
+// After Recycle the message is zeroed in full, and the checkpoints it
+// pointed to no longer point into the buffer either: whoever kept one
+// keeps its offset, never bytes a later frame overwrites.
 func TestRecycleClearsEveryByteField(t *testing.T) {
 	c := recycling(encodeFrame(t, fullMessage(TypeFailure)))
 	m, err := c.Recv()
@@ -93,17 +96,14 @@ func TestRecycleClearsEveryByteField(t *testing.T) {
 	if set != 6 {
 		t.Fatalf("the received message has %d byte fields, want the 6 sections", set)
 	}
-	want := normalized(m) // a copy, checkpoints included
+	resume, ckpt := m.Resume, m.Checkpoint
+	want := []tasks.Checkpoint{{Offset: resume.Offset}, {Offset: ckpt.Offset}}
 	c.Recycle(m)
-	byteFields(reflect.ValueOf(m), "m", func(path string, b []byte) {
-		if b != nil {
-			t.Errorf("%s = %d bytes after Recycle, want nil", path, len(b))
-		}
-	})
-	want.Payload, want.Params, want.Input, want.Result = nil, nil, nil, nil
-	want.Resume.State, want.Checkpoint.State = nil, nil
-	if !reflect.DeepEqual(m, want) {
-		t.Errorf("Recycle changed more than the byte fields:\n got %+v\nwant %+v", m, want)
+	if !reflect.DeepEqual(*m, Message{}) {
+		t.Errorf("Recycle left %+v, want the zero Message", *m)
+	}
+	if got := []tasks.Checkpoint{*resume, *ckpt}; !reflect.DeepEqual(got, want) {
+		t.Errorf("the recycled message's checkpoints read %+v, want %+v: offsets kept, no state", got, want)
 	}
 	if got := freeCaps(c); len(got) != 1 {
 		t.Errorf("kept buffers %v, want the frame's one", got)
@@ -250,5 +250,46 @@ func TestRecvHostileLengthWithRecycledBuffers(t *testing.T) {
 	}
 	if got := freeCaps(c); len(got) != 2 {
 		t.Fatalf("after the hostile frame the connection keeps %v, want its two buffers", got)
+	}
+}
+
+// The master's pattern: the reader hands each message to another
+// goroutine, which keeps the frame's bytes and gives the struct alone
+// back with Reuse. Every kept slice still reads its own frame, and Recv
+// serves the stream from a few given-back structs, not one per frame.
+func TestReuseKeepsTheBytesAcrossGoroutines(t *testing.T) {
+	const n = 200
+	sizes := make([]int, n)
+	for i := range sizes {
+		sizes[i] = 64
+	}
+	c := connOver(assignFrames(t, sizes...))
+	handed := make(chan *Message)
+	structs := make(chan map[*Message]bool)
+	kept := make([][]byte, n)
+	go func() {
+		seen := map[*Message]bool{}
+		for m := range handed {
+			seen[m] = true
+			kept[m.JobID-1] = m.Input
+			c.Reuse(m)
+		}
+		structs <- seen
+	}()
+	for range n {
+		m, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		handed <- m
+	}
+	close(handed)
+	if seen := <-structs; len(seen) > maxRecycled {
+		t.Errorf("%d frames arrived in %d messages, want at most %d", n, len(seen), maxRecycled)
+	}
+	for i, b := range kept {
+		if want := bytes.Repeat([]byte{byte('a' + i%26)}, 64); !bytes.Equal(b, want) {
+			t.Fatalf("frame %d's kept input reads %q, want %q", i+1, b, want)
+		}
 	}
 }

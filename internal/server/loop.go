@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"cwc/internal/obs"
@@ -148,7 +149,9 @@ func (m *Master) stepLocked(now time.Time, in any) {
 	case *round:
 		m.startLocked(now, in)
 	case reported:
-		m.creditLocked(now, in.ps, in.msg)
+		if !m.creditLocked(now, in.ps, in.msg) {
+			in.ps.conn.Reuse(in.msg) // credited: what it folded is the frame's bytes, not the struct
+		}
 	case sent:
 		if w := m.wins[in.ps]; in.err != nil {
 			m.dieLocked(in.ps, "send-failed", in.err.Error())
@@ -239,7 +242,7 @@ func (m *Master) pumpLocked(now time.Time, w *window) {
 		a := w.queue[w.next]
 		w.next++
 		if !w.rnd.profiling {
-			ev := obs.SpanEvent{Kind: obs.KindAssign, Job: a.item.jobID, Partition: a.partition, Phone: w.ps.info.ID}
+			ev := obs.SpanEvent{Kind: obs.KindAssign, Job: a.item.jobID, Span: a.item.span, Partition: a.partition, Phone: w.ps.info.ID}
 			if a.resume != nil {
 				ev.Detail, ev.Bytes = "resume", a.resume.Offset
 			}
@@ -299,14 +302,16 @@ func (m *Master) releaseLocked(w *window, keep int, detach bool) {
 // that sent it) and, if a window holds the attempt — it is live exactly
 // while one does — moves the window in the same step. A result folds
 // either way (first-result-wins); a failure spends a retry only if live,
-// else its checkpoint is kept if furthest. Caller holds m.mu.
-func (m *Master) creditLocked(now time.Time, ps *phoneState, msg *protocol.Message) {
+// else its checkpoint is kept if furthest. It reports whether msg is kept:
+// a profiling execution's report, which its round hands to profileOne.
+// Caller holds m.mu.
+func (m *Master) creditLocked(now time.Time, ps *phoneState, msg *protocol.Message) (kept bool) {
 	rec := m.attemptLocked(ps, msg.Attempt)
 	if rec == nil {
 		m.cfg.Metrics.Counter("cwc_frames_unexpected_total", "type", frameLabel(msg.Type)).Inc()
 		m.cfg.Logger.With("phone", ps.info.ID, "attempt", msg.Attempt).
 			Warnf("dropping report for an attempt this phone does not hold")
-		return
+		return false
 	}
 	delete(m.attempts, msg.Attempt)
 	a, w, i := rec.a, m.wins[rec.ps], 0
@@ -314,7 +319,7 @@ func (m *Master) creditLocked(now time.Time, ps *phoneState, msg *protocol.Messa
 		i++
 	}
 	live := w != nil && i < len(w.win)
-	ev := obs.SpanEvent{Job: a.item.jobID, Partition: a.partition, Phone: ps.info.ID}
+	ev := obs.SpanEvent{Job: a.item.jobID, Span: a.item.span, Partition: a.partition, Phone: ps.info.ID}
 	switch {
 	case a.rng == nil:
 		// A profiling execution is part of no job: nothing to trace or fold.
@@ -339,11 +344,12 @@ func (m *Master) creditLocked(now time.Time, ps *phoneState, msg *protocol.Messa
 		m.keepCheckpointLocked(a.rng, msg.Checkpoint)
 	}
 	if !live {
-		return
+		return false
 	}
-	w.win = append(w.win[:i:i], w.win[i+1:]...)
+	w.win = slices.Delete(w.win, i, i+1) // in place: the window keeps its memory
+	kept = w.rnd.profiling
 	switch {
-	case w.rnd.profiling:
+	case kept:
 		w.rnd.report = msg
 	case msg.Type == protocol.TypeFailure && msg.Error == drainFailureReason:
 		// Still plugged: alive for window learning, but given no more work.
@@ -355,6 +361,7 @@ func (m *Master) creditLocked(now time.Time, ps *phoneState, msg *protocol.Messa
 		w.due = time.Time{}
 	}
 	m.pumpLocked(now, w)
+	return kept
 }
 
 // overdueLocked is a window head's blown deadline. Caller holds m.mu.
@@ -418,16 +425,19 @@ func (m *Master) queueLocked(ps *phoneState, f flight) {
 }
 
 // writer ships what the loop queues for ps, posting each outcome back.
+// Every frame it writes goes out in one message of its own.
 func (m *Master) writer(ps *phoneState) {
 	defer m.wg.Done()
+	var msg protocol.Message
 	for {
 		select {
 		case f := <-ps.out:
 			var err error
 			if f.attempt == 0 {
-				err = ps.conn.Send(&protocol.Message{Type: protocol.TypeDrain})
+				msg = protocol.Message{Type: protocol.TypeDrain}
+				err = ps.conn.Send(&msg)
 			} else {
-				err = m.sendAssign(ps, f.a, f.attempt)
+				err = m.sendAssign(ps, &msg, f.a, f.attempt)
 			}
 			m.post(sent{ps, f.attempt, err})
 		case <-ps.dead:

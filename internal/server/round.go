@@ -22,17 +22,17 @@ import (
 func jobSpan(jobID int) string { return "j" + strconv.Itoa(jobID) }
 
 // trace is the one place the master writes an event. It stamps the time
-// and the job's span, appends to the open round's timeline if there is
-// one (closeTimeline derives every per-round view from that slice), and
-// records to the tracer — ring, JSONL sink and flight recorder. Callers
-// may or may not hold m.mu.
+// and the job's span (unless the caller has it at hand), appends to the
+// open round's timeline if there is one (closeTimeline derives every
+// per-round view from that slice), and records to the tracer — ring,
+// JSONL sink and flight recorder. Callers may or may not hold m.mu.
 func (m *Master) trace(ev obs.SpanEvent) {
-	if ev.Job > 0 {
+	if ev.Job > 0 && ev.Span == "" {
 		ev.Span = jobSpan(ev.Job)
 	}
 	m.evMu.Lock()
 	ev.TS = time.Now() // under evMu: the timeline is in TS order as appended
-	if m.timeline != nil {
+	if m.collecting {
 		m.timeline = append(m.timeline, ev)
 	}
 	m.evMu.Unlock()
@@ -42,12 +42,14 @@ func (m *Master) trace(ev obs.SpanEvent) {
 // closeTimeline ends the round's event collection and derives every view
 // of it: the report's Figure 12 timeline and tallies, and /debug/sched's
 // actuals. A result for an attempt no window held anymore reads
-// "late-result", so "result" pairs with "assign" one to one.
+// "late-result", so "result" pairs with "assign" one to one. The events
+// are copied out: the next round collects into the same memory.
 func (m *Master) closeTimeline(report *RoundReport, snap *SchedSnapshot, start time.Time) {
 	m.evMu.Lock()
 	evs := m.timeline
-	m.timeline = nil
+	m.collecting = false
 	m.evMu.Unlock()
+	defer clear(evs) // so the kept memory pins no event's strings
 	report.Events = make([]Event, len(evs))
 	for i, ev := range evs {
 		kind := ev.Kind
@@ -89,7 +91,7 @@ func (m *Master) Submit(task tasks.Task, input []byte, atomic bool) (int, error)
 		return 0, fmt.Errorf("server: persisting submission: %w", err)
 	}
 	m.jobs[id].task = task
-	m.pending = append(m.pending, itemOf(task, m.fresh[seq]))
+	m.pending = append(m.pending, itemOf(m.jobs[id], m.fresh[seq]))
 	m.cfg.Metrics.Counter("cwc_submissions_total").Inc()
 	m.trace(obs.SpanEvent{Kind: obs.KindSubmit, Job: id, Phone: -1,
 		Bytes: int64(len(input)), Detail: task.Name()})
@@ -478,7 +480,8 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	for _, queue := range plans {
 		assignments += len(queue)
 	}
-	m.timeline = make([]obs.SpanEvent, 0, 2*assignments) // an assign and a report each
+	m.timeline = slices.Grow(m.timeline[:0], 2*assignments) // an assign and a report each
+	m.collecting = true
 	m.evMu.Unlock()
 	m.dispatch(ctx, &round{plans: plans, phones: phones, done: make(chan struct{})})
 	report.Wall = time.Since(start)
@@ -812,7 +815,7 @@ func (m *Master) speculateLocked(a assignment) bool {
 		return false
 	}
 	e.shared, e.queued = true, true
-	m.pending = append(m.pending, itemOf(a.item.task, e))
+	m.pending = append(m.pending, itemOf(m.jobs[e.JobID], e))
 	m.cfg.Metrics.Counter("cwc_speculations_total").Inc()
 	m.trace(obs.SpanEvent{Kind: obs.KindSpeculate, Job: a.item.jobID,
 		Partition: a.partition, Key: a.key, Phone: -1, Bytes: int64(len(a.input))})
@@ -869,14 +872,17 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 	}
 	// Echo the span coordinates so the worker's ckpt_ack telemetry event
 	// anchors to the same trace span as the master's checkpoint fold.
+	// The ack goes out in the frame's own message, which the read loop
+	// owns; the checkpoint a fold kept is its own allocation.
 	var span string
 	if jobID != 0 {
 		span = jobSpan(jobID)
 	}
-	_ = ps.conn.Send(&protocol.Message{
+	*msg = protocol.Message{
 		Type: protocol.TypeCheckpointAck, Attempt: msg.Attempt, Seq: msg.Seq,
 		JobID: jobID, Partition: partition, Span: span,
-	})
+	}
+	_ = ps.conn.Send(msg)
 }
 
 // StreamedCheckpoints reports how many streamed checkpoints have been
@@ -1038,7 +1044,7 @@ func (m *Master) deadLetterLocked(rec *walDeadLetterRec, partition int) {
 // the copy of a handed-back open range — for the next scheduling instant.
 // Caller holds m.mu.
 func (m *Master) enqueueLocked(e *walItemRec, reason string) {
-	m.pending = append(m.pending, itemOf(m.jobs[e.JobID].task, e))
+	m.pending = append(m.pending, itemOf(m.jobs[e.JobID], e))
 	m.cfg.Metrics.Counter("cwc_requeues_total").Inc()
 	m.sloObserve(sloRequeue, false)
 	if e.Resume != nil {
@@ -1151,17 +1157,18 @@ func (m *Master) RunLoop(ctx context.Context, period time.Duration, onRound func
 	}
 }
 
-// sendAssign ships one partition, streaming inputs larger than the
-// configured chunk size as assign_chunk frames. A profiling execution is
-// part of no job: it ships under the sentinel job 0, with no span.
-func (m *Master) sendAssign(ps *phoneState, a assignment, attempt int64) error {
-	job, span := a.item.jobID, jobSpan(a.item.jobID)
+// sendAssign ships one partition in msg, the writer's own message,
+// streaming inputs larger than the configured chunk size as assign_chunk
+// frames. A profiling execution is part of no job: it ships under the
+// sentinel job 0, with no span.
+func (m *Master) sendAssign(ps *phoneState, msg *protocol.Message, a assignment, attempt int64) error {
+	job, span := a.item.jobID, a.item.span
 	if a.rng == nil {
 		job, span = 0, ""
 	}
 	chunk := m.cfg.ChunkKB * 1024
-	msg := &protocol.Message{Type: protocol.TypeAssign, JobID: job, Partition: a.partition,
-		Attempt: attempt, Span: span, Task: a.item.task.Name(), Params: a.item.task.Params(),
+	*msg = protocol.Message{Type: protocol.TypeAssign, JobID: job, Partition: a.partition,
+		Attempt: attempt, Span: span, Task: a.item.task.Name(), Params: a.item.params,
 		Input: a.input, Resume: a.resume}
 	if len(a.input) > chunk {
 		msg.Input, msg.TotalLen = a.input[:chunk], int64(len(a.input))
@@ -1171,8 +1178,9 @@ func (m *Master) sendAssign(ps *phoneState, a assignment, attempt int64) error {
 	}
 	m.cfg.Metrics.Counter("cwc_assign_bytes_sent_total").Add(int64(len(a.input)))
 	for off := chunk; off < len(a.input); off += chunk {
-		if err := ps.conn.Send(&protocol.Message{Type: protocol.TypeAssignChunk, JobID: job,
-			Partition: a.partition, Input: a.input[off:min(off+chunk, len(a.input))]}); err != nil {
+		*msg = protocol.Message{Type: protocol.TypeAssignChunk, JobID: job,
+			Partition: a.partition, Input: a.input[off:min(off+chunk, len(a.input))]}
+		if err := ps.conn.Send(msg); err != nil {
 			return err
 		}
 	}

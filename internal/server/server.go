@@ -270,6 +270,8 @@ func (ps *phoneState) alive() bool {
 type workItem struct {
 	jobID  int // original submission this belongs to
 	task   tasks.Task
+	params []byte // task's parameters as Submit logged them, shipped as is
+	span   string // jobSpan(jobID), minted once
 	input  []byte
 	resume *tasks.Checkpoint // non-nil: resume exactly (shipped whole)
 	atomic bool
@@ -305,11 +307,11 @@ type workItem struct {
 // partition number and retry count the entry holds, resuming from the
 // furthest checkpoint it holds: the in-flight partition re-runs from
 // there, not from scratch, which is the bounded-work-loss guarantee for
-// offline failures.
-func itemOf(task tasks.Task, e *walItemRec) *workItem {
+// offline failures. js is e's job.
+func itemOf(js *walJobRec, e *walItemRec) *workItem {
 	it := &workItem{
-		jobID: e.JobID, task: task, input: e.Input, resume: e.Resume, atomic: e.Atomic,
-		key: e.Key, retries: e.Retries, partition: e.Partition, seq: e.Seq,
+		jobID: e.JobID, task: js.task, params: js.Params, span: jobSpan(e.JobID),
+		input: e.Input, resume: e.Resume, atomic: e.Atomic, key: e.Key, retries: e.Retries, partition: e.Partition, seq: e.Seq,
 	}
 	if e.Key != 0 {
 		it.rng = e
@@ -430,10 +432,12 @@ type Master struct {
 	rounds    int            // guarded by mu
 	lastSched *SchedSnapshot // guarded by mu
 
-	// timeline is the open round's events as trace wrote them, nil between
-	// rounds. Its own mutex: trace is called with and without m.mu held.
-	evMu     sync.Mutex
-	timeline []obs.SpanEvent // guarded by evMu
+	// timeline is the open round's events as trace wrote them while
+	// collecting; its backing array serves every round. Its own mutex:
+	// trace is called with and without m.mu held.
+	evMu       sync.Mutex
+	timeline   []obs.SpanEvent // guarded by evMu
+	collecting bool            // guarded by evMu
 
 	// slos tracks the master's rolling-window service-level objectives
 	// (internally synchronized; see registerMasterSLOs for the catalog).
@@ -731,7 +735,10 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 	m.readLoop(ps)
 }
 
-// readLoop routes incoming frames for one phone until its death.
+// readLoop routes incoming frames for one phone until its death. A frame
+// it handles itself goes back to the connection once handled (Reuse); a
+// report posted to the loop is the loop's to give back, and a probe ack
+// MeasureBandwidths's to keep.
 func (m *Master) readLoop(ps *phoneState) {
 	for {
 		msg, err := ps.conn.Recv()
@@ -771,6 +778,7 @@ func (m *Master) readLoop(ps *phoneState) {
 		case protocol.TypeProbeAck:
 			select {
 			case ps.probeCh <- msg:
+				continue
 			default:
 			}
 		case protocol.TypeCheckpoint, protocol.TypeResult, protocol.TypeFailure:
@@ -782,6 +790,7 @@ func (m *Master) readLoop(ps *phoneState) {
 				m.recordStreamedCheckpoint(ps, msg)
 			default:
 				m.post(reported{ps, msg})
+				continue
 			}
 		case protocol.TypeBye:
 			m.cfg.Logger.With("phone", ps.info.ID).Infof("unplugged while idle")
@@ -797,6 +806,7 @@ func (m *Master) readLoop(ps *phoneState) {
 			m.cfg.Logger.With("phone", ps.info.ID, "type", string(msg.Type)).
 				Debugf("ignoring unexpected frame")
 		}
+		ps.conn.Reuse(msg)
 	}
 }
 
@@ -898,6 +908,7 @@ func (m *Master) keepalive(ps *phoneState) {
 	timer := time.NewTimer(keepaliveJitter(m.cfg.KeepalivePeriod, rng))
 	defer timer.Stop()
 	var seq uint64
+	var ping protocol.Message // every ping goes out in it
 	for {
 		select {
 		case <-timer.C:
@@ -919,7 +930,8 @@ func (m *Master) keepalive(ps *phoneState) {
 			}
 			seq++
 			m.cfg.Metrics.Counter("cwc_keepalive_pings_total").Inc()
-			if err := ps.conn.Send(&protocol.Message{Type: protocol.TypePing, Seq: seq}); err != nil {
+			ping = protocol.Message{Type: protocol.TypePing, Seq: seq}
+			if err := ps.conn.Send(&ping); err != nil {
 				m.markDead(ps, "send-failed", err.Error())
 				m.observeUnplug(ps)
 				return

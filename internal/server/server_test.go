@@ -926,14 +926,14 @@ func TestStreamedCheckpointNeedsItsDigest(t *testing.T) {
 	}
 
 	ck := &tasks.Checkpoint{Offset: 2, State: []byte(`{"count":1}`)}
-	for i, digest := range []string{"", tasks.Digest([]byte("something else")), ck.Digest()} {
+	for i, digest := range []tasks.Sum{{}, tasks.Digest([]byte("something else")), ck.Digest()} {
 		f.send(&protocol.Message{Type: protocol.TypeCheckpoint, JobID: id, Partition: asg.Partition,
 			Attempt: asg.Attempt, Seq: uint64(i + 1), Checkpoint: ck, Digest: digest})
 		if ack := f.recv(); ack.Type != protocol.TypeCheckpointAck || ack.Seq != uint64(i+1) {
 			t.Fatalf("checkpoint %d answered with %+v, want its ack", i+1, ack)
 		}
 		if got, want := m.StreamedCheckpoints(), i/2; got != want {
-			t.Fatalf("after checkpoint %d (digest %.8q): %d folds, want %d", i+1, digest, got, want)
+			t.Fatalf("after checkpoint %d (digest %.8s): %d folds, want %d", i+1, digest, got, want)
 		}
 	}
 	if v := reg.Counter("cwc_verify_mismatches_total", "kind", "checkpoint").Value(); v != 2 {

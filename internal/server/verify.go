@@ -58,13 +58,13 @@ type voteGroup struct {
 	// audit marks a spot-check group: the first ballot folds immediately
 	// and later ballots only compare.
 	audit   bool
-	ballots map[int]string // phone ID -> recomputed digest
+	ballots map[int]tasks.Sum // phone ID -> recomputed digest
 	// folded is the digest of the result already folded into the job
-	// ("" until one is).
-	folded string
+	// (zero until one is).
+	folded tasks.Sum
 	// winner is the quorum digest once resolved; late ballots are scored
 	// against it.
-	winner   string
+	winner   tasks.Sum
 	resolved bool
 	// tie is the outstanding tie-break's attempt on arbiter (0: none),
 	// reclaimed at tieDue on the loop's timer if the arbiter never reports.
@@ -145,7 +145,7 @@ func (m *Master) verifyResultLocked(a assignment, resp *protocol.Message, ps *ph
 		return true
 	}
 
-	if vg.audit && vg.folded == "" {
+	if vg.audit && vg.folded == (tasks.Sum{}) {
 		// Audit: the first result folds immediately; the echo compares.
 		vg.folded = computed
 		m.finalizeResultLocked(a, resp, ps)
@@ -155,7 +155,7 @@ func (m *Master) verifyResultLocked(a assignment, resp *protocol.Message, ps *ph
 		m.cfg.Metrics.Counter("cwc_verify_audits_total").Inc()
 	}
 
-	counts := map[string]int{}
+	counts := map[tasks.Sum]int{}
 	for _, d := range vg.ballots {
 		counts[d]++
 	}
@@ -183,7 +183,7 @@ func (m *Master) verifyResultLocked(a assignment, resp *protocol.Message, ps *ph
 // are rewarded, losers penalized (and counted as mismatches). The group
 // stays registered until every expected ballot is in, so stragglers on
 // the losing side are still penalized. Caller holds m.mu.
-func (m *Master) resolveVoteLocked(key int64, vg *voteGroup, winner string) {
+func (m *Master) resolveVoteLocked(key int64, vg *voteGroup, winner tasks.Sum) {
 	vg.resolved = true
 	vg.winner = winner
 	kind := "vote"
@@ -198,7 +198,7 @@ func (m *Master) resolveVoteLocked(key int64, vg *voteGroup, winner string) {
 		m.sloObserve(sloVerify, won)
 		m.reputationEventLocked(pid, won, "verification vote")
 	}
-	if vg.audit && vg.folded != "" && vg.folded != winner {
+	if vg.audit && vg.folded != (tasks.Sum{}) && vg.folded != winner {
 		// The audited result had already been folded when the echo proved
 		// it wrong: the job's aggregate may be tainted. Audits are a
 		// sampling defense — they quarantine the liar so the *fleet*
@@ -314,7 +314,7 @@ func (m *Master) planVerificationLocked(plans [][]assignment, inst *core.Instanc
 		extra[c.Phone] = append(extra[c.Phone], src)
 		g := groups[src.key]
 		if g == nil {
-			g = &voteGroup{a: src, need: 1, audit: k <= 1, ballots: map[int]string{}}
+			g = &voteGroup{a: src, need: 1, audit: k <= 1, ballots: map[int]tasks.Sum{}}
 			groups[src.key] = g
 		}
 		g.need++

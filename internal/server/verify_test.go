@@ -367,7 +367,7 @@ func testDigestMismatchRequeues(t *testing.T, strip bool) {
 			if msg.Partition >= 0 && !corrupted {
 				corrupted = true
 				if strip {
-					digest = ""
+					digest = tasks.Sum{}
 				} else {
 					mangled := append([]byte(nil), res...)
 					mangled[0] ^= 0xff

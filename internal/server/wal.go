@@ -801,7 +801,7 @@ func (m *Master) installWALState(red *walReducer) error {
 			return fmt.Errorf("server: wal recovery: item references unknown job %d", it.JobID)
 		}
 		it.queued = it.Key != 0
-		pending[i] = itemOf(js.task, it)
+		pending[i] = itemOf(js, it)
 	}
 
 	m.mu.Lock()

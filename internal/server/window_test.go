@@ -62,7 +62,7 @@ func newWindowHarness(t *testing.T, cfg Config) *windowHarness {
 		h.m.walAppend(&walMigrate{JobID: id, Key: a.key, Resume: h.resume[id].Clone(),
 			Retries: windowRetries, Partition: windowPartition + id})
 		a.rng.queued = true
-		h.m.pending = append(h.m.pending, itemOf(a.item.task, a.rng))
+		h.m.pending = append(h.m.pending, itemOf(h.m.jobs[a.item.jobID], a.rng))
 		h.m.mu.Unlock()
 	}
 	return h

@@ -19,24 +19,33 @@ import (
 	"encoding/hex"
 )
 
-// Digest returns the canonical digest of a result payload: lowercase hex
-// SHA-256 over the exact payload bytes. Digest(nil) is the digest of the
-// empty payload, so a task legitimately returning zero bytes still
+// Sum is a SHA-256 digest: a value, compared with ==, that the wire
+// carries as its 32 raw bytes. The zero Sum is no digest (no payload
+// hashes to it).
+type Sum [sha256.Size]byte
+
+// String is the digest in lowercase hex, for logs.
+func (s Sum) String() string { return hex.EncodeToString(s[:]) }
+
+// Digest returns the canonical digest of a result payload: SHA-256 over
+// the exact payload bytes, with no allocation. Digest(nil) is the digest
+// of the empty payload, so a task legitimately returning zero bytes still
 // yields a comparable, stable digest.
-func Digest(payload []byte) string {
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:])
+func Digest(payload []byte) Sum {
+	return sha256.Sum256(payload)
 }
 
 // Digest returns the canonical digest of the checkpoint: SHA-256 over
 // the 8-byte big-endian offset followed by the state bytes. The
 // fixed-width offset prefix keeps (offset=1, state="2") and
 // (offset=12, state="") from colliding.
-func (c *Checkpoint) Digest() string {
+func (c *Checkpoint) Digest() Sum {
 	h := sha256.New()
 	var off [8]byte
 	binary.BigEndian.PutUint64(off[:], uint64(c.Offset))
 	h.Write(off[:])
 	h.Write(c.State)
-	return hex.EncodeToString(h.Sum(nil))
+	var s Sum
+	h.Sum(s[:0])
+	return s
 }

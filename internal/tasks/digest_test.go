@@ -15,8 +15,8 @@ func TestDigestDeterministicAndDistinct(t *testing.T) {
 		t.Fatal("distinct payloads collided")
 	}
 	want := sha256.Sum256([]byte("hello"))
-	if a != hex.EncodeToString(want[:]) {
-		t.Fatalf("Digest = %s, want plain SHA-256 hex", a)
+	if a != want || a.String() != hex.EncodeToString(want[:]) {
+		t.Fatalf("Digest = %s, want plain SHA-256", a)
 	}
 }
 
@@ -24,7 +24,7 @@ func TestDigestEmptyAndNilAgree(t *testing.T) {
 	if Digest(nil) != Digest([]byte{}) {
 		t.Fatal("nil and empty payloads must share a digest")
 	}
-	if Digest(nil) == "" {
+	if Digest(nil) == (Sum{}) {
 		t.Fatal("empty payload must still digest")
 	}
 }

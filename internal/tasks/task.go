@@ -80,7 +80,9 @@ type Task interface {
 	// returns the result. If ctx is canceled it saves its state into ck
 	// and returns ErrInterrupted. Implementations must treat input as
 	// read-only, and neither the result nor ck.State may alias it: a
-	// worker reuses input's memory once the attempt has reported.
+	// worker reuses input's memory once the attempt has reported. A
+	// worker runs one instance for every assignment in a row that names
+	// its task with the same params, so Process keeps no state in it.
 	Process(ctx context.Context, input []byte, ck *Checkpoint) ([]byte, error)
 }
 

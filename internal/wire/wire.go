@@ -24,7 +24,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"math/bits"
@@ -342,37 +341,19 @@ func String[T ~string](c *Codec, tag int, p *T) {
 	}
 }
 
-// Digest is a SHA-256 digest in lowercase hex, which travels as the 32
-// bytes it spells.
-func (c *Codec) Digest(tag int, p *string) {
-	var raw [32]byte
-	var digits [64]byte // on the stack: a decoded digest's string is its one allocation
-	n := 0
-	if s := *p; !c.dec && s != "" {
-		for i := 0; i < len(raw) && len(s) == len(digits); i++ {
-			raw[i] = unhex(s[2*i])<<4 | unhex(s[2*i+1])
-		}
-		if string(hex.AppendEncode(digits[:0], raw[:])) != s {
-			c.failf("tag %d: %q is not a digest in lowercase hex", tag, s)
-			return
-		}
-		n = len(raw)
+// Digest is a SHA-256 digest, which travels as its 32 raw bytes; the
+// zero digest is absent.
+func Digest[T ~[32]byte](c *Codec, tag int, p *T) {
+	var n int
+	if !c.dec && *p != (T{}) {
+		n = len(*p)
 	}
+	raw := [32]byte(*p)
 	if b, ok := bytesField(c, tag, raw[:n]); ok && len(b) != len(raw) {
 		c.failf("tag %d: a digest of %d bytes", tag, len(b))
 	} else if ok {
-		*p = string(hex.AppendEncode(digits[:0], b))
+		*p = T(b)
 	}
-}
-
-func unhex(b byte) byte {
-	switch {
-	case '0' <= b && b <= '9':
-		return b - '0'
-	case 'a' <= b && b <= 'f':
-		return b - 'a' + 10
-	}
-	return 0
 }
 
 // Code is a string drawn from a fixed set, which travels as its index in

@@ -45,7 +45,7 @@ type sample struct {
 	F    float64
 	S    string
 	K    kind
-	H    string
+	H    [32]byte
 	Sec  []byte
 	Ck   *ckpt
 	L    []item
@@ -59,7 +59,7 @@ func (s *sample) Wire(c *Codec) {
 	c.Float(4, &s.F)
 	String(c, 5, &s.S)
 	Code(c, 6, &s.K, kinds)
-	c.Digest(7, &s.H)
+	Digest(c, 7, &s.H)
 	c.Section(8, &s.Sec)
 	Opt(c, 9, &s.Ck)
 	List(c, 10, &s.L)
@@ -68,7 +68,7 @@ func (s *sample) Wire(c *Codec) {
 
 func full() *sample {
 	return &sample{U: math.MaxUint64, I: math.MinInt64, B: true, F: math.Copysign(0, -1), S: "s",
-		K: "beta", H: strings.Repeat("0f", 32), Sec: []byte("sec"), Ck: &ckpt{Off: -1, State: []byte("st")},
+		K: "beta", H: [32]byte(bytes.Repeat([]byte{0x0f}, 32)), Sec: []byte("sec"), Ck: &ckpt{Off: -1, State: []byte("st")},
 		L: []item{{N: 1}, {S: strings.Repeat("x", 200)}}, Last: 7}
 }
 
@@ -118,8 +118,6 @@ func TestEncodeErrors(t *testing.T) {
 		why string
 	}{
 		{&sample{K: "gamma"}, `"gamma" has no code`},
-		{&sample{H: "abcd"}, "not a digest"},
-		{&sample{H: strings.Repeat("AB", 32)}, "not a digest"},
 	} {
 		if _, err := Encode(new(Codec), 0, tc.v); err == nil || !strings.Contains(err.Error(), tc.why) {
 			t.Errorf("%+v: err = %v, want %q", *tc.v, err, tc.why)
@@ -147,8 +145,8 @@ var errShort = errors.New("no header length")
 // FuzzHeaderRoundTrip: decoding arbitrary bytes never panics; whatever
 // decodes re-encodes to the same bytes, so every value has one encoding;
 // and decoding allocates in proportion to the header's own bytes, never
-// to a length or count it claims. Each string takes its bytes (a digest
-// two per byte) rounded up to an allocation of at most 16, each
+// to a length or count it claims. Each string takes its bytes rounded up
+// to an allocation of at most 16 (a digest takes none), each
 // list item its struct, and each item at least one header byte; a
 // refused header adds its error message.
 func FuzzHeaderRoundTrip(f *testing.F) {

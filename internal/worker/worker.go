@@ -13,6 +13,7 @@
 package worker
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -370,13 +371,14 @@ func (p *Phone) Run(ctx context.Context) error {
 	// the queue's bound guards against a misbehaving server. The executor
 	// outlives individual connections so a task running through a
 	// disconnect still finishes and its result is replayed after the rejoin.
-	// Once an assignment has reported, its receive buffer goes back to the
-	// connection it arrived on, for a later frame.
+	// Once an assignment has reported, its message and receive buffer go
+	// back to the connection it arrived on, for a later frame.
 	assignQ := make(chan received, 16)
 	defer close(assignQ)
 	go func() {
+		var ex executor
 		for a := range assignQ {
-			p.execute(ctx, a.m)
+			p.execute(ctx, &ex, a.m)
 			a.conn.Recycle(a.m)
 		}
 	}()
@@ -510,10 +512,17 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 	// with the connection: the server re-dispatches lost partitions.
 	type partKey struct{ job, part int }
 	assembling := map[partKey]*protocol.Message{}
+	// reply is the message this loop's own answers go out in: pongs,
+	// probe acks and refusals.
+	var reply protocol.Message
+	send := func(m protocol.Message) error {
+		reply = m
+		return conn.Send(&reply)
+	}
 	// refuse answers an assignment this worker will not run with a
 	// failure report, so the server requeues it at once.
 	refuse := func(m *protocol.Message, why string) {
-		_ = conn.Send(&protocol.Message{
+		_ = send(protocol.Message{
 			Type: protocol.TypeFailure, JobID: m.JobID,
 			Partition: m.Partition, Attempt: m.Attempt,
 			Epoch: p.currentEpoch(),
@@ -591,13 +600,13 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 			// them with their dispatch attempts.
 			p.flushUnsent(conn)
 		case protocol.TypePing:
-			if err := conn.Send(&protocol.Message{Type: protocol.TypePong, Seq: m.Seq}); err != nil {
+			if err := send(protocol.Message{Type: protocol.TypePong, Seq: m.Seq}); err != nil {
 				return registered, err
 			}
 			// Piggyback buffered span events on the keepalive cadence.
 			p.shipTelemetry(conn)
 		case protocol.TypeProbe:
-			if err := conn.Send(&protocol.Message{Type: protocol.TypeProbeAck, Seq: m.Seq}); err != nil {
+			if err := send(protocol.Message{Type: protocol.TypeProbeAck, Seq: m.Seq}); err != nil {
 				return registered, err
 			}
 		case protocol.TypeAssign:
@@ -676,7 +685,9 @@ func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net
 }
 
 // report delivers a result/failure frame on the current connection, or
-// buffers it for replay after the next successful registration.
+// buffers it for replay after the next successful registration. m is
+// the executor's own message, which its next report overwrites: a report
+// parked for replay is a copy of it.
 func (p *Phone) report(m *protocol.Message) {
 	p.mu.Lock()
 	conn := p.conn
@@ -687,9 +698,10 @@ func (p *Phone) report(m *protocol.Message) {
 		p.shipTelemetry(conn)
 		return
 	}
+	parked := *m
 	p.mu.Lock()
 	if len(p.unsent) < maxUnsent {
-		p.unsent = append(p.unsent, m)
+		p.unsent = append(p.unsent, &parked)
 	}
 	p.mu.Unlock()
 }
@@ -711,13 +723,41 @@ func (p *Phone) flushUnsent(conn *protocol.Conn) {
 	}
 }
 
-// execute runs one assigned partition and reports the outcome. Reports go
-// through the reconnect-aware path: if the connection died while the task
-// ran, the report is buffered and replayed after the rejoin. No report
-// holds any of m's byte fields: m is recycled once execute returns.
-func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
+// executor is what the one goroutine that runs assignments keeps from one
+// to the next: the message its reports and streamed checkpoints go out
+// in, and the task instance it ran last, with the executable name and
+// parameters it was built from.
+type executor struct {
+	out    protocol.Message
+	task   tasks.Task
+	name   string
+	params []byte
+}
+
+// taskFor returns the task m names: the last one again when m names the
+// same executable with byte-identical parameters, else a new instance.
+func (ex *executor) taskFor(m *protocol.Message) (tasks.Task, error) {
+	if ex.task != nil && m.Task == ex.name && bytes.Equal(m.Params, ex.params) {
+		return ex.task, nil
+	}
+	task, err := tasks.New(m.Task, m.Params)
+	if err != nil {
+		ex.task = nil
+		return nil, err
+	}
+	// The params are copied: m's bytes go back to the connection.
+	ex.task, ex.name, ex.params = task, m.Task, append(ex.params[:0], m.Params...)
+	return task, nil
+}
+
+// execute runs one assigned partition and reports the outcome in ex's
+// message. Reports go through the reconnect-aware path: if the connection
+// died while the task ran, the report is buffered and replayed after the
+// rejoin. No report holds any of m's byte fields: m is recycled once
+// execute returns.
+func (p *Phone) execute(ctx context.Context, ex *executor, m *protocol.Message) {
 	taskCtx, cancel := context.WithCancel(ctx)
-	sink := p.checkpointSink(m)
+	sink := p.checkpointSink(m, &ex.out)
 	// Whether the phone is still there is read in the critical section
 	// that publishes the cancel func: an unplug, vanish or drain landing
 	// now is either seen here or finds this task to interrupt.
@@ -735,18 +775,15 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 		p.mu.Unlock()
 	}()
 
-	fail := func(ck *tasks.Checkpoint, msg string) {
-		p.report(&protocol.Message{
-			Type:       protocol.TypeFailure,
-			JobID:      m.JobID,
-			Partition:  m.Partition,
-			Attempt:    m.Attempt,
-			Epoch:      p.currentEpoch(),
-			Span:       m.Span,
-			Checkpoint: ck,
-			Error:      msg,
-		})
+	// reply reports r, stamped with m's coordinates, in ex's message.
+	reply := func(r protocol.Message) {
+		ex.out = r
+		ex.out.JobID, ex.out.Partition, ex.out.Attempt, ex.out.Span = m.JobID, m.Partition, m.Attempt, m.Span
+		p.report(&ex.out)
 		p.maybeLeave()
+	}
+	fail := func(ck *tasks.Checkpoint, msg string) {
+		reply(protocol.Message{Type: protocol.TypeFailure, Epoch: p.currentEpoch(), Checkpoint: ck, Error: msg})
 	}
 
 	// Work that was still queued when the phone left or was drained never
@@ -763,7 +800,7 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 		return
 	}
 
-	task, err := tasks.New(m.Task, m.Params)
+	task, err := ex.taskFor(m)
 	if err != nil {
 		fail(nil, fmt.Sprintf("instantiating executable: %v", err))
 		return
@@ -790,18 +827,8 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 	if p.byzRng != nil && p.cfg.Byzantine.LazyProb > 0 && p.byzRng.Float64() < p.cfg.Byzantine.LazyProb {
 		payload, digest := p.mutateResult([]byte("0"))
 		finish(0, "ok")
-		p.report(&protocol.Message{
-			Type:        protocol.TypeResult,
-			JobID:       m.JobID,
-			Partition:   m.Partition,
-			Attempt:     m.Attempt,
-			Epoch:       p.currentEpoch(),
-			Span:        m.Span,
-			Result:      payload,
-			Digest:      digest,
-			ProcessedKB: float64(len(m.Input)) / 1024,
-		})
-		p.maybeLeave()
+		reply(protocol.Message{Type: protocol.TypeResult, Epoch: p.currentEpoch(), Result: payload,
+			Digest: digest, ProcessedKB: float64(len(m.Input)) / 1024})
 		return
 	}
 
@@ -844,19 +871,9 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 	case err == nil:
 		finish(elapsed, "ok")
 		payload, digest := p.mutateResult(result)
-		p.report(&protocol.Message{
-			Type:        protocol.TypeResult,
-			JobID:       m.JobID,
-			Partition:   m.Partition,
-			Attempt:     m.Attempt,
-			Epoch:       p.currentEpoch(),
-			Span:        m.Span,
-			Result:      payload,
-			Digest:      digest,
-			ExecMs:      float64(elapsed) / float64(time.Millisecond),
-			ProcessedKB: float64(len(m.Input)) / 1024,
-		})
-		p.maybeLeave()
+		reply(protocol.Message{Type: protocol.TypeResult, Epoch: p.currentEpoch(), Result: payload,
+			Digest: digest, ExecMs: float64(elapsed) / float64(time.Millisecond),
+			ProcessedKB: float64(len(m.Input)) / 1024})
 	case errors.Is(err, tasks.ErrInterrupted):
 		reason := p.interruptReason(m.Attempt)
 		finish(elapsed, reason)
@@ -874,7 +891,7 @@ func (p *Phone) execute(ctx context.Context, m *protocol.Message) {
 // internally consistent — only voting or an audit can catch it);
 // corruption is applied AFTER (the claimed digest no longer matches the
 // payload, so the master catches it from the single frame).
-func (p *Phone) mutateResult(result []byte) ([]byte, string) {
+func (p *Phone) mutateResult(result []byte) ([]byte, tasks.Sum) {
 	b := p.cfg.Byzantine
 	if p.byzRng != nil && b.LiarProb > 0 && p.byzRng.Float64() < b.LiarProb {
 		// The offset is drawn per result from this phone's own rng so two
@@ -943,12 +960,13 @@ func (p *Phone) interruptReason(attempt int64) string {
 const maxUnackedCkpts = 4
 
 // checkpointSink builds the streaming sink for one assignment, or nil
-// when streaming is off. The worker's own config wins over the policy
-// the server announced in the welcome; a negative config value disables
-// its trigger. Streamed frames are best-effort: they go only to the live
+// when streaming is off. Its frames go out in out, the executor's
+// message: the sink flushes on the executor's goroutine, between reports.
+// The worker's own config wins over the policy the server announced in
+// the welcome; a negative config value disables its trigger. Streamed frames are best-effort: they go only to the live
 // connection and are never buffered for replay — after a reconnect the
 // range has been re-queued and an old checkpoint is worthless.
-func (p *Phone) checkpointSink(m *protocol.Message) *tasks.CheckpointSink {
+func (p *Phone) checkpointSink(m *protocol.Message, out *protocol.Message) *tasks.CheckpointSink {
 	p.mu.Lock()
 	kb, every := p.ckptKB, time.Duration(p.ckptMs)*time.Millisecond
 	p.mu.Unlock()
@@ -982,7 +1000,7 @@ func (p *Phone) checkpointSink(m *protocol.Message) *tasks.CheckpointSink {
 			epoch := p.epoch
 			p.mu.Unlock()
 			seq++
-			err := conn.Send(&protocol.Message{
+			*out = protocol.Message{
 				Type:       protocol.TypeCheckpoint,
 				JobID:      m.JobID,
 				Partition:  m.Partition,
@@ -992,7 +1010,8 @@ func (p *Phone) checkpointSink(m *protocol.Message) *tasks.CheckpointSink {
 				Seq:        seq,
 				Checkpoint: ck,
 				Digest:     ck.Digest(),
-			})
+			}
+			err := conn.Send(out)
 			p.mu.Lock()
 			if err != nil {
 				if p.ckptUnacked > 0 {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -614,6 +616,62 @@ func TestQueuedAssignmentDroppedWhenPhoneLeaves(t *testing.T) {
 				t.Errorf("%d assignments received, want 2", got)
 			}
 		})
+	}
+}
+
+// The executor reports every outcome in one message of its own; a report
+// that cannot go out is parked as a copy. Two results finished while the
+// connection is down wait in unsent side by side, and the second leaves
+// the first as it was.
+func TestParkedReportIsNotOverwritten(t *testing.T) {
+	gate := make(chan struct{}, 1)
+	served := make(chan net.Conn, 1)
+	w, err := New(Config{CPUMHz: 1000, DelayPerKB: 20 * time.Millisecond,
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			server, phone := net.Pipe()
+			served <- server
+			return phone, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	go w.Run(ctx)
+	gate <- struct{}{}
+	raw := <-served
+	fs := &fakeServer{t: t, conn: protocol.NewConn(raw), raw: raw}
+	fs.welcome(1)
+	inputs := [][]byte{primesOfKB(4), []byte("2\n3\n5\n")}
+	for i, in := range inputs {
+		fs.send(&protocol.Message{Type: protocol.TypeAssign, JobID: i + 1, Attempt: int64(i + 1),
+			Task: "primecount", Input: in})
+	}
+	raw.Close() // the next dial waits on gate: both reports park
+	var parked []*protocol.Message
+	for deadline := time.Now().Add(10 * time.Second); len(parked) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d reports parked, want 2", len(parked))
+		}
+		w.mu.Lock()
+		parked = slices.Clone(w.unsent)
+		w.mu.Unlock()
+	}
+	if parked[0] == parked[1] {
+		t.Fatal("both parked reports are one message")
+	}
+	for i, m := range parked {
+		want := strconv.Itoa(bytes.Count(inputs[i], []byte("\n")))
+		if m.Type != protocol.TypeResult || m.JobID != i+1 || m.Attempt != int64(i+1) ||
+			string(m.Result) != want || m.Digest != tasks.Digest(m.Result) {
+			t.Errorf("parked report %d = %s for job %d attempt %d, result %q digest %s; want job %d's result %s",
+				i, m.Type, m.JobID, m.Attempt, m.Result, m.Digest, i+1, want)
+		}
 	}
 }
 
