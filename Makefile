@@ -11,10 +11,10 @@ vet:
 	$(GO) vet ./...
 
 # Project-invariant static analysis (guarded fields, lock ordering,
-# goroutine shutdown, frame dispatch, epoch fencing, metric hygiene,
-# leveled logging), printed as file:line for humans. It gates nothing
-# here: the same analysis is the test TestRepositoryIsClean, which
-# `race` (and so `check`) and tier-1 `go test ./...` already run. See
+# goroutine shutdown, frame dispatch, epoch fencing, leveled logging),
+# printed as file:line for humans. It gates nothing here: the same
+# analysis is the test TestRepositoryIsClean, which `race` (and so
+# `check`) and tier-1 `go test ./...` already run. See
 # docs/static-analysis.md.
 lint:
 	$(GO) run ./cmd/cwc-vet
@@ -152,6 +152,8 @@ census:
 	@echo "m.mu.Lock() sites:      $$(grep -h --exclude='*_test.go' 'm\.mu\.Lock()' internal/server/*.go | wc -l) (non-test, internal/server)"
 	@echo "//lint:ignore lines:    $$(grep -rhE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=bench '^\s*//lint:ignore ' . | wc -l) (non-test, non-testdata directives)"
 	@echo "encoding/json importers: $$(grep -l '"encoding/json"' $$(find internal/protocol internal/replica internal/wal -name '*.go' -not -name '*_test.go') internal/server/wal.go | wc -l) (non-test files of protocol, replica, wal, and server/wal.go's record path)"
+	@echo "by-name metric lookups outside the declarations: $$(grep -rhE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=bench --exclude-dir=obs '\.(Counter|Gauge|Histogram)\(' . | wc -l) (non-test Registry.Counter/Gauge/Histogram calls outside internal/obs; declarations use NewCounter/NewGauge/NewHistogram)"
+	@echo "lint analyzers:         $$(sed -n '/^func Analyzers()/,/^}/p' internal/lint/lint.go | grep -cE '^		[A-Za-z]+Analyzer,') (lint.Analyzers())"
 	@echo "wall-clock call sites:  $$(grep -rE 'time\.(Now|Since|Sleep|After|AfterFunc|NewTimer|NewTicker)\(' internal/server internal/worker internal/replica --include='*.go' | grep -vc '_test\.go:') (server/worker/replica)"
 
 bench:

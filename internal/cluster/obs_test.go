@@ -70,6 +70,9 @@ func TestObsAdminPlaneLiveCluster(t *testing.T) {
 		t.Fatal("admin plane did not bind")
 	}
 	base := "http://" + c.Master.ObsAddr()
+	// Every series exists from startup: a label drawn from traffic (a
+	// phone ID, a job, a wire string) would add series as the run goes.
+	startup, _ := httpGet(t, base+"/metrics")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -144,6 +147,13 @@ func TestObsAdminPlaneLiveCluster(t *testing.T) {
 	} {
 		if !strings.Contains(text, must) {
 			t.Errorf("/metrics missing %q", must)
+		}
+	}
+
+	startSeries := seriesNames(string(startup))
+	for name := range seriesNames(text) {
+		if !startSeries[name] {
+			t.Errorf("series %s was created after startup", name)
 		}
 	}
 
@@ -260,6 +270,17 @@ func TestObsAdminPlaneLiveCluster(t *testing.T) {
 			t.Errorf("span %s JSONL chain missing kind %q (have %v)", span, k, kinds)
 		}
 	}
+}
+
+// seriesNames returns the series a /metrics exposition lists, values cut.
+func seriesNames(text string) map[string]bool {
+	names := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			names[line[:i]] = true
+		}
+	}
+	return names
 }
 
 func findLine(text, prefix string) string {

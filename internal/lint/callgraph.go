@@ -4,10 +4,9 @@ package lint
 // function in the module (declared functions and function literals),
 // each with its lazily built CFG and statically resolved call sites.
 // The index is built once per loaded Program and shared by every
-// analyzer that runs over it — lockorder, ctxflow, metrics, and the
-// ported locks all reuse the same snapshot instead of re-walking the
-// ASTs, which is what keeps the interprocedural passes inside the
-// cwc-vet time budget.
+// analyzer that runs over it — lockorder, ctxflow and the ported locks
+// all reuse the same snapshot instead of re-walking the ASTs, which is
+// what keeps the interprocedural passes inside the cwc-vet time budget.
 
 import (
 	"go/ast"

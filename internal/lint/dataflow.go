@@ -58,21 +58,6 @@ func (f Facts) union(src Facts) bool {
 	return changed
 }
 
-// equal reports whether two fact sets hold the same true facts.
-func (f Facts) equal(g Facts) bool {
-	for k, v := range f {
-		if v != g[k] {
-			return false
-		}
-	}
-	for k, v := range g {
-		if v != f[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // TransferFunc mutates facts in place for one CFG node's effects.
 type TransferFunc func(n ast.Node, facts Facts)
 

@@ -38,7 +38,6 @@ func Analyzers() []*Analyzer {
 		LockOrderAnalyzer,
 		CtxFlowAnalyzer,
 		EpochAnalyzer,
-		MetricsAnalyzer,
 		FramesAnalyzer,
 		ObsLogAnalyzer,
 	}

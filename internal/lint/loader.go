@@ -1,6 +1,6 @@
 // Package lint is the project's invariant suite: a stdlib-only analyzer
 // driver that loads every package in the module (go/parser + go/types,
-// no external dependencies) and runs seven analyzers over the typed
+// no external dependencies) and runs six analyzers over the typed
 // ASTs. It has no configuration. The gate is TestRepositoryIsClean;
 // cmd/cwc-vet prints the same findings for humans.
 //
@@ -8,9 +8,9 @@
 // convention and that the paper's failure model depends on staying
 // total: mutex-guarded struct fields (locks), acyclic lock order and no
 // blocking under a mutex (lockorder), stoppable and cancellable daemon
-// goroutines (ctxflow), epoch-carrying fenced frames (epoch), bounded
-// and documented metrics (metrics), exhaustive frame dispatch (frames),
-// leveled obs-only logging and deterministic pure packages (obslog).
+// goroutines (ctxflow), epoch-carrying fenced frames (epoch), exhaustive
+// frame dispatch (frames), leveled obs-only logging and deterministic
+// pure packages (obslog).
 // See docs/static-analysis.md for the catalogue.
 package lint
 
@@ -46,8 +46,8 @@ type Package struct {
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
-	// Root is the directory the module was loaded from; analyzers that
-	// scan non-Go evidence (test files, docs) resolve paths against it.
+	// Root is the directory the module was loaded from; a driver finding
+	// for an unresolved name points at its go.mod.
 	Root   string
 	byPath map[string]*Package
 

@@ -76,6 +76,13 @@ func driverErrors(c *counter) {
 	c.mu.Unlock()
 }
 
+func staleIgnores(c *counter) {
+	//lint:ignore locks stale: nothing on the next line needs it
+	c.mu.Lock() // want `lint:ignore locks suppresses nothing`
+	//lint:ignore locks,unused kept while the migration note still cites it
+	c.mu.Unlock()
+}
+
 // An embedded field's annotation guards what is promoted through it.
 type state struct{ jobs int }
 

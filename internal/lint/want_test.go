@@ -117,7 +117,6 @@ func TestObsLogFixture(t *testing.T)    { runFixture(t, "obslog", "obslog") }
 func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", "lockorder") }
 func TestCtxFlowFixture(t *testing.T)   { runFixture(t, "ctxflow", "ctxflow") }
 func TestEpochFixture(t *testing.T)     { runFixture(t, "epoch", "epoch") }
-func TestMetricsFixture(t *testing.T)   { runFixture(t, "metrics", "metrics") }
 
 // ctxflow's spawn rule (a goroutine nothing can stop leaks) has a tree
 // of its own, apart from the blocking-op cases.

@@ -177,16 +177,19 @@ type metric struct {
 
 // Registry holds named metrics and renders them in the Prometheus text
 // format. Series are created on first use and never removed; lookups
-// take a read lock, recording is atomic.
+// take a read lock, recording is atomic. A package that records metrics
+// declares its families once, with NewCounter/NewGauge/NewHistogram or
+// Counters/Gauges, and records through the handles they return.
 type Registry struct {
 	mu     sync.RWMutex
-	series map[string]*metric // guarded by mu
-	help   map[string]string  // guarded by mu; by family name
+	series map[string]*metric    // guarded by mu
+	kinds  map[string]metricKind // guarded by mu; by family name
+	help   map[string]string     // guarded by mu; by family name
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{series: map[string]*metric{}, help: map[string]string{}}
+	return &Registry{series: map[string]*metric{}, kinds: map[string]metricKind{}, help: map[string]string{}}
 }
 
 // SeriesName formats a full series name from a family name and
@@ -219,16 +222,11 @@ func appendSeriesName(b []byte, family string, labels []string) []byte {
 	return append(b, '}')
 }
 
-// Help registers the help string shown for a metric family.
-func (r *Registry) Help(family, text string) {
-	r.mu.Lock()
-	r.help[family] = text
-	r.mu.Unlock()
-}
-
 // getOrCreate returns the series family{labels}, creating it with mk if
 // needed. A lookup of an existing series allocates nothing: the name is
-// built on the stack and only copied out when a series is created.
+// built on the stack and only copied out when a series is created. A
+// family keeps the kind its first series was created with; asking for
+// another kind panics.
 func (r *Registry) getOrCreate(family string, labels []string, kind metricKind, mk func() *metric) *metric {
 	var buf [128]byte
 	key := appendSeriesName(buf[:0], family, labels)
@@ -239,6 +237,10 @@ func (r *Registry) getOrCreate(family string, labels []string, kind metricKind, 
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		if m, ok = r.series[string(key)]; !ok {
+			if k, seen := r.kinds[family]; seen && k != kind {
+				panic(fmt.Sprintf("obs: family %q re-registered as a different kind", family))
+			}
+			r.kinds[family] = kind
 			m = mk()
 			r.series[string(key)] = m
 		}
@@ -270,6 +272,61 @@ func (r *Registry) Histogram(family string, labels ...string) *Histogram {
 	return r.getOrCreate(family, labels, kindHistogram, func() *metric {
 		return &metric{kind: kindHistogram, h: newHistogram(nil)}
 	}).h
+}
+
+// NewCounter declares a counter family with its help text and returns
+// its series for labels (key/value pairs).
+func (r *Registry) NewCounter(family, help string, labels ...string) *Counter {
+	r.setHelp(family, help)
+	return r.Counter(family, labels...)
+}
+
+// NewGauge declares a gauge family with its help text and returns its
+// series for labels.
+func (r *Registry) NewGauge(family, help string, labels ...string) *Gauge {
+	r.setHelp(family, help)
+	return r.Gauge(family, labels...)
+}
+
+// NewHistogram declares a histogram family with its help text and
+// returns its series for labels.
+func (r *Registry) NewHistogram(family, help string, labels ...string) *Histogram {
+	r.setHelp(family, help)
+	return r.Histogram(family, labels...)
+}
+
+func (r *Registry) setHelp(family, help string) {
+	r.mu.Lock()
+	r.help[family] = help
+	r.mu.Unlock()
+}
+
+// Counters declares a counter family with one label whose whole domain
+// is values and creates every series now, so recording never creates
+// one. It returns the series by value. The empty value is labelled
+// "other": it stands for a field its sender left unset.
+func Counters[V ~string](r *Registry, family, help, label string, values []V) map[V]*Counter {
+	set := make(map[V]*Counter, len(values))
+	for _, v := range values {
+		set[v] = r.NewCounter(family, help, label, labelValue(string(v)))
+	}
+	return set
+}
+
+// Gauges is Counters for a gauge family.
+func Gauges[V ~string](r *Registry, family, help, label string, values []V) map[V]*Gauge {
+	set := make(map[V]*Gauge, len(values))
+	for _, v := range values {
+		set[v] = r.NewGauge(family, help, label, labelValue(string(v)))
+	}
+	return set
+}
+
+func labelValue(v string) string {
+	if v == "" {
+		return "other"
+	}
+	return v
 }
 
 // SeriesCount returns how many series are registered (histograms count

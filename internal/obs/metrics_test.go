@@ -156,8 +156,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Help("app_requests_total", "requests served")
-	r.Counter("app_requests_total").Add(7)
+	r.NewCounter("app_requests_total", "requests served").Add(7)
 	r.Counter("app_errors_total", "reason", "timeout").Add(2)
 	r.Gauge("app_temperature").Set(36.6)
 	r.Histogram("app_latency_ms").Observe(0.5)
@@ -257,7 +256,9 @@ func TestSeriesNameQuoting(t *testing.T) {
 }
 
 // TestLabelledLookupAllocs requires a lookup of an existing labelled
-// series to allocate nothing: the master does one per received frame.
+// series by name to allocate nothing: handles are built from these
+// lookups, and a reader outside the declaring package (a benchmark, a
+// test) reads series by name.
 func TestLabelledLookupAllocs(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("cwc_frames_received_total", "type", "result").Inc()
@@ -271,5 +272,41 @@ func TestLabelledLookupAllocs(t *testing.T) {
 	}
 	if got := r.Counter("cwc_frames_received_total", "type", "result").Value(); got != 102 {
 		t.Errorf("counter = %d, want 102", got)
+	}
+}
+
+// TestFamilyKeepsOneKind: a family's kind is fixed by its first series;
+// a series of another kind under the same family name panics, whatever
+// its labels, so the exposition's one TYPE line per family is true.
+func TestFamilyKeepsOneKind(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x_total", "a", "1")
+	defer func() {
+		if recover() == nil {
+			t.Error("a gauge series of a counter family did not panic")
+		}
+	}()
+	r.Gauge("x_total", "a", "2")
+}
+
+// TestCountersDeclareEverySeries: a labelled declaration creates one
+// series per value up front, with the family's help, and labels the
+// empty value "other".
+func TestCountersDeclareEverySeries(t *testing.T) {
+	type kind string
+	r := NewRegistry()
+	set := Counters(r, "x_total", "things by kind", "kind", []kind{"", "a", "b"})
+	set["a"].Inc()
+	if n := r.SeriesCount(); n != 3 {
+		t.Fatalf("declaration created %d series, want 3", n)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# HELP x_total things by kind", `x_total{kind="other"} 0`, `x_total{kind="a"} 1`, `x_total{kind="b"} 0`} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q\n%s", want, b.String())
+		}
 	}
 }

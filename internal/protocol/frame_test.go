@@ -171,7 +171,7 @@ func fullMessage(typ Type) *Message {
 	m.Type = typ
 	m.Digest = tasks.Digest([]byte(m.Token))
 	for i := range m.Events {
-		m.Events[i].Kind = eventCodes[1+i]
+		m.Events[i].Kind = EventCodes[1+i]
 	}
 	return m
 }

@@ -128,14 +128,17 @@ type WorkerEvent struct {
 	Epoch     int64
 }
 
-// eventCodes are the event kinds' one-byte wire codes: their indexes.
-var eventCodes = []EventKind{"", EventAssignRecv, EventExecStart, EventExecFinish,
+// EventCodes are the event kinds' one-byte wire codes: their indexes.
+// Code 0, the empty kind, is an event with no kind field. It is the one
+// list of kinds: the decoder refuses any other code, and the metric
+// families labelled by kind have one series per entry.
+var EventCodes = []EventKind{"", EventAssignRecv, EventExecStart, EventExecFinish,
 	EventThrottlePause, EventCkptFlush, EventCkptAck, EventDrainHandback, EventDial}
 
 // Wire names the event's fields for the codec, in tag order.
 func (e *WorkerEvent) Wire(c *wire.Codec) {
 	wire.Int(c, 1, &e.TSMs)
-	wire.Code(c, 2, &e.Kind, eventCodes)
+	wire.Code(c, 2, &e.Kind, EventCodes)
 	wire.String(c, 3, &e.Span)
 	wire.Int(c, 4, &e.Job)
 	wire.Int(c, 5, &e.Partition)
@@ -253,8 +256,11 @@ type Message struct {
 	Dropped int64
 }
 
-// typeCodes are the frame types' one-byte wire codes: their indexes.
-var typeCodes = []Type{"", TypeHello, TypeWelcome, TypeProbe, TypeProbeAck,
+// TypeCodes are the frame types' one-byte wire codes: their indexes.
+// Code 0, the empty type, is a header with no type field. It is the one
+// list of frame types: the decoder refuses any other code, and the
+// metric families labelled by type have one series per entry.
+var TypeCodes = []Type{"", TypeHello, TypeWelcome, TypeProbe, TypeProbeAck,
 	TypeAssign, TypeAssignChunk, TypeResult, TypeFailure, TypePing, TypePong,
 	TypeBye, TypeCheckpoint, TypeCheckpointAck, TypeDrain, TypeTelemetry}
 
@@ -262,7 +268,7 @@ var typeCodes = []Type{"", TypeHello, TypeWelcome, TypeProbe, TypeProbeAck,
 // are the protocol (docs/protocol.md lists them): the fields every assign
 // and report carries hold tags 1–15, which take a one-byte key.
 func (m *Message) Wire(c *wire.Codec) {
-	wire.Code(c, 1, &m.Type, typeCodes)
+	wire.Code(c, 1, &m.Type, TypeCodes)
 	wire.Int(c, 2, &m.JobID)
 	wire.Int(c, 3, &m.Partition)
 	wire.Int(c, 4, &m.Attempt)

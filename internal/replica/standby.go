@@ -59,6 +59,7 @@ type StandbyOptions struct {
 // Run → (stream, possibly across many reconnects) → promotion.
 type Standby struct {
 	opts StandbyOptions
+	lag  *obs.Gauge // cwc_replica_lag_records; nil without Options.Metrics
 
 	promoted chan struct{} // closed once the promoted master is serving
 	handover chan struct{} // closed to reclaim the takeover listener
@@ -85,11 +86,15 @@ func New(opts StandbyOptions) *Standby {
 			return d.DialContext(ctx, "tcp", addr)
 		}
 	}
-	return &Standby{
+	s := &Standby{
 		opts:     opts,
 		promoted: make(chan struct{}),
 		handover: make(chan struct{}),
 	}
+	if opts.Metrics != nil {
+		s.lag = opts.Metrics.NewGauge("cwc_replica_lag_records", "WAL records the primary has shipped that this standby has not yet applied")
+	}
+	return s
 }
 
 // Promoted is closed once the standby has promoted itself and its
@@ -244,13 +249,10 @@ func decodeHeartbeat(b []byte) (heartbeat, error) {
 }
 
 func (s *Standby) setLag(lag int64) {
-	if s.opts.Metrics == nil {
+	if s.lag == nil {
 		return
 	}
-	if lag < 0 {
-		lag = 0
-	}
-	s.opts.Metrics.Gauge("cwc_replica_lag_records").Set(float64(lag))
+	s.lag.Set(float64(max(lag, 0)))
 }
 
 // refuseUntilPromoted owns the pre-bound takeover listener before

@@ -28,79 +28,6 @@ import (
 // Everything served here is a read-only snapshot; the plane never mutates
 // scheduling state, so leaving it unbound is byte-identical to binding it.
 
-// registerMasterMetrics pre-creates the master's unlabeled series with
-// help text so a scrape of a freshly started, idle master already shows
-// the full catalog at zero (labeled series appear on first use).
-func registerMasterMetrics(r *obs.Registry) {
-	counters := map[string]string{
-		"cwc_keepalive_pings_total":         "application-level keepalive pings sent",
-		"cwc_keepalive_misses_total":        "keepalive periods that elapsed without a pong",
-		"cwc_conn_errors_total":             "phone connections lost to read errors or corrupt frames",
-		"cwc_phones_registered_total":       "fresh phone registrations",
-		"cwc_phones_reconnected_total":      "phones that rejoined under a prior identity",
-		"cwc_submissions_total":             "jobs accepted by Submit",
-		"cwc_jobs_completed_total":          "jobs fully aggregated",
-		"cwc_results_total":                 "partition results recorded (duplicates excluded)",
-		"cwc_failures_total":                "partition failure reports recorded",
-		"cwc_requeues_total":                "work items re-queued for a later round",
-		"cwc_dead_letters_total":            "work items dropped after exhausting their retry budget",
-		"cwc_speculations_total":            "speculative copies issued for straggling partitions",
-		"cwc_stragglers_total":              "assignments that blew their deadline",
-		"cwc_abandons_total":                "phones abandoned for a round at twice the deadline",
-		"cwc_rounds_total":                  "scheduling rounds completed",
-		"cwc_assign_bytes_sent_total":       "assignment input bytes shipped to phones",
-		"cwc_prefetch_handback_bytes_total": "input bytes of prefetched assignments handed back unexecuted (drain, unplug, abandon, dead phone)",
-		"cwc_checkpoint_frames_total":       "streamed checkpoint frames received",
-		"cwc_checkpoint_folds_total":        "streamed checkpoints accepted into resume state",
-		"cwc_checkpoint_bytes_total":        "checkpoint state bytes accepted",
-		"cwc_recompute_saved_bytes_total":   "input bytes a requeue resumed past instead of recomputing",
-		"cwc_drain_started_total":           "proactive drains started as predicted charge windows closed",
-		"cwc_drain_completed_total":         "proactive drains whose work was handed back before the disconnect",
-		"cwc_placements_vetoed_total":       "distinct (item, phone) placements the winning packing rejected only because completion would cross the phone's predicted-unplug quantile",
-		"cwc_jobs_failed_total":             "jobs that ended in a terminal aggregation failure",
-		"cwc_verify_votes_total":            "verification ballots cast (result digests entered into a vote group)",
-		"cwc_verify_audits_total":           "spot-check audit comparisons completed",
-		"cwc_verify_quarantines_total":      "phones quarantined for falling below the reputation threshold",
-		"cwc_telemetry_orphan_spans_total":  "worker telemetry events naming a span no known job owns",
-	}
-	for fam, help := range counters {
-		r.Help(fam, help)
-		r.Counter(fam)
-	}
-	gauges := map[string]string{
-		"cwc_phones_alive":                "live registered phones",
-		"cwc_pending_items":               "work items awaiting the next scheduling instant",
-		"cwc_round_predicted_makespan_ms": "last round's scheduler-predicted makespan",
-		"cwc_round_actual_makespan_ms":    "last round's measured wall time",
-		"cwc_epoch":                       "current fencing epoch (0: replication never enabled)",
-		"cwc_replica_lag_records":         "WAL records accepted locally but not yet written to the slowest attached standby",
-		"cwc_phones_quarantined":          "phones currently excluded from placement for integrity failures",
-	}
-	for fam, help := range gauges {
-		r.Help(fam, help)
-		r.Gauge(fam)
-	}
-	histograms := map[string]string{
-		"cwc_exec_ms":       "reported per-partition execution time in milliseconds",
-		"cwc_round_wall_ms": "scheduling round wall time in milliseconds",
-	}
-	for fam, help := range histograms {
-		r.Help(fam, help)
-		r.Histogram(fam)
-	}
-	r.Help("cwc_offline_failures_total", "offline-failure events by structured reason")
-	r.Help("cwc_verify_mismatches_total", "verification disagreements by kind (digest, vote, audit, checkpoint)")
-	r.Help("cwc_frames_received_total", "protocol frames received by type")
-	r.Help("cwc_frames_fenced_total", "report frames rejected for carrying another master regime's epoch")
-	r.Help("cwc_frames_unexpected_total", "frames no worker should send, and reports naming no attempt or an attempt nobody knows; dropped")
-	r.Help("cwc_telemetry_events_total", "worker span events folded into the trace ring, by kind")
-	r.Help("cwc_telemetry_unknown_total", "worker span events of a kind this master does not know (version skew)")
-	r.Help("cwc_slo_good_total", "SLO observations within objective, by SLO name")
-	r.Help("cwc_slo_bad_total", "SLO observations burning error budget, by SLO name")
-	r.Help("cwc_slo_error_rate", "rolling-window bad fraction per SLO")
-	r.Help("cwc_slo_burn", "rolling-window burn rate per SLO (error rate over target; 1.0 spends budget exactly on time)")
-}
-
 // SchedAssignment is one dispatched partition in a SchedSnapshot: the
 // packing decision (size, predicted cost) next to what the round actually
 // saw for it.
@@ -246,20 +173,16 @@ func (m *Master) refreshGauges() {
 	epoch := m.epoch
 	quarantined := len(m.quarantined)
 	m.mu.Unlock()
-	m.cfg.Metrics.Gauge("cwc_phones_alive").Set(float64(alive))
-	m.cfg.Metrics.Gauge("cwc_pending_items").Set(float64(pending))
-	m.cfg.Metrics.Gauge("cwc_phones_quarantined").Set(float64(quarantined))
-	m.cfg.Metrics.Gauge("cwc_epoch").Set(float64(epoch))
+	m.mx.phonesAlive.Set(float64(alive))
+	m.mx.pendingItems.Set(float64(pending))
+	m.mx.phonesQuarantined.Set(float64(quarantined))
+	m.mx.epoch.Set(float64(epoch))
 	if m.cfg.ReplicaSink != nil {
-		m.cfg.Metrics.Gauge("cwc_replica_lag_records").Set(float64(m.cfg.ReplicaSink.Lag()))
+		m.mx.replicaLag.Set(float64(m.cfg.ReplicaSink.Lag()))
 	}
 	for _, st := range m.slos.Statuses() {
-		// SLO names are a fixed set chosen at configuration time, so the
-		// label cardinality is operator-bounded, not traffic-bounded.
-		//lint:ignore metrics slo names are a fixed operator-configured set
-		m.cfg.Metrics.Gauge("cwc_slo_error_rate", "slo", st.Name).Set(st.ErrorRate)
-		//lint:ignore metrics slo names are a fixed operator-configured set
-		m.cfg.Metrics.Gauge("cwc_slo_burn", "slo", st.Name).Set(st.Burn)
+		m.mx.sloErrorRate[sloName(st.Name)].Set(st.ErrorRate)
+		m.mx.sloBurn[sloName(st.Name)].Set(st.Burn)
 	}
 }
 

@@ -112,7 +112,7 @@ func (m *Master) checkDrainsLocked() {
 func (m *Master) startDrainLocked(ps *phoneState, remMs float64) {
 	id := ps.info.ID
 	m.walAppend(&walDrainRec{PhoneID: id, State: drainStarted})
-	m.cfg.Metrics.Counter("cwc_drain_started_total").Inc()
+	m.mx.drainStarted.Inc()
 	m.cfg.Logger.With("phone", id).Infof("proactive drain: predicted charge window closes in %.0f ms", remMs)
 	m.queueLocked(ps, flight{})
 }
@@ -126,7 +126,7 @@ func (m *Master) completeDrainLocked(id int) {
 		return
 	}
 	m.walAppend(&walDrainRec{PhoneID: id, State: drainCompleted})
-	m.cfg.Metrics.Counter("cwc_drain_completed_total").Inc()
+	m.mx.drainCompleted.Inc()
 	m.cfg.Logger.With("phone", id).Infof("drain completed: work handed back before disconnect")
 }
 

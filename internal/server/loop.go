@@ -154,7 +154,7 @@ func (m *Master) stepLocked(now time.Time, in any) {
 		}
 	case sent:
 		if w := m.wins[in.ps]; in.err != nil {
-			m.dieLocked(in.ps, "send-failed", in.err.Error())
+			m.dieLocked(in.ps, offlineSendFailed, in.err.Error())
 		} else if w != nil && w.sending == in.attempt {
 			w.sending = 0 // the link is free for the next assignment
 			m.pumpLocked(now, w)
@@ -289,7 +289,7 @@ func (m *Master) releaseLocked(w *window, keep int, detach bool) {
 	for _, a := range w.queue[w.next:] {
 		m.handBackLocked(a.rng, lostMidRound)
 	}
-	m.cfg.Metrics.Counter("cwc_prefetch_handback_bytes_total").Add(prefetched)
+	m.mx.handbackBytes.Add(prefetched)
 	w.win, w.next = w.win[:keep], len(w.queue)
 	if keep == 0 {
 		w.due = time.Time{}
@@ -308,7 +308,7 @@ func (m *Master) releaseLocked(w *window, keep int, detach bool) {
 func (m *Master) creditLocked(now time.Time, ps *phoneState, msg *protocol.Message) (kept bool) {
 	rec := m.attemptLocked(ps, msg.Attempt)
 	if rec == nil {
-		m.cfg.Metrics.Counter("cwc_frames_unexpected_total", "type", frameLabel(msg.Type)).Inc()
+		m.mx.framesUnexpected[msg.Type].Inc()
 		m.cfg.Logger.With("phone", ps.info.ID, "attempt", msg.Attempt).
 			Warnf("dropping report for an attempt this phone does not hold")
 		return false
@@ -373,7 +373,7 @@ func (m *Master) overdueLocked(now time.Time, w *window) {
 		if m.speculateLocked(a) {
 			m.cfg.Logger.With("phone", id, "job", a.item.jobID, "partition", a.partition).
 				Warnf("straggling (deadline %v); speculating", w.deadline)
-			m.cfg.Metrics.Counter("cwc_stragglers_total").Inc()
+			m.mx.stragglers.Inc()
 			m.trace(obs.SpanEvent{Kind: obs.KindStraggler, Job: a.item.jobID, Partition: a.partition, Phone: id})
 		}
 		w.due = now.Add(w.deadline)
@@ -381,7 +381,7 @@ func (m *Master) overdueLocked(now time.Time, w *window) {
 	}
 	// Twice the deadline: abandon the phone for the round, alive, its
 	// attempts detached.
-	m.cfg.Metrics.Counter("cwc_abandons_total").Inc()
+	m.mx.abandons.Inc()
 	m.cfg.Logger.With("phone", id, "job", a.item.jobID, "partition", a.partition).
 		Warnf("abandoned for the round (overdue)")
 	w.win = w.win[1:]
@@ -393,7 +393,7 @@ func (m *Master) overdueLocked(now time.Time, w *window) {
 // nothing has (recording reason as markDead does): a tie-break the phone
 // had not reported on goes to the next-best arbiter, and its window hands
 // everything back. Caller holds m.mu.
-func (m *Master) dieLocked(ps *phoneState, reason, detail string) {
+func (m *Master) dieLocked(ps *phoneState, reason offlineReason, detail string) {
 	if ps.kill() {
 		m.offlineLocked(ps.info.ID, reason, detail)
 	}
@@ -420,7 +420,7 @@ func (m *Master) queueLocked(ps *phoneState, f flight) {
 	select {
 	case ps.out <- f:
 	default:
-		m.dieLocked(ps, "send-failed", "writer queue full")
+		m.dieLocked(ps, offlineSendFailed, "writer queue full")
 	}
 }
 

@@ -92,7 +92,7 @@ func (m *Master) Submit(task tasks.Task, input []byte, atomic bool) (int, error)
 	}
 	m.jobs[id].task = task
 	m.pending = append(m.pending, itemOf(m.jobs[id], m.fresh[seq]))
-	m.cfg.Metrics.Counter("cwc_submissions_total").Inc()
+	m.mx.submissions.Inc()
 	m.trace(obs.SpanEvent{Kind: obs.KindSubmit, Job: id, Phone: -1,
 		Bytes: int64(len(input)), Detail: task.Name()})
 	return id, nil
@@ -145,7 +145,7 @@ func (m *Master) MeasureBandwidths(ctx context.Context) error {
 			defer wg.Done()
 			start := time.Now()
 			if err := ps.conn.Send(&protocol.Message{Type: protocol.TypeProbe, Payload: payload}); err != nil {
-				m.markDead(ps, "send-failed", err.Error())
+				m.markDead(ps, offlineSendFailed, err.Error())
 				return
 			}
 			select {
@@ -486,10 +486,10 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	m.dispatch(ctx, &round{plans: plans, phones: phones, done: make(chan struct{})})
 	report.Wall = time.Since(start)
 	wallMs := float64(report.Wall) / float64(time.Millisecond)
-	m.cfg.Metrics.Counter("cwc_rounds_total").Inc()
-	m.cfg.Metrics.Gauge("cwc_round_predicted_makespan_ms").Set(sched.Makespan)
-	m.cfg.Metrics.Gauge("cwc_round_actual_makespan_ms").Set(wallMs)
-	m.cfg.Metrics.Histogram("cwc_round_wall_ms").Observe(wallMs)
+	m.mx.rounds.Inc()
+	m.mx.predictedMakespan.Set(sched.Makespan)
+	m.mx.actualMakespan.Set(wallMs)
+	m.mx.roundWallMs.Observe(wallMs)
 	// SLO: the packing prediction held if the measured wall time stayed
 	// within tolerance of the estimate (an unpredicted round is vacuously
 	// good — there was no promise to break).
@@ -712,7 +712,7 @@ func (m *Master) buildSchedule(items []*workItem, phones []*phoneState) (*core.S
 		return nil, nil, err
 	}
 	if sched.Vetoed > 0 {
-		m.cfg.Metrics.Counter("cwc_placements_vetoed_total").Add(int64(sched.Vetoed))
+		m.mx.vetoed.Add(int64(sched.Vetoed))
 	}
 	return sched, inst, nil
 }
@@ -816,7 +816,7 @@ func (m *Master) speculateLocked(a assignment) bool {
 	}
 	e.shared, e.queued = true, true
 	m.pending = append(m.pending, itemOf(m.jobs[e.JobID], e))
-	m.cfg.Metrics.Counter("cwc_speculations_total").Inc()
+	m.mx.speculations.Inc()
 	m.trace(obs.SpanEvent{Kind: obs.KindSpeculate, Job: a.item.jobID,
 		Partition: a.partition, Key: a.key, Phone: -1, Bytes: int64(len(a.input))})
 	return true
@@ -843,12 +843,12 @@ func pairFits(ps *phoneState, cur, next assignment) bool {
 func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message) {
 	ck := msg.Checkpoint
 	var jobID, partition int
-	m.cfg.Metrics.Counter("cwc_checkpoint_frames_total").Inc()
+	m.mx.ckptFrames.Inc()
 	switch {
 	case msg.Attempt == 0 || ck == nil || ck.Offset <= 0:
 	case msg.Digest != ck.Digest():
 		// In-transit damage (a stripped digest included): never fold.
-		m.cfg.Metrics.Counter("cwc_verify_mismatches_total", "kind", "checkpoint").Inc()
+		m.mx.mismatches[verifyCheckpoint].Inc()
 		m.sloObserve(sloVerify, false)
 		m.cfg.Logger.With("phone", ps.info.ID).Warnf("streamed checkpoint digest mismatch; frame dropped")
 	default:
@@ -861,8 +861,8 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 			// (A profiling execution has no range to fold into.)
 			if e != nil && !m.settledLocked(e) && m.keepCheckpointLocked(e, ck) {
 				m.ckptFolds++
-				m.cfg.Metrics.Counter("cwc_checkpoint_folds_total").Inc()
-				m.cfg.Metrics.Counter("cwc_checkpoint_bytes_total").Add(int64(len(ck.State)))
+				m.mx.ckptFolds.Inc()
+				m.mx.ckptBytes.Add(int64(len(ck.State)))
 				m.trace(obs.SpanEvent{Kind: obs.KindCheckpoint, Job: jobID,
 					Partition: partition, Key: a.key, Phone: ps.info.ID,
 					Bytes: ck.Offset, Detail: "streamed"})
@@ -916,10 +916,10 @@ func (m *Master) finalizeResultLocked(a assignment, resp *protocol.Message, ps *
 	if !m.roundActive && !js.Done && js.Covered >= js.TotalBytes {
 		m.finishJobLocked(js)
 	}
-	m.cfg.Metrics.Counter("cwc_results_total").Inc()
+	m.mx.results.Inc()
 	m.sloObserve(sloRequeue, true)
 	if resp.ExecMs > 0 {
-		m.cfg.Metrics.Histogram("cwc_exec_ms").Observe(resp.ExecMs)
+		m.mx.execMs.Observe(resp.ExecMs)
 	}
 	if m.est != nil && resp.ExecMs > 0 && resp.ProcessedKB > 0 {
 		_ = m.est.Report(a.item.task.Name(), ps.info.ID, resp.ExecMs/resp.ProcessedKB)
@@ -939,7 +939,7 @@ const drainFailureReason = "drained"
 // settled, or its copy queued, and changes nothing. Caller holds m.mu.
 func (m *Master) recordFailureLocked(a assignment, resp *protocol.Message) {
 	ck := resp.Checkpoint
-	m.cfg.Metrics.Counter("cwc_failures_total").Inc()
+	m.mx.failures.Inc()
 	e := a.rng
 	if m.settledLocked(e) {
 		// Another execution already delivered this byte range; the
@@ -1035,7 +1035,7 @@ func (m *Master) requeueLocked(e *walItemRec, ck *tasks.Checkpoint, reason strin
 func (m *Master) deadLetterLocked(rec *walDeadLetterRec, partition int) {
 	m.walAppend(rec)
 	m.cfg.Logger.With("job", rec.JobID, "retries", rec.Retries).Warnf("item dead-lettered: %s", rec.Reason)
-	m.cfg.Metrics.Counter("cwc_dead_letters_total").Inc()
+	m.mx.deadLetters.Inc()
 	m.trace(obs.SpanEvent{Kind: obs.KindDeadLetter, Job: rec.JobID, Partition: partition,
 		Key: rec.Key, Phone: -1, Bytes: int64(rec.Bytes), Detail: rec.Reason})
 }
@@ -1045,11 +1045,11 @@ func (m *Master) deadLetterLocked(rec *walDeadLetterRec, partition int) {
 // Caller holds m.mu.
 func (m *Master) enqueueLocked(e *walItemRec, reason string) {
 	m.pending = append(m.pending, itemOf(m.jobs[e.JobID], e))
-	m.cfg.Metrics.Counter("cwc_requeues_total").Inc()
+	m.mx.requeues.Inc()
 	m.sloObserve(sloRequeue, false)
 	if e.Resume != nil {
 		// The retry resumes mid-input: those bytes never get re-executed.
-		m.cfg.Metrics.Counter("cwc_recompute_saved_bytes_total").Add(e.Resume.Offset)
+		m.mx.recomputeSaved.Add(e.Resume.Offset)
 	}
 	m.trace(obs.SpanEvent{Kind: obs.KindRequeue, Job: e.JobID, Partition: e.Partition,
 		Key: e.Key, Phone: -1, Bytes: int64(len(e.Input)), Detail: reason})
@@ -1072,11 +1072,11 @@ func (m *Master) handBackLocked(e *walItemRec, reason string) {
 // It is surfaced to the submitter via JobFailure. Caller holds m.mu.
 func (m *Master) finishJobLocked(js *walJobRec) {
 	if err := js.finish(); err != nil {
-		m.cfg.Metrics.Counter("cwc_jobs_failed_total").Inc()
+		m.mx.jobsFailed.Inc()
 		m.cfg.Logger.With("job", js.ID).Errorf("aggregation failed terminally: %v", err)
 		return
 	}
-	m.cfg.Metrics.Counter("cwc_jobs_completed_total").Inc()
+	m.mx.jobsCompleted.Inc()
 	m.trace(obs.SpanEvent{Kind: obs.KindAggregate, Job: js.ID, Phone: -1,
 		Bytes: int64(len(js.Final)), Detail: fmt.Sprintf("%d partials", len(js.Partials))})
 }
@@ -1176,7 +1176,7 @@ func (m *Master) sendAssign(ps *phoneState, msg *protocol.Message, a assignment,
 	if err := ps.conn.Send(msg); err != nil {
 		return err
 	}
-	m.cfg.Metrics.Counter("cwc_assign_bytes_sent_total").Add(int64(len(a.input)))
+	m.mx.assignBytes.Add(int64(len(a.input)))
 	for off := chunk; off < len(a.input); off += chunk {
 		*msg = protocol.Message{Type: protocol.TypeAssignChunk, JobID: job,
 			Partition: a.partition, Input: a.input[off:min(off+chunk, len(a.input))]}

@@ -249,7 +249,7 @@ func (ps *phoneState) kill() bool {
 // calls dieLocked): the first call kills the phone, records why as an
 // offline failure — reason "" records nothing, for a death the master
 // chose — and tells the loop. It reports whether this call was the one.
-func (m *Master) markDead(ps *phoneState, reason, detail string) bool {
+func (m *Master) markDead(ps *phoneState, reason offlineReason, detail string) bool {
 	if !ps.kill() {
 		return false
 	}
@@ -360,9 +360,26 @@ type DeadLetter struct {
 // want to tell a corrupt stream from a silent one).
 type OfflineFailure struct {
 	PhoneID int
-	Reason  string // "keepalive", "corrupt-frame", "conn-lost", "bye", "send-failed", "rejoined"
+	Reason  string // one of offlineReasons
 	Detail  string
 }
+
+// offlineReason is why a phone was declared dead, the label of
+// cwc_offline_failures_total. The empty reason records no offline
+// failure: the death was the master's own choice.
+type offlineReason string
+
+const (
+	offlineKeepalive    offlineReason = "keepalive"
+	offlineCorruptFrame offlineReason = "corrupt-frame"
+	offlineConnLost     offlineReason = "conn-lost"
+	offlineBye          offlineReason = "bye"
+	offlineSendFailed   offlineReason = "send-failed"
+	offlineRejoined     offlineReason = "rejoined"
+)
+
+var offlineReasons = []offlineReason{offlineKeepalive, offlineCorruptFrame,
+	offlineConnLost, offlineBye, offlineSendFailed, offlineRejoined}
 
 // attemptRec pairs an issued dispatch attempt with its assignment so a
 // late or replayed report (straggler that finished after abandonment, a
@@ -376,6 +393,7 @@ type attemptRec struct {
 // Master is the central server.
 type Master struct {
 	cfg Config
+	mx  *masterMetrics // the families of cfg.Metrics the master records
 	ln  net.Listener
 
 	mu sync.Mutex
@@ -463,13 +481,13 @@ const (
 // New creates a master; call Start to listen.
 func New(cfg Config) *Master {
 	cfg.fill()
-	registerMasterMetrics(cfg.Metrics)
 	windows, err := predict.NewWindowEstimator(windowMinSessions, flapMergeMs)
 	if err != nil {
 		panic(fmt.Sprintf("server: window estimator: %v", err)) // the constants are in range
 	}
 	return &Master{
 		cfg:         cfg,
+		mx:          newMasterMetrics(cfg.Metrics),
 		walReducer:  newWALReducer(),
 		handshaking: map[*protocol.Conn]struct{}{},
 		phones:      map[int]*phoneState{},
@@ -500,12 +518,12 @@ func (m *Master) OfflineFailures() []OfflineFailure {
 
 // offlineLocked logs a structured offline-failure event; reason "" logs
 // none. Caller holds m.mu.
-func (m *Master) offlineLocked(phoneID int, reason, detail string) {
+func (m *Master) offlineLocked(phoneID int, reason offlineReason, detail string) {
 	if reason == "" {
 		return
 	}
-	m.offline = append(m.offline, OfflineFailure{PhoneID: phoneID, Reason: reason, Detail: detail})
-	m.cfg.Metrics.Counter("cwc_offline_failures_total", "reason", reason).Inc()
+	m.offline = append(m.offline, OfflineFailure{PhoneID: phoneID, Reason: string(reason), Detail: detail})
+	m.mx.offline[reason].Inc()
 }
 
 // Start begins listening and accepting phones.
@@ -693,7 +711,7 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 	m.phoneWait = make(chan struct{})
 	m.mu.Unlock()
 	if prior != nil {
-		m.markDead(prior, "rejoined", "superseded by a reconnection")
+		m.markDead(prior, offlineRejoined, "superseded by a reconnection")
 	}
 	// Feed the charge-window estimator: a fresh registration opens a
 	// session; a rejoin either continues one (duplicate plug, ignored)
@@ -717,15 +735,15 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 		// zero extra frames and zero extra bytes.
 		Telemetry: m.cfg.ObsAddr != "",
 	}); err != nil {
-		m.markDead(ps, "send-failed", err.Error())
+		m.markDead(ps, offlineSendFailed, err.Error())
 		return
 	}
 	plog := m.cfg.Logger.With("phone", id)
 	if prior != nil {
-		m.cfg.Metrics.Counter("cwc_phones_reconnected_total").Inc()
+		m.mx.reconnected.Inc()
 		plog.Infof("reconnected: %s %.0f MHz", hello.Model, hello.CPUMHz)
 	} else {
-		m.cfg.Metrics.Counter("cwc_phones_registered_total").Inc()
+		m.mx.registered.Inc()
 		plog.Infof("registered: %s %.0f MHz", hello.Model, hello.CPUMHz)
 	}
 
@@ -743,14 +761,14 @@ func (m *Master) readLoop(ps *phoneState) {
 	for {
 		msg, err := ps.conn.Recv()
 		if err != nil {
-			m.cfg.Metrics.Counter("cwc_conn_errors_total").Inc()
+			m.mx.connErrors.Inc()
 			// A corrupt frame means framing is lost on an otherwise-open
 			// connection: an offline failure like a missed keepalive, but
 			// recorded as its own event. An error once the master itself let
 			// go of the phone, or during shutdown, is no failure of the phone's.
-			reason, format := "conn-lost", "connection lost: %v"
+			reason, format := offlineConnLost, "connection lost: %v"
 			if errors.Is(err, protocol.ErrCorrupt) {
-				reason, format = "corrupt-frame", "corrupt frame: %v; offline failure"
+				reason, format = offlineCorruptFrame, "corrupt frame: %v; offline failure"
 			}
 			select {
 			case <-m.stopped:
@@ -763,7 +781,7 @@ func (m *Master) readLoop(ps *phoneState) {
 			m.observeUnplug(ps)
 			return
 		}
-		m.cfg.Metrics.Counter("cwc_frames_received_total", "type", frameLabel(msg.Type)).Inc()
+		m.mx.framesReceived[msg.Type].Inc()
 		switch msg.Type {
 		case protocol.TypePong:
 			ps.mu.Lock()
@@ -794,7 +812,7 @@ func (m *Master) readLoop(ps *phoneState) {
 			}
 		case protocol.TypeBye:
 			m.cfg.Logger.With("phone", ps.info.ID).Infof("unplugged while idle")
-			m.markDead(ps, "bye", "orderly unplug")
+			m.markDead(ps, offlineBye, "orderly unplug")
 			m.observeUnplug(ps)
 			return
 		default:
@@ -802,30 +820,12 @@ func (m *Master) readLoop(ps *phoneState) {
 			// registration, an echo of a server->worker type, a frame from
 			// a newer peer). Dropped for forward compatibility, but counted
 			// and logged so a chattering peer is visible in /metrics.
-			m.cfg.Metrics.Counter("cwc_frames_unexpected_total", "type", frameLabel(msg.Type)).Inc()
+			m.mx.framesUnexpected[msg.Type].Inc()
 			m.cfg.Logger.With("phone", ps.info.ID, "type", string(msg.Type)).
 				Debugf("ignoring unexpected frame")
 		}
 		ps.conn.Reuse(msg)
 	}
-}
-
-// frameLabel maps a wire frame type to a bounded metric label: known
-// types keep their name, anything else collapses to "other" so a
-// chattering or malicious phone cannot mint unbounded label values and
-// grow the registry without limit.
-func frameLabel(t protocol.Type) string {
-	for _, known := range []protocol.Type{
-		protocol.TypeHello, protocol.TypeWelcome, protocol.TypeProbe, protocol.TypeProbeAck,
-		protocol.TypeAssign, protocol.TypeAssignChunk, protocol.TypeResult, protocol.TypeFailure,
-		protocol.TypePing, protocol.TypePong, protocol.TypeBye, protocol.TypeCheckpoint,
-		protocol.TypeCheckpointAck, protocol.TypeDrain, protocol.TypeTelemetry,
-	} {
-		if t == known {
-			return string(known)
-		}
-	}
-	return "other"
 }
 
 // Epoch returns the master's current fencing epoch (0 until replication
@@ -851,7 +851,7 @@ func (m *Master) BumpEpoch() (int64, error) {
 	if err := m.walAppendErr(&walEpochRec{Epoch: next}); err != nil {
 		return 0, fmt.Errorf("server: persisting epoch %d: %w", next, err)
 	}
-	m.cfg.Metrics.Gauge("cwc_epoch").Set(float64(next))
+	m.mx.epoch.Set(float64(next))
 	m.cfg.Tracer.SetEpoch(next)
 	m.trace(obs.SpanEvent{Kind: obs.KindPromote, Job: -1, Partition: -1, Phone: -1,
 		Detail: fmt.Sprintf("epoch %d -> %d", next-1, next), Epoch: next})
@@ -874,7 +874,7 @@ func (m *Master) fenced(msg *protocol.Message) bool {
 // means this master itself is stale (a resurrected old primary watching
 // the fleet move on) — worth the louder log line.
 func (m *Master) rejectFenced(ps *phoneState, msg *protocol.Message) {
-	m.cfg.Metrics.Counter("cwc_frames_fenced_total", "type", frameLabel(msg.Type)).Inc()
+	m.mx.framesFenced[msg.Type].Inc()
 	cur := m.Epoch()
 	l := m.cfg.Logger.With("phone", ps.info.ID, "type", string(msg.Type),
 		"frame_epoch", msg.Epoch, "epoch", cur)
@@ -918,21 +918,21 @@ func (m *Master) keepalive(ps *phoneState) {
 			ps.mu.Unlock()
 			if missed > 1 {
 				// The previous ping went unanswered for a full period.
-				m.cfg.Metrics.Counter("cwc_keepalive_misses_total").Inc()
+				m.mx.keepaliveMisses.Inc()
 				m.sloObserve(sloKeepalive, false)
 			}
 			if missed > m.cfg.KeepaliveTolerance {
 				m.cfg.Logger.With("phone", ps.info.ID).Warnf("missed %d keepalives: offline failure",
 					m.cfg.KeepaliveTolerance)
-				m.markDead(ps, "keepalive", fmt.Sprintf("%d consecutive misses", m.cfg.KeepaliveTolerance))
+				m.markDead(ps, offlineKeepalive, fmt.Sprintf("%d consecutive misses", m.cfg.KeepaliveTolerance))
 				m.observeUnplug(ps)
 				return
 			}
 			seq++
-			m.cfg.Metrics.Counter("cwc_keepalive_pings_total").Inc()
+			m.mx.keepalivePings.Inc()
 			ping = protocol.Message{Type: protocol.TypePing, Seq: seq}
 			if err := ps.conn.Send(&ping); err != nil {
-				m.markDead(ps, "send-failed", err.Error())
+				m.markDead(ps, offlineSendFailed, err.Error())
 				m.observeUnplug(ps)
 				return
 			}

@@ -9,26 +9,32 @@ import (
 	"cwc/internal/protocol"
 )
 
-// Master SLO names. Each is a rolling-window objective whose burn rate
+// sloName names one of the master's SLOs, the label of the cwc_slo_*
+// families. Each is a rolling-window objective whose burn rate
 // (/statusz, cwc_slo_* metrics) tells an operator how fast the error
 // budget is being spent.
+type sloName string
+
+// The master's SLOs.
 const (
 	// sloMakespan: a round's actual makespan landed within the
 	// scheduler's predicted makespan plus tolerance. Burning means the
 	// profile/bandwidth model has drifted from the fleet.
-	sloMakespan = "round_makespan"
+	sloMakespan sloName = "round_makespan"
 	// sloRequeue: a finished attempt settled (result credited) rather
 	// than being requeued. Burning means churn or failures are eating
 	// recomputation budget.
-	sloRequeue = "requeue"
+	sloRequeue sloName = "requeue"
 	// sloVerify: a verification comparison (digest, vote, audit,
 	// checkpoint divergence) agreed. Burning means untrusted phones are
 	// lying faster than quarantine can contain.
-	sloVerify = "verify"
+	sloVerify sloName = "verify"
 	// sloKeepalive: a keepalive interval passed with a pong rather than
 	// a miss. Burning means connectivity is flapping fleet-wide.
-	sloKeepalive = "keepalive"
+	sloKeepalive sloName = "keepalive"
 )
+
+var masterSLOs = []sloName{sloMakespan, sloRequeue, sloVerify, sloKeepalive}
 
 // sloMakespanTolerance is the slack applied to the predicted makespan
 // before an actual round duration counts against sloMakespan: prediction
@@ -41,22 +47,22 @@ const sloMakespanTolerance = 2.0
 // alerting contract).
 func registerMasterSLOs() *obs.SLOSet {
 	s := obs.NewSLOSet()
-	s.Register(sloMakespan, 0.25, time.Minute, 12)
-	s.Register(sloRequeue, 0.10, time.Minute, 12)
-	s.Register(sloVerify, 0.02, time.Minute, 12)
-	s.Register(sloKeepalive, 0.05, time.Minute, 12)
+	s.Register(string(sloMakespan), 0.25, time.Minute, 12)
+	s.Register(string(sloRequeue), 0.10, time.Minute, 12)
+	s.Register(string(sloVerify), 0.02, time.Minute, 12)
+	s.Register(string(sloKeepalive), 0.05, time.Minute, 12)
 	return s
 }
 
 // sloObserve feeds one good/bad observation into the named SLO and
 // mirrors it onto monotone counters so burn is also derivable from
 // scraped /metrics history.
-func (m *Master) sloObserve(name string, good bool) {
-	m.slos.Observe(name, good)
+func (m *Master) sloObserve(name sloName, good bool) {
+	m.slos.Observe(string(name), good)
 	if good {
-		m.cfg.Metrics.Counter("cwc_slo_good_total", "slo", name).Inc()
+		m.mx.sloGood[name].Inc()
 	} else {
-		m.cfg.Metrics.Counter("cwc_slo_bad_total", "slo", name).Inc()
+		m.mx.sloBad[name].Inc()
 	}
 }
 
@@ -70,50 +76,38 @@ func (m *Master) foldTelemetry(ps *phoneState, msg *protocol.Message) {
 	if msg.Dropped > 0 {
 		// The events the phone's buffer evicted since its last shipped
 		// frame: a delta, so a worker restart cannot move the sum back.
-		m.cfg.Metrics.Counter("cwc_telemetry_dropped_total").Add(msg.Dropped)
+		m.mx.telemetryDropped.Add(msg.Dropped)
 		m.cfg.Logger.With("phone", ps.info.ID, "dropped", msg.Dropped).
 			Warnf("worker dropped telemetry events to its buffer bound")
 	}
 	for _, ev := range msg.Events {
 		// Classify the kind once. Span-scoped events anchor to a job's
 		// trace span and are orphan-checked; phone-scoped ones (pauses,
-		// dials) have no span to anchor. A known kind is its own metric
-		// label (spelled as a constant: cwc-vet's metrics analyzer rejects
-		// a label read off the wire), anything else is "other", so version
-		// skew or a hostile phone cannot grow the registry without bound.
-		// cwc-vet's frames analyzer keeps this dispatch exhaustive.
-		spanScoped, label := false, "other"
+		// dials) have no span to anchor. Each kind in protocol.EventCodes
+		// has its own series; cwc-vet's frames analyzer keeps this
+		// dispatch exhaustive.
+		spanScoped, kind := false, ev.Kind
 		switch ev.Kind {
-		case protocol.EventAssignRecv:
-			spanScoped, label = true, string(protocol.EventAssignRecv)
-		case protocol.EventExecStart:
-			spanScoped, label = true, string(protocol.EventExecStart)
-		case protocol.EventExecFinish:
-			spanScoped, label = true, string(protocol.EventExecFinish)
-		case protocol.EventCkptFlush:
-			spanScoped, label = true, string(protocol.EventCkptFlush)
-		case protocol.EventCkptAck:
-			spanScoped, label = true, string(protocol.EventCkptAck)
-		case protocol.EventDrainHandback:
-			spanScoped, label = true, string(protocol.EventDrainHandback)
-		case protocol.EventThrottlePause:
-			label = string(protocol.EventThrottlePause)
-		case protocol.EventDial:
-			label = string(protocol.EventDial)
+		case protocol.EventAssignRecv, protocol.EventExecStart, protocol.EventExecFinish,
+			protocol.EventCkptFlush, protocol.EventCkptAck, protocol.EventDrainHandback:
+			spanScoped = true
+		case protocol.EventThrottlePause, protocol.EventDial:
 		default:
-			// A kind from a newer worker: folded for forward
-			// compatibility, counted so version skew is visible; the kind
-			// itself goes to the log.
-			m.cfg.Metrics.Counter("cwc_telemetry_unknown_total").Inc()
+			// The decoder refuses a kind outside protocol.EventCodes, so
+			// from the wire only an event with no kind lands here. It is
+			// folded, counted as unknown and under kind="other", and its
+			// kind goes to the log.
+			m.mx.telemetryUnknown.Inc()
 			m.cfg.Logger.With("phone", ps.info.ID, "kind", string(ev.Kind)).
 				Debugf("telemetry event of unknown kind")
+			kind = ""
 		}
-		m.cfg.Metrics.Counter("cwc_telemetry_events_total", "kind", label).Inc()
+		m.mx.telemetryEvents[kind].Inc()
 		if spanScoped && ev.Span != "" && !m.knownSpan(ev.Span) {
 			// An orphan span means the worker attributed work to a job
 			// this master regime has never heard of — a stitching bug or
 			// fencing hole, never expected in a healthy cluster.
-			m.cfg.Metrics.Counter("cwc_telemetry_orphan_spans_total").Inc()
+			m.mx.orphanSpans.Inc()
 			m.cfg.Logger.With("phone", ps.info.ID, "span", ev.Span).
 				Warnf("telemetry event for unknown span")
 		}

@@ -188,6 +188,31 @@ func TestFoldTelemetry(t *testing.T) {
 	if v := r.Counter("cwc_telemetry_dropped_total").Value(); v != 4 {
 		t.Fatalf("dropped counter = %d, want 4", v)
 	}
+
+	// From the wire, the decoder refuses a kind outside protocol.EventCodes,
+	// so the only unknown kind that arrives is none at all: an event with
+	// no kind field. It folds as unknown, under kind="other".
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	go func() {
+		_ = protocol.NewConn(client).Send(&protocol.Message{Type: protocol.TypeTelemetry,
+			Events: []protocol.WorkerEvent{{TSMs: 1005, Span: "j1", Epoch: 1}}})
+	}()
+	msg, err := protocol.NewConn(server).Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(msg.Events) != 1 || msg.Events[0].Kind != "" {
+		t.Fatalf("decoded events = %+v, want one with no kind", msg.Events)
+	}
+	m.foldTelemetry(ps, msg)
+	if v := r.Counter("cwc_telemetry_unknown_total").Value(); v != 2 {
+		t.Fatalf("unknown-kind counter = %d, want 2 (future_kind and the kind-less event)", v)
+	}
+	if v := r.Counter("cwc_telemetry_events_total", "kind", "other").Value(); v != 2 {
+		t.Fatalf(`kind="other" counter = %d, want 2`, v)
+	}
 }
 
 // TestTimelineMergesSides: jobTimeline interleaves master-side trace

@@ -45,6 +45,20 @@ import (
 // same wrong bytes for the same partition outvote the truth (the faults
 // package's liars therefore derandomize per phone; see docs/faults.md).
 
+// verifyKind is what a verification mismatch compared, the label of
+// cwc_verify_mismatches_total: a digest against its payload, a vote's
+// ballots, an audit's echo, or a streamed checkpoint's claimed digest.
+type verifyKind string
+
+const (
+	verifyDigest     verifyKind = "digest"
+	verifyVote       verifyKind = "vote"
+	verifyAudit      verifyKind = "audit"
+	verifyCheckpoint verifyKind = "checkpoint"
+)
+
+var verifyKinds = []verifyKind{verifyDigest, verifyVote, verifyAudit, verifyCheckpoint}
+
 // voteGroup tracks one partition's verification: the executions expected
 // for its key, the digests they reported, and how the group settled.
 type voteGroup struct {
@@ -96,7 +110,7 @@ func (m *Master) verifyResultLocked(a assignment, resp *protocol.Message, ps *ph
 		// Treat it like a failure report so the range re-executes. A
 		// missing digest is a mismatch too — otherwise whoever can damage
 		// a payload could simply strip its digest.
-		m.cfg.Metrics.Counter("cwc_verify_mismatches_total", "kind", "digest").Inc()
+		m.mx.mismatches[verifyDigest].Inc()
 		m.sloObserve(sloVerify, false)
 		m.cfg.Logger.With("phone", ps.info.ID, "job", a.item.jobID, "partition", a.partition).
 			Warnf("result digest mismatch (claimed %.8s, computed %.8s); discarding", resp.Digest, computed)
@@ -129,13 +143,13 @@ func (m *Master) verifyResultLocked(a assignment, resp *protocol.Message, ps *ph
 		return false
 	}
 	vg.ballots[pid] = computed
-	m.cfg.Metrics.Counter("cwc_verify_votes_total").Inc()
+	m.mx.votes.Inc()
 
 	if vg.resolved {
 		// Late ballot after the vote settled: score it against the winner.
 		won := computed == vg.winner
 		if !won {
-			m.cfg.Metrics.Counter("cwc_verify_mismatches_total", "kind", "vote").Inc()
+			m.mx.mismatches[verifyVote].Inc()
 		}
 		m.sloObserve(sloVerify, won)
 		m.reputationEventLocked(pid, won, "late vote")
@@ -152,7 +166,7 @@ func (m *Master) verifyResultLocked(a assignment, resp *protocol.Message, ps *ph
 		return true
 	}
 	if vg.audit && len(vg.ballots) == 2 {
-		m.cfg.Metrics.Counter("cwc_verify_audits_total").Inc()
+		m.mx.audits.Inc()
 	}
 
 	counts := map[tasks.Sum]int{}
@@ -186,14 +200,14 @@ func (m *Master) verifyResultLocked(a assignment, resp *protocol.Message, ps *ph
 func (m *Master) resolveVoteLocked(key int64, vg *voteGroup, winner tasks.Sum) {
 	vg.resolved = true
 	vg.winner = winner
-	kind := "vote"
+	kind := verifyVote
 	if vg.audit {
-		kind = "audit"
+		kind = verifyAudit
 	}
 	for pid, d := range vg.ballots {
 		won := d == winner
 		if !won {
-			m.cfg.Metrics.Counter("cwc_verify_mismatches_total", "kind", kind).Inc()
+			m.mx.mismatches[kind].Inc()
 		}
 		m.sloObserve(sloVerify, won)
 		m.reputationEventLocked(pid, won, "verification vote")
@@ -240,7 +254,7 @@ func (m *Master) reputationEventLocked(id int, won bool, why string) {
 	}
 	switch {
 	case quarantine:
-		m.cfg.Metrics.Counter("cwc_verify_quarantines_total").Inc()
+		m.mx.quarantines.Inc()
 		m.cfg.Logger.With("phone", id).Errorf(
 			"quarantined: reputation %.3f fell below %.3f (%s)", rep, reputationThreshold, why)
 	case !won:

@@ -278,14 +278,10 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l := &Log{dir: dir, opts: opts, stopc: make(chan struct{})}
 	if m := opts.Metrics; m != nil {
-		m.Help("cwc_wal_append_ms", "WAL record append latency (write and policy fsync) in milliseconds")
-		m.Help("cwc_wal_fsync_ms", "WAL fsync latency in milliseconds")
-		m.Help("cwc_wal_appended_bytes_total", "bytes appended to the WAL, framing included")
-		m.Help("cwc_wal_append_errors_total", "failed WAL appends (clawed back or wedged)")
-		l.appendHist = m.Histogram("cwc_wal_append_ms")
-		l.fsyncHist = m.Histogram("cwc_wal_fsync_ms")
-		l.appendBytes = m.Counter("cwc_wal_appended_bytes_total")
-		l.appendErrs = m.Counter("cwc_wal_append_errors_total")
+		l.appendHist = m.NewHistogram("cwc_wal_append_ms", "WAL record append latency (write and policy fsync) in milliseconds")
+		l.fsyncHist = m.NewHistogram("cwc_wal_fsync_ms", "WAL fsync latency in milliseconds")
+		l.appendBytes = m.NewCounter("cwc_wal_appended_bytes_total", "bytes appended to the WAL, framing included")
+		l.appendErrs = m.NewCounter("cwc_wal_append_errors_total", "failed WAL appends (clawed back or wedged)")
 	}
 	if snapSeq > 0 {
 		b, err := os.ReadFile(filepath.Join(dir, snapshotName(snapSeq)))

@@ -42,8 +42,8 @@ func (p *Phone) event(kind protocol.EventKind, span string, job, part int, bytes
 		}
 	}
 	p.mu.Unlock()
-	if p.cfg.Metrics != nil {
-		p.cfg.Metrics.Counter("cwc_worker_events_total", "kind", string(kind)).Inc()
+	if p.events != nil {
+		p.events[kind].Inc()
 	}
 	p.cfg.Blackbox.Record(obs.SpanEvent{
 		TS: time.UnixMilli(ev.TSMs), Span: span, Kind: string(kind), Job: job,

@@ -207,7 +207,8 @@ const maxUnsent = 32
 
 // Phone is a running worker.
 type Phone struct {
-	cfg Config
+	cfg    Config
+	events map[protocol.EventKind]*obs.Counter // cwc_worker_events_total; nil without Config.Metrics
 
 	mu             sync.Mutex
 	conn           *protocol.Conn         // guarded by mu
@@ -287,6 +288,9 @@ func New(cfg Config) (*Phone, error) {
 		return nil, errors.New("worker: no server address and no dialer")
 	}
 	p := &Phone{cfg: cfg, registered: make(chan struct{})}
+	if cfg.Metrics != nil {
+		p.events = obs.Counters(cfg.Metrics, "cwc_worker_events_total", "span events this worker minted, by kind", "kind", protocol.EventCodes[1:])
+	}
 	if cfg.Charging != nil {
 		p.throttle = newThrottleRunner(cfg.Charging)
 		p.throttle.onPause = func() {
