@@ -341,7 +341,7 @@ const maxPooledFrame = 8 << 20
 const maxLent = 2 * maxRecycled
 
 // Conn wraps a net.Conn with frame encoding. Sends are serialized by a
-// mutex so multiple goroutines (writer, keepaliver) can share it;
+// mutex so multiple goroutines (a writer, a read loop, shutdown) can share it;
 // Recv must be called from a single reader goroutine. Recycle and Reuse
 // may be called from any goroutine.
 type Conn struct {

@@ -316,13 +316,13 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	}
 	rows := make([]phoneRow, 0, len(m.phones))
 	for _, ps := range m.phones {
-		ps.mu.Lock()
-		missed, deadClosed := ps.missedPings, ps.deadClosed
-		ps.mu.Unlock()
 		row := phoneRow{
-			info: ps.info, missed: missed, alive: !deadClosed,
+			info: ps.info, alive: ps.alive(),
 			drain:       m.drains[ps.info.ID],
 			quarantined: m.quarantined[ps.info.ID],
+		}
+		if w := m.wins[ps]; w != nil {
+			row.missed = w.missed
 		}
 		if r, ok := m.reputation[ps.info.ID]; ok {
 			rep := r

@@ -1,6 +1,10 @@
 package server
 
-import "time"
+import (
+	"time"
+
+	"cwc/internal/protocol"
+)
 
 // Proactive drain: the plug-aware half of failure handling. Where the
 // windows react to unplugs after the fact, the drain check anticipates
@@ -36,32 +40,6 @@ const (
 // nowMs is the wall-clock timestamp fed to the (pure) window estimator.
 func nowMs() float64 {
 	return float64(time.Now().UnixNano()) / float64(time.Millisecond)
-}
-
-// observePlug feeds a registration into the charge-window estimator and
-// clears any drain entry when a genuinely new session began (the phone
-// was observed unplugged since). A reconnect within an open session —
-// a TCP blip, a master restart — keeps its drain state instead: the
-// prediction that triggered it is still about the same session.
-func (m *Master) observePlug(id int) {
-	newSession := !m.windows.Plugged(id)
-	m.windows.ObservePlug(id, nowMs())
-	if newSession {
-		m.clearDrain(id)
-	}
-}
-
-// observeUnplug feeds a phone's departure into the charge-window
-// estimator, unless this phoneState was already superseded by a rejoin:
-// the old connection's teardown must not close the session the new
-// registration just opened.
-func (m *Master) observeUnplug(ps *phoneState) {
-	m.mu.Lock()
-	current := m.phones[ps.info.ID] == ps
-	m.mu.Unlock()
-	if current {
-		m.windows.ObserveUnplug(ps.info.ID, nowMs())
-	}
 }
 
 // SeedChargeWindows imports a known charge trace (completed session
@@ -114,7 +92,7 @@ func (m *Master) startDrainLocked(ps *phoneState, remMs float64) {
 	m.walAppend(&walDrainRec{PhoneID: id, State: drainStarted})
 	m.mx.drainStarted.Inc()
 	m.cfg.Logger.With("phone", id).Infof("proactive drain: predicted charge window closes in %.0f ms", remMs)
-	m.queueLocked(ps, flight{})
+	m.queueLocked(ps, flight{ctl: &protocol.Message{Type: protocol.TypeDrain}})
 }
 
 // completeDrainLocked marks a started drain as completed: the phone's
@@ -130,16 +108,11 @@ func (m *Master) completeDrainLocked(id int) {
 	m.cfg.Logger.With("phone", id).Infof("drain completed: work handed back before disconnect")
 }
 
-// clearDrain removes a phone's drain entry (a new charge session
-// started); a no-op when none exists.
-func (m *Master) clearDrain(id int) {
-	m.mu.Lock()
-	_, ok := m.drains[id]
-	if ok {
+// clearDrainLocked removes a phone's drain entry (a new charge session
+// started); a no-op when none exists. Caller holds m.mu.
+func (m *Master) clearDrainLocked(id int) {
+	if _, ok := m.drains[id]; ok {
 		m.walAppend(&walDrainRec{PhoneID: id, State: drainCleared})
-	}
-	m.mu.Unlock()
-	if ok {
 		m.cfg.Logger.With("phone", id).Infof("drain cleared: new charge session")
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"math/rand"
 	"slices"
 	"time"
 
@@ -9,13 +10,20 @@ import (
 	"cwc/internal/protocol"
 )
 
-// The dispatch loop: one goroutine, run, owns every phone's window and
-// every master timer, as the paper's master was one NIO selector thread.
-// Each input is one critical section of ...Locked calls: a *round, a
-// report past the epoch fence, a writer's outcome (attempt 0: the drain
-// frame), a death (posted once, by markDead), a cancelled round (nil: the
-// master stops), or the timer. A phone's writer, not the loop, writes.
+// The dispatch loop: one goroutine, run, owns every phone's life, window
+// and timers, as the paper's master was one NIO selector thread. Each
+// input is one critical section of ...Locked calls: a checked hello, a
+// *round, a MeasureBandwidths call, a report past the epoch fence, a pong
+// or probe ack, a writer's outcome, the reader's death (error or bye), a
+// cancelled round (nil: the master stops), or the timer. A phone's writer,
+// not the loop, writes every frame the master starts.
 type (
+	joined struct {
+		conn  *protocol.Conn
+		hello *protocol.Message
+		ps    *phoneState   // its registration; nil: the master is closing
+		done  chan struct{} // closed once ps is set
+	}
 	reported struct {
 		ps  *phoneState
 		msg *protocol.Message
@@ -25,7 +33,11 @@ type (
 		attempt int64
 		err     error
 	}
-	died      struct{ ps *phoneState }
+	died struct {
+		ps     *phoneState
+		reason offlineReason
+		detail string
+	}
 	cancelled struct{ rnd *round }
 )
 
@@ -42,11 +54,12 @@ type round struct {
 	report    *protocol.Message
 }
 
-// window is one phone's dispatch state: at most two attempts out, the one
-// executing and one prefetched behind it if both fit its RAM, so the next
-// input crosses the link while the current one computes (the paper's
-// lockstep kept link and CPU busy only alternately). One assignment is
-// written at a time; the clock (due; zero: none) times win[0] only.
+// window is one phone's state from registration to death: its keepalive,
+// its probe and its dispatch, at most two attempts out, the one executing
+// and one prefetched behind it if both fit its RAM, so the next input
+// crosses the link while the current one computes (the paper's lockstep
+// kept link and CPU busy only alternately). One assignment is written at a
+// time; the clock (due; zero: none) times win[0] only.
 type window struct {
 	ps        *phoneState
 	rnd       *round // whose queue it feeds; nil: idle
@@ -57,20 +70,34 @@ type window struct {
 	due       time.Time
 	deadline  time.Duration
 	straggled bool
+	pingDue   time.Time  // the next keepalive tick; zero while a ping is unwritten
+	missed    int        // ticks since the last pong
+	pings     uint64     // the last ping's seq
+	rng       *rand.Rand // jitters each tick
+	probe     *probing   // the call its outstanding probe answers; nil: none
+	probeSeq  uint64     // that probe's seq, which its ack echoes
+	probeAt   time.Time  // when it was queued
 }
 
 // flight is one attempt out on a phone; a prefetched one has not started,
-// so handing it back recomputes nothing.
+// so handing it back recomputes nothing. A flight with a ctl frame is no
+// attempt: its writer sends the frame as is — the welcome, a probe, a
+// drain, or a ping, whose attempt is pingAttempt: its outcome arms a tick.
 type flight struct {
 	a          assignment
 	attempt    int64
 	prefetched bool
+	ctl        *protocol.Message
 }
 
+const pingAttempt = -1
+
 // writerQueue bounds what the loop has unwritten on one phone, so queueing
-// never blocks it: the window's sending flight, one tie-break's (an arbiter
-// takes one at a time) and the drain frame, flight{} (once a connection).
-const writerQueue = 3
+// never blocks it and a full queue is a link stalled past every bound: the
+// window's sending flight, one tie-break's (an arbiter takes one at a
+// time), the drain frame and the welcome (once a connection), a ping (the
+// next tick waits for it) and a probe (a call waits for one outstanding).
+const writerQueue = 6
 
 // post hands the loop an input; false once the master has stopped.
 func (m *Master) post(in any) bool {
@@ -115,6 +142,9 @@ func (m *Master) run() {
 		m.mu.Lock()
 		m.stepLocked(now, in)
 		if in == (cancelled{}) {
+			for _, ps := range m.phones {
+				ps.kill() // shutdown has said its byes
+			}
 			m.mu.Unlock()
 			return
 		}
@@ -146,21 +176,40 @@ func earliest(a, b time.Time) time.Time {
 // stepLocked handles one input. Caller holds m.mu.
 func (m *Master) stepLocked(now time.Time, in any) {
 	switch in := in.(type) {
+	case *joined:
+		in.ps = m.joinLocked(now, in.conn, in.hello)
+		close(in.done)
 	case *round:
 		m.startLocked(now, in)
+	case *probing:
+		m.probeLocked(now, in)
 	case reported:
-		if !m.creditLocked(now, in.ps, in.msg) {
-			in.ps.conn.Reuse(in.msg) // credited: what it folded is the frame's bytes, not the struct
+		switch in.msg.Type {
+		case protocol.TypePong:
+			if w := m.wins[in.ps]; w != nil {
+				w.missed = 0
+				m.sloObserve(sloKeepalive, true)
+			}
+		case protocol.TypeProbeAck:
+			m.probeAckLocked(now, m.wins[in.ps], in.msg.Seq)
+		default:
+			if m.creditLocked(now, in.ps, in.msg) {
+				return // kept: a profiling report
+			}
 		}
+		in.ps.conn.Reuse(in.msg) // handled: what a report folded is the frame's bytes, not the struct
 	case sent:
-		if w := m.wins[in.ps]; in.err != nil {
+		switch w := m.wins[in.ps]; {
+		case in.err != nil:
 			m.dieLocked(in.ps, offlineSendFailed, in.err.Error())
-		} else if w != nil && w.sending == in.attempt {
+		case w != nil && in.attempt == pingAttempt:
+			w.pingDue = now.Add(keepaliveJitter(m.cfg.KeepalivePeriod, w.rng))
+		case w != nil && w.sending == in.attempt:
 			w.sending = 0 // the link is free for the next assignment
 			m.pumpLocked(now, w)
 		}
 	case died:
-		m.dieLocked(in.ps, "", "")
+		m.dieLocked(in.ps, in.reason, in.detail)
 	case cancelled:
 		for _, w := range m.wins {
 			if w.rnd == in.rnd || in.rnd == nil {
@@ -171,15 +220,19 @@ func (m *Master) stepLocked(now time.Time, in any) {
 }
 
 // timersLocked fires every deadline that has passed — a window head's
-// (once: speculate; twice: abandon) and a tie-break's, set in the step that
-// armed it — and returns the earliest pending. Caller holds m.mu.
+// (once: speculate; twice: abandon), a keepalive tick, and a tie-break's,
+// set in the step that armed it — and returns the earliest pending.
+// Caller holds m.mu.
 func (m *Master) timersLocked(now time.Time) time.Time {
 	var wake time.Time
 	for _, w := range m.wins {
 		if !w.due.IsZero() && !now.Before(w.due) {
 			m.overdueLocked(now, w)
 		}
-		wake = earliest(wake, w.due)
+		if !w.pingDue.IsZero() && !now.Before(w.pingDue) {
+			m.tickLocked(w)
+		}
+		wake = earliest(earliest(wake, w.due), w.pingDue)
 	}
 	for key, vg := range m.votes {
 		if vg.tie != 0 && vg.tieDue.IsZero() {
@@ -389,13 +442,20 @@ func (m *Master) overdueLocked(now time.Time, w *window) {
 	m.releaseLocked(w, 0, true)
 }
 
-// dieLocked is a phone's death as the loop sees it, killing it first if
-// nothing has (recording reason as markDead does): a tie-break the phone
-// had not reported on goes to the next-best arbiter, and its window hands
-// everything back. Caller holds m.mu.
+// dieLocked is a phone's one death, whatever its cause. The first call
+// kills it, records reason as an offline failure ("": none, the master's
+// choice; none either once it is closing) and, unless a rejoin superseded
+// the phone, feeds the charge-window estimator its unplug. A tie-break it
+// had not reported on goes to the next-best arbiter, its probe's call
+// stops waiting, and its window hands everything back. Caller holds m.mu.
 func (m *Master) dieLocked(ps *phoneState, reason offlineReason, detail string) {
 	if ps.kill() {
-		m.offlineLocked(ps.info.ID, reason, detail)
+		if !m.closed {
+			m.offlineLocked(ps.info.ID, reason, detail)
+		}
+		if m.phones[ps.info.ID] == ps {
+			m.windows.ObserveUnplug(ps.info.ID, nowMs())
+		}
 	}
 	for key, vg := range m.votes {
 		if vg.tie != 0 && vg.arbiter == ps && !vg.resolved && m.attempts[vg.tie] != nil {
@@ -407,6 +467,7 @@ func (m *Master) dieLocked(ps *phoneState, reason offlineReason, detail string) 
 	}
 	if w := m.wins[ps]; w != nil {
 		delete(m.wins, ps)
+		m.probedLocked(w)
 		if len(w.win) > 0 || w.next < len(w.queue) {
 			m.cfg.Logger.With("phone", ps.info.ID).Warnf("died with work in flight")
 		}
@@ -433,9 +494,8 @@ func (m *Master) writer(ps *phoneState) {
 		select {
 		case f := <-ps.out:
 			var err error
-			if f.attempt == 0 {
-				msg = protocol.Message{Type: protocol.TypeDrain}
-				err = ps.conn.Send(&msg)
+			if f.ctl != nil {
+				err = ps.conn.Send(f.ctl)
 			} else {
 				err = m.sendAssign(ps, &msg, f.a, f.attempt)
 			}

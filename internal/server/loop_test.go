@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -103,6 +104,109 @@ func TestOneDeathOneOfflineEvent(t *testing.T) {
 			t.Errorf("offline failures = %v, want [send-failed]", got)
 		}
 	})
+	// The phone's own frames: each is one death, seen by the reader, the
+	// loop, and the writer and shutdown after them.
+	for _, tc := range []struct {
+		reason string
+		send   func(*fakePhone) error
+	}{
+		{"bye", func(f *fakePhone) error { return f.conn.Send(&protocol.Message{Type: protocol.TypeBye}) }},
+		{"corrupt-frame", func(f *fakePhone) error {
+			_, err := f.raw.Write([]byte{0, 0, 0, 5, 0xde, 0xad, 0xbe, 0xef, 0x01})
+			return err
+		}},
+	} {
+		t.Run(tc.reason, func(t *testing.T) {
+			m := startMaster(t, Config{})
+			f := dialFake(t, m, "HTC G2", 806)
+			if err := tc.send(f); err != nil {
+				t.Fatal(err)
+			}
+			waitDead(t, m, f.id)
+			m.Close()
+			if got := reasons(m); !slices.Equal(got, []string{tc.reason}) {
+				t.Errorf("offline failures = %v, want [%s]", got, tc.reason)
+			}
+		})
+	}
+	t.Run("rejoined", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		m := startMaster(t, Config{Metrics: reg})
+		old := dialFake(t, m, "HTC G2", 806)
+		// A drain the phone's charge session is under: a reconnect within
+		// the session keeps it.
+		m.mu.Lock()
+		m.startDrainLocked(m.phones[old.id], 1000)
+		m.mu.Unlock()
+		raw, err := net.Dial("tcp", m.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := protocol.NewConn(raw)
+		defer c.Close()
+		if err := c.Send(&protocol.Message{Type: protocol.TypeHello, Model: "HTC G2",
+			CPUMHz: 806, RAMMB: 512, Rejoin: true, PhoneID: old.id}); err != nil {
+			t.Fatal(err)
+		}
+		_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if w, err := c.Recv(); err != nil || w.Type != protocol.TypeWelcome || w.PhoneID != old.id {
+			t.Fatalf("rejoin welcome = %+v, %v", w, err)
+		}
+		_ = old.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		for err == nil {
+			_, err = old.conn.Recv() // the drain frame, then the close
+		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatal("old connection still open after the takeover")
+		}
+		// The old connection's teardown: its reader has seen the close and
+		// posted its death, and the loop has taken every earlier input.
+		for reg.Counter("cwc_conn_errors_total").Value() == 0 {
+			time.Sleep(5 * time.Millisecond)
+		}
+		time.Sleep(50 * time.Millisecond)
+		m.dispatch(context.Background(), &round{done: make(chan struct{})})
+		if !m.windows.Plugged(old.id) || m.DrainState(old.id) != drainStarted {
+			t.Errorf("plugged %v, drain %q after the superseded connection's teardown: want the charge session and its drain kept",
+				m.windows.Plugged(old.id), m.DrainState(old.id))
+		}
+		m.Close()
+		if got := reasons(m); !slices.Equal(got, []string{"rejoined"}) {
+			t.Errorf("offline failures = %v, want [rejoined]", got)
+		}
+	})
+	t.Run("probe-send-failed", func(t *testing.T) {
+		m := startMaster(t, Config{KeepalivePeriod: time.Hour,
+			ListenerHook: listenerHook(func(c net.Conn) net.Conn { return &linkDownAfterWelcome{Conn: c} })})
+		dialFake(t, m, "HTC G2", 806)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := m.WaitForPhones(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.MeasureBandwidths(ctx); err != nil {
+			t.Fatalf("MeasureBandwidths over a link that cannot carry its probe: %v, want it to return once the phone died", err)
+		}
+		m.Close()
+		if got := reasons(m); !slices.Equal(got, []string{"send-failed"}) {
+			t.Errorf("offline failures = %v, want [send-failed]", got)
+		}
+	})
+}
+
+// waitDead waits until phone id is registered and dead.
+func waitDead(t *testing.T, m *Master, id int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		for _, p := range m.Phones() {
+			if p.ID == id && !p.Alive {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("phone %d was never declared dead", id)
+		}
+	}
 }
 
 // stallProbe reports whether a write is in progress on the connection,

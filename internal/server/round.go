@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"cwc/internal/core"
@@ -25,30 +24,26 @@ func jobSpan(jobID int) string { return "j" + strconv.Itoa(jobID) }
 // and the job's span (unless the caller has it at hand), appends to the
 // open round's timeline if there is one (closeTimeline derives every
 // per-round view from that slice), and records to the tracer — ring,
-// JSONL sink and flight recorder. Callers may or may not hold m.mu.
+// JSONL sink and flight recorder. Caller holds m.mu.
 func (m *Master) trace(ev obs.SpanEvent) {
 	if ev.Job > 0 && ev.Span == "" {
 		ev.Span = jobSpan(ev.Job)
 	}
-	m.evMu.Lock()
-	ev.TS = time.Now() // under evMu: the timeline is in TS order as appended
+	ev.TS = time.Now() // under m.mu: the timeline is in TS order as appended
 	if m.collecting {
 		m.timeline = append(m.timeline, ev)
 	}
-	m.evMu.Unlock()
 	m.cfg.Tracer.Record(ev)
 }
 
 // closeTimeline ends the round's event collection and derives every view
 // of it: the report's Figure 12 timeline and tallies, and /debug/sched's
 // actuals. A result for an attempt no window held anymore reads
-// "late-result", so "result" pairs with "assign" one to one. The events
-// are copied out: the next round collects into the same memory.
+// "late-result", so "result" pairs with "assign" one to one. Events are
+// copied out: the next round reuses their memory. Caller holds m.mu.
 func (m *Master) closeTimeline(report *RoundReport, snap *SchedSnapshot, start time.Time) {
-	m.evMu.Lock()
 	evs := m.timeline
 	m.collecting = false
-	m.evMu.Unlock()
 	defer clear(evs) // so the kept memory pins no event's strings
 	report.Events = make([]Event, len(evs))
 	for i, ev := range evs {
@@ -130,42 +125,75 @@ func (m *Master) PendingItems() int {
 	return len(m.pending)
 }
 
+// probing is a MeasureBandwidths call as the loop holds it: a probe out
+// on every live phone, open until each is acked or its phone dies.
+type probing struct {
+	payload []byte
+	open    int
+	done    chan struct{} // closed when open reaches 0
+}
+
 // MeasureBandwidths probes every live phone with a timed bulk transfer
 // (the prototype's iperf step) and records b_i = elapsed ms / probe KB.
+// It returns once every probe is acked or its phone dead, or ctx ends.
 func (m *Master) MeasureBandwidths(ctx context.Context) error {
-	phones := m.alivePhones()
-	if len(phones) == 0 {
+	p := &probing{payload: make([]byte, m.cfg.ProbeKB*1024), done: make(chan struct{})}
+	if len(m.alivePhones()) == 0 || !m.post(p) {
 		return ErrNoPhones
 	}
-	payload := make([]byte, m.cfg.ProbeKB*1024)
-	var wg sync.WaitGroup
-	for _, ps := range phones {
-		wg.Add(1)
-		go func(ps *phoneState) {
-			defer wg.Done()
-			start := time.Now()
-			if err := ps.conn.Send(&protocol.Message{Type: protocol.TypeProbe, Payload: payload}); err != nil {
-				m.markDead(ps, offlineSendFailed, err.Error())
-				return
-			}
-			select {
-			case <-ps.probeCh:
-				elapsed := float64(time.Since(start)) / float64(time.Millisecond)
-				b := elapsed / float64(m.cfg.ProbeKB)
-				if b <= 0 {
-					b = 0.001 // sub-resolution loopback transfer
-				}
-				m.mu.Lock()
-				ps.info.BMsPerKB = b
-				m.mu.Unlock()
-				m.cfg.Logger.With("phone", ps.info.ID).Infof("bandwidth: %.3f ms/KB", b)
-			case <-ps.dead:
-			case <-ctx.Done():
-			}
-		}(ps)
+	select {
+	case <-p.done:
+	case <-m.stopped:
+	case <-ctx.Done():
 	}
-	wg.Wait()
 	return ctx.Err()
+}
+
+// probeLocked queues a probe, numbered and timed, on every live phone
+// that has none outstanding; where one is, p waits for that one instead.
+// Caller holds m.mu.
+func (m *Master) probeLocked(now time.Time, p *probing) {
+	p.open = 1 // one more until every phone has its probe
+	for _, w := range m.wins {
+		p.open++
+		outstanding := w.probe != nil
+		m.probedLocked(w) // a call it answered stops waiting on it
+		w.probe = p
+		if !outstanding {
+			w.probeSeq++
+			w.probeAt = now
+			m.queueLocked(w.ps, flight{ctl: &protocol.Message{Type: protocol.TypeProbe, Seq: w.probeSeq, Payload: p.payload}})
+		}
+	}
+	if p.open--; p.open == 0 {
+		close(p.done)
+	}
+}
+
+// probeAckLocked times the ack of w's outstanding probe. An ack echoing
+// any other seq is none of its probe's and is dropped. Caller holds m.mu.
+func (m *Master) probeAckLocked(now time.Time, w *window, seq uint64) {
+	if w == nil || w.probe == nil || seq != w.probeSeq {
+		return
+	}
+	b := float64(now.Sub(w.probeAt)) / float64(time.Millisecond) / float64(m.cfg.ProbeKB)
+	if b <= 0 {
+		b = 0.001 // sub-resolution loopback transfer
+	}
+	w.ps.info.BMsPerKB = b
+	m.cfg.Logger.With("phone", w.ps.info.ID).Infof("bandwidth: %.3f ms/KB", b)
+	m.probedLocked(w)
+}
+
+// probedLocked releases the call w's probe answers: acked, its phone
+// dead, or a later call waiting instead. Caller holds m.mu.
+func (m *Master) probedLocked(w *window) {
+	if p := w.probe; p != nil {
+		w.probe = nil
+		if p.open--; p.open == 0 {
+			close(p.done)
+		}
+	}
 }
 
 // estimator returns the predictor, creating it anchored at the slowest
@@ -462,8 +490,14 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	}
 	// From here until the end-of-round sweep, RunRound owns aggregation;
 	// vote resolutions that complete a job's coverage mid-round leave the
-	// aggregate to the sweep.
+	// aggregate to the sweep. The round's timeline opens with it.
 	m.roundActive = true
+	assignments := 0
+	for _, queue := range plans {
+		assignments += len(queue)
+	}
+	m.timeline = slices.Grow(m.timeline[:0], 2*assignments) // an assign and a report each
+	m.collecting = true
 	m.mu.Unlock()
 
 	// The packing decision, snapshotted before dispatch so /debug/sched
@@ -475,14 +509,6 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 		PredictedMakespanMs: sched.Makespan,
 	}
 	start := time.Now()
-	m.evMu.Lock()
-	assignments := 0
-	for _, queue := range plans {
-		assignments += len(queue)
-	}
-	m.timeline = slices.Grow(m.timeline[:0], 2*assignments) // an assign and a report each
-	m.collecting = true
-	m.evMu.Unlock()
 	m.dispatch(ctx, &round{plans: plans, phones: phones, done: make(chan struct{})})
 	report.Wall = time.Since(start)
 	wallMs := float64(report.Wall) / float64(time.Millisecond)

@@ -220,22 +220,16 @@ type phoneState struct {
 	info PhoneInfo
 	conn *protocol.Conn
 
-	out     chan flight            // its writer's queue (see queueLocked)
-	probeCh chan *protocol.Message // ProbeAck frames
-	dead    chan struct{}          // closed exactly once on death
+	out  chan flight   // its writer's queue (see queueLocked)
+	dead chan struct{} // closed exactly once on death; its writer exits on it
 
-	mu          sync.Mutex
-	deadClosed  bool // guarded by mu
-	missedPings int  // guarded by mu
+	deadClosed bool // under the master's mu, as kill and alive are
 }
 
 // kill closes the phone's connection and dead channel, once; it reports
 // whether this call did. info.Alive is never mutated: liveness is derived
-// from deadClosed (see alive()), so info can be copied under m.mu without
-// touching ps.mu.
+// from deadClosed (see alive()). Caller holds m.mu.
 func (ps *phoneState) kill() bool {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
 	if ps.deadClosed {
 		return false
 	}
@@ -245,26 +239,8 @@ func (ps *phoneState) kill() bool {
 	return true
 }
 
-// markDead is a phone's one death, from anywhere but the loop (which
-// calls dieLocked): the first call kills the phone, records why as an
-// offline failure — reason "" records nothing, for a death the master
-// chose — and tells the loop. It reports whether this call was the one.
-func (m *Master) markDead(ps *phoneState, reason offlineReason, detail string) bool {
-	if !ps.kill() {
-		return false
-	}
-	m.mu.Lock()
-	m.offlineLocked(ps.info.ID, reason, detail)
-	m.mu.Unlock()
-	m.post(died{ps})
-	return true
-}
-
-func (ps *phoneState) alive() bool {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return !ps.deadClosed
-}
+// alive reports whether the phone has not died. Caller holds m.mu.
+func (ps *phoneState) alive() bool { return !ps.deadClosed }
 
 // workItem is a schedulable unit: a fresh job or migrated failed work.
 type workItem struct {
@@ -415,7 +391,7 @@ type Master struct {
 
 	nextAttempt int64                 // guarded by mu
 	attempts    map[int64]*attemptRec // guarded by mu
-	// wins is every phone's dispatch window; only the loop (run) changes
+	// wins holds every live phone's window; only the loop (run) changes
 	// them. inputs is the loop's one input channel (post).
 	wins   map[*phoneState]*window // guarded by mu
 	inputs chan any
@@ -451,11 +427,9 @@ type Master struct {
 	lastSched *SchedSnapshot // guarded by mu
 
 	// timeline is the open round's events as trace wrote them while
-	// collecting; its backing array serves every round. Its own mutex:
-	// trace is called with and without m.mu held.
-	evMu       sync.Mutex
-	timeline   []obs.SpanEvent // guarded by evMu
-	collecting bool            // guarded by evMu
+	// collecting; its backing array serves every round.
+	timeline   []obs.SpanEvent // guarded by mu
+	collecting bool            // guarded by mu
 
 	// slos tracks the master's rolling-window service-level objectives
 	// (internally synchronized; see registerMasterSLOs for the catalog).
@@ -522,6 +496,7 @@ func (m *Master) offlineLocked(phoneID int, reason offlineReason, detail string)
 	if reason == "" {
 		return
 	}
+	m.cfg.Logger.With("phone", phoneID).Warnf("offline failure: %s (%s)", reason, detail)
 	m.offline = append(m.offline, OfflineFailure{PhoneID: phoneID, Reason: string(reason), Detail: detail})
 	m.mx.offline[reason].Inc()
 }
@@ -571,7 +546,8 @@ func (m *Master) Close() { m.shutdown(true) }
 func (m *Master) Kill() { m.shutdown(false) }
 
 // shutdown is the one way a master stops; bye says whether each phone is
-// told before its connection drops.
+// told before its connection drops. Once closed, no phone registers and no
+// death is an offline failure; the loop's last step kills every phone.
 func (m *Master) shutdown(bye bool) {
 	m.mu.Lock()
 	if m.closed {
@@ -579,7 +555,7 @@ func (m *Master) shutdown(bye bool) {
 		return
 	}
 	m.closed = true
-	phones := make([]*phoneState, 0, len(m.phones))
+	var phones []*phoneState
 	for _, ps := range m.phones {
 		phones = append(phones, ps)
 	}
@@ -589,7 +565,6 @@ func (m *Master) shutdown(bye bool) {
 	}
 	m.mu.Unlock()
 
-	close(m.stopped)
 	if m.ln != nil {
 		m.ln.Close()
 	}
@@ -603,8 +578,8 @@ func (m *Master) shutdown(bye bool) {
 		if bye {
 			_ = ps.conn.Send(&protocol.Message{Type: protocol.TypeBye})
 		}
-		m.markDead(ps, "", "") // the master's own choice: no offline failure
 	}
+	close(m.stopped)
 	m.wg.Wait()
 }
 
@@ -633,7 +608,8 @@ const helloTimeout = 10 * time.Second
 // probed yet.
 const defaultBMsPerKB = 10
 
-// handlePhone performs registration and runs the read loop + keepaliver.
+// handlePhone reads and checks a phone's hello, has the loop register
+// it, and becomes its reader once its writer runs.
 func (m *Master) handlePhone(conn *protocol.Conn) {
 	m.mu.Lock()
 	if m.closed {
@@ -658,8 +634,26 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 		conn.Close()
 		return
 	}
+	in := &joined{conn: conn, hello: hello, done: make(chan struct{})}
+	if m.post(in) {
+		<-in.done
+	}
+	if in.ps == nil {
+		conn.Close() // the master is closing
+		return
+	}
+	m.wg.Add(1)
+	go m.writer(in.ps)
+	m.readLoop(in.ps)
+}
 
-	m.mu.Lock()
+// joinLocked registers a checked hello under a fresh ID or its prior one,
+// kills the registration it supersedes, starts its keepalive clock and
+// queues its welcome; nil once the master is closing. Caller holds m.mu.
+func (m *Master) joinLocked(now time.Time, conn *protocol.Conn, hello *protocol.Message) *phoneState {
+	if m.closed {
+		return nil
+	}
 	var id int
 	var prior *phoneState
 	old, haveLive := m.phones[hello.PhoneID]
@@ -697,66 +691,55 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 			BMsPerKB: defaultBMsPerKB,
 			Alive:    true,
 		},
-		conn:    conn,
-		out:     make(chan flight, writerQueue),
-		probeCh: make(chan *protocol.Message, 1),
-		dead:    make(chan struct{}),
-	}
-	if prior != nil {
-		ps.info.BMsPerKB = prior.info.BMsPerKB
-	}
-	m.phones[id] = ps
-	epoch := m.epoch
-	waiters := m.phoneWait
-	m.phoneWait = make(chan struct{})
-	m.mu.Unlock()
-	if prior != nil {
-		m.markDead(prior, offlineRejoined, "superseded by a reconnection")
-	}
-	// Feed the charge-window estimator: a fresh registration opens a
-	// session; a rejoin either continues one (duplicate plug, ignored)
-	// or reopens after an observed unplug (flap-merged when quick).
-	m.observePlug(id)
-	close(waiters) // wake WaitForPhones
-
-	ckptKB := m.cfg.CheckpointEveryKB
-	if ckptKB < 0 {
-		ckptKB = 0
-	}
-	if err := conn.Send(&protocol.Message{
-		Type:        protocol.TypeWelcome,
-		PhoneID:     id,
-		KeepaliveMs: int(m.cfg.KeepalivePeriod / time.Millisecond),
-		CkptEveryKB: ckptKB,
-		CkptEveryMs: int(m.cfg.CheckpointEvery / time.Millisecond),
-		Epoch:       epoch,
-		// Telemetry opt-in follows the admin plane: a master nobody can
-		// observe asks for no telemetry, so the unobserved cluster ships
-		// zero extra frames and zero extra bytes.
-		Telemetry: m.cfg.ObsAddr != "",
-	}); err != nil {
-		m.markDead(ps, offlineSendFailed, err.Error())
-		return
+		conn: conn,
+		out:  make(chan flight, writerQueue),
+		dead: make(chan struct{}),
 	}
 	plog := m.cfg.Logger.With("phone", id)
 	if prior != nil {
+		ps.info.BMsPerKB = prior.info.BMsPerKB
 		m.mx.reconnected.Inc()
 		plog.Infof("reconnected: %s %.0f MHz", hello.Model, hello.CPUMHz)
 	} else {
 		m.mx.registered.Inc()
 		plog.Infof("registered: %s %.0f MHz", hello.Model, hello.CPUMHz)
 	}
+	m.phones[id] = ps
+	rng := rand.New(rand.NewSource(int64(id) + 1))
+	m.wins[ps] = &window{ps: ps, rng: rng, pingDue: now.Add(keepaliveJitter(m.cfg.KeepalivePeriod, rng))}
+	if prior != nil {
+		m.dieLocked(prior, offlineRejoined, "superseded by a reconnection")
+	}
+	// Feed the charge-window estimator. A new session (the phone was seen
+	// unplugged since) clears any drain entry; a reconnect within an open
+	// one — a TCP blip, a master restart — keeps it: the prediction that
+	// triggered it is still about the same session.
+	newSession := !m.windows.Plugged(id)
+	m.windows.ObservePlug(id, nowMs())
+	if newSession {
+		m.clearDrainLocked(id)
+	}
+	close(m.phoneWait) // wake WaitForPhones
+	m.phoneWait = make(chan struct{})
 
-	m.wg.Add(2)
-	go m.keepalive(ps)
-	go m.writer(ps)
-	m.readLoop(ps)
+	m.queueLocked(ps, flight{ctl: &protocol.Message{
+		Type:        protocol.TypeWelcome,
+		PhoneID:     id,
+		KeepaliveMs: int(m.cfg.KeepalivePeriod / time.Millisecond),
+		CkptEveryKB: max(m.cfg.CheckpointEveryKB, 0),
+		CkptEveryMs: int(m.cfg.CheckpointEvery / time.Millisecond),
+		Epoch:       m.epoch,
+		// Telemetry opt-in follows the admin plane: a master nobody can
+		// observe asks for no telemetry, so the unobserved cluster ships
+		// zero extra frames and zero extra bytes.
+		Telemetry: m.cfg.ObsAddr != "",
+	}})
+	return ps
 }
 
-// readLoop routes incoming frames for one phone until its death. A frame
-// it handles itself goes back to the connection once handled (Reuse); a
-// report posted to the loop is the loop's to give back, and a probe ack
-// MeasureBandwidths's to keep.
+// readLoop routes one phone's frames until its death, which it posts with
+// its cause. A frame it handles goes back to the connection (Reuse); one
+// posted to the loop is the loop's to give back.
 func (m *Master) readLoop(ps *phoneState) {
 	for {
 		msg, err := ps.conn.Recv()
@@ -765,40 +748,24 @@ func (m *Master) readLoop(ps *phoneState) {
 			// A corrupt frame means framing is lost on an otherwise-open
 			// connection: an offline failure like a missed keepalive, but
 			// recorded as its own event. An error once the master itself let
-			// go of the phone, or during shutdown, is no failure of the phone's.
-			reason, format := offlineConnLost, "connection lost: %v"
+			// go of the phone is no failure of the phone's (dieLocked).
+			reason := offlineConnLost
 			if errors.Is(err, protocol.ErrCorrupt) {
-				reason, format = offlineCorruptFrame, "corrupt frame: %v; offline failure"
+				reason = offlineCorruptFrame
 			}
-			select {
-			case <-m.stopped:
-				reason = ""
-			default:
-			}
-			if m.markDead(ps, reason, err.Error()) {
-				m.cfg.Logger.With("phone", ps.info.ID).Warnf(format, err)
-			}
-			m.observeUnplug(ps)
+			m.post(died{ps, reason, err.Error()})
 			return
 		}
 		m.mx.framesReceived[msg.Type].Inc()
 		switch msg.Type {
-		case protocol.TypePong:
-			ps.mu.Lock()
-			ps.missedPings = 0
-			ps.mu.Unlock()
-			m.sloObserve(sloKeepalive, true)
+		case protocol.TypePong, protocol.TypeProbeAck:
+			m.post(reported{ps, msg})
+			continue
 		case protocol.TypeTelemetry:
 			// Deliberately not fenced: a worker's buffered span events
 			// must survive a standby promotion — each event carries the
 			// epoch it was minted under instead of the frame.
 			m.foldTelemetry(ps, msg)
-		case protocol.TypeProbeAck:
-			select {
-			case ps.probeCh <- msg:
-				continue
-			default:
-			}
 		case protocol.TypeCheckpoint, protocol.TypeResult, protocol.TypeFailure:
 			switch {
 			case m.fenced(msg):
@@ -811,9 +778,7 @@ func (m *Master) readLoop(ps *phoneState) {
 				continue
 			}
 		case protocol.TypeBye:
-			m.cfg.Logger.With("phone", ps.info.ID).Infof("unplugged while idle")
-			m.markDead(ps, offlineBye, "orderly unplug")
-			m.observeUnplug(ps)
+			m.post(died{ps, offlineBye, "orderly unplug"})
 			return
 		default:
 			// A frame the master never expects from a worker (hello after
@@ -898,54 +863,29 @@ func (m *Master) attemptLocked(ps *phoneState, id int64) *attemptRec {
 	return nil
 }
 
-// keepalive implements the paper's offline-failure detector: a ping every
-// period, death after KeepaliveTolerance consecutive misses. Each wait is
-// jittered by ±10% so hundreds of phones registered in a burst do not
-// ping in lockstep forever.
-func (m *Master) keepalive(ps *phoneState) {
-	defer m.wg.Done()
-	rng := rand.New(rand.NewSource(int64(ps.info.ID) + 1))
-	timer := time.NewTimer(keepaliveJitter(m.cfg.KeepalivePeriod, rng))
-	defer timer.Stop()
-	var seq uint64
-	var ping protocol.Message // every ping goes out in it
-	for {
-		select {
-		case <-timer.C:
-			ps.mu.Lock()
-			ps.missedPings++
-			missed := ps.missedPings
-			ps.mu.Unlock()
-			if missed > 1 {
-				// The previous ping went unanswered for a full period.
-				m.mx.keepaliveMisses.Inc()
-				m.sloObserve(sloKeepalive, false)
-			}
-			if missed > m.cfg.KeepaliveTolerance {
-				m.cfg.Logger.With("phone", ps.info.ID).Warnf("missed %d keepalives: offline failure",
-					m.cfg.KeepaliveTolerance)
-				m.markDead(ps, offlineKeepalive, fmt.Sprintf("%d consecutive misses", m.cfg.KeepaliveTolerance))
-				m.observeUnplug(ps)
-				return
-			}
-			seq++
-			m.mx.keepalivePings.Inc()
-			ping = protocol.Message{Type: protocol.TypePing, Seq: seq}
-			if err := ps.conn.Send(&ping); err != nil {
-				m.markDead(ps, offlineSendFailed, err.Error())
-				m.observeUnplug(ps)
-				return
-			}
-			timer.Reset(keepaliveJitter(m.cfg.KeepalivePeriod, rng))
-		case <-ps.dead:
-			return
-		case <-m.stopped:
-			return
-		}
+// tickLocked is a keepalive tick, the paper's offline-failure detector: a
+// tick finding the last ping unanswered is a miss, and more than
+// KeepaliveTolerance in a row are a death. Else a ping is queued; the next
+// tick is armed once it is written. Caller holds m.mu.
+func (m *Master) tickLocked(w *window) {
+	w.pingDue = time.Time{}
+	w.missed++
+	if w.missed > 1 {
+		// The previous ping went unanswered for a full period.
+		m.mx.keepaliveMisses.Inc()
+		m.sloObserve(sloKeepalive, false)
 	}
+	if w.missed > m.cfg.KeepaliveTolerance {
+		m.dieLocked(w.ps, offlineKeepalive, fmt.Sprintf("%d consecutive misses", m.cfg.KeepaliveTolerance))
+		return
+	}
+	w.pings++
+	m.mx.keepalivePings.Inc()
+	m.queueLocked(w.ps, flight{attempt: pingAttempt, ctl: &protocol.Message{Type: protocol.TypePing, Seq: w.pings}})
 }
 
-// keepaliveJitter spreads a keepalive period uniformly over ±10%.
+// keepaliveJitter spreads a keepalive period uniformly over ±10%, so
+// hundreds of phones registered in a burst do not ping in lockstep forever.
 func keepaliveJitter(period time.Duration, rng *rand.Rand) time.Duration {
 	return period + time.Duration((rng.Float64()*0.2-0.1)*float64(period))
 }

@@ -217,7 +217,7 @@ func TestMeasureBandwidths(t *testing.T) {
 		if len(msg.Payload) != 8*1024 {
 			t.Errorf("probe payload %d bytes", len(msg.Payload))
 		}
-		f.send(&protocol.Message{Type: protocol.TypeProbeAck})
+		f.send(&protocol.Message{Type: protocol.TypeProbeAck, Seq: msg.Seq})
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
