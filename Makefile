@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race chaos wal-crash ckpt-chaos churn-storm failover byzantine obs-chaos bench-check bench-smoke check census bench bench-run bench-compare fmt
+.PHONY: all build vet lint test race chaos wal-crash ckpt-chaos churn-storm failover byzantine obs-chaos bench-check bench-smoke fuzz-smoke check census bench bench-run bench-compare fmt
 
 all: check
 
@@ -107,12 +107,13 @@ bench-check:
 
 # One iteration of each packer benchmark (18x150, 50x500, 128x512), of
 # each task kernel's Process benchmark, of each frame benchmark, of each
-# header-codec benchmark, of the WAL append benchmark and of the replica
-# ship benchmark, so they keep compiling and finishing; it measures
-# nothing, but the kernels', the frames', the codec's, the log's and the
-# shipper's allocs/op land in the log. The master's per-report cycle
-# (receive, credit, next assign) runs 1000 times, so its allocs/op is the
-# steady state's.
+# header-codec and section-coder benchmark (the coder's MB/s and ratio
+# on the three input kinds at 4 KB and 1 MiB), of the WAL append
+# benchmark and of the replica ship benchmark, so they keep compiling
+# and finishing; it measures nothing, but the kernels', the frames', the
+# codec's, the log's and the shipper's allocs/op land in the log. The
+# master's per-report cycle (receive, credit, next assign) runs 1000
+# times, so its allocs/op is the steady state's.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Greedy -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench Process -benchmem -benchtime 1x ./internal/tasks/
@@ -122,10 +123,17 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/replica/
 	$(GO) test -run '^$$' -bench WindowCycle -benchmem -benchtime 1000x ./internal/server/
 
+# Ten seconds of each fuzzer over bytes a peer sends: the frame decoder
+# (FuzzRecv) and the Huffman section coder (FuzzCode). Their seed corpora
+# already run in every `go test`; this searches past them.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRecv$$' -fuzztime 10s ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzCode$$' -fuzztime 10s ./internal/wire/
+
 # The pre-PR gate: everything that must be green before a change ships.
 # Files gofmt would rewrite are listed and fail it. The census is printed
 # last and gates nothing: it puts the size counts in the CI log.
-check: vet build race bench-check bench-smoke
+check: vet build race bench-check bench-smoke fuzz-smoke
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	-@$(MAKE) --no-print-directory census

@@ -141,13 +141,20 @@ func firstDuplicate(scratch []int, id func(int) int) int {
 // of job index j's input, including the executable shipping cost when
 // withExec is set — Equation 1 of the paper.
 func (inst *Instance) Cost(i, j int, sizeKB float64, withExec bool) float64 {
-	b := inst.Phones[i].BMsPerKB
-	cost := sizeKB * (b + inst.C[i][j])
+	cost := sizeKB * inst.Rate(i, j)
 	if withExec {
-		cost += inst.Jobs[j].ExecKB * b
+		cost += inst.Jobs[j].ExecKB * inst.Phones[i].BMsPerKB
 	}
 	return cost
 }
+
+// Rate is Equation 1's per-KB term for phone index i and job index j: the
+// ms one KB of input costs to fetch and to process there.
+func (inst *Instance) Rate(i, j int) float64 { return Rate(inst.Phones[i].BMsPerKB, inst.C[i][j]) }
+
+// Rate is Equation 1's per-KB term, b_i + c_ij, for a phone's per-KB
+// transfer time b and a job's per-KB execution time c on it, in ms/KB.
+func Rate(b, c float64) float64 { return b + c }
 
 // Assignment is one scheduled partition: phone phoneIdx processes SizeKB
 // of job jobIdx's input.

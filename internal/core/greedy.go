@@ -104,7 +104,7 @@ func LowerBoundMakespan(inst *Instance) float64 {
 		totalKB += job.InputKB
 		rate := 0.0
 		for i := range inst.Phones {
-			rate += 1 / (inst.Phones[i].BMsPerKB + inst.C[i][j])
+			rate += 1 / inst.Rate(i, j)
 		}
 		if jb := job.InputKB / rate; jb > bound {
 			bound = jb
@@ -390,7 +390,7 @@ func (p *packer) fits(i int, it item) bool {
 		}
 	}
 	unit := p.minUnit(i, it)
-	need := p.execCost(i, it.job) + unit*(p.inst.Phones[i].BMsPerKB+p.inst.C[i][it.job])
+	need := p.execCost(i, it.job) + unit*p.inst.Rate(i, it.job)
 	if p.height[i]+need <= p.binCap(i)*(1+capacityEps) {
 		return true
 	}
@@ -447,7 +447,7 @@ func (p *packer) pack(i, idx int) {
 	it := p.items[idx]
 	jobIdx := it.job
 	ram := p.inst.Phones[i].RAMKB
-	rate := p.inst.Phones[i].BMsPerKB + p.inst.C[i][jobIdx]
+	rate := p.inst.Rate(i, jobIdx)
 	exec := p.execCost(i, jobIdx)
 	avail := p.binCap(i)*(1+capacityEps) - p.height[i] - exec
 

@@ -92,12 +92,12 @@ func execSaved(inst *Instance, s *Schedule, phone, skipIdx int) float64 {
 func tryMove(inst *Instance, s *Schedule, spans []float64, worst int) bool {
 	mk := spans[worst]
 	for idx, a := range s.PerPhone[worst] {
-		saved := execSaved(inst, s, worst, idx) + a.SizeKB*(inst.Phones[worst].BMsPerKB+inst.C[worst][a.Job])
+		saved := execSaved(inst, s, worst, idx) + a.SizeKB*inst.Rate(worst, a.Job)
 		for p := range inst.Phones {
 			if p == worst || !ramOK(inst, p, a.SizeKB) {
 				continue
 			}
-			added := execExtra(inst, s, p, a.Job) + a.SizeKB*(inst.Phones[p].BMsPerKB+inst.C[p][a.Job])
+			added := execExtra(inst, s, p, a.Job) + a.SizeKB*inst.Rate(p, a.Job)
 			newWorst := math.Max(spans[worst]-saved, spans[p]+added)
 			if newWorst < mk-1e-9 {
 				moved := a
@@ -120,12 +120,12 @@ func tryShift(inst *Instance, s *Schedule, spans []float64, worst int) bool {
 		if inst.Jobs[a.Job].Atomic || a.SizeKB <= 2*MinPartitionKB {
 			continue
 		}
-		rateW := inst.Phones[worst].BMsPerKB + inst.C[worst][a.Job]
+		rateW := inst.Rate(worst, a.Job)
 		for p := range inst.Phones {
 			if p == worst {
 				continue
 			}
-			rateP := inst.Phones[p].BMsPerKB + inst.C[p][a.Job]
+			rateP := inst.Rate(p, a.Job)
 			exec := execExtra(inst, s, p, a.Job)
 			// Ideal shift equalizes the two spans.
 			delta := (spans[worst] - spans[p] - exec) / (rateW + rateP)
@@ -172,7 +172,7 @@ func tryShift(inst *Instance, s *Schedule, spans []float64, worst int) bool {
 func trySwap(inst *Instance, s *Schedule, spans []float64, worst int) bool {
 	mk := spans[worst]
 	for ai, a := range s.PerPhone[worst] {
-		costAW := execSaved(inst, s, worst, ai) + a.SizeKB*(inst.Phones[worst].BMsPerKB+inst.C[worst][a.Job])
+		costAW := execSaved(inst, s, worst, ai) + a.SizeKB*inst.Rate(worst, a.Job)
 		for p := range inst.Phones {
 			if p == worst {
 				continue
@@ -181,11 +181,11 @@ func trySwap(inst *Instance, s *Schedule, spans []float64, worst int) bool {
 				if !ramOK(inst, p, a.SizeKB) || !ramOK(inst, worst, b.SizeKB) {
 					continue
 				}
-				costBP := execSaved(inst, s, p, bi) + b.SizeKB*(inst.Phones[p].BMsPerKB+inst.C[p][b.Job])
+				costBP := execSaved(inst, s, p, bi) + b.SizeKB*inst.Rate(p, b.Job)
 				// Approximate exec deltas after the swap by charging the
 				// full executable unless the job is already present.
-				costAP := execExtra(inst, s, p, a.Job) + a.SizeKB*(inst.Phones[p].BMsPerKB+inst.C[p][a.Job])
-				costBW := execExtra(inst, s, worst, b.Job) + b.SizeKB*(inst.Phones[worst].BMsPerKB+inst.C[worst][b.Job])
+				costAP := execExtra(inst, s, p, a.Job) + a.SizeKB*inst.Rate(p, a.Job)
+				costBW := execExtra(inst, s, worst, b.Job) + b.SizeKB*inst.Rate(worst, b.Job)
 				newWorstSpan := spans[worst] - costAW + costBW
 				newPSpan := spans[p] - costBP + costAP
 				if math.Max(newWorstSpan, newPSpan) < mk-1e-9 {

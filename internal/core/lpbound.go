@@ -47,7 +47,7 @@ func RelaxedLowerBound(inst *Instance) (float64, error) {
 	for i, ph := range inst.Phones {
 		terms := make([]lp.Term, 0, nJ+1)
 		for j, job := range inst.Jobs {
-			w := job.ExecKB*ph.BMsPerKB/job.InputKB + ph.BMsPerKB + inst.C[i][j]
+			w := job.ExecKB*ph.BMsPerKB/job.InputKB + inst.Rate(i, j)
 			terms = append(terms, lp.Term{Var: l[i][j], Coef: w})
 		}
 		terms = append(terms, lp.Term{Var: T, Coef: -1})
@@ -101,7 +101,7 @@ func RelaxedLowerBoundFull(inst *Instance) (float64, error) {
 		for j, job := range inst.Jobs {
 			terms = append(terms,
 				lp.Term{Var: u[i][j], Coef: job.ExecKB * ph.BMsPerKB},
-				lp.Term{Var: l[i][j], Coef: ph.BMsPerKB + inst.C[i][j]},
+				lp.Term{Var: l[i][j], Coef: inst.Rate(i, j)},
 			)
 		}
 		terms = append(terms, lp.Term{Var: T, Coef: -1})

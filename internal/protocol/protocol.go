@@ -1,11 +1,11 @@
 // Package protocol defines the wire protocol between the CWC central
 // server and the phone workers: length-prefixed frames over a persistent
 // TCP connection, each a compact binary header (package wire) followed by
-// the frame's byte payloads as raw sections (the prototype's Java NIO
-// server spoke an equivalent custom protocol). Payload bytes cross the
-// link once, at their own size — the scheduler plans on measured per-KB
-// transfer time, so the wire must not inflate it. docs/protocol.md has
-// the byte layout.
+// the frame's byte payloads as sections (the prototype's Java NIO server
+// spoke an equivalent custom protocol). Payload bytes cross the link
+// once, never inflated — the scheduler plans on measured per-KB transfer
+// time — and an assignment's input and a result cross Huffman-coded,
+// about half their size on text. docs/protocol.md has the byte layout.
 //
 // The connection carries registration, iperf-style bandwidth probes, task
 // assignment (executable name + parameters + input partition, optionally a
@@ -266,7 +266,11 @@ var TypeCodes = []Type{"", TypeHello, TypeWelcome, TypeProbe, TypeProbeAck,
 
 // Wire names the header's fields for the codec, in tag order. The tags
 // are the protocol (docs/protocol.md lists them): the fields every assign
-// and report carries hold tags 1–15, which take a one-byte key.
+// and report carries hold tags 1–15, which take a one-byte key. An
+// assignment's input and a result travel Huffman-coded when that makes
+// them smaller — the paper's inputs are text — and tag 32 then holds
+// their raw length; every other section, a probe's payload included,
+// travels as it is.
 func (m *Message) Wire(c *wire.Codec) {
 	wire.Code(c, 1, &m.Type, TypeCodes)
 	wire.Int(c, 2, &m.JobID)
@@ -275,8 +279,8 @@ func (m *Message) Wire(c *wire.Codec) {
 	wire.String(c, 5, &m.Span)
 	wire.String(c, 6, &m.Task)
 	c.Section(7, &m.Params)
-	c.Section(8, &m.Input)
-	c.Section(9, &m.Result)
+	c.Coded(8, &m.Input, m.Type == TypeAssign || m.Type == TypeAssignChunk)
+	c.Coded(9, &m.Result, m.Type == TypeResult)
 	c.Float(10, &m.ExecMs)
 	c.Float(11, &m.ProcessedKB)
 	wire.Digest(c, 12, &m.Digest)
@@ -299,6 +303,7 @@ func (m *Message) Wire(c *wire.Codec) {
 	c.Bool(29, &m.Telemetry)
 	wire.List(c, 30, &m.Events)
 	wire.Int(c, 31, &m.Dropped)
+	c.RawLen(32)
 }
 
 // MaxFrameSize bounds a single frame (everything after the length
@@ -356,6 +361,10 @@ type Conn struct {
 	rbuf []byte
 	pre  [8]byte
 	dec  wire.Codec
+
+	// zbuf is Recv's scratch for a frame's coded bytes, kept up to
+	// maxPooledFrame; owned by the single reader.
+	zbuf []byte
 
 	bufs recycler
 }
@@ -517,8 +526,8 @@ func (c *Conn) Send(m *Message) error {
 	if err != nil {
 		return fmt.Errorf("protocol: encoding %s frame: %w", m.Type, err)
 	}
-	if len(frame)-4 > MaxFrameSize {
-		return fmt.Errorf("protocol: %s frame of %d bytes exceeds limit", m.Type, len(frame)-4)
+	if n := len(frame) - 4 + e.Expansion(); n > MaxFrameSize {
+		return fmt.Errorf("protocol: %s frame of %d bytes exceeds limit", m.Type, n)
 	}
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 	// One frame, one Write: a crash or fault-injected cut can never land
@@ -598,7 +607,30 @@ func (c *Conn) Recv() (*Message, error) {
 	if m.Type == "" {
 		return nil, fmt.Errorf("frame missing type: %w", ErrCorrupt)
 	}
-	if raw > 0 {
+	switch x := c.dec.Expansion(); {
+	case raw+x > MaxFrameSize:
+		return nil, fmt.Errorf("frame decodes to %d bytes, over the limit: %w", raw+x, ErrCorrupt)
+	case x > 0:
+		// The coded bytes land in the connection's scratch and decode into
+		// the frame's buffer. The raw length, at most eight times those
+		// bytes, sizes that buffer only once they have all arrived.
+		coded, err := c.readN(c.zbuf, raw)
+		if err != nil {
+			return nil, fmt.Errorf("protocol: reading frame body: %w", err)
+		}
+		if cap(coded) <= maxPooledFrame {
+			c.zbuf = coded
+		}
+		body := c.bufs.take(raw + x)
+		if body == nil {
+			body = make([]byte, raw+x)
+		}
+		body = body[:raw+x]
+		if err := c.dec.Unpack(body, coded); err != nil {
+			return nil, fmt.Errorf("decoding frame body (%v): %w", err, ErrCorrupt)
+		}
+		c.bufs.lend(m, body)
+	case raw > 0:
 		body, err := c.readN(c.bufs.take(raw), raw)
 		if err != nil {
 			return nil, fmt.Errorf("protocol: reading frame body: %w", err)

@@ -204,6 +204,7 @@ func (m *Master) stepLocked(now time.Time, in any) {
 			m.dieLocked(in.ps, offlineSendFailed, in.err.Error())
 		case w != nil && in.attempt == pingAttempt:
 			w.pingDue = now.Add(keepaliveJitter(m.cfg.KeepalivePeriod, w.rng))
+			m.armLocked(w.pingDue)
 		case w != nil && w.sending == in.attempt:
 			w.sending = 0 // the link is free for the next assignment
 			m.pumpLocked(now, w)
@@ -221,9 +222,15 @@ func (m *Master) stepLocked(now time.Time, in any) {
 
 // timersLocked fires every deadline that has passed — a window head's
 // (once: speculate; twice: abandon), a keepalive tick, and a tie-break's,
-// set in the step that armed it — and returns the earliest pending.
-// Caller holds m.mu.
+// set in the step that armed it — and returns the earliest pending. It
+// scans the windows only once the earliest deadline armed since its last
+// scan has come: before then nothing is due. A deadline cleared since
+// makes that an early wake, which finds nothing and rescans. Caller holds
+// m.mu.
 func (m *Master) timersLocked(now time.Time) time.Time {
+	if !m.wakeAt.IsZero() && now.Before(m.wakeAt) {
+		return m.wakeAt
+	}
 	var wake time.Time
 	for _, w := range m.wins {
 		if !w.due.IsZero() && !now.Before(w.due) {
@@ -243,7 +250,16 @@ func (m *Master) timersLocked(now time.Time) time.Time {
 		}
 		wake = earliest(wake, vg.tieDue)
 	}
+	m.wakeAt = wake
 	return wake
+}
+
+// armLocked notes a deadline a step set, so the loop's next scan is no
+// later than it. Caller holds m.mu.
+func (m *Master) armLocked(t time.Time) {
+	if !m.wakeAt.IsZero() {
+		m.wakeAt = earliest(m.wakeAt, t)
+	}
 }
 
 // startLocked gives every phone of rnd its queue. Caller holds m.mu.
@@ -288,6 +304,7 @@ func (m *Master) pumpLocked(now time.Time, w *window) {
 		if w.due.IsZero() && w.win[0].attempt != w.sending && !w.rnd.profiling {
 			w.straggled, w.deadline = false, m.assignmentDeadlineLocked(w.win[0].a, w.ps)
 			w.due = now.Add(w.deadline)
+			m.armLocked(w.due)
 		}
 	}
 	if w.sending == 0 && w.next < len(w.queue) &&
@@ -430,6 +447,7 @@ func (m *Master) overdueLocked(now time.Time, w *window) {
 			m.trace(obs.SpanEvent{Kind: obs.KindStraggler, Job: a.item.jobID, Partition: a.partition, Phone: id})
 		}
 		w.due = now.Add(w.deadline)
+		m.armLocked(w.due)
 		return
 	}
 	// Twice the deadline: abandon the phone for the round, alive, its

@@ -822,7 +822,7 @@ func (m *Master) assignmentDeadlineLocked(a assignment, ps *phoneState) time.Dur
 		return d
 	}
 	b, l := ps.info.BMsPerKB, float64(len(a.input))/1024
-	ms := a.item.task.ExecKB()*b + l*(b+c)
+	ms := a.item.task.ExecKB()*b + l*core.Rate(b, c)
 	if byModel := time.Duration(ms * m.cfg.DeadlineFactor * float64(time.Millisecond)); byModel > d {
 		d = byModel
 	}

@@ -395,6 +395,9 @@ type Master struct {
 	// them. inputs is the loop's one input channel (post).
 	wins   map[*phoneState]*window // guarded by mu
 	inputs chan any
+	// wakeAt is the earliest deadline armed (armLocked) since the loop
+	// last scanned its timers; zero: scan at the next step.
+	wakeAt time.Time // guarded by mu
 
 	offline   []OfflineFailure // guarded by mu
 	ckptFolds int              // guarded by mu; streamed checkpoints accepted (monotonic, for tests/ops)
@@ -707,6 +710,7 @@ func (m *Master) joinLocked(now time.Time, conn *protocol.Conn, hello *protocol.
 	m.phones[id] = ps
 	rng := rand.New(rand.NewSource(int64(id) + 1))
 	m.wins[ps] = &window{ps: ps, rng: rng, pingDue: now.Add(keepaliveJitter(m.cfg.KeepalivePeriod, rng))}
+	m.armLocked(m.wins[ps].pingDue)
 	if prior != nil {
 		m.dieLocked(prior, offlineRejoined, "superseded by a reconnection")
 	}

@@ -397,6 +397,7 @@ func (m *Master) startTieBreakLocked(key int64) {
 	m.nextAttempt++
 	m.attempts[m.nextAttempt] = &attemptRec{a: vg.a, ps: arb}
 	vg.tie, vg.arbiter, vg.tieDue = m.nextAttempt, arb, time.Time{}
+	m.wakeAt = time.Time{} // the loop's next scan arms its expiry
 	vg.need++
 	m.cfg.Logger.With("job", vg.a.item.jobID, "key", key, "phone", arb.info.ID).
 		Infof("verification tie: re-executing on arbiter")

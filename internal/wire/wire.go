@@ -11,7 +11,9 @@
 // bulk byte field kept out of the header: the header lists it as a
 // varint length under its tag, and its bytes follow the header, in the
 // order the header lists them, so a receiver hands them out as
-// sub-slices of one buffer.
+// sub-slices of one buffer. One section of a unit may travel Huffman-
+// coded (huff.go), when that makes it smaller; a raw-length field then
+// says what it decodes to.
 //
 // A type names its fields once, in a Wire method that both encodes and
 // decodes. Fields go in ascending tag order, and a zero value is written
@@ -66,7 +68,14 @@ type Codec struct {
 	lens []int     // decoding: their lengths
 
 	buf []byte // encoding: prefix, header length and header so far
-	raw int    // encoding: the sections' total length
+	raw int    // encoding: the sections' total length on the wire
+
+	// The section that travels coded (nil: none), its wire length and the
+	// raw length it decodes to; encoding, huff is its code. Decoding, a
+	// section Coded lists is a candidate until RawLen gives its length.
+	coded      *[]byte
+	zlen, rlen int
+	huff       huffman
 
 	// Decoding: hdr[pos:end] is the current message left to read, tag and
 	// wt the key of the field at pos (tag 0 at the message's end), body
@@ -100,18 +109,42 @@ func (c *Codec) failf(format string, args ...any) {
 // returns the whole, valid until c is reused.
 func Encode(c *Codec, prefix int, v Fields) ([]byte, error) {
 	c.dec, c.err, c.last, c.raw, c.secs = false, nil, 0, 0, c.secs[:0]
+	c.coded, c.rlen = nil, 0
 	c.buf = append(c.buf[:0], zeros[:prefix+4]...)
 	v.Wire(c)
-	defer clear(c.secs) // the pool must not pin the caller's message
+	defer func() { // the pool must not pin the caller's message
+		clear(c.secs)
+		c.coded = nil
+	}()
+	if c.coded != nil && c.rlen == 0 {
+		c.failf("a coded section without a raw length")
+	}
 	if c.err != nil {
 		return nil, c.err
 	}
 	binary.BigEndian.PutUint32(c.buf[prefix:], uint32(len(c.buf)-prefix-4))
-	c.buf = slices.Grow(c.buf, c.raw)
+	need := c.raw
+	if c.coded != nil {
+		need += 8 // the coder writes its stream a word at a time
+	}
+	c.buf = slices.Grow(c.buf, need)
 	for _, s := range c.secs {
-		c.buf = append(c.buf, *s...)
+		if s == c.coded {
+			c.buf = c.huff.encode(c.buf, *s)
+		} else {
+			c.buf = append(c.buf, *s...)
+		}
 	}
 	return c.buf, nil
+}
+
+// Expansion is how many bytes the last unit's coded section gains from
+// its wire length to its raw one; 0 when no section travels coded.
+func (c *Codec) Expansion() int {
+	if c.rlen == 0 {
+		return 0
+	}
+	return c.rlen - c.zlen
 }
 
 // EncodeTo is Encode building the unit in buf's storage instead of c's,
@@ -129,9 +162,13 @@ func EncodeTo(c *Codec, buf []byte, prefix int, v Fields) ([]byte, error) {
 func DecodeHeader(c *Codec, hdr []byte, body int, v Fields) error {
 	c.dec, c.err, c.secs, c.lens = true, nil, c.secs[:0], c.lens[:0]
 	c.hdr, c.pos, c.end, c.body = hdr, 0, 0, body
+	c.coded, c.rlen = nil, 0
 	message(c, len(hdr), v)
 	if c.err == nil && c.body != 0 {
 		c.failf("%d bytes after the last section", c.body)
+	}
+	if c.err != nil || c.rlen == 0 {
+		c.coded, c.rlen = nil, 0
 	}
 	if c.err != nil {
 		clear(c.secs)
@@ -140,13 +177,38 @@ func DecodeHeader(c *Codec, hdr []byte, body int, v Fields) error {
 }
 
 // Sections points the byte fields the last decoded header listed at
-// their bytes in body. Each field's capacity ends with its section, so
-// appending to one never writes into its neighbour.
+// their bytes in body, when no section travels coded. Each field's
+// capacity ends with its section, so appending to one never writes into
+// its neighbour.
 func (c *Codec) Sections(body []byte) {
 	for i, p := range c.secs {
 		*p, body = body[:c.lens[i]:c.lens[i]], body[c.lens[i]:]
 	}
 	clear(c.secs)
+}
+
+// Unpack is Sections for a unit whose coded section must be decoded: it
+// lays the sections out raw in dst, which holds len(body)+Expansion()
+// bytes, and points the fields at them there.
+func (c *Codec) Unpack(dst, body []byte) error {
+	defer func() {
+		clear(c.secs)
+		c.coded = nil
+	}()
+	for i, p := range c.secs {
+		n := c.lens[i]
+		d := dst[:n:n]
+		if p == c.coded {
+			d = dst[:c.rlen:c.rlen]
+			if err := DecodeCoded(d, body[:n]); err != nil {
+				return err
+			}
+		} else {
+			copy(d, body[:n])
+		}
+		*p, dst, body = d, dst[len(d):], body[n:]
+	}
+	return nil
 }
 
 // Decode decodes a whole unit into v, which must be zero; its sections
@@ -164,6 +226,9 @@ func Decode(unit []byte, v Fields) error {
 	body := unit[4+hlen:]
 	if err := DecodeHeader(c, unit[4:4+hlen], len(body), v); err != nil {
 		return err
+	}
+	if x := c.Expansion(); x > 0 {
+		return c.Unpack(make([]byte, len(body)+x), body)
 	}
 	c.Sections(body)
 	return nil
@@ -370,18 +435,70 @@ func Code[T ~string](c *Codec, tag int, p *T, codes []T) {
 }
 
 // Section is a byte field whose bytes follow the header.
-func (c *Codec) Section(tag int, p *[]byte) {
-	v, ok := c.varint(tag, uint64(len(*p)))
+func (c *Codec) Section(tag int, p *[]byte) { c.section(tag, p, len(*p)) }
+
+// section lists p, n bytes on the wire when encoding, and reports whether
+// it is listed.
+func (c *Codec) section(tag int, p *[]byte, n int) bool {
+	v, ok := c.varint(tag, uint64(n))
 	switch {
-	case !c.dec && len(*p) > 0:
+	case !c.dec && n > 0:
 		c.secs = append(c.secs, p)
-		c.raw += len(*p)
+		c.raw += n
+		return true
 	case !ok:
 	case v > uint64(c.body):
 		c.failf("section %d of %d bytes overruns the %d bytes left", tag, v, c.body)
 	default:
 		c.secs, c.lens = append(c.secs, p), append(c.lens, int(v))
 		c.body -= int(v)
+		return true
+	}
+	return false
+}
+
+// Coded is a section that may travel Huffman-coded: when ok, and coding
+// makes it smaller, its listed length is its coded one, and RawLen
+// carries its raw length. A unit codes one section at most.
+func (c *Codec) Coded(tag int, p *[]byte, ok bool) {
+	n := len(*p)
+	if !c.dec && ok && n > lensBytes {
+		n = min(n, c.huff.plan(*p))
+	}
+	if !c.section(tag, p, n) || !ok || !c.dec && n == len(*p) {
+		return
+	}
+	if c.coded != nil {
+		c.failf("section %d: a second coded section", tag)
+	}
+	c.coded, c.zlen = p, n
+	if c.dec {
+		c.zlen = c.lens[len(c.lens)-1]
+	}
+}
+
+// RawLen is the raw length of the section that travels coded, absent
+// when none does. A coded stream spends a bit at least on each byte, so
+// the raw length is at most eight times the stream's; and coding is only
+// used where it shrinks a section, so it exceeds the coded length.
+func (c *Codec) RawLen(tag int) {
+	var n uint64
+	if c.coded != nil && !c.dec {
+		n = uint64(len(*c.coded))
+	}
+	v, ok := c.varint(tag, n)
+	switch {
+	case !c.dec:
+		c.rlen = int(n)
+	case !ok:
+	case c.coded == nil:
+		c.failf("tag %d: raw length %d with no coded section", tag, v)
+	case v <= uint64(c.zlen):
+		c.failf("tag %d: raw length %d does not exceed the %d coded bytes", tag, v, c.zlen)
+	case c.zlen < lensBytes || v > 8*uint64(c.zlen-lensBytes):
+		c.failf("tag %d: raw length %d past 8 times the %d-byte coded stream", tag, v, max(c.zlen-lensBytes, 0))
+	default:
+		c.rlen = int(v)
 	}
 }
 

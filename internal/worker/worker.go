@@ -247,7 +247,9 @@ type Phone struct {
 type Stats struct {
 	// ExecMs is total task execution wall time.
 	ExecMs float64
-	// TransferKB is total assignment input received (assign + chunks).
+	// TransferKB is total assignment input received (assign + chunks),
+	// in raw input KB: a coded input counts at its decoded size, not the
+	// fewer bytes it took on the wire.
 	TransferKB float64
 	// ThrottlePauses counts MIMD charging-throttle holds.
 	ThrottlePauses int
