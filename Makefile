@@ -67,11 +67,12 @@ churn-storm:
 # byte-identical aggregates, and a resurrected old primary (or the
 # losing side of a partition) must be epoch-fenced, never double-
 # accepting a result. Plus the replication-stream torn-cut harness, the
-# re-anchor resync, and the shipped frames' ownership (the logged bytes
-# shipped by reference, every reference given back).
+# re-anchor resync, a standby attaching to more state than one record
+# may hold, and the shipped frames' ownership (the logged bytes shipped
+# by reference, every reference given back).
 failover:
 	$(GO) test ./internal/cluster/ -run 'TestFailover' -race -count=1 -v
-	$(GO) test ./internal/replica/ -run 'TestStandbyTornStream|TestStandbyResyncs|TestShip|TestDroppedStandby' -race -count=1 -v
+	$(GO) test ./internal/replica/ -run 'TestStandbyTornStream|TestStandbyResyncs|TestStandbyAttaches|TestShip|TestDroppedStandby' -race -count=1 -v
 	$(GO) test ./internal/wal/ -run 'TestStreamReader|TestEncodeRecord' -race -count=1 -v
 	$(GO) test ./internal/faults/ -run 'TestParseScenarioKillPrimary|TestParseScenarioPartition|TestParseScenarioFailoverErrors' -race -count=1 -v
 	$(GO) test ./internal/protocol/ -run 'TestSendIsOneWrite|TestRecvHostileLength|TestRecvHostileFrames|TestRecvChunkedBodyGrowth|TestRecvTruncationAtEveryOffset|TestRecvOldFormat|TestEpochRoundTrip' -race -count=1 -v
@@ -123,12 +124,15 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/replica/
 	$(GO) test -run '^$$' -bench WindowCycle -benchmem -benchtime 1000x ./internal/server/
 
-# Ten seconds of each fuzzer over bytes a peer sends: the frame decoder
-# (FuzzRecv) and the Huffman section coder (FuzzCode). Their seed corpora
-# already run in every `go test`; this searches past them.
+# Ten seconds of each fuzzer over bytes a peer sends or a disk holds: the
+# frame decoder (FuzzRecv), the Huffman section coder (FuzzCode) and the
+# one durable decoder, which recovery, the standby and a snapshot's
+# records all go through (FuzzWALReducer). Their seed corpora already run
+# in every `go test`; this searches past them.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecv$$' -fuzztime 10s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzCode$$' -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReducer$$' -fuzztime 10s ./internal/server/
 
 # The pre-PR gate: everything that must be green before a change ships.
 # Files gofmt would rewrite are listed and fail it. The census is printed
@@ -160,7 +164,7 @@ census:
 	@echo "m.mu.Lock() sites:      $$(grep -h --exclude='*_test.go' 'm\.mu\.Lock()' internal/server/*.go | wc -l) (non-test, internal/server)"
 	@echo "mutex declarations:     $$(grep -hE --exclude='*_test.go' '^\s*(var +)?[A-Za-z_]+ +sync\.(RW)?Mutex\b' internal/server/*.go | wc -l) (non-test sync.Mutex/RWMutex fields and vars, internal/server)"
 	@echo "//lint:ignore lines:    $$(grep -rhE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=bench '^\s*//lint:ignore ' . | wc -l) (non-test, non-testdata directives)"
-	@echo "encoding/json importers: $$(grep -l '"encoding/json"' $$(find internal/protocol internal/replica internal/wal -name '*.go' -not -name '*_test.go') internal/server/wal.go | wc -l) (non-test files of protocol, replica, wal, and server/wal.go's record path)"
+	@echo "encoding/json importers: $$(grep -l '"encoding/json"' $$(find internal/protocol internal/replica internal/wal internal/server -name '*.go' -not -name '*_test.go' -not -name admin.go) | wc -l) (non-test files of protocol, replica, wal and server, admin.go aside)"
 	@echo "by-name metric lookups outside the declarations: $$(grep -rhE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=bench --exclude-dir=obs '\.(Counter|Gauge|Histogram)\(' . | wc -l) (non-test Registry.Counter/Gauge/Histogram calls outside internal/obs; declarations use NewCounter/NewGauge/NewHistogram)"
 	@echo "lint analyzers:         $$(sed -n '/^func Analyzers()/,/^}/p' internal/lint/lint.go | grep -cE '^		[A-Za-z]+Analyzer,') (lint.Analyzers())"
 	@echo "wall-clock call sites:  $$(grep -rE 'time\.(Now|Since|Sleep|After|AfterFunc|NewTimer|NewTicker)\(' internal/server internal/worker internal/replica --include='*.go' | grep -vc '_test\.go:') (server/worker/replica)"

@@ -217,11 +217,10 @@ func main() {
 		defer wlog.Close()
 	}
 	if wlog != nil {
-		hadState := len(wlog.Snapshot()) > 0 || len(wlog.Recovered()) > 0
 		if err := m.RecoverWAL(); err != nil {
 			fatalf("replaying WAL %s: %v", *walDir, err)
 		}
-		if hadState {
+		if len(wlog.Recovered()) > 0 {
 			logger.Infof("recovered state from WAL %s (%d pending items)", *walDir, m.PendingItems())
 		}
 	}

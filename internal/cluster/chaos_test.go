@@ -147,12 +147,10 @@ func TestChaosSoakByteIdenticalAggregates(t *testing.T) {
 				Seed:             5,
 			}
 			// Fast keepalives generate write traffic (more fault triggers)
-			// and quick offline detection; a generous retry budget keeps a
-			// very unlucky partition from dead-lettering mid-soak.
+			// and quick offline detection.
 			opts.Server.KeepalivePeriod = 150 * time.Millisecond
 			opts.Server.KeepaliveTolerance = 3
 			opts.Server.DeadlineFloor = 2 * time.Second
-			opts.Server.MaxItemRetries = 50
 		}
 		c := startCluster(t, opts)
 		var ids []int

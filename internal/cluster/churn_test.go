@@ -76,7 +76,6 @@ func TestChurnStormPlugAwareSavesRecompute(t *testing.T) {
 		opts := Options{Phones: phones, DelayPerKB: 10 * time.Millisecond}
 		opts.Server.Metrics = obs.NewRegistry()
 		opts.Server.ObsAddr = "127.0.0.1:0"
-		opts.Server.MaxItemRetries = 50
 		opts.Server.KeepalivePeriod = 100 * time.Millisecond
 		opts.Server.KeepaliveTolerance = 3
 		if plugAware {

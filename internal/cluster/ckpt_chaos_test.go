@@ -84,7 +84,6 @@ func TestCkptChaosBoundedWorkLoss(t *testing.T) {
 	opts.Server.CheckpointEveryKB = ckptKB
 	opts.Server.KeepalivePeriod = 100 * time.Millisecond
 	opts.Server.KeepaliveTolerance = 3
-	opts.Server.MaxItemRetries = 50
 	opts.Server.Tracer = tracer
 	c := startCluster(t, opts)
 

@@ -13,10 +13,15 @@
 // resurrected old primary, or the losing side of a partition, can never
 // double-accept results or mis-pair a stale report with a fresh attempt.
 //
+// A stream opens with a cut of the primary's state: a frame that counts
+// its records, then the records, framed as the primary's log frames
+// them. The shipped records that follow are the log's own frames, so the
+// standby's log, its snapshot file and the stream hold one format.
+//
 // The stream is one-directional and unacknowledged: the primary never
 // waits for a standby (a standby that falls behind its bounded queue is
-// dropped and resyncs from a fresh snapshot), so replication can slow a
-// round down only by the cost of an in-memory enqueue.
+// dropped and resyncs from a fresh cut), so replication can slow a round
+// down only by the cost of an in-memory enqueue.
 package replica
 
 import (
@@ -34,15 +39,24 @@ import (
 // Stream frame types, deliberately outside the server's WAL record
 // range so a misrouted frame can never be mistaken for a log record.
 const (
-	// recSnapshot opens (or reopens) a stream: the payload is the
-	// primary's serialized walState snapshot — the exact cut after which
-	// every appended record is shipped.
+	// recSnapshot opens (or reopens) a stream: the payload is a cutHeader,
+	// and the cut's records follow it — the exact cut after which every
+	// appended record is shipped.
 	recSnapshot uint8 = 0xF0
 	// recHeartbeat keeps the lease alive through idle stretches; the
 	// payload carries the primary's epoch and how many records this
 	// connection has shipped, for standby-side lag accounting.
 	recHeartbeat uint8 = 0xF1
 )
+
+// cutHeader is recSnapshot's payload, one wire unit: how many records
+// the cut holds. None is a frame of its own size, so no frame of the
+// stream grows with the primary's state.
+type cutHeader struct {
+	Records int
+}
+
+func (h *cutHeader) Wire(c *wire.Codec) { wire.Int(c, 1, &h.Records) }
 
 // heartbeat is recHeartbeat's payload, one wire unit.
 type heartbeat struct {
@@ -58,7 +72,7 @@ func (h *heartbeat) Wire(c *wire.Codec) {
 // heartbeatPeriod paces heartbeat frames (and therefore how quickly a
 // standby notices silence relative to its lease). queueLen bounds each
 // standby's in-flight record queue; a standby that falls further behind
-// is dropped and must resync from a fresh snapshot.
+// is dropped and must resync from a fresh cut.
 const (
 	heartbeatPeriod = 100 * time.Millisecond
 	queueLen        = 4096
@@ -73,10 +87,10 @@ type ShipperOptions struct {
 // Shipper is the primary side of replication: it implements
 // server.ReplicaSink (wire it into server.Config.ReplicaSink before
 // server.New) and serves the replication listen address, handing every
-// connecting standby a snapshot cut followed by the live record stream.
+// connecting standby a cut followed by the live record stream.
 type Shipper struct {
 	opts   ShipperOptions
-	source func(activate func(snapshot []byte)) error
+	source func(activate func(cut *server.Cut))
 	epoch  func() int64
 
 	mu     sync.Mutex
@@ -110,7 +124,7 @@ func NewShipper(opts ShipperOptions) *Shipper {
 	}
 }
 
-// BindMaster wires the shipper to its primary: the snapshot source for
+// BindMaster wires the shipper to its primary: the cut source for
 // standby attaches and the epoch for heartbeats. Must be called before
 // Serve (the master is constructed with the shipper already in its
 // Config, so the two are created in that order).
@@ -122,7 +136,7 @@ func (s *Shipper) BindMaster(m *server.Master) {
 // Ship implements server.ReplicaSink: queue a reference to the logged
 // frame, never a copy, to every attached standby. Called with the
 // master's state lock held, so it must never block — a standby whose
-// queue is full is cut loose and reconnects for a fresh snapshot.
+// queue is full is cut loose and reconnects for a fresh cut.
 func (s *Shipper) Ship(f *wal.Frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -191,8 +205,8 @@ func (s *Shipper) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serveStandby attaches one standby: snapshot first (registered under
-// the master's state lock so the cut is exact), then the live stream
+// serveStandby attaches one standby: the cut first (registered under
+// the master's state lock so it is exact), then the live stream
 // interleaved with heartbeats until the connection, the subscriber, or
 // the shipper dies.
 func (s *Shipper) serveStandby(conn net.Conn) {
@@ -201,9 +215,9 @@ func (s *Shipper) serveStandby(conn net.Conn) {
 		ch:   make(chan *wal.Frame, queueLen),
 		conn: conn,
 	}
-	var snap []byte
-	err := s.source(func(b []byte) {
-		snap = b
+	var cut *server.Cut
+	s.source(func(c *server.Cut) {
+		cut = c
 		s.mu.Lock()
 		if s.closed {
 			sub.isGone = true
@@ -213,10 +227,6 @@ func (s *Shipper) serveStandby(conn net.Conn) {
 		}
 		s.mu.Unlock()
 	})
-	if err != nil {
-		s.opts.Logger.Errorf("standby %s: snapshot cut failed: %v", conn.RemoteAddr(), err)
-		return
-	}
 	defer func() {
 		s.mu.Lock()
 		s.dropLocked(sub)
@@ -225,14 +235,24 @@ func (s *Shipper) serveStandby(conn net.Conn) {
 			f.Release()
 		}
 	}()
-	s.opts.Logger.Infof("standby attached from %s (snapshot %d bytes)", conn.RemoteAddr(), len(snap))
-	if _, err := conn.Write(wal.EncodeRecord(recSnapshot, snap)); err != nil {
-		s.opts.Logger.Warnf("standby %s: writing snapshot: %v", conn.RemoteAddr(), err)
+	var hbc wire.Codec
+	head, err := wire.Encode(&hbc, 0, &cutHeader{Records: cut.Len()})
+	if err != nil {
+		return
+	}
+	s.opts.Logger.Infof("standby attached from %s (cut of %d records)", conn.RemoteAddr(), cut.Len())
+	// The cut is framed as it is written, a record at a time, while the
+	// live stream queues behind it.
+	if _, err = conn.Write(wal.EncodeRecord(recSnapshot, head)); err == nil {
+		_, err = cut.WriteTo(conn)
+	}
+	cut = nil // the live stream's goroutine must not pin the cut
+	if err != nil {
+		s.opts.Logger.Warnf("standby %s: writing cut: %v", conn.RemoteAddr(), err)
 		return
 	}
 	hb := time.NewTicker(heartbeatPeriod)
 	defer hb.Stop()
-	var hbc wire.Codec
 	for {
 		select {
 		case f, ok := <-sub.ch:

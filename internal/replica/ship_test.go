@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"cwc/internal/server"
 	"cwc/internal/wal"
 )
 
@@ -121,14 +122,11 @@ func BenchmarkShip(b *testing.B) {
 	}
 }
 
-// testShipper returns a shipper whose standbys attach to an empty
-// snapshot at epoch 1, as BindMaster wires it to a fresh master.
+// testShipper returns a shipper whose standbys attach to an empty cut
+// at epoch 1.
 func testShipper() *Shipper {
 	s := NewShipper(ShipperOptions{})
-	s.source = func(activate func([]byte)) error {
-		activate(nil)
-		return nil
-	}
+	s.source = func(activate func(*server.Cut)) { activate(&server.Cut{}) }
 	s.epoch = func() int64 { return 1 }
 	return s
 }

@@ -163,64 +163,66 @@ func (s *Standby) Run(ctx context.Context) error {
 	}
 }
 
-// follow consumes one replication connection: the snapshot frame, then
-// records (fold → persist) and heartbeats, refreshing lastHeard on
-// every frame. Returns when the connection breaks, the stream stalls a
-// full lease, or a record fails to persist or fold.
+// follow consumes one replication connection: the cut, then records
+// (fold → persist) and heartbeats, refreshing lastHeard on every frame.
+// Returns when the connection breaks, the stream stalls a full lease, or
+// a record fails to persist or fold.
 func (s *Standby) follow(ctx context.Context, conn net.Conn, wl *wal.Log, fold *server.WALFold, lastHeard *time.Time) error {
 	sr := wal.NewStreamReader(bufio.NewReaderSize(conn, 64<<10))
-	var connApplied int64
-	sawSnapshot := false
-	for {
+	// next reads one frame. Clean cut, torn record, corruption, timeout:
+	// any error ends this connection; the torn record was never applied
+	// (StreamReader yields only complete, checksummed records) and a
+	// reconnect resyncs from a fresh cut.
+	next := func() (wal.Record, []byte, error) {
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return wal.Record{}, nil, ctx.Err()
 		}
 		// A silent-but-open connection must not outlive the lease. A conn
 		// that refuses a deadline is already dead — keep reading so any
 		// buffered complete frames still apply; the read reports the end.
 		_ = conn.SetReadDeadline(time.Now().Add(s.opts.Lease))
 		rec, frame, err := sr.Next()
+		if err == nil {
+			*lastHeard = time.Now()
+		}
+		return rec, frame, err
+	}
+	var connApplied int64
+	sawCut := false
+	for {
+		rec, frame, err := next()
 		if err != nil {
-			// Clean cut, torn record, corruption, timeout: all end this
-			// connection; the torn record was never applied (StreamReader
-			// yields only complete, checksummed records) and a reconnect
-			// resyncs from a fresh snapshot.
 			return err
 		}
-		*lastHeard = time.Now()
 		switch rec.Type {
 		case recSnapshot:
-			if sawSnapshot {
-				return fmt.Errorf("replica: unexpected mid-stream snapshot")
+			if sawCut {
+				return fmt.Errorf("replica: unexpected mid-stream cut")
 			}
-			sawSnapshot = true
-			// The snapshot supersedes everything the standby's log holds:
-			// rotate it in verbatim so disk and fold agree on the cut.
-			if err := wl.Compact(func(w io.Writer) error {
-				_, werr := w.Write(rec.Payload)
-				return werr
-			}); err != nil {
-				return fmt.Errorf("%w: installing snapshot: %v", errStandbyWAL, err)
+			sawCut = true
+			var head cutHeader
+			if err := wire.Decode(rec.Payload, &head); err != nil {
+				return fmt.Errorf("replica: decoding cut header: %w", err)
 			}
-			if err := fold.LoadSnapshot(rec.Payload); err != nil {
-				return fmt.Errorf("replica: folding snapshot: %w", err)
-			}
-			s.opts.Logger.Infof("synced snapshot from primary (%d bytes, epoch %d)", len(rec.Payload), fold.Epoch())
-		case recHeartbeat:
-			hb, err := decodeHeartbeat(rec.Payload)
-			if err != nil {
+			if err := installCut(head.Records, next, wl, fold); err != nil {
 				return err
+			}
+			s.opts.Logger.Infof("synced cut from primary (%d records, epoch %d)", head.Records, fold.Epoch())
+		case recHeartbeat:
+			var hb heartbeat
+			if err := wire.Decode(rec.Payload, &hb); err != nil {
+				return fmt.Errorf("replica: decoding heartbeat: %w", err)
 			}
 			s.setLag(hb.Shipped - connApplied)
 		default:
-			if !sawSnapshot {
-				return fmt.Errorf("replica: record before snapshot frame")
+			if !sawCut {
+				return fmt.Errorf("replica: record before the cut")
 			}
 			// Fold, then persist. A record names byte ranges by reference,
 			// and one whose references do not resolve here must not reach
 			// the local log: promotion replays that log and would refuse it.
 			// Drop the stream instead; the reconnect resyncs from a fresh
-			// snapshot.
+			// cut.
 			if err := fold.Apply(rec); err != nil {
 				return fmt.Errorf("replica: folding shipped record: %w", err)
 			}
@@ -240,12 +242,37 @@ func (s *Standby) follow(ctx context.Context, conn net.Conn, wl *wal.Log, fold *
 	}
 }
 
-func decodeHeartbeat(b []byte) (heartbeat, error) {
-	var hb heartbeat
-	if err := wire.Decode(b, &hb); err != nil {
-		return hb, fmt.Errorf("replica: decoding heartbeat: %w", err)
+// installCut reads the n records of a cut from next. The cut supersedes
+// everything the standby holds: the fold starts over from it, and the
+// log rotates to it, each record written as it arrived, so disk and fold
+// agree on where the stream starts. A cut that does not arrive whole
+// leaves the log as it was.
+func installCut(n int, next func() (wal.Record, []byte, error), wl *wal.Log, fold *server.WALFold) error {
+	fold.Reset()
+	var streamErr error
+	err := wl.Compact(func(w io.Writer) error {
+		for i := 1; i <= n; i++ {
+			rec, frame, err := next()
+			if err == nil {
+				err = fold.Apply(rec)
+			}
+			if err != nil {
+				streamErr = fmt.Errorf("replica: cut record %d of %d: %w", i, n, err)
+				return streamErr
+			}
+			if _, err := w.Write(frame); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	switch {
+	case streamErr != nil:
+		return streamErr
+	case err != nil:
+		return fmt.Errorf("%w: installing cut: %v", errStandbyWAL, err)
 	}
-	return hb, nil
+	return nil
 }
 
 func (s *Standby) setLag(lag int64) {
@@ -304,8 +331,8 @@ func (s *Standby) promote(wl *wal.Log, fold *server.WALFold) error {
 	if err := wl.Close(); err != nil {
 		return fmt.Errorf("replica: closing standby log for promotion: %w", err)
 	}
-	// Reopen: wal.Open is what populates Snapshot()/Recovered(), so the
-	// promoted master recovers from disk exactly like a restarted one.
+	// Reopen: wal.Open is what populates Recovered(), so the promoted
+	// master recovers from disk exactly like a restarted one.
 	wl2, err := wal.Open(s.opts.WALDir, s.opts.WALOptions)
 	if err != nil {
 		return fmt.Errorf("replica: reopening standby log: %w", err)

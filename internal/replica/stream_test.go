@@ -3,6 +3,7 @@ package replica
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -18,6 +19,7 @@ import (
 	"cwc/internal/server"
 	"cwc/internal/tasks"
 	"cwc/internal/wal"
+	"cwc/internal/wire"
 )
 
 // captureSink records every record a primary ships: each frame
@@ -105,11 +107,12 @@ func streamPhone(t *testing.T, addr string, flaky bool) {
 }
 
 // TestStandbyTornStreamEveryCut feeds a standby a real replication
-// stream (snapshot frame + records captured from a live primary)
-// truncated at every byte offset, and asserts the standby applies
-// exactly the records whose frames arrived whole — a torn record is
-// never folded and never reaches the standby's log — with the follow
-// loop ending in a resync-able error, never a false success. The stream
+// stream (the cut's header frame and records, then records captured
+// from a live primary) truncated at every byte offset, and asserts the
+// standby applies exactly the records whose frames arrived whole — a
+// torn record is never folded and never reaches the standby's log, and
+// a cut reaches it whole or not at all — with the follow loop ending in
+// a resync-able error, never a false success. The stream
 // carries a job split three ways and a range that migrates, so cuts land
 // between a record that defines a byte range and the records that name
 // it by reference.
@@ -133,10 +136,12 @@ func TestStandbyTornStreamEveryCut(t *testing.T) {
 	if _, err := m.BumpEpoch(); err != nil {
 		t.Fatal(err)
 	}
-	var snap []byte
-	if err := m.ReplicaSnapshot(func(b []byte) { snap = append([]byte(nil), b...) }); err != nil {
-		t.Fatal(err)
-	}
+	var cutFrames frames
+	m.ReplicaSnapshot(func(c *server.Cut) {
+		if _, err := c.WriteTo(&cutFrames); err != nil {
+			t.Fatal(err)
+		}
+	})
 	sink.mu.Lock()
 	cutIdx := len(sink.recs)
 	sink.mu.Unlock()
@@ -178,8 +183,16 @@ func TestStandbyTornStreamEveryCut(t *testing.T) {
 		}
 	}
 
-	stream := wal.EncodeRecord(recSnapshot, snap)
+	head, err := wire.Encode(new(wire.Codec), 0, &cutHeader{Records: len(cutFrames)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := wal.EncodeRecord(recSnapshot, head)
 	boundaries := []int{len(stream)} // offsets at which a whole frame ends
+	for _, f := range cutFrames {
+		stream = append(stream, f...)
+		boundaries = append(boundaries, len(stream))
+	}
 	saw := map[uint8]int{}
 	sink.mu.Lock()
 	for i := cutIdx; i < len(sink.recs); i++ {
@@ -205,7 +218,13 @@ func TestStandbyTornStreamEveryCut(t *testing.T) {
 		}
 		wantApplied := int64(0)
 		if whole > 0 {
-			wantApplied = int64(whole - 1) // minus the snapshot frame
+			wantApplied = int64(whole - 1) // minus the cut's header frame
+		}
+		// The log takes the cut only once all of it arrived.
+		installed := wantApplied >= int64(len(cutFrames))
+		wantLogged := wantApplied
+		if !installed {
+			wantLogged = 0
 		}
 
 		dir := filepath.Join(t.TempDir(), "standby")
@@ -241,8 +260,8 @@ func TestStandbyTornStreamEveryCut(t *testing.T) {
 		case !atBoundary && !errors.Is(err, io.ErrUnexpectedEOF):
 			t.Fatalf("cut %d (mid-frame): err %v, want ErrUnexpectedEOF", cut, err)
 		}
-		if whole > 0 && fold.Epoch() != 1 {
-			t.Fatalf("cut %d: fold epoch %d, want 1 from snapshot", cut, fold.Epoch())
+		if installed && fold.Epoch() != 1 {
+			t.Fatalf("cut %d: fold epoch %d, want 1 from the primary's cut", cut, fold.Epoch())
 		}
 
 		// The standby's own log must hold exactly the applied records:
@@ -254,14 +273,32 @@ func TestStandbyTornStreamEveryCut(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopening standby log: %v", cut, err)
 		}
-		if got := int64(len(wl2.Recovered())); got != wantApplied {
-			t.Fatalf("cut %d: standby log holds %d records, want %d", cut, got, wantApplied)
+		if got := int64(len(wl2.Recovered())); got != wantLogged {
+			t.Fatalf("cut %d: standby log holds %d records, want %d", cut, got, wantLogged)
 		}
-		if (wl2.Snapshot() != nil) != (whole > 0) {
-			t.Fatalf("cut %d: standby log snapshot presence %v, want %v", cut, wl2.Snapshot() != nil, whole > 0)
+		if snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*.wal")); (len(snaps) > 0) != installed {
+			t.Fatalf("cut %d: standby log snapshots %v, want one %v", cut, snaps, installed)
 		}
 		wl2.Close()
 	}
+}
+
+// frames keeps each Write as a frame of its own: a Cut writes a record
+// a Write.
+type frames [][]byte
+
+func (f *frames) Write(b []byte) (int, error) {
+	*f = append(*f, bytes.Clone(b))
+	return len(b), nil
+}
+
+// frameSizes counts the bytes of a Cut's frames and the largest frame.
+type frameSizes struct{ total, largest int }
+
+func (s *frameSizes) Write(b []byte) (int, error) {
+	s.total += len(b)
+	s.largest = max(s.largest, len(b))
+	return len(b), nil
 }
 
 // runJobs submits each input as its own primecount job (the first
@@ -448,9 +485,11 @@ func TestStandbyResyncsWhenPrimaryReanchors(t *testing.T) {
 	}
 
 	var primary, standby bytes.Buffer
-	if err := m.ReplicaSnapshot(func(b []byte) { primary.Write(b) }); err != nil {
-		t.Fatal(err)
-	}
+	m.ReplicaSnapshot(func(c *server.Cut) {
+		if _, err := c.WriteTo(&primary); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if err := fold.Snapshot(&standby); err != nil {
 		t.Fatal(err)
 	}
@@ -460,5 +499,128 @@ func TestStandbyResyncsWhenPrimaryReanchors(t *testing.T) {
 	}
 	if attaches.Load() < 2 {
 		t.Fatal("the standby never resynced, so the primary never re-anchored its log")
+	}
+}
+
+// TestStandbyAttachesToStateLargerThanARecord: a primary whose durable
+// state outgrows the largest record a log or stream frame may hold —
+// nine 8 MiB jobs, 72 MiB queued, against a 64 MiB bound — still
+// attaches a standby. The cut travels as the primary's records, none
+// larger than the submit it came from, so the standby folds and logs it
+// whole, hears its primary's heartbeats and never promotes beside it;
+// and the state it logged folds to the primary's, record for record.
+func TestStandbyAttachesToStateLargerThanARecord(t *testing.T) {
+	const jobBytes, jobs = 8 << 20, 9
+	dir := t.TempDir()
+	pwl, err := wal.Open(filepath.Join(dir, "primary"), wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pwl.Close()
+	ship := NewShipper(ShipperOptions{})
+	m := server.New(server.Config{Addr: "127.0.0.1:0", WAL: pwl, ReplicaSink: ship})
+	ship.BindMaster(m)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship.Serve(ln)
+	defer ship.Close()
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.BumpEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	task, err := tasks.New("primecount", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := bytes.Repeat([]byte("7\n"), jobBytes/2) // one buffer for every job: the master keeps what it is given
+	for i := 0; i < jobs; i++ {
+		if _, err := m.Submit(task, input, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var size frameSizes
+	m.ReplicaSnapshot(func(c *server.Cut) {
+		if _, err := c.WriteTo(&size); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if size.total <= wal.MaxRecordBytes || size.largest-wal.RecordHeader > jobBytes+64 {
+		t.Fatalf("a %d-byte cut whose largest record is %d bytes; want more than %d bytes, no record much past a %d-byte submit",
+			size.total, size.largest, wal.MaxRecordBytes, jobBytes)
+	}
+
+	const lease = 2 * time.Second
+	sdir := filepath.Join(dir, "standby")
+	st := New(StandbyOptions{PrimaryAddr: ln.Addr().String(), WALDir: sdir,
+		WALOptions: wal.Options{Sync: wal.SyncNone}, Lease: lease,
+		MasterConfig: server.Config{Addr: "127.0.0.1:0"}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ran := make(chan error, 1)
+	go func() { ran <- st.Run(ctx) }()
+	defer func() {
+		if pm := st.Master(); pm != nil {
+			pm.Close()
+			st.Log().Close()
+		}
+	}()
+	synced := func() bool {
+		snaps, _ := filepath.Glob(filepath.Join(sdir, "snapshot-*.wal"))
+		return len(snaps) > 0
+	}
+	for deadline := time.Now().Add(30 * time.Second); !synced(); time.Sleep(20 * time.Millisecond) {
+		select {
+		case err := <-ran:
+			if err == nil { // Run returns nil once it has promoted
+				err = errors.New("it promoted itself beside a live primary")
+			}
+			t.Fatalf("the standby stopped before it attached: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the standby never installed the primary's cut")
+		}
+	}
+	select {
+	case err := <-ran:
+		if err == nil {
+			err = errors.New("it promoted itself beside a live primary")
+		}
+		t.Fatalf("the standby stopped following: %v", err)
+	case <-time.After(2 * lease):
+	}
+	cancel()
+	if err := <-ran; !errors.Is(err, context.Canceled) {
+		t.Fatalf("standby Run = %v, want it cancelled while following", err)
+	}
+
+	// What the standby logged folds to the primary's state.
+	swl, err := wal.Open(sdir, wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer swl.Close()
+	fold := server.NewWALFold()
+	for i, rec := range swl.Recovered() {
+		if err := fold.Apply(rec); err != nil {
+			t.Fatalf("standby log record %d: %v", i, err)
+		}
+	}
+	primary, standby := sha256.New(), sha256.New()
+	m.ReplicaSnapshot(func(c *server.Cut) {
+		if _, err := c.WriteTo(primary); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := fold.Snapshot(standby); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(primary.Sum(nil), standby.Sum(nil)) {
+		t.Fatalf("the standby's logged state (%d records) differs from its primary's", len(swl.Recovered()))
 	}
 }

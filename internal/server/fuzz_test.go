@@ -48,15 +48,3 @@ func FuzzWALReducer(f *testing.F) {
 		_ = red.apply(wal.Record{Type: typ, Payload: payload})
 	})
 }
-
-// FuzzWALSnapshot exercises the compaction-snapshot decoder the same
-// way.
-func FuzzWALSnapshot(f *testing.F) {
-	f.Add([]byte(`{"next_job_id":3,"jobs":[{"id":1,"task":"wordcount"}],` +
-		`"fresh":[{"seq":2,"job_id":1,"input":"AA=="}],"open":[{"key":5,"job_id":1,"input":"AA=="}]}`))
-	f.Add([]byte(`null`))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		red := newWALReducer()
-		_ = red.loadSnapshot(b)
-	})
-}

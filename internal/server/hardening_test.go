@@ -187,7 +187,8 @@ func TestStragglerSpeculationFirstResultWins(t *testing.T) {
 // retry budget runs out, then surfaced as a dead letter instead of
 // poisoning every future round.
 func TestDeadLetterAfterRetryBudget(t *testing.T) {
-	m := startMaster(t, Config{MaxItemRetries: 1})
+	lowRetryBudget(t)
+	m := startMaster(t, Config{})
 	failEverything := func(f *fakePhone) {
 		go func() {
 			for {

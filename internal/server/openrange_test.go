@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -150,7 +149,8 @@ func (s *rangeScript) behave(f *fakePhone, msg *protocol.Message) {
 func TestOpenTableIsBoundedByWorkInFlight(t *testing.T) {
 	const floor = 250 * time.Millisecond
 	reg := obs.NewRegistry()
-	m := startMaster(t, Config{DeadlineFloor: floor, DeadlineFactor: 0.001, MaxItemRetries: 1, Metrics: reg})
+	lowRetryBudget(t)
+	m := startMaster(t, Config{DeadlineFloor: floor, DeadlineFactor: 0.001, Metrics: reg})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	script := &rangeScript{}
@@ -257,7 +257,7 @@ func TestOpenTableIsBoundedByWorkInFlight(t *testing.T) {
 // newestSnapshot reads the snapshot the last compaction wrote.
 func newestSnapshot(t *testing.T, dir string) []byte {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "snapshot-*.json"))
+	names, err := filepath.Glob(filepath.Join(dir, "snapshot-*.wal"))
 	if err != nil || len(names) == 0 {
 		t.Fatalf("no snapshot in %s (%v)", dir, err)
 	}
@@ -336,15 +336,26 @@ func TestMidRoundSnapshotFindsEveryRange(t *testing.T) {
 	}
 	checkCut := func(what string, b []byte) {
 		t.Helper()
-		var st walState
-		if err := json.Unmarshal(b, &st); err != nil {
-			t.Fatalf("%s: %v", what, err)
+		var fresh, open []*walCutItem
+		for _, rec := range cutRecords(t, b) {
+			if rec.Type != walRecItem {
+				continue
+			}
+			v, err := decodeWAL(rec)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if it := v.(*walCutItem); it.Key != 0 {
+				open = append(open, it)
+			} else {
+				fresh = append(fresh, it)
+			}
 		}
-		if len(st.Fresh) != 0 || len(st.Open) != 3 {
-			t.Fatalf("%s holds %d fresh items and %d open ranges, want 0 and 3", what, len(st.Fresh), len(st.Open))
+		if len(fresh) != 0 || len(open) != 3 {
+			t.Fatalf("%s holds %d fresh items and %d open ranges, want 0 and 3", what, len(fresh), len(open))
 		}
 		seen := map[int]bool{}
-		for i, it := range st.Open {
+		for i, it := range open {
 			if it.Key != keys[i] || seen[it.JobID] || !bytes.Equal(it.Input, inputs[it.JobID]) {
 				t.Errorf("%s: open[%d] = key %d job %d (%d bytes); want key %d with a job's whole input, each job once",
 					what, i, it.Key, it.JobID, len(it.Input), keys[i])
@@ -357,18 +368,14 @@ func TestMidRoundSnapshotFindsEveryRange(t *testing.T) {
 	}
 	checkCut("CompactWAL's snapshot", newestSnapshot(t, dir))
 	beforeCut := 0
-	err := m.ReplicaSnapshot(func(b []byte) {
+	m.ReplicaSnapshot(func(c *Cut) {
+		b := cutBytes(t, c)
 		checkCut("ReplicaSnapshot's cut", b)
 		sink.mu.Lock()
 		defer sink.mu.Unlock()
-		if err := sink.fold.LoadSnapshot(b); err != nil {
-			t.Errorf("fold refused the cut: %v", err)
-		}
+		foldCut(t, sink.fold, b)
 		beforeCut = len(sink.typs)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	close(release)
 	if err := <-roundDone; err != nil {

@@ -60,6 +60,13 @@ func liveWALRecords() map[string]walRecord {
 		"epoch":          &walEpochRec{Epoch: 2},
 		"register":       &walRegisterRec{PhoneID: 5, Model: "Nexus S"},
 		"reputation":     &walReputationRec{PhoneID: 5, Score: 0.216, Quarantined: true},
+		// A cut's records, as cut builds them: a partial is a keyless report.
+		"head": &walCutHead{NextJobID: 5, NextSeq: 4, NextKey: 6, NextPhoneID: 9},
+		"job": &walCutJob{ID: 2, Task: "wordcount", Params: tasks.WordCount{Word: "sale"}.Params(),
+			TotalBytes: 10, Covered: 5},
+		"item/fresh":     &walCutItem{Seq: 2, JobID: 1, Input: []byte("17\n"), Retries: 1},
+		"item/open":      &walCutItem{Key: 2, JobID: 1, Input: []byte("19\n23\n"), Atomic: true, Retries: 2, Partition: 4},
+		"report/partial": &walReport{JobID: 1, Partial: []byte("3")},
 	}
 }
 
@@ -148,6 +155,83 @@ func TestWALFoldLiveEqualsDecoded(t *testing.T) {
 	}
 }
 
+// TestCutRecordsNoLargerThanLogged: a cut carries the state logged
+// records built and no record of it is larger than the largest of them —
+// an open range's bytes ride in its item record and its resume state in
+// a migrate record, never both in one — so a cut of any state frames
+// within wal.MaxRecordBytes wherever its log did. Its fold is the state.
+func TestCutRecordsNoLargerThanLogged(t *testing.T) {
+	input := bytes.Repeat([]byte("7\n"), 4096)
+	state := bytes.Repeat([]byte("s"), 4096) // a checkpoint half the size of its input
+	r := newWALReducer()
+	largest := 0
+	for _, rec := range []walRecord{
+		&walSubmit{JobID: 1, Seq: 1, Task: "blur", Input: input, Atomic: true},
+		&walRound{Items: []walRoundItem{{Key: 1, FromSeq: 1, Len: int64(len(input)), Partition: 3}}},
+		&walMigrate{JobID: 1, Key: 1, Resume: &tasks.Checkpoint{Offset: 4096, State: state}, Retries: 1, Partition: 3},
+	} {
+		if err := r.fold(rec); err != nil {
+			t.Fatal(err)
+		}
+		largest = max(largest, len(encodeWAL(t, rec)))
+	}
+	replayed := newWALReducer()
+	for _, rec := range r.cut() {
+		b := encodeWAL(t, rec)
+		if len(b) > largest {
+			t.Errorf("a %d-byte %T in the cut; the largest logged record is %d bytes", len(b), rec, largest)
+		}
+		if err := replayed.apply(wal.Record{Type: rec.typ(), Payload: b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var a, b bytes.Buffer
+	if err := r.snapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := replayed.snapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayed.open[1]; got == nil || got.Resume == nil || !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("the cut replayed to open range %+v, not to the state it was cut from", got)
+	}
+}
+
+// TestWALCutRecordsRefused: a cut record that contradicts the state it
+// folds into — a job or an item already held, an item of no job, an item
+// that is both a fresh item and an open range, or neither — fails, and
+// leaves the state as it was.
+func TestWALCutRecordsRefused(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		rec     walRecord
+		wantErr string
+	}{
+		{"job held", &walCutJob{ID: 1, Task: "primecount"}, "duplicate job record for job 1"},
+		{"fresh item held", &walCutItem{Seq: 1, JobID: 1, Input: []byte("2\n")}, "already held"},
+		{"open range held", &walCutItem{Key: 1, JobID: 1, Input: []byte("2\n")}, "already held"},
+		{"item of no job", &walCutItem{Seq: 2, JobID: 9, Input: []byte("2\n")}, "unknown job 9"},
+		{"both lives", &walCutItem{Seq: 2, Key: 2, JobID: 1, Input: []byte("2\n")}, "want exactly one"},
+		{"neither life", &walCutItem{JobID: 1, Input: []byte("2\n")}, "want exactly one"},
+	} {
+		r := primedReducer()
+		var before, after bytes.Buffer
+		if err := r.snapshot(&before); err != nil {
+			t.Fatal(err)
+		}
+		err := r.apply(wal.Record{Type: c.rec.typ(), Payload: encodeWAL(t, c.rec)})
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: error %v, want it to mention %q", c.name, err, c.wantErr)
+		}
+		if err := r.snapshot(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Errorf("%s: the refused record changed the state", c.name)
+		}
+	}
+}
+
 // TestWALHandBackSpendsALoggedRetry: a range handed back whole with no
 // failure report — here a lost phone's three-deep queue — spends a retry,
 // and used to spend it in memory only: the log kept the round record's
@@ -160,7 +244,8 @@ func TestWALHandBackSpendsALoggedRetry(t *testing.T) {
 	dir := t.TempDir()
 	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncNone})
 	sink := &oracleSink{t: t, fold: NewWALFold()}
-	cfg := Config{Addr: "127.0.0.1:0", WAL: wl, ReplicaSink: sink, MaxItemRetries: 1}
+	lowRetryBudget(t)
+	cfg := Config{Addr: "127.0.0.1:0", WAL: wl, ReplicaSink: sink}
 	m := New(cfg)
 	sink.m = m
 	if err := m.Start(); err != nil {

@@ -120,9 +120,7 @@ func TestWALFoldSnapshotKeepsIdentity(t *testing.T) {
 	if err := fold.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewWALFold().LoadSnapshot(snap.Bytes()); err != nil {
-		t.Fatalf("fold refused its own snapshot: %v", err)
-	}
+	foldCut(t, NewWALFold(), snap.Bytes())
 
 	dir := t.TempDir()
 	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncAlways})

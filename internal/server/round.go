@@ -983,7 +983,7 @@ func (m *Master) recordFailureLocked(a assignment, resp *protocol.Message) {
 			// again, one retry spent — unless that was the last one.
 			rec := &walPartialRec{JobID: e.JobID, Key: e.Key, Offset: ck.Offset, Partial: partial}
 			rest, reason := len(e.Input)-int(ck.Offset), "failure remainder: "+resp.Error
-			if rest > 0 && !m.spent(e.Retries+1) {
+			if rest > 0 && !spent(e.Retries+1) {
 				rec.RemainderSeq, rec.Retries = m.nextSeq+1, e.Retries+1
 			}
 			m.walAppend(rec)
@@ -1032,10 +1032,17 @@ func (m *Master) migrateLocked(e *walItemRec, resume *tasks.Checkpoint, retries 
 		Retries: retries, Partition: e.Partition})
 }
 
+// maxItemRetries bounds how many times one work item may be re-queued
+// before it is dead-lettered instead: graceful degradation over infinite
+// re-queue.
+const maxItemRetries = 8
+
+// retryBudget is maxItemRetries, a variable so that a test can have a
+// range dead-lettered at its second failure.
+var retryBudget = maxItemRetries
+
 // spent reports whether a retry count is past the budget.
-func (m *Master) spent(retries int) bool {
-	return m.cfg.MaxItemRetries >= 0 && retries > m.cfg.MaxItemRetries
-}
+func spent(retries int) bool { return retries > retryBudget }
 
 // requeueLocked hands the open range e back whole for the next scheduling
 // instant, one retry spent, resuming from ck or whatever the entry holds
@@ -1043,7 +1050,7 @@ func (m *Master) spent(retries int) bool {
 // (graceful degradation over infinite re-queue). Either way the log takes
 // it: replay counts the budget the live master enforces. Caller holds m.mu.
 func (m *Master) requeueLocked(e *walItemRec, ck *tasks.Checkpoint, reason string) {
-	if m.spent(e.Retries + 1) {
+	if spent(e.Retries + 1) {
 		// Abandoning the range settles its key, like a result would: the
 		// dead-letter record closes the range, so an attempt still out on
 		// it has nothing left to report into.

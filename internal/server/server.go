@@ -80,10 +80,6 @@ type Config struct {
 	// DeadlineFloor is the minimum assignment deadline regardless of the
 	// estimate (early estimates are unreliable). Default 30 s.
 	DeadlineFloor time.Duration
-	// MaxItemRetries bounds how many times one work item may be re-queued
-	// before it is dead-lettered instead (graceful degradation over
-	// infinite re-queue). Negative disables the bound. Default 8.
-	MaxItemRetries int
 	// CheckpointEveryKB is the checkpoint-streaming policy announced to
 	// workers in the welcome: stream a mid-execution checkpoint every
 	// this many KB of processed input, bounding the work an offline
@@ -183,9 +179,6 @@ func (c *Config) fill() {
 	if c.DeadlineFloor == 0 {
 		c.DeadlineFloor = 30 * time.Second
 	}
-	if c.MaxItemRetries == 0 {
-		c.MaxItemRetries = 8
-	}
 	if c.CheckpointEveryKB == 0 {
 		c.CheckpointEveryKB = 256
 	}
@@ -257,7 +250,7 @@ type workItem struct {
 	// recording time). Zero means no copy can exist yet (fresh work); keyed
 	// items are forced atomic so the key↔byte-range mapping stays 1:1.
 	key int64
-	// retries counts re-queues; past Config.MaxItemRetries the item is
+	// retries counts re-queues; past maxItemRetries the item is
 	// dead-lettered instead of re-queued.
 	retries int
 	// partition is the partition number this byte range carried when it

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -23,8 +23,8 @@ import (
 // (round, partial, migrate) names it by reference — a fresh item's
 // sequence number plus offset and length, or an open range's key — and
 // replay resolves the reference against the state the earlier records
-// built. Compaction
-// bounds the growth by folding the log into a walState snapshot.
+// built. Compaction bounds the growth by cutting live state into records
+// (walReducer.cut) that replay to it; a standby attaches to the same cut.
 //
 // Durable state is a pure reduction (walReducer) over three collections:
 //
@@ -40,9 +40,9 @@ import (
 // durable state and changes it only by folding the record it is logging
 // (walAppend, walAppendErr); replay and the hot standby fold the same
 // records, decoded from the log, through the same function
-// (walReducer.fold). A snapshot is the reducer's own serialisation
-// wherever it is cut. Every record changes state, and every one is
-// written under m.mu in the order it is folded.
+// (walReducer.fold). A snapshot is records too, so recovery and the
+// standby read one format through one decoder. Every record changes
+// state, and every one is written under m.mu in the order it is folded.
 //
 // A reference is only as good as the record that defined its range, so
 // a record the log failed to take may not simply be carried on from:
@@ -66,6 +66,9 @@ const (
 	walRecEpoch      uint8 = 11 // fencing epoch bumped (replication enabled or standby promoted)
 	walRecRegister   uint8 = 12 // phone ID issued to a fresh registration
 	walRecReputation uint8 = 13 // per-phone result-integrity reputation update / quarantine
+	walRecHead       uint8 = 14 // a cut's counters (compaction snapshot, standby attach)
+	walRecJob        uint8 = 15 // a cut's job, its partials aside
+	walRecItem       uint8 = 16 // a cut's fresh item or open range and its bytes
 
 	// walRecEnd is one past the last record type. iota counts the lines
 	// above it, so a type added to this block moves it without being
@@ -90,7 +93,7 @@ const (
 type walRecord interface {
 	// typ is the record type the struct is logged under. The struct names
 	// it itself, once, so no call site can log one type and fold another;
-	// decodeWAL holds the way back.
+	// walRecords holds the way back.
 	typ() uint8
 	wire.Fields
 }
@@ -153,10 +156,9 @@ func (p *walSubmit) Wire(c *wire.Codec) {
 }
 
 // walRoundItem opens one keyed byte range. Cut from a fresh item it is
-// bytes [Off, Off+Len) of item FromSeq's input (and inherits that
-// item's resume state when it is the whole item); with FromSeq zero it
-// is a range that is already open under Key, re-entering a round with
-// its bytes and resume state as replay holds them.
+// bytes [Off, Off+Len) of item FromSeq's input; with FromSeq zero it is a
+// range that is already open under Key, re-entering a round with its
+// bytes and resume state as replay holds them.
 type walRoundItem struct {
 	Key     int64
 	FromSeq int64
@@ -307,61 +309,123 @@ func (p *walDrainRec) Wire(c *wire.Codec) {
 	wire.String(c, 2, &p.State)
 }
 
-// decodeWAL parses a logged record into its struct — the read side of
-// each struct's typ. It runs on replay and on the standby only: the live
-// master folds the struct it built. The record types are the cases of
-// this one switch, so two sharing a wire value do not compile.
+// walRecords makes the struct each record type decodes into: the read
+// side of each struct's typ. An index appears once in an array literal,
+// so two types sharing a wire value do not compile.
+var walRecords = [walRecEnd]func() walRecord{
+	walRecSubmit:     func() walRecord { return new(walSubmit) },
+	walRecRound:      func() walRecord { return new(walRound) },
+	walRecReport:     func() walRecord { return new(walReport) },
+	walRecPartial:    func() walRecord { return new(walPartialRec) },
+	walRecMigrate:    func() walRecord { return new(walMigrate) },
+	walRecDeadLetter: func() walRecord { return new(walDeadLetterRec) },
+	walRecDrain:      func() walRecord { return new(walDrainRec) },
+	walRecEpoch:      func() walRecord { return new(walEpochRec) },
+	walRecRegister:   func() walRecord { return new(walRegisterRec) },
+	walRecReputation: func() walRecord { return new(walReputationRec) },
+	walRecHead:       func() walRecord { return new(walCutHead) },
+	walRecJob:        func() walRecord { return new(walCutJob) },
+	walRecItem:       func() walRecord { return new(walCutItem) },
+}
+
+// decodeWAL parses a logged record into its struct. It runs on replay
+// and on the standby only: the live master folds the struct it built.
 func decodeWAL(rec wal.Record) (walRecord, error) {
-	var v walRecord
-	switch rec.Type {
-	case walRecSubmit:
-		v = new(walSubmit)
-	case walRecRound:
-		v = new(walRound)
-	case walRecReport:
-		v = new(walReport)
-	case walRecPartial:
-		v = new(walPartialRec)
-	case walRecMigrate:
-		v = new(walMigrate)
-	case walRecDeadLetter:
-		v = new(walDeadLetterRec)
-	case walRecDrain:
-		v = new(walDrainRec)
-	case walRecEpoch:
-		v = new(walEpochRec)
-	case walRecRegister:
-		v = new(walRegisterRec)
-	case walRecReputation:
-		v = new(walReputationRec)
-	default:
+	if int(rec.Type) >= len(walRecords) || walRecords[rec.Type] == nil {
 		return nil, fmt.Errorf("unknown record type %d", rec.Type)
 	}
+	v := walRecords[rec.Type]()
 	if err := wire.Decode(rec.Payload, v); err != nil {
 		return nil, fmt.Errorf("decoding record type %d: %w", rec.Type, err)
 	}
 	return v, nil
 }
 
-// walJobRec is a job's durable state: the reducer's entry, the live
-// master's and the compaction snapshot's are this one struct.
-type walJobRec struct {
-	ID         int      `json:"id"`
-	Task       string   `json:"task"`
-	Params     []byte   `json:"params,omitempty"`
-	TotalBytes int64    `json:"total_bytes"`
-	Covered    int64    `json:"covered"`
-	Partials   [][]byte `json:"partials,omitempty"`
+// walCutHead, walCutJob and walCutItem are the records a cut adds to the
+// log's own (walReducer.cut). A record holds what it logs and nothing
+// else, so the reducer's entries, which hold live-only state too, are
+// not records themselves. The head holds the counters: the last ID each
+// collection issued, whose job, item, range or phone may be gone.
+type walCutHead struct {
+	NextJobID   int
+	NextSeq     int64
+	NextKey     int64
+	NextPhoneID int
+}
 
-	// Live only: never folded, never serialised. task is Task and Params
+func (*walCutHead) typ() uint8 { return walRecHead }
+
+func (p *walCutHead) Wire(c *wire.Codec) {
+	wire.Int(c, 1, &p.NextJobID)
+	wire.Int(c, 2, &p.NextSeq)
+	wire.Int(c, 3, &p.NextKey)
+	wire.Int(c, 4, &p.NextPhoneID)
+}
+
+// walCutJob is a walJobRec but for its partials: the cut lists each as a
+// keyless report behind it.
+type walCutJob struct {
+	ID         int
+	Task       string
+	Params     []byte
+	TotalBytes int64
+	Covered    int64
+}
+
+func (*walCutJob) typ() uint8 { return walRecJob }
+
+func (p *walCutJob) Wire(c *wire.Codec) {
+	wire.Int(c, 1, &p.ID)
+	wire.String(c, 2, &p.Task)
+	c.Section(3, &p.Params)
+	wire.Int(c, 4, &p.TotalBytes)
+	wire.Int(c, 5, &p.Covered)
+}
+
+// walCutItem is a fresh item's or an open range's walItemRec but for its
+// resume state: the cut carries that in a migrate record behind it, so
+// the item is no larger than the submit its bytes came from.
+type walCutItem struct {
+	Seq       int64
+	Key       int64
+	JobID     int
+	Input     []byte
+	Atomic    bool
+	Retries   int
+	Partition int
+}
+
+func (*walCutItem) typ() uint8 { return walRecItem }
+
+func (p *walCutItem) Wire(c *wire.Codec) {
+	wire.Int(c, 1, &p.Seq)
+	wire.Int(c, 2, &p.Key)
+	wire.Int(c, 3, &p.JobID)
+	c.Section(4, &p.Input)
+	c.Bool(5, &p.Atomic)
+	wire.Int(c, 6, &p.Retries)
+	wire.Int(c, 7, &p.Partition)
+}
+
+// walJobRec is a job's durable state: the reducer's entry and the live
+// master's are this one struct, and a cut logs it as a walCutJob.
+type walJobRec struct {
+	ID         int
+	Task       string
+	Params     []byte
+	TotalBytes int64
+	Covered    int64
+	Partials   [][]byte
+
+	// Live only: never folded, never logged. task is Task and Params
 	// instantiated, set where a job enters a master (Submit, recovery).
 	// Final, Done and Failure are derived from Partials (finish) once the
 	// job is fully covered; Failure is a terminal aggregation error (Done
 	// with no Final), which JobFailure surfaces to the Submit caller.
 	task    tasks.Task
-	Final   []byte `json:"-"`
-	Done    bool   `json:"-"`
-	Failure string `json:"-"`
+	Final   []byte
+	Done    bool
+	Failure string
 }
 
 // walItemRec is a byte range's durable state, in one of two lives. A
@@ -371,23 +435,23 @@ type walJobRec struct {
 // closes it. Attempts, queued copies and vote groups point at the open
 // entry; one that still holds the pointer after the entry left the table
 // reads it as settled (settledLocked), so per-key memory is bounded by
-// the work in flight.
+// the work in flight. A cut logs it as a walCutItem.
 type walItemRec struct {
-	Seq   int64  `json:"seq,omitempty"`
-	Key   int64  `json:"key,omitempty"`
-	JobID int    `json:"job_id"`
-	Input []byte `json:"input"`
-	// Resume is the furthest resume state the range holds: shipped with it,
-	// reported by a failure, or streamed mid-execution. Any re-dispatch
-	// resumes from here.
-	Resume  *tasks.Checkpoint `json:"resume,omitempty"`
-	Atomic  bool              `json:"atomic,omitempty"`
-	Retries int               `json:"retries,omitempty"`
+	Seq   int64
+	Key   int64
+	JobID int
+	Input []byte
+	// Resume is the furthest resume state an open range holds: shipped
+	// with it, reported by a failure, or streamed mid-execution. Any
+	// re-dispatch resumes from here. A fresh item has none.
+	Resume  *tasks.Checkpoint
+	Atomic  bool
+	Retries int
 	// Partition preserves the range's timeline row across recovery; see
 	// walRoundItem.Partition.
-	Partition int `json:"partition,omitempty"`
+	Partition int
 
-	// Live only, written outside fold, never serialised — replay needs
+	// Live only, written outside fold, never logged — replay needs
 	// neither. queued: a copy of the range waits in pending, so a
 	// hand-back has nothing to add.
 	queued bool
@@ -443,8 +507,8 @@ func newWALReducer() *walReducer {
 	}
 }
 
-// bumpPhone keeps phone IDs monotone: no ID any record or snapshot
-// mentions is ever issued again.
+// bumpPhone keeps phone IDs monotone: no ID any record mentions is ever
+// issued again.
 func (r *walReducer) bumpPhone(id int) { r.nextPhoneID = max(r.nextPhoneID, id+1) }
 
 func (r *walReducer) job(id int) (*walJobRec, error) {
@@ -503,14 +567,10 @@ func (r *walReducer) fold(rec walRecord) error {
 					it.Key, it.Off, it.Len, n, it.FromSeq)
 			}
 			end := it.Off + it.Len
-			piece := &walItemRec{
+			opened = append(opened, &walItemRec{
 				Key: it.Key, JobID: src.JobID, Input: src.Input[it.Off:end:end],
 				Atomic: true, Retries: it.Retries, Partition: it.Partition,
-			}
-			if it.Len == n {
-				piece.Resume = src.Resume
-			}
-			opened = append(opened, piece)
+			})
 			cut[it.FromSeq] += it.Len
 		}
 		for seq, n := range cut {
@@ -600,6 +660,36 @@ func (r *walReducer) fold(rec walRecord) error {
 			return fmt.Errorf("epoch record regresses %d -> %d", r.epoch, p.Epoch)
 		}
 		r.epoch = p.Epoch
+	case *walCutHead:
+		r.nextJobID = max(r.nextJobID, p.NextJobID)
+		r.nextSeq = max(r.nextSeq, p.NextSeq)
+		r.nextKey = max(r.nextKey, p.NextKey)
+		r.nextPhoneID = max(r.nextPhoneID, p.NextPhoneID)
+	case *walCutJob:
+		if _, dup := r.jobs[p.ID]; dup {
+			return fmt.Errorf("duplicate job record for job %d", p.ID)
+		}
+		r.jobs[p.ID] = &walJobRec{
+			ID: p.ID, Task: p.Task, Params: p.Params, TotalBytes: p.TotalBytes, Covered: p.Covered,
+		}
+		r.nextJobID = max(r.nextJobID, p.ID+1)
+	case *walCutItem:
+		// Sequence number or key: a fresh item or an open range, never both.
+		tab, id := r.fresh, p.Seq
+		if p.Key != 0 {
+			tab, id = r.open, p.Key
+		}
+		switch _, err := r.job(p.JobID); {
+		case err != nil:
+			return fmt.Errorf("item: %w", err)
+		case (p.Seq == 0) == (p.Key == 0):
+			return fmt.Errorf("item record names sequence number %d and key %d; want exactly one", p.Seq, p.Key)
+		case tab[id] != nil:
+			return fmt.Errorf("item record for sequence number %d, key %d, which is already held", p.Seq, p.Key)
+		}
+		tab[id] = &walItemRec{Seq: p.Seq, Key: p.Key, JobID: p.JobID, Input: p.Input,
+			Atomic: p.Atomic, Retries: p.Retries, Partition: p.Partition}
+		r.nextSeq, r.nextKey = max(r.nextSeq, p.Seq), max(r.nextKey, p.Key)
 	default:
 		return fmt.Errorf("no fold for a %T", rec)
 	}
@@ -665,18 +755,27 @@ func (m *Master) walAppendErr(rec walRecord) error {
 	return nil
 }
 
-// walWrite encodes one record straight into a pooled WAL frame, appends
-// the frame to the attached WAL and hands the same frame to the
-// replication sink. Its two callers, walAppend and walAppendErr, hold
-// m.mu, so the log, the shipped stream and the fold see one order.
-func (m *Master) walWrite(rec walRecord) error {
+// walFrame encodes one record straight into a pooled WAL frame.
+func walFrame(rec walRecord) (*wal.Frame, error) {
 	f, err := wal.EncodeFrame(rec.typ(), func(buf []byte) ([]byte, error) {
 		e := wire.Get()
 		defer e.Release()
 		return wire.EncodeTo(e, buf, wal.RecordHeader, rec)
 	})
 	if err != nil {
-		return fmt.Errorf("encoding: %w", err)
+		return nil, fmt.Errorf("encoding record type %d: %w", rec.typ(), err)
+	}
+	return f, nil
+}
+
+// walWrite encodes one record, appends the frame to the attached WAL and
+// hands the same frame to the replication sink. Its two callers,
+// walAppend and walAppendErr, hold m.mu, so the log, the shipped stream
+// and the fold see one order.
+func (m *Master) walWrite(rec walRecord) error {
+	f, err := walFrame(rec)
+	if err != nil {
+		return err
 	}
 	defer f.Release()
 	if err := m.cfg.WAL.AppendFrame(f.Bytes()); err != nil {
@@ -690,7 +789,7 @@ func (m *Master) walWrite(rec walRecord) error {
 	return nil
 }
 
-// walCompactLocked folds live state into a WAL snapshot and rotates the
+// walCompactLocked cuts live state into a WAL snapshot and rotates the
 // log, which brings a stale log back in step: whatever it missed, the
 // snapshot holds. Caller holds m.mu, so no append can slip in between
 // the cut and the rotation. A stale log's standbys missed what it missed,
@@ -706,26 +805,109 @@ func (m *Master) walCompactLocked() error {
 	return nil
 }
 
-// walSnapshotLocked serializes the master's durable state in the
-// compaction snapshot format. Caller holds m.mu.
+// walSnapshotLocked writes the master's cut. Caller holds m.mu.
 func (m *Master) walSnapshotLocked(w io.Writer) error { return m.snapshot(w) }
+
+// cut lists the records whose fold, from an empty reducer, is r's state:
+// the compaction snapshot and a standby's attach cut. Collections go in
+// ascending ID order, so equal states cut to equal records, and keys and
+// sequence numbers are kept: the log that continues refers to them. No
+// record is larger than the logged one whose state it carries, so a cut
+// of any size frames like the log it replaces.
+func (r *walReducer) cut() []walRecord {
+	recs := []walRecord{&walCutHead{NextJobID: r.nextJobID, NextSeq: r.nextSeq,
+		NextKey: r.nextKey, NextPhoneID: r.nextPhoneID}}
+	if r.epoch != 0 {
+		recs = append(recs, &walEpochRec{Epoch: r.epoch})
+	}
+	for _, id := range sortedKeys(r.identity) {
+		recs = append(recs, &walRegisterRec{PhoneID: id, Model: r.identity[id]})
+	}
+	for _, id := range sortedKeys(r.drains) {
+		recs = append(recs, &walDrainRec{PhoneID: id, State: r.drains[id]})
+	}
+	for _, id := range sortedKeys(r.reputation) {
+		recs = append(recs, &walReputationRec{PhoneID: id, Score: r.reputation[id], Quarantined: r.quarantined[id]})
+	}
+	for _, id := range sortedKeys(r.jobs) {
+		js := r.jobs[id]
+		recs = append(recs, &walCutJob{ID: id, Task: js.Task, Params: js.Params,
+			TotalBytes: js.TotalBytes, Covered: js.Covered})
+		for _, p := range js.Partials {
+			recs = append(recs, &walReport{JobID: id, Partial: p})
+		}
+	}
+	for _, it := range append(byID(r.fresh), byID(r.open)...) {
+		recs = append(recs, &walCutItem{Seq: it.Seq, Key: it.Key, JobID: it.JobID, Input: it.Input,
+			Atomic: it.Atomic, Retries: it.Retries, Partition: it.Partition})
+		if it.Resume != nil {
+			recs = append(recs, &walMigrate{JobID: it.JobID, Key: it.Key, Resume: it.Resume,
+				Retries: it.Retries, Partition: it.Partition})
+		}
+	}
+	for _, d := range r.dead {
+		recs = append(recs, &walDeadLetterRec{JobID: d.JobID, Task: d.Task, Bytes: d.Bytes,
+			Retries: d.Retries, Reason: d.Reason})
+	}
+	return recs
+}
+
+// snapshot writes r's cut as framed records.
+func (r *walReducer) snapshot(w io.Writer) error {
+	_, err := (&Cut{recs: r.cut()}).WriteTo(w)
+	return err
+}
+
+// A Cut is the master's durable state as the records whose fold rebuilds
+// it (walReducer.cut), taken under the state lock. Its records share the
+// state's bytes, which nothing rewrites once logged, so a Cut is framed
+// and written after the lock is released: its size costs the lock
+// nothing, and no buffer holds it whole.
+type Cut struct{ recs []walRecord }
+
+// Len is the number of records in the cut.
+func (c *Cut) Len() int { return len(c.recs) }
+
+// WriteTo frames the cut's records, in order, and writes each to w as
+// one Write.
+func (c *Cut) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	for _, rec := range c.recs {
+		f, err := walFrame(rec)
+		if err != nil {
+			return n, err
+		}
+		k, err := w.Write(f.Bytes())
+		f.Release()
+		n += int64(k)
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
 
 // byID lists a fresh or open collection in ascending sequence-number or
 // key order.
 func byID(items map[int64]*walItemRec) []*walItemRec {
-	ids := make([]int64, 0, len(items))
-	for id := range items {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	out := make([]*walItemRec, len(ids))
-	for i, id := range ids {
-		out[i] = items[id]
+	out := make([]*walItemRec, 0, len(items))
+	for _, id := range sortedKeys(items) {
+		out = append(out, items[id])
 	}
 	return out
 }
 
-// CompactWAL folds the master's current durable state into a WAL
+// sortedKeys lists m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// CompactWAL cuts the master's current durable state into a WAL
 // snapshot and rotates the log. Safe to call at any time; a no-op
 // without an attached WAL.
 func (m *Master) CompactWAL() error {
@@ -738,29 +920,20 @@ func (m *Master) CompactWAL() error {
 	return m.walCompactLocked()
 }
 
-// RecoverWAL replays the attached WAL's snapshot and records into this
-// (empty) master: jobs and their partials are restored, queued work is
-// re-queued, and byte ranges that were in flight when the old master
-// died are re-queued whole (atomic), each with its freshest logged
-// checkpoint as resume state. Every fully covered job's result is
-// derived from its partials again. The log is then compacted so the
-// recovered state becomes the new snapshot.
+// RecoverWAL replays the attached WAL's records — its snapshot's, then
+// its segments' — into this (empty) master: jobs and their partials are
+// restored, queued work is re-queued, and byte ranges that were in
+// flight when the old master died are re-queued whole (atomic), each
+// with its freshest logged checkpoint as resume state. Every fully
+// covered job's result is derived from its partials again. The log is
+// then compacted so the recovered state becomes the new snapshot.
 func (m *Master) RecoverWAL() error {
 	wl := m.cfg.WAL
-	if wl == nil {
-		return nil
-	}
-	snap, recs := wl.Snapshot(), wl.Recovered()
-	if len(snap) == 0 && len(recs) == 0 {
+	if wl == nil || len(wl.Recovered()) == 0 {
 		return nil
 	}
 	red := newWALReducer()
-	if len(snap) > 0 {
-		if err := red.loadSnapshot(snap); err != nil {
-			return fmt.Errorf("server: wal recovery: %w", err)
-		}
-	}
-	for i, rec := range recs {
+	for i, rec := range wl.Recovered() {
 		if err := red.apply(rec); err != nil {
 			return fmt.Errorf("server: wal recovery: record %d: %w", i, err)
 		}
@@ -817,26 +990,21 @@ func (m *Master) installWALState(red *walReducer) error {
 }
 
 // ReplicaSnapshot hands a replication shipper an exact cut of the
-// master's durable state: activate is called with the serialized
-// walState snapshot while the state lock is held, so if the callback
-// registers a stream subscriber, every record appended after it returns
-// is shipped and nothing already inside the snapshot is shipped again.
-func (m *Master) ReplicaSnapshot(activate func(snapshot []byte)) error {
+// master's durable state: activate is called with the cut while the
+// state lock is held, so if the callback registers a stream subscriber,
+// every record appended after it returns is shipped and nothing already
+// inside the cut is shipped again.
+func (m *Master) ReplicaSnapshot(activate func(cut *Cut)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var buf bytes.Buffer
-	if err := m.walSnapshotLocked(&buf); err != nil {
-		return fmt.Errorf("server: replica snapshot: %w", err)
-	}
-	activate(buf.Bytes())
-	return nil
+	activate(&Cut{recs: m.cut()})
 }
 
 // WALFold incrementally folds WAL records exactly as RecoverWAL replays
-// them, for consumers outside this package — a hot standby validating
-// its shipped stream, tracking the primary's state live, and
-// serializing compaction snapshots for its own log. (At promotion the
-// standby still recovers from its persisted log via RecoverWAL; the
+// them, for consumers outside this package — a hot standby folding its
+// attach cut and then its shipped stream, tracking the primary's state
+// live, and cutting compaction snapshots for its own log. (At promotion
+// the standby still recovers from its persisted log via RecoverWAL; the
 // fold never substitutes for the durable path.)
 type WALFold struct {
 	red     *walReducer
@@ -846,21 +1014,12 @@ type WALFold struct {
 // NewWALFold returns an empty fold.
 func NewWALFold() *WALFold { return &WALFold{red: newWALReducer()} }
 
-// LoadSnapshot primes the fold from a walState snapshot (a compaction
-// snapshot, or the replication stream's opening frame), replacing any
-// previous state and resetting the applied count.
-func (f *WALFold) LoadSnapshot(b []byte) error {
-	red := newWALReducer()
-	if err := red.loadSnapshot(b); err != nil {
-		return err
-	}
-	f.red = red
-	f.applied = 0
-	return nil
-}
+// Reset empties the fold and its applied count, for a standby about to
+// fold a fresh cut.
+func (f *WALFold) Reset() { f.red, f.applied = newWALReducer(), 0 }
 
 // Apply folds one record. An undecodable or inconsistent record is the
-// caller's cue to drop the stream and resync from a fresh snapshot.
+// caller's cue to drop the stream and resync from a fresh cut.
 func (f *WALFold) Apply(rec wal.Record) error {
 	if err := f.red.apply(rec); err != nil {
 		return err
@@ -869,12 +1028,12 @@ func (f *WALFold) Apply(rec wal.Record) error {
 	return nil
 }
 
-// Applied counts records folded since the last snapshot load.
+// Applied counts records folded since the fold was made or Reset.
 func (f *WALFold) Applied() int64 { return f.applied }
 
 // Epoch returns the folded fencing epoch.
 func (f *WALFold) Epoch() int64 { return f.red.epoch }
 
-// Snapshot serializes the folded state in the compaction-snapshot
-// format.
+// Snapshot writes the folded state's cut as framed records, for a
+// standby's own compaction.
 func (f *WALFold) Snapshot(w io.Writer) error { return f.red.snapshot(w) }

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -459,13 +458,14 @@ var jsonEnds = [][2]int64{
 }
 
 // crashRun is one recorded run of the kill-anywhere harness: its snapshot
-// and live segment, the segment's record boundaries, where each job's
-// submit record ends, and the uncrashed run's aggregates.
+// and live segment, the jobs the snapshot holds, the segment's record
+// boundaries, where each job's submit record ends, and the uncrashed
+// run's aggregates.
 type crashRun struct {
 	name              string
 	snapName, segName string
 	snap, seg         []byte
-	snapState         walState
+	snapJobs          []int
 	bounds            []int64
 	submitEnd         map[int]int64
 	want              map[int][]byte
@@ -564,7 +564,7 @@ func recordCrashRun(t *testing.T, ctx context.Context, failFirst bool) crashRun 
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("want exactly one live segment, got %v (%v)", segs, err)
 	}
-	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.json"))
+	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.wal"))
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("want exactly one snapshot, got %v (%v)", snaps, err)
 	}
@@ -584,9 +584,19 @@ func recordCrashRun(t *testing.T, ctx context.Context, failFirst bool) crashRun 
 		t.Fatal("live segment is empty; harness is vacuous")
 	}
 
-	var snapState walState
-	if err := json.Unmarshal(snapBytes, &snapState); err != nil {
+	snapRecs, _, err := wal.ScanSegment(snaps[0])
+	if err != nil {
 		t.Fatal(err)
+	}
+	var snapJobs []int
+	for _, r := range snapRecs {
+		if r.Type == walRecJob {
+			var j walCutJob
+			if err := wire.Decode(r.Payload, &j); err != nil {
+				t.Fatal(err)
+			}
+			snapJobs = append(snapJobs, j.ID)
+		}
 	}
 	submitEnd := map[int]int64{}
 	sawTypes := map[uint8]bool{}
@@ -633,7 +643,7 @@ func recordCrashRun(t *testing.T, ctx context.Context, failFirst bool) crashRun 
 		t.Fatalf("%s: the migration record is not where the held replies put it (record %d of %d)", name, mi, len(recs))
 	}
 	return crashRun{name: name, snapName: filepath.Base(snaps[0]), segName: filepath.Base(segs[0]),
-		snap: snapBytes, seg: segBytes, snapState: snapState, bounds: bounds, submitEnd: submitEnd, want: want}
+		snap: snapBytes, seg: segBytes, snapJobs: snapJobs, bounds: bounds, submitEnd: submitEnd, want: want}
 }
 
 // recoverAt restarts a master from r's log cut at byte cut, as if killed
@@ -656,8 +666,8 @@ func (r crashRun) recoverAt(t *testing.T, ctx context.Context, cut int64) {
 	// Jobs acknowledged before the cut: those in the snapshot plus those
 	// whose submit record survives the truncation whole.
 	known := map[int]bool{}
-	for _, j := range r.snapState.Jobs {
-		known[j.ID] = true
+	for _, id := range r.snapJobs {
+		known[id] = true
 	}
 	for id, end := range r.submitEnd {
 		if end <= cut {

@@ -86,6 +86,45 @@ func (o *oracleSink) compareLocked(when string) {
 	}
 }
 
+// cutRecords reads a cut's framed records back, as recovery reads a
+// snapshot file and a standby its attach stream.
+func cutRecords(t *testing.T, b []byte) []wal.Record {
+	t.Helper()
+	var recs []wal.Record
+	sr := wal.NewStreamReader(bytes.NewReader(b))
+	for {
+		rec, _, err := sr.Next()
+		if err == io.EOF {
+			return recs
+		}
+		if err != nil {
+			t.Fatalf("cut record %d: %v", len(recs)+1, err)
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// cutBytes frames a cut as a shipper writes it.
+func cutBytes(t *testing.T, c *Cut) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if _, err := c.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// foldCut starts fold over from a cut, as a standby attaching does.
+func foldCut(t *testing.T, fold *WALFold, cut []byte) {
+	t.Helper()
+	fold.Reset()
+	for i, rec := range cutRecords(t, cut) {
+		if err := fold.Apply(rec); err != nil {
+			t.Errorf("fold refused cut record %d (type %d): %v", i+1, rec.Type, err)
+		}
+	}
+}
+
 // check compares at a quiescent point, from the test's goroutine.
 func (o *oracleSink) check(when string) {
 	o.m.mu.Lock()
@@ -93,6 +132,13 @@ func (o *oracleSink) check(when string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.compareLocked(when)
+}
+
+// lowRetryBudget has every range dead-lettered at its second failure
+// until the test ends. Call it before the master starts.
+func lowRetryBudget(t *testing.T) {
+	retryBudget = 1
+	t.Cleanup(func() { retryBudget = maxItemRetries })
 }
 
 // scriptedPhone answers profiling assignments itself and hands every
@@ -225,7 +271,8 @@ func TestWALFoldMatchesLiveStateAfterEveryRecord(t *testing.T) {
 			// and a dead letter is always logged — unlike the retry count of
 			// a range a dead phone's queue hands back, which the log only
 			// learns with the next round record.
-			m := New(Config{Addr: "127.0.0.1:0", WAL: wl, ReplicaSink: sink, MaxItemRetries: 1})
+			lowRetryBudget(t)
+			m := New(Config{Addr: "127.0.0.1:0", WAL: wl, ReplicaSink: sink})
 			sink.m = m
 			if err := m.Start(); err != nil {
 				t.Fatal(err)
@@ -257,16 +304,11 @@ func TestWALFoldMatchesLiveStateAfterEveryRecord(t *testing.T) {
 				if err := m.CompactWAL(); err != nil {
 					t.Fatal(err)
 				}
-				err := m.ReplicaSnapshot(func(b []byte) {
+				m.ReplicaSnapshot(func(c *Cut) {
 					sink.mu.Lock()
 					defer sink.mu.Unlock()
-					if err := sink.fold.LoadSnapshot(b); err != nil {
-						t.Errorf("fold refused the compaction cut: %v", err)
-					}
+					foldCut(t, sink.fold, cutBytes(t, c))
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
 			}
 
 			// Round 2: the migrated range (keyed, with resume state) and the
@@ -322,10 +364,10 @@ func TestWALFoldMatchesLiveStateAfterEveryRecord(t *testing.T) {
 			m.Close()
 			wl.Close()
 			wl2 := openWAL(t, dir, wal.Options{Sync: wal.SyncNone})
-			if compactMid && len(wl2.Snapshot()) == 0 {
+			if snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*.wal")); compactMid && len(snaps) == 0 {
 				t.Fatal("no snapshot on disk; references were never resolved against one")
 			}
-			r := startMaster(t, Config{WAL: wl2, MaxItemRetries: 1})
+			r := startMaster(t, Config{WAL: wl2})
 			if err := r.RecoverWAL(); err != nil {
 				t.Fatalf("replay: %v", err)
 			}

@@ -9,10 +9,11 @@
 // On-disk layout (one directory):
 //
 //	wal-00000007.log      the live segment (framed records, append-only)
-//	snapshot-00000007.json the compaction snapshot covering all earlier
-//	                      segments (written atomically: temp + rename)
+//	snapshot-00000007.wal the compaction snapshot covering all earlier
+//	                      segments: framed records too, written
+//	                      atomically (temp + rename)
 //
-// Record framing:
+// Record framing, in both files:
 //
 //	[4B length LE] [4B CRC32(IEEE) of body] [body = 1B type + payload]
 //
@@ -24,15 +25,20 @@
 // loudly instead: silent mid-log damage must never masquerade as a
 // clean shorter history.
 //
+// The snapshot is written whole or not at all, so it has no torn tail:
+// any damage in it fails Open.
+//
 // Compaction folds the log into a snapshot provided by the caller and
 // rotates to a fresh segment. The ordering is crash-safe: the new
 // (empty) segment is created first, then the snapshot is renamed into
 // place, then old files are deleted — at every intermediate crash point
 // the highest snapshot plus the segments at or above its sequence
-// reconstruct the full state exactly once.
+// reconstruct the full state exactly once. Open hands back the
+// snapshot's records followed by the segments', one sequence.
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -204,7 +210,6 @@ type Log struct {
 	dir  string
 	opts Options
 
-	snapshot  []byte
 	recovered []Record
 
 	mu     sync.Mutex
@@ -228,7 +233,7 @@ type Log struct {
 }
 
 func segmentName(seq int) string  { return fmt.Sprintf("wal-%08d.log", seq) }
-func snapshotName(seq int) string { return fmt.Sprintf("snapshot-%08d.json", seq) }
+func snapshotName(seq int) string { return fmt.Sprintf("snapshot-%08d.wal", seq) }
 
 // parseSeq extracts the sequence number from a prefixed, suffixed name.
 func parseSeq(name, prefix, suffix string) (int, bool) {
@@ -243,9 +248,9 @@ func parseSeq(name, prefix, suffix string) (int, bool) {
 }
 
 // Open opens (creating if needed) the log directory, recovers the
-// snapshot and every decodable record, repairs a torn tail, and readies
-// the last segment for appending. The recovered state is available from
-// Snapshot and Recovered until the first Compact.
+// snapshot's records and every decodable segment record, repairs a torn
+// tail, and readies the last segment for appending. The records are
+// available from Recovered.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = 100 * time.Millisecond
@@ -272,7 +277,13 @@ func Open(dir string, opts Options) (*Log, error) {
 			_ = os.Remove(filepath.Join(dir, e.Name()))
 			continue
 		}
-		if n, ok := parseSeq(e.Name(), "snapshot-", ".json"); ok && n > snapSeq {
+		if _, ok := parseSeq(e.Name(), "snapshot-", ".json"); ok {
+			// An older binary's snapshot: the segments beside it replay
+			// only on top of it, and this binary does not read it.
+			return nil, fmt.Errorf("wal: %s holds a JSON snapshot, %s, which this version does not read",
+				dir, e.Name())
+		}
+		if n, ok := parseSeq(e.Name(), "snapshot-", ".wal"); ok && n > snapSeq {
 			snapSeq = n
 		}
 	}
@@ -288,7 +299,11 @@ func Open(dir string, opts Options) (*Log, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: reading snapshot: %w", err)
 		}
-		l.snapshot = b
+		recs, _, err := scanRecords(b)
+		if err != nil {
+			return nil, fmt.Errorf("wal: snapshot %s: %w", snapshotName(snapSeq), err)
+		}
+		l.recovered = recs
 	}
 	var segSeqs []int
 	for _, e := range entries {
@@ -357,13 +372,8 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
-// Snapshot returns the compaction snapshot found at Open (nil if none).
-func (l *Log) Snapshot() []byte { return l.snapshot }
-
-// Recovered returns the records decoded at Open, in append order.
+// Recovered returns the records decoded at Open: the snapshot's, then
+// the segments' in append order.
 func (l *Log) Recovered() []Record { return l.recovered }
 
 // LogBytes reports the bytes held in live segments (snapshot excluded).
@@ -507,7 +517,9 @@ func (l *Log) syncLoop() {
 }
 
 // Compact folds everything logged so far into a snapshot produced by
-// write and rotates to a fresh segment. The caller must guarantee that
+// write — framed records (EncodeFrame, or frames a StreamReader checked)
+// whose replay stands for every record logged before — and rotates to a
+// fresh segment. The caller must guarantee that
 // the state write serializes against its own mutations (the master holds
 // its lock across the call); Compact itself serializes against appends.
 func (l *Log) Compact(write func(io.Writer) error) error {
@@ -601,9 +613,10 @@ func ScanSegment(path string) ([]Record, []int64, error) {
 	return recs, offs, nil
 }
 
-// writeFileAtomic writes path through a temp file in the same directory,
-// fsyncs it, renames it over path, and fsyncs the directory — readers
-// never observe a torn file and a crash cannot destroy a previous one.
+// writeFileAtomic writes path through a buffered temp file in the same
+// directory, fsyncs it, renames it over path, and fsyncs the directory —
+// readers never observe a torn file and a crash cannot destroy a
+// previous one.
 func writeFileAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-")
@@ -616,7 +629,11 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return e
 	}
-	if err := write(f); err != nil {
+	bw := bufio.NewWriterSize(f, 64<<10)
+	if err := write(bw); err != nil {
+		return fail(err)
+	}
+	if err := bw.Flush(); err != nil {
 		return fail(err)
 	}
 	if err := f.Sync(); err != nil {

@@ -111,9 +111,6 @@ func TestAppendReopenRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if l2.Snapshot() != nil {
-		t.Fatalf("unexpected snapshot before any compaction")
-	}
 	if !sameRecords(l2.Recovered(), want) {
 		t.Fatalf("recovered %d records, want %d identical", len(l2.Recovered()), len(want))
 	}
@@ -287,8 +284,11 @@ func TestCompaction(t *testing.T) {
 	if !l.CompactDue() {
 		t.Fatal("CompactDue should report true past the threshold")
 	}
-	snap := []byte(`{"state":"folded"}`)
-	if err := l.Compact(func(w io.Writer) error { _, err := w.Write(snap); return err }); err != nil {
+	snap := Record{Type: 9, Payload: []byte("folded")}
+	if err := l.Compact(func(w io.Writer) error {
+		_, err := w.Write(EncodeRecord(snap.Type, snap.Payload))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if l.LogBytes() != 0 {
@@ -308,12 +308,9 @@ func TestCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if !bytes.Equal(l2.Snapshot(), snap) {
-		t.Fatalf("snapshot = %q, want %q", l2.Snapshot(), snap)
-	}
-	wantAfter := []Record{{Type: 42, Payload: []byte("after")}}
-	if !sameRecords(l2.Recovered(), wantAfter) {
-		t.Fatalf("recovered %d post-compaction records, want 1", len(l2.Recovered()))
+	want := []Record{snap, {Type: 42, Payload: []byte("after")}}
+	if !sameRecords(l2.Recovered(), want) {
+		t.Fatalf("recovered %v, want the snapshot's record, then the post-compaction one", l2.Recovered())
 	}
 }
 
@@ -330,7 +327,8 @@ func TestCompactionCrashOrphans(t *testing.T) {
 	l.Close()
 	// Hand-build the post-rename, pre-delete state: snapshot-2 exists,
 	// wal-2 exists (empty), wal-1 was never deleted.
-	if err := os.WriteFile(filepath.Join(dir, snapshotName(2)), []byte("SNAP"), 0o644); err != nil {
+	snap := Record{Type: 9, Payload: []byte("SNAP")}
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(2)), EncodeRecord(snap.Type, snap.Payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, segmentName(2)), nil, 0o644); err != nil {
@@ -341,11 +339,8 @@ func TestCompactionCrashOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if string(l2.Snapshot()) != "SNAP" {
-		t.Fatalf("snapshot = %q, want SNAP", l2.Snapshot())
-	}
-	if len(l2.Recovered()) != 0 {
-		t.Fatalf("recovered %d records from covered segments, want 0", len(l2.Recovered()))
+	if !sameRecords(l2.Recovered(), []Record{snap}) {
+		t.Fatalf("recovered %v, want only the snapshot's record: the covered segment replayed", l2.Recovered())
 	}
 	if _, err := os.Stat(filepath.Join(dir, segmentName(1))); !os.IsNotExist(err) {
 		t.Fatalf("covered segment 1 should be removed at open: %v", err)
@@ -598,7 +593,7 @@ func TestSyncInterval(t *testing.T) {
 
 func TestOpenSweepsOrphanedTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	orphan := filepath.Join(dir, "snapshot-00000002.json.tmp-12345")
+	orphan := filepath.Join(dir, "snapshot-00000002.wal.tmp-12345")
 	if err := os.WriteFile(orphan, []byte("half-written"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +605,56 @@ func TestOpenSweepsOrphanedTempFiles(t *testing.T) {
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("orphaned temp file survived Open: %v", err)
 	}
-	if l.Snapshot() != nil {
+	if len(l.Recovered()) != 0 {
 		t.Fatal("temp file must never be treated as a snapshot")
+	}
+}
+
+// TestOpenRefusesJSONSnapshot: the segments beside an older binary's JSON
+// snapshot replay only on top of it, so a directory holding one is
+// refused, by name, rather than replayed without its base.
+func TestOpenRefusesJSONSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 3)
+	l.Close()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot-00000001.json"), []byte(`{"next_job_id":2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "snapshot-00000001.json") {
+		if l != nil {
+			l.Close()
+		}
+		t.Fatalf("Open = %v, want an error naming the JSON snapshot", err)
+	}
+}
+
+// TestDamagedSnapshotFailsOpen: a snapshot is renamed into place whole,
+// so a snapshot that does not scan — even one cut short, the shape a
+// segment's torn tail has — is damage, never repaired by truncation.
+func TestDamagedSnapshotFailsOpen(t *testing.T) {
+	frame := EncodeRecord(9, []byte("folded state"))
+	for name, b := range map[string][]byte{
+		"cut short":    frame[:len(frame)-3],
+		"bit-flipped":  append(append([]byte(nil), frame[:len(frame)-1]...), frame[len(frame)-1]^1),
+		"not a record": []byte(`{"next_job_id":2}`),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, snapshotName(1))
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if l, err := Open(dir, Options{}); err == nil {
+				l.Close()
+				t.Fatal("Open accepted a damaged snapshot")
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, b) {
+				t.Fatalf("the damaged snapshot was changed: %d bytes, want %d (%v)", len(got), len(b), err)
+			}
+		})
 	}
 }
