@@ -167,6 +167,9 @@ census:
 	@echo "encoding/json importers: $$(grep -l '"encoding/json"' $$(find internal/protocol internal/replica internal/wal internal/server -name '*.go' -not -name '*_test.go' -not -name admin.go) | wc -l) (non-test files of protocol, replica, wal and server, admin.go aside)"
 	@echo "by-name metric lookups outside the declarations: $$(grep -rhE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=bench --exclude-dir=obs '\.(Counter|Gauge|Histogram)\(' . | wc -l) (non-test Registry.Counter/Gauge/Histogram calls outside internal/obs; declarations use NewCounter/NewGauge/NewHistogram)"
 	@echo "lint analyzers:         $$(sed -n '/^func Analyzers()/,/^}/p' internal/lint/lint.go | grep -cE '^		[A-Za-z]+Analyzer,') (lint.Analyzers())"
+	@echo "internal/worker lines:  $$($(call GOLINES,internal/worker)) (non-test)"
+	@echo "p.mu.Lock() sites:      $$(grep -h --exclude='*_test.go' 'p\.mu\.Lock()' internal/worker/*.go | wc -l) (non-test, internal/worker)"
+	@echo "worker goroutine spawn sites: $$(grep -hE '^\s*go ' --exclude='*_test.go' internal/worker/*.go | wc -l) (non-test go statements in internal/worker)"
 	@echo "wall-clock call sites:  $$(grep -rE 'time\.(Now|Since|Sleep|After|AfterFunc|NewTimer|NewTicker)\(' internal/server internal/worker internal/replica --include='*.go' | grep -vc '_test\.go:') (server/worker/replica)"
 
 bench:

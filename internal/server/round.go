@@ -954,7 +954,7 @@ func (m *Master) finalizeResultLocked(a assignment, resp *protocol.Message, ps *
 
 // drainFailureReason is the failure-report error a worker sends when it
 // hands back an in-flight partition because the server asked it to
-// drain (see protocol.TypeDrain and worker.interruptReason).
+// drain (see protocol.TypeDrain and the worker's reply).
 const drainFailureReason = "drained"
 
 // recordFailureLocked applies the paper's migration rule to a failed

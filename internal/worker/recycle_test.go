@@ -268,9 +268,8 @@ func TestRecyclingNeverCorruptsAReport(t *testing.T) {
 	fs.send(&protocol.Message{Type: protocol.TypeDrain})
 	fs.raw.Close()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		w.mu.Lock()
-		parked := len(w.unsent)
-		w.mu.Unlock()
+		var parked int
+		w.do(func() { parked = len(w.unsent) })
 		if parked == 2 {
 			break
 		}

@@ -8,32 +8,29 @@ import (
 )
 
 // maxTelemetryEvents bounds the buffer of span events awaiting a
-// shipping opportunity; beyond it new events are counted as dropped
-// rather than growing without bound on a phone that cannot reach the
-// master. The count of events dropped since the last shipped frame rides
-// the next telemetry frame, so backpressure is visible on the master,
-// never silent.
+// shipping opportunity; beyond it new events are counted as dropped, and
+// the count since the last shipped frame rides the next one, so
+// backpressure is visible on the master, never silent.
 const maxTelemetryEvents = 256
 
-// event mints one worker-side span event. Events land in the bounded
-// telemetry buffer only when the master asked for them (the welcome's
-// Telemetry flag — an unobserved master costs zero buffering and zero
-// frames); independently, they feed this worker's own registry and
-// black-box recorder when the embedder configured those. With neither
-// a telemetry-enabled master nor local sinks the call is a mutex
-// round-trip and nothing more.
+// event mints one span event from outside the loop: the executor's
+// throttle posts it there.
 func (p *Phone) event(kind protocol.EventKind, span string, job, part int, bytes int64, ms float64, detail string) {
-	localSinks := p.cfg.Metrics != nil || p.cfg.Blackbox != nil
-	p.mu.Lock()
-	if !p.telemetry && !localSinks {
-		p.mu.Unlock()
+	p.post(func() { p.record(kind, span, job, part, bytes, ms, detail) })
+}
+
+// record mints one worker-side span event, stamped with the loop's clock.
+// It lands in the bounded telemetry buffer only when the welcome asked
+// for telemetry (an unobserved master costs zero buffering and frames),
+// and in this worker's own registry and black box when configured.
+func (p *Phone) record(kind protocol.EventKind, span string, job, part int, bytes int64, ms float64, detail string) {
+	if !p.telemetry && p.cfg.Metrics == nil && p.cfg.Blackbox == nil {
 		return
 	}
 	ev := protocol.WorkerEvent{
-		TSMs: time.Now().UnixMilli(), Kind: kind, Span: span, Job: job,
+		TSMs: p.now.UnixMilli(), Kind: kind, Span: span, Job: job,
 		Partition: part, Bytes: bytes, Ms: ms, Detail: detail, Epoch: p.epoch,
 	}
-	id := p.id
 	if p.telemetry {
 		if len(p.telEvents) >= maxTelemetryEvents {
 			p.telDropped++
@@ -41,50 +38,51 @@ func (p *Phone) event(kind protocol.EventKind, span string, job, part int, bytes
 			p.telEvents = append(p.telEvents, ev)
 		}
 	}
-	p.mu.Unlock()
 	if p.events != nil {
 		p.events[kind].Inc()
 	}
 	p.cfg.Blackbox.Record(obs.SpanEvent{
 		TS: time.UnixMilli(ev.TSMs), Span: span, Kind: string(kind), Job: job,
-		Partition: part, Phone: id, Bytes: bytes, Ms: ms, Detail: detail,
+		Partition: part, Phone: p.id, Bytes: bytes, Ms: ms, Detail: detail,
 		Src: "worker", Epoch: ev.Epoch,
 	})
 }
 
-// shipTelemetry flushes the buffered span events as one telemetry frame
-// on conn, called opportunistically after a pong or a report so
-// telemetry never costs its own connection or wakeup. A failed send
-// re-buffers the batch (the connection is dying; the events will ride
-// the next regime's first opportunity), evicting oldest-first against
-// the bound, and keeps its drop count for the next frame. The frame
-// carries no fencing epoch on purpose: telemetry must survive a failover
-// — each event carries the epoch it was minted under instead.
-func (p *Phone) shipTelemetry(conn *protocol.Conn) {
-	p.mu.Lock()
+// ship queues the buffered span events as one telemetry frame on the
+// welcomed connection, after a pong or a report, so telemetry never costs
+// its own connection or wakeup.
+func (p *Phone) ship() {
+	if l := p.link; l != nil && l.registered && !l.closed {
+		if m, sent := p.telemetryFrame(); m != nil {
+			p.send(m, sent)
+		}
+	}
+}
+
+// telemetryFrame takes the buffered span events as one telemetry frame,
+// with the handler of its write's outcome: a failed write re-buffers the
+// batch for the next regime, evicting oldest-first, and keeps its drop
+// count. The frame carries no fencing epoch on purpose: telemetry must
+// survive a failover — each event carries the epoch it was minted under.
+func (p *Phone) telemetryFrame() (*protocol.Message, func(error)) {
 	if !p.telemetry || len(p.telEvents) == 0 {
-		p.mu.Unlock()
-		return
+		return nil, nil
 	}
-	batch := p.telEvents
-	dropped := p.telDropped
+	m := &protocol.Message{Type: protocol.TypeTelemetry, Events: p.telEvents, Dropped: p.telDropped}
 	p.telEvents = nil
-	p.mu.Unlock()
-	err := conn.Send(&protocol.Message{
-		Type: protocol.TypeTelemetry, Events: batch, Dropped: dropped,
-	})
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err == nil {
-		// Drops counted while the frame was on the wire ride the next one
-		// (a welcome that stopped telemetry meanwhile has zeroed them all).
-		p.telDropped = max(0, p.telDropped-dropped)
-		return
+	return m, func(err error) {
+		if err == nil {
+			// Drops counted while the frame was on the wire ride the next
+			// one (a welcome that stopped telemetry meanwhile has zeroed
+			// them all).
+			p.telDropped = max(0, p.telDropped-m.Dropped)
+			return
+		}
+		combined := append(m.Events, p.telEvents...)
+		if over := len(combined) - maxTelemetryEvents; over > 0 {
+			combined = combined[over:]
+			p.telDropped += int64(over)
+		}
+		p.telEvents = combined
 	}
-	combined := append(batch, p.telEvents...)
-	if over := len(combined) - maxTelemetryEvents; over > 0 {
-		combined = combined[over:]
-		p.telDropped += int64(over)
-	}
-	p.telEvents = combined
 }

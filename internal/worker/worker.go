@@ -14,14 +14,16 @@ package worker
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"strings"
-	"sync"
 	"time"
+	"unicode"
 
 	"cwc/internal/obs"
 	"cwc/internal/protocol"
@@ -137,18 +139,10 @@ type ReconnectPolicy struct {
 }
 
 func (r ReconnectPolicy) fill() ReconnectPolicy {
-	if r.BaseDelay == 0 {
-		r.BaseDelay = 100 * time.Millisecond
-	}
-	if r.MaxDelay == 0 {
-		r.MaxDelay = 5 * time.Second
-	}
-	if r.MaxAttempts == 0 {
-		r.MaxAttempts = 10
-	}
-	if r.HandshakeTimeout == 0 {
-		r.HandshakeTimeout = 10 * time.Second
-	}
+	r.BaseDelay = cmp.Or(r.BaseDelay, 100*time.Millisecond)
+	r.MaxDelay = cmp.Or(r.MaxDelay, 5*time.Second)
+	r.MaxAttempts = cmp.Or(r.MaxAttempts, 10)
+	r.HandshakeTimeout = cmp.Or(r.HandshakeTimeout, 10*time.Second)
 	return r
 }
 
@@ -163,14 +157,7 @@ const (
 // delay computes the backoff before the attempt-th consecutive retry
 // (attempt counts from 1).
 func (r ReconnectPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
-	d := float64(r.BaseDelay)
-	for i := 1; i < attempt; i++ {
-		d *= reconnectMultiplier
-		if d >= float64(r.MaxDelay) {
-			d = float64(r.MaxDelay)
-			break
-		}
-	}
+	d := min(float64(r.BaseDelay)*math.Pow(reconnectMultiplier, float64(attempt-1)), float64(r.MaxDelay))
 	d *= 1 + reconnectJitter*(2*rng.Float64()-1)
 	return time.Duration(d)
 }
@@ -202,43 +189,79 @@ type received struct {
 }
 
 // maxUnsent bounds the buffer of reports awaiting a reconnect; beyond it
-// the oldest information is simply lost (the server re-queues the work).
+// the newest information is simply lost (the server re-queues the work).
 const maxUnsent = 32
 
-// Phone is a running worker.
+// writerQueue bounds a connection's unwritten frames: the hello, the
+// reports a welcome replays, the executor's report or checkpoint and a
+// pong, each with telemetry behind, a refusal for each of the master's
+// three attempts out at most, and the bye. More is a stalled link.
+const writerQueue = maxUnsent + 9
+
+// Phone is a running worker. One goroutine owns its state: the loop of
+// the Run in progress, which runs what the other goroutines post — the
+// executor's outcomes, a connection's dial, frames, writes and death, the
+// embedder's calls — one at a time. While no Run is in progress the
+// state's token waits in stopped, and a call takes it and runs at once.
 type Phone struct {
 	cfg    Config
 	events map[protocol.EventKind]*obs.Counter // cwc_worker_events_total; nil without Config.Metrics
 
-	mu             sync.Mutex
-	conn           *protocol.Conn         // guarded by mu
-	id             int                    // guarded by mu
-	everRegistered bool                   // guarded by mu; a Welcome was received at least once
-	unplug         context.CancelFunc     // guarded by mu; cancels the in-flight task
-	leaving        bool                   // guarded by mu; Unplug called: report failure then close
-	vanished       bool                   // guarded by mu; Vanish called: die silently
-	lastAttempt    int64                  // guarded by mu; newest dispatch attempt received on this connection
-	drainedThrough int64                  // guarded by mu; server drain: attempts up to this one report "drained", stay connected
-	sink           *tasks.CheckpointSink  // guarded by mu; streaming sink of the in-flight execution
-	unsent         []*protocol.Message    // guarded by mu
-	ckptKB         int                    // guarded by mu; server-announced checkpoint-streaming policy
-	ckptMs         int                    // guarded by mu
-	ckptUnacked    int                    // guarded by mu; streamed checkpoints awaiting a checkpoint_ack
-	epoch          int64                  // guarded by mu; master regime from the last welcome (0 = untracked)
-	telemetry      bool                   // guarded by mu; the last welcome asked for worker telemetry
-	telEvents      []protocol.WorkerEvent // guarded by mu; span events awaiting a shipping opportunity
-	telDropped     int64                  // guarded by mu; events dropped to the buffer bound since the last shipped frame
-	stats          Stats                  // guarded by mu; ThrottlePauses is read off the throttle instead
-
-	registered chan struct{} // closed once Welcome arrives
-	regOnce    sync.Once
+	inputs     chan func()   // the loop's; unbuffered, so a post returns once the loop has it
+	stopped    chan struct{} // holds the state's token while no Run owns it
+	registered chan struct{} // closed by the first Welcome since New or Replug
 
 	throttle *throttleRunner // nil unless cfg.Charging is set
+	byzRng   *rand.Rand      // drives Byzantine misbehaviour; the executor's alone
 
-	// byzRng drives Byzantine misbehaviour decisions. It is touched only
-	// by the single executor goroutine, so it needs no lock.
-	byzRng *rand.Rand
+	// The state, owned by the loop or by the holder of stopped's token.
+	now            time.Time              // the loop's clock, read once per input
+	due            time.Time              // the loop's one timer: a backoff's end or a handshake's deadline; zero: none
+	link           *link                  // the connection being dialed or served; nil: none
+	queue          chan received          // the executor's, while a Run is in progress
+	id             int                    // server-assigned
+	everRegistered bool                   // a Welcome was received at least once
+	leaving        bool                   // Unplug called: report the running task, then go
+	vanished       bool                   // Vanish called: die silently
+	task           context.CancelFunc     // interrupts the executing assignment; nil: none
+	sink           *tasks.CheckpointSink  // streaming sink of the executing assignment
+	lastAttempt    int64                  // newest dispatch attempt received on this connection
+	drainedThrough int64                  // server drain: attempts up to this one report "drained", stay connected
+	unsent         []*protocol.Message    // reports awaiting a welcome
+	ckptKB, ckptMs int                    // server-announced checkpoint-streaming policy
+	ckptUnacked    int                    // streamed checkpoints awaiting a checkpoint_ack
+	epoch          int64                  // master regime from the last welcome (0 = untracked)
+	telemetry      bool                   // the last welcome asked for worker telemetry
+	telEvents      []protocol.WorkerEvent // span events awaiting a shipping opportunity
+	telDropped     int64                  // events dropped to the buffer bound since the last shipped frame
+	stats          Stats                  // ThrottlePauses is read off the throttle instead
 }
+
+// link is one connection to the master, from its dial to its end. Its
+// reader dials, then reads; its writer, started by a successful dial,
+// writes every frame the phone sends on it. It ends once both have gone.
+type link struct {
+	conn       *protocol.Conn         // nil until the dial succeeds
+	cancel     context.CancelFunc     // abandons the dial
+	out        chan frame             // the writer's queue; closed by the hang-up
+	echo       chan *protocol.Message // the reader's probe acks, for the writer
+	assembling map[partKey]*protocol.Message
+	registered bool  // a Welcome arrived on it
+	closed     bool  // hung up: nothing more is queued on it
+	err        error // why it was hung up; nil: a bye, an unplug or a vanish
+	live       int   // its reader and writer not yet gone
+}
+
+// frame is one frame for a writer; sent, when set, runs on the loop with
+// the write's outcome.
+type frame struct {
+	m    *protocol.Message
+	sent func(error)
+}
+
+// partKey names an in-progress chunked transfer. Transfers die with their
+// connection: the server re-dispatches lost partitions.
+type partKey struct{ job, part int }
 
 // Stats is a worker's cumulative self-metering since its process
 // started, for the embedding program to read in-process. It never goes
@@ -263,18 +286,10 @@ type Stats struct {
 	Assignments int
 }
 
-// addTransfer meters received assignment input bytes.
-func (p *Phone) addTransfer(n int) {
-	p.mu.Lock()
-	p.stats.TransferKB += float64(n) / 1024
-	p.mu.Unlock()
-}
-
 // Stats returns the worker's cumulative self-metering.
 func (p *Phone) Stats() Stats {
-	p.mu.Lock()
-	s := p.stats
-	p.mu.Unlock()
+	var s Stats
+	p.do(func() { s = p.stats })
 	if p.throttle != nil {
 		s.ThrottlePauses = p.throttle.Pauses()
 	}
@@ -289,7 +304,8 @@ func New(cfg Config) (*Phone, error) {
 	if cfg.Dial == nil && cfg.ServerAddr == "" {
 		return nil, errors.New("worker: no server address and no dialer")
 	}
-	p := &Phone{cfg: cfg, registered: make(chan struct{})}
+	p := &Phone{cfg: cfg, inputs: make(chan func()), stopped: make(chan struct{}, 1), registered: make(chan struct{})}
+	p.stopped <- struct{}{}
 	if cfg.Metrics != nil {
 		p.events = obs.Counters(cfg.Metrics, "cwc_worker_events_total", "span events this worker minted, by kind", "kind", protocol.EventCodes[1:])
 	}
@@ -300,13 +316,28 @@ func New(cfg Config) (*Phone, error) {
 		}
 	}
 	if !cfg.Byzantine.zero() {
-		seed := cfg.Byzantine.Seed
-		if seed == 0 {
-			seed = int64(cfg.CPUMHz*1000) + 41
-		}
-		p.byzRng = rand.New(rand.NewSource(seed))
+		p.byzRng = rand.New(rand.NewSource(cmp.Or(cfg.Byzantine.Seed, int64(cfg.CPUMHz*1000)+41)))
 	}
 	return p, nil
+}
+
+// post runs f on the state's owner: the loop of the Run in progress, which
+// has taken f when post returns, or else the caller, holding the token.
+// The loop itself never posts.
+func (p *Phone) post(f func()) {
+	select {
+	case p.inputs <- f:
+	case <-p.stopped:
+		f()
+		p.stopped <- struct{}{}
+	}
+}
+
+// do posts f and waits until it has run.
+func (p *Phone) do(f func()) {
+	done := make(chan struct{})
+	p.post(func() { f(); close(done) })
+	<-done
 }
 
 // BatteryPercent returns the emulated battery level, or -1 when charging
@@ -320,15 +351,18 @@ func (p *Phone) BatteryPercent() float64 {
 
 // ID returns the server-assigned phone ID (valid after WaitRegistered).
 func (p *Phone) ID() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.id
+	var id int
+	p.do(func() { id = p.id })
+	return id
 }
 
-// WaitRegistered blocks until the server has welcomed this phone.
+// WaitRegistered blocks until the server has welcomed this phone (since
+// its last Replug).
 func (p *Phone) WaitRegistered(ctx context.Context) error {
+	var registered chan struct{}
+	p.do(func() { registered = p.registered })
 	select {
-	case <-p.registered:
+	case <-registered:
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("worker: registration: %w", ctx.Err())
@@ -340,28 +374,25 @@ func (p *Phone) WaitRegistered(ctx context.Context) error {
 // error means an orderly exit. Unless reconnection is disabled, a dial or
 // I/O failure is retried with capped exponential backoff + jitter; after
 // a successful registration the phone rejoins under its prior identity
-// and replays any reports the dead connection swallowed.
+// and replays any reports the dead connection swallowed. Run's goroutine
+// is the phone's loop; a second Run waits for the first to return.
 func (p *Phone) Run(ctx context.Context) error {
-	pol := p.cfg.Reconnect.fill()
-	src := rand.NewSource(pol.Seed)
-	if pol.Seed == 0 {
-		src = rand.NewSource(int64(p.cfg.CPUMHz*1000) + 17)
+	<-p.stopped
+	defer func() { p.stopped <- struct{}{} }()
+	if p.leaving || p.vanished {
+		return nil // gone before this Run began; Replug brings it back
 	}
-	rng := rand.New(src)
+	pol := p.cfg.Reconnect.fill()
+	rng := rand.New(rand.NewSource(cmp.Or(pol.Seed, int64(p.cfg.CPUMHz*1000)+17)))
 
 	dial := p.cfg.Dial
 	rotate := func() {}
 	if dial == nil {
-		// Failover dialing: ServerAddr may list several masters; each
-		// failed attempt rotates to the next address, so a worker cut off
-		// from a dead primary finds the promoted standby on its own,
-		// paced by the same backoff as any reconnect. The rotation starts
-		// at a per-worker random offset so a large fleet spreads its
-		// first attempts across the list instead of synchronously
-		// hammering the first (possibly dead) address after a primary
-		// kill; a standby's pre-bound takeover listener fast-refuses
-		// pre-promotion dialers, so landing there first costs one
-		// rotation, not a timeout.
+		// Failover dialing: each failed attempt rotates to the next address,
+		// so a worker cut off from a dead primary finds the promoted standby
+		// on its own, paced by the backoff. The rotation starts at a random
+		// offset so a fleet does not hammer a dead first address together;
+		// a standby's takeover listener fast-refuses pre-promotion dialers.
 		addrs := splitAddrs(p.cfg.ServerAddr)
 		addrIdx := rng.Intn(len(addrs))
 		dial = func(ctx context.Context) (net.Conn, error) {
@@ -371,63 +402,92 @@ func (p *Phone) Run(ctx context.Context) error {
 		rotate = func() { addrIdx++ }
 	}
 
-	// Assignments execute strictly serially, in arrival order — a phone
-	// runs one task at a time. The server keeps at most one more queued
-	// behind the running one, so its input arrives while the CPU is busy;
-	// the queue's bound guards against a misbehaving server. The executor
-	// outlives individual connections so a task running through a
-	// disconnect still finishes and its result is replayed after the rejoin.
-	// Once an assignment has reported, its message and receive buffer go
-	// back to the connection it arrived on, for a later frame.
-	assignQ := make(chan received, 16)
-	defer close(assignQ)
+	// Assignments execute strictly serially, in arrival order, on the
+	// executor — the CPU. The server keeps at most one more queued behind
+	// the running one; the queue's bound guards against a misbehaving
+	// server. The executor outlives connections, so a task running through
+	// a disconnect finishes and its result is replayed after the rejoin. A
+	// reported assignment's buffer goes back to its connection. Run ends
+	// by interrupting the executor and serving it until it has gone.
+	queue := make(chan received, 16)
+	idle := make(chan struct{})
+	exCtx, stopEx := context.WithCancel(ctx)
+	defer stopEx()
 	go func() {
-		var ex executor
-		for a := range assignQ {
-			p.execute(ctx, &ex, a.m)
+		defer close(idle)
+		ex := executor{done: make(chan struct{}, 1)}
+		for a := range queue {
+			p.execute(exCtx, &ex, a.m)
 			a.conn.Recycle(a.m)
 		}
 	}()
+	p.queue = queue
 
-	failures := 0
+	done, cancelled := ctx.Done(), false
+	failures, lastErr := 0, error(nil)
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	p.link = p.connect(ctx, dial)
+	ended, result := false, error(nil)
 	for {
-		registered, err := p.runConn(ctx, dial, assignQ, pol.HandshakeTimeout)
-		if err == nil {
-			return nil // orderly exit: bye, unplug, vanish, or context end
+		var f func()
+		select {
+		case f = <-p.inputs:
+		case <-timer.C:
+			// A backoff's end dials; a handshake's deadline hangs up.
+			f = func() {
+				if p.due.IsZero() || p.now.Before(p.due) {
+					return
+				}
+				p.due = time.Time{}
+				if p.link == nil {
+					p.link = p.connect(ctx, dial)
+				} else {
+					p.hangUp(p.link, errors.New("worker: no welcome within the handshake timeout"), true)
+				}
+			}
+		case <-done:
+			done, cancelled = nil, true
+			f = func() {
+				if p.link != nil {
+					p.hangUp(p.link, fmt.Errorf("worker: %w", ctx.Err()), true)
+				}
+			}
+		case <-idle:
+			p.queue = nil
+			return result
 		}
-		p.mu.Lock()
-		leaving, vanished, ever := p.leaving, p.vanished, p.everRegistered
-		p.mu.Unlock()
-		if leaving || vanished {
-			return nil
+		p.now = time.Now()
+		f()
+		if l := p.link; l != nil && l.live == 0 { // the connection has ended
+			p.link, lastErr = nil, l.err
+			if l.registered {
+				failures = 0
+			}
+			failures++
+			rotate() // next attempt tries the next address in the failover list
+			p.due = p.now.Add(pol.delay(failures, rng))
 		}
-		if ctx.Err() != nil {
+		if p.link == nil && !ended {
 			// Cancellation after a successful registration is an orderly
 			// exit; before one, the connection failure is the real story.
-			if ever {
-				return nil
+			switch {
+			case lastErr == nil || p.leaving || p.vanished || cancelled && p.everRegistered:
+				ended = true // a bye, an unplug or a vanish
+			case cancelled || pol.Disabled:
+				ended, result = true, lastErr
+			case pol.MaxAttempts >= 0 && failures > pol.MaxAttempts:
+				ended, result = true, fmt.Errorf("worker: giving up after %d consecutive connection failures: %w",
+					failures-1, lastErr)
 			}
-			return err
-		}
-		if pol.Disabled {
-			return err
-		}
-		if registered {
-			failures = 0
-		}
-		failures++
-		rotate() // next attempt tries the next address in the failover list
-		if pol.MaxAttempts >= 0 && failures > pol.MaxAttempts {
-			return fmt.Errorf("worker: giving up after %d consecutive connection failures: %w",
-				failures-1, err)
-		}
-		select {
-		case <-time.After(pol.delay(failures, rng)):
-		case <-ctx.Done():
-			if ever {
-				return nil
+			if ended {
+				p.due, p.queue = time.Time{}, nil
+				close(queue)
+				stopEx()
 			}
-			return err
+		}
+		if !p.due.IsZero() {
+			timer.Reset(p.due.Sub(p.now))
 		}
 	}
 }
@@ -436,305 +496,286 @@ func (p *Phone) Run(ctx context.Context) error {
 // returns at least one entry (an empty ServerAddr is rejected by New
 // unless a custom dialer is supplied).
 func splitAddrs(s string) []string {
-	var addrs []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
+	if addrs := strings.FieldsFunc(s, func(r rune) bool { return r == ',' || unicode.IsSpace(r) }); len(addrs) > 0 {
+		return addrs
 	}
-	if len(addrs) == 0 {
-		addrs = []string{s}
-	}
-	return addrs
+	return []string{s}
 }
 
-// currentEpoch reads the master regime this worker last registered with;
-// report frames are stamped at creation time, so a report built under an
-// old regime keeps the old epoch and is fenced after a failover instead
-// of being mis-accepted by the new master.
-func (p *Phone) currentEpoch() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.epoch
+// connect starts a connection; its reader dials.
+func (p *Phone) connect(ctx context.Context, dial func(context.Context) (net.Conn, error)) *link {
+	ctx, cancel := context.WithCancel(ctx)
+	l := &link{cancel: cancel, out: make(chan frame, writerQueue), echo: make(chan *protocol.Message, 1),
+		assembling: map[partKey]*protocol.Message{}, live: 1}
+	go p.read(ctx, l, dial)
+	return l
 }
 
-// runConn serves one connection to the master: dial, hello (a rejoin
-// hello when the phone held an identity before), then the frame loop.
-// registered reports whether a Welcome arrived on this connection.
-func (p *Phone) runConn(ctx context.Context, dial func(ctx context.Context) (net.Conn, error), assignQ chan received, handshake time.Duration) (registered bool, err error) {
+// read is a connection's reader: it dials, then hands the loop every frame
+// until the connection fails. A probe it echoes straight onto the writer,
+// so the loop's queueing never reaches the master's b_i probe; the master
+// keeps one out, so a second waiting is a stalled link.
+func (p *Phone) read(ctx context.Context, l *link, dial func(context.Context) (net.Conn, error)) {
 	raw, err := dial(ctx)
 	if err != nil {
-		p.event(protocol.EventDial, "", 0, 0, 0, 0, "fail: "+err.Error())
-		return false, fmt.Errorf("worker: dialing server: %w", err)
-	}
-	p.event(protocol.EventDial, "", 0, 0, 0, 0, "ok")
-	conn := protocol.NewConn(raw)
-	p.mu.Lock()
-	p.conn = conn
-	rejoin := p.everRegistered
-	priorID := p.id
-	p.mu.Unlock()
-	defer func() {
-		conn.Close()
-		p.mu.Lock()
-		if p.conn == conn {
-			p.conn = nil
-		}
-		p.mu.Unlock()
-	}()
-
-	// Kill the connection when the context dies so Recv unblocks.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
-
-	hello := &protocol.Message{
-		Type:   protocol.TypeHello,
-		Token:  p.cfg.AuthToken,
-		Model:  p.cfg.Model,
-		CPUMHz: p.cfg.CPUMHz,
-		RAMMB:  p.cfg.RAMMB,
-	}
-	if rejoin {
-		hello.Rejoin = true
-		hello.PhoneID = priorID
-	}
-	if err := conn.Send(hello); err != nil {
-		return false, err
-	}
-	if handshake > 0 {
-		// The welcome must arrive within the handshake window; the
-		// deadline is lifted once registration completes.
-		_ = conn.SetReadDeadline(time.Now().Add(handshake))
-	}
-
-	// In-progress chunked transfers, keyed by (job, partition). They die
-	// with the connection: the server re-dispatches lost partitions.
-	type partKey struct{ job, part int }
-	assembling := map[partKey]*protocol.Message{}
-	// reply is the message this loop's own answers go out in: pongs,
-	// probe acks and refusals.
-	var reply protocol.Message
-	send := func(m protocol.Message) error {
-		reply = m
-		return conn.Send(&reply)
-	}
-	// refuse answers an assignment this worker will not run with a
-	// failure report, so the server requeues it at once.
-	refuse := func(m *protocol.Message, why string) {
-		_ = send(protocol.Message{
-			Type: protocol.TypeFailure, JobID: m.JobID,
-			Partition: m.Partition, Attempt: m.Attempt,
-			Epoch: p.currentEpoch(),
-			Error: why,
-		})
-	}
-	// enqueue hands an assignment to the executor, which recycles it once
-	// it has reported; an assignment it refuses is recycled here.
-	enqueue := func(m *protocol.Message) {
-		// Read before the hand-off: from then on the executor owns m.
-		span, job, part, n := m.Span, m.JobID, m.Partition, int64(len(m.Input))
-		select {
-		case assignQ <- received{m, conn}:
-			p.mu.Lock()
-			p.stats.Assignments++
-			p.mu.Unlock()
-			p.event(protocol.EventAssignRecv, span, job, part, n, 0, "")
-		default:
-			// Queue overflow: a runaway server; refuse the work rather
-			// than buffer unboundedly.
-			refuse(m, "worker assignment queue full")
-			conn.Recycle(m)
-		}
-	}
-
-	for {
-		m, err := conn.Recv()
-		if err != nil {
-			p.mu.Lock()
-			leaving, vanished := p.leaving, p.vanished
-			p.mu.Unlock()
-			if ctx.Err() != nil || leaving || vanished {
-				return registered, nil
-			}
-			return registered, err
-		}
-		switch m.Type {
-		case protocol.TypeWelcome:
-			_ = conn.SetReadDeadline(time.Time{})
-			p.mu.Lock()
-			if m.Epoch != 0 && p.epoch != 0 && m.Epoch < p.epoch {
-				// A master announcing an older epoch is a resurrected
-				// primary that lost a failover; refuse it and let the
-				// failover rotation find the current regime.
-				old := p.epoch
-				p.mu.Unlock()
-				return registered, fmt.Errorf("worker: welcome from superseded master (epoch %d < %d)", m.Epoch, old)
-			}
-			if m.Epoch != 0 {
-				p.epoch = m.Epoch
-			}
-			p.id = m.PhoneID
-			p.everRegistered = true
-			p.ckptKB, p.ckptMs = m.CkptEveryKB, m.CkptEveryMs
-			// Telemetry is master-driven: buffer span events only for a
-			// master that will look at them. A master that stopped asking
-			// (obs plane unbound) also stops the buffering, and whatever
-			// was queued for the old regime is discarded with it.
-			p.telemetry = m.Telemetry
-			if !m.Telemetry {
-				p.telEvents, p.telDropped = nil, 0
-			}
-			// Acks are per-connection; frames in flight on the old one
-			// are gone either way. So are attempt numbers: a recovered or
-			// promoted master starts them over.
-			p.ckptUnacked = 0
-			p.lastAttempt, p.drainedThrough = 0, 0
-			if rejoin {
-				p.stats.Reconnects++
-			}
-			p.mu.Unlock()
-			registered = true
-			p.regOnce.Do(func() { close(p.registered) })
-			// Replay reports a dead connection swallowed; the server pairs
-			// them with their dispatch attempts.
-			p.flushUnsent(conn)
-		case protocol.TypePing:
-			if err := send(protocol.Message{Type: protocol.TypePong, Seq: m.Seq}); err != nil {
-				return registered, err
-			}
-			// Piggyback buffered span events on the keepalive cadence.
-			p.shipTelemetry(conn)
-		case protocol.TypeProbe:
-			if err := send(protocol.Message{Type: protocol.TypeProbeAck, Seq: m.Seq}); err != nil {
-				return registered, err
-			}
-		case protocol.TypeAssign:
-			p.addTransfer(len(m.Input))
-			p.mu.Lock()
-			p.lastAttempt = max(p.lastAttempt, m.Attempt)
-			p.mu.Unlock()
-			if m.TotalLen > int64(len(m.Input)) {
-				// First frame of a chunked transfer.
-				if m.TotalLen > maxAssignBytes {
-					refuse(m, fmt.Sprintf("impossible assignment length %d", m.TotalLen))
-					break
-				}
-				m.Input = appendChunk(nil, m.Input, m.TotalLen)
-				assembling[partKey{m.JobID, m.Partition}] = m
-				continue // its params and resume state stay in its frame
-			}
-			enqueue(m)
-			continue
-		case protocol.TypeAssignChunk:
-			p.addTransfer(len(m.Input))
-			key := partKey{m.JobID, m.Partition}
-			pend, ok := assembling[key]
-			if !ok {
-				refuse(m, "unexpected assignment chunk")
-				break
-			}
-			if int64(len(pend.Input)+len(m.Input)) > pend.TotalLen {
-				delete(assembling, key)
-				refuse(pend, "assignment chunk overflow")
-				conn.Recycle(pend)
-				break
-			}
-			// The one copy a chunked input byte makes on this side: out
-			// of its frame's receive buffer, into the assembled input.
-			pend.Input = appendChunk(pend.Input, m.Input, pend.TotalLen)
-			if int64(len(pend.Input)) == pend.TotalLen {
-				delete(assembling, key)
-				enqueue(pend)
-			}
-		case protocol.TypeCheckpointAck:
-			p.mu.Lock()
-			if p.ckptUnacked > 0 {
-				p.ckptUnacked--
-			}
-			p.mu.Unlock()
-			p.event(protocol.EventCkptAck, m.Span, m.JobID, m.Partition, 0, 0, "")
-		case protocol.TypeDrain:
-			// Proactive drain: the server predicts this phone's charge
-			// window is closing. Flush the freshest checkpoint and
-			// interrupt the in-flight task so it reports a "drained"
-			// failure (carrying the checkpoint) while the connection is
-			// still healthy; assignments queued or still assembling behind
-			// it report the same when their turn comes. An idle phone has
-			// nothing to hand back.
-			p.mu.Lock()
-			cancel := p.unplug
-			sink := p.sink
-			p.drainedThrough = p.lastAttempt
-			p.mu.Unlock()
-			if sink != nil {
-				sink.Force()
-			}
-			if cancel != nil {
-				cancel()
-			}
-		case protocol.TypeBye:
-			return registered, nil
-		default:
-			// Unknown frames are ignored for forward compatibility.
-		}
-		// Every frame not held above has been answered or copied out. The
-		// first of them, the welcome, switches recycling on.
-		conn.Recycle(m)
-	}
-}
-
-// report delivers a result/failure frame on the current connection, or
-// buffers it for replay after the next successful registration. m is
-// the executor's own message, which its next report overwrites: a report
-// parked for replay is a copy of it.
-func (p *Phone) report(m *protocol.Message) {
-	p.mu.Lock()
-	conn := p.conn
-	p.mu.Unlock()
-	if conn != nil && conn.Send(m) == nil {
-		// A delivered report is a shipping opportunity for buffered span
-		// events (the exec_finish for this very report is among them).
-		p.shipTelemetry(conn)
+		p.post(func() { p.dialed(l, nil, err) })
 		return
 	}
-	parked := *m
-	p.mu.Lock()
-	if len(p.unsent) < maxUnsent {
-		p.unsent = append(p.unsent, &parked)
-	}
-	p.mu.Unlock()
-}
-
-// flushUnsent replays buffered reports on a fresh connection, keeping
-// whatever a mid-flush failure leaves undelivered.
-func (p *Phone) flushUnsent(conn *protocol.Conn) {
-	p.mu.Lock()
-	pending := p.unsent
-	p.unsent = nil
-	p.mu.Unlock()
-	for i, m := range pending {
-		if err := conn.Send(m); err != nil {
-			p.mu.Lock()
-			p.unsent = append(pending[i:], p.unsent...)
-			p.mu.Unlock()
+	conn := protocol.NewConn(raw)
+	p.post(func() { p.dialed(l, conn, nil) })
+	for {
+		m, err := conn.Recv()
+		switch {
+		case err != nil:
+			p.post(func() { p.hangUp(l, err, true); l.live-- })
 			return
+		case m.Type == protocol.TypeProbe:
+			select {
+			case l.echo <- &protocol.Message{Type: protocol.TypeProbeAck, Seq: m.Seq}:
+			default:
+				conn.Close()
+			}
+			conn.Recycle(m)
+		default:
+			p.post(func() { p.frame(l, m) })
 		}
 	}
 }
 
-// executor is what the one goroutine that runs assignments keeps from one
-// to the next: the message its reports and streamed checkpoints go out
-// in, and the task instance it ran last, with the executable name and
-// parameters it was built from.
+// write is a connection's writer, its one goroutine that writes: the
+// loop's frames in order, the reader's probe echoes between them, and each
+// outcome a frame asks for back to the loop. A failed write closes the
+// connection; so does the end of the queue the hang-up closed.
+func (p *Phone) write(l *link) {
+	for {
+		select {
+		case f, ok := <-l.out:
+			if !ok {
+				l.conn.Close()
+				p.post(func() { l.live-- })
+				return
+			}
+			err := l.conn.Send(f.m)
+			if err != nil {
+				l.conn.Close()
+			}
+			if f.sent != nil {
+				p.post(func() { f.sent(err) })
+			}
+		case m := <-l.echo:
+			if l.conn.Send(m) != nil {
+				l.conn.Close()
+			}
+		}
+	}
+}
+
+// dialed is a dial's outcome. A connection starts its writer with the
+// hello (a rejoin hello once the phone holds an identity); the welcome
+// must arrive within the handshake timeout.
+func (p *Phone) dialed(l *link, conn *protocol.Conn, err error) {
+	if err != nil {
+		p.record(protocol.EventDial, "", 0, 0, 0, 0, "fail: "+err.Error())
+		p.hangUp(l, fmt.Errorf("worker: dialing server: %w", err), true)
+		l.live-- // the reader has gone
+		return
+	}
+	p.record(protocol.EventDial, "", 0, 0, 0, 0, "ok")
+	l.conn = conn
+	if l.closed {
+		conn.Close() // hung up while dialing: the reader fails at once
+		return
+	}
+	l.live++
+	go p.write(l)
+	l.out <- frame{m: &protocol.Message{Type: protocol.TypeHello, Token: p.cfg.AuthToken, Model: p.cfg.Model,
+		CPUMHz: p.cfg.CPUMHz, RAMMB: p.cfg.RAMMB, Rejoin: p.everRegistered, PhoneID: p.id}} // the queue's first frame
+	if d := p.cfg.Reconnect.fill().HandshakeTimeout; d > 0 {
+		p.due = p.now.Add(d)
+	}
+}
+
+// hangUp ends l, the first call saying why (nil: a bye, unplug or vanish):
+// its writer closes it once what is queued is written, or now, failing it.
+func (p *Phone) hangUp(l *link, why error, now bool) {
+	if now && l.conn != nil {
+		l.conn.Close()
+	}
+	if !l.closed {
+		l.closed, l.err = true, why
+		l.cancel()
+		close(l.out)
+	}
+}
+
+// send queues m on the welcomed connection's writer; sent, when set, gets
+// the outcome, at once when no such connection takes m. A full queue hangs
+// the connection up.
+func (p *Phone) send(m *protocol.Message, sent func(error)) {
+	if l := p.link; l != nil && l.registered && !l.closed {
+		select {
+		case l.out <- frame{m, sent}:
+			return
+		default:
+			p.hangUp(l, errors.New("worker: writer queue full"), true)
+		}
+	}
+	if sent != nil {
+		sent(net.ErrClosed)
+	}
+}
+
+// park keeps a report for replay after the next welcome.
+func (p *Phone) park(m *protocol.Message) {
+	if len(p.unsent) < maxUnsent {
+		p.unsent = append(p.unsent, m)
+	}
+}
+
+// frame handles one frame l's reader took. Every frame not held below has
+// been answered or copied out and goes back to the connection; the first
+// of them, the welcome, switches recycling on.
+func (p *Phone) frame(l *link, m *protocol.Message) {
+	switch m.Type {
+	case protocol.TypeWelcome:
+		if m.Epoch != 0 && p.epoch != 0 && m.Epoch < p.epoch {
+			// A master announcing an older epoch is a resurrected
+			// primary that lost a failover; refuse it and let the
+			// failover rotation find the current regime.
+			p.hangUp(l, fmt.Errorf("worker: welcome from superseded master (epoch %d < %d)", m.Epoch, p.epoch), true)
+			break
+		}
+		p.due = time.Time{} // the handshake is over
+		p.epoch, p.id = cmp.Or(m.Epoch, p.epoch), m.PhoneID
+		p.ckptKB, p.ckptMs = m.CkptEveryKB, m.CkptEveryMs
+		// Telemetry is master-driven: span events are buffered only for a
+		// master that asks; one that stopped asking discards the buffer.
+		p.telemetry = m.Telemetry
+		if !m.Telemetry {
+			p.telEvents, p.telDropped = nil, 0
+		}
+		// Acks are per-connection, and a recovered or promoted master
+		// starts attempt numbers over.
+		p.ckptUnacked = 0
+		p.lastAttempt, p.drainedThrough = 0, 0
+		if p.everRegistered {
+			p.stats.Reconnects++
+		} else {
+			close(p.registered)
+		}
+		p.everRegistered, l.registered = true, true
+		// Replay reports a dead connection swallowed; the server pairs
+		// them with their dispatch attempts.
+		unsent := p.unsent
+		p.unsent = nil
+		for _, r := range unsent {
+			p.send(r, func(err error) {
+				if err != nil {
+					p.park(r)
+				}
+			})
+		}
+	case protocol.TypePing:
+		p.send(&protocol.Message{Type: protocol.TypePong, Seq: m.Seq}, nil)
+		// Piggyback buffered span events on the keepalive cadence.
+		p.ship()
+	case protocol.TypeAssign:
+		p.stats.TransferKB += float64(len(m.Input)) / 1024
+		p.lastAttempt = max(p.lastAttempt, m.Attempt)
+		if m.TotalLen > int64(len(m.Input)) {
+			// First frame of a chunked transfer.
+			if m.TotalLen > maxAssignBytes {
+				p.refuse(m, fmt.Sprintf("impossible assignment length %d", m.TotalLen))
+				break
+			}
+			m.Input = appendChunk(nil, m.Input, m.TotalLen)
+			l.assembling[partKey{m.JobID, m.Partition}] = m
+			return // its params and resume state stay in its frame
+		}
+		p.enqueue(l, m)
+		return
+	case protocol.TypeAssignChunk:
+		p.stats.TransferKB += float64(len(m.Input)) / 1024
+		key := partKey{m.JobID, m.Partition}
+		pend, ok := l.assembling[key]
+		if !ok {
+			p.refuse(m, "unexpected assignment chunk")
+			break
+		}
+		if int64(len(pend.Input)+len(m.Input)) > pend.TotalLen {
+			delete(l.assembling, key)
+			p.refuse(pend, "assignment chunk overflow")
+			l.conn.Recycle(pend)
+			break
+		}
+		// The one copy a chunked input byte makes on this side: out
+		// of its frame's receive buffer, into the assembled input.
+		pend.Input = appendChunk(pend.Input, m.Input, pend.TotalLen)
+		if int64(len(pend.Input)) == pend.TotalLen {
+			delete(l.assembling, key)
+			p.enqueue(l, pend)
+		}
+	case protocol.TypeCheckpointAck:
+		if p.ckptUnacked > 0 {
+			p.ckptUnacked--
+		}
+		p.record(protocol.EventCkptAck, m.Span, m.JobID, m.Partition, 0, 0, "")
+	case protocol.TypeDrain:
+		// Proactive drain: the server predicts this phone's charge
+		// window is closing. Flush the freshest checkpoint and
+		// interrupt the in-flight task so it reports a "drained"
+		// failure (carrying the checkpoint) while the connection is
+		// still healthy; assignments queued or still assembling behind
+		// it report the same when their turn comes. An idle phone has
+		// nothing to hand back.
+		p.drainedThrough = p.lastAttempt
+		if p.sink != nil {
+			p.sink.Force()
+		}
+		if p.task != nil {
+			p.task()
+		}
+	case protocol.TypeBye:
+		p.hangUp(l, nil, false)
+	default:
+		// Unknown frames are ignored for forward compatibility.
+	}
+	l.conn.Recycle(m)
+}
+
+// refuse answers an assignment this worker will not run with a failure
+// report, so the server requeues it at once.
+func (p *Phone) refuse(m *protocol.Message, why string) {
+	p.send(&protocol.Message{Type: protocol.TypeFailure, JobID: m.JobID, Partition: m.Partition,
+		Attempt: m.Attempt, Epoch: p.epoch, Error: why}, nil)
+}
+
+// enqueue hands an assignment to the executor, which recycles it once it
+// has reported; an assignment it refuses is recycled here.
+func (p *Phone) enqueue(l *link, m *protocol.Message) {
+	// Read before the hand-off: from then on the executor owns m.
+	span, job, part, n := m.Span, m.JobID, m.Partition, int64(len(m.Input))
+	select {
+	case p.queue <- received{m, l.conn}:
+		p.stats.Assignments++
+		p.record(protocol.EventAssignRecv, span, job, part, n, 0, "")
+	default:
+		// Queue overflow: a runaway server; refuse the work rather
+		// than buffer unboundedly.
+		p.refuse(m, "worker assignment queue full")
+		l.conn.Recycle(m)
+	}
+}
+
+// executor is what the goroutine that runs assignments keeps from one to
+// the next: the message its reports and checkpoints go out in, the channel
+// the loop answers its calls on, the task context until an interruption
+// uses it up, and the last task instance, with its name and parameters.
 type executor struct {
 	out    protocol.Message
+	done   chan struct{}
+	ctx    context.Context
+	cancel context.CancelFunc
 	task   tasks.Task
 	name   string
 	params []byte
@@ -756,138 +797,157 @@ func (ex *executor) taskFor(m *protocol.Message) (tasks.Task, error) {
 	return task, nil
 }
 
-// execute runs one assigned partition and reports the outcome in ex's
-// message. Reports go through the reconnect-aware path: if the connection
-// died while the task ran, the report is buffered and replayed after the
-// rejoin. No report holds any of m's byte fields: m is recycled once
-// execute returns.
+// execute runs one assigned partition on the executor's own clock and
+// reports the outcome in ex's message. No report holds any of m's byte
+// fields: m is recycled once execute returns.
 func (p *Phone) execute(ctx context.Context, ex *executor, m *protocol.Message) {
-	taskCtx, cancel := context.WithCancel(ctx)
-	sink := p.checkpointSink(m, &ex.out)
-	// Whether the phone is still there is read in the critical section
-	// that publishes the cancel func: an unplug, vanish or drain landing
-	// now is either seen here or finds this task to interrupt.
-	p.mu.Lock()
-	gone := p.leaving || p.vanished
-	drained := p.drainedLocked(m.Attempt)
-	p.unplug = cancel
-	p.sink = sink
-	p.mu.Unlock()
-	defer func() {
-		cancel()
-		p.mu.Lock()
-		p.unplug = nil
-		p.sink = nil
-		p.mu.Unlock()
-	}()
-
-	// reply reports r, stamped with m's coordinates, in ex's message.
-	reply := func(r protocol.Message) {
-		ex.out = r
-		ex.out.JobID, ex.out.Partition, ex.out.Attempt, ex.out.Span = m.JobID, m.Partition, m.Attempt, m.Span
-		p.report(&ex.out)
-		p.maybeLeave()
+	start := time.Now()
+	if ex.ctx == nil || ex.ctx.Err() != nil {
+		ex.ctx, ex.cancel = context.WithCancel(ctx)
 	}
-	fail := func(ck *tasks.Checkpoint, msg string) {
-		reply(protocol.Message{Type: protocol.TypeFailure, Epoch: p.currentEpoch(), Checkpoint: ck, Error: msg})
+	task, err := ex.taskFor(m)
+	// A copy, as on every other path: the report may wait in unsent long
+	// after m's buffer has received another frame.
+	ck := m.Resume.Clone()
+	// Whether the phone is still there is decided on the loop, where an
+	// unplug, vanish or drain lands: before this, and it is seen here, or
+	// after, and it finds this task to interrupt.
+	var gone, drained bool
+	var sink *tasks.CheckpointSink
+	p.post(func() {
+		gone, drained = p.leaving || p.vanished, p.drained(m.Attempt)
+		if !gone && !drained && err == nil {
+			p.task, p.sink = ex.cancel, p.checkpointSink(m, ex)
+			sink = p.sink
+			p.record(protocol.EventExecStart, m.Span, m.JobID, m.Partition, int64(len(m.Input)), 0, m.Task)
+		}
+		ex.done <- struct{}{}
+	})
+	<-ex.done
+	// fail reports a failure carrying ck; an interruption's (why "") gives
+	// the reason the loop knows.
+	fail := func(elapsed time.Duration, ck *tasks.Checkpoint, why string) {
+		p.reply(ex, m, elapsed, func(reason string) protocol.Message {
+			if why == "" {
+				why = reason
+			}
+			return protocol.Message{Type: protocol.TypeFailure, Epoch: p.epoch, Checkpoint: ck, Error: why}
+		})
+	}
+	succeed := func(elapsed time.Duration, result []byte) {
+		payload, digest := p.mutateResult(result)
+		p.reply(ex, m, elapsed, func(string) protocol.Message {
+			return protocol.Message{Type: protocol.TypeResult, Epoch: p.epoch, Result: payload, Digest: digest,
+				ExecMs: float64(elapsed) / float64(time.Millisecond), ProcessedKB: float64(len(m.Input)) / 1024}
+		})
 	}
 
 	// Work that was still queued when the phone left or was drained never
 	// starts. A departed phone drops it (the master requeues it when the
 	// connection dies); a drained one hands it back as it was given, so
 	// every attempt still gets exactly one report.
-	if gone {
+	switch {
+	case gone:
+		return
+	case drained:
+		fail(-1, ck, drainedReason)
+		return
+	case err != nil:
+		fail(-1, nil, fmt.Sprintf("instantiating executable: %v", err))
 		return
 	}
-	if drained {
-		// A copy, as on every other path: the report may wait in unsent
-		// long after m's buffer has received another frame.
-		fail(m.Resume.Clone(), drainedReason)
-		return
-	}
-
-	task, err := ex.taskFor(m)
-	if err != nil {
-		fail(nil, fmt.Sprintf("instantiating executable: %v", err))
-		return
-	}
-	ck := m.Resume.Clone()
 	if ck == nil {
 		ck = &tasks.Checkpoint{}
-	}
-	p.event(protocol.EventExecStart, m.Span, m.JobID, m.Partition, int64(len(m.Input)), 0, m.Task)
-
-	// finish mints the exec_finish span event and, for a proactive-drain
-	// handback, the drain_handback edge the master's timeline pairs with
-	// its own completeDrain.
-	finish := func(elapsed time.Duration, outcome string) {
-		p.event(protocol.EventExecFinish, m.Span, m.JobID, m.Partition,
-			int64(len(m.Input)), float64(elapsed)/float64(time.Millisecond), outcome)
-		if outcome == drainedReason {
-			p.event(protocol.EventDrainHandback, m.Span, m.JobID, m.Partition, 0, 0, "")
-		}
 	}
 
 	// Byzantine laziness: skip execution entirely and fabricate a
 	// plausible result without reading the input.
 	if p.byzRng != nil && p.cfg.Byzantine.LazyProb > 0 && p.byzRng.Float64() < p.cfg.Byzantine.LazyProb {
-		payload, digest := p.mutateResult([]byte("0"))
-		finish(0, "ok")
-		reply(protocol.Message{Type: protocol.TypeResult, Epoch: p.currentEpoch(), Result: payload,
-			Digest: digest, ProcessedKB: float64(len(m.Input)) / 1024})
+		succeed(0, []byte("0"))
 		return
 	}
 
 	// Emulated CPU slowness: pay the remaining input's worth of delay.
-	// The clock starts before it — the delay is this phone's execution
+	// The clock started before it — the delay is this phone's execution
 	// time, and the master refines c_ij from what is reported here.
-	start := time.Now()
-	// spent closes the execution clock and meters it.
-	spent := func() time.Duration {
-		elapsed := time.Since(start)
-		p.mu.Lock()
-		p.stats.ExecMs += float64(elapsed) / float64(time.Millisecond)
-		p.mu.Unlock()
-		return elapsed
-	}
 	if p.cfg.DelayPerKB > 0 {
 		remainingKB := float64(int64(len(m.Input))-ck.Offset) / 1024
 		if remainingKB > 0 {
 			t := time.NewTimer(time.Duration(remainingKB * float64(p.cfg.DelayPerKB)))
 			select {
 			case <-t.C:
-			case <-taskCtx.Done():
+			case <-ex.ctx.Done():
 				t.Stop()
-				reason := p.interruptReason(m.Attempt)
-				finish(spent(), reason)
-				fail(ck, reason)
+				fail(time.Since(start), ck, "")
 				return
 			}
 		}
 	}
 
-	execCtx := taskCtx
+	execCtx := ex.ctx
 	if p.throttle != nil {
-		execCtx = tasks.WithPacer(taskCtx, p.throttle)
+		execCtx = tasks.WithPacer(ex.ctx, p.throttle)
 	}
 	execCtx = tasks.WithCheckpointSink(execCtx, sink)
 	result, err := task.Process(execCtx, m.Input, ck)
-	elapsed := spent()
+	elapsed := time.Since(start)
 	switch {
 	case err == nil:
-		finish(elapsed, "ok")
-		payload, digest := p.mutateResult(result)
-		reply(protocol.Message{Type: protocol.TypeResult, Epoch: p.currentEpoch(), Result: payload,
-			Digest: digest, ExecMs: float64(elapsed) / float64(time.Millisecond),
-			ProcessedKB: float64(len(m.Input)) / 1024})
+		succeed(elapsed, result)
 	case errors.Is(err, tasks.ErrInterrupted):
-		reason := p.interruptReason(m.Attempt)
-		finish(elapsed, reason)
-		fail(ck, reason)
+		fail(elapsed, ck, "")
 	default:
-		finish(elapsed, "failed")
-		fail(nil, err.Error())
+		fail(elapsed, nil, err.Error())
 	}
+}
+
+// reply reports the end of m in ex's message and returns once the report
+// is written or parked as a copy. On the loop, build makes the report,
+// stamped with the epoch of that moment and told why an interruption
+// happened; a run (elapsed >= 0) is metered and its exec_finish minted,
+// with a drain handback's drain_handback edge, which the master's timeline
+// pairs with its completeDrain. A vanished phone reports nothing.
+func (p *Phone) reply(ex *executor, m *protocol.Message, elapsed time.Duration, build func(why string) protocol.Message) {
+	p.post(func() {
+		p.task, p.sink = nil, nil
+		why := "unplugged"
+		if p.drained(m.Attempt) {
+			why = drainedReason
+		}
+		ex.out = build(why)
+		if ms, outcome := float64(elapsed)/float64(time.Millisecond), "failed"; elapsed >= 0 {
+			switch ex.out.Error {
+			case "":
+				outcome = "ok"
+			case why:
+				outcome = why
+			}
+			p.stats.ExecMs += ms
+			p.record(protocol.EventExecFinish, m.Span, m.JobID, m.Partition, int64(len(m.Input)), ms, outcome)
+			if outcome == drainedReason {
+				p.record(protocol.EventDrainHandback, m.Span, m.JobID, m.Partition, 0, 0, "")
+			}
+		}
+		ex.out.JobID, ex.out.Partition, ex.out.Attempt, ex.out.Span = m.JobID, m.Partition, m.Attempt, m.Span
+		if p.vanished {
+			ex.done <- struct{}{}
+			return
+		}
+		p.send(&ex.out, func(err error) {
+			if err != nil {
+				parked := ex.out
+				p.park(&parked)
+			}
+			ex.done <- struct{}{}
+		})
+		// A report is a shipping opportunity for buffered span events
+		// (the exec_finish for this very report is among them).
+		p.ship()
+		if p.leaving && p.link != nil {
+			p.hangUp(p.link, nil, false) // the report goes out first
+		}
+	})
+	<-ex.done
 }
 
 // mutateResult applies the worker's Byzantine misbehaviour to a
@@ -938,26 +998,13 @@ func lieAbout(result []byte, off byte) []byte {
 // handback; the server's dispatch path matches it exactly.
 const drainedReason = "drained"
 
-// drainedLocked reports whether a server drain covers the attempt: it
-// had been received when the drain frame landed, and the phone is not
-// really leaving (a real unplug or vanish racing a drain wins). Attempt
-// numbers only grow on a connection, so work assigned after the drain is
-// not covered. Caller holds p.mu.
-func (p *Phone) drainedLocked(attempt int64) bool {
+// drained reports whether a server drain covers the attempt: it had been
+// received when the drain frame landed, and the phone is not really
+// leaving (a real unplug or vanish racing a drain wins). Attempt numbers
+// only grow on a connection, so work assigned after the drain is not
+// covered.
+func (p *Phone) drained(attempt int64) bool {
 	return attempt != 0 && attempt <= p.drainedThrough && !p.leaving && !p.vanished
-}
-
-// interruptReason resolves what an interrupted execution should report:
-// "drained" when the server's proactive drain canceled the task (the
-// connection stays up and the phone remains in the pool), "unplugged"
-// when the user really detached the charger.
-func (p *Phone) interruptReason(attempt int64) string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.drainedLocked(attempt) {
-		return drainedReason
-	}
-	return "unplugged"
 }
 
 // maxUnackedCkpts bounds streamed checkpoints in flight without a
@@ -966,29 +1013,15 @@ func (p *Phone) interruptReason(attempt int64) string {
 const maxUnackedCkpts = 4
 
 // checkpointSink builds the streaming sink for one assignment, or nil
-// when streaming is off. Its frames go out in out, the executor's
-// message: the sink flushes on the executor's goroutine, between reports.
-// The worker's own config wins over the policy the server announced in
-// the welcome; a negative config value disables its trigger. Streamed frames are best-effort: they go only to the live
-// connection and are never buffered for replay — after a reconnect the
-// range has been re-queued and an old checkpoint is worthless.
-func (p *Phone) checkpointSink(m *protocol.Message, out *protocol.Message) *tasks.CheckpointSink {
-	p.mu.Lock()
-	kb, every := p.ckptKB, time.Duration(p.ckptMs)*time.Millisecond
-	p.mu.Unlock()
-	if p.cfg.CheckpointEveryKB != 0 {
-		kb = p.cfg.CheckpointEveryKB
-	}
-	if p.cfg.CheckpointEvery != 0 {
-		every = p.cfg.CheckpointEvery
-	}
-	if kb < 0 {
-		kb = 0
-	}
-	if every < 0 {
-		every = 0
-	}
-	if kb == 0 && every == 0 {
+// when streaming is off. It flushes on the executor, between reports, in
+// ex's message, and waits until the frame is written or dropped. The worker's own config wins over the welcome's policy; a
+// negative value disables its trigger. Streamed frames are best-effort:
+// never buffered for replay — after a reconnect the range has been
+// re-queued and an old checkpoint is worthless.
+func (p *Phone) checkpointSink(m *protocol.Message, ex *executor) *tasks.CheckpointSink {
+	kb := cmp.Or(p.cfg.CheckpointEveryKB, p.ckptKB)
+	every := cmp.Or(p.cfg.CheckpointEvery, time.Duration(p.ckptMs)*time.Millisecond)
+	if kb, every = max(kb, 0), max(every, 0); kb == 0 && every == 0 {
 		return nil
 	}
 	var seq uint64
@@ -996,106 +1029,72 @@ func (p *Phone) checkpointSink(m *protocol.Message, out *protocol.Message) *task
 		EveryBytes: int64(kb) * 1024,
 		Every:      every,
 		Flush: func(ck *tasks.Checkpoint) {
-			p.mu.Lock()
-			conn := p.conn
-			if conn == nil || p.vanished || p.ckptUnacked >= maxUnackedCkpts {
-				p.mu.Unlock()
-				return
-			}
-			p.ckptUnacked++
-			epoch := p.epoch
-			p.mu.Unlock()
-			seq++
-			*out = protocol.Message{
-				Type:       protocol.TypeCheckpoint,
-				JobID:      m.JobID,
-				Partition:  m.Partition,
-				Attempt:    m.Attempt,
-				Epoch:      epoch,
-				Span:       m.Span,
-				Seq:        seq,
-				Checkpoint: ck,
-				Digest:     ck.Digest(),
-			}
-			err := conn.Send(out)
-			p.mu.Lock()
-			if err != nil {
-				if p.ckptUnacked > 0 {
-					p.ckptUnacked--
+			p.post(func() {
+				if p.vanished || p.ckptUnacked >= maxUnackedCkpts {
+					ex.done <- struct{}{}
+					return
 				}
-			} else {
-				p.stats.CkptFrames++
-				p.stats.CkptKB += float64(len(ck.State)+8) / 1024
-			}
-			p.mu.Unlock()
-			if err == nil {
-				p.event(protocol.EventCkptFlush, m.Span, m.JobID, m.Partition,
-					int64(len(ck.State)), 0, "")
-			}
+				p.ckptUnacked++
+				seq++
+				ex.out = protocol.Message{Type: protocol.TypeCheckpoint, JobID: m.JobID, Partition: m.Partition,
+					Attempt: m.Attempt, Epoch: p.epoch, Span: m.Span, Seq: seq, Checkpoint: ck, Digest: ck.Digest()}
+				p.send(&ex.out, func(err error) {
+					if err != nil {
+						p.ckptUnacked = max(0, p.ckptUnacked-1)
+					} else {
+						p.stats.CkptFrames++
+						p.stats.CkptKB += float64(len(ck.State)+8) / 1024
+						p.record(protocol.EventCkptFlush, m.Span, m.JobID, m.Partition, int64(len(ck.State)), 0, "")
+					}
+					ex.done <- struct{}{}
+				})
+			})
+			<-ex.done
 		},
-	}
-}
-
-// maybeLeave closes the connection after the pending report when the
-// phone was unplugged mid-task.
-func (p *Phone) maybeLeave() {
-	p.mu.Lock()
-	leaving := p.leaving
-	conn := p.conn
-	p.mu.Unlock()
-	if leaving && conn != nil {
-		conn.Close()
 	}
 }
 
 // Unplug emulates the user detaching the charger: the online failure. Any
 // in-flight task is interrupted, its checkpoint reported, and the phone
-// leaves the pool. An idle phone says goodbye immediately.
+// leaves the pool. An idle phone says goodbye immediately. Between
+// connections the phone just leaves: Run returns without dialing again.
 func (p *Phone) Unplug() {
-	p.mu.Lock()
-	p.leaving = true
-	cancel := p.unplug
-	conn := p.conn
-	p.mu.Unlock()
-	if cancel != nil {
-		cancel() // execute() will report the failure and close
-		return
-	}
-	if conn != nil {
-		_ = conn.Send(&protocol.Message{Type: protocol.TypeBye})
-		conn.Close()
-	}
+	p.do(func() {
+		p.leaving = true
+		switch l := p.link; {
+		case p.task != nil:
+			p.task() // its report hangs up behind it
+		case l != nil:
+			p.send(&protocol.Message{Type: protocol.TypeBye}, nil)
+			p.hangUp(l, nil, false)
+		}
+	})
 }
 
 // Vanish emulates the offline failure: the connection dies with no report
 // (wireless driver crash). The server must detect it via keepalives.
 func (p *Phone) Vanish() {
-	p.mu.Lock()
-	p.vanished = true
-	conn := p.conn
-	cancel := p.unplug
-	p.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-	if cancel != nil {
-		cancel()
-	}
+	p.do(func() {
+		p.vanished = true
+		if p.link != nil {
+			p.hangUp(p.link, nil, true)
+		}
+		if p.task != nil {
+			p.task()
+		}
+	})
 }
 
 // Replug resets an unplugged or vanished phone so Run can be called again
 // — the paper's phones re-entering the pool "after a short period of
 // unavailability (e.g., the user plugs her phone to the charger after a
-// few minutes)". The server sees a fresh registration (new phone ID).
+// few minutes)". The server sees a fresh registration (new phone ID). A
+// Run still unwinding returns first.
 func (p *Phone) Replug() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.leaving = false
-	p.vanished = false
-	p.conn = nil
-	p.id = 0
-	p.everRegistered = false
-	p.unsent = nil
+	<-p.stopped
+	p.leaving, p.vanished, p.id, p.everRegistered, p.unsent = false, false, 0, false, nil
+	p.registered = make(chan struct{})
+	p.stopped <- struct{}{}
 }
 
 // ReplugRejoin resets an unplugged or vanished phone like Replug but
@@ -1105,9 +1104,7 @@ func (p *Phone) Replug() {
 // all survive. This is the flapping-replug shape of a churn storm: the
 // same physical phone bouncing off and back onto the charger.
 func (p *Phone) ReplugRejoin() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.leaving = false
-	p.vanished = false
-	p.conn = nil
+	<-p.stopped
+	p.leaving, p.vanished = false, false
+	p.stopped <- struct{}{}
 }

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -303,14 +305,83 @@ func TestContextCancelStopsWorker(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	w, err := New(Config{ServerAddr: "127.0.0.1:1", CPUMHz: 1000}) // nothing listens there
+	w, err := New(Config{ServerAddr: "127.0.0.1:1", CPUMHz: 1000, // nothing listens there
+		Reconnect: ReconnectPolicy{BaseDelay: time.Millisecond, MaxAttempts: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancelT := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancelT()
-	if err := w.Run(ctx); err == nil {
-		t.Error("dialing a dead address should error")
+	if err := w.Run(ctx); err == nil || !strings.Contains(err.Error(), "giving up after") {
+		t.Errorf("dialing a dead address returned %v, want the give-up error", err)
+	}
+}
+
+// A context that is never cancelled (Background's, whose Done is nil) is
+// not a cancelled one: Run retries a failing dial as its policy says.
+func TestRunRetriesUnderBackgroundContext(t *testing.T) {
+	var dials atomic.Int32
+	w, err := New(Config{CPUMHz: 1000, Reconnect: ReconnectPolicy{BaseDelay: time.Millisecond, MaxAttempts: 2},
+		Dial: func(context.Context) (net.Conn, error) {
+			dials.Add(1)
+			return nil, errors.New("refused")
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "giving up after 2") {
+		t.Errorf("Run returned %v, want the give-up error after 2 retries", err)
+	}
+	if n := dials.Load(); n != 3 {
+		t.Errorf("%d dials, want 3", n)
+	}
+}
+
+// A phone that leaves while Run waits out a reconnect backoff is gone:
+// Run returns at once and dials no more, so the phone never rejoins to
+// answer pings and swallow assignments it will not report.
+func TestLeavingDuringBackoffEndsRun(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		leave func(*Phone)
+	}{
+		{"unplug", (*Phone).Unplug},
+		{"vanish", (*Phone).Vanish},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var dials atomic.Int32
+			served := make(chan net.Conn, 2)
+			w, err := New(Config{CPUMHz: 1000, Reconnect: ReconnectPolicy{BaseDelay: 300 * time.Millisecond},
+				Dial: func(context.Context) (net.Conn, error) {
+					dials.Add(1)
+					server, phone := net.Pipe()
+					served <- server
+					return phone, nil
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			t.Cleanup(cancel)
+			ran := make(chan error, 1)
+			go func() { ran <- w.Run(ctx) }()
+			raw := <-served
+			(&fakeServer{t: t, conn: protocol.NewConn(raw), raw: raw}).welcome(1)
+			raw.Close()
+			time.Sleep(50 * time.Millisecond)
+			tc.leave(w)
+			select {
+			case err := <-ran:
+				if err != nil {
+					t.Errorf("Run returned %v, want nil", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("Run still running a second after the phone left")
+			}
+			if n := dials.Load(); n != 1 {
+				t.Errorf("%d dials, want 1: a departed phone must not redial", n)
+			}
+		})
 	}
 }
 
@@ -575,16 +646,34 @@ func TestPrefetchedAssignmentAssemblesWhileExecuting(t *testing.T) {
 }
 
 // Work still queued when the phone is unplugged or vanishes never starts:
-// the connection is gone and the master requeues it.
+// the connection is gone and the master requeues it. The other phases of
+// an assignment a leave or a drain can land in — its chunks still
+// arriving, executing, its report parked during a disconnect — are the
+// later rows (the rest are covered by the unplug, drain and recycling
+// tests): each attempt gets exactly one report, or none for work a
+// departed phone never started and for a vanish, and Run returns nil
+// once the phone has left, while a drained phone stays.
 func TestQueuedAssignmentDroppedWhenPhoneLeaves(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		leave func(*Phone)
+		phase string // "": queued behind a running assignment
+		want  string // the attempt's report: "" none, "result", else a failure's error
 	}{
-		{"unplug", (*Phone).Unplug},
-		{"vanish", (*Phone).Vanish},
+		{"unplug", (*Phone).Unplug, "", ""},
+		{"vanish", (*Phone).Vanish, "", ""},
+		{"unplug-assembling", (*Phone).Unplug, "assembling", ""},
+		{"vanish-assembling", (*Phone).Vanish, "assembling", ""},
+		{"drain-assembling", nil, "assembling", drainedReason},
+		{"vanish-executing", (*Phone).Vanish, "executing", ""},
+		{"unplug-parked", (*Phone).Unplug, "parked", "result"},
+		{"vanish-parked", (*Phone).Vanish, "parked", "result"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.phase != "" {
+				leaveInPhase(t, tc.leave, tc.phase, tc.want)
+				return
+			}
 			w, fs, _ := startWorker(t, Config{DelayPerKB: 50 * time.Millisecond})
 			fs.welcome(1)
 			fs.send(&protocol.Message{Type: protocol.TypeAssign, JobID: 1, Attempt: 1,
@@ -605,17 +694,127 @@ func TestQueuedAssignmentDroppedWhenPhoneLeaves(t *testing.T) {
 			// Had the queued assignment run, its result would be parked for
 			// replay by now (it is a few bytes of input).
 			time.Sleep(300 * time.Millisecond)
-			w.mu.Lock()
-			for _, m := range w.unsent {
-				if m.JobID == 2 {
-					t.Errorf("queued assignment ran to a parked %s; it must be dropped unexecuted", m.Type)
+			w.do(func() {
+				for _, m := range w.unsent {
+					if m.JobID == 2 {
+						t.Errorf("queued assignment ran to a parked %s; it must be dropped unexecuted", m.Type)
+					}
 				}
-			}
-			w.mu.Unlock()
+			})
 			if got := w.Stats().Assignments; got != 2 {
 				t.Errorf("%d assignments received, want 2", got)
 			}
 		})
+	}
+}
+
+// leaveInPhase runs a worker on net.Pipe connections whose every dial
+// waits for a gate, puts assignment attempt 5 in phase and makes the phone
+// leave (nil: the server drains it). It checks the attempt's reports
+// against want, and what Run does.
+func leaveInPhase(t *testing.T, leave func(*Phone), phase, want string) {
+	gate := make(chan struct{}, 1)
+	served := make(chan net.Conn, 1)
+	w, err := New(Config{CPUMHz: 1000, DelayPerKB: 20 * time.Millisecond,
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			server, phone := net.Pipe()
+			served <- server
+			return phone, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	ran := make(chan error, 1)
+	go func() { ran <- w.Run(ctx) }()
+	gate <- struct{}{}
+	raw := <-served
+	t.Cleanup(func() { raw.Close() })
+	fs := &fakeServer{t: t, conn: protocol.NewConn(raw), raw: raw}
+	fs.welcome(1)
+	input := primesOfKB(4) // 80 ms of emulated CPU
+	assign := &protocol.Message{Type: protocol.TypeAssign, JobID: 1, Attempt: 5, Task: "primecount", Input: input}
+	parked := func() (reports []*protocol.Message) {
+		w.do(func() { reports = slices.Clone(w.unsent) })
+		return reports
+	}
+	switch phase {
+	case "assembling":
+		first := *assign
+		first.Input, first.TotalLen = input[:1024], int64(len(input))
+		fs.send(&first)
+	case "executing":
+		fs.send(assign)
+		time.Sleep(20 * time.Millisecond)
+	case "parked":
+		fs.send(assign)
+		raw.Close() // the result parks; the next dial waits on the gate
+		for deadline := time.Now().Add(10 * time.Second); len(parked()) == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("no report parked")
+			}
+		}
+	}
+
+	var reports []*protocol.Message
+	switch {
+	case leave == nil:
+		fs.send(&protocol.Message{Type: protocol.TypeDrain})
+		fs.send(&protocol.Message{Type: protocol.TypeAssignChunk, JobID: 1, Input: input[1024:]})
+		reports = append(reports, fs.recv())
+		fs.send(&protocol.Message{Type: protocol.TypePing, Seq: 9})
+		if pong := fs.recv(); pong.Type != protocol.TypePong {
+			t.Fatalf("a drained phone answered a ping with %s", pong.Type)
+		}
+	case phase == "parked":
+		leave(w)
+		reports = parked()
+	default:
+		go leave(w) // the pipe is unbuffered: an unplug's bye blocks until read
+		_ = fs.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for {
+			m, err := fs.conn.Recv()
+			if err != nil {
+				break
+			}
+			if m.Type != protocol.TypeBye {
+				reports = append(reports, m)
+			}
+		}
+		reports = append(reports, parked()...)
+	}
+	switch {
+	case want == "" && len(reports) > 0:
+		t.Errorf("attempt 5 reported %s %q, want no report", reports[0].Type, reports[0].Error)
+	case want == "":
+	case len(reports) != 1 || reports[0].Attempt != 5:
+		t.Errorf("%d reports, want one for attempt 5", len(reports))
+	case want == "result" && reports[0].Type != protocol.TypeResult,
+		want != "result" && (reports[0].Type != protocol.TypeFailure || reports[0].Error != want):
+		t.Errorf("attempt 5 reported %s %q, want %s", reports[0].Type, reports[0].Error, want)
+	case want == drainedReason && reports[0].Checkpoint != nil:
+		t.Errorf("a drained assignment that never started handed back checkpoint %+v, want none", reports[0].Checkpoint)
+	}
+
+	wait := time.Second
+	if leave == nil {
+		wait = 100 * time.Millisecond
+	}
+	select {
+	case err := <-ran:
+		if leave == nil || err != nil {
+			t.Errorf("Run returned %v; want nil once the phone left, and a drained phone to stay", err)
+		}
+	case <-time.After(wait):
+		if leave != nil {
+			t.Error("Run still running a second after the phone left")
+		}
 	}
 }
 
@@ -658,9 +857,7 @@ func TestParkedReportIsNotOverwritten(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d reports parked, want 2", len(parked))
 		}
-		w.mu.Lock()
-		parked = slices.Clone(w.unsent)
-		w.mu.Unlock()
+		w.do(func() { parked = slices.Clone(w.unsent) })
 	}
 	if parked[0] == parked[1] {
 		t.Fatal("both parked reports are one message")
