@@ -162,6 +162,7 @@ census:
 	@echo "make check prerequisites: $$(sed -n 's/^check://p' Makefile | wc -w)"
 	@echo "goroutine spawn sites:  $$(grep -hE '^\s*go ' --exclude='*_test.go' internal/server/*.go | wc -l) (non-test go statements in internal/server)"
 	@echo "m.mu.Lock() sites:      $$(grep -h --exclude='*_test.go' 'm\.mu\.Lock()' internal/server/*.go | wc -l) (non-test, internal/server)"
+	@echo "m.mu.Lock() by file:    $$(grep -c --exclude='*_test.go' 'm\.mu\.Lock()' internal/server/*.go | grep -v ':0$$' | sed 's|^internal/server/||; s|\.go:| |' | paste -sd, - | sed 's/,/, /g') (non-test, internal/server)"
 	@echo "mutex declarations:     $$(grep -hE --exclude='*_test.go' '^\s*(var +)?[A-Za-z_]+ +sync\.(RW)?Mutex\b' internal/server/*.go | wc -l) (non-test sync.Mutex/RWMutex fields and vars, internal/server)"
 	@echo "//lint:ignore lines:    $$(grep -rhE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=bench '^\s*//lint:ignore ' . | wc -l) (non-test, non-testdata directives)"
 	@echo "encoding/json importers: $$(grep -l '"encoding/json"' $$(find internal/protocol internal/replica internal/wal internal/server -name '*.go' -not -name '*_test.go' -not -name admin.go) | wc -l) (non-test files of protocol, replica, wal and server, admin.go aside)"

@@ -116,25 +116,3 @@ func (m *Master) clearDrainLocked(id int) {
 		m.cfg.Logger.With("phone", id).Infof("drain cleared: new charge session")
 	}
 }
-
-// placeablePhones filters draining phones out of a live-fleet snapshot.
-// When every live phone is draining the unfiltered fleet is returned:
-// the availability prediction is advisory and must never starve work
-// (a wrong prediction would otherwise park the queue forever).
-func (m *Master) placeablePhones(phones []*phoneState) []*phoneState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.drains) == 0 {
-		return phones
-	}
-	out := make([]*phoneState, 0, len(phones))
-	for _, ps := range phones {
-		if _, ok := m.drains[ps.info.ID]; !ok {
-			out = append(out, ps)
-		}
-	}
-	if len(out) == 0 {
-		return phones
-	}
-	return out
-}

@@ -6,17 +6,19 @@ import (
 	"slices"
 	"time"
 
+	"cwc/internal/core"
 	"cwc/internal/obs"
+	"cwc/internal/predict"
 	"cwc/internal/protocol"
 )
 
 // The dispatch loop: one goroutine, run, owns every phone's life, window
-// and timers, as the paper's master was one NIO selector thread. Each
-// input is one critical section of ...Locked calls: a checked hello, a
-// *round, a MeasureBandwidths call, a report past the epoch fence, a pong
-// or probe ack, a writer's outcome, the reader's death (error or bye), a
-// cancelled round (nil: the master stops), or the timer. A phone's writer,
-// not the loop, writes every frame the master starts.
+// and timers, and each round from its commit to its end, as the paper's
+// master was one NIO selector thread. Each input is one critical section
+// of ...Locked calls: a checked hello, a take or a *round, a
+// MeasureBandwidths call, a frame a reader received, a writer's outcome,
+// the reader's death, a cancelled round (nil: the master stops), or the
+// timer. Readers and writers do the I/O.
 type (
 	joined struct {
 		conn  *protocol.Conn
@@ -25,8 +27,9 @@ type (
 		done  chan struct{} // closed once ps is set
 	}
 	reported struct {
-		ps  *phoneState
-		msg *protocol.Message
+		ps   *phoneState
+		msg  *protocol.Message
+		done chan struct{} // a checkpoint's: closed once msg is its ack (if one is due)
 	}
 	sent struct {
 		ps      *phoneState
@@ -39,19 +42,38 @@ type (
 		detail string
 	}
 	cancelled struct{ rnd *round }
+	// taking is RunRound's take: the queue if asked for, and the planning
+	// fleet, live phones in ID order, with the estimator (takeLocked).
+	taking struct {
+		queue  bool
+		items  []*workItem
+		phones []*phoneState
+		infos  []PhoneInfo // phones' info, for the packer off the loop
+		est    *predict.Estimator
+		done   chan struct{}
+	}
 )
 
-// A round is per-phone queues for the loop: a scheduling round's plan, or
+// A round is per-phone queues for the loop: a scheduling round RunRound
+// packed, which the loop commits, runs and ends with its report or err, or
 // a profiling execution, whose one keyless flight ships even to a draining
 // phone, runs on no clock, does not kill its phone by failing, and leaves
-// its report (nil: none came).
+// its report in resp (nil: none came).
 type round struct {
-	plans     [][]assignment
-	phones    []*phoneState
-	open      int           // windows still holding its work
-	done      chan struct{} // closed when open reaches 0
+	plans  [][]assignment
+	phones []*phoneState
+	open   int           // windows still holding its work
+	done   chan struct{} // closed in the step that ends it
+	items  []*workItem
+	sched  *core.Schedule
+	inst   *core.Instance
+	snap   *SchedSnapshot
+	start  time.Time // its windows' start
+	report *RoundReport
+	err    error
+
 	profiling bool
-	report    *protocol.Message
+	resp      *protocol.Message
 }
 
 // window is one phone's state from registration to death: its keepalive,
@@ -109,18 +131,31 @@ func (m *Master) post(in any) bool {
 	}
 }
 
-// dispatch hands rnd to the loop and waits until every window has let go
-// of its work; a cancelled ctx makes them hand the rest back.
+// dispatch hands rnd to the loop and waits until the loop has ended it (a
+// stopped master never takes it: err says so); a cancelled ctx makes its
+// windows hand the rest back.
 func (m *Master) dispatch(ctx context.Context, rnd *round) {
 	if !m.post(rnd) {
-		return // a stopped master dispatches nothing; the ranges stay open
+		rnd.err = ErrNoPhones
+		return
 	}
 	select {
 	case <-rnd.done:
 	case <-ctx.Done():
 		m.post(cancelled{rnd})
-		<-rnd.done // a stopping loop lets go of every round too
+		<-rnd.done // a stopping loop ends every round too
 	}
+}
+
+// take asks the loop for RunRound's take; nil once the master has stopped,
+// or before it has started.
+func (m *Master) take(queue bool) *taking {
+	t := &taking{queue: queue, done: make(chan struct{})}
+	if m.ln == nil || !m.post(t) {
+		return nil
+	}
+	<-t.done
+	return t
 }
 
 // run is the dispatch loop; its timer is armed for the earliest window
@@ -140,14 +175,21 @@ func (m *Master) run() {
 		}
 		now := time.Now()
 		m.mu.Lock()
-		m.stepLocked(now, in)
 		if in == (cancelled{}) {
+			// The last step: every window lets go without handing anything
+			// back (its ranges stay open, as recovery finds them after a
+			// SIGKILL), which ends the round they held, and every phone dies.
+			for _, w := range m.wins {
+				w.win, w.next = nil, len(w.queue)
+				m.finishLocked(w)
+			}
 			for _, ps := range m.phones {
 				ps.kill() // shutdown has said its byes
 			}
 			m.mu.Unlock()
 			return
 		}
+		m.stepLocked(now, in)
 		wake := m.timersLocked(now)
 		if m.cfg.PlugAware {
 			if !now.Before(drainDue) {
@@ -179,25 +221,18 @@ func (m *Master) stepLocked(now time.Time, in any) {
 	case *joined:
 		in.ps = m.joinLocked(now, in.conn, in.hello)
 		close(in.done)
+	case *taking:
+		m.takeLocked(in)
 	case *round:
-		m.startLocked(now, in)
+		if in.profiling {
+			m.startLocked(now, in)
+		} else {
+			m.commitLocked(in)
+		}
 	case *probing:
 		m.probeLocked(now, in)
 	case reported:
-		switch in.msg.Type {
-		case protocol.TypePong:
-			if w := m.wins[in.ps]; w != nil {
-				w.missed = 0
-				m.sloObserve(sloKeepalive, true)
-			}
-		case protocol.TypeProbeAck:
-			m.probeAckLocked(now, m.wins[in.ps], in.msg.Seq)
-		default:
-			if m.creditLocked(now, in.ps, in.msg) {
-				return // kept: a profiling report
-			}
-		}
-		in.ps.conn.Reuse(in.msg) // handled: what a report folded is the frame's bytes, not the struct
+		m.reportedLocked(now, in)
 	case sent:
 		switch w := m.wins[in.ps]; {
 		case in.err != nil:
@@ -213,11 +248,55 @@ func (m *Master) stepLocked(now time.Time, in any) {
 		m.dieLocked(in.ps, in.reason, in.detail)
 	case cancelled:
 		for _, w := range m.wins {
-			if w.rnd == in.rnd || in.rnd == nil {
+			if w.rnd == in.rnd {
 				m.releaseLocked(w, 0, false)
 			}
 		}
 	}
+}
+
+// reportedLocked takes a frame a reader received: a pong or probe ack,
+// telemetry, or a checkpoint, result or failure past the epoch fence. A
+// checkpoint's message becomes its ack, for the reader to send; any other
+// goes back to the connection (Reuse). Caller holds m.mu.
+func (m *Master) reportedLocked(now time.Time, in reported) {
+	msg := in.msg
+	switch msg.Type {
+	case protocol.TypePong:
+		if w := m.wins[in.ps]; w != nil {
+			w.missed = 0
+			m.sloObserve(sloKeepalive, true)
+		}
+	case protocol.TypeProbeAck:
+		m.probeAckLocked(now, m.wins[in.ps], msg.Seq)
+	case protocol.TypeTelemetry:
+		// Deliberately not fenced: a worker's buffered span events must
+		// survive a standby promotion — each event carries the epoch it was
+		// minted under instead of the frame.
+		m.foldTelemetry(in.ps, msg)
+	case protocol.TypeCheckpoint, protocol.TypeResult, protocol.TypeFailure:
+		switch {
+		case m.fenced(msg):
+			m.rejectFenced(in.ps, msg)
+		case msg.Type == protocol.TypeCheckpoint:
+			m.recordStreamedCheckpoint(in.ps, msg) // no window moves on one
+		case m.creditLocked(now, in.ps, msg):
+			return // kept: a profiling report
+		}
+	default:
+		// A frame the master never expects from a worker (hello after
+		// registration, an echo of a server->worker type, a frame from a
+		// newer peer). Dropped for forward compatibility, but counted and
+		// logged so a chattering peer is visible in /metrics.
+		m.mx.framesUnexpected[msg.Type].Inc()
+		m.cfg.Logger.With("phone", in.ps.info.ID, "type", string(msg.Type)).
+			Debugf("ignoring unexpected frame")
+	}
+	if in.done != nil {
+		close(in.done) // the reader sends msg if it is an ack, and gives it back
+		return
+	}
+	in.ps.conn.Reuse(msg)
 }
 
 // timersLocked fires every deadline that has passed — a window head's
@@ -279,7 +358,7 @@ func (m *Master) startLocked(now time.Time, rnd *round) {
 		}
 	}
 	if rnd.open--; rnd.open == 0 {
-		close(rnd.done)
+		m.endLocked(rnd)
 	}
 }
 
@@ -333,10 +412,11 @@ func (m *Master) finishLocked(w *window) {
 	if w.rnd == nil || len(w.win) > 0 || w.next < len(w.queue) {
 		return
 	}
-	if w.rnd.open--; w.rnd.open == 0 {
-		close(w.rnd.done)
-	}
+	rnd := w.rnd
 	w.rnd, w.queue, w.next = nil, nil, 0
+	if rnd.open--; rnd.open == 0 {
+		m.endLocked(rnd) // in the step that let go of its last window
+	}
 }
 
 // releaseLocked hands back w.win[keep:] and the unshipped rest of the
@@ -420,7 +500,7 @@ func (m *Master) creditLocked(now time.Time, ps *phoneState, msg *protocol.Messa
 	kept = w.rnd.profiling
 	switch {
 	case kept:
-		w.rnd.report = msg
+		w.rnd.resp = msg
 	case msg.Type == protocol.TypeFailure && msg.Error == drainFailureReason:
 		// Still plugged: alive for window learning, but given no more work.
 		m.completeDrainLocked(w.ps.info.ID)

@@ -256,11 +256,7 @@ func TestStalledLinkDoesNotStallOtherPhones(t *testing.T) {
 	}
 	// Profiled up front: the profiling run would otherwise ship the whole
 	// atomic input.
-	est, err := m.estimator(m.alivePhones())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := est.SetProfile("primecount", 0.01); err != nil {
+	if err := m.take(false).est.SetProfile("primecount", 0.01); err != nil {
 		t.Fatal(err)
 	}
 
@@ -344,5 +340,129 @@ func TestStalledLinkDoesNotStallOtherPhones(t *testing.T) {
 	defer m.mu.Unlock()
 	if len(m.pending) != 1 || m.pending[0].jobID != big {
 		t.Errorf("%d items pending; want the stalled phone's job %d handed back", len(m.pending), big)
+	}
+}
+
+// The loop applies the epoch fence to every report-carrying frame a read
+// loop posts. A result, a failure and a streamed checkpoint stamped with
+// another epoch are each counted under cwc_frames_fenced_total{type} and
+// neither credited nor folded, and the checkpoint gets no ack; the same
+// frames stamped with epoch 0 or with the master's own epoch pass.
+func TestFenceAtTheLoop(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := startMaster(t, Config{Metrics: reg, KeepalivePeriod: time.Hour})
+	epoch, err := m.BumpEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := epoch + 1
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	f := dialFake(t, m, "HTC G2", 806)
+	if err := m.WaitForPhones(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.take(false).est.SetProfile("primecount", 0.01); err != nil {
+		t.Fatal(err)
+	}
+	submit := func(from int) int {
+		id, err := m.Submit(tasks.PrimeCount{}, numberLines(from, from+499), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	reports := make(chan *RoundReport, 1)
+	runRound := func() {
+		go func() {
+			rep, err := m.RunRound(ctx)
+			if err != nil {
+				t.Error(err)
+			}
+			reports <- rep
+		}()
+	}
+	assign := func(f *fakePhone) *protocol.Message {
+		msg := f.recv()
+		if msg.Type != protocol.TypeAssign {
+			t.Fatalf("phone got %s, want an assignment", msg.Type)
+		}
+		return msg
+	}
+	result := func(a *protocol.Message, epoch int64) *protocol.Message {
+		res := []byte("1")
+		return &protocol.Message{Type: protocol.TypeResult, JobID: a.JobID, Attempt: a.Attempt,
+			Result: res, Digest: tasks.Digest(res), Epoch: epoch}
+	}
+	failure := func(a *protocol.Message, epoch int64) *protocol.Message {
+		return &protocol.Message{Type: protocol.TypeFailure, JobID: a.JobID, Attempt: a.Attempt,
+			Error: "unplugged", Epoch: epoch}
+	}
+	checkpoint := func(a *protocol.Message, epoch int64, seq uint64) *protocol.Message {
+		ck := &tasks.Checkpoint{Offset: int64(seq), State: []byte(`{"count":0}`)}
+		return &protocol.Message{Type: protocol.TypeCheckpoint, JobID: a.JobID, Attempt: a.Attempt,
+			Seq: seq, Checkpoint: ck, Digest: ck.Digest(), Epoch: epoch}
+	}
+	acked := func(seq uint64) {
+		t.Helper()
+		if ack := f.recv(); ack.Type != protocol.TypeCheckpointAck || ack.Seq != seq {
+			t.Fatalf("phone got %s seq %d, want the ack of checkpoint %d", ack.Type, ack.Seq, seq)
+		}
+	}
+	fenced := func(typ protocol.Type, want int64) {
+		t.Helper()
+		if got := reg.Counter("cwc_frames_fenced_total", "type", string(typ)).Value(); got != want {
+			t.Errorf("fenced %s frames = %d, want %d", typ, got, want)
+		}
+	}
+
+	a, b := submit(1), submit(501)
+	runRound()
+	first, second := assign(f), assign(f)
+	f.send(result(first, other))
+	f.send(failure(first, other))
+	f.send(checkpoint(first, other, 1))
+	// The loop takes a phone's frames in order: the first ack the phone
+	// gets is the next checkpoint's, so the fenced one got none.
+	f.send(checkpoint(first, 0, 2))
+	acked(2)
+	for _, typ := range []protocol.Type{protocol.TypeResult, protocol.TypeFailure, protocol.TypeCheckpoint} {
+		fenced(typ, 1)
+	}
+	if n := m.StreamedCheckpoints(); n != 1 {
+		t.Errorf("%d streamed checkpoints folded, want only the epoch-0 one", n)
+	}
+	if _, ok := m.Result(a); ok {
+		t.Error("a fenced result was credited")
+	}
+	select {
+	case <-reports:
+		t.Fatal("the round ended on fenced frames")
+	default:
+	}
+	f.send(checkpoint(first, epoch, 3))
+	acked(3)
+	if n := m.StreamedCheckpoints(); n != 2 {
+		t.Errorf("%d streamed checkpoints folded, want 2", n)
+	}
+	f.send(result(first, 0))
+	f.send(result(second, epoch))
+	if rep := <-reports; rep == nil || !slices.Contains(rep.CompletedJobs, a) || !slices.Contains(rep.CompletedJobs, b) {
+		t.Fatalf("round report %+v, want jobs %d and %d completed", rep, a, b)
+	}
+
+	// A failure credited is an online failure: the phone is done, and each
+	// failure needs a phone of its own.
+	submit(1001)
+	for _, epoch := range []int64{0, epoch} {
+		runRound()
+		f.send(failure(assign(f), epoch))
+		if rep := <-reports; rep == nil || rep.Requeued != 1 || !slices.Equal(rep.FailedPhones, []int{f.id}) {
+			t.Fatalf("failure with epoch %d: round report %+v, want the range requeued and phone %d failed", epoch, rep, f.id)
+		}
+		f = dialFake(t, m, "HTC G2", 806)
+	}
+	for _, typ := range []protocol.Type{protocol.TypeResult, protocol.TypeFailure, protocol.TypeCheckpoint} {
+		fenced(typ, 1)
 	}
 }

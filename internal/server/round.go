@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -22,7 +23,7 @@ func jobSpan(jobID int) string { return "j" + strconv.Itoa(jobID) }
 
 // trace is the one place the master writes an event. It stamps the time
 // and the job's span (unless the caller has it at hand), appends to the
-// open round's timeline if there is one (closeTimeline derives every
+// open round's timeline if a round is open (closeTimeline derives every
 // per-round view from that slice), and records to the tracer — ring,
 // JSONL sink and flight recorder. Caller holds m.mu.
 func (m *Master) trace(ev obs.SpanEvent) {
@@ -30,20 +31,20 @@ func (m *Master) trace(ev obs.SpanEvent) {
 		ev.Span = jobSpan(ev.Job)
 	}
 	ev.TS = time.Now() // under m.mu: the timeline is in TS order as appended
-	if m.collecting {
+	if m.current != nil {
 		m.timeline = append(m.timeline, ev)
 	}
 	m.cfg.Tracer.Record(ev)
 }
 
-// closeTimeline ends the round's event collection and derives every view
-// of it: the report's Figure 12 timeline and tallies, and /debug/sched's
-// actuals. A result for an attempt no window held anymore reads
+// closeTimeline ends the round's event collection (the round is no longer
+// open) and derives every view of it: the report's Figure 12 timeline and
+// tallies, and /debug/sched's actuals. A result for an attempt no window held anymore reads
 // "late-result", so "result" pairs with "assign" one to one. Events are
 // copied out: the next round reuses their memory. Caller holds m.mu.
 func (m *Master) closeTimeline(report *RoundReport, snap *SchedSnapshot, start time.Time) {
 	evs := m.timeline
-	m.collecting = false
+	m.current = nil
 	defer clear(evs) // so the kept memory pins no event's strings
 	report.Events = make([]Event, len(evs))
 	for i, ev := range evs {
@@ -196,83 +197,31 @@ func (m *Master) probedLocked(w *window) {
 	}
 }
 
-// estimator returns the predictor, creating it anchored at the slowest
-// live phone on first use (the paper's scaling anchor).
-func (m *Master) estimator(phones []*phoneState) (*predict.Estimator, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.est != nil {
-		return m.est, nil
-	}
-	slowest := phones[0]
-	for _, ps := range phones[1:] {
-		if ps.info.CPUMHz < slowest.info.CPUMHz {
-			slowest = ps
-		}
-	}
-	est, err := predict.New(slowest.info.CPUMHz, 1)
-	if err != nil {
-		return nil, err
-	}
-	m.est = est
-	return est, nil
-}
-
 // profileSampleKB is the profiling input size (the paper profiles each
 // task on 1 KB of its input on the slowest phone).
 const profileSampleKB = 1.0
 
-// profileIfNeeded runs the single profiling execution for every distinct
-// task in items that lacks a base profile.
-func (m *Master) profileIfNeeded(ctx context.Context, items []*workItem, phones []*phoneState) error {
-	est, err := m.estimator(phones)
-	if err != nil {
-		return err
-	}
-	profiled := map[string]bool{}
-	for _, it := range items {
-		name := it.task.Name()
-		if profiled[name] || est.Profiled(name) {
-			continue
-		}
-		profiled[name] = true
-		if err := m.profileOne(ctx, est, it, name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// profileOne runs a single task's profiling execution on the slowest live
-// phone, moving to the next-slowest survivor if a phone fails mid-profile
-// (an unplug during profiling must not sink the whole round).
-func (m *Master) profileOne(ctx context.Context, est *predict.Estimator, it *workItem, name string) error {
+// profileOne runs the single profiling execution of a task that lacks a
+// base profile on a take's slowest phone (the lowest ID among equals),
+// moving to the next-slowest if a phone fails mid-profile (an unplug
+// during profiling must not sink the whole round).
+func (m *Master) profileOne(ctx context.Context, t *taking, it *workItem, name string) error {
 	sample := profileSample(it)
-	tried := map[int]bool{}
-	for {
-		var slowest *phoneState
-		for _, ps := range m.alivePhones() {
-			if tried[ps.info.ID] || m.Quarantined(ps.info.ID) {
-				continue
-			}
-			if slowest == nil || ps.info.CPUMHz < slowest.info.CPUMHz {
-				slowest = ps
-			}
-		}
-		if slowest == nil {
-			return fmt.Errorf("server: no phone left to profile %s", name)
-		}
-		tried[slowest.info.ID] = true
+	phones := slices.Clone(t.phones) // a phone's ID and clock never change
+	slices.SortStableFunc(phones, func(a, b *phoneState) int { return cmp.Compare(a.info.CPUMHz, b.info.CPUMHz) })
+	for _, ps := range phones {
 		// One keyless flight, as a round of its own: credit folds nothing
 		// for it, and the loop hands this round its report and no other.
 		rnd := &round{plans: [][]assignment{{{item: it, partition: -1, input: sample}}},
-			phones: []*phoneState{slowest}, done: make(chan struct{}), profiling: true}
-		m.dispatch(ctx, rnd)
+			phones: []*phoneState{ps}, done: make(chan struct{}), profiling: true}
+		if m.dispatch(ctx, rnd); rnd.err != nil {
+			return rnd.err
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		plog := m.cfg.Logger.With("phone", slowest.info.ID, "task", name)
-		switch resp := rnd.report; {
+		plog := m.cfg.Logger.With("phone", ps.info.ID, "task", name)
+		switch resp := rnd.resp; {
 		case resp == nil:
 			plog.Warnf("profiling phone died; retrying elsewhere")
 		case resp.Type != protocol.TypeResult:
@@ -282,13 +231,14 @@ func (m *Master) profileOne(ctx context.Context, est *predict.Estimator, it *wor
 			if ts <= 0 {
 				ts = 0.001 // sub-clock-resolution execution
 			}
-			if err := est.SetProfile(name, ts); err != nil {
+			if err := t.est.SetProfile(name, ts); err != nil {
 				return err
 			}
 			plog.Infof("profiled: %.3f ms/KB", ts)
 			return nil
 		}
 	}
+	return fmt.Errorf("server: no phone left to profile %s", name)
 }
 
 // profileSample extracts ~1 KB of a work item's input for profiling;
@@ -370,6 +320,7 @@ type RoundReport struct {
 // assignment couples a core schedule slot with its concrete input bytes.
 type assignment struct {
 	item      *workItem
+	job       int // item's index in its round's items: the packer's job
 	partition int
 	input     []byte
 	// off is where input starts within item.input: the running sum of
@@ -393,38 +344,104 @@ var ErrNothingToDo = errors.New("server: no pending work")
 // re-queued for the *next* round, mirroring the paper's decision to delay
 // re-scheduling until the next scheduling instant. RunRound is not safe
 // for concurrent invocation.
+//
+// RunRound runs only what must stay off the loop: profiling's waits and
+// the packer, over the take's copies of the fleet. The loop commits the
+// round and ends it, swept and reported; RunRound returns its report.
 func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
-	m.mu.Lock()
-	// Drop queued copies whose key has settled: another execution of the
-	// range (or a late straggler result) delivered it first.
-	queued := m.pending[:0]
-	for _, it := range m.pending {
-		if it.rng == nil || !m.settledLocked(it.rng) {
-			queued = append(queued, it)
-		}
+	t := m.take(true)
+	if t == nil || len(t.items) > 0 && len(t.phones) == 0 {
+		return nil, ErrNoPhones // stopped or never started, or no fleet
 	}
-	m.pending = queued
-	// The round plans what is queued now. The items stay at the head of
-	// the queue — where a snapshot cut meanwhile finds them, and where
-	// they still are if the round fails before its record is logged —
-	// until that record takes them over; later arrivals queue behind.
-	items := queued[:len(queued):len(queued)]
-	m.mu.Unlock()
-	if len(items) == 0 {
+	if len(t.items) == 0 {
 		return nil, ErrNothingToDo
 	}
-	plans, phones, sched, inst, err := m.planRound(ctx, items)
+	items, profiled := t.items, false
+	for _, it := range items {
+		if name := it.task.Name(); !t.est.Profiled(name) {
+			if err := m.profileOne(ctx, t, it, name); err != nil {
+				return nil, err
+			}
+			profiled = true
+		}
+	}
+	// Take the fleet again: profiling may have killed a phone (or a drain
+	// check closed one).
+	if profiled {
+		if t = m.take(false); t == nil || len(t.phones) == 0 {
+			return nil, ErrNoPhones
+		}
+	}
+	sched, inst, err := m.buildSchedule(items, t.infos, t.est)
 	if err != nil {
 		return nil, err
 	}
+	plans, err := slicePartitions(items, sched)
+	if err != nil {
+		return nil, err
+	}
+	rnd := &round{plans: plans, phones: t.phones, items: items, sched: sched, inst: inst,
+		done: make(chan struct{})}
+	m.dispatch(ctx, rnd)
+	return rnd.report, rnd.err
+}
 
-	// Give every dispatched partition its key: re-queued keyed items keep
-	// theirs (they are atomic, so the byte range is unchanged); everything
-	// else gets a fresh identity for first-result-wins tracking. The
-	// round record — which keyed byte ranges the drained items continue
-	// as — is logged in the same critical section so replay sees the
-	// handoff atomically.
-	m.mu.Lock()
+// takeLocked answers RunRound's take. Caller holds m.mu.
+func (m *Master) takeLocked(t *taking) {
+	defer close(t.done)
+	if t.queue {
+		// Drop queued copies whose key has settled: another execution of
+		// the range (or a late straggler result) delivered it first.
+		queued := m.pending[:0]
+		for _, it := range m.pending {
+			if it.rng == nil || !m.settledLocked(it.rng) {
+				queued = append(queued, it)
+			}
+		}
+		m.pending = queued
+		// The round plans what is queued now. The items stay at the head of
+		// the queue — where a snapshot cut meanwhile finds them, and where
+		// they still are if the round fails before its record is logged —
+		// until the commit's record takes them over; later arrivals queue
+		// behind.
+		t.items = queued[:len(queued):len(queued)]
+	}
+	// The fleet: a draining phone only while every live phone is (a wrong
+	// availability prediction must never park the queue), a quarantined
+	// phone never (a wrong answer is worse than none).
+	var alive, placeable []*phoneState
+	for _, id := range sortedKeys(m.phones) {
+		if ps := m.phones[id]; ps.alive() {
+			alive = append(alive, ps)
+			if m.drains[id] == "" {
+				placeable = append(placeable, ps)
+			}
+		}
+	}
+	if len(placeable) == 0 {
+		placeable = alive
+	}
+	t.phones = slices.DeleteFunc(placeable, func(ps *phoneState) bool { return m.quarantined[ps.info.ID] })
+	t.infos = make([]PhoneInfo, len(t.phones))
+	for i, ps := range t.phones {
+		t.infos[i] = ps.info
+	}
+	if m.est == nil && len(t.infos) > 0 {
+		slowest := slices.MinFunc(t.infos, func(a, b PhoneInfo) int { return cmp.Compare(a.CPUMHz, b.CPUMHz) })
+		m.est, _ = predict.New(slowest.CPUMHz, 1) // the paper's anchor; a registered clock is > 0
+	}
+	t.est = m.est
+}
+
+// commitLocked commits a packed round and starts it. Every dispatched
+// partition gets its key: a re-queued keyed item keeps its own (it is
+// atomic, so the byte range is unchanged), everything else a fresh one for
+// first-result-wins tracking. The round record (which keyed byte ranges
+// the drained items continue as) is logged in the same step, so replay
+// sees the handoff atomically; a failed append ends the round with the
+// error, its items still at the head of the queue. Caller holds m.mu.
+func (m *Master) commitLocked(rnd *round) {
+	plans := rnd.plans
 	rr := &walRound{}
 	nextKey := m.nextKey
 	for pi := range plans {
@@ -455,9 +472,10 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	}
 	if len(rr.Items) == 0 {
 		// Every planned range was settled meanwhile; nothing to log or run.
-		m.pending = m.pending[len(items):]
-		m.mu.Unlock()
-		return nil, ErrNothingToDo
+		m.pending = m.pending[len(rnd.items):]
+		rnd.err = ErrNothingToDo
+		close(rnd.done)
+		return
 	}
 	if err := m.walAppendErr(rr); err != nil {
 		// A missing round record with later report records behind it
@@ -466,15 +484,16 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 		// has been dispatched yet, so abort the round instead; RunLoop
 		// retries at the next scheduling instant, and that round's record
 		// is preceded by the snapshot a stale log owes.
-		m.mu.Unlock()
 		m.cfg.Logger.With("rec", walRecRound).Errorf("wal: round record lost (%v); aborting round", err)
-		return nil, fmt.Errorf("server: persisting round record: %w", err)
+		rnd.err = fmt.Errorf("server: persisting round record: %w", err)
+		close(rnd.done)
+		return
 	}
 	// The record is in the log and folded: the items leave the queue, and
 	// each range it names is in the open table. Wherever the range sits
 	// from here on — unshipped in a phone's queue, prefetched, executing,
 	// handed back — a snapshot finds it there.
-	m.pending = m.pending[len(items):]
+	m.pending = m.pending[len(rnd.items):]
 	for _, queue := range plans {
 		for i := range queue {
 			queue[i].rng = m.open[queue[i].key]
@@ -482,47 +501,48 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 		}
 	}
 	// Verification executions (replicas / audits) ride the same round:
-	// registered in this critical section so their vote groups exist
-	// before any copy can report. Copies share their source's key, so
-	// the round record above already names every byte range once.
-	for pi, es := range m.planVerificationLocked(plans, inst, items) {
+	// registered in this step so their vote groups exist before any copy
+	// can report. Copies share their source's key, so the round record
+	// above already names every byte range once.
+	for pi, es := range m.planVerificationLocked(plans, rnd.inst) {
 		plans[pi] = append(plans[pi], es...)
 	}
-	// From here until the end-of-round sweep, RunRound owns aggregation;
-	// vote resolutions that complete a job's coverage mid-round leave the
-	// aggregate to the sweep. The round's timeline opens with it.
-	m.roundActive = true
+	// Until the round ends, it aggregates the jobs it completes, and its
+	// timeline is open.
+	m.current = rnd
 	assignments := 0
 	for _, queue := range plans {
 		assignments += len(queue)
 	}
 	m.timeline = slices.Grow(m.timeline[:0], 2*assignments) // an assign and a report each
-	m.collecting = true
-	m.mu.Unlock()
-
 	// The packing decision, snapshotted before dispatch so /debug/sched
 	// can pair it with the round's actuals afterwards.
-	snap := m.newSchedSnapshot(items, phones, plans, sched, inst)
+	rnd.snap = m.newSchedSnapshot(rnd)
+	rnd.report = &RoundReport{Items: len(rnd.items), PredictedMakespanMs: rnd.sched.Makespan}
+	rnd.start = time.Now()
+	m.startLocked(rnd.start, rnd)
+}
 
-	report := &RoundReport{
-		Items:               len(items),
-		PredictedMakespanMs: sched.Makespan,
+// endLocked ends rnd in the step in which its last window let go of it:
+// stamped, swept and reported, and the log compacted if due. A closing
+// master's round hands nothing back and compacts nothing (its ranges stay
+// open, as after a SIGKILL). Caller holds m.mu.
+func (m *Master) endLocked(rnd *round) {
+	defer close(rnd.done)
+	if rnd.profiling {
+		return
 	}
-	start := time.Now()
-	m.dispatch(ctx, &round{plans: plans, phones: phones, done: make(chan struct{})})
-	report.Wall = time.Since(start)
+	report, snap := rnd.report, rnd.snap
+	report.Wall = time.Since(rnd.start)
 	wallMs := float64(report.Wall) / float64(time.Millisecond)
 	m.mx.rounds.Inc()
-	m.mx.predictedMakespan.Set(sched.Makespan)
+	m.mx.predictedMakespan.Set(rnd.sched.Makespan)
 	m.mx.actualMakespan.Set(wallMs)
 	m.mx.roundWallMs.Observe(wallMs)
 	// SLO: the packing prediction held if the measured wall time stayed
 	// within tolerance of the estimate (an unpredicted round is vacuously
 	// good — there was no promise to break).
-	m.sloObserve(sloMakespan, sched.Makespan <= 0 || wallMs <= sched.Makespan*sloMakespanTolerance)
-
-	// Aggregate completed jobs and count requeues.
-	m.mu.Lock()
+	m.sloObserve(sloMakespan, rnd.sched.Makespan <= 0 || wallMs <= rnd.sched.Makespan*sloMakespanTolerance)
 	m.rounds++
 	snap.Round = m.rounds
 	m.lastSched = snap
@@ -538,11 +558,12 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	// Vote groups the round could not settle are swept before aggregation:
 	// an unresolved group's range goes back to the queue, so its job stays
 	// under-covered rather than folding unverified.
-	m.sweepVoteGroupsLocked()
+	if !m.closed {
+		m.sweepVoteGroupsLocked()
+	}
 	// The sweep's requeues are the round's last events; aggregation below
 	// is the job's, not the round's.
-	m.closeTimeline(report, snap, start)
-	m.roundActive = false
+	m.closeTimeline(report, snap, rnd.start)
 	report.Requeued = len(m.pending)
 	for _, js := range m.jobs {
 		if js.Done || js.Covered < js.TotalBytes {
@@ -553,65 +574,33 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 			report.CompletedJobs = append(report.CompletedJobs, js.ID)
 		}
 	}
-	for _, ps := range phones {
+	for _, ps := range rnd.phones {
 		if !ps.alive() {
 			report.FailedPhones = append(report.FailedPhones, ps.info.ID)
 		}
 	}
-	if wl := m.cfg.WAL; wl != nil && (wl.CompactDue() || m.walStale) {
+	if wl := m.cfg.WAL; wl != nil && !m.closed && (wl.CompactDue() || m.walStale) {
 		if err := m.walCompactLocked(); err != nil {
 			m.cfg.Logger.Errorf("wal: compaction failed: %v", err)
 		}
 	}
-	m.mu.Unlock()
-	return report, nil
-}
-
-// planRound turns a round's drained items into per-phone queues of
-// concrete byte partitions: profile what lacks a profile, pack, slice.
-func (m *Master) planRound(ctx context.Context, items []*workItem) ([][]assignment, []*phoneState, *core.Schedule, *core.Instance, error) {
-	phones := m.admissiblePhones(m.placeablePhones(m.alivePhones()))
-	if len(phones) == 0 {
-		return nil, nil, nil, nil, ErrNoPhones
-	}
-	if err := m.profileIfNeeded(ctx, items, phones); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	// Re-snapshot: profiling may have killed a phone (or a drain check
-	// closed one).
-	phones = m.admissiblePhones(m.placeablePhones(m.alivePhones()))
-	if len(phones) == 0 {
-		return nil, nil, nil, nil, ErrNoPhones
-	}
-	sched, inst, err := m.buildSchedule(items, phones)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	plans, err := slicePartitions(items, sched)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return plans, phones, sched, inst, nil
 }
 
 // newSchedSnapshot captures the round's bin-packing decision before
 // dispatch: per-phone predicted busy spans and per-assignment predicted
 // costs under the cost model the scheduler actually used. Actuals are
 // filled in by finishSchedSnapshot once the round ends.
-func (m *Master) newSchedSnapshot(items []*workItem, phones []*phoneState, plans [][]assignment, sched *core.Schedule, inst *core.Instance) *SchedSnapshot {
-	itemIdx := make(map[*workItem]int, len(items))
-	for j, it := range items {
-		itemIdx[it] = j
-	}
-	snap := &SchedSnapshot{PredictedMakespanMs: sched.Makespan}
-	spans := sched.PhoneSpans(inst)
-	m.plan.shipped = slices.Grow(m.plan.shipped[:0], len(items))[:len(items)]
+func (m *Master) newSchedSnapshot(rnd *round) *SchedSnapshot {
+	inst, n := rnd.inst, len(rnd.items)
+	snap := &SchedSnapshot{PredictedMakespanMs: rnd.sched.Makespan}
+	spans := rnd.sched.PhoneSpans(inst)
+	m.plan.shipped = slices.Grow(m.plan.shipped[:0], n)[:n]
 	shipped := m.plan.shipped // the current phone's row
 	clear(shipped)
-	for pi, ps := range phones {
+	for pi, ps := range rnd.phones {
 		sp := SchedPhone{PhoneID: ps.info.ID, PredictedSpanMs: spans[pi]}
-		for _, a := range plans[pi] {
-			j := itemIdx[a.item]
+		for _, a := range rnd.plans[pi] {
+			j := a.job
 			sizeKB := float64(len(a.input)) / 1024
 			withExec := !shipped[j]
 			shipped[j] = true
@@ -625,19 +614,19 @@ func (m *Master) newSchedSnapshot(items []*workItem, phones []*phoneState, plans
 				Outcome:     "pending",
 			})
 		}
-		for _, a := range plans[pi] {
-			shipped[itemIdx[a.item]] = false
+		for _, a := range rnd.plans[pi] {
+			shipped[a.job] = false
 		}
 		snap.Phones = append(snap.Phones, sp)
 	}
 	return snap
 }
 
-// roundPlan is the memory RunRound plans a round in, overwritten by the
-// next round: the instance the packer solves, the flat backing of its
-// cost rows, the task-name column of each job, one phone's estimate per
-// name, and newSchedSnapshot's shipped row. Only RunRound touches it, and
-// RunRound is not safe for concurrent use.
+// roundPlan is the memory a round is planned in, overwritten by the next
+// round: the instance the packer solves, the flat backing of its cost
+// rows, the task-name column of each job, one phone's estimate per name,
+// and newSchedSnapshot's shipped row. RunRound packs in it, then the loop
+// commits from it; RunRound is not safe for concurrent use.
 type roundPlan struct {
 	inst    core.Instance
 	cells   []float64
@@ -647,25 +636,19 @@ type roundPlan struct {
 	shipped []bool
 }
 
-// buildSchedule constructs the core instance from live state and solves
-// it. The instance is m.plan's, valid until the next round plans.
-func (m *Master) buildSchedule(items []*workItem, phones []*phoneState) (*core.Schedule, *core.Instance, error) {
-	est, err := m.estimator(phones)
-	if err != nil {
-		return nil, nil, err
-	}
+// buildSchedule constructs the core instance from a take's fleet and
+// solves it. The instance is m.plan's, valid until the next round plans.
+func (m *Master) buildSchedule(items []*workItem, phones []PhoneInfo, est *predict.Estimator) (*core.Schedule, *core.Instance, error) {
 	plan := &m.plan
 	inst := &plan.inst
 	inst.Phones = inst.Phones[:0]
-	m.mu.Lock()
-	for _, ps := range phones {
+	for _, info := range phones {
 		inst.Phones = append(inst.Phones, core.Phone{
-			ID:       ps.info.ID,
-			BMsPerKB: ps.info.BMsPerKB,
-			RAMKB:    float64(ps.info.RAMMB) * 1024,
+			ID:       info.ID,
+			BMsPerKB: info.BMsPerKB,
+			RAMKB:    float64(info.RAMMB) * 1024,
 		})
 	}
-	m.mu.Unlock()
 	inst.Jobs = inst.Jobs[:0]
 	plan.names = plan.names[:0]
 	plan.nameOf = slices.Grow(plan.nameOf[:0], len(items))[:len(items)]
@@ -691,9 +674,10 @@ func (m *Master) buildSchedule(items []*workItem, phones []*phoneState) (*core.S
 	plan.cells = slices.Grow(plan.cells[:0], len(phones)*len(items))[:len(phones)*len(items)]
 	plan.cs = slices.Grow(plan.cs[:0], len(plan.names))[:len(plan.names)]
 	inst.C = slices.Grow(inst.C[:0], len(phones))[:len(phones)]
-	for i, ps := range phones {
+	var err error
+	for i, info := range phones {
 		for k, name := range plan.names {
-			if plan.cs[k], err = est.Estimate(name, ps.info.ID, ps.info.CPUMHz); err != nil {
+			if plan.cs[k], err = est.Estimate(name, info.ID, info.CPUMHz); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -709,8 +693,8 @@ func (m *Master) buildSchedule(items []*workItem, phones []*phoneState) (*core.S
 	windowed := false
 	if m.cfg.PlugAware {
 		now := nowMs()
-		for i, ps := range phones {
-			rem, ok := m.windows.RemainingMs(ps.info.ID, now, drainQuantile)
+		for i, info := range phones {
+			rem, ok := m.windows.RemainingMs(info.ID, now, drainQuantile)
 			if !ok {
 				continue // too little history: never veto
 			}
@@ -772,7 +756,7 @@ func slicePartitions(items []*workItem, sched *core.Schedule) ([][]assignment, e
 			// A re-queued range keeps the partition number it was first
 			// dispatched under so its timeline stays one row.
 			plans[slots[0].phone][slots[0].pos] = assignment{
-				item: it, partition: it.partition, input: it.input, resume: it.resume,
+				item: it, job: j, partition: it.partition, input: it.input, resume: it.resume,
 			}
 			continue
 		}
@@ -791,7 +775,7 @@ func slicePartitions(items []*workItem, sched *core.Schedule) ([][]assignment, e
 		off := int64(0)
 		for k, s := range slots {
 			plans[s.phone][s.pos] = assignment{
-				item: it, partition: k, input: pieces[k], off: off,
+				item: it, job: j, partition: k, input: pieces[k], off: off,
 			}
 			off += int64(len(pieces[k]))
 		}
@@ -863,9 +847,10 @@ func pairFits(ps *phoneState, cur, next assignment) bool {
 // checkpoint instead of from scratch — the paper only gets this on an
 // *online* failure, whose report carries the checkpoint. The fold is the
 // migrate record a kept failure checkpoint is (keepCheckpointLocked), so
-// streamed progress survives a master crash too. Every
-// frame is acknowledged, accepted or not: the ack is flow control
-// (workers cap unacked frames), not a durability promise.
+// streamed progress survives a master crash too. Every frame is
+// acknowledged, accepted or not: the ack is flow control (workers cap
+// unacked frames), not a durability promise: msg becomes the ack, which
+// the reader sends. Caller holds m.mu.
 func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message) {
 	ck := msg.Checkpoint
 	var jobID, partition int
@@ -878,7 +863,6 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 		m.sloObserve(sloVerify, false)
 		m.cfg.Logger.With("phone", ps.info.ID).Warnf("streamed checkpoint digest mismatch; frame dropped")
 	default:
-		m.mu.Lock()
 		// A frame naming another phone's attempt resolves to nothing: it
 		// never becomes that phone's resume state.
 		if rec := m.attemptLocked(ps, msg.Attempt); rec != nil {
@@ -894,12 +878,11 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 					Bytes: ck.Offset, Detail: "streamed"})
 			}
 		}
-		m.mu.Unlock()
 	}
 	// Echo the span coordinates so the worker's ckpt_ack telemetry event
 	// anchors to the same trace span as the master's checkpoint fold.
-	// The ack goes out in the frame's own message, which the read loop
-	// owns; the checkpoint a fold kept is its own allocation.
+	// The ack goes out in the frame's own message; the checkpoint a fold
+	// kept is its own allocation.
 	var span string
 	if jobID != 0 {
 		span = jobSpan(jobID)
@@ -908,7 +891,6 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 		Type: protocol.TypeCheckpointAck, Attempt: msg.Attempt, Seq: msg.Seq,
 		JobID: jobID, Partition: partition, Span: span,
 	}
-	_ = ps.conn.Send(msg)
 }
 
 // StreamedCheckpoints reports how many streamed checkpoints have been
@@ -938,8 +920,9 @@ func (m *Master) finalizeResultLocked(a assignment, resp *protocol.Message, ps *
 		JobID: js.ID, Key: a.key, Bytes: int64(len(a.input)), Partial: resp.Result,
 	})
 	// A late result (tie-break, detached straggler) can complete a job's
-	// coverage outside any round; without a sweep coming, finish it here.
-	if !m.roundActive && !js.Done && js.Covered >= js.TotalBytes {
+	// coverage outside any round; without a round's end coming, finish it
+	// here.
+	if m.current == nil && !js.Done && js.Covered >= js.TotalBytes {
 		m.finishJobLocked(js)
 	}
 	m.mx.results.Inc()

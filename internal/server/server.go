@@ -403,10 +403,10 @@ type Master struct {
 	// votes holds the open result-integrity vote groups by speculation key
 	// (verify.go).
 	votes map[int64]*voteGroup // guarded by mu
-	// roundActive is true while RunRound owns job aggregation (its end-
-	// of-round sweep); outside a round, a vote or tie-break resolving the
-	// last open range aggregates the job inline (finishJobLocked).
-	roundActive bool // guarded by mu
+	// current is the round open from the loop's commit to its end; outside
+	// one (nil), a result, vote or tie-break completing a job's coverage
+	// aggregates the job inline (finishJobLocked).
+	current *round // guarded by mu
 	// walStale is set when the log may lack something live state holds (a
 	// lost record): no record is written until walCompactLocked has folded
 	// a snapshot.
@@ -422,10 +422,9 @@ type Master struct {
 	rounds    int            // guarded by mu
 	lastSched *SchedSnapshot // guarded by mu
 
-	// timeline is the open round's events as trace wrote them while
-	// collecting; its backing array serves every round.
-	timeline   []obs.SpanEvent // guarded by mu
-	collecting bool            // guarded by mu
+	// timeline is the open round's events as trace wrote them; its
+	// backing array serves every round.
+	timeline []obs.SpanEvent // guarded by mu
 
 	// slos tracks the master's rolling-window service-level objectives
 	// (internally synchronized; see registerMasterSLOs for the catalog).
@@ -433,8 +432,8 @@ type Master struct {
 
 	obsLn net.Listener // admin plane listener (nil when ObsAddr is unset)
 
-	// plan is the memory each round is planned in (round.go); RunRound
-	// alone uses it.
+	// plan is the memory each round is planned in (round.go): RunRound
+	// packs in it, then the loop's commit snapshots from it.
 	plan roundPlan
 }
 
@@ -537,13 +536,15 @@ func (m *Master) Close() { m.shutdown(true) }
 // Kill is Close without the courtesy: no bye frames — the closest an
 // in-process master gets to SIGKILL. Listeners and connections drop
 // abruptly, goroutines are awaited, and the WAL (owned by the caller) is
-// left exactly as the last append left it, so a failover harness can kill
-// a primary mid-round and later resurrect it from that log.
+// left exactly as the last append left it — a round in flight hands
+// nothing back and compacts nothing — so a failover harness can kill a
+// primary mid-round and later resurrect it from that log.
 func (m *Master) Kill() { m.shutdown(false) }
 
 // shutdown is the one way a master stops; bye says whether each phone is
 // told before its connection drops. Once closed, no phone registers and no
-// death is an offline failure; the loop's last step kills every phone.
+// death is an offline failure; the loop's last step hands nothing back and
+// kills every phone.
 func (m *Master) shutdown(bye bool) {
 	m.mu.Lock()
 	if m.closed {
@@ -734,9 +735,9 @@ func (m *Master) joinLocked(now time.Time, conn *protocol.Conn, hello *protocol.
 	return ps
 }
 
-// readLoop routes one phone's frames until its death, which it posts with
-// its cause. A frame it handles goes back to the connection (Reuse); one
-// posted to the loop is the loop's to give back.
+// readLoop posts every frame of one phone to the loop until its death,
+// which it posts with its cause. It sends a checkpoint's ack once the
+// loop's step has answered: never behind a prefetched assign on the writer.
 func (m *Master) readLoop(ps *phoneState) {
 	for {
 		msg, err := ps.conn.Recv()
@@ -755,38 +756,21 @@ func (m *Master) readLoop(ps *phoneState) {
 		}
 		m.mx.framesReceived[msg.Type].Inc()
 		switch msg.Type {
-		case protocol.TypePong, protocol.TypeProbeAck:
-			m.post(reported{ps, msg})
-			continue
-		case protocol.TypeTelemetry:
-			// Deliberately not fenced: a worker's buffered span events
-			// must survive a standby promotion — each event carries the
-			// epoch it was minted under instead of the frame.
-			m.foldTelemetry(ps, msg)
-		case protocol.TypeCheckpoint, protocol.TypeResult, protocol.TypeFailure:
-			switch {
-			case m.fenced(msg):
-				m.rejectFenced(ps, msg)
-			case msg.Type == protocol.TypeCheckpoint:
-				// Folded and acked here; no window moves on a checkpoint.
-				m.recordStreamedCheckpoint(ps, msg)
-			default:
-				m.post(reported{ps, msg})
-				continue
-			}
 		case protocol.TypeBye:
 			m.post(died{ps, offlineBye, "orderly unplug"})
 			return
+		case protocol.TypeCheckpoint:
+			done := make(chan struct{})
+			if m.post(reported{ps, msg, done}) {
+				<-done
+				if msg.Type == protocol.TypeCheckpointAck {
+					_ = ps.conn.Send(msg)
+				}
+				ps.conn.Reuse(msg)
+			}
 		default:
-			// A frame the master never expects from a worker (hello after
-			// registration, an echo of a server->worker type, a frame from
-			// a newer peer). Dropped for forward compatibility, but counted
-			// and logged so a chattering peer is visible in /metrics.
-			m.mx.framesUnexpected[msg.Type].Inc()
-			m.cfg.Logger.With("phone", ps.info.ID, "type", string(msg.Type)).
-				Debugf("ignoring unexpected frame")
+			m.post(reported{ps: ps, msg: msg})
 		}
-		ps.conn.Reuse(msg)
 	}
 }
 
@@ -826,21 +810,20 @@ func (m *Master) BumpEpoch() (int64, error) {
 // numbering restarted at promotion, so accepting it could pair a stale
 // report with a fresh attempt — or let a resurrected old primary keep
 // collecting results it no longer owns. Epoch-less frames (replication
-// off) pass; the attempt/key dedupe still guards them.
+// off) pass; the attempt/key dedupe still guards them. Caller holds m.mu.
 func (m *Master) fenced(msg *protocol.Message) bool {
-	return msg.Epoch != 0 && msg.Epoch != m.Epoch()
+	return msg.Epoch != 0 && msg.Epoch != m.epoch
 }
 
 // rejectFenced drops a frame from another epoch: counted, logged, never
-// posted to the loop or folded. A frame from a *newer* epoch also
-// means this master itself is stale (a resurrected old primary watching
-// the fleet move on) — worth the louder log line.
+// credited or folded. A frame from a *newer* epoch also means this master
+// itself is stale (a resurrected old primary watching the fleet move on)
+// — worth the louder log line. Caller holds m.mu.
 func (m *Master) rejectFenced(ps *phoneState, msg *protocol.Message) {
 	m.mx.framesFenced[msg.Type].Inc()
-	cur := m.Epoch()
 	l := m.cfg.Logger.With("phone", ps.info.ID, "type", string(msg.Type),
-		"frame_epoch", msg.Epoch, "epoch", cur)
-	if msg.Epoch > cur {
+		"frame_epoch", msg.Epoch, "epoch", m.epoch)
+	if msg.Epoch > m.epoch {
 		l.Errorf("fenced frame from a newer epoch: this master has been superseded")
 	} else {
 		l.Warnf("fenced frame from a stale epoch")

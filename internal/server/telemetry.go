@@ -72,6 +72,7 @@ func (m *Master) sloObserve(name sloName, good bool) {
 // of every partition's causal history. Events keep the timestamp and
 // fencing epoch they were minted under on the phone — a batch buffered
 // across a standby promotion lands with its original regime visible.
+// Caller holds m.mu.
 func (m *Master) foldTelemetry(ps *phoneState, msg *protocol.Message) {
 	if msg.Dropped > 0 {
 		// The events the phone's buffer evicted since its last shipped
@@ -125,14 +126,12 @@ func (m *Master) foldTelemetry(ps *phoneState, msg *protocol.Message) {
 // recovered from its WAL — resolves). Spans are only ever minted as
 // "j<id>" (jobSpan), so the span is parsed back to its job ID;
 // anything not in that canonical form — a sign, leading zeros, trailing
-// bytes — names no job.
+// bytes — names no job. Caller holds m.mu.
 func (m *Master) knownSpan(span string) bool {
 	digits, ok := strings.CutPrefix(span, "j")
 	id, err := strconv.Atoi(digits)
 	if !ok || err != nil || strconv.Itoa(id) != digits {
 		return false
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.jobs[id] != nil
 }

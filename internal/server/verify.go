@@ -289,14 +289,10 @@ func (m *Master) auditSelected(key int64) bool {
 // their source's key, so every report funnels into the same group.
 // Caller holds m.mu (groups must register atomically with the round's
 // key assignment).
-func (m *Master) planVerificationLocked(plans [][]assignment, inst *core.Instance, items []*workItem) [][]assignment {
+func (m *Master) planVerificationLocked(plans [][]assignment, inst *core.Instance) [][]assignment {
 	k := m.cfg.VerifyReplicas
 	if k <= 1 && m.cfg.AuditRate <= 0 {
 		return nil
-	}
-	itemIdx := make(map[*workItem]int, len(items))
-	for j, it := range items {
-		itemIdx[it] = j
 	}
 	// Rebuild a core schedule positionally aligned with plans (the real
 	// schedule's slots were re-sliced and zero-byte pieces dropped).
@@ -306,7 +302,7 @@ func (m *Master) planVerificationLocked(plans [][]assignment, inst *core.Instanc
 		cs.PerPhone[pi] = make([]core.Assignment, len(asgs))
 		for i, a := range asgs {
 			cs.PerPhone[pi][i] = core.Assignment{
-				Phone: pi, Job: itemIdx[a.item], SizeKB: float64(len(a.input)) / 1024,
+				Phone: pi, Job: a.job, SizeKB: float64(len(a.input)) / 1024,
 			}
 		}
 		scheduled += len(asgs)
@@ -484,24 +480,5 @@ func (m *Master) QuarantinedPhones() []int {
 		out = append(out, id)
 	}
 	sort.Ints(out)
-	return out
-}
-
-// admissiblePhones drops quarantined phones from a placement snapshot.
-// Unlike the drain filter this is a HARD veto with no never-starve
-// fallback: a fleet that is entirely quarantined gets no work (the
-// caller sees ErrNoPhones), because a wrong answer is worse than none.
-func (m *Master) admissiblePhones(phones []*phoneState) []*phoneState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.quarantined) == 0 {
-		return phones
-	}
-	out := make([]*phoneState, 0, len(phones))
-	for _, ps := range phones {
-		if !m.quarantined[ps.info.ID] {
-			out = append(out, ps)
-		}
-	}
 	return out
 }

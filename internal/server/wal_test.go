@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -319,6 +320,92 @@ func (g *gateWriter) Write(b []byte) (int, error) {
 		return 0, errors.New("injected write error")
 	}
 	return g.w.Write(b)
+}
+
+// typeSink is a ReplicaSink that keeps the type of every record shipped.
+type typeSink struct {
+	mu   sync.Mutex
+	typs []uint8
+}
+
+func (s *typeSink) Lag() int64 { return 0 }
+func (s *typeSink) DropAll()   {}
+
+func (s *typeSink) Ship(f *wal.Frame) {
+	rec, _, err := wal.NewStreamReader(bytes.NewReader(f.Bytes())).Next()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err == nil {
+		s.typs = append(s.typs, rec.Type)
+	}
+}
+
+func (s *typeSink) shipped() []uint8 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.typs)
+}
+
+// A master killed mid-round writes nothing once Kill begins: its round
+// hands no range back (no migrate record, no retry spent) and compacts
+// nothing, before Kill returns or after. Recovery finds the ranges as a
+// SIGKILL leaves them: open, with every retry still to spend.
+func TestKillWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncNone})
+	sink := &typeSink{}
+	m := startMaster(t, Config{WAL: wl, ReplicaSink: sink, KeepalivePeriod: time.Hour})
+	f := dialFake(t, m, "HTC G2", 806) // acks nothing
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.WaitForPhones(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.take(false).est.SetProfile("primecount", 0.01); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 3; j++ {
+		if _, err := m.Submit(tasks.PrimeCount{}, numberLines(100*j+1, 100*j+100), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundDone := make(chan struct{})
+	go func() {
+		defer close(roundDone)
+		_, _ = m.RunRound(ctx)
+	}()
+	// Two assignments out (one running, one prefetched), the third queued.
+	for k := 0; k < 2; k++ {
+		if msg := f.recv(); msg.Type != protocol.TypeAssign {
+			t.Fatalf("phone got %s, want an assignment", msg.Type)
+		}
+	}
+	shipped, logged := len(sink.shipped()), wl.LogBytes()
+	m.Kill()
+	after := sink.shipped()[shipped:]
+	<-roundDone
+	if late := sink.shipped()[shipped:]; len(after) > 0 || len(late) > 0 {
+		t.Errorf("records shipped after Kill began: %v before it returned, %v in all", after, late)
+	}
+	if got := wl.LogBytes(); got != logged {
+		t.Errorf("log holds %d bytes after Kill, %d before", got, logged)
+	}
+	wl.Close()
+
+	b := New(Config{WAL: openWAL(t, dir, wal.Options{Sync: wal.SyncNone})})
+	if err := b.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.open) != 3 {
+		t.Fatalf("recovered %d open ranges, want 3", len(b.open))
+	}
+	for key, e := range b.open {
+		if e.Retries != 0 {
+			t.Errorf("range %d recovered with %d retries spent, want 0", key, e.Retries)
+		}
+	}
 }
 
 func TestRoundRecordFailureAbortsRound(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cwc/internal/obs"
 	"cwc/internal/protocol"
 	"cwc/internal/tasks"
 )
@@ -537,7 +538,8 @@ func TestAppendChunkGrowth(t *testing.T) {
 // its cumulative stats — that number is what the master refines c_ij on.
 func TestExecMsIncludesEmulatedCPUDelay(t *testing.T) {
 	const perKB = 20 * time.Millisecond
-	w, fs, _ := startWorker(t, Config{DelayPerKB: perKB})
+	reg := obs.NewRegistry()
+	w, fs, _ := startWorker(t, Config{DelayPerKB: perKB, Metrics: reg})
 	fs.welcome(1)
 	input := bytes.Repeat([]byte("7\n"), 4<<10/2) // 4 KB
 	wantMs := 4 * float64(perKB/time.Millisecond)
@@ -556,6 +558,11 @@ func TestExecMsIncludesEmulatedCPUDelay(t *testing.T) {
 	// Interrupted during the delay: the time spent is still reported.
 	fs.send(&protocol.Message{Type: protocol.TypeAssign, JobID: 2, Task: "primecount",
 		Input: bytes.Repeat(input, 64)}) // 256 KB: a 5 s delay
+	// The exec clock starts before the task does: once its exec_start is
+	// counted, the next 50 ms are all on that clock.
+	for reg.Counter("cwc_worker_events_total", "kind", "exec_start").Value() < 2 {
+		time.Sleep(time.Millisecond)
+	}
 	time.Sleep(50 * time.Millisecond)
 	before := w.Stats().ExecMs
 	w.Unplug()
