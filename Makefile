@@ -153,7 +153,6 @@ census:
 		"internal/lint $$($(call GOLINES,internal/lint))"
 	@echo "cwc-server flags:       $$(grep -cE 'flag\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/cwc-server/main.go)"
 	@echo "server.Config fields:   $$(sed -n '/^type Config struct {/,/^}/p' internal/server/server.go | grep -cE '^	[A-Z][A-Za-z]* ')"
-	@echo "Master fields under mu: $$(sed -n '/^type Master struct {/,/^}/p' internal/server/server.go | grep -c 'guarded by mu')"
 	@echo "frame types:            $$(grep -hE '^	Type[A-Za-z]+ +Type = "' internal/protocol/*.go | wc -l)"
 	@echo "WAL record types:       $$(grep -cE '^	walRec[A-Za-z]+ +uint8 = ' internal/server/wal.go) (declared live types; retired numbers stay reserved, unnamed)"
 	@echo "WAL writers:            $$(grep -h --exclude='*_test.go' 'm\.walWrite(' internal/server/*.go | wc -l) (non-test calls of m.walWrite)"
@@ -161,8 +160,6 @@ census:
 	@echo "cwc-vet flags:          $$(grep -cE 'flag\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/cwc-vet/main.go)"
 	@echo "make check prerequisites: $$(sed -n 's/^check://p' Makefile | wc -w)"
 	@echo "goroutine spawn sites:  $$(grep -hE '^\s*go ' --exclude='*_test.go' internal/server/*.go | wc -l) (non-test go statements in internal/server)"
-	@echo "m.mu.Lock() sites:      $$(grep -h --exclude='*_test.go' 'm\.mu\.Lock()' internal/server/*.go | wc -l) (non-test, internal/server)"
-	@echo "m.mu.Lock() by file:    $$(grep -c --exclude='*_test.go' 'm\.mu\.Lock()' internal/server/*.go | grep -v ':0$$' | sed 's|^internal/server/||; s|\.go:| |' | paste -sd, - | sed 's/,/, /g') (non-test, internal/server)"
 	@echo "mutex declarations:     $$(grep -hE --exclude='*_test.go' '^\s*(var +)?[A-Za-z_]+ +sync\.(RW)?Mutex\b' internal/server/*.go | wc -l) (non-test sync.Mutex/RWMutex fields and vars, internal/server)"
 	@echo "//lint:ignore lines:    $$(grep -rhE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=bench '^\s*//lint:ignore ' . | wc -l) (non-test, non-testdata directives)"
 	@echo "encoding/json importers: $$(grep -l '"encoding/json"' $$(find internal/protocol internal/replica internal/wal internal/server -name '*.go' -not -name '*_test.go' -not -name admin.go) | wc -l) (non-test files of protocol, replica, wal and server, admin.go aside)"

@@ -134,9 +134,10 @@ func (s *Shipper) BindMaster(m *server.Master) {
 }
 
 // Ship implements server.ReplicaSink: queue a reference to the logged
-// frame, never a copy, to every attached standby. Called with the
-// master's state lock held, so it must never block — a standby whose
-// queue is full is cut loose and reconnects for a fresh cut.
+// frame, never a copy, to every attached standby. Called on the master's
+// loop, so it must never block, and never call a Master method — a
+// standby whose queue is full is cut loose and reconnects for a fresh
+// cut.
 func (s *Shipper) Ship(f *wal.Frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -205,8 +206,9 @@ func (s *Shipper) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serveStandby attaches one standby: the cut first (registered under
-// the master's state lock so it is exact), then the live stream
+// serveStandby attaches one standby: the cut first (registered in the
+// master's loop step that cuts it, so it is exact; the registration
+// calls no Master method), then the live stream
 // interleaved with heartbeats until the connection, the subscriber, or
 // the shipper dies.
 func (s *Shipper) serveStandby(conn net.Conn) {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cwc/internal/obs"
+	"cwc/internal/predict"
 )
 
 // This file is the master's admin plane: the HTTP endpoints bound at
@@ -65,15 +66,15 @@ type SchedSnapshot struct {
 
 // LastSched returns the most recent round's packing-vs-actuals snapshot,
 // or nil before the first completed round.
-func (m *Master) LastSched() *SchedSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.lastSched == nil {
-		return nil
-	}
-	cp := *m.lastSched
-	cp.Phones = append([]SchedPhone(nil), m.lastSched.Phones...)
-	return &cp
+func (m *Master) LastSched() (cp *SchedSnapshot) {
+	m.do(func() {
+		if m.lastSched != nil {
+			snap := *m.lastSched
+			snap.Phones = append([]SchedPhone(nil), m.lastSched.Phones...)
+			cp = &snap
+		}
+	})
+	return cp
 }
 
 // finishSchedSnapshot folds the assign, result, failure and straggler
@@ -167,12 +168,11 @@ func (m *Master) serveObs(addr string) error {
 
 // refreshGauges recomputes the point-in-time gauges a scrape should see.
 func (m *Master) refreshGauges() {
-	alive := len(m.alivePhones())
-	m.mu.Lock()
-	pending := len(m.pending)
-	epoch := m.epoch
-	quarantined := len(m.quarantined)
-	m.mu.Unlock()
+	var alive, pending, quarantined int
+	var epoch int64
+	m.do(func() {
+		alive, pending, quarantined, epoch = m.liveLocked(), len(m.pending), len(m.quarantined), m.epoch
+	})
 	m.mx.phonesAlive.Set(float64(alive))
 	m.mx.pendingItems.Set(float64(pending))
 	m.mx.phonesQuarantined.Set(float64(quarantined))
@@ -278,34 +278,8 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		st.ReplicaLagRecords = &lag
 	}
 
-	m.mu.Lock()
-	st.Epoch = m.epoch
-	est := m.est
+	var est *predict.Estimator
 	tasksSeen := map[string]bool{}
-	for _, js := range m.jobs {
-		st.JobsSubmitted++
-		if js.Done {
-			st.JobsCompleted++
-		}
-		tasksSeen[js.Task] = true
-	}
-	st.PendingItems = len(m.pending)
-	st.Rounds = m.rounds
-	if m.lastSched != nil {
-		st.LastRound = &statusRound{
-			Round:               m.lastSched.Round,
-			PredictedMakespanMs: m.lastSched.PredictedMakespanMs,
-			ActualMakespanMs:    m.lastSched.ActualMakespanMs,
-		}
-	}
-	st.DeadLetters = append(st.DeadLetters, m.dead...)
-	if len(m.offline) > 0 {
-		st.OfflineFailures = map[string]int{}
-		for _, of := range m.offline {
-			st.OfflineFailures[of.Reason]++
-		}
-	}
-	st.CheckpointFolds = m.ckptFolds
 	type phoneRow struct {
 		info        PhoneInfo
 		missed      int
@@ -314,23 +288,51 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		rep         *float64
 		quarantined bool
 	}
-	rows := make([]phoneRow, 0, len(m.phones))
-	for _, ps := range m.phones {
-		row := phoneRow{
-			info: ps.info, alive: ps.alive(),
-			drain:       m.drains[ps.info.ID],
-			quarantined: m.quarantined[ps.info.ID],
+	var rows []phoneRow
+	m.do(func() {
+		st.Epoch = m.epoch
+		est = m.est
+		for _, js := range m.jobs {
+			st.JobsSubmitted++
+			if js.Done {
+				st.JobsCompleted++
+			}
+			tasksSeen[js.Task] = true
 		}
-		if w := m.wins[ps]; w != nil {
-			row.missed = w.missed
+		st.PendingItems = len(m.pending)
+		st.Rounds = m.rounds
+		if m.lastSched != nil {
+			st.LastRound = &statusRound{
+				Round:               m.lastSched.Round,
+				PredictedMakespanMs: m.lastSched.PredictedMakespanMs,
+				ActualMakespanMs:    m.lastSched.ActualMakespanMs,
+			}
 		}
-		if r, ok := m.reputation[ps.info.ID]; ok {
-			rep := r
-			row.rep = &rep
+		st.DeadLetters = append(st.DeadLetters, m.dead...)
+		if len(m.offline) > 0 {
+			st.OfflineFailures = map[string]int{}
+			for _, of := range m.offline {
+				st.OfflineFailures[of.Reason]++
+			}
 		}
-		rows = append(rows, row)
-	}
-	m.mu.Unlock()
+		st.CheckpointFolds = m.ckptFolds
+		rows = make([]phoneRow, 0, len(m.phones))
+		for _, ps := range m.phones {
+			row := phoneRow{
+				info: ps.info, alive: ps.alive(),
+				drain:       m.drains[ps.info.ID],
+				quarantined: m.quarantined[ps.info.ID],
+			}
+			if w := m.wins[ps]; w != nil {
+				row.missed = w.missed
+			}
+			if r, ok := m.reputation[ps.info.ID]; ok {
+				rep := r
+				row.rep = &rep
+			}
+			rows = append(rows, row)
+		}
+	})
 
 	sort.Slice(rows, func(i, j int) bool { return rows[i].info.ID < rows[j].info.ID })
 	var tasks []string
@@ -430,9 +432,8 @@ type Timeline struct {
 // jobTimeline assembles one job's merged timeline from the trace ring.
 // Returns nil when the job is unknown to this master.
 func (m *Master) jobTimeline(jobID int) *Timeline {
-	m.mu.Lock()
-	known := m.jobs[jobID] != nil
-	m.mu.Unlock()
+	var known bool
+	m.do(func() { known = m.jobs[jobID] != nil })
 	if !known {
 		return nil
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cwc/internal/obs"
+	"cwc/internal/predict"
 	"cwc/internal/protocol"
 	"cwc/internal/tasks"
 )
@@ -310,10 +311,11 @@ func TestForgedReportsDoNotParkTheSendersReadLoop(t *testing.T) {
 func TestSpeculateSkipsARangeAlreadyQueued(t *testing.T) {
 	m := startMaster(t, Config{})
 	a := openTestRange(t, m, tasks.PrimeCount{}, numberLines(1, 50), true, 0)
-	m.mu.Lock()
-	m.recordFailureLocked(a, &protocol.Message{Type: protocol.TypeFailure, Error: "unplugged"})
-	speculated := m.speculateLocked(a)
-	m.mu.Unlock()
+	var speculated bool
+	m.do(func() {
+		m.recordFailureLocked(a, &protocol.Message{Type: protocol.TypeFailure, Error: "unplugged"})
+		speculated = m.speculateLocked(a)
+	})
 	if speculated {
 		t.Error("speculated on a range a failure report had already queued")
 	}
@@ -372,9 +374,8 @@ func TestProfilingIgnoresAStaleNotice(t *testing.T) {
 	if _, ok := m.Result(straggler); !ok {
 		t.Error("the abandoned straggler's late result was not credited; the scenario no longer covers it")
 	}
-	m.mu.Lock()
-	est := m.est
-	m.mu.Unlock()
+	var est *predict.Estimator
+	m.do(func() { est = m.est })
 	if ms, ok := est.Profile("wordcount"); !ok || ms >= 10 {
 		t.Errorf("wordcount profile = %.2f ms/KB (ok %v); the phone answered the profiling run in 1 ms", ms, ok)
 	}

@@ -59,11 +59,11 @@ func newCycleRig(tb testing.TB, m *Master, n int) *cycleRig {
 		out:  make(chan flight, writerQueue),
 		dead: make(chan struct{}),
 	}
-	m.mu.Lock()
-	m.phones[1] = r.ps
-	m.mu.Unlock()
-	t := &taking{queue: true, done: make(chan struct{})}
-	r.step(t)
+	var t *taking
+	m.do(func() {
+		m.phones[1] = r.ps
+		t = m.takeLocked(true)
+	})
 	if err := t.est.SetProfile("wordcount", 0.01); err != nil {
 		tb.Fatal(err)
 	}
@@ -88,11 +88,13 @@ func newCycleRig(tb testing.TB, m *Master, n int) *cycleRig {
 	return r
 }
 
-// step is one step of the master's loop.
+// step is one step of the master's loop, run as do runs a call while no
+// loop runs: holding the state's token. It takes the token itself rather
+// than post a closure, whose allocation the cycle's budget does not hold.
 func (r *cycleRig) step(in any) {
-	r.m.mu.Lock()
+	<-r.m.stopped
 	r.m.stepLocked(time.Now(), in)
-	r.m.mu.Unlock()
+	r.m.stopped <- struct{}{}
 }
 
 // encodeFrame is the wire bytes Send writes for msg.
@@ -189,13 +191,17 @@ func TestCreditedPartialSurvivesMessageReuse(t *testing.T) {
 		} else if msg != first {
 			t.Errorf("report %d arrived in a new message, want the first one reused", k+1)
 		}
-		r.m.mu.Lock()
+		partials := make([][][]byte, k+1)
+		r.m.do(func() {
+			for j := range partials {
+				partials[j] = r.m.jobs[r.ids[j]].Partials
+			}
+		})
 		for j := 0; j <= k; j++ {
-			if got := r.m.jobs[r.ids[j]].Partials; len(got) != 1 || !bytes.Equal(got[0], r.want[j]) {
+			if got := partials[j]; len(got) != 1 || !bytes.Equal(got[0], r.want[j]) {
 				t.Errorf("after report %d, job %d holds partials %q, want [%s]", k+1, r.ids[j], got, r.want[j])
 			}
 		}
-		r.m.mu.Unlock()
 	}
 	sink.check("after every report")
 	if sink.compared < 2*n {
@@ -293,9 +299,8 @@ func TestRoundRunsToItsReportInLoopSteps(t *testing.T) {
 			if !slices.Equal(rep.FailedPhones, tc.failedPhones) {
 				t.Errorf("failed phones %v, want %v", rep.FailedPhones, tc.failedPhones)
 			}
-			r.m.mu.Lock()
-			open := len(r.m.open)
-			r.m.mu.Unlock()
+			var open int
+			r.m.do(func() { open = len(r.m.open) })
 			if open != tc.requeued {
 				t.Errorf("%d ranges open, want %d (the requeued)", open, tc.requeued)
 			}

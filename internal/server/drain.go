@@ -52,17 +52,15 @@ func (m *Master) SeedChargeWindows(phoneID int, durationsMs []float64) {
 // DrainState returns the phone's drain state: "started", "completed",
 // or "" when the phone is not draining (and so not excluded from
 // placement).
-func (m *Master) DrainState(phoneID int) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.drains[phoneID]
+func (m *Master) DrainState(phoneID int) (state string) {
+	m.do(func() { state = m.drains[phoneID] })
+	return state
 }
 
 // checkDrainsLocked is the loop's drain check, every DrainCheckPeriod
 // under Config.PlugAware: start drains whose predicted window is inside
 // the lead, and complete drains whose phones' windows hold no attempts
-// anymore (the handback arrived, or the phone was idle). Caller holds
-// m.mu.
+// anymore (the handback arrived, or the phone was idle).
 func (m *Master) checkDrainsLocked() {
 	now := nowMs()
 	lead := float64(drainLead) / float64(time.Millisecond)
@@ -86,7 +84,7 @@ func (m *Master) checkDrainsLocked() {
 // startDrainLocked begins a proactive drain on a phone not yet draining:
 // record and WAL-log the state, then queue the drain frame that asks the
 // worker to flush and hand its work back. The phone's window hands back
-// what it has not started from its next step on. Caller holds m.mu.
+// what it has not started from its next step on.
 func (m *Master) startDrainLocked(ps *phoneState, remMs float64) {
 	id := ps.info.ID
 	m.walAppend(&walDrainRec{PhoneID: id, State: drainStarted})
@@ -97,8 +95,7 @@ func (m *Master) startDrainLocked(ps *phoneState, remMs float64) {
 
 // completeDrainLocked marks a started drain as completed: the phone's
 // in-flight work has been handed back (or it held none). The phone stays
-// excluded from placement until a new charge session clears it. Caller
-// holds m.mu.
+// excluded from placement until a new charge session clears it.
 func (m *Master) completeDrainLocked(id int) {
 	if m.drains[id] != drainStarted {
 		return
@@ -109,7 +106,7 @@ func (m *Master) completeDrainLocked(id int) {
 }
 
 // clearDrainLocked removes a phone's drain entry (a new charge session
-// started); a no-op when none exists. Caller holds m.mu.
+// started); a no-op when none exists.
 func (m *Master) clearDrainLocked(id int) {
 	if _, ok := m.drains[id]; ok {
 		m.walAppend(&walDrainRec{PhoneID: id, State: drainCleared})

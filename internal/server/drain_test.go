@@ -19,10 +19,10 @@ func TestRecordFailureDedupesReplayedAttempt(t *testing.T) {
 	a := openTestRange(t, m, tasks.PrimeCount{}, []byte("2\n3\n4\n5\n"), false, 0)
 	js := m.jobs[a.item.jobID]
 	msg := protocolFailure(4, `{"count":2}`)
-	m.mu.Lock()
-	m.recordFailureLocked(a, &msg)
-	m.recordFailureLocked(a, &msg) // replay over the phone's new connection
-	m.mu.Unlock()
+	m.do(func() {
+		m.recordFailureLocked(a, &msg)
+		m.recordFailureLocked(a, &msg) // replay over the phone's new connection
+	})
 	if js.Covered != 4 {
 		t.Errorf("covered = %d, want 4 (replay must not double-credit)", js.Covered)
 	}
@@ -38,10 +38,10 @@ func TestRecordFailureDedupesReplayedAttempt(t *testing.T) {
 	m2 := New(Config{})
 	b := openTestRange(t, m2, tasks.Blur{}, []byte("1 1\n1 2 3\n"), true, 0)
 	bmsg := protocolFailure(3, `{"row":0,"out":[]}`)
-	m2.mu.Lock()
-	m2.recordFailureLocked(b, &bmsg)
-	m2.recordFailureLocked(b, &bmsg)
-	m2.mu.Unlock()
+	m2.do(func() {
+		m2.recordFailureLocked(b, &bmsg)
+		m2.recordFailureLocked(b, &bmsg)
+	})
 	if len(m2.pending) != 1 || m2.pending[0].retries != 1 {
 		t.Fatalf("migrated range: pending = %d, want one copy with one retry spent", len(m2.pending))
 	}
@@ -89,9 +89,7 @@ func TestProactiveDrainHandsBackWithoutKillingPhone(t *testing.T) {
 	}
 
 	// Drain the phone while its assignment is in flight.
-	m.mu.Lock()
-	m.startDrainLocked(m.phones[0], 0)
-	m.mu.Unlock()
+	m.do(func() { m.startDrainLocked(m.phones[0], 0) })
 	if msg := f.recv(); msg.Type != protocol.TypeDrain {
 		t.Fatalf("expected drain frame, got %s", msg.Type)
 	}
@@ -127,9 +125,7 @@ func TestWALDrainLedgerRecovery(t *testing.T) {
 	if err := a.WaitForPhones(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	a.mu.Lock()
-	a.startDrainLocked(a.phones[0], 1000)
-	a.mu.Unlock()
+	a.do(func() { a.startDrainLocked(a.phones[0], 1000) })
 	if st := a.DrainState(0); st != drainStarted {
 		t.Fatalf("drain state = %q, want %q", st, drainStarted)
 	}
@@ -154,9 +150,7 @@ func TestWALDrainLedgerRecovery(t *testing.T) {
 		t.Errorf("recovered master recycled phone ID %d into the drain ledger", id)
 	}
 	// Complete and clear the drain; both transitions replay too.
-	b.mu.Lock()
-	b.completeDrainLocked(0)
-	b.mu.Unlock()
+	b.do(func() { b.completeDrainLocked(0) })
 	b.clearDrain(0)
 	b.Close()
 	wl2.Close()

@@ -171,10 +171,12 @@ func TestStragglerSpeculationFirstResultWins(t *testing.T) {
 		t.Fatalf("result after speculation = %q %v (round 2: %+v)", got, ok, report2)
 	}
 	// First-result-wins: exactly one partial credited for the byte range.
-	m.mu.Lock()
-	partials := len(m.jobs[id].Partials)
-	covered, total := m.jobs[id].Covered, m.jobs[id].TotalBytes
-	m.mu.Unlock()
+	var partials int
+	var covered, total int64
+	m.do(func() {
+		partials = len(m.jobs[id].Partials)
+		covered, total = m.jobs[id].Covered, m.jobs[id].TotalBytes
+	})
 	if partials != 1 {
 		t.Errorf("%d partials recorded for one byte range", partials)
 	}

@@ -12,24 +12,26 @@ import (
 	"cwc/internal/protocol"
 )
 
-// The dispatch loop: one goroutine, run, owns every phone's life, window
-// and timers, and each round from its commit to its end, as the paper's
-// master was one NIO selector thread. Each input is one critical section
-// of ...Locked calls: a checked hello, a take or a *round, a
-// MeasureBandwidths call, a frame a reader received, a writer's outcome,
-// the reader's death, a cancelled round (nil: the master stops), or the
-// timer. Readers and writers do the I/O.
+// The dispatch loop: one goroutine, run, owns the master's state — every
+// phone's life, window and timers, each round from its commit to its end,
+// the queue and the durable state — as the paper's master was one NIO
+// selector thread. Each input is one step: a checked hello, a *round, a
+// frame a reader received, a writer's outcome, the reader's death, a
+// cancelled round, a call (func(), posted by do), or the timer. Readers
+// and writers do the I/O. While no loop runs (before Start, and after the
+// last step, Close's or Kill's) the state's token waits in stopped, and a
+// call takes it and runs on its caller. A method named ...Locked runs on
+// the state's owner: the loop, or the holder of the token.
 type (
 	joined struct {
 		conn  *protocol.Conn
 		hello *protocol.Message
-		ps    *phoneState   // its registration; nil: the master is closing
-		done  chan struct{} // closed once ps is set
+		ps    *phoneState // its registration, set in the step
 	}
 	reported struct {
 		ps   *phoneState
 		msg  *protocol.Message
-		done chan struct{} // a checkpoint's: closed once msg is its ack (if one is due)
+		wait bool // a checkpoint's: its reader waits for the step, in which msg becomes its ack (if one is due)
 	}
 	sent struct {
 		ps      *phoneState
@@ -45,12 +47,10 @@ type (
 	// taking is RunRound's take: the queue if asked for, and the planning
 	// fleet, live phones in ID order, with the estimator (takeLocked).
 	taking struct {
-		queue  bool
 		items  []*workItem
 		phones []*phoneState
 		infos  []PhoneInfo // phones' info, for the packer off the loop
 		est    *predict.Estimator
-		done   chan struct{}
 	}
 )
 
@@ -121,13 +121,39 @@ const pingAttempt = -1
 // next tick waits for it) and a probe (a call waits for one outstanding).
 const writerQueue = 6
 
-// post hands the loop an input; false once the master has stopped.
+// post hands the loop an input; false once the loop's last step has run.
 func (m *Master) post(in any) bool {
 	select {
 	case m.inputs <- in:
 		return true
-	case <-m.stopped:
+	case <-m.life.Done():
 		return false
+	}
+}
+
+// call posts in and returns once the loop's step has handled it; false
+// once the loop's last step has run. A step whose poster waits — a call's,
+// a hello's, a checkpoint's — hands control back over stepDone: the loop
+// takes one input at a time, so only that poster can be waiting there.
+func (m *Master) call(in any) bool {
+	if !m.post(in) {
+		return false
+	}
+	<-m.stepDone
+	return true
+}
+
+// do runs f on the state's owner and returns once f has run: on the loop,
+// as call does, or, while no loop runs, on the caller, holding the token.
+// The loop never calls do: neither may anything it calls out to (a
+// ReplicaSink, an activate).
+func (m *Master) do(f func()) {
+	select {
+	case m.inputs <- f:
+		<-m.stepDone
+	case <-m.stopped:
+		f()
+		m.stopped <- struct{}{}
 	}
 }
 
@@ -143,23 +169,24 @@ func (m *Master) dispatch(ctx context.Context, rnd *round) {
 	case <-rnd.done:
 	case <-ctx.Done():
 		m.post(cancelled{rnd})
-		<-rnd.done // a stopping loop ends every round too
+		<-rnd.done // the last step ends every round too
 	}
 }
 
-// take asks the loop for RunRound's take; nil once the master has stopped,
-// or before it has started.
-func (m *Master) take(queue bool) *taking {
-	t := &taking{queue: queue, done: make(chan struct{})}
-	if m.ln == nil || !m.post(t) {
-		return nil
-	}
-	<-t.done
+// take is RunRound's take; nil once the master has stopped, or before it
+// has started.
+func (m *Master) take(queue bool) (t *taking) {
+	m.do(func() {
+		if m.ln != nil && !m.closed {
+			t = m.takeLocked(queue)
+		}
+	})
 	return t
 }
 
 // run is the dispatch loop; its timer is armed for the earliest window
-// deadline, tie-break expiry and drain check.
+// deadline, tie-break expiry and drain check. Its last step is the one
+// that closes the master; the token then goes back to stopped.
 func (m *Master) run() {
 	defer m.wg.Done()
 	timer := time.NewTimer(0)
@@ -170,26 +197,13 @@ func (m *Master) run() {
 		select {
 		case in = <-m.inputs:
 		case <-timer.C:
-		case <-m.stopped:
-			in = cancelled{}
 		}
 		now := time.Now()
-		m.mu.Lock()
-		if in == (cancelled{}) {
-			// The last step: every window lets go without handing anything
-			// back (its ranges stay open, as recovery finds them after a
-			// SIGKILL), which ends the round they held, and every phone dies.
-			for _, w := range m.wins {
-				w.win, w.next = nil, len(w.queue)
-				m.finishLocked(w)
-			}
-			for _, ps := range m.phones {
-				ps.kill() // shutdown has said its byes
-			}
-			m.mu.Unlock()
+		m.stepLocked(now, in)
+		if m.closed {
+			m.stopped <- struct{}{}
 			return
 		}
-		m.stepLocked(now, in)
 		wake := m.timersLocked(now)
 		if m.cfg.PlugAware {
 			if !now.Before(drainDue) {
@@ -198,12 +212,42 @@ func (m *Master) run() {
 			}
 			wake = earliest(wake, drainDue)
 		}
-		m.mu.Unlock()
 		if !wake.IsZero() {
 			// A stale tick is harmless: every deadline is checked against
 			// the clock, and the step it causes re-arms the timer.
 			timer.Reset(wake.Sub(now))
 		}
+	}
+}
+
+// closeLocked is the master's last step, Close's or Kill's: it stops
+// accepting, refuses every input posted from here on and cuts half-read
+// hellos short (life ends), lets every window go without handing anything
+// back (its ranges stay open, as recovery finds them after a SIGKILL),
+// which ends the round they held, says bye to every live phone if asked
+// to, and kills every phone. A closed master is closed again as a no-op.
+func (m *Master) closeLocked(bye bool) {
+	if m.closed {
+		return
+	}
+	m.closed = true
+	m.halt()
+	if m.ln != nil {
+		m.ln.Close()
+	}
+	if m.obsLn != nil {
+		m.obsLn.Close()
+	}
+	for _, w := range m.wins {
+		w.win, w.next = nil, len(w.queue)
+		m.finishLocked(w)
+	}
+	clear(m.wins)
+	for _, ps := range m.phones {
+		if bye && ps.alive() {
+			_ = ps.conn.Send(&protocol.Message{Type: protocol.TypeBye})
+		}
+		ps.kill()
 	}
 }
 
@@ -215,24 +259,26 @@ func earliest(a, b time.Time) time.Time {
 	return a
 }
 
-// stepLocked handles one input. Caller holds m.mu.
+// stepLocked handles one input.
 func (m *Master) stepLocked(now time.Time, in any) {
 	switch in := in.(type) {
+	case func():
+		in()
+		m.stepDone <- struct{}{}
 	case *joined:
 		in.ps = m.joinLocked(now, in.conn, in.hello)
-		close(in.done)
-	case *taking:
-		m.takeLocked(in)
+		m.stepDone <- struct{}{}
 	case *round:
 		if in.profiling {
 			m.startLocked(now, in)
 		} else {
 			m.commitLocked(in)
 		}
-	case *probing:
-		m.probeLocked(now, in)
 	case reported:
 		m.reportedLocked(now, in)
+		if in.wait {
+			m.stepDone <- struct{}{}
+		}
 	case sent:
 		switch w := m.wins[in.ps]; {
 		case in.err != nil:
@@ -258,7 +304,7 @@ func (m *Master) stepLocked(now time.Time, in any) {
 // reportedLocked takes a frame a reader received: a pong or probe ack,
 // telemetry, or a checkpoint, result or failure past the epoch fence. A
 // checkpoint's message becomes its ack, for the reader to send; any other
-// goes back to the connection (Reuse). Caller holds m.mu.
+// goes back to the connection (Reuse).
 func (m *Master) reportedLocked(now time.Time, in reported) {
 	msg := in.msg
 	switch msg.Type {
@@ -292,11 +338,9 @@ func (m *Master) reportedLocked(now time.Time, in reported) {
 		m.cfg.Logger.With("phone", in.ps.info.ID, "type", string(msg.Type)).
 			Debugf("ignoring unexpected frame")
 	}
-	if in.done != nil {
-		close(in.done) // the reader sends msg if it is an ack, and gives it back
-		return
+	if !in.wait { // else the reader sends msg if it is an ack, and gives it back
+		in.ps.conn.Reuse(msg)
 	}
-	in.ps.conn.Reuse(msg)
 }
 
 // timersLocked fires every deadline that has passed — a window head's
@@ -304,8 +348,7 @@ func (m *Master) reportedLocked(now time.Time, in reported) {
 // set in the step that armed it — and returns the earliest pending. It
 // scans the windows only once the earliest deadline armed since its last
 // scan has come: before then nothing is due. A deadline cleared since
-// makes that an early wake, which finds nothing and rescans. Caller holds
-// m.mu.
+// makes that an early wake, which finds nothing and rescans.
 func (m *Master) timersLocked(now time.Time) time.Time {
 	if !m.wakeAt.IsZero() && now.Before(m.wakeAt) {
 		return m.wakeAt
@@ -334,14 +377,14 @@ func (m *Master) timersLocked(now time.Time) time.Time {
 }
 
 // armLocked notes a deadline a step set, so the loop's next scan is no
-// later than it. Caller holds m.mu.
+// later than it.
 func (m *Master) armLocked(t time.Time) {
 	if !m.wakeAt.IsZero() {
 		m.wakeAt = earliest(m.wakeAt, t)
 	}
 }
 
-// startLocked gives every phone of rnd its queue. Caller holds m.mu.
+// startLocked gives every phone of rnd its queue.
 func (m *Master) startLocked(now time.Time, rnd *round) {
 	rnd.open = len(rnd.phones) + 1 // one more until every window has its queue
 	for pi, ps := range rnd.phones {
@@ -366,7 +409,7 @@ func (m *Master) startLocked(now time.Time, rnd *round) {
 // what it has not started; what it executes still reports. The head's
 // clock starts once its bytes are written and its predecessor has settled,
 // so time queued behind a slow predecessor never makes a straggler. The
-// next assignment ships when the window has room. Caller holds m.mu.
+// next assignment ships when the window has room.
 func (m *Master) pumpLocked(now time.Time, w *window) {
 	if w.rnd == nil {
 		return
@@ -407,7 +450,7 @@ func (m *Master) pumpLocked(now time.Time, w *window) {
 }
 
 // finishLocked lets go of a window's round once the window holds none of
-// its work. Caller holds m.mu.
+// its work.
 func (m *Master) finishLocked(w *window) {
 	if w.rnd == nil || len(w.win) > 0 || w.next < len(w.queue) {
 		return
@@ -423,7 +466,7 @@ func (m *Master) finishLocked(w *window) {
 // queue, resume state untouched, as its phone died, drained, was
 // quarantined or abandoned, or its round was cancelled. A detached attempt
 // stays registered (the phone may still deliver it); a dropped one is
-// forgotten. Caller holds m.mu.
+// forgotten.
 func (m *Master) releaseLocked(w *window, keep int, detach bool) {
 	const lostMidRound = "phone lost mid-round"
 	var prefetched int64
@@ -454,7 +497,6 @@ func (m *Master) releaseLocked(w *window, keep int, detach bool) {
 // either way (first-result-wins); a failure spends a retry only if live,
 // else its checkpoint is kept if furthest. It reports whether msg is kept:
 // a profiling execution's report, which its round hands to profileOne.
-// Caller holds m.mu.
 func (m *Master) creditLocked(now time.Time, ps *phoneState, msg *protocol.Message) (kept bool) {
 	rec := m.attemptLocked(ps, msg.Attempt)
 	if rec == nil {
@@ -514,7 +556,7 @@ func (m *Master) creditLocked(now time.Time, ps *phoneState, msg *protocol.Messa
 	return kept
 }
 
-// overdueLocked is a window head's blown deadline. Caller holds m.mu.
+// overdueLocked is a window head's blown deadline.
 func (m *Master) overdueLocked(now time.Time, w *window) {
 	a, id := w.win[0].a, w.ps.info.ID
 	if !w.straggled {
@@ -542,15 +584,13 @@ func (m *Master) overdueLocked(now time.Time, w *window) {
 
 // dieLocked is a phone's one death, whatever its cause. The first call
 // kills it, records reason as an offline failure ("": none, the master's
-// choice; none either once it is closing) and, unless a rejoin superseded
+// choice) and, unless a rejoin superseded
 // the phone, feeds the charge-window estimator its unplug. A tie-break it
 // had not reported on goes to the next-best arbiter, its probe's call
-// stops waiting, and its window hands everything back. Caller holds m.mu.
+// stops waiting, and its window hands everything back.
 func (m *Master) dieLocked(ps *phoneState, reason offlineReason, detail string) {
 	if ps.kill() {
-		if !m.closed {
-			m.offlineLocked(ps.info.ID, reason, detail)
-		}
+		m.offlineLocked(ps.info.ID, reason, detail)
 		if m.phones[ps.info.ID] == ps {
 			m.windows.ObserveUnplug(ps.info.ID, nowMs())
 		}
@@ -574,7 +614,7 @@ func (m *Master) dieLocked(ps *phoneState, reason offlineReason, detail string) 
 }
 
 // queueLocked hands ps's writer a flight; a full queue is a link stalled
-// past every bound, handled as the dead link it is. Caller holds m.mu.
+// past every bound, handled as the dead link it is.
 func (m *Master) queueLocked(ps *phoneState, f flight) {
 	select {
 	case ps.out <- f:
@@ -600,7 +640,7 @@ func (m *Master) writer(ps *phoneState) {
 			m.post(sent{ps, f.attempt, err})
 		case <-ps.dead:
 			return
-		case <-m.stopped:
+		case <-m.life.Done():
 			return
 		}
 	}

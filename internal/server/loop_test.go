@@ -135,9 +135,7 @@ func TestOneDeathOneOfflineEvent(t *testing.T) {
 		old := dialFake(t, m, "HTC G2", 806)
 		// A drain the phone's charge session is under: a reconnect within
 		// the session keeps it.
-		m.mu.Lock()
-		m.startDrainLocked(m.phones[old.id], 1000)
-		m.mu.Unlock()
+		m.do(func() { m.startDrainLocked(m.phones[old.id], 1000) })
 		raw, err := net.Dial("tcp", m.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -336,10 +334,10 @@ func TestStalledLinkDoesNotStallOtherPhones(t *testing.T) {
 			t.Errorf("job %d = %q (%v)", id, got, ok)
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.pending) != 1 || m.pending[0].jobID != big {
-		t.Errorf("%d items pending; want the stalled phone's job %d handed back", len(m.pending), big)
+	var pending []*workItem
+	m.do(func() { pending = slices.Clone(m.pending) })
+	if len(pending) != 1 || pending[0].jobID != big {
+		t.Errorf("%d items pending; want the stalled phone's job %d handed back", len(pending), big)
 	}
 }
 

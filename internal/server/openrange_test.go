@@ -187,9 +187,7 @@ func TestOpenTableIsBoundedByWorkInFlight(t *testing.T) {
 	for cycle := 0; cycle < 4*len(modes); cycle++ {
 		mode := modes[cycle%len(modes)]
 		ensurePhones(2)
-		m.mu.Lock()
-		m.cfg.VerifyReplicas = mode.replicas
-		m.mu.Unlock()
+		m.do(func() { m.cfg.VerifyReplicas = mode.replicas })
 		script.mu.Lock()
 		script.mode, script.armed, script.roundOver = mode.name, mode.armed, make(chan struct{})
 		over := script.roundOver
@@ -235,13 +233,12 @@ func TestOpenTableIsBoundedByWorkInFlight(t *testing.T) {
 		} else if len(m.DeadLetters()) != dead+1 {
 			t.Errorf("cycle %d (%s): %d dead letters, want %d", cycle, mode.name, len(m.DeadLetters()), dead+1)
 		}
-		m.mu.Lock()
-		if len(m.open) != 0 || len(m.attempts) != 0 || len(m.pending) != 0 {
+		var open, attempts, pending int
+		m.do(func() { open, attempts, pending, issued = len(m.open), len(m.attempts), len(m.pending), m.nextKey })
+		if open != 0 || attempts != 0 || pending != 0 {
 			t.Errorf("cycle %d (%s): quiescent master holds %d open ranges, %d attempts, %d queued items",
-				cycle, mode.name, len(m.open), len(m.attempts), len(m.pending))
+				cycle, mode.name, open, attempts, pending)
 		}
-		issued = m.nextKey
-		m.mu.Unlock()
 	}
 	if rounds < 20 || issued < int64(4*len(modes)) {
 		t.Errorf("%d rounds issued %d keys; the script is shorter than it claims", rounds, issued)
@@ -323,13 +320,14 @@ func TestMidRoundSnapshotFindsEveryRange(t *testing.T) {
 		t.Fatal("the phone never held two assignments")
 	}
 
-	m.mu.Lock()
 	var keys []int64
-	for key := range m.open {
-		keys = append(keys, key)
-	}
-	attempts := len(m.attempts)
-	m.mu.Unlock()
+	var attempts int
+	m.do(func() {
+		for key := range m.open {
+			keys = append(keys, key)
+		}
+		attempts = len(m.attempts)
+	})
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	if len(keys) != 3 || attempts != 2 {
 		t.Fatalf("mid-round: open table %v, %d attempts; want three ranges, two of them shipped", keys, attempts)

@@ -8,11 +8,9 @@ import (
 	"cwc/internal/protocol"
 )
 
-// clearDrain is clearDrainLocked for a test that does not hold m.mu.
+// clearDrain is clearDrainLocked for a test, on the state's owner.
 func (m *Master) clearDrain(id int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.clearDrainLocked(id)
+	m.do(func() { m.clearDrainLocked(id) })
 }
 
 // A probe ack is timed against the probe it echoes, never against a later

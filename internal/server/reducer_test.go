@@ -22,17 +22,22 @@ func openTestRange(t testing.TB, m *Master, task tasks.Task, input []byte, atomi
 	if _, err := m.Submit(task, input, atomic); err != nil {
 		t.Fatal(err)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	it := m.pending[len(m.pending)-1]
-	m.pending = m.pending[:len(m.pending)-1]
-	key := m.nextKey + 1
-	if err := m.walAppendErr(&walRound{Items: []walRoundItem{
-		{Key: key, FromSeq: it.seq, Len: int64(len(input)), Partition: partition},
-	}}); err != nil {
+	var a assignment
+	var err error
+	m.do(func() {
+		it := m.pending[len(m.pending)-1]
+		m.pending = m.pending[:len(m.pending)-1]
+		key := m.nextKey + 1
+		if err = m.walAppendErr(&walRound{Items: []walRoundItem{
+			{Key: key, FromSeq: it.seq, Len: int64(len(input)), Partition: partition},
+		}}); err == nil {
+			a = assignment{item: it, partition: partition, input: input, key: key, rng: m.open[key]}
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return assignment{item: it, partition: partition, input: input, key: key, rng: m.open[key]}
+	return a
 }
 
 // liveWALRecords is one record of every type, each built the way its live
@@ -266,12 +271,12 @@ func TestWALHandBackSpendsALoggedRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink.check("after the hand-back")
-	m.mu.Lock()
 	want := map[int64]int{}
-	for key, e := range m.open {
-		want[key] = e.Retries
-	}
-	m.mu.Unlock()
+	m.do(func() {
+		for key, e := range m.open {
+			want[key] = e.Retries
+		}
+	})
 	if len(want) != 3 || m.PendingItems() != 3 {
 		t.Fatalf("open ranges %v, %d pending; want three ranges handed back", want, m.PendingItems())
 	}
@@ -289,13 +294,17 @@ func TestWALHandBackSpendsALoggedRetry(t *testing.T) {
 	if err := r.RecoverWAL(); err != nil {
 		t.Fatal(err)
 	}
-	r.mu.Lock()
+	open := map[int64]*walItemRec{}
+	r.do(func() {
+		for key := range want {
+			open[key] = r.open[key]
+		}
+	})
 	for key, retries := range want {
-		if e := r.open[key]; e == nil || e.Retries != retries {
+		if e := open[key]; e == nil || e.Retries != retries {
 			t.Errorf("recovered key %d = %+v, want the live master's %d retries", key, e, retries)
 		}
 	}
-	r.mu.Unlock()
 	// The budget is one retry and each range has spent it: the next failure
 	// abandons the range instead of queueing it a third time.
 	go scriptedPhone(dialFake(t, r, "Nexus S", 1000), func(f *fakePhone, msg *protocol.Message) { replyFailure(f, msg, nil) })

@@ -25,12 +25,12 @@ func jobSpan(jobID int) string { return "j" + strconv.Itoa(jobID) }
 // and the job's span (unless the caller has it at hand), appends to the
 // open round's timeline if a round is open (closeTimeline derives every
 // per-round view from that slice), and records to the tracer — ring,
-// JSONL sink and flight recorder. Caller holds m.mu.
+// JSONL sink and flight recorder. It runs on the state's owner.
 func (m *Master) trace(ev obs.SpanEvent) {
 	if ev.Job > 0 && ev.Span == "" {
 		ev.Span = jobSpan(ev.Job)
 	}
-	ev.TS = time.Now() // under m.mu: the timeline is in TS order as appended
+	ev.TS = time.Now() // on the state's owner: the timeline is in TS order as appended
 	if m.current != nil {
 		m.timeline = append(m.timeline, ev)
 	}
@@ -41,7 +41,7 @@ func (m *Master) trace(ev obs.SpanEvent) {
 // open) and derives every view of it: the report's Figure 12 timeline and
 // tallies, and /debug/sched's actuals. A result for an attempt no window held anymore reads
 // "late-result", so "result" pairs with "assign" one to one. Events are
-// copied out: the next round reuses their memory. Caller holds m.mu.
+// copied out: the next round reuses their memory.
 func (m *Master) closeTimeline(report *RoundReport, snap *SchedSnapshot, start time.Time) {
 	evs := m.timeline
 	m.current = nil
@@ -77,53 +77,56 @@ func (m *Master) Submit(task tasks.Task, input []byte, atomic bool) (int, error)
 	if _, breakable := task.(tasks.Breakable); !breakable {
 		atomic = true
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	id, seq := m.nextJobID, m.nextSeq+1
-	if err := m.walAppendErr(&walSubmit{
-		JobID: id, Seq: seq, Task: task.Name(), Params: task.Params(),
-		Input: input, Atomic: atomic,
-	}); err != nil {
+	var id int
+	var err error
+	m.do(func() {
+		id = m.nextJobID
+		seq := m.nextSeq + 1
+		if err = m.walAppendErr(&walSubmit{
+			JobID: id, Seq: seq, Task: task.Name(), Params: task.Params(),
+			Input: input, Atomic: atomic,
+		}); err != nil {
+			return
+		}
+		m.jobs[id].task = task
+		m.pending = append(m.pending, itemOf(m.jobs[id], m.fresh[seq]))
+		m.mx.submissions.Inc()
+		m.trace(obs.SpanEvent{Kind: obs.KindSubmit, Job: id, Phone: -1,
+			Bytes: int64(len(input)), Detail: task.Name()})
+	})
+	if err != nil {
 		return 0, fmt.Errorf("server: persisting submission: %w", err)
 	}
-	m.jobs[id].task = task
-	m.pending = append(m.pending, itemOf(m.jobs[id], m.fresh[seq]))
-	m.mx.submissions.Inc()
-	m.trace(obs.SpanEvent{Kind: obs.KindSubmit, Job: id, Phone: -1,
-		Bytes: int64(len(input)), Detail: task.Name()})
 	return id, nil
 }
 
 // Result returns a completed job's aggregated result. A job that ended
 // in a terminal aggregation failure never yields a result; JobFailure
 // reports why.
-func (m *Master) Result(jobID int) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	js, ok := m.jobs[jobID]
-	if !ok || !js.Done || js.Failure != "" {
-		return nil, false
-	}
-	return js.Final, true
+func (m *Master) Result(jobID int) (final []byte, ok bool) {
+	m.do(func() {
+		if js := m.jobs[jobID]; js != nil && js.Done && js.Failure == "" {
+			final, ok = js.Final, true
+		}
+	})
+	return final, ok
 }
 
 // JobFailure reports a job's terminal aggregation error, if it has one.
-func (m *Master) JobFailure(jobID int) (string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	js, ok := m.jobs[jobID]
-	if !ok || js.Failure == "" {
-		return "", false
-	}
-	return js.Failure, true
+func (m *Master) JobFailure(jobID int) (failure string, ok bool) {
+	m.do(func() {
+		if js := m.jobs[jobID]; js != nil && js.Failure != "" {
+			failure, ok = js.Failure, true
+		}
+	})
+	return failure, ok
 }
 
 // PendingItems reports how many work items await scheduling (fresh jobs
 // plus failed work carried to the next round, the paper's F_A list).
-func (m *Master) PendingItems() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.pending)
+func (m *Master) PendingItems() (n int) {
+	m.do(func() { n = len(m.pending) })
+	return n
 }
 
 // probing is a MeasureBandwidths call as the loop holds it: a probe out
@@ -139,12 +142,14 @@ type probing struct {
 // It returns once every probe is acked or its phone dead, or ctx ends.
 func (m *Master) MeasureBandwidths(ctx context.Context) error {
 	p := &probing{payload: make([]byte, m.cfg.ProbeKB*1024), done: make(chan struct{})}
-	if len(m.alivePhones()) == 0 || !m.post(p) {
+	var probed bool
+	m.do(func() { probed = m.probeLocked(time.Now(), p) })
+	if !probed {
 		return ErrNoPhones
 	}
 	select {
 	case <-p.done:
-	case <-m.stopped:
+	case <-m.life.Done():
 	case <-ctx.Done():
 	}
 	return ctx.Err()
@@ -152,8 +157,8 @@ func (m *Master) MeasureBandwidths(ctx context.Context) error {
 
 // probeLocked queues a probe, numbered and timed, on every live phone
 // that has none outstanding; where one is, p waits for that one instead.
-// Caller holds m.mu.
-func (m *Master) probeLocked(now time.Time, p *probing) {
+// It reports whether any phone was live.
+func (m *Master) probeLocked(now time.Time, p *probing) bool {
 	p.open = 1 // one more until every phone has its probe
 	for _, w := range m.wins {
 		p.open++
@@ -169,10 +174,11 @@ func (m *Master) probeLocked(now time.Time, p *probing) {
 	if p.open--; p.open == 0 {
 		close(p.done)
 	}
+	return len(m.wins) > 0
 }
 
 // probeAckLocked times the ack of w's outstanding probe. An ack echoing
-// any other seq is none of its probe's and is dropped. Caller holds m.mu.
+// any other seq is none of its probe's and is dropped.
 func (m *Master) probeAckLocked(now time.Time, w *window, seq uint64) {
 	if w == nil || w.probe == nil || seq != w.probeSeq {
 		return
@@ -187,7 +193,7 @@ func (m *Master) probeAckLocked(now time.Time, w *window, seq uint64) {
 }
 
 // probedLocked releases the call w's probe answers: acked, its phone
-// dead, or a later call waiting instead. Caller holds m.mu.
+// dead, or a later call waiting instead.
 func (m *Master) probedLocked(w *window) {
 	if p := w.probe; p != nil {
 		w.probe = nil
@@ -386,10 +392,10 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	return rnd.report, rnd.err
 }
 
-// takeLocked answers RunRound's take. Caller holds m.mu.
-func (m *Master) takeLocked(t *taking) {
-	defer close(t.done)
-	if t.queue {
+// takeLocked is RunRound's take.
+func (m *Master) takeLocked(queue bool) *taking {
+	t := &taking{}
+	if queue {
 		// Drop queued copies whose key has settled: another execution of
 		// the range (or a late straggler result) delivered it first.
 		queued := m.pending[:0]
@@ -431,6 +437,7 @@ func (m *Master) takeLocked(t *taking) {
 		m.est, _ = predict.New(slowest.CPUMHz, 1) // the paper's anchor; a registered clock is > 0
 	}
 	t.est = m.est
+	return t
 }
 
 // commitLocked commits a packed round and starts it. Every dispatched
@@ -439,7 +446,7 @@ func (m *Master) takeLocked(t *taking) {
 // first-result-wins tracking. The round record (which keyed byte ranges
 // the drained items continue as) is logged in the same step, so replay
 // sees the handoff atomically; a failed append ends the round with the
-// error, its items still at the head of the queue. Caller holds m.mu.
+// error, its items still at the head of the queue.
 func (m *Master) commitLocked(rnd *round) {
 	plans := rnd.plans
 	rr := &walRound{}
@@ -526,7 +533,7 @@ func (m *Master) commitLocked(rnd *round) {
 // endLocked ends rnd in the step in which its last window let go of it:
 // stamped, swept and reported, and the log compacted if due. A closing
 // master's round hands nothing back and compacts nothing (its ranges stay
-// open, as after a SIGKILL). Caller holds m.mu.
+// open, as after a SIGKILL).
 func (m *Master) endLocked(rnd *round) {
 	defer close(rnd.done)
 	if rnd.profiling {
@@ -795,7 +802,7 @@ func slicePartitions(items []*workItem, sched *core.Schedule) ([][]assignment, e
 
 // assignmentDeadlineLocked bounds one assignment by DeadlineFactor times
 // its cost-model estimate E_j·b_i + l_ij·(b_i + c_ij), floored at
-// DeadlineFloor (early estimates are unreliable). Caller holds m.mu.
+// DeadlineFloor (early estimates are unreliable).
 func (m *Master) assignmentDeadlineLocked(a assignment, ps *phoneState) time.Duration {
 	d := m.cfg.DeadlineFloor
 	if m.est == nil {
@@ -817,8 +824,7 @@ func (m *Master) assignmentDeadlineLocked(a assignment, ps *phoneState) time.Dur
 // next round. The original attempt stays outstanding; whichever report
 // arrives first wins the key. At most one copy is issued per key — none
 // for a range a failure report has already queued — and it spends no
-// retry, so nothing replay needs changes, and nothing is logged. Caller
-// holds m.mu.
+// retry, so nothing replay needs changes, and nothing is logged.
 func (m *Master) speculateLocked(a assignment) bool {
 	e := a.rng
 	if e.shared || e.queued || m.settledLocked(e) {
@@ -850,7 +856,7 @@ func pairFits(ps *phoneState, cur, next assignment) bool {
 // streamed progress survives a master crash too. Every frame is
 // acknowledged, accepted or not: the ack is flow control (workers cap
 // unacked frames), not a durability promise: msg becomes the ack, which
-// the reader sends. Caller holds m.mu.
+// the reader sends.
 func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message) {
 	ck := msg.Checkpoint
 	var jobID, partition int
@@ -895,17 +901,16 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 
 // StreamedCheckpoints reports how many streamed checkpoints have been
 // accepted (folded into resume state) since the master started.
-func (m *Master) StreamedCheckpoints() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ckptFolds
+func (m *Master) StreamedCheckpoints() (n int) {
+	m.do(func() { n = m.ckptFolds })
+	return n
 }
 
 // finalizeResultLocked folds a completed (and, if verification applies,
 // verified — see recordResultLocked in verify.go) partition into its job
 // and refines the execution-time prediction. Duplicate results for an
 // already-settled key (the loser of a speculative race, a reconnect
-// replay) are dropped. Caller holds m.mu.
+// replay) are dropped.
 func (m *Master) finalizeResultLocked(a assignment, resp *protocol.Message, ps *phoneState) {
 	if m.settledLocked(a.rng) {
 		m.cfg.Logger.With("job", a.item.jobID, "partition", a.partition, "key", a.key).
@@ -945,7 +950,7 @@ const drainFailureReason = "drained"
 // have it saved and only the unprocessed input remainder re-queued; others
 // are migrated whole (input + checkpoint). A replayed report (a phone that
 // replugged before its failure finished processing) finds the range
-// settled, or its copy queued, and changes nothing. Caller holds m.mu.
+// settled, or its copy queued, and changes nothing.
 func (m *Master) recordFailureLocked(a assignment, resp *protocol.Message) {
 	ck := resp.Checkpoint
 	m.mx.failures.Inc()
@@ -998,7 +1003,7 @@ func (m *Master) recordFailureLocked(a assignment, resp *protocol.Message) {
 // copy, a later dispatch): nothing is re-queued and no retry spent, but
 // the range resumes from ck if that is further than anything it holds.
 // Logged (a migrate record, same retry count), so a recovered master
-// resumes from it too; it reports whether ck was kept. Caller holds m.mu.
+// resumes from it too; it reports whether ck was kept.
 func (m *Master) keepCheckpointLocked(e *walItemRec, ck *tasks.Checkpoint) bool {
 	if ck == nil || ck.Offset > int64(len(e.Input)) || further(e.Resume, ck) != ck {
 		return false
@@ -1008,8 +1013,7 @@ func (m *Master) keepCheckpointLocked(e *walItemRec, ck *tasks.Checkpoint) bool 
 }
 
 // migrateLocked logs and folds the one change an open range takes while it
-// stays open: same bytes, new resume state and retry count. Caller holds
-// m.mu.
+// stays open: same bytes, new resume state and retry count.
 func (m *Master) migrateLocked(e *walItemRec, resume *tasks.Checkpoint, retries int) {
 	m.walAppend(&walMigrate{JobID: e.JobID, Key: e.Key, Resume: resume,
 		Retries: retries, Partition: e.Partition})
@@ -1031,7 +1035,7 @@ func spent(retries int) bool { return retries > retryBudget }
 // instant, one retry spent, resuming from ck or whatever the entry holds
 // ahead of it — or dead-letters it once its retry budget is spent
 // (graceful degradation over infinite re-queue). Either way the log takes
-// it: replay counts the budget the live master enforces. Caller holds m.mu.
+// it: replay counts the budget the live master enforces.
 func (m *Master) requeueLocked(e *walItemRec, ck *tasks.Checkpoint, reason string) {
 	if spent(e.Retries + 1) {
 		// Abandoning the range settles its key, like a result would: the
@@ -1047,7 +1051,7 @@ func (m *Master) requeueLocked(e *walItemRec, ck *tasks.Checkpoint, reason strin
 }
 
 // deadLetterLocked surfaces work whose retry budget is spent instead of
-// re-queueing it forever. Caller holds m.mu.
+// re-queueing it forever.
 func (m *Master) deadLetterLocked(rec *walDeadLetterRec, partition int) {
 	m.walAppend(rec)
 	m.cfg.Logger.With("job", rec.JobID, "retries", rec.Retries).Warnf("item dead-lettered: %s", rec.Reason)
@@ -1058,7 +1062,6 @@ func (m *Master) deadLetterLocked(rec *walDeadLetterRec, partition int) {
 
 // enqueueLocked queues a durable entry — a failure's fresh remainder, or
 // the copy of a handed-back open range — for the next scheduling instant.
-// Caller holds m.mu.
 func (m *Master) enqueueLocked(e *walItemRec, reason string) {
 	m.pending = append(m.pending, itemOf(m.jobs[e.JobID], e))
 	m.mx.requeues.Inc()
@@ -1073,7 +1076,7 @@ func (m *Master) enqueueLocked(e *walItemRec, reason string) {
 
 // handBackLocked re-queues a dispatched range whole — unless its key has
 // settled or a queued copy already carries it, or it is a profiling
-// execution's, which has no range. Caller holds m.mu.
+// execution's, which has no range.
 func (m *Master) handBackLocked(e *walItemRec, reason string) {
 	if e != nil && !e.queued && !m.settledLocked(e) {
 		m.requeueLocked(e, nil, reason)
@@ -1085,7 +1088,7 @@ func (m *Master) handBackLocked(e *walItemRec, reason string) {
 // aggregation error is TERMINAL: the partials it would combine are the
 // only ones the byte ranges will ever produce (re-running them yields
 // the same set), so retrying next round can only wedge the job forever.
-// It is surfaced to the submitter via JobFailure. Caller holds m.mu.
+// It is surfaced to the submitter via JobFailure.
 func (m *Master) finishJobLocked(js *walJobRec) {
 	if err := js.finish(); err != nil {
 		m.mx.jobsFailed.Inc()
@@ -1140,7 +1143,7 @@ func (m *Master) RunLoop(ctx context.Context, period time.Duration, onRound func
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-m.stopped:
+		case <-m.life.Done():
 			return nil
 		default:
 		}
@@ -1166,7 +1169,7 @@ func (m *Master) RunLoop(ctx context.Context, period time.Duration, onRound func
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-m.stopped:
+		case <-m.life.Done():
 			return nil
 		case <-time.After(period):
 		}

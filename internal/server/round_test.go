@@ -159,9 +159,7 @@ func TestRecordFailurePartialReporterPath(t *testing.T) {
 	a := openTestRange(t, m, tasks.PrimeCount{}, []byte("2\n3\n4\n5\n"), false, 0)
 	js := m.jobs[a.item.jobID]
 	msg := protocolFailure(4, `{"count":2}`)
-	m.mu.Lock()
-	m.recordFailureLocked(a, &msg)
-	m.mu.Unlock()
+	m.do(func() { m.recordFailureLocked(a, &msg) })
 	if js.Covered != 4 {
 		t.Errorf("covered = %d, want 4", js.Covered)
 	}
@@ -183,9 +181,7 @@ func TestRecordFailureMigrationPath(t *testing.T) {
 	a := openTestRange(t, m, tasks.Blur{}, input, true, 0)
 	js := m.jobs[a.item.jobID]
 	msg := protocolFailure(3, `{"row":0,"out":[]}`)
-	m.mu.Lock()
-	m.recordFailureLocked(a, &msg)
-	m.mu.Unlock()
+	m.do(func() { m.recordFailureLocked(a, &msg) })
 	if js.Covered != 0 {
 		t.Errorf("covered = %d, want 0 (no partial result possible)", js.Covered)
 	}
@@ -206,9 +202,7 @@ func TestRecordFailureNoCheckpoint(t *testing.T) {
 	a := openTestRange(t, m, tasks.PrimeCount{}, []byte("2\n3\n"), false, 0)
 	msg := protocolFailure(0, "")
 	msg.Checkpoint = nil
-	m.mu.Lock()
-	m.recordFailureLocked(a, &msg)
-	m.mu.Unlock()
+	m.do(func() { m.recordFailureLocked(a, &msg) })
 	if len(m.pending) != 1 {
 		t.Fatalf("pending = %d", len(m.pending))
 	}

@@ -113,8 +113,8 @@ type Config struct {
 	Listener net.Listener
 	// ReplicaSink, when set, receives every WAL record immediately after
 	// it reaches the local log, for live streaming to hot standbys
-	// (internal/replica). Ship is called with the master's state lock
-	// held, so implementations must not block.
+	// (internal/replica). Ship runs on the master's loop, so
+	// implementations must not block, and must never call a Master method.
 	ReplicaSink ReplicaSink
 	// Role labels this master in /statusz: "primary" (default), or
 	// whatever a promotion path sets (internal/replica uses
@@ -216,12 +216,12 @@ type phoneState struct {
 	out  chan flight   // its writer's queue (see queueLocked)
 	dead chan struct{} // closed exactly once on death; its writer exits on it
 
-	deadClosed bool // under the master's mu, as kill and alive are
+	deadClosed bool // the master's state, as kill and alive are
 }
 
 // kill closes the phone's connection and dead channel, once; it reports
 // whether this call did. info.Alive is never mutated: liveness is derived
-// from deadClosed (see alive()). Caller holds m.mu.
+// from deadClosed (see alive()).
 func (ps *phoneState) kill() bool {
 	if ps.deadClosed {
 		return false
@@ -232,7 +232,7 @@ func (ps *phoneState) kill() bool {
 	return true
 }
 
-// alive reports whether the phone has not died. Caller holds m.mu.
+// alive reports whether the phone has not died.
 func (ps *phoneState) alive() bool { return !ps.deadClosed }
 
 // workItem is a schedulable unit: a fresh job or migrated failed work.
@@ -311,7 +311,7 @@ func further(a, b *tasks.Checkpoint) *tasks.Checkpoint {
 }
 
 // settledLocked reports whether the open range e has left the open table:
-// whatever still refers to it is moot. Caller holds m.mu.
+// whatever still refers to it is moot.
 func (m *Master) settledLocked(e *walItemRec) bool { return m.open[e.Key] != e }
 
 // DeadLetter is a work item that exhausted its retry budget; it is
@@ -365,66 +365,69 @@ type Master struct {
 	mx  *masterMetrics // the families of cfg.Metrics the master records
 	ln  net.Listener
 
-	mu sync.Mutex
+	// The loop (loop.go): inputs is its one input channel (post, do), and
+	// stepDone hands a do caller control back. stopped holds the state's
+	// token while no loop runs; life ends in the loop's last step.
+	inputs   chan any
+	stepDone chan struct{}
+	stopped  chan struct{}
+	life     context.Context
+	halt     context.CancelFunc
+	wg       sync.WaitGroup
+
+	// The state, owned by the loop or by the holder of stopped's token.
+	//
 	// The durable state — jobs, fresh items, open ranges, dead letters,
 	// drains, reputation, quarantine, phone identities, the epoch and the
-	// ID counters: everything a snapshot holds. Read anywhere under mu;
-	// written only by folding a record (walAppend, walAppendErr; wal.go).
-	*walReducer // guarded by mu
+	// ID counters: everything a snapshot holds. Written only by folding a
+	// record (walAppend, walAppendErr; wal.go).
+	*walReducer
 
-	phones map[int]*phoneState // guarded by mu
+	phones map[int]*phoneState
 	// pending is the queue: a work item per fresh entry and per open range
 	// that has a copy waiting, in scheduling order.
-	pending   []*workItem        // guarded by mu
-	est       *predict.Estimator // guarded by mu
-	phoneWait chan struct{}      // guarded by mu; broadcast on registration
+	pending   []*workItem
+	est       *predict.Estimator
+	phoneWait chan struct{} // broadcast on registration
 
-	// accepted, hello not yet processed
-	handshaking map[*protocol.Conn]struct{} // guarded by mu
-
-	nextAttempt int64                 // guarded by mu
-	attempts    map[int64]*attemptRec // guarded by mu
-	// wins holds every live phone's window; only the loop (run) changes
-	// them. inputs is the loop's one input channel (post).
-	wins   map[*phoneState]*window // guarded by mu
-	inputs chan any
+	nextAttempt int64
+	attempts    map[int64]*attemptRec
+	// wins holds every live phone's window.
+	wins map[*phoneState]*window
 	// wakeAt is the earliest deadline armed (armLocked) since the loop
 	// last scanned its timers; zero: scan at the next step.
-	wakeAt time.Time // guarded by mu
+	wakeAt time.Time
 
-	offline   []OfflineFailure // guarded by mu
-	ckptFolds int              // guarded by mu; streamed checkpoints accepted (monotonic, for tests/ops)
+	offline   []OfflineFailure
+	ckptFolds int // streamed checkpoints accepted (monotonic, for tests/ops)
 
 	// windows learns each phone's charge-window distribution from
-	// observed plug/unplug events (internally synchronized; queried
-	// without m.mu).
+	// observed plug/unplug events (internally synchronized).
 	windows *predict.WindowEstimator
 
 	// votes holds the open result-integrity vote groups by speculation key
 	// (verify.go).
-	votes map[int64]*voteGroup // guarded by mu
+	votes map[int64]*voteGroup
 	// current is the round open from the loop's commit to its end; outside
 	// one (nil), a result, vote or tie-break completing a job's coverage
 	// aggregates the job inline (finishJobLocked).
-	current *round // guarded by mu
+	current *round
 	// walStale is set when the log may lack something live state holds (a
 	// lost record): no record is written until walCompactLocked has folded
 	// a snapshot.
-	walStale bool // guarded by mu
+	walStale bool
 
-	closed  bool // guarded by mu
-	wg      sync.WaitGroup
-	stopped chan struct{}
+	closed bool // the last step has run (closeLocked)
 
 	// rounds counts completed scheduling rounds; lastSched is the most
 	// recent round's packing decision paired with what actually happened
 	// (served by /debug/sched).
-	rounds    int            // guarded by mu
-	lastSched *SchedSnapshot // guarded by mu
+	rounds    int
+	lastSched *SchedSnapshot
 
 	// timeline is the open round's events as trace wrote them; its
 	// backing array serves every round.
-	timeline []obs.SpanEvent // guarded by mu
+	timeline []obs.SpanEvent
 
 	// slos tracks the master's rolling-window service-level objectives
 	// (internally synchronized; see registerMasterSLOs for the catalog).
@@ -454,39 +457,40 @@ func New(cfg Config) *Master {
 	if err != nil {
 		panic(fmt.Sprintf("server: window estimator: %v", err)) // the constants are in range
 	}
-	return &Master{
-		cfg:         cfg,
-		mx:          newMasterMetrics(cfg.Metrics),
-		walReducer:  newWALReducer(),
-		handshaking: map[*protocol.Conn]struct{}{},
-		phones:      map[int]*phoneState{},
-		attempts:    map[int64]*attemptRec{},
-		wins:        map[*phoneState]*window{},
-		inputs:      make(chan any),
-		votes:       map[int64]*voteGroup{},
-		windows:     windows,
-		slos:        registerMasterSLOs(),
-		phoneWait:   make(chan struct{}),
-		stopped:     make(chan struct{}),
+	m := &Master{
+		cfg:        cfg,
+		mx:         newMasterMetrics(cfg.Metrics),
+		inputs:     make(chan any),
+		stepDone:   make(chan struct{}),
+		stopped:    make(chan struct{}, 1),
+		walReducer: newWALReducer(),
+		phones:     map[int]*phoneState{},
+		attempts:   map[int64]*attemptRec{},
+		wins:       map[*phoneState]*window{},
+		votes:      map[int64]*voteGroup{},
+		windows:    windows,
+		slos:       registerMasterSLOs(),
+		phoneWait:  make(chan struct{}),
 	}
+	m.stopped <- struct{}{}
+	m.life, m.halt = context.WithCancel(context.Background())
+	return m
 }
 
 // DeadLetters returns the work items that exhausted their retry budget.
-func (m *Master) DeadLetters() []DeadLetter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return slices.Clone(m.dead)
+func (m *Master) DeadLetters() (out []DeadLetter) {
+	m.do(func() { out = slices.Clone(m.dead) })
+	return out
 }
 
 // OfflineFailures returns the structured offline-failure event log.
-func (m *Master) OfflineFailures() []OfflineFailure {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return slices.Clone(m.offline)
+func (m *Master) OfflineFailures() (out []OfflineFailure) {
+	m.do(func() { out = slices.Clone(m.offline) })
+	return out
 }
 
 // offlineLocked logs a structured offline-failure event; reason "" logs
-// none. Caller holds m.mu.
+// none.
 func (m *Master) offlineLocked(phoneID int, reason offlineReason, detail string) {
 	if reason == "" {
 		return
@@ -509,16 +513,17 @@ func (m *Master) Start() error {
 	if m.cfg.ListenerHook != nil {
 		ln = m.cfg.ListenerHook(ln)
 	}
-	m.ln = ln
-	m.wg.Add(2)
-	go m.run()
-	go m.acceptLoop()
 	if m.cfg.ObsAddr != "" {
 		if err := m.serveObs(m.cfg.ObsAddr); err != nil {
 			ln.Close()
 			return err
 		}
 	}
+	<-m.stopped // the loop owns the state from here
+	m.ln = ln
+	m.wg.Add(2)
+	go m.run()
+	go m.acceptLoop()
 	return nil
 }
 
@@ -541,42 +546,11 @@ func (m *Master) Close() { m.shutdown(true) }
 // primary mid-round and later resurrect it from that log.
 func (m *Master) Kill() { m.shutdown(false) }
 
-// shutdown is the one way a master stops; bye says whether each phone is
-// told before its connection drops. Once closed, no phone registers and no
-// death is an offline failure; the loop's last step hands nothing back and
-// kills every phone.
+// shutdown is the one way a master stops: its last step (closeLocked),
+// then a wait for every goroutine; bye says whether each phone is told
+// before its connection drops.
 func (m *Master) shutdown(bye bool) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	var phones []*phoneState
-	for _, ps := range m.phones {
-		phones = append(phones, ps)
-	}
-	pending := make([]*protocol.Conn, 0, len(m.handshaking))
-	for c := range m.handshaking {
-		pending = append(pending, c)
-	}
-	m.mu.Unlock()
-
-	if m.ln != nil {
-		m.ln.Close()
-	}
-	if m.obsLn != nil {
-		m.obsLn.Close()
-	}
-	for _, c := range pending {
-		c.Close() // cut half-finished handshakes short
-	}
-	for _, ps := range phones {
-		if bye {
-			_ = ps.conn.Send(&protocol.Message{Type: protocol.TypeBye})
-		}
-	}
-	close(m.stopped)
+	m.do(func() { m.closeLocked(bye) })
 	m.wg.Wait()
 }
 
@@ -606,21 +580,13 @@ const helloTimeout = 10 * time.Second
 const defaultBMsPerKB = 10
 
 // handlePhone reads and checks a phone's hello, has the loop register
-// it, and becomes its reader once its writer runs.
+// it, and becomes its reader once its writer runs. The master's stop cuts
+// a half-read hello short.
 func (m *Master) handlePhone(conn *protocol.Conn) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		conn.Close()
-		return
-	}
-	m.handshaking[conn] = struct{}{}
-	m.mu.Unlock()
+	cut := context.AfterFunc(m.life, func() { conn.Close() })
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	hello, err := conn.Recv()
-	m.mu.Lock()
-	delete(m.handshaking, conn)
-	m.mu.Unlock()
+	cut()
 	if err != nil || hello.Type != protocol.TypeHello || hello.CPUMHz <= 0 {
 		conn.Close()
 		return
@@ -631,12 +597,9 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 		conn.Close()
 		return
 	}
-	in := &joined{conn: conn, hello: hello, done: make(chan struct{})}
-	if m.post(in) {
-		<-in.done
-	}
-	if in.ps == nil {
-		conn.Close() // the master is closing
+	in := &joined{conn: conn, hello: hello}
+	if !m.call(in) {
+		conn.Close() // the master has stopped
 		return
 	}
 	m.wg.Add(1)
@@ -646,11 +609,8 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 
 // joinLocked registers a checked hello under a fresh ID or its prior one,
 // kills the registration it supersedes, starts its keepalive clock and
-// queues its welcome; nil once the master is closing. Caller holds m.mu.
+// queues its welcome.
 func (m *Master) joinLocked(now time.Time, conn *protocol.Conn, hello *protocol.Message) *phoneState {
-	if m.closed {
-		return nil
-	}
 	var id int
 	var prior *phoneState
 	old, haveLive := m.phones[hello.PhoneID]
@@ -760,9 +720,7 @@ func (m *Master) readLoop(ps *phoneState) {
 			m.post(died{ps, offlineBye, "orderly unplug"})
 			return
 		case protocol.TypeCheckpoint:
-			done := make(chan struct{})
-			if m.post(reported{ps, msg, done}) {
-				<-done
+			if m.call(reported{ps, msg, true}) {
 				if msg.Type == protocol.TypeCheckpointAck {
 					_ = ps.conn.Send(msg)
 				}
@@ -776,10 +734,9 @@ func (m *Master) readLoop(ps *phoneState) {
 
 // Epoch returns the master's current fencing epoch (0 until replication
 // assigns one).
-func (m *Master) Epoch() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epoch
+func (m *Master) Epoch() (epoch int64) {
+	m.do(func() { epoch = m.epoch })
+	return epoch
 }
 
 // BumpEpoch durably advances the fencing epoch by one. The record is
@@ -790,17 +747,20 @@ func (m *Master) Epoch() int64 {
 // standby promotion (N → N+1). A plain restart never bumps — a
 // resurrected old primary stays at the epoch it last persisted, strictly
 // below its promoted standby's, which is what makes its frames fenceable.
-func (m *Master) BumpEpoch() (int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	next := m.epoch + 1
-	if err := m.walAppendErr(&walEpochRec{Epoch: next}); err != nil {
+func (m *Master) BumpEpoch() (next int64, err error) {
+	m.do(func() {
+		next = m.epoch + 1
+		if err = m.walAppendErr(&walEpochRec{Epoch: next}); err != nil {
+			return
+		}
+		m.mx.epoch.Set(float64(next))
+		m.cfg.Tracer.SetEpoch(next)
+		m.trace(obs.SpanEvent{Kind: obs.KindPromote, Job: -1, Partition: -1, Phone: -1,
+			Detail: fmt.Sprintf("epoch %d -> %d", next-1, next), Epoch: next})
+	})
+	if err != nil {
 		return 0, fmt.Errorf("server: persisting epoch %d: %w", next, err)
 	}
-	m.mx.epoch.Set(float64(next))
-	m.cfg.Tracer.SetEpoch(next)
-	m.trace(obs.SpanEvent{Kind: obs.KindPromote, Job: -1, Partition: -1, Phone: -1,
-		Detail: fmt.Sprintf("epoch %d -> %d", next-1, next), Epoch: next})
 	return next, nil
 }
 
@@ -810,7 +770,7 @@ func (m *Master) BumpEpoch() (int64, error) {
 // numbering restarted at promotion, so accepting it could pair a stale
 // report with a fresh attempt — or let a resurrected old primary keep
 // collecting results it no longer owns. Epoch-less frames (replication
-// off) pass; the attempt/key dedupe still guards them. Caller holds m.mu.
+// off) pass; the attempt/key dedupe still guards them.
 func (m *Master) fenced(msg *protocol.Message) bool {
 	return msg.Epoch != 0 && msg.Epoch != m.epoch
 }
@@ -818,7 +778,7 @@ func (m *Master) fenced(msg *protocol.Message) bool {
 // rejectFenced drops a frame from another epoch: counted, logged, never
 // credited or folded. A frame from a *newer* epoch also means this master
 // itself is stale (a resurrected old primary watching the fleet move on)
-// — worth the louder log line. Caller holds m.mu.
+// — worth the louder log line.
 func (m *Master) rejectFenced(ps *phoneState, msg *protocol.Message) {
 	m.mx.framesFenced[msg.Type].Inc()
 	l := m.cfg.Logger.With("phone", ps.info.ID, "type", string(msg.Type),
@@ -835,7 +795,7 @@ func (m *Master) rejectFenced(ps *phoneState, msg *protocol.Message) {
 // attempt issued to the phone ID that sent it (the ID, not the connection:
 // a reconnected phone reports on a new phoneState) — attempt numbers are
 // sequential, and a neighbour's is a guess away. Nil for an attempt long
-// settled, never issued, not named (0) or somebody else's. Caller holds m.mu.
+// settled, never issued, not named (0) or somebody else's.
 func (m *Master) attemptLocked(ps *phoneState, id int64) *attemptRec {
 	if rec := m.attempts[id]; rec != nil && rec.ps.info.ID == ps.info.ID {
 		return rec
@@ -846,7 +806,7 @@ func (m *Master) attemptLocked(ps *phoneState, id int64) *attemptRec {
 // tickLocked is a keepalive tick, the paper's offline-failure detector: a
 // tick finding the last ping unanswered is a miss, and more than
 // KeepaliveTolerance in a row are a death. Else a ping is queued; the next
-// tick is armed once it is written. Caller holds m.mu.
+// tick is armed once it is written.
 func (m *Master) tickLocked(w *window) {
 	w.pingDue = time.Time{}
 	w.missed++
@@ -873,12 +833,12 @@ func keepaliveJitter(period time.Duration, rng *rand.Rand) time.Duration {
 // WaitForPhones blocks until at least n phones are registered and alive.
 func (m *Master) WaitForPhones(ctx context.Context, n int) error {
 	for {
-		// The channel first: a phone that registers after the count below
-		// closes it.
-		m.mu.Lock()
-		ch := m.phoneWait
-		m.mu.Unlock()
-		if len(m.alivePhones()) >= n {
+		// The channel and the count in one step: a phone that registers
+		// after it closes the channel.
+		var ch chan struct{}
+		var live int
+		m.do(func() { ch, live = m.phoneWait, m.liveLocked() })
+		if live >= n {
 			return nil
 		}
 		select {
@@ -891,30 +851,28 @@ func (m *Master) WaitForPhones(ctx context.Context, n int) error {
 
 // Phones lists registered phones, sorted by ID.
 func (m *Master) Phones() []PhoneInfo {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]PhoneInfo, 0, len(m.phones))
-	for _, ps := range m.phones {
-		info := ps.info
-		info.Alive = ps.alive()
-		out = append(out, info)
-	}
+	var out []PhoneInfo
+	m.do(func() {
+		out = make([]PhoneInfo, 0, len(m.phones))
+		for _, ps := range m.phones {
+			info := ps.info
+			info.Alive = ps.alive()
+			out = append(out, info)
+		}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// alivePhones snapshots the live fleet.
-func (m *Master) alivePhones() []*phoneState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []*phoneState
+// liveLocked counts the live fleet.
+func (m *Master) liveLocked() int {
+	n := 0
 	for _, ps := range m.phones {
 		if ps.alive() {
-			out = append(out, ps)
+			n++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].info.ID < out[j].info.ID })
-	return out
+	return n
 }
 
 // ErrNoPhones is returned by operations that need at least one live phone.

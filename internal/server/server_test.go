@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cwc/internal/obs"
+	"cwc/internal/predict"
 	"cwc/internal/protocol"
 	"cwc/internal/tasks"
 	"cwc/internal/worker"
@@ -270,9 +271,8 @@ func TestSubmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.mu.Lock()
-	item := m.pending[len(m.pending)-1]
-	m.mu.Unlock()
+	var item *workItem
+	m.do(func() { item = m.pending[len(m.pending)-1] })
 	if !item.atomic {
 		t.Error("blur submission should be atomic regardless of the flag")
 	}
@@ -997,9 +997,8 @@ func TestRefinedCostReflectsEmulatedCPU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.mu.Lock()
-	est := m.est
-	m.mu.Unlock()
+	var est *predict.Estimator
+	m.do(func() { est = m.est })
 	delayMs := float64(delay) / float64(time.Millisecond)
 	learnedSlow, ok := est.LearnedEstimate("primecount", slow.ID())
 	if !ok || learnedSlow < delayMs {

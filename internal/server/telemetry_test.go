@@ -145,9 +145,9 @@ func TestFoldTelemetry(t *testing.T) {
 	const phone = 7
 
 	// A known job whose span worker events should anchor to.
-	m.mu.Lock()
-	m.jobs[1] = &walJobRec{ID: 1}
-	m.mu.Unlock()
+	m.do(func() {
+		m.jobs[1] = &walJobRec{ID: 1}
+	})
 
 	ps := &phoneState{info: PhoneInfo{ID: phone}}
 	m.foldTelemetry(ps, &protocol.Message{
@@ -222,9 +222,9 @@ func TestFoldTelemetry(t *testing.T) {
 func TestTimelineMergesSides(t *testing.T) {
 	tracer := obs.NewTracer(64)
 	m := New(Config{Tracer: tracer})
-	m.mu.Lock()
-	m.jobs[1] = &walJobRec{ID: 1}
-	m.mu.Unlock()
+	m.do(func() {
+		m.jobs[1] = &walJobRec{ID: 1}
+	})
 
 	base := time.UnixMilli(5000)
 	tracer.Record(obs.SpanEvent{TS: base, Span: "j1", Kind: obs.KindSubmit, Job: 1, Phone: -1, Epoch: 1})
@@ -279,9 +279,9 @@ func TestTimelineMergesSides(t *testing.T) {
 // deterministic "j<id>" span must still resolve as known.
 func TestFoldTelemetryLazySpan(t *testing.T) {
 	m := New(Config{Tracer: obs.NewTracer(16)})
-	m.mu.Lock()
-	m.jobs[2] = &walJobRec{ID: 2}
-	m.mu.Unlock()
+	m.do(func() {
+		m.jobs[2] = &walJobRec{ID: 2}
+	})
 
 	ps := &phoneState{info: PhoneInfo{ID: 1}}
 	m.foldTelemetry(ps, &protocol.Message{
@@ -298,10 +298,10 @@ func TestFoldTelemetryLazySpan(t *testing.T) {
 // and 12 count as orphans, as does an unknown ID.
 func TestFoldTelemetryOrphanSpans(t *testing.T) {
 	m := New(Config{Tracer: obs.NewTracer(16)})
-	m.mu.Lock()
-	m.jobs[7] = &walJobRec{ID: 7}
-	m.jobs[12] = &walJobRec{ID: 12}
-	m.mu.Unlock()
+	m.do(func() {
+		m.jobs[7] = &walJobRec{ID: 7}
+		m.jobs[12] = &walJobRec{ID: 12}
+	})
 
 	ps := &phoneState{info: PhoneInfo{ID: 1}}
 	orphans := m.cfg.Metrics.Counter("cwc_telemetry_orphan_spans_total")

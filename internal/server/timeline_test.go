@@ -49,11 +49,12 @@ func TestRoundEventsAreAViewOfTheTraceRing(t *testing.T) {
 	lateInput := numberLines(7001, 7300)
 	detached := openTestRange(t, m, tasks.PrimeCount{}, lateInput, true, 3)
 	lateJob := detached.item.jobID
-	m.mu.Lock()
-	m.nextAttempt++
-	lateAttempt := m.nextAttempt
-	m.attempts[lateAttempt] = &attemptRec{ps: m.phones[fast.id], a: detached}
-	m.mu.Unlock()
+	var lateAttempt int64
+	m.do(func() {
+		m.nextAttempt++
+		lateAttempt = m.nextAttempt
+		m.attempts[lateAttempt] = &attemptRec{ps: m.phones[fast.id], a: detached}
+	})
 	res := groundTruth(t, tasks.PrimeCount{}, lateInput)
 	late <- &protocol.Message{Type: protocol.TypeResult, Attempt: lateAttempt,
 		Result: res, Digest: tasks.Digest(res), ExecMs: 1, ProcessedKB: 1}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sort"
 	"time"
 
 	"cwc/internal/core"
@@ -90,7 +89,7 @@ type voteGroup struct {
 // recordResultLocked folds a completed partition into its job — after
 // the verification layer has had its say. See finalizeResultLocked for
 // the fold itself; verifyResultLocked consumes the report when a digest
-// mismatch or an open vote group intercepts it. Caller holds m.mu.
+// mismatch or an open vote group intercepts it.
 func (m *Master) recordResultLocked(a assignment, resp *protocol.Message, ps *phoneState) {
 	if !m.verifyResultLocked(a, resp, ps) {
 		m.finalizeResultLocked(a, resp, ps)
@@ -101,7 +100,7 @@ func (m *Master) recordResultLocked(a assignment, resp *protocol.Message, ps *ph
 // every result report passes through here before it may fold. Returns
 // true when the report was consumed (folded via a vote, recorded as a
 // ballot, or rejected outright); false hands it to finalizeResultLocked
-// unchanged. Caller holds m.mu.
+// unchanged.
 func (m *Master) verifyResultLocked(a assignment, resp *protocol.Message, ps *phoneState) bool {
 	computed := tasks.Digest(resp.Result)
 	if resp.Digest != computed {
@@ -196,7 +195,7 @@ func (m *Master) verifyResultLocked(a assignment, resp *protocol.Message, ps *ph
 // resolveVoteLocked settles a vote group on the winning digest: winners
 // are rewarded, losers penalized (and counted as mismatches). The group
 // stays registered until every expected ballot is in, so stragglers on
-// the losing side are still penalized. Caller holds m.mu.
+// the losing side are still penalized.
 func (m *Master) resolveVoteLocked(key int64, vg *voteGroup, winner tasks.Sum) {
 	vg.resolved = true
 	vg.winner = winner
@@ -238,7 +237,7 @@ const (
 // EWMA integrity score, WAL-logs the new state, and quarantines the
 // phone when a loss drops it below the threshold. Quarantine is sticky:
 // only an operator (or a fresh enrolment, which the auth token gates)
-// readmits the phone. Caller holds m.mu.
+// readmits the phone.
 func (m *Master) reputationEventLocked(id int, won bool, why string) {
 	prev := m.reputationLocked(id)
 	outcome := 0.0
@@ -287,8 +286,7 @@ func (m *Master) auditSelected(key int64) bool {
 // AuditRate — via core.PlaceCopies, registers their vote groups, and
 // returns the per-phone extra assignments to dispatch. The copies share
 // their source's key, so every report funnels into the same group.
-// Caller holds m.mu (groups must register atomically with the round's
-// key assignment).
+// Groups register in the step that assigns the round's keys.
 func (m *Master) planVerificationLocked(plans [][]assignment, inst *core.Instance) [][]assignment {
 	k := m.cfg.VerifyReplicas
 	if k <= 1 && m.cfg.AuditRate <= 0 {
@@ -354,7 +352,6 @@ func (m *Master) planVerificationLocked(plans [][]assignment, inst *core.Instanc
 // are dropped, groups whose range is queued for re-dispatch reset (the
 // next round recreates them with fresh ballots), and groups no
 // execution can resolve anymore hand their range back to the queue.
-// Caller holds m.mu.
 func (m *Master) sweepVoteGroupsLocked() {
 	for key, vg := range m.votes {
 		if vg.tie != 0 && !vg.resolved {
@@ -374,7 +371,7 @@ func (m *Master) sweepVoteGroupsLocked() {
 // window holds (credit resolves its report into the group) queued on the
 // arbiter's writer; the loop's timer expires it, and a dead arbiter's tie
 // goes to the next-best (dieLocked). With no eligible phone the range goes
-// back to the queue for a fresh vote next round. Caller holds m.mu.
+// back to the queue for a fresh vote next round.
 func (m *Master) startTieBreakLocked(key int64) {
 	vg := m.votes[key]
 	// An audit group's key is completed by construction (its first result
@@ -402,7 +399,7 @@ func (m *Master) startTieBreakLocked(key int64) {
 
 // tieBreakExpiredLocked is a tie-break's expiry: an arbiter that never
 // reported has its group dropped and the range re-queued for a fresh
-// vote. Caller holds m.mu.
+// vote.
 func (m *Master) tieBreakExpiredLocked(key int64, vg *voteGroup) {
 	attempt := vg.tie
 	vg.tie, vg.tieDue = 0, time.Time{}
@@ -419,7 +416,7 @@ func (m *Master) tieBreakExpiredLocked(key int64, vg *voteGroup) {
 // pickArbiterLocked selects the tie-break phone: alive, not quarantined,
 // not draining, not already a voter and not arbitrating another tie (which
 // bounds its writer's queue) — highest reputation first, ties by lowest ID
-// for determinism. Caller holds m.mu.
+// for determinism.
 func (m *Master) pickArbiterLocked(vg *voteGroup) *phoneState {
 	arbitrating := map[*phoneState]bool{}
 	for _, g := range m.votes {
@@ -449,13 +446,12 @@ func (m *Master) pickArbiterLocked(vg *voteGroup) *phoneState {
 
 // Reputation returns a phone's result-integrity score (1.0 when no
 // verification outcome has been recorded for it).
-func (m *Master) Reputation(id int) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reputationLocked(id)
+func (m *Master) Reputation(id int) (rep float64) {
+	m.do(func() { rep = m.reputationLocked(id) })
+	return rep
 }
 
-// reputationLocked is Reputation for callers that hold m.mu.
+// reputationLocked is Reputation on the state's owner.
 func (m *Master) reputationLocked(id int) float64 {
 	if r, ok := m.reputation[id]; ok {
 		return r
@@ -465,20 +461,13 @@ func (m *Master) reputationLocked(id int) float64 {
 
 // Quarantined reports whether a phone is excluded from placement for
 // integrity failures.
-func (m *Master) Quarantined(id int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.quarantined[id]
+func (m *Master) Quarantined(id int) (q bool) {
+	m.do(func() { q = m.quarantined[id] })
+	return q
 }
 
 // QuarantinedPhones lists quarantined phone IDs in ascending order.
-func (m *Master) QuarantinedPhones() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]int, 0, len(m.quarantined))
-	for id := range m.quarantined {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+func (m *Master) QuarantinedPhones() (ids []int) {
+	m.do(func() { ids = sortedKeys(m.quarantined) })
+	return ids
 }

@@ -416,12 +416,12 @@ func TestReputationSurvivesWALRecovery(t *testing.T) {
 	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncAlways})
 	m := startMaster(t, Config{WAL: wl})
 	// Four losses: 0.6, 0.36, 0.216 (quarantined), 0.1296.
-	m.mu.Lock()
-	for i := 0; i < 4; i++ {
-		m.reputationEventLocked(7, false, "test")
-	}
-	m.reputationEventLocked(3, true, "test") // 1.0 -> 1.0: state unchanged
-	m.mu.Unlock()
+	m.do(func() {
+		for i := 0; i < 4; i++ {
+			m.reputationEventLocked(7, false, "test")
+		}
+		m.reputationEventLocked(3, true, "test") // 1.0 -> 1.0: state unchanged
+	})
 	wantRep := m.Reputation(7)
 	m.Close()
 	wl.Close()

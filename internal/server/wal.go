@@ -42,7 +42,8 @@ import (
 // records, decoded from the log, through the same function
 // (walReducer.fold). A snapshot is records too, so recovery and the
 // standby read one format through one decoder. Every record changes
-// state, and every one is written under m.mu in the order it is folded.
+// state, and every one is written on the state's owner in the order it
+// is folded.
 //
 // A reference is only as good as the record that defined its range, so
 // a record the log failed to take may not simply be carried on from:
@@ -697,7 +698,7 @@ func (r *walReducer) fold(rec walRecord) error {
 }
 
 // walAppend makes and logs a state change: fold the record, then write
-// it. Caller holds m.mu. A failed write is logged, not fatal: the master
+// it. A failed write is logged, not fatal: the master
 // keeps serving, and because later records may refer to what this one
 // defined, the log is marked stale — nothing more is written to it until
 // live state has been folded into a snapshot (walCompactLocked).
@@ -730,7 +731,6 @@ func (m *Master) walAppend(rec walRecord) {
 // must not ack, a round must not dispatch, an epoch must not take effect,
 // what the log did not take): write the record, then fold it. An error
 // means the state is unchanged and the caller backs out.
-// Caller holds m.mu.
 func (m *Master) walAppendErr(rec walRecord) error {
 	if m.cfg.WAL != nil {
 		if m.walStale {
@@ -770,8 +770,8 @@ func walFrame(rec walRecord) (*wal.Frame, error) {
 
 // walWrite encodes one record, appends the frame to the attached WAL and
 // hands the same frame to the replication sink. Its two callers,
-// walAppend and walAppendErr, hold m.mu, so the log, the shipped stream
-// and the fold see one order.
+// walAppend and walAppendErr, run on the state's owner, so the log, the
+// shipped stream and the fold see one order.
 func (m *Master) walWrite(rec walRecord) error {
 	f, err := walFrame(rec)
 	if err != nil {
@@ -791,7 +791,7 @@ func (m *Master) walWrite(rec walRecord) error {
 
 // walCompactLocked cuts live state into a WAL snapshot and rotates the
 // log, which brings a stale log back in step: whatever it missed, the
-// snapshot holds. Caller holds m.mu, so no append can slip in between
+// snapshot holds. It runs in one step, so no append can slip in between
 // the cut and the rotation. A stale log's standbys missed what it missed,
 // so they are dropped first, to resync from a fresh snapshot cut.
 func (m *Master) walCompactLocked() error {
@@ -805,7 +805,7 @@ func (m *Master) walCompactLocked() error {
 	return nil
 }
 
-// walSnapshotLocked writes the master's cut. Caller holds m.mu.
+// walSnapshotLocked writes the master's cut.
 func (m *Master) walSnapshotLocked(w io.Writer) error { return m.snapshot(w) }
 
 // cut lists the records whose fold, from an empty reducer, is r's state:
@@ -859,9 +859,9 @@ func (r *walReducer) snapshot(w io.Writer) error {
 }
 
 // A Cut is the master's durable state as the records whose fold rebuilds
-// it (walReducer.cut), taken under the state lock. Its records share the
-// state's bytes, which nothing rewrites once logged, so a Cut is framed
-// and written after the lock is released: its size costs the lock
+// it (walReducer.cut), taken in one step of the master's loop. Its
+// records share the state's bytes, which nothing rewrites once logged, so
+// a Cut is framed and written off the loop: its size costs the loop
 // nothing, and no buffer holds it whole.
 type Cut struct{ recs []walRecord }
 
@@ -915,9 +915,9 @@ func (m *Master) CompactWAL() error {
 	if wl == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.walCompactLocked()
+	var err error
+	m.do(func() { err = m.walCompactLocked() })
+	return err
 }
 
 // RecoverWAL replays the attached WAL's records — its snapshot's, then
@@ -977,27 +977,28 @@ func (m *Master) installWALState(red *walReducer) error {
 		pending[i] = itemOf(js, it)
 	}
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.jobs) != 0 || len(m.pending) != 0 || m.nextPhoneID != 0 {
-		return errors.New("server: wal recovery: master already has state")
-	}
-	m.walReducer, m.pending = red, pending
-	// Re-arm the tracer's epoch stamp: master-side events recorded after
-	// recovery must carry the recovered fencing regime, not 0.
-	m.cfg.Tracer.SetEpoch(m.epoch)
-	return nil
+	var err error
+	m.do(func() {
+		if len(m.jobs) != 0 || len(m.pending) != 0 || m.nextPhoneID != 0 {
+			err = errors.New("server: wal recovery: master already has state")
+			return
+		}
+		m.walReducer, m.pending = red, pending
+		// Re-arm the tracer's epoch stamp: master-side events recorded after
+		// recovery must carry the recovered fencing regime, not 0.
+		m.cfg.Tracer.SetEpoch(m.epoch)
+	})
+	return err
 }
 
 // ReplicaSnapshot hands a replication shipper an exact cut of the
-// master's durable state: activate is called with the cut while the
-// state lock is held, so if the callback registers a stream subscriber,
+// master's durable state: activate is called with the cut in one step
+// on the master's loop, so if the callback registers a stream subscriber,
 // every record appended after it returns is shipped and nothing already
-// inside the cut is shipped again.
+// inside the cut is shipped again. activate must never call a Master
+// method.
 func (m *Master) ReplicaSnapshot(activate func(cut *Cut)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	activate(&Cut{recs: m.cut()})
+	m.do(func() { activate(&Cut{recs: m.cut()}) })
 }
 
 // WALFold incrementally folds WAL records exactly as RecoverWAL replays

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -177,9 +178,8 @@ func TestEachResultIsLoggedOnce(t *testing.T) {
 		t.Fatalf("blur job %d did not finish", blurID)
 	}
 	primes, ok := m.Result(primesID)
-	m.mu.Lock()
-	split := len(m.jobs[primesID].Partials)
-	m.mu.Unlock()
+	var split int
+	m.do(func() { split = len(m.jobs[primesID].Partials) })
 	if !ok || split < 2 {
 		t.Fatalf("primecount job finished %v from %d partials; the scenario wants it split", ok, split)
 	}
@@ -396,12 +396,12 @@ func TestKillWritesNothing(t *testing.T) {
 	if err := b.RecoverWAL(); err != nil {
 		t.Fatal(err)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.open) != 3 {
-		t.Fatalf("recovered %d open ranges, want 3", len(b.open))
+	var open map[int64]*walItemRec
+	b.do(func() { open = maps.Clone(b.open) })
+	if len(open) != 3 {
+		t.Fatalf("recovered %d open ranges, want 3", len(open))
 	}
-	for key, e := range b.open {
+	for key, e := range open {
 		if e.Retries != 0 {
 			t.Errorf("range %d recovered with %d retries spent, want 0", key, e.Retries)
 		}
@@ -573,12 +573,12 @@ func recordCrashRun(t *testing.T, ctx context.Context, failFirst bool) crashRun 
 	none := func(onFlaky bool) func() {
 		return func() {
 			for end := time.Now().Add(10 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
-				a.mu.Lock()
 				busy := false
-				for _, rec := range a.attempts {
-					busy = busy || (rec.ps.info.Model == flakyModel) == onFlaky
-				}
-				a.mu.Unlock()
+				a.do(func() {
+					for _, rec := range a.attempts {
+						busy = busy || (rec.ps.info.Model == flakyModel) == onFlaky
+					}
+				})
 				if !busy {
 					return
 				}
@@ -761,14 +761,18 @@ func (r crashRun) recoverAt(t *testing.T, ctx context.Context, cut int64) {
 			known[id] = true
 		}
 	}
-	m.mu.Lock()
-	for id := range known {
-		if _, ok := m.jobs[id]; !ok {
-			m.mu.Unlock()
-			t.Fatalf("acknowledged job %d lost", id)
+	lost := -1
+	m.do(func() {
+		for id := range known {
+			if _, ok := m.jobs[id]; !ok {
+				lost = id
+				return
+			}
 		}
+	})
+	if lost >= 0 {
+		t.Fatalf("acknowledged job %d lost", lost)
 	}
-	m.mu.Unlock()
 
 	unfinished := 0
 	for id := range known {

@@ -23,7 +23,7 @@ import (
 
 // oracleSink is a ReplicaSink that folds every record the master ships
 // into a WALFold — the standby's reducer — and, at every record (each is
-// shipped under the master's state lock), compares the fold's snapshot
+// shipped on the master's loop), compares the fold's snapshot
 // with the live master's, byte for byte. Records that gate a change
 // (submit, round, epoch) are appended before the change is made, so the
 // live cut is compared with the fold before the record; every other
@@ -69,7 +69,7 @@ func (o *oracleSink) Ship(f *wal.Frame) {
 	}
 }
 
-// compareLocked requires the caller to hold both m.mu and o.mu.
+// compareLocked runs on the master's state's owner, holding o.mu.
 func (o *oracleSink) compareLocked(when string) {
 	var live, folded bytes.Buffer
 	if err := o.m.walSnapshotLocked(&live); err != nil {
@@ -127,11 +127,11 @@ func foldCut(t *testing.T, fold *WALFold, cut []byte) {
 
 // check compares at a quiescent point, from the test's goroutine.
 func (o *oracleSink) check(when string) {
-	o.m.mu.Lock()
-	defer o.m.mu.Unlock()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.compareLocked(when)
+	o.m.do(func() {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		o.compareLocked(when)
+	})
 }
 
 // lowRetryBudget has every range dead-lettered at its second failure

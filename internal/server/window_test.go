@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -58,12 +59,12 @@ func newWindowHarness(t *testing.T, cfg Config) *windowHarness {
 		h.resume[id] = checkpointAt(&protocol.Message{Task: "primecount", Input: input})
 		// Turn the range into a re-queued one mid-way through its input, as
 		// a failed earlier round would have left it.
-		h.m.mu.Lock()
-		h.m.walAppend(&walMigrate{JobID: id, Key: a.key, Resume: h.resume[id].Clone(),
-			Retries: windowRetries, Partition: windowPartition + id})
-		a.rng.queued = true
-		h.m.pending = append(h.m.pending, itemOf(h.m.jobs[a.item.jobID], a.rng))
-		h.m.mu.Unlock()
+		h.m.do(func() {
+			h.m.walAppend(&walMigrate{JobID: id, Key: a.key, Resume: h.resume[id].Clone(),
+				Retries: windowRetries, Partition: windowPartition + id})
+			a.rng.queued = true
+			h.m.pending = append(h.m.pending, itemOf(h.m.jobs[a.item.jobID], a.rng))
+		})
 	}
 	return h
 }
@@ -138,27 +139,38 @@ func (h *windowHarness) firstRound(script func(running, prefetched *protocol.Mes
 // same resume state, same partition number, one retry spent.
 func (h *windowHarness) checkSettled(open ...int) {
 	h.t.Helper()
-	h.m.mu.Lock()
-	defer h.m.mu.Unlock()
-	for ps, w := range h.m.wins {
-		for _, f := range w.win {
-			h.t.Errorf("attempt %d (job %d) still live on phone %d after the round returned", f.attempt, f.a.item.jobID, ps.info.ID)
+	type held struct {
+		phone int
+		win   []flight
+		feeds bool // its window feeds a round
+	}
+	var wins []held
+	var pending []*workItem
+	h.m.do(func() {
+		for ps, w := range h.m.wins {
+			wins = append(wins, held{ps.info.ID, slices.Clone(w.win), w.rnd != nil})
 		}
-		if w.rnd != nil {
-			h.t.Errorf("phone %d's window still feeds a round that returned", ps.info.ID)
+		pending = slices.Clone(h.m.pending)
+	})
+	for _, w := range wins {
+		for _, f := range w.win {
+			h.t.Errorf("attempt %d (job %d) still live on phone %d after the round returned", f.attempt, f.a.item.jobID, w.phone)
+		}
+		if w.feeds {
+			h.t.Errorf("phone %d's window still feeds a round that returned", w.phone)
 		}
 	}
 	queued := map[int]*workItem{}
 	keys := map[int64]bool{}
-	for _, it := range h.m.pending {
+	for _, it := range pending {
 		if keys[it.key] {
 			h.t.Errorf("key %d queued twice", it.key)
 		}
 		keys[it.key] = true
 		queued[it.jobID] = it
 	}
-	if len(h.m.pending) != len(open) {
-		h.t.Errorf("%d items pending, want %d (%v)", len(h.m.pending), len(open), open)
+	if len(pending) != len(open) {
+		h.t.Errorf("%d items pending, want %d (%v)", len(pending), len(open), open)
 	}
 	for _, id := range open {
 		it := queued[id]
@@ -350,9 +362,7 @@ func TestDispatchWindowExitPaths(t *testing.T) {
 		{
 			name: "quarantine mid-queue",
 			script: func(h *windowHarness, running, _ *protocol.Message) {
-				h.m.mu.Lock()
-				h.m.quarantined[h.f.id] = true
-				h.m.mu.Unlock()
+				h.m.do(func() { h.m.quarantined[h.f.id] = true })
 				replyResult(h.f, running)
 			},
 			open:   func(h *windowHarness, running, _ int) []int { return h.others(running) },
@@ -429,9 +439,7 @@ func TestDispatchWindowSlowPredecessorIsNotAStraggler(t *testing.T) {
 func TestDispatchWindowRAMGuardKeepsLockstep(t *testing.T) {
 	m := startMaster(t, Config{})
 	f := dialFake(t, m, "HTC G2", 806)
-	m.mu.Lock()
-	m.phones[f.id].info.RAMMB = 1
-	m.mu.Unlock()
+	m.do(func() { m.phones[f.id].info.RAMMB = 1 })
 	var ids []int
 	want := map[int][]byte{}
 	for j := 0; j < 3; j++ {
