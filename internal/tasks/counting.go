@@ -71,7 +71,7 @@ func (PrimeCount) Process(ctx context.Context, input []byte, ck *Checkpoint) ([]
 		return nil, err
 	}
 	err = forEachLine(ctx, input, ck, func() { st.save(ck) }, func(line []byte) {
-		n, perr := strconv.ParseInt(string(bytes.TrimSpace(line)), 10, 64)
+		n, perr := lineInt(line)
 		if perr == nil && isPrime(n) {
 			st.Count++
 		}
@@ -91,6 +91,22 @@ func (PrimeCount) Split(input []byte, sizesKB []float64) ([][]byte, error) {
 // Aggregate implements Breakable.
 func (PrimeCount) Aggregate(partials [][]byte) ([]byte, error) {
 	return aggregateCounts(partials)
+}
+
+// lineInt parses one line of an integer input as
+// strconv.ParseInt(string(bytes.TrimSpace(line)), 10, 64) does. A line of
+// 1 to 18 ASCII digits, which no int64 overflows, is parsed in place;
+// any other takes that path.
+func lineInt(line []byte) (int64, error) {
+	n, ok := int64(0), len(line) > 0 && len(line) <= 18
+	for i := 0; ok && i < len(line); i++ {
+		d := line[i] - '0'
+		n, ok = n*10+int64(d), d <= 9
+	}
+	if ok {
+		return n, nil
+	}
+	return strconv.ParseInt(string(bytes.TrimSpace(line)), 10, 64)
 }
 
 // isPrime is deterministic trial division; inputs are line-sized integers
@@ -245,7 +261,7 @@ func (MaxInt) Process(ctx context.Context, input []byte, ck *Checkpoint) ([]byte
 	}
 	save := func() { ck.State, _ = json.Marshal(st) }
 	err := forEachLine(ctx, input, ck, save, func(line []byte) {
-		n, perr := strconv.ParseInt(string(bytes.TrimSpace(line)), 10, 64)
+		n, perr := lineInt(line)
 		if perr != nil {
 			return
 		}

@@ -129,6 +129,22 @@ func FuzzWordCount(f *testing.F) {
 	})
 }
 
+// FuzzLineInt checks the integer kernels' line parser against the
+// strconv path it stands in for.
+func FuzzLineInt(f *testing.F) {
+	for _, s := range []string{"0", "7", "123456789012345678", "1234567890123456789", "9223372036854775807",
+		"9223372036854775808", "-42", "+42", " 42\r", "", " ", "4 2", "0x1f", "00017", "\xff1"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		got, err := lineInt(line)
+		want, wantErr := strconv.ParseInt(string(bytes.TrimSpace(line)), 10, 64)
+		if got != want || (err == nil) != (wantErr == nil) {
+			t.Fatalf("lineInt(%q) = %d, %v; strconv = %d, %v", line, got, err, want, wantErr)
+		}
+	})
+}
+
 // FuzzCheckpointOffsets checks counting tasks tolerate arbitrary
 // checkpoint offsets/states without panicking, rejecting the invalid ones.
 func FuzzCheckpointOffsets(f *testing.F) {

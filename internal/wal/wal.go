@@ -147,7 +147,8 @@ func (e *tornError) Error() string {
 }
 
 // scanRecords decodes framed records from b. It returns the decoded
-// records, the offset just past the last good record, and an error
+// records, whose payloads are sub-slices of b, capped at their own ends,
+// the offset just past the last good record, and an error
 // describing what stopped the scan: nil (clean end), *tornError (damage
 // extending to the end of b) or an ErrCorrupt-wrapped error (damage with
 // further bytes behind it).
@@ -189,7 +190,7 @@ func scanRecords(b []byte) (recs []Record, good int, err error) {
 			return recs, off, fmt.Errorf("%w: checksum mismatch at offset %d with %d bytes following",
 				ErrCorrupt, off, len(b)-(off+headerSize+n))
 		}
-		recs = append(recs, Record{Type: body[0], Payload: append([]byte(nil), body[1:]...)})
+		recs = append(recs, Record{Type: body[0], Payload: body[1:n:n]})
 		off += headerSize + n
 	}
 	return recs, off, nil
@@ -373,7 +374,9 @@ func Open(dir string, opts Options) (*Log, error) {
 }
 
 // Recovered returns the records decoded at Open: the snapshot's, then
-// the segments' in append order.
+// the segments' in append order. Each payload aliases the buffer its file
+// was read into, which no one else holds: a payload read or sliced keeps
+// that whole buffer alive, and writing into one writes into the record.
 func (l *Log) Recovered() []Record { return l.recovered }
 
 // LogBytes reports the bytes held in live segments (snapshot excluded).
@@ -592,9 +595,10 @@ func (l *Log) Close() error {
 	return cerr
 }
 
-// ScanSegment decodes one segment file standalone, returning its records
-// and the byte offset at the end of each — i.e. every clean truncation
-// point. Crash harnesses use it to enumerate kill points.
+// ScanSegment decodes one segment file standalone, returning its records,
+// whose payloads alias the buffer the file was read into, and the byte
+// offset at the end of each — i.e. every clean truncation point. Crash
+// harnesses use it to enumerate kill points.
 func ScanSegment(path string) ([]Record, []int64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

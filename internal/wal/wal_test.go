@@ -8,6 +8,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -567,6 +568,49 @@ func BenchmarkAppend(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestOpenReadsTheLogOnce: a record's payload is a sub-slice of the
+// buffer its segment was read into, so Open allocates about the log's
+// size once, not once for the read and again for the payloads, and an
+// append to a payload cannot reach the next record.
+func TestOpenReadsTheLogOnce(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Sync: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 4096) // 64 KiB
+	for i := 0; i < 64; i++ {
+		payload[0] = byte(i)
+		if err := l.Append(1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := l.LogBytes()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	l2, err := Open(dir, Options{Sync: SyncNone})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(size)*5/4; got > limit {
+		t.Errorf("Open of a %d-byte log allocated %d bytes, want at most %d", size, got, limit)
+	}
+	recs := l2.Recovered()
+	if len(recs) != 64 {
+		t.Fatalf("recovered %d records, want 64", len(recs))
+	}
+	_ = append(recs[0].Payload, 'x')
+	if recs[1].Type != 1 || recs[1].Payload[0] != 1 || !bytes.Equal(recs[1].Payload[1:], payload[1:]) {
+		t.Error("appending to a recovered payload changed the record after it")
 	}
 }
 

@@ -20,16 +20,25 @@ import (
 // bitstream packs each byte's code, first bit first, from the least
 // significant bit of each stream byte up; its last byte is padded with
 // zero bits, and it ends there.
+//
+// The coder is fast by how it reads and writes that format, never by
+// changing it: the encoder packs five codes into each 64-bit store, and
+// the decoder's table resolves the next 11 bits to one byte or, when two
+// whole codes fit in them, two. A section is byte for byte what a coder
+// taking one code a step writes (the tests hold a reference one), so
+// every peer and every log decodes it alike.
 const (
 	maxCodeBits = 11
 	lensBytes   = 128
 )
 
 // huffman is one section's code: per byte value, its code bit-reversed
-// for the LSB-first stream in the low 16 bits and its length above them.
+// for the LSB-first stream, and its length. The two are apart so the
+// encoder reads each with one load and no masking.
 type huffman struct {
-	enc  [256]uint32
-	bits int // the planned section's stream length in bits
+	codes [256]uint16
+	lens  [256]uint8
+	bits  int // the planned section's stream length in bits
 }
 
 // plan builds the code for src and returns the coded section's size.
@@ -194,20 +203,22 @@ func (h *huffman) assign(lens *[256]uint8) {
 	for l := 1; l <= maxCodeBits; l++ {
 		next[l] = (next[l-1] + count[l-1]) << 1
 	}
+	h.lens = *lens
 	for v, l := range lens {
-		h.enc[v] = 0
+		h.codes[v] = 0
 		if l > 0 {
-			h.enc[v] = uint32(l)<<16 | uint32(bits.Reverse16(uint16(next[l]))>>(16-l))
+			h.codes[v] = bits.Reverse16(uint16(next[l])) >> (16 - l)
 			next[l]++
 		}
 	}
 }
 
 // encode appends the planned section for src to dst: the table, then the
-// stream.
+// stream. Every variable shift count is masked to 63, which its value
+// never exceeds, so the compiler emits a bare shift.
 func (h *huffman) encode(dst, src []byte) []byte {
 	for k := 0; k < lensBytes; k++ {
-		dst = append(dst, byte(h.enc[2*k]>>16|h.enc[2*k+1]>>16<<4))
+		dst = append(dst, h.lens[2*k]|h.lens[2*k+1]<<4)
 	}
 	size := (h.bits + 7) / 8
 	// The stream is written a word at a time: eight bytes of room past it.
@@ -215,27 +226,41 @@ func (h *huffman) encode(dst, src []byte) []byte {
 	out := dst[len(dst) : len(dst)+size+8]
 	var acc uint64
 	var nb uint // bits in acc; at most 7 between words
-	pos := 0
-	enc := &h.enc
-	for len(src) >= 5 { // five codes of at most 11 bits fit behind 7
-		for _, b := range src[:5] {
-			e := enc[b]
-			acc |= uint64(e&0xffff) << nb
-			nb += uint(e >> 16)
-		}
-		binary.LittleEndian.PutUint64(out[pos:], acc)
+	codes, lens := &h.codes, &h.lens
+	// put adds the codes of s's first five bytes to acc (five codes of at
+	// most 11 bits fit behind 7), writes acc's whole bytes out and keeps
+	// the rest.
+	put := func(s []byte) {
+		s = s[:5:5]
+		acc |= uint64(codes[s[0]]) << (nb & 63)
+		nb += uint(lens[s[0]])
+		acc |= uint64(codes[s[1]]) << (nb & 63)
+		nb += uint(lens[s[1]])
+		acc |= uint64(codes[s[2]]) << (nb & 63)
+		nb += uint(lens[s[2]])
+		acc |= uint64(codes[s[3]]) << (nb & 63)
+		nb += uint(lens[s[3]])
+		acc |= uint64(codes[s[4]]) << (nb & 63)
+		nb += uint(lens[s[4]])
+		binary.LittleEndian.PutUint64(out, acc)
 		k := nb >> 3
-		pos += int(k)
-		acc >>= k * 8
+		out = out[k:]
+		acc >>= k * 8 & 63
 		nb &= 7
+	}
+	for ; len(src) >= 10; src = src[10:] {
+		put(src)
+		put(src[5:])
+	}
+	if len(src) >= 5 {
+		put(src)
 		src = src[5:]
 	}
 	for _, b := range src {
-		e := enc[b]
-		acc |= uint64(e&0xffff) << nb
-		nb += uint(e >> 16)
+		acc |= uint64(codes[b]) << (nb & 63)
+		nb += uint(lens[b])
 	}
-	binary.LittleEndian.PutUint64(out[pos:], acc)
+	binary.LittleEndian.PutUint64(out, acc)
 	return dst[:len(dst)+size]
 }
 
@@ -277,14 +302,35 @@ func DecodeCoded(dst, sec []byte) error {
 	}
 	var h huffman
 	h.assign(&lens)
-	// table maps the next maxCodeBits stream bits to the byte whose code
-	// they start with, and that code's length above it.
-	var table [1 << maxCodeBits]uint16
-	for v, e := range h.enc {
-		if l := e >> 16; l > 0 {
-			for j := e & 0xffff; j < 1<<maxCodeBits; j += 1 << l {
-				table[j] = uint16(l)<<8 | uint16(v)
+	// single maps up to maxCodeBits-1 stream bits, zeros above them, to
+	// the byte whose code they start with, and its length above it: the
+	// code's whenever its length fits in the bits that are the stream's.
+	var single [1 << (maxCodeBits - 1)]uint16
+	for v, l := range lens {
+		if l > 0 {
+			for j := uint(h.codes[v]); j < uint(len(single)); j += 1 << l {
+				single[j] = uint16(l)<<8 | uint16(v)
 			}
+		}
+	}
+	// table maps the next maxCodeBits stream bits to the one or two bytes
+	// whose codes they hold whole: the code they start with, then the one
+	// its remaining bits start with when that one fits in them too. An
+	// entry holds the bits the codes take in bits 0-7, how many bytes
+	// there are, 1 or 2, in bits 8-11, the first code's length in bits
+	// 12-15, and the bytes, first in the low one, from bit 16. Whether the
+	// second code fits is a mask, not a branch: it is as likely as not.
+	var table [1 << maxCodeBits]uint32
+	for v, l := range lens {
+		if l == 0 {
+			continue
+		}
+		first := uint32(v)<<16 | uint32(l)<<12 | 1<<8 | uint32(l)
+		c, rest := uint(h.codes[v]), uint32(maxCodeBits-l)
+		for k := range uint(1) << rest {
+			s := uint32(single[k])
+			fits := (rest-s>>8)>>31 - 1 // all ones or zero
+			table[c|k<<(l&63)] = first + (s&0xff<<24|1<<8|s>>8)&fits
 		}
 	}
 	const mask = 1<<maxCodeBits - 1
@@ -292,21 +338,24 @@ func DecodeCoded(dst, sec []byte) error {
 	var acc uint64
 	var nb uint // bits of acc not yet decoded
 	pos, out := 0, 0
-	for out+5 <= len(dst) && pos+8 <= len(stream) {
+	// Each lookup stores two bytes, whether or not both are its entry's:
+	// five of them need ten bytes of dst left.
+	for out+10 <= len(dst) && pos+8 <= len(stream) {
 		// Fill acc to at least 56 bits from the next eight stream bytes;
 		// the bits past nb are the next byte's, loaded again next time.
-		acc |= binary.LittleEndian.Uint64(stream[pos:]) << nb
+		acc |= binary.LittleEndian.Uint64(stream[pos:]) << (nb & 63)
 		pos += int((63 - nb) >> 3)
 		nb |= 56
-		d := dst[out : out+5 : out+5]
-		for k := range d {
+		for range 5 { // five lookups of at most 11 bits fit in 56
 			e := table[acc&mask]
-			d[k] = byte(e)
-			acc >>= e >> 8
-			nb -= uint(e >> 8)
+			binary.LittleEndian.PutUint16(dst[out:], uint16(e>>16))
+			out += int(e >> 8 & 15)
+			acc >>= e & 63
+			nb -= uint(e & 0xff)
 		}
-		out += 5
 	}
+	// The last bytes take one code a lookup: an entry's second code there
+	// could be the padding's.
 	for ; out < len(dst); out++ {
 		// Past the stream's end the bits read as zeros; the check below
 		// refuses a stream that needed them.
@@ -317,9 +366,10 @@ func DecodeCoded(dst, sec []byte) error {
 			pos++
 		}
 		e := table[acc&mask]
-		dst[out] = byte(e)
-		acc >>= e >> 8
-		nb -= uint(e >> 8)
+		dst[out] = byte(e >> 16)
+		l := e >> 12 & 15
+		acc >>= l
+		nb -= uint(l)
 	}
 	used := pos*8 - int(nb)
 	switch {

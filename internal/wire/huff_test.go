@@ -2,8 +2,12 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cwc/internal/tasks"
@@ -37,6 +41,151 @@ func fibonacci() []byte {
 	return out
 }
 
+// refCodes, refEncode and refDecode are the section coder as it first
+// shipped, one code a step each way: the reference the fast coder must
+// match byte for byte. refCodes gives each byte value with a length in
+// the 128-byte table its canonical code, bit-reversed for the LSB-first
+// stream in the low 16 bits, and its length above them.
+func refCodes(table []byte) (enc [256]uint32) {
+	var lens [256]uint8
+	for k, b := range table[:128] {
+		lens[2*k], lens[2*k+1] = b&15, b>>4
+	}
+	var count, next [12]uint32
+	for _, l := range lens {
+		count[l]++
+	}
+	count[0] = 0
+	for l := 1; l <= 11; l++ {
+		next[l] = (next[l-1] + count[l-1]) << 1
+	}
+	for v, l := range lens {
+		if l > 0 {
+			enc[v] = uint32(l)<<16 | uint32(bits.Reverse16(uint16(next[l]))>>(16-l))
+			next[l]++
+		}
+	}
+	return enc
+}
+
+// refEncode appends the section for src under the code table table holds
+// to dst: the table, then the stream.
+func refEncode(dst, table, src []byte) []byte {
+	enc := refCodes(table)
+	dst = append(dst, table[:128]...)
+	nbits := 0
+	for _, b := range src {
+		nbits += int(enc[b] >> 16)
+	}
+	size := (nbits + 7) / 8
+	dst = slices.Grow(dst, size+8)
+	out := dst[len(dst) : len(dst)+size+8]
+	var acc uint64
+	var nb uint
+	pos := 0
+	for len(src) >= 5 {
+		for _, b := range src[:5] {
+			e := enc[b]
+			acc |= uint64(e&0xffff) << nb
+			nb += uint(e >> 16)
+		}
+		binary.LittleEndian.PutUint64(out[pos:], acc)
+		k := nb >> 3
+		pos += int(k)
+		acc >>= k * 8
+		nb &= 7
+		src = src[5:]
+	}
+	for _, b := range src {
+		e := enc[b]
+		acc |= uint64(e&0xffff) << nb
+		nb += uint(e >> 16)
+	}
+	binary.LittleEndian.PutUint64(out[pos:], acc)
+	return dst[:len(dst)+size]
+}
+
+var errRef = errors.New("reference: corrupt coded section")
+
+// refDecode decodes the coded section sec into dst, whose length is the
+// raw length, one byte a table lookup.
+func refDecode(dst, sec []byte) error {
+	if len(sec) < 128 {
+		return errRef
+	}
+	kraft := 0
+	for _, b := range sec[:128] {
+		for _, l := range [2]byte{b & 15, b >> 4} {
+			if l > 11 {
+				return errRef
+			}
+			if l > 0 {
+				kraft += 1 << (11 - l)
+			}
+		}
+	}
+	if kraft != 1<<11 {
+		return errRef
+	}
+	var table [1 << 11]uint16
+	for v, e := range refCodes(sec) {
+		if l := e >> 16; l > 0 {
+			for j := e & 0xffff; j < 1<<11; j += 1 << l {
+				table[j] = uint16(l)<<8 | uint16(v)
+			}
+		}
+	}
+	const mask = 1<<11 - 1
+	stream := sec[128:]
+	var acc uint64
+	var nb uint
+	pos, out := 0, 0
+	for out+5 <= len(dst) && pos+8 <= len(stream) {
+		acc |= binary.LittleEndian.Uint64(stream[pos:]) << nb
+		pos += int((63 - nb) >> 3)
+		nb |= 56
+		d := dst[out : out+5 : out+5]
+		for k := range d {
+			e := table[acc&mask]
+			d[k] = byte(e)
+			acc >>= e >> 8
+			nb -= uint(e >> 8)
+		}
+		out += 5
+	}
+	for ; out < len(dst); out++ {
+		for ; nb <= 56; nb += 8 {
+			if pos < len(stream) {
+				acc |= uint64(stream[pos]) << nb
+			}
+			pos++
+		}
+		e := table[acc&mask]
+		dst[out] = byte(e)
+		acc >>= e >> 8
+		nb -= uint(e >> 8)
+	}
+	used := pos*8 - int(nb)
+	if used > len(stream)*8 || (used+7)/8 != len(stream) || acc&(1<<(len(stream)*8-used)-1) != 0 {
+		return errRef
+	}
+	return nil
+}
+
+// sameDecode fails t unless DecodeCoded and refDecode both refuse sec as
+// a section of raw bytes, or both accept it and decode the same bytes.
+func sameDecode(t *testing.T, sec []byte, raw int) {
+	t.Helper()
+	got, want := make([]byte, raw), make([]byte, raw)
+	err, refErr := wire.DecodeCoded(got, sec), refDecode(want, sec)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("a %d-byte section as %d raw bytes: err = %v, the reference's = %v", len(sec), raw, err, refErr)
+	}
+	if err == nil && !bytes.Equal(got, want) {
+		t.Fatalf("a %d-byte section as %d raw bytes decodes unlike the reference", len(sec), raw)
+	}
+}
+
 // roundTrip codes src and decodes it back, reporting whether it was coded.
 func roundTrip(t *testing.T, src []byte) bool {
 	t.Helper()
@@ -46,6 +195,9 @@ func roundTrip(t *testing.T, src []byte) bool {
 	}
 	if len(sec) >= len(src) {
 		t.Fatalf("a %d-byte input coded to %d bytes", len(src), len(sec))
+	}
+	if want := refEncode(nil, sec, src); !bytes.Equal(sec, want) {
+		t.Fatal("the section differs from the reference coder's")
 	}
 	got := make([]byte, len(src))
 	if err := wire.DecodeCoded(got, sec); err != nil {
@@ -137,15 +289,74 @@ func TestDecodeCodedRejects(t *testing.T) {
 	}
 }
 
-// FuzzCode: decode(code(x)) == x for every input that codes, and no byte
-// string, taken as a coded section of any raw length, panics the decoder.
+// The fast loop decodes while ten bytes of dst are left and the stream
+// holds eight more: sections whose ends fall at, just before and just
+// past those edges decode at their own raw length and no other.
+func TestDecodeCodedEdges(t *testing.T) {
+	// Every byte value with an 8-bit code: the table is 0x88 throughout,
+	// and value v's code is v itself, so its stream byte is v reversed.
+	eight := bytes.Repeat([]byte{0x88}, 128)
+	for _, n := range []int{8, 9, 10, 11, 19, 20, 21} {
+		src := make([]byte, n)
+		for i := range src {
+			src[i] = byte(i*37 + 1)
+		}
+		sec := append([]byte(nil), eight...)
+		for _, b := range src {
+			sec = append(sec, bits.Reverse8(b))
+		}
+		got := make([]byte, n)
+		if err := wire.DecodeCoded(got, sec); err != nil || !bytes.Equal(got, src) {
+			t.Errorf("%d bytes of 8-bit codes: err = %v, decoded %v, want %v", n, err, got, src)
+		}
+		for _, tc := range []struct {
+			raw int
+			why string
+		}{{n - 1, "after the last code"}, {n + 1, "ends before"}} {
+			err := wire.DecodeCoded(make([]byte, tc.raw), sec)
+			if err == nil || !bytes.Contains([]byte(err.Error()), []byte(tc.why)) {
+				t.Errorf("%d bytes of 8-bit codes as %d: err = %v, want one mentioning %q", n, tc.raw, err, tc.why)
+			}
+		}
+		sameDecode(t, sec, n-1)
+		sameDecode(t, sec, n)
+		sameDecode(t, sec, n+1)
+	}
+	// 1001 z's take one bit each: the last lookup's bits hold the last z
+	// and a second one of padding when one byte of dst is left. The
+	// decoder writes that one byte and nothing past it.
+	zs, _ := wire.AppendCoded(nil, bytes.Repeat([]byte{'z'}, 1001))
+	buf := make([]byte, 1002)
+	buf[1001] = '!'
+	if err := wire.DecodeCoded(buf[:1001], zs); err != nil || !bytes.Equal(buf[:1001], bytes.Repeat([]byte{'z'}, 1001)) || buf[1001] != '!' {
+		t.Errorf("1001 one-bit codes: err = %v, byte past dst %q", err, buf[1001])
+	}
+	// Every shorter raw length leaves the fast loop with each count of
+	// bytes left below ten, while the stream still holds plenty.
+	for raw := range 1010 {
+		sameDecode(t, zs, raw)
+	}
+}
+
+// FuzzCode: decode(code(x)) == x for every input that codes, and its
+// section is the reference coder's byte for byte. No byte string, taken
+// as a coded section of any raw length, panics the decoder, and the
+// decoder accepts exactly the sections the reference does, with the same
+// bytes: the input itself, its own section at its own and the fuzzed raw
+// length, and the input as the stream behind a valid table.
 func FuzzCode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("inventory sale\n"), 20), uint16(300))
 	f.Add(fibonacci(), uint16(1000))
 	f.Add(bytes.Repeat([]byte{0}, 200), uint16(200))
+	text, _ := wire.AppendCoded(nil, bytes.Repeat([]byte("inventory sale\n"), 20))
 	f.Fuzz(func(t *testing.T, data []byte, raw uint16) {
-		roundTrip(t, data)
-		_ = wire.DecodeCoded(make([]byte, raw), data)
+		if roundTrip(t, data) {
+			sec, _ := wire.AppendCoded(nil, data)
+			sameDecode(t, sec, len(data))
+			sameDecode(t, sec, int(raw))
+		}
+		sameDecode(t, data, int(raw))
+		sameDecode(t, append(text[:128:128], data...), int(raw))
 	})
 }
 
