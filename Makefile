@@ -10,8 +10,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-invariant static analysis (guarded fields, lock ordering,
-# goroutine shutdown, frame dispatch, epoch fencing, leveled logging),
+# Project-invariant static analysis (guarded fields, goroutine
+# shutdown, frame dispatch, epoch fencing, leveled logging),
 # printed as file:line for humans. It gates nothing here: the same
 # analysis is the test TestRepositoryIsClean, which `race` (and so
 # `check`) and tier-1 `go test ./...` already run. See
@@ -163,7 +163,9 @@ census:
 	@echo "cwc-vet flags:          $$(grep -cE 'flag\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/cwc-vet/main.go)"
 	@echo "make check prerequisites: $$(sed -n 's/^check://p' Makefile | wc -w)"
 	@echo "goroutine spawn sites:  $$(grep -hE '^\s*go ' --exclude='*_test.go' internal/server/*.go | wc -l) (non-test go statements in internal/server)"
-	@echo "mutex declarations:     $$(grep -hE --exclude='*_test.go' '^\s*(var +)?[A-Za-z_]+ +sync\.(RW)?Mutex\b' internal/server/*.go | wc -l) (non-test sync.Mutex/RWMutex fields and vars, internal/server)"
+	@echo "mutex declarations:     $$(grep -rcE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata '^\s*(var +)?[A-Za-z_]+ +sync\.(RW)?Mutex\b' cmd internal \
+		| awk -F: '$$2 > 0 { sub(/\/[^\/]*$$/, "", $$1); sub(/.*\//, "", $$1); n[$$1] += $$2; t += $$2 } END { for (d in n) print n[d], d; print t, "total" }' \
+		| sort -k1,1nr -k2 | awk '{ printf "%s%s %s", (NR > 1 ? ", " : ""), $$2, $$1 }') (non-test sync.Mutex/RWMutex fields and vars, by package)"
 	@echo "//lint:ignore lines:    $$(grep -rhE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=bench '^\s*//lint:ignore ' . | wc -l) (non-test, non-testdata directives)"
 	@echo "encoding/json importers: $$(grep -l '"encoding/json"' $$(find internal/protocol internal/replica internal/wal internal/server -name '*.go' -not -name '*_test.go' -not -name admin.go) | wc -l) (non-test files of protocol, replica, wal and server, admin.go aside)"
 	@echo "by-name metric lookups outside the declarations: $$(grep -rhE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=bench --exclude-dir=obs '\.(Counter|Gauge|Histogram)\(' . | wc -l) (non-test Registry.Counter/Gauge/Histogram calls outside internal/obs; declarations use NewCounter/NewGauge/NewHistogram)"

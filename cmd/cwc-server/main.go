@@ -149,7 +149,7 @@ func main() {
 		walOpts = wal.Options{
 			Sync:         policy,
 			CompactBytes: int64(*walKB) * 1024,
-			Logger:       logger.With("sub", "wal").Std(),
+			Logger:       logger.With("sub", "wal"),
 			Metrics:      metrics,
 		}
 	}

@@ -36,8 +36,6 @@ func main() {
 		chargePc = flag.Float64("charge-start", 30, "initial battery percent for -charge-scale")
 		token    = flag.String("token", "", "enrolment token when the server requires one")
 		replugIn = flag.Duration("replug-after", 0, "after -unplug-after or -vanish-after, rejoin the pool this long after leaving (0: stay out)")
-		ckptKB   = flag.Int("ckpt-kb", 0, "checkpoint-streaming interval override in KB of input processed (0: follow the server's announced policy; negative: disable)")
-		ckptMs   = flag.Duration("ckpt-every", 0, "wall-time checkpoint-streaming trigger override (0: follow the server; negative: disable)")
 
 		reconnect   = flag.Bool("reconnect", true, "reconnect with backoff when the server connection is lost")
 		reconnBase  = flag.Duration("reconnect-base", 100*time.Millisecond, "initial reconnect backoff delay")
@@ -129,8 +127,6 @@ func main() {
 		AuthToken:  *token,
 		Blackbox:   blackbox,
 
-		CheckpointEveryKB: *ckptKB,
-		CheckpointEvery:   *ckptMs,
 		Reconnect: worker.ReconnectPolicy{
 			Disabled:    !*reconnect,
 			BaseDelay:   *reconnBase,

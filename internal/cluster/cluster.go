@@ -41,13 +41,6 @@ type Options struct {
 	// the worker defaults). A nonzero Seed is offset per worker so the
 	// fleet's backoff jitter does not move in lockstep.
 	Reconnect worker.ReconnectPolicy
-	// CheckpointEveryKB / CheckpointEvery override every worker's
-	// checkpoint-streaming cadence (zero: follow the policy the server
-	// announces in its welcome; negative: disable streaming on the
-	// worker regardless of the server). The server-side cadence is set
-	// through the embedded Server config.
-	CheckpointEveryKB int
-	CheckpointEvery   time.Duration
 	// Server overrides; Addr is always forced to loopback.
 	Server server.Config
 }
@@ -145,9 +138,6 @@ func Start(ctx context.Context, opts Options) (*Cluster, error) {
 			Charging:   charging,
 			Reconnect:  rc,
 			Byzantine:  wb,
-
-			CheckpointEveryKB: opts.CheckpointEveryKB,
-			CheckpointEvery:   opts.CheckpointEvery,
 		})
 		if err != nil {
 			c.Stop()

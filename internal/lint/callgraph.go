@@ -2,11 +2,9 @@ package lint
 
 // The interprocedural half of the analysis substrate: an index of every
 // function in the module (declared functions and function literals),
-// each with its lazily built CFG and statically resolved call sites.
-// The index is built once per loaded Program and shared by every
-// analyzer that runs over it — lockorder, ctxflow and the ported locks
-// all reuse the same snapshot instead of re-walking the ASTs, which is
-// what keeps the interprocedural passes inside the cwc-vet time budget.
+// each with its statically resolved call sites. The index is built once
+// per loaded Program; ctxflow walks it to find the functions a daemon
+// goroutine reaches.
 
 import (
 	"go/ast"
@@ -31,8 +29,6 @@ type FuncInfo struct {
 	// source order, excluding those inside nested literals (each
 	// literal owns its own call list).
 	Calls []*CallSite
-
-	cfg *CFG
 }
 
 // Name renders a human-readable identity ("(*Master).dispatch",
@@ -47,14 +43,6 @@ func (f *FuncInfo) Name() string {
 	return "func literal"
 }
 
-// CFG returns the function's control-flow graph, built on first use.
-func (f *FuncInfo) CFG() *CFG {
-	if f.cfg == nil {
-		f.cfg = BuildCFG(f.Body)
-	}
-	return f.cfg
-}
-
 // CallSite is one call expression with its resolved callee.
 type CallSite struct {
 	Call *ast.CallExpr
@@ -63,9 +51,8 @@ type CallSite struct {
 	// calls into the standard library, interface dispatch, and calls
 	// through function values.
 	Callee *FuncInfo
-	// Deferred / Spawned mark `defer f()` and `go f()` call sites.
-	Deferred bool
-	Spawned  bool
+	// Spawned marks `go f()` call sites.
+	Spawned bool
 }
 
 // Index is the per-Program substrate snapshot.
@@ -167,35 +154,32 @@ func collectLits(ix *Index, pkg *Package, parent *FuncInfo, root ast.Node) {
 // and resolves static callees through the type info.
 func resolveCalls(ix *Index, pkg *Package, body *ast.BlockStmt) []*CallSite {
 	var calls []*CallSite
-	var walk func(n ast.Node, deferred, spawned bool)
-	walk = func(n ast.Node, deferred, spawned bool) {
+	var walk func(n ast.Node, spawned bool)
+	walk = func(n ast.Node, spawned bool) {
 		ast.Inspect(n, func(c ast.Node) bool {
 			switch c := c.(type) {
 			case *ast.FuncLit:
 				return false // owns its own call list
-			case *ast.DeferStmt:
-				walk(c.Call, true, false)
-				return false
 			case *ast.GoStmt:
-				walk(c.Call, false, true)
+				walk(c.Call, true)
 				return false
 			case *ast.CallExpr:
-				cs := &CallSite{Call: c, Deferred: deferred, Spawned: spawned}
+				cs := &CallSite{Call: c, Spawned: spawned}
 				cs.Callee = staticCallee(ix, pkg, c)
 				calls = append(calls, cs)
 				// Arguments and the callee expression may contain
 				// further calls; only the outermost call carries the
-				// defer/go marker.
+				// go marker.
 				for _, arg := range c.Args {
-					walk(arg, false, false)
+					walk(arg, false)
 				}
-				walk(c.Fun, false, false)
+				walk(c.Fun, false)
 				return false
 			}
 			return true
 		})
 	}
-	walk(body, false, false)
+	walk(body, false)
 	return calls
 }
 

@@ -289,3 +289,34 @@ func cancellableSend(f *FuncInfo, ch ast.Expr) bool {
 	})
 	return buffered
 }
+
+// qualifiedFunc renders a types.Func as "pkgpath.Name" or
+// "pkgpath.Recv.Name".
+func qualifiedFunc(fn *types.Func) string {
+	if fn == nil || fn.Pkg() == nil {
+		return ""
+	}
+	name := fn.Pkg().Path()
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		if recv := namedOrPtr(sig.Recv().Type()); recv != nil && recv.Obj() != nil {
+			return name + "." + recv.Obj().Name() + "." + fn.Name()
+		}
+	}
+	return name + "." + fn.Name()
+}
+
+// calleeFunc resolves a call's target to its types.Func (module or
+// stdlib), or nil for dynamic calls.
+func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := pkg.Info.Uses[id].(*types.Func)
+	return fn
+}

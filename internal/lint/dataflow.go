@@ -9,16 +9,8 @@ package lint
 // transfer function applied node by node; after the fixpoint they
 // re-walk every block with its stable entry facts to emit diagnostics
 // in deterministic source order.
-//
-// Interprocedural analyses layer per-function summaries on top via
-// Fixpoint: a step function recomputes one function's summary from its
-// callees' until nothing changes (the call graph may have cycles, so
-// this is a worklist iteration, not a topological pass).
 
-import (
-	"go/ast"
-	"sort"
-)
+import "go/ast"
 
 // Facts is a set of dataflow facts keyed by stable strings.
 type Facts map[string]bool
@@ -32,18 +24,6 @@ func (f Facts) Clone() Facts {
 		}
 	}
 	return cp
-}
-
-// Keys returns the true facts, sorted.
-func (f Facts) Keys() []string {
-	var out []string
-	for k, v := range f {
-		if v {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // union merges src into dst, reporting whether dst changed.
@@ -107,24 +87,6 @@ func Visit(cfg *CFG, in map[*Block]Facts, transfer TransferFunc, visit func(n as
 		for _, n := range b.Nodes {
 			visit(n, facts)
 			transfer(n, facts)
-		}
-	}
-}
-
-// Fixpoint iterates step over every function in the index until no
-// step reports a change. step must be monotone (summaries only grow)
-// for termination; the round bound is a backstop against bugs.
-func (ix *Index) Fixpoint(step func(f *FuncInfo) bool) {
-	all := ix.All()
-	for round := 0; round < 1000; round++ {
-		changed := false
-		for _, f := range all {
-			if step(f) {
-				changed = true
-			}
-		}
-		if !changed {
-			return
 		}
 	}
 }

@@ -35,7 +35,6 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		LocksAnalyzer,
-		LockOrderAnalyzer,
 		CtxFlowAnalyzer,
 		EpochAnalyzer,
 		FramesAnalyzer,
@@ -54,7 +53,6 @@ const (
 	workerPkg   = "cwc/internal/worker"
 	replicaPkg  = "cwc/internal/replica"
 	obsPkg      = "cwc/internal/obs"
-	walPkg      = "cwc/internal/wal"
 )
 
 // unresolved is the finding for a name an analyzer is built around

@@ -1,16 +1,15 @@
 // Package lint is the project's invariant suite: a stdlib-only analyzer
 // driver that loads every package in the module (go/parser + go/types,
-// no external dependencies) and runs six analyzers over the typed
+// no external dependencies) and runs five analyzers over the typed
 // ASTs. It has no configuration. The gate is TestRepositoryIsClean;
 // cmd/cwc-vet prints the same findings for humans.
 //
 // The analyzers machine-check invariants that earlier PRs introduced by
 // convention and that the paper's failure model depends on staying
-// total: mutex-guarded struct fields (locks), acyclic lock order and no
-// blocking under a mutex (lockorder), stoppable and cancellable daemon
-// goroutines (ctxflow), epoch-carrying fenced frames (epoch), exhaustive
-// frame dispatch (frames), leveled obs-only logging and deterministic
-// pure packages (obslog).
+// total: mutex-guarded struct fields (locks), stoppable and cancellable
+// daemon goroutines (ctxflow), epoch-carrying fenced frames (epoch),
+// exhaustive frame dispatch (frames), leveled obs-only logging and
+// deterministic pure packages (obslog).
 // See docs/static-analysis.md for the catalogue.
 package lint
 

@@ -111,12 +111,11 @@ func runFixture(t *testing.T, fixture, name string) {
 	}
 }
 
-func TestLocksFixture(t *testing.T)     { runFixture(t, "locks", "locks") }
-func TestFramesFixture(t *testing.T)    { runFixture(t, "frames", "frames") }
-func TestObsLogFixture(t *testing.T)    { runFixture(t, "obslog", "obslog") }
-func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", "lockorder") }
-func TestCtxFlowFixture(t *testing.T)   { runFixture(t, "ctxflow", "ctxflow") }
-func TestEpochFixture(t *testing.T)     { runFixture(t, "epoch", "epoch") }
+func TestLocksFixture(t *testing.T)   { runFixture(t, "locks", "locks") }
+func TestFramesFixture(t *testing.T)  { runFixture(t, "frames", "frames") }
+func TestObsLogFixture(t *testing.T)  { runFixture(t, "obslog", "obslog") }
+func TestCtxFlowFixture(t *testing.T) { runFixture(t, "ctxflow", "ctxflow") }
+func TestEpochFixture(t *testing.T)   { runFixture(t, "epoch", "epoch") }
 
 // ctxflow's spawn rule (a goroutine nothing can stop leaks) has a tree
 // of its own, apart from the blocking-op cases.

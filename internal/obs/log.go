@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"log"
 	"sort"
 	"strings"
 	"sync"
@@ -165,20 +164,6 @@ func (l *Logger) Warnf(format string, args ...any) { l.emit(LevelWarn, format, a
 
 // Errorf logs at error level.
 func (l *Logger) Errorf(format string, args ...any) { l.emit(LevelError, format, args...) }
-
-// Std bridges to APIs that want a *log.Logger (e.g. wal.Options):
-// every line written through the returned logger is re-emitted through
-// this one at info level.
-func (l *Logger) Std() *log.Logger {
-	return log.New(stdBridge{l}, "", 0)
-}
-
-type stdBridge struct{ l *Logger }
-
-func (b stdBridge) Write(p []byte) (int, error) {
-	b.l.Infof("%s", strings.TrimRight(string(p), "\n"))
-	return len(p), nil
-}
 
 // SortedFields is a small helper for tests and debug dumps: it renders
 // a map as deterministic "k=v" pairs.

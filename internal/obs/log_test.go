@@ -64,16 +64,6 @@ func TestLoggerPrintfIsInfo(t *testing.T) {
 	}
 }
 
-func TestLoggerStdBridge(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo)
-	std := l.Std()
-	std.Printf("wal: torn tail dropped")
-	if !strings.Contains(buf.String(), `msg="wal: torn tail dropped"`) {
-		t.Errorf("std bridge lost the line: %s", buf.String())
-	}
-}
-
 func TestLoggerNilSafe(t *testing.T) {
 	var l *Logger
 	l.Infof("no panic")

@@ -182,10 +182,10 @@ type Message struct {
 	Rejoin bool
 	// Welcome: keepalive parameters the worker should expect.
 	KeepaliveMs int
-	// Welcome: the checkpoint-streaming policy the server asks workers to
-	// follow — stream a checkpoint every CkptEveryKB of processed input
-	// and/or every CkptEveryMs of wall time (zero disables that trigger;
-	// worker-side configuration may override).
+	// Welcome: the checkpoint-streaming policy workers follow — stream a
+	// checkpoint every CkptEveryKB of processed input and/or every
+	// CkptEveryMs of wall time (zero disables that trigger). The master
+	// alone sets it.
 	CkptEveryKB int
 	CkptEveryMs int
 	// Welcome: the master wants worker-side telemetry (its admin plane

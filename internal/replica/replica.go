@@ -139,8 +139,8 @@ func (s *Shipper) BindMaster(m *server.Master) {
 // standby whose queue is full is cut loose and reconnects for a fresh
 // cut.
 func (s *Shipper) Ship(f *wal.Frame) {
+	var dropped []net.Addr
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for sub := range s.subs {
 		f.Retain()
 		select {
@@ -149,9 +149,15 @@ func (s *Shipper) Ship(f *wal.Frame) {
 			sub.queued.Add(1)
 		default:
 			f.Release()
-			s.opts.Logger.Warnf("standby %s dropped: %d-record queue full", sub.conn.RemoteAddr(), cap(sub.ch))
+			dropped = append(dropped, sub.conn.RemoteAddr())
 			s.dropLocked(sub)
 		}
+	}
+	s.mu.Unlock()
+	// Logged after the unlock: s.mu is a leaf, never held across a call
+	// that takes another lock.
+	for _, addr := range dropped {
+		s.opts.Logger.Warnf("standby %s dropped: %d-record queue full", addr, queueLen)
 	}
 }
 

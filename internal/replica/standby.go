@@ -64,9 +64,10 @@ type Standby struct {
 	promoted chan struct{} // closed once the promoted master is serving
 	handover chan struct{} // closed to reclaim the takeover listener
 
-	mu     sync.Mutex
-	master *server.Master // guarded by mu until promoted closes
-	wlog   *wal.Log       // guarded by mu until promoted closes
+	// Written once by promote, before it closes promoted; read only after
+	// a receive from promoted, which orders the read after the write.
+	master *server.Master
+	wlog   *wal.Log
 
 	wg sync.WaitGroup
 }
@@ -103,17 +104,23 @@ func (s *Standby) Promoted() <-chan struct{} { return s.promoted }
 
 // Master returns the promoted master (nil before Promoted closes).
 func (s *Standby) Master() *server.Master {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.master
+	select {
+	case <-s.promoted:
+		return s.master
+	default:
+		return nil
+	}
 }
 
-// Log returns the standby's WAL (after promotion: the promoted
-// master's log, which the caller closes after Master().Close()).
+// Log returns the promoted master's log, which the caller closes after
+// Master().Close() (nil before Promoted closes).
 func (s *Standby) Log() *wal.Log {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.wlog
+	select {
+	case <-s.promoted:
+		return s.wlog
+	default:
+		return nil
+	}
 }
 
 // Run follows the primary until the lease expires, then promotes, and
@@ -366,10 +373,8 @@ func (s *Standby) promote(wl *wal.Log, fold *server.WALFold) error {
 		wl2.Close()
 		return fmt.Errorf("replica: starting promoted master: %w", err)
 	}
-	s.mu.Lock()
 	s.master = m
 	s.wlog = wl2
-	s.mu.Unlock()
 	close(s.promoted)
 	s.opts.Logger.Infof("promoted: serving on %s at epoch %d (stream epoch was %d)", m.Addr(), epoch, streamEpoch)
 	return nil

@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"log"
 	"os"
 	"path/filepath"
 	"sort"
@@ -102,9 +101,9 @@ type Options struct {
 	// CompactBytes, when positive, makes CompactDue report true once the
 	// segments hold at least this many bytes.
 	CompactBytes int64
-	// Logger receives recovery warnings (torn tails dropped); nil
-	// discards them.
-	Logger *log.Logger
+	// Logger receives recovery warnings (torn tails dropped) and
+	// background sync and compaction failures; nil discards them.
+	Logger *obs.Logger
 	// WriterHook, when set, wraps the segment file before records are
 	// written through it (fault injection, metrics). If the wrapped
 	// writer implements Sync() error, syncs flow through it too.
@@ -214,14 +213,14 @@ type Log struct {
 	recovered []Record
 
 	mu     sync.Mutex
-	f      *os.File
-	w      io.Writer
-	seq    int
-	size   int64 // bytes in the live segment
-	total  int64 // bytes across all live segments (compaction trigger)
-	dirty  bool
-	closed bool
-	failed error // set when a failed append could not be clawed back
+	f      *os.File  // guarded by mu
+	w      io.Writer // guarded by mu
+	seq    int       // guarded by mu
+	size   int64     // guarded by mu; bytes in the live segment
+	total  int64     // guarded by mu; bytes across all live segments (compaction trigger)
+	dirty  bool      // guarded by mu
+	closed bool      // guarded by mu
+	failed error     // guarded by mu; set when a failed append could not be clawed back
 
 	stopc chan struct{}
 	wg    sync.WaitGroup
@@ -257,11 +256,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		opts.Interval = 100 * time.Millisecond
 	}
 	if opts.Logger == nil {
-		// Options.Logger is a *log.Logger on purpose: this package stays
-		// free of higher-layer dependencies, and obs.Logger.Std bridges
-		// leveled daemon logging into it.
-		//lint:ignore obslog default discard sink for the deliberately obs-free *log.Logger option
-		opts.Logger = log.New(io.Discard, "", 0)
+		opts.Logger = obs.Discard()
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", dir, err)
@@ -331,7 +326,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		if serr != nil {
 			var torn *tornError
 			if i == len(segSeqs)-1 && errors.As(serr, &torn) {
-				l.opts.Logger.Printf("wal: dropping torn tail of %s (%d bytes): %v",
+				l.opts.Logger.Warnf("wal: dropping torn tail of %s (%d bytes): %v",
 					filepath.Base(path), len(b)-good, serr)
 				if err := os.Truncate(path, int64(good)); err != nil {
 					return nil, fmt.Errorf("wal: repairing %s: %w", filepath.Base(path), err)
@@ -511,7 +506,7 @@ func (l *Log) syncLoop() {
 		select {
 		case <-t.C:
 			if err := l.Sync(); err != nil && !errors.Is(err, ErrClosed) {
-				l.opts.Logger.Printf("wal: background sync: %v", err)
+				l.opts.Logger.Warnf("wal: background sync: %v", err)
 			}
 		case <-l.stopc:
 			return
@@ -545,14 +540,14 @@ func (l *Log) Compact(write func(io.Writer) error) error {
 	// The snapshot is durable and covers every segment up to l.seq:
 	// retire the old generation. Deletion failures only waste disk.
 	if err := l.syncLocked(); err != nil {
-		l.opts.Logger.Printf("wal: compaction: final sync of retired segment: %v", err)
+		l.opts.Logger.Warnf("wal: compaction: final sync of retired segment: %v", err)
 	}
 	l.f.Close()
 	for s := l.seq; s > 0; s-- {
 		seg := filepath.Join(l.dir, segmentName(s))
 		if err := os.Remove(seg); err != nil {
 			if !os.IsNotExist(err) {
-				l.opts.Logger.Printf("wal: compaction: removing %s: %v", filepath.Base(seg), err)
+				l.opts.Logger.Warnf("wal: compaction: removing %s: %v", filepath.Base(seg), err)
 			}
 			break
 		}

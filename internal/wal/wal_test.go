@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"cwc/internal/faults"
+	"cwc/internal/obs"
 )
 
 func appendN(t *testing.T, l *Log, n int) []Record {
@@ -216,7 +216,7 @@ func TestCorruptTailSkippedWithWarning(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	l2, err := Open(dir, Options{Logger: log.New(&buf, "", 0)})
+	l2, err := Open(dir, Options{Logger: obs.NewLogger(&buf, obs.LevelWarn)})
 	if err != nil {
 		t.Fatalf("open with corrupt tail: %v", err)
 	}
@@ -455,7 +455,7 @@ func TestZeroFilledTailRepaired(t *testing.T) {
 	f.Close()
 
 	var buf strings.Builder
-	l2, err := Open(dir, Options{Logger: log.New(&buf, "", 0)})
+	l2, err := Open(dir, Options{Logger: obs.NewLogger(&buf, obs.LevelWarn)})
 	if err != nil {
 		t.Fatalf("open with zero-filled tail: %v", err)
 	}

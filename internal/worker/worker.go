@@ -57,14 +57,6 @@ type Config struct {
 	// AuthToken is presented to the server at registration when the
 	// deployment uses a shared enrolment secret.
 	AuthToken string
-	// CheckpointEveryKB and CheckpointEvery tune checkpoint streaming:
-	// while executing, the worker serializes its checkpoint after this
-	// many KB of input processed and/or this much wall time, and streams
-	// it to the master so even a silent death loses at most one interval
-	// of work. Zero adopts the server-announced policy from the welcome;
-	// a negative value disables that trigger regardless of the server.
-	CheckpointEveryKB int
-	CheckpointEvery   time.Duration
 	// Reconnect tunes how the phone retries the server after a dial or
 	// I/O failure. Zero values get defaults; see ReconnectPolicy.
 	Reconnect ReconnectPolicy
@@ -1014,13 +1006,13 @@ const maxUnackedCkpts = 4
 
 // checkpointSink builds the streaming sink for one assignment, or nil
 // when streaming is off. It flushes on the executor, between reports, in
-// ex's message, and waits until the frame is written or dropped. The worker's own config wins over the welcome's policy; a
-// negative value disables its trigger. Streamed frames are best-effort:
+// ex's message, and waits until the frame is written or dropped. The
+// cadence is the welcome's: the master alone sets it. Streamed frames
+// are best-effort:
 // never buffered for replay — after a reconnect the range has been
 // re-queued and an old checkpoint is worthless.
 func (p *Phone) checkpointSink(m *protocol.Message, ex *executor) *tasks.CheckpointSink {
-	kb := cmp.Or(p.cfg.CheckpointEveryKB, p.ckptKB)
-	every := cmp.Or(p.cfg.CheckpointEvery, time.Duration(p.ckptMs)*time.Millisecond)
+	kb, every := p.ckptKB, time.Duration(p.ckptMs)*time.Millisecond
 	if kb, every = max(kb, 0), max(every, 0); kb == 0 && every == 0 {
 		return nil
 	}
