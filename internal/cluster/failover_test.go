@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,6 +20,20 @@ import (
 	"cwc/internal/wal"
 	"cwc/internal/worker"
 )
+
+// heardConn notes in at when a read last delivered bytes.
+type heardConn struct {
+	net.Conn
+	at *atomic.Int64
+}
+
+func (c *heardConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	if n > 0 {
+		c.at.Store(time.Now().UnixNano())
+	}
+	return n, err
+}
 
 // driveToCompletion drives scheduling rounds on a bare master until every
 // listed job has a result, tolerating transient round errors.
@@ -146,11 +161,24 @@ func TestFailoverPrimaryKillMidRound(t *testing.T) {
 	}
 	sreg := obs.NewRegistry()
 	stracer := obs.NewTracer(4096)
+	// The standby counts its lease from the last frame it heard, up to a
+	// heartbeat before the kill. heard is when its connection last
+	// delivered bytes: no later than that frame was read, so a lag
+	// measured from it is never shorter than the standby's own.
+	var heard atomic.Int64 // unix nanoseconds
+	var dialer net.Dialer
 	st := replica.New(replica.StandbyOptions{
 		PrimaryAddr: rln.Addr().String(),
-		WALDir:      standbyDir,
-		WALOptions:  wal.Options{Sync: wal.SyncNone},
-		Lease:       lease,
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			c, err := dialer.DialContext(ctx, "tcp", rln.Addr().String())
+			if err != nil {
+				return nil, err
+			}
+			return &heardConn{Conn: c, at: &heard}, nil
+		},
+		WALDir:     standbyDir,
+		WALOptions: wal.Options{Sync: wal.SyncNone},
+		Lease:      lease,
 		MasterConfig: server.Config{
 			Listener: tln, Addr: tln.Addr().String(), Metrics: sreg,
 			Tracer: stracer, ObsAddr: "127.0.0.1:0",
@@ -245,7 +273,6 @@ func TestFailoverPrimaryKillMidRound(t *testing.T) {
 		}
 	}()
 	time.Sleep(killAt)
-	killTime := time.Now()
 	m1.Kill() // the abrupt death: no bye frames, WAL left as-is
 	close(killed)
 	<-driverDone
@@ -256,7 +283,8 @@ func TestFailoverPrimaryKillMidRound(t *testing.T) {
 
 	// The standby must promote itself within a small multiple of the
 	// lease (silence detection + redial pacing + recovery), and never
-	// before the lease has actually run out.
+	// before the lease has actually run out since it last heard its
+	// primary.
 	select {
 	case <-st.Promoted():
 	case err := <-stDone:
@@ -264,9 +292,9 @@ func TestFailoverPrimaryKillMidRound(t *testing.T) {
 	case <-time.After(10 * lease):
 		t.Fatalf("standby did not promote within %v of the kill", 10*lease)
 	}
-	promoteLag := time.Since(killTime)
+	promoteLag := time.Since(time.Unix(0, heard.Load()))
 	if promoteLag < lease {
-		t.Errorf("promoted %v after the kill, before the %v lease ran out", promoteLag, lease)
+		t.Errorf("promoted %v after it last heard its primary, before the %v lease ran out", promoteLag, lease)
 	}
 	m2 := st.Master()
 	defer func() {

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,6 +23,9 @@ import (
 	"cwc/internal/wal"
 	"cwc/internal/wire"
 )
+
+// raceEnabled is set when the tests run under the race detector.
+var raceEnabled bool
 
 // captureSink records every record a primary ships: each frame
 // verbatim, and its type and payload as a standby reads them back.
@@ -283,6 +288,88 @@ func TestStandbyTornStreamEveryCut(t *testing.T) {
 	}
 }
 
+// TestStandbyFoldsCodedRecordsOnce: a shipped submit carries its input
+// coded, and the standby's fold unpacks it into a buffer of its own, so
+// the frame it came in is read into again for the next record. Following
+// N such records costs the standby their raw bytes, not those and their
+// frames too.
+func TestStandbyFoldsCodedRecordsOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	const jobs = 16
+	sink := &captureSink{}
+	pwl, err := wal.Open(filepath.Join(t.TempDir(), "primary"), wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pwl.Close()
+	m := server.New(server.Config{Addr: "127.0.0.1:0", WAL: pwl, ReplicaSink: sink})
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var cutFrames frames
+	m.ReplicaSnapshot(func(c *server.Cut) {
+		if _, err := c.WriteTo(&cutFrames); err != nil {
+			t.Fatal(err)
+		}
+	})
+	task := tasks.WordCount{Word: "sale"}
+	rng := rand.New(rand.NewSource(3))
+	raw, shipped := 0, 0
+	for range jobs {
+		input := tasks.GenText(512, rng)
+		if _, err := m.Submit(task, input, false); err != nil {
+			t.Fatal(err)
+		}
+		raw += len(input)
+	}
+	m.Close() // it has shipped all it will: nothing else allocates while the standby follows
+	head, err := wire.Encode(new(wire.Codec), 0, &cutHeader{Records: len(cutFrames)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := wal.EncodeRecord(recSnapshot, head)
+	for _, f := range cutFrames {
+		stream = append(stream, f...)
+	}
+	sink.mu.Lock()
+	for _, f := range sink.frames {
+		stream = append(stream, f...)
+		shipped += len(f)
+	}
+	sink.mu.Unlock()
+	if len(sink.frames) != jobs || shipped > raw*6/10 {
+		t.Fatalf("%d records shipped in %d bytes for %d jobs of %d bytes; want one each, coded", len(sink.frames), shipped, jobs, raw)
+	}
+
+	wl, err := wal.Open(filepath.Join(t.TempDir(), "standby"), wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wl.Close()
+	fold := server.NewWALFold()
+	s := New(StandbyOptions{Lease: time.Minute})
+	us, them := net.Pipe()
+	defer us.Close()
+	go func() {
+		them.Write(stream)
+		them.Close()
+	}()
+	lastHeard := time.Now()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = s.follow(context.Background(), us, wl, fold, &lastHeard)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) || fold.Applied() != int64(len(cutFrames)+jobs) {
+		t.Fatalf("followed the stream to %v with %d records folded, want io.EOF and %d", err, fold.Applied(), len(cutFrames)+jobs)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.1*float64(raw) {
+		t.Errorf("following %d coded submits of %d bytes raw (%d shipped) allocated %d bytes, want at most 1.1x raw",
+			jobs, raw, shipped, got)
+	}
+}
+
 // frames keeps each Write as a frame of its own: a Cut writes a record
 // a Write.
 type frames [][]byte
@@ -508,7 +595,9 @@ func TestStandbyResyncsWhenPrimaryReanchors(t *testing.T) {
 // attaches a standby. The cut travels as the primary's records, none
 // larger than the submit it came from, so the standby folds and logs it
 // whole, hears its primary's heartbeats and never promotes beside it;
-// and the state it logged folds to the primary's, record for record.
+// and the state it logged folds to the primary's, record for record. The
+// input is random bytes, which do not code smaller, so the cut is as
+// large as the state.
 func TestStandbyAttachesToStateLargerThanARecord(t *testing.T) {
 	const jobBytes, jobs = 8 << 20, 9
 	dir := t.TempDir()
@@ -537,7 +626,8 @@ func TestStandbyAttachesToStateLargerThanARecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	input := bytes.Repeat([]byte("7\n"), jobBytes/2) // one buffer for every job: the master keeps what it is given
+	input := make([]byte, jobBytes) // one buffer for every job: the master keeps what it is given
+	rand.New(rand.NewSource(1)).Read(input)
 	for i := 0; i < jobs; i++ {
 		if _, err := m.Submit(task, input, true); err != nil {
 			t.Fatal(err)

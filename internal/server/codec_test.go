@@ -61,14 +61,14 @@ func TestWALCodecKeepsEveryField(t *testing.T) {
 			continue
 		}
 		empty.Type = typ
-		rec, err := decodeWAL(empty)
+		rec, err := decodeWAL(empty, false)
 		if err != nil {
 			t.Fatalf("type %d: %v", typ, err)
 		}
 		seed := 0
 		fillRecord(reflect.ValueOf(rec).Elem(), &seed)
 		logged := wal.Record{Type: typ, Payload: encodeWAL(t, rec)}
-		got, err := decodeWAL(logged)
+		got, err := decodeWAL(logged, false)
 		if err != nil {
 			t.Fatalf("%T: %v", rec, err)
 		}
@@ -77,7 +77,7 @@ func TestWALCodecKeepsEveryField(t *testing.T) {
 		}
 	}
 	mig := &walMigrate{JobID: 1, Key: 2, Resume: &tasks.Checkpoint{}}
-	got, err := decodeWAL(wal.Record{Type: walRecMigrate, Payload: encodeWAL(t, mig)})
+	got, err := decodeWAL(wal.Record{Type: walRecMigrate, Payload: encodeWAL(t, mig)}, false)
 	if err != nil || !reflect.DeepEqual(got, mig) {
 		t.Errorf("a migrate to an empty checkpoint decoded as %+v (%v)", got, err)
 	}
@@ -100,7 +100,7 @@ func TestWALReportAllocs(t *testing.T) {
 	}
 	logged := wal.Record{Type: walRecReport, Payload: encodeWAL(t, rep)}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := decodeWAL(logged); err != nil {
+		if _, err := decodeWAL(logged, false); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 1 {

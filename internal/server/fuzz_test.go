@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"testing"
 
 	"cwc/internal/tasks"
@@ -36,6 +37,21 @@ func FuzzWALReducer(f *testing.F) {
 	f.Add(walRecRound, framed(hdr(field(1, 2, 2, 100, 0))))
 	f.Add(walRecDrain, framed(hdr(field(1, 0, 2), field(1, 0, 4))))
 	f.Add(uint8(200), []byte(`{}`))
+	// The sections the log carries coded: an input, results and a cut
+	// item's bytes, each coding to less than its raw size.
+	text := bytes.Repeat([]byte("13\n17\n19\n23\n"), 64)
+	for _, rec := range []walRecord{
+		&walSubmit{JobID: 2, Seq: 2, Task: "primecount", Input: text},
+		&walReport{JobID: 1, Key: 1, Bytes: 6, Partial: text},
+		&walPartialRec{JobID: 1, Key: 1, Offset: 2, Partial: text, RemainderSeq: 2},
+		&walCutItem{Seq: 2, JobID: 1, Input: text},
+	} {
+		b := encodeWAL(f, rec)
+		if len(b) >= len(text) {
+			f.Fatalf("a %T seed of %d bytes holds %d bytes uncoded", rec, len(b), len(text))
+		}
+		f.Add(rec.typ(), b)
+	}
 	// Every record type as the live master builds it.
 	for _, rec := range liveWALRecords() {
 		f.Add(rec.typ(), encodeWAL(f, rec))

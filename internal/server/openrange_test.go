@@ -339,7 +339,7 @@ func TestMidRoundSnapshotFindsEveryRange(t *testing.T) {
 			if rec.Type != walRecItem {
 				continue
 			}
-			v, err := decodeWAL(rec)
+			v, err := decodeWAL(rec, false)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}

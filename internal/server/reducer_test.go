@@ -114,7 +114,7 @@ func TestWALFoldLiveEqualsDecoded(t *testing.T) {
 			continue
 		}
 		logged := wal.Record{Type: rec.typ(), Payload: encodeWAL(t, rec)}
-		decoded, err := decodeWAL(logged)
+		decoded, err := decodeWAL(logged, false)
 		if err != nil {
 			t.Errorf("%s: decode: %v", name, err)
 			continue
@@ -145,7 +145,7 @@ func TestWALFoldLiveEqualsDecoded(t *testing.T) {
 	}
 	for typ := walRecSubmit; typ < walRecEnd; typ++ {
 		if name, retired := retiredWALTypes[typ]; retired {
-			_, err := decodeWAL(wal.Record{Type: typ, Payload: encodeWAL(t, &walDrainRec{PhoneID: 1, State: drainStarted})})
+			_, err := decodeWAL(wal.Record{Type: typ, Payload: encodeWAL(t, &walDrainRec{PhoneID: 1, State: drainStarted})}, false)
 			if seen[typ] || err == nil || !strings.Contains(err.Error(), "unknown record type") {
 				t.Errorf("retired type %d (%s) is in use: a live record logs it %v, decodeWAL says %v", typ, name, seen[typ], err)
 			}
@@ -155,7 +155,7 @@ func TestWALFoldLiveEqualsDecoded(t *testing.T) {
 			t.Errorf("no live record of type %d in the table", typ)
 		}
 	}
-	if _, err := decodeWAL(wal.Record{Type: walRecEnd}); err == nil {
+	if _, err := decodeWAL(wal.Record{Type: walRecEnd}, false); err == nil {
 		t.Error("decodeWAL accepts walRecEnd: a record type was declared outside the constant block")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"cwc/internal/predict"
 	"cwc/internal/protocol"
 	"cwc/internal/tasks"
+	"cwc/internal/wal"
 )
 
 // jobSpan is a job's trace span ID. Deterministic in the job ID, so a
@@ -69,10 +70,14 @@ func (m *Master) closeTimeline(report *RoundReport, snap *SchedSnapshot, start t
 // regardless of the atomic flag. With a WAL attached, the submission is
 // logged (and, under SyncAlways, on stable storage) before the ID is
 // returned: an acknowledged job survives a master killed the next
-// instant.
+// instant. The log's record bound holds on raw bytes, so it refuses an
+// input larger than a record, however well it codes.
 func (m *Master) Submit(task tasks.Task, input []byte, atomic bool) (int, error) {
 	if len(input) == 0 {
 		return 0, errors.New("server: empty job input")
+	}
+	if m.cfg.WAL != nil && len(input) > walMaxPayload {
+		return 0, fmt.Errorf("server: persisting submission: %w: a %d-byte input", wal.ErrTooLarge, len(input))
 	}
 	if _, breakable := task.(tasks.Breakable); !breakable {
 		atomic = true

@@ -18,13 +18,14 @@ import (
 // instant replays snapshot + log and resumes with nothing acknowledged
 // lost. The log holds inputs and what phones returned, each said once: a
 // job's result is derived from its partials, at the round sweep and at
-// recovery, and is never logged. An input byte is logged once, raw, in
-// its job's submit record; every later record that concerns a byte range
-// (round, partial, migrate) names it by reference — a fresh item's
-// sequence number plus offset and length, or an open range's key — and
-// replay resolves the reference against the state the earlier records
-// built. Compaction bounds the growth by cutting live state into records
-// (walReducer.cut) that replay to it; a standby attaches to the same cut.
+// recovery, and is never logged. An input byte is logged once, in its
+// job's submit record, coded as the link carries it; every later record
+// that concerns a byte range (round, partial, migrate) names it by
+// reference — a fresh item's sequence number plus offset and length, or
+// an open range's key — and replay resolves the reference against the
+// state the earlier records built. Compaction bounds the growth by
+// cutting live state into records (walReducer.cut) that replay to it; a
+// standby attaches to the same cut.
 //
 // Durable state is a pure reduction (walReducer) over three collections:
 //
@@ -86,9 +87,21 @@ const (
 // The header is the record's fields as tag + varint fields, each
 // struct's tags named once in its Wire method; its bulk byte fields
 // (input, params, partial, checkpoint state) are sections, which ride
-// behind the header at their own size. A payload of an earlier layout is
+// behind the header. Input and result bytes — a submit's or cut item's
+// input, a report's or partial's result — travel Huffman-coded where
+// that makes them smaller, with their raw length in the record's last
+// tag, as an assign's input and a result do on the link; params and
+// checkpoint state ride at their own size. The log's record bound holds
+// on raw bytes (walMaxPayload). A payload of an earlier layout is
 // refused: a JSON header on its first byte, the all-JSON payload from
 // its first four (`{"jo` reads as a header of 2 GB).
+
+// walMaxPayload is the most a record's payload may take decoded, its
+// coded section raw: wal.MaxRecordBytes less the type byte. A record is
+// refused past it when it is framed and when it is decoded, so no log,
+// cut or stream ever holds a record that unpacks to more than the log
+// would take raw, and a compressible input cannot make one.
+const walMaxPayload = wal.MaxRecordBytes - 1
 
 // walRecord is implemented by every record struct.
 type walRecord interface {
@@ -152,8 +165,9 @@ func (p *walSubmit) Wire(c *wire.Codec) {
 	wire.Int(c, 2, &p.Seq)
 	wire.String(c, 3, &p.Task)
 	c.Section(4, &p.Params)
-	c.Section(5, &p.Input)
+	c.Coded(5, &p.Input, true)
 	c.Bool(6, &p.Atomic)
+	c.RawLen(7)
 }
 
 // walRoundItem opens one keyed byte range. Cut from a fresh item it is
@@ -206,7 +220,8 @@ func (p *walReport) Wire(c *wire.Codec) {
 	wire.Int(c, 1, &p.JobID)
 	wire.Int(c, 2, &p.Key)
 	wire.Int(c, 3, &p.Bytes)
-	c.Section(4, &p.Partial)
+	c.Coded(4, &p.Partial, true)
+	c.RawLen(5)
 }
 
 type walPartialRec struct {
@@ -228,9 +243,10 @@ func (p *walPartialRec) Wire(c *wire.Codec) {
 	wire.Int(c, 1, &p.JobID)
 	wire.Int(c, 2, &p.Key)
 	wire.Int(c, 3, &p.Offset)
-	c.Section(4, &p.Partial)
+	c.Coded(4, &p.Partial, true)
 	wire.Int(c, 5, &p.RemainderSeq)
 	wire.Int(c, 6, &p.Retries)
+	c.RawLen(7)
 }
 
 // walMigrate updates a range that stays open under its key: new resume
@@ -330,13 +346,17 @@ var walRecords = [walRecEnd]func() walRecord{
 }
 
 // decodeWAL parses a logged record into its struct. It runs on replay
-// and on the standby only: the live master folds the struct it built.
-func decodeWAL(rec wal.Record) (walRecord, error) {
+// and on the standby only: the live master folds the struct it built. A
+// coded section unpacks into a buffer of its own; a raw one is a
+// sub-slice of the payload unless own is set, when it is copied out too,
+// so the caller may reuse the payload. A record that decodes past the
+// log's record bound is refused before any buffer is made for it.
+func decodeWAL(rec wal.Record, own bool) (walRecord, error) {
 	if int(rec.Type) >= len(walRecords) || walRecords[rec.Type] == nil {
 		return nil, fmt.Errorf("unknown record type %d", rec.Type)
 	}
 	v := walRecords[rec.Type]()
-	if err := wire.Decode(rec.Payload, v); err != nil {
+	if err := wire.DecodeWithin(rec.Payload, v, walMaxPayload, own); err != nil {
 		return nil, fmt.Errorf("decoding record type %d: %w", rec.Type, err)
 	}
 	return v, nil
@@ -402,10 +422,11 @@ func (p *walCutItem) Wire(c *wire.Codec) {
 	wire.Int(c, 1, &p.Seq)
 	wire.Int(c, 2, &p.Key)
 	wire.Int(c, 3, &p.JobID)
-	c.Section(4, &p.Input)
+	c.Coded(4, &p.Input, true)
 	c.Bool(5, &p.Atomic)
 	wire.Int(c, 6, &p.Retries)
 	wire.Int(c, 7, &p.Partition)
+	c.RawLen(8)
 }
 
 // walJobRec is a job's durable state: the reducer's entry and the live
@@ -522,7 +543,7 @@ func (r *walReducer) job(id int) (*walJobRec, error) {
 
 // apply folds one logged record: decode, then fold.
 func (r *walReducer) apply(rec wal.Record) error {
-	v, err := decodeWAL(rec)
+	v, err := decodeWAL(rec, false)
 	if err != nil {
 		return err
 	}
@@ -755,12 +776,18 @@ func (m *Master) walAppendErr(rec walRecord) error {
 	return nil
 }
 
-// walFrame encodes one record straight into a pooled WAL frame.
+// walFrame encodes one record straight into a pooled WAL frame. A record
+// whose payload takes more than walMaxPayload raw is refused, coded or
+// not.
 func walFrame(rec walRecord) (*wal.Frame, error) {
 	f, err := wal.EncodeFrame(rec.typ(), func(buf []byte) ([]byte, error) {
 		e := wire.Get()
 		defer e.Release()
-		return wire.EncodeTo(e, buf, wal.RecordHeader, rec)
+		b, err := wire.EncodeTo(e, buf, wal.RecordHeader, rec)
+		if raw := len(b) - wal.RecordHeader + e.Expansion(); err == nil && raw > walMaxPayload {
+			err = fmt.Errorf("%w: a payload of %d bytes raw", wal.ErrTooLarge, raw)
+		}
+		return b, err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("encoding record type %d: %w", rec.typ(), err)
@@ -1020,9 +1047,15 @@ func NewWALFold() *WALFold { return &WALFold{red: newWALReducer()} }
 func (f *WALFold) Reset() { f.red, f.applied = newWALReducer(), 0 }
 
 // Apply folds one record. An undecodable or inconsistent record is the
-// caller's cue to drop the stream and resync from a fresh cut.
+// caller's cue to drop the stream and resync from a fresh cut. The fold
+// keeps none of rec's bytes, so the caller may reuse them once Apply
+// returns.
 func (f *WALFold) Apply(rec wal.Record) error {
-	if err := f.red.apply(rec); err != nil {
+	v, err := decodeWAL(rec, true)
+	if err == nil {
+		err = f.red.fold(v)
+	}
+	if err != nil {
 		return err
 	}
 	f.applied++

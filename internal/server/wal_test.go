@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -23,6 +24,33 @@ import (
 	"cwc/internal/wal"
 	"cwc/internal/wire"
 )
+
+// heldBytes lists every byte field under v, a decoded record, nested
+// ones included.
+func heldBytes(v reflect.Value) [][]byte {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return heldBytes(v.Elem())
+		}
+	case reflect.Struct:
+		var out [][]byte
+		for i := 0; i < v.NumField(); i++ {
+			out = append(out, heldBytes(v.Field(i))...)
+		}
+		return out
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			return [][]byte{v.Bytes()}
+		}
+		var out [][]byte
+		for i := 0; i < v.Len(); i++ {
+			out = append(out, heldBytes(v.Index(i))...)
+		}
+		return out
+	}
+	return nil
+}
 
 // autoResponder serves every assignment on a fake phone with plausible
 // results for the counting tasks.
@@ -142,10 +170,65 @@ func TestWALRecoverAcrossMasters(t *testing.T) {
 	}
 }
 
+// TestTextSubmitLogsCoded: a text input is logged as the link carries it,
+// Huffman-coded, at under 0.6 of its size, and a master recovered from
+// the log holds it byte for byte.
+func TestTextSubmitLogsCoded(t *testing.T) {
+	dir := t.TempDir()
+	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncNone})
+	m := startMaster(t, Config{WAL: wl})
+	input := tasks.GenText(64, rand.New(rand.NewSource(1)))
+	before := wl.LogBytes()
+	id, err := m.Submit(tasks.WordCount{Word: "sale"}, input, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if logged := wl.LogBytes() - before; float64(logged) > 0.6*float64(len(input)) {
+		t.Errorf("a %d-byte text input logged in %d bytes, want at most 0.6 of it", len(input), logged)
+	}
+	m.Close()
+	wl.Close()
+
+	r := startMaster(t, Config{WAL: openWAL(t, dir, wal.Options{Sync: wal.SyncNone})})
+	if err := r.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	var replayed []byte
+	r.do(func() {
+		for _, it := range r.fresh {
+			if it.JobID == id {
+				replayed = it.Input
+			}
+		}
+	})
+	if !bytes.Equal(replayed, input) {
+		t.Errorf("job %d's input replayed as %d bytes, not the %d submitted", id, len(replayed), len(input))
+	}
+}
+
+// TestRecordBoundIsOnRawBytes: the log's record bound holds on raw bytes,
+// however well they code. Submit refuses an input past it, and no record
+// whose payload decodes past it is framed (TestWALHostileRecords holds
+// that none decodes).
+func TestRecordBoundIsOnRawBytes(t *testing.T) {
+	big := bytes.Repeat([]byte("7\n"), walMaxPayload/2+1) // a bit a byte coded: an eighth of the bound
+	m := startMaster(t, Config{WAL: openWAL(t, t.TempDir(), wal.Options{Sync: wal.SyncNone})})
+	if _, err := m.Submit(tasks.PrimeCount{}, big, true); !errors.Is(err, wal.ErrTooLarge) {
+		t.Errorf("submitting %d bytes: %v, want wal.ErrTooLarge", len(big), err)
+	}
+	if m.PendingItems() != 0 {
+		t.Error("the refused input was queued")
+	}
+	if _, err := walFrame(&walReport{JobID: 1, Key: 1, Bytes: 1, Partial: big}); !errors.Is(err, wal.ErrTooLarge) {
+		t.Errorf("framing a report of %d bytes: %v, want wal.ErrTooLarge", len(big), err)
+	}
+}
+
 // TestEachResultIsLoggedOnce: what a phone returned is logged once, in
 // its report record. A job's result is derived from its partials — at the
 // round sweep, and again by a master recovered from the log — so an atomic
 // job's result, which is its one partial, appears in exactly one record.
+// Records are decoded to be searched: a result is logged coded.
 func TestEachResultIsLoggedOnce(t *testing.T) {
 	dir := t.TempDir()
 	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncNone})
@@ -197,7 +280,11 @@ func TestEachResultIsLoggedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range recs {
-			if bytes.Contains(r.Payload, blurred) {
+			rec, err := decodeWAL(r, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.ContainsFunc(heldBytes(reflect.ValueOf(rec)), func(b []byte) bool { return bytes.Contains(b, blurred) }) {
 				holding = append(holding, r.Type)
 			}
 		}

@@ -436,6 +436,12 @@ func TestWALHostileRecords(t *testing.T) {
 		return r
 	}
 	wholeRound := encodeWAL(t, &walRound{Items: []walRoundItem{{Key: 2, FromSeq: 1, Len: 8}}})
+	// A coded input — a 128-byte code table, then the stream — whose raw
+	// length, one past the record bound, is no more than its 8 MiB stream
+	// could decode to: refused before a buffer is made for it.
+	const coded = 128 + 1<<23
+	pastBound := framed(submitHdr+hdr(field(5, 0, binary.AppendUvarint(nil, coded)...),
+		field(7, 0, binary.AppendUvarint(nil, walMaxPayload+1)...)), strings.Repeat("\x00", coded))
 	cases := []struct {
 		name    string
 		typ     uint8
@@ -456,6 +462,7 @@ func TestWALHostileRecords(t *testing.T) {
 		{"section of 2^64-1 bytes", walRecSubmit, framed(submitHdr+hdr(field(5, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)), "2\n"), nil, "overruns"},
 		{"section past the payload", walRecSubmit, framed(submitHdr+hdr(field(5, 0, 0x80, 0x94, 0xeb, 0xdc, 0x03)), "2\n"), nil, "overruns"},
 		{"bytes after the last section", walRecSubmit, framed(submitHdr+hdr(field(5, 0, 2)), "2\n", "3\n"), nil, "2 bytes after the last section"},
+		{"a coded input that decodes past the record bound", walRecSubmit, pastBound, nil, "over the 67108863-byte limit"},
 		{"section tag listed twice", walRecSubmit, framed(submitHdr+hdr(field(5, 0, 2), field(5, 0, 2)), "2\n", "3\n"), nil, "tag 5 repeated"},
 		{"checkpoint state nothing owns", walRecMigrate, framed(hdr(field(1, 0, 2), field(2, 0, 2)), "abc"), nil, "after the last section"},
 		{"checkpoint state in the header", walRecMigrate, framed(hdr(field(1, 0, 2), field(2, 0, 2), field(3, 2, 3, 0x12, 1, 's'))), nil, "tag 2 has wire type 2"},

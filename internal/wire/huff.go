@@ -23,10 +23,11 @@ import (
 //
 // The coder is fast by how it reads and writes that format, never by
 // changing it: the encoder packs five codes into each 64-bit store, and
-// the decoder's table resolves the next 11 bits to one byte or, when two
-// whole codes fit in them, two. A section is byte for byte what a coder
-// taking one code a step writes (the tests hold a reference one), so
-// every peer and every log decodes it alike.
+// the decoder's table resolves the next k bits, k from 8 to 11 as the
+// section grows, to one byte or, when two whole codes fit in them, two;
+// a code longer than k bits takes a second lookup. A section is byte for
+// byte what a coder taking one code a step writes (the tests hold a
+// reference one), so every peer and every log decodes it alike.
 const (
 	maxCodeBits = 11
 	lensBytes   = 128
@@ -277,6 +278,19 @@ func AppendCoded(dst, src []byte) ([]byte, bool) {
 // errCode is a coded section that does not decode.
 var errCode = errors.New("wire: corrupt coded section")
 
+// decoder is DecodeCoded's tables.
+type decoder struct {
+	h      huffman
+	single [1 << (maxCodeBits - 1)]uint16
+	// The first level's 2^k entries, then the second level's blocks, one
+	// per k-bit prefix of longer codes, each 2^(11-k) entries. The blocks
+	// take 2^11 entries per unit of Kraft sum the longer codes hold, and
+	// 256 codes of at least k+1 bits hold at most 2^(7-k): with k from 8
+	// to 10 the two levels take at most 2^k + 2^(18-k) <= 2^11 entries,
+	// and at k = 11 there are no blocks.
+	table [1 << maxCodeBits]uint32
+}
+
 // DecodeCoded decodes the coded section sec into dst, whose length is the
 // raw length. The table must hold a complete code, and the stream must
 // end on the byte that holds the last code's last bit, padded with zeros.
@@ -300,41 +314,92 @@ func DecodeCoded(dst, sec []byte) error {
 	if kraft != 1<<maxCodeBits {
 		return fmt.Errorf("%w: code lengths are not a complete code", errCode)
 	}
-	var h huffman
-	h.assign(&lens)
-	// single maps up to maxCodeBits-1 stream bits, zeros above them, to
-	// the byte whose code they start with, and its length above it: the
-	// code's whenever its length fits in the bits that are the stream's.
-	var single [1 << (maxCodeBits - 1)]uint16
+	// The first lookup resolves the next k stream bits, and k grows with
+	// the raw length: 2^k is about one entry per eight bytes decoded, from
+	// 2^8 up to 2^11, so building the tables costs in step with the bytes
+	// they decode. A code longer than k bits takes a second lookup.
+	k := uint(min(max(bits.Len(uint(len(dst)))-4, 8), maxCodeBits))
+	var d decoder
+	d.build(&lens, k)
+	return d.decode(dst, sec[lensBytes:], 1<<k-1)
+}
+
+// build fills the tables for the code lens, with a first level of k bits.
+func (d *decoder) build(lens *[256]uint8, k uint) {
+	d.h.assign(lens)
+	codes := &d.h.codes
+	// single maps up to k-1 stream bits, zeros above them, to the byte
+	// whose code they start with, and its length above it: the code's
+	// whenever its length fits in the bits that are the stream's. Every
+	// entry is written: a complete code decodes any bits.
 	for v, l := range lens {
 		if l > 0 {
-			for j := uint(h.codes[v]); j < uint(len(single)); j += 1 << l {
-				single[j] = uint16(l)<<8 | uint16(v)
+			for j := uint(codes[v]); j < 1<<(k-1); j += 1 << l {
+				d.single[j] = uint16(l)<<8 | uint16(v)
 			}
 		}
 	}
-	// table maps the next maxCodeBits stream bits to the one or two bytes
+	// The first level maps the next k stream bits to the one or two bytes
 	// whose codes they hold whole: the code they start with, then the one
 	// its remaining bits start with when that one fits in them too. An
 	// entry holds the bits the codes take in bits 0-7, how many bytes
 	// there are, 1 or 2, in bits 8-11, the first code's length in bits
 	// 12-15, and the bytes, first in the low one, from bit 16. Whether the
 	// second code fits is a mask, not a branch: it is as likely as not.
-	var table [1 << maxCodeBits]uint32
+	//
+	// k bits that start a longer code take no bits and hold no bytes; k is
+	// in bits 12-15, and in bits 16-31 where the block for the bits after
+	// them starts, each entry of which holds one code. Such an entry is
+	// zero until the first of its codes claims the block.
+	sub := maxCodeBits - k
+	next := uint32(1) << k
 	for v, l := range lens {
 		if l == 0 {
 			continue
 		}
-		first := uint32(v)<<16 | uint32(l)<<12 | 1<<8 | uint32(l)
-		c, rest := uint(h.codes[v]), uint32(maxCodeBits-l)
-		for k := range uint(1) << rest {
-			s := uint32(single[k])
+		c, one := uint(codes[v]), uint32(v)<<16|uint32(l)<<12|1<<8|uint32(l)
+		if uint(l) > k {
+			p := &d.table[c&(1<<k-1)]
+			if *p == 0 {
+				*p = next<<16 | uint32(k)<<12
+				next += 1 << sub
+			}
+			block := d.table[*p>>16:][:1<<sub]
+			for j := c >> k; j < uint(len(block)); j += 1 << (uint(l) - k) {
+				block[j] = one
+			}
+			continue
+		}
+		rest := uint32(k) - uint32(l)
+		for j := range uint(1) << rest {
+			s := uint32(d.single[j])
 			fits := (rest-s>>8)>>31 - 1 // all ones or zero
-			table[c|k<<(l&63)] = first + (s&0xff<<24|1<<8|s>>8)&fits
+			d.table[c|j<<(l&63)] = one + (s&0xff<<24|1<<8|s>>8)&fits
 		}
 	}
-	const mask = 1<<maxCodeBits - 1
-	stream := sec[lensBytes:]
+}
+
+// long is the entry for the code whose first k bits led to the first
+// level's entry e, with the code's bits at the bottom of acc.
+func (d *decoder) long(e uint32, acc uint64) uint32 {
+	return d.table[e>>16+uint32(acc&(1<<maxCodeBits-1))>>(e>>12&15)]
+}
+
+// step decodes the one or two codes at the bottom of acc into dst at out
+// and returns their entry. mask is the first level's.
+func (d *decoder) step(dst []byte, out *int, acc *uint64, nb *uint, mask uint64) uint32 {
+	e := d.table[*acc&mask]
+	binary.LittleEndian.PutUint16(dst[*out:], uint16(e>>16))
+	*out += int(e >> 8 & 15)
+	*acc >>= e & 63
+	*nb -= uint(e & 0xff)
+	return e
+}
+
+// decode decodes stream into dst through the tables build filled; mask
+// is the first level's, 2^k-1.
+func (d *decoder) decode(dst, stream []byte, mask uint64) error {
+	mask &= 1<<maxCodeBits - 1 // which lets the compiler drop the lookups' bounds checks
 	var acc uint64
 	var nb uint // bits of acc not yet decoded
 	pos, out := 0, 0
@@ -346,10 +411,20 @@ func DecodeCoded(dst, sec []byte) error {
 		acc |= binary.LittleEndian.Uint64(stream[pos:]) << (nb & 63)
 		pos += int((63 - nb) >> 3)
 		nb |= 56
-		for range 5 { // five lookups of at most 11 bits fit in 56
-			e := table[acc&mask]
-			binary.LittleEndian.PutUint16(dst[out:], uint16(e>>16))
-			out += int(e >> 8 & 15)
+		// Five lookups of at most 11 bits fit in 56, written out: looping
+		// over them costs more than they do.
+		e := d.step(dst, &out, &acc, &nb, mask)
+		e = d.step(dst, &out, &acc, &nb, mask)
+		e = d.step(dst, &out, &acc, &nb, mask)
+		e = d.step(dst, &out, &acc, &nb, mask)
+		e = d.step(dst, &out, &acc, &nb, mask)
+		if e&0xf00 == 0 {
+			// The batch stopped at the first k bits of a longer code (an
+			// entry that takes no bits and writes no bytes): that code is
+			// the second level's, and the bits it needs are still in acc.
+			e = d.long(e, acc)
+			dst[out] = byte(e >> 16)
+			out++
 			acc >>= e & 63
 			nb -= uint(e & 0xff)
 		}
@@ -365,7 +440,10 @@ func DecodeCoded(dst, sec []byte) error {
 			}
 			pos++
 		}
-		e := table[acc&mask]
+		e := d.table[acc&mask]
+		if e&0xf00 == 0 {
+			e = d.long(e, acc)
+		}
 		dst[out] = byte(e >> 16)
 		l := e >> 12 & 15
 		acc >>= l

@@ -212,8 +212,15 @@ func (c *Codec) Unpack(dst, body []byte) error {
 }
 
 // Decode decodes a whole unit into v, which must be zero; its sections
-// are sub-slices of unit.
-func Decode(unit []byte, v Fields) error {
+// are sub-slices of unit, or, when one travels coded, of a buffer of
+// their own.
+func Decode(unit []byte, v Fields) error { return DecodeWithin(unit, v, math.MaxInt, false) }
+
+// DecodeWithin is Decode for a unit that may take at most limit bytes
+// decoded, coded sections raw: a larger one is refused before any buffer
+// is made for it. With own set, the sections always land in a buffer of
+// their own, so the caller may reuse unit once it returns.
+func DecodeWithin(unit []byte, v Fields, limit int, own bool) error {
 	if len(unit) < 4 {
 		return fmt.Errorf("%d bytes have no header length", len(unit))
 	}
@@ -227,7 +234,13 @@ func Decode(unit []byte, v Fields) error {
 	if err := DecodeHeader(c, unit[4:4+hlen], len(body), v); err != nil {
 		return err
 	}
-	if x := c.Expansion(); x > 0 {
+	x := c.Expansion()
+	switch {
+	case len(unit)+x > limit:
+		clear(c.secs)
+		c.coded = nil
+		return fmt.Errorf("a %d-byte unit decodes to %d bytes, over the %d-byte limit", len(unit), len(unit)+x, limit)
+	case x > 0 || own:
 		return c.Unpack(make([]byte, len(body)+x), body)
 	}
 	c.Sections(body)

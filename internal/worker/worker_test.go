@@ -296,10 +296,12 @@ func TestByeExitsCleanly(t *testing.T) {
 func TestContextCancelStopsWorker(t *testing.T) {
 	_, fs, cancel := startWorker(t, Config{})
 	fs.welcome(1)
-	cancel()
+	// The deadline goes on before the cancel: a canceled worker closes
+	// the pipe, and a deadline set after that would fail on a closed pipe.
 	if err := fs.conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
+	cancel()
 	if _, err := fs.conn.Recv(); err == nil {
 		t.Error("canceled worker should drop the connection")
 	}
