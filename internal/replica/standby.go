@@ -188,11 +188,9 @@ func (s *Standby) follow(ctx context.Context, conn net.Conn, wl *wal.Log, fold *
 		// that refuses a deadline is already dead — keep reading so any
 		// buffered complete frames still apply; the read reports the end.
 		_ = conn.SetReadDeadline(time.Now().Add(s.opts.Lease))
-		// The last record is done with: the fold keeps none of its bytes
-		// (WALFold.Apply), and the log and the cut's file have written its
-		// frame. So the next one is read into its buffer, and a record costs
-		// the standby its decoded bytes, not those and its frame.
-		sr.Recycle()
+		// Each record is read into a buffer of its own, which the fold
+		// keeps what it holds of (WALFold.Apply): a record costs the
+		// standby its shipped bytes, coded as they came, and no copy.
 		rec, frame, err := sr.Next()
 		if err == nil {
 			*lastHeard = time.Now()

@@ -12,6 +12,7 @@ import (
 	"cwc/internal/protocol"
 	"cwc/internal/tasks"
 	"cwc/internal/wal"
+	"cwc/internal/wire"
 )
 
 // cycleConn is a phone's link as the master sees it: reads return the
@@ -191,14 +192,14 @@ func TestCreditedPartialSurvivesMessageReuse(t *testing.T) {
 		} else if msg != first {
 			t.Errorf("report %d arrived in a new message, want the first one reused", k+1)
 		}
-		partials := make([][][]byte, k+1)
+		partials := make([][]wire.Held, k+1)
 		r.m.do(func() {
 			for j := range partials {
 				partials[j] = r.m.jobs[r.ids[j]].Partials
 			}
 		})
 		for j := 0; j <= k; j++ {
-			if got := partials[j]; len(got) != 1 || !bytes.Equal(got[0], r.want[j]) {
+			if got := partials[j]; len(got) != 1 || !bytes.Equal(got[0].Bytes, r.want[j]) {
 				t.Errorf("after report %d, job %d holds partials %q, want [%s]", k+1, r.ids[j], got, r.want[j])
 			}
 		}

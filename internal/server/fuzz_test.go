@@ -6,6 +6,7 @@ import (
 
 	"cwc/internal/tasks"
 	"cwc/internal/wal"
+	"cwc/internal/wire"
 )
 
 // FuzzWALReducer feeds arbitrary record types and payloads through WAL
@@ -13,11 +14,11 @@ import (
 // against: corrupt-but-framed input must be rejected with an error,
 // never a panic.
 func FuzzWALReducer(f *testing.F) {
-	f.Add(walRecSubmit, encodeWAL(f, &walSubmit{JobID: 2, Seq: 2, Task: "primecount", Input: []byte("2\n")}))
+	f.Add(walRecSubmit, encodeWAL(f, &walSubmit{JobID: 2, Seq: 2, Task: "primecount", Input: wire.Held{Bytes: []byte("2\n")}}))
 	f.Add(walRecRound, encodeWAL(f, &walRound{Items: []walRoundItem{
 		{Key: 2, FromSeq: 1, Len: 4}, {Key: 3, FromSeq: 1, Off: 4, Len: 4}, {Key: 1, Retries: 1},
 	}}))
-	f.Add(walRecPartial, encodeWAL(f, &walPartialRec{JobID: 1, Key: 1, Offset: 2, Partial: []byte("1"), RemainderSeq: 2}))
+	f.Add(walRecPartial, encodeWAL(f, &walPartialRec{JobID: 1, Key: 1, Offset: 2, Partial: wire.Held{Bytes: []byte("1")}, RemainderSeq: 2}))
 	f.Add(walRecMigrate, encodeWAL(f, &walMigrate{JobID: 1, Key: 1, Resume: &tasks.Checkpoint{Offset: 2, State: []byte(`{"count":1}`)}}))
 	f.Add(walRecReport, encodeWAL(f, &walReport{JobID: 99}))
 	// Retired types as older logs wrote them (dispatch, finish, streamed
@@ -41,16 +42,21 @@ func FuzzWALReducer(f *testing.F) {
 	// item's bytes, each coding to less than its raw size.
 	text := bytes.Repeat([]byte("13\n17\n19\n23\n"), 64)
 	for _, rec := range []walRecord{
-		&walSubmit{JobID: 2, Seq: 2, Task: "primecount", Input: text},
-		&walReport{JobID: 1, Key: 1, Bytes: 6, Partial: text},
-		&walPartialRec{JobID: 1, Key: 1, Offset: 2, Partial: text, RemainderSeq: 2},
-		&walCutItem{Seq: 2, JobID: 1, Input: text},
+		&walSubmit{JobID: 2, Seq: 2, Task: "primecount", Input: wire.Held{Bytes: text}},
+		&walReport{JobID: 1, Key: 1, Bytes: 6, Partial: wire.Held{Bytes: text}},
+		&walPartialRec{JobID: 1, Key: 1, Offset: 2, Partial: wire.Held{Bytes: text}, RemainderSeq: 2},
+		&walCutItem{Seq: 2, JobID: 1, Input: wire.Held{Bytes: text}},
 	} {
 		b := encodeWAL(f, rec)
 		if len(b) >= len(text) {
 			f.Fatalf("a %T seed of %d bytes holds %d bytes uncoded", rec, len(b), len(text))
 		}
 		f.Add(rec.typ(), b)
+	}
+	// Coded sections that do not decode: a padding bit set, a stream cut
+	// short, a code table that is not a complete code.
+	for _, rec := range corruptCodedRecords(f) {
+		f.Add(rec.Type, rec.Payload)
 	}
 	// Every record type as the live master builds it.
 	for _, rec := range liveWALRecords() {
@@ -59,8 +65,8 @@ func FuzzWALReducer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		red := newWALReducer()
 		red.jobs[1] = &walJobRec{ID: 1, Task: "primecount", TotalBytes: 12}
-		red.fresh[1] = &walItemRec{Seq: 1, JobID: 1, Input: []byte("2\n3\n5\n7\n")}
-		red.open[1] = &walItemRec{Key: 1, JobID: 1, Input: []byte("11\n13\n"), Atomic: true}
+		red.fresh[1] = rawItem(walItemRec{Seq: 1, JobID: 1}, "2\n3\n5\n7\n")
+		red.open[1] = rawItem(walItemRec{Key: 1, JobID: 1, Atomic: true}, "11\n13\n")
 		_ = red.apply(wal.Record{Type: typ, Payload: payload})
 	})
 }

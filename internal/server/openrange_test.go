@@ -339,7 +339,7 @@ func TestMidRoundSnapshotFindsEveryRange(t *testing.T) {
 			if rec.Type != walRecItem {
 				continue
 			}
-			v, err := decodeWAL(rec, false)
+			v, err := decodeWAL(rec)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
@@ -354,9 +354,13 @@ func TestMidRoundSnapshotFindsEveryRange(t *testing.T) {
 		}
 		seen := map[int]bool{}
 		for i, it := range open {
-			if it.Key != keys[i] || seen[it.JobID] || !bytes.Equal(it.Input, inputs[it.JobID]) {
+			input, err := it.Input.Raw()
+			if err != nil {
+				t.Fatalf("%s: open[%d]: %v", what, i, err)
+			}
+			if it.Key != keys[i] || seen[it.JobID] || !bytes.Equal(input, inputs[it.JobID]) {
 				t.Errorf("%s: open[%d] = key %d job %d (%d bytes); want key %d with a job's whole input, each job once",
-					what, i, it.Key, it.JobID, len(it.Input), keys[i])
+					what, i, it.Key, it.JobID, len(input), keys[i])
 			}
 			seen[it.JobID] = true
 		}

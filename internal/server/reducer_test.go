@@ -11,6 +11,7 @@ import (
 	"cwc/internal/protocol"
 	"cwc/internal/tasks"
 	"cwc/internal/wal"
+	"cwc/internal/wire"
 )
 
 // openTestRange submits input as a job of task and opens it whole as one
@@ -47,12 +48,12 @@ func liveWALRecords() map[string]walRecord {
 	ck := &tasks.Checkpoint{Offset: 3, State: []byte(`{"count":1}`)}
 	return map[string]walRecord{
 		"submit": &walSubmit{JobID: 2, Seq: 2, Task: "wordcount", Params: tasks.WordCount{Word: "sale"}.Params(),
-			Input: []byte("sale\n"), Atomic: true},
+			Input: wire.Held{Bytes: []byte("sale\n")}, Atomic: true},
 		"round": &walRound{Items: []walRoundItem{
 			{Key: 2, FromSeq: 1, Len: 4, Partition: 0}, {Key: 3, FromSeq: 1, Off: 4, Len: 4, Partition: 1},
 			{Key: 1, Retries: 1, Partition: 7}}},
-		"report":        &walReport{JobID: 1, Key: 1, Bytes: 6, Partial: []byte("2")},
-		"partial":       &walPartialRec{JobID: 1, Key: 1, Offset: 3, Partial: []byte("1"), RemainderSeq: 2, Retries: 1},
+		"report":        &walReport{JobID: 1, Key: 1, Bytes: 6, Partial: wire.Held{Bytes: []byte("2")}},
+		"partial":       &walPartialRec{JobID: 1, Key: 1, Offset: 3, Partial: wire.Held{Bytes: []byte("1")}, RemainderSeq: 2, Retries: 1},
 		"migrate":       &walMigrate{JobID: 1, Key: 1, Resume: ck, Retries: 1, Partition: 7},
 		"migrate/whole": &walMigrate{JobID: 1, Key: 1, Retries: 2},
 		// A streamed checkpoint: the range's retries and partition unchanged.
@@ -69,10 +70,17 @@ func liveWALRecords() map[string]walRecord {
 		"head": &walCutHead{NextJobID: 5, NextSeq: 4, NextKey: 6, NextPhoneID: 9},
 		"job": &walCutJob{ID: 2, Task: "wordcount", Params: tasks.WordCount{Word: "sale"}.Params(),
 			TotalBytes: 10, Covered: 5},
-		"item/fresh":     &walCutItem{Seq: 2, JobID: 1, Input: []byte("17\n"), Retries: 1},
-		"item/open":      &walCutItem{Key: 2, JobID: 1, Input: []byte("19\n23\n"), Atomic: true, Retries: 2, Partition: 4},
-		"report/partial": &walReport{JobID: 1, Partial: []byte("3")},
+		"item/fresh":     &walCutItem{Seq: 2, JobID: 1, Input: wire.Held{Bytes: []byte("17\n")}, Retries: 1},
+		"item/open":      &walCutItem{Key: 2, JobID: 1, Input: wire.Held{Bytes: []byte("19\n23\n")}, Atomic: true, Retries: 2, Partition: 4},
+		"report/partial": &walReport{JobID: 1, Partial: wire.Held{Bytes: []byte("3")}},
 	}
+}
+
+// rawItem is it holding input raw and whole, as the live master holds an
+// item it was just given.
+func rawItem(it walItemRec, input string) *walItemRec {
+	it.src, it.Len = &wire.Held{Bytes: []byte(input)}, int64(len(input))
+	return &it
 }
 
 // retiredWALTypes are the numbers the constant block keeps unnamed: no
@@ -85,8 +93,8 @@ var retiredWALTypes = map[uint8]string{3: "dispatch", 8: "finish", 9: "checkpoin
 func primedReducer() *walReducer {
 	r := newWALReducer()
 	r.jobs[1] = &walJobRec{ID: 1, Task: "primecount", TotalBytes: 14}
-	r.fresh[1] = &walItemRec{Seq: 1, JobID: 1, Input: []byte("2\n3\n5\n7\n")}
-	r.open[1] = &walItemRec{Key: 1, JobID: 1, Input: []byte("11\n13\n"), Atomic: true}
+	r.fresh[1] = rawItem(walItemRec{Seq: 1, JobID: 1}, "2\n3\n5\n7\n")
+	r.open[1] = rawItem(walItemRec{Key: 1, JobID: 1, Atomic: true}, "11\n13\n")
 	r.nextJobID, r.nextSeq, r.nextKey = 2, 1, 1
 	return r
 }
@@ -114,7 +122,7 @@ func TestWALFoldLiveEqualsDecoded(t *testing.T) {
 			continue
 		}
 		logged := wal.Record{Type: rec.typ(), Payload: encodeWAL(t, rec)}
-		decoded, err := decodeWAL(logged, false)
+		decoded, err := decodeWAL(logged)
 		if err != nil {
 			t.Errorf("%s: decode: %v", name, err)
 			continue
@@ -145,7 +153,7 @@ func TestWALFoldLiveEqualsDecoded(t *testing.T) {
 	}
 	for typ := walRecSubmit; typ < walRecEnd; typ++ {
 		if name, retired := retiredWALTypes[typ]; retired {
-			_, err := decodeWAL(wal.Record{Type: typ, Payload: encodeWAL(t, &walDrainRec{PhoneID: 1, State: drainStarted})}, false)
+			_, err := decodeWAL(wal.Record{Type: typ, Payload: encodeWAL(t, &walDrainRec{PhoneID: 1, State: drainStarted})})
 			if seen[typ] || err == nil || !strings.Contains(err.Error(), "unknown record type") {
 				t.Errorf("retired type %d (%s) is in use: a live record logs it %v, decodeWAL says %v", typ, name, seen[typ], err)
 			}
@@ -155,7 +163,7 @@ func TestWALFoldLiveEqualsDecoded(t *testing.T) {
 			t.Errorf("no live record of type %d in the table", typ)
 		}
 	}
-	if _, err := decodeWAL(wal.Record{Type: walRecEnd}, false); err == nil {
+	if _, err := decodeWAL(wal.Record{Type: walRecEnd}); err == nil {
 		t.Error("decodeWAL accepts walRecEnd: a record type was declared outside the constant block")
 	}
 }
@@ -171,7 +179,7 @@ func TestCutRecordsNoLargerThanLogged(t *testing.T) {
 	r := newWALReducer()
 	largest := 0
 	for _, rec := range []walRecord{
-		&walSubmit{JobID: 1, Seq: 1, Task: "blur", Input: input, Atomic: true},
+		&walSubmit{JobID: 1, Seq: 1, Task: "blur", Input: wire.Held{Bytes: input}, Atomic: true},
 		&walRound{Items: []walRoundItem{{Key: 1, FromSeq: 1, Len: int64(len(input)), Partition: 3}}},
 		&walMigrate{JobID: 1, Key: 1, Resume: &tasks.Checkpoint{Offset: 4096, State: state}, Retries: 1, Partition: 3},
 	} {
@@ -181,7 +189,11 @@ func TestCutRecordsNoLargerThanLogged(t *testing.T) {
 		largest = max(largest, len(encodeWAL(t, rec)))
 	}
 	replayed := newWALReducer()
-	for _, rec := range r.cut() {
+	recs, err := r.cut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
 		b := encodeWAL(t, rec)
 		if len(b) > largest {
 			t.Errorf("a %d-byte %T in the cut; the largest logged record is %d bytes", len(b), rec, largest)
@@ -213,11 +225,11 @@ func TestWALCutRecordsRefused(t *testing.T) {
 		wantErr string
 	}{
 		{"job held", &walCutJob{ID: 1, Task: "primecount"}, "duplicate job record for job 1"},
-		{"fresh item held", &walCutItem{Seq: 1, JobID: 1, Input: []byte("2\n")}, "already held"},
-		{"open range held", &walCutItem{Key: 1, JobID: 1, Input: []byte("2\n")}, "already held"},
-		{"item of no job", &walCutItem{Seq: 2, JobID: 9, Input: []byte("2\n")}, "unknown job 9"},
-		{"both lives", &walCutItem{Seq: 2, Key: 2, JobID: 1, Input: []byte("2\n")}, "want exactly one"},
-		{"neither life", &walCutItem{JobID: 1, Input: []byte("2\n")}, "want exactly one"},
+		{"fresh item held", &walCutItem{Seq: 1, JobID: 1, Input: wire.Held{Bytes: []byte("2\n")}}, "already held"},
+		{"open range held", &walCutItem{Key: 1, JobID: 1, Input: wire.Held{Bytes: []byte("2\n")}}, "already held"},
+		{"item of no job", &walCutItem{Seq: 2, JobID: 9, Input: wire.Held{Bytes: []byte("2\n")}}, "unknown job 9"},
+		{"both lives", &walCutItem{Seq: 2, Key: 2, JobID: 1, Input: wire.Held{Bytes: []byte("2\n")}}, "want exactly one"},
+		{"neither life", &walCutItem{JobID: 1, Input: wire.Held{Bytes: []byte("2\n")}}, "want exactly one"},
 	} {
 		r := primedReducer()
 		var before, after bytes.Buffer

@@ -15,6 +15,7 @@ import (
 	"cwc/internal/protocol"
 	"cwc/internal/tasks"
 	"cwc/internal/wal"
+	"cwc/internal/wire"
 )
 
 // jobSpan is a job's trace span ID. Deterministic in the job ID, so a
@@ -89,7 +90,7 @@ func (m *Master) Submit(task tasks.Task, input []byte, atomic bool) (int, error)
 		seq := m.nextSeq + 1
 		if err = m.walAppendErr(&walSubmit{
 			JobID: id, Seq: seq, Task: task.Name(), Params: task.Params(),
-			Input: input, Atomic: atomic,
+			Input: wire.Held{Bytes: input}, Atomic: atomic,
 		}); err != nil {
 			return
 		}
@@ -927,7 +928,7 @@ func (m *Master) finalizeResultLocked(a assignment, resp *protocol.Message, ps *
 	// spawned it recorded no coverage (only the reporter path does, and
 	// reporter remainders arrive as fresh pieces without resume state).
 	m.walAppend(&walReport{
-		JobID: js.ID, Key: a.key, Bytes: int64(len(a.input)), Partial: resp.Result,
+		JobID: js.ID, Key: a.key, Bytes: int64(len(a.input)), Partial: wire.Held{Bytes: resp.Result},
 	})
 	// A late result (tie-break, detached straggler) can complete a job's
 	// coverage outside any round; without a round's end coming, finish it
@@ -969,13 +970,13 @@ func (m *Master) recordFailureLocked(a assignment, resp *protocol.Message) {
 	// only safe when no duplicate of this byte range can still deliver a
 	// full result (which would double-count the checkpointed prefix).
 	if pr, ok := a.item.task.(tasks.PartialReporter); ok && ck != nil && a.resume == nil && !e.shared &&
-		ck.Offset > 0 && ck.Offset <= int64(len(e.Input)) {
+		ck.Offset > 0 && ck.Offset <= e.Len {
 		partial, err := pr.PartialResult(ck.State)
 		if err == nil {
 			// The remainder is a fresh byte range: new identity, splittable
 			// again, one retry spent — unless that was the last one.
-			rec := &walPartialRec{JobID: e.JobID, Key: e.Key, Offset: ck.Offset, Partial: partial}
-			rest, reason := len(e.Input)-int(ck.Offset), "failure remainder: "+resp.Error
+			rec := &walPartialRec{JobID: e.JobID, Key: e.Key, Offset: ck.Offset, Partial: wire.Held{Bytes: partial}}
+			rest, reason := int(e.Len-ck.Offset), "failure remainder: "+resp.Error
 			if rest > 0 && !spent(e.Retries+1) {
 				rec.RemainderSeq, rec.Retries = m.nextSeq+1, e.Retries+1
 			}
@@ -1010,7 +1011,7 @@ func (m *Master) recordFailureLocked(a assignment, resp *protocol.Message) {
 // Logged (a migrate record, same retry count), so a recovered master
 // resumes from it too; it reports whether ck was kept.
 func (m *Master) keepCheckpointLocked(e *walItemRec, ck *tasks.Checkpoint) bool {
-	if ck == nil || ck.Offset > int64(len(e.Input)) || further(e.Resume, ck) != ck {
+	if ck == nil || ck.Offset > e.Len || further(e.Resume, ck) != ck {
 		return false
 	}
 	m.migrateLocked(e, ck, e.Retries)
@@ -1047,7 +1048,7 @@ func (m *Master) requeueLocked(e *walItemRec, ck *tasks.Checkpoint, reason strin
 		// dead-letter record closes the range, so an attempt still out on
 		// it has nothing left to report into.
 		m.deadLetterLocked(&walDeadLetterRec{JobID: e.JobID, Key: e.Key, Task: m.jobs[e.JobID].Task,
-			Bytes: len(e.Input), Retries: e.Retries, Reason: reason}, e.Partition)
+			Bytes: int(e.Len), Retries: e.Retries, Reason: reason}, e.Partition)
 		return
 	}
 	m.migrateLocked(e, further(e.Resume, ck), e.Retries+1)
@@ -1076,7 +1077,7 @@ func (m *Master) enqueueLocked(e *walItemRec, reason string) {
 		m.mx.recomputeSaved.Add(e.Resume.Offset)
 	}
 	m.trace(obs.SpanEvent{Kind: obs.KindRequeue, Job: e.JobID, Partition: e.Partition,
-		Key: e.Key, Phone: -1, Bytes: int64(len(e.Input)), Detail: reason})
+		Key: e.Key, Phone: -1, Bytes: e.Len, Detail: reason})
 }
 
 // handBackLocked re-queues a dispatched range whole — unless its key has
@@ -1118,20 +1119,28 @@ func (js *walJobRec) finish() error {
 	return err
 }
 
-// aggregate merges a completed job's partials into its final result.
+// aggregate merges a completed job's partials, raw, into its final
+// result.
 func aggregate(js *walJobRec) ([]byte, error) {
 	if len(js.Partials) == 0 {
 		return nil, fmt.Errorf("server: job %d complete with no partials", js.ID)
 	}
 	if len(js.Partials) == 1 {
-		return js.Partials[0], nil
+		return js.Partials[0].Raw()
 	}
 	b, ok := js.task.(tasks.Breakable)
 	if !ok {
 		return nil, fmt.Errorf("server: job %d has %d partials but is not breakable",
 			js.ID, len(js.Partials))
 	}
-	return b.Aggregate(js.Partials)
+	parts := make([][]byte, len(js.Partials))
+	for i := range js.Partials {
+		var err error
+		if parts[i], err = js.Partials[i].Raw(); err != nil {
+			return nil, fmt.Errorf("server: job %d, partial %d: %w", js.ID, i, err)
+		}
+	}
+	return b.Aggregate(parts)
 }
 
 // RunLoop runs scheduling rounds forever: whenever pending work exists

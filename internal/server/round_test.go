@@ -9,6 +9,7 @@ import (
 	"cwc/internal/core"
 	"cwc/internal/protocol"
 	"cwc/internal/tasks"
+	"cwc/internal/wire"
 )
 
 func TestWorkItemRemainingKB(t *testing.T) {
@@ -58,7 +59,7 @@ func TestProfileSampleSmallInput(t *testing.T) {
 }
 
 func TestAggregateSingle(t *testing.T) {
-	js := &walJobRec{ID: 1, task: tasks.Blur{}, Partials: [][]byte{[]byte("img")}}
+	js := &walJobRec{ID: 1, task: tasks.Blur{}, Partials: []wire.Held{{Bytes: []byte("img")}}}
 	got, err := aggregate(js)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestAggregateSingle(t *testing.T) {
 
 func TestAggregateMultipleCounts(t *testing.T) {
 	js := &walJobRec{ID: 1, task: tasks.PrimeCount{},
-		Partials: [][]byte{[]byte("3"), []byte("4")}}
+		Partials: []wire.Held{{Bytes: []byte("3")}, {Bytes: []byte("4")}}}
 	got, err := aggregate(js)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func TestAggregateErrors(t *testing.T) {
 		t.Error("no partials should error")
 	}
 	js := &walJobRec{ID: 1, task: tasks.Blur{},
-		Partials: [][]byte{[]byte("a"), []byte("b")}}
+		Partials: []wire.Held{{Bytes: []byte("a")}, {Bytes: []byte("b")}}}
 	if _, err := aggregate(js); err == nil ||
 		!strings.Contains(err.Error(), "not breakable") {
 		t.Errorf("multi-partial non-breakable err = %v", err)
@@ -163,7 +164,7 @@ func TestRecordFailurePartialReporterPath(t *testing.T) {
 	if js.Covered != 4 {
 		t.Errorf("covered = %d, want 4", js.Covered)
 	}
-	if len(js.Partials) != 1 || string(js.Partials[0]) != "2" {
+	if len(js.Partials) != 1 || string(js.Partials[0].Bytes) != "2" {
 		t.Errorf("partials = %q", js.Partials)
 	}
 	if len(m.pending) != 1 {

@@ -280,7 +280,7 @@ type workItem struct {
 func itemOf(js *walJobRec, e *walItemRec) *workItem {
 	it := &workItem{
 		jobID: e.JobID, task: js.task, params: js.Params, span: jobSpan(e.JobID),
-		input: e.Input, resume: e.Resume, atomic: e.Atomic, key: e.Key, retries: e.Retries, partition: e.Partition, seq: e.Seq,
+		input: e.input(), resume: e.Resume, atomic: e.Atomic, key: e.Key, retries: e.Retries, partition: e.Partition, seq: e.Seq,
 	}
 	if e.Key != 0 {
 		it.rng = e

@@ -41,10 +41,13 @@ import (
 // durable state and changes it only by folding the record it is logging
 // (walAppend, walAppendErr); replay and the hot standby fold the same
 // records, decoded from the log, through the same function
-// (walReducer.fold). A snapshot is records too, so recovery and the
-// standby read one format through one decoder. Every record changes
-// state, and every one is written on the state's owner in the order it
-// is folded.
+// (walReducer.fold). Decoded, a record's input or result stays as the log
+// holds it (wire.Held), coded, checked once at its own record: replay and
+// the standby decode it for keeps only where live state needs it raw
+// (installWALState, finish), and a cut writes it back out byte for byte.
+// A snapshot is records too, so recovery and the standby read one format
+// through one decoder. Every record changes state, and every one is
+// written on the state's owner in the order it is folded.
 //
 // A reference is only as good as the record that defined its range, so
 // a record the log failed to take may not simply be carried on from:
@@ -154,7 +157,7 @@ type walSubmit struct {
 	Seq    int64
 	Task   string
 	Params []byte
-	Input  []byte
+	Input  wire.Held
 	Atomic bool
 }
 
@@ -165,7 +168,7 @@ func (p *walSubmit) Wire(c *wire.Codec) {
 	wire.Int(c, 2, &p.Seq)
 	wire.String(c, 3, &p.Task)
 	c.Section(4, &p.Params)
-	c.Coded(5, &p.Input, true)
+	c.Held(5, &p.Input)
 	c.Bool(6, &p.Atomic)
 	c.RawLen(7)
 }
@@ -211,7 +214,7 @@ type walReport struct {
 	JobID   int
 	Key     int64
 	Bytes   int64
-	Partial []byte
+	Partial wire.Held
 }
 
 func (*walReport) typ() uint8 { return walRecReport }
@@ -220,7 +223,7 @@ func (p *walReport) Wire(c *wire.Codec) {
 	wire.Int(c, 1, &p.JobID)
 	wire.Int(c, 2, &p.Key)
 	wire.Int(c, 3, &p.Bytes)
-	c.Coded(4, &p.Partial, true)
+	c.Held(4, &p.Partial)
 	c.RawLen(5)
 }
 
@@ -228,7 +231,7 @@ type walPartialRec struct {
 	JobID   int
 	Key     int64
 	Offset  int64
-	Partial []byte
+	Partial wire.Held
 	// RemainderSeq, when set, re-queues the unprocessed suffix — the
 	// open range's bytes from Offset on — as a fresh item under this
 	// sequence number; zero when the remainder was empty or immediately
@@ -243,7 +246,7 @@ func (p *walPartialRec) Wire(c *wire.Codec) {
 	wire.Int(c, 1, &p.JobID)
 	wire.Int(c, 2, &p.Key)
 	wire.Int(c, 3, &p.Offset)
-	c.Coded(4, &p.Partial, true)
+	c.Held(4, &p.Partial)
 	wire.Int(c, 5, &p.RemainderSeq)
 	wire.Int(c, 6, &p.Retries)
 	c.RawLen(7)
@@ -346,17 +349,18 @@ var walRecords = [walRecEnd]func() walRecord{
 }
 
 // decodeWAL parses a logged record into its struct. It runs on replay
-// and on the standby only: the live master folds the struct it built. A
-// coded section unpacks into a buffer of its own; a raw one is a
-// sub-slice of the payload unless own is set, when it is copied out too,
-// so the caller may reuse the payload. A record that decodes past the
-// log's record bound is refused before any buffer is made for it.
-func decodeWAL(rec wal.Record, own bool) (walRecord, error) {
+// and on the standby only: the live master folds the struct it built.
+// Every section, a coded one too, is a sub-slice of the payload: a coded
+// section is checked here, so a record that does not decode is refused
+// at its own record, and held as the log holds it (wire.Held) until live
+// state needs it raw. A record that decodes past the log's record bound
+// is refused before anything is decoded.
+func decodeWAL(rec wal.Record) (walRecord, error) {
 	if int(rec.Type) >= len(walRecords) || walRecords[rec.Type] == nil {
 		return nil, fmt.Errorf("unknown record type %d", rec.Type)
 	}
 	v := walRecords[rec.Type]()
-	if err := wire.DecodeWithin(rec.Payload, v, walMaxPayload, own); err != nil {
+	if err := wire.DecodeWithin(rec.Payload, v, walMaxPayload); err != nil {
 		return nil, fmt.Errorf("decoding record type %d: %w", rec.Type, err)
 	}
 	return v, nil
@@ -410,7 +414,7 @@ type walCutItem struct {
 	Seq       int64
 	Key       int64
 	JobID     int
-	Input     []byte
+	Input     wire.Held
 	Atomic    bool
 	Retries   int
 	Partition int
@@ -422,7 +426,7 @@ func (p *walCutItem) Wire(c *wire.Codec) {
 	wire.Int(c, 1, &p.Seq)
 	wire.Int(c, 2, &p.Key)
 	wire.Int(c, 3, &p.JobID)
-	c.Coded(4, &p.Input, true)
+	c.Held(4, &p.Input)
 	c.Bool(5, &p.Atomic)
 	wire.Int(c, 6, &p.Retries)
 	wire.Int(c, 7, &p.Partition)
@@ -437,7 +441,10 @@ type walJobRec struct {
 	Params     []byte
 	TotalBytes int64
 	Covered    int64
-	Partials   [][]byte
+	// Partials are what phones returned, each held as its record held it
+	// (coded, on replay and the standby), and decoded where finish needs
+	// it raw.
+	Partials []wire.Held
 
 	// Live only: never folded, never logged. task is Task and Params
 	// instantiated, set where a job enters a master (Submit, recovery).
@@ -462,7 +469,12 @@ type walItemRec struct {
 	Seq   int64
 	Key   int64
 	JobID int
-	Input []byte
+	// The range is bytes [Off, Off+Len) of src, the input section of the
+	// submit or cut item it was cut from, shared by every range cut from
+	// it and held as its record held it: raw on the live master, coded on
+	// replay and the standby until installWALState decodes it (input).
+	src      *wire.Held
+	Off, Len int64
 	// Resume is the furthest resume state an open range holds: shipped
 	// with it, reported by a failure, or streamed mid-execution. Any
 	// re-dispatch resumes from here. A fresh item has none.
@@ -543,7 +555,7 @@ func (r *walReducer) job(id int) (*walJobRec, error) {
 
 // apply folds one logged record: decode, then fold.
 func (r *walReducer) apply(rec wal.Record) error {
-	v, err := decodeWAL(rec, false)
+	v, err := decodeWAL(rec)
 	if err != nil {
 		return err
 	}
@@ -561,15 +573,17 @@ func (r *walReducer) fold(rec walRecord) error {
 		if _, dup := r.jobs[p.JobID]; dup {
 			return fmt.Errorf("duplicate submit for job %d", p.JobID)
 		}
+		n := int64(p.Input.Len())
 		r.jobs[p.JobID] = &walJobRec{
-			ID: p.JobID, Task: p.Task, Params: p.Params, TotalBytes: int64(len(p.Input)),
+			ID: p.JobID, Task: p.Task, Params: p.Params, TotalBytes: n,
 		}
-		r.fresh[p.Seq] = &walItemRec{Seq: p.Seq, JobID: p.JobID, Input: p.Input, Atomic: p.Atomic}
+		r.fresh[p.Seq] = &walItemRec{Seq: p.Seq, JobID: p.JobID, src: &p.Input, Len: n, Atomic: p.Atomic}
 		r.nextJobID = max(r.nextJobID, p.JobID+1)
 		r.nextSeq = max(r.nextSeq, p.Seq)
 	case *walRound:
 		// Resolve every reference before anything the record consumes is
-		// deleted; the opened ranges are sub-slices, never copies.
+		// deleted; the opened ranges share their item's source, never
+		// copy it.
 		opened := make([]*walItemRec, 0, len(p.Items))
 		cut := map[int64]int64{} // fresh seq -> bytes re-opened as keyed ranges
 		for _, it := range p.Items {
@@ -583,20 +597,19 @@ func (r *walReducer) fold(rec walRecord) error {
 			if !ok {
 				return fmt.Errorf("round: key %d is cut from unknown fresh item %d", it.Key, it.FromSeq)
 			}
-			n := int64(len(src.Input))
+			n := src.Len
 			if it.Off < 0 || it.Len <= 0 || it.Off > n || it.Len > n-it.Off {
 				return fmt.Errorf("round: key %d names bytes [%d,+%d) of the %d-byte fresh item %d",
 					it.Key, it.Off, it.Len, n, it.FromSeq)
 			}
-			end := it.Off + it.Len
 			opened = append(opened, &walItemRec{
-				Key: it.Key, JobID: src.JobID, Input: src.Input[it.Off:end:end],
+				Key: it.Key, JobID: src.JobID, src: src.src, Off: src.Off + it.Off, Len: it.Len,
 				Atomic: true, Retries: it.Retries, Partition: it.Partition,
 			})
 			cut[it.FromSeq] += it.Len
 		}
 		for seq, n := range cut {
-			if total := int64(len(r.fresh[seq].Input)); n != total {
+			if total := r.fresh[seq].Len; n != total {
 				return fmt.Errorf("round: ranges cut from fresh item %d hold %d of its %d bytes", seq, n, total)
 			}
 		}
@@ -633,11 +646,12 @@ func (r *walReducer) fold(rec walRecord) error {
 			if !ok || src.JobID != p.JobID {
 				return fmt.Errorf("partial: remainder of key %d, which is not an open range of job %d", p.Key, p.JobID)
 			}
-			if p.Offset < 0 || p.Offset >= int64(len(src.Input)) {
-				return fmt.Errorf("partial: remainder of key %d from offset %d of %d bytes", p.Key, p.Offset, len(src.Input))
+			if p.Offset < 0 || p.Offset >= src.Len {
+				return fmt.Errorf("partial: remainder of key %d from offset %d of %d bytes", p.Key, p.Offset, src.Len)
 			}
 			r.fresh[p.RemainderSeq] = &walItemRec{
-				Seq: p.RemainderSeq, JobID: p.JobID, Input: src.Input[p.Offset:], Retries: p.Retries,
+				Seq: p.RemainderSeq, JobID: p.JobID, src: src.src, Off: src.Off + p.Offset, Len: src.Len - p.Offset,
+				Retries: p.Retries,
 			}
 			r.nextSeq = max(r.nextSeq, p.RemainderSeq)
 		}
@@ -709,7 +723,7 @@ func (r *walReducer) fold(rec walRecord) error {
 		case tab[id] != nil:
 			return fmt.Errorf("item record for sequence number %d, key %d, which is already held", p.Seq, p.Key)
 		}
-		tab[id] = &walItemRec{Seq: p.Seq, Key: p.Key, JobID: p.JobID, Input: p.Input,
+		tab[id] = &walItemRec{Seq: p.Seq, Key: p.Key, JobID: p.JobID, src: &p.Input, Len: int64(p.Input.Len()),
 			Atomic: p.Atomic, Retries: p.Retries, Partition: p.Partition}
 		r.nextSeq, r.nextKey = max(r.nextSeq, p.Seq), max(r.nextKey, p.Key)
 	default:
@@ -840,8 +854,11 @@ func (m *Master) walSnapshotLocked(w io.Writer) error { return m.snapshot(w) }
 // ascending ID order, so equal states cut to equal records, and keys and
 // sequence numbers are kept: the log that continues refers to them. No
 // record is larger than the logged one whose state it carries, so a cut
-// of any size frames like the log it replaces.
-func (r *walReducer) cut() []walRecord {
+// of any size frames like the log it replaces. Held bytes go out as they
+// are held; a range of a source held only coded is decoded to be coded
+// again, which, the coder being deterministic, writes what the primary's
+// cut of the same state writes.
+func (r *walReducer) cut() ([]walRecord, error) {
 	recs := []walRecord{&walCutHead{NextJobID: r.nextJobID, NextSeq: r.nextSeq,
 		NextKey: r.nextKey, NextPhoneID: r.nextPhoneID}}
 	if r.epoch != 0 {
@@ -864,8 +881,13 @@ func (r *walReducer) cut() []walRecord {
 			recs = append(recs, &walReport{JobID: id, Partial: p})
 		}
 	}
+	raws := map[*wire.Held][]byte{} // sources decoded for this cut
 	for _, it := range append(byID(r.fresh), byID(r.open)...) {
-		recs = append(recs, &walCutItem{Seq: it.Seq, Key: it.Key, JobID: it.JobID, Input: it.Input,
+		input, err := it.section(raws)
+		if err != nil {
+			return nil, fmt.Errorf("cutting item %d, key %d: %w", it.Seq, it.Key, err)
+		}
+		recs = append(recs, &walCutItem{Seq: it.Seq, Key: it.Key, JobID: it.JobID, Input: input,
 			Atomic: it.Atomic, Retries: it.Retries, Partition: it.Partition})
 		if it.Resume != nil {
 			recs = append(recs, &walMigrate{JobID: it.JobID, Key: it.Key, Resume: it.Resume,
@@ -876,12 +898,47 @@ func (r *walReducer) cut() []walRecord {
 		recs = append(recs, &walDeadLetterRec{JobID: d.JobID, Task: d.Task, Bytes: d.Bytes,
 			Retries: d.Retries, Reason: d.Reason})
 	}
-	return recs
+	return recs, nil
+}
+
+// input is the range's bytes raw, or nil while its source is held coded.
+func (e *walItemRec) input() []byte {
+	if e.src.N != 0 {
+		return nil
+	}
+	end := e.Off + e.Len
+	return e.src.Bytes[e.Off:end:end]
+}
+
+// section is the range's bytes as a cut logs them: the source as it is
+// held when the range is all of it, else the range raw, from the source
+// decoded once a cut (raws) when it is held only coded.
+func (e *walItemRec) section(raws map[*wire.Held][]byte) (wire.Held, error) {
+	if e.Off == 0 && e.Len == int64(e.src.Len()) {
+		return *e.src, nil
+	}
+	if b := e.input(); b != nil {
+		return wire.Held{Bytes: b}, nil
+	}
+	raw, ok := raws[e.src]
+	if !ok {
+		var err error
+		if raw, err = e.src.Raw(); err != nil {
+			return wire.Held{}, err
+		}
+		raws[e.src] = raw
+	}
+	end := e.Off + e.Len
+	return wire.Held{Bytes: raw[e.Off:end:end]}, nil
 }
 
 // snapshot writes r's cut as framed records.
 func (r *walReducer) snapshot(w io.Writer) error {
-	_, err := (&Cut{recs: r.cut()}).WriteTo(w)
+	recs, err := r.cut()
+	if err != nil {
+		return err
+	}
+	_, err = (&Cut{recs: recs}).WriteTo(w)
 	return err
 }
 
@@ -889,8 +946,12 @@ func (r *walReducer) snapshot(w io.Writer) error {
 // it (walReducer.cut), taken in one step of the master's loop. Its
 // records share the state's bytes, which nothing rewrites once logged, so
 // a Cut is framed and written off the loop: its size costs the loop
-// nothing, and no buffer holds it whole.
-type Cut struct{ recs []walRecord }
+// nothing, and no buffer holds it whole. err is why the cut could not be
+// taken; WriteTo returns it.
+type Cut struct {
+	recs []walRecord
+	err  error
+}
 
 // Len is the number of records in the cut.
 func (c *Cut) Len() int { return len(c.recs) }
@@ -898,6 +959,9 @@ func (c *Cut) Len() int { return len(c.recs) }
 // WriteTo frames the cut's records, in order, and writes each to w as
 // one Write.
 func (c *Cut) WriteTo(w io.Writer) (int64, error) {
+	if c.err != nil {
+		return 0, c.err
+	}
 	var n int64
 	for _, rec := range c.recs {
 		f, err := walFrame(rec)
@@ -978,10 +1042,12 @@ func (m *Master) RecoverWAL() error {
 // as folded, and rebuilds the queue from it: an item per fresh entry,
 // then a queued copy per open range — under its old key, though the old
 // master's attempts can never reach this one, because the key is what
-// the log that continues from here calls the range. A fully covered job
-// is finished from its partials, as the round sweep finished it (or
-// would have, had the crash come later); nothing is counted or traced,
-// because the job is not completing now.
+// the log that continues from here calls the range. Each queued range's
+// source is decoded here, once for every range cut from it; a consumed
+// input is never decoded. A fully covered job is finished from its
+// partials, as the round sweep finished it (or would have, had the crash
+// come later); nothing is counted or traced, because the job is not
+// completing now.
 func (m *Master) installWALState(red *walReducer) error {
 	for id, js := range red.jobs {
 		task, err := tasks.New(js.Task, js.Params)
@@ -999,6 +1065,13 @@ func (m *Master) installWALState(red *walReducer) error {
 		js, ok := red.jobs[it.JobID]
 		if !ok {
 			return fmt.Errorf("server: wal recovery: item references unknown job %d", it.JobID)
+		}
+		if it.src.N != 0 {
+			raw, err := it.src.Raw()
+			if err != nil {
+				return fmt.Errorf("server: wal recovery: decoding job %d's input: %w", it.JobID, err)
+			}
+			*it.src = wire.Held{Bytes: raw}
 		}
 		it.queued = it.Key != 0
 		pending[i] = itemOf(js, it)
@@ -1025,7 +1098,10 @@ func (m *Master) installWALState(red *walReducer) error {
 // inside the cut is shipped again. activate must never call a Master
 // method.
 func (m *Master) ReplicaSnapshot(activate func(cut *Cut)) {
-	m.do(func() { activate(&Cut{recs: m.cut()}) })
+	m.do(func() {
+		recs, err := m.cut()
+		activate(&Cut{recs: recs, err: err})
+	})
 }
 
 // WALFold incrementally folds WAL records exactly as RecoverWAL replays
@@ -1048,14 +1124,10 @@ func (f *WALFold) Reset() { f.red, f.applied = newWALReducer(), 0 }
 
 // Apply folds one record. An undecodable or inconsistent record is the
 // caller's cue to drop the stream and resync from a fresh cut. The fold
-// keeps none of rec's bytes, so the caller may reuse them once Apply
-// returns.
+// keeps what it holds of rec's payload where it lies, a coded section as
+// it came, so rec is the fold's: the caller must not reuse its bytes.
 func (f *WALFold) Apply(rec wal.Record) error {
-	v, err := decodeWAL(rec, true)
-	if err == nil {
-		err = f.red.fold(v)
-	}
-	if err != nil {
+	if err := f.red.apply(rec); err != nil {
 		return err
 	}
 	f.applied++

@@ -431,8 +431,8 @@ func TestWALHostileRecords(t *testing.T) {
 	prime := func() *walReducer {
 		r := newWALReducer()
 		r.jobs[1] = &walJobRec{ID: 1, Task: "primecount", TotalBytes: 14}
-		r.fresh[1] = &walItemRec{Seq: 1, JobID: 1, Input: []byte("2\n3\n5\n7\n")}
-		r.open[1] = &walItemRec{Key: 1, JobID: 1, Input: []byte("11\n13\n"), Atomic: true}
+		r.fresh[1] = rawItem(walItemRec{Seq: 1, JobID: 1}, "2\n3\n5\n7\n")
+		r.open[1] = rawItem(walItemRec{Key: 1, JobID: 1, Atomic: true}, "11\n13\n")
 		return r
 	}
 	wholeRound := encodeWAL(t, &walRound{Items: []walRoundItem{{Key: 2, FromSeq: 1, Len: 8}}})
@@ -515,17 +515,17 @@ func TestWALHostileRecords(t *testing.T) {
 	for _, rec := range []wal.Record{
 		{Type: walRecRound, Payload: encodeWAL(t, &walRound{Items: []walRoundItem{
 			{Key: 2, FromSeq: 1, Len: 4}, {Key: 3, FromSeq: 1, Off: 4, Len: 4}, {Key: 1, Retries: 1}}})},
-		{Type: walRecPartial, Payload: encodeWAL(t, &walPartialRec{JobID: 1, Key: 1, Offset: 3, Partial: []byte("1"), RemainderSeq: 2, Retries: 2})},
+		{Type: walRecPartial, Payload: encodeWAL(t, &walPartialRec{JobID: 1, Key: 1, Offset: 3, Partial: wire.Held{Bytes: []byte("1")}, RemainderSeq: 2, Retries: 2})},
 		{Type: walRecMigrate, Payload: encodeWAL(t, &walMigrate{JobID: 1, Key: 3, Resume: &tasks.Checkpoint{Offset: 2, State: []byte("s")}, Retries: 1})},
 	} {
 		if err := r.apply(rec); err != nil {
 			t.Fatalf("well-formed record type %d refused: %v", rec.Type, err)
 		}
 	}
-	if got := string(r.open[3].Input); got != "5\n7\n" {
+	if got := string(r.open[3].input()); got != "5\n7\n" {
 		t.Errorf("key 3 resolved to %q, want the item's second half", got)
 	}
-	if got := string(r.fresh[2].Input); got != "13\n" || r.fresh[2].Retries != 2 {
+	if got := string(r.fresh[2].input()); got != "13\n" || r.fresh[2].Retries != 2 {
 		t.Errorf("remainder resolved to %q (retries %d), want 13\\n (2)", got, r.fresh[2].Retries)
 	}
 	if ck := r.open[3].Resume; ck == nil || ck.Offset != 2 || string(ck.State) != "s" || r.open[3].Retries != 1 {
@@ -536,9 +536,86 @@ func TestWALHostileRecords(t *testing.T) {
 	}
 }
 
+// corruptCodedRecords are a submit, a report and a cut item, each valid
+// against primedReducer's state but for its coded section: a stream with
+// a padding bit set, a stream cut short, or a code table that is not a
+// complete code. Each is framed as the log frames it: a held section is
+// written through as it is.
+func corruptCodedRecords(tb testing.TB) map[string]wal.Record {
+	// 63 lines of four primes code to a stream whose last byte ends in
+	// padding (64 would fill it).
+	text := bytes.Repeat([]byte("13\n17\n19\n23\n"), 63)
+	good, ok := wire.AppendCoded(nil, text)
+	if !ok {
+		tb.Fatal("the text did not code")
+	}
+	sections := map[string][]byte{
+		"padding bit set": append(bytes.Clone(good[:len(good)-1]), good[len(good)-1]|0x80),
+		"stream cut":      good[:len(good)-2],
+		// '1' is byte value 49, the high nibble of table byte 24.
+		"incomplete code table": append(append(bytes.Clone(good[:24]), good[24]&0x0f), good[25:]...),
+	}
+	out := map[string]wal.Record{}
+	for what, sec := range sections {
+		held := wire.Held{Bytes: sec, N: len(text)}
+		for _, rec := range []walRecord{
+			&walSubmit{JobID: 2, Seq: 2, Task: "primecount", Input: held},
+			&walReport{JobID: 1, Key: 1, Bytes: 6, Partial: held},
+			&walCutItem{Seq: 2, JobID: 1, Input: held},
+		} {
+			out[fmt.Sprintf("%T, %s", rec, what)] = wal.Record{Type: rec.typ(), Payload: encodeWAL(tb, rec)}
+		}
+	}
+	return out
+}
+
+// TestCorruptCodedSectionRefusedAtItsRecord: replay and the standby keep a
+// coded section coded, but still decode it once, at the record that
+// carries it. So a section that does not decode fails that record, in
+// walReducer.apply and in WALFold.Apply alike, and leaves the state as
+// it was, not a later record that happens to need its bytes.
+func TestCorruptCodedSectionRefusedAtItsRecord(t *testing.T) {
+	snap := func(r *walReducer) []byte {
+		var b bytes.Buffer
+		if err := r.snapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	before := snap(primedReducer())
+	for name, rec := range corruptCodedRecords(t) {
+		r := primedReducer()
+		if err := r.apply(rec); err == nil || !strings.Contains(err.Error(), "corrupt coded section") {
+			t.Errorf("%s: apply = %v, want the coded section refused", name, err)
+		}
+		if !bytes.Equal(snap(r), before) {
+			t.Errorf("%s: the refused record changed the replayed state", name)
+		}
+		f := &WALFold{red: primedReducer()}
+		if err := f.Apply(rec); err == nil || !strings.Contains(err.Error(), "corrupt coded section") {
+			t.Errorf("%s: WALFold.Apply = %v, want the coded section refused", name, err)
+		}
+		if !bytes.Equal(snap(f.red), before) || f.Applied() != 0 {
+			t.Errorf("%s: the refused record changed the standby's state", name)
+		}
+	}
+	// The same records with their sections intact fold: what is refused
+	// above is the coded stream.
+	text := bytes.Repeat([]byte("13\n17\n19\n23\n"), 63)
+	for _, rec := range []walRecord{
+		&walSubmit{JobID: 2, Seq: 2, Task: "primecount", Input: wire.Held{Bytes: text}},
+		&walReport{JobID: 1, Key: 1, Bytes: 6, Partial: wire.Held{Bytes: text}},
+		&walCutItem{Seq: 2, JobID: 1, Input: wire.Held{Bytes: text}},
+	} {
+		if err := primedReducer().apply(wal.Record{Type: rec.typ(), Payload: encodeWAL(t, rec)}); err != nil {
+			t.Errorf("%T with its section intact: %v", rec, err)
+		}
+	}
+}
+
 // TestWALRecordLayout pins the byte layout docs/protocol.md draws.
 func TestWALRecordLayout(t *testing.T) {
-	got := encodeWAL(t, &walSubmit{JobID: 1, Seq: 1, Task: "primecount", Input: []byte("2\n3\n5\n7\n")})
+	got := encodeWAL(t, &walSubmit{JobID: 1, Seq: 1, Task: "primecount", Input: wire.Held{Bytes: []byte("2\n3\n5\n7\n")}})
 	header := "\x08\x02\x10\x02\x1a\x0aprimecount\x28\x08"
 	if want := framed(header, "2\n3\n5\n7\n"); !bytes.Equal(got, want) {
 		t.Fatalf("submit payload =\n%q, want\n%q", got, want)

@@ -116,30 +116,16 @@ const streamChunk = 1 << 20 // 1 MiB
 //     mismatch; the stream is unrecoverable past this point.
 type StreamReader struct {
 	r io.Reader
-	// last is the frame Next returned last; spare is a buffer Recycle
-	// handed back, which the next record is read into.
-	last, spare []byte
 }
 
 // NewStreamReader wraps r. The reader is consumed record by record; for
 // unbuffered sources (a net.Conn) wrap it in a bufio.Reader first.
 func NewStreamReader(r io.Reader) *StreamReader { return &StreamReader{r: r} }
 
-// Recycle hands the buffer of the last frame Next returned back to the
-// reader, which reads the next record into it. Call it only once nothing
-// holds that frame or its record's payload. A frame larger than a pooled
-// one is not kept.
-func (s *StreamReader) Recycle() {
-	if cap(s.last) <= maxPooledFrame {
-		s.spare = s.last
-	}
-	s.last = nil
-}
-
 // Next returns the next complete record and the whole frame it came
 // in, checked, for a log that keeps it verbatim (AppendFrame). The
-// record's payload is a sub-slice of the frame, which stays the caller's
-// unless it calls Recycle.
+// record's payload is a sub-slice of the frame, which is the caller's:
+// each record is read into a buffer of its own.
 func (s *StreamReader) Next() (Record, []byte, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(s.r, hdr[:]); err != nil {
@@ -150,10 +136,7 @@ func (s *StreamReader) Next() (Record, []byte, error) {
 	if n < 1 || n > MaxRecordBytes {
 		return Record{}, nil, fmt.Errorf("%w: stream record declares invalid length %d", ErrCorrupt, n)
 	}
-	// A recycled buffer grows as append grows it, so records of slowly
-	// rising size reallocate it a logarithmic number of times, not each.
-	frame := append(slices.Grow(s.spare[:0], headerSize+min(n, streamChunk)), hdr[:]...)
-	s.spare = nil
+	frame := append(make([]byte, 0, headerSize+min(n, streamChunk)), hdr[:]...)
 	for len(frame) < headerSize+n {
 		off := len(frame)
 		k := min(headerSize+n-off, streamChunk)
@@ -169,6 +152,5 @@ func (s *StreamReader) Next() (Record, []byte, error) {
 	if sum := binary.LittleEndian.Uint32(hdr[4:]); sum != crc32.ChecksumIEEE(body) {
 		return Record{}, nil, fmt.Errorf("%w: stream record checksum mismatch", ErrCorrupt)
 	}
-	s.last = frame
 	return Record{Type: body[0], Payload: body[1:]}, frame, nil
 }

@@ -278,7 +278,7 @@ func AppendCoded(dst, src []byte) ([]byte, bool) {
 // errCode is a coded section that does not decode.
 var errCode = errors.New("wire: corrupt coded section")
 
-// decoder is DecodeCoded's tables.
+// decoder is DecodeCoded's tables, and where it is in the stream.
 type decoder struct {
 	h      huffman
 	single [1 << (maxCodeBits - 1)]uint16
@@ -289,12 +289,53 @@ type decoder struct {
 	// to 10 the two levels take at most 2^k + 2^(18-k) <= 2^11 entries,
 	// and at k = 11 there are no blocks.
 	table [1 << maxCodeBits]uint32
+	mask  uint64 // the first level's, 2^k-1
+
+	// The stream, and how far into it the decode is: acc holds the bits
+	// not yet decoded, nb of them, and where it holds more above them
+	// they are the stream's from byte pos on.
+	stream []byte
+	raw    int // the bytes it decodes to
+	acc    uint64
+	nb     uint
+	pos    int
 }
 
 // DecodeCoded decodes the coded section sec into dst, whose length is the
 // raw length. The table must hold a complete code, and the stream must
 // end on the byte that holds the last code's last bit, padded with zeros.
 func DecodeCoded(dst, sec []byte) error {
+	var d decoder
+	if err := d.init(sec, len(dst)); err != nil {
+		return err
+	}
+	d.decode(dst)
+	return d.end()
+}
+
+// checkWindow is how many bytes CheckCoded decodes at a time.
+const checkWindow = 4 << 10
+
+// CheckCoded reports whether sec decodes to raw bytes: it refuses
+// exactly what DecodeCoded into a buffer of raw bytes would, and decodes
+// as much, but a window at a time into a buffer of its own that it
+// neither grows nor keeps. A receiver that holds a section coded checks
+// it here, at no cost in memory.
+func CheckCoded(sec []byte, raw int) error {
+	var d decoder
+	if err := d.init(sec, raw); err != nil {
+		return err
+	}
+	var window [checkWindow]byte
+	for ; raw > 0; raw -= checkWindow {
+		d.decode(window[:min(raw, checkWindow)])
+	}
+	return d.end()
+}
+
+// init reads sec's code table and builds the tables to decode raw bytes
+// from the stream behind it.
+func (d *decoder) init(sec []byte, raw int) error {
 	if len(sec) < lensBytes {
 		return fmt.Errorf("%w: %d bytes hold no code table", errCode, len(sec))
 	}
@@ -318,10 +359,10 @@ func DecodeCoded(dst, sec []byte) error {
 	// the raw length: 2^k is about one entry per eight bytes decoded, from
 	// 2^8 up to 2^11, so building the tables costs in step with the bytes
 	// they decode. A code longer than k bits takes a second lookup.
-	k := uint(min(max(bits.Len(uint(len(dst)))-4, 8), maxCodeBits))
-	var d decoder
+	k := uint(min(max(bits.Len(uint(raw))-4, 8), maxCodeBits))
 	d.build(&lens, k)
-	return d.decode(dst, sec[lensBytes:], 1<<k-1)
+	d.mask, d.stream, d.raw = 1<<k-1, sec[lensBytes:], raw
+	return nil
 }
 
 // build fills the tables for the code lens, with a first level of k bits.
@@ -396,13 +437,11 @@ func (d *decoder) step(dst []byte, out *int, acc *uint64, nb *uint, mask uint64)
 	return e
 }
 
-// decode decodes stream into dst through the tables build filled; mask
-// is the first level's, 2^k-1.
-func (d *decoder) decode(dst, stream []byte, mask uint64) error {
-	mask &= 1<<maxCodeBits - 1 // which lets the compiler drop the lookups' bounds checks
-	var acc uint64
-	var nb uint // bits of acc not yet decoded
-	pos, out := 0, 0
+// decode decodes the next len(dst) bytes into dst, through the tables
+// build filled, from where the last decode left the stream.
+func (d *decoder) decode(dst []byte) {
+	mask := d.mask & (1<<maxCodeBits - 1) // which lets the compiler drop the lookups' bounds checks
+	stream, acc, nb, pos, out := d.stream, d.acc, d.nb, d.pos, 0
 	// Each lookup stores two bytes, whether or not both are its entry's:
 	// five of them need ten bytes of dst left.
 	for out+10 <= len(dst) && pos+8 <= len(stream) {
@@ -430,10 +469,10 @@ func (d *decoder) decode(dst, stream []byte, mask uint64) error {
 		}
 	}
 	// The last bytes take one code a lookup: an entry's second code there
-	// could be the padding's.
+	// could be the padding's, or the next window's.
 	for ; out < len(dst); out++ {
-		// Past the stream's end the bits read as zeros; the check below
-		// refuses a stream that needed them.
+		// Past the stream's end the bits read as zeros; end refuses a
+		// stream that needed them.
 		for ; nb <= 56; nb += 8 {
 			if pos < len(stream) {
 				acc |= uint64(stream[pos]) << nb
@@ -449,13 +488,19 @@ func (d *decoder) decode(dst, stream []byte, mask uint64) error {
 		acc >>= l
 		nb -= uint(l)
 	}
-	used := pos*8 - int(nb)
+	d.acc, d.nb, d.pos = acc, nb, pos
+}
+
+// end checks that the stream ends where the decode did: on the byte that
+// holds the last code's last bit, padded with zeros.
+func (d *decoder) end() error {
+	used, n := d.pos*8-int(d.nb), len(d.stream)
 	switch {
-	case used > len(stream)*8:
-		return fmt.Errorf("%w: stream of %d bytes ends before %d bytes decode", errCode, len(stream), len(dst))
-	case (used+7)/8 != len(stream):
-		return fmt.Errorf("%w: %d stream bytes after the last code", errCode, len(stream)-(used+7)/8)
-	case acc&(1<<(len(stream)*8-used)-1) != 0:
+	case used > n*8:
+		return fmt.Errorf("%w: stream of %d bytes ends before %d bytes decode", errCode, n, d.raw)
+	case (used+7)/8 != n:
+		return fmt.Errorf("%w: %d stream bytes after the last code", errCode, n-(used+7)/8)
+	case d.acc&(1<<(n*8-used)-1) != 0:
 		return fmt.Errorf("%w: non-zero bits after the last code", errCode)
 	}
 	return nil

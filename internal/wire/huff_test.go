@@ -173,13 +173,17 @@ func refDecode(dst, sec []byte) error {
 }
 
 // sameDecode fails t unless DecodeCoded and refDecode both refuse sec as
-// a section of raw bytes, or both accept it and decode the same bytes.
+// a section of raw bytes, or both accept it and decode the same bytes;
+// and unless CheckCoded refuses it with DecodeCoded's error, or takes it.
 func sameDecode(t *testing.T, sec []byte, raw int) {
 	t.Helper()
 	got, want := make([]byte, raw), make([]byte, raw)
 	err, refErr := wire.DecodeCoded(got, sec), refDecode(want, sec)
 	if (err == nil) != (refErr == nil) {
 		t.Fatalf("a %d-byte section as %d raw bytes: err = %v, the reference's = %v", len(sec), raw, err, refErr)
+	}
+	if checkErr := wire.CheckCoded(sec, raw); fmt.Sprint(checkErr) != fmt.Sprint(err) {
+		t.Fatalf("a %d-byte section as %d raw bytes: CheckCoded says %v, DecodeCoded %v", len(sec), raw, checkErr, err)
 	}
 	if err == nil && !bytes.Equal(got, want) {
 		t.Fatalf("a %d-byte section as %d raw bytes decodes unlike the reference", len(sec), raw)
@@ -202,6 +206,9 @@ func roundTrip(t *testing.T, src []byte) bool {
 	got := make([]byte, len(src))
 	if err := wire.DecodeCoded(got, sec); err != nil {
 		t.Fatalf("decoding what was coded: %v", err)
+	}
+	if err := wire.CheckCoded(sec, len(src)); err != nil {
+		t.Fatalf("checking what was coded: %v", err)
 	}
 	if !bytes.Equal(got, src) {
 		t.Fatal("decode(code(x)) != x")
@@ -236,6 +243,20 @@ func TestCodeRoundTrip(t *testing.T) {
 		if got := roundTrip(t, tc.src); got != tc.coded {
 			t.Errorf("%s: coded %v, want %v", name, got, tc.coded)
 		}
+	}
+}
+
+// CheckCoded decodes through a window of its own, on its stack: checking
+// a section of any size allocates nothing.
+func TestCheckCodedAllocatesNothing(t *testing.T) {
+	src := codedInputs(t, 256)["text"]
+	sec, _ := wire.AppendCoded(nil, src)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := wire.CheckCoded(sec, len(src)); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("checking a %d-byte section allocated %.0f times, want 0", len(src), allocs)
 	}
 }
 
@@ -336,6 +357,12 @@ func TestDecodeCodedEdges(t *testing.T) {
 	for raw := range 1010 {
 		sameDecode(t, zs, raw)
 	}
+	// CheckCoded decodes 4 KiB at a time: a section whose end falls just
+	// before, at and just past a window's is checked as it decodes.
+	zs, _ = wire.AppendCoded(nil, bytes.Repeat([]byte{'z'}, 2*4096))
+	for _, raw := range []int{4095, 4096, 4097, 8183, 8191, 8192, 8193} {
+		sameDecode(t, zs, raw)
+	}
 }
 
 // FuzzCode: decode(code(x)) == x for every input that codes, and its
@@ -394,6 +421,26 @@ func BenchmarkDecodeCoded(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(len(sec))/float64(len(src)), "ratio")
+			})
+		}
+	}
+}
+
+// BenchmarkCheckCoded is the decode replay and a standby spend on each
+// section they hold coded.
+func BenchmarkCheckCoded(b *testing.B) {
+	for _, kb := range []float64{4, 1024} {
+		for kind, src := range codedInputs(b, kb) {
+			b.Run(fmt.Sprintf("%s/%gKB", kind, kb), func(b *testing.B) {
+				sec, _ := wire.AppendCoded(nil, src)
+				b.SetBytes(int64(len(src)))
+				b.ResetTimer()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := wire.CheckCoded(sec, len(src)); err != nil {
+						b.Fatal(err)
+					}
+				}
 			})
 		}
 	}

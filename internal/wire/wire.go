@@ -13,7 +13,8 @@
 // order the header lists them, so a receiver hands them out as
 // sub-slices of one buffer. One section of a unit may travel Huffman-
 // coded (huff.go), when that makes it smaller; a raw-length field then
-// says what it decodes to.
+// says what it decodes to. A receiver may unpack it or hold it as it
+// came (Held).
 //
 // A type names its fields once, in a Wire method that both encodes and
 // decodes. Fields go in ascending tag order, and a zero value is written
@@ -73,9 +74,12 @@ type Codec struct {
 	// The section that travels coded (nil: none), its wire length and the
 	// raw length it decodes to; encoding, huff is its code. Decoding, a
 	// section Coded lists is a candidate until RawLen gives its length.
+	// held is the Held the coded section belongs to, if any: encoding, its
+	// coded bytes are written through; decoding, they stay coded.
 	coded      *[]byte
 	zlen, rlen int
 	huff       huffman
+	held       *Held
 
 	// Decoding: hdr[pos:end] is the current message left to read, tag and
 	// wt the key of the field at pos (tag 0 at the message's end), body
@@ -109,12 +113,12 @@ func (c *Codec) failf(format string, args ...any) {
 // returns the whole, valid until c is reused.
 func Encode(c *Codec, prefix int, v Fields) ([]byte, error) {
 	c.dec, c.err, c.last, c.raw, c.secs = false, nil, 0, 0, c.secs[:0]
-	c.coded, c.rlen = nil, 0
+	c.coded, c.rlen, c.held = nil, 0, nil
 	c.buf = append(c.buf[:0], zeros[:prefix+4]...)
 	v.Wire(c)
 	defer func() { // the pool must not pin the caller's message
 		clear(c.secs)
-		c.coded = nil
+		c.coded, c.held = nil, nil
 	}()
 	if c.coded != nil && c.rlen == 0 {
 		c.failf("a coded section without a raw length")
@@ -129,7 +133,7 @@ func Encode(c *Codec, prefix int, v Fields) ([]byte, error) {
 	}
 	c.buf = slices.Grow(c.buf, need)
 	for _, s := range c.secs {
-		if s == c.coded {
+		if s == c.coded && c.held == nil {
 			c.buf = c.huff.encode(c.buf, *s)
 		} else {
 			c.buf = append(c.buf, *s...)
@@ -162,13 +166,13 @@ func EncodeTo(c *Codec, buf []byte, prefix int, v Fields) ([]byte, error) {
 func DecodeHeader(c *Codec, hdr []byte, body int, v Fields) error {
 	c.dec, c.err, c.secs, c.lens = true, nil, c.secs[:0], c.lens[:0]
 	c.hdr, c.pos, c.end, c.body = hdr, 0, 0, body
-	c.coded, c.rlen = nil, 0
+	c.coded, c.rlen, c.held = nil, 0, nil
 	message(c, len(hdr), v)
 	if c.err == nil && c.body != 0 {
 		c.failf("%d bytes after the last section", c.body)
 	}
 	if c.err != nil || c.rlen == 0 {
-		c.coded, c.rlen = nil, 0
+		c.coded, c.rlen, c.held = nil, 0, nil
 	}
 	if c.err != nil {
 		clear(c.secs)
@@ -193,7 +197,7 @@ func (c *Codec) Sections(body []byte) {
 func (c *Codec) Unpack(dst, body []byte) error {
 	defer func() {
 		clear(c.secs)
-		c.coded = nil
+		c.coded, c.held = nil, nil
 	}()
 	for i, p := range c.secs {
 		n := c.lens[i]
@@ -212,15 +216,16 @@ func (c *Codec) Unpack(dst, body []byte) error {
 }
 
 // Decode decodes a whole unit into v, which must be zero; its sections
-// are sub-slices of unit, or, when one travels coded, of a buffer of
-// their own.
-func Decode(unit []byte, v Fields) error { return DecodeWithin(unit, v, math.MaxInt, false) }
+// are sub-slices of unit, or, when one travels coded and is not held, of
+// a buffer of their own.
+func Decode(unit []byte, v Fields) error { return DecodeWithin(unit, v, math.MaxInt) }
 
 // DecodeWithin is Decode for a unit that may take at most limit bytes
 // decoded, coded sections raw: a larger one is refused before any buffer
-// is made for it. With own set, the sections always land in a buffer of
-// their own, so the caller may reuse unit once it returns.
-func DecodeWithin(unit []byte, v Fields, limit int, own bool) error {
+// is made for it. A coded section that is held is checked (CheckCoded)
+// and left coded, a sub-slice of unit like a raw one, so it costs no
+// buffer at all.
+func DecodeWithin(unit []byte, v Fields, limit int) error {
 	if len(unit) < 4 {
 		return fmt.Errorf("%d bytes have no header length", len(unit))
 	}
@@ -238,12 +243,35 @@ func DecodeWithin(unit []byte, v Fields, limit int, own bool) error {
 	switch {
 	case len(unit)+x > limit:
 		clear(c.secs)
-		c.coded = nil
+		c.coded, c.held = nil, nil
 		return fmt.Errorf("a %d-byte unit decodes to %d bytes, over the %d-byte limit", len(unit), len(unit)+x, limit)
-	case x > 0 || own:
+	case c.held != nil:
+		return c.hold(body)
+	case x > 0:
 		return c.Unpack(make([]byte, len(body)+x), body)
 	}
 	c.Sections(body)
+	return nil
+}
+
+// hold is Sections for a unit whose coded section is held: the section is
+// checked, then left coded in its Held.
+func (c *Codec) hold(body []byte) error {
+	h, at := c.held, 0
+	c.held = nil
+	for i, p := range c.secs {
+		if p == c.coded {
+			break
+		}
+		at += c.lens[i]
+	}
+	if err := CheckCoded(body[at:at+c.zlen], c.rlen); err != nil {
+		clear(c.secs)
+		c.coded = nil
+		return err
+	}
+	c.Sections(body)
+	h.N, c.coded = c.rlen, nil
 	return nil
 }
 
@@ -490,13 +518,69 @@ func (c *Codec) Coded(tag int, p *[]byte, ok bool) {
 	}
 }
 
+// Held is a section a unit may carry coded, kept as the unit carried it:
+// Bytes, raw when N is zero, else coded, decoding to N bytes. Decoding
+// (DecodeWithin), a coded section stays coded; encoding, coded Bytes are
+// written through byte for byte, and raw ones are coded as Coded codes
+// them. The coder is deterministic, so both write what coding the raw
+// bytes would.
+type Held struct {
+	Bytes []byte
+	N     int
+}
+
+// Len is the section's raw length.
+func (h *Held) Len() int {
+	if h.N != 0 {
+		return h.N
+	}
+	return len(h.Bytes)
+}
+
+// Raw returns the section's raw bytes: Bytes, or, coded, Bytes decoded
+// into a buffer of their own.
+func (h *Held) Raw() ([]byte, error) {
+	if h.N == 0 {
+		return h.Bytes, nil
+	}
+	b := make([]byte, h.N)
+	if err := DecodeCoded(b, h.Bytes); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Held is Coded for a section the unit keeps as it travels: a coded one
+// is written through, or decoded coded, with RawLen still carrying its
+// raw length. A unit codes one section at most.
+func (c *Codec) Held(tag int, p *Held) {
+	if c.dec || p.N == 0 {
+		c.Coded(tag, &p.Bytes, true)
+		if c.dec && c.coded == &p.Bytes {
+			c.held = p
+		}
+		return
+	}
+	if !c.section(tag, &p.Bytes, len(p.Bytes)) {
+		return
+	}
+	if c.coded != nil {
+		c.failf("section %d: a second coded section", tag)
+	}
+	c.coded, c.zlen, c.held = &p.Bytes, len(p.Bytes), p
+}
+
 // RawLen is the raw length of the section that travels coded, absent
 // when none does. A coded stream spends a bit at least on each byte, so
 // the raw length is at most eight times the stream's; and coding is only
 // used where it shrinks a section, so it exceeds the coded length.
 func (c *Codec) RawLen(tag int) {
 	var n uint64
-	if c.coded != nil && !c.dec {
+	switch {
+	case c.dec || c.coded == nil:
+	case c.held != nil:
+		n = uint64(c.held.N)
+	default:
 		n = uint64(len(*c.coded))
 	}
 	v, ok := c.varint(tag, n)

@@ -210,3 +210,79 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 }
+
+// record has a WAL record's shape: a section held as it travels, and its
+// raw length in the last tag.
+type record struct {
+	ID   int
+	Body Held
+}
+
+func (r *record) Wire(c *Codec) {
+	Int(c, 1, &r.ID)
+	c.Held(2, &r.Body)
+	c.RawLen(3)
+}
+
+// A held section decodes as the unit carried it — coded when it travels
+// coded, raw when it does not — a sub-slice of the unit either way, and
+// encodes back to the same unit byte for byte, coded bytes written
+// through; Raw gives back the raw bytes.
+func TestHeldRoundTrip(t *testing.T) {
+	text := bytes.Repeat([]byte("inventory sale storm\n"), 40)
+	for name, raw := range map[string][]byte{"coded": text, "raw": []byte("17\n")} {
+		unit := encode(t, &record{ID: 7, Body: Held{Bytes: raw}})
+		var got record
+		if err := Decode(unit, &got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if coded := name == "coded"; (got.Body.N != 0) != coded || got.Body.Len() != len(raw) {
+			t.Errorf("%s: decoded %d bytes held with N %d, want it held coded %v", name, len(got.Body.Bytes), got.Body.N, coded)
+		}
+		if held := got.Body.Bytes; &held[0] != &unit[len(unit)-len(held)] {
+			t.Errorf("%s: the held bytes are a copy, not the unit's", name)
+		}
+		b, err := got.Body.Raw()
+		if err != nil || !bytes.Equal(b, raw) {
+			t.Errorf("%s: Raw() = %q (%v)", name, b, err)
+		}
+		if again := encode(t, &got); !bytes.Equal(again, unit) {
+			t.Errorf("%s: a held section re-encodes differently:\n got % x\nwant % x", name, again, unit)
+		}
+	}
+}
+
+// A held section is checked when it is decoded: a stream with a bad
+// padding bit, one cut short and a table short of a complete code are
+// refused there, as unpacking them would refuse them.
+func TestHeldSectionCheckedAtDecode(t *testing.T) {
+	unit := encode(t, &record{ID: 7, Body: Held{Bytes: bytes.Repeat([]byte{'z'}, 1001)}})
+	sec := len(unit) - (128 + 126) // 1001 one-bit codes: 126 stream bytes
+	cases := map[string]func(u []byte) []byte{
+		"padding bit": func(u []byte) []byte { u[len(u)-1] |= 0x80; return u },
+		"stream cut":  func(u []byte) []byte { return u[:len(u)-1] },
+		"table":       func(u []byte) []byte { u[sec+'z'/2] = 0; return u },
+	}
+	for name, edit := range cases {
+		bad := edit(bytes.Clone(unit))
+		var held, unpacked record
+		err := Decode(bad, &held)
+		if err == nil {
+			t.Errorf("%s: a held section that does not decode was taken", name)
+		}
+		// The same unit with the section not held is refused alike.
+		hdr := int(binary.BigEndian.Uint32(bad))
+		c := new(Codec)
+		if herr := DecodeHeader(c, bad[4:4+hdr], len(bad)-4-hdr, &unpacked); herr != nil {
+			if err == nil || err.Error() != herr.Error() {
+				t.Errorf("%s: held err %v, header err %v", name, err, herr)
+			}
+			continue
+		}
+		body := bad[4+hdr:]
+		uerr := c.Unpack(make([]byte, len(body)+c.Expansion()), body)
+		if uerr == nil || err == nil || err.Error() != uerr.Error() {
+			t.Errorf("%s: held err %v, unpacked err %v", name, err, uerr)
+		}
+	}
+}
