@@ -159,6 +159,8 @@ census:
 		"internal/lint $$($(call GOLINES,internal/lint))"
 	@echo "cwc-server flags:       $$(grep -cE 'flag\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/cwc-server/main.go)"
 	@echo "server.Config fields:   $$(sed -n '/^type Config struct {/,/^}/p' internal/server/server.go | grep -cE '^	[A-Z][A-Za-z]* ')"
+	@echo "cwc-worker flags:       $$(grep -cE 'flag\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/cwc-worker/main.go)"
+	@echo "worker.Config fields:   $$(sed -n '/^type Config struct {/,/^}/p' internal/worker/worker.go | grep -cE '^	[A-Z][A-Za-z]* ')"
 	@echo "frame types:            $$(grep -hE '^	Type[A-Za-z]+ +Type = "' internal/protocol/*.go | wc -l)"
 	@echo "WAL record types:       $$(grep -cE '^	walRec[A-Za-z]+ +uint8 = ' internal/server/wal.go) (declared live types; retired numbers stay reserved, unnamed)"
 	@echo "WAL writers:            $$(grep -h --exclude='*_test.go' 'm\.walWrite(' internal/server/*.go | wc -l) (non-test calls of m.walWrite)"

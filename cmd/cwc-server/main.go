@@ -42,7 +42,6 @@ func main() {
 		walSync   = flag.String("wal-sync", "always", "WAL fsync policy: always|interval|none")
 		walKB     = flag.Int("wal-compact-kb", 4096, "compact the WAL into a snapshot once its segments exceed this many KB")
 		ckptKB    = flag.Int("ckpt-kb", 256, "checkpoint-streaming interval announced to workers, in KB of input processed (negative: disable streaming)")
-		ckptEvery = flag.Duration("ckpt-every", 0, "additional wall-time checkpoint-streaming trigger announced to workers (0: byte trigger only)")
 		verifyK   = flag.Int("verify-replicas", 1, "replicated-voting factor k: execute every partition on k disjoint phones and quorum-vote the result digests (1: voting off)")
 		auditRate = flag.Float64("audit-rate", 0, "spot-check fraction of partitions silently re-executed on a second phone when voting is off (0: audits off)")
 		plugAware = flag.Bool("plug-aware", false, "plug-aware predictive placement: learn per-phone charge windows, veto placements that would cross the predicted unplug, and proactively drain closing windows")
@@ -113,7 +112,6 @@ func main() {
 		Addr:              *listen,
 		KeepalivePeriod:   *keepalive,
 		CheckpointEveryKB: *ckptKB,
-		CheckpointEvery:   *ckptEvery,
 		VerifyReplicas:    *verifyK,
 		AuditRate:         *auditRate,
 		PlugAware:         *plugAware,
@@ -135,7 +133,11 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		cfg.ListenerHook = func(ln net.Listener) net.Listener { return plan.WrapListener(ln) }
+		ln, err := net.Listen("tcp", *listen)
+		if err != nil {
+			fatalf("binding listener: %v", err)
+		}
+		cfg.Listener = plan.WrapListener(ln)
 		logger.Infof("fault injection active on the listener (accept-side faults use the 'phone *' profile)")
 	}
 	// One set of WAL options for whichever role opens the log: the
@@ -162,11 +164,13 @@ func main() {
 		if *walDir == "" {
 			fatalf("-standby-of requires -wal-dir")
 		}
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			fatalf("binding takeover listener: %v", err)
+		if cfg.Listener == nil {
+			ln, err := net.Listen("tcp", *listen)
+			if err != nil {
+				fatalf("binding takeover listener: %v", err)
+			}
+			cfg.Listener = ln
 		}
-		cfg.Listener = ln
 		st := replica.New(replica.StandbyOptions{
 			PrimaryAddr:  *standbyOf,
 			WALDir:       *walDir,
@@ -176,7 +180,7 @@ func main() {
 			Logger:       logger.With("sub", "standby"),
 			Metrics:      metrics,
 		})
-		logger.Infof("standby: following %s (lease %dms), takeover listener on %s", *standbyOf, *leaseMs, ln.Addr())
+		logger.Infof("standby: following %s (lease %dms), takeover listener on %s", *standbyOf, *leaseMs, cfg.Listener.Addr())
 		if err := st.Run(context.Background()); err != nil {
 			fatalf("standby: %v", err)
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -13,9 +14,11 @@ import (
 
 	"cwc/internal/faults"
 	"cwc/internal/obs"
+	"cwc/internal/protocol"
 	"cwc/internal/server"
 	"cwc/internal/tasks"
 	"cwc/internal/wal"
+	"cwc/internal/wire"
 	"cwc/internal/worker"
 )
 
@@ -73,15 +76,20 @@ func TestByzantineLiarFleetQuarantinedAcrossRecovery(t *testing.T) {
 	defer runCancel()
 	for i := 0; i < fleet; i++ {
 		model := fmt.Sprintf("honest-%d", i)
-		var wb worker.Byzantine
+		var dial faults.DialFunc
 		if s, ok := byz[i]; ok {
+			// A dialer of its own turns the worker's failover rotation
+			// off, so this one walks the list as the worker would, from
+			// where the worker's seeded rotation would start.
 			model = fmt.Sprintf("liar-%d", i)
-			wb = worker.Byzantine{
-				LiarProb:    s.LiarProb,
-				LazyProb:    s.LazyProb,
-				CorruptProb: s.CorruptProb,
-				Seed:        s.Seed,
-			}
+			addrs := strings.Split(failoverAddrs, ",")
+			next := rand.New(rand.NewSource(int64(61 + i))).Intn(len(addrs))
+			dial = byzantineDial(s, func(ctx context.Context) (net.Conn, error) {
+				addr := addrs[next%len(addrs)]
+				next++
+				var d net.Dialer
+				return d.DialContext(ctx, "tcp", addr)
+			})
 		}
 		w, err := worker.New(worker.Config{
 			ServerAddr: failoverAddrs,
@@ -89,7 +97,7 @@ func TestByzantineLiarFleetQuarantinedAcrossRecovery(t *testing.T) {
 			CPUMHz:     800 + 100*float64(i),
 			RAMMB:      512,
 			DelayPerKB: 2 * time.Millisecond,
-			Byzantine:  wb,
+			Dial:       dial,
 			Reconnect: worker.ReconnectPolicy{
 				BaseDelay:   20 * time.Millisecond,
 				MaxDelay:    150 * time.Millisecond,
@@ -318,5 +326,87 @@ func TestClusterCorruptResultCaughtByDigest(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("no claimed-digest mismatches recorded despite corrupt-result workers")
 		}
+	}
+}
+
+// frameRecorder is a connection that keeps a copy of every write.
+type frameRecorder struct {
+	net.Conn
+	frames [][]byte
+}
+
+func (r *frameRecorder) Write(b []byte) (int, error) {
+	r.frames = append(r.frames, append([]byte(nil), b...))
+	return len(b), nil
+}
+
+// sendThrough writes m on a connection byzantineDial made over a
+// recorder and returns the frame the recorder got, decoded, and its bytes.
+func sendThrough(t *testing.T, spec faults.ByzantineSpec, m *protocol.Message) (*protocol.Message, []byte) {
+	t.Helper()
+	rec := &frameRecorder{}
+	c, err := byzantineDial(spec, func(context.Context) (net.Conn, error) { return rec, nil })(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := protocol.NewConn(c).Send(m); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.frames) != 1 {
+		t.Fatalf("%d writes for one frame, want 1", len(rec.frames))
+	}
+	var got protocol.Message
+	if err := wire.Decode(rec.frames[0][4:], &got); err != nil {
+		t.Fatal(err)
+	}
+	return &got, rec.frames[0]
+}
+
+// The harness's byzantine connection rewrites result frames only, each as
+// its spec says: a liar's digest matches its wrong payload, a corrupt
+// payload's does not, a lazy phone reports "0" in no time, and every
+// other frame reaches the wire byte for byte as the phone wrote it.
+func TestByzantineDialRewritesResultsOnly(t *testing.T) {
+	always := faults.ByzantineSpec{LiarProb: 1, LazyProb: 1, CorruptProb: 1, Seed: 3}
+	honest := []byte("367 primes\n")
+	result := func() *protocol.Message {
+		return &protocol.Message{Type: protocol.TypeResult, JobID: 4, Partition: 1, Attempt: 7,
+			Result: honest, Digest: tasks.Digest(honest), ExecMs: 12.5, ProcessedKB: 3}
+	}
+
+	for _, m := range []*protocol.Message{
+		{Type: protocol.TypeHello, Model: "Nexus S", CPUMHz: 1000, RAMMB: 512},
+		{Type: protocol.TypeFailure, JobID: 4, Partition: 1, Attempt: 7, Error: "unplugged",
+			Checkpoint: &tasks.Checkpoint{Offset: 64, State: []byte(`{"count":3}`)}},
+		{Type: protocol.TypeCheckpoint, JobID: 4, Partition: 1, Seq: 2,
+			Checkpoint: &tasks.Checkpoint{Offset: 128, State: []byte(`{"count":5}`)}},
+		{Type: protocol.TypePong, Seq: 9},
+	} {
+		rec := &frameRecorder{}
+		if err := protocol.NewConn(rec).Send(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, got := sendThrough(t, always, m); !bytes.Equal(got, rec.frames[0]) {
+			t.Errorf("%s frame rewritten: % x, want % x", m.Type, got, rec.frames[0])
+		}
+	}
+
+	if got, _ := sendThrough(t, faults.ByzantineSpec{Seed: 3}, result()); !bytes.Equal(got.Result, honest) || got.Digest != tasks.Digest(honest) {
+		t.Errorf("honest spec changed the result: %q", got.Result)
+	}
+	got, _ := sendThrough(t, faults.ByzantineSpec{LiarProb: 1, Seed: 3}, result())
+	if bytes.Equal(got.Result, honest) || got.Digest != tasks.Digest(got.Result) {
+		t.Errorf("liar sent %q, want a wrong result that its digest matches", got.Result)
+	}
+	got, _ = sendThrough(t, faults.ByzantineSpec{CorruptProb: 1, Seed: 3}, result())
+	if bytes.Equal(got.Result, honest) || got.Digest == tasks.Digest(got.Result) || got.Digest != tasks.Digest(honest) {
+		t.Errorf("corrupt sent %q, want the honest result's digest over a changed payload", got.Result)
+	}
+	got, _ = sendThrough(t, faults.ByzantineSpec{LazyProb: 1, Seed: 3}, result())
+	if string(got.Result) != "0" || got.ExecMs != 0 || got.Digest != tasks.Digest([]byte("0")) {
+		t.Errorf("lazy sent %q in %v ms, want \"0\" in 0 ms with its digest", got.Result, got.ExecMs)
+	}
+	if got.JobID != 4 || got.Partition != 1 || got.Attempt != 7 || got.ProcessedKB != 3 {
+		t.Errorf("lazy result lost its identity: %+v", got)
 	}
 }

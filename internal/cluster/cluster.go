@@ -34,8 +34,10 @@ type Options struct {
 	ChargingStartPct  float64
 	// Faults, when set, injects the plan's deterministic faults into every
 	// link: worker i dials through Faults.Dialer(i, ...) and the master's
-	// listener is wrapped with Faults.WrapListener. Pair it with a
-	// Reconnect policy so workers ride out the injected failures.
+	// listener is wrapped with Faults.WrapListener. The phones its
+	// byzantine directives afflict rewrite their results at that dial.
+	// Pair it with a Reconnect policy so workers ride out the injected
+	// failures.
 	Faults *faults.Plan
 	// Reconnect is every worker's reconnection policy (zero values take
 	// the worker defaults). A nonzero Seed is offset per worker so the
@@ -73,13 +75,14 @@ func Start(ctx context.Context, opts Options) (*Cluster, error) {
 	cfg := opts.Server
 	cfg.Addr = "127.0.0.1:0"
 	if opts.Faults != nil {
-		prev := cfg.ListenerHook
-		cfg.ListenerHook = func(ln net.Listener) net.Listener {
-			if prev != nil {
-				ln = prev(ln)
+		ln := cfg.Listener
+		if ln == nil {
+			var err error
+			if ln, err = net.Listen("tcp", cfg.Addr); err != nil {
+				return nil, fmt.Errorf("cluster: %w", err)
 			}
-			return opts.Faults.WrapListener(ln)
 		}
+		cfg.Listener = opts.Faults.WrapListener(ln)
 	}
 	m := server.New(cfg)
 	if err := m.Start(); err != nil {
@@ -114,19 +117,13 @@ func Start(ctx context.Context, opts Options) (*Cluster, error) {
 				var d net.Dialer
 				return d.DialContext(ctx, "tcp", addr)
 			})
+			if s, ok := byz[i]; ok {
+				dial = byzantineDial(s, dial)
+			}
 		}
 		rc := opts.Reconnect
 		if rc.Seed != 0 {
 			rc.Seed += int64(i)
-		}
-		var wb worker.Byzantine
-		if s, ok := byz[i]; ok {
-			wb = worker.Byzantine{
-				LiarProb:    s.LiarProb,
-				LazyProb:    s.LazyProb,
-				CorruptProb: s.CorruptProb,
-				Seed:        s.Seed,
-			}
 		}
 		w, err := worker.New(worker.Config{
 			ServerAddr: m.Addr(),
@@ -137,7 +134,6 @@ func Start(ctx context.Context, opts Options) (*Cluster, error) {
 			Dial:       dial,
 			Charging:   charging,
 			Reconnect:  rc,
-			Byzantine:  wb,
 		})
 		if err != nil {
 			c.Stop()

@@ -16,28 +16,23 @@ type ByzDirective struct {
 	Prob float64 // per-result probability in (0,1]; parser defaults to 1
 }
 
-// ByzantineSpec is one phone's compute-layer misbehaviour, mirroring
-// the worker's Byzantine knobs without importing the worker package.
-// The zero value is an honest phone.
+// ByzantineSpec is one phone's compute-layer misbehaviour. The package
+// only carries it: a harness applies it above the framing, to the result
+// frames the phone writes. The zero value is an honest phone.
 type ByzantineSpec struct {
 	// LiarProb is the per-result probability of returning a plausible
 	// but wrong result with a matching (honestly computed) digest —
 	// the adversary replicated voting exists to catch.
 	LiarProb float64
-	// LazyProb is the per-result probability of returning a truncated
-	// result (the phone shirked part of the work).
+	// LazyProb is the per-result probability of reporting "0" computed
+	// in no time: the freeloader that banks reputation doing no work.
 	LazyProb float64
-	// CorruptProb is the per-result probability of flipping bytes in
+	// CorruptProb is the per-result probability of flipping one byte of
 	// the result after digesting it, so the claimed digest no longer
 	// matches the payload (in-transit damage, caught without voting).
 	CorruptProb float64
 	// Seed drives the phone's misbehaviour decisions deterministically.
 	Seed int64
-}
-
-// zero reports whether the spec describes an honest phone.
-func (b ByzantineSpec) zero() bool {
-	return b.LiarProb == 0 && b.LazyProb == 0 && b.CorruptProb == 0
 }
 
 // ByzantineFor expands the plan's byzantine directives over a fleet of

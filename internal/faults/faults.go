@@ -143,8 +143,9 @@ type Plan struct {
 	// Liar, LazyResult and CorruptResult script compute-layer
 	// misbehaviour over a seeded fraction of the fleet (see
 	// ByzantineFor). Like the control-plane faults above, the package
-	// only parses and carries them — the harness wiring workers maps
-	// the expanded specs onto each worker's byzantine knobs.
+	// only parses and carries them — the harness wiring workers applies
+	// the expanded specs to the result frames each afflicted phone
+	// writes.
 	Liar          ByzDirective
 	LazyResult    ByzDirective
 	CorruptResult ByzDirective
@@ -387,6 +388,17 @@ func (pl *Plan) WrapListener(ln net.Listener) *Listener {
 		plan:     pl,
 		rng:      rand.New(rand.NewSource(pl.Default.Seed ^ 0xacce97)),
 	}
+}
+
+// SetDeadline sets the wrapped listener's accept deadline, as a hot
+// standby paces its pre-promotion refusals with one. It fails when that
+// listener takes none.
+func (l *Listener) SetDeadline(t time.Time) error {
+	dl, ok := l.Listener.(interface{ SetDeadline(time.Time) error })
+	if !ok {
+		return fmt.Errorf("faults: %T takes no deadline", l.Listener)
+	}
+	return dl.SetDeadline(t)
 }
 
 // Accept refuses connections per the Default profile (closing them

@@ -283,6 +283,24 @@ func TestWrapListenerRefusesAndWraps(t *testing.T) {
 	}
 }
 
+// A standby paces the accept loop of its takeover listener, which a
+// harness may have wrapped, with a deadline.
+func TestWrapListenerPassesDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := (&Plan{}).WrapListener(ln)
+	defer fl.Close()
+	if err := fl.SetDeadline(time.Now().Add(10 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	var ne net.Error
+	if _, err := fl.Accept(); !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("Accept past the deadline = %v, want a timeout", err)
+	}
+}
+
 // Same profile seed + same write sequence => same injected decisions,
 // independent of wall-clock timing.
 func TestConnDecisionStreamDeterministic(t *testing.T) {

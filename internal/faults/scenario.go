@@ -49,8 +49,8 @@ import (
 // of the fleet in (0,1] that misbehaves; seeded selection via
 // Plan.Seed, see ByzantineFor) and prob (per-result misbehaviour
 // probability in (0,1], default 1). These are compute-layer faults —
-// wrong bytes over a perfect link — carried for the harness to map
-// onto worker byzantine knobs.
+// wrong bytes over a perfect link — carried for the harness to apply
+// to the afflicted phones' result frames.
 //
 // Errors name the offending line and token.
 func ParseScenario(src string) (*Plan, error) {

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -164,18 +163,3 @@ func (l *Logger) Warnf(format string, args ...any) { l.emit(LevelWarn, format, a
 
 // Errorf logs at error level.
 func (l *Logger) Errorf(format string, args ...any) { l.emit(LevelError, format, args...) }
-
-// SortedFields is a small helper for tests and debug dumps: it renders
-// a map as deterministic "k=v" pairs.
-func SortedFields(m map[string]any) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%s", k, renderValue(m[k]))
-	}
-	return strings.Join(parts, " ")
-}

@@ -180,14 +180,10 @@ type Message struct {
 	// PhoneID and asks to resume that identity (checkpointed work and
 	// bandwidth estimates survive the reconnect).
 	Rejoin bool
-	// Welcome: keepalive parameters the worker should expect.
-	KeepaliveMs int
 	// Welcome: the checkpoint-streaming policy workers follow — stream a
-	// checkpoint every CkptEveryKB of processed input and/or every
-	// CkptEveryMs of wall time (zero disables that trigger). The master
-	// alone sets it.
+	// checkpoint every CkptEveryKB of processed input (zero: no
+	// streaming). The master alone sets it.
 	CkptEveryKB int
-	CkptEveryMs int
 	// Welcome: the master wants worker-side telemetry (its admin plane
 	// is bound). Workers buffer and ship span events only after seeing
 	// this; an unobserved master costs workers nothing.
@@ -297,9 +293,9 @@ func (m *Message) Wire(c *wire.Codec) {
 	wire.Int(c, 23, &m.RAMMB)
 	wire.Int(c, 24, &m.PhoneID)
 	c.Bool(25, &m.Rejoin)
-	wire.Int(c, 26, &m.KeepaliveMs)
+	// Tags 26 (keepalive_ms) and 28 (ckpt_every_ms) are retired and
+	// never reused.
 	wire.Int(c, 27, &m.CkptEveryKB)
-	wire.Int(c, 28, &m.CkptEveryMs)
 	c.Bool(29, &m.Telemetry)
 	wire.List(c, 30, &m.Events)
 	wire.Int(c, 31, &m.Dropped)

@@ -57,7 +57,7 @@ func TestAllMessageTypesRoundTrip(t *testing.T) {
 
 	msgs := []*Message{
 		{Type: TypeHello, Model: "HTC G2", CPUMHz: 806, RAMMB: 512},
-		{Type: TypeWelcome, PhoneID: 3, KeepaliveMs: 30000},
+		{Type: TypeWelcome, PhoneID: 3, CkptEveryKB: 256},
 		{Type: TypeProbe, Payload: make([]byte, 4096)},
 		{Type: TypeProbeAck},
 		{Type: TypeResult, JobID: 1, Partition: 2, Result: []byte("42"), ExecMs: 17.5, ProcessedKB: 12},

@@ -551,6 +551,14 @@ func TestStandbyResyncsWhenPrimaryReanchors(t *testing.T) {
 			}
 		}
 	}()
+	// The standby is attached before the disk loses the report, so it is
+	// the re-anchor that drops it, not a first dial that comes late.
+	for !attached(ship) {
+		if ctx.Err() != nil {
+			t.Fatal("no standby attached")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 
 	streamPhone(t, m.Addr(), false)
 	streamPhone(t, m.Addr(), false)

@@ -29,8 +29,15 @@ func (l hookListener) Accept() (net.Conn, error) {
 	return l.wrap(c), nil
 }
 
-func listenerHook(wrap func(net.Conn) net.Conn) func(net.Listener) net.Listener {
-	return func(ln net.Listener) net.Listener { return hookListener{ln, wrap} }
+// hookedListener binds a loopback listener whose accepted connections
+// wrap wraps.
+func hookedListener(t *testing.T, wrap func(net.Conn) net.Conn) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hookListener{ln, wrap}
 }
 
 // linkDownAfterWelcome fails every write after the first (the welcome).
@@ -86,7 +93,7 @@ func TestOneDeathOneOfflineEvent(t *testing.T) {
 	})
 	t.Run("send-failed", func(t *testing.T) {
 		m := startMaster(t, Config{KeepalivePeriod: time.Hour,
-			ListenerHook: listenerHook(func(c net.Conn) net.Conn { return &linkDownAfterWelcome{Conn: c} })})
+			Listener: hookedListener(t, func(c net.Conn) net.Conn { return &linkDownAfterWelcome{Conn: c} })})
 		dialFake(t, m, "HTC G2", 806)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -175,7 +182,7 @@ func TestOneDeathOneOfflineEvent(t *testing.T) {
 	})
 	t.Run("probe-send-failed", func(t *testing.T) {
 		m := startMaster(t, Config{KeepalivePeriod: time.Hour,
-			ListenerHook: listenerHook(func(c net.Conn) net.Conn { return &linkDownAfterWelcome{Conn: c} })})
+			Listener: hookedListener(t, func(c net.Conn) net.Conn { return &linkDownAfterWelcome{Conn: c} })})
 		dialFake(t, m, "HTC G2", 806)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -231,7 +238,7 @@ func TestStalledLinkDoesNotStallOtherPhones(t *testing.T) {
 	reg := obs.NewRegistry()
 	probes := make(chan *stallProbe, 2)
 	m := startMaster(t, Config{Metrics: reg, KeepalivePeriod: time.Hour, ChunkKB: 256,
-		ListenerHook: listenerHook(func(c net.Conn) net.Conn {
+		Listener: hookedListener(t, func(c net.Conn) net.Conn {
 			if tc, ok := c.(*net.TCPConn); ok {
 				_ = tc.SetWriteBuffer(64 << 10)
 			}

@@ -86,12 +86,6 @@ type Config struct {
 	// failure (or an abandoned straggler) can lose to roughly that
 	// interval. Default 256; negative disables the announcement.
 	CheckpointEveryKB int
-	// CheckpointEvery additionally announces a wall-time streaming
-	// interval (0: byte-driven only).
-	CheckpointEvery time.Duration
-	// ListenerHook, when set, wraps the TCP listener before the accept
-	// loop uses it (fault injection, metrics).
-	ListenerHook func(net.Listener) net.Listener
 	// WAL, when set, is the master's write-ahead log: every durable
 	// state change is appended to it, Submit acknowledgements are gated
 	// on the append, and RecoverWAL replays it after a crash. See
@@ -109,7 +103,8 @@ type Config struct {
 	DrainCheckPeriod time.Duration
 	// Listener, when set, is a pre-bound listener Start serves on instead
 	// of dialing Addr. A promoted standby uses it to take over a port it
-	// bound (and answered with fast refusals) long before promotion.
+	// bound (and answered with fast refusals) long before promotion; a
+	// harness that injects faults passes a listener it has wrapped.
 	Listener net.Listener
 	// ReplicaSink, when set, receives every WAL record immediately after
 	// it reaches the local log, for live streaming to hot standbys
@@ -510,9 +505,6 @@ func (m *Master) Start() error {
 			return fmt.Errorf("server: listen %s: %w", m.cfg.Addr, err)
 		}
 	}
-	if m.cfg.ListenerHook != nil {
-		ln = m.cfg.ListenerHook(ln)
-	}
 	if m.cfg.ObsAddr != "" {
 		if err := m.serveObs(m.cfg.ObsAddr); err != nil {
 			ln.Close()
@@ -683,9 +675,7 @@ func (m *Master) joinLocked(now time.Time, conn *protocol.Conn, hello *protocol.
 	m.queueLocked(ps, flight{ctl: &protocol.Message{
 		Type:        protocol.TypeWelcome,
 		PhoneID:     id,
-		KeepaliveMs: int(m.cfg.KeepalivePeriod / time.Millisecond),
 		CkptEveryKB: max(m.cfg.CheckpointEveryKB, 0),
-		CkptEveryMs: int(m.cfg.CheckpointEvery / time.Millisecond),
 		Epoch:       m.epoch,
 		// Telemetry opt-in follows the admin plane: a master nobody can
 		// observe asks for no telemetry, so the unobserved cluster ships

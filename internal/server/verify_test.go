@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -82,7 +83,7 @@ func (r *verifyResponder) run() {
 }
 
 // lie shifts every ASCII digit, producing a wrong-but-well-formed
-// counting result (mirrors the worker package's liar).
+// counting result (mirrors the cluster harness's liar).
 func lie(off byte) func([]byte) []byte {
 	return func(b []byte) []byte {
 		out := append([]byte(nil), b...)
@@ -199,6 +200,129 @@ func TestVotingTieBreakDefeatsLiar(t *testing.T) {
 		if r := m.Reputation(id); r != 1.0 {
 			t.Errorf("honest phone %d reputation = %v, want 1.0", id, r)
 		}
+	}
+}
+
+// A tie-break whose arbiter reads the assignment but never reports
+// expires after twice its assignment deadline: the range is handed back
+// exactly once and the arbiter's attempt is forgotten, so the report it
+// sends late, a lie, is dropped as naming no attempt it holds. The range's
+// next vote resolves, and the job aggregates to the true result.
+func TestVotingTieBreakExpiresOnce(t *testing.T) {
+	const floor = 300 * time.Millisecond
+	reg, tracer := obs.NewRegistry(), obs.NewTracer(4096)
+	m := startMaster(t, Config{VerifyReplicas: 2, Metrics: reg, Tracer: tracer, DeadlineFloor: floor})
+	lied := false
+	newVerifyResponder(dialFake(t, m, "liar", 2000), func(b []byte) []byte {
+		if lied {
+			return b
+		}
+		lied = true
+		return lie(3)(b)
+	})
+	newVerifyResponder(dialFake(t, m, "honest", 1500), nil)
+	// The arbiter answers its profiling run and holds its first partition.
+	arbiter := dialFake(t, m, "arbiter", 800)
+	held := make(chan *protocol.Message, 1)
+	go func() {
+		for {
+			msg, err := arbiter.conn.Recv()
+			if err != nil {
+				return
+			}
+			if msg.Type != protocol.TypeAssign {
+				continue
+			}
+			if msg.Partition >= 0 {
+				held <- msg
+				return
+			}
+			var ck tasks.Checkpoint
+			res, err := tasks.PrimeCount{}.Process(context.Background(), msg.Input, &ck)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_ = arbiter.conn.Send(&protocol.Message{Type: protocol.TypeResult, JobID: msg.JobID,
+				Partition: msg.Partition, Attempt: msg.Attempt, Result: res, Digest: tasks.Digest(res),
+				ExecMs: 1, ProcessedKB: float64(len(msg.Input)) / 1024})
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.WaitForPhones(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	id, err := m.Submit(tasks.PrimeCount{}, primesInput, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunRound(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var tie *protocol.Message
+	select {
+	case tie = <-held:
+	case <-ctx.Done():
+		t.Fatal("the arbiter was never sent the tie-break")
+	}
+	sent := time.Now()
+
+	requeues := func() (n int, detail string) {
+		for _, ev := range tracer.Recent(4096) {
+			if ev.Kind == obs.KindRequeue && ev.Job == id {
+				n, detail = n+1, ev.Detail
+			}
+		}
+		return n, detail
+	}
+	for n, _ := requeues(); n == 0; n, _ = requeues() {
+		if ctx.Err() != nil {
+			t.Fatal("the tie-break never expired")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if waited := time.Since(sent); waited < floor {
+		t.Errorf("the tie-break expired %v after it was sent, before one deadline (%v)", waited, floor)
+	}
+	if n, detail := requeues(); n != 1 || detail != "verification tie-break expired" {
+		t.Fatalf("%d requeues, the last %q; want one, as the tie-break expired", n, detail)
+	}
+	var kept bool
+	m.do(func() { _, kept = m.attempts[tie.Attempt] })
+	if kept {
+		t.Fatal("the expired tie-break's attempt is still registered")
+	}
+
+	truth := groundTruth(t, tasks.PrimeCount{}, primesInput)
+	late := lie(5)(truth)
+	if err := arbiter.conn.Send(&protocol.Message{Type: protocol.TypeResult, JobID: tie.JobID,
+		Partition: tie.Partition, Attempt: tie.Attempt, Result: late, Digest: tasks.Digest(late),
+		ExecMs: 1, ProcessedKB: float64(len(tie.Input)) / 1024}); err != nil {
+		t.Fatal(err)
+	}
+	unexpected := reg.Counter("cwc_frames_unexpected_total", "type", "result")
+	for unexpected.Value() == 0 {
+		if ctx.Err() != nil {
+			t.Fatal("the late report was not dropped as naming no attempt")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	if _, err := m.RunRound(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if res := waitResult(t, m, id, 15*time.Second); !bytes.Equal(res, truth) {
+		t.Fatalf("result = %q, want %q", res, truth)
+	}
+	if n, _ := requeues(); n != 1 {
+		t.Errorf("the range was handed back %d times, want once", n)
+	}
+	if v := unexpected.Value(); v != 1 {
+		t.Errorf("cwc_frames_unexpected_total{type=result} = %d, want the one late report", v)
+	}
+	if r := m.Reputation(arbiter.id); r != 1.0 {
+		t.Errorf("arbiter reputation = %v after a report the master dropped, want 1.0", r)
 	}
 }
 

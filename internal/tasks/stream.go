@@ -3,7 +3,6 @@ package tasks
 import (
 	"context"
 	"sync/atomic"
-	"time"
 )
 
 // CheckpointSink receives periodic checkpoint snapshots while a task
@@ -20,11 +19,8 @@ import (
 // not be shared across executions.
 type CheckpointSink struct {
 	// EveryBytes flushes after this many input bytes have been processed
-	// since the previous flush; 0 disables the byte trigger.
+	// since the previous flush; 0 disables streaming.
 	EveryBytes int64
-	// Every flushes once this much wall time has passed since the
-	// previous flush; 0 disables the time trigger.
-	Every time.Duration
 	// Flush receives a private deep copy of the checkpoint. It runs on
 	// the task's goroutine, so it should hand off quickly (the worker's
 	// sink sends one frame and never blocks on the network round trip).
@@ -32,12 +28,11 @@ type CheckpointSink struct {
 
 	started    bool
 	lastOffset int64
-	lastTime   time.Time
 	forced     atomic.Bool
 }
 
 // Force makes the next StreamCheckpoint call flush regardless of the
-// interval triggers — the proactive-drain path uses it to capture the
+// byte trigger — the proactive-drain path uses it to capture the
 // freshest possible state before an anticipated disconnect. Unlike the
 // rest of the sink it may be called from any goroutine.
 func (s *CheckpointSink) Force() { s.forced.Store(true) }
@@ -47,9 +42,9 @@ type ckSinkKey struct{}
 
 // WithCheckpointSink returns a context instructing tasks run under it to
 // stream periodic checkpoints into s. A nil sink, a nil Flush, or a sink
-// with both triggers disabled leaves the context unchanged.
+// whose EveryBytes is not positive leaves the context unchanged.
 func WithCheckpointSink(ctx context.Context, s *CheckpointSink) context.Context {
-	if s == nil || s.Flush == nil || (s.EveryBytes <= 0 && s.Every <= 0) {
+	if s == nil || s.Flush == nil || s.EveryBytes <= 0 {
 		return ctx
 	}
 	return context.WithValue(ctx, ckSinkKey{}, s)
@@ -81,14 +76,11 @@ func (s *CheckpointSink) maybeFlush(offset int64, ck *Checkpoint, save func()) {
 		save()
 	}
 	s.lastOffset = offset
-	if s.Every > 0 {
-		s.lastTime = time.Now()
-	}
 	s.Flush(ck.Clone())
 }
 
 // due reports whether a flush interval has elapsed at the given offset.
-// The first call only anchors the intervals: a resumed execution starts
+// The first call only anchors the interval: a resumed execution starts
 // counting from its inherited offset instead of instantly re-streaming
 // the checkpoint it was handed.
 func (s *CheckpointSink) due(offset int64) bool {
@@ -96,16 +88,7 @@ func (s *CheckpointSink) due(offset int64) bool {
 	if !s.started {
 		s.started = true
 		s.lastOffset = offset
-		if s.Every > 0 {
-			s.lastTime = time.Now()
-		}
 		return forced
 	}
-	if forced {
-		return true
-	}
-	if s.EveryBytes > 0 && offset-s.lastOffset >= s.EveryBytes {
-		return true
-	}
-	return s.Every > 0 && time.Since(s.lastTime) >= s.Every
+	return forced || offset-s.lastOffset >= s.EveryBytes
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func TestCheckpointClone(t *testing.T) {
@@ -121,33 +120,13 @@ func TestSinkFirstCallAnchorsOnly(t *testing.T) {
 	}
 }
 
-func TestSinkTimeTrigger(t *testing.T) {
-	flushes := 0
-	sink := &CheckpointSink{
-		Every: time.Millisecond,
-		Flush: func(*Checkpoint) { flushes++ },
-	}
-	ctx := WithCheckpointSink(context.Background(), sink)
-	ck := &Checkpoint{}
-	StreamCheckpoint(ctx, 10, ck, nil) // anchor
-	StreamCheckpoint(ctx, 20, ck, nil)
-	if flushes != 0 {
-		t.Fatalf("%d flushes before the interval elapsed", flushes)
-	}
-	time.Sleep(3 * time.Millisecond)
-	StreamCheckpoint(ctx, 30, ck, nil)
-	if flushes != 1 {
-		t.Fatalf("flushes = %d after the interval elapsed, want 1", flushes)
-	}
-}
-
 func TestWithCheckpointSinkNoops(t *testing.T) {
 	base := context.Background()
 	for name, s := range map[string]*CheckpointSink{
 		"nil sink":     nil,
 		"nil flush":    {EveryBytes: 1},
 		"no triggers":  {Flush: func(*Checkpoint) {}},
-		"neg triggers": {EveryBytes: -1, Every: -time.Second, Flush: func(*Checkpoint) {}},
+		"neg triggers": {EveryBytes: -1, Flush: func(*Checkpoint) {}},
 	} {
 		if got := WithCheckpointSink(base, s); got != base {
 			t.Errorf("%s: context was wrapped", name)

@@ -69,13 +69,16 @@ const (
 	// SyncAlways fsyncs after every append (durable acknowledgements;
 	// the default).
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs from a background loop every Options.Interval;
+	// SyncInterval fsyncs from a background loop every syncInterval;
 	// a crash may lose the records of the last interval.
 	SyncInterval
 	// SyncNone never fsyncs explicitly; durability is whatever the OS
 	// page cache provides.
 	SyncNone
 )
+
+// syncInterval is SyncInterval's fsync period.
+const syncInterval = 100 * time.Millisecond
 
 // ParseSyncPolicy maps a flag value to a policy.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
@@ -95,9 +98,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 type Options struct {
 	// Sync is the fsync policy for appends.
 	Sync SyncPolicy
-	// Interval is the background fsync period for SyncInterval
-	// (default 100 ms).
-	Interval time.Duration
 	// CompactBytes, when positive, makes CompactDue report true once the
 	// segments hold at least this many bytes.
 	CompactBytes int64
@@ -252,9 +252,6 @@ func parseSeq(name, prefix, suffix string) (int, bool) {
 // tail, and readies the last segment for appending. The records are
 // available from Recovered.
 func Open(dir string, opts Options) (*Log, error) {
-	if opts.Interval <= 0 {
-		opts.Interval = 100 * time.Millisecond
-	}
 	if opts.Logger == nil {
 		opts.Logger = obs.Discard()
 	}
@@ -500,7 +497,7 @@ func (l *Log) syncLocked() error {
 
 func (l *Log) syncLoop() {
 	defer l.wg.Done()
-	t := time.NewTicker(l.opts.Interval)
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {

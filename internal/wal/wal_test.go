@@ -616,12 +616,23 @@ func TestOpenReadsTheLogOnce(t *testing.T) {
 
 func TestSyncInterval(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncInterval, Interval: 5 * time.Millisecond})
+	l, err := Open(dir, Options{Sync: SyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, l, 3)
-	time.Sleep(30 * time.Millisecond) // let the background loop run
+	// The background loop, not Close, syncs the appends.
+	for deadline := time.Now().Add(20 * syncInterval); ; time.Sleep(syncInterval / 10) {
+		l.mu.Lock()
+		dirty := l.dirty
+		l.mu.Unlock()
+		if !dirty {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no background sync within 20 intervals")
+		}
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}

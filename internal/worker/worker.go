@@ -60,10 +60,6 @@ type Config struct {
 	// Reconnect tunes how the phone retries the server after a dial or
 	// I/O failure. Zero values get defaults; see ReconnectPolicy.
 	Reconnect ReconnectPolicy
-	// Byzantine makes this worker deliberately misbehave — lie, slack, or
-	// corrupt its reports — for result-integrity testing. The zero value
-	// is an honest worker.
-	Byzantine Byzantine
 	// Metrics, when set, is this worker's own obs registry: every minted
 	// telemetry span event is counted into cwc_worker_events_total{kind}
 	// regardless of whether the master asked for telemetry. Nil skips
@@ -73,35 +69,6 @@ type Config struct {
 	// worker's black-box flight recorder, a tracer ring the daemon dumps
 	// on panic or SIGQUIT. Independent of the master's telemetry opt-in.
 	Blackbox *obs.Tracer
-}
-
-// Byzantine configures deliberate worker misbehaviour, the adversary the
-// result-integrity layer (digests, replicated voting, audits,
-// reputation quarantine) exists to defeat. All decisions are drawn from
-// a seeded source, so a byzantine fleet misbehaves reproducibly.
-type Byzantine struct {
-	// LiarProb is the per-result probability that a correctly computed
-	// result is replaced with a wrong-but-well-formed value *before* the
-	// digest is computed: the frame is internally consistent and only
-	// replicated voting or an audit can catch it.
-	LiarProb float64
-	// LazyProb is the per-assignment probability that the worker skips
-	// execution entirely and fabricates a result without reading the
-	// input — the freeloader that banks reputation while doing no work.
-	LazyProb float64
-	// CorruptProb is the per-result probability that one byte of the
-	// result is flipped *after* the digest is computed: the claimed
-	// digest no longer matches the payload, so the master can catch it
-	// from the single frame (flaky flash, not an adversary).
-	CorruptProb float64
-	// Seed drives the misbehaviour decisions; zero derives one from the
-	// phone's CPU clock so distinct phones still diverge.
-	Seed int64
-}
-
-// zero reports whether the spec configures no misbehaviour.
-func (b Byzantine) zero() bool {
-	return b.LiarProb == 0 && b.LazyProb == 0 && b.CorruptProb == 0
 }
 
 // ReconnectPolicy is capped exponential backoff with jitter for the
@@ -204,7 +171,6 @@ type Phone struct {
 	registered chan struct{} // closed by the first Welcome since New or Replug
 
 	throttle *throttleRunner // nil unless cfg.Charging is set
-	byzRng   *rand.Rand      // drives Byzantine misbehaviour; the executor's alone
 
 	// The state, owned by the loop or by the holder of stopped's token.
 	now            time.Time              // the loop's clock, read once per input
@@ -220,7 +186,7 @@ type Phone struct {
 	lastAttempt    int64                  // newest dispatch attempt received on this connection
 	drainedThrough int64                  // server drain: attempts up to this one report "drained", stay connected
 	unsent         []*protocol.Message    // reports awaiting a welcome
-	ckptKB, ckptMs int                    // server-announced checkpoint-streaming policy
+	ckptKB         int                    // server-announced checkpoint-streaming policy
 	ckptUnacked    int                    // streamed checkpoints awaiting a checkpoint_ack
 	epoch          int64                  // master regime from the last welcome (0 = untracked)
 	telemetry      bool                   // the last welcome asked for worker telemetry
@@ -306,9 +272,6 @@ func New(cfg Config) (*Phone, error) {
 		p.throttle.onPause = func() {
 			p.event(protocol.EventThrottlePause, "", 0, 0, 0, 0, "")
 		}
-	}
-	if !cfg.Byzantine.zero() {
-		p.byzRng = rand.New(rand.NewSource(cmp.Or(cfg.Byzantine.Seed, int64(cfg.CPUMHz*1000)+41)))
 	}
 	return p, nil
 }
@@ -639,7 +602,7 @@ func (p *Phone) frame(l *link, m *protocol.Message) {
 		}
 		p.due = time.Time{} // the handshake is over
 		p.epoch, p.id = cmp.Or(m.Epoch, p.epoch), m.PhoneID
-		p.ckptKB, p.ckptMs = m.CkptEveryKB, m.CkptEveryMs
+		p.ckptKB = m.CkptEveryKB
 		// Telemetry is master-driven: span events are buffered only for a
 		// master that asks; one that stopped asking discards the buffer.
 		p.telemetry = m.Telemetry
@@ -827,9 +790,9 @@ func (p *Phone) execute(ctx context.Context, ex *executor, m *protocol.Message) 
 		})
 	}
 	succeed := func(elapsed time.Duration, result []byte) {
-		payload, digest := p.mutateResult(result)
+		digest := tasks.Digest(result)
 		p.reply(ex, m, elapsed, func(string) protocol.Message {
-			return protocol.Message{Type: protocol.TypeResult, Epoch: p.epoch, Result: payload, Digest: digest,
+			return protocol.Message{Type: protocol.TypeResult, Epoch: p.epoch, Result: result, Digest: digest,
 				ExecMs: float64(elapsed) / float64(time.Millisecond), ProcessedKB: float64(len(m.Input)) / 1024}
 		})
 	}
@@ -850,13 +813,6 @@ func (p *Phone) execute(ctx context.Context, ex *executor, m *protocol.Message) 
 	}
 	if ck == nil {
 		ck = &tasks.Checkpoint{}
-	}
-
-	// Byzantine laziness: skip execution entirely and fabricate a
-	// plausible result without reading the input.
-	if p.byzRng != nil && p.cfg.Byzantine.LazyProb > 0 && p.byzRng.Float64() < p.cfg.Byzantine.LazyProb {
-		succeed(0, []byte("0"))
-		return
 	}
 
 	// Emulated CPU slowness: pay the remaining input's worth of delay.
@@ -942,50 +898,6 @@ func (p *Phone) reply(ex *executor, m *protocol.Message, elapsed time.Duration, 
 	<-ex.done
 }
 
-// mutateResult applies the worker's Byzantine misbehaviour to a
-// computed result and returns the payload to ship plus its claimed
-// digest. An honest worker returns the result untouched with its true
-// digest. A lie is applied BEFORE the digest (the frame stays
-// internally consistent — only voting or an audit can catch it);
-// corruption is applied AFTER (the claimed digest no longer matches the
-// payload, so the master catches it from the single frame).
-func (p *Phone) mutateResult(result []byte) ([]byte, tasks.Sum) {
-	b := p.cfg.Byzantine
-	if p.byzRng != nil && b.LiarProb > 0 && p.byzRng.Float64() < b.LiarProb {
-		// The offset is drawn per result from this phone's own rng so two
-		// liars given the same partition (dis)agree like independent
-		// adversaries — a deterministic lie would let them accidentally
-		// collude and outvote the honest replica.
-		result = lieAbout(result, byte(1+p.byzRng.Intn(9)))
-	}
-	digest := tasks.Digest(result)
-	if p.byzRng != nil && b.CorruptProb > 0 && len(result) > 0 && p.byzRng.Float64() < b.CorruptProb {
-		mangled := append([]byte(nil), result...)
-		mangled[p.byzRng.Intn(len(mangled))] ^= 0xff
-		result = mangled
-	}
-	return result, digest
-}
-
-// lieAbout produces a wrong-but-well-formed variant of a result: every
-// ASCII digit is shifted by off (1..9) mod 10, so a counting task's
-// decimal result stays parseable but wrong. A result with no digits
-// gets a byte appended instead, so the lie is never a no-op.
-func lieAbout(result []byte, off byte) []byte {
-	out := append([]byte(nil), result...)
-	changed := false
-	for i, c := range out {
-		if c >= '0' && c <= '9' {
-			out[i] = '0' + (c-'0'+off)%10
-			changed = true
-		}
-	}
-	if !changed {
-		out = append(out, '!'+off)
-	}
-	return out
-}
-
 // drainedReason is the failure-report error for a proactive-drain
 // handback; the server's dispatch path matches it exactly.
 const drainedReason = "drained"
@@ -1008,18 +920,15 @@ const maxUnackedCkpts = 4
 // when streaming is off. It flushes on the executor, between reports, in
 // ex's message, and waits until the frame is written or dropped. The
 // cadence is the welcome's: the master alone sets it. Streamed frames
-// are best-effort:
-// never buffered for replay — after a reconnect the range has been
+// are best-effort: never buffered for replay — after a reconnect the range has been
 // re-queued and an old checkpoint is worthless.
 func (p *Phone) checkpointSink(m *protocol.Message, ex *executor) *tasks.CheckpointSink {
-	kb, every := p.ckptKB, time.Duration(p.ckptMs)*time.Millisecond
-	if kb, every = max(kb, 0), max(every, 0); kb == 0 && every == 0 {
+	if p.ckptKB <= 0 {
 		return nil
 	}
 	var seq uint64
 	return &tasks.CheckpointSink{
-		EveryBytes: int64(kb) * 1024,
-		Every:      every,
+		EveryBytes: int64(p.ckptKB) * 1024,
 		Flush: func(ck *tasks.Checkpoint) {
 			p.post(func() {
 				if p.vanished || p.ckptUnacked >= maxUnackedCkpts {

@@ -78,7 +78,7 @@ func (fs *fakeServer) welcome(id int) *protocol.Message {
 	if hello.Type != protocol.TypeHello {
 		fs.t.Fatalf("first frame = %s, want hello", hello.Type)
 	}
-	fs.send(&protocol.Message{Type: protocol.TypeWelcome, PhoneID: id, KeepaliveMs: 30000})
+	fs.send(&protocol.Message{Type: protocol.TypeWelcome, PhoneID: id})
 	return hello
 }
 
