@@ -131,14 +131,17 @@ bench-smoke:
 # frame decoder (FuzzRecv), the Huffman section coder against the
 # one-code-a-step reference coder (FuzzCode), the one durable decoder,
 # which recovery, the standby and a snapshot's records all go through
-# (FuzzWALReducer), and the integer kernels' in-place line parser against
-# strconv (FuzzLineInt). Their seed corpora already run in every
+# (FuzzWALReducer), the integer kernels' in-place line parser against
+# strconv (FuzzLineInt), and each breakable task's pairwise fold, the way
+# the master accumulates a job's partials, against one Aggregate of them
+# all (FuzzAggregateFold). Their seed corpora already run in every
 # `go test`; this searches past them.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecv$$' -fuzztime 10s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzCode$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReducer$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzLineInt$$' -fuzztime 10s ./internal/tasks/
+	$(GO) test -run '^$$' -fuzz '^FuzzAggregateFold$$' -fuzztime 10s ./internal/tasks/
 
 # The pre-PR gate: everything that must be green before a change ships.
 # Files gofmt would rewrite are listed and fail it. The census is printed

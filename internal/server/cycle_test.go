@@ -155,11 +155,12 @@ func (r *cycleRig) report() *protocol.Message {
 
 // The master's per-report path in its steady state: receiving a result,
 // crediting and folding it and writing the assignment it makes room for
-// costs seven allocations, as measured: the report's body and span
+// costs six allocations, as measured: the report's body and span
 // string, the two loop inputs (the report, the writer's outcome) boxed
-// for the loop's channel, the attempt record, the report record and the
-// job's partial list. None of it is a Message, a digest, a span minted
-// for an event or an assign, or a window's flight list.
+// for the loop's channel, the attempt record and the report record. The
+// job's first partial is its accumulator as it came. None of it is a
+// Message, a digest, a span minted for an event or an assign, or a
+// window's flight list.
 func TestWindowCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under the race detector")
@@ -167,8 +168,8 @@ func TestWindowCycleAllocs(t *testing.T) {
 	const runs = 200
 	r := newCycleRig(t, New(Config{}), runs+3)
 	r.fill()
-	if allocs := testing.AllocsPerRun(runs, func() { r.cycle() }); allocs > 7 {
-		t.Errorf("one window cycle allocated %.1f times, want at most 7", allocs)
+	if allocs := testing.AllocsPerRun(runs, func() { r.cycle() }); allocs > 6 {
+		t.Errorf("one window cycle allocated %.1f times, want at most 6", allocs)
 	}
 }
 
@@ -192,15 +193,15 @@ func TestCreditedPartialSurvivesMessageReuse(t *testing.T) {
 		} else if msg != first {
 			t.Errorf("report %d arrived in a new message, want the first one reused", k+1)
 		}
-		partials := make([][]wire.Held, k+1)
+		results := make([]wire.Held, k+1)
 		r.m.do(func() {
-			for j := range partials {
-				partials[j] = r.m.jobs[r.ids[j]].Partials
+			for j := range results {
+				results[j] = r.m.jobs[r.ids[j]].Result
 			}
 		})
 		for j := 0; j <= k; j++ {
-			if got := partials[j]; len(got) != 1 || !bytes.Equal(got[0].Bytes, r.want[j]) {
-				t.Errorf("after report %d, job %d holds partials %q, want [%s]", k+1, r.ids[j], got, r.want[j])
+			if got := results[j]; got.N != 0 || !bytes.Equal(got.Bytes, r.want[j]) {
+				t.Errorf("after report %d, job %d holds result %q (coded %d), want %s", k+1, r.ids[j], got.Bytes, got.N, r.want[j])
 			}
 		}
 	}

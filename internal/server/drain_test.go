@@ -26,8 +26,8 @@ func TestRecordFailureDedupesReplayedAttempt(t *testing.T) {
 	if js.Covered != 4 {
 		t.Errorf("covered = %d, want 4 (replay must not double-credit)", js.Covered)
 	}
-	if len(js.Partials) != 1 {
-		t.Errorf("partials = %d, want 1", len(js.Partials))
+	if got := string(js.Result.Bytes); got != "2" {
+		t.Errorf("result = %q, want 2 (replay must not double-credit)", got)
 	}
 	if len(m.pending) != 1 {
 		t.Fatalf("pending = %d, want 1 (replay must not double-requeue)", len(m.pending))

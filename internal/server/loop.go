@@ -506,6 +506,12 @@ func (m *Master) creditLocked(now time.Time, ps *phoneState, msg *protocol.Messa
 		return false
 	}
 	delete(m.attempts, msg.Attempt)
+	if rec.expired {
+		m.mx.tieBreaksLate.Inc()
+		m.cfg.Logger.With("phone", ps.info.ID, "attempt", msg.Attempt).
+			Debugf("dropping a tie-break report that came after its tie expired")
+		return false
+	}
 	a, w, i := rec.a, m.wins[rec.ps], 0
 	for w != nil && i < len(w.win) && w.win[i].attempt != msg.Attempt {
 		i++

@@ -23,8 +23,8 @@ type masterMetrics struct {
 	predictedMakespan, actualMakespan                              *obs.Gauge
 	execMs, roundWallMs                                            *obs.Histogram
 
-	votes, audits, quarantines *obs.Counter
-	mismatches                 map[verifyKind]*obs.Counter
+	votes, audits, quarantines, tieBreaksLate *obs.Counter
+	mismatches                                map[verifyKind]*obs.Counter
 
 	framesReceived, framesFenced, framesUnexpected  map[protocol.Type]*obs.Counter
 	telemetryEvents                                 map[protocol.EventKind]*obs.Counter
@@ -73,10 +73,11 @@ func newMasterMetrics(r *obs.Registry) *masterMetrics {
 		execMs:            r.NewHistogram("cwc_exec_ms", "reported per-partition execution time in milliseconds"),
 		roundWallMs:       r.NewHistogram("cwc_round_wall_ms", "scheduling round wall time in milliseconds"),
 
-		votes:       r.NewCounter("cwc_verify_votes_total", "verification ballots cast (result digests entered into a vote group)"),
-		audits:      r.NewCounter("cwc_verify_audits_total", "spot-check audit comparisons completed"),
-		quarantines: r.NewCounter("cwc_verify_quarantines_total", "phones quarantined for falling below the reputation threshold"),
-		mismatches:  obs.Counters(r, "cwc_verify_mismatches_total", "verification disagreements by kind (digest, vote, audit, checkpoint)", "kind", verifyKinds),
+		votes:         r.NewCounter("cwc_verify_votes_total", "verification ballots cast (result digests entered into a vote group)"),
+		audits:        r.NewCounter("cwc_verify_audits_total", "spot-check audit comparisons completed"),
+		quarantines:   r.NewCounter("cwc_verify_quarantines_total", "phones quarantined for falling below the reputation threshold"),
+		tieBreaksLate: r.NewCounter("cwc_verify_tiebreaks_late_total", "tie-break reports that arrived after their tie expired; dropped"),
+		mismatches:    obs.Counters(r, "cwc_verify_mismatches_total", "verification disagreements by kind (digest, vote, audit, checkpoint)", "kind", verifyKinds),
 
 		framesReceived:   obs.Counters(r, "cwc_frames_received_total", "protocol frames received by type", "type", protocol.TypeCodes),
 		framesFenced:     obs.Counters(r, "cwc_frames_fenced_total", "report frames rejected for carrying another master regime's epoch", "type", protocol.TypeCodes),

@@ -70,6 +70,9 @@ func liveWALRecords() map[string]walRecord {
 		"head": &walCutHead{NextJobID: 5, NextSeq: 4, NextKey: 6, NextPhoneID: 9},
 		"job": &walCutJob{ID: 2, Task: "wordcount", Params: tasks.WordCount{Word: "sale"}.Params(),
 			TotalBytes: 10, Covered: 5},
+		// A job whose aggregation failed holds its failure, not its partials.
+		"job/failed": &walCutJob{ID: 2, Task: "primecount", TotalBytes: 10, Covered: 10,
+			Failure: "server: job 2: tasks: partial 1 is not a count"},
 		"item/fresh":     &walCutItem{Seq: 2, JobID: 1, Input: wire.Held{Bytes: []byte("17\n")}, Retries: 1},
 		"item/open":      &walCutItem{Key: 2, JobID: 1, Input: wire.Held{Bytes: []byte("19\n23\n")}, Atomic: true, Retries: 2, Partition: 4},
 		"report/partial": &walReport{JobID: 1, Partial: wire.Held{Bytes: []byte("3")}},
@@ -211,6 +214,67 @@ func TestCutRecordsNoLargerThanLogged(t *testing.T) {
 	}
 	if got := replayed.open[1]; got == nil || got.Resume == nil || !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("the cut replayed to open range %+v, not to the state it was cut from", got)
+	}
+}
+
+// TestCutHoldsOneResultPerJob: a job is its accumulator. N jobs of k
+// partials each, folded from their logged records, cut to N report
+// records, not N·k, each carrying the job's one result; and the cut folds
+// to a state that cuts to the same bytes.
+func TestCutHoldsOneResultPerJob(t *testing.T) {
+	const n, k = 5, 3
+	line := []byte("7\n")
+	r := newWALReducer()
+	fold := func(rec walRecord) {
+		t.Helper()
+		if err := r.apply(wal.Record{Type: rec.typ(), Payload: encodeWAL(t, rec)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := int64(0)
+	for j := 1; j <= n; j++ {
+		fold(&walSubmit{JobID: j, Seq: int64(j), Task: "primecount", Input: wire.Held{Bytes: bytes.Repeat(line, k)}})
+		var items []walRoundItem
+		for i := range k {
+			items = append(items, walRoundItem{Key: key + int64(i) + 1, FromSeq: int64(j), Off: int64(i * len(line)), Len: int64(len(line))})
+		}
+		fold(&walRound{Items: items})
+		for range k {
+			key++
+			fold(&walReport{JobID: j, Key: key, Bytes: int64(len(line)), Partial: wire.Held{Bytes: []byte("1")}})
+		}
+	}
+	recs, err := r.cut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := 0
+	for _, rec := range recs {
+		if rep, ok := rec.(*walReport); ok {
+			reports++
+			if got := string(rep.Partial.Bytes); got != "3" {
+				t.Errorf("job %d's cut result is %q, want its %d partials summed, 3", rep.JobID, got, k)
+			}
+		}
+	}
+	if reports != n {
+		t.Errorf("the cut of %d jobs of %d partials holds %d report records, want %d", n, k, reports, n)
+	}
+	var a, b bytes.Buffer
+	if err := r.snapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	replayed := newWALReducer()
+	for _, rec := range cutRecords(t, a.Bytes()) {
+		if err := replayed.apply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := replayed.snapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("the cut's fold cuts to other bytes than the cut")
 	}
 }
 

@@ -112,16 +112,17 @@ func (m *Master) Submit(task tasks.Task, input []byte, atomic bool) (int, error)
 func (m *Master) Result(jobID int) (final []byte, ok bool) {
 	m.do(func() {
 		if js := m.jobs[jobID]; js != nil && js.Done && js.Failure == "" {
-			final, ok = js.Final, true
+			final, ok = js.Result.Bytes, true
 		}
 	})
 	return final, ok
 }
 
-// JobFailure reports a job's terminal aggregation error, if it has one.
+// JobFailure reports a job's terminal aggregation error, if it has one
+// and is covered.
 func (m *Master) JobFailure(jobID int) (failure string, ok bool) {
 	m.do(func() {
-		if js := m.jobs[jobID]; js != nil && js.Failure != "" {
+		if js := m.jobs[jobID]; js != nil && js.Done && js.Failure != "" {
 			failure, ok = js.Failure, true
 		}
 	})
@@ -352,7 +353,7 @@ var ErrNothingToDo = errors.New("server: no pending work")
 
 // RunRound schedules all pending work (fresh submissions plus failed work
 // from earlier rounds) across the live fleet, dispatches it, waits for
-// completion or failure, and aggregates finished jobs. Failed work is
+// completion or failure, and finishes covered jobs. Failed work is
 // re-queued for the *next* round, mirroring the paper's decision to delay
 // re-scheduling until the next scheduling instant. RunRound is not safe
 // for concurrent invocation.
@@ -520,7 +521,7 @@ func (m *Master) commitLocked(rnd *round) {
 	for pi, es := range m.planVerificationLocked(plans, rnd.inst) {
 		plans[pi] = append(plans[pi], es...)
 	}
-	// Until the round ends, it aggregates the jobs it completes, and its
+	// Until the round ends, it finishes the jobs it completes, and its
 	// timeline is open.
 	m.current = rnd
 	assignments := 0
@@ -562,19 +563,20 @@ func (m *Master) endLocked(rnd *round) {
 	// Sweep attempt records that can no longer resolve: settled keys,
 	// and dead phones (whose in-flight work was re-queued on death). A
 	// key with an open vote group still wants its reports — an audit
-	// blame tie-break runs on a key that already folded.
+	// blame tie-break runs on a key that already folded — and an expired
+	// tie-break waits for its arbiter's late report or death.
 	for id, rec := range m.attempts {
-		if (m.settledLocked(rec.a.rng) && m.votes[rec.a.key] == nil) || !rec.ps.alive() {
+		if (!rec.expired && m.settledLocked(rec.a.rng) && m.votes[rec.a.key] == nil) || !rec.ps.alive() {
 			delete(m.attempts, id)
 		}
 	}
-	// Vote groups the round could not settle are swept before aggregation:
+	// Vote groups the round could not settle are swept before jobs finish:
 	// an unresolved group's range goes back to the queue, so its job stays
 	// under-covered rather than folding unverified.
 	if !m.closed {
 		m.sweepVoteGroupsLocked()
 	}
-	// The sweep's requeues are the round's last events; aggregation below
+	// The sweep's requeues are the round's last events; finishing below
 	// is the job's, not the round's.
 	m.closeTimeline(report, snap, rnd.start)
 	report.Requeued = len(m.pending)
@@ -877,7 +879,7 @@ func (m *Master) recordStreamedCheckpoint(ps *phoneState, msg *protocol.Message)
 	default:
 		// A frame naming another phone's attempt resolves to nothing: it
 		// never becomes that phone's resume state.
-		if rec := m.attemptLocked(ps, msg.Attempt); rec != nil {
+		if rec := m.attemptLocked(ps, msg.Attempt); rec != nil && !rec.expired {
 			a, e := rec.a, rec.a.rng
 			jobID, partition = a.item.jobID, a.partition
 			// (A profiling execution has no range to fold into.)
@@ -1091,10 +1093,10 @@ func (m *Master) handBackLocked(e *walItemRec, reason string) {
 
 // finishJobLocked finishes a job whose coverage completed now — at the
 // round sweep, or on a late result — and counts and traces it. An
-// aggregation error is TERMINAL: the partials it would combine are the
-// only ones the byte ranges will ever produce (re-running them yields
-// the same set), so retrying next round can only wedge the job forever.
-// It is surfaced to the submitter via JobFailure.
+// aggregation error is TERMINAL: the partials it combined are the only
+// ones the byte ranges will ever produce (re-running them yields the
+// same set), so retrying next round can only wedge the job forever. It
+// is surfaced to the submitter via JobFailure.
 func (m *Master) finishJobLocked(js *walJobRec) {
 	if err := js.finish(); err != nil {
 		m.mx.jobsFailed.Inc()
@@ -1103,44 +1105,7 @@ func (m *Master) finishJobLocked(js *walJobRec) {
 	}
 	m.mx.jobsCompleted.Inc()
 	m.trace(obs.SpanEvent{Kind: obs.KindAggregate, Job: js.ID, Phone: -1,
-		Bytes: int64(len(js.Final)), Detail: fmt.Sprintf("%d partials", len(js.Partials))})
-}
-
-// finish derives a fully covered job's result from its partials and
-// marks it done. Nothing logs it: aggregate is a deterministic function
-// of the partials in log order, so a master recovered from the log
-// derives the same result — or the same terminal error — again.
-func (js *walJobRec) finish() error {
-	final, err := aggregate(js)
-	js.Final, js.Done = final, true
-	if err != nil {
-		js.Failure = err.Error()
-	}
-	return err
-}
-
-// aggregate merges a completed job's partials, raw, into its final
-// result.
-func aggregate(js *walJobRec) ([]byte, error) {
-	if len(js.Partials) == 0 {
-		return nil, fmt.Errorf("server: job %d complete with no partials", js.ID)
-	}
-	if len(js.Partials) == 1 {
-		return js.Partials[0].Raw()
-	}
-	b, ok := js.task.(tasks.Breakable)
-	if !ok {
-		return nil, fmt.Errorf("server: job %d has %d partials but is not breakable",
-			js.ID, len(js.Partials))
-	}
-	parts := make([][]byte, len(js.Partials))
-	for i := range js.Partials {
-		var err error
-		if parts[i], err = js.Partials[i].Raw(); err != nil {
-			return nil, fmt.Errorf("server: job %d, partial %d: %w", js.ID, i, err)
-		}
-	}
-	return b.Aggregate(parts)
+		Bytes: int64(len(js.Result.Bytes))})
 }
 
 // RunLoop runs scheduling rounds forever: whenever pending work exists

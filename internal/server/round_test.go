@@ -58,38 +58,64 @@ func TestProfileSampleSmallInput(t *testing.T) {
 	}
 }
 
+// creditAll folds partials into js as its report records do, then
+// finishes it.
+func creditAll(js *walJobRec, partials ...string) ([]byte, error) {
+	for _, p := range partials {
+		js.credit(wire.Held{Bytes: []byte(p)})
+	}
+	err := js.finish()
+	return js.Result.Bytes, err
+}
+
 func TestAggregateSingle(t *testing.T) {
-	js := &walJobRec{ID: 1, task: tasks.Blur{}, Partials: []wire.Held{{Bytes: []byte("img")}}}
-	got, err := aggregate(js)
+	got, err := creditAll(&walJobRec{ID: 1, task: tasks.Blur{}}, "img")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "img" {
 		t.Errorf("single partial aggregate = %s", got)
 	}
+	// A phone may report an empty result: it is the job's result, not the
+	// absence of one.
+	js := &walJobRec{ID: 2, task: tasks.Blur{}}
+	js.credit(wire.Held{}) // as an empty section decodes: nil
+	if err := js.finish(); err != nil || js.Result.Bytes == nil || len(js.Result.Bytes) != 0 {
+		t.Errorf("empty partial aggregate = %q, %v; want an empty result", js.Result.Bytes, err)
+	}
 }
 
 func TestAggregateMultipleCounts(t *testing.T) {
-	js := &walJobRec{ID: 1, task: tasks.PrimeCount{},
-		Partials: []wire.Held{{Bytes: []byte("3")}, {Bytes: []byte("4")}}}
-	got, err := aggregate(js)
+	got, err := creditAll(&walJobRec{ID: 1, task: tasks.PrimeCount{}}, "3", "4", "5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "7" {
-		t.Errorf("aggregate = %s, want 7", got)
+	if string(got) != "12" {
+		t.Errorf("aggregate = %s, want 12", got)
+	}
+	// A fold with no task instantiates it by name, as replay does.
+	if got, err := creditAll(&walJobRec{ID: 2, Task: "primecount"}, "3", "4"); err != nil || string(got) != "7" {
+		t.Errorf("aggregate by name = %s, %v; want 7", got, err)
 	}
 }
 
 func TestAggregateErrors(t *testing.T) {
-	if _, err := aggregate(&walJobRec{ID: 1, task: tasks.PrimeCount{}}); err == nil {
+	if _, err := creditAll(&walJobRec{ID: 1, task: tasks.PrimeCount{}}); err == nil {
 		t.Error("no partials should error")
 	}
-	js := &walJobRec{ID: 1, task: tasks.Blur{},
-		Partials: []wire.Held{{Bytes: []byte("a")}, {Bytes: []byte("b")}}}
-	if _, err := aggregate(js); err == nil ||
+	js := &walJobRec{ID: 1, task: tasks.Blur{}}
+	if _, err := creditAll(js, "a", "b"); err == nil ||
 		!strings.Contains(err.Error(), "not breakable") {
 		t.Errorf("multi-partial non-breakable err = %v", err)
+	}
+	// The error is terminal: the accumulator is dropped, and a partial
+	// credited after it is dropped too.
+	js = &walJobRec{ID: 1, task: tasks.PrimeCount{}}
+	js.credit(wire.Held{Bytes: []byte("3")})
+	js.credit(wire.Held{Bytes: []byte("x")})
+	js.credit(wire.Held{Bytes: []byte("4")})
+	if js.Failure == "" || js.Result.Bytes != nil {
+		t.Errorf("after a bad partial: failure %q, result %q; want a failure and no result", js.Failure, js.Result.Bytes)
 	}
 }
 
@@ -164,8 +190,8 @@ func TestRecordFailurePartialReporterPath(t *testing.T) {
 	if js.Covered != 4 {
 		t.Errorf("covered = %d, want 4", js.Covered)
 	}
-	if len(js.Partials) != 1 || string(js.Partials[0].Bytes) != "2" {
-		t.Errorf("partials = %q", js.Partials)
+	if got := string(js.Result.Bytes); got != "2" {
+		t.Errorf("result = %q, want the checkpointed count 2", got)
 	}
 	if len(m.pending) != 1 {
 		t.Fatalf("pending = %d", len(m.pending))

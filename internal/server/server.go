@@ -348,10 +348,15 @@ var offlineReasons = []offlineReason{offlineKeepalive, offlineCorruptFrame,
 // attemptRec pairs an issued dispatch attempt with its assignment so a
 // late or replayed report (straggler that finished after abandonment, a
 // reconnecting worker flushing its unsent buffer) can still be credited.
-// It is live while a window holds it, detached once none does.
+// It is live while a window holds it, detached once none does. An
+// expired one is a tie-break the master gave up on (tieBreakExpiredLocked):
+// kept only so the arbiter's late report is told from a forgery, it credits
+// nothing and goes when that report arrives, or with the phone's other
+// attempts at the first round sweep after it dies.
 type attemptRec struct {
-	a  assignment
-	ps *phoneState
+	a       assignment
+	ps      *phoneState
+	expired bool
 }
 
 // Master is the central server.
@@ -405,7 +410,7 @@ type Master struct {
 	votes map[int64]*voteGroup
 	// current is the round open from the loop's commit to its end; outside
 	// one (nil), a result, vote or tie-break completing a job's coverage
-	// aggregates the job inline (finishJobLocked).
+	// finishes the job inline (finishJobLocked).
 	current *round
 	// walStale is set when the log may lack something live state holds (a
 	// lost record): no record is written until walCompactLocked has folded

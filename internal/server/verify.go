@@ -399,14 +399,17 @@ func (m *Master) startTieBreakLocked(key int64) {
 
 // tieBreakExpiredLocked is a tie-break's expiry: an arbiter that never
 // reported has its group dropped and the range re-queued for a fresh
-// vote.
+// vote. Its attempt is marked expired, not forgotten, so a report it
+// sends late is dropped as late rather than counted as a forgery.
 func (m *Master) tieBreakExpiredLocked(key int64, vg *voteGroup) {
 	attempt := vg.tie
 	vg.tie, vg.tieDue = 0, time.Time{}
 	if vg.resolved || (!vg.audit && m.settledLocked(vg.a.rng)) {
 		return
 	}
-	delete(m.attempts, attempt)
+	if rec := m.attempts[attempt]; rec != nil {
+		rec.expired = true
+	}
 	delete(m.votes, key)
 	m.handBackLocked(vg.a.rng, "verification tie-break expired")
 	m.cfg.Logger.With("job", vg.a.item.jobID, "key", key).
@@ -414,14 +417,20 @@ func (m *Master) tieBreakExpiredLocked(key int64, vg *voteGroup) {
 }
 
 // pickArbiterLocked selects the tie-break phone: alive, not quarantined,
-// not draining, not already a voter and not arbitrating another tie (which
-// bounds its writer's queue) — highest reputation first, ties by lowest ID
-// for determinism.
+// not draining, not already a voter and not arbitrating another tie, nor
+// still owing one it let expire (which bounds its writer's queue, and the
+// expired attempts kept, to one each) — highest reputation first, ties by
+// lowest ID for determinism.
 func (m *Master) pickArbiterLocked(vg *voteGroup) *phoneState {
 	arbitrating := map[*phoneState]bool{}
 	for _, g := range m.votes {
 		if g.tie != 0 && m.attempts[g.tie] != nil {
 			arbitrating[g.arbiter] = true
+		}
+	}
+	for _, rec := range m.attempts {
+		if rec.expired {
+			arbitrating[rec.ps] = true
 		}
 	}
 	var best *phoneState

@@ -205,9 +205,10 @@ func TestVotingTieBreakDefeatsLiar(t *testing.T) {
 
 // A tie-break whose arbiter reads the assignment but never reports
 // expires after twice its assignment deadline: the range is handed back
-// exactly once and the arbiter's attempt is forgotten, so the report it
-// sends late, a lie, is dropped as naming no attempt it holds. The range's
-// next vote resolves, and the job aggregates to the true result.
+// exactly once and the arbiter's attempt is marked expired, so the report
+// it sends late, a lie, is dropped as late: counted apart from forgeries,
+// credited to nothing, and the mark goes with it. The range's next vote
+// resolves, and the job aggregates to the true result.
 func TestVotingTieBreakExpiresOnce(t *testing.T) {
 	const floor = 300 * time.Millisecond
 	reg, tracer := obs.NewRegistry(), obs.NewTracer(4096)
@@ -288,10 +289,10 @@ func TestVotingTieBreakExpiresOnce(t *testing.T) {
 	if n, detail := requeues(); n != 1 || detail != "verification tie-break expired" {
 		t.Fatalf("%d requeues, the last %q; want one, as the tie-break expired", n, detail)
 	}
-	var kept bool
-	m.do(func() { _, kept = m.attempts[tie.Attempt] })
-	if kept {
-		t.Fatal("the expired tie-break's attempt is still registered")
+	var expired bool
+	m.do(func() { expired = m.attempts[tie.Attempt] != nil && m.attempts[tie.Attempt].expired })
+	if !expired {
+		t.Fatal("the expired tie-break's attempt is not kept marked expired")
 	}
 
 	truth := groundTruth(t, tasks.PrimeCount{}, primesInput)
@@ -301,12 +302,16 @@ func TestVotingTieBreakExpiresOnce(t *testing.T) {
 		ExecMs: 1, ProcessedKB: float64(len(tie.Input)) / 1024}); err != nil {
 		t.Fatal(err)
 	}
-	unexpected := reg.Counter("cwc_frames_unexpected_total", "type", "result")
-	for unexpected.Value() == 0 {
+	lateReports := reg.Counter("cwc_verify_tiebreaks_late_total")
+	for lateReports.Value() == 0 {
 		if ctx.Err() != nil {
-			t.Fatal("the late report was not dropped as naming no attempt")
+			t.Fatal("the late report was not dropped as a late tie-break")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	m.do(func() { expired = m.attempts[tie.Attempt] != nil })
+	if expired {
+		t.Error("the expired attempt outlived its late report")
 	}
 
 	if _, err := m.RunRound(ctx); err != nil {
@@ -318,12 +323,34 @@ func TestVotingTieBreakExpiresOnce(t *testing.T) {
 	if n, _ := requeues(); n != 1 {
 		t.Errorf("the range was handed back %d times, want once", n)
 	}
-	if v := unexpected.Value(); v != 1 {
-		t.Errorf("cwc_frames_unexpected_total{type=result} = %d, want the one late report", v)
+	if v := lateReports.Value(); v != 1 {
+		t.Errorf("cwc_verify_tiebreaks_late_total = %d, want the one late report", v)
+	}
+	if v := reg.Counter("cwc_frames_unexpected_total", "type", "result").Value(); v != 0 {
+		t.Errorf("cwc_frames_unexpected_total{type=result} = %d, want 0: a late tie-break is no forgery", v)
 	}
 	if r := m.Reputation(arbiter.id); r != 1.0 {
 		t.Errorf("arbiter reputation = %v after a report the master dropped, want 1.0", r)
 	}
+}
+
+// A phone that let a tie expire is not picked to arbitrate another until
+// its late report arrives, so the master keeps at most one expired attempt
+// per phone however many ties a silent arbiter would otherwise be given.
+func TestArbiterOwingAnExpiredTieIsNotPicked(t *testing.T) {
+	m := New(Config{})
+	silent, other := &phoneState{info: PhoneInfo{ID: 1}}, &phoneState{info: PhoneInfo{ID: 2}}
+	m.phones[1], m.phones[2] = silent, other
+	vg := &voteGroup{ballots: map[int]tasks.Sum{}}
+	m.do(func() {
+		if got := m.pickArbiterLocked(vg); got != silent {
+			t.Fatalf("picked %+v, want phone 1: the lowest ID at equal reputation", got)
+		}
+		m.attempts[7] = &attemptRec{ps: silent, expired: true}
+		if got := m.pickArbiterLocked(vg); got != other {
+			t.Errorf("picked %+v, want phone 2: phone 1 still owes a tie it let expire", got)
+		}
+	})
 }
 
 // Repeated lost votes sink the liar's reputation below the threshold:
@@ -622,7 +649,8 @@ func init() { tasks.Register("badagg", func([]byte) (tasks.Task, error) { return
 // Satellite regression: an aggregation error is terminal — it surfaces
 // to the submitter as a job failure instead of wedging the job in a
 // silent re-aggregate-every-round loop, and the WAL replays to the same
-// terminal state on a recovered master.
+// terminal state on a recovered master, and again from the snapshot that
+// recovery compacted, where the job record carries the failure.
 func TestAggregateFailureIsTerminalAndSurvivesRecovery(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncAlways})
@@ -682,5 +710,45 @@ func TestAggregateFailureIsTerminalAndSurvivesRecovery(t *testing.T) {
 	}
 	if m2.PendingItems() != 0 {
 		t.Errorf("recovered master re-queued %d items of a terminally failed job", m2.PendingItems())
+	}
+	m2.Close()
+	wl2.Close()
+
+	// Recovery compacted the log: the snapshot holds the job with its
+	// failure and no partial, and a master recovered from it lands in the
+	// same terminal state again.
+	wl3 := openWAL(t, dir, wal.Options{Sync: wal.SyncAlways})
+	var cutFailure string
+	for _, r := range wl3.Recovered() {
+		rec, err := decodeWAL(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch p := rec.(type) {
+		case *walCutJob:
+			if p.ID == id {
+				cutFailure = p.Failure
+			}
+		case *walReport:
+			if p.JobID == id {
+				t.Errorf("the compacted log holds a partial of the failed job: %q", p.Partial.Bytes)
+			}
+		}
+	}
+	if cutFailure == "" {
+		t.Error("the compacted log's job record carries no failure")
+	}
+	m3 := startMaster(t, Config{WAL: wl3})
+	if err := m3.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m3.Result(id); ok {
+		t.Error("twice-recovered master resurrected a failed job's result")
+	}
+	if msg, failed := m3.JobFailure(id); !failed || msg != cutFailure {
+		t.Errorf("twice-recovered failure = %q, %v; want %q", msg, failed, cutFailure)
+	}
+	if m3.PendingItems() != 0 {
+		t.Errorf("twice-recovered master re-queued %d items of a terminally failed job", m3.PendingItems())
 	}
 }

@@ -17,8 +17,8 @@ import (
 // the acknowledgement that depends on it, so a master killed at any
 // instant replays snapshot + log and resumes with nothing acknowledged
 // lost. The log holds inputs and what phones returned, each said once: a
-// job's result is derived from its partials, at the round sweep and at
-// recovery, and is never logged. An input byte is logged once, in its
+// job's result is its accumulator, the partials folded as they are
+// credited, and is never logged. An input byte is logged once, in its
 // job's submit record, coded as the link carries it; every later record
 // that concerns a byte range (round, partial, migrate) names it by
 // reference — a fresh item's sequence number plus offset and length, or
@@ -29,7 +29,7 @@ import (
 //
 // Durable state is a pure reduction (walReducer) over three collections:
 //
-//	jobs   — submissions and their accumulated partials
+//	jobs   — submissions and the accumulator their partials fold into
 //	fresh  — queued work items that have never been dispatched,
 //	         identified by a durable per-item sequence number
 //	open   — partitioned byte ranges at or past dispatch, identified
@@ -44,7 +44,8 @@ import (
 // (walReducer.fold). Decoded, a record's input or result stays as the log
 // holds it (wire.Held), coded, checked once at its own record: replay and
 // the standby decode it for keeps only where live state needs it raw
-// (installWALState, finish), and a cut writes it back out byte for byte.
+// (installWALState, credit, finish), and a cut writes it back out byte
+// for byte.
 // A snapshot is records too, so recovery and the standby read one format
 // through one decoder. Every record changes state, and every one is
 // written on the state's owner in the order it is folded.
@@ -72,7 +73,7 @@ const (
 	walRecRegister   uint8 = 12 // phone ID issued to a fresh registration
 	walRecReputation uint8 = 13 // per-phone result-integrity reputation update / quarantine
 	walRecHead       uint8 = 14 // a cut's counters (compaction snapshot, standby attach)
-	walRecJob        uint8 = 15 // a cut's job, its partials aside
+	walRecJob        uint8 = 15 // a cut's job, its accumulator aside
 	walRecItem       uint8 = 16 // a cut's fresh item or open range and its bytes
 
 	// walRecEnd is one past the last record type. iota counts the lines
@@ -387,14 +388,15 @@ func (p *walCutHead) Wire(c *wire.Codec) {
 	wire.Int(c, 4, &p.NextPhoneID)
 }
 
-// walCutJob is a walJobRec but for its partials: the cut lists each as a
-// keyless report behind it.
+// walCutJob is a walJobRec but for its accumulator: the cut carries that
+// in a keyless report behind it.
 type walCutJob struct {
 	ID         int
 	Task       string
 	Params     []byte
 	TotalBytes int64
 	Covered    int64
+	Failure    string
 }
 
 func (*walCutJob) typ() uint8 { return walRecJob }
@@ -405,6 +407,7 @@ func (p *walCutJob) Wire(c *wire.Codec) {
 	c.Section(3, &p.Params)
 	wire.Int(c, 4, &p.TotalBytes)
 	wire.Int(c, 5, &p.Covered)
+	wire.String(c, 6, &p.Failure)
 }
 
 // walCutItem is a fresh item's or an open range's walItemRec but for its
@@ -441,20 +444,80 @@ type walJobRec struct {
 	Params     []byte
 	TotalBytes int64
 	Covered    int64
-	// Partials are what phones returned, each held as its record held it
-	// (coded, on replay and the standby), and decoded where finish needs
-	// it raw.
-	Partials []wire.Held
-
-	// Live only: never folded, never logged. task is Task and Params
-	// instantiated, set where a job enters a master (Submit, recovery).
-	// Final, Done and Failure are derived from Partials (finish) once the
-	// job is fully covered; Failure is a terminal aggregation error (Done
-	// with no Final), which JobFailure surfaces to the Submit caller.
-	task    tasks.Task
-	Final   []byte
-	Done    bool
+	// Result is the accumulator every partial folds into (credit), nil
+	// until the first; a terminal aggregation error is Failure instead.
+	Result  wire.Held
 	Failure string
+
+	// Live only, never logged: task is Task and Params instantiated; Done
+	// is set once the job is covered (finish), and JobFailure waits for it.
+	task tasks.Task
+	Done bool
+}
+
+// credit folds a partial into the job's accumulator: the first as it is
+// held (coded, on replay and the standby), each later one aggregated with
+// it. An aggregation error refuses no record: it is the job's Failure,
+// which drops the accumulator and every later partial.
+func (js *walJobRec) credit(p wire.Held) {
+	var err error
+	switch {
+	case js.Failure != "":
+		return
+	case js.Result.Bytes == nil:
+		js.Result = p
+	default:
+		js.Result, err = js.aggregate(p)
+	}
+	if err != nil {
+		js.Result, js.Failure = wire.Held{}, fmt.Sprintf("server: job %d: %v", js.ID, err)
+	} else if js.Result.Bytes == nil {
+		js.Result.Bytes = []byte{} // an empty result is still a result
+	}
+}
+
+// aggregate merges the accumulator and p, raw, instantiating the task on
+// replay and the standby.
+func (js *walJobRec) aggregate(p wire.Held) (acc wire.Held, err error) {
+	if js.task == nil {
+		if js.task, err = tasks.New(js.Task, js.Params); err != nil {
+			return acc, err
+		}
+	}
+	b, ok := js.task.(tasks.Breakable)
+	if !ok {
+		return acc, errors.New("more than one partial, but the task is not breakable")
+	}
+	first, err := js.Result.Raw()
+	if err != nil {
+		return acc, err
+	}
+	raw, err := p.Raw()
+	if err != nil {
+		return acc, err
+	}
+	acc.Bytes, err = b.Aggregate([][]byte{first, raw})
+	return acc, err
+}
+
+// finish marks a covered job done, its accumulator decoded to raw once.
+// Nothing logs it: the accumulator is a deterministic function of the
+// partials in log order, so a recovered master holds the same result, or
+// the same terminal error, again.
+func (js *walJobRec) finish() error {
+	js.Done = true
+	raw, err := js.Result.Raw()
+	switch {
+	case js.Failure != "":
+	case js.Result.Bytes == nil:
+		js.Failure = fmt.Sprintf("server: job %d complete with no partials", js.ID)
+	case err != nil:
+		js.Result, js.Failure = wire.Held{}, fmt.Sprintf("server: job %d: %v", js.ID, err)
+	default:
+		js.Result = wire.Held{Bytes: raw}
+		return nil
+	}
+	return errors.New(js.Failure)
 }
 
 // walItemRec is a byte range's durable state, in one of two lives. A
@@ -635,7 +698,7 @@ func (r *walReducer) fold(rec walRecord) error {
 		}
 		delete(r.open, p.Key)
 		js.Covered += p.Bytes
-		js.Partials = append(js.Partials, p.Partial)
+		js.credit(p.Partial)
 	case *walPartialRec:
 		js, err := r.job(p.JobID)
 		if err != nil {
@@ -657,7 +720,7 @@ func (r *walReducer) fold(rec walRecord) error {
 		}
 		delete(r.open, p.Key)
 		js.Covered += p.Offset
-		js.Partials = append(js.Partials, p.Partial)
+		js.credit(p.Partial)
 	case *walMigrate:
 		cur, ok := r.open[p.Key]
 		if !ok || cur.JobID != p.JobID {
@@ -707,6 +770,7 @@ func (r *walReducer) fold(rec walRecord) error {
 		}
 		r.jobs[p.ID] = &walJobRec{
 			ID: p.ID, Task: p.Task, Params: p.Params, TotalBytes: p.TotalBytes, Covered: p.Covered,
+			Failure: p.Failure,
 		}
 		r.nextJobID = max(r.nextJobID, p.ID+1)
 	case *walCutItem:
@@ -876,9 +940,9 @@ func (r *walReducer) cut() ([]walRecord, error) {
 	for _, id := range sortedKeys(r.jobs) {
 		js := r.jobs[id]
 		recs = append(recs, &walCutJob{ID: id, Task: js.Task, Params: js.Params,
-			TotalBytes: js.TotalBytes, Covered: js.Covered})
-		for _, p := range js.Partials {
-			recs = append(recs, &walReport{JobID: id, Partial: p})
+			TotalBytes: js.TotalBytes, Covered: js.Covered, Failure: js.Failure})
+		if js.Result.Bytes != nil {
+			recs = append(recs, &walReport{JobID: id, Partial: js.Result})
 		}
 	}
 	raws := map[*wire.Held][]byte{} // sources decoded for this cut
@@ -1012,12 +1076,12 @@ func (m *Master) CompactWAL() error {
 }
 
 // RecoverWAL replays the attached WAL's records — its snapshot's, then
-// its segments' — into this (empty) master: jobs and their partials are
-// restored, queued work is re-queued, and byte ranges that were in
-// flight when the old master died are re-queued whole (atomic), each
-// with its freshest logged checkpoint as resume state. Every fully
-// covered job's result is derived from its partials again. The log is
-// then compacted so the recovered state becomes the new snapshot.
+// its segments' — into this (empty) master: jobs and their accumulated
+// results are restored, queued work is re-queued, and byte ranges that
+// were in flight when the old master died are re-queued whole (atomic),
+// each with its freshest logged checkpoint as resume state. Every fully
+// covered job is finished again. The log is then compacted so the
+// recovered state becomes the new snapshot.
 func (m *Master) RecoverWAL() error {
 	wl := m.cfg.WAL
 	if wl == nil || len(wl.Recovered()) == 0 {
@@ -1044,10 +1108,9 @@ func (m *Master) RecoverWAL() error {
 // master's attempts can never reach this one, because the key is what
 // the log that continues from here calls the range. Each queued range's
 // source is decoded here, once for every range cut from it; a consumed
-// input is never decoded. A fully covered job is finished from its
-// partials, as the round sweep finished it (or would have, had the crash
-// come later); nothing is counted or traced, because the job is not
-// completing now.
+// input is never decoded. A fully covered job is finished, as the round
+// sweep finished it (or would have, had the crash come later); nothing is
+// counted or traced, because the job is not completing now.
 func (m *Master) installWALState(red *walReducer) error {
 	for id, js := range red.jobs {
 		task, err := tasks.New(js.Task, js.Params)

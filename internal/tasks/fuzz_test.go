@@ -3,6 +3,7 @@ package tasks
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"testing"
@@ -161,4 +162,139 @@ func FuzzCheckpointOffsets(f *testing.F) {
 			t.Fatal("successful run produced empty result")
 		}
 	})
+}
+
+// FuzzAggregateFold checks every registered breakable task against the
+// master's fold of a job's partials: the first as it came, each later one
+// aggregated with the accumulator, left to right. That fold must equal
+// Aggregate over all of them at once, byte for byte ("none" included), as
+// the associativity Breakable promises; and what Aggregate made must
+// aggregate alone to itself. The partials are what a job's
+// ranges report: Process over the pieces of a fuzzed split of a fuzzed
+// input, and for one piece cut at a fuzzed line, PartialResult of the
+// checkpoint a run interrupted there holds, then Process over the rest.
+func FuzzAggregateFold(f *testing.F) {
+	f.Add([]byte("2\n3\nsale\n5\n7\nsale sale\n-4\n"), []byte{4, 6, 3}, uint8(1), uint8(1))
+	f.Add([]byte("x\ny\n\n"), []byte{1, 1, 1, 1}, uint8(0), uint8(2))
+	f.Add([]byte("9223372036854775807\n1\nnone\n"), []byte{20, 0, 9}, uint8(2), uint8(0))
+	f.Add([]byte("sale"), []byte{1}, uint8(0), uint8(0))
+	breakables := map[string][]byte{"primecount": nil, "wordcount": []byte(`{"word":"sale"}`), "maxint": nil, "sleepcount": nil}
+	f.Fuzz(func(t *testing.T, input, sizes []byte, piece, line uint8) {
+		if len(sizes) == 0 || len(sizes) > 16 {
+			return
+		}
+		sizesKB := make([]float64, len(sizes))
+		for i, b := range sizes {
+			sizesKB[i] = float64(b) / 1024 // b bytes
+		}
+		for name, params := range breakables {
+			if name == "primecount" && longDigitRun(input) {
+				continue // trial division of a 19-digit prime takes seconds
+			}
+			task, err := New(name, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := task.(Breakable)
+			pieces, err := b.Split(input, sizesKB)
+			if err != nil {
+				return // all sizes zero
+			}
+			var parts [][]byte
+			for i, in := range pieces {
+				pr, ok := task.(PartialReporter)
+				if cut := lineCut(in, int(line)); ok && i == int(piece)%len(pieces) && cut > 0 {
+					partial, err := pr.PartialResult(interruptedState(t, task, in[:cut]))
+					if err != nil {
+						t.Fatalf("%s: partial result: %v", name, err)
+					}
+					parts, in = append(parts, partial), in[cut:]
+				}
+				res, err := task.Process(context.Background(), in, &Checkpoint{})
+				if err != nil {
+					t.Fatalf("%s: piece %d: %v", name, i, err)
+				}
+				parts = append(parts, res)
+			}
+			want, err := b.Aggregate(parts)
+			if err != nil {
+				t.Fatalf("%s: aggregate of %q: %v", name, parts, err)
+			}
+			acc := parts[0]
+			for _, p := range parts[1:] {
+				if acc, err = b.Aggregate([][]byte{acc, p}); err != nil {
+					t.Fatalf("%s: folding %q: %v", name, p, err)
+				}
+			}
+			if len(parts) > 1 && !bytes.Equal(acc, want) {
+				t.Fatalf("%s: the fold of %q is %q, Aggregate of all is %q", name, parts, acc, want)
+			}
+			// A cut carries the accumulator as one partial: alone, it
+			// aggregates to itself.
+			if again, err := b.Aggregate([][]byte{want}); err != nil || !bytes.Equal(again, want) {
+				t.Fatalf("%s: Aggregate of %q alone is %q, %v", name, want, again, err)
+			}
+		}
+	})
+}
+
+// longDigitRun reports whether in holds more than 12 digits in a row.
+func longDigitRun(in []byte) bool {
+	run := 0
+	for _, c := range in {
+		if run = run + 1; c < '0' || c > '9' {
+			run = 0
+		}
+		if run > 12 {
+			return true
+		}
+	}
+	return false
+}
+
+// lineCut is the offset just past in's n-th newline (counting from 1), or
+// 0 when n is 0 or in has fewer lines.
+func lineCut(in []byte, n int) int {
+	off := 0
+	for ; n > 0; n-- {
+		i := bytes.IndexByte(in[off:], '\n')
+		if i < 0 {
+			return 0
+		}
+		off += i + 1
+	}
+	return off
+}
+
+// interruptedState is the checkpoint state of a run of task interrupted
+// once it has read all of in: the state a failure report carries, the
+// accumulator over in.
+func interruptedState(t *testing.T, task Task, in []byte) []byte {
+	res, err := task.Process(context.Background(), in, &Checkpoint{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st any = countState{}
+	if _, isMax := task.(MaxInt); isMax {
+		m := maxState{}
+		if s := string(res); s != "none" {
+			m.Max, m.Seen = mustInt(t, s), true
+		}
+		st = m
+	} else {
+		st = countState{Count: mustInt(t, string(res))}
+	}
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func mustInt(t *testing.T, s string) int64 {
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
