@@ -80,7 +80,6 @@ func TestChurnStormPlugAwareSavesRecompute(t *testing.T) {
 		opts.Server.KeepaliveTolerance = 3
 		if plugAware {
 			opts.Server.PlugAware = true
-			opts.Server.DrainCheckPeriod = 10 * time.Millisecond
 		}
 		c := startCluster(t, opts)
 		base := "http://" + c.Master.ObsAddr()

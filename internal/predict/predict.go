@@ -152,11 +152,3 @@ func (e *Estimator) Tasks() []string {
 	}
 	return out
 }
-
-// Forget drops any refined estimate for (phone, task); Estimate falls back
-// to clock scaling. Useful when a phone re-registers after a long absence.
-func (e *Estimator) Forget(task string, phoneID int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.learned, learnKey{phoneID, task})
-}

@@ -155,24 +155,6 @@ func TestReportValidation(t *testing.T) {
 	}
 }
 
-func TestForget(t *testing.T) {
-	e := newEst(t)
-	if err := e.SetProfile("primes", 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Report("primes", 3, 2); err != nil {
-		t.Fatal(err)
-	}
-	e.Forget("primes", 3)
-	got, err := e.Estimate("primes", 3, 806)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 10 {
-		t.Errorf("estimate after Forget = %v, want clock-scaled 10", got)
-	}
-}
-
 func TestConcurrentUse(t *testing.T) {
 	e := newEst(t)
 	if err := e.SetProfile("primes", 10); err != nil {

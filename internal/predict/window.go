@@ -213,52 +213,6 @@ func (w *WindowEstimator) RemainingMs(phone int, nowMs, q float64) (float64, boo
 	return quantile(extra, q), true
 }
 
-// StillPluggedProb returns the empirical probability that the phone's
-// current session is still open at absolute time atMs: the fraction of
-// recorded sessions at least as long as atMs−plugAt. ok is false when
-// the phone is not plugged or has fewer than minSessions observations.
-func (w *WindowEstimator) StillPluggedProb(phone int, atMs float64) (float64, bool) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	pw := w.phones[phone]
-	if pw == nil || !pw.plugged || len(pw.durations) < w.minSessions {
-		return 0, false
-	}
-	horizon := atMs - pw.plugAtMs
-	if horizon <= 0 {
-		return 1, true
-	}
-	n := 0
-	for _, d := range pw.durations {
-		if d >= horizon {
-			n++
-		}
-	}
-	return float64(n) / float64(len(pw.durations)), true
-}
-
-// PredictedUnplugMs returns the absolute timestamp at which the
-// phone's current session reaches the q-quantile of its recorded
-// session durations — the introspection value /statusz displays. ok is
-// false when the phone is not plugged or history is too thin.
-func (w *WindowEstimator) PredictedUnplugMs(phone int, q float64) (float64, bool) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	pw := w.phones[phone]
-	if pw == nil || !pw.plugged || len(pw.durations) < w.minSessions {
-		return 0, false
-	}
-	return pw.plugAtMs + quantile(pw.durations, q), true
-}
-
-// Forget drops all session state for the phone, as when it re-registers
-// after a long absence under a new identity.
-func (w *WindowEstimator) Forget(phone int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	delete(w.phones, phone)
-}
-
 // quantile returns the q-quantile of vals (clamped to [0,1]) with
 // linear interpolation between order statistics. vals must be
 // non-empty; it is not modified.

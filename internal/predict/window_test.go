@@ -33,12 +33,6 @@ func TestWindowEstimatorZeroObservations(t *testing.T) {
 	if _, ok := w.RemainingMs(7, 100, 0.25); ok {
 		t.Error("RemainingMs predicted with no history")
 	}
-	if _, ok := w.StillPluggedProb(7, 100); ok {
-		t.Error("StillPluggedProb predicted with no history")
-	}
-	if _, ok := w.PredictedUnplugMs(7, 0.25); ok {
-		t.Error("PredictedUnplugMs predicted with no history")
-	}
 	// A phone that is plugged but has no *completed* sessions is just
 	// as unknown.
 	w.ObservePlug(7, 50)
@@ -89,15 +83,6 @@ func TestWindowEstimatorSingleSession(t *testing.T) {
 	if !ok || rem != 0 {
 		t.Errorf("overdue RemainingMs = %v, %v; want 0, true", rem, ok)
 	}
-	if p, ok := w.StillPluggedProb(1, 14_000); !ok || p != 1 {
-		t.Errorf("StillPluggedProb(14s) = %v, %v; want 1, true", p, ok)
-	}
-	if p, ok := w.StillPluggedProb(1, 19_000); !ok || p != 0 {
-		t.Errorf("StillPluggedProb(19s) = %v, %v; want 0, true", p, ok)
-	}
-	if at, ok := w.PredictedUnplugMs(1, 0.5); !ok || at != 18_000 {
-		t.Errorf("PredictedUnplugMs = %v, %v; want 18000, true", at, ok)
-	}
 }
 
 // Irregular schedules: a phone with wildly varying session lengths
@@ -128,16 +113,6 @@ func TestWindowEstimatorIrregularSchedule(t *testing.T) {
 	// Median of the three surviving extras.
 	if rem, _ := w.RemainingMs(1, at+5000, 0.5); rem != 95_000 {
 		t.Errorf("conditioned q=0.5 RemainingMs = %v, want 95000", rem)
-	}
-	// Survival probability drops as the horizon extends.
-	if p, _ := w.StillPluggedProb(1, at+500); p != 1 {
-		t.Errorf("P(plugged at +0.5s) = %v, want 1", p)
-	}
-	if p, _ := w.StillPluggedProb(1, at+50_000); p != 0.5 {
-		t.Errorf("P(plugged at +50s) = %v, want 0.5", p)
-	}
-	if p, _ := w.StillPluggedProb(1, at+2_000_000); p != 0 {
-		t.Errorf("P(plugged at +2000s) = %v, want 0", p)
 	}
 }
 
@@ -187,10 +162,6 @@ func TestWindowEstimatorClockSkew(t *testing.T) {
 	w.ObservePlug(1, 50_000)
 	if _, ok := w.RemainingMs(1, 49_000, 0.5); ok {
 		t.Error("RemainingMs answered for nowMs before plug")
-	}
-	// StillPluggedProb with a horizon behind the plug is trivially 1.
-	if p, ok := w.StillPluggedProb(1, 49_000); !ok || p != 1 {
-		t.Errorf("StillPluggedProb behind plug = %v, %v; want 1, true", p, ok)
 	}
 }
 
@@ -256,20 +227,6 @@ func TestWindowEstimatorSeedAndRing(t *testing.T) {
 	// shortest surviving session is 1100 ms.
 	if rem, ok := w.RemainingMs(2, 0, 0); !ok || rem != 1100 {
 		t.Errorf("RemainingMs = %v, %v; want 1100, true", rem, ok)
-	}
-}
-
-func TestWindowEstimatorForget(t *testing.T) {
-	w := newWE(t, 1, 0)
-	w.ObservePlug(1, 0)
-	w.ObserveUnplug(1, 1000)
-	w.ObservePlug(1, 2000)
-	w.Forget(1)
-	if w.Plugged(1) || w.Sessions(1) != 0 {
-		t.Error("Forget left state behind")
-	}
-	if _, ok := w.RemainingMs(1, 3000, 0.5); ok {
-		t.Error("RemainingMs answered after Forget")
 	}
 }
 

@@ -640,6 +640,9 @@ func (c *Conn) Recv() (*Message, error) {
 // SetReadDeadline bounds the next Recv.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.c.SetReadDeadline(t) }
 
+// SetWriteDeadline bounds every Send, the one under way included.
+func (c *Conn) SetWriteDeadline(t time.Time) error { return c.c.SetWriteDeadline(t) }
+
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.c.Close() }
 

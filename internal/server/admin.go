@@ -323,8 +323,8 @@ func (m *Master) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 				drain:       m.drains[ps.info.ID],
 				quarantined: m.quarantined[ps.info.ID],
 			}
-			if w := m.wins[ps]; w != nil {
-				row.missed = w.missed
+			if ps.alive() {
+				row.missed = ps.missed
 			}
 			if r, ok := m.reputation[ps.info.ID]; ok {
 				rep := r

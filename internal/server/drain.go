@@ -31,10 +31,11 @@ const (
 // placements and to trigger drains: 0.25 plans as if this session ends
 // where the shortest quarter of its history ended. drainLead is how far
 // ahead of the predicted unplug (at drainQuantile) a proactive drain
-// starts.
+// starts, and drainCheckPeriod how often the loop checks.
 const (
-	drainQuantile = 0.25
-	drainLead     = 30 * time.Second
+	drainQuantile    = 0.25
+	drainLead        = 30 * time.Second
+	drainCheckPeriod = time.Second
 )
 
 // nowMs is the wall-clock timestamp fed to the (pure) window estimator.
@@ -57,7 +58,7 @@ func (m *Master) DrainState(phoneID int) (state string) {
 	return state
 }
 
-// checkDrainsLocked is the loop's drain check, every DrainCheckPeriod
+// checkDrainsLocked is the loop's drain check, every drainCheckPeriod
 // under Config.PlugAware: start drains whose predicted window is inside
 // the lead, and complete drains whose phones' windows hold no attempts
 // anymore (the handback arrived, or the phone was idle).
@@ -75,7 +76,7 @@ func (m *Master) checkDrainsLocked() {
 		m.startDrainLocked(ps, rem)
 	}
 	for id, st := range m.drains {
-		if w := m.wins[m.phones[id]]; st == drainStarted && (w == nil || len(w.win) == 0) {
+		if ps := m.phones[id]; st == drainStarted && (ps == nil || len(ps.win) == 0) {
 			m.completeDrainLocked(id)
 		}
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -55,10 +54,7 @@ type (
 )
 
 // A round is per-phone queues for the loop: a scheduling round RunRound
-// packed, which the loop commits, runs and ends with its report or err, or
-// a profiling execution, whose one keyless flight ships even to a draining
-// phone, runs on no clock, does not kill its phone by failing, and leaves
-// its report in resp (nil: none came).
+// packed, which the loop commits, runs and ends with its report or err.
 type round struct {
 	plans  [][]assignment
 	phones []*phoneState
@@ -71,34 +67,6 @@ type round struct {
 	start  time.Time // its windows' start
 	report *RoundReport
 	err    error
-
-	profiling bool
-	resp      *protocol.Message
-}
-
-// window is one phone's state from registration to death: its keepalive,
-// its probe and its dispatch, at most two attempts out, the one executing
-// and one prefetched behind it if both fit its RAM, so the next input
-// crosses the link while the current one computes (the paper's lockstep
-// kept link and CPU busy only alternately). One assignment is written at a
-// time; the clock (due; zero: none) times win[0] only.
-type window struct {
-	ps        *phoneState
-	rnd       *round // whose queue it feeds; nil: idle
-	queue     []assignment
-	next      int      // queue[next:] has not been shipped
-	win       []flight // outstanding attempts in execution order
-	sending   int64    // attempt its writer has not finished; 0: none
-	due       time.Time
-	deadline  time.Duration
-	straggled bool
-	pingDue   time.Time  // the next keepalive tick; zero while a ping is unwritten
-	missed    int        // ticks since the last pong
-	pings     uint64     // the last ping's seq
-	rng       *rand.Rand // jitters each tick
-	probe     *probing   // the call its outstanding probe answers; nil: none
-	probeSeq  uint64     // that probe's seq, which its ack echoes
-	probeAt   time.Time  // when it was queued
 }
 
 // flight is one attempt out on a phone; a prefetched one has not started,
@@ -116,10 +84,10 @@ const pingAttempt = -1
 
 // writerQueue bounds what the loop has unwritten on one phone, so queueing
 // never blocks it and a full queue is a link stalled past every bound: the
-// window's sending flight, one tie-break's (an arbiter takes one at a
-// time), the drain frame and the welcome (once a connection), a ping (the
-// next tick waits for it) and a probe (a call waits for one outstanding).
-const writerQueue = 6
+// window's sending flight, a tie-break's and a profiling execution's (one
+// at a time each), the drain frame and the welcome (once a connection), a
+// ping (the next tick waits for it) and a probe (never two outstanding).
+const writerQueue = 7
 
 // post hands the loop an input; false once the loop's last step has run.
 func (m *Master) post(in any) bool {
@@ -208,7 +176,7 @@ func (m *Master) run() {
 		if m.cfg.PlugAware {
 			if !now.Before(drainDue) {
 				m.checkDrainsLocked()
-				drainDue = now.Add(m.cfg.DrainCheckPeriod)
+				drainDue = now.Add(drainCheckPeriod)
 			}
 			wake = earliest(wake, drainDue)
 		}
@@ -220,12 +188,17 @@ func (m *Master) run() {
 	}
 }
 
+// byeTimeout bounds closeLocked's byes, all together: a phone that stopped
+// reading holds its writer in a Write that would never return without it.
+const byeTimeout = time.Second
+
 // closeLocked is the master's last step, Close's or Kill's: it stops
 // accepting, refuses every input posted from here on and cuts half-read
 // hellos short (life ends), lets every window go without handing anything
 // back (its ranges stay open, as recovery finds them after a SIGKILL),
 // which ends the round they held, says bye to every live phone if asked
-// to, and kills every phone. A closed master is closed again as a no-op.
+// to, within byeTimeout, and kills every phone. A closed master is closed
+// again as a no-op.
 func (m *Master) closeLocked(bye bool) {
 	if m.closed {
 		return
@@ -238,11 +211,14 @@ func (m *Master) closeLocked(bye bool) {
 	if m.obsLn != nil {
 		m.obsLn.Close()
 	}
-	for _, w := range m.wins {
-		w.win, w.next = nil, len(w.queue)
-		m.finishLocked(w)
+	byeBy := time.Now().Add(byeTimeout)
+	for _, ps := range m.phones {
+		if ps.alive() {
+			ps.win, ps.next = nil, len(ps.queue)
+			m.finishLocked(ps)
+			_ = ps.conn.SetWriteDeadline(byeBy)
+		}
 	}
-	clear(m.wins)
 	for _, ps := range m.phones {
 		if bye && ps.alive() {
 			_ = ps.conn.Send(&protocol.Message{Type: protocol.TypeBye})
@@ -269,33 +245,30 @@ func (m *Master) stepLocked(now time.Time, in any) {
 		in.ps = m.joinLocked(now, in.conn, in.hello)
 		m.stepDone <- struct{}{}
 	case *round:
-		if in.profiling {
-			m.startLocked(now, in)
-		} else {
-			m.commitLocked(in)
-		}
+		m.commitLocked(in)
 	case reported:
 		m.reportedLocked(now, in)
 		if in.wait {
 			m.stepDone <- struct{}{}
 		}
 	case sent:
-		switch w := m.wins[in.ps]; {
+		switch ps := in.ps; {
 		case in.err != nil:
-			m.dieLocked(in.ps, offlineSendFailed, in.err.Error())
-		case w != nil && in.attempt == pingAttempt:
-			w.pingDue = now.Add(keepaliveJitter(m.cfg.KeepalivePeriod, w.rng))
-			m.armLocked(w.pingDue)
-		case w != nil && w.sending == in.attempt:
-			w.sending = 0 // the link is free for the next assignment
-			m.pumpLocked(now, w)
+			m.dieLocked(ps, offlineSendFailed, in.err.Error())
+		case !ps.alive():
+		case in.attempt == pingAttempt:
+			ps.pingDue = now.Add(keepaliveJitter(m.cfg.KeepalivePeriod, ps.rng))
+			m.armLocked(ps.pingDue)
+		case ps.sending == in.attempt:
+			ps.sending = 0 // the link is free for the next assignment
+			m.pumpLocked(now, ps)
 		}
 	case died:
 		m.dieLocked(in.ps, in.reason, in.detail)
 	case cancelled:
-		for _, w := range m.wins {
-			if w.rnd == in.rnd {
-				m.releaseLocked(w, 0, false)
+		for _, ps := range m.phones {
+			if ps.alive() && ps.rnd == in.rnd {
+				m.releaseLocked(ps, 0, false)
 			}
 		}
 	}
@@ -309,12 +282,12 @@ func (m *Master) reportedLocked(now time.Time, in reported) {
 	msg := in.msg
 	switch msg.Type {
 	case protocol.TypePong:
-		if w := m.wins[in.ps]; w != nil {
-			w.missed = 0
+		if in.ps.alive() {
+			in.ps.missed = 0
 			m.sloObserve(sloKeepalive, true)
 		}
 	case protocol.TypeProbeAck:
-		m.probeAckLocked(now, m.wins[in.ps], msg.Seq)
+		m.probeAckLocked(now, in.ps, msg.Seq)
 	case protocol.TypeTelemetry:
 		// Deliberately not fenced: a worker's buffered span events must
 		// survive a standby promotion — each event carries the epoch it was
@@ -354,14 +327,17 @@ func (m *Master) timersLocked(now time.Time) time.Time {
 		return m.wakeAt
 	}
 	var wake time.Time
-	for _, w := range m.wins {
-		if !w.due.IsZero() && !now.Before(w.due) {
-			m.overdueLocked(now, w)
+	for _, ps := range m.phones {
+		if !ps.alive() {
+			continue
 		}
-		if !w.pingDue.IsZero() && !now.Before(w.pingDue) {
-			m.tickLocked(w)
+		if !ps.due.IsZero() && !now.Before(ps.due) {
+			m.overdueLocked(now, ps)
 		}
-		wake = earliest(earliest(wake, w.due), w.pingDue)
+		if !ps.pingDue.IsZero() && !now.Before(ps.pingDue) {
+			m.tickLocked(ps)
+		}
+		wake = earliest(earliest(wake, ps.due), ps.pingDue)
 	}
 	for key, vg := range m.votes {
 		if vg.tie != 0 && vg.tieDue.IsZero() {
@@ -388,16 +364,11 @@ func (m *Master) armLocked(t time.Time) {
 func (m *Master) startLocked(now time.Time, rnd *round) {
 	rnd.open = len(rnd.phones) + 1 // one more until every window has its queue
 	for pi, ps := range rnd.phones {
-		w := m.wins[ps]
-		if w == nil {
-			w = &window{ps: ps}
-			m.wins[ps] = w
-		}
-		w.rnd, w.queue, w.next = rnd, rnd.plans[pi], 0
+		ps.rnd, ps.queue, ps.next = rnd, rnd.plans[pi], 0
 		if ps.alive() {
-			m.pumpLocked(now, w)
+			m.pumpLocked(now, ps)
 		} else {
-			m.dieLocked(ps, "", "") // died before the round reached it
+			m.releaseLocked(ps, 0, false) // died before the round reached it
 		}
 	}
 	if rnd.open--; rnd.open == 0 {
@@ -405,72 +376,70 @@ func (m *Master) startLocked(now time.Time, rnd *round) {
 	}
 }
 
-// pumpLocked moves a window on. A draining or quarantined phone hands back
-// what it has not started; what it executes still reports. The head's
+// pumpLocked moves ps's window on. A draining or quarantined phone hands
+// back what it has not started; what it executes still reports. The head's
 // clock starts once its bytes are written and its predecessor has settled,
 // so time queued behind a slow predecessor never makes a straggler. The
 // next assignment ships when the window has room.
-func (m *Master) pumpLocked(now time.Time, w *window) {
-	if w.rnd == nil {
+func (m *Master) pumpLocked(now time.Time, ps *phoneState) {
+	if ps.rnd == nil {
 		return
 	}
 	started := 0
-	if len(w.win) > 0 && !w.win[0].prefetched {
+	if len(ps.win) > 0 && !ps.win[0].prefetched {
 		started = 1
 	}
-	if id := w.ps.info.ID; !w.rnd.profiling && (m.drains[id] != "" || m.quarantined[id]) {
-		m.releaseLocked(w, started, true)
+	if id := ps.info.ID; m.drains[id] != "" || m.quarantined[id] {
+		m.releaseLocked(ps, started, true)
 	}
-	if len(w.win) > 0 {
-		w.win[0].prefetched = false
-		if w.due.IsZero() && w.win[0].attempt != w.sending && !w.rnd.profiling {
-			w.straggled, w.deadline = false, m.assignmentDeadlineLocked(w.win[0].a, w.ps)
-			w.due = now.Add(w.deadline)
-			m.armLocked(w.due)
+	if len(ps.win) > 0 {
+		ps.win[0].prefetched = false
+		if ps.due.IsZero() && ps.win[0].attempt != ps.sending {
+			ps.straggled, ps.deadline = false, m.assignmentDeadlineLocked(ps.win[0].a, ps)
+			ps.due = now.Add(ps.deadline)
+			m.armLocked(ps.due)
 		}
 	}
-	if w.sending == 0 && w.next < len(w.queue) &&
-		(len(w.win) == 0 || len(w.win) == 1 && pairFits(w.ps, w.win[0].a, w.queue[w.next])) {
-		a := w.queue[w.next]
-		w.next++
-		if !w.rnd.profiling {
-			ev := obs.SpanEvent{Kind: obs.KindAssign, Job: a.item.jobID, Span: a.item.span, Partition: a.partition, Phone: w.ps.info.ID}
-			if a.resume != nil {
-				ev.Detail, ev.Bytes = "resume", a.resume.Offset
-			}
-			m.trace(ev)
+	if ps.sending == 0 && ps.next < len(ps.queue) &&
+		(len(ps.win) == 0 || len(ps.win) == 1 && pairFits(ps, ps.win[0].a, ps.queue[ps.next])) {
+		a := ps.queue[ps.next]
+		ps.next++
+		ev := obs.SpanEvent{Kind: obs.KindAssign, Job: a.item.jobID, Span: a.item.span, Partition: a.partition, Phone: ps.info.ID}
+		if a.resume != nil {
+			ev.Detail, ev.Bytes = "resume", a.resume.Offset
 		}
+		m.trace(ev)
 		m.nextAttempt++
-		m.attempts[m.nextAttempt] = &attemptRec{a: a, ps: w.ps}
-		w.sending = m.nextAttempt
-		w.win = append(w.win, flight{a: a, attempt: w.sending, prefetched: len(w.win) > 0})
-		m.queueLocked(w.ps, w.win[len(w.win)-1])
+		m.attempts[m.nextAttempt] = &attemptRec{a: a, ps: ps}
+		ps.sending = m.nextAttempt
+		ps.win = append(ps.win, flight{a: a, attempt: ps.sending, prefetched: len(ps.win) > 0})
+		m.queueLocked(ps, ps.win[len(ps.win)-1])
 	}
-	m.finishLocked(w)
+	m.finishLocked(ps)
 }
 
-// finishLocked lets go of a window's round once the window holds none of
-// its work.
-func (m *Master) finishLocked(w *window) {
-	if w.rnd == nil || len(w.win) > 0 || w.next < len(w.queue) {
+// finishLocked lets go of ps's round once its window holds none of the
+// round's work.
+func (m *Master) finishLocked(ps *phoneState) {
+	if ps.rnd == nil || len(ps.win) > 0 || ps.next < len(ps.queue) {
 		return
 	}
-	rnd := w.rnd
-	w.rnd, w.queue, w.next = nil, nil, 0
+	rnd := ps.rnd
+	ps.rnd, ps.queue, ps.next = nil, nil, 0
 	if rnd.open--; rnd.open == 0 {
 		m.endLocked(rnd) // in the step that let go of its last window
 	}
 }
 
-// releaseLocked hands back w.win[keep:] and the unshipped rest of the
-// queue, resume state untouched, as its phone died, drained, was
+// releaseLocked hands back ps.win[keep:] and the unshipped rest of its
+// queue, resume state untouched, as the phone died, drained, was
 // quarantined or abandoned, or its round was cancelled. A detached attempt
 // stays registered (the phone may still deliver it); a dropped one is
 // forgotten.
-func (m *Master) releaseLocked(w *window, keep int, detach bool) {
+func (m *Master) releaseLocked(ps *phoneState, keep int, detach bool) {
 	const lostMidRound = "phone lost mid-round"
 	var prefetched int64
-	for _, f := range w.win[keep:] {
+	for _, f := range ps.win[keep:] {
 		if !detach {
 			delete(m.attempts, f.attempt)
 		}
@@ -479,24 +448,24 @@ func (m *Master) releaseLocked(w *window, keep int, detach bool) {
 		}
 		m.handBackLocked(f.a.rng, lostMidRound)
 	}
-	for _, a := range w.queue[w.next:] {
+	for _, a := range ps.queue[ps.next:] {
 		m.handBackLocked(a.rng, lostMidRound)
 	}
 	m.mx.handbackBytes.Add(prefetched)
-	w.win, w.next = w.win[:keep], len(w.queue)
+	ps.win, ps.next = ps.win[:keep], len(ps.queue)
 	if keep == 0 {
-		w.due = time.Time{}
-		m.finishLocked(w)
+		ps.due = time.Time{}
+		m.finishLocked(ps)
 	}
 }
 
 // creditLocked is the one door for reports: it settles, traces and folds
 // a result or failure against its attempt (only one issued to the phone
-// that sent it) and, if a window holds the attempt — it is live exactly
-// while one does — moves the window in the same step. A result folds
-// either way (first-result-wins); a failure spends a retry only if live,
-// else its checkpoint is kept if furthest. It reports whether msg is kept:
-// a profiling execution's report, which its round hands to profileOne.
+// that sent it) and, if its phone's window holds the attempt — it is live
+// exactly while the window does — moves the window in the same step. A
+// result folds either way (first-result-wins); a failure spends a retry
+// only if live, else its checkpoint is kept if furthest. A profiling
+// execution's report folds nothing: it is kept, for the attempt's reply.
 func (m *Master) creditLocked(now time.Time, ps *phoneState, msg *protocol.Message) (kept bool) {
 	rec := m.attemptLocked(ps, msg.Attempt)
 	if rec == nil {
@@ -512,15 +481,20 @@ func (m *Master) creditLocked(now time.Time, ps *phoneState, msg *protocol.Messa
 			Debugf("dropping a tie-break report that came after its tie expired")
 		return false
 	}
-	a, w, i := rec.a, m.wins[rec.ps], 0
-	for w != nil && i < len(w.win) && w.win[i].attempt != msg.Attempt {
+	if rec.reply != nil {
+		select {
+		case rec.reply <- msg: // its one slot: the record goes with its first report
+		default:
+		}
+		return true
+	}
+	a, holder, i := rec.a, rec.ps, 0
+	for i < len(holder.win) && holder.win[i].attempt != msg.Attempt {
 		i++
 	}
-	live := w != nil && i < len(w.win)
+	live := holder.alive() && i < len(holder.win)
 	ev := obs.SpanEvent{Job: a.item.jobID, Span: a.item.span, Partition: a.partition, Phone: ps.info.ID}
 	switch {
-	case a.rng == nil:
-		// A profiling execution is part of no job: nothing to trace or fold.
 	case msg.Type == protocol.TypeResult:
 		ev.Kind = obs.KindResult
 		if !live {
@@ -544,38 +518,35 @@ func (m *Master) creditLocked(now time.Time, ps *phoneState, msg *protocol.Messa
 	if !live {
 		return false
 	}
-	w.win = slices.Delete(w.win, i, i+1) // in place: the window keeps its memory
-	kept = w.rnd.profiling
+	holder.win = slices.Delete(holder.win, i, i+1) // in place: the window keeps its memory
 	switch {
-	case kept:
-		w.rnd.resp = msg
 	case msg.Type == protocol.TypeFailure && msg.Error == drainFailureReason:
 		// Still plugged: alive for window learning, but given no more work.
-		m.completeDrainLocked(w.ps.info.ID)
-		m.releaseLocked(w, 0, true)
+		m.completeDrainLocked(holder.info.ID)
+		m.releaseLocked(holder, 0, true)
 	case msg.Type == protocol.TypeFailure:
-		m.dieLocked(w.ps, "", "") // an online failure: the report says why
+		m.dieLocked(holder, "", "") // an online failure: the report says why
 	case i == 0:
-		w.due = time.Time{}
+		holder.due = time.Time{}
 	}
-	m.pumpLocked(now, w)
-	return kept
+	m.pumpLocked(now, holder)
+	return false
 }
 
-// overdueLocked is a window head's blown deadline.
-func (m *Master) overdueLocked(now time.Time, w *window) {
-	a, id := w.win[0].a, w.ps.info.ID
-	if !w.straggled {
+// overdueLocked is the head of ps's window blowing its deadline.
+func (m *Master) overdueLocked(now time.Time, ps *phoneState) {
+	a, id := ps.win[0].a, ps.info.ID
+	if !ps.straggled {
 		// A straggler: speculate, and give it one more deadline.
-		w.straggled = true
+		ps.straggled = true
 		if m.speculateLocked(a) {
 			m.cfg.Logger.With("phone", id, "job", a.item.jobID, "partition", a.partition).
-				Warnf("straggling (deadline %v); speculating", w.deadline)
+				Warnf("straggling (deadline %v); speculating", ps.deadline)
 			m.mx.stragglers.Inc()
 			m.trace(obs.SpanEvent{Kind: obs.KindStraggler, Job: a.item.jobID, Partition: a.partition, Phone: id})
 		}
-		w.due = now.Add(w.deadline)
-		m.armLocked(w.due)
+		ps.due = now.Add(ps.deadline)
+		m.armLocked(ps.due)
 		return
 	}
 	// Twice the deadline: abandon the phone for the round, alive, its
@@ -583,9 +554,9 @@ func (m *Master) overdueLocked(now time.Time, w *window) {
 	m.mx.abandons.Inc()
 	m.cfg.Logger.With("phone", id, "job", a.item.jobID, "partition", a.partition).
 		Warnf("abandoned for the round (overdue)")
-	w.win = w.win[1:]
+	ps.win = ps.win[1:]
 	m.handBackLocked(a.rng, "straggler abandoned")
-	m.releaseLocked(w, 0, true)
+	m.releaseLocked(ps, 0, true)
 }
 
 // dieLocked is a phone's one death, whatever its cause. The first call
@@ -609,14 +580,11 @@ func (m *Master) dieLocked(ps *phoneState, reason offlineReason, detail string) 
 			m.startTieBreakLocked(key)
 		}
 	}
-	if w := m.wins[ps]; w != nil {
-		delete(m.wins, ps)
-		m.probedLocked(w)
-		if len(w.win) > 0 || w.next < len(w.queue) {
-			m.cfg.Logger.With("phone", ps.info.ID).Warnf("died with work in flight")
-		}
-		m.releaseLocked(w, 0, false)
+	m.probedLocked(ps)
+	if len(ps.win) > 0 || ps.next < len(ps.queue) {
+		m.cfg.Logger.With("phone", ps.info.ID).Warnf("died with work in flight")
 	}
+	m.releaseLocked(ps, 0, false)
 }
 
 // queueLocked hands ps's writer a flight; a full queue is a link stalled

@@ -348,6 +348,73 @@ func TestStalledLinkDoesNotStallOtherPhones(t *testing.T) {
 	}
 }
 
+// Close never waits on a stalled phone: a phone that stopped reading while
+// its writer was part-way through a multi-MB assignment holds its
+// connection's write lock inside a Write that never returns, and Close's
+// bye to that phone must not queue behind it forever.
+func TestCloseDoesNotWaitOnStalledPhone(t *testing.T) {
+	probes := make(chan *stallProbe, 1)
+	m := New(Config{KeepalivePeriod: time.Hour, ChunkKB: 256,
+		Listener: hookedListener(t, func(c net.Conn) net.Conn {
+			if tc, ok := c.(*net.TCPConn); ok {
+				_ = tc.SetWriteBuffer(64 << 10)
+			}
+			p := &stallProbe{Conn: c}
+			probes <- p
+			return p
+		})})
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close) // after the phone's own cleanup, which unblocks its writer
+	f := dialFake(t, m, "HTC G2", 806)
+	if tc, ok := f.raw.(*net.TCPConn); ok {
+		_ = tc.SetReadBuffer(64 << 10)
+	}
+	probe := <-probes
+	if err := m.take(false).est.SetProfile("primecount", 0.01); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Submit(tasks.PrimeCount{}, numberLines(1, 600000), true); err != nil { // ~4 MB
+		t.Fatal(err)
+	}
+	go func() {
+		// Read up to the first frame of the assignment, then never again.
+		for msg, err := f.conn.Recv(); err == nil && msg.Type != protocol.TypeAssign; msg, err = f.conn.Recv() {
+		}
+	}()
+	round := make(chan error, 1)
+	go func() {
+		_, err := m.RunRound(context.Background())
+		round <- err
+	}()
+	// Stalled: in one Write for 20 polls in a row, not between two chunks.
+	for stuck, deadline := 0, time.Now().Add(10*time.Second); stuck < 20; time.Sleep(5 * time.Millisecond) {
+		if stuck++; !probe.writing.Load() {
+			stuck = 0
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the writer never blocked; the scenario does not cover a stalled link")
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		m.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		f.raw.Close() // unblock the writer, so the master can still stop
+		<-closed
+		t.Fatal("Close waited on a phone that stopped reading")
+	}
+	if err := <-round; err != nil {
+		t.Logf("round: %v", err)
+	}
+}
+
 // The loop applies the epoch fence to every report-carrying frame a read
 // loop posts. A result, a failure and a streamed checkpoint stamped with
 // another epoch are each counted under cwc_frames_fenced_total{type} and

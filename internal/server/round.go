@@ -106,13 +106,15 @@ func (m *Master) Submit(task tasks.Task, input []byte, atomic bool) (int, error)
 	return id, nil
 }
 
-// Result returns a completed job's aggregated result. A job that ended
-// in a terminal aggregation failure never yields a result; JobFailure
-// reports why.
+// Result returns a completed job's aggregated result, raw. A job that
+// ended in a terminal aggregation failure never yields a result;
+// JobFailure reports why.
 func (m *Master) Result(jobID int) (final []byte, ok bool) {
 	m.do(func() {
 		if js := m.jobs[jobID]; js != nil && js.Done && js.Failure == "" {
-			final, ok = js.Result.Bytes, true
+			var err error
+			final, err = js.Result.Raw()
+			ok = err == nil // a coded result was checked at its record
 		}
 	})
 	return final, ok
@@ -167,43 +169,47 @@ func (m *Master) MeasureBandwidths(ctx context.Context) error {
 // It reports whether any phone was live.
 func (m *Master) probeLocked(now time.Time, p *probing) bool {
 	p.open = 1 // one more until every phone has its probe
-	for _, w := range m.wins {
+	for _, ps := range m.phones {
+		if !ps.alive() {
+			continue
+		}
 		p.open++
-		outstanding := w.probe != nil
-		m.probedLocked(w) // a call it answered stops waiting on it
-		w.probe = p
+		outstanding := ps.probe != nil
+		m.probedLocked(ps) // a call it answered stops waiting on it
+		ps.probe = p
 		if !outstanding {
-			w.probeSeq++
-			w.probeAt = now
-			m.queueLocked(w.ps, flight{ctl: &protocol.Message{Type: protocol.TypeProbe, Seq: w.probeSeq, Payload: p.payload}})
+			ps.probeSeq++
+			ps.probeAt = now
+			m.queueLocked(ps, flight{ctl: &protocol.Message{Type: protocol.TypeProbe, Seq: ps.probeSeq, Payload: p.payload}})
 		}
 	}
+	live := p.open > 1
 	if p.open--; p.open == 0 {
 		close(p.done)
 	}
-	return len(m.wins) > 0
+	return live
 }
 
-// probeAckLocked times the ack of w's outstanding probe. An ack echoing
+// probeAckLocked times the ack of ps's outstanding probe. An ack echoing
 // any other seq is none of its probe's and is dropped.
-func (m *Master) probeAckLocked(now time.Time, w *window, seq uint64) {
-	if w == nil || w.probe == nil || seq != w.probeSeq {
+func (m *Master) probeAckLocked(now time.Time, ps *phoneState, seq uint64) {
+	if ps.probe == nil || seq != ps.probeSeq {
 		return
 	}
-	b := float64(now.Sub(w.probeAt)) / float64(time.Millisecond) / float64(m.cfg.ProbeKB)
+	b := float64(now.Sub(ps.probeAt)) / float64(time.Millisecond) / float64(m.cfg.ProbeKB)
 	if b <= 0 {
 		b = 0.001 // sub-resolution loopback transfer
 	}
-	w.ps.info.BMsPerKB = b
-	m.cfg.Logger.With("phone", w.ps.info.ID).Infof("bandwidth: %.3f ms/KB", b)
-	m.probedLocked(w)
+	ps.info.BMsPerKB = b
+	m.cfg.Logger.With("phone", ps.info.ID).Infof("bandwidth: %.3f ms/KB", b)
+	m.probedLocked(ps)
 }
 
-// probedLocked releases the call w's probe answers: acked, its phone
+// probedLocked releases the call ps's probe answers: acked, its phone
 // dead, or a later call waiting instead.
-func (m *Master) probedLocked(w *window) {
-	if p := w.probe; p != nil {
-		w.probe = nil
+func (m *Master) probedLocked(ps *phoneState) {
+	if p := ps.probe; p != nil {
+		ps.probe = nil
 		if p.open--; p.open == 0 {
 			close(p.done)
 		}
@@ -217,30 +223,47 @@ const profileSampleKB = 1.0
 // profileOne runs the single profiling execution of a task that lacks a
 // base profile on a take's slowest phone (the lowest ID among equals),
 // moving to the next-slowest if a phone fails mid-profile (an unplug
-// during profiling must not sink the whole round).
+// during profiling must not sink the whole round). Each is an attempt no
+// window holds, so it ships even to a draining phone, runs on no clock and
+// kills no phone by failing; credit hands its report to reply. Whatever
+// ends the wait, the attempt leaves the table with it.
 func (m *Master) profileOne(ctx context.Context, t *taking, it *workItem, name string) error {
-	sample := profileSample(it)
+	a := assignment{item: it, partition: -1, input: profileSample(it)}
 	phones := slices.Clone(t.phones) // a phone's ID and clock never change
 	slices.SortStableFunc(phones, func(a, b *phoneState) int { return cmp.Compare(a.info.CPUMHz, b.info.CPUMHz) })
 	for _, ps := range phones {
-		// One keyless flight, as a round of its own: credit folds nothing
-		// for it, and the loop hands this round its report and no other.
-		rnd := &round{plans: [][]assignment{{{item: it, partition: -1, input: sample}}},
-			phones: []*phoneState{ps}, done: make(chan struct{}), profiling: true}
-		if m.dispatch(ctx, rnd); rnd.err != nil {
-			return rnd.err
+		reply := make(chan *protocol.Message, 1)
+		var attempt int64
+		m.do(func() {
+			if ps.alive() { // a stopped master killed every phone
+				m.nextAttempt++
+				attempt = m.nextAttempt
+				m.attempts[attempt] = &attemptRec{a: a, ps: ps, reply: reply}
+				m.queueLocked(ps, flight{a: a, attempt: attempt})
+			}
+		})
+		var resp *protocol.Message
+		select {
+		case resp = <-reply:
+		case <-ps.dead:
+		case <-ctx.Done():
+		case <-m.life.Done():
 		}
+		m.do(func() { delete(m.attempts, attempt) }) // a credited one is gone already
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		if m.life.Err() != nil {
+			return ErrNoPhones
+		}
 		plog := m.cfg.Logger.With("phone", ps.info.ID, "task", name)
-		switch resp := rnd.resp; {
+		switch {
 		case resp == nil:
 			plog.Warnf("profiling phone died; retrying elsewhere")
 		case resp.Type != protocol.TypeResult:
 			plog.Warnf("profiling failed (%s); retrying elsewhere", resp.Error)
 		default:
-			ts := resp.ExecMs / (float64(len(sample)) / 1024)
+			ts := resp.ExecMs / (float64(len(a.input)) / 1024)
 			if ts <= 0 {
 				ts = 0.001 // sub-clock-resolution execution
 			}
@@ -543,9 +566,6 @@ func (m *Master) commitLocked(rnd *round) {
 // open, as after a SIGKILL).
 func (m *Master) endLocked(rnd *round) {
 	defer close(rnd.done)
-	if rnd.profiling {
-		return
-	}
 	report, snap := rnd.report, rnd.snap
 	report.Wall = time.Since(rnd.start)
 	wallMs := float64(report.Wall) / float64(time.Millisecond)
@@ -1083,10 +1103,9 @@ func (m *Master) enqueueLocked(e *walItemRec, reason string) {
 }
 
 // handBackLocked re-queues a dispatched range whole — unless its key has
-// settled or a queued copy already carries it, or it is a profiling
-// execution's, which has no range.
+// settled or a queued copy already carries it.
 func (m *Master) handBackLocked(e *walItemRec, reason string) {
-	if e != nil && !e.queued && !m.settledLocked(e) {
+	if !e.queued && !m.settledLocked(e) {
 		m.requeueLocked(e, nil, reason)
 	}
 }
@@ -1105,7 +1124,7 @@ func (m *Master) finishJobLocked(js *walJobRec) {
 	}
 	m.mx.jobsCompleted.Inc()
 	m.trace(obs.SpanEvent{Kind: obs.KindAggregate, Job: js.ID, Phone: -1,
-		Bytes: int64(len(js.Result.Bytes))})
+		Bytes: int64(js.Result.Len())})
 }
 
 // RunLoop runs scheduling rounds forever: whenever pending work exists

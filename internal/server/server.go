@@ -98,9 +98,6 @@ type Config struct {
 	// closing (see drain.go). Off, the estimator still learns (so
 	// /statusz can show windows) but never influences placement.
 	PlugAware bool
-	// DrainCheckPeriod is the interval between drain checks.
-	// Default 1 s.
-	DrainCheckPeriod time.Duration
 	// Listener, when set, is a pre-bound listener Start serves on instead
 	// of dialing Addr. A promoted standby uses it to take over a port it
 	// bound (and answered with fast refusals) long before promotion; a
@@ -177,9 +174,6 @@ func (c *Config) fill() {
 	if c.CheckpointEveryKB == 0 {
 		c.CheckpointEveryKB = 256
 	}
-	if c.DrainCheckPeriod == 0 {
-		c.DrainCheckPeriod = time.Second
-	}
 	if c.Role == "" {
 		c.Role = "primary"
 	}
@@ -203,15 +197,36 @@ type PhoneInfo struct {
 	Alive    bool
 }
 
-// phoneState is the master's per-phone bookkeeping.
+// phoneState is one registration, from its hello to its death: its
+// connection and writer, and the loop's state of it — its keepalive, its
+// probe and its dispatch window, at most two attempts out, the one
+// executing and one prefetched behind it if both fit its RAM, so the next
+// input crosses the link while the current one computes (the paper's
+// lockstep kept link and CPU busy only alternately). One assignment is
+// written at a time; the clock (due; zero: none) times win[0] only. A dead
+// phone's window holds nothing.
 type phoneState struct {
 	info PhoneInfo
 	conn *protocol.Conn
-
 	out  chan flight   // its writer's queue (see queueLocked)
 	dead chan struct{} // closed exactly once on death; its writer exits on it
 
-	deadClosed bool // the master's state, as kill and alive are
+	deadClosed bool   // the master's state, as kill and alive are
+	rnd        *round // whose queue its window feeds; nil: idle
+	queue      []assignment
+	next       int      // queue[next:] has not been shipped
+	win        []flight // outstanding attempts in execution order
+	sending    int64    // attempt its writer has not finished; 0: none
+	due        time.Time
+	deadline   time.Duration
+	straggled  bool
+	pingDue    time.Time  // the next keepalive tick; zero while a ping is unwritten
+	missed     int        // ticks since the last pong
+	pings      uint64     // the last ping's seq
+	rng        *rand.Rand // jitters each tick
+	probe      *probing   // the call its outstanding probe answers; nil: none
+	probeSeq   uint64     // that probe's seq, which its ack echoes
+	probeAt    time.Time  // when it was queued
 }
 
 // kill closes the phone's connection and dead channel, once; it reports
@@ -352,11 +367,13 @@ var offlineReasons = []offlineReason{offlineKeepalive, offlineCorruptFrame,
 // expired one is a tie-break the master gave up on (tieBreakExpiredLocked):
 // kept only so the arbiter's late report is told from a forgery, it credits
 // nothing and goes when that report arrives, or with the phone's other
-// attempts at the first round sweep after it dies.
+// attempts at the first round sweep after it dies. No window holds a
+// profiling execution's either (profileOne).
 type attemptRec struct {
 	a       assignment
 	ps      *phoneState
 	expired bool
+	reply   chan *protocol.Message // one slot; nil: not a profiling execution
 }
 
 // Master is the central server.
@@ -392,8 +409,6 @@ type Master struct {
 
 	nextAttempt int64
 	attempts    map[int64]*attemptRec
-	// wins holds every live phone's window.
-	wins map[*phoneState]*window
 	// wakeAt is the earliest deadline armed (armLocked) since the loop
 	// last scanned its timers; zero: scan at the next step.
 	wakeAt time.Time
@@ -466,7 +481,6 @@ func New(cfg Config) *Master {
 		walReducer: newWALReducer(),
 		phones:     map[int]*phoneState{},
 		attempts:   map[int64]*attemptRec{},
-		wins:       map[*phoneState]*window{},
 		votes:      map[int64]*voteGroup{},
 		windows:    windows,
 		slos:       registerMasterSLOs(),
@@ -659,9 +673,9 @@ func (m *Master) joinLocked(now time.Time, conn *protocol.Conn, hello *protocol.
 		plog.Infof("registered: %s %.0f MHz", hello.Model, hello.CPUMHz)
 	}
 	m.phones[id] = ps
-	rng := rand.New(rand.NewSource(int64(id) + 1))
-	m.wins[ps] = &window{ps: ps, rng: rng, pingDue: now.Add(keepaliveJitter(m.cfg.KeepalivePeriod, rng))}
-	m.armLocked(m.wins[ps].pingDue)
+	ps.rng = rand.New(rand.NewSource(int64(id) + 1))
+	ps.pingDue = now.Add(keepaliveJitter(m.cfg.KeepalivePeriod, ps.rng))
+	m.armLocked(ps.pingDue)
 	if prior != nil {
 		m.dieLocked(prior, offlineRejoined, "superseded by a reconnection")
 	}
@@ -802,21 +816,21 @@ func (m *Master) attemptLocked(ps *phoneState, id int64) *attemptRec {
 // tick finding the last ping unanswered is a miss, and more than
 // KeepaliveTolerance in a row are a death. Else a ping is queued; the next
 // tick is armed once it is written.
-func (m *Master) tickLocked(w *window) {
-	w.pingDue = time.Time{}
-	w.missed++
-	if w.missed > 1 {
+func (m *Master) tickLocked(ps *phoneState) {
+	ps.pingDue = time.Time{}
+	ps.missed++
+	if ps.missed > 1 {
 		// The previous ping went unanswered for a full period.
 		m.mx.keepaliveMisses.Inc()
 		m.sloObserve(sloKeepalive, false)
 	}
-	if w.missed > m.cfg.KeepaliveTolerance {
-		m.dieLocked(w.ps, offlineKeepalive, fmt.Sprintf("%d consecutive misses", m.cfg.KeepaliveTolerance))
+	if ps.missed > m.cfg.KeepaliveTolerance {
+		m.dieLocked(ps, offlineKeepalive, fmt.Sprintf("%d consecutive misses", m.cfg.KeepaliveTolerance))
 		return
 	}
-	w.pings++
+	ps.pings++
 	m.mx.keepalivePings.Inc()
-	m.queueLocked(w.ps, flight{attempt: pingAttempt, ctl: &protocol.Message{Type: protocol.TypePing, Seq: w.pings}})
+	m.queueLocked(ps, flight{attempt: pingAttempt, ctl: &protocol.Message{Type: protocol.TypePing, Seq: ps.pings}})
 }
 
 // keepaliveJitter spreads a keepalive period uniformly over ±10%, so

@@ -500,24 +500,20 @@ func (js *walJobRec) aggregate(p wire.Held) (acc wire.Held, err error) {
 	return acc, err
 }
 
-// finish marks a covered job done, its accumulator decoded to raw once.
-// Nothing logs it: the accumulator is a deterministic function of the
-// partials in log order, so a recovered master holds the same result, or
-// the same terminal error, again.
+// finish marks a covered job done. Nothing logs it, and nothing decodes
+// it: the accumulator is a deterministic function of the partials in log
+// order, so a recovered master holds the same result, or the same terminal
+// error, again, coded as its record held it (and checked there), and a
+// cut writes it through.
 func (js *walJobRec) finish() error {
 	js.Done = true
-	raw, err := js.Result.Raw()
-	switch {
-	case js.Failure != "":
-	case js.Result.Bytes == nil:
+	if js.Failure == "" && js.Result.Bytes == nil {
 		js.Failure = fmt.Sprintf("server: job %d complete with no partials", js.ID)
-	case err != nil:
-		js.Result, js.Failure = wire.Held{}, fmt.Sprintf("server: job %d: %v", js.ID, err)
-	default:
-		js.Result = wire.Held{Bytes: raw}
-		return nil
 	}
-	return errors.New(js.Failure)
+	if js.Failure != "" {
+		return errors.New(js.Failure)
+	}
+	return nil
 }
 
 // walItemRec is a byte range's durable state, in one of two lives. A

@@ -424,6 +424,114 @@ func TestEachResultIsLoggedOnce(t *testing.T) {
 	}
 }
 
+// A recovered master holds each result as its report record held it,
+// coded where the record was: the compaction it runs writes each section
+// through byte for byte, and Result decodes it to what the live master
+// returned.
+func TestRecoveredCompactionWritesResultsThrough(t *testing.T) {
+	const jobs = 6
+	dir := t.TempDir()
+	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncNone})
+	m := startMaster(t, Config{WAL: wl})
+	go autoResponder(dialFake(t, m, "Nexus S", 1000))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.WaitForPhones(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	want := map[int][]byte{}
+	var ids []int
+	for range jobs {
+		img, err := tasks.GenImageKB(8, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := m.Submit(tasks.Blur{}, img, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for round := 0; round < 10 && len(want) < jobs; round++ {
+		if _, err := m.RunRound(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if res, ok := m.Result(id); ok {
+				want[id] = res
+			}
+		}
+	}
+	if len(want) != jobs {
+		t.Fatalf("%d of %d jobs finished", len(want), jobs)
+	}
+	m.Close()
+	wl.Close()
+
+	// reports maps each job to its report record's section in the files.
+	reports := func(pattern string) map[int]wire.Held {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no %s in %s (%v)", pattern, dir, err)
+		}
+		out := map[int]wire.Held{}
+		for _, file := range files {
+			recs, _, err := wal.ScanSegment(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				rec, err := decodeWAL(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep, ok := rec.(*walReport); ok {
+					out[rep.JobID] = rep.Partial
+				}
+			}
+		}
+		return out
+	}
+	logged := reports("wal-*.log")
+	coded := 0
+	for _, p := range logged {
+		if p.N != 0 {
+			coded++
+		}
+	}
+	if len(logged) != jobs || coded == 0 {
+		t.Fatalf("%d of %d jobs logged a report, %d of them coded; the scenario wants coded results", len(logged), jobs, coded)
+	}
+
+	r := startMaster(t, Config{WAL: openWAL(t, dir, wal.Options{Sync: wal.SyncNone})})
+	if err := r.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	r.do(func() {
+		for id, p := range logged {
+			if got := r.jobs[id].Result; got.N != p.N || !bytes.Equal(got.Bytes, p.Bytes) {
+				t.Errorf("recovered job %d holds %d bytes (raw %d), not the %d logged (raw %d)", id, len(got.Bytes), got.N, len(p.Bytes), p.N)
+			}
+		}
+	})
+	if err := r.CompactWAL(); err != nil {
+		t.Fatal(err)
+	}
+	cut := reports("snapshot-*.wal")
+	for id, p := range logged {
+		if got := cut[id]; got.N != p.N || !bytes.Equal(got.Bytes, p.Bytes) {
+			t.Errorf("job %d's cut report holds %d bytes (raw %d), not the %d logged (raw %d)", id, len(got.Bytes), got.N, len(p.Bytes), p.N)
+		}
+	}
+	for id, res := range want {
+		if got, ok := r.Result(id); !ok || !bytes.Equal(got, res) {
+			t.Errorf("recovered job %d = %.20q (%v), want %.20q", id, got, ok, res)
+		}
+	}
+}
+
 func TestWALSubmitAckGatedOnAppend(t *testing.T) {
 	// A disk that refuses every write: Submit must refuse the job rather
 	// than acknowledge something the log did not take.

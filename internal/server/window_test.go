@@ -147,8 +147,10 @@ func (h *windowHarness) checkSettled(open ...int) {
 	var wins []held
 	var pending []*workItem
 	h.m.do(func() {
-		for ps, w := range h.m.wins {
-			wins = append(wins, held{ps.info.ID, slices.Clone(w.win), w.rnd != nil})
+		for _, ps := range h.m.phones {
+			if ps.alive() {
+				wins = append(wins, held{ps.info.ID, slices.Clone(ps.win), ps.rnd != nil})
+			}
 		}
 		pending = slices.Clone(h.m.pending)
 	})
