@@ -135,13 +135,16 @@ bench-smoke:
 # strconv (FuzzLineInt), and each breakable task's pairwise fold, the way
 # the master accumulates a job's partials, against one Aggregate of them
 # all (FuzzAggregateFold). Their seed corpora already run in every
-# `go test`; this searches past them.
+# `go test`; this searches past them. The engine minimizes each input that
+# finds new coverage for at most a second, not its default minute: it
+# reports no executions meanwhile, and a few minimizations could hold
+# every worker for the whole ten seconds.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzRecv$$' -fuzztime 10s ./internal/protocol/
-	$(GO) test -run '^$$' -fuzz '^FuzzCode$$' -fuzztime 10s ./internal/wire/
-	$(GO) test -run '^$$' -fuzz '^FuzzWALReducer$$' -fuzztime 10s ./internal/server/
-	$(GO) test -run '^$$' -fuzz '^FuzzLineInt$$' -fuzztime 10s ./internal/tasks/
-	$(GO) test -run '^$$' -fuzz '^FuzzAggregateFold$$' -fuzztime 10s ./internal/tasks/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecv$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzCode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReducer$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzLineInt$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/tasks/
+	$(GO) test -run '^$$' -fuzz '^FuzzAggregateFold$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/tasks/
 
 # The pre-PR gate: everything that must be green before a change ships.
 # Files gofmt would rewrite are listed and fail it. The census is printed

@@ -322,17 +322,15 @@ func TestClusterRAMConstrainedPartitioning(t *testing.T) {
 	}
 }
 
-// Chunked streaming end to end: a multi-megabyte partition forced through
-// tiny 64 KB frames still produces the right answer.
+// A multi-megabyte input end to end: each partition ships in one assign
+// frame, however large, and the job's answer is right.
 func TestClusterChunkedTransfers(t *testing.T) {
-	opts := Options{}
-	opts.Server.ChunkKB = 64
-	c := startCluster(t, opts)
+	c := startCluster(t, Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
 	rng := rand.New(rand.NewSource(21))
-	input := tasks.GenIntegers(2*1024, 300000, rng) // 2 MB, ~32 chunks/partition
+	input := tasks.GenIntegers(2*1024, 300000, rng) // 2 MB
 	var ck tasks.Checkpoint
 	want, err := (tasks.PrimeCount{}).Process(context.Background(), input, &ck)
 	if err != nil {
@@ -347,10 +345,10 @@ func TestClusterChunkedTransfers(t *testing.T) {
 	}
 	got, ok := c.Master.Result(id)
 	if !ok {
-		t.Fatal("chunked job did not complete")
+		t.Fatal("the 2 MB job did not complete")
 	}
 	if string(got) != string(want) {
-		t.Errorf("chunked result %s != local %s", got, want)
+		t.Errorf("2 MB result %s != local %s", got, want)
 	}
 }
 

@@ -38,7 +38,6 @@ func codedAssign(sec []byte, raw int) []byte {
 func TestCodedSectionsRoundTrip(t *testing.T) {
 	for _, m := range []*Message{
 		{Type: TypeAssign, JobID: 1, Params: []byte("pp"), Input: text},
-		{Type: TypeAssignChunk, JobID: 1, Input: text},
 		{Type: TypeResult, JobID: 1, Result: text},
 	} {
 		frame := encodeFrame(t, m)

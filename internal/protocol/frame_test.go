@@ -97,6 +97,13 @@ var (
 	typeTelemetry = field(1, 0, 15)
 )
 
+// Frames in a retired vocabulary: a type code 6 (assign_chunk) and an
+// assign carrying tag 17 (total_len).
+var (
+	retiredTypeFrame = honestFrame(hdr(field(1, 0, 6), field(2, 0, 1), input(4)), []byte("1234"))
+	retiredTagFrame  = honestFrame(hdr(typeAssign, field(2, 0, 1), input(4), field(17, 0, 8)), []byte("1234"))
+)
+
 func params(n uint64) []byte { return field(7, 0, uv(n)...) }
 func input(n uint64) []byte  { return field(8, 0, uv(n)...) }
 
@@ -118,7 +125,7 @@ func allocatedBy(fn func()) uint64 {
 
 var allTypes = []Type{
 	TypeHello, TypeWelcome, TypeProbe, TypeProbeAck, TypeAssign,
-	TypeAssignChunk, TypeResult, TypeFailure, TypePing, TypePong, TypeBye,
+	TypeResult, TypeFailure, TypePing, TypePong, TypeBye,
 	TypeCheckpoint, TypeCheckpointAck, TypeDrain, TypeTelemetry,
 }
 
@@ -380,6 +387,9 @@ func TestRecvHostileFrames(t *testing.T) {
 		{"missing type", honestFrame(hdr(field(13, 0, 1)), nil), "missing type"},
 		{"unknown type code", honestFrame(hdr(field(1, 0, 16)), nil), "unknown code 16"},
 		{"unknown tag", honestFrame(hdr(typePing, field(40, 0, 1)), nil), "unknown tag 40"},
+		// The chunked assignment's type code and total_len tag are retired.
+		{"retired type code 6", retiredTypeFrame, "missing type"},
+		{"retired tag 17", retiredTagFrame, "unknown tag 17"},
 		{"unknown tag between known ones", honestFrame(hdr(typePing, field(12, 1, make([]byte, 8)...)), nil), "tag 12 has wire type 1"},
 		{"duplicate tag", honestFrame(hdr(typePing, field(13, 0, 1), field(13, 0, 2)), nil), "tag 13 repeated"},
 		{"tags out of order", honestFrame(hdr(typePing, field(13, 0, 1), field(2, 0, 2)), nil), "tag 2 after tag 13"},

@@ -24,6 +24,8 @@ func FuzzRecv(f *testing.F) {
 	f.Add(honestFrame(hdr(typeTelemetry, field(30, 2, 2, 100, 0)), nil))                           // an event count past the header
 	f.Add(rawFrame(MaxFrameSize, 3, hdr(typeAssign, field(8, 0)), nil))                            // a cut header, a huge frame
 	f.Add(honestFrame(`{"type":"ping","seq":1}`, nil))                                             // a JSON header
+	f.Add(retiredTypeFrame)
+	f.Add(retiredTagFrame)
 	f.Add(oldFormatFrame(`{"type":"ping","seq":1}`))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{})

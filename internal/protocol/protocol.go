@@ -42,12 +42,9 @@ const (
 	TypeProbe Type = "probe"
 	// Worker -> server: probe acknowledgement.
 	TypeProbeAck Type = "probe_ack"
-	// Server -> worker: run a task on an input partition. Large inputs
-	// are streamed: the assign frame carries the first chunk and the
-	// total length, followed by assign_chunk frames until complete.
+	// Server -> worker: run a task on an input partition, all of it in
+	// this one frame (at most MaxAssignInput bytes).
 	TypeAssign Type = "assign"
-	// Server -> worker: continuation bytes of a chunked assignment.
-	TypeAssignChunk Type = "assign_chunk"
 	// Worker -> server: completed partition with result and timing.
 	TypeResult Type = "result"
 	// Worker -> server: partition failed (unplug); carries the
@@ -87,8 +84,7 @@ type EventKind string
 
 // Worker-side event kinds.
 const (
-	// EventAssignRecv: an assignment was received and queued (after
-	// chunked assembly completed, for streamed inputs).
+	// EventAssignRecv: an assignment was received and queued.
 	EventAssignRecv EventKind = "assign_recv"
 	// EventExecStart / EventExecFinish bracket task execution; finish
 	// carries the wall ms and the outcome in Detail ("ok", "failed",
@@ -212,11 +208,7 @@ type Message struct {
 	Task   string
 	Params []byte
 	Input  []byte
-	// TotalLen, when larger than len(Input) on an assign frame, announces
-	// a chunked transfer: assign_chunk frames follow until the assembled
-	// input reaches TotalLen.
-	TotalLen int64
-	Resume   *tasks.Checkpoint
+	Resume *tasks.Checkpoint
 
 	Result      []byte
 	ExecMs      float64
@@ -255,9 +247,11 @@ type Message struct {
 // TypeCodes are the frame types' one-byte wire codes: their indexes.
 // Code 0, the empty type, is a header with no type field. It is the one
 // list of frame types: the decoder refuses any other code, and the
-// metric families labelled by type have one series per entry.
+// metric families labelled by type have one series per entry. Code 6
+// (assign_chunk) is retired and never reused: it decodes to the empty
+// type, which Recv refuses as a frame without one.
 var TypeCodes = []Type{"", TypeHello, TypeWelcome, TypeProbe, TypeProbeAck,
-	TypeAssign, TypeAssignChunk, TypeResult, TypeFailure, TypePing, TypePong,
+	TypeAssign, "", TypeResult, TypeFailure, TypePing, TypePong,
 	TypeBye, TypeCheckpoint, TypeCheckpointAck, TypeDrain, TypeTelemetry}
 
 // Wire names the header's fields for the codec, in tag order. The tags
@@ -275,7 +269,7 @@ func (m *Message) Wire(c *wire.Codec) {
 	wire.String(c, 5, &m.Span)
 	wire.String(c, 6, &m.Task)
 	c.Section(7, &m.Params)
-	c.Coded(8, &m.Input, m.Type == TypeAssign || m.Type == TypeAssignChunk)
+	c.Coded(8, &m.Input, m.Type == TypeAssign)
 	c.Coded(9, &m.Result, m.Type == TypeResult)
 	c.Float(10, &m.ExecMs)
 	c.Float(11, &m.ProcessedKB)
@@ -284,7 +278,8 @@ func (m *Message) Wire(c *wire.Codec) {
 	wire.Int(c, 14, &m.Epoch)
 	wire.Opt(c, 15, &m.Resume)
 	wire.Opt(c, 16, &m.Checkpoint)
-	wire.Int(c, 17, &m.TotalLen)
+	// Tag 17 (total_len, of the retired chunked assignment) is never
+	// reused.
 	wire.String(c, 18, &m.Error)
 	c.Section(19, &m.Payload)
 	wire.String(c, 20, &m.Token)
@@ -305,6 +300,11 @@ func (m *Message) Wire(c *wire.Codec) {
 // MaxFrameSize bounds a single frame (everything after the length
 // prefix); larger frames indicate a corrupt stream or an abusive peer.
 const MaxFrameSize = 256 << 20 // 256 MiB
+
+// MaxAssignInput is the largest input one assign frame carries: half a
+// frame, leaving the rest to its parameters and resume state. It caps
+// every partition the master cuts, beside the phone's RAM.
+const MaxAssignInput = MaxFrameSize / 2
 
 // recvChunk caps how much Recv allocates before any byte of a header or
 // body has arrived, so a declared length alone never commits real
@@ -327,13 +327,14 @@ const maxHeaderScratch = 64 << 10
 
 // maxRecycled is how many recycled receive buffers a Conn keeps: a
 // worker's dispatch window holds two assignments, a tie-break arbiter's
-// one more, and a chunked transfer one chunk frame. None is larger than
-// maxPooledFrame. It is also how many given-back Message structs a Conn
-// keeps for Recv.
+// one more, and one spare serves the next frame while those are out.
+// None is larger than maxPooledFrame. It is also how many given-back
+// Message structs a Conn keeps for Recv.
 const maxRecycled = 4
 
 // maxPooledFrame is the largest receive buffer a Conn keeps: room for a
-// default 4 MiB assignment chunk.
+// 4 MiB assignment with its parameters and resume state. A larger frame
+// gets a buffer of its own, which the collector takes back.
 const maxPooledFrame = 8 << 20
 
 // maxLent is how many received messages a recycling Conn remembers as

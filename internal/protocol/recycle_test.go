@@ -177,8 +177,7 @@ func TestRecycleKeepsTheLargerBuffers(t *testing.T) {
 	}
 }
 
-// A buffer larger than maxPooledFrame is not kept; one at 4 MiB, a
-// default assignment chunk, is.
+// A buffer larger than maxPooledFrame is not kept; one at 4 MiB is.
 func TestRecycleKeepsNoBufferOver8MiB(t *testing.T) {
 	c := recycling(assignFrames(t, maxPooledFrame+1<<20, 4<<20))
 	for _, want := range [][]int{nil, {4 << 20}} {

@@ -2,32 +2,12 @@ package server
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"testing"
 
 	"cwc/internal/tasks"
 	"cwc/internal/wal"
 	"cwc/internal/wire"
 )
-
-// TestMain bounds how long the fuzzing engine minimizes each input that
-// found new coverage to a second, unless -test.fuzzminimizetime says
-// otherwise. No single call of a fuzz target here is slow, but the engine
-// tries a number of candidates quadratic in the input's length, each
-// paying the coverage bookkeeping of this whole binary, and reports no
-// executions until it is done: under the engine's default of a minute, a
-// few inputs mutated from FuzzWALReducer's coded seeds held both workers
-// for longer than a ten-second search.
-func TestMain(m *testing.M) {
-	flag.Parse()
-	set := false
-	flag.Visit(func(f *flag.Flag) { set = set || f.Name == "test.fuzzminimizetime" })
-	if !set {
-		_ = flag.Set("test.fuzzminimizetime", "1s")
-	}
-	os.Exit(m.Run())
-}
 
 // FuzzWALReducer feeds arbitrary record types and payloads through WAL
 // replay, on top of a state that gives references something to resolve

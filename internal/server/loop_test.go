@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"slices"
@@ -228,16 +230,56 @@ func (c *stallProbe) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+// errBigFrame is what a bigFrameStop's reader gets at the big frame.
+var errBigFrame = errors.New("a frame over the limit: not read")
+
+// bigFrameStop is a fake phone's read side that stops at the first frame
+// whose length prefix announces more than limit bytes: its reader gets
+// every frame before that one, then big runs and the read fails. The
+// phone reads none of the big frame, so the master's writer stays inside
+// the frame's one Write.
+type bigFrameStop struct {
+	net.Conn
+	limit int
+	big   func()
+	left  int // bytes of the current frame not yet handed over
+}
+
+// stopAtBigFrame makes f read through a bigFrameStop from now on; f must
+// have nothing buffered.
+func stopAtBigFrame(f *fakePhone, limit int, big func()) {
+	f.conn = protocol.NewConn(&bigFrameStop{Conn: f.raw, limit: limit, big: big})
+}
+
+func (c *bigFrameStop) Read(p []byte) (int, error) {
+	if c.left > 0 {
+		n, err := c.Conn.Read(p[:min(len(p), c.left)])
+		c.left -= n
+		return n, err
+	}
+	var pre [4]byte // a reader's buffer always holds a length prefix
+	if _, err := io.ReadFull(c.Conn, pre[:]); err != nil {
+		return 0, err
+	}
+	n := int(binary.BigEndian.Uint32(pre[:]))
+	if n > c.limit {
+		c.big()
+		return 0, errBigFrame
+	}
+	c.left = n
+	return copy(p, pre[:]), nil
+}
+
 // The design's main risk: one loop dispatches for every phone, so a slow
-// link must never stall it. A phone that stops reading mid-way through a
-// multi-MB assignment blocks its own writer in conn.Send; the other phone
+// link must never stall it. A phone that stops reading at a multi-MB
+// assignment frame blocks its own writer in conn.Send; the other phone
 // still receives, reports and is credited for its assignments in the same
 // round, and once the stalled phone is gone the round returns with its
 // work handed back.
 func TestStalledLinkDoesNotStallOtherPhones(t *testing.T) {
 	reg := obs.NewRegistry()
 	probes := make(chan *stallProbe, 2)
-	m := startMaster(t, Config{Metrics: reg, KeepalivePeriod: time.Hour, ChunkKB: 256,
+	m := startMaster(t, Config{Metrics: reg, KeepalivePeriod: time.Hour,
 		Listener: hookedListener(t, func(c net.Conn) net.Conn {
 			if tc, ok := c.(*net.TCPConn); ok {
 				_ = tc.SetWriteBuffer(64 << 10)
@@ -278,11 +320,12 @@ func TestStalledLinkDoesNotStallOtherPhones(t *testing.T) {
 		}
 		small[id] = in
 	}
-	// Each phone answers every assignment, except one streamed in chunks:
-	// its phone stops reading after the first frame.
+	// Each phone answers every assignment, except one in a frame of over
+	// 1 MiB: its phone stops reading at that frame's length prefix.
 	stalled := make(chan int, 2)
 	var replied [2]atomic.Int64
 	for i, f := range phones {
+		stopAtBigFrame(f, 1<<20, func() { stalled <- i })
 		go func() {
 			for {
 				msg, err := f.conn.Recv()
@@ -291,10 +334,6 @@ func TestStalledLinkDoesNotStallOtherPhones(t *testing.T) {
 				}
 				if msg.Type != protocol.TypeAssign {
 					continue
-				}
-				if msg.TotalLen > 0 {
-					stalled <- i
-					return
 				}
 				replyResult(f, msg)
 				replied[i].Add(1)
@@ -354,7 +393,7 @@ func TestStalledLinkDoesNotStallOtherPhones(t *testing.T) {
 // bye to that phone must not queue behind it forever.
 func TestCloseDoesNotWaitOnStalledPhone(t *testing.T) {
 	probes := make(chan *stallProbe, 1)
-	m := New(Config{KeepalivePeriod: time.Hour, ChunkKB: 256,
+	m := New(Config{KeepalivePeriod: time.Hour,
 		Listener: hookedListener(t, func(c net.Conn) net.Conn {
 			if tc, ok := c.(*net.TCPConn); ok {
 				_ = tc.SetWriteBuffer(64 << 10)
@@ -378,9 +417,10 @@ func TestCloseDoesNotWaitOnStalledPhone(t *testing.T) {
 	if _, err := m.Submit(tasks.PrimeCount{}, numberLines(1, 600000), true); err != nil { // ~4 MB
 		t.Fatal(err)
 	}
+	stopAtBigFrame(f, 1<<20, func() {})
 	go func() {
-		// Read up to the first frame of the assignment, then never again.
-		for msg, err := f.conn.Recv(); err == nil && msg.Type != protocol.TypeAssign; msg, err = f.conn.Recv() {
+		// Read up to the assignment's frame, then never again.
+		for _, err := f.conn.Recv(); err == nil; _, err = f.conn.Recv() {
 		}
 	}()
 	round := make(chan error, 1)
@@ -388,7 +428,7 @@ func TestCloseDoesNotWaitOnStalledPhone(t *testing.T) {
 		_, err := m.RunRound(context.Background())
 		round <- err
 	}()
-	// Stalled: in one Write for 20 polls in a row, not between two chunks.
+	// Stalled: in one Write for 20 polls in a row.
 	for stuck, deadline := 0, time.Now().Add(10*time.Second); stuck < 20; time.Sleep(5 * time.Millisecond) {
 		if stuck++; !probe.writing.Load() {
 			stuck = 0

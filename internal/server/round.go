@@ -72,7 +72,9 @@ func (m *Master) closeTimeline(report *RoundReport, snap *SchedSnapshot, start t
 // logged (and, under SyncAlways, on stable storage) before the ID is
 // returned: an acknowledged job survives a master killed the next
 // instant. The log's record bound holds on raw bytes, so it refuses an
-// input larger than a record, however well it codes.
+// input larger than a record, however well it codes. An input that ships
+// whole and is larger than one assignment carries
+// (protocol.MaxAssignInput) is refused too.
 func (m *Master) Submit(task tasks.Task, input []byte, atomic bool) (int, error) {
 	if len(input) == 0 {
 		return 0, errors.New("server: empty job input")
@@ -82,6 +84,12 @@ func (m *Master) Submit(task tasks.Task, input []byte, atomic bool) (int, error)
 	}
 	if _, breakable := task.(tasks.Breakable); !breakable {
 		atomic = true
+	}
+	if atomic && len(input) > protocol.MaxAssignInput {
+		// No partition may exceed one assign frame, and this one cannot
+		// be cut: no round could ever place it.
+		return 0, fmt.Errorf("server: a %d-byte input that ships whole is over the %d bytes one assignment carries",
+			len(input), protocol.MaxAssignInput)
 	}
 	var id int
 	var err error
@@ -671,8 +679,14 @@ type roundPlan struct {
 	shipped []bool
 }
 
+// maxAssignKB caps every phone's partitions beside its RAM: the largest
+// input one assign frame carries.
+const maxAssignKB = protocol.MaxAssignInput / 1024
+
 // buildSchedule constructs the core instance from a take's fleet and
-// solves it. The instance is m.plan's, valid until the next round plans.
+// solves it. Each phone's partition cap is its RAM, and at most
+// maxAssignKB: a phone that reports none gets that bound. The instance is
+// m.plan's, valid until the next round plans.
 func (m *Master) buildSchedule(items []*workItem, phones []PhoneInfo, est *predict.Estimator) (*core.Schedule, *core.Instance, error) {
 	plan := &m.plan
 	inst := &plan.inst
@@ -681,7 +695,7 @@ func (m *Master) buildSchedule(items []*workItem, phones []PhoneInfo, est *predi
 		inst.Phones = append(inst.Phones, core.Phone{
 			ID:       info.ID,
 			BMsPerKB: info.BMsPerKB,
-			RAMKB:    float64(info.RAMMB) * 1024,
+			RAMKB:    min(cmp.Or(float64(info.RAMMB)*1024, maxAssignKB), maxAssignKB),
 		})
 	}
 	inst.Jobs = inst.Jobs[:0]
@@ -1174,32 +1188,21 @@ func (m *Master) RunLoop(ctx context.Context, period time.Duration, onRound func
 	}
 }
 
-// sendAssign ships one partition in msg, the writer's own message,
-// streaming inputs larger than the configured chunk size as assign_chunk
-// frames. A profiling execution is part of no job: it ships under the
-// sentinel job 0, with no span.
+// sendAssign ships one partition in msg, the writer's own message, as
+// one assign frame: the packer cuts no partition larger than
+// protocol.MaxAssignInput. A profiling execution is part of no job: it
+// ships under the sentinel job 0, with no span.
 func (m *Master) sendAssign(ps *phoneState, msg *protocol.Message, a assignment, attempt int64) error {
 	job, span := a.item.jobID, a.item.span
 	if a.rng == nil {
 		job, span = 0, ""
 	}
-	chunk := m.cfg.ChunkKB * 1024
 	*msg = protocol.Message{Type: protocol.TypeAssign, JobID: job, Partition: a.partition,
 		Attempt: attempt, Span: span, Task: a.item.task.Name(), Params: a.item.params,
 		Input: a.input, Resume: a.resume}
-	if len(a.input) > chunk {
-		msg.Input, msg.TotalLen = a.input[:chunk], int64(len(a.input))
-	}
 	if err := ps.conn.Send(msg); err != nil {
 		return err
 	}
 	m.mx.assignBytes.Add(int64(len(a.input)))
-	for off := chunk; off < len(a.input); off += chunk {
-		*msg = protocol.Message{Type: protocol.TypeAssignChunk, JobID: job,
-			Partition: a.partition, Input: a.input[off:min(off+chunk, len(a.input))]}
-		if err := ps.conn.Send(msg); err != nil {
-			return err
-		}
-	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cwc/internal/core"
+	"cwc/internal/predict"
 	"cwc/internal/protocol"
 	"cwc/internal/tasks"
 	"cwc/internal/wire"
@@ -302,5 +303,64 @@ func TestSlicePartitionsReassemblyProperty(t *testing.T) {
 		if string(a) != string(b) {
 			t.Fatalf("trial %d: content changed by slicing", trial)
 		}
+	}
+}
+
+// Every phone's partition cap is its RAM, and at most what one assign
+// frame carries: a phone that claims more RAM gets the frame's bound, and
+// so does one that claims none — no partition is ever cut that one frame
+// cannot ship.
+func TestBuildScheduleCapsPartitionsAtOneFrame(t *testing.T) {
+	m := New(Config{})
+	if _, err := m.Submit(tasks.PrimeCount{}, numberLines(1, 300), false); err != nil {
+		t.Fatal(err)
+	}
+	var items []*workItem
+	m.do(func() { items = m.takeLocked(true).items })
+	est, err := predict.New(806, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.SetProfile("primecount", 0.01); err != nil {
+		t.Fatal(err)
+	}
+	phones := []PhoneInfo{
+		{ID: 0, Model: "big", CPUMHz: 806, RAMMB: 1 << 20, BMsPerKB: 1, Alive: true},
+		{ID: 1, Model: "unstated", CPUMHz: 806, BMsPerKB: 1, Alive: true},
+	}
+	_, inst, err := m.buildSchedule(items, phones, est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range inst.Phones {
+		if want := float64(protocol.MaxAssignInput / 1024); p.RAMKB != want {
+			t.Errorf("phone %d claiming %d MB RAM: cap %v KB, want one frame's %v KB", p.ID, phones[i].RAMMB, p.RAMKB, want)
+		}
+	}
+}
+
+// An input that must ship whole and is larger than one assign frame
+// carries is refused at Submit: no round could ever place it. A breakable
+// input of that size is taken, to be cut. The bytes are never touched.
+func TestSubmitRefusesWholeInputOverOneFrame(t *testing.T) {
+	m := New(Config{})
+	input := make([]byte, protocol.MaxAssignInput+1)
+	for _, tc := range []struct {
+		name   string
+		task   tasks.Task
+		atomic bool
+	}{
+		{"atomic", tasks.PrimeCount{}, true},
+		{"not breakable", tasks.Blur{}, false},
+	} {
+		if _, err := m.Submit(tc.task, input, tc.atomic); err == nil {
+			t.Errorf("%s: a %d-byte input that ships whole was accepted", tc.name, len(input))
+		}
+	}
+	if _, err := m.Submit(tasks.PrimeCount{}, input, false); err != nil {
+		t.Errorf("a breakable %d-byte input was refused: %v", len(input), err)
+	}
+	if got := m.PendingItems(); got != 1 {
+		t.Errorf("%d items pending, want the breakable one", got)
 	}
 }

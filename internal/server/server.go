@@ -12,6 +12,7 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"slices"
@@ -68,9 +69,6 @@ type Config struct {
 	// registration. (The paper assumes enterprise trust; a deployment
 	// still wants to keep strangers out of the pool.)
 	AuthToken string
-	// ChunkKB caps the input bytes carried per assignment frame; larger
-	// partitions stream as assign_chunk frames. Default 4096 (4 MiB).
-	ChunkKB int
 	// DeadlineFactor scales the cost-model estimate
 	// (E_j·b_i + l_ij·(b_i+c_ij)) into a per-assignment deadline. A phone
 	// that blows its deadline is marked a straggler and its partition is
@@ -161,9 +159,6 @@ func (c *Config) fill() {
 	}
 	if c.Tracer == nil {
 		c.Tracer = obs.NewTracer(4096)
-	}
-	if c.ChunkKB == 0 {
-		c.ChunkKB = 4096
 	}
 	if c.DeadlineFactor == 0 {
 		c.DeadlineFactor = 4
@@ -598,13 +593,21 @@ func (m *Master) handlePhone(conn *protocol.Conn) {
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	hello, err := conn.Recv()
 	cut()
-	if err != nil || hello.Type != protocol.TypeHello || hello.CPUMHz <= 0 {
+	if err != nil || hello.Type != protocol.TypeHello {
 		conn.Close()
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	if m.cfg.AuthToken != "" && !tokenMatch(hello.Token, m.cfg.AuthToken) {
 		m.cfg.Logger.With("addr", conn.RemoteAddr()).Warnf("rejecting phone: bad enrolment token")
+		conn.Close()
+		return
+	}
+	// The packer prices every live phone each round: one it cannot price
+	// would fail every round for the whole fleet.
+	if !(hello.CPUMHz > 0) || math.IsInf(hello.CPUMHz, 1) || hello.RAMMB < 0 {
+		m.cfg.Logger.With("addr", conn.RemoteAddr()).Warnf("rejecting phone: unpriceable hello (%v MHz, %d MB RAM)",
+			hello.CPUMHz, hello.RAMMB)
 		conn.Close()
 		return
 	}

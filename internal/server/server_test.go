@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -120,26 +121,49 @@ func TestRegistrationAssignsSequentialIDs(t *testing.T) {
 	}
 }
 
+// A hello the packer cannot price — a clock that is not positive and
+// finite, a negative RAM — is dropped before registration: welcomed, it
+// would fail every round for the whole fleet for as long as it lived.
+// Beside each, an honest phone's round completes.
 func TestBadHelloRejected(t *testing.T) {
-	m := startMaster(t, Config{})
-	raw, err := net.Dial("tcp", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := protocol.NewConn(raw)
-	defer c.Close()
-	// Zero CPU clock: not a valid registration.
-	if err := c.Send(&protocol.Message{Type: protocol.TypeHello, CPUMHz: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Recv(); err == nil {
-		t.Error("server should close a connection with an invalid hello")
-	}
-	if len(m.Phones()) != 0 {
-		t.Error("invalid phone was registered")
+	for _, bad := range []*protocol.Message{
+		{Type: protocol.TypeHello, Model: "X", CPUMHz: 0, RAMMB: 512},
+		{Type: protocol.TypeHello, Model: "X", CPUMHz: 806, RAMMB: -1},
+		{Type: protocol.TypeHello, Model: "X", CPUMHz: math.Inf(1), RAMMB: 512},
+		{Type: protocol.TypeHello, Model: "X", CPUMHz: math.NaN(), RAMMB: 512},
+	} {
+		m := startMaster(t, Config{})
+		f := dialFake(t, m, "HTC G2", 806)
+		go scriptedPhone(f, replyResult)
+		raw, err := net.Dial("tcp", m.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := protocol.NewConn(raw)
+		defer c.Close()
+		if err := c.Send(bad); err != nil {
+			t.Fatal(err)
+		}
+		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if msg, err := c.Recv(); err == nil {
+			t.Errorf("hello with %v MHz, %d MB RAM answered with %s, want the connection dropped", bad.CPUMHz, bad.RAMMB, msg.Type)
+		}
+		in := numberLines(1, 300)
+		id, err := m.Submit(tasks.PrimeCount{}, in, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		_, err = m.RunRound(ctx)
+		cancel()
+		if err != nil {
+			t.Errorf("beside a hello with %v MHz, %d MB RAM the round failed: %v", bad.CPUMHz, bad.RAMMB, err)
+		} else if got, ok := m.Result(id); !ok || string(got) != string(groundTruth(t, tasks.PrimeCount{}, in)) {
+			t.Errorf("beside a hello with %v MHz, %d MB RAM: job %d = %q (%v)", bad.CPUMHz, bad.RAMMB, id, got, ok)
+		}
+		if n := len(m.Phones()); n != 1 {
+			t.Errorf("%d phones registered, want the honest one", n)
+		}
 	}
 }
 

@@ -756,9 +756,7 @@ func TestWALLostRecordForcesCompaction(t *testing.T) {
 func TestWALRoundOver64MiB(t *testing.T) {
 	dir := t.TempDir()
 	wl := openWAL(t, dir, wal.Options{Sync: wal.SyncNone})
-	// One frame per assignment: the responder below does not reassemble
-	// chunked inputs.
-	m := startMaster(t, Config{WAL: wl, ChunkKB: 32 << 10})
+	m := startMaster(t, Config{WAL: wl})
 	f := dialFake(t, m, "HTC G2", 806)
 	// The master treats results as opaque until aggregation; a constant
 	// keeps three 24 MiB "executions" instant.

@@ -463,7 +463,7 @@ func TestDispatchWindowRAMGuardKeepsLockstep(t *testing.T) {
 			if err != nil {
 				break
 			}
-			if extra.Type == protocol.TypeAssign || extra.Type == protocol.TypeAssignChunk {
+			if extra.Type == protocol.TypeAssign {
 				select {
 				case overlapped <- fmt.Sprintf("job %d arrived while job %d was executing", extra.JobID, msg.JobID):
 				default:

@@ -137,22 +137,6 @@ func newRefJob(t *testing.T, k int, kb float64, resume bool, rng *rand.Rand) *re
 	return j
 }
 
-// sendJob ships j, as chunks of chunk bytes when its input is larger.
-func sendJob(fs *fakeServer, j *refJob, chunk int) {
-	fs.t.Helper()
-	if len(j.msg.Input) <= chunk {
-		fs.send(j.msg)
-		return
-	}
-	first := *j.msg
-	first.Input, first.TotalLen = j.msg.Input[:chunk], int64(len(j.msg.Input))
-	fs.send(&first)
-	for off := chunk; off < len(j.msg.Input); off += chunk {
-		fs.send(&protocol.Message{Type: protocol.TypeAssignChunk, JobID: j.msg.JobID, Partition: j.msg.Partition,
-			Input: j.msg.Input[off:min(off+chunk, len(j.msg.Input))]})
-	}
-}
-
 // check holds a report to its job's reference: a result must be the
 // reference's bytes; a failure's checkpoint (none: start over), resumed on
 // the private input, must give them, and a checkpoint still at the
@@ -190,14 +174,13 @@ func check(t *testing.T, jobs map[int64]*refJob, rep *protocol.Message) string {
 
 // Recycling never corrupts a report. A fake master streams assignments
 // of varied sizes and tasks with one always prefetched — one of them
-// chunked, some resuming — then drains the phone while it runs one
+// several times the rest, some resuming — then drains the phone while it runs one
 // assignment and holds another carrying resume state, and cuts the
 // connection, so both reports wait in unsent and are replayed on the
 // next connection after their buffers have gone back. More assignments
 // follow on the new connection. Every result must be byte-identical to
 // the reference, and every checkpoint must resume to it.
 func TestRecyclingNeverCorruptsAReport(t *testing.T) {
-	const chunk = 64 << 10
 	gate := make(chan struct{}, 1)
 	served := make(chan net.Conn, 2)
 	w, err := New(Config{
@@ -246,9 +229,9 @@ func TestRecyclingNeverCorruptsAReport(t *testing.T) {
 		for i := 0; i < n; i++ {
 			kb := 1 + float64((next*37)%97)
 			if next == 25 {
-				kb = 5 * chunk / 1024 // the chunked one
+				kb = 320 // the large one
 			}
-			sendJob(fs, newJob(kb, next%4 == 3), chunk)
+			fs.send(newJob(kb, next%4 == 3).msg)
 			if outstanding++; outstanding == 2 {
 				check(t, jobs, fs.recv())
 				outstanding--
@@ -263,8 +246,8 @@ func TestRecyclingNeverCorruptsAReport(t *testing.T) {
 	stream(fs, 56)
 
 	running, queued := newJob(512, false), newJob(4, true)
-	sendJob(fs, running, chunk)
-	sendJob(fs, queued, chunk)
+	fs.send(running.msg)
+	fs.send(queued.msg)
 	fs.send(&protocol.Message{Type: protocol.TypeDrain})
 	fs.raw.Close()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {

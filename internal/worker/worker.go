@@ -121,25 +121,6 @@ func (r ReconnectPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 	return time.Duration(d)
 }
 
-// maxAssignBytes bounds the total_len a chunked assignment may announce.
-// The assembled input is one in-memory []byte and no phone holds two
-// gigabytes of it, so anything larger is a corrupt or hostile frame.
-const maxAssignBytes = 1<<31 - 1
-
-// appendChunk appends one chunk of a chunked assignment to the input
-// assembled so far, whose announced final size is total. The buffer
-// grows as chunks land — to at most twice the bytes received, never past
-// total — so a hostile total_len alone commits no memory.
-func appendChunk(input, chunk []byte, total int64) []byte {
-	need := len(input) + len(chunk)
-	if need > cap(input) {
-		grown := make([]byte, len(input), min(total, 2*int64(need)))
-		copy(grown, input)
-		input = grown
-	}
-	return append(input, chunk...)
-}
-
 // received is an assignment on its way to the executor, with the
 // connection whose receive buffer holds its byte fields.
 type received struct {
@@ -203,11 +184,10 @@ type link struct {
 	cancel     context.CancelFunc     // abandons the dial
 	out        chan frame             // the writer's queue; closed by the hang-up
 	echo       chan *protocol.Message // the reader's probe acks, for the writer
-	assembling map[partKey]*protocol.Message
-	registered bool  // a Welcome arrived on it
-	closed     bool  // hung up: nothing more is queued on it
-	err        error // why it was hung up; nil: a bye, an unplug or a vanish
-	live       int   // its reader and writer not yet gone
+	registered bool                   // a Welcome arrived on it
+	closed     bool                   // hung up: nothing more is queued on it
+	err        error                  // why it was hung up; nil: a bye, an unplug or a vanish
+	live       int                    // its reader and writer not yet gone
 }
 
 // frame is one frame for a writer; sent, when set, runs on the loop with
@@ -217,10 +197,6 @@ type frame struct {
 	sent func(error)
 }
 
-// partKey names an in-progress chunked transfer. Transfers die with their
-// connection: the server re-dispatches lost partitions.
-type partKey struct{ job, part int }
-
 // Stats is a worker's cumulative self-metering since its process
 // started, for the embedding program to read in-process. It never goes
 // on the wire: the master counts what it observes itself, and learns the
@@ -228,9 +204,9 @@ type partKey struct{ job, part int }
 type Stats struct {
 	// ExecMs is total task execution wall time.
 	ExecMs float64
-	// TransferKB is total assignment input received (assign + chunks),
-	// in raw input KB: a coded input counts at its decoded size, not the
-	// fewer bytes it took on the wire.
+	// TransferKB is total assignment input received, in raw input KB: a
+	// coded input counts at its decoded size, not the fewer bytes it took
+	// on the wire.
 	TransferKB float64
 	// ThrottlePauses counts MIMD charging-throttle holds.
 	ThrottlePauses int
@@ -460,8 +436,7 @@ func splitAddrs(s string) []string {
 // connect starts a connection; its reader dials.
 func (p *Phone) connect(ctx context.Context, dial func(context.Context) (net.Conn, error)) *link {
 	ctx, cancel := context.WithCancel(ctx)
-	l := &link{cancel: cancel, out: make(chan frame, writerQueue), echo: make(chan *protocol.Message, 1),
-		assembling: map[partKey]*protocol.Message{}, live: 1}
+	l := &link{cancel: cancel, out: make(chan frame, writerQueue), echo: make(chan *protocol.Message, 1), live: 1}
 	go p.read(ctx, l, dial)
 	return l
 }
@@ -637,39 +612,8 @@ func (p *Phone) frame(l *link, m *protocol.Message) {
 	case protocol.TypeAssign:
 		p.stats.TransferKB += float64(len(m.Input)) / 1024
 		p.lastAttempt = max(p.lastAttempt, m.Attempt)
-		if m.TotalLen > int64(len(m.Input)) {
-			// First frame of a chunked transfer.
-			if m.TotalLen > maxAssignBytes {
-				p.refuse(m, fmt.Sprintf("impossible assignment length %d", m.TotalLen))
-				break
-			}
-			m.Input = appendChunk(nil, m.Input, m.TotalLen)
-			l.assembling[partKey{m.JobID, m.Partition}] = m
-			return // its params and resume state stay in its frame
-		}
 		p.enqueue(l, m)
 		return
-	case protocol.TypeAssignChunk:
-		p.stats.TransferKB += float64(len(m.Input)) / 1024
-		key := partKey{m.JobID, m.Partition}
-		pend, ok := l.assembling[key]
-		if !ok {
-			p.refuse(m, "unexpected assignment chunk")
-			break
-		}
-		if int64(len(pend.Input)+len(m.Input)) > pend.TotalLen {
-			delete(l.assembling, key)
-			p.refuse(pend, "assignment chunk overflow")
-			l.conn.Recycle(pend)
-			break
-		}
-		// The one copy a chunked input byte makes on this side: out
-		// of its frame's receive buffer, into the assembled input.
-		pend.Input = appendChunk(pend.Input, m.Input, pend.TotalLen)
-		if int64(len(pend.Input)) == pend.TotalLen {
-			delete(l.assembling, key)
-			p.enqueue(l, pend)
-		}
 	case protocol.TypeCheckpointAck:
 		if p.ckptUnacked > 0 {
 			p.ckptUnacked--
@@ -680,9 +624,8 @@ func (p *Phone) frame(l *link, m *protocol.Message) {
 		// window is closing. Flush the freshest checkpoint and
 		// interrupt the in-flight task so it reports a "drained"
 		// failure (carrying the checkpoint) while the connection is
-		// still healthy; assignments queued or still assembling behind
-		// it report the same when their turn comes. An idle phone has
-		// nothing to hand back.
+		// still healthy; assignments queued behind it report the same
+		// when their turn comes. An idle phone has nothing to hand back.
 		p.drainedThrough = p.lastAttempt
 		if p.sink != nil {
 			p.sink.Force()

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -420,121 +419,6 @@ func TestAssignmentsExecuteSerially(t *testing.T) {
 	}
 }
 
-func TestChunkedAssignmentAssembly(t *testing.T) {
-	_, fs, _ := startWorker(t, Config{})
-	fs.welcome(1)
-	input := []byte("2\n3\n4\n5\n7\n9\n11\n")
-	// Stream in three pieces.
-	fs.send(&protocol.Message{
-		Type: protocol.TypeAssign, JobID: 4, Partition: 1,
-		Task: "primecount", Input: input[:5], TotalLen: int64(len(input)),
-	})
-	fs.send(&protocol.Message{
-		Type: protocol.TypeAssignChunk, JobID: 4, Partition: 1, Input: input[5:9],
-	})
-	fs.send(&protocol.Message{
-		Type: protocol.TypeAssignChunk, JobID: 4, Partition: 1, Input: input[9:],
-	})
-	res := fs.recv()
-	if res.Type != protocol.TypeResult {
-		t.Fatalf("got %s: %s", res.Type, res.Error)
-	}
-	if string(res.Result) != "5" { // 2 3 5 7 11
-		t.Errorf("chunked result = %s, want 5", res.Result)
-	}
-}
-
-func TestUnexpectedChunkRejected(t *testing.T) {
-	_, fs, _ := startWorker(t, Config{})
-	fs.welcome(1)
-	fs.send(&protocol.Message{Type: protocol.TypeAssignChunk, JobID: 9, Partition: 0,
-		Input: []byte("x")})
-	res := fs.recv()
-	if res.Type != protocol.TypeFailure {
-		t.Errorf("stray chunk got %s", res.Type)
-	}
-}
-
-func TestChunkOverflowRejected(t *testing.T) {
-	_, fs, _ := startWorker(t, Config{})
-	fs.welcome(1)
-	fs.send(&protocol.Message{
-		Type: protocol.TypeAssign, JobID: 5, Partition: 0,
-		Task: "primecount", Input: []byte("123"), TotalLen: 5,
-	})
-	fs.send(&protocol.Message{
-		Type: protocol.TypeAssignChunk, JobID: 5, Partition: 0,
-		Input: []byte("4567890"), // 3 + 7 > 5
-	})
-	res := fs.recv()
-	if res.Type != protocol.TypeFailure {
-		t.Errorf("overflowing chunk got %s", res.Type)
-	}
-}
-
-// A corrupt or hostile total_len must neither panic the worker (a cap
-// out of range) nor commit memory before any chunk lands: an impossible
-// one is answered with a failure, a merely huge one costs only what has
-// actually arrived — and the worker keeps serving either way.
-func TestHostileTotalLen(t *testing.T) {
-	_, fs, _ := startWorker(t, Config{})
-	fs.welcome(1)
-	for _, total := range []int64{1 << 62, maxAssignBytes + 1} {
-		fs.send(&protocol.Message{
-			Type: protocol.TypeAssign, JobID: 6, Partition: 3, Attempt: 11,
-			Task: "primecount", Input: []byte("2\n"), TotalLen: total,
-		})
-		res := fs.recv()
-		if res.Type != protocol.TypeFailure || res.JobID != 6 || res.Partition != 3 || res.Attempt != 11 {
-			t.Fatalf("total_len %d answered with %+v, want a failure for job 6 partition 3 attempt 11", total, res)
-		}
-	}
-
-	// The largest possible claim is accepted but never completes; it may
-	// hold only the bytes that landed.
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fs.send(&protocol.Message{
-		Type: protocol.TypeAssign, JobID: 7, Partition: 0,
-		Task: "primecount", Input: make([]byte, 4096), TotalLen: maxAssignBytes,
-	})
-	fs.send(&protocol.Message{Type: protocol.TypePing, Seq: 1})
-	if pong := fs.recv(); pong.Type != protocol.TypePong {
-		t.Fatalf("after a huge total_len got %s, want the pong", pong.Type)
-	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-		t.Errorf("a %d-byte claim with 4 KB delivered allocated %d bytes", int64(maxAssignBytes), got)
-	}
-
-	// Still alive and assembling honestly.
-	fs.send(&protocol.Message{
-		Type: protocol.TypeAssign, JobID: 8, Partition: 0,
-		Task: "primecount", Input: []byte("2\n3\n"), TotalLen: 6,
-	})
-	fs.send(&protocol.Message{Type: protocol.TypeAssignChunk, JobID: 8, Partition: 0, Input: []byte("5\n")})
-	if res := fs.recv(); res.Type != protocol.TypeResult || string(res.Result) != "3" {
-		t.Fatalf("after hostile frames: %+v, want result 3", res)
-	}
-}
-
-// appendChunk grows with the bytes received, never past the announced
-// total, and ends in a buffer of exactly that size.
-func TestAppendChunkGrowth(t *testing.T) {
-	const total = 10 << 10
-	var input []byte
-	for len(input) < total {
-		landed := len(input) + 1<<10
-		input = appendChunk(input, make([]byte, 1<<10), total)
-		if cap(input) > total || cap(input) > 2*landed {
-			t.Fatalf("with %d of %d bytes landed the buffer holds %d", landed, total, cap(input))
-		}
-	}
-	if len(input) != total || cap(input) != total {
-		t.Fatalf("assembled %d bytes in a %d-byte buffer, want exactly %d", len(input), cap(input), total)
-	}
-}
-
 // The emulated-CPU delay is execution time: a phone with DelayPerKB = d
 // reports at least n·d for an n-KB partition, in the result frame and in
 // its cumulative stats — that number is what the master refines c_ij on.
@@ -617,8 +501,8 @@ func primesOfKB(kb int) []byte {
 }
 
 // The server keeps one assignment queued behind the running one: its
-// input, chunked, must be fully assembled while the first still executes,
-// and the two must run in arrival order.
+// input must be fully received while the first still executes, and the
+// two must run in arrival order.
 func TestPrefetchedAssignmentAssemblesWhileExecuting(t *testing.T) {
 	const delay = 400 * time.Millisecond
 	w, fs, _ := startWorker(t, Config{DelayPerKB: delay})
@@ -627,13 +511,10 @@ func TestPrefetchedAssignmentAssemblesWhileExecuting(t *testing.T) {
 	fs.send(&protocol.Message{Type: protocol.TypeAssign, JobID: 1, Attempt: 1,
 		Task: "primecount", Input: primesOfKB(1)})
 	// net.Pipe is unbuffered: each send returns once the worker's frame
-	// loop has taken the frame, so after the last one the input is whole.
-	second := []byte("2\n3\n4\n5\n7\n9\n11\n")
+	// loop has taken the frame, so after it the input is whole.
 	fs.send(&protocol.Message{Type: protocol.TypeAssign, JobID: 2, Partition: 1, Attempt: 2,
-		Task: "primecount", Input: second[:5], TotalLen: int64(len(second))})
-	fs.send(&protocol.Message{Type: protocol.TypeAssignChunk, JobID: 2, Partition: 1, Input: second[5:9]})
-	fs.send(&protocol.Message{Type: protocol.TypeAssignChunk, JobID: 2, Partition: 1, Input: second[9:]})
-	fs.send(&protocol.Message{Type: protocol.TypeProbe, Seq: 1}) // taken after the last chunk was
+		Task: "primecount", Input: []byte("2\n3\n4\n5\n7\n9\n11\n")})
+	fs.send(&protocol.Message{Type: protocol.TypeProbe, Seq: 1}) // taken after the assignment was
 	if ack := fs.recv(); ack.Type != protocol.TypeProbeAck {
 		t.Fatalf("got %s while the first assignment should still be executing", ack.Type)
 	}
@@ -656,24 +537,23 @@ func TestPrefetchedAssignmentAssemblesWhileExecuting(t *testing.T) {
 
 // Work still queued when the phone is unplugged or vanishes never starts:
 // the connection is gone and the master requeues it. The other phases of
-// an assignment a leave or a drain can land in — its chunks still
-// arriving, executing, its report parked during a disconnect — are the
-// later rows (the rest are covered by the unplug, drain and recycling
-// tests): each attempt gets exactly one report, or none for work a
-// departed phone never started and for a vanish, and Run returns nil
-// once the phone has left, while a drained phone stays.
+// an assignment a leave can land in — its frame still arriving,
+// executing, its report parked during a disconnect — are the later rows
+// (the rest are covered by the unplug, drain and recycling tests): each
+// attempt gets exactly one report, or none for work a departed phone
+// never started and for a vanish, and Run returns nil once the phone has
+// left.
 func TestQueuedAssignmentDroppedWhenPhoneLeaves(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		leave func(*Phone)
 		phase string // "": queued behind a running assignment
-		want  string // the attempt's report: "" none, "result", else a failure's error
+		want  string // the attempt's report: "" none, or "result"
 	}{
 		{"unplug", (*Phone).Unplug, "", ""},
 		{"vanish", (*Phone).Vanish, "", ""},
 		{"unplug-assembling", (*Phone).Unplug, "assembling", ""},
 		{"vanish-assembling", (*Phone).Vanish, "assembling", ""},
-		{"drain-assembling", nil, "assembling", drainedReason},
 		{"vanish-executing", (*Phone).Vanish, "executing", ""},
 		{"unplug-parked", (*Phone).Unplug, "parked", "result"},
 		{"vanish-parked", (*Phone).Vanish, "parked", "result"},
@@ -719,8 +599,7 @@ func TestQueuedAssignmentDroppedWhenPhoneLeaves(t *testing.T) {
 
 // leaveInPhase runs a worker on net.Pipe connections whose every dial
 // waits for a gate, puts assignment attempt 5 in phase and makes the phone
-// leave (nil: the server drains it). It checks the attempt's reports
-// against want, and what Run does.
+// leave. It checks the attempt's reports against want, and what Run does.
 func leaveInPhase(t *testing.T, leave func(*Phone), phase, want string) {
 	gate := make(chan struct{}, 1)
 	served := make(chan net.Conn, 1)
@@ -755,9 +634,11 @@ func leaveInPhase(t *testing.T, leave func(*Phone), phase, want string) {
 	}
 	switch phase {
 	case "assembling":
-		first := *assign
-		first.Input, first.TotalLen = input[:1024], int64(len(input))
-		fs.send(&first)
+		// Half the frame: the phone's reader waits inside it.
+		frame := wireBytes(t, assign)
+		if _, err := raw.Write(frame[:len(frame)/2]); err != nil {
+			t.Fatal(err)
+		}
 	case "executing":
 		fs.send(assign)
 		time.Sleep(20 * time.Millisecond)
@@ -772,19 +653,10 @@ func leaveInPhase(t *testing.T, leave func(*Phone), phase, want string) {
 	}
 
 	var reports []*protocol.Message
-	switch {
-	case leave == nil:
-		fs.send(&protocol.Message{Type: protocol.TypeDrain})
-		fs.send(&protocol.Message{Type: protocol.TypeAssignChunk, JobID: 1, Input: input[1024:]})
-		reports = append(reports, fs.recv())
-		fs.send(&protocol.Message{Type: protocol.TypePing, Seq: 9})
-		if pong := fs.recv(); pong.Type != protocol.TypePong {
-			t.Fatalf("a drained phone answered a ping with %s", pong.Type)
-		}
-	case phase == "parked":
+	if phase == "parked" {
 		leave(w)
 		reports = parked()
-	default:
+	} else {
 		go leave(w) // the pipe is unbuffered: an unplug's bye blocks until read
 		_ = fs.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		for {
@@ -804,26 +676,17 @@ func leaveInPhase(t *testing.T, leave func(*Phone), phase, want string) {
 	case want == "":
 	case len(reports) != 1 || reports[0].Attempt != 5:
 		t.Errorf("%d reports, want one for attempt 5", len(reports))
-	case want == "result" && reports[0].Type != protocol.TypeResult,
-		want != "result" && (reports[0].Type != protocol.TypeFailure || reports[0].Error != want):
-		t.Errorf("attempt 5 reported %s %q, want %s", reports[0].Type, reports[0].Error, want)
-	case want == drainedReason && reports[0].Checkpoint != nil:
-		t.Errorf("a drained assignment that never started handed back checkpoint %+v, want none", reports[0].Checkpoint)
+	case reports[0].Type != protocol.TypeResult:
+		t.Errorf("attempt 5 reported %s %q, want a result", reports[0].Type, reports[0].Error)
 	}
 
-	wait := time.Second
-	if leave == nil {
-		wait = 100 * time.Millisecond
-	}
 	select {
 	case err := <-ran:
-		if leave == nil || err != nil {
-			t.Errorf("Run returned %v; want nil once the phone left, and a drained phone to stay", err)
+		if err != nil {
+			t.Errorf("Run returned %v; want nil once the phone left", err)
 		}
-	case <-time.After(wait):
-		if leave != nil {
-			t.Error("Run still running a second after the phone left")
-		}
+	case <-time.After(time.Second):
+		t.Error("Run still running a second after the phone left")
 	}
 }
 
