@@ -56,11 +56,12 @@ ckpt-chaos:
 # Churn storm: the morning unplug wave (half the fleet unplugging in a
 # narrow band with flapping replugs). Plug-aware placement must requeue
 # fewer attempts and re-ship fewer bytes than a prediction-disabled
-# baseline, with byte-identical aggregates.
+# baseline, with byte-identical aggregates; a draining phone, or one whose
+# predicted charge window a piece would cross, never steals work.
 churn-storm:
 	$(GO) test ./internal/cluster/ -run 'TestChurnStorm' -race -count=1 -v
 	$(GO) test ./internal/faults/ -run 'TestParseScenarioWave|TestWaveSchedule' -race -count=1 -v
-	$(GO) test ./internal/server/ -run 'TestProactiveDrain|TestWALDrainLedger|TestRecordFailureDedupes' -race -count=1 -v
+	$(GO) test ./internal/server/ -run 'TestProactiveDrain|TestWALDrainLedger|TestRecordFailureDedupes|TestStealSkipsDrainingAndWindowedPhones' -race -count=1 -v
 
 # Failover cluster e2e: kill the primary mid-round — the hot standby
 # must promote within its lease, workers must rotate and finish with
@@ -81,10 +82,11 @@ failover:
 # replicated voting (k=2) must finish with byte-identical aggregates,
 # every liar reputation-quarantined, no honest phone harmed, and the
 # quarantine must survive an abrupt mid-run master kill via WAL record
-# replay. Plus the voting/audit/tie-break unit suite and the DSL parser.
+# replay. Plus the voting/audit/tie-break unit suite, the rule that a
+# verification copy is never stolen, and the DSL parser.
 byzantine:
 	$(GO) test ./internal/cluster/ -run 'TestByzantine|TestClusterCorruptResult' -race -count=1 -v
-	$(GO) test ./internal/server/ -run 'TestVoting|TestAudit|TestQuarantine|TestClaimedDigest|TestReputation' -race -count=1 -v
+	$(GO) test ./internal/server/ -run 'TestVoting|TestAudit|TestQuarantine|TestClaimedDigest|TestReputation|TestStealNeverMovesAVoteCopy' -race -count=1 -v
 	$(GO) test ./internal/faults/ -run 'TestParseScenarioByzantine|TestByzantineFor' -race -count=1 -v
 	$(GO) test ./internal/tasks/ -run 'TestDigest' -race -count=1 -v
 
@@ -132,9 +134,12 @@ bench-smoke:
 # one-code-a-step reference coder (FuzzCode), the one durable decoder,
 # which recovery, the standby and a snapshot's records all go through
 # (FuzzWALReducer), the integer kernels' in-place line parser against
-# strconv (FuzzLineInt), and each breakable task's pairwise fold, the way
+# strconv (FuzzLineInt), each breakable task's pairwise fold, the way
 # the master accumulates a job's partials, against one Aggregate of them
-# all (FuzzAggregateFold). Their seed corpora already run in every
+# all (FuzzAggregateFold), and the max and word-count kernels against the
+# kernels they replaced, kept as test-only references (FuzzMaxInt,
+# FuzzWordCount): the benchmark computes its reference answers with the
+# same Process, so it cannot catch a kernel bug. Their seed corpora already run in every
 # `go test`; this searches past them. The engine minimizes each input that
 # finds new coverage for at most a second, not its default minute: it
 # reports no executions meanwhile, and a few minimizations could hold
@@ -145,6 +150,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReducer$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzLineInt$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/tasks/
 	$(GO) test -run '^$$' -fuzz '^FuzzAggregateFold$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/tasks/
+	$(GO) test -run '^$$' -fuzz '^FuzzMaxInt$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/tasks/
+	$(GO) test -run '^$$' -fuzz '^FuzzWordCount$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/tasks/
 
 # The pre-PR gate: everything that must be green before a change ships.
 # Files gofmt would rewrite are listed and fail it. The census is printed

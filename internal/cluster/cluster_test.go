@@ -324,7 +324,7 @@ func TestClusterRAMConstrainedPartitioning(t *testing.T) {
 
 // A multi-megabyte input end to end: each partition ships in one assign
 // frame, however large, and the job's answer is right.
-func TestClusterChunkedTransfers(t *testing.T) {
+func TestClusterMultiMegabyteInputOneFramePerPartition(t *testing.T) {
 	c := startCluster(t, Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()

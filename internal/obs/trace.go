@@ -13,11 +13,15 @@ import (
 // span is minted per job at Submit and carried in protocol frames, so
 // every event of every partition of a submission shares one span ID:
 //
-//	submit → round → assign → (checkpoint)* → result | failure
+//	submit → round → (steal) → assign → (checkpoint)* → result | failure
 //	       → requeue/speculate/abandon/deadletter → ... → aggregate
 const (
-	KindSubmit     = "submit"
-	KindRound      = "round"
+	KindSubmit = "submit"
+	KindRound  = "round"
+	// KindSteal is a phone whose own queue ran dry taking an unshipped
+	// assignment off another phone's queue within the round; Phone is the
+	// taker, Detail names the phone it came from.
+	KindSteal      = "steal"
 	KindAssign     = "assign"
 	KindCheckpoint = "checkpoint"
 	KindResult     = "result"

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -77,51 +78,96 @@ func (m *Master) LastSched() (cp *SchedSnapshot) {
 	return cp
 }
 
+// schedIndex is the memory finishSchedSnapshot pairs a round's events in,
+// kept from round to round: the snapshot's phones by ID, its assignments
+// by (phone, job, partition) — chained, for a phone that holds two ranges
+// of one job under one partition number — the time of each key's latest
+// assign, and each phone's latest report.
+type schedIndex struct {
+	phones   map[int]*SchedPhone
+	first    map[schedKey]int // the key's first row
+	rows     []schedRow
+	assigned map[schedKey]time.Duration
+	reported map[int]time.Duration
+}
+
+type schedKey struct{ phone, job, part int }
+
+// schedRow is one assignment of the snapshot and the next row of its key
+// (-1: none).
+type schedRow struct {
+	a    *SchedAssignment
+	next int
+}
+
 // finishSchedSnapshot folds the assign, result, failure and straggler
 // events of a finished round's timeline into the snapshot built at
 // dispatch time: per-assignment report latencies and outcomes, per-phone
 // busy spans, and the measured makespan. An assignment prefetched behind
 // another is measured from its predecessor's report on that phone, not
 // from its own assign: the time it sat queued on the phone is the
-// predecessor's, not its own.
-func finishSchedSnapshot(snap *SchedSnapshot, events []Event, wall time.Duration) {
+// predecessor's, not its own. Each event finds its assignments through the
+// index, built once per round in x's memory.
+func (x *schedIndex) finishSchedSnapshot(snap *SchedSnapshot, events []Event, wall time.Duration) {
+	if x.phones == nil {
+		x.phones, x.first = map[int]*SchedPhone{}, map[schedKey]int{}
+		x.assigned, x.reported = map[schedKey]time.Duration{}, map[int]time.Duration{}
+	}
+	clear(x.phones)
+	clear(x.first)
+	clear(x.assigned)
+	clear(x.reported)
+	x.rows = x.rows[:0]
 	snap.ActualMakespanMs = float64(wall) / float64(time.Millisecond)
-	type akey struct{ phone, job, part int }
-	assigned := map[akey]time.Duration{}
-	reported := map[int]time.Duration{} // phone -> its latest report
+	for pi := range snap.Phones {
+		sp := &snap.Phones[pi]
+		x.phones[sp.PhoneID] = sp
+		for ai := range sp.Assignments {
+			a := &sp.Assignments[ai]
+			k := schedKey{sp.PhoneID, a.JobID, a.Partition}
+			next, ok := x.first[k]
+			if !ok {
+				next = -1
+			}
+			x.first[k] = len(x.rows)
+			x.rows = append(x.rows, schedRow{a, next})
+		}
+	}
 	for _, e := range events {
-		k := akey{e.PhoneID, e.JobID, e.Partition}
+		k := schedKey{e.PhoneID, e.JobID, e.Partition}
 		switch e.Kind {
 		case "assign":
-			assigned[k] = e.At
+			x.assigned[k] = e.At
 		case "result", "failure", "straggler":
-			from := max(assigned[k], reported[e.PhoneID])
+			from := max(x.assigned[k], x.reported[e.PhoneID])
 			if e.Kind != "straggler" {
-				reported[e.PhoneID] = e.At
+				x.reported[e.PhoneID] = e.At
 			}
-			for pi := range snap.Phones {
-				sp := &snap.Phones[pi]
-				if sp.PhoneID != e.PhoneID {
-					continue
-				}
-				for ai := range sp.Assignments {
-					a := &sp.Assignments[ai]
-					if a.JobID != e.JobID || a.Partition != e.Partition {
-						continue
-					}
-					a.Outcome = e.Kind
-					if e.Kind != "straggler" {
-						a.ActualMs = float64(e.At-from) / float64(time.Millisecond)
-					}
-				}
+			for i, ok := x.first[k]; ok && i >= 0; i = x.rows[i].next {
+				a := x.rows[i].a
+				a.Outcome = e.Kind
 				if e.Kind != "straggler" {
-					if ms := float64(e.At) / float64(time.Millisecond); ms > sp.ActualSpanMs {
-						sp.ActualSpanMs = ms
-					}
+					a.ActualMs = float64(e.At-from) / float64(time.Millisecond)
 				}
+			}
+			if sp := x.phones[e.PhoneID]; sp != nil && e.Kind != "straggler" {
+				sp.ActualSpanMs = max(sp.ActualSpanMs, float64(e.At)/float64(time.Millisecond))
 			}
 		}
 	}
+}
+
+// move re-homes the entry of a stolen key from phone index from's queue to
+// phone index to's, at to's predicted cost, so its actual pairs with it on
+// the phone that ran it. Every queued assignment has its entry, and only a
+// key no other assignment of the round shares is stolen.
+func (snap *SchedSnapshot) move(from, to int, key int64, predictedMs float64) {
+	src := &snap.Phones[from]
+	i := slices.IndexFunc(src.Assignments, func(a SchedAssignment) bool { return a.Key == key })
+	a := src.Assignments[i]
+	src.Assignments = slices.Delete(src.Assignments, i, i+1)
+	a.PredictedMs = predictedMs
+	snap.Phones[to].Assignments = append(snap.Phones[to].Assignments, a)
 }
 
 // ObsAddr returns the admin plane's bound address ("" when unbound).

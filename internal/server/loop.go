@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"slices"
+	"strconv"
 	"time"
 
 	"cwc/internal/core"
@@ -61,6 +62,7 @@ type round struct {
 	open   int           // windows still holding its work
 	done   chan struct{} // closed in the step that ends it
 	items  []*workItem
+	jobs   []int // the jobs it finishes, in ID order: its items', and adopted ones
 	sched  *core.Schedule
 	inst   *core.Instance
 	snap   *SchedSnapshot
@@ -380,7 +382,8 @@ func (m *Master) startLocked(now time.Time, rnd *round) {
 // back what it has not started; what it executes still reports. The head's
 // clock starts once its bytes are written and its predecessor has settled,
 // so time queued behind a slow predecessor never makes a straggler. The
-// next assignment ships when the window has room.
+// next assignment ships when the window has room; a window with room and
+// no queue left may take one off another phone first (stealLocked).
 func (m *Master) pumpLocked(now time.Time, ps *phoneState) {
 	if ps.rnd == nil {
 		return
@@ -400,6 +403,9 @@ func (m *Master) pumpLocked(now time.Time, ps *phoneState) {
 			m.armLocked(ps.due)
 		}
 	}
+	if ps.sending == 0 && ps.next == len(ps.queue) && len(ps.win) < 2 {
+		m.stealLocked(now, ps)
+	}
 	if ps.sending == 0 && ps.next < len(ps.queue) &&
 		(len(ps.win) == 0 || len(ps.win) == 1 && pairFits(ps, ps.win[0].a, ps.queue[ps.next])) {
 		a := ps.queue[ps.next]
@@ -416,6 +422,95 @@ func (m *Master) pumpLocked(now time.Time, ps *phoneState) {
 		m.queueLocked(ps, ps.win[len(ps.win)-1])
 	}
 	m.finishLocked(ps)
+}
+
+// stealLocked is in-round load balancing: ps, whose own queue is spent and
+// whose window has room, takes the assignment stealFor picks off another
+// phone of its round onto its queue, unless it is draining or quarantined.
+// The assignment keeps its key, range, partition and resume state, and
+// ships once, from ps, under a fresh attempt. Nothing is logged: no record
+// names the phone a range runs on. Work that failed still waits for the
+// next round; only planned, unshipped work moves.
+func (m *Master) stealLocked(now time.Time, ps *phoneState) {
+	if id := ps.info.ID; !ps.alive() || m.drains[id] != "" || m.quarantined[id] {
+		return
+	}
+	rnd := ps.rnd
+	ti := slices.Index(rnd.phones, ps)
+	vi, k := rnd.stealFor(ti, float64(now.Sub(rnd.start))/float64(time.Millisecond), m.votes)
+	if vi < 0 {
+		return
+	}
+	victim := rnd.phones[vi]
+	a := victim.queue[k]
+	victim.queue = slices.Delete(victim.queue, k, k+1)
+	ps.queue, ps.next = append(ps.queue[:0], a), 0 // the spent queue: what it shipped, its window holds
+	m.mx.steals.Inc()
+	m.trace(obs.SpanEvent{Kind: obs.KindSteal, Job: a.item.jobID, Span: a.item.span, Partition: a.partition,
+		Key: a.key, Phone: ps.info.ID, Bytes: int64(len(a.input)), Detail: "from " + strconv.Itoa(victim.info.ID)})
+	rnd.snap.move(vi, ti, a.key, rnd.price(ti, a))
+}
+
+// stealFor is the steal rule for phone ti of the round, priced by the
+// round's own instance: an assignment at its Cost on a phone, executable
+// term included, and a window at the whole cost of what it holds. The
+// victim is the phone with the most predicted unshipped work that holds a
+// movable assignment — any but a verification copy, which runs where its
+// vote placed it — and the candidate is its last. ti takes it only if it
+// would finish it, after its own window, before the victim would reach
+// it; and only if the piece fits ti: under its RAM cap, beside what it
+// executes, and, when plug-aware, within its predicted charge window
+// counted from the round's start. So a steal never raises the round's
+// model makespan: ti ends below the victim's old finish, and the victim
+// ends sooner. It returns the victim's index and the candidate's index in
+// the victim's queue, or vi = -1 for no steal.
+func (rnd *round) stealFor(ti int, elapsedMs float64, votes map[int64]*voteGroup) (vi, k int) {
+	vi, most := -1, 0.0
+	for i, ps := range rnd.phones {
+		if i == ti || ps.rnd != rnd {
+			continue
+		}
+		unshipped, last := 0.0, -1
+		for j := ps.next; j < len(ps.queue); j++ {
+			unshipped += rnd.price(i, ps.queue[j])
+			if votes[ps.queue[j].key] == nil {
+				last = j
+			}
+		}
+		if last >= 0 && unshipped > most {
+			vi, k, most = i, last, unshipped
+		}
+	}
+	if vi < 0 {
+		return -1, 0
+	}
+	victim, thief, p := rnd.phones[vi], rnd.phones[ti], rnd.inst.Phones[ti]
+	a := victim.queue[k]
+	reachMs := rnd.windowMs(vi)
+	for _, b := range victim.queue[victim.next:k] {
+		reachMs += rnd.price(vi, b)
+	}
+	finishMs := rnd.windowMs(ti) + rnd.price(ti, a)
+	if finishMs >= reachMs || float64(len(a.input))/1024 > p.RAMKB ||
+		len(thief.win) == 1 && !pairFits(thief, thief.win[0].a, a) ||
+		p.AvailMs > 0 && elapsedMs+finishMs > p.AvailMs {
+		return -1, 0
+	}
+	return vi, k
+}
+
+// price is what the steal rule predicts a takes on phone i of the round.
+func (rnd *round) price(i int, a assignment) float64 {
+	return rnd.inst.Cost(i, a.job, float64(len(a.input))/1024, true)
+}
+
+// windowMs is what the steal rule predicts phone i's window holds.
+func (rnd *round) windowMs(i int) float64 {
+	ms := 0.0
+	for _, f := range rnd.phones[i].win {
+		ms += rnd.price(i, f.a)
+	}
+	return ms
 }
 
 // finishLocked lets go of ps's round once its window holds none of the

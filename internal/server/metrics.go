@@ -20,6 +20,7 @@ type masterMetrics struct {
 	results, failures, requeues, deadLetters, recomputeSaved       *obs.Counter
 	speculations, stragglers, abandons, assignBytes, handbackBytes *obs.Counter
 	ckptFrames, ckptFolds, ckptBytes, drainStarted, drainCompleted *obs.Counter
+	steals                                                         *obs.Counter
 	predictedMakespan, actualMakespan                              *obs.Gauge
 	execMs, roundWallMs                                            *obs.Histogram
 
@@ -68,6 +69,7 @@ func newMasterMetrics(r *obs.Registry) *masterMetrics {
 		ckptBytes:         r.NewCounter("cwc_checkpoint_bytes_total", "checkpoint state bytes accepted"),
 		drainStarted:      r.NewCounter("cwc_drain_started_total", "proactive drains started as predicted charge windows closed"),
 		drainCompleted:    r.NewCounter("cwc_drain_completed_total", "proactive drains whose work was handed back before the disconnect"),
+		steals:            r.NewCounter("cwc_steals_total", "unshipped assignments a phone whose own queue ran dry took off another phone's queue within the round"),
 		predictedMakespan: r.NewGauge("cwc_round_predicted_makespan_ms", "last round's scheduler-predicted makespan"),
 		actualMakespan:    r.NewGauge("cwc_round_actual_makespan_ms", "last round's measured wall time"),
 		execMs:            r.NewHistogram("cwc_exec_ms", "reported per-partition execution time in milliseconds"),

@@ -63,7 +63,7 @@ func (m *Master) closeTimeline(report *RoundReport, snap *SchedSnapshot, start t
 			report.DeadLettered++
 		}
 	}
-	finishSchedSnapshot(snap, report.Events, report.Wall)
+	m.schedIdx.finishSchedSnapshot(snap, report.Events, report.Wall)
 }
 
 // Submit queues a job for the next scheduling round and returns its ID.
@@ -334,12 +334,12 @@ type Event struct {
 	PhoneID   int           // -1: no phone involved
 	JobID     int
 	Partition int
-	// Kind is the span event's kind: "assign", "result", "failure",
-	// "straggler", "speculate", "checkpoint", "requeue" and "deadletter"
-	// (from any path: a lost phone, a failure report, an unresolved vote),
-	// "submit" for a job that arrived mid-round — plus "late-result" for a
-	// result credited to an attempt no window held anymore. Readers
-	// switch on the kinds they know and ignore the rest.
+	// Kind is the span event's kind: "steal", "assign", "result",
+	// "failure", "straggler", "speculate", "checkpoint", "requeue" and
+	// "deadletter" (from any path: a lost phone, a failure report, an
+	// unresolved vote), "submit" for a job that arrived mid-round — plus
+	// "late-result" for a result credited to an attempt no window held
+	// anymore. Readers switch on the kinds they know and ignore the rest.
 	Kind string
 }
 
@@ -555,6 +555,12 @@ func (m *Master) commitLocked(rnd *round) {
 	// Until the round ends, it finishes the jobs it completes, and its
 	// timeline is open.
 	m.current = rnd
+	rnd.jobs = make([]int, len(rnd.items))
+	for i, it := range rnd.items {
+		rnd.jobs[i] = it.jobID
+	}
+	slices.Sort(rnd.jobs)
+	rnd.jobs = slices.Compact(rnd.jobs)
 	assignments := 0
 	for _, queue := range plans {
 		assignments += len(queue)
@@ -568,8 +574,16 @@ func (m *Master) commitLocked(rnd *round) {
 	m.startLocked(rnd.start, rnd)
 }
 
+// adopt has the round finish a job: one a result covered while it ran.
+func (rnd *round) adopt(jobID int) {
+	if i, ok := slices.BinarySearch(rnd.jobs, jobID); !ok {
+		rnd.jobs = slices.Insert(rnd.jobs, i, jobID)
+	}
+}
+
 // endLocked ends rnd in the step in which its last window let go of it:
-// stamped, swept and reported, and the log compacted if due. A closing
+// stamped, swept and reported, the jobs it holds finished in ID order once
+// covered, and the log compacted if due. A closing
 // master's round hands nothing back and compacts nothing (its ranges stay
 // open, as after a SIGKILL).
 func (m *Master) endLocked(rnd *round) {
@@ -608,7 +622,8 @@ func (m *Master) endLocked(rnd *round) {
 	// is the job's, not the round's.
 	m.closeTimeline(report, snap, rnd.start)
 	report.Requeued = len(m.pending)
-	for _, js := range m.jobs {
+	for _, id := range rnd.jobs {
+		js := m.jobs[id]
 		if js.Done || js.Covered < js.TotalBytes {
 			continue
 		}
@@ -967,10 +982,15 @@ func (m *Master) finalizeResultLocked(a assignment, resp *protocol.Message, ps *
 		JobID: js.ID, Key: a.key, Bytes: int64(len(a.input)), Partial: wire.Held{Bytes: resp.Result},
 	})
 	// A late result (tie-break, detached straggler) can complete a job's
-	// coverage outside any round; without a round's end coming, finish it
-	// here.
-	if m.current == nil && !js.Done && js.Covered >= js.TotalBytes {
+	// coverage outside any round: without a round's end coming, finish it
+	// here. Inside one, the round finishes it, whether or not it holds the
+	// job's work.
+	switch {
+	case js.Done || js.Covered < js.TotalBytes:
+	case m.current == nil:
 		m.finishJobLocked(js)
+	default:
+		m.current.adopt(js.ID)
 	}
 	m.mx.results.Inc()
 	m.sloObserve(sloRequeue, true)

@@ -3,8 +3,10 @@ package server
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"cwc/internal/core"
 	"cwc/internal/predict"
@@ -362,5 +364,44 @@ func TestSubmitRefusesWholeInputOverOneFrame(t *testing.T) {
 	}
 	if got := m.PendingItems(); got != 1 {
 		t.Errorf("%d items pending, want the breakable one", got)
+	}
+}
+
+// A round finishes the jobs it holds, in ID order, and no other: its
+// report lists them ascending, and a job an earlier round finished is not
+// visited again — not even one that reads unfinished, as the walk of every
+// job the master ever held would have found it.
+func TestRoundFinishesOnlyItsJobsInIDOrder(t *testing.T) {
+	m := startMaster(t, Config{})
+	for i := 0; i < 2; i++ {
+		go autoResponder(dialFake(t, m, "HTC G2", 806))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.WaitForPhones(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	first, err := m.Submit(tasks.PrimeCount{}, numberLines(1, 100), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := m.RunRound(ctx); err != nil || !slices.Equal(rep.CompletedJobs, []int{first}) {
+		t.Fatalf("first round: %+v, %v", rep, err)
+	}
+	m.do(func() { m.jobs[first].Done = false })
+	var ids []int
+	for j := 0; j < 40; j++ {
+		id, err := m.Submit(tasks.PrimeCount{}, numberLines(100*j+1, 100*j+50), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	rep, err := m.RunRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rep.CompletedJobs, ids) {
+		t.Fatalf("second round completed %v, want its own jobs in ID order, %v", rep.CompletedJobs, ids)
 	}
 }

@@ -434,6 +434,7 @@ type Master struct {
 	// (served by /debug/sched).
 	rounds    int
 	lastSched *SchedSnapshot
+	schedIdx  schedIndex // pairs each round's events with lastSched's entries
 
 	// timeline is the open round's events as trace wrote them; its
 	// backing array serves every round.

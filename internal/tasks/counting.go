@@ -3,6 +3,7 @@ package tasks
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -169,8 +170,9 @@ func (w WordCount) Process(ctx context.Context, input []byte, ck *Checkpoint) ([
 	if err != nil {
 		return nil, err
 	}
+	word := []byte(w.Word)
 	err = forEachLine(ctx, input, ck, func() { st.save(ck) }, func(line []byte) {
-		st.Count += countWord(line, w.Word)
+		st.Count += countWord(line, word)
 	})
 	if err != nil {
 		st.save(ck)
@@ -179,17 +181,52 @@ func (w WordCount) Process(ctx context.Context, input []byte, ck *Checkpoint) ([
 	return []byte(strconv.FormatInt(st.Count, 10)), nil
 }
 
-// countWord counts the words of line equal to word, scanning in place.
-func countWord(line []byte, word string) int64 {
+// countWord counts the words of line equal to word, in place. On an
+// all-ASCII line a word is found by substring search and counted where
+// ASCII whitespace or the line's ends bound it on both sides; any other
+// line is scanned rune by rune, since a multi-byte rune may be a space. A
+// word that is empty or holds whitespace equals no word.
+func countWord(line, word []byte) int64 {
+	if len(word) == 0 || skipRun(word, 0, false) < len(word) {
+		return 0
+	}
 	var n int64
-	for i := skipRun(line, 0, true); i < len(line); {
-		end := skipRun(line, i, false)
-		if string(line[i:end]) == word {
+	if !isASCII(line) {
+		for i := skipRun(line, 0, true); i < len(line); {
+			end := skipRun(line, i, false)
+			if bytes.Equal(line[i:end], word) {
+				n++
+			}
+			i = skipRun(line, end, true)
+		}
+		return n
+	}
+	for i := 0; ; {
+		j := bytes.Index(line[i:], word)
+		if j < 0 {
+			return n
+		}
+		start, end := i+j, i+j+len(word)
+		if (start == 0 || asciiSpace[line[start-1]]) && (end == len(line) || asciiSpace[line[end]]) {
 			n++
 		}
-		i = skipRun(line, end, true)
+		i = start + 1
 	}
-	return n
+}
+
+// isASCII reports whether b holds only ASCII bytes, a word at a time.
+func isASCII(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b)&0x8080808080808080 != 0 {
+			return false
+		}
+	}
+	for _, c := range b {
+		if c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // asciiSpace is unicode.IsSpace over the ASCII range.
@@ -260,13 +297,31 @@ func (MaxInt) Process(ctx context.Context, input []byte, ck *Checkpoint) ([]byte
 		}
 	}
 	save := func() { ck.State, _ = json.Marshal(st) }
+	// A line shorter than a non-negative max's decimal holds fewer digits
+	// than it, so it cannot beat it: it is skipped unparsed.
+	digits := 0
+	seen := func(n int64) {
+		st.Max, st.Seen, digits = n, true, 0
+		if n >= 0 {
+			digits = 1
+			for v := n; v >= 10; v /= 10 {
+				digits++
+			}
+		}
+	}
+	if st.Seen {
+		seen(st.Max)
+	}
 	err := forEachLine(ctx, input, ck, save, func(line []byte) {
+		if len(line) < digits {
+			return
+		}
 		n, perr := lineInt(line)
 		if perr != nil {
 			return
 		}
 		if !st.Seen || n > st.Max {
-			st.Max, st.Seen = n, true
+			seen(n)
 		}
 	})
 	if err != nil {

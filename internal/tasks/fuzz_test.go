@@ -103,7 +103,9 @@ func FuzzDecodeImage(f *testing.F) {
 }
 
 // FuzzWordCount checks WordCount.Process against counting bytes.Fields'
-// words, over Unicode spaces and invalid UTF-8.
+// words, over Unicode spaces and invalid UTF-8, and its kernel, which
+// finds the word by substring search on an all-ASCII line, line by line
+// against the rune scan it stands in for.
 func FuzzWordCount(f *testing.F) {
 	f.Add("sale", []byte("the sale\nsale  store sale\n"))
 	f.Add("sale", []byte("sale\u0085sale sale\u00a0sale\u3000sale"))
@@ -112,7 +114,17 @@ func FuzzWordCount(f *testing.F) {
 	f.Add("sale", []byte("sale\xc2 sale \xc2sale sale\xc2\x85sale"))
 	f.Add("\xff", []byte("\xff \xff\xff \xc2\xff"))
 	f.Add(" ", []byte("a b  "))
+	f.Add("aa", []byte("aaa aa a aa\taa\n"))
+	f.Add("a b", []byte("a b a b\n"))
+	f.Add("sale", []byte("x\x00sale sale,\vsale resale\n"))
+	f.Add("café", []byte("café café\n"))
+	f.Add("", []byte("sale\n"))
 	f.Fuzz(func(t *testing.T, word string, input []byte) {
+		for _, line := range bytes.Split(input, []byte{'\n'}) {
+			if got, want := countWord(line, []byte(word)), countWordRef(line, word); got != want {
+				t.Fatalf("countWord(%q, %q) = %d, the rune scan counts %d", line, word, got, want)
+			}
+		}
 		var want int64
 		for _, field := range bytes.Fields(input) {
 			if string(field) == word {
@@ -144,6 +156,62 @@ func FuzzLineInt(f *testing.F) {
 			t.Fatalf("lineInt(%q) = %d, %v; strconv = %d, %v", line, got, err, want, wantErr)
 		}
 	})
+}
+
+// maxIntRef is the reference MaxInt.Process is checked against: the kernel
+// as first written, which parses every line.
+func maxIntRef(input []byte, ck *Checkpoint) ([]byte, error) {
+	var st maxState
+	if len(ck.State) > 0 {
+		if err := json.Unmarshal(ck.State, &st); err != nil {
+			return nil, fmt.Errorf("tasks: corrupt max state: %w", err)
+		}
+	}
+	err := forEachLine(context.Background(), input, ck, nil, func(line []byte) {
+		if n, err := lineInt(line); err == nil && (!st.Seen || n > st.Max) {
+			st.Max, st.Seen = n, true
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !st.Seen {
+		return []byte("none"), nil
+	}
+	return []byte(strconv.FormatInt(st.Max, 10)), nil
+}
+
+// FuzzMaxInt checks MaxInt, which skips a line too short to beat the
+// running max, against the reference that parses every line, from a
+// fuzzed resume state.
+func FuzzMaxInt(f *testing.F) {
+	f.Add([]byte("7\n3\n9001\n14\n"), int64(0), false)
+	f.Add([]byte("5\n-12\n+9\n 8\n12\r\n007\n"), int64(9), true)
+	f.Add([]byte("-5\n-100\n-3\n"), int64(-4), true)
+	f.Add([]byte("99\n100\n 99\n1000000000000000000\n"), int64(0), true)
+	f.Add([]byte("x\n\n12a\n0\n"), int64(-9223372036854775808), true)
+	f.Fuzz(func(t *testing.T, input []byte, max int64, seen bool) {
+		state, _ := json.Marshal(maxState{Max: max, Seen: seen})
+		got, err := (MaxInt{}).Process(context.Background(), input, &Checkpoint{State: state})
+		want, wantErr := maxIntRef(input, &Checkpoint{State: state})
+		if !bytes.Equal(got, want) || (err == nil) != (wantErr == nil) {
+			t.Fatalf("MaxInt from %s over %q = %q, %v; reference %q, %v", state, input, got, err, want, wantErr)
+		}
+	})
+}
+
+// countWordRef is the reference countWord is checked against: the kernel
+// as first written, which scans every line rune by rune.
+func countWordRef(line []byte, word string) int64 {
+	var n int64
+	for i := skipRun(line, 0, true); i < len(line); {
+		end := skipRun(line, i, false)
+		if string(line[i:end]) == word {
+			n++
+		}
+		i = skipRun(line, end, true)
+	}
+	return n
 }
 
 // FuzzCheckpointOffsets checks counting tasks tolerate arbitrary
