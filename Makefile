@@ -57,11 +57,13 @@ ckpt-chaos:
 # narrow band with flapping replugs). Plug-aware placement must requeue
 # fewer attempts and re-ship fewer bytes than a prediction-disabled
 # baseline, with byte-identical aggregates; a draining phone, or one whose
-# predicted charge window a piece would cross, never steals work.
+# predicted charge window a piece would cross, never steals work, and the
+# cut that gives stealing small pieces keeps the plan's makespan and every
+# byte range.
 churn-storm:
 	$(GO) test ./internal/cluster/ -run 'TestChurnStorm' -race -count=1 -v
 	$(GO) test ./internal/faults/ -run 'TestParseScenarioWave|TestWaveSchedule' -race -count=1 -v
-	$(GO) test ./internal/server/ -run 'TestProactiveDrain|TestWALDrainLedger|TestRecordFailureDedupes|TestStealSkipsDrainingAndWindowedPhones' -race -count=1 -v
+	$(GO) test ./internal/server/ -run 'TestProactiveDrain|TestWALDrainLedger|TestRecordFailureDedupes|TestStealSkipsDrainingAndWindowedPhones|TestCutToGrainProperty' -race -count=1 -v
 
 # Failover cluster e2e: kill the primary mid-round — the hot standby
 # must promote within its lease, workers must rotate and finish with

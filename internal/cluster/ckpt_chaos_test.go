@@ -78,7 +78,7 @@ func TestCkptChaosBoundedWorkLoss(t *testing.T) {
 	}
 	meteredBytes.Store(0)
 
-	const ckptKB = 16
+	const ckptKB = 2
 	tracer := obs.NewTracer(4096)
 	opts := Options{Phones: DefaultPhones()[:4]}
 	opts.Server.CheckpointEveryKB = ckptKB

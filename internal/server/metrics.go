@@ -20,7 +20,7 @@ type masterMetrics struct {
 	results, failures, requeues, deadLetters, recomputeSaved       *obs.Counter
 	speculations, stragglers, abandons, assignBytes, handbackBytes *obs.Counter
 	ckptFrames, ckptFolds, ckptBytes, drainStarted, drainCompleted *obs.Counter
-	steals                                                         *obs.Counter
+	steals, cutPieces                                              *obs.Counter
 	predictedMakespan, actualMakespan                              *obs.Gauge
 	execMs, roundWallMs                                            *obs.Histogram
 
@@ -70,6 +70,7 @@ func newMasterMetrics(r *obs.Registry) *masterMetrics {
 		drainStarted:      r.NewCounter("cwc_drain_started_total", "proactive drains started as predicted charge windows closed"),
 		drainCompleted:    r.NewCounter("cwc_drain_completed_total", "proactive drains whose work was handed back before the disconnect"),
 		steals:            r.NewCounter("cwc_steals_total", "unshipped assignments a phone whose own queue ran dry took off another phone's queue within the round"),
+		cutPieces:         r.NewCounter("cwc_cut_pieces_total", "extra pieces the planned assignments were cut into, so a round ends with small pieces stealing can move"),
 		predictedMakespan: r.NewGauge("cwc_round_predicted_makespan_ms", "last round's scheduler-predicted makespan"),
 		actualMakespan:    r.NewGauge("cwc_round_actual_makespan_ms", "last round's measured wall time"),
 		execMs:            r.NewHistogram("cwc_exec_ms", "reported per-partition execution time in milliseconds"),

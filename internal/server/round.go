@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"time"
@@ -420,10 +421,12 @@ func (m *Master) RunRound(ctx context.Context) (*RoundReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	plans, err := slicePartitions(items, sched)
+	cut, extra := cutToGrain(sched, inst)
+	plans, err := slicePartitions(items, cut)
 	if err != nil {
 		return nil, err
 	}
+	m.mx.cutPieces.Add(int64(extra))
 	rnd := &round{plans: plans, phones: t.phones, items: items, sched: sched, inst: inst,
 		done: make(chan struct{})}
 	m.dispatch(ctx, rnd)
@@ -789,6 +792,70 @@ func (m *Master) buildSchedule(items []*workItem, phones []PhoneInfo, est *predi
 		m.mx.vetoed.Add(int64(sched.Vetoed))
 	}
 	return sched, inst, nil
+}
+
+// The grain cutToGrain leaves. Algorithm 1 cuts a breakable job only where
+// a bin overflows, so a phone's queue often ends in one large piece, and
+// in-round stealing (stealLocked) moves only whole unshipped assignments.
+const (
+	// cutPerRound: a cut piece costs at most 1/cutPerRound of the round's
+	// predicted makespan on its phone, so the two pieces a window holds,
+	// which no phone can take, are at most an eighth of the round.
+	cutPerRound = 16
+	// cutFloorKB: no cut leaves a piece under 8 KB. Every piece costs fixed
+	// bytes (a code table, frame headers, a result frame, a round-record
+	// item and a report record), so a job under 16 KB is never cut.
+	cutFloorKB = 8
+)
+
+// cutting is whether cutToGrain cuts, a variable so that a test can run
+// the same plan uncut.
+var cutting = true
+
+// cutToGrain cuts the packer's schedule to a grain in-round stealing can
+// balance. An assignment whose planned cost on its phone, l·Rate(i,j), is
+// more than 1/cutPerRound of the predicted makespan becomes n equal
+// pieces, n = min(⌈cost/grain⌉, ⌊l/cutFloorKB⌋), where it sat in the
+// phone's queue, if its job is planned non-atomic (so no keyed or resumed
+// range is ever cut) and the round has two phones or more; n < 2 cuts
+// nothing. The makespan is the packer's, bit for bit, and no phone's span
+// moves: a span charges E_j·b_i once per job, however many pieces the
+// phone holds. It returns sched itself if nothing is cut, and the number
+// of pieces the cut added.
+func cutToGrain(sched *core.Schedule, inst *core.Instance) (*core.Schedule, int) {
+	if !cutting || len(inst.Phones) < 2 {
+		return sched, 0
+	}
+	grain := sched.Makespan / cutPerRound
+	pieces := func(i int, a core.Assignment) int {
+		if inst.Jobs[a.Job].Atomic {
+			return 1
+		}
+		return max(1, int(min(math.Ceil(a.SizeKB*inst.Rate(i, a.Job)/grain), math.Floor(a.SizeKB/cutFloorKB))))
+	}
+	extra := 0
+	for i, asgs := range sched.PerPhone {
+		for _, a := range asgs {
+			extra += pieces(i, a) - 1
+		}
+	}
+	if extra == 0 {
+		return sched, 0
+	}
+	cut := *sched
+	cut.PerPhone = make([][]core.Assignment, len(sched.PerPhone))
+	for i, asgs := range sched.PerPhone {
+		queue := make([]core.Assignment, 0, len(asgs))
+		for _, a := range asgs {
+			n := pieces(i, a)
+			a.SizeKB /= float64(n) // bit for bit itself when n is 1
+			for range n {
+				queue = append(queue, a)
+			}
+		}
+		cut.PerPhone[i] = queue
+	}
+	return &cut, extra
 }
 
 // slicePartitions turns the abstract schedule into per-phone queues of
